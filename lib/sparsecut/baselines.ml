@@ -23,7 +23,7 @@ let of_sweep g sweep =
   Option.map
     (fun (pref : Sweep.prefix) ->
       let vertices = Sweep.take sweep pref.Sweep.len in
-      Array.sort compare vertices;
+      Array.sort Int.compare vertices;
       { vertices;
         conductance = pref.Sweep.conductance;
         balance = Metrics.balance g vertices;
@@ -49,10 +49,11 @@ let dsmp ?walk_length g rng =
     in
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in
+    let ws = Dex_spectral.Walk.workspace g in
     let p = ref (Dex_spectral.Walk.indicator src) in
     let best = ref None in
     for _ = 1 to steps do
-      p := Dex_spectral.Walk.step_sparse g !p;
+      p := Dex_spectral.Walk.step ws g !p;
       match Sweep.best_cut g !p with
       | None -> ()
       | Some (sweep, j) ->
@@ -61,7 +62,7 @@ let dsmp ?walk_length g rng =
         | Some (bc, _, _) when bc <= pref.Sweep.conductance -> ()
         | _ ->
           let vertices = Sweep.take sweep j in
-          Array.sort compare vertices;
+          Array.sort Int.compare vertices;
           best := Some (pref.Sweep.conductance, vertices, ()))
     done;
     Option.map

@@ -30,13 +30,40 @@ let candidate_cost ~t ~support = (ceil_log2 (float_of_int (max 2 support)) + 1) 
 
 let cut_of_prefix sweep (pref : Sweep.prefix) ~t =
   let vertices = Sweep.take sweep pref.Sweep.len in
-  Array.sort compare vertices;
+  Array.sort Int.compare vertices;
   { vertices;
     volume = pref.Sweep.volume;
     cut_edges = pref.Sweep.cut;
     conductance = pref.Sweep.conductance;
     found_t = t;
     found_j = pref.Sweep.len }
+
+(* ‖next − prev‖₁ as a two-pointer merge of the ascending supports.
+   The sum runs over [next] ascending, then over the entries of [prev]
+   that left the support, ascending; the fixpoint step, and so the
+   pinned outputs, depend on this order (DESIGN.md §12). *)
+let l1_change ~prev ~next =
+  let acc = ref 0.0 in
+  let np = Walk.size prev in
+  let j = ref 0 in
+  for i = 0 to Walk.size next - 1 do
+    let v = Walk.nth_vertex next i in
+    while !j < np && Walk.nth_vertex prev !j < v do
+      incr j
+    done;
+    let y = if !j < np && Walk.nth_vertex prev !j = v then Walk.nth_mass prev !j else 0.0 in
+    acc := !acc +. Float.abs (Walk.nth_mass next i -. y)
+  done;
+  let i = ref 0 in
+  let nn = Walk.size next in
+  for j = 0 to np - 1 do
+    let v = Walk.nth_vertex prev j in
+    while !i < nn && Walk.nth_vertex next !i < v do
+      incr i
+    done;
+    if not (!i < nn && Walk.nth_vertex next !i = v) then acc := !acc +. Walk.nth_mass prev j
+  done;
+  !acc
 
 type conditions = {
   c1 : Sweep.prefix -> bool;
@@ -49,10 +76,11 @@ let run_generic (params : Params.t) g ~src ~b ~select =
   if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range";
   let total_volume = Graph.total_volume g in
   let eps = Params.eps_b params b in
-  let seen = Hashtbl.create 64 in
-  let note_support p =
-    Dex_util.Table.iter_sorted (fun v _ -> Hashtbl.replace seen v ()) p
-  in
+  (* per-run scratch: the walk's dense accumulator and a mask of every
+     vertex any p̃_t has supported *)
+  let ws = Walk.workspace g in
+  let seen = Array.make (Graph.num_vertices g) false in
+  let note_support p = Walk.iter (fun v _ -> seen.(v) <- true) p in
   let p = ref (Walk.indicator src) in
   note_support !p;
   let rounds = ref 0 in
@@ -96,29 +124,16 @@ let run_generic (params : Params.t) g ~src ~b ~select =
     (not (good_enough ())) && (not !converged) && !t < min params.t0 !deadline
   do
     incr t;
-    let next = Walk.truncate g ~eps (Walk.step_sparse g !p) in
+    let next = Walk.step ~eps ws g !p in
     incr rounds;
     (* one diffusion step = one communication round *)
     (* fixpoint detection: once the truncated walk stops moving no
        later sweep can differ, so scanning further steps is pointless *)
-    let l1_change =
-      (* sorted iteration: float accumulation order must not depend on
-         the tables' insertion histories *)
-      let acc = ref 0.0 in
-      Dex_util.Table.iter_sorted
-        (fun v x ->
-          let y = try Hashtbl.find !p v with Not_found -> 0.0 in
-          acc := !acc +. Float.abs (x -. y))
-        next;
-      Dex_util.Table.iter_sorted
-        (fun v y -> if not (Hashtbl.mem next v) then acc := !acc +. y)
-        !p;
-      !acc
-    in
+    let l1_change = l1_change ~prev:!p ~next in
     if l1_change <= 1e-12 then converged := true;
     p := next;
     note_support !p;
-    if Hashtbl.length !p > 0 && Params.should_sweep params !t then begin
+    if Walk.size !p > 0 && Params.should_sweep params !t then begin
       let sweep = Sweep.scan g !p in
       match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
       | None -> ()
@@ -132,13 +147,13 @@ let run_generic (params : Params.t) g ~src ~b ~select =
   done;
   (* on early convergence, one last sweep in case the stride skipped
      the fixpoint step *)
-  if !result = None && !converged && Hashtbl.length !p > 0 then begin
+  if !result = None && !converged && Walk.size !p > 0 then begin
     let sweep = Sweep.scan g !p in
     match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
     | None -> ()
     | Some cut -> result := Some cut
   end;
-  let participants = Array.of_list (Dex_util.Table.keys_sorted seen) in
+  let participants = Dex_graph.Metrics.vertices_of_mask seen in
   { result = !result;
     src;
     b;
@@ -223,18 +238,17 @@ let approximate params g ~src ~b =
   run_generic params g ~src ~b ~select
 
 let participating_edges g outcome =
-  let mask = Hashtbl.create (2 * Array.length outcome.participants) in
-  Array.iter (fun v -> Hashtbl.replace mask v ()) outcome.participants;
+  let mask = Array.make (Graph.num_vertices g) false in
+  Array.iter (fun v -> mask.(v) <- true) outcome.participants;
   let acc = ref [] in
   Array.iter
     (fun v ->
       Graph.iter_neighbors g v (fun u ->
-          if u > v || not (Hashtbl.mem mask u) then
+          if u > v || not mask.(u) then
             acc := ((min u v, max u v)) :: !acc))
     outcome.participants;
-  (* normalize duplicates: an edge with both endpoints participating is
-     produced once by the guard above except when u < v and u not in
-     mask — dedupe to be safe *)
+  (* an edge with both endpoints participating is produced only from
+     its smaller endpoint, but parallel edges still repeat a pair *)
   let dedup = Hashtbl.create (2 * List.length !acc) in
   List.filter
     (fun e ->

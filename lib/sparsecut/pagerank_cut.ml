@@ -62,11 +62,15 @@ let run ?alpha ?eps g ~src =
   let p, _r, pushes = approximate_pagerank ?alpha ?eps g ~src in
   if Hashtbl.length p = 0 then None
   else begin
-    match Sweep.best_cut g p with
+    let dist =
+      Dex_spectral.Walk.of_assoc
+        (Dex_util.Table.fold_sorted ~compare:Int.compare (fun v x acc -> (v, x) :: acc) p [])
+    in
+    match Sweep.best_cut g dist with
     | None -> None
     | Some (sweep, j) ->
       let vertices = Sweep.take sweep j in
-      Array.sort compare vertices;
+      Array.sort Int.compare vertices;
       let pref = sweep.Sweep.prefixes.(j - 1) in
       Some
         { cut = vertices;

@@ -100,12 +100,12 @@ let run ?k ?ledger params g rng =
                    end)
                  cut.Nibble.vertices);
              if !vol <= threshold then
-               best := Dex_util.Table.keys_sorted members
+               best := Dex_util.Table.keys_sorted ~compare:Int.compare members
              else raise Exit)
            outcomes
        with Exit -> ());
       let cut = Array.of_list !best in
-      Array.sort compare cut;
+      Array.sort Int.compare cut;
       { cut; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }
     end
   end

@@ -58,12 +58,9 @@ let run ?p ?ledger params g rng =
            the running union stays a clean sparse cut *)
         let cut =
           if 2 * Graph.volume gw cut > Graph.total_volume gw then begin
-            let mask = Hashtbl.create (2 * Array.length cut) in
-            Array.iter (fun v -> Hashtbl.replace mask v ()) cut;
-            Array.init (Graph.num_vertices gw) (fun v -> v)
-            |> Array.to_list
-            |> List.filter (fun v -> not (Hashtbl.mem mask v))
-            |> Array.of_list
+            let outside = Array.make (Graph.num_vertices gw) true in
+            Array.iter (fun v -> outside.(v) <- false) cut;
+            Metrics.vertices_of_mask outside
           end
           else cut
         in
@@ -87,7 +84,7 @@ let run ?p ?ledger params g rng =
       end
     done;
     let cut = Array.of_list !removed in
-    Array.sort compare cut;
+    Array.sort Int.compare cut;
     let conductance =
       if Array.length cut = 0 then Float.infinity else Metrics.conductance g cut
     in

@@ -41,12 +41,9 @@ let run ?(max_nibbles = 64) params g rng =
           (* peel the smaller side of the cut, as in Partition *)
           let vertices =
             if 2 * found.Nibble.volume > Graph.total_volume gw then begin
-              let mask = Hashtbl.create (2 * Array.length found.Nibble.vertices) in
-              Array.iter (fun v -> Hashtbl.replace mask v ()) found.Nibble.vertices;
-              Array.init (Graph.num_vertices gw) (fun v -> v)
-              |> Array.to_list
-              |> List.filter (fun v -> not (Hashtbl.mem mask v))
-              |> Array.of_list
+              let outside = Array.make (Graph.num_vertices gw) true in
+              Array.iter (fun v -> outside.(v) <- false) found.Nibble.vertices;
+              Metrics.vertices_of_mask outside
             end
             else found.Nibble.vertices
           in
@@ -63,7 +60,7 @@ let run ?(max_nibbles = 64) params g rng =
       end
     done;
     let cut = Array.of_list !removed in
-    Array.sort compare cut;
+    Array.sort Int.compare cut;
     let conductance =
       if Array.length cut = 0 then Float.infinity else Metrics.conductance g cut
     in

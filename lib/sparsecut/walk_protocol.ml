@@ -45,7 +45,4 @@ let run net ~src ~eps ~steps =
   Array.iteri (fun v st -> if st.mass > 0.0 then pairs := (v, st.mass) :: !pairs) states;
   (List.rev !pairs, steps + 1)
 
-let distribution_table pairs =
-  let tbl = Hashtbl.create (2 * List.length pairs) in
-  List.iter (fun (v, x) -> Hashtbl.replace tbl v x) pairs;
-  tbl
+let distribution_table = Dex_spectral.Walk.of_assoc

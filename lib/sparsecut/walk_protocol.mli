@@ -23,6 +23,6 @@ val run :
   src:int -> eps:float -> steps:int ->
   (int * float) list * int
 
-(** [distribution_table pairs] is the sparse-table form, comparable to
-    {!Dex_spectral.Walk} distributions. *)
-val distribution_table : (int * float) list -> (int, float) Hashtbl.t
+(** [distribution_table pairs] is the {!Dex_spectral.Walk.sparse} form,
+    comparable to {!Dex_spectral.Walk.truncated_walk} distributions. *)
+val distribution_table : (int * float) list -> Dex_spectral.Walk.sparse

@@ -19,7 +19,8 @@ type t = { ordered : int array; prefixes : prefix array }
 val take : t -> int -> int array
 
 (** [order g p] is the support of [p] sorted by decreasing ρ (ties by
-    vertex id — the paper breaks ties by ID). *)
+    vertex id — the paper breaks ties by ID); degree-0 vertices are
+    left out. *)
 val order : Dex_graph.Graph.t -> Walk.sparse -> int array
 
 (** [scan g p] measures every prefix of the sweep order of [p];

@@ -7,13 +7,43 @@
     like G for walk purposes.
 
     Distributions come in a dense form (float arrays indexed by
-    vertex) and a sparse form (hash tables over the support) — the
-    sparse form is what makes truncated Nibble walks cheap. *)
+    vertex) and a sparse form: an immutable pair of an ascending
+    vertex array (the support) and an aligned mass array — the sparse
+    form is what makes truncated Nibble walks cheap. Sparse steps
+    accumulate into a caller-owned dense {!workspace} and visit the
+    support in ascending order, so every float they produce is a
+    deterministic function of the input distribution. *)
 
-type sparse = (int, float) Hashtbl.t
+(** A sparse distribution. The support is the set of vertices the walk
+    touched, which can include zero-mass entries (e.g. a degree-0
+    vertex stepped with zero mass); it is not the nonzero set. *)
+type sparse
 
 (** [indicator v] is χ_v as a sparse distribution. *)
 val indicator : int -> sparse
+
+(** [of_assoc pairs] is the distribution with mass [x] at each [(v, x)].
+    Raises [Invalid_argument] on a negative or repeated vertex. *)
+val of_assoc : (int * float) list -> sparse
+
+(** [size p] is the number of supported vertices. *)
+val size : sparse -> int
+
+(** [nth_vertex p i] is the [i]-th supported vertex in ascending order,
+    [0 <= i < size p]. *)
+val nth_vertex : sparse -> int -> int
+
+(** [nth_mass p i] is the mass at [nth_vertex p i]. *)
+val nth_mass : sparse -> int -> float
+
+(** [iter f p] applies [f v p(v)] to the support in ascending order. *)
+val iter : (int -> float -> unit) -> sparse -> unit
+
+(** [mem p v] is whether [v] is supported (binary search). *)
+val mem : sparse -> int -> bool
+
+(** [get p v] is p(v), 0 when [v] is unsupported (binary search). *)
+val get : sparse -> int -> float
 
 (** [degree_distribution g] is ψ_V: mass deg(v)/Vol(V) at each v. *)
 val degree_distribution : Dex_graph.Graph.t -> float array
@@ -21,12 +51,28 @@ val degree_distribution : Dex_graph.Graph.t -> float array
 (** [step_dense g p] is M·p for a dense distribution. *)
 val step_dense : Dex_graph.Graph.t -> float array -> float array
 
-(** [step_sparse g p] is M·p for a sparse distribution. *)
+(** Dense scratch for sparse steps: an epoch-stamped float accumulator
+    and a touched-vertex buffer, each with one cell per vertex. A step
+    clears it in O(1), so one workspace serves a whole walk. It is
+    mutable and single-owner: do not share one between domains. *)
+type workspace
+
+(** [workspace g] is a fresh workspace sized to [num_vertices g]; it
+    serves [g] and any graph with no more vertices. *)
+val workspace : Dex_graph.Graph.t -> workspace
+
+(** [step ?eps ws g p] is M·p, truncated to [\[M·p\]_eps] when [eps] is
+    given, computed in [ws]. It costs one pass over the edges at the
+    support plus ordering the touched set: a sort of it, or one pass
+    over all vertices when it holds at least an eighth of them. *)
+val step : ?eps:float -> workspace -> Dex_graph.Graph.t -> sparse -> sparse
+
+(** [step_sparse g p] is M·p for a sparse distribution ({!step} with a
+    fresh workspace). *)
 val step_sparse : Dex_graph.Graph.t -> sparse -> sparse
 
-(** [truncate g ~eps p] is the paper's [\[p\]_ε]: zero out entries with
-    [p(v) < 2·eps·deg(v)] (in place on a copy; the argument is not
-    modified). *)
+(** [truncate g ~eps p] is the paper's [\[p\]_ε]: drop entries with
+    [p(v) < 2·eps·deg(v)]. *)
 val truncate : Dex_graph.Graph.t -> eps:float -> sparse -> sparse
 
 (** [walk_from g ~src ~steps] runs [steps] un-truncated dense steps
@@ -36,7 +82,7 @@ val walk_from : Dex_graph.Graph.t -> src:int -> steps:int -> float array
 (** [truncated_walk g ~src ~eps ~steps] runs the truncated walk
     p̃_t = \[M·p̃_{t-1}\]_ε and returns the distributions p̃_0 … p̃_steps
     (index t = step count). This is the computation at the heart of
-    Nibble. *)
+    Nibble; one workspace serves every step. *)
 val truncated_walk :
   Dex_graph.Graph.t -> src:int -> eps:float -> steps:int -> sparse array
 
@@ -44,8 +90,10 @@ val truncated_walk :
     deg(v) = 0 or v unsupported. *)
 val rho : Dex_graph.Graph.t -> sparse -> int -> float
 
-(** [mass p] is the total mass of a sparse distribution. *)
+(** [mass p] is the total mass of a sparse distribution, summed in
+    ascending vertex order. *)
 val mass : sparse -> float
 
-(** [support p] is the supported vertex list, unsorted. *)
-val support : sparse -> int list
+(** [support p] is the supported vertices in ascending order (a fresh
+    array). *)
+val support : sparse -> int array

@@ -81,8 +81,19 @@ let test_d006_scoped_to_kernel () =
   let src = "let f a = Array.sort compare a" in
   check_rules "lib/graph fires" [ "D006" ] (lint ~path:"lib/graph/x.ml" src);
   check_rules "lib/congest fires" [ "D006" ] (lint ~path:"lib/congest/x.ml" src);
-  check_rules "lib/sparsecut exempt" [] (lint ~path:"lib/sparsecut/x.ml" src);
+  check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" src);
+  check_rules "lib/util exempt" [] (lint ~path:"lib/util/x.ml" src);
   check_rules "bench exempt" [] (lint ~path:"bench/main.ml" src)
+
+(* the walk, sweep and nibble hot paths are in D006's scope too *)
+let test_d006_spectral_and_sparsecut () =
+  let src = "let f a = Array.sort compare a" in
+  check_rules "lib/spectral fires" [ "D006" ] (lint ~path:"lib/spectral/sweep.ml" src);
+  check_rules "lib/sparsecut fires" [ "D006" ] (lint ~path:"lib/sparsecut/nibble.ml" src);
+  check_rules "list sort fires" [ "D006" ]
+    (lint ~path:"lib/sparsecut/x.ml" "let f l = List.sort Stdlib.compare l");
+  check_rules "Int.compare fine" []
+    (lint ~path:"lib/spectral/x.ml" "let f a = Array.sort Int.compare a")
 
 (* ---------- path scoping ---------- *)
 
@@ -313,7 +324,9 @@ let () =
           Alcotest.test_case "D004 wall clock" `Quick test_d004_wall_clock;
           Alcotest.test_case "D005 poly compare" `Quick test_d005_poly_compare;
           Alcotest.test_case "D006 poly sort" `Quick test_d006_poly_sort;
-          Alcotest.test_case "D006 kernel scoped" `Quick test_d006_scoped_to_kernel ] );
+          Alcotest.test_case "D006 kernel scoped" `Quick test_d006_scoped_to_kernel;
+          Alcotest.test_case "D006 spectral and sparsecut" `Quick
+            test_d006_spectral_and_sparsecut ] );
       ( "scoping",
         [ Alcotest.test_case "D003 protocol layers" `Quick
             test_scope_d003_only_protocol_layers;

@@ -433,10 +433,10 @@ let test_walk_protocol_matches_central () =
   Alcotest.(check int) "rounds = steps + 1" (steps + 1) rounds;
   let protocol = Wp.distribution_table pairs in
   let central = (Walk.truncated_walk g ~src:3 ~eps ~steps).(steps) in
-  Alcotest.(check int) "same support" (Hashtbl.length central) (Hashtbl.length protocol);
-  Hashtbl.iter
+  Alcotest.(check int) "same support" (Walk.size central) (Walk.size protocol);
+  Walk.iter
     (fun v x ->
-      let y = try Hashtbl.find protocol v with Not_found -> 0.0 in
+      let y = Walk.get protocol v in
       Alcotest.(check (float 1e-12)) (Printf.sprintf "mass at %d" v) x y)
     central
 
@@ -447,8 +447,8 @@ let test_walk_protocol_with_self_loops () =
   let pairs, _ = Wp.run net ~src:0 ~eps:0.0 ~steps:1 in
   let tbl = Wp.distribution_table pairs in
   (* deg 0 = 2 (loop + edge): stays 1/2 + loop 1/4 = 3/4; sends 1/4 *)
-  Alcotest.(check (float 1e-12)) "stay" 0.75 (Hashtbl.find tbl 0);
-  Alcotest.(check (float 1e-12)) "move" 0.25 (Hashtbl.find tbl 1)
+  Alcotest.(check (float 1e-12)) "stay" 0.75 (Walk.get tbl 0);
+  Alcotest.(check (float 1e-12)) "move" 0.25 (Walk.get tbl 1)
 
 let test_walk_protocol_charges_ledger () =
   let g = Gen.cycle 8 in

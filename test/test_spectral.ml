@@ -14,7 +14,7 @@ module Rng = Dex_util.Rng
 
 let sparse_to_dense n p =
   let a = Array.make n 0.0 in
-  Hashtbl.iter (fun v x -> a.(v) <- x) p;
+  Walk.iter (fun v x -> a.(v) <- x) p;
   a
 
 (* ---------- walk ---------- *)
@@ -45,7 +45,7 @@ let test_sparse_dense_agree () =
     |> List.filter_map (fun (v, x) -> if x > 0.0 then Some v else None)
   in
   Alcotest.(check (list int)) "support matches dense positives" dense_support
-    (List.sort compare (Walk.support !sparse))
+    (Array.to_list (Walk.support !sparse))
 
 let test_self_loop_mass_returns () =
   (* one vertex with a self-loop and a pendant: loop mass stays *)
@@ -64,11 +64,10 @@ let test_stationary_fixpoint () =
 
 let test_truncation () =
   let g = Gen.star 5 in
-  let p = Walk.indicator 0 in
-  Hashtbl.replace p 1 1e-9;
+  let p = Walk.of_assoc [ (0, 1.0); (1, 1e-9) ] in
   let q = Walk.truncate g ~eps:1e-6 p in
-  Alcotest.(check bool) "large kept" true (Hashtbl.mem q 0);
-  Alcotest.(check bool) "small dropped" false (Hashtbl.mem q 1)
+  Alcotest.(check bool) "large kept" true (Walk.mem q 0);
+  Alcotest.(check bool) "small dropped" false (Walk.mem q 1)
 
 let test_truncated_below_exact () =
   let rng = Rng.create 3 in
@@ -99,6 +98,190 @@ let test_rho_symmetry () =
       let rho_vu = pv.(u) /. float_of_int (Graph.degree g u) in
       Alcotest.(check (float 1e-9)) (Printf.sprintf "u=%d v=%d t=%d" u v t) rho_uv rho_vu)
     [ (0, 5, 3); (2, 17, 7); (1, 1, 4); (9, 12, 11) ]
+
+(* ---------- bit-identity against the Hashtbl reference ---------- *)
+
+(* Walk's sparse step and truncation and Sweep's order and scan over a
+   Hashtbl per distribution, iterated in ascending key order: the
+   oracle the sorted-array code must match bit for bit (DESIGN.md
+   §12). *)
+module Reference = struct
+  let of_walk p =
+    let t = Hashtbl.create 16 in
+    Walk.iter (fun v x -> Hashtbl.replace t v x) p;
+    t
+
+  let step_sparse g p =
+    let q = Hashtbl.create (2 * Hashtbl.length p) in
+    let add v x =
+      let prev = try Hashtbl.find q v with Not_found -> 0.0 in
+      Hashtbl.replace q v (prev +. x)
+    in
+    Dex_util.Table.iter_sorted
+      (fun v mass ->
+        let deg = float_of_int (Graph.degree g v) in
+        if deg = 0.0 then add v mass
+        else begin
+          let share = mass /. (2.0 *. deg) in
+          add v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
+          Graph.iter_neighbors g v (fun u -> add u share)
+        end)
+      p;
+    q
+
+  let truncate g ~eps p =
+    let q = Hashtbl.create (Hashtbl.length p) in
+    Dex_util.Table.iter_sorted
+      (fun v mass ->
+        if mass >= 2.0 *. eps *. float_of_int (Graph.degree g v) then Hashtbl.replace q v mass)
+      p;
+    q
+
+  let rho g p v =
+    let deg = Graph.degree g v in
+    if deg = 0 then 0.0
+    else match Hashtbl.find_opt p v with None -> 0.0 | Some m -> m /. float_of_int deg
+
+  let order g p =
+    Dex_util.Table.fold_sorted (fun v mass acc -> (v, mass) :: acc) p []
+    |> List.filter (fun (v, _) -> Graph.degree g v > 0)
+    |> List.map (fun (v, mass) -> (v, mass /. float_of_int (Graph.degree g v)))
+    |> List.sort (fun (v1, r1) (v2, r2) -> match compare r2 r1 with 0 -> compare v1 v2 | c -> c)
+    |> List.map fst |> Array.of_list
+
+  let scan g p =
+    let ordered = order g p in
+    let total_volume = Graph.total_volume g in
+    let in_set = Hashtbl.create 16 in
+    let volume = ref 0 and cut = ref 0 in
+    Array.mapi
+      (fun j v ->
+        let inside = ref 0 in
+        Graph.iter_neighbors g v (fun u -> if Hashtbl.mem in_set u then incr inside);
+        Hashtbl.replace in_set v ();
+        volume := !volume + Graph.degree g v;
+        cut := !cut + Graph.plain_degree g v - (2 * !inside);
+        let small = min !volume (total_volume - !volume) in
+        let conductance =
+          if small <= 0 then Float.infinity else float_of_int !cut /. float_of_int small
+        in
+        { Sweep.len = j + 1; volume = !volume; cut = !cut; conductance;
+          last_rho = rho g p v })
+      ordered
+end
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* supports equal as ascending lists, masses equal bit for bit *)
+let identical p reference =
+  let keys = Dex_util.Table.keys_sorted ~compare:Int.compare reference in
+  Array.to_list (Walk.support p) = keys
+  && List.for_all (fun v -> same_float (Walk.get p v) (Hashtbl.find reference v)) keys
+
+let same_prefix (a : Sweep.prefix) (b : Sweep.prefix) =
+  a.len = b.len && a.volume = b.volume && a.cut = b.cut
+  && same_float a.conductance b.conductance
+  && same_float a.last_rho b.last_rho
+
+let same_sweep g p reference =
+  let sweep = Sweep.scan g p in
+  let order = Reference.order g reference and prefixes = Reference.scan g reference in
+  Sweep.order g p = order
+  && sweep.Sweep.ordered = order
+  && Array.length sweep.Sweep.prefixes = Array.length prefixes
+  && Array.for_all2 same_prefix sweep.Sweep.prefixes prefixes
+
+(* a multigraph with self-loops, parallel edges and (usually) isolated
+   vertices, plus a start distribution that may sit on a degree-0
+   vertex or carry zero-mass entries *)
+let random_instance seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng 30 in
+  let edges =
+    List.init (Rng.int rng (3 * n)) (fun _ ->
+        let u = Rng.int rng n in
+        (* about one pick in six is a self-loop *)
+        match Rng.int rng 6 with 0 -> (u, u) | _ -> (u, Rng.int rng n))
+  in
+  (* every sixth edge is doubled into a parallel pair *)
+  let edges = edges @ List.filteri (fun i _ -> i mod 6 = 0) edges in
+  let g = Graph.of_edges ~n edges in
+  let start =
+    if Rng.bool rng then Walk.indicator (Rng.int rng n)
+    else
+      Walk.of_assoc
+        (List.filter_map
+           (fun v ->
+             match Rng.int rng 3 with
+             | 0 -> None
+             | 1 -> Some (v, 0.0)
+             | _ -> Some (v, Rng.float rng 1.0))
+           (List.init n Fun.id))
+  in
+  let eps = if Rng.bool rng then None else Some (Rng.float rng 0.02) in
+  (g, start, eps)
+
+let prop_step_matches_reference =
+  QCheck.Test.make ~name:"array walk = Hashtbl reference, bit for bit" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, start, eps = random_instance seed in
+      let ws = Walk.workspace g in
+      let p = ref start and reference = ref (Reference.of_walk start) in
+      let ok = ref (identical !p !reference) in
+      for _ = 1 to 12 do
+        let stepped = Walk.step_sparse g !p in
+        let ref_stepped = Reference.step_sparse g !reference in
+        ok := !ok && identical stepped ref_stepped;
+        (match eps with
+        | None ->
+          p := Walk.step ws g !p;
+          reference := ref_stepped
+        | Some eps ->
+          ok := !ok && identical (Walk.truncate g ~eps stepped) (Reference.truncate g ~eps ref_stepped);
+          p := Walk.step ~eps ws g !p;
+          reference := Reference.truncate g ~eps ref_stepped);
+        ok := !ok && identical !p !reference && same_sweep g !p !reference
+      done;
+      !ok)
+
+let prop_truncated_walk_matches_reference =
+  QCheck.Test.make ~name:"truncated_walk = Hashtbl reference, bit for bit" ~count:100
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 20))
+    (fun (seed, steps) ->
+      let g, _, _ = random_instance seed in
+      let src = seed mod Graph.num_vertices g in
+      let eps = 1e-4 in
+      let walks = Walk.truncated_walk g ~src ~eps ~steps in
+      let reference = ref (Reference.of_walk (Walk.indicator src)) in
+      let ok = ref true in
+      for t = 1 to steps do
+        reference := Reference.truncate g ~eps (Reference.step_sparse g !reference);
+        ok := !ok && identical walks.(t) !reference
+      done;
+      !ok)
+
+let test_zero_mass_support () =
+  (* vertex 2 is isolated: its zero-mass entry survives a step and the
+     truncation (0 >= 2·eps·0), so the support is the touched set *)
+  let g = Graph.of_edges ~n:3 [ (0, 1) ] in
+  let p = Walk.of_assoc [ (0, 1.0); (2, 0.0) ] in
+  let q = Walk.step ~eps:1e-3 (Walk.workspace g) g p in
+  Alcotest.(check (list int)) "touched set" [ 0; 1; 2 ] (Array.to_list (Walk.support q));
+  Alcotest.(check (float 0.0)) "zero mass kept" 0.0 (Walk.get q 2);
+  Alcotest.(check bool) "matches reference" true
+    (identical q (Reference.truncate g ~eps:1e-3 (Reference.step_sparse g (Reference.of_walk p))));
+  (* a degree-0 source keeps all its mass forever *)
+  let walks = Walk.truncated_walk g ~src:2 ~eps:1e-3 ~steps:3 in
+  Alcotest.(check (list int)) "isolated source" [ 2 ] (Array.to_list (Walk.support walks.(3)));
+  Alcotest.(check (float 0.0)) "isolated mass" 1.0 (Walk.get walks.(3) 2);
+  Alcotest.(check (list int)) "no sweep over degree 0" [] (Array.to_list (Sweep.order g walks.(3)))
+
+let test_of_assoc_validation () =
+  Alcotest.check_raises "duplicate" (Invalid_argument "Walk.of_assoc: duplicate vertex")
+    (fun () -> ignore (Walk.of_assoc [ (1, 0.5); (1, 0.5) ]));
+  Alcotest.check_raises "negative" (Invalid_argument "Walk.of_assoc: negative vertex")
+    (fun () -> ignore (Walk.of_assoc [ (-1, 0.5) ]))
 
 (* ---------- sweep ---------- *)
 
@@ -251,6 +434,11 @@ let () =
           Alcotest.test_case "truncated ≤ exact" `Quick test_truncated_below_exact;
           Alcotest.test_case "rho symmetry (Lemma 3)" `Quick test_rho_symmetry;
           QCheck_alcotest.to_alcotest prop_mass_conserved_sparse ] );
+      ( "bit-identity",
+        [ QCheck_alcotest.to_alcotest prop_step_matches_reference;
+          QCheck_alcotest.to_alcotest prop_truncated_walk_matches_reference;
+          Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
+          Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation ] );
       ( "sweep",
         [ Alcotest.test_case "prefix stats match metrics" `Quick test_sweep_cut_matches_metrics;
           Alcotest.test_case "order decreasing" `Quick test_sweep_order_decreasing_rho;

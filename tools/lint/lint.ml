@@ -37,8 +37,9 @@ let rules =
        compare explicit fields" );
     ( "D006",
       "no bare polymorphic [compare] passed to Array.sort / List.sort \
-       family in lib/graph or lib/congest; use a monomorphic comparator \
-       (Int.compare, String.compare, an explicit field comparator)" ) ]
+       family in lib/graph, lib/congest, lib/spectral or lib/sparsecut; \
+       use a monomorphic comparator (Int.compare, String.compare, an \
+       explicit field comparator)" ) ]
 
 (* ---------------- path scoping ---------------- *)
 
@@ -90,9 +91,13 @@ let rule_applies ~all_rules segs rule =
     gated segs && not (under [ "lib"; "obs" ] segs) && not (under [ "bench" ] segs)
   | "D005" -> true
   | "D006" ->
-    (* the kernel's hot paths: a polymorphic-compare sort here costs a
-       generic-compare dispatch per element pair *)
-    under [ "lib"; "graph" ] segs || under [ "lib"; "congest" ] segs
+    (* the kernel's and the spectral layer's hot paths: a
+       polymorphic-compare sort here costs a generic-compare dispatch
+       per element pair *)
+    under [ "lib"; "graph" ] segs
+    || under [ "lib"; "congest" ] segs
+    || under [ "lib"; "spectral" ] segs
+    || under [ "lib"; "sparsecut" ] segs
   | _ -> false
 
 (* ---------------- suppression pragmas ---------------- *)
@@ -282,7 +287,7 @@ let collect ~path ~active src_ast =
          | Some (_, cmp) when bare_compare cmp ->
            add e.pexp_loc "D006"
              (Printf.sprintf
-                "polymorphic compare passed to %s.%s on a kernel hot path; \
+                "polymorphic compare passed to %s.%s on a hot path; \
                  use a monomorphic comparator (e.g. Int.compare)" m sfn)
          | _ -> ())
        | _ -> ())
