@@ -246,7 +246,7 @@ let prop_step_matches_reference =
       !ok)
 
 let prop_truncated_walk_matches_reference =
-  QCheck.Test.make ~name:"truncated_walk = Hashtbl reference, bit for bit" ~count:100
+  QCheck.Test.make ~name:"truncated_walk = Hashtbl reference" ~count:100
     QCheck.(pair (int_bound 1_000_000) (int_range 1 20))
     (fun (seed, steps) ->
       let g, _, _ = random_instance seed in
@@ -434,7 +434,7 @@ let () =
           Alcotest.test_case "truncated ≤ exact" `Quick test_truncated_below_exact;
           Alcotest.test_case "rho symmetry (Lemma 3)" `Quick test_rho_symmetry;
           QCheck_alcotest.to_alcotest prop_mass_conserved_sparse ] );
-      ( "bit-identity",
+      ( "oracle",
         [ QCheck_alcotest.to_alcotest prop_step_matches_reference;
           QCheck_alcotest.to_alcotest prop_truncated_walk_matches_reference;
           Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
