@@ -17,7 +17,12 @@
    exactly when its stamp matches the current tick — so rounds (and
    whole protocol runs reusing one network) never pay an O(m) clear.
    Together the two planes are the double buffer: steady-state
-   execution allocates nothing. *)
+   execution allocates nothing.
+
+   Timed wake-ups (DESIGN.md §11.5) live in a calendar: a binary
+   min-heap of pending (round, vertex) pairs on two flat int arrays.
+   A round that delivers nothing and wakes nobody is never stepped —
+   [finish_round] jumps straight to the calendar's next round. *)
 
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
@@ -49,6 +54,11 @@ type t = {
   mutable next : int array; (* next round's worklist, being built *)
   mutable next_n : int;
   mutable tick : int; (* monotonic round counter; never reset *)
+  mutable round : int; (* protocol round of the current worklist *)
+  (* calendar: min-heap of timed wakes keyed by (round, vertex) *)
+  mutable cal_round : int array;
+  mutable cal_vertex : int array;
+  mutable cal_n : int;
 }
 
 let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
@@ -87,10 +97,15 @@ let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
     work_n = 0;
     next = Array.make n 0;
     next_n = 0;
-    tick = 1 }
+    tick = 1;
+    round = 0;
+    cal_round = Array.make (max n 1) 0;
+    cal_vertex = Array.make (max n 1) 0;
+    cal_n = 0 }
 
 let word_size a = a.word_size
 let slot_count a = Array.length a.nbr
+let round a = a.round
 
 (* leftmost slot of the directed edge (v, u), or -1 *)
 let rank_slot a v u =
@@ -104,10 +119,13 @@ let rank_slot a v u =
 (* ---------------- cursors ---------------- *)
 
 type inbox = { ia : t; mutable iv : int }
-type outbox = { oa : t; mutable ov : int }
+(* [pend] holds this cursor's timed wakes of the current step phase as
+   (round, vertex) pairs: Phase A may run on several domains, so wakes
+   reach the shared calendar only through [schedule_wakes] *)
+type outbox = { oa : t; mutable ov : int; mutable pend : int array; mutable pend_n : int }
 
 let make_inbox a = { ia = a; iv = 0 }
-let make_outbox a = { oa = a; ov = 0 }
+let make_outbox a = { oa = a; ov = 0; pend = Array.make 16 0; pend_n = 0 }
 let set_inbox ib v = ib.iv <- v
 let set_outbox ob v = ob.ov <- v
 
@@ -203,7 +221,80 @@ module Outbox = struct
   let wake ob =
     let a = ob.oa in
     a.wake.(ob.ov) <- a.tick
+
+  let wake_at ob r =
+    let a = ob.oa in
+    if r <= a.round then
+      Dex_util.Invariant.failf ~where:"Arena.Outbox.wake_at"
+        "vertex %d: wake round %d is not after the current round %d" (a.to_orig ob.ov) r
+        a.round;
+    if ob.pend_n + 2 > Array.length ob.pend then begin
+      let bigger = Array.make (2 * Array.length ob.pend) 0 in
+      Array.blit ob.pend 0 bigger 0 ob.pend_n;
+      ob.pend <- bigger
+    end;
+    ob.pend.(ob.pend_n) <- r;
+    ob.pend.(ob.pend_n + 1) <- ob.ov;
+    ob.pend_n <- ob.pend_n + 2
 end
+
+(* ---------------- calendar ---------------- *)
+
+(* (round, vertex) lexicographic order on heap positions i and j *)
+let cal_less a i j =
+  let ri = a.cal_round.(i) and rj = a.cal_round.(j) in
+  ri < rj || (ri = rj && a.cal_vertex.(i) < a.cal_vertex.(j))
+
+let cal_swap a i j =
+  let r = a.cal_round.(i) and v = a.cal_vertex.(i) in
+  a.cal_round.(i) <- a.cal_round.(j);
+  a.cal_vertex.(i) <- a.cal_vertex.(j);
+  a.cal_round.(j) <- r;
+  a.cal_vertex.(j) <- v
+
+let cal_push a r v =
+  if a.cal_n = Array.length a.cal_round then begin
+    let grow arr =
+      let bigger = Array.make (2 * a.cal_n) 0 in
+      Array.blit arr 0 bigger 0 a.cal_n;
+      bigger
+    in
+    a.cal_round <- grow a.cal_round;
+    a.cal_vertex <- grow a.cal_vertex
+  end;
+  a.cal_round.(a.cal_n) <- r;
+  a.cal_vertex.(a.cal_n) <- v;
+  let i = ref a.cal_n in
+  a.cal_n <- a.cal_n + 1;
+  while !i > 0 && cal_less a !i ((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    cal_swap a !i parent;
+    i := parent
+  done
+
+let cal_pop a =
+  a.cal_n <- a.cal_n - 1;
+  cal_swap a 0 a.cal_n;
+  let i = ref 0 and settled = ref false in
+  while not !settled do
+    let l = (2 * !i) + 1 in
+    let smallest = if l < a.cal_n && cal_less a l !i then l else !i in
+    let smallest =
+      if l + 1 < a.cal_n && cal_less a (l + 1) smallest then l + 1 else smallest
+    in
+    if smallest = !i then settled := true
+    else begin
+      cal_swap a !i smallest;
+      i := smallest
+    end
+  done
+
+let schedule_wakes ob =
+  let a = ob.oa in
+  for k = 0 to (ob.pend_n / 2) - 1 do
+    cal_push a ob.pend.(2 * k) ob.pend.((2 * k) + 1)
+  done;
+  ob.pend_n <- 0
 
 (* ---------------- active set ---------------- *)
 
@@ -239,6 +330,8 @@ let begin_run a =
   (* a fresh tick retires whatever a previous (possibly aborted) run
      left stamped: staleness is impossible because ticks are monotone *)
   a.tick <- a.tick + 1;
+  a.round <- 1;
+  a.cal_n <- 0;
   for v = 0 to a.n - 1 do
     a.work.(v) <- v
   done;
@@ -275,7 +368,27 @@ let deliver_staged a src verdict =
     end
   done
 
+(* move every calendar entry due by round [r] onto the next worklist *)
+let drain_due a r =
+  while a.cal_n > 0 && a.cal_round.(0) <= r do
+    push_active a a.cal_vertex.(0);
+    cal_pop a
+  done
+
 let finish_round a =
+  let next_round = a.round + 1 in
+  drain_due a next_round;
+  (* nothing delivered and nobody woke: the rounds up to the next
+     calendar entry would step nobody, so skip them *)
+  let next_round =
+    if a.next_n = 0 && a.cal_n > 0 then begin
+      let r = a.cal_round.(0) in
+      drain_due a r;
+      r
+    end
+    else next_round
+  in
+  a.round <- next_round;
   a.tick <- a.tick + 1;
   let w = a.work in
   a.work <- a.next;

@@ -10,9 +10,17 @@
     allocate nor clear.
 
     The module also owns the active-set worklist: vertices with a
-    stamped inbox slot or an explicit self-wake, kept deduplicated and
-    sorted ascending so every executor activates vertices in the same
-    canonical order.
+    stamped inbox slot, an explicit self-wake or a due timed wake, kept
+    deduplicated and sorted ascending so every executor activates
+    vertices in the same canonical order.
+
+    {b Rounds and the calendar.} The arena tracks the protocol round
+    ({!round}): 1 after {!begin_run}, advanced by {!finish_round}.
+    Timed wakes ({!Outbox.wake_at}) wait in a calendar until their
+    round. A round in which nothing was delivered and nobody woke
+    would step no vertex, so {!finish_round} skips it: the round
+    number jumps straight to the calendar's next entry. Idle rounds
+    therefore cost nothing, but they still count as protocol rounds.
 
     Protocols normally go through {!Network}; this interface is what
     the executors and the throughput benchmarks program against. *)
@@ -37,6 +45,11 @@ val word_size : t -> int
 (** [slot_count a] is the number of directed-edge slots (twice the
     plain edge count). *)
 val slot_count : t -> int
+
+(** [round a] is the protocol round of the current worklist: the
+    [~round] its steps see. It starts at 1 and only grows within a
+    run, by more than one when {!finish_round} skips idle rounds. *)
+val round : t -> int
 
 (** {1 Cursors}
 
@@ -96,6 +109,15 @@ module Outbox : sig
   (** [wake ob] self-wakes the cursor's vertex: it stays on the next
       round's worklist even if it receives nothing. *)
   val wake : outbox -> unit
+
+  (** [wake_at ob r] schedules the cursor's vertex for round [r]: it is
+      on round [r]'s worklist even if it receives nothing, and the
+      rounds in between need not step it. [wake_at ob (round + 1)] is
+      {!wake}. A vertex may hold several pending wakes; two for the
+      same round step it once. The wake is buffered in the cursor
+      until {!schedule_wakes}. Raises [Dex_util.Invariant.Violation]
+      unless [r] is later than the current round ({!round}). *)
+  val wake_at : outbox -> int -> unit
 end
 
 (** {1 Round lifecycle}
@@ -103,11 +125,13 @@ end
     Driven by [Network]'s executors. A round is: read the sorted
     worklist ([active_count]/[active_get]), step each active vertex
     through its cursors, then for each vertex in ascending order apply
-    {!deliver_staged} (and {!push_active} for {!woke} vertices), and
+    {!deliver_staged} (and {!push_active} for {!woke} vertices),
+    {!schedule_wakes} for every outbox cursor used, and
     {!finish_round}. *)
 
-(** [begin_run a] puts every vertex on the worklist — round 1 steps
-    all vertices, matching the legacy executor. *)
+(** [begin_run a] puts every vertex on the worklist, sets the round to
+    1 and empties the calendar — round 1 steps all vertices, matching
+    the legacy executor. *)
 val begin_run : t -> unit
 
 (** Number of vertices on the current round's worklist. *)
@@ -133,6 +157,16 @@ val push_active : t -> int -> unit
 val deliver_staged :
   t -> int -> (int -> int -> [ `Deliver | `Drop | `Duplicate ]) -> unit
 
+(** [schedule_wakes ob] moves the cursor's buffered {!Outbox.wake_at}
+    requests into the arena's calendar. Call it from one domain, after
+    the step phase; the order of calls does not matter. *)
+val schedule_wakes : outbox -> unit
+
 (** [finish_round a] advances the tick (retiring all current-round
-    slots at once) and swaps in the next worklist, sorted ascending. *)
+    slots at once), adds the calendar's wakes due next round, and
+    swaps in the next worklist, sorted ascending. When that worklist
+    would be empty but the calendar is not, the round jumps to the
+    calendar's earliest round and its wakes form the worklist. The
+    worklist is empty only when the run is quiescent: nothing in
+    flight and no wake pending. *)
 val finish_round : t -> unit

@@ -430,7 +430,13 @@ let arena_of t =
     t.arena <- Some a;
     a
 
-let run_active t ~label ~init ~step ?(max_rounds = 1_000_000) ?on_round () =
+(* The one Phase A/B loop behind both cursor drivers. It steps each
+   round's worklist until the worklist empties or the next round to
+   step is past [last]. The round number comes from the arena, which
+   skips idle rounds, so a step sees its true protocol round. Returns
+   the states, the last stepped round (0 if none) and whether the run
+   reached quiescence. *)
+let drive_active t ~init ~step ~on_round ~last =
   let n = Graph.num_vertices t.graph in
   let a = arena_of t in
   Arena.begin_run a;
@@ -438,10 +444,9 @@ let run_active t ~label ~init ~step ?(max_rounds = 1_000_000) ?on_round () =
   let max_domains = match t.executor with Parallel k -> k | Legacy | Staged -> 1 in
   let ibs = Array.init (max max_domains 1) (fun _ -> Arena.make_inbox a) in
   let obs = Array.init (max max_domains 1) (fun _ -> Arena.make_outbox a) in
-  let executed = ref 0 in
-  while Arena.active_count a > 0 && !executed < max_rounds do
-    incr executed;
-    let round = !executed in
+  let stepped = ref 0 in
+  while Arena.active_count a > 0 && Arena.round a <= last do
+    let round = Arena.round a in
     let active = Arena.active_count a in
     (* Phase A: step active vertices through reusable cursors *)
     let work lo hi ci =
@@ -464,6 +469,7 @@ let run_active t ~label ~init ~step ?(max_rounds = 1_000_000) ?on_round () =
       with e -> Some e
     in
     run_sharded ~domains:(effective_domains t ~active) ~extent:active work;
+    Array.iter Arena.schedule_wakes obs;
     (* Phase B: sequential merge in canonical (ascending vertex, then
        ascending destination) order *)
     let stats = make_stats t in
@@ -509,12 +515,25 @@ let run_active t ~label ~init ~step ?(max_rounds = 1_000_000) ?on_round () =
     done;
     emit_stats t stats ~round ~messages_before ~words_before;
     Arena.finish_round a;
+    stepped := round;
     notify on_round round states
   done;
-  let quiescent = Arena.active_count a = 0 in
-  Rounds.charge t.ledger ~label !executed;
-  if not quiescent then
+  (states, !stepped, Arena.active_count a = 0)
+
+let run_active t ~label ~init ~step ?(max_rounds = 1_000_000) ?on_round () =
+  let states, stepped, quiescent = drive_active t ~init ~step ~on_round ~last:max_rounds in
+  if not quiescent then begin
+    (* rounds 1..max_rounds all elapsed, stepped or idle: charge them
+       before raising so the ledger stays truthful on failure *)
+    Rounds.charge t.ledger ~label max_rounds;
     raise
       (Round_limit_exceeded
-         { label; max_rounds; executed = !executed; states = Packed states });
-  (states, !executed)
+         { label; max_rounds; executed = max_rounds; states = Packed states })
+  end;
+  Rounds.charge t.ledger ~label stepped;
+  (states, stepped)
+
+let run_active_rounds t ~label ~init ~step ?on_round n_rounds =
+  let states, _, _ = drive_active t ~init ~step ~on_round ~last:n_rounds in
+  Rounds.charge t.ledger ~label n_rounds;
+  states

@@ -198,17 +198,29 @@ type 's active_step =
 
 (** [run_active t ~label ~init ~step ?max_rounds ?on_round ()] drives
     an {!active_step} protocol to quiescence: round 1 steps every
-    vertex; afterwards only vertices that received a message or woke
-    themselves are stepped, and the protocol terminates when the
-    active set empties — so termination costs O(active), not O(n),
-    and a protocol that needs stepping without traffic must [wake].
-    Rounds are charged as in {!run}; {!Round_limit_exceeded} is raised
-    when [max_rounds] (default 1_000_000) is exhausted before
-    quiescence. The arena is built lazily on first use and reused
-    across runs on the same network; under [Parallel k] the active
-    set is sharded across [k] domains with delivery merged in
-    canonical edge order, so results and traces are bit-identical to
-    the sequential executors. *)
+    vertex; afterwards only vertices that received a message, woke
+    themselves ([Arena.Outbox.wake]) or reached a timed wake
+    ([Arena.Outbox.wake_at]) are stepped. The protocol terminates when
+    nothing is in flight and no wake is pending — so termination costs
+    O(active), not O(n), and a protocol that needs stepping without
+    traffic must wake. A pending timed wake keeps the run alive even
+    when a round's worklist is empty.
+
+    Rounds in which no vertex would be stepped are skipped, not
+    executed: the step's [~round] is the true protocol round, which
+    may jump by more than one. [on_round] and the trace's round ticks
+    fire only on stepped rounds.
+
+    Returns the final states and the index of the last stepped round,
+    which is also what the ledger is charged under [label]. When the
+    next round to step lies beyond [max_rounds] (default 1_000_000) —
+    be it for traffic or for a pending timed wake —
+    {!Round_limit_exceeded} is raised with [executed = max_rounds],
+    after charging [max_rounds] rounds. The arena is built lazily on
+    first use and reused across runs on the same network; under
+    [Parallel k] the active set is sharded across [k] domains with
+    delivery merged in canonical edge order, so results and traces are
+    bit-identical to the sequential executors. *)
 val run_active :
   t ->
   label:string ->
@@ -218,6 +230,25 @@ val run_active :
   ?on_round:(int -> 's array -> unit) ->
   unit ->
   's array * int
+
+(** [run_active_rounds t ~label ~init ~step ?on_round n] is the cursor
+    counterpart of {!run_rounds}: it runs the {!active_step} protocol
+    for the fixed length of [n] rounds and returns the final states.
+    It shares {!run_active}'s loop, so only active vertices are
+    stepped and idle rounds are skipped. It stops after round [n] even
+    if messages are still in flight or wakes are pending (both are
+    discarded); a protocol that quiesces earlier simply steps nothing
+    more. Either way it charges exactly [n] rounds under [label] and
+    never raises {!Round_limit_exceeded}. [on_round] fires only on
+    stepped rounds. *)
+val run_active_rounds :
+  t ->
+  label:string ->
+  init:(int -> 's) ->
+  step:'s active_step ->
+  ?on_round:(int -> 's array -> unit) ->
+  int ->
+  's array
 
 (** [charge t ~label k] charges [k] rounds for an accounted (not
     message-level executed) protocol phase. *)

@@ -1,4 +1,6 @@
 module Graph = Dex_graph.Graph
+module Vertex = Dex_graph.Vertex
+module Arena = Dex_congest.Arena
 module Network = Dex_congest.Network
 module Rng = Dex_util.Rng
 
@@ -29,53 +31,58 @@ let run net ~beta rng =
         max 1 (horizon - int_of_float (Float.floor delta)))
   in
   let init v = { start_epoch = starts.(v); cluster = -1; announced = false } in
-  let step ~round ~vertex:v st inbox =
-    let v = Dex_graph.Vertex.local_int v in
+  (* a vertex acts in at most two rounds — its start epoch and the
+     round after a neighbour announces — so round 1 books the start
+     epoch as a timed wake and every other round is skipped unless a
+     message arrives *)
+  let step ~round ~vertex st ib ob =
+    let v = Vertex.local_int vertex in
     let st =
       if st.cluster >= 0 then st
       else if st.start_epoch = round then { st with cluster = v }
       else if st.start_epoch > round then begin
+        if round = 1 then Arena.Outbox.wake_at ob st.start_epoch;
         (* join the smallest-id cluster among announcing neighbors *)
-        match inbox with
-        | [] -> st
-        | _ :: _ ->
-          let best =
-            List.fold_left (fun acc (_, msg) -> min acc msg.(0)) max_int inbox
-          in
-          { st with cluster = best }
+        let best = ref max_int in
+        Arena.Inbox.iter1 ib (fun _ c -> if c < !best then best := c);
+        if !best = max_int then st else { st with cluster = !best }
       end
       else st
     in
     if st.cluster >= 0 && not st.announced then begin
-      let outbox = ref [] in
-      Graph.iter_neighbors g v (fun u -> outbox := (u, [| st.cluster |]) :: !outbox);
-      ({ st with announced = true }, !outbox)
+      Graph.iter_neighbors g v (fun u ->
+          Arena.Outbox.send1 ob ~dst:(Vertex.local u) st.cluster);
+      { st with announced = true }
     end
-    else (st, [])
+    else st
   in
-  let states = Network.run_rounds net ~label:"mpx-clustering" ~init ~step horizon in
-  (* one trailing epoch so vertices whose wake-up coincided with the
-     horizon still announce is unnecessary: every vertex self-clusters
-     at its start epoch at the latest, and start epochs are <= horizon *)
+  let states =
+    Network.run_active_rounds net ~label:"mpx-clustering" ~init ~step horizon
+  in
+  (* every vertex self-clusters at its start epoch at the latest, and
+     start epochs are <= horizon, so no vertex can be left over *)
   let cluster = Array.map (fun st -> st.cluster) states in
   Array.iteri
-    (fun v c -> if c < 0 then failwith (Printf.sprintf "Clustering: vertex %d unclustered" v))
+    (fun v c ->
+      if c < 0 then
+        Dex_util.Invariant.failf ~where:"Clustering.run" "vertex %d unclustered" v)
     cluster;
   { cluster; start = starts; epochs = horizon; rounds = horizon }
 
 let clusters (t : t) =
-  let tbl = Hashtbl.create 64 in
-  Array.iteri
-    (fun v c ->
-      let members = try Hashtbl.find tbl c with Not_found -> [] in
-      Hashtbl.replace tbl c (v :: members))
-    t.cluster;
-  Dex_util.Table.fold_sorted
-    (fun _ members acc ->
-      let arr = Array.of_list members in
-      Array.sort compare arr;
-      arr :: acc)
-    tbl []
+  (* counting sort by cluster id: ids are vertex ids, in [0, n) *)
+  let n = Array.length t.cluster in
+  let size = Array.make n 0 in
+  Array.iter (fun c -> size.(c) <- size.(c) + 1) t.cluster;
+  let members = Array.map (fun k -> Array.make k 0) size in
+  (* filling each group from the back with descending v leaves it ascending *)
+  for v = n - 1 downto 0 do
+    let c = t.cluster.(v) in
+    size.(c) <- size.(c) - 1;
+    members.(c).(size.(c)) <- v
+  done;
+  (* descending cluster id, the order the list has always had *)
+  Array.fold_left (fun acc m -> if Array.length m > 0 then m :: acc else acc) [] members
 
 let inter_cluster_edges g (t : t) =
   let crossing = ref 0 in

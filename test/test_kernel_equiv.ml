@@ -17,6 +17,7 @@ module Rounds = Dex_congest.Rounds
 module Primitives = Dex_congest.Primitives
 module Conformance = Dex_congest.Conformance
 module Arena = Dex_congest.Arena
+module Invariant = Dex_util.Invariant
 
 let seeds = [ 1; 2; 3 ]
 
@@ -323,6 +324,169 @@ let test_cursor_congestion_violation () =
     Alcotest.(check string) "message" "vertex 0: 3 is not a neighbor" msg
   | _ -> Alcotest.fail "expected Congestion_violation"
 
+(* ---------- timed wake-ups and fixed-length runs ---------- *)
+
+(* vertex 2 of a 5-path books round 10 in round 1 and nobody sends:
+   rounds 2..9 must step nobody, round 10 exactly vertex 2 *)
+let timed_wake_obs ~executor =
+  let g = Generators.path 5 in
+  let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
+  let calls = Atomic.make 0 in
+  let step ~round ~vertex seen _ib ob =
+    Atomic.incr calls;
+    if Vertex.local_int vertex = 2 && round = 1 then Arena.Outbox.wake_at ob 10;
+    round :: seen
+  in
+  let ticks = ref [] in
+  let on_round r _ = ticks := r :: !ticks in
+  let states, rounds =
+    Network.run_active net ~label:"timed" ~init:(fun _ -> []) ~step ~on_round ()
+  in
+  (states, rounds, Atomic.get calls, List.rev !ticks, Rounds.total (Network.rounds net))
+
+let test_wake_at_fires_on_its_round () =
+  let states, rounds, calls, ticks, charged = timed_wake_obs ~executor:Network.Staged in
+  Alcotest.(check int) "last stepped round" 10 rounds;
+  Alcotest.(check int) "charged" 10 charged;
+  Alcotest.(check int) "step calls: all n in round 1, then one" 6 calls;
+  Alcotest.(check (list int)) "on_round only on stepped rounds" [ 1; 10 ] ticks;
+  Alcotest.(check (list int)) "vertex 2 saw rounds" [ 10; 1 ] states.(2);
+  Alcotest.(check (list int)) "vertex 0 saw rounds" [ 1 ] states.(0)
+
+let test_wake_at_rejects_past_rounds () =
+  let g = Generators.cycle 4 in
+  let attempt ~at ~target =
+    let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+    let step ~round ~vertex st _ib ob =
+      if Vertex.local_int vertex = 0 then begin
+        if round < at then Arena.Outbox.wake ob
+        else if round = at then Arena.Outbox.wake_at ob target
+      end;
+      st
+    in
+    match Network.run_active net ~label:"past" ~init:(fun _ -> 0) ~step () with
+    | exception Invariant.Violation { where; _ } ->
+      Alcotest.(check string)
+        (Printf.sprintf "round %d wake_at %d" at target)
+        "Arena.Outbox.wake_at" where
+    | _ -> Alcotest.failf "round %d: wake_at %d accepted" at target
+  in
+  attempt ~at:1 ~target:1;
+  attempt ~at:1 ~target:0;
+  attempt ~at:3 ~target:3;
+  attempt ~at:3 ~target:2
+
+let test_pending_wake_keeps_run_alive () =
+  let g = Generators.cycle 6 in
+  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  (* round 1: vertex 3 messages vertex 4 and books round 50; round 2
+     is the last one with traffic, so the worklist is empty after it
+     while the wake is still pending *)
+  let step ~round ~vertex st ib ob =
+    let v = Vertex.local_int vertex in
+    if round = 1 && v = 3 then begin
+      Arena.Outbox.send1 ob ~dst:(Vertex.local 4) 1;
+      Arena.Outbox.wake_at ob 50
+    end;
+    st + (round * (1 + Arena.Inbox.count ib))
+  in
+  let states, rounds = Network.run_active net ~label:"alive" ~init:(fun _ -> 0) ~step () in
+  Alcotest.(check int) "ran to the pending wake" 50 rounds;
+  Alcotest.(check int) "vertex 3 stepped in rounds 1 and 50" 51 states.(3);
+  Alcotest.(check int) "vertex 4 stepped in rounds 1 and 2" (1 + 4) states.(4);
+  Alcotest.(check int) "charged" 50 (Rounds.total (Network.rounds net))
+
+(* every vertex floods its neighbours every round, forever *)
+let flood_step g ~round:_ ~vertex st ib ob =
+  let v = Vertex.local_int vertex in
+  Graph.iter_neighbors g v (fun u -> Arena.Outbox.send1 ob ~dst:(Vertex.local u) v);
+  st + Arena.Inbox.count ib
+
+let test_run_active_rounds_fixed_length () =
+  let g = Generators.cycle 8 in
+  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let stepped = ref [] in
+  let states =
+    Network.run_active_rounds net ~label:"fixed" ~init:(fun _ -> 0) ~step:(flood_step g)
+      ~on_round:(fun r _ -> stepped := r :: !stepped)
+      7
+  in
+  Alcotest.(check (list int)) "rounds 1..7" [ 7; 6; 5; 4; 3; 2; 1 ] !stepped;
+  Alcotest.(check (list (pair string int)))
+    "charged exactly n" [ ("fixed", 7) ]
+    (Rounds.by_phase (Network.rounds net));
+  (* round 7's sends were delivered (counted) but never read *)
+  Alcotest.(check int) "messages" (7 * 16) (Network.messages_sent net);
+  Array.iter (fun st -> Alcotest.(check int) "inbox reads" (6 * 2) st) states;
+  (* quiescent early, or a wake pending past the end: still exactly n *)
+  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let step ~round ~vertex:_ st _ib ob =
+    if round = 1 then Arena.Outbox.wake_at ob 100;
+    st + 1
+  in
+  let states = Network.run_active_rounds net ~label:"short" ~init:(fun _ -> 0) ~step 20 in
+  Alcotest.(check int) "pending wake: charged n" 20 (Rounds.total (Network.rounds net));
+  Array.iter (fun st -> Alcotest.(check int) "stepped once" 1 st) states;
+  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  ignore
+    (Network.run_active_rounds net ~label:"idle" ~init:(fun _ -> 0)
+       ~step:(fun ~round:_ ~vertex:_ st _ _ -> st)
+       20);
+  Alcotest.(check int) "quiescent: charged n" 20 (Rounds.total (Network.rounds net))
+
+let test_timed_wakes_across_executors () =
+  let base = timed_wake_obs ~executor:Network.Legacy in
+  List.iter
+    (fun (ename, executor) ->
+      let states, rounds, calls, ticks, charged = timed_wake_obs ~executor in
+      let bs, br, bc, bt, bch = base in
+      Alcotest.(check (array (list int))) (ename ^ " states") bs states;
+      Alcotest.(check int) (ename ^ " rounds") br rounds;
+      Alcotest.(check int) (ename ^ " calls") bc calls;
+      Alcotest.(check (list int)) (ename ^ " ticks") bt ticks;
+      Alcotest.(check int) (ename ^ " charged") bch charged)
+    executors;
+  (* fixed-length flood: same states and ledger on every executor *)
+  let flood executor =
+    let g = gnp_graph 4 in
+    let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
+    let states =
+      Network.run_active_rounds net ~label:"fixed" ~init:(fun _ -> 0) ~step:(flood_step g) 5
+    in
+    (states, Network.messages_sent net, Rounds.total (Network.rounds net))
+  in
+  let bs, bm, br = flood Network.Legacy in
+  List.iter
+    (fun (ename, executor) ->
+      let s, m, r = flood executor in
+      Alcotest.(check (array int)) (ename ^ " flood states") bs s;
+      Alcotest.(check int) (ename ^ " flood messages") bm m;
+      Alcotest.(check int) (ename ^ " flood charged") br r)
+    executors
+
+(* a run whose only remaining work is a wake booked past [max_rounds]
+   is not quiescent: it raises like any other over-long run, charging
+   the max_rounds rounds that elapsed (stepped or idle) *)
+let test_wake_beyond_max_rounds () =
+  let g = Generators.path 3 in
+  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let step ~round ~vertex st _ib ob =
+    if round = 1 && Vertex.local_int vertex = 1 then Arena.Outbox.wake_at ob 10;
+    st + round
+  in
+  (match Network.run_active net ~label:"late" ~init:(fun _ -> 0) ~step ~max_rounds:7 () with
+  | exception Network.Round_limit_exceeded { executed; max_rounds; states = Packed _; _ } ->
+    Alcotest.(check int) "executed" 7 executed;
+    Alcotest.(check int) "limit" 7 max_rounds
+  | _ -> Alcotest.fail "expected Round_limit_exceeded");
+  Alcotest.(check int) "charged max_rounds" 7 (Rounds.total (Network.rounds net));
+  (* with the limit at the wake's round, the run completes there *)
+  let states, rounds =
+    Network.run_active net ~label:"late" ~init:(fun _ -> 0) ~step ~max_rounds:10 ()
+  in
+  Alcotest.(check int) "completes at the wake" 10 rounds;
+  Alcotest.(check int) "vertex 1 stepped in rounds 1 and 10" 11 states.(1)
+
 let () =
   Alcotest.run "kernel-equiv"
     [ ( "list-api",
@@ -336,4 +500,10 @@ let () =
         [ Alcotest.test_case "cursor surface" `Quick test_arena_cursor_surface;
           Alcotest.test_case "wake" `Quick test_wake_keeps_vertex_active;
           Alcotest.test_case "round limit" `Quick test_run_active_round_limit;
-          Alcotest.test_case "violation" `Quick test_cursor_congestion_violation ] ) ]
+          Alcotest.test_case "violation" `Quick test_cursor_congestion_violation;
+          Alcotest.test_case "wake_at round" `Quick test_wake_at_fires_on_its_round;
+          Alcotest.test_case "wake_at past" `Quick test_wake_at_rejects_past_rounds;
+          Alcotest.test_case "pending wake" `Quick test_pending_wake_keeps_run_alive;
+          Alcotest.test_case "fixed length" `Quick test_run_active_rounds_fixed_length;
+          Alcotest.test_case "timed executors" `Quick test_timed_wakes_across_executors;
+          Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds ] ) ]

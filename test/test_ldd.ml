@@ -12,6 +12,7 @@ module Neighborhood = Dex_ldd.Neighborhood
 module Refine = Dex_ldd.Refine
 module Ldd = Dex_ldd.Ldd
 module Rng = Dex_util.Rng
+module Trace = Dex_obs.Trace
 
 let net_of g = Network.create g (Rounds.create ())
 
@@ -92,6 +93,164 @@ let test_clustering_start_times () =
     (fun v s ->
       if s = 1 then Alcotest.(check int) "epoch-1 vertex is a center" v c.Clustering.cluster.(v))
     c.Clustering.start
+
+(* ---------- MPX oracle: cursor port vs the list-API protocol ---------- *)
+
+(* [Clustering.run] as it ran on the list API, stepping all n vertices
+   for all [horizon] rounds through [Network.run_rounds]. Kept here as
+   the bit-identity oracle for the cursor port. *)
+type ref_state = { start_epoch : int; cluster : int; announced : bool }
+
+let reference_run net ~beta rng =
+  let g = Network.graph net in
+  let n = Graph.num_vertices g in
+  let horizon =
+    max 1 (int_of_float (Float.ceil (2.0 *. log (Float.max 2.0 (float_of_int n)) /. beta)))
+  in
+  let starts =
+    Array.init n (fun i ->
+        let local = Rng.split rng i in
+        let delta = Rng.exponential local ~rate:beta in
+        max 1 (horizon - int_of_float (Float.floor delta)))
+  in
+  let init v = { start_epoch = starts.(v); cluster = -1; announced = false } in
+  let step ~round ~vertex:v st inbox =
+    let v = Dex_graph.Vertex.local_int v in
+    let st =
+      if st.cluster >= 0 then st
+      else if st.start_epoch = round then { st with cluster = v }
+      else if st.start_epoch > round then begin
+        match inbox with
+        | [] -> st
+        | _ :: _ ->
+          let best =
+            List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) max_int inbox
+          in
+          { st with cluster = best }
+      end
+      else st
+    in
+    if st.cluster >= 0 && not st.announced then begin
+      let outbox = ref [] in
+      Graph.iter_neighbors g v (fun u -> outbox := (u, [| st.cluster |]) :: !outbox);
+      ({ st with announced = true }, !outbox)
+    end
+    else (st, [])
+  in
+  let states = Network.run_rounds net ~label:"mpx-clustering" ~init ~step horizon in
+  { Clustering.cluster = Array.map (fun st -> st.cluster) states;
+    start = starts;
+    epochs = horizon;
+    rounds = horizon }
+
+(* [Clustering.clusters] as it was: a Hashtbl of members, each group
+   sorted with polymorphic compare, listed by descending cluster id *)
+let reference_clusters (t : Clustering.t) =
+  let tbl = Hashtbl.create 64 in
+  Array.iteri
+    (fun v c ->
+      let members = try Hashtbl.find tbl c with Not_found -> [] in
+      Hashtbl.replace tbl c (v :: members))
+    t.Clustering.cluster;
+  Dex_util.Table.fold_sorted
+    (fun _ members acc ->
+      let arr = Array.of_list members in
+      Array.sort compare arr;
+      arr :: acc)
+    tbl []
+
+let oracle_executors =
+  [ ("legacy", Network.Legacy); ("staged", Network.Staged); ("parallel-2", Network.Parallel 2) ]
+
+(* one graph per family, with self-loops sprinkled in: loops are not
+   CONGEST edges, so neither protocol may send on them *)
+let oracle_graph family n rng =
+  let g =
+    match family with
+    | 0 -> Gen.gnp rng ~n ~p:(Float.min 1.0 (3.0 /. float_of_int n))
+    | 1 -> Gen.random_regular rng ~n:(2 * ((n + 5) / 2)) ~d:4
+    | 2 -> Gen.cycle (max 3 n)
+    | 3 -> Gen.grid (1 + (n / 8)) 8
+    | 4 ->
+      (* two components side by side *)
+      let h = max 2 (n / 2) in
+      let a = Gen.cycle (max 3 h) and b = Gen.gnp rng ~n:h ~p:0.2 in
+      let na = Graph.num_vertices a in
+      Graph.of_edges ~n:(na + h)
+        (Graph.edges a @ List.map (fun (u, v) -> (u + na, v + na)) (Graph.edges b))
+    | _ -> Graph.empty n (* isolated vertices only *)
+  in
+  Graph.with_self_loops g
+    (Array.init (Graph.num_vertices g) (fun v -> if v mod 5 = 0 then 1 else 0))
+
+type mpx_obs = {
+  result : Clustering.t;
+  by_phase : (string * int) list;
+  messages : int;
+  words : int;
+}
+
+let observe_mpx run ~executor g ~beta ~seed =
+  let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
+  let result = run net ~beta (Rng.create seed) in
+  { result;
+    by_phase = Rounds.by_phase (Network.rounds net);
+    messages = Network.messages_sent net;
+    words = Network.words_sent net }
+
+let prop_mpx_matches_list_api =
+  QCheck.Test.make ~name:"MPX cursor port = list-API protocol" ~count:100
+    QCheck.(
+      quad (int_bound 5) (int_range 1 60) (float_range 0.01 0.99) (int_bound 100_000))
+    (fun (family, n, beta, seed) ->
+      (* the shrinker may step outside the generator's ranges *)
+      let g = oracle_graph (abs family) (max 1 n) (Rng.create (seed + 1)) in
+      List.for_all
+        (fun (_, executor) ->
+          let want = observe_mpx reference_run ~executor g ~beta ~seed in
+          let got = observe_mpx Clustering.run ~executor g ~beta ~seed in
+          let w = want.result and r = got.result in
+          w.Clustering.cluster = r.Clustering.cluster
+          && w.Clustering.start = r.Clustering.start
+          && w.Clustering.epochs = r.Clustering.epochs
+          && w.Clustering.rounds = r.Clustering.rounds
+          && want.by_phase = got.by_phase
+          && want.messages = got.messages
+          && want.words = got.words
+          && reference_clusters r = Clustering.clusters r)
+        oracle_executors)
+
+(* complexity guard without a clock: MPX charges all [horizon] rounds
+   but only rounds in which some vertex acts are stepped, and each
+   stepped round emits one tick. The cycle at beta = 0.002 has a
+   horizon of ~6,000, far above 2n, so a dense run would fail here. *)
+let test_mpx_ticks_only_stepped_rounds () =
+  let n = 400 in
+  let g = Gen.cycle n in
+  List.iter
+    (fun beta ->
+      let ledger = Rounds.create () in
+      let tr = Trace.create ~capacity:100_000 () in
+      Rounds.attach_trace ledger (Some tr);
+      let net = Network.create g ledger in
+      let c = Clustering.run net ~beta (Rng.create 7) in
+      let ticks =
+        List.length
+          (List.filter
+             (function Trace.Round_tick _ -> true | _ -> false)
+             (Trace.events tr))
+      in
+      let name what = Printf.sprintf "beta %g %s" beta what in
+      Alcotest.(check int) (name "charged = horizon") c.Clustering.epochs (Rounds.total ledger);
+      Alcotest.(check bool)
+        (name (Printf.sprintf "%d ticks <= 2n" ticks))
+        true (ticks <= 2 * n);
+      Alcotest.(check int) (name "ticks carry every message") (Network.messages_sent net)
+        (Trace.messages tr))
+    [ 0.05; 0.002 ];
+  (* the guard has teeth: at beta = 0.002 the horizon alone exceeds 2n *)
+  let c = Clustering.run (net_of g) ~beta:0.002 (Rng.create 7) in
+  Alcotest.(check bool) "horizon > 2n" true (c.Clustering.epochs > 2 * n)
 
 (* ---------- neighborhood counting ---------- *)
 
@@ -242,6 +401,10 @@ let () =
             test_clustering_cut_fraction_expectation;
           Alcotest.test_case "beta validation" `Quick test_clustering_beta_validation;
           Alcotest.test_case "start times" `Quick test_clustering_start_times ] );
+      ( "mpx-oracle",
+        [ QCheck_alcotest.to_alcotest prop_mpx_matches_list_api;
+          Alcotest.test_case "ticks only on stepped rounds" `Quick
+            test_mpx_ticks_only_stepped_rounds ] );
       ( "neighborhood",
         [ Alcotest.test_case "ball edge count" `Quick test_ball_edge_count;
           Alcotest.test_case "loops counted" `Quick test_ball_counts_with_loops;
