@@ -237,24 +237,23 @@ let approximate params g ~src ~b =
   in
   run_generic params g ~src ~b ~select
 
-let participating_edges g outcome =
+(* each edge of P-star once, from its participating endpoint (the
+   smaller one when both participate); the sorted adjacency makes
+   parallel copies adjacent, so skipping repeats drops them *)
+let iter_participating_edges g outcome f =
   let mask = Array.make (Graph.num_vertices g) false in
   Array.iter (fun v -> mask.(v) <- true) outcome.participants;
-  let acc = ref [] in
   Array.iter
     (fun v ->
-      Graph.iter_neighbors g v (fun u ->
-          if u > v || not mask.(u) then
-            acc := ((min u v, max u v)) :: !acc))
-    outcome.participants;
-  (* an edge with both endpoints participating is produced only from
-     its smaller endpoint, but parallel edges still repeat a pair *)
-  let dedup = Hashtbl.create (2 * List.length !acc) in
-  List.filter
-    (fun e ->
-      if Hashtbl.mem dedup e then false
-      else begin
-        Hashtbl.replace dedup e ();
-        true
-      end)
-    !acc
+      let a = Graph.neighbors g v in
+      for i = 0 to Array.length a - 1 do
+        let u = a.(i) in
+        if (i = 0 || a.(i - 1) <> u) && (u > v || not mask.(u)) then
+          if u > v then f v u else f u v
+      done)
+    outcome.participants
+
+let participating_edges g outcome =
+  let acc = ref [] in
+  iter_participating_edges g outcome (fun u v -> acc := (u, v) :: !acc);
+  !acc

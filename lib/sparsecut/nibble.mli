@@ -45,6 +45,16 @@ val nibble : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 (** [approximate params g ~src ~b] is ApproximateNibble. *)
 val approximate : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 
-(** [participating_edges g outcome] materializes P-star: the edges with at
-    least one endpoint in [outcome.participants], normalized (u ≤ v). *)
+(** [iter_participating_edges g outcome f] calls [f u v] once for
+    each edge of P-star — the non-loop edges with at least one endpoint
+    in [outcome.participants] — with [u < v]. Parallel edges are one
+    edge of P-star and are visited once. Edges are visited by their
+    participating endpoint (the smaller one when both participate) in
+    the order of [outcome.participants], then by neighbour
+    ascending. *)
+val iter_participating_edges : Dex_graph.Graph.t -> outcome -> (int -> int -> unit) -> unit
+
+(** [participating_edges g outcome] materializes P-star as a list of
+    [(u, v)] pairs, [u < v], in the reverse of the
+    {!iter_participating_edges} order. *)
 val participating_edges : Dex_graph.Graph.t -> outcome -> (int * int) list

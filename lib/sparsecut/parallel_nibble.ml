@@ -34,17 +34,19 @@ let run ?k ?ledger params g rng =
     let k = match k with Some k -> k | None -> Params.parallel_copies params ~volume:total_volume in
     let w = Params.overlap_bound params ~volume:total_volume in
     let outcomes = List.init k (fun _ -> random_nibble params g rng) in
-    (* per-edge participation counts over P-star of each copy *)
-    let overlap = Hashtbl.create 1024 in
+    (* per-edge participation counts over P-star of each copy, one
+       counter per edge at the CSR slot of (u, v), u < v; the leftmost
+       rank gives parallel edges one shared counter *)
+    let off = Graph.csr_offsets g in
+    let overlap = Array.make off.(Graph.num_vertices g) 0 in
     let max_overlap = ref 0 in
     List.iter
       (fun outcome ->
-        List.iter
-          (fun e ->
-            let c = 1 + (try Hashtbl.find overlap e with Not_found -> 0) in
-            Hashtbl.replace overlap e c;
-            if c > !max_overlap then max_overlap := c)
-          (Nibble.participating_edges g outcome))
+        Nibble.iter_participating_edges g outcome (fun u v ->
+            let slot = off.(u) + Graph.neighbor_rank g u v in
+            let c = overlap.(slot) + 1 in
+            overlap.(slot) <- c;
+            if c > !max_overlap then max_overlap := c))
       outcomes;
     let aborted = !max_overlap > w in
     (* Lemma 10 cost model, fully measured:
@@ -83,28 +85,28 @@ let run ?k ?ledger params g rng =
     else begin
       (* prefix-union selection: largest i* with Vol(U_{i*}) ≤ 23/24·Vol *)
       let threshold = 23 * total_volume / 24 in
-      let members = Hashtbl.create 256 in
+      let is_member = Array.make (Graph.num_vertices g) false in
+      let members = ref [] in
       let vol = ref 0 in
-      let best = ref [] in
-      (try
-         List.iter
-           (fun (o : Nibble.outcome) ->
-             (match o.Nibble.result with
-             | None -> ()
-             | Some cut ->
-               Array.iter
-                 (fun v ->
-                   if not (Hashtbl.mem members v) then begin
-                     Hashtbl.replace members v ();
-                     vol := !vol + Graph.degree g v
-                   end)
-                 cut.Nibble.vertices);
-             if !vol <= threshold then
-               best := Dex_util.Table.keys_sorted ~compare:Int.compare members
-             else raise Exit)
-           outcomes
-       with Exit -> ());
-      let cut = Array.of_list !best in
+      (* [best]: the members of the longest prefix of cuts within the
+         threshold *)
+      let rec select best = function
+        | [] -> best
+        | (o : Nibble.outcome) :: rest ->
+          (match o.Nibble.result with
+          | None -> ()
+          | Some cut ->
+            Array.iter
+              (fun v ->
+                if not is_member.(v) then begin
+                  is_member.(v) <- true;
+                  members := v :: !members;
+                  vol := !vol + Graph.degree g v
+                end)
+              cut.Nibble.vertices);
+          if !vol <= threshold then select !members rest else best
+      in
+      let cut = Array.of_list (select [] outcomes) in
       Array.sort Int.compare cut;
       { cut; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }
     end

@@ -26,6 +26,17 @@ let triple_list groups =
   done;
   Array.of_list (List.rev !acc)
 
+let compare_pair (a, b) (c, d) =
+  let k = Int.compare a c in
+  if k <> 0 then k else Int.compare b d
+
+let compare_triangle (a, b, c) (d, e, f) =
+  let k = Int.compare a d in
+  if k <> 0 then k
+  else
+    let k = Int.compare b e in
+    if k <> 0 then k else Int.compare c f
+
 let run g =
   let n = Graph.num_vertices g in
   if n = 0 then
@@ -59,7 +70,7 @@ let run g =
     Array.iteri
       (fun i (a, b, c) ->
         let v = owner i in
-        let pairs = List.sort_uniq compare [ (a, b); (b, c); (a, c) ] in
+        let pairs = List.sort_uniq compare_pair [ (a, b); (b, c); (a, c) ] in
         List.iter
           (fun key ->
             receive.(v) <- receive.(v) + pair_count key;
@@ -91,13 +102,13 @@ let run g =
     let detected = ref [] in
     let complete = ref true in
     Exact.iter g (fun (u, v, w) ->
-        let sig_ = List.sort compare [ grp u; grp v; grp w ] in
+        let sig_ = List.sort Int.compare [ grp u; grp v; grp w ] in
         match sig_ with
         | [ a; b; c ] ->
           if Hashtbl.mem triple_index (a, b, c) then detected := (u, v, w) :: !detected
           else complete := false
         | _ -> complete := false);
-    let triangles = List.sort compare !detected in
+    let triangles = List.sort compare_triangle !detected in
     { triangles;
       complete = !complete && List.length triangles = Exact.count g;
       rounds;

@@ -2,30 +2,44 @@ module Graph = Dex_graph.Graph
 
 type triangle = int * int * int
 
-let rank g v = (Graph.plain_degree g v, v)
+let max_vertices = 1 lsl 20
 
-let forward_lists g =
+let check_size g =
   let n = Graph.num_vertices g in
-  let out = Array.make n [] in
-  Graph.iter_edges g (fun u v ->
-      if u <> v then begin
-        (* deduplicate parallel edges: sorted adjacency makes repeats
-           adjacent, but iter_edges may revisit; a triangle is a set of
-           vertices, so duplicates only risk double counting — filter *)
-        if rank g u < rank g v then out.(u) <- v :: out.(u) else out.(v) <- u :: out.(v)
-      end);
-  Array.map
-    (fun l ->
-      let a = Array.of_list l in
-      Array.sort compare a;
-      (* drop duplicates from parallel edges *)
-      let uniq = ref [] in
-      Array.iteri (fun i x -> if i = 0 || a.(i - 1) <> x then uniq := x :: !uniq) a;
-      let u = Array.of_list (List.rev !uniq) in
-      u)
-    out
+  if n > max_vertices then
+    invalid_arg
+      (Printf.sprintf "Exact: %d vertices exceed the triangle-id bound n <= 2^20" n);
+  n
 
-let iter g f =
+(* the degree order: plain degree, ties by id *)
+let precedes g u v =
+  let du = Graph.plain_degree g u and dv = Graph.plain_degree g v in
+  du < dv || (du = dv && u < v)
+
+(* out.(u): the distinct neighbours after u in the degree order,
+   ascending. The sorted adjacency makes parallel copies adjacent, so
+   skipping repeats drops them; self-loops are not in the adjacency. *)
+let forward_lists g =
+  Array.init (Graph.num_vertices g) (fun u ->
+      let a = Graph.neighbors g u in
+      let forward i = (i = 0 || a.(i - 1) <> a.(i)) && precedes g u a.(i) in
+      let len = ref 0 in
+      for i = 0 to Array.length a - 1 do
+        if forward i then incr len
+      done;
+      let out = Array.make !len 0 in
+      let k = ref 0 in
+      for i = 0 to Array.length a - 1 do
+        if forward i then begin
+          out.(!k) <- a.(i);
+          incr k
+        end
+      done;
+      out)
+
+(* [f a b c] once per triangle, a < b < c; the callback order is the
+   forward algorithm's and [iter] (hence Dlp) depends on it *)
+let iter_sorted g f =
   let out = forward_lists g in
   let n = Graph.num_vertices g in
   let mark = Array.make n false in
@@ -38,27 +52,92 @@ let iter g f =
           (fun w ->
             if mark.(w) then begin
               let a = min u (min v w) and c = max u (max v w) in
-              let b = u + v + w - a - c in
-              f (a, b, c)
+              f a (u + v + w - a - c) c
             end)
           out.(v))
       ou;
     Array.iter (fun v -> mark.(v) <- false) ou
   done
 
-let enumerate g =
-  let acc = ref [] in
-  iter g (fun t -> acc := t :: !acc);
-  List.sort compare !acc
+let iter g f = iter_sorted g (fun a b c -> f (a, b, c))
 
 let count g =
   let c = ref 0 in
-  iter g (fun _ -> incr c);
+  iter_sorted g (fun _ _ _ -> incr c);
   !c
 
+(* ---------- packed ids ---------- *)
+
+(* LSD radix sort of non-negative ints, 11-bit digits: one temp array,
+   no comparator; as many passes as the largest value has digits *)
+let radix_sort a =
+  let len = Array.length a in
+  if len > 1 then begin
+    let bits = 11 in
+    let buckets = 1 lsl bits in
+    let maxv = Array.fold_left max 0 a in
+    let count = Array.make (buckets + 1) 0 in
+    let src = ref a and dst = ref (Array.make len 0) in
+    let shift = ref 0 in
+    while !shift < Sys.int_size && maxv lsr !shift > 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill count 0 (buckets + 1) 0;
+      for i = 0 to len - 1 do
+        let b = ((s.(i) lsr sh) land (buckets - 1)) + 1 in
+        count.(b) <- count.(b) + 1
+      done;
+      for b = 1 to buckets do
+        count.(b) <- count.(b) + count.(b - 1)
+      done;
+      for i = 0 to len - 1 do
+        let b = (s.(i) lsr sh) land (buckets - 1) in
+        d.(count.(b)) <- s.(i);
+        count.(b) <- count.(b) + 1
+      done;
+      src := d;
+      dst := s;
+      shift := sh + bits
+    done;
+    if !src != a then Array.blit !src 0 a 0 len
+  end
+
+(* a growable int buffer for the ids *)
+type buf = { mutable data : int array; mutable len : int }
+
+let push b x =
+  if b.len = Array.length b.data then begin
+    let data = Array.make ((2 * b.len) + 64) 0 in
+    Array.blit b.data 0 data 0 b.len;
+    b.data <- data
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+let sorted_contents b =
+  let a = Array.sub b.data 0 b.len in
+  radix_sort a;
+  a
+
+let triangle_ids_with_edge_pred g pred =
+  let n = check_size g in
+  let hit = { data = [||]; len = 0 } in
+  iter_sorted g (fun a b c ->
+      if pred a b || pred b c || pred a c then push hit ((((a * n) + b) * n) + c));
+  sorted_contents hit
+
+let triangle_ids g = triangle_ids_with_edge_pred g (fun _ _ -> true)
+
+let triangle_of_id ~n id = (id / n / n, id / n mod n, id mod n)
+
+let triangles_of_ids ~n ids =
+  Array.fold_right (fun id acc -> triangle_of_id ~n id :: acc) ids []
+
+let enumerate g = triangles_of_ids ~n:(Graph.num_vertices g) (triangle_ids g)
+
 let triangles_with_edge_pred g pred =
-  let hit = ref [] and miss = ref [] in
-  iter g (fun (u, v, w) ->
-      if pred u v || pred v w || pred u w then hit := (u, v, w) :: !hit
-      else miss := (u, v, w) :: !miss);
-  (List.sort compare !hit, List.sort compare !miss)
+  let n = check_size g in
+  let hit = { data = [||]; len = 0 } and miss = { data = [||]; len = 0 } in
+  iter_sorted g (fun a b c ->
+      let id = (((a * n) + b) * n) + c in
+      if pred a b || pred b c || pred a c then push hit id else push miss id);
+  (triangles_of_ids ~n (sorted_contents hit), triangles_of_ids ~n (sorted_contents miss))

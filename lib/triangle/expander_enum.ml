@@ -30,6 +30,26 @@ let instances_for ~n ~incident ~volume =
   let groups = max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
   max 1 (int_of_float (Float.ceil (3.0 *. float_of_int groups *. float_of_int incident /. float_of_int (max 1 volume))))
 
+(* [merge_ids a b]: the ascending union of two ascending id arrays,
+   and how many ids of [b] were not in [a] *)
+let merge_ids a b =
+  let la = Array.length a and lb = Array.length b in
+  let out = Array.make (la + lb) 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 and fresh = ref 0 in
+  while !i < la || !j < lb do
+    if !j >= lb || (!i < la && a.(!i) < b.(!j)) then begin
+      out.(!k) <- a.(!i);
+      incr i
+    end
+    else begin
+      if !i >= la || b.(!j) < a.(!i) then incr fresh else incr i;
+      out.(!k) <- b.(!j);
+      incr j
+    end;
+    incr k
+  done;
+  (Array.sub out 0 !k, !fresh)
+
 let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng =
   let in_span name f =
     match ledger with Some l -> Rounds.with_span l name f | None -> f ()
@@ -38,8 +58,8 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
     match ledger with Some l -> Rounds.charge l ~label k | None -> ()
   in
   let n = Graph.num_vertices g in
-  let ground_truth = Exact.enumerate g in
-  let detected = Hashtbl.create (2 * List.length ground_truth + 16) in
+  let ground_truth = Exact.triangle_ids g in
+  let detected = ref [||] in
   let levels = ref [] in
   let total_rounds = ref 0 in
   let enumeration_rounds = ref 0 in
@@ -65,29 +85,27 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
        detected at this level: the component owning that edge learns
        every edge incident to itself, which includes the other two *)
     let intra u v = part_of.(u) = part_of.(v) in
-    let found, _survive = Exact.triangles_with_edge_pred gcur intra in
-    let fresh = ref 0 in
-    List.iter
-      (fun t ->
-        if not (Hashtbl.mem detected t) then begin
-          Hashtbl.replace detected t ();
-          incr fresh
-        end)
-      found;
+    let found = Exact.triangle_ids_with_edge_pred gcur intra in
+    let merged, fresh = merge_ids !detected found in
+    detected := merged;
+    (* edges of the current graph incident to each component, all
+       components in one pass *)
+    let incident = Array.make (List.length decomp.Decomposition.parts) 0 in
+    Graph.iter_edges gcur (fun u v ->
+        if u <> v then begin
+          let pu = part_of.(u) and pv = part_of.(v) in
+          incident.(pu) <- incident.(pu) + 1;
+          if pv <> pu then incident.(pv) <- incident.(pv) + 1
+        end);
     (* measured routing cost per component, components in parallel *)
     let max_pre = ref 0 and max_query = ref 0 and max_inst = ref 0 in
-    List.iter
-      (fun part ->
+    List.iteri
+      (fun i part ->
         if Array.length part > 1 then begin
           let sub, _ = Graph.induced_subgraph gcur part in
           if Graph.num_plain_edges sub > 0 then begin
-            (* edges of the current graph incident to the component *)
-            let mask = Dex_graph.Metrics.mask_of gcur part in
-            let incident = ref 0 in
-            Graph.iter_edges gcur (fun u v ->
-                if u <> v && (mask.(u) || mask.(v)) then incr incident);
             let volume = Graph.volume gcur part in
-            let instances = instances_for ~n ~incident:!incident ~volume in
+            let instances = instances_for ~n ~incident:incident.(i) ~volume in
             let hierarchy =
               match k_routing with
               | Some k -> Hierarchy.build sub rng ~k
@@ -107,7 +125,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
       { level = !level;
         edges = Graph.num_plain_edges gcur;
         components = List.length decomp.Decomposition.parts;
-        detected = !fresh;
+        detected = fresh;
         decomposition_rounds = decomp.Decomposition.stats.Decomposition.rounds;
         routing_preprocess_rounds = !max_pre;
         routing_query_rounds = !max_query;
@@ -123,8 +141,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
       (* no progress (decomposition kept everything separate):
          fall back to detecting the rest locally — costs the trivial
          exchange on the residual graph *)
-      let rest = Exact.enumerate next in
-      List.iter (fun t -> Hashtbl.replace detected t ()) rest;
+      detected := fst (merge_ids !detected (Exact.triangle_ids next));
       let cost = Baselines.trivial_rounds next in
       total_rounds := !total_rounds + cost;
       enumeration_rounds := !enumeration_rounds + cost;
@@ -133,14 +150,16 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
     end
     else current := next
   done;
-  let triangles = Dex_util.Table.keys_sorted detected in
-  { triangles;
+  let detected = !detected in
+  { triangles = Exact.triangles_of_ids ~n detected;
     levels = List.rev !levels;
     total_rounds = !total_rounds;
     enumeration_rounds = !enumeration_rounds;
     messages = !messages;
     words = !words;
-    complete = triangles = ground_truth }
+    complete =
+      Array.length detected = Array.length ground_truth
+      && Array.for_all2 Int.equal detected ground_truth }
 
 type attempt_outcome = { value : result; attempts : int; rounds_total : int }
 

@@ -95,6 +95,13 @@ let test_d006_spectral_and_sparsecut () =
   check_rules "Int.compare fine" []
     (lint ~path:"lib/spectral/x.ml" "let f a = Array.sort Int.compare a")
 
+(* the triangle layer sorts ids and triples on its hot path *)
+let test_d006_triangle () =
+  check_rules "lib/triangle fires" [ "D006" ]
+    (lint ~path:"lib/triangle/dlp.ml" "let f l = List.sort_uniq compare l");
+  check_rules "explicit comparator fine" []
+    (lint ~path:"lib/triangle/x.ml" "let f l = List.sort Int.compare l")
+
 (* ---------- path scoping ---------- *)
 
 let test_scope_d003_only_protocol_layers () =
@@ -326,7 +333,8 @@ let () =
           Alcotest.test_case "D006 poly sort" `Quick test_d006_poly_sort;
           Alcotest.test_case "D006 kernel scoped" `Quick test_d006_scoped_to_kernel;
           Alcotest.test_case "D006 spectral and sparsecut" `Quick
-            test_d006_spectral_and_sparsecut ] );
+            test_d006_spectral_and_sparsecut;
+          Alcotest.test_case "D006 triangle" `Quick test_d006_triangle ] );
       ( "scoping",
         [ Alcotest.test_case "D003 protocol layers" `Quick
             test_scope_d003_only_protocol_layers;

@@ -175,6 +175,113 @@ let test_participating_edges_incident () =
   Alcotest.(check int) "deduplicated" (List.length sorted)
     (List.length (List.sort_uniq compare sorted))
 
+(* The tuple-keyed P-star and overlap code that CSR edge ids replaced,
+   kept as a test-only reference. *)
+module Reference = struct
+  let participating_edges g (outcome : Nibble.outcome) =
+    let mask = Array.make (Graph.num_vertices g) false in
+    Array.iter (fun v -> mask.(v) <- true) outcome.Nibble.participants;
+    let acc = ref [] in
+    Array.iter
+      (fun v ->
+        Graph.iter_neighbors g v (fun u ->
+            if u > v || not mask.(u) then acc := (min u v, max u v) :: !acc))
+      outcome.Nibble.participants;
+    let dedup = Hashtbl.create 16 in
+    List.filter
+      (fun e ->
+        if Hashtbl.mem dedup e then false
+        else begin
+          Hashtbl.replace dedup e ();
+          true
+        end)
+      !acc
+
+  let max_overlap g outcomes =
+    let overlap = Hashtbl.create 16 in
+    let best = ref 0 in
+    List.iter
+      (fun outcome ->
+        List.iter
+          (fun e ->
+            let c = 1 + (try Hashtbl.find overlap e with Not_found -> 0) in
+            Hashtbl.replace overlap e c;
+            best := max !best c)
+          (participating_edges g outcome))
+      outcomes;
+    !best
+
+  (* prefix-union selection over a member Hashtbl *)
+  let union_cut g outcomes =
+    let threshold = 23 * Graph.total_volume g / 24 in
+    let members = Hashtbl.create 16 in
+    let vol = ref 0 in
+    let best = ref [] in
+    (try
+       List.iter
+         (fun (o : Nibble.outcome) ->
+           (match o.Nibble.result with
+           | None -> ()
+           | Some cut ->
+             Array.iter
+               (fun v ->
+                 if not (Hashtbl.mem members v) then begin
+                   Hashtbl.replace members v ();
+                   vol := !vol + Graph.degree g v
+                 end)
+               cut.Nibble.vertices);
+           if !vol <= threshold then best := Dex_util.Table.keys_sorted members
+           else raise Exit)
+         outcomes
+     with Exit -> ());
+    Array.of_list !best
+end
+
+(* a multigraph on 1..40 vertices: random edges, a sixth of them
+   doubled into parallel pairs, some self-loops *)
+let random_multigraph rng =
+  let n = 1 + Rng.int rng 40 in
+  let edges =
+    List.init (Rng.int rng (4 * n)) (fun _ ->
+        let u = Rng.int rng n in
+        match Rng.int rng 8 with 0 -> (u, u) | _ -> (u, Rng.int rng n))
+  in
+  Graph.of_edges ~n (edges @ List.filteri (fun i _ -> i mod 6 = 0) edges)
+
+let prop_participating_edges_match_reference =
+  QCheck.Test.make ~name:"P-star = tuple reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = random_multigraph rng in
+      let n = Graph.num_vertices g in
+      let participants =
+        Array.of_list (List.filter (fun _ -> Rng.bool rng) (List.init n Fun.id))
+      in
+      let outcome =
+        { Nibble.result = None; src = 0; b = 1; steps_executed = 0;
+          candidates_tested = 0; rounds = 0; participants }
+      in
+      let visited = ref [] in
+      Nibble.iter_participating_edges g outcome (fun u v -> visited := (u, v) :: !visited);
+      let edges = Nibble.participating_edges g outcome in
+      let reference = Reference.participating_edges g outcome in
+      edges = reference
+      && !visited = edges
+      && List.sort_uniq compare edges = List.sort compare reference
+      && List.for_all (fun (u, v) -> u < v) edges)
+
+let prop_overlap_matches_reference =
+  QCheck.Test.make ~name:"overlap & union = reference" ~count:60
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 40))
+    (fun (seed, k) ->
+      let rng = Rng.create seed in
+      let g = random_multigraph rng in
+      let params = mk_params (1.0 /. 16.0) (max 1 (Graph.num_edges g)) in
+      let r = Pn.run ~k params g rng in
+      r.Pn.max_overlap = Reference.max_overlap g r.Pn.nibbles
+      && (r.Pn.aborted || r.Pn.cut = Reference.union_cut g r.Pn.nibbles))
+
 let test_nibble_on_isolated_vertex () =
   let g = Graph.of_edges ~n:3 [ (1, 2) ] in
   let params = mk_params (1.0 /. 16.0) 4 in
@@ -538,11 +645,13 @@ let () =
           Alcotest.test_case "isolated source" `Quick test_nibble_on_isolated_vertex;
           Alcotest.test_case "Lemma 3 volume bound" `Quick test_lemma3_z_volume_bound;
           Alcotest.test_case "C.3 volume floor" `Quick test_c3_volume_floor;
-          QCheck_alcotest.to_alcotest prop_nibble_output_is_sparse ] );
+          QCheck_alcotest.to_alcotest prop_nibble_output_is_sparse;
+          QCheck_alcotest.to_alcotest prop_participating_edges_match_reference ] );
       ( "parallel-nibble",
         [ Alcotest.test_case "random nibble" `Quick test_random_nibble_runs;
           Alcotest.test_case "union volume ceiling" `Quick test_parallel_nibble_union_volume;
-          Alcotest.test_case "overlap abort" `Quick test_parallel_nibble_overlap_detection ] );
+          Alcotest.test_case "overlap abort" `Quick test_parallel_nibble_overlap_detection;
+          QCheck_alcotest.to_alcotest prop_overlap_matches_reference ] );
       ( "partition",
         [ Alcotest.test_case "balanced dumbbell" `Quick test_partition_balanced_cut_dumbbell;
           Alcotest.test_case "unbalanced dumbbell" `Quick test_partition_unbalanced_planted_cut;

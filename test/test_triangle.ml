@@ -7,6 +7,7 @@ module Gen = Dex_graph.Generators
 module Exact = Dex_triangle.Exact
 module Enum = Dex_triangle.Expander_enum
 module Baselines = Dex_triangle.Baselines
+module Decomposition = Dex_decomp.Decomposition
 module Rng = Dex_util.Rng
 
 let naive_triangles g =
@@ -62,6 +63,122 @@ let test_edge_pred_split () =
     (fun (a, b, _) -> Alcotest.(check bool) "hit contains 0-1" true (a = 0 && b = 1))
     hit
 
+(* ---------- packed-id oracle ---------- *)
+
+(* The tuple implementation the packed-id code replaced, kept as a
+   test-only reference: outputs and the [iter] call sequence must match
+   it exactly. *)
+module Reference = struct
+  let rank g v = (Graph.plain_degree g v, v)
+
+  let forward_lists g =
+    let n = Graph.num_vertices g in
+    let out = Array.make n [] in
+    Graph.iter_edges g (fun u v ->
+        if u <> v then
+          if rank g u < rank g v then out.(u) <- v :: out.(u) else out.(v) <- u :: out.(v));
+    Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) out
+
+  let iter g f =
+    let out = forward_lists g in
+    let n = Graph.num_vertices g in
+    let mark = Array.make n false in
+    for u = 0 to n - 1 do
+      let ou = out.(u) in
+      Array.iter (fun v -> mark.(v) <- true) ou;
+      Array.iter
+        (fun v ->
+          Array.iter
+            (fun w ->
+              if mark.(w) then begin
+                let a = min u (min v w) and c = max u (max v w) in
+                f (a, u + v + w - a - c, c)
+              end)
+            out.(v))
+        ou;
+      Array.iter (fun v -> mark.(v) <- false) ou
+    done
+
+  let enumerate g =
+    let acc = ref [] in
+    iter g (fun t -> acc := t :: !acc);
+    List.sort compare !acc
+
+  let count g =
+    let c = ref 0 in
+    iter g (fun _ -> incr c);
+    !c
+
+  let triangles_with_edge_pred g pred =
+    let hit = ref [] and miss = ref [] in
+    iter g (fun (u, v, w) ->
+        if pred u v || pred v w || pred u w then hit := (u, v, w) :: !hit
+        else miss := (u, v, w) :: !miss);
+    (List.sort compare !hit, List.sort compare !miss)
+end
+
+(* a G(n, p) multigraph, p in [0.1, 0.9], with parallel copies,
+   self-loops and some isolated vertices, plus a random edge
+   predicate *)
+let random_instance seed =
+  let rng = Rng.create seed in
+  let n = Rng.int rng 61 in
+  let p = 0.1 +. Rng.float rng 0.8 in
+  let isolated = Array.init n (fun _ -> Rng.int rng 8 = 0) in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    if Rng.int rng 5 = 0 then edges := (u, u) :: !edges;
+    for v = u + 1 to n - 1 do
+      if (not isolated.(u)) && (not isolated.(v)) && Rng.bernoulli rng p then begin
+        edges := (u, v) :: !edges;
+        if Rng.int rng 6 = 0 then edges := (v, u) :: !edges
+      end
+    done
+  done;
+  let g = Graph.of_edges ~n !edges in
+  let marked = Array.init (n * n) (fun _ -> Rng.bool rng) in
+  (g, fun u v -> marked.((u * n) + v))
+
+let calls iter g =
+  let acc = ref [] in
+  iter g (fun t -> acc := t :: !acc);
+  List.rev !acc
+
+let prop_exact_matches_reference =
+  QCheck.Test.make ~name:"packed ids = tuple reference" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, pred = random_instance seed in
+      let n = Graph.num_vertices g in
+      let all = Reference.enumerate g in
+      let hit, miss = Reference.triangles_with_edge_pred g pred in
+      calls Exact.iter g = calls Reference.iter g
+      && Exact.enumerate g = all
+      && Exact.count g = Reference.count g
+      && Exact.triangles_with_edge_pred g pred = (hit, miss)
+      && Exact.triangles_of_ids ~n (Exact.triangle_ids g) = all
+      && Exact.triangles_of_ids ~n (Exact.triangle_ids_with_edge_pred g pred) = hit)
+
+let test_id_bound () =
+  let n = 1 lsl 20 in
+  let top = (n - 3, n - 2, n - 1) and low = (0, 1, n - 1) in
+  let g =
+    Graph.of_edges ~n
+      [ (n - 3, n - 2); (n - 2, n - 1); (n - 3, n - 1); (0, 1); (1, n - 1); (0, n - 1) ]
+  in
+  let ids = Exact.triangle_ids g in
+  Alcotest.(check (list (triple int int int))) "round trip" [ low; top ]
+    (Exact.triangles_of_ids ~n ids);
+  Alcotest.(check int) "largest id" ((((n - 3) * n) + n - 2) * n + n - 1) ids.(1);
+  Alcotest.(check (triple int int int)) "id to triple" top (Exact.triangle_of_id ~n ids.(1));
+  Alcotest.(check bool) "below max_int" true (ids.(1) > 0 && ids.(1) < max_int);
+  let big = Graph.empty (n + 1) in
+  let msg = Invalid_argument "Exact: 1048577 vertices exceed the triangle-id bound n <= 2^20" in
+  Alcotest.check_raises "triangle_ids beyond 2^20" msg (fun () ->
+      ignore (Exact.triangle_ids big));
+  Alcotest.check_raises "enumerate beyond 2^20" msg (fun () -> ignore (Exact.enumerate big));
+  Alcotest.(check int) "count needs no ids" 0 (Exact.count big)
+
 (* ---------- distributed enumerator ---------- *)
 
 let check_complete ?epsilon ?k_decomp g seed =
@@ -89,6 +206,60 @@ let test_enum_sbm_multi_level () =
   in
   Alcotest.(check bool) "level counts cover all" true
     (total_detected >= List.length r.Enum.triangles)
+
+(* level 1 decomposes the input with the run's generator before
+   anything else draws from it, so the same seed rebuilds its parts;
+   the instance counts must match a per-part incident-edge scan *)
+let check_level1_instances g seed =
+  let epsilon = 1.0 /. 6.0 in
+  let r = Enum.run ~epsilon g (Rng.create seed) in
+  let decomp = Decomposition.run ~epsilon ~k:2 g (Rng.create seed) in
+  let n = Graph.num_vertices g in
+  let instances part =
+    let sub, _ = Graph.induced_subgraph g part in
+    if Array.length part < 2 || Graph.num_plain_edges sub = 0 then 0
+    else begin
+      let mask = Dex_graph.Metrics.mask_of g part in
+      let incident = ref 0 in
+      Graph.iter_edges g (fun u v -> if u <> v && (mask.(u) || mask.(v)) then incr incident);
+      Enum.instances_for ~n ~incident:!incident ~volume:(Graph.volume g part)
+    end
+  in
+  let parts = decomp.Decomposition.parts in
+  Alcotest.(check bool) "several parts" true (List.length parts > 1);
+  let l1 = List.hd r.Enum.levels in
+  Alcotest.(check int) "components" (List.length parts) l1.Enum.components;
+  Alcotest.(check int) "max instances"
+    (List.fold_left (fun acc p -> max acc (instances p)) 0 parts)
+    l1.Enum.max_instances
+
+(* twelve K8s, each bridged to a central K8 that has the highest ids:
+   the centre's crossing edges set the max instance count *)
+let star_of_cliques () =
+  let clique base =
+    List.concat
+      (List.init 8 (fun a -> List.init (7 - a) (fun d -> (base + a, base + a + d + 1))))
+  in
+  let leaves = List.concat (List.init 12 (fun i -> (8 * i, 96 + (i mod 8)) :: clique (8 * i))) in
+  Graph.of_edges ~n:104 (clique 96 @ leaves)
+
+let test_enum_level1_instances () =
+  check_level1_instances (star_of_cliques ()) 10;
+  check_level1_instances (Gen.cliques_chain ~cliques:5 ~size:8) 10;
+  check_level1_instances (Gen.dumbbell (Rng.create 12) ~n1:40 ~n2:40 ~d:8 ~bridges:2) 13
+
+(* a detected triangle loses an intra-part edge to E-star, so every
+   triangle is new at exactly one level *)
+let test_enum_levels_partition_triangles () =
+  List.iter
+    (fun seed ->
+      let g = Gen.dumbbell (Rng.create seed) ~n1:30 ~n2:30 ~d:8 ~bridges:3 in
+      let r = Enum.run g (Rng.create (seed + 1)) in
+      let detected = List.fold_left (fun acc l -> acc + l.Enum.detected) 0 r.Enum.levels in
+      Alcotest.(check bool) "complete" true r.Enum.complete;
+      Alcotest.(check bool) "several levels" true (List.length r.Enum.levels > 1);
+      Alcotest.(check int) "sum of level counts" (List.length r.Enum.triangles) detected)
+    [ 31; 32; 33 ]
 
 let test_enum_triangle_free () =
   let g = Gen.grid 8 8 in
@@ -246,6 +417,9 @@ let () =
           Alcotest.test_case "parallel edges" `Quick test_parallel_edges_no_double_count;
           Alcotest.test_case "matches naive" `Quick test_enumerate_matches_naive;
           Alcotest.test_case "edge predicate split" `Quick test_edge_pred_split ] );
+      ( "oracle",
+        [ QCheck_alcotest.to_alcotest prop_exact_matches_reference;
+          Alcotest.test_case "id bound 2^20" `Quick test_id_bound ] );
       ( "expander-enum",
         [ Alcotest.test_case "dense gnp" `Quick test_enum_gnp_dense;
           Alcotest.test_case "SBM multi level" `Quick test_enum_sbm_multi_level;
@@ -257,7 +431,9 @@ let () =
           Alcotest.test_case "level reports" `Quick test_level_reports_consistent;
           Alcotest.test_case "run_verified complete" `Quick test_run_verified_complete;
           Alcotest.test_case "run_verified validation" `Quick test_run_verified_validation;
-          QCheck_alcotest.to_alcotest prop_enum_complete ] );
+          QCheck_alcotest.to_alcotest prop_enum_complete;
+          Alcotest.test_case "level-1 instances" `Quick test_enum_level1_instances;
+          Alcotest.test_case "levels partition" `Quick test_enum_levels_partition_triangles ] );
       ( "dlp",
         [ Alcotest.test_case "complete & counts" `Quick test_dlp_complete_and_counts;
           Alcotest.test_case "group structure" `Quick test_dlp_group_structure;

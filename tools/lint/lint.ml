@@ -37,9 +37,9 @@ let rules =
        compare explicit fields" );
     ( "D006",
       "no bare polymorphic [compare] passed to Array.sort / List.sort \
-       family in lib/graph, lib/congest, lib/spectral or lib/sparsecut; \
-       use a monomorphic comparator (Int.compare, String.compare, an \
-       explicit field comparator)" ) ]
+       family in lib/graph, lib/congest, lib/spectral, lib/sparsecut or \
+       lib/triangle; use a monomorphic comparator (Int.compare, \
+       String.compare, an explicit field comparator)" ) ]
 
 (* ---------------- path scoping ---------------- *)
 
@@ -91,13 +91,14 @@ let rule_applies ~all_rules segs rule =
     gated segs && not (under [ "lib"; "obs" ] segs) && not (under [ "bench" ] segs)
   | "D005" -> true
   | "D006" ->
-    (* the kernel's and the spectral layer's hot paths: a
-       polymorphic-compare sort here costs a generic-compare dispatch
-       per element pair *)
+    (* the kernel's, the spectral layer's and the triangle layer's hot
+       paths: a polymorphic-compare sort here costs a generic-compare
+       dispatch per element pair *)
     under [ "lib"; "graph" ] segs
     || under [ "lib"; "congest" ] segs
     || under [ "lib"; "spectral" ] segs
     || under [ "lib"; "sparsecut" ] segs
+    || under [ "lib"; "triangle" ] segs
   | _ -> false
 
 (* ---------------- suppression pragmas ---------------- *)
