@@ -17,8 +17,7 @@
      E12 Section 1   Jerrum-Sinclair: 1/Phi <= tau_mix <= log n / Phi^2
      E13 robustness  fault sweep: reliable delivery overhead vs drop
                      probability; Las Vegas retry cost until certified
-     E14 kernel      throughput: list executors vs the CSR arena
-                     cursor driver vs Domain-parallel rounds
+     E14 kernel      throughput: list adapter vs the CSR arena cursors
 
    `dune exec bench/main.exe` runs everything at default sizes;
    `dune exec bench/main.exe -- quick` shrinks the sweeps;
@@ -884,19 +883,19 @@ let e13_faults () =
   out_table t2
 
 (* ------------------------------------------------------------------ *)
-(* E14 — kernel throughput: list executors vs arena cursors            *)
+(* E14 — kernel throughput: list adapter vs arena cursors             *)
 (* ------------------------------------------------------------------ *)
 
 (* The workload is a BFS flood from vertex 0 on a cycle: the frontier
    is O(1) per round, so the round count is Theta(n) and the cost gap
-   between "step every vertex every round" (the list executors) and
-   the active-set cursor driver is maximal — exactly the shape of the
+   between "step every vertex every round" (the list adapter) and the
+   active-set cursor API is maximal — exactly the shape of the
    sweep/nibble waves the decomposition spends its rounds on.
 
    Both protocol encodings send the same messages (the sender's depth;
    the receiver adopts depth+1 and re-floods on improvement), so the
-   per-row message counts cross-check the executors against each
-   other on top of the equivalence suite. *)
+   per-row message counts cross-check the two APIs against each
+   other on top of the kernel test suite. *)
 
 let e14_bfs_list g net =
   (* state: depth lsl 1 lor pending — pending makes the [finished]
@@ -951,19 +950,12 @@ let e14_throughput () =
            n reps)
       [ "impl"; "rounds"; "msgs"; "ms"; "rounds/s"; "msgs/s"; "B/round"; "speedup" ]
   in
-  let impls =
-    [ ("legacy/list (seed)", X.Network.Legacy, `List);
-      ("staged/list", X.Network.Staged, `List);
-      ("staged/cursor", X.Network.Staged, `Cursor);
-      ("parallel-2/cursor", X.Network.Parallel 2, `Cursor) ]
-    @ (if !quick then [] else [ ("parallel-4/cursor", X.Network.Parallel 4, `Cursor) ])
-  in
   let truth = X.Metrics.bfs_distances g 0 in
   let base_rps = ref 0.0 in
   let cursor_speedup = ref 0.0 in
   List.iter
-    (fun (name, executor, api) ->
-      let net = X.Network.create ~executor g (X.Rounds.create ()) in
+    (fun (name, api) ->
+      let net = X.Network.create g (X.Rounds.create ()) in
       let runner () =
         match api with
         | `List -> e14_bfs_list g net
@@ -993,7 +985,7 @@ let e14_throughput () =
       let rps = fi !rounds /. secs in
       if !base_rps = 0.0 then base_rps := rps;
       let speedup = rps /. !base_rps in
-      if name = "staged/cursor" then cursor_speedup := speedup;
+      if api = `Cursor then cursor_speedup := speedup;
       Table.add_row t
         [ name; string_of_int !rounds; string_of_int !msgs;
           Printf.sprintf "%.2f" (secs *. 1e3);
@@ -1001,112 +993,11 @@ let e14_throughput () =
           Printf.sprintf "%.0f" (fi !msgs /. secs);
           Printf.sprintf "%.0f" !bytes_per_round;
           Printf.sprintf "%.1fx" speedup ])
-    impls;
+    [ ("list (adapter)", `List); ("cursor", `Cursor) ];
   out_table t;
   note
-    "\nacceptance: staged/cursor >= 5x legacy rounds/s on BFS flood at n >= 1e4 — measured %.1fx\n"
-    !cursor_speedup;
-  (* the flood's frontier is 2 vertices, so [Parallel] rightly never
-     shards it (shard_min). The opposite shape — every vertex active
-     every round, compute-heavy steps — is where Domain sharding can
-     amortize its spawn cost; no messages, so Phase B is empty and the
-     scaling measured is Phase A's *)
-  let wn = 4096 and wrounds = 10 and witers = if !quick then 1_000 else 4_000 in
-  let wg = X.Generators.cycle wn in
-  let spin x =
-    let h = ref x in
-    for _ = 1 to witers do
-      h := (!h * 0x1E3779B97F4A7C15) + 1;
-      h := !h lxor (!h lsr 31)
-    done;
-    !h
-  in
-  let t3 =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Domain-parallel Phase A: all %d vertices active, %d hash iters/step, %d rounds"
-           wn witers wrounds)
-      [ "impl"; "ms"; "speedup" ]
-  in
-  let base_ms = ref 0.0 in
-  List.iter
-    (fun (name, executor) ->
-      let net = X.Network.create ~executor wg (X.Rounds.create ()) in
-      let runner () =
-        ignore
-          (X.Network.run_active net ~label:"e14-spin"
-             ~init:(fun v -> v)
-             ~step:(fun ~round ~vertex:v st _ib ob ->
-               let st = spin (st + X.Vertex.local_int v) in
-               if round < wrounds then X.Arena.Outbox.wake ob;
-               st)
-             ())
-      in
-      runner ();
-      let best_ns = ref max_int in
-      for _ = 1 to reps do
-        let t0 = X.Clock.now_ns () in
-        runner ();
-        let t1 = X.Clock.now_ns () in
-        if t1 - t0 < !best_ns then best_ns := t1 - t0
-      done;
-      let ms = fi !best_ns /. 1e6 in
-      if !base_ms = 0.0 then base_ms := ms;
-      Table.add_row t3
-        [ name; Printf.sprintf "%.1f" ms; Printf.sprintf "%.2fx" (!base_ms /. ms) ])
-    [ ("staged/cursor", X.Network.Staged);
-      ("parallel-2/cursor", X.Network.Parallel 2);
-      ("parallel-4/cursor", X.Network.Parallel 4) ];
-  out_table t3;
-  note
-    "\ndomain scaling is bounded by the cores actually available: \
-     recommended_domain_count=%d on this host (parity at 1 core is the expected best)\n"
-    (Domain.recommended_domain_count ());
-  (* algorithm workloads through the process-global default executor:
-     the list-API algorithms run unchanged on the staged kernel, so
-     this is a parity check (same answers, comparable time), not the
-     headline speedup — their rounds step every vertex either way *)
-  let t2 =
-    Table.create
-      ~title:"Executor parity on list-API algorithm workloads (set_default_executor)"
-      [ "workload"; "executor"; "ms"; "vs legacy" ]
-  in
-  let rng = X.Rng.create 151 in
-  let gr = X.Generators.random_regular rng ~n:(if !quick then 200 else 400) ~d:8 in
-  let params = X.Nibble_params.make ~phi:(1.0 /. 24.0) ~m:(X.Graph.num_edges gr) () in
-  let gt =
-    X.Generators.connectivize rng
-      (X.Generators.gnp rng ~n:(if !quick then 64 else 96) ~p:0.5)
-  in
-  let workloads =
-    [ ("parallel-nibble",
-       fun () -> ignore (X.Parallel_nibble.run ~k:4 params gr (X.Rng.create 152)));
-      ("triangle-enum",
-       fun () -> ignore (X.enumerate_triangles ~epsilon:(1.0 /. 6.0) ~k:2 gt ~seed:153)) ]
-  in
-  let saved = X.Network.Staged in
-  List.iter
-    (fun (wname, f) ->
-      let base_ms = ref 0.0 in
-      List.iter
-        (fun (ename, e) ->
-          X.Network.set_default_executor e;
-          Fun.protect
-            ~finally:(fun () -> X.Network.set_default_executor saved)
-            (fun () ->
-              f ();
-              let t0 = X.Clock.now_ns () in
-              f ();
-              let t1 = X.Clock.now_ns () in
-              let ms = fi (t1 - t0) /. 1e6 in
-              if !base_ms = 0.0 then base_ms := ms;
-              Table.add_row t2
-                [ wname; ename; Printf.sprintf "%.1f" ms;
-                  Printf.sprintf "%.2fx" (ms /. !base_ms) ]))
-        [ ("legacy", X.Network.Legacy); ("staged", X.Network.Staged) ])
-    workloads;
-  out_table t2
+    "\nacceptance: cursor >= 5x list rounds/s on BFS flood at n >= 1e4 — measured %.1fx\n"
+    !cursor_speedup
 
 (* ------------------------------------------------------------------ *)
 
@@ -1124,7 +1015,7 @@ let registry =
     ("e11", "Strawman recursion & sequential ST Partition", e11_strawman);
     ("e12", "Jerrum-Sinclair mixing relation", e12_mixing);
     ("e13", "Fault sweep: reliable delivery & Las Vegas retries", e13_faults);
-    ("e14", "Kernel throughput: arena cursors & Domain-parallel rounds", e14_throughput) ]
+    ("e14", "Kernel throughput: list adapter vs arena cursors", e14_throughput) ]
 
 let () =
   let rec parse = function

@@ -7,7 +7,7 @@
      ldd         run the low-diameter decomposition (Theorem 4)
      triangles   enumerate triangles via expander decomposition (Theorem 2)
      faults      reliable BFS/leader election on a lossy network
-     throughput  kernel executors head-to-head on a BFS flood
+     throughput  list adapter vs cursor API on a BFS flood
 
    Graphs are generated on demand: --family gnp/sbm/barbell/dumbbell/
    grid/powerlaw/regular/cliques/tree/cycle/path, with family-specific
@@ -274,17 +274,11 @@ let faults_cmd =
       $ degree_t $ drop_t $ dup_t $ fault_seed_t $ retries_t)
 
 let throughput_cmd =
-  let domains_t =
-    Arg.(
-      value & opt int 2
-      & info [ "domains" ] ~docv:"K"
-          ~doc:"Domain count for the parallel executor rows.")
-  in
-  let run family file n seed p parts p_in p_out degree domains =
+  let run family file n seed p parts p_in p_out degree =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
     let truth = X.Metrics.bfs_distances g 0 in
-    (* the same BFS flood in both kernel encodings: messages carry the
+    (* the same BFS flood through both kernel APIs: messages carry the
        sender's depth, receivers adopt depth+1 and re-flood on
        improvement *)
     let flood_list net =
@@ -324,8 +318,8 @@ let throughput_cmd =
     in
     let base = ref 0.0 in
     List.iter
-      (fun (name, executor, api) ->
-        let net = X.Network.create ~executor g (X.Rounds.create ()) in
+      (fun (name, api) ->
+        let net = X.Network.create g (X.Rounds.create ()) in
         let runner () =
           match api with `List -> flood_list net | `Cursor -> flood_cursor net
         in
@@ -339,22 +333,18 @@ let throughput_cmd =
         if !base = 0.0 then base := rps;
         Printf.printf "%-22s rounds=%-6d ms=%-10.2f rounds/s=%-10.0f speedup=%.1fx\n"
           name rounds (secs *. 1e3) rps (rps /. !base))
-      [ ("legacy/list (seed)", X.Network.Legacy, `List);
-        ("staged/list", X.Network.Staged, `List);
-        ("staged/cursor", X.Network.Staged, `Cursor);
-        (Printf.sprintf "parallel-%d/cursor" domains, X.Network.Parallel domains,
-         `Cursor) ]
+      [ ("list (adapter)", `List); ("cursor", `Cursor) ]
   in
   Cmd.v
     (Cmd.info "throughput"
        ~doc:
-         "Race the kernel executors (legacy list, staged list, arena cursor, \
-          Domain-parallel cursor) on a BFS flood over the chosen graph. Try \
-          $(b,--family cycle -n 10000), the frontier-bound worst case for \
-          the list executors.")
+         "Race the kernel's two APIs (list adapter, arena cursor) on a BFS \
+          flood over the chosen graph. Try $(b,--family cycle -n 10000), the \
+          frontier-bound worst case for the list API, which steps every \
+          vertex every round.")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ domains_t)
+      $ degree_t)
 
 let trace_cmd =
   let algo_t =

@@ -5,11 +5,11 @@
    slot at the dense CSR index off(v) + i, on two flat planes:
 
    - the staging plane (src-side slots): a vertex's sends land in its
-     own slots during the parallelizable step phase, so concurrent
-     writers touch disjoint indices by construction;
-   - the inbox plane (dst-side slots): the sequential delivery phase
-     copies each staged message through the [mirror] table into the
-     receiver's slot for the next round.
+     own slots during the step phase;
+   - the inbox plane (dst-side slots): the delivery phase copies each
+     staged message through the [mirror] table into the receiver's
+     slot for the next round. Keeping the planes apart is what lets a
+     round step every vertex against the previous round's inboxes.
 
    Occupancy is stamp-based rather than bitmap-cleared: each slot
    carries the tick at which it was last filled, the tick is a
@@ -116,128 +116,6 @@ let rank_slot a v u =
   done;
   if !lo < a.off.(v + 1) && a.nbr.(!lo) = u then !lo else -1
 
-(* ---------------- cursors ---------------- *)
-
-type inbox = { ia : t; mutable iv : int }
-(* [pend] holds this cursor's timed wakes of the current step phase as
-   (round, vertex) pairs: Phase A may run on several domains, so wakes
-   reach the shared calendar only through [schedule_wakes] *)
-type outbox = { oa : t; mutable ov : int; mutable pend : int array; mutable pend_n : int }
-
-let make_inbox a = { ia = a; iv = 0 }
-let make_outbox a = { oa = a; ov = 0; pend = Array.make 16 0; pend_n = 0 }
-let set_inbox ib v = ib.iv <- v
-let set_outbox ob v = ob.ov <- v
-
-module Inbox = struct
-  let is_empty ib =
-    let a = ib.ia in
-    let t = a.tick in
-    let empty = ref true in
-    let s = ref a.off.(ib.iv) and hi = a.off.(ib.iv + 1) in
-    while !empty && !s < hi do
-      if a.stamp.(!s) = t then empty := false;
-      incr s
-    done;
-    !empty
-
-  let count ib =
-    let a = ib.ia in
-    let t = a.tick in
-    let c = ref 0 in
-    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-      if a.stamp.(s) = t then c := !c + Char.code (Bytes.unsafe_get a.cnt s)
-    done;
-    !c
-
-  let iter1 ib f =
-    let a = ib.ia in
-    let t = a.tick in
-    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-      if a.stamp.(s) = t then begin
-        let src = a.nbr.(s) in
-        let w = a.data.(s * a.word_size) in
-        f src w;
-        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src w
-      end
-    done
-
-  let iter ib f =
-    let a = ib.ia in
-    let t = a.tick in
-    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-      if a.stamp.(s) = t then begin
-        let src = a.nbr.(s) in
-        let msg = Array.sub a.data (s * a.word_size) a.len.(s) in
-        f src msg;
-        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src msg
-      end
-    done
-
-  let to_list ib =
-    (* legacy inbox ordering: senders descending, a duplicated message
-       appearing twice in adjacent positions sharing one array — the
-       exact list [Network]'s list-based executors would have built *)
-    let acc = ref [] in
-    iter ib (fun src msg ->
-        (* dex-lint: allow C002 relays messages the arena validated against the budget at send *)
-        acc := (src, msg) :: !acc);
-    !acc
-end
-
-module Outbox = struct
-  let not_a_neighbor a v u =
-    let u_disp = if u >= 0 && u < a.n then a.to_orig u else u in
-    raise
-      (Congestion_violation
-         (Printf.sprintf "vertex %d: %d is not a neighbor" (a.to_orig v) u_disp))
-
-  let stage ob u words write =
-    let a = ob.oa in
-    let v = ob.ov in
-    if words > a.word_size then
-      raise
-        (Congestion_violation
-           (Printf.sprintf "vertex %d: message of %d words exceeds budget %d"
-              (a.to_orig v) words a.word_size));
-    let s = if u = v then -1 else rank_slot a v u in
-    if s < 0 then not_a_neighbor a v u;
-    if a.enq.(s) = a.tick then
-      raise
-        (Congestion_violation
-           (Printf.sprintf "vertex %d: two messages on edge to %d in one round"
-              (a.to_orig v) (a.to_orig u)));
-    a.enq.(s) <- a.tick;
-    a.out_len.(s) <- words;
-    write a.out_data (s * a.word_size)
-
-  let send1 ob ~dst w =
-    stage ob (Vertex.local_int dst) 1 (fun data pos -> data.(pos) <- w)
-
-  let send ob ~dst msg =
-    stage ob (Vertex.local_int dst) (Array.length msg) (fun data pos ->
-        Array.blit msg 0 data pos (Array.length msg))
-
-  let wake ob =
-    let a = ob.oa in
-    a.wake.(ob.ov) <- a.tick
-
-  let wake_at ob r =
-    let a = ob.oa in
-    if r <= a.round then
-      Dex_util.Invariant.failf ~where:"Arena.Outbox.wake_at"
-        "vertex %d: wake round %d is not after the current round %d" (a.to_orig ob.ov) r
-        a.round;
-    if ob.pend_n + 2 > Array.length ob.pend then begin
-      let bigger = Array.make (2 * Array.length ob.pend) 0 in
-      Array.blit ob.pend 0 bigger 0 ob.pend_n;
-      ob.pend <- bigger
-    end;
-    ob.pend.(ob.pend_n) <- r;
-    ob.pend.(ob.pend_n + 1) <- ob.ov;
-    ob.pend_n <- ob.pend_n + 2
-end
-
 (* ---------------- calendar ---------------- *)
 
 (* (round, vertex) lexicographic order on heap positions i and j *)
@@ -289,12 +167,123 @@ let cal_pop a =
     end
   done
 
-let schedule_wakes ob =
-  let a = ob.oa in
-  for k = 0 to (ob.pend_n / 2) - 1 do
-    cal_push a ob.pend.(2 * k) ob.pend.((2 * k) + 1)
-  done;
-  ob.pend_n <- 0
+(* ---------------- cursors ---------------- *)
+
+type inbox = { ia : t; mutable iv : int }
+type outbox = { oa : t; mutable ov : int }
+
+let make_inbox a = { ia = a; iv = 0 }
+let make_outbox a = { oa = a; ov = 0 }
+let set_inbox ib v = ib.iv <- v
+let set_outbox ob v = ob.ov <- v
+
+module Inbox = struct
+  let is_empty ib =
+    let a = ib.ia in
+    let t = a.tick in
+    let empty = ref true in
+    let s = ref a.off.(ib.iv) and hi = a.off.(ib.iv + 1) in
+    while !empty && !s < hi do
+      if a.stamp.(!s) = t then empty := false;
+      incr s
+    done;
+    !empty
+
+  let count ib =
+    let a = ib.ia in
+    let t = a.tick in
+    let c = ref 0 in
+    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
+      if a.stamp.(s) = t then c := !c + Char.code (Bytes.unsafe_get a.cnt s)
+    done;
+    !c
+
+  let iter1 ib f =
+    let a = ib.ia in
+    let t = a.tick in
+    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
+      if a.stamp.(s) = t then begin
+        let src = a.nbr.(s) in
+        let w = a.data.(s * a.word_size) in
+        f src w;
+        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src w
+      end
+    done
+
+  let iter ib f =
+    let a = ib.ia in
+    let t = a.tick in
+    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
+      if a.stamp.(s) = t then begin
+        let src = a.nbr.(s) in
+        let msg = Array.sub a.data (s * a.word_size) a.len.(s) in
+        f src msg;
+        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src msg
+      end
+    done
+
+  let to_list ib =
+    (* the list API's inbox order: senders descending, a duplicated
+       message appearing twice in adjacent positions *)
+    let a = ib.ia in
+    let t = a.tick in
+    let acc = ref [] in
+    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
+      if a.stamp.(s) = t then begin
+        (* dex-lint: allow C002 relays messages the arena validated against the budget at send *)
+        let entry = (a.nbr.(s), Array.sub a.data (s * a.word_size) a.len.(s)) in
+        acc := entry :: !acc;
+        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then acc := entry :: !acc
+      end
+    done;
+    !acc
+end
+
+module Outbox = struct
+  let not_a_neighbor a v u =
+    let u_disp = if u >= 0 && u < a.n then a.to_orig u else u in
+    raise
+      (Congestion_violation
+         (Printf.sprintf "vertex %d: %d is not a neighbor" (a.to_orig v) u_disp))
+
+  (* validate and book the send; returns where its words go *)
+  let stage ob u words =
+    let a = ob.oa in
+    let v = ob.ov in
+    if words > a.word_size then
+      raise
+        (Congestion_violation
+           (Printf.sprintf "vertex %d: message of %d words exceeds budget %d"
+              (a.to_orig v) words a.word_size));
+    let s = if u = v then -1 else rank_slot a v u in
+    if s < 0 then not_a_neighbor a v u;
+    if a.enq.(s) = a.tick then
+      raise
+        (Congestion_violation
+           (Printf.sprintf "vertex %d: two messages on edge to %d in one round"
+              (a.to_orig v) (a.to_orig u)));
+    a.enq.(s) <- a.tick;
+    a.out_len.(s) <- words;
+    s * a.word_size
+
+  let send1 ob ~dst w = ob.oa.out_data.(stage ob (Vertex.local_int dst) 1) <- w
+
+  let send ob ~dst msg =
+    let len = Array.length msg in
+    Array.blit msg 0 ob.oa.out_data (stage ob (Vertex.local_int dst) len) len
+
+  let wake ob =
+    let a = ob.oa in
+    a.wake.(ob.ov) <- a.tick
+
+  let wake_at ob r =
+    let a = ob.oa in
+    if r <= a.round then
+      Dex_util.Invariant.failf ~where:"Arena.Outbox.wake_at"
+        "vertex %d: wake round %d is not after the current round %d" (a.to_orig ob.ov) r
+        a.round;
+    cal_push a r ob.ov
+end
 
 (* ---------------- active set ---------------- *)
 
@@ -340,7 +329,6 @@ let begin_run a =
 
 let active_count a = a.work_n
 let active_get a i = a.work.(i)
-let woke a v = a.wake.(v) = a.tick
 
 let push_active a v =
   if a.listed.(v) <> a.tick then begin
@@ -355,7 +343,7 @@ let deliver_staged a src verdict =
     if a.enq.(s) = t then begin
       let dst = a.nbr.(s) in
       let len = a.out_len.(s) in
-      match verdict dst len with
+      match verdict src dst len with
       | `Drop -> ()
       | (`Deliver | `Duplicate) as v ->
         let d = a.mirror.(s) in
@@ -366,7 +354,8 @@ let deliver_staged a src verdict =
           (match v with `Duplicate -> '\002' | `Deliver -> '\001');
         push_active a dst
     end
-  done
+  done;
+  if a.wake.(src) = t then push_active a src
 
 (* move every calendar entry due by round [r] onto the next worklist *)
 let drain_due a r =
@@ -389,6 +378,7 @@ let finish_round a =
     else next_round
   in
   a.round <- next_round;
+  let listed = a.tick in
   a.tick <- a.tick + 1;
   let w = a.work in
   a.work <- a.next;
@@ -396,6 +386,17 @@ let finish_round a =
   a.work_n <- a.next_n;
   a.next_n <- 0;
   (* deliveries appended the next worklist in (src, slot) order, not
-     vertex order; canonical ascending order keeps every executor's
-     activation sequence identical *)
-  sort_prefix a.work a.work_n
+     vertex order; steps run in ascending vertex order. A dense
+     worklist is rebuilt by one scan of the [listed] stamps — O(n)
+     instead of a heapsort's O(n log n) when (as on the list API)
+     every vertex is listed every round — and a sparse one is sorted *)
+  if a.work_n > a.n / 8 then begin
+    let k = ref 0 in
+    for v = 0 to a.n - 1 do
+      if a.listed.(v) = listed then begin
+        a.work.(!k) <- v;
+        incr k
+      end
+    done
+  end
+  else sort_prefix a.work a.work_n

@@ -1,5 +1,5 @@
 (** CSR slot-addressed message arena — the zero-allocation data plane
-    behind {!Network}'s arena and parallel executors.
+    behind {!Network}'s round loop.
 
     Every directed edge [(v, i)] of the graph owns one preallocated
     message slot at the dense CSR index [off(v) + i] (see
@@ -11,8 +11,8 @@
 
     The module also owns the active-set worklist: vertices with a
     stamped inbox slot, an explicit self-wake or a due timed wake, kept
-    deduplicated and sorted ascending so every executor activates
-    vertices in the same canonical order.
+    deduplicated and ascending so vertices are activated in one
+    canonical order.
 
     {b Rounds and the calendar.} The arena tracks the protocol round
     ({!round}): 1 after {!begin_run}, advanced by {!finish_round}.
@@ -23,7 +23,7 @@
     therefore cost nothing, but they still count as protocol rounds.
 
     Protocols normally go through {!Network}; this interface is what
-    the executors and the throughput benchmarks program against. *)
+    its round loop and the throughput benchmarks program against. *)
 
 (** Same meaning as [Network.Congestion_violation] — [Network]
     re-exports this very exception, so handlers written against either
@@ -53,9 +53,9 @@ val round : t -> int
 
 (** {1 Cursors}
 
-    A cursor is a reusable window onto one vertex's slots. Executors
-    allocate one inbox/outbox pair per domain per run and re-aim them
-    with {!set_inbox}/{!set_outbox} for every step — the step callback
+    A cursor is a reusable window onto one vertex's slots. The round
+    loop allocates one inbox/outbox pair per run and re-aims it with
+    {!set_inbox}/{!set_outbox} for every step — the step callback
     itself allocates nothing. *)
 
 type inbox
@@ -89,17 +89,17 @@ module Inbox : sig
       order, materializing each message array. *)
   val iter : inbox -> (int -> int array -> unit) -> unit
 
-  (** [to_list ib] rebuilds the legacy inbox list: senders descending,
-      duplicates adjacent — exactly the list the list-based executor
-      hands to its steps. Compatibility shim; allocates. *)
+  (** [to_list ib] is the inbox as a list: senders descending,
+      duplicates adjacent — the list [Network]'s list API hands to its
+      steps. Allocates. *)
   val to_list : inbox -> (int * int array) list
 end
 
 module Outbox : sig
   (** [send1 ob ~dst w] stages the one-word message [w] to [dst].
-      Raises {!Congestion_violation} exactly as the legacy validator
-      would: over-budget first, then non-neighbor, then duplicate
-      edge use. *)
+      Raises {!Congestion_violation} on the first failed check:
+      over-budget first, then non-neighbor (an out-of-range id
+      included), then duplicate edge use. *)
   val send1 : outbox -> dst:Dex_graph.Vertex.local -> int -> unit
 
   (** [send ob ~dst msg] stages an arbitrary message of at most
@@ -114,24 +114,21 @@ module Outbox : sig
       on round [r]'s worklist even if it receives nothing, and the
       rounds in between need not step it. [wake_at ob (round + 1)] is
       {!wake}. A vertex may hold several pending wakes; two for the
-      same round step it once. The wake is buffered in the cursor
-      until {!schedule_wakes}. Raises [Dex_util.Invariant.Violation]
-      unless [r] is later than the current round ({!round}). *)
+      same round step it once. The wake goes straight into the
+      calendar. Raises [Dex_util.Invariant.Violation] unless [r] is
+      later than the current round ({!round}). *)
   val wake_at : outbox -> int -> unit
 end
 
 (** {1 Round lifecycle}
 
-    Driven by [Network]'s executors. A round is: read the sorted
+    Driven by [Network]'s round loop. A round is: read the sorted
     worklist ([active_count]/[active_get]), step each active vertex
-    through its cursors, then for each vertex in ascending order apply
-    {!deliver_staged} (and {!push_active} for {!woke} vertices),
-    {!schedule_wakes} for every outbox cursor used, and
-    {!finish_round}. *)
+    through its cursors, then apply {!deliver_staged} to each vertex in
+    ascending order, and {!finish_round}. *)
 
 (** [begin_run a] puts every vertex on the worklist, sets the round to
-    1 and empties the calendar — round 1 steps all vertices, matching
-    the legacy executor. *)
+    1 and empties the calendar — round 1 steps all vertices. *)
 val begin_run : t -> unit
 
 (** Number of vertices on the current round's worklist. *)
@@ -140,27 +137,17 @@ val active_count : t -> int
 (** [active_get a i] — the [i]-th active vertex, ascending in [i]. *)
 val active_get : t -> int -> int
 
-(** [woke a v] — vertex [v] called [Outbox.wake] this round. *)
-val woke : t -> int -> bool
-
-(** [push_active a v] schedules [v] for the next round (deduplicated;
-    delivery does this automatically for receivers). *)
-val push_active : t -> int -> unit
-
 (** [deliver_staged a src verdict] walks [src]'s staged sends in slot
-    (= ascending destination) order; [verdict dst words] decides each
-    message's fate, exactly like [Faults.verdict], and delivered
-    messages land in the destination's inbox slots for the next round.
-    The caller's verdict callback is where message/word counters and
-    fault recording happen, so the legacy event order is preserved by
-    calling this for each source in ascending order. *)
+    (= ascending destination) order; [verdict src dst words] decides
+    each message's fate, exactly like [Faults.verdict], and delivered
+    messages land in the destination's inbox slots for the next round,
+    putting each receiver on the next worklist. [src] joins it too if
+    it called [Outbox.wake] this round. The caller's verdict callback
+    is where message/word counters and fault recording happen, so
+    calling this for each source in ascending order records events in
+    (source, destination) order. *)
 val deliver_staged :
-  t -> int -> (int -> int -> [ `Deliver | `Drop | `Duplicate ]) -> unit
-
-(** [schedule_wakes ob] moves the cursor's buffered {!Outbox.wake_at}
-    requests into the arena's calendar. Call it from one domain, after
-    the step phase; the order of calls does not matter. *)
-val schedule_wakes : outbox -> unit
+  t -> int -> (int -> int -> int -> [ `Deliver | `Drop | `Duplicate ]) -> unit
 
 (** [finish_round a] advances the tick (retiring all current-round
     slots at once), adds the calendar's wakes due next round, and
@@ -168,5 +155,7 @@ val schedule_wakes : outbox -> unit
     would be empty but the calendar is not, the round jumps to the
     calendar's earliest round and its wakes form the worklist. The
     worklist is empty only when the run is quiescent: nothing in
-    flight and no wake pending. *)
+    flight and no wake pending. A worklist of more than n/8 vertices
+    is rebuilt by scanning the vertices in order, a sparser one is
+    sorted; either way the order is the same. *)
 val finish_round : t -> unit

@@ -75,7 +75,7 @@ val ok : report -> bool
 
 (** [default_digest s] is the structural digest {!check} uses when no
     [?digest] is supplied ([Hashtbl.hash_param 256 256]). Exported so
-    the cross-executor equivalence suite can hash per-round state
+    the kernel-vs-reference suite can hash per-round state
     arrays with the exact same function the conformance engine uses. *)
 val default_digest : 's -> int
 

@@ -119,10 +119,9 @@ let crashed t ~round ~vertex =
   crashed_int t ~round ~vertex:(Dex_graph.Vertex.local_int vertex)
 
 let is_crashed t ~round ~vertex =
-  (* pure read: no event recording, no table mutation. The staged
-     executors call this from the (possibly domain-parallel) step
-     phase and leave the recording [crashed] call to the sequential
-     delivery phase, which replays the legacy event order. *)
+  (* pure read: no event recording, no table mutation. The step phase
+     calls this and leaves the recording [crashed] call to the delivery
+     phase, so events stay in ascending vertex order. *)
   match Hashtbl.find_opt t.crash_round (Dex_graph.Vertex.local_int vertex) with
   | Some r -> r <= round
   | None -> false

@@ -76,10 +76,10 @@ val set_observer : t -> (fault -> unit) option -> unit
 val crashed : t -> round:int -> vertex:Dex_graph.Vertex.local -> bool
 
 (** [is_crashed t ~round ~vertex] is {!crashed} without the recording
-    side effect: a pure read of the crash schedule. Safe to call
-    concurrently from parallel step execution; the kernel's sequential
-    delivery phase performs the recording {!crashed} calls so the
-    event trace keeps the legacy order. *)
+    side effect: a pure read of the crash schedule. The kernel's step
+    phase uses it; its delivery phase makes the recording {!crashed}
+    calls, so a crash event lands among the delivery events in
+    ascending vertex order. *)
 val is_crashed : t -> round:int -> vertex:Dex_graph.Vertex.local -> bool
 
 (** [verdict t ~round ~src ~dst] decides the fate of the message sent

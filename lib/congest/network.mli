@@ -34,27 +34,15 @@
 
 (** Same exception as {!Arena.Congestion_violation} (re-exported):
     handlers written against either name catch violations raised by
-    any executor, list-based or cursor-based. *)
+    either API, list-based or cursor-based. *)
 exception Congestion_violation of string
 
-(** How rounds are executed. All three are observationally identical
-    on the list API (states, round counts, message/word ledgers, fault
-    traces, conformance digests) — the equivalence suite in
-    [test_kernel_equiv.ml] asserts this.
+(** There is one round loop, so there is nothing to choose: the single
+    constructor survives only for callers written against the former
+    executor switch. *)
+type executor = Staged
 
-    - [Legacy]: the seed kernel — interleaved step + delivery, one
-      pass over all vertices per round.
-    - [Staged]: two-phase rounds (step everything, then deliver in
-      canonical order) with reusable validation scratch; the basis
-      for the arena-backed cursor driver {!run_active}.
-    - [Parallel k]: [Staged] with Phase A sharded across [k] OCaml
-      domains ([k] total, including the caller's). Phase B stays
-      sequential, which is where all shared mutation lives. *)
-type executor = Legacy | Staged | Parallel of int
-
-(** [set_default_executor e] sets the executor used by every
-    subsequently created network that does not pass [?executor].
-    Initial default: [Staged]. *)
+(** [set_default_executor Staged] does nothing. *)
 val set_default_executor : executor -> unit
 
 (** Final states of a protocol that hit its round limit, with the
@@ -81,28 +69,14 @@ type t
     ids to original-graph ids for trace and error reporting (it must
     have exactly one entry per vertex); {!Primitives.subnetwork}
     threads it automatically. The trace handle, if any, is read from
-    the ledger at creation time — attach it first. [executor] defaults
-    to the process-global setting ({!set_default_executor}).
-
-    [shard_min] (default 512) is the smallest per-round stepped-vertex
-    count the [Parallel] executor will spawn domains for; narrower
-    rounds run Phase A sequentially, since a domain spawn costs far
-    more than stepping a handful of vertices. The choice only affects
-    wall-clock time, never results — the equivalence suite pins
-    [shard_min] to 0 so the sharded path is exercised even on small
-    test graphs. *)
+    the ledger at creation time — attach it first. *)
 val create :
   ?word_size:int ->
   ?faults:Faults.t ->
   ?vertex_map:Dex_graph.Vertex.Map.t ->
-  ?executor:executor ->
-  ?shard_min:int ->
   Dex_graph.Graph.t ->
   Rounds.t ->
   t
-
-(** [executor t] is the executor this network runs on. *)
-val executor : t -> executor
 
 (** [graph t] is the underlying communication graph. *)
 val graph : t -> Dex_graph.Graph.t
@@ -147,16 +121,34 @@ type 's step =
   (int * message) list ->
   's * (int * message) list
 
+(** {1 List API}
+
+    An adapter over the cursor driver below, for protocols that find
+    lists easier to write: each vertex's inbox is handed over as
+    [Arena.Inbox.to_list] (senders descending, a duplicated message
+    twice in adjacent positions), its outbox is sent through
+    [Arena.Outbox.send] in list order — so validation checks budget,
+    then neighbour, then duplicate, before any fault applies — and
+    every live vertex is stepped every round, received or not.
+
+    Under a fault schedule, the fault events one sender causes in one
+    round are recorded in ascending destination order, whatever the
+    order of its outbox list. *)
+
 (** [run t ~label ~init ~step ~finished ?max_rounds ?on_round ()]
     executes the protocol synchronously until [finished state_array]
-    holds at a round boundary with no message still in flight, or
-    [max_rounds] (default 1_000_000) is exhausted — raising
-    {!Round_limit_exceeded} in the latter case, after charging the
-    partial rounds to the ledger. Returns the final states and the
-    number of rounds executed; the rounds are also charged to the
-    ledger under [label]. [on_round] is called after every executed
-    round with the round number and the (mutable) state array — the
-    equivalence suite uses it to digest per-round states. *)
+    holds at a round boundary with no message delivered in the round
+    before (tested before round 1 too), or [max_rounds] (default
+    1_000_000) is exhausted — raising {!Round_limit_exceeded} in the
+    latter case with [executed = max_rounds], after charging those
+    rounds to the ledger. Returns the final states and the number of
+    rounds executed; the rounds are also charged to the ledger under
+    [label]. [on_round] is called after every executed round with the
+    round number and the (mutable) state array — the kernel test suite
+    uses it to digest per-round states. Once every vertex has crashed
+    and nothing is in flight, no round is stepped any more: the run
+    raises {!Round_limit_exceeded} (unless [finished] holds) without
+    calling [on_round] for the rounds it charges but skips. *)
 val run :
   t ->
   label:string ->
@@ -217,10 +209,7 @@ type 's active_step =
     be it for traffic or for a pending timed wake —
     {!Round_limit_exceeded} is raised with [executed = max_rounds],
     after charging [max_rounds] rounds. The arena is built lazily on
-    first use and reused across runs on the same network; under
-    [Parallel k] the active set is sharded across [k] domains with
-    delivery merged in canonical edge order, so results and traces are
-    bit-identical to the sequential executors. *)
+    first use and reused across runs on the same network. *)
 val run_active :
   t ->
   label:string ->

@@ -43,7 +43,7 @@ let bfs_tree net ~root =
   in
   (* active-set quiescence: the wave visits each vertex once, and a
      vertex that receives without improving sends nothing — exactly
-     the in-flight-empty termination of the legacy driver *)
+     the in-flight-empty termination of the list API *)
   let states, _rounds = Network.run_active net ~label:"bfs" ~init ~step () in
   let parent = Array.map (fun st -> st.par) states in
   let depth = Array.map (fun st -> st.dist) states in

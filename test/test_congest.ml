@@ -1,6 +1,7 @@
 (* Tests for the CONGEST kernel: the rounds ledger, message delivery,
-   the congestion discipline (failure injection), and the executed
-   primitives (BFS tree, leader election, tree aggregation). *)
+   the congestion discipline (failure injection), the executed
+   primitives (BFS tree, leader election, tree aggregation) and the
+   congested clique as a network over K_n. *)
 
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
@@ -218,14 +219,35 @@ let test_subnetwork_violation_reports_original_id () =
       (String.length msg >= 8 && String.sub msg 0 8 = "vertex 3")
   | _ -> Alcotest.fail "expected Congestion_violation")
 
-(* ---------- congested clique ---------- *)
+(* a list-API protocol on a subnetwork that addresses an id outside it
+   (n' or -1) is a congestion violation, not an out-of-bounds lookup
+   while formatting the message *)
+let test_subnetwork_out_of_range_id () =
+  let g = Gen.cycle 6 in
+  let net = fresh_net g in
+  let sub, _mapping = Primitives.subnetwork net [| 3; 4; 5 |] in
+  List.iter
+    (fun bad ->
+      match
+        Network.run_rounds sub ~label:"bad"
+          ~init:(fun _ -> ())
+          ~step:(fun ~round:_ ~vertex st _ ->
+            if Vertex.local_int vertex = 0 then (st, [ (bad, [| 1 |]) ]) else (st, []))
+          1
+      with
+      | exception Network.Congestion_violation msg ->
+        Alcotest.(check string)
+          (Printf.sprintf "destination %d" bad)
+          (Printf.sprintf "vertex 3: %d is not a neighbor" bad)
+          msg
+      | _ -> Alcotest.failf "destination %d: expected Congestion_violation" bad)
+    [ 3; -1 ]
 
-module Clique = Dex_congest.Clique
+(* ---------- congested clique: a network over K_n ---------- *)
 
 let test_clique_exchange () =
   (* round 1: everyone sends its id to everyone; round 2: record sum *)
-  let ledger = Rounds.create () in
-  let clq = Clique.create ~n:5 ledger in
+  let net = fresh_net (Gen.complete 5) in
   let step ~round ~vertex st inbox =
     let vertex = Vertex.local_int vertex in
     if round = 1 then
@@ -233,37 +255,24 @@ let test_clique_exchange () =
              (List.init 5 (fun i -> i)))
     else (List.fold_left (fun acc (_, m) -> acc + m.(0)) st inbox, [])
   in
-  let states = Clique.run_rounds clq ~label:"clique" ~init:(fun _ -> 0) ~step 2 in
+  let states = Network.run_rounds net ~label:"clique" ~init:(fun _ -> 0) ~step 2 in
   (* vertex v receives all ids but its own: sum = 10 - v *)
   Array.iteri (fun v s -> Alcotest.(check int) "sum" (10 - v) s) states;
-  Alcotest.(check int) "messages" 20 (Clique.messages_sent clq);
-  Alcotest.(check int) "rounds" 2 (Rounds.total ledger)
+  Alcotest.(check int) "messages" 20 (Network.messages_sent net);
+  Alcotest.(check int) "rounds" 2 (Rounds.total (Network.rounds net))
 
 let test_clique_rejects_self_and_double () =
-  let expect f =
-    match f () with
-    | exception Clique.Congestion_violation _ -> ()
-    | _ -> Alcotest.fail "expected Congestion_violation"
+  let attempt outbox =
+    expect_congestion (fun () ->
+        Network.run_rounds (fresh_net (Gen.complete 3)) ~label:"bad"
+          ~init:(fun _ -> ())
+          ~step:(fun ~round:_ ~vertex st _ ->
+            if Vertex.local_int vertex = 0 then (st, outbox) else (st, []))
+          1)
   in
-  let mk () = Clique.create ~n:3 (Rounds.create ()) in
-  expect (fun () ->
-      Clique.run_rounds (mk ()) ~label:"bad" ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (0, [| 1 |]) ]) else (st, []))
-        1);
-  expect (fun () ->
-      Clique.run_rounds (mk ()) ~label:"bad" ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1 |]); (1, [| 2 |]) ]) else (st, []))
-        1);
-  expect (fun () ->
-      Clique.run_rounds (mk ()) ~label:"bad" ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1; 2 |]) ]) else (st, []))
-        1)
+  attempt [ (0, [| 1 |]) ];
+  attempt [ (1, [| 1 |]); (1, [| 2 |]) ];
+  attempt [ (1, [| 1; 2 |]) ]
 
 let prop_bfs_depth_eq_distance =
   QCheck.Test.make ~name:"protocol BFS = centralized BFS" ~count:40
@@ -293,6 +302,8 @@ let () =
           Alcotest.test_case "subnetwork" `Quick test_subnetwork;
           Alcotest.test_case "subnetwork violation original ids" `Quick
             test_subnetwork_violation_reports_original_id;
+          Alcotest.test_case "subnetwork out-of-range id" `Quick
+            test_subnetwork_out_of_range_id;
           QCheck_alcotest.to_alcotest prop_bfs_depth_eq_distance ] );
       ( "clique",
         [ Alcotest.test_case "all-to-all exchange" `Quick test_clique_exchange;

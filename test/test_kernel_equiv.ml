@@ -1,10 +1,11 @@
-(* Cross-kernel equivalence suite: the Legacy, Staged and Parallel
-   executors must be observationally identical on the list API —
-   same per-round state digests, same round counts, same message/word
-   ledgers, same fault traces — and the arena-backed cursor driver
-   must agree with itself across executors and with the graph-theoretic
-   ground truth. This is the oracle the perf work is certified
-   against (ISSUE 5 acceptance: bit-identical Conformance digests). *)
+(* Kernel-vs-reference suite. [Network] has one round loop, the arena
+   cursor driver; its list API is an adapter over it. This suite runs
+   list-API protocols through both the adapter and [Reference] — the
+   seed's interleaved step-and-deliver interpreter, kept here as the
+   oracle — and requires the same per-round state digests, round
+   counts, message/word ledgers and fault traces. It also pins the
+   adapter's edge cases and the arena's cursor, wake and calendar
+   behaviour directly. *)
 
 module Graph = Dex_graph.Graph
 module Generators = Dex_graph.Generators
@@ -21,10 +22,101 @@ module Invariant = Dex_util.Invariant
 
 let seeds = [ 1; 2; 3 ]
 
-let executors =
-  [ ("legacy", Network.Legacy);
-    ("staged", Network.Staged);
-    ("parallel-2", Network.Parallel 2) ]
+(* ---------- the reference interpreter ---------- *)
+
+(* One pass over all vertices per round: step [v] against the previous
+   round's inboxes, validate its outbox (budget, then neighbour, then
+   duplicate), apply the fault schedule and deliver, then step [v + 1].
+   [order] picks how one sender's outbox is walked: [`Ascending]
+   destination order, which is the kernel's, or the protocol's own
+   [`Outbox] list order, which is how the seed kernel recorded its
+   fault events. *)
+module Reference = struct
+  type t = {
+    g : Graph.t;
+    faults : Faults.t option;
+    order : [ `Ascending | `Outbox ];
+    mutable messages : int;
+    mutable words : int;
+  }
+
+  let create ?faults ?(order = `Ascending) g = { g; faults; order; messages = 0; words = 0 }
+
+  (* every network in this suite has the default one-word budget *)
+  let validate t v outbox =
+    let seen = Hashtbl.create 8 in
+    List.iter
+      (fun (u, (msg : int array)) ->
+        if Array.length msg > 1 then raise (Network.Congestion_violation "budget");
+        if not (Graph.mem_edge t.g v u) then
+          raise (Network.Congestion_violation "not a neighbor");
+        if Hashtbl.mem seen u then raise (Network.Congestion_violation "duplicate");
+        Hashtbl.add seen u ())
+      outbox
+
+  let exec_round t ~round states inboxes step =
+    let next = Array.make (Graph.num_vertices t.g) [] in
+    let deliver src dst msg =
+      t.messages <- t.messages + 1;
+      t.words <- t.words + Array.length msg;
+      (* dex-lint: allow C002 relays messages [validate] already checked against the budget *)
+      next.(dst) <- (src, msg) :: next.(dst)
+    in
+    Array.iteri
+      (fun v inbox ->
+        let crashed =
+          match t.faults with
+          | Some f -> Faults.crashed f ~round ~vertex:(Vertex.local v)
+          | None -> false
+        in
+        if not crashed then begin
+          let st, outbox = step ~round ~vertex:(Vertex.local v) states.(v) inbox in
+          states.(v) <- st;
+          validate t v outbox;
+          let outbox =
+            match t.order with
+            | `Ascending -> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) outbox
+            | `Outbox -> outbox
+          in
+          List.iter
+            (fun (u, msg) ->
+              match t.faults with
+              | None -> deliver v u msg
+              | Some f ->
+                (match
+                   Faults.verdict f ~round ~src:(Vertex.local v) ~dst:(Vertex.local u)
+                 with
+                | `Deliver -> deliver v u msg
+                | `Drop -> ()
+                | `Duplicate ->
+                  deliver v u msg;
+                  deliver v u msg))
+            outbox
+        end)
+      inboxes;
+    next
+
+  let run t ~init ~step ~finished ~on_round =
+    let states = Array.init (Graph.num_vertices t.g) init in
+    let inboxes = ref (Array.make (Graph.num_vertices t.g) []) in
+    let executed = ref 0 in
+    let in_flight () = Array.exists (fun inbox -> inbox <> []) !inboxes in
+    while not (finished states && not (in_flight ())) do
+      incr executed;
+      inboxes := exec_round t ~round:!executed states !inboxes step;
+      on_round !executed states
+    done;
+    (states, !executed)
+
+  let run_rounds t ~init ~step ~on_round k =
+    let states = Array.init (Graph.num_vertices t.g) init in
+    let inboxes = ref (Array.make (Graph.num_vertices t.g) []) in
+    for round = 1 to k do
+      inboxes := exec_round t ~round states !inboxes step;
+      on_round round states
+    done;
+    states
+end
 
 (* ---------- observation record ---------- *)
 
@@ -46,21 +138,61 @@ let fault_repr = function
   | Faults.Link_down { round; u; v } -> Printf.sprintf "link@%d:%d-%d" round u v
   | Faults.Crash { round; vertex } -> Printf.sprintf "crash@%d:%d" round vertex
 
-let observe ?spec ~executor g runner =
+(* a list-API protocol, run either through the adapter or through the
+   reference: the state type is the workload's own *)
+type driver = {
+  run :
+    's.
+    init:(int -> 's) ->
+    step:'s Network.step ->
+    finished:('s array -> bool) ->
+    ('s array -> unit) ->
+    's array * int;
+  run_rounds : 's. init:(int -> 's) -> step:'s Network.step -> int -> 's array;
+}
+
+let observe ?spec ~kernel g workload =
   let faults = Option.map Faults.create spec in
-  (* shard_min 0: let [Parallel _] spawn domains even on these small
-     graphs, so the sharded Phase A is what the suite actually checks *)
-  let net = Network.create ?faults ~executor ~shard_min:0 g (Rounds.create ()) in
   let per_round = ref [] in
-  let on_round round states =
+  let digest round states =
     per_round := (round, Conformance.default_digest states) :: !per_round
   in
-  let states, rounds = runner g net on_round in
-  { final_digest = Conformance.default_digest states;
+  let driver, messages, words =
+    match kernel with
+    | `Adapter ->
+      let net = Network.create ?faults g (Rounds.create ()) in
+      ( { run =
+            (fun ~init ~step ~finished final ->
+              let states, rounds =
+                Network.run net ~label:"run" ~init ~step ~finished ~on_round:digest ()
+              in
+              final states;
+              (states, rounds));
+          run_rounds =
+            (fun ~init ~step k ->
+              Network.run_rounds net ~label:"run" ~init ~step ~on_round:digest k) },
+        (fun () -> Network.messages_sent net),
+        fun () -> Network.words_sent net )
+    | (`Ascending | `Outbox) as order ->
+      let r = Reference.create ?faults ~order g in
+      ( { run =
+            (fun ~init ~step ~finished final ->
+              let states, rounds =
+                Reference.run r ~init ~step ~finished ~on_round:digest
+              in
+              final states;
+              (states, rounds));
+          run_rounds =
+            (fun ~init ~step k -> Reference.run_rounds r ~init ~step ~on_round:digest k) },
+        (fun () -> r.Reference.messages),
+        fun () -> r.Reference.words )
+  in
+  let final_digest, rounds = workload g driver in
+  { final_digest;
     per_round = List.rev !per_round;
     rounds;
-    messages = Network.messages_sent net;
-    words = Network.words_sent net;
+    messages = messages ();
+    words = words ();
     fault_log =
       (match faults with Some f -> List.map fault_repr (Faults.trace f) | None -> []);
     drops = (match faults with Some f -> Faults.drops f | None -> 0);
@@ -77,22 +209,25 @@ let check_same name base o =
   Alcotest.(check int) (name ^ " drops") base.drops o.drops;
   Alcotest.(check int) (name ^ " duplicates") base.dups o.dups
 
-let equivalent ~workload ?spec make_graph runner () =
+(* the adapter equals the reference in ascending destination order
+   exactly, and the seed's outbox-order log up to permutation *)
+let equivalent ~workload ?spec make_graph run () =
   List.iter
     (fun seed ->
       let g = make_graph seed in
       let spec = Option.map (fun f -> f seed) spec in
-      let base = observe ?spec ~executor:Network.Legacy g runner in
-      List.iter
-        (fun (ename, e) ->
-          let o = observe ?spec ~executor:e g runner in
-          check_same (Printf.sprintf "%s seed %d %s" workload seed ename) base o)
-        executors)
+      let name = Printf.sprintf "%s seed %d" workload seed in
+      let got = observe ?spec ~kernel:`Adapter g run in
+      check_same name (observe ?spec ~kernel:`Ascending g run) got;
+      let seed_order = observe ?spec ~kernel:`Outbox g run in
+      check_same (name ^ " (outbox order, log sorted)")
+        { seed_order with fault_log = List.sort String.compare seed_order.fault_log }
+        { got with fault_log = List.sort String.compare got.fault_log })
     seeds
 
 (* ---------- list-API workloads ---------- *)
 
-let bfs_runner g net on_round =
+let bfs_run g d =
   let init v = if v = 0 then (0, 0, true) else (max_int, -1, false) in
   let step ~round:_ ~vertex st inbox =
     let v = Vertex.local_int vertex in
@@ -114,9 +249,10 @@ let bfs_runner g net on_round =
     else ((dist, par, false), [])
   in
   let finished states = Array.for_all (fun (_, _, p) -> not p) states in
-  Network.run net ~label:"bfs" ~init ~step ~finished ~on_round ()
+  let states, rounds = d.run ~init ~step ~finished ignore in
+  (Conformance.default_digest states, rounds)
 
-let leader_runner g net on_round =
+let leader_run ?(final = ignore) g d =
   let init v = (v, true) in
   let step ~round:_ ~vertex st inbox =
     let v = Vertex.local_int vertex in
@@ -131,6 +267,7 @@ let leader_runner g net on_round =
     end
     else ((best, false), [])
   in
+  (* stateful predicate: holds once the leaders stop changing *)
   let prev = ref [||] in
   let finished states =
     let snap = Array.map fst states in
@@ -138,11 +275,12 @@ let leader_runner g net on_round =
     prev := snap;
     same
   in
-  Network.run net ~label:"leader" ~init ~step ~finished ~on_round ()
+  let states, rounds = d.run ~init ~step ~finished (fun s -> final (Array.map fst s)) in
+  (Conformance.default_digest states, rounds)
 
 (* constant traffic for ten rounds, so drop/duplicate coins and the
-   crash/link schedule all get exercised on every executor *)
-let gossip_runner g net on_round =
+   crash/link schedule all get exercised *)
+let gossip_run g d =
   let init v = v in
   let step ~round:_ ~vertex st inbox =
     let v = Vertex.local_int vertex in
@@ -153,8 +291,7 @@ let gossip_runner g net on_round =
     Graph.iter_neighbors g v (fun u -> out := (u, [| st |]) :: !out);
     (st, !out)
   in
-  let states = Network.run_rounds net ~label:"gossip" ~init ~step ~on_round 10 in
-  (states, 10)
+  (Conformance.default_digest (d.run_rounds ~init ~step 10), 10)
 
 let gnp_graph seed = Generators.gnp (Rng.create seed) ~n:40 ~p:0.12
 
@@ -167,66 +304,107 @@ let fault_spec seed =
     Faults.link_failures = [ ((1, 2), 1) ];
     Faults.crashes = [ (3, 2) ] }
 
-let test_bfs_equivalent = equivalent ~workload:"bfs" gnp_graph bfs_runner
+let test_bfs_equivalent = equivalent ~workload:"bfs" gnp_graph bfs_run
 
-let test_leader_equivalent = equivalent ~workload:"leader" gnp_graph leader_runner
+let test_leader_equivalent = equivalent ~workload:"leader" gnp_graph (leader_run ?final:None)
 
 let test_faulty_gossip_equivalent =
-  equivalent ~workload:"gossip" ~spec:fault_spec cycle_graph gossip_runner
+  equivalent ~workload:"gossip" ~spec:fault_spec cycle_graph gossip_run
 
-(* ---------- cursor API across executors ---------- *)
+(* ---------- cursor protocols against the reference ---------- *)
 
-let bfs_tree_obs ~executor g =
-  let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
-  let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
-  let rounds = List.assoc "bfs" (Rounds.by_phase (Network.rounds net)) in
-  (tree, rounds, Network.messages_sent net, Network.words_sent net)
-
-let test_cursor_bfs_across_executors () =
+(* [Primitives.bfs_tree] sends what the list BFS above sends, so its
+   ledger must match the reference's; a second run on the same network
+   reuses the arena and must reproduce the first *)
+let test_cursor_bfs_tree () =
   List.iter
     (fun seed ->
       let g = gnp_graph seed in
-      let base, rounds, msgs, words = bfs_tree_obs ~executor:Network.Legacy g in
-      let truth = Metrics.bfs_distances g 0 in
-      Array.iteri
-        (fun v d ->
-          Alcotest.(check int) (Printf.sprintf "depth %d vs bfs" v) truth.(v) d)
-        base.Primitives.depth;
-      List.iter
-        (fun (ename, e) ->
-          let t, r, m, w = bfs_tree_obs ~executor:e g in
-          let name what = Printf.sprintf "bfs_tree seed %d %s %s" seed ename what in
-          Alcotest.(check (array int)) (name "depths") base.Primitives.depth
-            t.Primitives.depth;
-          Alcotest.(check (array int)) (name "members") base.Primitives.members
-            t.Primitives.members;
-          Alcotest.(check int) (name "height") base.Primitives.height t.Primitives.height;
-          Alcotest.(check int) (name "rounds") rounds r;
-          Alcotest.(check int) (name "messages") msgs m;
-          Alcotest.(check int) (name "words") words w)
-        executors)
+      let name what = Printf.sprintf "bfs_tree seed %d %s" seed what in
+      let reference = observe ~kernel:`Ascending g bfs_run in
+      let net = Network.create g (Rounds.create ()) in
+      let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
+      Alcotest.(check (array int)) (name "depths") (Metrics.bfs_distances g 0)
+        tree.Primitives.depth;
+      Alcotest.(check int) (name "messages") reference.messages (Network.messages_sent net);
+      Alcotest.(check int) (name "words") reference.words (Network.words_sent net);
+      let first_rounds = Rounds.total (Network.rounds net) in
+      let again = Primitives.bfs_tree net ~root:(Vertex.local 0) in
+      Alcotest.(check (array int)) (name "rerun depths") tree.Primitives.depth
+        again.Primitives.depth;
+      Alcotest.(check (array int)) (name "rerun parents") tree.Primitives.parent
+        again.Primitives.parent;
+      Alcotest.(check (array int)) (name "rerun members") tree.Primitives.members
+        again.Primitives.members;
+      Alcotest.(check int) (name "rerun messages") (2 * reference.messages)
+        (Network.messages_sent net);
+      Alcotest.(check int) (name "rerun rounds") (2 * first_rounds)
+        (Rounds.total (Network.rounds net)))
     seeds
 
-let test_cursor_leader_across_executors () =
+let test_cursor_leader () =
   List.iter
     (fun seed ->
       let g = gnp_graph seed in
-      let run e =
-        let net = Network.create ~executor:e ~shard_min:0 g (Rounds.create ()) in
-        (Primitives.elect_leader net, Network.messages_sent net)
-      in
-      let base, base_msgs = run Network.Legacy in
-      List.iter
-        (fun (ename, e) ->
-          let leaders, msgs = run e in
-          Alcotest.(check (array int))
-            (Printf.sprintf "leaders seed %d %s" seed ename)
-            base leaders;
-          Alcotest.(check int)
-            (Printf.sprintf "leader messages seed %d %s" seed ename)
-            base_msgs msgs)
-        executors)
+      let want = ref [||] in
+      let reference = observe ~kernel:`Ascending g (leader_run ~final:(( := ) want)) in
+      let net = Network.create g (Rounds.create ()) in
+      let leaders = Primitives.elect_leader net in
+      Alcotest.(check (array int)) (Printf.sprintf "leaders seed %d" seed) !want leaders;
+      Alcotest.(check int)
+        (Printf.sprintf "leader messages seed %d" seed)
+        reference.messages (Network.messages_sent net))
     seeds
+
+(* ---------- adapter edge cases ---------- *)
+
+let silent ~round:_ ~vertex:_ st _ = (st + 1, [])
+
+let test_finished_at_start () =
+  let net = Network.create (Generators.cycle 5) (Rounds.create ()) in
+  let states, rounds =
+    Network.run net ~label:"done" ~init:(fun _ -> 0)
+      ~step:(fun ~round:_ ~vertex:_ _ _ -> Alcotest.fail "stepped")
+      ~finished:(fun _ -> true) ()
+  in
+  Alcotest.(check int) "rounds" 0 rounds;
+  Alcotest.(check (array int)) "states" (Array.make 5 0) states;
+  Alcotest.(check int) "charged" 0 (Rounds.total (Network.rounds net))
+
+let test_all_crashed () =
+  let g = Generators.path 4 in
+  let spec = { Faults.none with Faults.crashes = List.init 4 (fun v -> (v, 2)) } in
+  let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
+  match
+    Network.run net ~label:"crashed" ~init:(fun _ -> 0) ~step:silent
+      ~finished:(fun _ -> false) ~max_rounds:25 ()
+  with
+  | exception Network.Round_limit_exceeded { executed; max_rounds; states = Packed _; _ } ->
+    Alcotest.(check int) "executed" 25 executed;
+    Alcotest.(check int) "limit" 25 max_rounds;
+    Alcotest.(check int) "charged" 25 (Rounds.total (Network.rounds net))
+  | _ -> Alcotest.fail "expected Round_limit_exceeded"
+
+let test_on_round_every_round () =
+  let net = Network.create (Generators.path 4) (Rounds.create ()) in
+  let ticks = ref [] in
+  let states, rounds =
+    Network.run net ~label:"quiet" ~init:(fun _ -> 0) ~step:silent
+      ~finished:(fun states -> states.(0) >= 6)
+      ~on_round:(fun r states ->
+        Alcotest.(check int) (Printf.sprintf "states after round %d" r) r states.(3);
+        ticks := r :: !ticks)
+      ()
+  in
+  Alcotest.(check int) "rounds" 6 rounds;
+  Alcotest.(check (list int)) "on_round" [ 6; 5; 4; 3; 2; 1 ] !ticks;
+  Alcotest.(check (array int)) "every vertex stepped every round" (Array.make 4 6) states;
+  let ticks = ref 0 in
+  ignore
+    (Network.run_rounds net ~label:"quiet" ~init:(fun _ -> 0) ~step:silent
+       ~on_round:(fun _ _ -> incr ticks)
+       9);
+  Alcotest.(check int) "run_rounds on_round" 9 !ticks
 
 (* ---------- arena direct coverage ---------- *)
 
@@ -236,10 +414,7 @@ let test_arena_cursor_surface () =
   Alcotest.(check int) "word size" 2 (Arena.word_size a);
   Alcotest.(check int) "one slot per directed edge" (2 * Graph.num_plain_edges g)
     (Arena.slot_count a);
-  let net = Network.create ~word_size:2 ~executor:Network.Staged g (Rounds.create ()) in
-  (match Network.executor net with
-  | Network.Staged -> ()
-  | Network.Legacy | Network.Parallel _ -> Alcotest.fail "executor not threaded");
+  let net = Network.create ~word_size:2 g (Rounds.create ()) in
   (* round 1: every vertex sends a two-word message to both cycle
      neighbors and self-wakes; round 2: fold the inbox through every
      cursor accessor so the shim and the zero-alloc path are both
@@ -276,7 +451,7 @@ let test_arena_cursor_surface () =
 
 let test_wake_keeps_vertex_active () =
   let g = Generators.path 5 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   (* nobody ever sends; vertex 0 self-wakes through round 3, so the
      run must execute exactly 4 rounds (the last one finds no wake)
      and step only vertex 0 after round 1 *)
@@ -298,7 +473,7 @@ let test_wake_keeps_vertex_active () =
 
 let test_run_active_round_limit () =
   let g = Generators.cycle 5 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   let step ~round:_ ~vertex:_ st _ib ob =
     Arena.Outbox.wake ob;
     st
@@ -312,9 +487,9 @@ let test_run_active_round_limit () =
 
 let test_cursor_congestion_violation () =
   let g = Generators.path 4 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
-  (* vertex 0's only neighbor is 1: sending to 3 must raise the same
-     exception, with the same wording, as the legacy validator *)
+  let net = Network.create g (Rounds.create ()) in
+  (* vertex 0's only neighbor is 1: sending to 3 must raise a
+     violation naming both ids *)
   let step ~round:_ ~vertex st _ib ob =
     if Vertex.local_int vertex = 0 then Arena.Outbox.send1 ob ~dst:(Vertex.local 3) 7;
     st
@@ -328,12 +503,12 @@ let test_cursor_congestion_violation () =
 
 (* vertex 2 of a 5-path books round 10 in round 1 and nobody sends:
    rounds 2..9 must step nobody, round 10 exactly vertex 2 *)
-let timed_wake_obs ~executor =
+let test_wake_at_fires_on_its_round () =
   let g = Generators.path 5 in
-  let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
-  let calls = Atomic.make 0 in
+  let net = Network.create g (Rounds.create ()) in
+  let calls = ref 0 in
   let step ~round ~vertex seen _ib ob =
-    Atomic.incr calls;
+    incr calls;
     if Vertex.local_int vertex = 2 && round = 1 then Arena.Outbox.wake_at ob 10;
     round :: seen
   in
@@ -342,21 +517,17 @@ let timed_wake_obs ~executor =
   let states, rounds =
     Network.run_active net ~label:"timed" ~init:(fun _ -> []) ~step ~on_round ()
   in
-  (states, rounds, Atomic.get calls, List.rev !ticks, Rounds.total (Network.rounds net))
-
-let test_wake_at_fires_on_its_round () =
-  let states, rounds, calls, ticks, charged = timed_wake_obs ~executor:Network.Staged in
   Alcotest.(check int) "last stepped round" 10 rounds;
-  Alcotest.(check int) "charged" 10 charged;
-  Alcotest.(check int) "step calls: all n in round 1, then one" 6 calls;
-  Alcotest.(check (list int)) "on_round only on stepped rounds" [ 1; 10 ] ticks;
+  Alcotest.(check int) "charged" 10 (Rounds.total (Network.rounds net));
+  Alcotest.(check int) "step calls: all n in round 1, then one" 6 !calls;
+  Alcotest.(check (list int)) "on_round only on stepped rounds" [ 1; 10 ] (List.rev !ticks);
   Alcotest.(check (list int)) "vertex 2 saw rounds" [ 10; 1 ] states.(2);
   Alcotest.(check (list int)) "vertex 0 saw rounds" [ 1 ] states.(0)
 
 let test_wake_at_rejects_past_rounds () =
   let g = Generators.cycle 4 in
   let attempt ~at ~target =
-    let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+    let net = Network.create g (Rounds.create ()) in
     let step ~round ~vertex st _ib ob =
       if Vertex.local_int vertex = 0 then begin
         if round < at then Arena.Outbox.wake ob
@@ -378,7 +549,7 @@ let test_wake_at_rejects_past_rounds () =
 
 let test_pending_wake_keeps_run_alive () =
   let g = Generators.cycle 6 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   (* round 1: vertex 3 messages vertex 4 and books round 50; round 2
      is the last one with traffic, so the worklist is empty after it
      while the wake is still pending *)
@@ -404,7 +575,7 @@ let flood_step g ~round:_ ~vertex st ib ob =
 
 let test_run_active_rounds_fixed_length () =
   let g = Generators.cycle 8 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   let stepped = ref [] in
   let states =
     Network.run_active_rounds net ~label:"fixed" ~init:(fun _ -> 0) ~step:(flood_step g)
@@ -419,7 +590,7 @@ let test_run_active_rounds_fixed_length () =
   Alcotest.(check int) "messages" (7 * 16) (Network.messages_sent net);
   Array.iter (fun st -> Alcotest.(check int) "inbox reads" (6 * 2) st) states;
   (* quiescent early, or a wake pending past the end: still exactly n *)
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   let step ~round ~vertex:_ st _ib ob =
     if round = 1 then Arena.Outbox.wake_at ob 100;
     st + 1
@@ -427,49 +598,50 @@ let test_run_active_rounds_fixed_length () =
   let states = Network.run_active_rounds net ~label:"short" ~init:(fun _ -> 0) ~step 20 in
   Alcotest.(check int) "pending wake: charged n" 20 (Rounds.total (Network.rounds net));
   Array.iter (fun st -> Alcotest.(check int) "stepped once" 1 st) states;
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   ignore
     (Network.run_active_rounds net ~label:"idle" ~init:(fun _ -> 0)
        ~step:(fun ~round:_ ~vertex:_ st _ _ -> st)
        20);
   Alcotest.(check int) "quiescent: charged n" 20 (Rounds.total (Network.rounds net))
 
-let test_timed_wakes_across_executors () =
-  let base = timed_wake_obs ~executor:Network.Legacy in
-  List.iter
-    (fun (ename, executor) ->
-      let states, rounds, calls, ticks, charged = timed_wake_obs ~executor in
-      let bs, br, bc, bt, bch = base in
-      Alcotest.(check (array (list int))) (ename ^ " states") bs states;
-      Alcotest.(check int) (ename ^ " rounds") br rounds;
-      Alcotest.(check int) (ename ^ " calls") bc calls;
-      Alcotest.(check (list int)) (ename ^ " ticks") bt ticks;
-      Alcotest.(check int) (ename ^ " charged") bch charged)
-    executors;
-  (* fixed-length flood: same states and ledger on every executor *)
-  let flood executor =
-    let g = gnp_graph 4 in
-    let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
-    let states =
-      Network.run_active_rounds net ~label:"fixed" ~init:(fun _ -> 0) ~step:(flood_step g) 5
-    in
-    (states, Network.messages_sent net, Rounds.total (Network.rounds net))
+(* the fixed-length cursor flood, and the same flood as a list-API
+   protocol through the adapter and the reference: the same inbox
+   reads, messages and charge *)
+let test_fixed_flood_vs_reference () =
+  let g = gnp_graph 4 in
+  let net = Network.create g (Rounds.create ()) in
+  let cursor =
+    Network.run_active_rounds net ~label:"fixed" ~init:(fun _ -> 0) ~step:(flood_step g) 5
   in
-  let bs, bm, br = flood Network.Legacy in
-  List.iter
-    (fun (ename, executor) ->
-      let s, m, r = flood executor in
-      Alcotest.(check (array int)) (ename ^ " flood states") bs s;
-      Alcotest.(check int) (ename ^ " flood messages") bm m;
-      Alcotest.(check int) (ename ^ " flood charged") br r)
-    executors
+  let list_step ~round:_ ~vertex st inbox =
+    let v = Vertex.local_int vertex in
+    let out = ref [] in
+    Graph.iter_neighbors g v (fun u -> out := (u, [| v |]) :: !out);
+    (st + List.length inbox, !out)
+  in
+  let adapter_net = Network.create g (Rounds.create ()) in
+  let adapter =
+    Network.run_rounds adapter_net ~label:"fixed" ~init:(fun _ -> 0) ~step:list_step 5
+  in
+  let r = Reference.create g in
+  let reference =
+    Reference.run_rounds r ~init:(fun _ -> 0) ~step:list_step ~on_round:(fun _ _ -> ()) 5
+  in
+  Alcotest.(check (array int)) "cursor states" reference cursor;
+  Alcotest.(check (array int)) "adapter states" reference adapter;
+  Alcotest.(check int) "cursor messages" r.Reference.messages (Network.messages_sent net);
+  Alcotest.(check int) "adapter messages" r.Reference.messages
+    (Network.messages_sent adapter_net);
+  Alcotest.(check int) "cursor charged" 5 (Rounds.total (Network.rounds net));
+  Alcotest.(check int) "adapter charged" 5 (Rounds.total (Network.rounds adapter_net))
 
 (* a run whose only remaining work is a wake booked past [max_rounds]
    is not quiescent: it raises like any other over-long run, charging
    the max_rounds rounds that elapsed (stepped or idle) *)
 let test_wake_beyond_max_rounds () =
   let g = Generators.path 3 in
-  let net = Network.create ~executor:Network.Staged g (Rounds.create ()) in
+  let net = Network.create g (Rounds.create ()) in
   let step ~round ~vertex st _ib ob =
     if round = 1 && Vertex.local_int vertex = 1 then Arena.Outbox.wake_at ob 10;
     st + round
@@ -494,8 +666,12 @@ let () =
           Alcotest.test_case "leader" `Quick test_leader_equivalent;
           Alcotest.test_case "faulty gossip" `Quick test_faulty_gossip_equivalent ] );
       ( "cursor-api",
-        [ Alcotest.test_case "bfs tree" `Quick test_cursor_bfs_across_executors;
-          Alcotest.test_case "leader" `Quick test_cursor_leader_across_executors ] );
+        [ Alcotest.test_case "bfs tree" `Quick test_cursor_bfs_tree;
+          Alcotest.test_case "leader" `Quick test_cursor_leader ] );
+      ( "adapter",
+        [ Alcotest.test_case "finished at start" `Quick test_finished_at_start;
+          Alcotest.test_case "all crashed" `Quick test_all_crashed;
+          Alcotest.test_case "on_round every round" `Quick test_on_round_every_round ] );
       ( "arena",
         [ Alcotest.test_case "cursor surface" `Quick test_arena_cursor_surface;
           Alcotest.test_case "wake" `Quick test_wake_keeps_vertex_active;
@@ -505,5 +681,5 @@ let () =
           Alcotest.test_case "wake_at past" `Quick test_wake_at_rejects_past_rounds;
           Alcotest.test_case "pending wake" `Quick test_pending_wake_keeps_run_alive;
           Alcotest.test_case "fixed length" `Quick test_run_active_rounds_fixed_length;
-          Alcotest.test_case "timed executors" `Quick test_timed_wakes_across_executors;
+          Alcotest.test_case "fixed flood vs reference" `Quick test_fixed_flood_vs_reference;
           Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds ] ) ]

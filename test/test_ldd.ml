@@ -159,9 +159,6 @@ let reference_clusters (t : Clustering.t) =
       arr :: acc)
     tbl []
 
-let oracle_executors =
-  [ ("legacy", Network.Legacy); ("staged", Network.Staged); ("parallel-2", Network.Parallel 2) ]
-
 (* one graph per family, with self-loops sprinkled in: loops are not
    CONGEST edges, so neither protocol may send on them *)
 let oracle_graph family n rng =
@@ -190,8 +187,8 @@ type mpx_obs = {
   words : int;
 }
 
-let observe_mpx run ~executor g ~beta ~seed =
-  let net = Network.create ~executor ~shard_min:0 g (Rounds.create ()) in
+let observe_mpx run g ~beta ~seed =
+  let net = Network.create g (Rounds.create ()) in
   let result = run net ~beta (Rng.create seed) in
   { result;
     by_phase = Rounds.by_phase (Network.rounds net);
@@ -205,20 +202,17 @@ let prop_mpx_matches_list_api =
     (fun (family, n, beta, seed) ->
       (* the shrinker may step outside the generator's ranges *)
       let g = oracle_graph (abs family) (max 1 n) (Rng.create (seed + 1)) in
-      List.for_all
-        (fun (_, executor) ->
-          let want = observe_mpx reference_run ~executor g ~beta ~seed in
-          let got = observe_mpx Clustering.run ~executor g ~beta ~seed in
-          let w = want.result and r = got.result in
-          w.Clustering.cluster = r.Clustering.cluster
-          && w.Clustering.start = r.Clustering.start
-          && w.Clustering.epochs = r.Clustering.epochs
-          && w.Clustering.rounds = r.Clustering.rounds
-          && want.by_phase = got.by_phase
-          && want.messages = got.messages
-          && want.words = got.words
-          && reference_clusters r = Clustering.clusters r)
-        oracle_executors)
+      let want = observe_mpx reference_run g ~beta ~seed in
+      let got = observe_mpx Clustering.run g ~beta ~seed in
+      let w = want.result and r = got.result in
+      w.Clustering.cluster = r.Clustering.cluster
+      && w.Clustering.start = r.Clustering.start
+      && w.Clustering.epochs = r.Clustering.epochs
+      && w.Clustering.rounds = r.Clustering.rounds
+      && want.by_phase = got.by_phase
+      && want.messages = got.messages
+      && want.words = got.words
+      && reference_clusters r = Clustering.clusters r)
 
 (* complexity guard without a clock: MPX charges all [horizon] rounds
    but only rounds in which some vertex acts are stepped, and each

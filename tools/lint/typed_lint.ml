@@ -132,7 +132,7 @@ let is_int_type ty =
   | _ -> false
 
 (* [int array], or any alias whose tail name is [message] (the
-   Network/Clique message abbreviation survives unexpanded in cmts) *)
+   Network message abbreviation survives unexpanded in cmts) *)
 let is_word_array_type ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, [ elt ], _) when Path.name p = "array" -> is_int_type elt
