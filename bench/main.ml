@@ -642,9 +642,9 @@ let e10_micro () =
   let raw = Benchmark.all cfg instances test in
   let results = Analyze.merge ols instances [ Analyze.all ols Toolkit.Instance.monotonic_clock raw ] in
   let t = Table.create ~title:"Micro-benchmarks (monotonic clock, ns/run)" [ "benchmark"; "ns/run" ] in
-  Table.iter_sorted
+  Table.iter_sorted ~compare:String.compare
     (fun _clock tbl ->
-      Table.iter_sorted
+      Table.iter_sorted ~compare:String.compare
         (fun name ols ->
           let est =
             match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> Float.nan

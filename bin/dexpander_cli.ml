@@ -536,16 +536,6 @@ let lint_cmd =
       value & flag
       & info [ "all-rules" ] ~doc:"Apply every rule regardless of path scoping.")
   in
-  let typed_only_t =
-    Arg.(
-      value & flag
-      & info [ "typed-only" ] ~doc:"Run only the typed-AST engine (C-rules).")
-  in
-  let no_typed_t =
-    Arg.(
-      value & flag
-      & info [ "no-typed" ] ~doc:"Run only the parsetree engine (D-rules).")
-  in
   let cmt_root_t =
     Arg.(
       value & opt string "_build/default"
@@ -576,13 +566,11 @@ let lint_cmd =
       & info [ "include-fixtures" ]
           ~doc:"Lint fixture directories too (they violate on purpose).")
   in
-  let run json all_rules typed_only no_typed cmt_root source_root graph_json
-      dead_scope include_fixtures targets =
+  let run json all_rules cmt_root source_root graph_json dead_scope include_fixtures
+      targets =
     let opts =
       { Cli.json;
         all_rules;
-        typed_only;
-        no_typed;
         cmt_root;
         source_root;
         graph_json;
@@ -595,11 +583,12 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Run the static certifier: parsetree determinism rules (D-rules) and the \
-          typed-AST word-budget / coordinate-space / reference-graph rules (C-rules).")
+         "Run the static certifier on the typed AST of a $(b,dune build @check): the \
+          determinism rules (D-rules) and the word-budget / coordinate-space / \
+          reference-graph rules (C-rules).")
     Term.(
-      const run $ json_t $ all_rules_t $ typed_only_t $ no_typed_t $ cmt_root_t
-      $ source_root_t $ graph_json_t $ dead_scope_t $ include_fixtures_t $ targets_t)
+      const run $ json_t $ all_rules_t $ cmt_root_t $ source_root_t $ graph_json_t
+      $ dead_scope_t $ include_fixtures_t $ targets_t)
 
 let () =
   let doc = "Distributed expander decomposition and triangle enumeration (PODC 2019)" in

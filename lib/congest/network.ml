@@ -113,6 +113,7 @@ let emit_stats t ~round ~messages_before ~words_before = function
     let map v = orig t v in
     let max_load = ref 0 in
     Dex_util.Table.iter_sorted
+      ~compare:(fun (a, b) (c, d) -> match Int.compare a c with 0 -> Int.compare b d | k -> k)
       (fun (u, v) c ->
         if c > !max_load then max_load := c;
         Trace.count_edge tr (map u) (map v) ~by:c)

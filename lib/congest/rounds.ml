@@ -80,7 +80,7 @@ let total t = t.total
 let by_phase t =
   (* descending by cost, ties broken on label: iteration is already
      key-sorted, and bench tables must be stable across runs *)
-  Dex_util.Table.fold_sorted (fun label k acc -> (label, k) :: acc) t.phases []
+  Dex_util.Table.fold_sorted ~compare:String.compare (fun label k acc -> (label, k) :: acc) t.phases []
   |> List.sort (fun (la, a) (lb, b) ->
          if a <> b then Int.compare b a else String.compare la lb)
 
@@ -95,7 +95,9 @@ let tree t =
   freeze t.root
 
 let merge ~into src =
-  Dex_util.Table.iter_sorted (fun label k -> charge into ~label k) src.phases
+  Dex_util.Table.iter_sorted ~compare:String.compare
+    (fun label k -> charge into ~label k)
+    src.phases
 
 let reset t =
   t.total <- 0;

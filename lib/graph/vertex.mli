@@ -24,7 +24,7 @@
     lists…) remain [int array] — lifting them would force a copy or an
     unsafe cast at every [Array] operation. The typed boundary is the
     scalar parameters and the {!Map} translation table; see DESIGN.md
-    §10. *)
+    §9. *)
 
 type local = private int
 (** A vertex id local to the executing (sub)network. *)

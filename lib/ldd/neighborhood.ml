@@ -20,7 +20,7 @@ let ball_edge_count g ~d v =
           end)
   done;
   let count = ref 0 in
-  Dex_util.Table.iter_sorted
+  Dex_util.Table.iter_sorted ~compare:Int.compare
     (fun x _ ->
       count := !count + Graph.self_loops g x;
       Graph.iter_neighbors g x (fun y ->

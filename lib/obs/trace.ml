@@ -179,6 +179,8 @@ let count_edge t u v ~by =
     Hashtbl.replace t.edge_loads e (prev + by)
   end
 
+let compare_edges (a, b) (c, d) = match Int.compare a c with 0 -> Int.compare b d | k -> k
+
 let edge_load t (u, v) =
   let e = (min u v, max u v) in
   try Hashtbl.find t.edge_loads e with Not_found -> 0
@@ -186,7 +188,9 @@ let edge_load t (u, v) =
 let top_edges t k =
   if k <= 0 then []
   else
-    Dex_util.Table.fold_sorted (fun e load acc -> (e, load) :: acc) t.edge_loads []
+    Dex_util.Table.fold_sorted ~compare:compare_edges
+      (fun e load acc -> (e, load) :: acc)
+      t.edge_loads []
     |> List.sort (fun (ea, la) (eb, lb) -> if la <> lb then compare lb la else compare ea eb)
     |> List.filteri (fun i _ -> i < k)
 

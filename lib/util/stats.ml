@@ -15,7 +15,7 @@ let stddev xs =
   in
   sqrt var
 
-let sorted xs = List.sort compare xs
+let sorted xs = List.sort Float.compare xs
 
 let median xs =
   check_nonempty "Stats.median" xs;

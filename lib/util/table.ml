@@ -5,18 +5,20 @@
    schedules, RNG consumption and float accumulation order, breaking
    the (graph, seed) -> run determinism the simulation promises (lint
    rule D001). These helpers materialise the key set, sort it, and
-   visit bindings in ascending key order. *)
+   visit bindings in ascending key order. The comparator is required:
+   a polymorphic default would sort every key type with caml_compare
+   (lint rule D006). *)
 
-let keys_sorted ?(compare = Stdlib.compare) tbl =
+let keys_sorted ~compare tbl =
   (* dex-lint: allow D001 the sorted-iteration helper itself *)
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
   List.sort_uniq compare keys
 
-let iter_sorted ?compare f tbl =
-  List.iter (fun k -> f k (Hashtbl.find tbl k)) (keys_sorted ?compare tbl)
+let iter_sorted ~compare f tbl =
+  List.iter (fun k -> f k (Hashtbl.find tbl k)) (keys_sorted ~compare tbl)
 
-let fold_sorted ?compare f tbl init =
-  List.fold_left (fun acc k -> f k (Hashtbl.find tbl k) acc) init (keys_sorted ?compare tbl)
+let fold_sorted ~compare f tbl init =
+  List.fold_left (fun acc k -> f k (Hashtbl.find tbl k) acc) init (keys_sorted ~compare tbl)
 
 (* ---------------- aligned text tables ---------------- *)
 

@@ -10,20 +10,21 @@
     accumulation. Algorithm libraries must use these instead (enforced
     by [dex_lint] rule D001). *)
 
-(** [keys_sorted ?compare tbl] is the distinct keys of [tbl] in
-    ascending order ([compare] defaults to the polymorphic compare —
-    fine for the int and int-pair keys used throughout). *)
-val keys_sorted : ?compare:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
+(** [keys_sorted ~compare tbl] is the distinct keys of [tbl] in
+    ascending [compare] order. Pass the monomorphic comparator of the
+    key type ([Int.compare], [String.compare], a lexicographic pair
+    comparator). *)
+val keys_sorted : compare:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
 
-(** [iter_sorted ?compare f tbl] applies [f k v] in ascending key
+(** [iter_sorted ~compare f tbl] applies [f k v] in ascending key
     order. For keys with multiple bindings only the most recent
     binding is visited. *)
-val iter_sorted : ?compare:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
+val iter_sorted : compare:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
 
-(** [fold_sorted ?compare f tbl init] folds [f k v acc] in ascending
+(** [fold_sorted ~compare f tbl init] folds [f k v acc] in ascending
     key order. *)
 val fold_sorted :
-  ?compare:('a -> 'a -> int) -> ('a -> 'b -> 'c -> 'c) -> ('a, 'b) Hashtbl.t -> 'c -> 'c
+  compare:('a -> 'a -> int) -> ('a -> 'b -> 'c -> 'c) -> ('a, 'b) Hashtbl.t -> 'c -> 'c
 
 (** {1 Aligned text tables} *)
 

@@ -39,4 +39,4 @@ let groups t =
     let members = try Hashtbl.find tbl r with Not_found -> [] in
     Hashtbl.replace tbl r (v :: members)
   done;
-  Table.fold_sorted (fun _ members acc -> Array.of_list members :: acc) tbl []
+  Table.fold_sorted ~compare:Int.compare (fun _ members acc -> Array.of_list members :: acc) tbl []

@@ -152,7 +152,7 @@ let reference_clusters (t : Clustering.t) =
       let members = try Hashtbl.find tbl c with Not_found -> [] in
       Hashtbl.replace tbl c (v :: members))
     t.Clustering.cluster;
-  Dex_util.Table.fold_sorted
+  Dex_util.Table.fold_sorted ~compare:Int.compare
     (fun _ members acc ->
       let arr = Array.of_list members in
       Array.sort compare arr;

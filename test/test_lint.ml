@@ -1,16 +1,66 @@
 (* Tests for the dex_lint engine: every rule fires on a violating
-   fixture, path scoping exempts the sanctioned locations, and the
-   suppression pragma behaves as documented. Fixtures are linted
-   in-memory with fake paths, so the path-scoping logic itself is
-   under test. *)
+   probe, path scoping exempts the sanctioned locations, the
+   suppression pragma behaves as documented, and the driver refuses a
+   missing or stale build. Each probe is compiled with
+   `ocamlc -bin-annot` and linted from its .cmt/.cmti under a fake
+   path, so the path-scoping logic itself is under test. *)
 
 module Lint = Dex_lint_core.Lint
+module Typed = Dex_lint_core.Typed_lint
+module Cli = Dex_lint_core.Cli
 module Json = Dex_obs.Json
 
+(* the typed rules cannot be tested without a compiler: fail loudly
+   rather than pass every case vacuously *)
+let require_ocamlc =
+  lazy
+    (if Sys.command "ocamlc -version > /dev/null 2> /dev/null" <> 0 then
+       Alcotest.fail "ocamlc is not on PATH; the lint tests compile their probes with it")
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let with_temp_dir k =
+  let dir = Filename.temp_file "dex_lint" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> k dir)
+
+let write path src =
+  let oc = open_out_bin path in
+  output_string oc src;
+  close_out oc
+
+(* write [src] to [dir]/[rel] and compile it from [dir] with
+   -bin-annot; ocamlc writes the .cmt/.cmti next to the source and
+   records [rel] as its source path *)
+let compile dir rel src =
+  Lazy.force require_ocamlc;
+  write (Filename.concat dir rel) src;
+  let rc =
+    Sys.command
+      (Printf.sprintf "cd %s && ocamlc -I +unix -bin-annot -c %s 2> /dev/null"
+         (Filename.quote dir) (Filename.quote rel))
+  in
+  if rc <> 0 then Alcotest.failf "probe did not compile:\n%s" src
+
+(* lint [src] as if it lived at [path] (the path decides which rules
+   are in scope and, by its extension, whether it is an interface) *)
 let lint ?(path = "lib/congest/fixture.ml") ?all_rules src =
-  match Lint.lint_source ?all_rules ~path src with
-  | Ok findings -> findings
-  | Error msg -> Alcotest.failf "unexpected parse error: %s" msg
+  with_temp_dir (fun dir ->
+      let file = Filename.basename path in
+      compile dir file src;
+      let ext = if Filename.check_suffix file ".mli" then ".cmti" else ".cmt" in
+      let cmt =
+        Cmt_format.read_cmt (Filename.concat dir (Filename.remove_extension file ^ ext))
+      in
+      Typed.lint_unit ?all_rules ~path ~src (Typed.unit_of_cmt ~rel:file cmt))
+
+let mli ?(path = "lib/congest/fixture.mli") = lint ~path
 
 let rules_of findings = List.map (fun f -> f.Lint.rule) findings
 
@@ -27,7 +77,15 @@ let test_d001_hashtbl () =
   check_rules "to_seq_keys" [ "D001" ]
     (lint "let f tbl = List.of_seq (Hashtbl.to_seq_keys tbl)");
   check_rules "qualified Stdlib" [ "D001" ]
-    (lint "let f tbl = Stdlib.Hashtbl.iter (fun _ _ -> ()) tbl")
+    (lint "let f tbl = Stdlib.Hashtbl.iter (fun _ _ -> ()) tbl");
+  (* resolved paths: neither a module alias nor an open hides a use *)
+  check_rules "module alias" [ "D001" ]
+    (lint "module H = Hashtbl\nlet f tbl = H.iter (fun _ _ -> ()) tbl");
+  check_rules "local module alias" [ "D001" ]
+    (lint "let f tbl = let module H = Hashtbl in H.fold (fun _ _ a -> a) tbl 0");
+  check_rules "open" [ "D001" ] (lint "open Hashtbl\nlet f tbl = iter (fun _ _ -> ()) tbl");
+  check_rules "a local Hashtbl is not Stdlib's" []
+    (lint "module Hashtbl = struct let iter _ _ = () end\nlet f t = Hashtbl.iter () t")
 
 let test_d001_allows_ordered_ops () =
   check_rules "mem/replace/find fine" []
@@ -39,28 +97,44 @@ let test_d002_random () =
   check_rules "Random.int" [ "D002" ] (lint "let f () = Random.int 10");
   check_rules "Random.State" [ "D002" ]
     (lint "let f st = Random.State.int st 10");
-  check_rules "self_init" [ "D002" ] (lint "let f () = Random.self_init ()")
+  check_rules "self_init" [ "D002" ] (lint "let f () = Random.self_init ()");
+  check_rules "aliased" [ "D002" ] (lint "module R = Random\nlet f () = R.bool ()")
 
 let test_d003_aborts () =
   check_rules "failwith" [ "D003" ] (lint "let f () = failwith \"x\"");
   check_rules "invalid_arg" [ "D003" ] (lint "let f () = invalid_arg \"x\"");
   check_rules "assert false" [ "D003" ] (lint "let f () = assert false");
-  check_rules "assert cond is fine" [] (lint "let f x = assert (x > 0)")
+  check_rules "assert cond is fine" [] (lint "let f x = assert (x > 0)");
+  check_rules "a local failwith is fine" []
+    (lint "let failwith _ = 0\nlet f () = failwith \"x\"")
 
 let test_d004_wall_clock () =
   check_rules "Sys.time" [ "D004" ] (lint "let f () = Sys.time ()");
   check_rules "gettimeofday" [ "D004" ] (lint "let f () = Unix.gettimeofday ()");
   check_rules "Unix.time" [ "D004" ] (lint "let f () = Unix.time ()")
 
+(* stand-ins for the real modules: D005 matches the type path's tail *)
+let graph_decls =
+  "module Graph = struct type t = { n : int } end\n\
+   module Network = struct type t = { g : Graph.t } end\n"
+
 let test_d005_poly_compare () =
-  check_rules "g = g'" [ "D005" ] (lint "let f g g2 = g = g2");
-  check_rules "field" [ "D005" ] (lint "let f a b = a.graph = b.other");
-  check_rules "compare network" [ "D005" ] (lint "let f net x = compare net x");
-  check_rules "suffix _graph" [ "D005" ]
-    (lint "let f sub_graph x = min sub_graph x");
-  check_rules "type constraint" [ "D005" ]
-    (lint "let f a b = (a : Dex_graph.Graph.t) = b");
-  check_rules "ints fine" [] (lint "let f a b = a = b && compare a b = 0")
+  let d005 src = lint (graph_decls ^ src) in
+  check_rules "Graph.t operands" [ "D005" ] (d005 "let f (a : Graph.t) b = a = b");
+  check_rules "compare on Network.t" [ "D005" ]
+    (d005 "let f (n : Network.t) m = compare n m");
+  check_rules "min on Graph.t" [ "D005" ] (d005 "let f (g : Graph.t) h = min g h");
+  check_rules "<> through a field" [ "D005" ]
+    (d005 "let f (a : Network.t) (b : Network.t) = a.Network.g <> b.Network.g");
+  check_rules "graph-like names at other types fine" []
+    (d005 "let f (g : int) net = g = net && compare g net = 0");
+  check_rules "ints fine" [] (lint "let f a b = a = b && compare a b = 0");
+  let own_t = "type t = { n : int }\nlet f (a : t) b = a = b" in
+  check_rules "a unit's own t" [ "D005" ] (lint ~path:"lib/graph/graph.ml" own_t);
+  (* the unit name dune gives graph.ml inside the dex_graph library *)
+  check_rules "a wrapped unit's own t" [ "D005" ]
+    (lint ~path:"lib/graph/dex_graph__Graph.ml" own_t);
+  check_rules "another unit's own t" [] (lint ~path:"lib/graph/metrics.ml" own_t)
 
 let test_d006_poly_sort () =
   (* the exact defect class Graph.build shipped with: adjacency sorted
@@ -71,18 +145,26 @@ let test_d006_poly_sort () =
     (lint ~path:"lib/graph/graph.ml" "let f l = List.sort_uniq compare l");
   check_rules "qualified Stdlib.compare" [ "D006" ]
     (lint ~path:"lib/congest/x.ml" "let f l = List.stable_sort Stdlib.compare l");
+  check_rules "tuple elements" [ "D006" ]
+    (lint ~path:"lib/graph/graph.ml" "let f (a : (int * int) array) = Array.sort compare a");
   check_rules "monomorphic Int.compare fine" []
     (lint ~path:"lib/graph/graph.ml" "let f a = Array.sort Int.compare a");
   check_rules "explicit comparator fine" []
     (lint ~path:"lib/graph/graph.ml"
-       "let f l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l")
+       "let f l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l");
+  (* the compiler specializes compare at these: compare_ints,
+     compare_floats, caml_string_compare *)
+  check_rules "specialized at int, float, string" []
+    (lint ~path:"lib/graph/graph.ml"
+       "let f (a : int array) (b : float list) (c : string list) =\n\
+       \  Array.sort compare a; (List.sort compare b, List.sort_uniq compare c)")
 
 let test_d006_scoped_to_kernel () =
   let src = "let f a = Array.sort compare a" in
   check_rules "lib/graph fires" [ "D006" ] (lint ~path:"lib/graph/x.ml" src);
   check_rules "lib/congest fires" [ "D006" ] (lint ~path:"lib/congest/x.ml" src);
+  check_rules "lib/util fires" [ "D006" ] (lint ~path:"lib/util/x.ml" src);
   check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" src);
-  check_rules "lib/util exempt" [] (lint ~path:"lib/util/x.ml" src);
   check_rules "bench exempt" [] (lint ~path:"bench/main.ml" src)
 
 (* the walk, sweep and nibble hot paths are in D006's scope too *)
@@ -121,12 +203,13 @@ let test_scope_d004_obs_and_bench_exempt () =
   let src = "let f () = Unix.gettimeofday ()" in
   check_rules "lib/obs exempt" [] (lint ~path:"lib/obs/clock.ml" src);
   check_rules "bench exempt" [] (lint ~path:"bench/main.ml" src);
+  check_rules "bin fires" [ "D004" ] (lint ~path:"bin/cli.ml" src);
   check_rules "congest fires" [ "D004" ] (lint ~path:"lib/congest/x.ml" src)
 
 let test_scope_absolute_paths () =
   let src = "let f () = failwith \"x\"" in
   check_rules "absolute path anchors at lib/" [ "D003" ]
-    (lint ~path:"/root/repo/lib/congest/x.ml" src)
+    (lint ~path:"/src/dexpander/lib/congest/x.ml" src)
 
 let test_all_rules_overrides_scope () =
   let src = "let f () = failwith \"x\"" in
@@ -151,13 +234,21 @@ let test_suppression_is_rule_specific () =
        "(* dex-lint: allow D002 wrong rule *)\n\
         let f () = failwith \"x\"")
 
+(* the reasonless pragmas below are spliced so linting this file does
+   not trip over the literals *)
+let reasonless rule = "(* dex-lint: " ^ "allow " ^ rule ^ " *)\n"
+
 let test_suppression_requires_reason () =
-  (* the reasonless pragma is spliced so linting this file does not
-     trip over the literal *)
-  let fs =
-    lint ("(* dex-lint: " ^ "allow D002 *)\nlet f () = Random.int 3")
-  in
-  check_rules "inert pragma: D000 + the finding" [ "D000"; "D002" ] fs
+  check_rules "inert pragma: D000 + the finding" [ "D000"; "D002" ]
+    (lint (reasonless "D002" ^ "let f () = Random.int 3"))
+
+(* regression: interfaces used to drop malformed pragmas, and to skip
+   them entirely outside the C003 scope *)
+let test_malformed_pragma_in_mli () =
+  let src = reasonless "C003" ^ "val bfs : root:int -> unit" in
+  check_rules "C003 scope: D000 + the finding" [ "D000"; "C003" ] (mli src);
+  check_rules "outside the C003 scope: D000" [ "D000" ]
+    (mli ~path:"lib/graph/fixture.mli" src)
 
 let test_suppression_does_not_leak () =
   check_rules "two lines below: fires" [ "D002" ]
@@ -166,34 +257,57 @@ let test_suppression_does_not_leak () =
 
 (* ---------- driver behavior ---------- *)
 
-let test_parse_error () =
-  match Lint.lint_source ~path:"lib/x.ml" "let let let" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected a parse error"
+(* a source tree under [dir] whose cmt root is [dir] itself *)
+let run_driver dir =
+  Cli.run
+    { Cli.default_opts with
+      cmt_root = dir;
+      source_root = dir;
+      targets = [ Filename.concat dir "lib" ] }
+
+let test_missing_or_stale_cmt () =
+  with_temp_dir (fun dir ->
+      Sys.mkdir (Filename.concat dir "lib") 0o755;
+      Sys.mkdir (Filename.concat dir "lib/congest") 0o755;
+      compile dir "lib/congest/probe.ml" "let x = 1";
+      Alcotest.(check int) "clean build" 0 (run_driver dir);
+      compile dir "lib/congest/probe.ml" "let f () = failwith \"x\"";
+      Alcotest.(check int) "a finding" 1 (run_driver dir);
+      write (Filename.concat dir "lib/congest/probe.ml") "let x = 2";
+      Alcotest.(check int) "source edited after the build" 2 (run_driver dir);
+      compile dir "lib/congest/probe.ml" "let x = 2";
+      write (Filename.concat dir "lib/other.ml") "let y = 3";
+      Alcotest.(check int) "source never compiled" 2 (run_driver dir);
+      Alcotest.(check int) "no cmt root" 2
+        (Cli.run
+           { (Cli.default_opts) with
+             cmt_root = Filename.concat dir "missing";
+             targets = [ dir ] }))
 
 let test_findings_sorted_and_positioned () =
   let fs =
-    lint "let a () = Random.int 1\nlet b () = failwith \"x\"\nlet c tbl = Hashtbl.iter ignore tbl"
+    lint
+      "let a () = Random.int 1\n\
+       let b () = failwith \"x\"\n\
+       let c tbl = Hashtbl.iter (fun _ _ -> ()) tbl"
   in
   check_rules "ordered by line" [ "D002"; "D003"; "D001" ] fs;
   Alcotest.(check (list int)) "line numbers" [ 1; 2; 3 ]
     (List.map (fun f -> f.Lint.line) fs)
 
-(* ---------- typed engine: C003 on interfaces ---------- *)
+(* ---------- C003 on interfaces ---------- *)
 
-module Typed = Dex_lint_core.Typed_lint
-
-let mli ?(path = "lib/congest/fixture.mli") ?all_rules src =
-  match Typed.lint_mli_source ?all_rules ~path src with
-  | Ok findings -> findings
-  | Error msg -> Alcotest.failf "unexpected parse error: %s" msg
+(* an interface probe compiles alone, so the phantom ids get a local
+   stand-in *)
+let vertex_decl = "module Vertex : sig type local end\n"
 
 let test_c003_vertex_params () =
   check_rules "raw root" [ "C003" ] (mli "val bfs : root:int -> unit");
+  check_rules "optional raw src" [ "C003" ] (mli "val bfs : ?src:int -> unit -> unit");
   check_rules "raw vertex map" [ "C003" ]
     (mli "val relabel : vertex_map:int array -> unit");
   check_rules "phantom-typed root is fine" []
-    (mli "val bfs : root:Dex_graph.Vertex.local -> unit");
+    (mli (vertex_decl ^ "val bfs : root:Vertex.local -> unit"));
   check_rules "unlabelled ints untouched" [] (mli "val degree : int -> int")
 
 let test_c003_scoping_and_pragma () =
@@ -213,68 +327,38 @@ let test_c_rule_pragma_scan () =
     (Hashtbl.mem p.Lint.allowed (1, "C002") && Hashtbl.mem p.Lint.allowed (2, "C002"));
   Alcotest.(check int) "well-formed" 0 (List.length p.Lint.malformed)
 
-(* ---------- typed engine: W-rules on real .cmts ---------- *)
+(* ---------- W-rules ---------- *)
 
-let have_ocamlc =
-  lazy (Sys.command "ocamlc -version > /dev/null 2> /dev/null" = 0)
-
-(* compile [src] with -bin-annot and run the W-rules on its .cmt;
-   ocamlc writes outputs next to the source *)
-let w_findings src =
-  let dir = Filename.temp_file "dex_lint_w" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let ml = Filename.concat dir "probe.ml" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () ->
-      let oc = open_out ml in
-      output_string oc src;
-      close_out oc;
-      let rc =
-        Sys.command
-          (Printf.sprintf "ocamlc -bin-annot -c %s 2> /dev/null"
-             (Filename.quote ml))
-      in
-      if rc <> 0 then Alcotest.failf "probe did not compile:\n%s" src;
-      match
-        (Cmt_format.read_cmt (Filename.concat dir "probe.cmt")).cmt_annots
-      with
-      | Cmt_format.Implementation str -> Typed.w_rules ~file:"probe.ml" str
-      | _ -> Alcotest.fail "expected an implementation cmt")
+let w_findings = lint ~path:"probe.ml"
 
 let test_w_rules_certify () =
-  if Lazy.force have_ocamlc then begin
-    check_rules "C001: static length over a literal budget" [ "C001" ]
-      (w_findings
-         "let create ~word_size () = word_size\n\
-          let _b = create ~word_size:2 ()\n\
-          let site () : int * int array = (1, [| 1; 2; 3 |])");
-    check_rules "static length within the default budget" []
-      (w_findings "let site () : int * int array = (1, [| 7 |])");
-    check_rules "length decided through a local helper" []
-      (w_findings
-         "let encode x = [| x |]\n\
-          let site x : int * int array = (1, encode x)");
-    check_rules "C002: unguarded dynamic length" [ "C002" ]
-      (w_findings "let site n : int * int array = (1, Array.make n 0)");
-    check_rules "Invariant.words guard recognized" []
-      (w_findings
-         "module Invariant = struct let words ~budget:_ ~where:_ a = a end\n\
-          let site n : int * int array =\n\
-         \  (1, Invariant.words ~budget:1 ~where:\"t\" (Array.make n 0))");
-    check_rules "non-literal budget disables C001, never C002"
-      [ "C002" ]
-      (w_findings
-         "let create ~word_size () = word_size\n\
-          let _b w = create ~word_size:w ()\n\
-          let wide () : int * int array = (1, [| 1; 2; 3 |])\n\
-          let dyn n : int * int array = (1, Array.make n 0)")
-  end
+  check_rules "C001: static length over a literal budget" [ "C001" ]
+    (w_findings
+       "let create ~word_size () = word_size\n\
+        let _b = create ~word_size:2 ()\n\
+        let site () : int * int array = (1, [| 1; 2; 3 |])");
+  check_rules "static length within the default budget" []
+    (w_findings "let site () : int * int array = (1, [| 7 |])");
+  check_rules "length decided through a local helper" []
+    (w_findings
+       "let encode x = [| x |]\n\
+        let site x : int * int array = (1, encode x)");
+  check_rules "C002: unguarded dynamic length" [ "C002" ]
+    (w_findings "let site n : int * int array = (1, Array.make n 0)");
+  check_rules "Invariant.words guard recognized" []
+    (w_findings
+       "module Invariant = struct let words ~budget:_ ~where:_ a = a end\n\
+        let site n : int * int array =\n\
+       \  (1, Invariant.words ~budget:1 ~where:\"t\" (Array.make n 0))");
+  check_rules "non-literal budget disables C001, never C002"
+    [ "C002" ]
+    (w_findings
+       "let create ~word_size () = word_size\n\
+        let _b w = create ~word_size:w ()\n\
+        let wide () : int * int array = (1, [| 1; 2; 3 |])\n\
+        let dyn n : int * int array = (1, Array.make n 0)")
 
-(* ---------- typed engine: unit naming, dune parsing, the ladder ---------- *)
+(* ---------- unit naming, dune parsing, the ladder ---------- *)
 
 let test_unit_name_splitting () =
   Alcotest.(check (list string)) "wrapped" [ "Dex_congest"; "Network" ]
@@ -318,7 +402,8 @@ let test_json_report_round_trips () =
 
 let test_rule_table_complete () =
   Alcotest.(check (list string)) "ids"
-    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006" ]
+    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006";
+      "C001"; "C002"; "C003"; "C004"; "C005" ]
     (List.map fst Lint.rules)
 
 let () =
@@ -348,9 +433,10 @@ let () =
             test_suppression_same_and_next_line;
           Alcotest.test_case "rule specific" `Quick test_suppression_is_rule_specific;
           Alcotest.test_case "reason required" `Quick test_suppression_requires_reason;
+          Alcotest.test_case "reason required in .mli" `Quick test_malformed_pragma_in_mli;
           Alcotest.test_case "no leak" `Quick test_suppression_does_not_leak ] );
       ( "driver",
-        [ Alcotest.test_case "parse error" `Quick test_parse_error;
+        [ Alcotest.test_case "missing or stale cmt" `Quick test_missing_or_stale_cmt;
           Alcotest.test_case "sorted findings" `Quick
             test_findings_sorted_and_positioned;
           Alcotest.test_case "json round trip" `Quick test_json_report_round_trips;

@@ -230,7 +230,7 @@ module Reference = struct
                    vol := !vol + Graph.degree g v
                  end)
                cut.Nibble.vertices);
-           if !vol <= threshold then best := Dex_util.Table.keys_sorted members
+           if !vol <= threshold then best := Dex_util.Table.keys_sorted ~compare:Int.compare members
            else raise Exit)
          outcomes
      with Exit -> ());

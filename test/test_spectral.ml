@@ -117,7 +117,7 @@ module Reference = struct
       let prev = try Hashtbl.find q v with Not_found -> 0.0 in
       Hashtbl.replace q v (prev +. x)
     in
-    Dex_util.Table.iter_sorted
+    Dex_util.Table.iter_sorted ~compare:Int.compare
       (fun v mass ->
         let deg = float_of_int (Graph.degree g v) in
         if deg = 0.0 then add v mass
@@ -131,7 +131,7 @@ module Reference = struct
 
   let truncate g ~eps p =
     let q = Hashtbl.create (Hashtbl.length p) in
-    Dex_util.Table.iter_sorted
+    Dex_util.Table.iter_sorted ~compare:Int.compare
       (fun v mass ->
         if mass >= 2.0 *. eps *. float_of_int (Graph.degree g v) then Hashtbl.replace q v mass)
       p;
@@ -143,7 +143,7 @@ module Reference = struct
     else match Hashtbl.find_opt p v with None -> 0.0 | Some m -> m /. float_of_int deg
 
   let order g p =
-    Dex_util.Table.fold_sorted (fun v mass acc -> (v, mass) :: acc) p []
+    Dex_util.Table.fold_sorted ~compare:Int.compare (fun v mass acc -> (v, mass) :: acc) p []
     |> List.filter (fun (v, _) -> Graph.degree g v > 0)
     |> List.map (fun (v, mass) -> (v, mass /. float_of_int (Graph.degree g v)))
     |> List.sort (fun (v1, r1) (v2, r2) -> match compare r2 r1 with 0 -> compare v1 v2 | c -> c)

@@ -1,10 +1,9 @@
-(* Unit and property tests for Dex_util: Rng, Stats, Union_find, Heap,
+(* Unit and property tests for Dex_util: Rng, Stats, Union_find,
    Table. *)
 
 module Rng = Dex_util.Rng
 module Stats = Dex_util.Stats
 module Uf = Dex_util.Union_find
-module Heap = Dex_util.Heap
 module Table = Dex_util.Table
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -157,33 +156,6 @@ let test_uf_transitivity_prop =
       done;
       !ok)
 
-(* ---------- Heap ---------- *)
-
-let test_heap_ordering () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  List.iter (fun x -> Heap.push h x x) [ 5.0; 1.0; 4.0; 2.0; 3.0 ];
-  Alcotest.(check int) "size" 5 (Heap.size h);
-  (match Heap.peek h with
-  | Some (p, _) -> check_float "peek min" 1.0 p
-  | None -> Alcotest.fail "peek");
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
-  in
-  Alcotest.(check (list (float 1e-9))) "sorted drain" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (drain [])
-
-let test_heap_sort_prop =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list (float_bound_inclusive 1000.0))
-    (fun xs ->
-      let h = Heap.create () in
-      List.iter (fun x -> Heap.push h x ()) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (p, ()) -> drain (p :: acc)
-      in
-      let drained = drain [] in
-      drained = List.sort compare xs)
-
 (* ---------- Tail_bounds ---------- *)
 
 module Tb = Dex_util.Tail_bounds
@@ -255,9 +227,6 @@ let () =
       ( "union-find",
         [ Alcotest.test_case "basic" `Quick test_uf_basic;
           QCheck_alcotest.to_alcotest test_uf_transitivity_prop ] );
-      ( "heap",
-        [ Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          QCheck_alcotest.to_alcotest test_heap_sort_prop ] );
       ( "tail-bounds",
         [ Alcotest.test_case "monotonicity" `Quick test_tail_bounds_monotone;
           Alcotest.test_case "closed forms" `Quick test_tail_bounds_values;

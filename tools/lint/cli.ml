@@ -1,13 +1,16 @@
-(* Shared driver for both lint engines, used by the standalone
-   dex_lint executable and the `dexpander lint` subcommand.
+(* The dex_lint driver, used by the standalone dex_lint executable and
+   the `dexpander lint` subcommand.
 
-   Exit status: 0 clean, 1 unsuppressed findings, 2 parse/IO errors. *)
+   Every source under the targets is linted through its compiled unit
+   in the .cmt forest, so the build must be complete and current: a
+   missing cmt root, a source with no .cmt/.cmti, or one compiled from
+   different text is an error, never a silently clean lint.
+
+   Exit status: 0 clean, 1 unsuppressed findings, 2 build/IO errors. *)
 
 type opts = {
   json : bool;
   all_rules : bool;
-  typed_only : bool;
-  no_typed : bool;
   cmt_root : string;
   source_root : string;
   graph_json : string option;
@@ -19,8 +22,6 @@ type opts = {
 let default_opts =
   { json = false;
     all_rules = false;
-    typed_only = false;
-    no_typed = false;
     cmt_root = "_build/default";
     source_root = ".";
     graph_json = None;
@@ -32,7 +33,9 @@ let rec collect_sources ~include_fixtures path acc =
   if Sys.is_directory path then
     Array.fold_left
       (fun acc entry ->
-        if entry = "_build" || entry = ".git"
+        (* build trees, dot-directories (.git, .bench_build) and,
+           unless asked, the deliberately failing fixtures *)
+        if entry = "_build" || entry.[0] = '.'
            || ((not include_fixtures) && entry = "fixtures")
         then acc
         else collect_sources ~include_fixtures (Filename.concat path entry) acc)
@@ -59,9 +62,27 @@ let under_targets targets path =
       | tsegs -> Lint.under tsegs segs)
     targets
 
+(* the unit compiled from [path]: units are keyed by their recorded
+   source path, matched against the longest suffix of [path]'s
+   segments, so "./examples/x.ml" finds the unit of "examples/x.ml" *)
+let find_unit index path =
+  let rec go = function
+    | [] -> None
+    | _ :: rest as segs -> (
+      match Hashtbl.find_opt index (String.concat "/" segs) with
+      | Some u -> Some u
+      | None -> go rest)
+  in
+  go (Lint.rel_segments path)
+
 let run opts =
   if opts.targets = [] then begin
     prerr_endline "dex_lint: no targets given";
+    2
+  end
+  else if not (Sys.file_exists opts.cmt_root) then begin
+    Printf.eprintf "dex_lint: cmt root %s does not exist; run `dune build @check` first\n"
+      opts.cmt_root;
     2
   end
   else begin
@@ -80,110 +101,56 @@ let run opts =
             (collect_sources ~include_fixtures:opts.include_fixtures t []))
         opts.targets
     in
-    let ml_files = List.filter (fun f -> Filename.check_suffix f ".ml") files in
-    let mli_files =
-      List.filter (fun f -> Filename.check_suffix f ".mli") files
+    let impls, intfs, load_errors = Typed_lint.load_units ~cmt_root:opts.cmt_root in
+    List.iter (fun (p, m) -> add_error p m) load_errors;
+    let index = Hashtbl.create 256 in
+    List.iter
+      (fun (u : Typed_lint.unit_info) ->
+        match u.source with
+        | Some src ->
+          let key = String.concat "/" (Lint.rel_segments src) in
+          (* the first .cmt of a source wins: no unit is linted twice *)
+          if not (Hashtbl.mem index key) then Hashtbl.add index key u
+        | None -> ())
+      (impls @ intfs);
+    (* per-source rules: D-, W- and C003 *)
+    List.iter
+      (fun path ->
+        match find_unit index path with
+        | None -> add_error path "no .cmt/.cmti for this source; run `dune build @check`"
+        | Some u ->
+          let src = Typed_lint.read_file path in
+          if u.digest <> Some (Digest.string src) then
+            add_error path
+              "stale .cmt/.cmti: the source changed since it was compiled; \
+               run `dune build @check`"
+          else add_findings (Typed_lint.lint_unit ~all_rules:opts.all_rules ~path ~src u))
+      files;
+    (* whole-program X-rules, silenced by the pragmas of the file each
+       finding names *)
+    let unsuppressed (f : Lint.finding) =
+      let abs = Filename.concat opts.source_root f.file in
+      if Sys.file_exists abs then
+        Lint.unsuppressed (Lint.scan_pragmas ~path:f.file (Typed_lint.read_file abs)) [ f ]
+      else [ f ]
     in
-    (* engine 1: parsetree D-rules *)
-    if not opts.typed_only then
-      List.iter
-        (fun path ->
-          match Lint.lint_file ~all_rules:opts.all_rules path with
-          | Ok fs -> add_findings fs
-          | Error msg -> add_error path msg)
-        ml_files;
-    (* engine 2a: C003 on interfaces (parsed, path-scoped) *)
-    if not opts.no_typed then
-      List.iter
-        (fun path ->
-          match Typed_lint.lint_mli_file ~all_rules:opts.all_rules path with
-          | Ok fs -> add_findings fs
-          | Error msg -> add_error path msg)
-        mli_files;
-    (* engine 2b: W- and X-rules over the .cmt forest *)
-    if not opts.no_typed then begin
-      if not (Sys.file_exists opts.cmt_root) then begin
-        if opts.typed_only then begin
-          Printf.eprintf
-            "dex_lint: cmt root %s does not exist; run `dune build` first\n"
-            opts.cmt_root;
-          exit 2
-        end
-        else
-          Printf.eprintf
-            "dex_lint: note: cmt root %s not found, typed engine skipped \
-             (run `dune build` to enable it)\n"
-            opts.cmt_root
-      end
-      else begin
-        let impls, intfs, load_errors =
-          Typed_lint.load_units ~cmt_root:opts.cmt_root
-        in
-        List.iter (fun (p, m) -> add_error p m) load_errors;
-        (* W-rules on units whose source is in scope *)
-        List.iter
-          (fun (u : Typed_lint.unit_info) ->
-            match (u.source, u.annots) with
-            | Some src, Cmt_format.Implementation str
-              when under_targets opts.targets src
-                   && (opts.include_fixtures
-                      || not (Typed_lint.is_fixture_path src)) ->
-              let fs = Typed_lint.w_rules ~file:src str in
-              let abs = Filename.concat opts.source_root src in
-              if fs <> [] && Sys.file_exists abs then
-                add_findings
-                  (Typed_lint.suppress ~path:src
-                     ~src:(Typed_lint.read_file abs) fs)
-              else add_findings fs
-            | _ -> ())
-          impls;
-        (* X-rules: reference graph, dead exports, layering *)
-        let db = Typed_lint.build_ref_db impls in
-        let dead =
-          Typed_lint.dead_exports ~scope:opts.dead_scope
-            ~include_fixtures:opts.include_fixtures db impls intfs
-          |> List.filter (fun (f : Lint.finding) ->
-                 under_targets opts.targets f.Lint.file)
-        in
-        let dead =
-          List.concat_map
-            (fun (f : Lint.finding) ->
-              let abs = Filename.concat opts.source_root f.Lint.file in
-              if Sys.file_exists abs then
-                Typed_lint.suppress ~path:f.Lint.file
-                  ~src:(Typed_lint.read_file abs) [ f ]
-              else [ f ])
-            dead
-        in
-        add_findings dead;
-        let lay =
-          Typed_lint.layering ~source_root:opts.source_root db impls
-          |> List.concat_map (fun (f : Lint.finding) ->
-                 let abs = Filename.concat opts.source_root f.Lint.file in
-                 if Sys.file_exists abs then
-                   Typed_lint.suppress ~path:f.Lint.file
-                     ~src:(Typed_lint.read_file abs) [ f ]
-                 else [ f ])
-        in
-        add_findings lay;
-        match opts.graph_json with
-        | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () ->
-              output_string oc
-                (Dex_obs.Json.to_string (Typed_lint.graph_to_json db impls));
-              output_char oc '\n')
-        | None -> ()
-      end
-    end;
-    let findings =
-      List.sort
-        (fun (a : Lint.finding) (b : Lint.finding) ->
-          compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule))
-        !findings
-    in
+    let db = Typed_lint.build_ref_db impls in
+    Typed_lint.dead_exports ~scope:opts.dead_scope
+      ~include_fixtures:opts.include_fixtures db intfs
+    |> List.filter (fun (f : Lint.finding) -> under_targets opts.targets f.file)
+    |> List.concat_map unsuppressed |> add_findings;
+    Typed_lint.layering ~source_root:opts.source_root db impls
+    |> List.concat_map unsuppressed |> add_findings;
+    (match opts.graph_json with
+     | Some path ->
+       let oc = open_out path in
+       Fun.protect
+         ~finally:(fun () -> close_out_noerr oc)
+         (fun () ->
+           output_string oc (Dex_obs.Json.to_string (Typed_lint.graph_to_json db impls));
+           output_char oc '\n')
+     | None -> ());
+    let findings = List.sort Lint.by_position !findings in
     if opts.json then
       print_endline
         (Dex_obs.Json.to_string
@@ -204,5 +171,3 @@ let run opts =
     end;
     if !errors <> [] then 2 else if findings <> [] then 1 else 0
   end
-
-let all_rules_table = Lint.rules @ Typed_lint.rules

@@ -2,19 +2,19 @@
 
    Usage: dune exec tools/lint/dex_lint.exe -- [options] <file-or-dir>...
 
-   Two engines (see DESIGN.md §9–10): the parsetree D-rules and the
-   typed-AST C-rules (word budgets, vertex coordinate spaces, the
-   cross-module reference graph). The typed engine needs the .cmt
-   files of a completed `dune build`.
+   One engine on the typed AST (see DESIGN.md §9): the determinism
+   D-rules and the C-rules (word budgets, vertex coordinate spaces, the
+   cross-module reference graph). It reads the .cmt/.cmti files of a
+   completed `dune build @check`.
 
-   Exit status: 0 clean, 1 unsuppressed findings, 2 parse/IO errors. *)
+   Exit status: 0 clean, 1 unsuppressed findings, 2 build/IO errors. *)
 
 module Cli = Dex_lint_core.Cli
 
 let usage =
-  "dex_lint [--json] [--all-rules] [--typed-only] [--no-typed] [--cmt-root \
-   DIR] [--source-root DIR] [--graph-json FILE] [--dead-scope DIR] \
-   [--include-fixtures] [--list-rules] <file-or-dir>..."
+  "dex_lint [--json] [--all-rules] [--cmt-root DIR] [--source-root DIR] \
+   [--graph-json FILE] [--dead-scope DIR] [--include-fixtures] [--list-rules] \
+   <file-or-dir>..."
 
 let opts = ref Cli.default_opts
 let list_rules = ref false
@@ -26,12 +26,6 @@ let spec =
     ( "--all-rules",
       Arg.Unit (fun () -> opts := { !opts with Cli.all_rules = true }),
       " apply every rule regardless of path scoping (for fixtures)" );
-    ( "--typed-only",
-      Arg.Unit (fun () -> opts := { !opts with Cli.typed_only = true }),
-      " run only the typed-AST engine (C-rules)" );
-    ( "--no-typed",
-      Arg.Unit (fun () -> opts := { !opts with Cli.no_typed = true }),
-      " run only the parsetree engine (D-rules)" );
     ( "--cmt-root",
       Arg.String (fun d -> opts := { !opts with Cli.cmt_root = d }),
       "DIR root of the .cmt forest (default _build/default)" );
@@ -58,7 +52,7 @@ let () =
   if !list_rules then begin
     List.iter
       (fun (id, summary) -> Printf.printf "%s  %s\n" id summary)
-      Cli.all_rules_table;
+      Dex_lint_core.Lint.rules;
     exit 0
   end;
   exit (Cli.run !opts)

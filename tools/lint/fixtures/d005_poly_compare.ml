@@ -1,3 +1,4 @@
-(* D005: polymorphic comparison of graph/network values *)
-let same g other_graph = g = other_graph
-let order net x = compare net x
+(* D005: polymorphic comparison of Graph.t values *)
+let same (g : Dex_graph.Graph.t) other = g = other
+let order (g : Dex_graph.Graph.t) x = compare g x
+let sizes_ok (a : int) b = a = b

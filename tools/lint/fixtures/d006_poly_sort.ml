@@ -1,6 +1,7 @@
-(* D006: bare polymorphic compare handed to a sort on a kernel hot
-   path — exactly the defect Graph.build shipped with before the CSR
-   arena work monomorphized it *)
-let sort_adjacency arr = Array.sort compare arr
+(* D006: bare polymorphic compare handed to a sort at a type the
+   compiler cannot specialize, so each element pair goes through the
+   generic caml_compare *)
+let sort_adjacency (arr : (int * int) array) = Array.sort compare arr
 let dedupe_edges edges = List.sort_uniq compare edges
-let stable xs = List.stable_sort Stdlib.compare xs
+let stable (xs : int list list) = List.stable_sort Stdlib.compare xs
+let ints_ok (a : int array) = Array.sort compare a

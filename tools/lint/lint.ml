@@ -1,12 +1,13 @@
-(* dex_lint engine: determinism & CONGEST-conformance rules, checked
-   on the untyped parsetree (compiler-libs), path-scoped, with
-   per-line suppression pragmas.
+(* dex_lint shared core: the rule table, path scoping, suppression
+   pragmas and report output. The rules themselves run on the typed
+   AST (see Typed_lint and DESIGN.md §9).
 
-   The rules target the failure modes that break schedule-permutation
-   reproducibility (see Dex_congest.Conformance and DESIGN.md §9):
+   The D-rules target the failure modes that break
+   schedule-permutation reproducibility (see Dex_congest.Conformance):
    hash-order iteration, ambient randomness, untyped aborts in the
    protocol layers, wall-clock reads outside the sanctioned points,
-   and polymorphic comparison of graph/network values. *)
+   and polymorphic comparison. The C-rules certify word budgets,
+   vertex coordinate spaces and the cross-module reference graph. *)
 
 module Json = Dex_obs.Json
 
@@ -33,13 +34,31 @@ let rules =
       "no wall-clock (Sys.time, Unix.gettimeofday, Unix.time) outside \
        bench/ and lib/obs; use Dex_obs.Clock" );
     ( "D005",
-      "no polymorphic compare/=/min/max on graph or network values; \
+      "no polymorphic compare/=/min/max on Graph.t or Network.t values; \
        compare explicit fields" );
     ( "D006",
       "no bare polymorphic [compare] passed to Array.sort / List.sort \
-       family in lib/graph, lib/congest, lib/spectral, lib/sparsecut or \
+       family at a type the compiler does not specialize, in lib/util, \
+       lib/graph, lib/congest, lib/spectral, lib/sparsecut or \
        lib/triangle; use a monomorphic comparator (Int.compare, \
-       String.compare, an explicit field comparator)" ) ]
+       String.compare, an explicit field comparator)" );
+    ( "C001",
+      "statically-decidable message length exceeds the word budget \
+       (literal array or Array.make with literal size vs the file's \
+       literal ~word_size, default 1)" );
+    ( "C002",
+      "dynamic-length message construction not dominated by a \
+       Dex_util.Invariant.words length guard" );
+    ( "C003",
+      "raw int vertex parameter in a protocol-layer .mli; use \
+       Dex_graph.Vertex.local / Vertex.orig (and Vertex.Map.t for \
+       vertex maps)" );
+    ( "C004",
+      "dead .mli export: value referenced by no other compilation \
+       unit" );
+    ( "C005",
+      "layering violation: reference against the layer order, or a \
+       dune-declared library dependency no unit of the library uses" ) ]
 
 (* ---------------- path scoping ---------------- *)
 
@@ -69,13 +88,15 @@ let under prefix segs =
   in
   go prefix segs
 
+let under_any prefixes segs = List.exists (fun p -> under p segs) prefixes
+
 (* bench/, bin/ and tools/ are gated alongside lib/: the harness and
    the CLI feed the paper's tables, so hash-order iteration or ambient
    randomness there corrupts results just as silently *)
-let gated segs =
-  under [ "lib" ] segs || under [ "bench" ] segs || under [ "bin" ] segs
-  || under [ "tools" ] segs
+let gated = under_any [ [ "lib" ]; [ "bench" ]; [ "bin" ]; [ "tools" ] ]
 
+(* Rules scoped by path; C004 and C005 are whole-program and scoped
+   by the driver instead. *)
 let rule_applies ~all_rules segs rule =
   all_rules
   ||
@@ -83,22 +104,19 @@ let rule_applies ~all_rules segs rule =
   | "D001" -> gated segs
   | "D002" -> gated segs && segs <> [ "lib"; "util"; "rng.ml" ]
   | "D003" ->
-    under [ "lib"; "congest" ] segs
-    || under [ "lib"; "routing" ] segs
-    || under [ "lib"; "expander" ] segs
+    under_any [ [ "lib"; "congest" ]; [ "lib"; "routing" ]; [ "lib"; "expander" ] ] segs
   | "D004" ->
     (* bench/ stays sanctioned: wall-clock timing is its whole job *)
-    gated segs && not (under [ "lib"; "obs" ] segs) && not (under [ "bench" ] segs)
-  | "D005" -> true
+    gated segs && not (under_any [ [ "lib"; "obs" ]; [ "bench" ] ] segs)
+  | "D005" | "C001" | "C002" -> true
   | "D006" ->
-    (* the kernel's, the spectral layer's and the triangle layer's hot
-       paths: a polymorphic-compare sort here costs a generic-compare
-       dispatch per element pair *)
-    under [ "lib"; "graph" ] segs
-    || under [ "lib"; "congest" ] segs
-    || under [ "lib"; "spectral" ] segs
-    || under [ "lib"; "sparsecut" ] segs
-    || under [ "lib"; "triangle" ] segs
+    (* the hot paths: a polymorphic-compare sort here costs a
+       generic-compare dispatch per element pair *)
+    under_any
+      [ [ "lib"; "util" ]; [ "lib"; "graph" ]; [ "lib"; "congest" ];
+        [ "lib"; "spectral" ]; [ "lib"; "sparsecut" ]; [ "lib"; "triangle" ] ]
+      segs
+  | "C003" -> under_any [ [ "lib"; "congest" ]; [ "lib"; "ldd" ]; [ "lib"; "expander" ] ] segs
   | _ -> false
 
 (* ---------------- suppression pragmas ---------------- *)
@@ -106,9 +124,9 @@ let rule_applies ~all_rules segs rule =
 (* An allow pragma — the marker below followed by a rule id and a
    reason, inside a comment — suppresses that rule on its own line and
    the next one. The reason is mandatory: a pragma without one is
-   inert and reported as a malformed-pragma finding, so suppressions
-   stay auditable. The marker is spliced from two literals so the
-   scanner does not match its own definition. *)
+   inert and reported as a malformed-pragma finding (D000), so
+   suppressions stay auditable. The marker is spliced from two
+   literals so the scanner does not match its own definition. *)
 let pragma_marker = "dex-lint: " ^ "allow"
 
 let find_sub hay needle from =
@@ -156,7 +174,6 @@ let scan_pragmas ~path src =
           | None -> rule
         in
         let well_formed_rule =
-          (* any engine's rules: D0xx parsetree, C0xx typed-AST *)
           String.length rule = 4
           && rule.[0] >= 'A' && rule.[0] <= 'Z'
           && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub rule 1 3)
@@ -180,171 +197,11 @@ let scan_pragmas ~path src =
     lines;
   { allowed; malformed = List.rev !malformed }
 
-(* ---------------- AST rules ---------------- *)
+(* the findings [pragmas] does not silence *)
+let unsuppressed pragmas findings =
+  List.filter (fun f -> not (Hashtbl.mem pragmas.allowed (f.line, f.rule))) findings
 
-open Parsetree
-
-let lident_path e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> ( try Some (Longident.flatten txt) with _ -> None)
-  | _ -> None
-
-let strip_stdlib = function "Stdlib" :: rest -> rest | l -> l
-
-let hashtbl_unordered = [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
-
-let suffix s suf =
-  let ls = String.length s and lf = String.length suf in
-  ls >= lf && String.sub s (ls - lf) lf = suf
-
-let graph_like_name n =
-  List.mem n [ "g"; "graph"; "network"; "net"; "nw" ]
-  || suffix n "_graph" || suffix n "_network" || suffix n "_net"
-
-let graph_like_type ty =
-  match ty.ptyp_desc with
-  | Ptyp_constr ({ txt; _ }, _) ->
-    let l = try Longident.flatten txt with _ -> [] in
-    List.mem "Graph" l || List.mem "Network" l
-  | _ -> false
-
-let graph_like_operand e =
-  match e.pexp_desc with
-  | Pexp_ident { txt = Longident.Lident n; _ } -> graph_like_name n
-  | Pexp_field (_, { txt; _ }) -> graph_like_name (Longident.last txt)
-  | Pexp_constraint (_, ty) -> graph_like_type ty
-  | _ -> false
-
-let compare_like = [ "="; "<>"; "=="; "!="; "compare"; "min"; "max" ]
-
-(* D006: the sort entry points whose comparator argument matters *)
-let sort_family = function
-  | "Array", ("sort" | "stable_sort" | "fast_sort") -> true
-  | "List", ("sort" | "stable_sort" | "sort_uniq") -> true
-  | _ -> false
-
-let bare_compare arg =
-  match Option.map strip_stdlib (lident_path arg) with
-  | Some [ "compare" ] -> true
-  | _ -> false
-
-let collect ~path ~active src_ast =
-  let findings = ref [] in
-  let add loc rule message =
-    let p = loc.Location.loc_start in
-    findings :=
-      { rule; file = path; line = p.Lexing.pos_lnum;
-        col = p.Lexing.pos_cnum - p.Lexing.pos_bol; message }
-      :: !findings
-  in
-  let on rule = List.mem rule active in
-  let expr (self : Ast_iterator.iterator) e =
-    (match lident_path e with
-     | Some p -> (
-       match strip_stdlib p with
-       | [ "Hashtbl"; fn ] when on "D001" && List.mem fn hashtbl_unordered ->
-         add e.pexp_loc "D001"
-           (Printf.sprintf
-              "Hashtbl.%s iterates in hash order; use Dex_util.Table.%s" fn
-              (match fn with
-               | "iter" -> "iter_sorted"
-               | "fold" -> "fold_sorted"
-               | _ -> "keys_sorted"))
-       | "Random" :: _ when on "D002" ->
-         add e.pexp_loc "D002"
-           "ambient Random.* breaks replayability; thread a Dex_util.Rng.t"
-       | [ "failwith" ] when on "D003" ->
-         add e.pexp_loc "D003"
-           "failwith in a protocol layer; raise a typed exception \
-            (Dex_util.Invariant.fail)"
-       | [ "invalid_arg" ] when on "D003" ->
-         add e.pexp_loc "D003"
-           "invalid_arg in a protocol layer; raise a typed exception \
-            (Dex_util.Invariant.require)"
-       | [ "Sys"; "time" ] when on "D004" ->
-         add e.pexp_loc "D004" "wall-clock read; use Dex_obs.Clock.now_ns"
-       | [ "Unix"; ("gettimeofday" | "time") ] when on "D004" ->
-         add e.pexp_loc "D004" "wall-clock read; use Dex_obs.Clock.now_ns"
-       | _ -> ())
-     | None -> ());
-    (match e.pexp_desc with
-     | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ }
-       when on "D003" ->
-       add e.pexp_loc "D003"
-         "assert false in a protocol layer; raise a typed exception \
-          (Dex_util.Invariant.fail)"
-     | Pexp_apply (fn, args) -> (
-       match Option.map strip_stdlib (lident_path fn) with
-       | Some [ op ] when on "D005" && List.mem op compare_like ->
-         if List.exists (fun (_, a) -> graph_like_operand a) args then
-           add e.pexp_loc "D005"
-             (Printf.sprintf
-                "polymorphic %s on a graph/network value; compare explicit \
-                 fields instead" op)
-       | Some [ m; sfn ] when on "D006" && sort_family (m, sfn) -> (
-         match
-           List.find_opt (fun (lbl, _) -> lbl = Asttypes.Nolabel) args
-         with
-         | Some (_, cmp) when bare_compare cmp ->
-           add e.pexp_loc "D006"
-             (Printf.sprintf
-                "polymorphic compare passed to %s.%s on a hot path; \
-                 use a monomorphic comparator (e.g. Int.compare)" m sfn)
-         | _ -> ())
-       | _ -> ())
-     | _ -> ());
-    Ast_iterator.default_iterator.expr self e
-  in
-  let iterator = { Ast_iterator.default_iterator with expr } in
-  iterator.structure iterator src_ast;
-  List.rev !findings
-
-(* ---------------- driver ---------------- *)
-
-let parse_error_message exn =
-  match Location.error_of_exn exn with
-  | Some (`Ok report) ->
-    Location.print_report Format.str_formatter report;
-    Format.flush_str_formatter ()
-  | _ -> Printexc.to_string exn
-
-(* [lint_source ~path src] lints [src] as if it lived at [path] (the
-   path decides which rules are in scope). Returns the surviving
-   findings, sorted by position. *)
-let lint_source ?(all_rules = false) ~path src =
-  let segs = rel_segments path in
-  let active =
-    List.filter (fun (r, _) -> rule_applies ~all_rules segs r) rules
-    |> List.map fst
-  in
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf path;
-  match Parse.implementation lexbuf with
-  | exception exn -> Error (parse_error_message exn)
-  | ast ->
-    let pragmas = scan_pragmas ~path src in
-    let raw = collect ~path ~active ast in
-    let kept =
-      List.filter
-        (fun f -> not (Hashtbl.mem pragmas.allowed (f.line, f.rule)))
-        raw
-    in
-    let all = pragmas.malformed @ kept in
-    Ok
-      (List.sort
-         (fun a b ->
-           compare (a.line, a.col, a.rule) (b.line, b.col, b.rule))
-         all)
-
-let lint_file ?all_rules path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | src -> lint_source ?all_rules ~path src
+let by_position a b = compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule)
 
 (* ---------------- output ---------------- *)
 

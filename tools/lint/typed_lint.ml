@@ -1,40 +1,35 @@
-(* dex_lint typed-AST engine: rules that need the compiler's verdict,
-   checked on `-bin-annot` .cmt/.cmti files produced by the dune build
-   (dune passes -bin-annot by default).
+(* dex_lint engine: every rule runs on the typed AST, read from the
+   `-bin-annot` .cmt/.cmti files of the dune build (see DESIGN.md §9).
 
-   Three rule families (see DESIGN.md §10):
+   D-rules — determinism. Identifiers match on their resolved paths,
+   so `open` and module aliases hide nothing: hash-order Hashtbl
+   iteration (D001), ambient Random (D002), untyped aborts (D003),
+   wall-clock reads (D004). D005 flags polymorphic comparison at an
+   operand type headed by Graph.t or Network.t; D006 a bare [compare]
+   handed to the sort family at a type the compiler does not
+   specialize.
 
-   W-rules — word-budget certification. Every message-construction
-   site (a typed tuple `(int, int array)`, the shape of an outbox or
-   inbox entry) is classified: statically-decidable lengths (literal
-   arrays, `Array.make k` with a literal k, local bindings and
-   single-clause local helpers returning such arrays) are certified
-   against the file's word budget (C001); dynamic lengths must be
-   dominated by a `Dex_util.Invariant.words` guard (C002). The budget
-   is the largest literal `~word_size` passed to a `create` call in
-   the same file, 1 (the CONGEST default: O(log n) bits = one machine
-   word) otherwise; a non-literal `~word_size` makes the budget
-   undecidable and disables C001 for the file, never C002.
+   W-rules — word budgets. Each message-construction site (a typed
+   `(int, int array)` tuple) is classified: statically decidable
+   lengths (literal arrays, `Array.make` with a literal size, local
+   bindings and single-clause local helpers returning such arrays)
+   are certified against the file's budget (C001); dynamic lengths
+   must be dominated by a `Dex_util.Invariant.words` guard (C002). The
+   budget is the largest literal `~word_size` passed to a `create` in
+   the file, else 1; a non-literal one disables C001, never C002.
 
-   V-rules — coordinate-space safety. C003 parses protocol-layer
-   `.mli`s (lib/congest, lib/ldd, lib/expander) and rejects raw `int`
-   vertex-valued labelled parameters — the phantom ids
-   `Dex_graph.Vertex.local`/`orig` and `Vertex.Map.t` are free at
-   runtime and make cross-space indexing a type error.
+   V-rule — C003 rejects raw `int` vertex-valued labelled parameters
+   in protocol-layer interfaces; use the phantom `Vertex.local`/`orig`.
 
-   X-rules — cross-module reference graph. The .cmts of the whole
-   build yield a unit-level reference graph (value uses, module
-   aliases, type constructors), exported as JSON for the obs layer.
-   C004 reports `.mli` value exports referenced by no other
-   compilation unit; C005 reports layering violations: a library
-   referencing a peer or higher layer, and library dependencies
-   declared in a dune file that no unit of the library references.
+   X-rules — the .cmts of the whole build yield a unit-level reference
+   graph (exported as JSON). C004 reports `.mli` exports no other unit
+   references; C005 reports references against the layer order and
+   dune library dependencies no unit of the library uses.
 
-   Decidability limits are deliberate: lengths flowing through
-   function parameters, arrays built by non-local helpers, and
-   budgets threaded as values classify as dynamic — guard them with
-   `Invariant.words` at the construction site or suppress with an
-   allow pragma naming the rule and a reason (see [Lint.scan_pragmas]). *)
+   Lengths through function parameters, arrays from non-local helpers
+   and budgets threaded as values classify as dynamic: guard them with
+   `Invariant.words` or suppress with an allow pragma naming the rule
+   and a reason (see [Lint.scan_pragmas]). *)
 
 module Json = Dex_obs.Json
 
@@ -46,25 +41,6 @@ type finding = Lint.finding = {
   message : string;
 }
 
-let rules =
-  [ ( "C001",
-      "statically-decidable message length exceeds the word budget \
-       (literal array or Array.make with literal size vs the file's \
-       literal ~word_size, default 1)" );
-    ( "C002",
-      "dynamic-length message construction not dominated by a \
-       Dex_util.Invariant.words length guard" );
-    ( "C003",
-      "raw int vertex parameter in a protocol-layer .mli; use \
-       Dex_graph.Vertex.local / Vertex.orig (and Vertex.Map.t for \
-       vertex maps)" );
-    ( "C004",
-      "dead .mli export: value referenced by no other compilation \
-       unit" );
-    ( "C005",
-      "layering violation: reference against the layer order, or a \
-       dune-declared library dependency no unit of the library uses" ) ]
-
 let mk_finding ~rule ~file ~line ~col message = { rule; file; line; col; message }
 
 let finding_of_loc ~rule ~file loc message =
@@ -73,19 +49,7 @@ let finding_of_loc ~rule ~file loc message =
     ~col:(p.Lexing.pos_cnum - p.Lexing.pos_bol)
     message
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* suppress findings with the shared pragma syntax, reading [src] as
-   the text the findings' lines refer to *)
-let suppress ~path ~src findings =
-  let pragmas = Lint.scan_pragmas ~path src in
-  List.filter
-    (fun f -> not (Hashtbl.mem pragmas.Lint.allowed (f.line, f.rule)))
-    findings
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let is_fixture_path path = List.mem "fixtures" (Lint.rel_segments path)
 
@@ -113,7 +77,6 @@ let is_invariant_words comps =
 let is_array_make comps =
   match List.rev (strip_stdlib comps) with
   | ("make" | "create" | "init") :: "Array" :: _ -> true
-  | [ ("make" | "create" | "init") ] -> false
   | _ -> false
 
 let constant_int e =
@@ -270,7 +233,7 @@ type unit_info = {
   lib : string option; (* owning dune library, from the .objs dir *)
   dir : string; (* source dir relative to the build root *)
   source : string option; (* relative source path, when recorded *)
-  imports : string list; (* raw unit names from cmt_imports *)
+  digest : Digest.t option; (* of the source the unit was compiled from *)
   annots : Cmt_format.binary_annots;
 }
 
@@ -290,6 +253,8 @@ let split_wrapped name =
   go [] 0 0
 
 let canon_of_unit_name name = String.concat "." (split_wrapped name)
+
+let norm_comps comps = List.concat_map split_wrapped comps
 
 (* lib name from ".../.dex_congest.objs/..." or ".../.main.eobjs/..." *)
 let lib_of_cmt_path path =
@@ -313,6 +278,15 @@ let dir_of_cmt_path path =
   in
   String.concat "/" (take [] segs)
 
+(* [rel] is the .cmt path relative to the cmt root *)
+let unit_of_cmt ~rel (cmt : Cmt_format.cmt_infos) =
+  { canon = canon_of_unit_name cmt.cmt_modname;
+    lib = lib_of_cmt_path rel;
+    dir = dir_of_cmt_path rel;
+    source = cmt.cmt_sourcefile;
+    digest = cmt.cmt_source_digest;
+    annots = cmt.cmt_annots }
+
 let rec collect_suffix root suffix acc =
   if Sys.is_directory root then
     Array.fold_left
@@ -323,36 +297,203 @@ let rec collect_suffix root suffix acc =
 
 let load_units ~cmt_root =
   let errors = ref [] in
-  let load suffix path =
+  let load path =
     match Cmt_format.read_cmt path with
     | exception exn ->
       errors := (path, Printexc.to_string exn) :: !errors;
       None
     | cmt ->
-      let rel =
-        if String.length path > String.length cmt_root
-           && String.sub path 0 (String.length cmt_root) = cmt_root
-        then
-          let r = String.sub path (String.length cmt_root)
-              (String.length path - String.length cmt_root) in
-          if r <> "" && r.[0] = '/' then String.sub r 1 (String.length r - 1)
-          else r
-        else path
-      in
-      ignore suffix;
-      Some
-        { canon = canon_of_unit_name cmt.Cmt_format.cmt_modname;
-          lib = lib_of_cmt_path rel;
-          dir = dir_of_cmt_path rel;
-          source = cmt.Cmt_format.cmt_sourcefile;
-          imports = List.map fst cmt.Cmt_format.cmt_imports;
-          annots = cmt.Cmt_format.cmt_annots }
+      (* collect_suffix joins with Filename.concat: strip its prefix *)
+      let n = String.length (Filename.concat cmt_root "") in
+      Some (unit_of_cmt ~rel:(String.sub path n (String.length path - n)) cmt)
   in
-  let cmts = List.sort compare (collect_suffix cmt_root ".cmt" []) in
-  let cmtis = List.sort compare (collect_suffix cmt_root ".cmti" []) in
-  let impls = List.filter_map (load ".cmt") cmts in
-  let intfs = List.filter_map (load ".cmti") cmtis in
+  let load_all suffix =
+    List.filter_map load (List.sort compare (collect_suffix cmt_root suffix []))
+  in
+  let impls = load_all ".cmt" in
+  let intfs = load_all ".cmti" in
   (impls, intfs, List.rev !errors)
+
+(* ================= D-rules: determinism =========================== *)
+
+let hashtbl_unordered = [ "iter"; "fold"; "to_seq"; "to_seq_keys"; "to_seq_values" ]
+
+let compare_like = [ "="; "<>"; "=="; "!="; "compare"; "min"; "max" ]
+
+(* D006: the sort entry points whose comparator argument matters *)
+let sort_family = function
+  | [ "Stdlib"; "Array"; ("sort" | "stable_sort" | "fast_sort") ]
+  | [ "Stdlib"; "List"; ("sort" | "stable_sort" | "sort_uniq") ] -> true
+  | _ -> false
+
+(* the element types at which the compiler specializes [compare] to a
+   monomorphic primitive (compare_ints, compare_floats, ...); at any
+   other type, a type variable or a tuple, it calls caml_compare *)
+let specialized =
+  Predef.
+    [ path_int; path_char; path_bool; path_float; path_string; path_bytes;
+      path_nativeint; path_int32; path_int64 ]
+
+(* the head constructor of the first parameter of an instantiated
+   function type *)
+let domain_head ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, dom, _, _) -> (
+    match Types.get_desc dom with Types.Tconstr (p, _, _) -> Some p | _ -> None)
+  | _ -> None
+
+let d_rules ~on ~file u str =
+  let findings = ref [] in
+  let add loc rule message = findings := finding_of_loc ~rule ~file loc message :: !findings in
+  (* local module aliases ("module H = Hashtbl"), expanded on lookup *)
+  let aliases : (string, string list) Hashtbl.t = Hashtbl.create 8 in
+  let resolve p =
+    match norm_comps (path_comps p) with
+    | head :: rest when Hashtbl.mem aliases head -> Hashtbl.find aliases head @ rest
+    | comps -> comps
+  in
+  let alias name me =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Hashtbl.replace aliases name (resolve p)
+    | _ -> ()
+  in
+  (* a type declared in this unit is named by a bare identifier *)
+  let graph_like p =
+    let comps =
+      match p with
+      | Path.Pident id -> String.split_on_char '.' u.canon @ [ Ident.name id ]
+      | _ -> resolve p
+    in
+    match List.rev comps with
+    | "t" :: ("Graph" | "Network") :: _ -> true
+    | _ -> false
+  in
+  let ident_rules e p =
+    match resolve p with
+    | [ "Stdlib"; "Hashtbl"; fn ] when on "D001" && List.mem fn hashtbl_unordered ->
+      add e.exp_loc "D001"
+        (Printf.sprintf "Hashtbl.%s iterates in hash order; use Dex_util.Table.%s" fn
+           (match fn with
+            | "iter" -> "iter_sorted"
+            | "fold" -> "fold_sorted"
+            | _ -> "keys_sorted"))
+    | "Stdlib" :: "Random" :: _ when on "D002" ->
+      add e.exp_loc "D002" "ambient Random.* breaks replayability; thread a Dex_util.Rng.t"
+    | [ "Stdlib"; ("failwith" | "invalid_arg" as fn) ] when on "D003" ->
+      add e.exp_loc "D003"
+        (Printf.sprintf
+           "%s in a protocol layer; raise a typed exception (Dex_util.Invariant.%s)" fn
+           (if fn = "failwith" then "fail" else "require"))
+    | [ "Stdlib"; "Sys"; "time" ] | [ "Unix"; ("gettimeofday" | "time") ] when on "D004" ->
+      add e.exp_loc "D004" "wall-clock read; use Dex_obs.Clock.now_ns"
+    | _ -> ()
+  in
+  let apply_rules e f args =
+    match f.exp_desc with
+    | Texp_ident (fp, _, _) -> (
+      match resolve fp with
+      | [ "Stdlib"; op ]
+        when on "D005" && List.mem op compare_like
+             && Option.fold ~none:false ~some:graph_like (domain_head f.exp_type) ->
+        add e.exp_loc "D005"
+          (Printf.sprintf
+             "polymorphic %s on a graph/network value; compare explicit fields instead" op)
+      | comps when on "D006" && sort_family comps -> (
+        match List.find_map (function Asttypes.Nolabel, a -> a | _ -> None) args with
+        | Some ({ exp_desc = Texp_ident (cp, _, _); _ } as cmp)
+          when resolve cp = [ "Stdlib"; "compare" ]
+               && not
+                    (Option.fold ~none:false
+                       ~some:(fun h -> List.exists (Path.same h) specialized)
+                       (domain_head cmp.exp_type)) ->
+          add e.exp_loc "D006"
+            (Printf.sprintf
+               "polymorphic compare passed to %s on a hot path at a type the \
+                compiler does not specialize; use a monomorphic comparator \
+                (e.g. Int.compare)"
+               (String.concat "." (List.tl comps)))
+        | _ -> ())
+      | _ -> ())
+    | _ -> ()
+  in
+  let expr (self : Tast_iterator.iterator) e =
+    (match e.exp_desc with
+     | Texp_ident (p, _, _) -> ident_rules e p
+     | Texp_assert ({ exp_desc = Texp_construct (_, { cstr_name = "false"; _ }, []); _ }, _)
+       when on "D003" ->
+       add e.exp_loc "D003"
+         "assert false in a protocol layer; raise a typed exception \
+          (Dex_util.Invariant.fail)"
+     | Texp_apply (f, args) -> apply_rules e f args
+     | Texp_letmodule (_, { txt = Some name; _ }, _, me, _) -> alias name me
+     | _ -> ());
+    Tast_iterator.default_iterator.expr self e
+  in
+  let structure_item (self : Tast_iterator.iterator) si =
+    (match si.str_desc with
+     | Tstr_module { mb_name = { txt = Some name; _ }; mb_expr; _ } -> alias name mb_expr
+     | _ -> ());
+    Tast_iterator.default_iterator.structure_item self si
+  in
+  let it = { Tast_iterator.default_iterator with expr; structure_item } in
+  it.structure it str;
+  List.rev !findings
+
+(* ================= C003: vertex params in .mli ==================== *)
+
+let vertex_param_names =
+  [ "vertex"; "root"; "src"; "dst"; "leader"; "source"; "target"; "parent";
+    "neighbor"; "u"; "v" ]
+
+let c003 ~file sg =
+  let findings = ref [] in
+  let add ct message =
+    findings := finding_of_loc ~rule:"C003" ~file ct.ctyp_loc message :: !findings
+  in
+  let constr_args path ct =
+    match ct.ctyp_desc with
+    | Ttyp_constr (p, _, args) when Path.same p path -> Some args
+    | _ -> None
+  in
+  let is_int ct = match constr_args Predef.path_int ct with Some [] -> true | _ -> false in
+  let typ (self : Tast_iterator.iterator) ct =
+    (match ct.ctyp_desc with
+     | Ttyp_arrow ((Asttypes.Labelled l | Asttypes.Optional l), arg, _) ->
+       if List.mem l vertex_param_names && is_int arg then
+         add arg
+           (Printf.sprintf
+              "vertex-valued parameter ~%s is a raw int; use \
+               Dex_graph.Vertex.local (subnetwork coordinates) or \
+               Vertex.orig (original coordinates)"
+              l)
+       else if l = "vertex_map"
+               && (match constr_args Predef.path_array arg with
+                   | Some [ elt ] -> is_int elt
+                   | _ -> false)
+       then add arg "vertex map parameter is a raw int array; use Dex_graph.Vertex.Map.t"
+     | _ -> ());
+    Tast_iterator.default_iterator.typ self ct
+  in
+  let it = { Tast_iterator.default_iterator with typ } in
+  it.signature it sg;
+  List.rev !findings
+
+(* ================= per-source entry point ========================= *)
+
+(* Every rule scoped to one source file, on its compiled unit [u]: the
+   D- and W-rules on an implementation, C003 on an interface. [src] is
+   the file's text: its pragmas silence findings, and each malformed
+   pragma is a D000 finding. *)
+let lint_unit ?(all_rules = false) ~path ~src u =
+  let on = Lint.rule_applies ~all_rules (Lint.rel_segments path) in
+  let raw =
+    match u.annots with
+    | Cmt_format.Implementation str -> d_rules ~on ~file:path u str @ w_rules ~file:path str
+    | Cmt_format.Interface sg when on "C003" -> c003 ~file:path sg
+    | _ -> []
+  in
+  let pragmas = Lint.scan_pragmas ~path src in
+  List.sort Lint.by_position (pragmas.malformed @ Lint.unsuppressed pragmas raw)
 
 (* ================= X-rules: reference graph ======================= *)
 
@@ -363,8 +504,6 @@ type ref_db = {
      value name "" is a bare module reference *)
   mutable value_refs : (string * string * string) list;
 }
-
-let norm_comps comps = List.concat_map split_wrapped comps
 
 (* resolve alias prefixes: local aliases of the referencing unit first,
    then cross-unit aliases (e.g. Dexpander's re-exports), to fixpoint *)
@@ -492,13 +631,12 @@ let build_ref_db impls =
 
 (* ---- C004: dead exports ---- *)
 
-let dead_exports ~scope ~include_fixtures db impls intfs =
+let dead_exports ~scope ~include_fixtures db intfs =
   let used : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter
     (fun (_, unit, member) ->
       if member <> "" then Hashtbl.replace used (unit, member) ())
     db.value_refs;
-  ignore impls;
   List.concat_map
     (fun u ->
       match u.source with
@@ -571,6 +709,8 @@ let layering ~source_root db impls =
   let findings = ref [] in
   (* order violations *)
   Dex_util.Table.iter_sorted
+    ~compare:(fun (a, b) (c, d) ->
+      match String.compare a c with 0 -> String.compare b d | k -> k)
     (fun (a, b) () ->
       match (rank a, rank b) with
       | Some ra, Some rb when rb >= ra ->
@@ -672,67 +812,3 @@ let graph_to_json db impls =
                       [ ("from", Json.String a); ("to", Json.String b);
                         ("value", Json.String m) ]))
              (List.sort_uniq compare db.value_refs)) ) ]
-
-(* ================= C003: vertex params in .mli ==================== *)
-
-let vertex_param_names =
-  [ "vertex"; "root"; "src"; "dst"; "leader"; "source"; "target"; "parent";
-    "neighbor"; "u"; "v" ]
-
-let c003_scope segs =
-  Lint.under [ "lib"; "congest" ] segs
-  || Lint.under [ "lib"; "ldd" ] segs
-  || Lint.under [ "lib"; "expander" ] segs
-
-let lint_mli_source ?(all_rules = false) ~path src =
-  let segs = Lint.rel_segments path in
-  if not (all_rules || c003_scope segs) then Ok []
-  else begin
-    let lexbuf = Lexing.from_string src in
-    Location.init lexbuf path;
-    match Parse.interface lexbuf with
-    | exception exn -> Error (Lint.parse_error_message exn)
-    | sg ->
-      let findings = ref [] in
-      let open Parsetree in
-      let is_plain_int ct =
-        match ct.ptyp_desc with
-        | Ptyp_constr ({ txt = Longident.Lident "int"; _ }, []) -> true
-        | _ -> false
-      in
-      let is_int_array ct =
-        match ct.ptyp_desc with
-        | Ptyp_constr ({ txt = Longident.Lident "array"; _ }, [ elt ]) ->
-          is_plain_int elt
-        | _ -> false
-      in
-      let typ (self : Ast_iterator.iterator) ct =
-        (match ct.ptyp_desc with
-         | Ptyp_arrow ((Asttypes.Labelled l | Asttypes.Optional l), arg, _) ->
-           if List.mem l vertex_param_names && is_plain_int arg then
-             findings :=
-               finding_of_loc ~rule:"C003" ~file:path arg.ptyp_loc
-                 (Printf.sprintf
-                    "vertex-valued parameter ~%s is a raw int; use \
-                     Dex_graph.Vertex.local (subnetwork coordinates) or \
-                     Vertex.orig (original coordinates)"
-                    l)
-               :: !findings
-           else if l = "vertex_map" && is_int_array arg then
-             findings :=
-               finding_of_loc ~rule:"C003" ~file:path arg.ptyp_loc
-                 "vertex map parameter is a raw int array; use \
-                  Dex_graph.Vertex.Map.t"
-               :: !findings
-         | _ -> ());
-        Ast_iterator.default_iterator.typ self ct
-      in
-      let it = { Ast_iterator.default_iterator with typ } in
-      it.signature it sg;
-      Ok (suppress ~path ~src (List.rev !findings))
-  end
-
-let lint_mli_file ?all_rules path =
-  match read_file path with
-  | exception Sys_error msg -> Error msg
-  | src -> lint_mli_source ?all_rules ~path src
