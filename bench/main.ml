@@ -590,6 +590,10 @@ let e10_micro () =
   let cyc = X.Generators.cycle 4096 in
   let dist = X.Walk.degree_distribution g in
   let sparse = X.Walk.truncated_walk g ~src:0 ~eps:1e-7 ~steps:4 in
+  (* the allocation-free path Nibble runs: one step of a walker
+     restarted at the same distribution, and a rescan into one sweep *)
+  let walker = X.Walk.walker g and sweep = X.Sweep.workspace g in
+  let mask = Array.make (X.Graph.num_vertices g) false in
   (* tracing-overhead pair: the same 8-round flood on the same cycle,
      one network with no trace attached, one with round ticks + edge
      histograms live. The plain variant is the zero-overhead claim of
@@ -618,7 +622,12 @@ let e10_micro () =
     [ Test.make ~name:"walk-step-dense" (Staged.stage (fun () -> X.Walk.step_dense g dist));
       Test.make ~name:"walk-step-sparse"
         (Staged.stage (fun () -> X.Walk.step_sparse g sparse.(4)));
+      Test.make ~name:"walk-advance"
+        (Staged.stage (fun () ->
+             X.Walk.start walker sparse.(4);
+             X.Walk.advance walker g ~eps:1e-7 ~mask));
       Test.make ~name:"sweep-scan" (Staged.stage (fun () -> X.Sweep.scan g sparse.(4)));
+      Test.make ~name:"sweep-rescan" (Staged.stage (fun () -> X.Sweep.rescan sweep g sparse.(4)));
       Test.make ~name:"bfs-distances" (Staged.stage (fun () -> X.Metrics.bfs_distances g 0));
       Test.make ~name:"triangle-count" (Staged.stage (fun () -> X.Triangles.count g));
       Test.make ~name:"gnp-generate"

@@ -11,24 +11,16 @@ type cut = {
   rounds : int;
 }
 
-let of_sweep g sweep =
-  let best = ref None in
-  Array.iter
-    (fun (pref : Sweep.prefix) ->
-      if Float.is_finite pref.Sweep.conductance then
-        match !best with
-        | None -> best := Some pref
-        | Some b -> if pref.Sweep.conductance < b.Sweep.conductance then best := Some pref)
-    sweep.Sweep.prefixes;
+let of_sweep g (sweep : Sweep.t) =
   Option.map
-    (fun (pref : Sweep.prefix) ->
-      let vertices = Sweep.take sweep pref.Sweep.len in
+    (fun j ->
+      let vertices = Sweep.take sweep j in
       Array.sort Int.compare vertices;
       { vertices;
-        conductance = pref.Sweep.conductance;
+        conductance = sweep.conductance.(j - 1);
         balance = Metrics.balance g vertices;
         rounds = 0 })
-    !best
+    (Sweep.best sweep)
 
 let spectral g rng =
   let iters = 100 in
@@ -50,23 +42,25 @@ let dsmp ?walk_length g rng =
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in
     let ws = Dex_spectral.Walk.workspace g in
+    let sweep = Sweep.workspace g in
     let p = ref (Dex_spectral.Walk.indicator src) in
     let best = ref None in
     for _ = 1 to steps do
       p := Dex_spectral.Walk.step ws g !p;
-      match Sweep.best_cut g !p with
+      Sweep.rescan sweep g !p;
+      match Sweep.best sweep with
       | None -> ()
-      | Some (sweep, j) ->
-        let pref = sweep.Sweep.prefixes.(j - 1) in
+      | Some j ->
+        let conductance = sweep.conductance.(j - 1) in
         (match !best with
-        | Some (bc, _, _) when bc <= pref.Sweep.conductance -> ()
+        | Some (bc, _) when bc <= conductance -> ()
         | _ ->
           let vertices = Sweep.take sweep j in
           Array.sort Int.compare vertices;
-          best := Some (pref.Sweep.conductance, vertices, ()))
+          best := Some (conductance, vertices))
     done;
     Option.map
-      (fun (conductance, vertices, ()) ->
+      (fun (conductance, vertices) ->
         { vertices;
           conductance;
           balance = Metrics.balance g vertices;

@@ -21,6 +21,16 @@ type outcome = {
   participants : int array;
 }
 
+(* one run's scratch: the double-buffered walk, the sweep buffers and
+   a mask of every vertex any p̃_t has supported (all false between
+   runs) *)
+type workspace = { walker : Walk.walker; sweep : Sweep.t; seen : bool array }
+
+let workspace g =
+  { walker = Walk.walker g;
+    sweep = Sweep.workspace g;
+    seen = Array.make (Graph.num_vertices g) false }
+
 let ceil_log2 x = int_of_float (Float.ceil (log (Float.max 2.0 x) /. log 2.0))
 
 (* cost of one "random binary search" for a sweep prefix (Lemma 9):
@@ -28,61 +38,49 @@ let ceil_log2 x = int_of_float (Float.ceil (log (Float.max 2.0 x) /. log 2.0))
    of P-star, whose depth at walk step t is at most 2t + 1. *)
 let candidate_cost ~t ~support = (ceil_log2 (float_of_int (max 2 support)) + 1) * ((2 * t) + 1)
 
-let cut_of_prefix sweep (pref : Sweep.prefix) ~t =
-  let vertices = Sweep.take sweep pref.Sweep.len in
+(* copies π(1..j) out of the sweep, whose buffers the next rescan
+   overwrites *)
+let cut_of_prefix (sweep : Sweep.t) j ~t =
+  let vertices = Sweep.take sweep j in
   Array.sort Int.compare vertices;
   { vertices;
-    volume = pref.Sweep.volume;
-    cut_edges = pref.Sweep.cut;
-    conductance = pref.Sweep.conductance;
+    volume = sweep.volume.(j - 1);
+    cut_edges = sweep.cut.(j - 1);
+    conductance = sweep.conductance.(j - 1);
     found_t = t;
-    found_j = pref.Sweep.len }
+    found_j = j }
 
-(* ‖next − prev‖₁ as a two-pointer merge of the ascending supports.
-   The sum runs over [next] ascending, then over the entries of [prev]
-   that left the support, ascending; the fixpoint step, and so the
-   pinned outputs, depend on this order (DESIGN.md §12). *)
-let l1_change ~prev ~next =
-  let acc = ref 0.0 in
-  let np = Walk.size prev in
-  let j = ref 0 in
-  for i = 0 to Walk.size next - 1 do
-    let v = Walk.nth_vertex next i in
-    while !j < np && Walk.nth_vertex prev !j < v do
-      incr j
-    done;
-    let y = if !j < np && Walk.nth_vertex prev !j = v then Walk.nth_mass prev !j else 0.0 in
-    acc := !acc +. Float.abs (Walk.nth_mass next i -. y)
-  done;
-  let i = ref 0 in
-  let nn = Walk.size next in
-  for j = 0 to np - 1 do
-    let v = Walk.nth_vertex prev j in
-    while !i < nn && Walk.nth_vertex next !i < v do
-      incr i
-    done;
-    if not (!i < nn && Walk.nth_vertex next !i = v) then acc := !acc +. Walk.nth_mass prev j
-  done;
-  !acc
-
+(* the thresholds of one variant of (C.1)–(C.3): Φ ≤ [phi_max] and
+   [ceil_num]·Vol(V) ≥ [ceil_den]·Vol *)
 type conditions = {
-  c1 : Sweep.prefix -> bool;
-  c2 : Sweep.prefix -> float -> bool;
-  (* prefix, rho at the reference index *)
-  c3 : Sweep.prefix -> bool;
+  phi_max : float;
+  ceil_num : int;
+  ceil_den : int;
+  gamma : float;
+  vol_lower : float;
+  total_volume : int;
 }
 
-let run_generic (params : Params.t) g ~src ~b ~select =
+(* whether π(1..j) passes [c], with (C.2) read at the ρ of π(r) *)
+let passes c (sweep : Sweep.t) ~j ~r =
+  let vol = sweep.volume.(j - 1) in
+  sweep.conductance.(j - 1) <= c.phi_max
+  && sweep.last_rho.(r - 1) >= c.gamma /. float_of_int (max 1 vol)
+  && float_of_int vol >= c.vol_lower
+  && c.ceil_num * c.total_volume >= c.ceil_den * vol
+
+let get_workspace g = function Some ws -> ws | None -> workspace g
+
+let run_generic ?workspace (params : Params.t) g ~src ~b ~select =
   if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range";
+  let { walker; sweep; seen } = get_workspace g workspace in
+  (* checked before anything is marked: the mask must stay clean *)
+  if Graph.num_vertices g > Array.length seen then
+    invalid_arg "Nibble: workspace smaller than the graph";
   let total_volume = Graph.total_volume g in
   let eps = Params.eps_b params b in
-  (* per-run scratch: the walk's dense accumulator and a mask of every
-     vertex any p̃_t has supported *)
-  let ws = Walk.workspace g in
-  let seen = Array.make (Graph.num_vertices g) false in
-  let note_support p = Walk.iter (fun v _ -> seen.(v) <- true) p in
-  let p = ref (Walk.indicator src) in
-  note_support !p;
+  Walk.start walker (Walk.indicator src);
+  seen.(src) <- true;
   let rounds = ref 0 in
   let candidates = ref 0 in
   let result = ref None in
@@ -90,24 +88,11 @@ let run_generic (params : Params.t) g ~src ~b ~select =
   (* conditions shared by the exact and approximate variants *)
   let vol_lower = 5.0 /. 7.0 *. (2.0 ** float_of_int (b - 1)) in
   let strict =
-    { c1 = (fun pref -> pref.Sweep.conductance <= params.phi);
-      c2 =
-        (fun pref rho_j ->
-          rho_j >= params.gamma /. float_of_int (max 1 pref.Sweep.volume));
-      c3 =
-        (fun pref ->
-          float_of_int pref.Sweep.volume >= vol_lower
-          && 5 * total_volume >= 6 * pref.Sweep.volume) }
+    { phi_max = params.phi; ceil_num = 5; ceil_den = 6; gamma = params.gamma; vol_lower;
+      total_volume }
   in
   let relaxed =
-    { c1 = (fun pref -> pref.Sweep.conductance <= params.c1_relaxed_factor *. params.phi);
-      c2 =
-        (fun pref rho_prev ->
-          rho_prev >= params.gamma /. float_of_int (max 1 pref.Sweep.volume));
-      c3 =
-        (fun pref ->
-          float_of_int pref.Sweep.volume >= vol_lower
-          && 11 * total_volume >= 12 * pref.Sweep.volume) }
+    { strict with phi_max = params.c1_relaxed_factor *. params.phi; ceil_num = 11; ceil_den = 12 }
   in
   let converged = ref false in
   (* once a candidate passes we keep walking for [patience] more steps
@@ -124,17 +109,14 @@ let run_generic (params : Params.t) g ~src ~b ~select =
     (not (good_enough ())) && (not !converged) && !t < min params.t0 !deadline
   do
     incr t;
-    let next = Walk.step ~eps ws g !p in
+    (* one diffusion step = one communication round; fixpoint
+       detection: once the truncated walk stops moving no later sweep
+       can differ, so scanning further steps is pointless *)
+    if Walk.advance walker g ~eps ~mask:seen <= 1e-12 then converged := true;
     incr rounds;
-    (* one diffusion step = one communication round *)
-    (* fixpoint detection: once the truncated walk stops moving no
-       later sweep can differ, so scanning further steps is pointless *)
-    let l1_change = l1_change ~prev:!p ~next in
-    if l1_change <= 1e-12 then converged := true;
-    p := next;
-    note_support !p;
-    if Walk.size !p > 0 && Params.should_sweep params !t then begin
-      let sweep = Sweep.scan g !p in
+    let p = Walk.current walker in
+    if Walk.size p > 0 && Params.should_sweep params !t then begin
+      Sweep.rescan sweep g p;
       match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
       | None -> ()
       | Some cut ->
@@ -147,13 +129,29 @@ let run_generic (params : Params.t) g ~src ~b ~select =
   done;
   (* on early convergence, one last sweep in case the stride skipped
      the fixpoint step *)
-  if !result = None && !converged && Walk.size !p > 0 then begin
-    let sweep = Sweep.scan g !p in
+  let p = Walk.current walker in
+  if !result = None && !converged && Walk.size p > 0 then begin
+    Sweep.rescan sweep g p;
     match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
     | None -> ()
     | Some cut -> result := Some cut
   end;
-  let participants = Dex_graph.Metrics.vertices_of_mask seen in
+  (* the participants ascending; clearing them leaves the mask all
+     false for the next run *)
+  let n = Graph.num_vertices g in
+  let count = ref 0 in
+  for v = 0 to n - 1 do
+    if seen.(v) then incr count
+  done;
+  let participants = Array.make !count 0 in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    if seen.(v) then begin
+      participants.(!k) <- v;
+      incr k;
+      seen.(v) <- false
+    end
+  done;
   { result = !result;
     src;
     b;
@@ -162,80 +160,59 @@ let run_generic (params : Params.t) g ~src ~b ~select =
     rounds = !rounds;
     participants }
 
+(* the better of the best-so-far cut and π(1..j) *)
+let keep_better best (sweep : Sweep.t) j ~t =
+  match best with
+  | Some (b : cut) when b.conductance <= sweep.conductance.(j - 1) -> best
+  | _ -> Some (cut_of_prefix sweep j ~t)
+
 let nibble params g ~src ~b =
-  let select ~strict ~relaxed:_ ~sweep ~t ~rounds ~candidates =
-    let prefixes = sweep.Sweep.prefixes in
-    let n = Array.length prefixes in
+  let select ~strict ~relaxed:_ ~(sweep : Sweep.t) ~t ~rounds ~candidates =
+    let n = sweep.length in
+    let cost = candidate_cost ~t ~support:n in
     let best = ref None in
-    for j = 0 to n - 1 do
-      let pref = prefixes.(j) in
+    for j = 1 to n do
       incr candidates;
-      rounds := !rounds + candidate_cost ~t ~support:n;
-      if strict.c1 pref && strict.c2 pref pref.Sweep.last_rho && strict.c3 pref then
-        match !best with
-        | Some (b : cut) when b.conductance <= pref.Sweep.conductance -> ()
-        | _ -> best := Some (cut_of_prefix sweep pref ~t)
+      rounds := !rounds + cost;
+      if passes strict sweep ~j ~r:j then best := keep_better !best sweep j ~t
     done;
     !best
   in
   run_generic params g ~src ~b ~select
 
-(* the geometric index sequence (j_x) of Appendix A.2 *)
-let j_sequence (params : Params.t) (sweep : Sweep.t) =
-  let prefixes = sweep.Sweep.prefixes in
-  let jmax = Array.length prefixes in
-  if jmax = 0 then []
-  else begin
-    let vol j = prefixes.(j - 1).Sweep.volume in
-    let seq = ref [ 1 ] in
-    let cur = ref 1 in
-    while !cur < jmax do
-      let budget =
-        (1.0 +. params.phi) *. float_of_int (vol !cur)
-      in
-      (* largest j with Vol(1..j) <= (1+φ)·Vol(1..j_{x-1}) *)
-      let lo = ref !cur and hi = ref jmax in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if float_of_int (vol mid) <= budget then lo := mid else hi := mid - 1
-      done;
-      let next = max (!cur + 1) !lo in
-      seq := next :: !seq;
-      cur := next
-    done;
-    List.rev !seq
-  end
+(* the index after [cur] in the geometric sequence (j_x) of Appendix
+   A.2: the largest j with Vol(1..j) ≤ (1+φ)·Vol(1..cur), at least
+   cur + 1 *)
+let next_j (params : Params.t) (sweep : Sweep.t) cur =
+  let budget = (1.0 +. params.phi) *. float_of_int sweep.volume.(cur - 1) in
+  let lo = ref cur and hi = ref sweep.length in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if float_of_int sweep.volume.(mid - 1) <= budget then lo := mid else hi := mid - 1
+  done;
+  max (cur + 1) !lo
 
-let approximate params g ~src ~b =
-  let select ~strict ~relaxed ~sweep ~t ~rounds ~candidates =
-    let prefixes = sweep.Sweep.prefixes in
-    let n = Array.length prefixes in
-    let seq = j_sequence params sweep in
+let approximate ?workspace params g ~src ~b =
+  let select ~strict ~relaxed ~(sweep : Sweep.t) ~t ~rounds ~candidates =
+    let n = sweep.length in
+    let cost = candidate_cost ~t ~support:n in
     let best = ref None in
-    let prev = ref 0 in
-    List.iter
-      (fun jx ->
-        incr candidates;
-        rounds := !rounds + candidate_cost ~t ~support:n;
-        let pref = prefixes.(jx - 1) in
-        let dense = jx = 1 || jx = !prev + 1 in
-        let ok =
-          if dense then
-            strict.c1 pref && strict.c2 pref pref.Sweep.last_rho && strict.c3 pref
-          else begin
-            let rho_prev = prefixes.(!prev - 1).Sweep.last_rho in
-            relaxed.c1 pref && relaxed.c2 pref rho_prev && relaxed.c3 pref
-          end
-        in
-        (if ok then
-           match !best with
-           | Some (b : cut) when b.conductance <= pref.Sweep.conductance -> ()
-           | _ -> best := Some (cut_of_prefix sweep pref ~t));
-        prev := jx)
-      seq;
+    (* j_1 = 1, then [next_j] until the sequence reaches n *)
+    let prev = ref 0 and j = ref 1 in
+    while !j <= n do
+      incr candidates;
+      rounds := !rounds + cost;
+      let dense = !j = 1 || !j = !prev + 1 in
+      let ok =
+        if dense then passes strict sweep ~j:!j ~r:!j else passes relaxed sweep ~j:!j ~r:!prev
+      in
+      if ok then best := keep_better !best sweep !j ~t;
+      prev := !j;
+      j := if !j < n then next_j params sweep !j else n + 1
+    done;
     !best
   in
-  run_generic params g ~src ~b ~select
+  run_generic ?workspace params g ~src ~b ~select
 
 (* each edge of P-star once, from its participating endpoint (the
    smaller one when both participate); the sorted adjacency makes

@@ -38,12 +38,25 @@ type outcome = {
       participating edge set P-star of Definition 2 *)
 }
 
+(** One Nibble run's scratch: a {!Dex_spectral.Walk.walker}, a
+    {!Dex_spectral.Sweep.t} and a participant mask, each with one cell
+    per vertex. A run leaves it ready for the next, so one workspace
+    serves every run over graphs with no more vertices — Partition
+    builds one per call. It is mutable and single-owner. *)
+type workspace
+
+(** [workspace g] is a fresh workspace sized to [num_vertices g]. *)
+val workspace : Dex_graph.Graph.t -> workspace
+
 (** [nibble params g ~src ~b] is the exact Nibble: every prefix tested
     against (C.1)–(C.3). Reference implementation for tests. *)
 val nibble : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 
-(** [approximate params g ~src ~b] is ApproximateNibble. *)
-val approximate : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
+(** [approximate ?workspace params g ~src ~b] is ApproximateNibble,
+    computed in [workspace] (a fresh one when absent). The outcome
+    shares no buffer with the workspace. *)
+val approximate :
+  ?workspace:workspace -> Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 
 (** [iter_participating_edges g outcome f] calls [f u v] once for
     each edge of P-star — the non-loop edges with at least one endpoint

@@ -71,10 +71,9 @@ let run ?alpha ?eps g ~src =
     | Some (sweep, j) ->
       let vertices = Sweep.take sweep j in
       Array.sort Int.compare vertices;
-      let pref = sweep.Sweep.prefixes.(j - 1) in
       Some
         { cut = vertices;
-          conductance = pref.Sweep.conductance;
+          conductance = sweep.Sweep.conductance.(j - 1);
           balance = Metrics.balance g vertices;
           pushes;
           support = Hashtbl.length p }

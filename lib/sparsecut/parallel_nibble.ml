@@ -16,24 +16,25 @@ let sample_scale params rng =
   let weights = Array.init ell (fun i -> 2.0 ** float_of_int (-(i + 1))) in
   1 + Rng.weighted_index rng weights
 
-let sample_start g rng =
-  let n = Graph.num_vertices g in
-  let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
-  Rng.weighted_index rng degrees
+(* the weights of ψ_V, which a start vertex is drawn from *)
+let degree_weights g = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v))
 
-let random_nibble params g rng =
-  let src = sample_start g rng in
+let draw_nibble ?workspace params g degrees rng =
+  let src = Rng.weighted_index rng degrees in
   let b = sample_scale params rng in
-  Nibble.approximate params g ~src ~b
+  Nibble.approximate ?workspace params g ~src ~b
 
-let run ?k ?ledger params g rng =
+let random_nibble params g rng = draw_nibble params g (degree_weights g) rng
+
+let run ?k ?ledger ?workspace params g rng =
   let total_volume = Graph.total_volume g in
   if total_volume = 0 then
     { cut = [||]; rounds = 0; copies = 0; aborted = false; max_overlap = 0; nibbles = [] }
   else begin
     let k = match k with Some k -> k | None -> Params.parallel_copies params ~volume:total_volume in
     let w = Params.overlap_bound params ~volume:total_volume in
-    let outcomes = List.init k (fun _ -> random_nibble params g rng) in
+    let degrees = degree_weights g in
+    let outcomes = List.init k (fun _ -> draw_nibble ?workspace params g degrees rng) in
     (* per-edge participation counts over P-star of each copy, one
        counter per edge at the CSR slot of (u, v), u < v; the leftmost
        rank gives parallel edges one shared counter *)

@@ -23,11 +23,13 @@ type t = {
 (** [random_nibble params g rng] is one RandomNibble run. *)
 val random_nibble : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> Nibble.outcome
 
-(** [run ?k ?ledger params g rng] is ParallelNibble(G, φ); [k]
-    overrides the number of copies (tests use this to force overlap).
+(** [run ?k ?ledger ?workspace params g rng] is ParallelNibble(G, φ);
+    [k] overrides the number of copies (tests use this to force
+    overlap). The copies run one after another, in [workspace] when it
+    is given, with their (start, scale) pairs drawn in copy order.
     When [ledger] is given the accounted cost is also charged there,
     split into its Lemma 10 components under the labels
     ["nibble-generate"], ["nibble-execute"] and ["nibble-select"]. *)
 val run :
-  ?k:int -> ?ledger:Dex_congest.Rounds.t ->
+  ?k:int -> ?ledger:Dex_congest.Rounds.t -> ?workspace:Nibble.workspace ->
   Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t

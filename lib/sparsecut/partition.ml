@@ -43,13 +43,20 @@ let run ?p ?ledger params g rng =
     let aborted = ref 0 in
     let idle = ref 0 in
     let continue = ref true in
+    (* one Nibble workspace, sized to g, serves every G{W} *)
+    let workspace = Nibble.workspace g in
+    (* G{W} and its id mapping, kept until a cut shrinks W *)
+    let sub = ref None in
     while !continue && !iterations < s do
       incr iterations;
-      let w = Metrics.vertices_of_mask in_w in
-      if Array.length w = 0 then continue := false
-      else begin
-        let gw, mapping = Graph.saturated_subgraph g w in
-        let pn = Parallel_nibble.run ?ledger params gw rng in
+      if Option.is_none !sub then begin
+        let w = Metrics.vertices_of_mask in_w in
+        if Array.length w > 0 then sub := Some (Graph.saturated_subgraph g w)
+      end;
+      match !sub with
+      | None -> continue := false
+      | Some (gw, mapping) ->
+        let pn = Parallel_nibble.run ?ledger ~workspace params gw rng in
         rounds := !rounds + pn.Parallel_nibble.rounds;
         if pn.Parallel_nibble.aborted then incr aborted;
         let cut = pn.Parallel_nibble.cut in
@@ -70,6 +77,7 @@ let run ?p ?ledger params g rng =
         end
         else begin
           idle := 0;
+          sub := None;
           Array.iter
             (fun sub_v ->
               let v = mapping.(sub_v) in
@@ -81,7 +89,6 @@ let run ?p ?ledger params g rng =
             cut;
           if !w_volume <= threshold then continue := false
         end
-      end
     done;
     let cut = Array.of_list !removed in
     Array.sort Int.compare cut;

@@ -1,85 +1,179 @@
 module Graph = Dex_graph.Graph
 
-type prefix = {
-  len : int;
-  volume : int;
-  cut : int;
-  conductance : float;
-  last_rho : float;
+(* [stamp.(v) = epoch] marks v in the prefix being measured; [tmp_v]
+   and [tmp_r] are the merge sort's second buffer *)
+type scratch = {
+  stamp : int array;
+  mutable epoch : int;
+  tmp_v : int array;
+  tmp_r : float array;
 }
 
-type t = { ordered : int array; prefixes : prefix array }
+type t = {
+  ordered : int array;
+  volume : int array;
+  cut : int array;
+  conductance : float array;
+  last_rho : float array;
+  mutable length : int;
+  scratch : scratch;
+}
+
+let workspace g =
+  let n = Graph.num_vertices g in
+  { ordered = Array.make n 0;
+    volume = Array.make n 0;
+    cut = Array.make n 0;
+    conductance = Array.make n 0.0;
+    last_rho = Array.make n 0.0;
+    length = 0;
+    scratch =
+      { stamp = Array.make n 0; epoch = 0; tmp_v = Array.make n 0; tmp_r = Array.make n 0.0 } }
 
 let take sweep j =
-  if j < 0 || j > Array.length sweep.ordered then invalid_arg "Sweep.take";
+  if j < 0 || j > sweep.length then invalid_arg "Sweep.take";
   Array.sub sweep.ordered 0 j
 
-(* the support of [p] with positive degree, ordered by decreasing ρ
-   (ties by vertex id), and the aligned ρ values *)
-let order_with_rho g p =
-  let entries = ref [] in
-  for i = Walk.size p - 1 downto 0 do
-    let v = Walk.nth_vertex p i in
-    let deg = Graph.degree g v in
-    if deg > 0 then entries := (v, Walk.nth_mass p i /. float_of_int deg) :: !entries
+(* (r1, v1) comes before (r2, v2) in the sweep order: ρ descending,
+   ties by vertex ascending. [Float.compare] makes it a total order
+   even on NaN, so every correct sort yields the same permutation. *)
+let[@inline] before (r1 : float) (v1 : int) (r2 : float) (v2 : int) =
+  let c = Float.compare r1 r2 in
+  c > 0 || (c = 0 && v1 < v2)
+
+(* merges the sorted runs [lo, mid) and [mid, hi) of (sv, sr) into the
+   same range of (dv, dr) *)
+let merge sv sr dv dr lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !i < mid && (!j >= hi || not (before sr.(!j) sv.(!j) sr.(!i) sv.(!i))) then begin
+      dv.(k) <- sv.(!i);
+      dr.(k) <- sr.(!i);
+      incr i
+    end
+    else begin
+      dv.(k) <- sv.(!j);
+      dr.(k) <- sr.(!j);
+      incr j
+    end
+  done
+
+let insertion_run = 8
+
+(* stable merge sort of (ordered, last_rho).(0 .. length-1) by
+   [before]: insertion-sorted runs of [insertion_run] entries, then
+   bottom-up merges that alternate between the sweep's arrays and the
+   scratch *)
+let sort t =
+  let n = t.length and v = t.ordered and r = t.last_rho in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + insertion_run) in
+    for i = !lo + 1 to hi - 1 do
+      let x = v.(i) and rx = r.(i) in
+      let j = ref (i - 1) in
+      while !j >= !lo && before rx x r.(!j) v.(!j) do
+        v.(!j + 1) <- v.(!j);
+        r.(!j + 1) <- r.(!j);
+        decr j
+      done;
+      v.(!j + 1) <- x;
+      r.(!j + 1) <- rx
+    done;
+    lo := hi
   done;
-  let entries = Array.of_list !entries in
-  Array.stable_sort
-    (fun (v1, r1) (v2, r2) -> match Float.compare r2 r1 with 0 -> Int.compare v1 v2 | c -> c)
-    entries;
-  (Array.map fst entries, Array.map snd entries)
+  let s = t.scratch in
+  let width = ref insertion_run and in_scratch = ref false in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) in
+      let hi = min n (mid + !width) in
+      if !in_scratch then merge s.tmp_v s.tmp_r v r !lo mid hi
+      else merge v r s.tmp_v s.tmp_r !lo mid hi;
+      lo := hi
+    done;
+    in_scratch := not !in_scratch;
+    width := 2 * !width
+  done;
+  if !in_scratch then begin
+    Array.blit s.tmp_v 0 v 0 n;
+    Array.blit s.tmp_r 0 r 0 n
+  end
 
-let order g p = fst (order_with_rho g p)
-
-(* [rhos.(j)] is the ρ of [ordered.(j)], reported as the prefix's
-   [last_rho] *)
-let scan_order g ordered rhos =
+(* measures every prefix of [t.ordered.(0 .. length-1)] in [g] *)
+let measure t g =
   let total_volume = Graph.total_volume g in
-  let n = Array.length ordered in
-  let in_set = Array.make (Graph.num_vertices g) false in
-  let volume = ref 0 in
-  let cut = ref 0 in
-  let dummy = { len = 0; volume = 0; cut = 0; conductance = 0.0; last_rho = 0.0 } in
-  let prefixes = Array.make n dummy in
-  for j = 0 to n - 1 do
-    let v = ordered.(j) in
+  let s = t.scratch in
+  s.epoch <- s.epoch + 1;
+  let volume = ref 0 and cut = ref 0 in
+  for j = 0 to t.length - 1 do
+    let v = t.ordered.(j) in
     let inside = ref 0 in
     let nbrs = Graph.neighbors g v in
     for i = 0 to Array.length nbrs - 1 do
-      if in_set.(nbrs.(i)) then incr inside
+      if s.stamp.(nbrs.(i)) = s.epoch then incr inside
     done;
-    in_set.(v) <- true;
+    s.stamp.(v) <- s.epoch;
     volume := !volume + Graph.degree g v;
     cut := !cut + Graph.plain_degree g v - (2 * !inside);
     let small = min !volume (total_volume - !volume) in
-    let conductance =
-      if small <= 0 then Float.infinity else float_of_int !cut /. float_of_int small
-    in
-    prefixes.(j) <-
-      { len = j + 1; volume = !volume; cut = !cut; conductance; last_rho = rhos.(j) }
+    t.volume.(j) <- !volume;
+    t.cut.(j) <- !cut;
+    t.conductance.(j) <-
+      (if small <= 0 then Float.infinity else float_of_int !cut /. float_of_int small)
+  done
+
+let check_size t g =
+  if Graph.num_vertices g > Array.length t.ordered then
+    invalid_arg "Sweep: workspace smaller than the graph"
+
+let rescan t g p =
+  check_size t g;
+  (* the support with positive degree, ascending, with its ρ *)
+  let k = ref 0 in
+  for i = 0 to p.Walk.len - 1 do
+    let v = p.Walk.support.(i) in
+    let deg = Graph.degree g v in
+    if deg > 0 then begin
+      t.ordered.(!k) <- v;
+      t.last_rho.(!k) <- p.Walk.masses.(i) /. float_of_int deg;
+      incr k
+    end
   done;
-  { ordered; prefixes }
+  t.length <- !k;
+  sort t;
+  measure t g
 
 let scan g p =
-  let ordered, rhos = order_with_rho g p in
-  scan_order g ordered rhos
+  let t = workspace g in
+  rescan t g p;
+  t
+
+let order g p =
+  let t = scan g p in
+  Array.sub t.ordered 0 t.length
+
+let best t =
+  let best = ref (-1) in
+  for j = 0 to t.length - 1 do
+    let c = t.conductance.(j) in
+    if Float.is_finite c && (!best < 0 || c < t.conductance.(!best)) then best := j
+  done;
+  if !best < 0 then None else Some (!best + 1)
 
 let best_cut g p =
-  let sweep = scan g p in
-  let best = ref None in
-  Array.iter
-    (fun pref ->
-      if Float.is_finite pref.conductance then
-        match !best with
-        | None -> best := Some pref
-        | Some b -> if pref.conductance < b.conductance then best := Some pref)
-    sweep.prefixes;
-  Option.map (fun pref -> (sweep, pref.len)) !best
+  let t = scan g p in
+  Option.map (fun j -> (t, j)) (best t)
 
 let scan_vector g x =
+  let t = workspace g in
   let n = Graph.num_vertices g in
-  let idx = Array.init n (fun v -> v) in
-  Array.sort
-    (fun a b -> match Float.compare x.(b) x.(a) with 0 -> Int.compare a b | c -> c)
-    idx;
-  scan_order g idx (Array.map (fun v -> x.(v)) idx)
+  for v = 0 to n - 1 do
+    t.ordered.(v) <- v;
+    t.last_rho.(v) <- x.(v)
+  done;
+  t.length <- n;
+  sort t;
+  measure t g;
+  t

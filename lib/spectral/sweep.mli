@@ -1,34 +1,61 @@
 (** Sweep cuts: order vertices by normalized walk mass ρ(v) = p(v)/deg(v)
     and scan prefixes π(1..j), maintaining the cut size incrementally.
-    This is the π̃_t machinery of the paper's Appendix A.1. *)
+    This is the π̃_t machinery of the paper's Appendix A.1.
 
-(** Measurements of one prefix π(1..j) of a sweep order. *)
-type prefix = {
-  len : int; (** j: number of vertices in the prefix *)
-  volume : int; (** Vol(π(1..j)) in the ambient graph *)
-  cut : int; (** \|∂(π(1..j))\| *)
-  conductance : float; (** Φ as defined for the ambient graph *)
-  last_rho : float; (** ρ of the j-th (last) vertex of the prefix *)
+    A sweep is a reusable struct-of-arrays workspace: the order and the
+    measurements of every prefix sit in aligned arrays of capacity n,
+    and {!rescan} overwrites them in place, so a Nibble run scans step
+    after step without allocating. *)
+
+(** Sort and prefix scratch: epoch stamps for the in-prefix set and the
+    merge sort's second buffer. *)
+type scratch
+
+(** A sweep. Index [i < length] describes the prefix π(1..i+1):
+    [ordered.(i)] is its last vertex, [volume.(i)] its volume
+    Vol(π(1..i+1)) in the ambient graph, [cut.(i)] its cut size
+    \|∂(π(1..i+1))\|, [conductance.(i)] its conductance (infinity when
+    a side has volume 0) and [last_rho.(i)] the ρ of [ordered.(i)].
+    Cells at [length] and beyond are stale. A sweep is mutable and
+    single-owner; {!rescan} overwrites it, so {!take} what must outlive
+    that. *)
+type t = private {
+  ordered : int array;
+  volume : int array;
+  cut : int array;
+  conductance : float array;
+  last_rho : float array;
+  mutable length : int;
+  scratch : scratch;
 }
 
-(** A completed sweep: the order and the stats of all its prefixes
-    ([prefixes.(j-1)] describes π(1..j)). *)
-type t = { ordered : int array; prefixes : prefix array }
+(** [workspace g] is an empty sweep sized to [num_vertices g]; it
+    serves [g] and any graph with no more vertices. *)
+val workspace : Dex_graph.Graph.t -> t
 
-(** [take sweep j] materializes π(1..j) as a vertex array. *)
-val take : t -> int -> int array
+(** [rescan t g p] overwrites [t] with the sweep of [p]: the support of
+    [p] with positive degree, sorted by decreasing ρ (ties by vertex id
+    — the paper breaks ties by ID), and every prefix measured. It costs
+    a merge sort of the support plus one pass over its edges, and
+    allocates nothing. Raises [Invalid_argument] when [g] has more
+    vertices than [t] has cells. *)
+val rescan : t -> Dex_graph.Graph.t -> Walk.sparse -> unit
 
-(** [order g p] is the support of [p] sorted by decreasing ρ (ties by
-    vertex id — the paper breaks ties by ID); degree-0 vertices are
-    left out. *)
-val order : Dex_graph.Graph.t -> Walk.sparse -> int array
-
-(** [scan g p] measures every prefix of the sweep order of [p];
-    O(\|support\|·avg-deg + sort). *)
+(** [scan g p] is [rescan] into a fresh workspace. *)
 val scan : Dex_graph.Graph.t -> Walk.sparse -> t
 
-(** [best_cut g p] is [(sweep, j)] minimizing prefix conductance with
-    both sides of positive volume, if any. *)
+(** [take sweep j] copies π(1..j) out as a fresh vertex array. *)
+val take : t -> int -> int array
+
+(** [order g p] is the sweep order of [p] (a fresh array); degree-0
+    vertices are left out. *)
+val order : Dex_graph.Graph.t -> Walk.sparse -> int array
+
+(** [best t] is the length j of the first prefix of least conductance
+    among those with both sides of positive volume, if any. *)
+val best : t -> int option
+
+(** [best_cut g p] is [(scan g p, j)] with [j] its {!best} prefix. *)
 val best_cut : Dex_graph.Graph.t -> Walk.sparse -> (t * int) option
 
 (** [scan_vector g x] sweeps an arbitrary dense vector over all

@@ -1,9 +1,11 @@
 module Graph = Dex_graph.Graph
 
-(* [support] ascends strictly; [masses.(i)] is the mass at [support.(i)] *)
-type sparse = { support : int array; masses : float array }
+(* [support.(0 .. len-1)] ascends strictly; [masses.(i)] is the mass at
+   [support.(i)]. Cells at [len] and beyond are unused: a walker's
+   views are buffers of capacity n whose [len] it rewrites. *)
+type sparse = { support : int array; masses : float array; mutable len : int }
 
-let indicator v = { support = [| v |]; masses = [| 1.0 |] }
+let indicator v = { support = [| v |]; masses = [| 1.0 |]; len = 1 }
 
 let of_assoc pairs =
   let a = Array.of_list pairs in
@@ -13,25 +15,23 @@ let of_assoc pairs =
       if v < 0 then invalid_arg "Walk.of_assoc: negative vertex";
       if i > 0 && fst a.(i - 1) = v then invalid_arg "Walk.of_assoc: duplicate vertex")
     a;
-  { support = Array.map fst a; masses = Array.map snd a }
+  { support = Array.map fst a; masses = Array.map snd a; len = Array.length a }
 
-let size p = Array.length p.support
-let nth_vertex p i = p.support.(i)
-let nth_mass p i = p.masses.(i)
+let size p = p.len
 
 let iter f p =
-  for i = 0 to Array.length p.support - 1 do
+  for i = 0 to p.len - 1 do
     f p.support.(i) p.masses.(i)
   done
 
 (* index of [v] in the ascending support, or -1 *)
 let index p v =
-  let lo = ref 0 and hi = ref (Array.length p.support) in
+  let lo = ref 0 and hi = ref p.len in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
     if p.support.(mid) < v then lo := mid + 1 else hi := mid
   done;
-  if !lo < Array.length p.support && p.support.(!lo) = v then !lo else -1
+  if !lo < p.len && p.support.(!lo) = v then !lo else -1
 
 let mem p v = index p v >= 0
 
@@ -94,11 +94,36 @@ let[@inline] add ws v x =
     ws.count <- ws.count + 1
   end
 
+(* in-place heapsort of [a.(0 .. len-1)]; the entries are distinct, so
+   the result is the one ascending order any sort gives *)
+let sort_ints (a : int array) len =
+  let rec sift root last =
+    let child = (2 * root) + 1 in
+    if child <= last then begin
+      let child = if child < last && a.(child + 1) > a.(child) then child + 1 else child in
+      if a.(child) > a.(root) then begin
+        let x = a.(root) in
+        a.(root) <- a.(child);
+        a.(child) <- x;
+        sift child last
+      end
+    end
+  in
+  for root = (len / 2) - 1 downto 0 do
+    sift root (len - 1)
+  done;
+  for last = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift 0 (last - 1)
+  done
+
 (* Writes the touched set ascending into [ws.touched.(0 .. count-1)]:
-   a stamp scan when the touched set is a large share of the vertices,
-   a sort of the touched ints otherwise. *)
-let sort_touched ws =
-  let n = Array.length ws.stamp in
+   a stamp scan over the [n] vertices of the graph when the touched set
+   is a large share of them, an in-place sort of the touched ints
+   otherwise. *)
+let sort_touched ws n =
   if 8 * ws.count >= n then begin
     let j = ref 0 in
     for v = 0 to n - 1 do
@@ -108,20 +133,21 @@ let sort_touched ws =
       end
     done
   end
-  else begin
-    let sorted = Array.sub ws.touched 0 ws.count in
-    Array.sort Int.compare sorted;
-    Array.blit sorted 0 ws.touched 0 ws.count
-  end
+  else sort_ints ws.touched ws.count
 
-let step ?eps ws g p =
-  if Graph.num_vertices g > Array.length ws.stamp then
-    invalid_arg "Walk.step: workspace smaller than the graph";
+(* The step kernel: accumulates M·p into [ws], orders the touched set
+   and, when [truncate], keeps the entries that survive [\[·\]_eps]. It
+   returns the kept count; the kept vertices ascend in
+   [ws.touched.(0 .. kept-1)] and [ws.acc.(v)] is the new mass at
+   each. The owners ({!step}, {!advance}) copy them out. *)
+let kernel ws g p ~truncate ~eps =
+  let n = Graph.num_vertices g in
+  if n > Array.length ws.stamp then invalid_arg "Walk.step: workspace smaller than the graph";
   ws.epoch <- ws.epoch + 1;
   ws.count <- 0;
   (* ascending support, neighbours in adjacency order: this fixes the
      order of the terms summed into each vertex (DESIGN.md §12) *)
-  for i = 0 to Array.length p.support - 1 do
+  for i = 0 to p.len - 1 do
     let v = p.support.(i) and mass = p.masses.(i) in
     let deg = float_of_int (Graph.degree g v) in
     if deg = 0.0 then add ws v mass
@@ -134,40 +160,101 @@ let step ?eps ws g p =
       done
     end
   done;
-  sort_touched ws;
-  (* keep the entries that survive [\[·\]_ε], compacting in place *)
+  sort_touched ws n;
+  if not truncate then ws.count
+  else begin
+    (* compact the survivors in place *)
+    let k = ref 0 in
+    for i = 0 to ws.count - 1 do
+      let v = ws.touched.(i) in
+      if ws.acc.(v) >= 2.0 *. eps *. float_of_int (Graph.degree g v) then begin
+        ws.touched.(!k) <- v;
+        incr k
+      end
+    done;
+    !k
+  end
+
+let step ?eps ws g p =
   let kept =
     match eps with
-    | None -> ws.count
-    | Some eps ->
-      let k = ref 0 in
-      for i = 0 to ws.count - 1 do
-        let v = ws.touched.(i) in
-        if ws.acc.(v) >= 2.0 *. eps *. float_of_int (Graph.degree g v) then begin
-          ws.touched.(!k) <- v;
-          incr k
-        end
-      done;
-      !k
+    | None -> kernel ws g p ~truncate:false ~eps:0.0
+    | Some eps -> kernel ws g p ~truncate:true ~eps
   in
   let support = Array.sub ws.touched 0 kept in
   let masses = Array.create_float kept in
   for i = 0 to kept - 1 do
     masses.(i) <- ws.acc.(support.(i))
   done;
-  { support; masses }
+  { support; masses; len = kept }
 
 let step_sparse g p = step (workspace g) g p
 
+(* ---------------- the double-buffered walker ---------------- *)
+
+(* [cur] is the current distribution, [spare] the buffer the next
+   advance writes; both have capacity n and swap on every advance *)
+type walker = { ws : workspace; mutable cur : sparse; mutable spare : sparse }
+
+let walker g =
+  let n = Graph.num_vertices g in
+  let buffer () = { support = Array.make n 0; masses = Array.make n 0.0; len = 0 } in
+  { ws = workspace g; cur = buffer (); spare = buffer () }
+
+let start w p =
+  if p.len > Array.length w.cur.support then invalid_arg "Walk.start: walker smaller than p";
+  Array.blit p.support 0 w.cur.support 0 p.len;
+  Array.blit p.masses 0 w.cur.masses 0 p.len;
+  w.cur.len <- p.len
+
+let current w = w.cur
+
+let advance w g ~eps ~mask =
+  let ws = w.ws and prev = w.cur and next = w.spare in
+  let kept = kernel ws g prev ~truncate:true ~eps in
+  (* one pass writes p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}|
+     over p̃_t ascending, merging against the ascending p̃_{t−1} *)
+  let np = prev.len in
+  let acc = ref 0.0 in
+  let j = ref 0 in
+  for i = 0 to kept - 1 do
+    let v = ws.touched.(i) in
+    let x = ws.acc.(v) in
+    next.support.(i) <- v;
+    next.masses.(i) <- x;
+    mask.(v) <- true;
+    while !j < np && prev.support.(!j) < v do
+      incr j
+    done;
+    let y = if !j < np && prev.support.(!j) = v then prev.masses.(!j) else 0.0 in
+    acc := !acc +. Float.abs (x -. y)
+  done;
+  next.len <- kept;
+  (* then the entries of p̃_{t−1} that left the support, ascending: the
+     order of the old two-pass merge, which the fixpoint step and so
+     the pinned outputs depend on (DESIGN.md §12) *)
+  let i = ref 0 in
+  for j = 0 to np - 1 do
+    let v = prev.support.(j) in
+    while !i < kept && next.support.(!i) < v do
+      incr i
+    done;
+    if not (!i < kept && next.support.(!i) = v) then acc := !acc +. prev.masses.(j)
+  done;
+  w.cur <- next;
+  w.spare <- prev;
+  !acc
+
 let truncate g ~eps p =
   let keep = ref [] in
-  for i = Array.length p.support - 1 downto 0 do
+  for i = p.len - 1 downto 0 do
     let v = p.support.(i) in
     if p.masses.(i) >= 2.0 *. eps *. float_of_int (Graph.degree g v) then keep := i :: !keep
   done;
   let keep = Array.of_list !keep in
   { support = Array.map (fun i -> p.support.(i)) keep;
-    masses = Array.map (fun i -> p.masses.(i)) keep }
+    masses = Array.map (fun i -> p.masses.(i)) keep;
+    len = Array.length keep }
 
 let walk_from g ~src ~steps =
   let n = Graph.num_vertices g in
@@ -194,5 +281,11 @@ let rho g p v =
     let i = index p v in
     if i < 0 then 0.0 else p.masses.(i) /. float_of_int deg
 
-let mass p = Array.fold_left ( +. ) 0.0 p.masses
-let support p = Array.copy p.support
+let mass p =
+  let acc = ref 0.0 in
+  for i = 0 to p.len - 1 do
+    acc := !acc +. p.masses.(i)
+  done;
+  !acc
+
+let support p = Array.sub p.support 0 p.len

@@ -7,17 +7,24 @@
     like G for walk purposes.
 
     Distributions come in a dense form (float arrays indexed by
-    vertex) and a sparse form: an immutable pair of an ascending
-    vertex array (the support) and an aligned mass array — the sparse
-    form is what makes truncated Nibble walks cheap. Sparse steps
-    accumulate into a caller-owned dense {!workspace} and visit the
-    support in ascending order, so every float they produce is a
-    deterministic function of the input distribution. *)
+    vertex) and a sparse form: an ascending vertex array (the support),
+    an aligned mass array and a length — the sparse form is what makes
+    truncated Nibble walks cheap. Sparse steps accumulate into a
+    caller-owned dense {!workspace} and visit the support in ascending
+    order, so every float they produce is a deterministic function of
+    the input distribution. One step kernel serves two owners: {!step}
+    returns a fresh distribution, and a {!walker} advances in two
+    buffers it reuses from step to step. *)
 
-(** A sparse distribution. The support is the set of vertices the walk
-    touched, which can include zero-mass entries (e.g. a degree-0
-    vertex stepped with zero mass); it is not the nonzero set. *)
-type sparse
+(** A sparse distribution: [support.(0 .. len-1)] ascends strictly and
+    [masses.(i)] is the mass at [support.(i)]; cells from [len] on are
+    unused. The support is the set of vertices the walk touched, which
+    can include zero-mass entries (e.g. a degree-0 vertex stepped with
+    zero mass); it is not the nonzero set. The fields are readable so
+    hot loops elsewhere can scan them directly. Values built by this
+    module's constructors and {!step} never change; a {!walker}'s
+    {!current} view is rewritten by its owner (see there). *)
+type sparse = private { support : int array; masses : float array; mutable len : int }
 
 (** [indicator v] is χ_v as a sparse distribution. *)
 val indicator : int -> sparse
@@ -28,13 +35,6 @@ val of_assoc : (int * float) list -> sparse
 
 (** [size p] is the number of supported vertices. *)
 val size : sparse -> int
-
-(** [nth_vertex p i] is the [i]-th supported vertex in ascending order,
-    [0 <= i < size p]. *)
-val nth_vertex : sparse -> int -> int
-
-(** [nth_mass p i] is the mass at [nth_vertex p i]. *)
-val nth_mass : sparse -> int -> float
 
 (** [iter f p] applies [f v p(v)] to the support in ascending order. *)
 val iter : (int -> float -> unit) -> sparse -> unit
@@ -62,14 +62,42 @@ type workspace
 val workspace : Dex_graph.Graph.t -> workspace
 
 (** [step ?eps ws g p] is M·p, truncated to [\[M·p\]_eps] when [eps] is
-    given, computed in [ws]. It costs one pass over the edges at the
-    support plus ordering the touched set: a sort of it, or one pass
-    over all vertices when it holds at least an eighth of them. *)
+    given, computed in [ws] and returned as a fresh distribution. It
+    costs one pass over the edges at the support plus ordering the
+    touched set: an in-place sort of it, or one pass over all vertices
+    when it holds at least an eighth of them. *)
 val step : ?eps:float -> workspace -> Dex_graph.Graph.t -> sparse -> sparse
 
 (** [step_sparse g p] is M·p for a sparse distribution ({!step} with a
     fresh workspace). *)
 val step_sparse : Dex_graph.Graph.t -> sparse -> sparse
+
+(** A truncated walk that allocates nothing per step: a {!workspace}
+    plus two distribution buffers of capacity n that swap on every
+    {!advance}. It is mutable and single-owner, like a workspace: one
+    Nibble run at a time drives it. *)
+type walker
+
+(** [walker g] is a fresh walker sized to [num_vertices g]; it serves
+    [g] and any graph with no more vertices. *)
+val walker : Dex_graph.Graph.t -> walker
+
+(** [start w p] makes a copy of [p] the current distribution. Raises
+    [Invalid_argument] when [p] has more entries than [w] has cells. *)
+val start : walker -> sparse -> unit
+
+(** [current w] is a view of the current distribution. It is valid
+    until the next {!advance} or {!start} on [w], which rewrite its
+    buffers; copy what must outlive that. *)
+val current : walker -> sparse
+
+(** [advance w g ~eps ~mask] replaces the current distribution p̃_{t-1}
+    by p̃_t = [\[M·p̃_{t-1}\]_eps] — the same kernel, and so the same
+    floats, as [step ~eps] — sets [mask.(v)] for every vertex of its
+    support, and returns ‖p̃_t − p̃_{t-1}‖₁. The sum runs over p̃_t in
+    ascending vertex order, then over the entries of p̃_{t-1} that left
+    the support, ascending (DESIGN.md §12). *)
+val advance : walker -> Dex_graph.Graph.t -> eps:float -> mask:bool array -> float
 
 (** [truncate g ~eps p] is the paper's [\[p\]_ε]: drop entries with
     [p(v) < 2·eps·deg(v)]. *)

@@ -7,9 +7,11 @@ module Hierarchy = Dex_routing.Hierarchy
 module Router = Dex_routing.Token_router
 module Rng = Dex_util.Rng
 
+(* a random d-regular draw can fall apart into components, which no
+   router can cross; joining them keeps every connected draw as is *)
 let expander seed n d =
   let rng = Rng.create seed in
-  Gen.random_regular rng ~n ~d
+  Gen.connectivize rng (Gen.random_regular rng ~n ~d)
 
 (* ---------- hierarchy ---------- *)
 

@@ -441,6 +441,134 @@ let test_partition_respects_most_balanced_reference () =
     Alcotest.(check bool) "Theorem 3 balance" true
       (r.Partition.balance >= Float.min (b /. 2.0) (1.0 /. 48.0) -. 1e-9)
 
+(* ---------- bit-exact goldens on the cut-found path ---------- *)
+
+(* Outputs pinned at fixed seeds on planted-cut graphs, recorded before
+   Nibble moved onto the double-buffered walker and the reusable sweep
+   workspace. The perfbench workloads find no cut, so these are what
+   pins Nibble's selection and the copy of a prefix out of a sweep that
+   the next rescan overwrites. Conductances are printed with %h, so a
+   one-ulp change fails. *)
+
+(* a sorted vertex set as ascending runs "a-b" or "a" *)
+let runs vs =
+  let b = Buffer.create 64 in
+  let n = Array.length vs in
+  let i = ref 0 in
+  while !i < n do
+    let j = ref !i in
+    while !j + 1 < n && vs.(!j + 1) = vs.(!j) + 1 do
+      incr j
+    done;
+    if Buffer.length b > 0 then Buffer.add_char b ',';
+    if !j = !i then Buffer.add_string b (string_of_int vs.(!i))
+    else Buffer.add_string b (Printf.sprintf "%d-%d" vs.(!i) vs.(!j));
+    i := !j + 1
+  done;
+  Buffer.contents b
+
+let partition_golden (r : Partition.t) =
+  Printf.sprintf "cut=[%s] phi=%h iterations=%d rounds=%d aborted=%d" (runs r.Partition.cut)
+    r.Partition.conductance r.Partition.iterations r.Partition.rounds
+    r.Partition.aborted_copies
+
+let nibble_golden (o : Nibble.outcome) =
+  let cut =
+    match o.Nibble.result with
+    | None -> "none"
+    | Some c ->
+      Printf.sprintf "[%s] vol=%d edges=%d phi=%h t=%d j=%d" (runs c.Nibble.vertices)
+        c.Nibble.volume c.Nibble.cut_edges c.Nibble.conductance c.Nibble.found_t c.Nibble.found_j
+  in
+  Printf.sprintf "cut=%s steps=%d candidates=%d rounds=%d participants=%d" cut
+    o.Nibble.steps_executed o.Nibble.candidates_tested o.Nibble.rounds
+    (Array.length o.Nibble.participants)
+
+let golden_barbell () = Gen.barbell ~clique:16 ~bridge:0
+
+(* two blocks of 100 *)
+let golden_sbm () =
+  Gen.planted_partition (Rng.create 5) ~parts:2 ~size:100 ~p_in:0.1 ~p_out:0.004
+
+(* a 40-vertex side against a 160-vertex one *)
+let golden_unbalanced () = Gen.dumbbell (Rng.create 7) ~n1:40 ~n2:160 ~d:6 ~bridges:2
+
+let golden_sbm4 () =
+  Gen.planted_partition (Rng.create 5) ~parts:4 ~size:50 ~p_in:0.2 ~p_out:0.01
+
+(* four 6-vertex warts on an expander: Partition peels two of them over
+   three iterations, one of them idle *)
+let golden_warts () =
+  let rng = Rng.create 9 in
+  Gen.attach_warts rng (Gen.random_regular rng ~n:400 ~d:6) ~warts:4 ~size:6
+
+let test_partition_goldens () =
+  List.iter
+    (fun (name, graph, seed, expected) ->
+      let g = graph () in
+      let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
+      Alcotest.(check string) name expected
+        (partition_golden (Partition.run params g (Rng.create seed))))
+    [ ( "barbell", golden_barbell, 101,
+        "cut=[16-31] phi=0x1.0fef010fef011p-8 iterations=1 rounds=485 aborted=0" );
+      ( "2-block sbm", golden_sbm, 103,
+        "cut=[100-110,112-166,168-199] phi=0x1.8efd14f51f91ap-5 iterations=1 rounds=67519 \
+         aborted=0" );
+      ( "unbalanced dumbbell", golden_unbalanced, 107,
+        "cut=[0-26,28-39] phi=0x1.05d84176105d8p-5 iterations=1 rounds=86055 aborted=0" );
+      ( "warts", golden_warts, 2,
+        "cut=[400-405,412-417] phi=0x1.0842108421084p-5 iterations=3 rounds=844051795 \
+         aborted=0" ) ]
+
+(* Each ApproximateNibble case runs twice: in a fresh workspace, and in
+   one workspace that every case shares, sized to a larger graph. Both
+   must give the golden, and no later run may change an earlier
+   outcome: no stale mask bit, buffer or length leaks between runs. *)
+let test_nibble_goldens () =
+  let shared = Nibble.workspace (golden_warts ()) in
+  let results =
+    List.map
+      (fun (name, graph, exact, src, b, expected) ->
+        let g = graph () in
+        let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
+        let runs =
+          if exact then [ Nibble.nibble params g ~src ~b ]
+          else
+            [ Nibble.approximate params g ~src ~b;
+              Nibble.approximate ~workspace:shared params g ~src ~b ]
+        in
+        List.iter (fun o -> Alcotest.(check string) name expected (nibble_golden o)) runs;
+        (name, expected, runs))
+      [ ( "barbell approximate", golden_barbell, false, 0, 3,
+          "cut=[0-15] vol=241 edges=1 phi=0x1.0fef010fef011p-8 t=1 j=16 steps=1 candidates=16 \
+           rounds=241 participants=16" );
+        ( "barbell exact", golden_barbell, true, 20, 2,
+          "cut=[16-31] vol=241 edges=1 phi=0x1.0fef010fef011p-8 t=1 j=16 steps=1 candidates=16 \
+           rounds=241 participants=16" );
+        ( "2-block sbm approximate", golden_sbm, false, 3, 4,
+          "cut=[0-99,125,140,168,186] vol=1096 edges=56 phi=0x1.e5f75270d0457p-5 t=5 j=104 \
+           steps=5 candidates=255 rounds=17651 participants=200" );
+        ( "unbalanced approximate", golden_unbalanced, false, 5, 3,
+          "cut=[0-39] vol=226 edges=2 phi=0x1.21fb78121fb78p-7 t=3 j=40 steps=3 candidates=72 \
+           rounds=2721 participants=42" );
+        (* found at t = 11, then the walk runs on for its patience and
+           rescans over the buffer the cut was copied from *)
+        ( "4-block sbm approximate", golden_sbm4, false, 21, 1,
+          "cut=[0-49] vol=597 edges=63 phi=0x1.b03dbfadab187p-4 t=11 j=50 steps=197 \
+           candidates=1652 rounds=1597190 participants=200" );
+        ( "barbell approximate after the others", golden_barbell, false, 0, 3,
+          "cut=[0-15] vol=241 edges=1 phi=0x1.0fef010fef011p-8 t=1 j=16 steps=1 candidates=16 \
+           rounds=241 participants=16" );
+        ( "4-block sbm exact", golden_sbm4, true, 0, 1,
+          "cut=none steps=447 candidates=8256 rounds=23878980 participants=200" ) ]
+  in
+  List.iter
+    (fun (name, expected, runs) ->
+      List.iter
+        (fun o -> Alcotest.(check string) (name ^ ", kept") expected (nibble_golden o))
+        runs)
+    results
+
 (* ---------- run_verified (Las Vegas wrapper) ---------- *)
 
 let test_run_verified_accepts_dumbbell () =
@@ -660,6 +788,9 @@ let () =
           Alcotest.test_case "empty graph" `Quick test_partition_empty_graph;
           Alcotest.test_case "balance vs exact reference" `Quick
             test_partition_respects_most_balanced_reference ] );
+      ( "goldens",
+        [ Alcotest.test_case "Partition.run" `Quick test_partition_goldens;
+          Alcotest.test_case "Nibble runs" `Quick test_nibble_goldens ] );
       ( "run-verified",
         [ Alcotest.test_case "accepts dumbbell" `Quick test_run_verified_accepts_dumbbell;
           Alcotest.test_case "best attempt on failure" `Quick

@@ -105,6 +105,9 @@ let test_rho_symmetry () =
    Hashtbl per distribution, iterated in ascending key order: the
    oracle the sorted-array code must match bit for bit (DESIGN.md
    §12). *)
+(* one sweep prefix as the pre-array sweep reported it *)
+type prefix = { len : int; volume : int; cut : int; conductance : float; last_rho : float }
+
 module Reference = struct
   let of_walk p =
     let t = Hashtbl.create 16 in
@@ -165,9 +168,34 @@ module Reference = struct
         let conductance =
           if small <= 0 then Float.infinity else float_of_int !cut /. float_of_int small
         in
-        { Sweep.len = j + 1; volume = !volume; cut = !cut; conductance;
-          last_rho = rho g p v })
+        { len = j + 1; volume = !volume; cut = !cut; conductance; last_rho = rho g p v })
       ordered
+
+  (* Nibble's former L1 fixpoint test: ‖next − prev‖₁ as a two-pointer
+     merge of the ascending supports, summed over [next] ascending,
+     then over the entries of [prev] that left the support, ascending *)
+  let l1_change ~(prev : Walk.sparse) ~(next : Walk.sparse) =
+    let acc = ref 0.0 in
+    let np = prev.len in
+    let j = ref 0 in
+    for i = 0 to next.len - 1 do
+      let v = next.support.(i) in
+      while !j < np && prev.support.(!j) < v do
+        incr j
+      done;
+      let y = if !j < np && prev.support.(!j) = v then prev.masses.(!j) else 0.0 in
+      acc := !acc +. Float.abs (next.masses.(i) -. y)
+    done;
+    let i = ref 0 in
+    let nn = next.len in
+    for j = 0 to np - 1 do
+      let v = prev.support.(j) in
+      while !i < nn && next.support.(!i) < v do
+        incr i
+      done;
+      if not (!i < nn && next.support.(!i) = v) then acc := !acc +. prev.masses.(j)
+    done;
+    !acc
 end
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -178,18 +206,28 @@ let identical p reference =
   Array.to_list (Walk.support p) = keys
   && List.for_all (fun v -> same_float (Walk.get p v) (Hashtbl.find reference v)) keys
 
-let same_prefix (a : Sweep.prefix) (b : Sweep.prefix) =
+(* the sweep's measurements of π(1..i+1) *)
+let prefix_at (sweep : Sweep.t) i =
+  { len = i + 1;
+    volume = sweep.volume.(i);
+    cut = sweep.cut.(i);
+    conductance = sweep.conductance.(i);
+    last_rho = sweep.last_rho.(i) }
+
+let same_prefix a b =
   a.len = b.len && a.volume = b.volume && a.cut = b.cut
   && same_float a.conductance b.conductance
   && same_float a.last_rho b.last_rho
 
+(* [sweep] holds exactly the reference order and prefixes *)
+let sweep_is (sweep : Sweep.t) ~order ~prefixes =
+  sweep.length = Array.length order
+  && Array.sub sweep.ordered 0 sweep.length = order
+  && Array.for_all2 same_prefix (Array.init sweep.length (prefix_at sweep)) prefixes
+
 let same_sweep g p reference =
-  let sweep = Sweep.scan g p in
   let order = Reference.order g reference and prefixes = Reference.scan g reference in
-  Sweep.order g p = order
-  && sweep.Sweep.ordered = order
-  && Array.length sweep.Sweep.prefixes = Array.length prefixes
-  && Array.for_all2 same_prefix sweep.Sweep.prefixes prefixes
+  Sweep.order g p = order && sweep_is (Sweep.scan g p) ~order ~prefixes
 
 (* a multigraph with self-loops, parallel edges and (usually) isolated
    vertices, plus a start distribution that may sit on a degree-0
@@ -261,6 +299,82 @@ let prop_truncated_walk_matches_reference =
       done;
       !ok)
 
+(* The walker against the allocating path it replaced: [Walk.step ~eps]
+   for the distributions, the old two-pass L1 merge for the change and
+   a mask note of every stepped support, bit for bit over k steps. *)
+let prop_walker_matches_step =
+  QCheck.Test.make ~name:"walker = Walk.step + old L1 + support mask, bit for bit" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 16))
+    (fun (seed, steps) ->
+      let g, start, eps = random_instance seed in
+      (* no truncation is eps = 0: every mass here is >= 0 *)
+      let eps = Option.value eps ~default:0.0 in
+      let n = Graph.num_vertices g in
+      let w = Walk.walker g and ws = Walk.workspace g in
+      let mask = Array.make n false and expected_mask = Array.make n false in
+      Walk.start w start;
+      let p = ref start in
+      let ok = ref (identical (Walk.current w) (Reference.of_walk start)) in
+      for _ = 1 to steps do
+        let change = Walk.advance w g ~eps ~mask in
+        let next = Walk.step ~eps ws g !p in
+        Walk.iter (fun v _ -> expected_mask.(v) <- true) next;
+        ok :=
+          !ok
+          && same_float change (Reference.l1_change ~prev:!p ~next)
+          && identical (Walk.current w) (Reference.of_walk next)
+          && mask = expected_mask;
+        p := next
+      done;
+      !ok)
+
+(* A sweep workspace rescanned from distribution A to B holds what a
+   fresh scan of B and the reference hold: no stale stamp, length or
+   cell survives the rescan. *)
+let prop_rescan_reuses_workspace =
+  QCheck.Test.make ~name:"rescan A then B = fresh scan of B = reference" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (seed_a, seed_b) ->
+      let g, start, eps = random_instance seed_b in
+      let walks = Walk.truncated_walk g ~src:(seed_a mod Graph.num_vertices g) ~eps:1e-3 ~steps:3 in
+      let b = Walk.step ?eps (Walk.workspace g) g start in
+      let sweep = Sweep.workspace g in
+      let reference = Reference.of_walk b in
+      let order = Reference.order g reference and prefixes = Reference.scan g reference in
+      let ok = ref true in
+      (* A runs over several lengths, longer and shorter than B *)
+      Array.iter
+        (fun a ->
+          Sweep.rescan sweep g a;
+          Sweep.rescan sweep g b;
+          ok := !ok && sweep_is sweep ~order ~prefixes)
+        walks;
+      !ok && sweep_is (Sweep.scan g b) ~order ~prefixes)
+
+(* After a warm-up, advancing a walker and rescanning its view into one
+   sweep allocates no arrays: at most a boxed float per round. *)
+let test_walker_rescan_allocation_free () =
+  let g = Gen.random_regular (Rng.create 12) ~n:200 ~d:8 in
+  let w = Walk.walker g and sweep = Sweep.workspace g in
+  let mask = Array.make 200 false in
+  let round () =
+    ignore (Walk.advance w g ~eps:1e-6 ~mask : float);
+    Sweep.rescan sweep g (Walk.current w)
+  in
+  Walk.start w (Walk.indicator 0);
+  for _ = 1 to 10 do
+    round ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 100 rounds" words)
+    true (words <= 400.0);
+  Alcotest.(check bool) "the walk is live" true (sweep.length > 100)
+
 let test_zero_mass_support () =
   (* vertex 2 is isolated: its zero-mass entry survives a step and the
      truncation (0 >= 2·eps·0), so the support is the touched set *)
@@ -290,15 +404,14 @@ let test_sweep_cut_matches_metrics () =
   let g = Gen.connectivize rng (Gen.gnp rng ~n:30 ~p:0.15) in
   let walks = Walk.truncated_walk g ~src:0 ~eps:1e-6 ~steps:5 in
   let sweep = Sweep.scan g walks.(5) in
-  Array.iteri
-    (fun j pref ->
-      let s = Sweep.take sweep (j + 1) in
-      Alcotest.(check int) "volume" (Graph.volume g s) pref.Sweep.volume;
-      Alcotest.(check int) "cut" (Metrics.cut_size g s) pref.Sweep.cut;
-      let c = Metrics.conductance g s in
-      if Float.is_finite c then
-        Alcotest.(check (float 1e-9)) "conductance" c pref.Sweep.conductance)
-    sweep.Sweep.prefixes
+  for j = 0 to sweep.length - 1 do
+    let s = Sweep.take sweep (j + 1) in
+    Alcotest.(check int) "volume" (Graph.volume g s) sweep.volume.(j);
+    Alcotest.(check int) "cut" (Metrics.cut_size g s) sweep.cut.(j);
+    let c = Metrics.conductance g s in
+    if Float.is_finite c then
+      Alcotest.(check (float 1e-9)) "conductance" c sweep.conductance.(j)
+  done
 
 let test_sweep_order_decreasing_rho () =
   let rng = Rng.create 6 in
@@ -317,8 +430,7 @@ let test_sweep_finds_barbell_cut () =
   match Sweep.best_cut g walks.(30) with
   | None -> Alcotest.fail "no cut found"
   | Some (sweep, j) ->
-    let pref = sweep.Sweep.prefixes.(j - 1) in
-    Alcotest.(check bool) "sparse" true (pref.Sweep.conductance < 0.05);
+    Alcotest.(check bool) "sparse" true (sweep.conductance.(j - 1) < 0.05);
     Alcotest.(check int) "the clique side" 8 j
 
 let test_scan_vector_orders_by_value () =
@@ -327,11 +439,10 @@ let test_scan_vector_orders_by_value () =
      sweep must find the exact clique boundary *)
   let x = Array.init 12 (fun v -> if v < 6 then 1.0 else 0.0) in
   let sweep = Sweep.scan_vector g x in
-  let pref = sweep.Sweep.prefixes.(5) in
-  Alcotest.(check int) "boundary cut" 1 pref.Sweep.cut;
-  Alcotest.(check bool) "boundary conductance tiny" true (pref.Sweep.conductance < 0.04);
+  Alcotest.(check int) "boundary cut" 1 sweep.cut.(5);
+  Alcotest.(check bool) "boundary conductance tiny" true (sweep.conductance.(5) < 0.04);
   (* all 12 prefixes measured *)
-  Alcotest.(check int) "covers all vertices" 12 (Array.length sweep.Sweep.prefixes)
+  Alcotest.(check int) "covers all vertices" 12 sweep.length
 
 (* ---------- mixing and gap ---------- *)
 
@@ -437,6 +548,10 @@ let () =
       ( "oracle",
         [ QCheck_alcotest.to_alcotest prop_step_matches_reference;
           QCheck_alcotest.to_alcotest prop_truncated_walk_matches_reference;
+          QCheck_alcotest.to_alcotest prop_walker_matches_step;
+          QCheck_alcotest.to_alcotest prop_rescan_reuses_workspace;
+          Alcotest.test_case "walker + rescan allocate no arrays" `Quick
+            test_walker_rescan_allocation_free;
           Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
           Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation ] );
       ( "sweep",
