@@ -17,7 +17,7 @@
      E12 Section 1   Jerrum-Sinclair: 1/Phi <= tau_mix <= log n / Phi^2
      E13 robustness  fault sweep: reliable delivery overhead vs drop
                      probability; Las Vegas retry cost until certified
-     E14 kernel      throughput: list adapter vs the CSR arena cursors
+     E14 kernel      throughput: the BFS flood on the CSR arena cursors
 
    `dune exec bench/main.exe` runs everything at default sizes;
    `dune exec bench/main.exe -- quick` shrinks the sweeps;
@@ -602,14 +602,15 @@ let e10_micro () =
   let flood_cycle = X.Generators.cycle 512 in
   let flood net () =
     ignore
-      (X.Network.run_rounds net ~label:"bench-flood"
+      (X.Network.run_active_rounds net ~label:"bench-flood"
          ~init:(fun v -> v land 1)
-         ~step:(fun ~round:_ ~vertex:v st inbox ->
+         ~step:(fun ~round:_ ~vertex:v st ib ob ->
            let v = X.Vertex.local_int v in
-           let st = List.fold_left (fun acc (_, m) -> acc lxor m.(0)) st inbox in
-           let out = ref [] in
-           X.Graph.iter_neighbors flood_cycle v (fun u -> out := (u, [| st |]) :: !out);
-           (st, !out))
+           let st = ref st in
+           X.Arena.Inbox.iter1 ib (fun _ w -> st := !st lxor w);
+           X.Graph.iter_neighbors flood_cycle v (fun u ->
+               X.Arena.Outbox.send1 ob ~dst:(X.Vertex.local u) !st);
+           !st)
          8)
   in
   let plain_net = X.Network.create flood_cycle (X.Rounds.create ()) in
@@ -892,61 +893,14 @@ let e13_faults () =
   out_table t2
 
 (* ------------------------------------------------------------------ *)
-(* E14 — kernel throughput: list adapter vs arena cursors             *)
+(* E14 — kernel throughput                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The workload is a BFS flood from vertex 0 on a cycle: the frontier
-   is O(1) per round, so the round count is Theta(n) and the cost gap
-   between "step every vertex every round" (the list adapter) and the
-   active-set cursor API is maximal — exactly the shape of the
-   sweep/nibble waves the decomposition spends its rounds on.
-
-   Both protocol encodings send the same messages (the sender's depth;
-   the receiver adopts depth+1 and re-floods on improvement), so the
-   per-row message counts cross-check the two APIs against each
-   other on top of the kernel test suite. *)
-
-let e14_bfs_list g net =
-  (* state: depth lsl 1 lor pending — pending makes the [finished]
-     predicate (checked before round 1) start the flood at the root *)
-  let unreached = (max_int lsr 2) lsl 1 in
-  let states, rounds =
-    X.Network.run net ~label:"e14-bfs"
-      ~init:(fun v -> if v = 0 then 1 else unreached)
-      ~step:(fun ~round:_ ~vertex:v st inbox ->
-        let v = X.Vertex.local_int v in
-        let d = st lsr 1 in
-        let best =
-          List.fold_left (fun acc (_, m) -> Stdlib.min acc (m.(0) + 1)) d inbox
-        in
-        if best < d || st land 1 = 1 then begin
-          let out = ref [] in
-          X.Graph.iter_neighbors g v (fun u -> out := (u, [| best |]) :: !out);
-          (best lsl 1, !out)
-        end
-        else (st, []))
-      ~finished:(fun states -> not (Array.exists (fun s -> s land 1 = 1) states))
-      ()
-  in
-  (Array.map (fun s -> s lsr 1) states, rounds)
-
-let e14_bfs_cursor g net =
-  let unreached = max_int lsr 2 in
-  let states, rounds =
-    X.Network.run_active net ~label:"e14-bfs"
-      ~init:(fun v -> if v = 0 then 0 else unreached)
-      ~step:(fun ~round ~vertex:v d ib ob ->
-        let vi = X.Vertex.local_int v in
-        let best = ref d in
-        X.Arena.Inbox.iter1 ib (fun _ w -> if w + 1 < !best then best := w + 1);
-        if !best < d || (round = 1 && vi = 0) then
-          X.Graph.iter_neighbors g vi (fun u ->
-              X.Arena.Outbox.send1 ob ~dst:(X.Vertex.local u) !best);
-        !best)
-      ()
-  in
-  (states, rounds)
-
+(* The workload is the BFS flood [Primitives.bfs_tree] runs, from vertex
+   0 on a cycle: the frontier is O(1) per round, so the round count is
+   Theta(n) and the active-set worklist does O(1) work per round —
+   exactly the shape of the sweep/nibble waves the decomposition spends
+   its rounds on. *)
 let e14_throughput () =
   let n = if !quick then 10_000 else 20_000 in
   let reps = if !quick then 2 else 3 in
@@ -957,56 +911,43 @@ let e14_throughput () =
         (Printf.sprintf
            "Kernel throughput: BFS flood on cycle n=%d (best of %d runs after warm-up)"
            n reps)
-      [ "impl"; "rounds"; "msgs"; "ms"; "rounds/s"; "msgs/s"; "B/round"; "speedup" ]
+      [ "impl"; "rounds"; "msgs"; "ms"; "rounds/s"; "msgs/s"; "B/round" ]
   in
   let truth = X.Metrics.bfs_distances g 0 in
-  let base_rps = ref 0.0 in
-  let cursor_speedup = ref 0.0 in
-  List.iter
-    (fun (name, api) ->
-      let net = X.Network.create g (X.Rounds.create ()) in
-      let runner () =
-        match api with
-        | `List -> e14_bfs_list g net
-        | `Cursor -> e14_bfs_cursor g net
-      in
-      (* warm-up builds the arena and the allocator's steady state *)
-      let depths, _ = runner () in
-      if depths <> truth then
-        failwith (Printf.sprintf "e14: %s computed a wrong BFS tree" name);
-      let best_ns = ref max_int and rounds = ref 0 and msgs = ref 0 in
-      let bytes_per_round = ref 0.0 in
-      for _ = 1 to reps do
-        let m0 = X.Network.messages_sent net in
-        let a0 = Gc.allocated_bytes () in
-        let t0 = X.Clock.now_ns () in
-        let _, r = runner () in
-        let t1 = X.Clock.now_ns () in
-        let a1 = Gc.allocated_bytes () in
-        if t1 - t0 < !best_ns then begin
-          best_ns := t1 - t0;
-          rounds := r;
-          msgs := X.Network.messages_sent net - m0;
-          bytes_per_round := (a1 -. a0) /. fi r
-        end
-      done;
-      let secs = fi !best_ns /. 1e9 in
-      let rps = fi !rounds /. secs in
-      if !base_rps = 0.0 then base_rps := rps;
-      let speedup = rps /. !base_rps in
-      if api = `Cursor then cursor_speedup := speedup;
-      Table.add_row t
-        [ name; string_of_int !rounds; string_of_int !msgs;
-          Printf.sprintf "%.2f" (secs *. 1e3);
-          Printf.sprintf "%.0f" rps;
-          Printf.sprintf "%.0f" (fi !msgs /. secs);
-          Printf.sprintf "%.0f" !bytes_per_round;
-          Printf.sprintf "%.1fx" speedup ])
-    [ ("list (adapter)", `List); ("cursor", `Cursor) ];
-  out_table t;
-  note
-    "\nacceptance: cursor >= 5x list rounds/s on BFS flood at n >= 1e4 — measured %.1fx\n"
-    !cursor_speedup
+  let net = X.Network.create g (X.Rounds.create ()) in
+  let bfs = X.Primitives.bfs g ~root:(X.Vertex.local 0) in
+  let runner () =
+    X.Network.run_active net ~label:"e14-bfs" ~init:bfs.X.Conformance.init
+      ~step:bfs.X.Conformance.step ()
+  in
+  (* warm-up builds the arena and the allocator's steady state *)
+  let states, _ = runner () in
+  if Array.map (fun st -> st.X.Primitives.dist) states <> truth then
+    failwith "e14: the cursor kernel computed a wrong BFS tree";
+  let best_ns = ref max_int and rounds = ref 0 and msgs = ref 0 in
+  let bytes_per_round = ref 0.0 in
+  for _ = 1 to reps do
+    let m0 = X.Network.messages_sent net in
+    let a0 = Gc.allocated_bytes () in
+    let t0 = X.Clock.now_ns () in
+    let _, r = runner () in
+    let t1 = X.Clock.now_ns () in
+    let a1 = Gc.allocated_bytes () in
+    if t1 - t0 < !best_ns then begin
+      best_ns := t1 - t0;
+      rounds := r;
+      msgs := X.Network.messages_sent net - m0;
+      bytes_per_round := (a1 -. a0) /. fi r
+    end
+  done;
+  let secs = fi !best_ns /. 1e9 in
+  Table.add_row t
+    [ "cursor"; string_of_int !rounds; string_of_int !msgs;
+      Printf.sprintf "%.2f" (secs *. 1e3);
+      Printf.sprintf "%.0f" (fi !rounds /. secs);
+      Printf.sprintf "%.0f" (fi !msgs /. secs);
+      Printf.sprintf "%.0f" !bytes_per_round ];
+  out_table t
 
 (* ------------------------------------------------------------------ *)
 
@@ -1024,7 +965,7 @@ let registry =
     ("e11", "Strawman recursion & sequential ST Partition", e11_strawman);
     ("e12", "Jerrum-Sinclair mixing relation", e12_mixing);
     ("e13", "Fault sweep: reliable delivery & Las Vegas retries", e13_faults);
-    ("e14", "Kernel throughput: list adapter vs arena cursors", e14_throughput) ]
+    ("e14", "Kernel throughput: BFS flood on the cursor kernel", e14_throughput) ]
 
 let () =
   let rec parse = function

@@ -7,7 +7,7 @@
      ldd         run the low-diameter decomposition (Theorem 4)
      triangles   enumerate triangles via expander decomposition (Theorem 2)
      faults      reliable BFS/leader election on a lossy network
-     throughput  list adapter vs cursor API on a BFS flood
+     throughput  the cursor kernel's rounds/s on a BFS flood
 
    Graphs are generated on demand: --family gnp/sbm/barbell/dumbbell/
    grid/powerlaw/regular/cliques/tree/cycle/path, with family-specific
@@ -278,70 +278,29 @@ let throughput_cmd =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
     let truth = X.Metrics.bfs_distances g 0 in
-    (* the same BFS flood through both kernel APIs: messages carry the
-       sender's depth, receivers adopt depth+1 and re-flood on
-       improvement *)
-    let flood_list net =
-      let unreached = (max_int lsr 2) lsl 1 in
-      let states, rounds =
-        X.Network.run net ~label:"throughput"
-          ~init:(fun v -> if v = 0 then 1 else unreached)
-          ~step:(fun ~round:_ ~vertex:v st inbox ->
-            let v = X.Vertex.local_int v in
-            let d = st lsr 1 in
-            let best =
-              List.fold_left (fun acc (_, m) -> min acc (m.(0) + 1)) d inbox
-            in
-            if best < d || st land 1 = 1 then begin
-              let out = ref [] in
-              X.Graph.iter_neighbors g v (fun u -> out := (u, [| best |]) :: !out);
-              (best lsl 1, !out)
-            end
-            else (st, []))
-          ~finished:(fun states -> not (Array.exists (fun s -> s land 1 = 1) states))
-          ()
-      in
-      (Array.map (fun s -> s lsr 1) states, rounds)
+    (* the BFS flood [Primitives.bfs_tree] runs, timed on a warm arena *)
+    let net = X.Network.create g (X.Rounds.create ()) in
+    let bfs = X.Primitives.bfs g ~root:(X.Vertex.local 0) in
+    let flood () =
+      X.Network.run_active net ~label:"throughput" ~init:bfs.X.Conformance.init
+        ~step:bfs.X.Conformance.step ()
     in
-    let flood_cursor net =
-      X.Network.run_active net ~label:"throughput"
-        ~init:(fun v -> if v = 0 then 0 else max_int lsr 2)
-        ~step:(fun ~round ~vertex:v d ib ob ->
-          let vi = X.Vertex.local_int v in
-          let best = ref d in
-          X.Arena.Inbox.iter1 ib (fun _ w -> if w + 1 < !best then best := w + 1);
-          if !best < d || (round = 1 && vi = 0) then
-            X.Graph.iter_neighbors g vi (fun u ->
-                X.Arena.Outbox.send1 ob ~dst:(X.Vertex.local u) !best);
-          !best)
-        ()
-    in
-    let base = ref 0.0 in
-    List.iter
-      (fun (name, api) ->
-        let net = X.Network.create g (X.Rounds.create ()) in
-        let runner () =
-          match api with `List -> flood_list net | `Cursor -> flood_cursor net
-        in
-        let depths, _ = runner () in
-        if depths <> truth then failwith (name ^ ": wrong BFS result");
-        let t0 = X.Clock.now_ns () in
-        let _, rounds = runner () in
-        let t1 = X.Clock.now_ns () in
-        let secs = float_of_int (t1 - t0) /. 1e9 in
-        let rps = float_of_int rounds /. secs in
-        if !base = 0.0 then base := rps;
-        Printf.printf "%-22s rounds=%-6d ms=%-10.2f rounds/s=%-10.0f speedup=%.1fx\n"
-          name rounds (secs *. 1e3) rps (rps /. !base))
-      [ ("list (adapter)", `List); ("cursor", `Cursor) ]
+    let states, _ = flood () in
+    if Array.map (fun st -> st.X.Primitives.dist) states <> truth then
+      failwith "throughput: wrong BFS result";
+    let t0 = X.Clock.now_ns () in
+    let _, rounds = flood () in
+    let t1 = X.Clock.now_ns () in
+    let secs = float_of_int (t1 - t0) /. 1e9 in
+    Printf.printf "cursor rounds=%-6d ms=%-10.2f rounds/s=%.0f\n" rounds (secs *. 1e3)
+      (float_of_int rounds /. secs)
   in
   Cmd.v
     (Cmd.info "throughput"
        ~doc:
-         "Race the kernel's two APIs (list adapter, arena cursor) on a BFS \
-          flood over the chosen graph. Try $(b,--family cycle -n 10000), the \
-          frontier-bound worst case for the list API, which steps every \
-          vertex every round.")
+         "Time the kernel on the BFS flood over the chosen graph. Try \
+          $(b,--family cycle -n 10000): the frontier is O(1) per round, so \
+          the active-set worklist does O(1) work per round.")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
       $ degree_t)
@@ -477,31 +436,28 @@ let conformance_cmd =
     in
     let bfs_ok =
       report "bfs"
-        (X.Conformance.check ~word_size ~seed g ~protocol:(X.Conformance.bfs ~root:(X.Vertex.local 0) g) ())
+        (X.Conformance.check ~word_size ~seed g
+           ~protocol:(fun () -> X.Primitives.bfs g ~root:(X.Vertex.local 0))
+           ())
     in
     let leader_ok =
       report "leader"
-        (X.Conformance.check ~word_size ~seed g ~protocol:(X.Conformance.leader g) ())
+        (X.Conformance.check ~word_size ~seed g ~protocol:(fun () -> X.Primitives.leader g) ())
     in
     if demo_race then begin
       (* adopt the first inbox message's sender: delivery-order
          dependent, so the detector must flag it *)
       let racy () =
-        let init _ = (-1, false) in
-        let step ~round:_ ~vertex:v (got, sent) inbox =
+        let step ~round ~vertex:v got ib ob =
           let v = X.Vertex.local_int v in
-          let got =
-            match inbox with (sender, _) :: _ when got < 0 -> sender | _ -> got
-          in
-          if sent then ((got, sent), [])
-          else begin
-            let outbox = ref [] in
-            X.Graph.iter_neighbors g v (fun u -> outbox := (u, [| v |]) :: !outbox);
-            ((got, true), !outbox)
-          end
+          if round = 1 then
+            X.Graph.iter_neighbors g v (fun u ->
+                X.Arena.Outbox.send1 ob ~dst:(X.Vertex.local u) v);
+          let got = ref got in
+          X.Arena.Inbox.iter1 ib (fun sender _ -> if !got < 0 then got := sender);
+          !got
         in
-        let finished states = Array.for_all (fun (got, sent) -> sent && got >= 0) states in
-        { X.Conformance.init; step; finished }
+        { X.Conformance.init = (fun _ -> -1); step }
       in
       let r = X.Conformance.check ~seed g ~protocol:racy () in
       Printf.printf "demo-race: detector %s\n"
@@ -515,8 +471,9 @@ let conformance_cmd =
   Cmd.v
     (Cmd.info "conformance"
        ~doc:
-         "Replay reference protocols under permuted activation/delivery schedules and \
-          audit the CONGEST kernel invariants (schedule-permutation race detector).")
+         "Run the kernel's BFS and leader election in the canonical and in a shuffled \
+          activation/delivery order and audit the CONGEST invariants \
+          (schedule-permutation race detector).")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
       $ degree_t $ word_size_t $ demo_race_t)

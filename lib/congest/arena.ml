@@ -27,7 +27,19 @@
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
 
-exception Congestion_violation of string
+type violation =
+  | Over_budget of { vertex : int; dst : int; words : int; budget : int }
+  | Not_a_neighbor of { vertex : int; dst : int }
+  | Duplicate_edge of { vertex : int; dst : int }
+
+exception Congestion_violation of { round : int; violation : violation }
+
+let describe = function
+  | Over_budget { vertex; words; budget; _ } ->
+    Printf.sprintf "vertex %d: message of %d words exceeds budget %d" vertex words budget
+  | Not_a_neighbor { vertex; dst } -> Printf.sprintf "vertex %d: %d is not a neighbor" vertex dst
+  | Duplicate_edge { vertex; dst } ->
+    Printf.sprintf "vertex %d: two messages on edge to %d in one round" vertex dst
 
 type t = {
   n : int;
@@ -105,6 +117,7 @@ let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
 
 let word_size a = a.word_size
 let slot_count a = Array.length a.nbr
+let mirror a s = a.mirror.(s)
 let round a = a.round
 
 (* leftmost slot of the directed edge (v, u), or -1 *)
@@ -169,26 +182,31 @@ let cal_pop a =
 
 (* ---------------- cursors ---------------- *)
 
-type inbox = { ia : t; mutable iv : int }
+(* [order] holds the vertex's slots in a random order when the cursor
+   was aimed with a shuffle; the canonical cursor walks the slot range *)
+type inbox = { ia : t; mutable iv : int; mutable order : int array; mutable shuffled : bool }
 type outbox = { oa : t; mutable ov : int }
 
-let make_inbox a = { ia = a; iv = 0 }
+let make_inbox a = { ia = a; iv = 0; order = [||]; shuffled = false }
+
 let make_outbox a = { oa = a; ov = 0 }
-let set_inbox ib v = ib.iv <- v
+
+let set_inbox ?shuffle ib v =
+  ib.iv <- v;
+  match shuffle with
+  | None -> ib.shuffled <- false
+  | Some rng ->
+    let lo = ib.ia.off.(v) and len = ib.ia.off.(v + 1) - ib.ia.off.(v) in
+    if Array.length ib.order < len then ib.order <- Array.make ib.ia.n 0;
+    for k = 0 to len - 1 do
+      ib.order.(k) <- lo + k
+    done;
+    Dex_util.Rng.shuffle ~len rng ib.order;
+    ib.shuffled <- true
+
 let set_outbox ob v = ob.ov <- v
 
 module Inbox = struct
-  let is_empty ib =
-    let a = ib.ia in
-    let t = a.tick in
-    let empty = ref true in
-    let s = ref a.off.(ib.iv) and hi = a.off.(ib.iv + 1) in
-    while !empty && !s < hi do
-      if a.stamp.(!s) = t then empty := false;
-      incr s
-    done;
-    !empty
-
   let count ib =
     let a = ib.ia in
     let t = a.tick in
@@ -198,70 +216,65 @@ module Inbox = struct
     done;
     !c
 
+  let is_empty ib = count ib = 0
+
+  (* the deliveries in slot [s]: once, or twice when duplicated *)
+  let[@inline] visit1 a s f =
+    if a.stamp.(s) = a.tick then begin
+      let src = a.nbr.(s) in
+      let w = a.data.(s * a.word_size) in
+      f src w;
+      if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src w
+    end
+
+  let[@inline] visit a s f =
+    if a.stamp.(s) = a.tick then begin
+      let src = a.nbr.(s) in
+      let msg = Array.sub a.data (s * a.word_size) a.len.(s) in
+      f src msg;
+      if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src msg
+    end
+
   let iter1 ib f =
     let a = ib.ia in
-    let t = a.tick in
-    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-      if a.stamp.(s) = t then begin
-        let src = a.nbr.(s) in
-        let w = a.data.(s * a.word_size) in
-        f src w;
-        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src w
-      end
-    done
+    if ib.shuffled then
+      for k = 0 to a.off.(ib.iv + 1) - a.off.(ib.iv) - 1 do
+        visit1 a ib.order.(k) f
+      done
+    else
+      for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
+        visit1 a s f
+      done
 
   let iter ib f =
     let a = ib.ia in
-    let t = a.tick in
-    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-      if a.stamp.(s) = t then begin
-        let src = a.nbr.(s) in
-        let msg = Array.sub a.data (s * a.word_size) a.len.(s) in
-        f src msg;
-        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src msg
-      end
-    done
-
-  let to_list ib =
-    (* the list API's inbox order: senders descending, a duplicated
-       message appearing twice in adjacent positions *)
-    let a = ib.ia in
-    let t = a.tick in
-    let acc = ref [] in
-    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-      if a.stamp.(s) = t then begin
-        (* dex-lint: allow C002 relays messages the arena validated against the budget at send *)
-        let entry = (a.nbr.(s), Array.sub a.data (s * a.word_size) a.len.(s)) in
-        acc := entry :: !acc;
-        if Char.code (Bytes.unsafe_get a.cnt s) > 1 then acc := entry :: !acc
-      end
-    done;
-    !acc
+    if ib.shuffled then
+      for k = 0 to a.off.(ib.iv + 1) - a.off.(ib.iv) - 1 do
+        visit a ib.order.(k) f
+      done
+    else
+      for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
+        visit a s f
+      done
 end
 
 module Outbox = struct
-  let not_a_neighbor a v u =
-    let u_disp = if u >= 0 && u < a.n then a.to_orig u else u in
-    raise
-      (Congestion_violation
-         (Printf.sprintf "vertex %d: %d is not a neighbor" (a.to_orig v) u_disp))
+  (* raise [make vertex dst] in original ids; an out-of-range [u] has
+     no original id and is reported as given *)
+  let fail ob u make =
+    let a = ob.oa in
+    let dst = if u >= 0 && u < a.n then a.to_orig u else u in
+    raise (Congestion_violation { round = a.round; violation = make (a.to_orig ob.ov) dst })
 
   (* validate and book the send; returns where its words go *)
   let stage ob u words =
     let a = ob.oa in
     let v = ob.ov in
     if words > a.word_size then
-      raise
-        (Congestion_violation
-           (Printf.sprintf "vertex %d: message of %d words exceeds budget %d"
-              (a.to_orig v) words a.word_size));
+      fail ob u (fun vertex dst -> Over_budget { vertex; dst; words; budget = a.word_size });
     let s = if u = v then -1 else rank_slot a v u in
-    if s < 0 then not_a_neighbor a v u;
-    if a.enq.(s) = a.tick then
-      raise
-        (Congestion_violation
-           (Printf.sprintf "vertex %d: two messages on edge to %d in one round"
-              (a.to_orig v) (a.to_orig u)));
+    if s < 0 then fail ob u (fun vertex dst -> Not_a_neighbor { vertex; dst });
+    if a.enq.(s) = a.tick then fail ob u (fun vertex dst -> Duplicate_edge { vertex; dst });
     a.enq.(s) <- a.tick;
     a.out_len.(s) <- words;
     s * a.word_size
@@ -343,7 +356,7 @@ let deliver_staged a src verdict =
     if a.enq.(s) = t then begin
       let dst = a.nbr.(s) in
       let len = a.out_len.(s) in
-      match verdict src dst len with
+      match verdict src dst s len with
       | `Drop -> ()
       | (`Deliver | `Duplicate) as v ->
         let d = a.mirror.(s) in
@@ -388,8 +401,8 @@ let finish_round a =
   (* deliveries appended the next worklist in (src, slot) order, not
      vertex order; steps run in ascending vertex order. A dense
      worklist is rebuilt by one scan of the [listed] stamps — O(n)
-     instead of a heapsort's O(n log n) when (as on the list API)
-     every vertex is listed every round — and a sparse one is sorted *)
+     instead of a heapsort's O(n log n) when every vertex is listed
+     every round — and a sparse one is sorted *)
   if a.work_n > a.n / 8 then begin
     let k = ref 0 in
     for v = 0 to a.n - 1 do

@@ -25,10 +25,23 @@
     Protocols normally go through {!Network}; this interface is what
     its round loop and the throughput benchmarks program against. *)
 
-(** Same meaning as [Network.Congestion_violation] — [Network]
-    re-exports this very exception, so handlers written against either
-    name catch both. *)
-exception Congestion_violation of string
+(** A send the CONGEST discipline forbids. Vertex ids are in the
+    coordinates of the arena's [to_orig] (original-graph ids for a
+    subnetwork); a destination outside the graph is reported as
+    given. *)
+type violation =
+  | Over_budget of { vertex : int; dst : int; words : int; budget : int }
+  | Not_a_neighbor of { vertex : int; dst : int }  (** self-sends included *)
+  | Duplicate_edge of { vertex : int; dst : int }
+      (** a second message on one directed edge in one round *)
+
+(** Raised by a send that fails validation, in protocol round [round].
+    [Network] re-exports this very exception. *)
+exception Congestion_violation of { round : int; violation : violation }
+
+(** [describe v] is a one-line rendering, e.g.
+    ["vertex 0: 3 is not a neighbor"]. *)
+val describe : violation -> string
 
 type t
 
@@ -45,6 +58,10 @@ val word_size : t -> int
 (** [slot_count a] is the number of directed-edge slots (twice the
     plain edge count). *)
 val slot_count : t -> int
+
+(** [mirror a s] is the slot of the directed edge opposite to slot [s]:
+    for [s] on [(v, u)], the slot on [(u, v)]. *)
+val mirror : t -> int -> int
 
 (** [round a] is the protocol round of the current worklist: the
     [~round] its steps see. It starts at 1 and only grows within a
@@ -64,8 +81,11 @@ type outbox
 val make_inbox : t -> inbox
 val make_outbox : t -> outbox
 
-(** [set_inbox ib v] aims the cursor at vertex [v]'s dst-side slots. *)
-val set_inbox : inbox -> int -> unit
+(** [set_inbox ?shuffle ib v] aims the cursor at vertex [v]'s dst-side
+    slots. With [shuffle], {!Inbox.iter1} and {!Inbox.iter} visit them
+    in an order drawn from it, fresh for this aim; without, in
+    ascending sender order. *)
+val set_inbox : ?shuffle:Dex_util.Rng.t -> inbox -> int -> unit
 
 (** [set_outbox ob v] aims the cursor at vertex [v]'s src-side slots;
     subsequent sends are validated and staged as coming from [v]. *)
@@ -81,18 +101,14 @@ module Inbox : sig
   val count : inbox -> int
 
   (** [iter1 ib f] calls [f src word] per delivery, in ascending
-      sender order (duplicates are adjacent). Reads only the first
-      word of each message: the fast path for one-word protocols. *)
+      sender order unless the cursor was aimed with a shuffle
+      (duplicates are adjacent either way). Reads only the first word
+      of each message: the fast path for one-word protocols. *)
   val iter1 : inbox -> (int -> int -> unit) -> unit
 
-  (** [iter ib f] calls [f src msg] per delivery in ascending sender
-      order, materializing each message array. *)
+  (** [iter ib f] calls [f src msg] per delivery in the order of
+      {!iter1}, materializing each message array. *)
   val iter : inbox -> (int -> int array -> unit) -> unit
-
-  (** [to_list ib] is the inbox as a list: senders descending,
-      duplicates adjacent — the list [Network]'s list API hands to its
-      steps. Allocates. *)
-  val to_list : inbox -> (int * int array) list
 end
 
 module Outbox : sig
@@ -138,8 +154,9 @@ val active_count : t -> int
 val active_get : t -> int -> int
 
 (** [deliver_staged a src verdict] walks [src]'s staged sends in slot
-    (= ascending destination) order; [verdict src dst words] decides
-    each message's fate, exactly like [Faults.verdict], and delivered
+    (= ascending destination) order; [verdict src dst slot words] decides
+    each message's fate, exactly like [Faults.verdict] (its [slot]
+    argument is the src-side slot of the message), and delivered
     messages land in the destination's inbox slots for the next round,
     putting each receiver on the next worklist. [src] joins it too if
     it called [Outbox.wake] this round. The caller's verdict callback
@@ -147,7 +164,7 @@ val active_get : t -> int -> int
     calling this for each source in ascending order records events in
     (source, destination) order. *)
 val deliver_staged :
-  t -> int -> (int -> int -> int -> [ `Deliver | `Drop | `Duplicate ]) -> unit
+  t -> int -> (int -> int -> int -> int -> [ `Deliver | `Drop | `Duplicate ]) -> unit
 
 (** [finish_round a] advances the tick (retiring all current-round
     slots at once), adds the calendar's wakes due next round, and

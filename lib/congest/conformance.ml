@@ -1,4 +1,3 @@
-module Graph = Dex_graph.Graph
 module Rng = Dex_util.Rng
 
 type run_tag = Canonical | Permuted
@@ -40,11 +39,7 @@ let describe = function
     Printf.sprintf "round counts diverge under permuted schedule (%d vs %d)" rounds_canonical
       rounds_permuted
 
-type 's protocol = {
-  init : int -> 's;
-  step : 's Network.step;
-  finished : 's array -> bool;
-}
+type 's protocol = { init : int -> 's; step : 's Network.active_step }
 
 type report = {
   rounds_canonical : int;
@@ -60,86 +55,53 @@ let ok r = r.violations = []
    every round, and the report should stay readable *)
 let max_reported = 32
 
-type 's run_result = {
-  digests : int array list; (* per round, per vertex *)
-  audit : violation list;
+type round_digest = { round : int; per_vertex : int array }
+
+type run_result = {
+  digests : round_digest list; (* one per stepped round *)
+  audit : violation list; (* the kernel violation that ended the run, if any *)
   rounds : int;
   messages : int;
 }
 
-(* One full execution of [p] with the same delivery semantics as
-   [Network.run] (synchronous rounds, quiescence = finished AND no
-   message in flight), but under an explicit schedule: [Canonical]
-   activates vertices in id order and delivers each inbox sorted by
-   sender; [Permuted] draws a fresh activation permutation and inbox
-   shuffle from [rng] every round. A conformant protocol cannot
-   observe the difference. *)
-let exec ~run ~word_size ~max_rounds ~rng g (p : 's protocol) ~digest =
-  let n = Graph.num_vertices g in
-  let audit = ref [] in
-  let nviol = ref 0 in
-  let record v =
-    if !nviol < max_reported then audit := v :: !audit;
-    incr nviol
-  in
-  let states = Array.init n p.init in
-  let inboxes = ref (Array.make n []) in
+let audit_of run ~round = function
+  | Arena.Over_budget { vertex; dst; words; budget } ->
+    Word_budget_exceeded { run; round; vertex; dst; words; budget }
+  | Arena.Not_a_neighbor { vertex; dst } -> Not_a_neighbor { run; round; vertex; dst }
+  | Arena.Duplicate_edge { vertex; dst } -> Duplicate_message { run; round; vertex; dst }
+
+(* One execution of [p] on a fresh network: the kernel's own round loop,
+   validation and quiescence, in the canonical order or — with
+   [shuffle] — a fresh random step and inbox order every round. The
+   first kernel violation ends the run. *)
+let exec ~run ?shuffle ~word_size ~max_rounds g (p : 's protocol) ~digest =
+  let net = Network.create ~word_size g (Rounds.create ()) in
   let digests = ref [] in
-  let messages = ref 0 in
-  let executed = ref 0 in
-  let in_flight () = Array.exists (fun inbox -> inbox <> []) !inboxes in
-  while (not (p.finished states && not (in_flight ()))) && !executed < max_rounds do
-    incr executed;
-    let round = !executed in
-    let order = Array.init n (fun i -> i) in
-    (match rng with Some r -> Rng.shuffle r order | None -> ());
-    let next = Array.make n [] in
-    Array.iter
-      (fun v ->
-        let inbox =
-          match rng with
-          | None ->
-            List.stable_sort (fun (a, _) (b, _) -> compare (a : int) b) !inboxes.(v)
-          | Some r ->
-            let a = Array.of_list !inboxes.(v) in
-            Rng.shuffle r a;
-            Array.to_list a
-        in
-        let state', outbox = p.step ~round ~vertex:(Dex_graph.Vertex.local v) states.(v) inbox in
-        states.(v) <- state';
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (fun (u, (msg : Network.message)) ->
-            if Array.length msg > word_size then
-              record
-                (Word_budget_exceeded
-                   { run; round; vertex = v; dst = u;
-                     words = Array.length msg; budget = word_size });
-            if v = u || not (Graph.mem_edge g v u) then
-              record (Not_a_neighbor { run; round; vertex = v; dst = u });
-            if Hashtbl.mem seen u then record (Duplicate_message { run; round; vertex = v; dst = u })
-            else Hashtbl.replace seen u ();
-            incr messages;
-            (* dex-lint: allow C002 the audit kernel records budget violations instead of raising *)
-            next.(u) <- (v, msg) :: next.(u))
-          outbox)
-      order;
-    inboxes := next;
-    digests := Array.map digest states :: !digests
-  done;
-  if not (p.finished states) then record (Round_limit { run; executed = !executed });
-  { digests = List.rev !digests; audit = List.rev !audit; rounds = !executed;
-    messages = !messages }
+  let on_round round states =
+    digests := { round; per_vertex = Array.map digest states } :: !digests
+  in
+  let rounds, audit =
+    match
+      Network.run_active ?shuffle net ~label:"conformance" ~init:p.init ~step:p.step
+        ~max_rounds ~on_round ()
+    with
+    | _, rounds -> (rounds, [])
+    | exception Network.Congestion_violation { round; violation } ->
+      ((match !digests with d :: _ -> d.round | [] -> 0), [ audit_of run ~round violation ])
+    | exception Network.Round_limit_exceeded { executed; _ } ->
+      (executed, [ Round_limit { run; executed } ])
+  in
+  { digests = List.rev !digests; audit; rounds; messages = Network.messages_sent net }
 
 let default_digest s = Hashtbl.hash_param 256 256 s
 
 let check ?(word_size = 1) ?(max_rounds = 100_000) ?(seed = 0xD1CE) ?digest g ~protocol () =
   let digest = match digest with Some d -> d | None -> default_digest in
-  (* the protocol thunk rebuilds every closure, so each replay starts
+  (* the protocol thunk rebuilds every closure, so each run starts
      from virgin mutable state and a virgin RNG *)
-  let a = exec ~run:Canonical ~word_size ~max_rounds ~rng:None g (protocol ()) ~digest in
+  let a = exec ~run:Canonical ~word_size ~max_rounds g (protocol ()) ~digest in
   let b =
-    exec ~run:Permuted ~word_size ~max_rounds ~rng:(Some (Rng.create seed)) g (protocol ())
+    exec ~run:Permuted ~shuffle:(Rng.create seed) ~word_size ~max_rounds g (protocol ())
       ~digest
   in
   let divergences = ref [] in
@@ -149,87 +111,27 @@ let check ?(word_size = 1) ?(max_rounds = 100_000) ?(seed = 0xD1CE) ?digest g ~p
       [ Round_divergence { rounds_canonical = a.rounds; rounds_permuted = b.rounds } ];
     incr ndiv
   end;
-  List.iteri
-    (fun i (da, db) ->
+  let rec compare_rounds da db =
+    match (da, db) with
+    | x :: ra, y :: rb ->
       Array.iteri
-        (fun v ha ->
-          let hb = db.(v) in
-          if ha <> hb then begin
+        (fun v hx ->
+          let hy = y.per_vertex.(v) in
+          if hx <> hy then begin
             if !ndiv < max_reported then
               divergences :=
                 State_divergence
-                  { round = i + 1; vertex = v; digest_canonical = ha; digest_permuted = hb }
+                  { round = x.round; vertex = v; digest_canonical = hx; digest_permuted = hy }
                 :: !divergences;
             incr ndiv
           end)
-        da)
-    (List.combine
-       (if List.length a.digests <= List.length b.digests then a.digests
-        else List.filteri (fun i _ -> i < List.length b.digests) a.digests)
-       (if List.length b.digests <= List.length a.digests then b.digests
-        else List.filteri (fun i _ -> i < List.length a.digests) b.digests));
+        x.per_vertex;
+      compare_rounds ra rb
+    | _ -> ()
+  in
+  compare_rounds a.digests b.digests;
   { rounds_canonical = a.rounds;
     rounds_permuted = b.rounds;
     messages_canonical = a.messages;
     messages_permuted = b.messages;
     violations = a.audit @ b.audit @ List.rev !divergences }
-
-(* ---------------- reference protocols ---------------- *)
-
-(* the BFS flood of [Primitives.bfs_tree], restated against the
-   [protocol] record; min-adoption over the inbox is order-insensitive
-   by construction *)
-type bfs_state = { dist : int; par : int; pending : bool }
-
-let bfs ?(root = Dex_graph.Vertex.local 0) g () =
-  let root = Dex_graph.Vertex.local_int root in
-  let init v =
-    if v = root then { dist = 0; par = root; pending = true }
-    else { dist = max_int; par = -1; pending = false }
-  in
-  let step ~round:_ ~vertex:v st inbox =
-    let v = Dex_graph.Vertex.local_int v in
-    let st =
-      if st.dist = max_int then
-        List.fold_left
-          (fun acc (sender, (msg : Network.message)) ->
-            let d = msg.(0) + 1 in
-            if d < acc.dist || (d = acc.dist && sender < acc.par) then
-              { dist = d; par = sender; pending = true }
-            else acc)
-          st inbox
-      else st
-    in
-    if st.pending then begin
-      let outbox = ref [] in
-      Graph.iter_neighbors g v (fun u -> outbox := (u, [| st.dist |]) :: !outbox);
-      ({ st with pending = false }, !outbox)
-    end
-    else (st, [])
-  in
-  let finished states = Array.for_all (fun st -> not st.pending) states in
-  { init; step; finished }
-
-type leader_state = { best : int; fresh : bool }
-
-let leader g () =
-  let init v = { best = v; fresh = true } in
-  let step ~round:_ ~vertex:v st inbox =
-    let v = Dex_graph.Vertex.local_int v in
-    let best =
-      List.fold_left (fun acc (_, (msg : Network.message)) -> min acc msg.(0)) st.best inbox
-    in
-    if best < st.best || st.fresh then begin
-      let outbox = ref [] in
-      Graph.iter_neighbors g v (fun u -> outbox := (u, [| best |]) :: !outbox);
-      ({ best; fresh = false }, !outbox)
-    end
-    else ({ best; fresh = false }, [])
-  in
-  (* on a connected graph the minimum floods everywhere; quiescence is
-     then handled by the engine's in-flight check *)
-  let finished states =
-    let target = Array.fold_left (fun acc st -> min acc st.best) max_int states in
-    Array.for_all (fun st -> st.best = target && not st.fresh) states
-  in
-  { init; step; finished }

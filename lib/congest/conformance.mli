@@ -10,20 +10,24 @@
     schedule sensitivity — hash-order iteration and ambient
     randomness).
 
-    {!check} executes the protocol twice on the same graph: once under
-    the canonical schedule (vertices activated in id order, inboxes
-    sorted by sender) and once under a seeded adversarial schedule
-    that re-permutes both orders every round. After each round it
-    digests every vertex state; any digest mismatch at any (round,
-    vertex) is reported as a {!State_divergence}. Both executions are
-    additionally audited against the CONGEST kernel invariants that
-    {!Network} enforces: at most [word_size] words per message, at
-    most one message per directed edge per round, and neighbors only.
+    {!check} runs the protocol twice on the real kernel
+    ({!Network.run_active}), each time on a fresh network over the same
+    graph: once in the kernel's canonical order (vertices stepped in id
+    order, inboxes in sender order) and once with [~shuffle], which
+    re-permutes both orders every round from a seeded generator. After
+    every stepped round it digests every vertex state; any digest
+    mismatch at any (round, vertex) is reported as a
+    {!State_divergence}. The kernel's own validation audits both runs
+    against the CONGEST invariants — at most [word_size] words per
+    message, at most one message per directed edge per round,
+    neighbours only — and a run ends at its first violation, so each
+    run reports at most one. A run that does not quiesce within
+    [max_rounds] reports {!Round_limit}.
 
-    The protocol is supplied as a thunk so each replay rebuilds its
-    closures — any mutable state or RNG captured by [init]/[step]/
-    [finished] must be created inside the thunk, otherwise the second
-    replay starts warm and the comparison is meaningless. *)
+    The protocol is supplied as a thunk so each run rebuilds its
+    closures — any mutable state or RNG captured by [init]/[step] must
+    be created inside the thunk, otherwise the second run starts warm
+    and the comparison is meaningless. *)
 
 type run_tag = Canonical | Permuted
 
@@ -53,21 +57,20 @@ type violation =
 (** One-line human rendering of a violation. *)
 val describe : violation -> string
 
-(** A protocol restated as pure data against the same [step] signature
-    as {!Network.run}; [finished] is the quiescence predicate (the
-    engine also waits for in-flight messages, like [Network.run]). *)
-type 's protocol = {
-  init : int -> 's;
-  step : 's Network.step;
-  finished : 's array -> bool;
-}
+(** A protocol as the kernel runs it: the initial state of each vertex
+    and its cursor step. Quiescence is the kernel's: no message in
+    flight and no wake pending. {!Primitives.bfs} and
+    {!Primitives.leader} are the protocols [Primitives] itself runs. *)
+type 's protocol = { init : int -> 's; step : 's Network.active_step }
 
 type report = {
   rounds_canonical : int;
   rounds_permuted : int;
   messages_canonical : int;
   messages_permuted : int;
-  violations : violation list;  (** capped at 32 entries; empty iff conformant *)
+  violations : violation list;
+      (** at most one kernel violation per run, then at most 32
+          divergences; empty iff conformant *)
 }
 
 (** [ok report] is [true] iff no violation was recorded. *)
@@ -79,11 +82,11 @@ val ok : report -> bool
     arrays with the exact same function the conformance engine uses. *)
 val default_digest : 's -> int
 
-(** [check ?word_size ?max_rounds ?seed ?digest g ~protocol ()] replays
-    [protocol ()] under the canonical and the seeded-permuted schedule
-    and compares them. [digest] (default [Hashtbl.hash_param 256 256])
-    must be a total function of the state — if the state contains
-    caches or closures, supply a digest over the meaningful fields. *)
+(** [check ?word_size ?max_rounds ?seed ?digest g ~protocol ()] runs
+    [protocol ()] in the canonical and in the seeded shuffled order and
+    compares them. [digest] (default {!default_digest}) must be a total
+    function of the state — if the state contains caches or closures,
+    supply a digest over the meaningful fields. *)
 val check :
   ?word_size:int ->
   ?max_rounds:int ->
@@ -93,20 +96,3 @@ val check :
   protocol:(unit -> 's protocol) ->
   unit ->
   report
-
-(** {2 Reference protocols}
-
-    Conformant restatements of the {!Primitives} protocols, usable as
-    smoke workloads for {!check} (see the [conformance] CLI command). *)
-
-type bfs_state = { dist : int; par : int; pending : bool }
-
-(** BFS flood from [root] (default vertex 0): min-adoption over the
-    inbox, ties broken toward the smaller sender id —
-    order-insensitive. *)
-val bfs : ?root:Dex_graph.Vertex.local -> Dex_graph.Graph.t -> unit -> bfs_state protocol
-
-type leader_state = { best : int; fresh : bool }
-
-(** Minimum-id flooding leader election; requires a connected graph. *)
-val leader : Dex_graph.Graph.t -> unit -> leader_state protocol

@@ -32,10 +32,11 @@
     original-graph coordinates. Without an attached trace the kernel
     skips all of this — tracing off costs one pointer test per round. *)
 
-(** Same exception as {!Arena.Congestion_violation} (re-exported):
-    handlers written against either name catch violations raised by
-    either API, list-based or cursor-based. *)
-exception Congestion_violation of string
+(** {!Arena.Congestion_violation}, re-exported: raised by the first
+    send that breaks the discipline, with the round and a structured
+    {!Arena.violation} in original-graph ids ({!Arena.describe}
+    renders it). *)
+exception Congestion_violation of { round : int; violation : Arena.violation }
 
 (** There is one round loop, so there is nothing to choose: the single
     constructor survives only for callers written against the former
@@ -45,19 +46,14 @@ type executor = Staged
 (** [set_default_executor Staged] does nothing. *)
 val set_default_executor : executor -> unit
 
-(** Final states of a protocol that hit its round limit, with the
-    element type hidden (protocol state types differ per caller). *)
-type packed_states = Packed : 'a array -> packed_states
-
-(** Raised by {!run} when [max_rounds] is exhausted before the
-    [finished] predicate holds. The executed rounds have already been
-    charged to the ledger when this is raised. *)
+(** Raised by {!run_active} when the next round to step lies beyond
+    [max_rounds]. The [max_rounds] rounds have already been charged to
+    the ledger when this is raised. *)
 exception
   Round_limit_exceeded of {
     label : string;
     max_rounds : int;
     executed : int;
-    states : packed_states;
   }
 
 type t
@@ -106,76 +102,12 @@ val vertex_map : t -> Dex_graph.Vertex.Map.t option
     a recursive decomposition wants. *)
 val top_edges : t -> int -> ((int * int) * int) list
 
-(** A message is an int array of at most [word_size] words. *)
-type message = int array
+(** {1 Running a protocol}
 
-(** Per-round behaviour of one vertex. Receives the current round
-    number (starting at 1), the vertex id (phantom-typed: it lives in
-    {e this} network's coordinate space — see {!Dex_graph.Vertex}), its
-    state and its inbox [(sender, message) list]; returns the new state
-    and the outbox [(neighbor, message) list]. *)
-type 's step =
-  round:int ->
-  vertex:Dex_graph.Vertex.local ->
-  's ->
-  (int * message) list ->
-  's * (int * message) list
-
-(** {1 List API}
-
-    An adapter over the cursor driver below, for protocols that find
-    lists easier to write: each vertex's inbox is handed over as
-    [Arena.Inbox.to_list] (senders descending, a duplicated message
-    twice in adjacent positions), its outbox is sent through
-    [Arena.Outbox.send] in list order — so validation checks budget,
-    then neighbour, then duplicate, before any fault applies — and
-    every live vertex is stepped every round, received or not.
-
-    Under a fault schedule, the fault events one sender causes in one
-    round are recorded in ascending destination order, whatever the
-    order of its outbox list. *)
-
-(** [run t ~label ~init ~step ~finished ?max_rounds ?on_round ()]
-    executes the protocol synchronously until [finished state_array]
-    holds at a round boundary with no message delivered in the round
-    before (tested before round 1 too), or [max_rounds] (default
-    1_000_000) is exhausted — raising {!Round_limit_exceeded} in the
-    latter case with [executed = max_rounds], after charging those
-    rounds to the ledger. Returns the final states and the number of
-    rounds executed; the rounds are also charged to the ledger under
-    [label]. [on_round] is called after every executed round with the
-    round number and the (mutable) state array — the kernel test suite
-    uses it to digest per-round states. Once every vertex has crashed
-    and nothing is in flight, no round is stepped any more: the run
-    raises {!Round_limit_exceeded} (unless [finished] holds) without
-    calling [on_round] for the rounds it charges but skips. *)
-val run :
-  t ->
-  label:string ->
-  init:(int -> 's) ->
-  step:'s step ->
-  finished:('s array -> bool) ->
-  ?max_rounds:int ->
-  ?on_round:(int -> 's array -> unit) ->
-  unit ->
-  's array * int
-
-(** [run_rounds t ~label ~init ~step n] runs exactly [n] rounds. *)
-val run_rounds :
-  t ->
-  label:string ->
-  init:(int -> 's) ->
-  step:'s step ->
-  ?on_round:(int -> 's array -> unit) ->
-  int ->
-  's array
-
-(** {1 Cursor API}
-
-    The zero-allocation face of the kernel: inboxes and outboxes are
-    {!Arena} cursors over preallocated per-edge slots instead of
-    lists, and only {e active} vertices — those with a non-empty inbox
-    or an explicit [Arena.Outbox.wake] — are stepped each round. *)
+    A protocol is an {!active_step} per vertex. Inboxes and outboxes are
+    {!Arena} cursors over preallocated per-edge slots, and only
+    {e active} vertices — those with a non-empty inbox or a wake — are
+    stepped each round. *)
 
 (** Per-round behaviour of one vertex, cursor form. Read the inbox
     with [Arena.Inbox.iter1]/[iter], send with [Arena.Outbox.send1]/
@@ -188,8 +120,8 @@ type 's active_step =
   Arena.outbox ->
   's
 
-(** [run_active t ~label ~init ~step ?max_rounds ?on_round ()] drives
-    an {!active_step} protocol to quiescence: round 1 steps every
+(** [run_active ?shuffle t ~label ~init ~step ?max_rounds ?on_round ()]
+    drives an {!active_step} protocol to quiescence: round 1 steps every
     vertex; afterwards only vertices that received a message, woke
     themselves ([Arena.Outbox.wake]) or reached a timed wake
     ([Arena.Outbox.wake_at]) are stepped. The protocol terminates when
@@ -209,8 +141,18 @@ type 's active_step =
     be it for traffic or for a pending timed wake —
     {!Round_limit_exceeded} is raised with [executed = max_rounds],
     after charging [max_rounds] rounds. The arena is built lazily on
-    first use and reused across runs on the same network. *)
+    first use and reused across runs on the same network.
+
+    The model leaves the order of a round's steps and of an inbox's
+    deliveries unspecified. By default the kernel fixes one canonical
+    order: ascending vertex, ascending sender. With [shuffle], every
+    round steps its worklist in a fresh random order drawn from it, and
+    every inbox cursor lists its deliveries in a fresh random order;
+    delivery, counters and faults stay in ascending order. A protocol
+    that computes the same thing either way is free of schedule races —
+    {!Conformance.check} runs it both ways. *)
 val run_active :
+  ?shuffle:Dex_util.Rng.t ->
   t ->
   label:string ->
   init:(int -> 's) ->
@@ -220,9 +162,9 @@ val run_active :
   unit ->
   's array * int
 
-(** [run_active_rounds t ~label ~init ~step ?on_round n] is the cursor
-    counterpart of {!run_rounds}: it runs the {!active_step} protocol
-    for the fixed length of [n] rounds and returns the final states.
+(** [run_active_rounds t ~label ~init ~step ?on_round n] runs the
+    {!active_step} protocol for the fixed length of [n] rounds and
+    returns the final states.
     It shares {!run_active}'s loop, so only active vertices are
     stepped and idle rounds are skipped. It stops after round [n] even
     if messages are still in flight or wakes are pending (both are

@@ -12,24 +12,23 @@ type tree = {
 
 type bfs_state = { dist : int; par : int; pending : bool }
 
-let bfs_tree net ~root =
+let bfs g ~root =
   let root = Vertex.local_int root in
-  let g = Network.graph net in
-  let n = Graph.num_vertices g in
-  Invariant.require (root >= 0 && root < n) ~where:"Primitives.bfs_tree" "root out of range";
   let init v =
     if v = root then { dist = 0; par = root; pending = true }
     else { dist = max_int; par = -1; pending = false }
   in
   let step ~round:_ ~vertex:v st ib ob =
     let v = Vertex.local_int v in
-    (* adopt the smallest advertised distance on first contact *)
+    (* adopt the smallest advertised distance on first contact, ties
+       toward the smaller sender: the inbox order cannot matter *)
     let st =
       if st.dist = max_int then begin
         let best = ref st in
         Arena.Inbox.iter1 ib (fun sender w ->
             let d = w + 1 in
-            if d < !best.dist then best := { dist = d; par = sender; pending = true });
+            if d < !best.dist || (d = !best.dist && sender < !best.par) then
+              best := { dist = d; par = sender; pending = true });
         !best
       end
       else st
@@ -41,26 +40,31 @@ let bfs_tree net ~root =
     end
     else st
   in
-  (* active-set quiescence: the wave visits each vertex once, and a
-     vertex that receives without improving sends nothing — exactly
-     the in-flight-empty termination of the list API *)
-  let states, _rounds = Network.run_active net ~label:"bfs" ~init ~step () in
-  let parent = Array.map (fun st -> st.par) states in
-  let depth = Array.map (fun st -> st.dist) states in
+  { Conformance.init; step }
+
+let tree ~root ~parent ~depth =
   let height = Array.fold_left (fun acc d -> if d = max_int then acc else max acc d) 0 depth in
   let members =
-    let acc = ref [] in
-    for v = n - 1 downto 0 do
-      if depth.(v) <> max_int then acc := v :: !acc
-    done;
-    Array.of_list !acc
+    List.filter (fun v -> depth.(v) <> max_int) (List.init (Array.length depth) Fun.id)
   in
-  { root; parent; depth; height; members }
+  { root = Vertex.local_int root; parent; depth; height; members = Array.of_list members }
+
+let bfs_tree net ~root =
+  let g = Network.graph net in
+  Invariant.require
+    (Vertex.local_int root >= 0 && Vertex.local_int root < Graph.num_vertices g)
+    ~where:"Primitives.bfs_tree" "root out of range";
+  let p = bfs g ~root in
+  (* active-set quiescence: the wave visits each vertex once, and a
+     vertex that receives without improving sends nothing *)
+  let states, _rounds = Network.run_active net ~label:"bfs" ~init:p.init ~step:p.step () in
+  tree ~root
+    ~parent:(Array.map (fun st -> st.par) states)
+    ~depth:(Array.map (fun st -> st.dist) states)
 
 type leader_state = { best : int; fresh : bool }
 
-let elect_leader net =
-  let g = Network.graph net in
+let leader g =
   let init v = { best = v; fresh = true } in
   let step ~round:_ ~vertex:v st ib ob =
     let v = Vertex.local_int v in
@@ -73,9 +77,13 @@ let elect_leader net =
           Arena.Outbox.send1 ob ~dst:(Vertex.local u) best);
     { best; fresh = false }
   in
+  { Conformance.init; step }
+
+let elect_leader net =
+  let p = leader (Network.graph net) in
   (* a vertex re-announces only when its view improves, so active-set
      quiescence means the minimum has flooded each component *)
-  let states, _ = Network.run_active net ~label:"leader" ~init ~step () in
+  let states, _ = Network.run_active net ~label:"leader" ~init:p.init ~step:p.step () in
   Array.map (fun st -> st.best) states
 
 let broadcast net tree ~label = Network.charge net ~label tree.height

@@ -15,6 +15,11 @@ type tree = {
   members : int array; (** vertices of the component, sorted *)
 }
 
+(** [tree ~root ~parent ~depth] is the tree with these per-vertex
+    parents and depths ([max_int] outside the component), its height
+    and members. *)
+val tree : root:Dex_graph.Vertex.local -> parent:int array -> depth:int array -> tree
+
 (** [bfs_tree net ~root] floods from [root] (executed protocol;
     rounds measured and charged under ["bfs"]). [root] is a vertex of
     {e this} network's coordinate space ({!Dex_graph.Vertex.local}). *)
@@ -24,6 +29,24 @@ val bfs_tree : Network.t -> root:Dex_graph.Vertex.local -> tree
     charged under ["leader"]); returns per-vertex leader array —
     one leader per connected component. *)
 val elect_leader : Network.t -> int array
+
+(** {2 The protocols}
+
+    What {!bfs_tree} and {!elect_leader} run, exported so
+    {!Conformance.check} can test the very steps the kernel executes. *)
+
+type bfs_state = { dist : int; par : int; pending : bool }
+
+(** [bfs g ~root]: a vertex adopts the smallest advertised distance + 1
+    on first contact, ties broken toward the smaller sender, and
+    announces it once. *)
+val bfs : Dex_graph.Graph.t -> root:Dex_graph.Vertex.local -> bfs_state Conformance.protocol
+
+type leader_state = { best : int; fresh : bool }
+
+(** [leader g]: a vertex announces its id in round 1 and re-announces
+    whenever a smaller id reaches it. *)
+val leader : Dex_graph.Graph.t -> leader_state Conformance.protocol
 
 (** [broadcast net tree ~label] charges the cost of sending one
     O(log n)-bit value from the root to all members: [tree.height]

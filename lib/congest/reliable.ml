@@ -1,4 +1,5 @@
 module Graph = Dex_graph.Graph
+module Vertex = Dex_graph.Vertex
 module Invariant = Dex_util.Invariant
 
 type config = { max_retries : int; give_up : bool }
@@ -47,24 +48,26 @@ type peer = {
 
 type vstate = { mutable value : int; mutable parent : int; peers : peer array }
 
-let peer_of st sender =
-  let rec go i =
-    if i >= Array.length st.peers then
-      Invariant.fail ~where:"Reliable" "message from non-peer"
-    else if st.peers.(i).nbr = sender then st.peers.(i)
-    else go (i + 1)
-  in
-  go 0
+let quiet st =
+  Array.for_all (fun p -> (p.outstanding < 0 || p.abandoned) && p.ack_due < 0) st.peers
 
 (* Reliable monotone flooding: each vertex holds a value improving via
    min; adopting a better candidate (received value + delta) re-arms
-   delivery of the new value to every neighbor. Quiescence = every
-   live vertex has no outstanding value and no pending ack. *)
-let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_rounds () =
-  Invariant.require (config.max_retries >= 1) ~where:"Reliable" "max_retries must be >= 1";
-  let g = Network.graph net in
-  let failure = ref None in
-  let cur_round = ref 0 in
+   delivery of the new value to every neighbor. A BFS from [root] floods
+   distances (delta 1) from the root alone; leader election floods ids
+   (delta 0) from everyone. A vertex stays awake while it is not quiet
+   and is still up next round, so the kernel's quiescence is the
+   protocol's. *)
+let protocol ?faults g ~config ~failure kind =
+  let delta, init_value, init_parent, announce =
+    match kind with
+    | `Bfs root ->
+      ( 1,
+        (fun v -> if v = root then 0 else infinity_value),
+        (fun v -> if v = root then root else -1),
+        fun v -> v = root )
+    | `Leader -> (0, Fun.id, Fun.id, fun _ -> true)
+  in
   let init v =
     let value = init_value v in
     let peers =
@@ -79,13 +82,12 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
     in
     { value; parent = init_parent v; peers }
   in
-  let step ~round ~vertex:v st inbox =
-    let v = Dex_graph.Vertex.local_int v in
-    cur_round := round;
-    List.iter
-      (fun (sender, (msg : Network.message)) ->
-        let data, ack = decode msg.(0) in
-        let peer = peer_of st sender in
+  let step ~round ~vertex st ib ob =
+    let v = Vertex.local_int vertex in
+    let before = st.value in
+    Arena.Inbox.iter1 ib (fun sender w ->
+        let data, ack = decode w in
+        let peer = st.peers.(Graph.neighbor_rank g v sender) in
         (match data with
         | Some x ->
           peer.ack_due <- x;
@@ -100,6 +102,10 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
                 p.abandoned <- false)
               st.peers
           end
+          else if candidate = st.value && candidate < before && sender > st.parent then
+            (* among this round's best offers, the parent is the
+               largest sender *)
+            st.parent <- sender
         | None -> ());
         match ack with
         | Some y ->
@@ -107,9 +113,7 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
             peer.outstanding <- -1;
             peer.attempts <- 0
           end
-        | None -> ())
-      inbox;
-    let outbox = ref [] in
+        | None -> ());
     Array.iter
       (fun p ->
         let data =
@@ -132,63 +136,70 @@ let flood net ~label ~config ~delta ~init_value ~init_parent ~announce ?max_roun
         let ack = if p.ack_due >= 0 then Some p.ack_due else None in
         p.ack_due <- -1;
         if data <> None || ack <> None then
-          outbox := (p.nbr, [| encode ~data ~ack |]) :: !outbox)
+          Arena.Outbox.send1 ob ~dst:(Vertex.local p.nbr) (encode ~data ~ack))
       st.peers;
-    (st, !outbox)
+    let down_next f = Faults.is_crashed f ~round:(round + 1) ~vertex in
+    if not (quiet st || Option.fold ~none:false ~some:down_next faults) then Arena.Outbox.wake ob;
+    st
   in
-  let live v =
-    match Network.faults net with
-    | None -> true
-    | Some f ->
-      not (Faults.crashed f ~round:(!cur_round + 1) ~vertex:(Dex_graph.Vertex.local v))
-  in
-  let finished states =
-    let quiet st =
-      Array.for_all (fun p -> (p.outstanding < 0 || p.abandoned) && p.ack_due < 0) st.peers
-    in
-    let ok = ref true in
-    Array.iteri (fun v st -> if live v && not (quiet st) then ok := false) states;
-    !ok
-  in
-  let states, rounds = Network.run net ~label ~init ~step ~finished ?max_rounds () in
-  (match !failure with
-  | Some (vertex, neighbor, value, attempts) ->
-    raise (Delivery_failed { label; vertex; neighbor; value; attempts })
-  | None -> ());
-  (states, rounds)
+  { Conformance.init; step }
 
-let bfs_tree ?(config = default_config) ?max_rounds net ~root =
-  let root = Dex_graph.Vertex.local_int root in
+let flood net ~label ~config ?max_rounds kind =
+  Invariant.require (config.max_retries >= 1) ~where:"Reliable" "max_retries must be >= 1";
   let g = Network.graph net in
   let n = Graph.num_vertices g in
-  Invariant.require (root >= 0 && root < n) ~where:"Reliable.bfs_tree" "root out of range";
-  let states, _rounds =
-    flood net ~label:"bfs-reliable" ~config ~delta:1
-      ~init_value:(fun v -> if v = root then 0 else infinity_value)
-      ~init_parent:(fun v -> if v = root then root else -1)
-      ~announce:(fun v -> v = root)
-      ?max_rounds ()
+  let faults = Network.faults net in
+  let failure = ref None in
+  let p = protocol ?faults g ~config ~failure kind in
+  (* crash-stops are observed at every round boundary, for every
+     vertex in ascending order, so each lands in the fault trace just
+     before the round it takes effect in, whichever vertices are
+     active *)
+  let up_at round v =
+    match faults with
+    | Some f -> not (Faults.crashed f ~round ~vertex:(Vertex.local v))
+    | None -> true
   in
+  let observe_crashes round =
+    for v = 0 to n - 1 do
+      ignore (up_at round v)
+    done
+  in
+  observe_crashes 1;
+  let states0 = Array.init n p.init in
+  let states =
+    if Array.for_all Fun.id (Array.mapi (fun v st -> quiet st || not (up_at 1 v)) states0)
+    then begin
+      (* nothing to deliver anywhere: the flood is over before round 1 *)
+      Network.charge net ~label 0;
+      states0
+    end
+    else
+      fst
+        (Network.run_active net ~label ~init:p.init ~step:p.step ?max_rounds
+           ~on_round:(fun round _ -> observe_crashes (round + 1))
+           ())
+  in
+  Option.iter
+    (fun (vertex, neighbor, value, attempts) ->
+      raise (Delivery_failed { label; vertex; neighbor; value; attempts }))
+    !failure;
+  states
+
+let bfs_protocol g ~root =
+  protocol g ~config:default_config ~failure:(ref None) (`Bfs (Vertex.local_int root))
+
+let bfs_tree ?(config = default_config) ?max_rounds net ~root =
+  let r = Vertex.local_int root in
+  let n = Graph.num_vertices (Network.graph net) in
+  Invariant.require (r >= 0 && r < n) ~where:"Reliable.bfs_tree" "root out of range";
+  let states = flood net ~label:"bfs-reliable" ~config ?max_rounds (`Bfs r) in
   let depth =
     Array.map (fun st -> if st.value >= infinity_value then max_int else st.value) states
   in
   let parent = Array.mapi (fun v st -> if depth.(v) = max_int then -1 else st.parent) states in
-  let height = Array.fold_left (fun acc d -> if d = max_int then acc else max acc d) 0 depth in
-  let members =
-    let acc = ref [] in
-    for v = n - 1 downto 0 do
-      if depth.(v) <> max_int then acc := v :: !acc
-    done;
-    Array.of_list !acc
-  in
-  { Primitives.root; parent; depth; height; members }
+  Primitives.tree ~root ~parent ~depth
 
 let elect_leader ?(config = default_config) ?max_rounds net =
-  let states, _rounds =
-    flood net ~label:"leader-reliable" ~config ~delta:0
-      ~init_value:(fun v -> v)
-      ~init_parent:(fun v -> v)
-      ~announce:(fun _ -> true)
-      ?max_rounds ()
-  in
+  let states = flood net ~label:"leader-reliable" ~config ?max_rounds `Leader in
   Array.map (fun st -> st.value) states

@@ -65,3 +65,12 @@ val bfs_tree :
     returns the per-vertex leader array, one leader per connected
     component of the surviving network. *)
 val elect_leader : ?config:config -> ?max_rounds:int -> Network.t -> int array
+
+(** Per-vertex state of the reliable flood. *)
+type vstate
+
+(** [bfs_protocol g ~root] is the fault-free protocol {!bfs_tree} runs
+    (with {!default_config}), exported for {!Conformance.check}. A
+    vertex adopts the smallest offered distance + 1; among one round's
+    best offers its parent is the largest sender. *)
+val bfs_protocol : Dex_graph.Graph.t -> root:Dex_graph.Vertex.local -> vstate Conformance.protocol

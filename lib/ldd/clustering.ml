@@ -2,6 +2,7 @@ module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
 module Arena = Dex_congest.Arena
 module Network = Dex_congest.Network
+module Conformance = Dex_congest.Conformance
 module Rng = Dex_util.Rng
 
 type t = {
@@ -17,19 +18,17 @@ type state = {
   announced : bool;
 }
 
-let run net ~beta rng =
+let horizon ~n ~beta =
   if beta <= 0.0 || beta >= 1.0 then invalid_arg "Clustering.run: beta in (0,1)";
-  let g = Network.graph net in
-  let n = Graph.num_vertices g in
-  let horizon =
-    max 1 (int_of_float (Float.ceil (2.0 *. log (Float.max 2.0 (float_of_int n)) /. beta)))
-  in
-  let starts =
-    Array.init n (fun i ->
-        let local = Rng.split rng i in
-        let delta = Rng.exponential local ~rate:beta in
-        max 1 (horizon - int_of_float (Float.floor delta)))
-  in
+  max 1 (int_of_float (Float.ceil (2.0 *. log (Float.max 2.0 (float_of_int n)) /. beta)))
+
+let draw_starts rng ~n ~beta ~horizon =
+  Array.init n (fun i ->
+      let local = Rng.split rng i in
+      let delta = Rng.exponential local ~rate:beta in
+      max 1 (horizon - int_of_float (Float.floor delta)))
+
+let protocol_of g starts =
   let init v = { start_epoch = starts.(v); cluster = -1; announced = false } in
   (* a vertex acts in at most two rounds — its start epoch and the
      round after a neighbour announces — so round 1 books the start
@@ -56,8 +55,20 @@ let run net ~beta rng =
     end
     else st
   in
+  { Conformance.init; step }
+
+let protocol g ~beta rng =
+  let n = Graph.num_vertices g in
+  protocol_of g (draw_starts rng ~n ~beta ~horizon:(horizon ~n ~beta))
+
+let run net ~beta rng =
+  let g = Network.graph net in
+  let n = Graph.num_vertices g in
+  let horizon = horizon ~n ~beta in
+  let starts = draw_starts rng ~n ~beta ~horizon in
+  let p = protocol_of g starts in
   let states =
-    Network.run_active_rounds net ~label:"mpx-clustering" ~init ~step horizon
+    Network.run_active_rounds net ~label:"mpx-clustering" ~init:p.init ~step:p.step horizon
   in
   (* every vertex self-clusters at its start epoch at the latest, and
      start epochs are <= horizon, so no vertex can be left over *)

@@ -29,6 +29,15 @@ type t = {
     [beta] must be in (0, 1). *)
 val run : Dex_congest.Network.t -> beta:float -> Dex_util.Rng.t -> t
 
+(** Per-vertex protocol state. *)
+type state
+
+(** [protocol g ~beta rng] is the protocol {!run} executes on [g] for
+    the same [rng] draws, exported for
+    [Dex_congest.Conformance.check]. *)
+val protocol :
+  Dex_graph.Graph.t -> beta:float -> Dex_util.Rng.t -> state Dex_congest.Conformance.protocol
+
 (** [clusters t] groups vertices by cluster, each sorted ascending;
     the groups are listed by descending cluster id. *)
 val clusters : t -> int array list

@@ -9,9 +9,14 @@
     keeps the lazy half plus its self-loop share, applies the ε_b
     truncation, and repeats.
 
-    Tests check that the protocol's distribution equals
-    {!Dex_spectral.Walk.truncated_walk} step for step, and that the
-    kernel charges exactly [steps] rounds — the basis for the
+    It runs on the cursor kernel ({!Dex_congest.Network.run_active_rounds},
+    [steps + 1] rounds); a vertex holding mass wakes, so only the walk's
+    support is stepped. Each vertex sums its kept share and the shares
+    it receives in ascending order of the vertex they come from, the
+    order {!Dex_spectral.Walk.step} sums them in, so tests check that
+    the protocol's distribution equals
+    {!Dex_spectral.Walk.truncated_walk} bit for bit, and that the
+    kernel charges exactly [steps + 1] rounds — the basis for the
     "one diffusion step = one communication round" accounting used by
     {!Nibble}. *)
 

@@ -44,8 +44,9 @@ let geometric t p =
     let u = 1.0 -. Random.State.float t 1.0 in
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
+let shuffle ?len t a =
+  let len = match len with Some k -> k | None -> Array.length a in
+  for i = len - 1 downto 1 do
     let j = Random.State.int t (i + 1) in
     let tmp = a.(i) in
     a.(i) <- a.(j);

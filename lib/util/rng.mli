@@ -38,8 +38,9 @@ val exponential : t -> rate:float -> float
     of a Bernoulli(p); [p] must be in (0, 1]. *)
 val geometric : t -> float -> int
 
-(** [shuffle t a] permutes [a] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
+(** [shuffle ?len t a] permutes the first [len] elements of [a]
+    (default: all of them) in place (Fisher–Yates). *)
+val shuffle : ?len:int -> t -> 'a array -> unit
 
 (** [choose t a] is a uniformly random element of [a].
     Raises [Invalid_argument] on an empty array. *)

@@ -10,6 +10,7 @@ module Vertex = Dex_graph.Vertex
 module Rounds = Dex_congest.Rounds
 module Network = Dex_congest.Network
 module Primitives = Dex_congest.Primitives
+module Arena = Dex_congest.Arena
 module Rng = Dex_util.Rng
 
 let fresh_net ?word_size g =
@@ -48,18 +49,20 @@ let test_rounds_ledger () =
 let test_basic_exchange () =
   let g = Gen.cycle 5 in
   let net = fresh_net g in
-  let step ~round ~vertex st inbox =
+  let step ~round ~vertex st ib ob =
     let vertex = Vertex.local_int vertex in
-    if round = 1 then
-      let out = ref [] in
-      Graph.iter_neighbors g vertex (fun u -> out := (u, [| vertex + 100 |]) :: !out);
-      (st, !out)
+    if round = 1 then begin
+      Graph.iter_neighbors g vertex (fun u ->
+          Arena.Outbox.send1 ob ~dst:(Vertex.local u) (vertex + 100));
+      st
+    end
     else begin
-      let best = List.fold_left (fun acc (_, m) -> max acc m.(0)) st inbox in
-      (best, [])
+      let best = ref st in
+      Arena.Inbox.iter1 ib (fun _ w -> best := max !best w);
+      !best
     end
   in
-  let states = Network.run_rounds net ~label:"exchange" ~init:(fun _ -> -1) ~step 2 in
+  let states = Network.run_active_rounds net ~label:"exchange" ~init:(fun _ -> -1) ~step 2 in
   Alcotest.(check int) "vertex 0 saw 104" 104 states.(0);
   Alcotest.(check int) "vertex 2 saw 103" 103 states.(2);
   Alcotest.(check int) "messages" 10 (Network.messages_sent net);
@@ -72,61 +75,41 @@ let expect_congestion f =
   | exception Network.Congestion_violation _ -> ()
   | _ -> Alcotest.fail "expected Congestion_violation"
 
+(* one round in which vertex 0 makes the given sends *)
+let vertex0_sends net sends =
+  Network.run_active_rounds net ~label:"bad"
+    ~init:(fun _ -> ())
+    ~step:(fun ~round:_ ~vertex () _ib ob ->
+      if Vertex.local_int vertex = 0 then
+        List.iter (fun (u, msg) -> Arena.Outbox.send ob ~dst:(Vertex.local u) msg) sends)
+    1
+
 let test_rejects_non_neighbor () =
-  let g = Gen.path 3 in
-  let net = fresh_net g in
-  expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (2, [| 1 |]) ]) else (st, []))
-        1)
+  let net = fresh_net (Gen.path 3) in
+  expect_congestion (fun () -> vertex0_sends net [ (2, [| 1 |]) ])
 
 let test_rejects_double_send () =
-  let g = Gen.path 3 in
-  let net = fresh_net g in
-  expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1 |]); (1, [| 2 |]) ]) else (st, []))
-        1)
+  let net = fresh_net (Gen.path 3) in
+  expect_congestion (fun () -> vertex0_sends net [ (1, [| 1 |]); (1, [| 2 |]) ])
 
 let test_rejects_oversized_message () =
-  let g = Gen.path 3 in
-  let net = fresh_net ~word_size:2 g in
-  expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (1, [| 1; 2; 3 |]) ]) else (st, []))
-        1)
+  let net = fresh_net ~word_size:2 (Gen.path 3) in
+  expect_congestion (fun () -> vertex0_sends net [ (1, [| 1; 2; 3 |]) ])
 
 let test_rejects_self_message () =
-  let g = Graph.of_edges ~n:2 [ (0, 1); (0, 0) ] in
-  let net = fresh_net g in
-  expect_congestion (fun () ->
-      Network.run_rounds net ~label:"bad"
-        ~init:(fun _ -> ())
-        ~step:(fun ~round:_ ~vertex st _ ->
-          let vertex = Vertex.local_int vertex in
-          if vertex = 0 then (st, [ (0, [| 1 |]) ]) else (st, []))
-        1)
+  let net = fresh_net (Graph.of_edges ~n:2 [ (0, 1); (0, 0) ]) in
+  expect_congestion (fun () -> vertex0_sends net [ (0, [| 1 |]) ])
 
 let test_run_timeout () =
   let g = Gen.path 3 in
   let net = fresh_net g in
   match
-    Network.run net ~label:"never"
+    Network.run_active net ~label:"never"
       ~init:(fun _ -> ())
-      ~step:(fun ~round:_ ~vertex:_ st _ -> (st, []))
-      ~finished:(fun _ -> false)
+      ~step:(fun ~round:_ ~vertex:_ st _ib ob -> Arena.Outbox.wake ob; st)
       ~max_rounds:10 ()
   with
-  | exception Network.Round_limit_exceeded { label; max_rounds; executed; states = _ } ->
+  | exception Network.Round_limit_exceeded { label; max_rounds; executed } ->
     Alcotest.(check string) "label" "never" label;
     Alcotest.(check int) "max_rounds" 10 max_rounds;
     Alcotest.(check int) "executed" 10 executed;
@@ -203,15 +186,9 @@ let test_subnetwork_violation_reports_original_id () =
   let g = Gen.cycle 6 in
   let net = fresh_net ~word_size:1 g in
   let sub, _mapping = Primitives.subnetwork net [| 3; 4; 5 |] in
-  (match
-     Network.run_rounds sub ~label:"bad"
-       ~init:(fun _ -> ())
-       ~step:(fun ~round:_ ~vertex st _ ->
-         let vertex = Vertex.local_int vertex in
-         if vertex = 0 then (st, [ (1, [| 1; 2 |]) ]) else (st, []))
-       1
-   with
-  | exception Network.Congestion_violation msg ->
+  (match vertex0_sends sub [ (1, [| 1; 2 |]) ] with
+  | exception Network.Congestion_violation { violation; _ } ->
+    let msg = Arena.describe violation in
     (* local vertex 0 is original vertex 3 *)
     Alcotest.(check bool)
       (Printf.sprintf "mentions original id 3: %S" msg)
@@ -219,27 +196,21 @@ let test_subnetwork_violation_reports_original_id () =
       (String.length msg >= 8 && String.sub msg 0 8 = "vertex 3")
   | _ -> Alcotest.fail "expected Congestion_violation")
 
-(* a list-API protocol on a subnetwork that addresses an id outside it
-   (n' or -1) is a congestion violation, not an out-of-bounds lookup
-   while formatting the message *)
+(* a protocol on a subnetwork that addresses an id outside it (n' or
+   -1) is a congestion violation, not an out-of-bounds lookup while
+   formatting the message *)
 let test_subnetwork_out_of_range_id () =
   let g = Gen.cycle 6 in
   let net = fresh_net g in
   let sub, _mapping = Primitives.subnetwork net [| 3; 4; 5 |] in
   List.iter
     (fun bad ->
-      match
-        Network.run_rounds sub ~label:"bad"
-          ~init:(fun _ -> ())
-          ~step:(fun ~round:_ ~vertex st _ ->
-            if Vertex.local_int vertex = 0 then (st, [ (bad, [| 1 |]) ]) else (st, []))
-          1
-      with
-      | exception Network.Congestion_violation msg ->
+      match vertex0_sends sub [ (bad, [| 1 |]) ] with
+      | exception Network.Congestion_violation { violation; _ } ->
         Alcotest.(check string)
           (Printf.sprintf "destination %d" bad)
           (Printf.sprintf "vertex 3: %d is not a neighbor" bad)
-          msg
+          (Arena.describe violation)
       | _ -> Alcotest.failf "destination %d: expected Congestion_violation" bad)
     [ 3; -1 ]
 
@@ -248,27 +219,29 @@ let test_subnetwork_out_of_range_id () =
 let test_clique_exchange () =
   (* round 1: everyone sends its id to everyone; round 2: record sum *)
   let net = fresh_net (Gen.complete 5) in
-  let step ~round ~vertex st inbox =
+  let step ~round ~vertex st ib ob =
     let vertex = Vertex.local_int vertex in
-    if round = 1 then
-      (st, List.filter_map (fun u -> if u = vertex then None else Some (u, [| vertex |]))
-             (List.init 5 (fun i -> i)))
-    else (List.fold_left (fun acc (_, m) -> acc + m.(0)) st inbox, [])
+    if round = 1 then begin
+      for u = 0 to 4 do
+        if u <> vertex then Arena.Outbox.send1 ob ~dst:(Vertex.local u) vertex
+      done;
+      st
+    end
+    else begin
+      let sum = ref st in
+      Arena.Inbox.iter1 ib (fun _ w -> sum := !sum + w);
+      !sum
+    end
   in
-  let states = Network.run_rounds net ~label:"clique" ~init:(fun _ -> 0) ~step 2 in
+  let states = Network.run_active_rounds net ~label:"clique" ~init:(fun _ -> 0) ~step 2 in
   (* vertex v receives all ids but its own: sum = 10 - v *)
   Array.iteri (fun v s -> Alcotest.(check int) "sum" (10 - v) s) states;
   Alcotest.(check int) "messages" 20 (Network.messages_sent net);
   Alcotest.(check int) "rounds" 2 (Rounds.total (Network.rounds net))
 
 let test_clique_rejects_self_and_double () =
-  let attempt outbox =
-    expect_congestion (fun () ->
-        Network.run_rounds (fresh_net (Gen.complete 3)) ~label:"bad"
-          ~init:(fun _ -> ())
-          ~step:(fun ~round:_ ~vertex st _ ->
-            if Vertex.local_int vertex = 0 then (st, outbox) else (st, []))
-          1)
+  let attempt sends =
+    expect_congestion (fun () -> vertex0_sends (fresh_net (Gen.complete 3)) sends)
   in
   attempt [ (0, [| 1 |]) ];
   attempt [ (1, [| 1 |]); (1, [| 2 |]) ];

@@ -18,6 +18,10 @@ module Rng = Dex_util.Rng
 module Decomposition = Dex_decomp.Decomposition
 module Enum = Dex_triangle.Expander_enum
 module Conformance = Dex_congest.Conformance
+module Primitives = Dex_congest.Primitives
+module Reliable = Dex_congest.Reliable
+module Arena = Dex_congest.Arena
+module Clustering = Dex_ldd.Clustering
 
 (* shuffled edge list, each edge flipped pseudo-randomly: a different
    presentation of the same graph *)
@@ -72,51 +76,67 @@ let test_triangles_repr_independent () =
   Alcotest.(check (list tri)) "same triangle set" (run g) (run g');
   Alcotest.(check (list tri)) "repeat run" (run g) (run g)
 
-(* ---------- conformance: clean protocols pass ---------- *)
+(* ---------- conformance: the kernel's own protocols pass ---------- *)
 
 let small_expander seed = Gen.random_regular (Rng.create seed) ~n:24 ~d:4
 
+let conformant name r =
+  Alcotest.(check bool)
+    (name ^ ": " ^ String.concat "; " (List.map Conformance.describe r.Conformance.violations))
+    true (Conformance.ok r)
+
+(* [Primitives.bfs] breaks ties toward the smaller sender explicitly;
+   adopting the first best sender in inbox order instead makes this
+   check fail *)
 let test_bfs_conformant () =
   let g = small_expander 50 in
-  let r = Conformance.check g ~protocol:(Conformance.bfs ~root:(Dex_graph.Vertex.local 0) g) () in
-  Alcotest.(check bool)
-    (String.concat "; " (List.map Conformance.describe r.Conformance.violations))
-    true (Conformance.ok r);
+  let r =
+    Conformance.check g
+      ~protocol:(fun () -> Primitives.bfs g ~root:(Dex_graph.Vertex.local 0))
+      ()
+  in
+  conformant "bfs" r;
   Alcotest.(check int) "round counts agree" r.Conformance.rounds_canonical
     r.Conformance.rounds_permuted
 
 let test_leader_conformant () =
   let g = small_expander 51 in
-  let r = Conformance.check g ~protocol:(Conformance.leader g) () in
-  Alcotest.(check bool)
-    (String.concat "; " (List.map Conformance.describe r.Conformance.violations))
-    true (Conformance.ok r);
+  let r = Conformance.check g ~protocol:(fun () -> Primitives.leader g) () in
+  conformant "leader" r;
   Alcotest.(check int) "messages agree" r.Conformance.messages_canonical
     r.Conformance.messages_permuted
+
+(* every kernel protocol in lib/: the Primitives BFS and leader on each
+   test graph, the fault-free Reliable flood and MPX clustering *)
+let test_kernel_protocols_conformant () =
+  List.iter
+    (fun (name, g) ->
+      let root = Dex_graph.Vertex.local 0 in
+      conformant (name ^ " bfs") (Conformance.check g ~protocol:(fun () -> Primitives.bfs g ~root) ());
+      conformant (name ^ " leader") (Conformance.check g ~protocol:(fun () -> Primitives.leader g) ());
+      conformant (name ^ " reliable bfs")
+        (Conformance.check g ~protocol:(fun () -> Reliable.bfs_protocol g ~root) ());
+      conformant (name ^ " mpx")
+        (Conformance.check g ~protocol:(fun () -> Clustering.protocol g ~beta:0.3 (Rng.create 5)) ()))
+    [ ("expander 50", small_expander 50);
+      ("expander 51", small_expander 51);
+      ("expander 52", small_expander 52);
+      ("path 6", Gen.path 6) ]
 
 (* ---------- conformance: races and kernel violations detected ---------- *)
 
 (* adopt the sender of the FIRST inbox message: delivery-order
    dependent by construction *)
-type racy_state = { got : int; sent : bool }
-
 let racy_protocol g () =
-  let init _ = { got = -1; sent = false } in
-  let step ~round:_ ~vertex:v st inbox =
+  let step ~round ~vertex:v got ib ob =
     let v = Dex_graph.Vertex.local_int v in
-    let st =
-      match inbox with
-      | (sender, _) :: _ when st.got < 0 -> { st with got = sender }
-      | _ -> st
-    in
-    if st.sent then (st, [])
-    else
-      let outbox = ref [] in
-      Graph.iter_neighbors g v (fun u -> outbox := (u, [| v |]) :: !outbox);
-      ({ st with sent = true }, !outbox)
+    if round = 1 then
+      Graph.iter_neighbors g v (fun u -> Arena.Outbox.send1 ob ~dst:(Dex_graph.Vertex.local u) v);
+    let got = ref got in
+    Arena.Inbox.iter1 ib (fun sender _ -> if !got < 0 then got := sender);
+    !got
   in
-  let finished states = Array.for_all (fun st -> st.sent && st.got >= 0) states in
-  { Conformance.init; step; finished }
+  { Conformance.init = (fun _ -> -1); step }
 
 let test_race_detected () =
   let g = small_expander 52 in
@@ -126,14 +146,15 @@ let test_race_detected () =
        (function Conformance.State_divergence _ -> true | _ -> false)
        r.Conformance.violations)
 
+(* every vertex makes [per_vertex v]'s sends in round 1 *)
 let one_shot per_vertex () =
-  let init _ = false in
-  let step ~round:_ ~vertex:v sent _inbox =
-    let v = Dex_graph.Vertex.local_int v in
-    if sent then (true, []) else (true, per_vertex v)
+  let step ~round ~vertex:v () _ib ob =
+    if round = 1 then
+      List.iter
+        (fun (u, msg) -> Arena.Outbox.send ob ~dst:(Dex_graph.Vertex.local u) msg)
+        (per_vertex (Dex_graph.Vertex.local_int v))
   in
-  let finished states = Array.for_all Fun.id states in
-  { Conformance.init; step; finished }
+  { Conformance.init = (fun _ -> ()); step }
 
 let test_word_budget_audited () =
   let g = small_expander 53 in
@@ -193,6 +214,7 @@ let () =
       ( "conformance",
         [ Alcotest.test_case "bfs passes" `Quick test_bfs_conformant;
           Alcotest.test_case "leader passes" `Quick test_leader_conformant;
+          Alcotest.test_case "kernel protocols pass" `Quick test_kernel_protocols_conformant;
           Alcotest.test_case "schedule race detected" `Quick test_race_detected;
           Alcotest.test_case "word budget audited" `Quick test_word_budget_audited;
           Alcotest.test_case "duplicate edge audited" `Quick test_duplicate_edge_audited;

@@ -13,6 +13,7 @@ module Network = Dex_congest.Network
 module Faults = Dex_congest.Faults
 module Reliable = Dex_congest.Reliable
 module Primitives = Dex_congest.Primitives
+module Arena = Dex_congest.Arena
 module Rng = Dex_util.Rng
 
 let lossy_net ?(spec = Faults.lossy ~drop:0.1 ~seed:42 ()) g =
@@ -164,11 +165,14 @@ let test_validation_precedes_faults () =
   let spec = Faults.lossy ~drop:1.0 ~seed:2 () in
   let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
   (match
-     Network.run_rounds net ~label:"bad"
+     Network.run_active_rounds net ~label:"bad"
        ~init:(fun _ -> ())
-       ~step:(fun ~round:_ ~vertex st _ ->
-         let vertex = Vertex.local_int vertex in
-         if vertex = 0 then (st, [ (1, [| 1 |]); (1, [| 2 |]) ]) else (st, []))
+       ~step:(fun ~round:_ ~vertex st _ib ob ->
+         if Vertex.local_int vertex = 0 then begin
+           Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 1;
+           Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 2
+         end;
+         st)
        1
    with
   | exception Network.Congestion_violation _ -> ()
@@ -178,16 +182,13 @@ let test_drop_everything_counts () =
   let g = Gen.cycle 5 in
   let faults = Faults.create (Faults.lossy ~drop:1.0 ~seed:3 ()) in
   let net = Network.create ~faults g (Rounds.create ()) in
-  let step ~round ~vertex st _ =
+  let step ~round ~vertex st _ib ob =
     let vertex = Vertex.local_int vertex in
-    if round = 1 then begin
-      let out = ref [] in
-      Graph.iter_neighbors g vertex (fun u -> out := (u, [| vertex |]) :: !out);
-      (st, !out)
-    end
-    else (st, [])
+    if round = 1 then
+      Graph.iter_neighbors g vertex (fun u -> Arena.Outbox.send1 ob ~dst:(Vertex.local u) vertex);
+    st
   in
-  let _ = Network.run_rounds net ~label:"flood" ~init:(fun _ -> 0) ~step 2 in
+  let _ = Network.run_active_rounds net ~label:"flood" ~init:(fun _ -> 0) ~step 2 in
   Alcotest.(check int) "all 10 sends dropped" 10 (Faults.drops faults);
   Alcotest.(check int) "nothing delivered" 0 (Network.messages_sent net)
 
@@ -195,11 +196,12 @@ let test_duplicates_counted () =
   let g = Gen.path 2 in
   let faults = Faults.create (Faults.lossy ~drop:0.0 ~duplicate:1.0 ~seed:4 ()) in
   let net = Network.create ~faults g (Rounds.create ()) in
-  let step ~round ~vertex st _ =
-    let vertex = Vertex.local_int vertex in
-    if round = 1 && vertex = 0 then (st, [ (1, [| 7 |]) ]) else (st, [])
+  let step ~round ~vertex st _ib ob =
+    if round = 1 && Vertex.local_int vertex = 0 then
+      Arena.Outbox.send1 ob ~dst:(Vertex.local 1) 7;
+    st
   in
-  let _ = Network.run_rounds net ~label:"dup" ~init:(fun _ -> 0) ~step 2 in
+  let _ = Network.run_active_rounds net ~label:"dup" ~init:(fun _ -> 0) ~step 2 in
   Alcotest.(check int) "one duplicate" 1 (Faults.duplicates faults);
   Alcotest.(check int) "delivered twice" 2 (Network.messages_sent net)
 
@@ -216,6 +218,109 @@ let prop_reliable_bfs_under_loss =
       let tree = Reliable.bfs_tree net ~root:(Vertex.local (seed mod n)) in
       tree.Primitives.depth = Metrics.bfs_distances g (seed mod n))
 
+(* ---------- goldens: Reliable outputs pinned at the list-API kernel ---------- *)
+
+(* One line per run: the tree or leaders, the ledger, the traffic, the
+   adversary's counters and a digest of its full trace. Recorded when
+   Reliable ran on the list API (every live vertex stepped every
+   round), and unchanged by its port to cursors. *)
+let fault_repr = function
+  | Faults.Drop { round; src; dst } -> Printf.sprintf "drop@%d:%d->%d" round src dst
+  | Faults.Duplicate { round; src; dst } -> Printf.sprintf "dup@%d:%d->%d" round src dst
+  | Faults.Link_down { round; u; v } -> Printf.sprintf "link@%d:%d-%d" round u v
+  | Faults.Crash { round; vertex } -> Printf.sprintf "crash@%d:%d" round vertex
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+let golden_line ?spec ?config g run =
+  let faults = Option.map Faults.create spec in
+  let net = Network.create ?faults g (Rounds.create ()) in
+  let result =
+    match run ?config net with
+    | `Tree (t : Primitives.tree) ->
+      Printf.sprintf "depth=%s parent=%s"
+        (ints (Array.map (fun d -> if d = max_int then -1 else d) t.Primitives.depth))
+        (ints t.Primitives.parent)
+    | `Leaders l -> "leaders=" ^ ints l
+    | exception Reliable.Delivery_failed { label; vertex; neighbor; value; attempts } ->
+      Printf.sprintf "failed=%s:%d->%d value %d after %d" label vertex neighbor value attempts
+  in
+  let phases =
+    String.concat ","
+      (List.map (fun (l, r) -> Printf.sprintf "%s:%d" l r) (Rounds.by_phase (Network.rounds net)))
+  in
+  let trace = match faults with Some f -> List.map fault_repr (Faults.trace f) | None -> [] in
+  Printf.sprintf "%s rounds=%s msgs=%d words=%d drops=%d dups=%d trace=%d:%s" result phases
+    (Network.messages_sent net) (Network.words_sent net)
+    (match faults with Some f -> Faults.drops f | None -> 0)
+    (match faults with Some f -> Faults.duplicates f | None -> 0)
+    (List.length trace)
+    (Digest.to_hex (Digest.string (String.concat ";" trace)))
+
+let bfs root ?config net = `Tree (Reliable.bfs_tree ?config net ~root:(Vertex.local root))
+let leader ?config net = `Leaders (Reliable.elect_leader ?config net)
+
+let golden_gnp seed n p =
+  let rng = Rng.create seed in
+  Gen.connectivize rng (Gen.gnp rng ~n ~p)
+
+let give_up = { Reliable.max_retries = 6; Reliable.give_up = true }
+
+(* link (1, 2) dies at round 1, vertex 3 crashes at round 2 and the
+   root, long acknowledged by then, at round 7 *)
+let broken seed =
+  { (Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed ()) with
+    Faults.link_failures = [ ((1, 2), 1) ];
+    Faults.crashes = [ (3, 2); (0, 7) ] }
+
+let golden_cases =
+  [ ("bfs fault-free", fun () -> golden_line (golden_gnp 9 24 0.15) (bfs 3));
+    ("leader fault-free", fun () -> golden_line (golden_gnp 9 24 0.15) leader);
+    ( "bfs lossy",
+      fun () ->
+        golden_line ~spec:(Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed:21 ())
+          (golden_gnp 21 24 0.15) (bfs 0) );
+    ( "leader lossy",
+      fun () ->
+        golden_line ~spec:(Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed:22 ())
+          (golden_gnp 22 24 0.15) leader );
+    ( "bfs link+crash give-up",
+      fun () -> golden_line ~spec:(broken 23) ~config:give_up (Gen.cycle 18) (bfs 0) );
+    ( "leader link+crash give-up",
+      fun () -> golden_line ~spec:(broken 24) ~config:give_up (golden_gnp 24 20 0.2) leader );
+    ( "bfs link+crash fails",
+      fun () ->
+        golden_line ~spec:(broken 25)
+          ~config:{ Reliable.max_retries = 6; Reliable.give_up = false }
+          (golden_gnp 25 20 0.2) (bfs 0) );
+    ( "bfs abandoned peer",
+      fun () ->
+        golden_line
+          ~spec:{ Faults.none with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 }
+          ~config:{ Reliable.max_retries = 4; Reliable.give_up = true }
+          (Gen.path 3) (bfs 0) );
+    ("bfs single vertex", fun () -> golden_line (Graph.empty 1) (bfs 0));
+    ("bfs isolated root", fun () -> golden_line (Graph.of_edges ~n:3 [ (1, 2) ]) (bfs 0));
+    ("leader edgeless", fun () -> golden_line (Graph.empty 4) leader) ]
+
+let goldens =
+  [ ("bfs fault-free", "depth=2,3,2,0,4,4,2,2,4,4,7,6,3,4,3,4,1,5,3,4,4,3,4,5 parent=16,2,16,3,21,18,16,16,1,18,11,17,7,21,7,18,3,19,7,21,18,6,18,22 rounds=bfs-reliable:11 msgs=234 words=234 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
+    ("leader fault-free", "leaders=0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 rounds=leader-reliable:9 msgs=396 words=396 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
+    ("bfs lossy", "depth=0,1,3,1,2,2,1,2,1,1,2,3,1,2,1,2,2,2,3,3,2,2,4,2 parent=0,0,17,0,8,12,0,3,0,0,9,17,0,1,0,8,6,6,16,15,9,6,19,1 rounds=bfs-reliable:12 msgs=284 words=284 drops=48 dups=10 trace=58:1c1d6d3221fe92ae6e28960dc795edb0");
+    ("leader lossy", "leaders=0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 rounds=leader-reliable:9 msgs=420 words=420 drops=78 dups=21 trace=99:58187beec4f73a069683d1f49407f047");
+    ("bfs link+crash give-up", "depth=0,1,-1,-1,14,13,12,11,10,9,8,7,6,5,4,3,2,1 parent=0,0,-1,-1,5,6,7,8,9,10,11,12,13,14,15,16,17,0 rounds=bfs-reliable:24 msgs=88 words=88 drops=28 dups=4 trace=35:baa88a877c73d82965ae298ba9c2f220");
+    ("leader link+crash give-up", "leaders=0,0,0,3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 rounds=leader-reliable:10 msgs=362 words=362 drops=73 dups=19 trace=94:ff2377115d72be3f1b1413f37e9d5f3a");
+    ("bfs link+crash fails", "failed=bfs-reliable:10->3 value 3 after 6 rounds=bfs-reliable:10 msgs=246 words=246 drops=36 dups=8 trace=46:7eae0c7a51a942d7bff7bdfc0239219b");
+    ("bfs abandoned peer", "depth=0,1,-1 parent=0,0,-1 rounds=bfs-reliable:6 msgs=6 words=6 drops=4 dups=0 trace=5:7b31b95c00ad3228774e12aca3378729");
+    ("bfs single vertex", "depth=0 parent=0 rounds=bfs-reliable:0 msgs=0 words=0 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
+    ("bfs isolated root", "depth=0,-1,-1 parent=0,-1,-1 rounds=bfs-reliable:0 msgs=0 words=0 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
+    ("leader edgeless", "leaders=0,1,2,3 rounds=leader-reliable:0 msgs=0 words=0 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e") ]
+
+let test_goldens () =
+  List.iter
+    (fun (name, run) -> Alcotest.(check string) name (List.assoc name goldens) (run ()))
+    golden_cases
+
 let () =
   Alcotest.run "faults"
     [ ( "schedule",
@@ -229,6 +334,7 @@ let () =
           Alcotest.test_case "leader under drops" `Quick test_reliable_leader_under_drops;
           Alcotest.test_case "overhead charged" `Quick test_reliable_rounds_overhead_charged;
           Alcotest.test_case "value_limit packing" `Quick test_value_limit_packs_two_per_word;
+          Alcotest.test_case "goldens" `Quick test_goldens;
           QCheck_alcotest.to_alcotest prop_reliable_bfs_under_loss ] );
       ( "failures",
         [ Alcotest.test_case "link failure raises" `Quick test_link_failure_fails_delivery;

@@ -1,10 +1,9 @@
 (* Kernel-vs-reference suite. [Network] has one round loop, the arena
-   cursor driver; its list API is an adapter over it. This suite runs
-   list-API protocols through both the adapter and [Reference] — the
-   seed's interleaved step-and-deliver interpreter, kept here as the
-   oracle — and requires the same per-round state digests, round
-   counts, message/word ledgers and fault traces. It also pins the
-   adapter's edge cases and the arena's cursor, wake and calendar
+   cursor driver. This suite runs cursor protocols on it and their list
+   forms on [Reference] — the seed's interleaved step-and-deliver
+   interpreter, kept as the oracle — and requires the same states, round
+   counts, message/word ledgers, fault traces and, per round, the same
+   state digests. It also pins the arena's cursor, wake and calendar
    behaviour directly. *)
 
 module Graph = Dex_graph.Graph
@@ -21,102 +20,6 @@ module Arena = Dex_congest.Arena
 module Invariant = Dex_util.Invariant
 
 let seeds = [ 1; 2; 3 ]
-
-(* ---------- the reference interpreter ---------- *)
-
-(* One pass over all vertices per round: step [v] against the previous
-   round's inboxes, validate its outbox (budget, then neighbour, then
-   duplicate), apply the fault schedule and deliver, then step [v + 1].
-   [order] picks how one sender's outbox is walked: [`Ascending]
-   destination order, which is the kernel's, or the protocol's own
-   [`Outbox] list order, which is how the seed kernel recorded its
-   fault events. *)
-module Reference = struct
-  type t = {
-    g : Graph.t;
-    faults : Faults.t option;
-    order : [ `Ascending | `Outbox ];
-    mutable messages : int;
-    mutable words : int;
-  }
-
-  let create ?faults ?(order = `Ascending) g = { g; faults; order; messages = 0; words = 0 }
-
-  (* every network in this suite has the default one-word budget *)
-  let validate t v outbox =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (u, (msg : int array)) ->
-        if Array.length msg > 1 then raise (Network.Congestion_violation "budget");
-        if not (Graph.mem_edge t.g v u) then
-          raise (Network.Congestion_violation "not a neighbor");
-        if Hashtbl.mem seen u then raise (Network.Congestion_violation "duplicate");
-        Hashtbl.add seen u ())
-      outbox
-
-  let exec_round t ~round states inboxes step =
-    let next = Array.make (Graph.num_vertices t.g) [] in
-    let deliver src dst msg =
-      t.messages <- t.messages + 1;
-      t.words <- t.words + Array.length msg;
-      (* dex-lint: allow C002 relays messages [validate] already checked against the budget *)
-      next.(dst) <- (src, msg) :: next.(dst)
-    in
-    Array.iteri
-      (fun v inbox ->
-        let crashed =
-          match t.faults with
-          | Some f -> Faults.crashed f ~round ~vertex:(Vertex.local v)
-          | None -> false
-        in
-        if not crashed then begin
-          let st, outbox = step ~round ~vertex:(Vertex.local v) states.(v) inbox in
-          states.(v) <- st;
-          validate t v outbox;
-          let outbox =
-            match t.order with
-            | `Ascending -> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) outbox
-            | `Outbox -> outbox
-          in
-          List.iter
-            (fun (u, msg) ->
-              match t.faults with
-              | None -> deliver v u msg
-              | Some f ->
-                (match
-                   Faults.verdict f ~round ~src:(Vertex.local v) ~dst:(Vertex.local u)
-                 with
-                | `Deliver -> deliver v u msg
-                | `Drop -> ()
-                | `Duplicate ->
-                  deliver v u msg;
-                  deliver v u msg))
-            outbox
-        end)
-      inboxes;
-    next
-
-  let run t ~init ~step ~finished ~on_round =
-    let states = Array.init (Graph.num_vertices t.g) init in
-    let inboxes = ref (Array.make (Graph.num_vertices t.g) []) in
-    let executed = ref 0 in
-    let in_flight () = Array.exists (fun inbox -> inbox <> []) !inboxes in
-    while not (finished states && not (in_flight ())) do
-      incr executed;
-      inboxes := exec_round t ~round:!executed states !inboxes step;
-      on_round !executed states
-    done;
-    (states, !executed)
-
-  let run_rounds t ~init ~step ~on_round k =
-    let states = Array.init (Graph.num_vertices t.g) init in
-    let inboxes = ref (Array.make (Graph.num_vertices t.g) []) in
-    for round = 1 to k do
-      inboxes := exec_round t ~round states !inboxes step;
-      on_round round states
-    done;
-    states
-end
 
 (* ---------- observation record ---------- *)
 
@@ -138,61 +41,36 @@ let fault_repr = function
   | Faults.Link_down { round; u; v } -> Printf.sprintf "link@%d:%d-%d" round u v
   | Faults.Crash { round; vertex } -> Printf.sprintf "crash@%d:%d" round vertex
 
-(* a list-API protocol, run either through the adapter or through the
-   reference: the state type is the workload's own *)
-type driver = {
-  run :
-    's.
-    init:(int -> 's) ->
-    step:'s Network.step ->
-    finished:('s array -> bool) ->
-    ('s array -> unit) ->
-    's array * int;
-  run_rounds : 's. init:(int -> 's) -> step:'s Network.step -> int -> 's array;
+(* A workload in both forms over one state type, so the digests of the
+   two runs are comparable: [cursor] runs on the kernel, [list] on the
+   reference. Each returns the final states and the round count. *)
+type 's workload = {
+  cursor : Network.t -> on_round:(int -> 's array -> unit) -> 's array * int;
+  list : Reference.t -> on_round:(int -> 's array -> unit) -> 's array * int;
 }
 
-let observe ?spec ~kernel g workload =
+let observe ?spec ~kernel g w =
   let faults = Option.map Faults.create spec in
   let per_round = ref [] in
-  let digest round states =
+  let on_round round states =
     per_round := (round, Conformance.default_digest states) :: !per_round
   in
-  let driver, messages, words =
+  let (states, rounds), messages, words =
     match kernel with
-    | `Adapter ->
+    | `Cursor ->
       let net = Network.create ?faults g (Rounds.create ()) in
-      ( { run =
-            (fun ~init ~step ~finished final ->
-              let states, rounds =
-                Network.run net ~label:"run" ~init ~step ~finished ~on_round:digest ()
-              in
-              final states;
-              (states, rounds));
-          run_rounds =
-            (fun ~init ~step k ->
-              Network.run_rounds net ~label:"run" ~init ~step ~on_round:digest k) },
-        (fun () -> Network.messages_sent net),
-        fun () -> Network.words_sent net )
-    | (`Ascending | `Outbox) as order ->
-      let r = Reference.create ?faults ~order g in
-      ( { run =
-            (fun ~init ~step ~finished final ->
-              let states, rounds =
-                Reference.run r ~init ~step ~finished ~on_round:digest
-              in
-              final states;
-              (states, rounds));
-          run_rounds =
-            (fun ~init ~step k -> Reference.run_rounds r ~init ~step ~on_round:digest k) },
-        (fun () -> r.Reference.messages),
-        fun () -> r.Reference.words )
+      let result = w.cursor net ~on_round in
+      (result, Network.messages_sent net, Network.words_sent net)
+    | `Reference ->
+      let r = Reference.create ?faults g in
+      let result = w.list r ~on_round in
+      (result, r.Reference.messages, r.Reference.words)
   in
-  let final_digest, rounds = workload g driver in
-  { final_digest;
+  { final_digest = Conformance.default_digest states;
     per_round = List.rev !per_round;
     rounds;
-    messages = messages ();
-    words = words ();
+    messages;
+    words;
     fault_log =
       (match faults with Some f -> List.map fault_repr (Faults.trace f) | None -> []);
     drops = (match faults with Some f -> Faults.drops f | None -> 0);
@@ -209,89 +87,90 @@ let check_same name base o =
   Alcotest.(check int) (name ^ " drops") base.drops o.drops;
   Alcotest.(check int) (name ^ " duplicates") base.dups o.dups
 
-(* the adapter equals the reference in ascending destination order
-   exactly, and the seed's outbox-order log up to permutation *)
-let equivalent ~workload ?spec make_graph run () =
+let equivalent ~workload ?spec make_graph w () =
   List.iter
     (fun seed ->
       let g = make_graph seed in
       let spec = Option.map (fun f -> f seed) spec in
       let name = Printf.sprintf "%s seed %d" workload seed in
-      let got = observe ?spec ~kernel:`Adapter g run in
-      check_same name (observe ?spec ~kernel:`Ascending g run) got;
-      let seed_order = observe ?spec ~kernel:`Outbox g run in
-      check_same (name ^ " (outbox order, log sorted)")
-        { seed_order with fault_log = List.sort String.compare seed_order.fault_log }
-        { got with fault_log = List.sort String.compare got.fault_log })
+      check_same name (observe ?spec ~kernel:`Reference g (w g)) (observe ?spec ~kernel:`Cursor g (w g)))
     seeds
 
-(* ---------- list-API workloads ---------- *)
+(* ---------- workloads ---------- *)
 
-let bfs_run g d =
-  let init v = if v = 0 then (0, 0, true) else (max_int, -1, false) in
-  let step ~round:_ ~vertex st inbox =
-    let v = Vertex.local_int vertex in
-    let dist, par, pending = st in
-    let dist, par, pending =
-      if dist = max_int then
-        List.fold_left
-          (fun (d0, p0, pend) (sender, (msg : int array)) ->
-            let d = msg.(0) + 1 in
-            if d < d0 then (d, sender, true) else (d0, p0, pend))
-          (dist, par, pending) inbox
-      else (dist, par, pending)
-    in
-    if pending then begin
-      let out = ref [] in
-      Graph.iter_neighbors g v (fun u -> out := (u, [| dist |]) :: !out);
-      ((dist, par, false), !out)
-    end
-    else ((dist, par, false), [])
-  in
-  let finished states = Array.for_all (fun (_, _, p) -> not p) states in
-  let states, rounds = d.run ~init ~step ~finished ignore in
-  (Conformance.default_digest states, rounds)
+let flood_list g v out_word =
+  let out = ref [] in
+  Graph.iter_neighbors g v (fun u -> out := (u, [| out_word |]) :: !out);
+  !out
 
-let leader_run ?(final = ignore) g d =
-  let init v = (v, true) in
-  let step ~round:_ ~vertex st inbox =
-    let v = Vertex.local_int vertex in
-    let best0, fresh = st in
-    let best =
-      List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) best0 inbox
-    in
-    if best < best0 || fresh then begin
-      let out = ref [] in
-      Graph.iter_neighbors g v (fun u -> out := (u, [| best |]) :: !out);
-      ((best, false), !out)
-    end
-    else ((best, false), [])
-  in
-  (* stateful predicate: holds once the leaders stop changing *)
-  let prev = ref [||] in
-  let finished states =
-    let snap = Array.map fst states in
-    let same = !prev <> [||] && snap = !prev in
-    prev := snap;
-    same
-  in
-  let states, rounds = d.run ~init ~step ~finished (fun s -> final (Array.map fst s)) in
-  (Conformance.default_digest states, rounds)
-
-(* constant traffic for ten rounds, so drop/duplicate coins and the
-   crash/link schedule all get exercised *)
-let gossip_run g d =
-  let init v = v in
-  let step ~round:_ ~vertex st inbox =
+(* [Primitives.bfs] from vertex 0, and its list form *)
+let bfs g =
+  let p = Primitives.bfs g ~root:(Vertex.local 0) in
+  let step ~round:_ ~vertex (st : Primitives.bfs_state) inbox =
     let v = Vertex.local_int vertex in
     let st =
-      List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) st inbox
+      if st.dist = max_int then
+        List.fold_left
+          (fun (acc : Primitives.bfs_state) (sender, (msg : int array)) ->
+            let d = msg.(0) + 1 in
+            if d < acc.dist || (d = acc.dist && sender < acc.par) then
+              { dist = d; par = sender; pending = true }
+            else acc)
+          st inbox
+      else st
     in
-    let out = ref [] in
-    Graph.iter_neighbors g v (fun u -> out := (u, [| st |]) :: !out);
-    (st, !out)
+    if st.pending then ({ st with pending = false }, flood_list g v st.dist) else (st, [])
   in
-  (Conformance.default_digest (d.run_rounds ~init ~step 10), 10)
+  { cursor =
+      (fun net ~on_round ->
+        Network.run_active net ~label:"run" ~init:p.init ~step:p.step ~on_round ());
+    list =
+      (fun r ~on_round ->
+        Reference.run r ~init:p.init ~step
+          ~finished:(Array.for_all (fun (st : Primitives.bfs_state) -> not st.pending))
+          ~on_round) }
+
+(* [Primitives.leader], and its list form *)
+let leader g =
+  let p = Primitives.leader g in
+  let step ~round:_ ~vertex (st : Primitives.leader_state) inbox =
+    let v = Vertex.local_int vertex in
+    let best =
+      List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) st.best inbox
+    in
+    let st' = { Primitives.best; fresh = false } in
+    if best < st.best || st.fresh then (st', flood_list g v best) else (st', [])
+  in
+  { cursor =
+      (fun net ~on_round ->
+        Network.run_active net ~label:"run" ~init:p.init ~step:p.step ~on_round ());
+    list =
+      (fun r ~on_round ->
+        Reference.run r ~init:p.init ~step
+          ~finished:(Array.for_all (fun (st : Primitives.leader_state) -> not st.fresh))
+          ~on_round) }
+
+(* constant traffic for ten rounds, so drop/duplicate coins and the
+   crash/link schedule all get exercised; the cursor form wakes every
+   round, so every live vertex steps every round in both forms *)
+let gossip g =
+  let cursor_step ~round:_ ~vertex st ib ob =
+    let v = Vertex.local_int vertex in
+    let st = ref st in
+    Arena.Inbox.iter1 ib (fun _ w -> st := min !st w);
+    Graph.iter_neighbors g v (fun u -> Arena.Outbox.send1 ob ~dst:(Vertex.local u) !st);
+    Arena.Outbox.wake ob;
+    !st
+  in
+  let step ~round:_ ~vertex st inbox =
+    let v = Vertex.local_int vertex in
+    let st = List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) st inbox in
+    (st, flood_list g v st)
+  in
+  { cursor =
+      (fun net ~on_round ->
+        (Network.run_active_rounds net ~label:"run" ~init:Fun.id ~step:cursor_step ~on_round 10, 10));
+    list = (fun r ~on_round -> (Reference.run_rounds r ~init:Fun.id ~step ~on_round 10, 10)) }
 
 let gnp_graph seed = Generators.gnp (Rng.create seed) ~n:40 ~p:0.12
 
@@ -304,24 +183,24 @@ let fault_spec seed =
     Faults.link_failures = [ ((1, 2), 1) ];
     Faults.crashes = [ (3, 2) ] }
 
-let test_bfs_equivalent = equivalent ~workload:"bfs" gnp_graph bfs_run
+let test_bfs_equivalent = equivalent ~workload:"bfs" gnp_graph bfs
 
-let test_leader_equivalent = equivalent ~workload:"leader" gnp_graph (leader_run ?final:None)
+let test_leader_equivalent = equivalent ~workload:"leader" gnp_graph leader
 
 let test_faulty_gossip_equivalent =
-  equivalent ~workload:"gossip" ~spec:fault_spec cycle_graph gossip_run
+  equivalent ~workload:"gossip" ~spec:fault_spec cycle_graph gossip
 
-(* ---------- cursor protocols against the reference ---------- *)
+(* ---------- the public entry points against the reference ---------- *)
 
-(* [Primitives.bfs_tree] sends what the list BFS above sends, so its
-   ledger must match the reference's; a second run on the same network
-   reuses the arena and must reproduce the first *)
+(* [Primitives.bfs_tree] runs the protocol above, so its ledger must
+   match the reference's; a second run on the same network reuses the
+   arena and must reproduce the first *)
 let test_cursor_bfs_tree () =
   List.iter
     (fun seed ->
       let g = gnp_graph seed in
       let name what = Printf.sprintf "bfs_tree seed %d %s" seed what in
-      let reference = observe ~kernel:`Ascending g bfs_run in
+      let reference = observe ~kernel:`Reference g (bfs g) in
       let net = Network.create g (Rounds.create ()) in
       let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
       Alcotest.(check (array int)) (name "depths") (Metrics.bfs_distances g 0)
@@ -329,6 +208,7 @@ let test_cursor_bfs_tree () =
       Alcotest.(check int) (name "messages") reference.messages (Network.messages_sent net);
       Alcotest.(check int) (name "words") reference.words (Network.words_sent net);
       let first_rounds = Rounds.total (Network.rounds net) in
+      Alcotest.(check int) (name "rounds") reference.rounds first_rounds;
       let again = Primitives.bfs_tree net ~root:(Vertex.local 0) in
       Alcotest.(check (array int)) (name "rerun depths") tree.Primitives.depth
         again.Primitives.depth;
@@ -346,65 +226,18 @@ let test_cursor_leader () =
   List.iter
     (fun seed ->
       let g = gnp_graph seed in
-      let want = ref [||] in
-      let reference = observe ~kernel:`Ascending g (leader_run ~final:(( := ) want)) in
+      let r = Reference.create g in
+      let want, _ = (leader g).list r ~on_round:(fun _ _ -> ()) in
       let net = Network.create g (Rounds.create ()) in
       let leaders = Primitives.elect_leader net in
-      Alcotest.(check (array int)) (Printf.sprintf "leaders seed %d" seed) !want leaders;
+      Alcotest.(check (array int))
+        (Printf.sprintf "leaders seed %d" seed)
+        (Array.map (fun (st : Primitives.leader_state) -> st.best) want)
+        leaders;
       Alcotest.(check int)
         (Printf.sprintf "leader messages seed %d" seed)
-        reference.messages (Network.messages_sent net))
+        r.Reference.messages (Network.messages_sent net))
     seeds
-
-(* ---------- adapter edge cases ---------- *)
-
-let silent ~round:_ ~vertex:_ st _ = (st + 1, [])
-
-let test_finished_at_start () =
-  let net = Network.create (Generators.cycle 5) (Rounds.create ()) in
-  let states, rounds =
-    Network.run net ~label:"done" ~init:(fun _ -> 0)
-      ~step:(fun ~round:_ ~vertex:_ _ _ -> Alcotest.fail "stepped")
-      ~finished:(fun _ -> true) ()
-  in
-  Alcotest.(check int) "rounds" 0 rounds;
-  Alcotest.(check (array int)) "states" (Array.make 5 0) states;
-  Alcotest.(check int) "charged" 0 (Rounds.total (Network.rounds net))
-
-let test_all_crashed () =
-  let g = Generators.path 4 in
-  let spec = { Faults.none with Faults.crashes = List.init 4 (fun v -> (v, 2)) } in
-  let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
-  match
-    Network.run net ~label:"crashed" ~init:(fun _ -> 0) ~step:silent
-      ~finished:(fun _ -> false) ~max_rounds:25 ()
-  with
-  | exception Network.Round_limit_exceeded { executed; max_rounds; states = Packed _; _ } ->
-    Alcotest.(check int) "executed" 25 executed;
-    Alcotest.(check int) "limit" 25 max_rounds;
-    Alcotest.(check int) "charged" 25 (Rounds.total (Network.rounds net))
-  | _ -> Alcotest.fail "expected Round_limit_exceeded"
-
-let test_on_round_every_round () =
-  let net = Network.create (Generators.path 4) (Rounds.create ()) in
-  let ticks = ref [] in
-  let states, rounds =
-    Network.run net ~label:"quiet" ~init:(fun _ -> 0) ~step:silent
-      ~finished:(fun states -> states.(0) >= 6)
-      ~on_round:(fun r states ->
-        Alcotest.(check int) (Printf.sprintf "states after round %d" r) r states.(3);
-        ticks := r :: !ticks)
-      ()
-  in
-  Alcotest.(check int) "rounds" 6 rounds;
-  Alcotest.(check (list int)) "on_round" [ 6; 5; 4; 3; 2; 1 ] !ticks;
-  Alcotest.(check (array int)) "every vertex stepped every round" (Array.make 4 6) states;
-  let ticks = ref 0 in
-  ignore
-    (Network.run_rounds net ~label:"quiet" ~init:(fun _ -> 0) ~step:silent
-       ~on_round:(fun _ _ -> incr ticks)
-       9);
-  Alcotest.(check int) "run_rounds on_round" 9 !ticks
 
 (* ---------- arena direct coverage ---------- *)
 
@@ -417,8 +250,7 @@ let test_arena_cursor_surface () =
   let net = Network.create ~word_size:2 g (Rounds.create ()) in
   (* round 1: every vertex sends a two-word message to both cycle
      neighbors and self-wakes; round 2: fold the inbox through every
-     cursor accessor so the shim and the zero-alloc path are both
-     exercised and must agree *)
+     cursor accessor, which must agree *)
   let step ~round ~vertex st ib ob =
     let v = Vertex.local_int vertex in
     if round = 1 then begin
@@ -429,13 +261,14 @@ let test_arena_cursor_surface () =
     end
     else begin
       let count = Arena.Inbox.count ib in
-      let shim = Arena.Inbox.to_list ib in
+      let iter1_calls = ref 0 in
+      Arena.Inbox.iter1 ib (fun _ _ -> incr iter1_calls);
       let sum = ref 0 in
       Arena.Inbox.iter ib (fun src msg ->
           (* senders addressed us by id: msg.(0) = v, msg.(1) = 10*src *)
           sum := !sum + msg.(0) + msg.(1) - (10 * src));
       let empty = Arena.Inbox.is_empty ib in
-      st + (1000 * count) + (100 * List.length shim) + !sum
+      st + (1000 * count) + (100 * !iter1_calls) + !sum
       + (if empty then 1_000_000 else 0)
     end
   in
@@ -445,7 +278,7 @@ let test_arena_cursor_surface () =
   Alcotest.(check int) "two rounds to quiescence" 2 rounds;
   Array.iteri
     (fun v st ->
-      (* two deliveries, two shim entries, iter sum = 2v *)
+      (* two deliveries, two iter1 calls, iter sum = 2v *)
       Alcotest.(check int) (Printf.sprintf "vertex %d" v) (2000 + 200 + (2 * v)) st)
     states
 
@@ -495,8 +328,10 @@ let test_cursor_congestion_violation () =
     st
   in
   match Network.run_active net ~label:"bad" ~init:(fun _ -> 0) ~step () with
-  | exception Network.Congestion_violation msg ->
-    Alcotest.(check string) "message" "vertex 0: 3 is not a neighbor" msg
+  | exception Network.Congestion_violation { round; violation } ->
+    Alcotest.(check int) "round" 1 round;
+    Alcotest.(check string) "message" "vertex 0: 3 is not a neighbor"
+      (Arena.describe violation)
   | _ -> Alcotest.fail "expected Congestion_violation"
 
 (* ---------- timed wake-ups and fixed-length runs ---------- *)
@@ -606,8 +441,8 @@ let test_run_active_rounds_fixed_length () =
   Alcotest.(check int) "quiescent: charged n" 20 (Rounds.total (Network.rounds net))
 
 (* the fixed-length cursor flood, and the same flood as a list-API
-   protocol through the adapter and the reference: the same inbox
-   reads, messages and charge *)
+   protocol on the reference: the same inbox reads, messages and
+   charge *)
 let test_fixed_flood_vs_reference () =
   let g = gnp_graph 4 in
   let net = Network.create g (Rounds.create ()) in
@@ -615,26 +450,40 @@ let test_fixed_flood_vs_reference () =
     Network.run_active_rounds net ~label:"fixed" ~init:(fun _ -> 0) ~step:(flood_step g) 5
   in
   let list_step ~round:_ ~vertex st inbox =
-    let v = Vertex.local_int vertex in
-    let out = ref [] in
-    Graph.iter_neighbors g v (fun u -> out := (u, [| v |]) :: !out);
-    (st + List.length inbox, !out)
-  in
-  let adapter_net = Network.create g (Rounds.create ()) in
-  let adapter =
-    Network.run_rounds adapter_net ~label:"fixed" ~init:(fun _ -> 0) ~step:list_step 5
+    (st + List.length inbox, flood_list g (Vertex.local_int vertex) (Vertex.local_int vertex))
   in
   let r = Reference.create g in
   let reference =
     Reference.run_rounds r ~init:(fun _ -> 0) ~step:list_step ~on_round:(fun _ _ -> ()) 5
   in
   Alcotest.(check (array int)) "cursor states" reference cursor;
-  Alcotest.(check (array int)) "adapter states" reference adapter;
   Alcotest.(check int) "cursor messages" r.Reference.messages (Network.messages_sent net);
-  Alcotest.(check int) "adapter messages" r.Reference.messages
-    (Network.messages_sent adapter_net);
-  Alcotest.(check int) "cursor charged" 5 (Rounds.total (Network.rounds net));
-  Alcotest.(check int) "adapter charged" 5 (Rounds.total (Network.rounds adapter_net))
+  Alcotest.(check int) "cursor charged" 5 (Rounds.total (Network.rounds net))
+
+(* every vertex crash-stops at round 2: round 2 steps nobody, sends
+   nothing and records the four crashes, and the run then quiesces *)
+let test_all_crashed () =
+  let g = Generators.path 4 in
+  let spec = { Faults.none with Faults.crashes = List.init 4 (fun v -> (v, 2)) } in
+  let faults = Faults.create spec in
+  let net = Network.create ~faults g (Rounds.create ()) in
+  let ticks = ref [] in
+  let step ~round:_ ~vertex:_ st _ib ob =
+    Arena.Outbox.wake ob;
+    st + 1
+  in
+  let states, rounds =
+    Network.run_active net ~label:"crashed" ~init:(fun _ -> 0) ~step
+      ~on_round:(fun r _ -> ticks := r :: !ticks)
+      ~max_rounds:25 ()
+  in
+  Alcotest.(check int) "rounds" 2 rounds;
+  Alcotest.(check (list int)) "on_round" [ 2; 1 ] !ticks;
+  Alcotest.(check (array int)) "stepped in round 1 only" (Array.make 4 1) states;
+  Alcotest.(check int) "charged" 2 (Rounds.total (Network.rounds net));
+  Alcotest.(check (list string)) "crashes recorded in round 2"
+    [ "crash@2:0"; "crash@2:1"; "crash@2:2"; "crash@2:3" ]
+    (List.map fault_repr (Faults.trace faults))
 
 (* a run whose only remaining work is a wake booked past [max_rounds]
    is not quiescent: it raises like any other over-long run, charging
@@ -647,7 +496,7 @@ let test_wake_beyond_max_rounds () =
     st + round
   in
   (match Network.run_active net ~label:"late" ~init:(fun _ -> 0) ~step ~max_rounds:7 () with
-  | exception Network.Round_limit_exceeded { executed; max_rounds; states = Packed _; _ } ->
+  | exception Network.Round_limit_exceeded { executed; max_rounds; _ } ->
     Alcotest.(check int) "executed" 7 executed;
     Alcotest.(check int) "limit" 7 max_rounds
   | _ -> Alcotest.fail "expected Round_limit_exceeded");
@@ -668,10 +517,6 @@ let () =
       ( "cursor-api",
         [ Alcotest.test_case "bfs tree" `Quick test_cursor_bfs_tree;
           Alcotest.test_case "leader" `Quick test_cursor_leader ] );
-      ( "adapter",
-        [ Alcotest.test_case "finished at start" `Quick test_finished_at_start;
-          Alcotest.test_case "all crashed" `Quick test_all_crashed;
-          Alcotest.test_case "on_round every round" `Quick test_on_round_every_round ] );
       ( "arena",
         [ Alcotest.test_case "cursor surface" `Quick test_arena_cursor_surface;
           Alcotest.test_case "wake" `Quick test_wake_keeps_vertex_active;
@@ -682,4 +527,5 @@ let () =
           Alcotest.test_case "pending wake" `Quick test_pending_wake_keeps_run_alive;
           Alcotest.test_case "fixed length" `Quick test_run_active_rounds_fixed_length;
           Alcotest.test_case "fixed flood vs reference" `Quick test_fixed_flood_vs_reference;
-          Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds ] ) ]
+          Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds;
+          Alcotest.test_case "all crashed" `Quick test_all_crashed ] ) ]

@@ -97,12 +97,12 @@ let test_clustering_start_times () =
 (* ---------- MPX oracle: cursor port vs the list-API protocol ---------- *)
 
 (* [Clustering.run] as it ran on the list API, stepping all n vertices
-   for all [horizon] rounds through [Network.run_rounds]. Kept here as
-   the bit-identity oracle for the cursor port. *)
+   for all [horizon] rounds, now on the reference interpreter. Kept
+   here as the bit-identity oracle for the cursor port; returns the
+   clustering and the reference's message and word counts. *)
 type ref_state = { start_epoch : int; cluster : int; announced : bool }
 
-let reference_run net ~beta rng =
-  let g = Network.graph net in
+let reference_run g ~beta rng =
   let n = Graph.num_vertices g in
   let horizon =
     max 1 (int_of_float (Float.ceil (2.0 *. log (Float.max 2.0 (float_of_int n)) /. beta)))
@@ -137,11 +137,14 @@ let reference_run net ~beta rng =
     end
     else (st, [])
   in
-  let states = Network.run_rounds net ~label:"mpx-clustering" ~init ~step horizon in
-  { Clustering.cluster = Array.map (fun st -> st.cluster) states;
-    start = starts;
-    epochs = horizon;
-    rounds = horizon }
+  let r = Reference.create g in
+  let states = Reference.run_rounds r ~init ~step ~on_round:(fun _ _ -> ()) horizon in
+  ( { Clustering.cluster = Array.map (fun st -> st.cluster) states;
+      start = starts;
+      epochs = horizon;
+      rounds = horizon },
+    r.Reference.messages,
+    r.Reference.words )
 
 (* [Clustering.clusters] as it was: a Hashtbl of members, each group
    sorted with polymorphic compare, listed by descending cluster id *)
@@ -180,21 +183,6 @@ let oracle_graph family n rng =
   Graph.with_self_loops g
     (Array.init (Graph.num_vertices g) (fun v -> if v mod 5 = 0 then 1 else 0))
 
-type mpx_obs = {
-  result : Clustering.t;
-  by_phase : (string * int) list;
-  messages : int;
-  words : int;
-}
-
-let observe_mpx run g ~beta ~seed =
-  let net = Network.create g (Rounds.create ()) in
-  let result = run net ~beta (Rng.create seed) in
-  { result;
-    by_phase = Rounds.by_phase (Network.rounds net);
-    messages = Network.messages_sent net;
-    words = Network.words_sent net }
-
 let prop_mpx_matches_list_api =
   QCheck.Test.make ~name:"MPX cursor port = list-API protocol" ~count:100
     QCheck.(
@@ -202,16 +190,16 @@ let prop_mpx_matches_list_api =
     (fun (family, n, beta, seed) ->
       (* the shrinker may step outside the generator's ranges *)
       let g = oracle_graph (abs family) (max 1 n) (Rng.create (seed + 1)) in
-      let want = observe_mpx reference_run g ~beta ~seed in
-      let got = observe_mpx Clustering.run g ~beta ~seed in
-      let w = want.result and r = got.result in
+      let w, messages, words = reference_run g ~beta (Rng.create seed) in
+      let net = Network.create g (Rounds.create ()) in
+      let r = Clustering.run net ~beta (Rng.create seed) in
       w.Clustering.cluster = r.Clustering.cluster
       && w.Clustering.start = r.Clustering.start
       && w.Clustering.epochs = r.Clustering.epochs
       && w.Clustering.rounds = r.Clustering.rounds
-      && want.by_phase = got.by_phase
-      && want.messages = got.messages
-      && want.words = got.words
+      && Rounds.by_phase (Network.rounds net) = [ ("mpx-clustering", w.Clustering.rounds) ]
+      && Network.messages_sent net = messages
+      && Network.words_sent net = words
       && reference_clusters r = Clustering.clusters r)
 
 (* complexity guard without a clock: MPX charges all [horizon] rounds

@@ -10,6 +10,8 @@ module Graph = Dex_graph.Graph
 module Gen = Dex_graph.Generators
 module Rounds = Dex_congest.Rounds
 module Network = Dex_congest.Network
+module Arena = Dex_congest.Arena
+module Vertex = Dex_graph.Vertex
 module Faults = Dex_congest.Faults
 module Decomposition = Dex_decomp.Decomposition
 module Las_vegas = Dex_decomp.Las_vegas
@@ -162,12 +164,16 @@ let test_hot_edges_star () =
   Rounds.attach_trace ledger (Some tr);
   let net = Network.create g ledger in
   ignore
-    (Network.run_rounds net ~label:"star-pings"
+    (Network.run_active_rounds net ~label:"star-pings"
        ~init:(fun v -> if v = 0 then 0 else (v mod 3) + 1)
-       ~step:(fun ~round:_ ~vertex:v budget _inbox ->
-         let v = Dex_graph.Vertex.local_int v in
-         if v = 0 || budget = 0 then (budget, [])
-         else (budget - 1, [ (0, [| v |]) ]))
+       ~step:(fun ~round:_ ~vertex:v budget _ib ob ->
+         let v = Vertex.local_int v in
+         if v = 0 || budget = 0 then budget
+         else begin
+           Arena.Outbox.send1 ob ~dst:(Vertex.local 0) v;
+           if budget > 1 then Arena.Outbox.wake ob;
+           budget - 1
+         end)
        4);
   List.iter
     (fun v ->
@@ -190,14 +196,14 @@ let test_hot_edges_star () =
 
 let flood net g rounds =
   ignore
-    (Network.run_rounds net ~label:"flood"
+    (Network.run_active_rounds net ~label:"flood"
        ~init:(fun v -> v land 1)
-       ~step:(fun ~round:_ ~vertex:v st inbox ->
-         let v = Dex_graph.Vertex.local_int v in
-         let st = List.fold_left (fun acc (_, m) -> acc lxor m.(0)) st inbox in
-         let out = ref [] in
-         Graph.iter_neighbors g v (fun u -> out := (u, [| st |]) :: !out);
-         (st, !out))
+       ~step:(fun ~round:_ ~vertex:v st ib ob ->
+         let v = Vertex.local_int v in
+         let st = ref st in
+         Arena.Inbox.iter1 ib (fun _ w -> st := !st lxor w);
+         Graph.iter_neighbors g v (fun u -> Arena.Outbox.send1 ob ~dst:(Vertex.local u) !st);
+         !st)
        rounds)
 
 let test_round_ticks () =

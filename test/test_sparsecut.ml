@@ -672,7 +672,10 @@ let test_walk_protocol_matches_central () =
   Walk.iter
     (fun v x ->
       let y = Walk.get protocol v in
-      Alcotest.(check (float 1e-12)) (Printf.sprintf "mass at %d" v) x y)
+      Alcotest.(check (float 1e-12)) (Printf.sprintf "mass at %d" v) x y;
+      (* each vertex sums its terms in the central walk's order *)
+      Alcotest.(check int64) (Printf.sprintf "bits at %d" v) (Int64.bits_of_float x)
+        (Int64.bits_of_float y))
     central
 
 let test_walk_protocol_with_self_loops () =
