@@ -839,57 +839,40 @@ let e13_faults () =
     X.Generators.connectivize rng
       (X.Generators.planted_partition rng ~parts:4 ~size:scale ~p_in:0.35 ~p_out:0.01)
   in
-  (match X.Las_vegas.decompose ~attempts:5 ~epsilon:0.3 ~k:2 sbm (X.Rng.create 141) with
-  | Ok o ->
-    let last = o.X.Las_vegas.result.X.Decomposition.stats.X.Decomposition.rounds in
+  (* one row per wrapper: the attempts, the rounds summed over them and,
+     when certified, their overhead over the accepted attempt's own *)
+  let row algorithm family g ~rounds outcome =
+    let head = [ algorithm; family; string_of_int (X.Graph.num_vertices g) ] in
+    let counts (v : _ X.Rounds.verified) =
+      [ string_of_int v.X.Rounds.attempts; string_of_int v.X.Rounds.rounds_total ]
+    in
     Table.add_row t2
-      [ "decompose"; "sbm-4"; string_of_int (X.Graph.num_vertices sbm);
-        string_of_int o.X.Las_vegas.attempts;
-        string_of_int o.X.Las_vegas.total_rounds;
-        Printf.sprintf "%.2fx" (fi o.X.Las_vegas.total_rounds /. fi (max 1 last));
-        "yes" ]
-  | Error f ->
-    Table.add_row t2
-      [ "decompose"; "sbm-4"; string_of_int (X.Graph.num_vertices sbm);
-        string_of_int f.X.Las_vegas.attempts;
-        string_of_int f.X.Las_vegas.total_rounds; "-"; "NO" ]);
+      (match outcome with
+      | Ok v ->
+        head @ counts v
+        @ [ Printf.sprintf "%.2fx"
+              (fi v.X.Rounds.rounds_total /. fi (max 1 (rounds v.X.Rounds.value)));
+            "yes" ]
+      | Error v -> head @ counts v @ [ "-"; "NO" ])
+  in
+  row "decompose" "sbm-4" sbm
+    ~rounds:(fun c -> c.X.Las_vegas.result.X.Decomposition.stats.X.Decomposition.rounds)
+    (X.Las_vegas.decompose ~attempts:5 ~epsilon:0.3 ~k:2 sbm (X.Rng.create 141));
   let tri =
     X.Generators.connectivize rng (X.Generators.gnp rng ~n:(2 * scale) ~p:0.25)
   in
-  (match X.Triangle_enum.run_verified ~attempts:3 tri (X.Rng.create 143) with
-  | Ok o ->
-    let last = o.X.Triangle_enum.value.X.Triangle_enum.total_rounds in
-    Table.add_row t2
-      [ "triangles"; "gnp"; string_of_int (X.Graph.num_vertices tri);
-        string_of_int o.X.Triangle_enum.attempts;
-        string_of_int o.X.Triangle_enum.rounds_total;
-        Printf.sprintf "%.2fx" (fi o.X.Triangle_enum.rounds_total /. fi (max 1 last));
-        (if o.X.Triangle_enum.value.X.Triangle_enum.complete then "yes" else "NO") ]
-  | Error f ->
-    Table.add_row t2
-      [ "triangles"; "gnp"; string_of_int (X.Graph.num_vertices tri);
-        string_of_int f.X.Triangle_enum.attempts;
-        string_of_int f.X.Triangle_enum.rounds_total; "-"; "NO" ]);
+  row "triangles" "gnp" tri
+    ~rounds:(fun r -> r.X.Triangle_enum.total_rounds)
+    (X.Triangle_enum.run_verified ~attempts:3 tri (X.Rng.create 143));
   let phi = 1.0 /. 16.0 in
   let dumb = X.Generators.dumbbell rng ~n1:scale ~n2:scale ~d:6 ~bridges:2 in
   let params =
     X.Nibble_params.make ~phi ~m:(max 1 (X.Graph.num_edges dumb)) ()
   in
   let bound = X.Nibble_params.h ~n:(X.Graph.num_vertices dumb) phi in
-  (match X.Sparse_cut.run_verified ~attempts:3 ~bound params dumb (X.Rng.create 145) with
-  | Ok o ->
-    let last = o.X.Sparse_cut.value.X.Sparse_cut.rounds in
-    Table.add_row t2
-      [ "sparse-cut"; "dumbbell"; string_of_int (X.Graph.num_vertices dumb);
-        string_of_int o.X.Sparse_cut.attempts;
-        string_of_int o.X.Sparse_cut.rounds_total;
-        Printf.sprintf "%.2fx" (fi o.X.Sparse_cut.rounds_total /. fi (max 1 last));
-        "yes" ]
-  | Error f ->
-    Table.add_row t2
-      [ "sparse-cut"; "dumbbell"; string_of_int (X.Graph.num_vertices dumb);
-        string_of_int f.X.Sparse_cut.attempts;
-        string_of_int f.X.Sparse_cut.rounds_total; "-"; "NO" ]);
+  row "sparse-cut" "dumbbell" dumb
+    ~rounds:(fun r -> r.X.Sparse_cut.rounds)
+    (X.Sparse_cut.run_verified ~attempts:3 ~bound params dumb (X.Rng.create 145));
   out_table t2
 
 (* ------------------------------------------------------------------ *)

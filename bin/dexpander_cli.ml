@@ -97,7 +97,7 @@ let attempts_t =
     & info [ "attempts" ]
       ~doc:"Las Vegas retry budget: re-run with fresh randomness until Verify certifies the output, up to this many attempts.")
 
-let print_decomposition ~epsilon r report =
+let print_decomposition ~epsilon { X.Las_vegas.result = r; report } =
   Printf.printf
     "decomposition: parts=%d removed=%.2f%% (target %.2f%%) rounds=%d depth=%d \
      phase2=%d partition-calls=%d\n"
@@ -124,14 +124,14 @@ let decompose_cmd =
     describe g;
     match X.Las_vegas.decompose ~attempts ~epsilon ~k g (X.Rng.create seed) with
     | Ok o ->
-      print_decomposition ~epsilon o.X.Las_vegas.result o.X.Las_vegas.report;
+      print_decomposition ~epsilon o.X.Rounds.value;
       Printf.printf "las-vegas: certified after %d/%d attempt(s), %d rounds total\n"
-        o.X.Las_vegas.attempts attempts o.X.Las_vegas.total_rounds
+        o.X.Rounds.attempts attempts o.X.Rounds.rounds_total
     | Error f ->
-      print_decomposition ~epsilon f.X.Las_vegas.last_result f.X.Las_vegas.last_report;
+      print_decomposition ~epsilon f.X.Rounds.value;
       Printf.printf
         "las-vegas: FAILED — %d attempt(s) exhausted (%d rounds total) without a certificate\n"
-        f.X.Las_vegas.attempts f.X.Las_vegas.total_rounds;
+        f.X.Rounds.attempts f.X.Rounds.rounds_total;
       exit 1
   in
   Cmd.v (Cmd.info "decompose" ~doc:"Run the (ε,φ)-expander decomposition (Theorem 1).")
@@ -478,75 +478,6 @@ let conformance_cmd =
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
       $ degree_t $ word_size_t $ demo_race_t)
 
-let lint_cmd =
-  let module Cli = Dex_lint_core.Cli in
-  let targets_t =
-    Arg.(
-      value & pos_all string [ "." ]
-      & info [] ~docv:"PATH" ~doc:"Files or directories to lint (default: the whole tree).")
-  in
-  let json_t =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as a single JSON object.")
-  in
-  let all_rules_t =
-    Arg.(
-      value & flag
-      & info [ "all-rules" ] ~doc:"Apply every rule regardless of path scoping.")
-  in
-  let cmt_root_t =
-    Arg.(
-      value & opt string "_build/default"
-      & info [ "cmt-root" ] ~docv:"DIR"
-          ~doc:"Root of the .cmt forest (run $(b,dune build @check) to populate it).")
-  in
-  let source_root_t =
-    Arg.(
-      value & opt string "."
-      & info [ "source-root" ] ~docv:"DIR"
-          ~doc:"Root the .cmt source paths are relative to.")
-  in
-  let graph_json_t =
-    Arg.(
-      value & opt (some string) None
-      & info [ "graph-json" ] ~docv:"FILE"
-          ~doc:"Write the module reference graph as JSON.")
-  in
-  let dead_scope_t =
-    Arg.(
-      value & opt_all string []
-      & info [ "dead-scope" ] ~docv:"DIR"
-          ~doc:"Also scan DIR's .mli exports for C004 (default: lib).")
-  in
-  let include_fixtures_t =
-    Arg.(
-      value & flag
-      & info [ "include-fixtures" ]
-          ~doc:"Lint fixture directories too (they violate on purpose).")
-  in
-  let run json all_rules cmt_root source_root graph_json dead_scope include_fixtures
-      targets =
-    let opts =
-      { Cli.json;
-        all_rules;
-        cmt_root;
-        source_root;
-        graph_json;
-        dead_scope = (if dead_scope = [] then Cli.default_opts.Cli.dead_scope else dead_scope);
-        include_fixtures;
-        targets }
-    in
-    exit (Cli.run opts)
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the static certifier on the typed AST of a $(b,dune build @check): the \
-          determinism rules (D-rules) and the word-budget / coordinate-space / \
-          reference-graph rules (C-rules).")
-    Term.(
-      const run $ json_t $ all_rules_t $ cmt_root_t $ source_root_t $ graph_json_t
-      $ dead_scope_t $ include_fixtures_t $ targets_t)
-
 let () =
   let doc = "Distributed expander decomposition and triangle enumeration (PODC 2019)" in
   let info = Cmd.info "dexpander" ~version:"1.0.0" ~doc in
@@ -554,4 +485,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; decompose_cmd; sparse_cut_cmd; ldd_cmd; triangles_cmd;
-            faults_cmd; throughput_cmd; trace_cmd; conformance_cmd; lint_cmd ]))
+            faults_cmd; throughput_cmd; trace_cmd; conformance_cmd ]))

@@ -94,15 +94,22 @@ let tree t =
   in
   freeze t.root
 
-let merge ~into src =
-  Dex_util.Table.iter_sorted ~compare:String.compare
-    (fun label k -> charge into ~label k)
-    src.phases
+let span t name f = match t with Some l -> with_span l name f | None -> f ()
 
-let reset t =
-  t.total <- 0;
-  Hashtbl.reset t.phases;
-  t.root.self <- 0;
-  t.root.wall_ns <- 0;
-  t.root.sub <- [];
-  t.stack <- []
+type 'a verified = { value : 'a; attempts : int; rounds_total : int }
+
+let las_vegas ?ledger ~label ~where ~attempts ~rounds ~accept ?better f =
+  Dex_util.Invariant.require (attempts >= 1) ~where "attempts must be >= 1";
+  let rec go i rounds_total kept =
+    let v = span ledger (Printf.sprintf "attempt-%d" i) (fun () -> f i) in
+    let rounds_total = rounds_total + rounds v in
+    let ok = accept v in
+    Option.iter (fun tr -> Trace.retry tr ~label ~attempt:i ~certified:ok)
+      (Option.bind ledger trace);
+    (* with [better], keep the first best attempt; otherwise the last *)
+    let kept = match (kept, better) with Some k, Some b when not (b v k) -> k | _ -> v in
+    if ok then Ok { value = v; attempts = i; rounds_total }
+    else if i >= attempts then Error { value = kept; attempts = i; rounds_total }
+    else go (i + 1) rounds_total (Some kept)
+  in
+  go 1 0 None

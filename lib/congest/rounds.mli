@@ -68,11 +68,27 @@ type tree = { span : string; rounds : int; self : int; wall_ns : int; children :
     synthetic ["total"] node with [rounds = total t]. *)
 val tree : t -> tree
 
-(** [merge ~into src] adds all of [src]'s flat charges into [into]
-    (under [into]'s currently open span; [src]'s span structure is not
-    copied). *)
-val merge : into:t -> t -> unit
+(** [span t name f] is [with_span l name f] when [t = Some l], and
+    plain [f ()] without a ledger. *)
+val span : t option -> string -> (unit -> 'a) -> 'a
 
-(** [reset t] zeroes the ledger, including the span tree. Open spans
-    are abandoned; the attached trace, if any, is kept. *)
-val reset : t -> unit
+(** The outcome of {!las_vegas}: the accepted (on [Error], the kept)
+    attempt, the attempts performed and the rounds summed over all. *)
+type 'a verified = { value : 'a; attempts : int; rounds_total : int }
+
+(** [las_vegas ?ledger ~label ~where ~attempts ~rounds ~accept ?better f]
+    is the one Las Vegas retry loop, behind [Las_vegas.decompose],
+    [Partition.run_verified] and [Expander_enum.run_verified]. It runs
+    [f i] for [i = 1, 2, ...] until [accept] holds of its value, at
+    most [attempts] times; [f i] must draw fresh randomness from [i].
+    Attempt [i] runs in an ["attempt-<i>"] span, adds [rounds v] to
+    [rounds_total] and, with a trace attached, emits
+    [Trace.retry ~label ~attempt:i ~certified:(accept v)]. [Ok] carries
+    the first accepted attempt; [Error] the last one or, with [better],
+    the first attempt no later one is [better] than. Raises
+    [Dex_util.Invariant.Violation] with [where] when [attempts < 1],
+    before any attempt runs. *)
+val las_vegas :
+  ?ledger:t -> label:string -> where:string -> attempts:int -> rounds:('a -> int) ->
+  accept:('a -> bool) -> ?better:('a -> 'a -> bool) -> (int -> 'a) ->
+  ('a verified, 'a verified) result

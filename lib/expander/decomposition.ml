@@ -51,10 +51,6 @@ type driver = {
   mutable phase2_max_iterations : int;
 }
 
-(* runs [f] in a named ledger span when observability is on *)
-let in_span d name f =
-  match d.ledger with Some l -> Rounds.with_span l name f | None -> f ()
-
 let remove_edges_tracked d kind edges =
   let plain = List.filter (fun (u, v) -> u <> v) edges in
   let count = List.length plain in
@@ -204,14 +200,14 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
   (* initial active set: connected components of the input *)
   let active = ref (Metrics.connected_components g) in
   let depth = ref 0 in
-  in_span d "decompose" (fun () ->
-      in_span d "phase1" (fun () ->
+  Rounds.span d.ledger "decompose" (fun () ->
+      Rounds.span d.ledger "phase1" (fun () ->
           while !active <> [] && !depth < schedule.Schedule.d do
             incr depth;
             depth_reached := !depth;
             let next = ref [] in
             let level_cost = ref 0 in
-            in_span d (Printf.sprintf "level-%d" !depth) (fun () ->
+            Rounds.span d.ledger (Printf.sprintf "level-%d" !depth) (fun () ->
                 List.iter
                   (fun members ->
                     if Array.length members > 1 then begin
@@ -267,13 +263,13 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
             active := !next
           done);
       (* Phase 2: all queued components run concurrently *)
-      in_span d "phase2" (fun () ->
+      Rounds.span d.ledger "phase2" (fun () ->
           let phase2_cost = ref 0 in
           List.iter
             (fun members ->
               d.phase2_components <- d.phase2_components + 1;
               let cost, iters =
-                in_span d
+                Rounds.span d.ledger
                   (Printf.sprintf "component-%d" d.phase2_components)
                   (fun () -> phase2 d members)
               in

@@ -1,59 +1,20 @@
 module Rng = Dex_util.Rng
 module Rounds = Dex_congest.Rounds
-module Trace = Dex_obs.Trace
 
-type failure = {
-  attempts : int;
-  last_result : Decomposition.result;
-  last_report : Verify.report;
-  total_rounds : int;
-}
-
-type outcome = {
-  result : Decomposition.result;
-  report : Verify.report;
-  attempts : int;
-  total_rounds : int;
-}
+type certified = { result : Decomposition.result; report : Verify.report }
 
 let report_ok (r : Verify.report) =
   r.Verify.is_partition && r.Verify.epsilon_ok && r.Verify.phi_ok
 
 let decompose ?preset ?ledger ?(attempts = 5) ~epsilon ~k g rng =
-  Dex_util.Invariant.require (attempts >= 1) ~where:"Las_vegas.decompose"
-    "attempts must be >= 1";
-  let in_span name f =
-    match ledger with Some l -> Rounds.with_span l name f | None -> f ()
-  in
-  let retry certified i =
-    match ledger with
-    | Some l ->
-      (match Rounds.trace l with
-      | Some tr -> Trace.retry tr ~label:"decompose" ~attempt:i ~certified
-      | None -> ())
-    | None -> ()
-  in
-  let total_rounds = ref 0 in
-  let rec go i =
-    (* fresh randomness per attempt: split both the algorithm's stream
-       and the verifier's, so a failed attempt never replays *)
-    let attempt_rng = Rng.split rng i in
-    let verify_rng = Rng.split rng (attempts + i) in
-    let result =
-      in_span (Printf.sprintf "attempt-%d" i) @@ fun () ->
-      Decomposition.run ?preset ?ledger ~epsilon ~k g attempt_rng
-    in
-    total_rounds := !total_rounds + result.Decomposition.stats.Decomposition.rounds;
-    let report = Verify.check g result verify_rng in
-    let ok = report_ok report in
-    retry ok i;
-    if ok then Ok { result; report; attempts = i; total_rounds = !total_rounds }
-    else if i >= attempts then
-      Error
-        { attempts = i;
-          last_result = result;
-          last_report = report;
-          total_rounds = !total_rounds }
-    else go (i + 1)
-  in
-  in_span "las-vegas" (fun () -> go 1)
+  Rounds.span ledger "las-vegas" @@ fun () ->
+  Rounds.las_vegas ?ledger ~label:"decompose" ~where:"Las_vegas.decompose" ~attempts
+    ~rounds:(fun c -> c.result.Decomposition.stats.Decomposition.rounds)
+    ~accept:(fun c -> report_ok c.report)
+  @@ fun i ->
+  (* fresh randomness per attempt: split both the algorithm's stream
+     and the verifier's, so a failed attempt never replays *)
+  let attempt_rng = Rng.split rng i in
+  let verify_rng = Rng.split rng (attempts + i) in
+  let result = Decomposition.run ?preset ?ledger ~epsilon ~k g attempt_rng in
+  { result; report = Verify.check g result verify_rng }

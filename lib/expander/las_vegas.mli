@@ -8,40 +8,30 @@
     algorithm: an [Ok] outcome {e provably} satisfies the partition,
     ε and φ conditions of its own report, and the only remaining
     randomness is in the running time (the summed rounds across
-    attempts, charged honestly in [total_rounds]).
+    attempts, charged honestly in [rounds_total]).
 
     Failure is reported as typed data, never as [failwith]: after the
     attempt budget is exhausted the caller receives the last result
-    and its report to inspect or salvage. *)
+    and its report to inspect or salvage. The retry loop is
+    {!Dex_congest.Rounds.las_vegas}. *)
 
-(** Attempt budget exhausted: the last attempt and why it failed. *)
-type failure = {
-  attempts : int; (** attempts performed (= the budget) *)
-  last_result : Decomposition.result;
-  last_report : Verify.report;
-  total_rounds : int; (** simulated rounds summed over every attempt *)
-}
-
-(** A certified decomposition. *)
-type outcome = {
-  result : Decomposition.result;
-  report : Verify.report; (** the certificate: [report_ok report] holds *)
-  attempts : int; (** attempts used, including the successful one *)
-  total_rounds : int; (** simulated rounds summed over every attempt *)
-}
+(** One verified attempt: the decomposition and its certificate. On
+    [Ok], [report_ok report] holds. *)
+type certified = { result : Decomposition.result; report : Verify.report }
 
 (** [report_ok r] is the acceptance predicate: [r] certifies a
     partition within the ε budget whose parts all meet the φ target. *)
 val report_ok : Verify.report -> bool
 
 (** [decompose ?preset ?ledger ?attempts ~epsilon ~k g rng] runs
-    {!Decomposition.run} up to [attempts] times (default 5), each with
-    an independent stream split off [rng], verifying each result with
-    {!Verify.check}. With a [ledger], the whole run sits in a
-    ["las-vegas"] span, each attempt in an ["attempt-<i>"] span, and
-    (when a trace is attached) each verification verdict is emitted as
-    a retry event labeled ["decompose"]. Raises [Dex_util.Invariant.Violation]
-    when [attempts < 1]. *)
+    {!Decomposition.run} up to [attempts] times (default 5), attempt
+    [i] on the stream [Rng.split rng i], verifying each result with
+    {!Verify.check} on the stream [Rng.split rng (attempts + i)].
+    [Error] carries the last attempt. With a [ledger], the whole run
+    sits in a ["las-vegas"] span and each attempt, its verification
+    included, in an ["attempt-<i>"] span; when a trace is attached,
+    each verdict is emitted as a retry event labeled ["decompose"].
+    Raises [Dex_util.Invariant.Violation] when [attempts < 1]. *)
 val decompose :
   ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->
@@ -50,4 +40,4 @@ val decompose :
   k:int ->
   Dex_graph.Graph.t ->
   Dex_util.Rng.t ->
-  (outcome, failure) result
+  (certified Dex_congest.Rounds.verified, certified Dex_congest.Rounds.verified) result

@@ -1,7 +1,6 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
 module Rounds = Dex_congest.Rounds
-module Trace = Dex_obs.Trace
 
 type t = {
   cut : int array;
@@ -11,10 +10,6 @@ type t = {
   iterations : int;
   aborted_copies : int;
 }
-
-(* runs [f] inside a ledger span when a ledger is present *)
-let in_span ledger name f =
-  match ledger with Some l -> Rounds.with_span l name f | None -> f ()
 
 let run ?p ?ledger params g rng =
   let n = Graph.num_vertices g in
@@ -32,7 +27,7 @@ let run ?p ?ledger params g rng =
       iterations = 0;
       aborted_copies = 0 }
   else
-    in_span ledger "partition" @@ fun () ->
+    Rounds.span ledger "partition" @@ fun () ->
     let s = Params.partition_iterations params ~volume:total_volume ~p in
     let threshold = 47 * total_volume / 48 in
     let in_w = Array.make n true in
@@ -105,39 +100,11 @@ let run ?p ?ledger params g rng =
 
 let certified_no_sparse_cut t = Array.length t.cut = 0
 
-type attempt_outcome = { value : t; attempts : int; rounds_total : int }
-
 let acceptable ~bound t =
   certified_no_sparse_cut t || t.conductance <= bound
 
 let run_verified ?(attempts = 3) ?p ?ledger ~bound params g rng =
-  if attempts < 1 then invalid_arg "Partition.run_verified: attempts must be >= 1";
-  let module Rng = Dex_util.Rng in
-  let retry certified i =
-    match ledger with
-    | Some l ->
-      (match Rounds.trace l with
-      | Some tr -> Trace.retry tr ~label:"sparse-cut" ~attempt:i ~certified
-      | None -> ())
-    | None -> ()
-  in
-  let rounds_total = ref 0 in
-  let best = ref None in
-  let rec go i =
-    let r =
-      in_span ledger (Printf.sprintf "attempt-%d" i) @@ fun () ->
-      run ?p ?ledger params g (Rng.split rng i)
-    in
-    rounds_total := !rounds_total + r.rounds;
-    (match !best with
-    | Some b when b.conductance <= r.conductance -> ()
-    | _ -> best := Some r);
-    let ok = acceptable ~bound r in
-    retry ok i;
-    if ok then Ok { value = r; attempts = i; rounds_total = !rounds_total }
-    else if i >= attempts then
-      let b = match !best with Some b -> b | None -> r in
-      Error { value = b; attempts = i; rounds_total = !rounds_total }
-    else go (i + 1)
-  in
-  go 1
+  Rounds.las_vegas ?ledger ~label:"sparse-cut" ~where:"Partition.run_verified" ~attempts
+    ~rounds:(fun r -> r.rounds) ~accept:(acceptable ~bound)
+    ~better:(fun r b -> r.conductance < b.conductance)
+  @@ fun i -> run ?p ?ledger params g (Dex_util.Rng.split rng i)

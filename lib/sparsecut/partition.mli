@@ -36,24 +36,19 @@ val run :
     the caller treats the graph as a φ-expander (Theorem 3, case 2). *)
 val certified_no_sparse_cut : t -> bool
 
-(** One or more verified Partition attempts: the accepted (or, on
-    [Error], the best-conductance) result, the attempts used and the
-    simulated rounds summed across all of them. *)
-type attempt_outcome = { value : t; attempts : int; rounds_total : int }
-
 (** [acceptable ~bound t] is the Las Vegas acceptance predicate: the
     graph was certified a φ-expander (empty cut) or the returned cut's
     measured conductance meets [bound] (the caller's h(φ)). *)
 val acceptable : bound:float -> t -> bool
 
 (** [run_verified ?attempts ?p ?ledger ~bound params g rng] re-runs
-    Partition with fresh randomness (streams split off [rng]) until
-    {!acceptable} holds, up to [attempts] times (default 3). [Error]
-    carries the best attempt seen — typed failure reporting, never an
-    exception. With a [ledger], each attempt runs in an
-    ["attempt-<i>"] span and, when a trace is attached, emits a retry
-    event labeled ["sparse-cut"]. Raises [Invalid_argument] when
-    [attempts < 1]. *)
+    Partition through {!Dex_congest.Rounds.las_vegas}, attempt [i] on
+    the stream [Rng.split rng i], until {!acceptable} holds, up to
+    [attempts] times (default 3). [Error] carries the attempt of least
+    conductance (the first, on ties). With a [ledger], each attempt
+    runs in an ["attempt-<i>"] span and, when a trace is attached,
+    emits a retry event labeled ["sparse-cut"]. Raises
+    [Dex_util.Invariant.Violation] when [attempts < 1]. *)
 val run_verified :
   ?attempts:int ->
   ?p:float ->
@@ -62,4 +57,4 @@ val run_verified :
   Params.t ->
   Dex_graph.Graph.t ->
   Dex_util.Rng.t ->
-  (attempt_outcome, attempt_outcome) result
+  (t Dex_congest.Rounds.verified, t Dex_congest.Rounds.verified) result

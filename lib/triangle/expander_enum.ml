@@ -2,7 +2,6 @@ module Graph = Dex_graph.Graph
 module Decomposition = Dex_decomp.Decomposition
 module Hierarchy = Dex_routing.Hierarchy
 module Rounds = Dex_congest.Rounds
-module Trace = Dex_obs.Trace
 module Rng = Dex_util.Rng
 
 type level_report = {
@@ -51,9 +50,6 @@ let merge_ids a b =
   (Array.sub out 0 !k, !fresh)
 
 let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng =
-  let in_span name f =
-    match ledger with Some l -> Rounds.with_span l name f | None -> f ()
-  in
   let charge label k =
     match ledger with Some l -> Rounds.charge l ~label k | None -> ()
   in
@@ -71,10 +67,10 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
     2 * max 1 (int_of_float (Float.ceil (log (Float.max 2.0 (float_of_int (Graph.num_edges g))) /. log 2.0)))
   in
   let continue = ref (Graph.num_plain_edges g > 0) in
-  in_span "triangles" @@ fun () ->
+  Rounds.span ledger "triangles" @@ fun () ->
   while !continue && !level < max_levels do
     incr level;
-    in_span (Printf.sprintf "level-%d" !level) @@ fun () ->
+    Rounds.span ledger (Printf.sprintf "level-%d" !level) @@ fun () ->
     let gcur = !current in
     let decomp = Decomposition.run ?preset ?ledger ~epsilon ~k:k_decomp gcur rng in
     total_rounds := !total_rounds + decomp.Decomposition.stats.Decomposition.rounds;
@@ -161,26 +157,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
       Array.length detected = Array.length ground_truth
       && Array.for_all2 Int.equal detected ground_truth }
 
-type attempt_outcome = { value : result; attempts : int; rounds_total : int }
-
 let run_verified ?preset ?ledger ?epsilon ?k_decomp ?k_routing ?(attempts = 3) g rng =
-  if attempts < 1 then invalid_arg "Expander_enum.run_verified: attempts must be >= 1";
-  let retry certified i =
-    match ledger with
-    | Some l ->
-      (match Rounds.trace l with
-      | Some tr -> Trace.retry tr ~label:"triangles" ~attempt:i ~certified
-      | None -> ())
-    | None -> ()
-  in
-  let rounds_total = ref 0 in
-  let rec go i =
-    let r = run ?preset ?ledger ?epsilon ?k_decomp ?k_routing g (Rng.split rng i) in
-    rounds_total := !rounds_total + r.total_rounds;
-    retry r.complete i;
-    if r.complete then Ok { value = r; attempts = i; rounds_total = !rounds_total }
-    else if i >= attempts then
-      Error { value = r; attempts = i; rounds_total = !rounds_total }
-    else go (i + 1)
-  in
-  go 1
+  Rounds.las_vegas ?ledger ~label:"triangles" ~where:"Expander_enum.run_verified" ~attempts
+    ~rounds:(fun r -> r.total_rounds) ~accept:(fun r -> r.complete)
+  @@ fun i -> run ?preset ?ledger ?epsilon ?k_decomp ?k_routing g (Rng.split rng i)

@@ -66,23 +66,21 @@ val run :
     instance count ⌈3·⌈n^{1/3}⌉·incident/volume⌉ of one component. *)
 val instances_for : n:int -> incident:int -> volume:int -> int
 
-(** One or more verified enumeration attempts: the complete (or, on
-    [Error], the last incomplete) result, the attempts used and the
-    rounds summed across all of them. *)
-type attempt_outcome = { value : result; attempts : int; rounds_total : int }
-
 (** [run_verified ?preset ?ledger ?epsilon ?k_decomp ?k_routing
-    ?attempts g rng] is the Las Vegas wrapper around {!run}: each
-    attempt's detected set is checked against the exact ground truth
-    ([complete]) and the enumeration re-runs with fresh randomness on
-    a miss, up to [attempts] times (default 3). [Error] carries the
-    last attempt — typed failure, no exception. With a [ledger]
-    carrying a trace, each verdict emits a retry event labeled
-    ["triangles"]. *)
+    ?attempts g rng] is the Las Vegas wrapper around {!run}, through
+    {!Dex_congest.Rounds.las_vegas}: each attempt's detected set is
+    checked against the exact ground truth ([complete]) and the
+    enumeration re-runs on the stream [Rng.split rng i] on a miss, up
+    to [attempts] times (default 3). [Error] carries the last attempt
+    — typed failure, no exception. With a [ledger], each attempt's
+    ["triangles"] span sits in an ["attempt-<i>"] span and, when a
+    trace is attached, each verdict emits a retry event labeled
+    ["triangles"]. Raises [Dex_util.Invariant.Violation] when
+    [attempts < 1]. *)
 val run_verified :
   ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->
   ?epsilon:float -> ?k_decomp:int -> ?k_routing:int ->
   ?attempts:int ->
   Dex_graph.Graph.t -> Dex_util.Rng.t ->
-  (attempt_outcome, attempt_outcome) Stdlib.result
+  (result Dex_congest.Rounds.verified, result Dex_congest.Rounds.verified) Stdlib.result

@@ -32,12 +32,6 @@ let test_rounds_ledger () =
   Rounds.charge r ~label:"zz" 7;
   Alcotest.(check (list (pair string int))) "by phase sorted" [ ("zz", 7); ("a", 5); ("b", 5) ]
     (Rounds.by_phase r);
-  let r2 = Rounds.create () in
-  Rounds.charge r2 ~label:"c" 1;
-  Rounds.merge ~into:r r2;
-  Alcotest.(check int) "merged" 18 (Rounds.total r);
-  Rounds.reset r;
-  Alcotest.(check int) "reset" 0 (Rounds.total r);
   Alcotest.check_raises "negative"
     (Dex_util.Invariant.Violation { where = "Rounds.charge"; what = "negative round count" })
     (fun () -> Rounds.charge r ~label:"x" (-1))

@@ -300,6 +300,7 @@ let test_recursive_baseline_expander () =
 (* ---------- Las Vegas wrapper ---------- *)
 
 module Lv = Dex_decomp.Las_vegas
+module Rounds = Dex_congest.Rounds
 
 let test_las_vegas_certifies () =
   let rng = Rng.create 301 in
@@ -307,15 +308,15 @@ let test_las_vegas_certifies () =
     Gen.connectivize rng (Gen.planted_partition rng ~parts:4 ~size:30 ~p_in:0.35 ~p_out:0.01)
   in
   match Lv.decompose ~attempts:5 ~epsilon:0.3 ~k:2 g (Rng.create 302) with
-  | Ok o ->
-    Alcotest.(check bool) "certificate holds" true (Lv.report_ok o.Lv.report);
-    Alcotest.(check bool) "attempts within budget" true (o.Lv.attempts >= 1 && o.Lv.attempts <= 5);
+  | Ok { Rounds.value = c; attempts; rounds_total } ->
+    Alcotest.(check bool) "certificate holds" true (Lv.report_ok c.Lv.report);
+    Alcotest.(check bool) "attempts within budget" true (attempts >= 1 && attempts <= 5);
     Alcotest.(check bool) "rounds cover the accepted attempt" true
-      (o.Lv.total_rounds >= o.Lv.result.D.stats.D.rounds);
-    Metrics.check_partition g o.Lv.result.D.parts
+      (rounds_total >= c.Lv.result.D.stats.D.rounds);
+    Metrics.check_partition g c.Lv.result.D.parts
   | Error f ->
     Alcotest.failf "expected certification within %d attempts (last report phi_ok=%b)"
-      f.Lv.attempts f.Lv.last_report.Verify.phi_ok
+      f.Rounds.attempts f.Rounds.value.Lv.report.Verify.phi_ok
 
 let test_las_vegas_deterministic () =
   let rng = Rng.create 303 in
@@ -324,8 +325,9 @@ let test_las_vegas_deterministic () =
   in
   let go () =
     match Lv.decompose ~attempts:4 ~epsilon:0.3 ~k:2 g (Rng.create 304) with
-    | Ok o -> (o.Lv.attempts, o.Lv.total_rounds, List.length o.Lv.result.D.parts)
-    | Error f -> (-f.Lv.attempts, f.Lv.total_rounds, 0)
+    | Ok o ->
+      (o.Rounds.attempts, o.Rounds.rounds_total, List.length o.Rounds.value.Lv.result.D.parts)
+    | Error f -> (-f.Rounds.attempts, f.Rounds.rounds_total, 0)
   in
   let a = go () and b = go () in
   Alcotest.(check bool) "same seed, same outcome" true (a = b)

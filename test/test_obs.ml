@@ -15,6 +15,7 @@ module Vertex = Dex_graph.Vertex
 module Faults = Dex_congest.Faults
 module Decomposition = Dex_decomp.Decomposition
 module Las_vegas = Dex_decomp.Las_vegas
+module Enum = Dex_triangle.Expander_enum
 module Rng = Dex_util.Rng
 
 (* ---------- JSON codec ---------- *)
@@ -119,12 +120,12 @@ let test_span_tree_deterministic () =
     (strip_wall (Rounds.tree l1) = strip_wall (Rounds.tree l2));
   Alcotest.(check int) "same total" (Rounds.total l1) (Rounds.total l2)
 
+let rec leaf_sum (t : Rounds.tree) =
+  t.Rounds.self + List.fold_left (fun acc c -> acc + leaf_sum c) 0 t.Rounds.children
+
 let test_tree_consistency () =
   let r, ledger, tr = traced_decompose ~seed:11 in
   let tree = Rounds.tree ledger in
-  let rec leaf_sum (t : Rounds.tree) =
-    t.Rounds.self + List.fold_left (fun acc c -> acc + leaf_sum c) 0 t.Rounds.children
-  in
   let rec node_sum_ok (t : Rounds.tree) =
     t.Rounds.rounds
     = t.Rounds.self + List.fold_left (fun acc c -> acc + c.Rounds.rounds) 0 t.Rounds.children
@@ -295,6 +296,32 @@ let test_retry_events () =
   Alcotest.(check bool) "last attempt certified" true
     (snd (List.nth retries (List.length retries - 1)))
 
+(* every triangle attempt is its own span: one "attempt-<i>" child of
+   the root per retry event, each holding that attempt's "triangles"
+   span *)
+let test_triangle_attempt_spans () =
+  let rng = Rng.create 67 in
+  let g = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.25) in
+  let ledger = Rounds.create () in
+  let tr = Trace.create () in
+  Rounds.attach_trace ledger (Some tr);
+  ignore (Enum.run_verified ~ledger ~attempts:3 g (Rng.create 68));
+  let attempts =
+    List.filter_map
+      (function Trace.Retry { attempt; _ } -> Some attempt | _ -> None)
+      (Trace.events tr)
+  in
+  let tree = Rounds.tree ledger in
+  Alcotest.(check (list string)) "one span per attempt"
+    (List.map (Printf.sprintf "attempt-%d") attempts)
+    (List.map (fun (c : Rounds.tree) -> c.Rounds.span) tree.Rounds.children);
+  List.iter
+    (fun (c : Rounds.tree) ->
+      Alcotest.(check (list string)) (c.Rounds.span ^ " holds its run") [ "triangles" ]
+        (List.map (fun (t : Rounds.tree) -> t.Rounds.span) c.Rounds.children))
+    tree.Rounds.children;
+  Alcotest.(check int) "leaf sum = total" (Rounds.total ledger) (leaf_sum tree)
+
 (* ---------- JSONL sink round-trip over a real run ---------- *)
 
 let test_jsonl_sink_roundtrip () =
@@ -461,7 +488,8 @@ let () =
             test_words_sent_fault_aware;
           Alcotest.test_case "fault events bridged" `Quick test_fault_events_bridged ] );
       ( "retries",
-        [ Alcotest.test_case "las vegas retry events" `Quick test_retry_events ] );
+        [ Alcotest.test_case "las vegas retry events" `Quick test_retry_events;
+          Alcotest.test_case "triangle attempt spans" `Quick test_triangle_attempt_spans ] );
       ( "snapshot",
         [ Alcotest.test_case "valid document" `Quick test_snapshot_valid;
           Alcotest.test_case "schema id embedded" `Quick test_snapshot_version_embedded;

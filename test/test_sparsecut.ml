@@ -13,6 +13,7 @@ module Partition = Dex_sparsecut.Partition
 module Baselines = Dex_sparsecut.Baselines
 module Exact = Dex_spectral.Exact
 module Rng = Dex_util.Rng
+module Rounds = Dex_congest.Rounds
 
 let mk_params ?(preset = Params.Practical) phi m = Params.make ~preset ~phi ~m ()
 
@@ -580,11 +581,11 @@ let test_run_verified_accepts_dumbbell () =
   match Partition.run_verified ~attempts:3 ~bound params g rng with
   | Error _ -> Alcotest.fail "dumbbell run should certify within 3 attempts"
   | Ok o ->
-    Alcotest.(check bool) "acceptable" true (Partition.acceptable ~bound o.Partition.value);
+    Alcotest.(check bool) "acceptable" true (Partition.acceptable ~bound o.Rounds.value);
     Alcotest.(check bool) "attempts in budget" true
-      (o.Partition.attempts >= 1 && o.Partition.attempts <= 3);
+      (o.Rounds.attempts >= 1 && o.Rounds.attempts <= 3);
     Alcotest.(check bool) "rounds summed" true
-      (o.Partition.rounds_total >= o.Partition.value.Partition.rounds)
+      (o.Rounds.rounds_total >= o.Rounds.value.Partition.rounds)
 
 let test_run_verified_reports_best_on_failure () =
   let rng = Rng.create 59 in
@@ -593,22 +594,23 @@ let test_run_verified_reports_best_on_failure () =
   (* an absurd bound no non-empty cut can meet: every attempt fails,
      but the wrapper must return its best attempt with full context *)
   match Partition.run_verified ~attempts:2 ~bound:1e-9 params g rng with
-  | Ok o when Partition.certified_no_sparse_cut o.Partition.value ->
+  | Ok o when Partition.certified_no_sparse_cut o.Rounds.value ->
     (* certified-empty is acceptable by definition; nothing to check *)
     ()
   | Ok _ -> Alcotest.fail "a non-empty cut cannot meet a 1e-9 bound"
   | Error e ->
-    Alcotest.(check int) "used full budget" 2 e.Partition.attempts;
+    Alcotest.(check int) "used full budget" 2 e.Rounds.attempts;
     Alcotest.(check bool) "best attempt carried" true
-      (Array.length e.Partition.value.Partition.cut > 0);
+      (Array.length e.Rounds.value.Partition.cut > 0);
     Alcotest.(check bool) "rounds accumulated" true
-      (e.Partition.rounds_total >= e.Partition.value.Partition.rounds)
+      (e.Rounds.rounds_total >= e.Rounds.value.Partition.rounds)
 
 let test_run_verified_validation () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
   Alcotest.check_raises "attempts must be >= 1"
-    (Invalid_argument "Partition.run_verified: attempts must be >= 1")
+    (Dex_util.Invariant.Violation
+       { where = "Partition.run_verified"; what = "attempts must be >= 1" })
     (fun () ->
       ignore (Partition.run_verified ~attempts:0 ~bound:1.0 params g (Rng.create 1)))
 
@@ -657,7 +659,6 @@ let test_ppr_validation () =
 module Wp = Dex_sparsecut.Walk_protocol
 module Walk = Dex_spectral.Walk
 module Network = Dex_congest.Network
-module Rounds = Dex_congest.Rounds
 
 let test_walk_protocol_matches_central () =
   let rng = Rng.create 71 in

@@ -9,6 +9,7 @@ module Enum = Dex_triangle.Expander_enum
 module Baselines = Dex_triangle.Baselines
 module Decomposition = Dex_decomp.Decomposition
 module Rng = Dex_util.Rng
+module Rounds = Dex_congest.Rounds
 
 let naive_triangles g =
   let n = Graph.num_vertices g in
@@ -386,18 +387,19 @@ let test_run_verified_complete () =
   match Enum.run_verified ~attempts:3 g (Rng.create 68) with
   | Error _ -> Alcotest.fail "enumeration should certify within 3 attempts"
   | Ok o ->
-    Alcotest.(check bool) "complete" true o.Enum.value.Enum.complete;
+    Alcotest.(check bool) "complete" true o.Rounds.value.Enum.complete;
     Alcotest.(check bool) "attempts in budget" true
-      (o.Enum.attempts >= 1 && o.Enum.attempts <= 3);
+      (o.Rounds.attempts >= 1 && o.Rounds.attempts <= 3);
     Alcotest.(check bool) "rounds summed" true
-      (o.Enum.rounds_total >= o.Enum.value.Enum.total_rounds);
+      (o.Rounds.rounds_total >= o.Rounds.value.Enum.total_rounds);
     Alcotest.(check (list (triple int int int))) "matches naive"
-      (naive_triangles g) o.Enum.value.Enum.triangles
+      (naive_triangles g) o.Rounds.value.Enum.triangles
 
 let test_run_verified_validation () =
   let g = Gen.complete 4 in
   Alcotest.check_raises "attempts must be >= 1"
-    (Invalid_argument "Expander_enum.run_verified: attempts must be >= 1")
+    (Dex_util.Invariant.Violation
+       { where = "Expander_enum.run_verified"; what = "attempts must be >= 1" })
     (fun () -> ignore (Enum.run_verified ~attempts:0 g (Rng.create 1)))
 
 let prop_enum_complete =

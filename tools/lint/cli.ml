@@ -1,5 +1,5 @@
-(* The dex_lint driver, used by the standalone dex_lint executable and
-   the `dexpander lint` subcommand.
+(* The dex_lint driver behind the dex_lint executable, the one lint
+   front-end (`dune exec tools/lint/dex_lint.exe -- [options] PATH...`).
 
    Every source under the targets is linted through its compiled unit
    in the .cmt forest, so the build must be complete and current: a
