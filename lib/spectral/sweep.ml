@@ -106,15 +106,18 @@ let measure t g =
   let total_volume = Graph.total_volume g in
   let s = t.scratch in
   s.epoch <- s.epoch + 1;
+  let stamp = s.stamp and epoch = s.epoch in
   let volume = ref 0 and cut = ref 0 in
   for j = 0 to t.length - 1 do
     let v = t.ordered.(j) in
     let inside = ref 0 in
     let nbrs = Graph.neighbors g v in
+    (* branch-free: whether a neighbour is already inside is close to a
+       coin flip, which a branch would mispredict *)
     for i = 0 to Array.length nbrs - 1 do
-      if s.stamp.(nbrs.(i)) = s.epoch then incr inside
+      inside := !inside + Bool.to_int (stamp.(nbrs.(i)) = epoch)
     done;
-    s.stamp.(v) <- s.epoch;
+    stamp.(v) <- epoch;
     volume := !volume + Graph.degree g v;
     cut := !cut + Graph.plain_degree g v - (2 * !inside);
     let small = min !volume (total_volume - !volume) in

@@ -193,13 +193,19 @@ let step_sparse g p = step (workspace g) g p
 (* ---------------- the double-buffered walker ---------------- *)
 
 (* [cur] is the current distribution, [spare] the buffer the next
-   advance writes; both have capacity n and swap on every advance *)
-type walker = { ws : workspace; mutable cur : sparse; mutable spare : sparse }
+   advance writes; both have capacity n and swap on every advance.
+   [share.(v)] is v's per-edge share in a full-support step. *)
+type walker = {
+  ws : workspace;
+  share : float array;
+  mutable cur : sparse;
+  mutable spare : sparse;
+}
 
 let walker g =
   let n = Graph.num_vertices g in
   let buffer () = { support = Array.make n 0; masses = Array.make n 0.0; len = 0 } in
-  { ws = workspace g; cur = buffer (); spare = buffer () }
+  { ws = workspace g; share = Array.make n 0.0; cur = buffer (); spare = buffer () }
 
 let start w p =
   if p.len > Array.length w.cur.support then invalid_arg "Walk.start: walker smaller than p";
@@ -209,7 +215,63 @@ let start w p =
 
 let current w = w.cur
 
-let advance w g ~eps ~mask =
+(* [advance] when p̃_{t−1} is supported on all of 0..n−1: each vertex
+   pulls its new mass from its sorted adjacency instead of the kernel
+   pushing it. The terms reaching u arrive in push order — ascending
+   source, u's own term at u's place, parallel edges consecutively —
+   and the sum starts at [0.0] like push's first touch, so every float
+   is the kernel's (DESIGN.md §12). The same pass truncates, writes
+   p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}| over the kept
+   vertices; the dropped ones, listed in [ws.touched], add their old
+   masses afterwards, ascending, as the sparse path's tail does. *)
+let advance_full w g ~eps ~mask n =
+  let prev = w.cur and next = w.spare and share = w.share and dropped = w.ws.touched in
+  let masses = prev.masses in
+  for v = 0 to n - 1 do
+    share.(v) <- masses.(v) /. (2.0 *. float_of_int (Graph.degree g v))
+  done;
+  let acc = ref 0.0 and kept = ref 0 and ndropped = ref 0 in
+  for u = 0 to n - 1 do
+    let mass = masses.(u) in
+    let deg = Graph.degree g u in
+    let x =
+      if deg = 0 then 0.0 +. mass
+      else begin
+        let nbrs = Graph.neighbors g u in
+        let len = Array.length nbrs in
+        let sum = ref 0.0 and j = ref 0 in
+        while !j < len && nbrs.(!j) < u do
+          sum := !sum +. share.(nbrs.(!j));
+          incr j
+        done;
+        sum := !sum +. ((mass /. 2.0) +. (share.(u) *. float_of_int (Graph.self_loops g u)));
+        for k = !j to len - 1 do
+          sum := !sum +. share.(nbrs.(k))
+        done;
+        !sum
+      end
+    in
+    if x >= 2.0 *. eps *. float_of_int deg then begin
+      next.support.(!kept) <- u;
+      next.masses.(!kept) <- x;
+      mask.(u) <- true;
+      acc := !acc +. Float.abs (x -. mass);
+      incr kept
+    end
+    else begin
+      dropped.(!ndropped) <- u;
+      incr ndropped
+    end
+  done;
+  next.len <- !kept;
+  for i = 0 to !ndropped - 1 do
+    acc := !acc +. masses.(dropped.(i))
+  done;
+  w.cur <- next;
+  w.spare <- prev;
+  !acc
+
+let advance_sparse w g ~eps ~mask =
   let ws = w.ws and prev = w.cur and next = w.spare in
   let kept = kernel ws g prev ~truncate:true ~eps in
   (* one pass writes p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}|
@@ -244,6 +306,12 @@ let advance w g ~eps ~mask =
   w.cur <- next;
   w.spare <- prev;
   !acc
+
+(* an ascending support of n entries ending at n−1 is all of 0..n−1 *)
+let advance w g ~eps ~mask =
+  let n = Graph.num_vertices g in
+  if n > 0 && w.cur.len = n && w.cur.support.(n - 1) = n - 1 then advance_full w g ~eps ~mask n
+  else advance_sparse w g ~eps ~mask
 
 let truncate g ~eps p =
   let keep = ref [] in

@@ -14,7 +14,9 @@
     order, so every float they produce is a deterministic function of
     the input distribution. One step kernel serves two owners: {!step}
     returns a fresh distribution, and a {!walker} advances in two
-    buffers it reuses from step to step. *)
+    buffers it reuses from step to step. A walker whose distribution
+    covers every vertex pulls each vertex's mass instead, to the same
+    floats. *)
 
 (** A sparse distribution: [support.(0 .. len-1)] ascends strictly and
     [masses.(i)] is the mass at [support.(i)]; cells from [len] on are
@@ -72,10 +74,11 @@ val step : ?eps:float -> workspace -> Dex_graph.Graph.t -> sparse -> sparse
     fresh workspace). *)
 val step_sparse : Dex_graph.Graph.t -> sparse -> sparse
 
-(** A truncated walk that allocates nothing per step: a {!workspace}
-    plus two distribution buffers of capacity n that swap on every
-    {!advance}. It is mutable and single-owner, like a workspace: one
-    Nibble run at a time drives it. *)
+(** A truncated walk that allocates nothing per step: a {!workspace},
+    two distribution buffers of capacity n that swap on every
+    {!advance}, and n cells for a full-support step's shares. It is
+    mutable and single-owner, like a workspace: one Nibble run at a
+    time drives it. *)
 type walker
 
 (** [walker g] is a fresh walker sized to [num_vertices g]; it serves
@@ -92,11 +95,13 @@ val start : walker -> sparse -> unit
 val current : walker -> sparse
 
 (** [advance w g ~eps ~mask] replaces the current distribution p̃_{t-1}
-    by p̃_t = [\[M·p̃_{t-1}\]_eps] — the same kernel, and so the same
-    floats, as [step ~eps] — sets [mask.(v)] for every vertex of its
-    support, and returns ‖p̃_t − p̃_{t-1}‖₁. The sum runs over p̃_t in
-    ascending vertex order, then over the entries of p̃_{t-1} that left
-    the support, ascending (DESIGN.md §12). *)
+    by p̃_t = [\[M·p̃_{t-1}\]_eps] — the same floats as [step ~eps] —
+    sets [mask.(v)] for every vertex of its support, and returns
+    ‖p̃_t − p̃_{t-1}‖₁. The sum runs over p̃_t in ascending vertex order,
+    then over the entries of p̃_{t-1} that left the support, ascending.
+    A p̃_{t-1} supported on every vertex of [g] skips [step]'s kernel:
+    each vertex pulls its terms from its sorted adjacency, in the order
+    the kernel pushes them (DESIGN.md §12). *)
 val advance : walker -> Dex_graph.Graph.t -> eps:float -> mask:bool array -> float
 
 (** [truncate g ~eps p] is the paper's [\[p\]_ε]: drop entries with

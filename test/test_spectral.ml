@@ -231,7 +231,8 @@ let same_sweep g p reference =
 
 (* a multigraph with self-loops, parallel edges and (usually) isolated
    vertices, plus a start distribution that may sit on a degree-0
-   vertex or carry zero-mass entries *)
+   vertex, carry zero-mass entries or cover every vertex (the support
+   on which a walker takes its full-support path) *)
 let random_instance seed =
   let rng = Rng.create seed in
   let n = 1 + Rng.int rng 30 in
@@ -245,8 +246,9 @@ let random_instance seed =
   let edges = edges @ List.filteri (fun i _ -> i mod 6 = 0) edges in
   let g = Graph.of_edges ~n edges in
   let start =
-    if Rng.bool rng then Walk.indicator (Rng.int rng n)
-    else
+    match Rng.int rng 3 with
+    | 0 -> Walk.indicator (Rng.int rng n)
+    | 1 ->
       Walk.of_assoc
         (List.filter_map
            (fun v ->
@@ -255,6 +257,9 @@ let random_instance seed =
              | 1 -> Some (v, 0.0)
              | _ -> Some (v, Rng.float rng 1.0))
            (List.init n Fun.id))
+    | _ ->
+      Walk.of_assoc
+        (List.init n (fun v -> (v, if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 1.0)))
   in
   let eps = if Rng.bool rng then None else Some (Rng.float rng 0.02) in
   (g, start, eps)
@@ -327,6 +332,25 @@ let prop_walker_matches_step =
         p := next
       done;
       !ok)
+
+(* A start on every vertex takes the walker's full-support path on its
+   first advance. Vertex 3 is isolated and vertex 2 has a self-loop and
+   a parallel pair to 1; ε = 0.05 drops vertices 0 and 1, so the L1 sum
+   ends with the old masses of the dropped vertices. *)
+let test_walker_full_support_step () =
+  let g = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (1, 2); (2, 2) ] in
+  let p = Walk.of_assoc [ (0, 0.1); (1, 0.0); (2, 0.5); (3, 0.4) ] in
+  let eps = 0.05 in
+  let w = Walk.walker g and mask = Array.make 4 false in
+  Walk.start w p;
+  let change = Walk.advance w g ~eps ~mask in
+  let next = Walk.step ~eps (Walk.workspace g) g p in
+  Alcotest.(check (list int)) "kept" [ 2; 3 ] (Array.to_list (Walk.support (Walk.current w)));
+  Alcotest.(check bool) "= Walk.step" true (identical (Walk.current w) (Reference.of_walk next));
+  Alcotest.(check (list bool)) "mask" [ false; false; true; true ] (Array.to_list mask);
+  Alcotest.(check bool) "L1 = old merge, bit for bit" true
+    (same_float change (Reference.l1_change ~prev:p ~next));
+  Alcotest.(check (float 1e-12)) "L1 includes the dropped mass" ((0.5 -. (1.0 /. 3.0)) +. 0.1) change
 
 (* A sweep workspace rescanned from distribution A to B holds what a
    fresh scan of B and the reference hold: no stale stamp, length or
@@ -552,6 +576,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_rescan_reuses_workspace;
           Alcotest.test_case "walker + rescan allocate no arrays" `Quick
             test_walker_rescan_allocation_free;
+          Alcotest.test_case "walker full-support step" `Quick test_walker_full_support_step;
           Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
           Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation ] );
       ( "sweep",
