@@ -157,6 +157,30 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
   let order = match shuffle with Some _ -> Array.make n 0 | None -> [||] in
   let tracer = t.tracer in
   let stepped = ref 0 in
+  (* a crashed vertex is neither stepped (a pure read of the schedule)
+     nor delivered from (which records the crash). [down] and [verdict]
+     read the round from the arena, so one closure of each serves the
+     whole run. *)
+  let down check v =
+    match t.faults with
+    | Some f -> check f ~round:(Arena.round a) ~vertex:(Vertex.local v)
+    | None -> false
+  in
+  let verdict src dst slot words =
+    let fate =
+      match t.faults with
+      | None -> `Deliver
+      | Some f ->
+        Faults.verdict f ~round:(Arena.round a) ~src:(Vertex.local src) ~dst:(Vertex.local dst)
+    in
+    let times = match fate with `Deliver -> 1 | `Duplicate -> 2 | `Drop -> 0 in
+    if times > 0 then begin
+      t.messages <- t.messages + times;
+      t.words <- t.words + (times * words);
+      match tracer with Some s -> count_delivery t s a ~src ~dst ~slot times | None -> ()
+    end;
+    fate
+  in
   while Arena.active_count a > 0 && Arena.round a <= last do
     let round = Arena.round a in
     let active = Arena.active_count a in
@@ -167,11 +191,6 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
       done;
       Rng.shuffle ~len:active rng order
     | None -> ());
-    (* a crashed vertex is neither stepped (a pure read of the schedule)
-       nor delivered from (which records the crash) *)
-    let down check v =
-      match t.faults with Some f -> check f ~round ~vertex:(Vertex.local v) | None -> false
-    in
     (* Phase A: step active vertices through the reusable cursors *)
     for i = 0 to active - 1 do
       let v = match shuffle with None -> Arena.active_get a i | Some _ -> order.(i) in
@@ -184,20 +203,6 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
     (* Phase B: deliver in canonical (ascending vertex, then ascending
        destination) order; all fault and counter recording lives here *)
     let messages_before = t.messages and words_before = t.words in
-    let verdict src dst slot words =
-      let fate =
-        match t.faults with
-        | None -> `Deliver
-        | Some f -> Faults.verdict f ~round ~src:(Vertex.local src) ~dst:(Vertex.local dst)
-      in
-      let times = match fate with `Deliver -> 1 | `Duplicate -> 2 | `Drop -> 0 in
-      if times > 0 then begin
-        t.messages <- t.messages + times;
-        t.words <- t.words + (times * words);
-        match tracer with Some s -> count_delivery t s a ~src ~dst ~slot times | None -> ()
-      end;
-      fate
-    in
     for i = 0 to active - 1 do
       let v = Arena.active_get a i in
       if not (down Faults.crashed v) then Arena.deliver_staged a v verdict

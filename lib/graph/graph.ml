@@ -129,58 +129,100 @@ let fold_vertices g init f =
 let volume g vs = Array.fold_left (fun acc v -> acc + degree g v) 0 vs
 let total_volume g = (2 * g.plain_m) + g.loop_m
 
-let member_mask g s =
-  let mask = Array.make g.n false in
-  Array.iter
-    (fun v ->
-      if v < 0 || v >= g.n then invalid_arg "Graph: subset vertex out of range";
-      mask.(v) <- true)
-    s;
-  mask
-
+(* G[S] or G{S}: each member's adjacency filtered to S and renamed in
+   place, so no edge list is built. With [s] ascending the renaming
+   keeps each filtered array sorted; otherwise it is sorted after. *)
 let subgraph_generic g s ~saturate =
-  let mask = member_mask g s in
-  let id_of = Array.make g.n (-1) in
-  Array.iteri (fun i v -> id_of.(v) <- i) s;
   let k = Array.length s in
-  let edge_acc = ref [] in
-  Array.iter
-    (fun v ->
-      iter_neighbors g v (fun u ->
-          if mask.(u) && (u > v || (u = v && false)) then
-            edge_acc := (id_of.(v), id_of.(u)) :: !edge_acc))
-    s;
-  let base = of_edges ~n:k !edge_acc in
-  let extra = Array.make k 0 in
-  Array.iteri
-    (fun i v ->
-      let kept = Array.length base.adj.(i) in
-      let lost = plain_degree g v - kept in
-      extra.(i) <- g.loops.(v) + (if saturate then lost else 0))
-    s;
-  (with_self_loops base extra, Array.copy s)
+  let id_of = Array.make g.n (-1) in
+  let ascending = ref true in
+  for i = 0 to k - 1 do
+    let v = s.(i) in
+    if v < 0 || v >= g.n then invalid_arg "Graph: subset vertex out of range";
+    if id_of.(v) >= 0 then invalid_arg "Graph: duplicate subset vertex";
+    id_of.(v) <- i;
+    if i > 0 && s.(i - 1) > v then ascending := false
+  done;
+  let loops = Array.make k 0 in
+  let adj = Array.make k [||] in
+  let plain = ref 0 in
+  for i = 0 to k - 1 do
+    let v = s.(i) in
+    let a = g.adj.(v) in
+    let kept = ref 0 in
+    for j = 0 to Array.length a - 1 do
+      if id_of.(a.(j)) >= 0 then incr kept
+    done;
+    let b = Array.make !kept 0 in
+    let c = ref 0 in
+    for j = 0 to Array.length a - 1 do
+      let u = id_of.(a.(j)) in
+      if u >= 0 then begin
+        b.(!c) <- u;
+        incr c
+      end
+    done;
+    if not !ascending then Array.sort Int.compare b;
+    adj.(i) <- b;
+    plain := !plain + !kept;
+    loops.(i) <- g.loops.(v) + (if saturate then Array.length a - !kept else 0)
+  done;
+  let loop_m = Array.fold_left ( + ) 0 loops in
+  ({ n = k; adj; loops; plain_m = !plain / 2; loop_m }, Array.copy s)
 
 let induced_subgraph g s = subgraph_generic g s ~saturate:false
 let saturated_subgraph g s = subgraph_generic g s ~saturate:true
 
+(* [dead] as sorted keys u·n + v with u < v; an entry with an endpoint
+   outside the graph matches no edge, so it becomes [max_int], which no
+   key reaches. Adjacency arrays that lose nothing are shared with [g]. *)
 let remove_edges g dead =
-  let tbl = Hashtbl.create (2 * List.length dead) in
-  List.iter
-    (fun (u, v) ->
-      let key = if u <= v then (u, v) else (v, u) in
-      if u <> v then Hashtbl.replace tbl key ())
+  let n = g.n in
+  let keys = Array.make (List.length dead) max_int in
+  List.iteri
+    (fun i (u, v) ->
+      if u <> v && u >= 0 && u < n && v >= 0 && v < n then
+        keys.(i) <- (min u v * n) + max u v)
     dead;
-  let extra = Array.make g.n 0 in
-  let keep = ref [] in
-  iter_edges g (fun u v ->
-      if u = v then keep := (u, v) :: !keep
-      else if Hashtbl.mem tbl (u, v) then begin
-        extra.(u) <- extra.(u) + 1;
-        extra.(v) <- extra.(v) + 1
-      end
-      else keep := (u, v) :: !keep);
-  let base = of_edges ~n:g.n !keep in
-  with_self_loops base extra
+  Array.sort Int.compare keys;
+  let is_dead u v =
+    let key = (min u v * n) + max u v in
+    let lo = ref 0 and hi = ref (Array.length keys) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if keys.(mid) < key then lo := mid + 1 else hi := mid
+    done;
+    !lo < Array.length keys && keys.(!lo) = key
+  in
+  if Array.length keys = 0 || keys.(0) = max_int then g
+  else begin
+    let loops = Array.copy g.loops in
+    let removed = ref 0 in
+    let adj =
+      Array.mapi
+        (fun u a ->
+          let drop = ref 0 in
+          for i = 0 to Array.length a - 1 do
+            if is_dead u a.(i) then incr drop
+          done;
+          if !drop = 0 then a
+          else begin
+            let b = Array.make (Array.length a - !drop) 0 in
+            let c = ref 0 in
+            for i = 0 to Array.length a - 1 do
+              if not (is_dead u a.(i)) then begin
+                b.(!c) <- a.(i);
+                incr c
+              end
+            done;
+            loops.(u) <- loops.(u) + !drop;
+            removed := !removed + !drop;
+            b
+          end)
+        g.adj
+    in
+    { n; adj; loops; plain_m = g.plain_m - (!removed / 2); loop_m = g.loop_m + !removed }
+  end
 
 let check g =
   let fail fmt = Printf.ksprintf failwith fmt in

@@ -118,20 +118,25 @@ val total_volume : t -> int
 (** {1 Derived graphs} *)
 
 (** [induced_subgraph g s] is [G\[S\]]: the plain induced subgraph,
-    together with the mapping from new vertex ids to original ids.
-    Self-loops of members are preserved. *)
+    together with the mapping from new vertex ids to original ids
+    (a copy of [s]). Self-loops of members are preserved. Raises
+    [Invalid_argument] if [s] repeats a vertex or leaves [0 .. n-1]. *)
 val induced_subgraph : t -> int array -> t * int array
 
 (** [saturated_subgraph g s] is [G{S}]: induced subgraph where each
     kept vertex gains one self-loop per lost edge endpoint, so degrees
-    match the parent graph. Returns the graph and the id mapping. *)
+    match the parent graph. Returns the graph and the id mapping; [s]
+    is checked as for {!induced_subgraph}. *)
 val saturated_subgraph : t -> int array -> t * int array
 
 (** [remove_edges g dead] removes every non-loop edge [(u, v)]
     (normalized [u <= v]) present in [dead], replacing each with one
     self-loop at [u] and one at [v] — the paper's edge-removal
     convention ("whenever we remove an edge {u,v} we add a self loop
-    at both u and v, so the degree never changes"). *)
+    at both u and v, so the degree never changes"). Entries that name
+    no edge of [g] are ignored. The result shares the adjacency of the
+    vertices it leaves untouched with [g], and is [g] itself when [dead]
+    names no non-loop pair of vertices of [g]. *)
 val remove_edges : t -> (int * int) list -> t
 
 (** {1 Invariants} *)

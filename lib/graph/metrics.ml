@@ -59,27 +59,31 @@ let is_sparse_cut g ~phi s =
   let c = conductance g s in
   Float.is_finite c && c <= phi
 
+(* BFS with an array queue: a component is the queue's prefix once the
+   search from its smallest vertex stops *)
 let connected_components g =
   let n = Graph.num_vertices g in
   let seen = Array.make n false in
+  let queue = Array.make n 0 in
   let comps = ref [] in
-  let queue = Queue.create () in
   for src = 0 to n - 1 do
     if not seen.(src) then begin
       seen.(src) <- true;
-      Queue.clear queue;
-      Queue.add src queue;
-      let members = ref [ src ] in
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        Graph.iter_neighbors g v (fun u ->
-            if not seen.(u) then begin
-              seen.(u) <- true;
-              members := u :: !members;
-              Queue.add u queue
-            end)
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let a = Graph.neighbors g queue.(!head) in
+        incr head;
+        for i = 0 to Array.length a - 1 do
+          let u = a.(i) in
+          if not seen.(u) then begin
+            seen.(u) <- true;
+            queue.(!tail) <- u;
+            incr tail
+          end
+        done
       done;
-      let arr = Array.of_list !members in
+      let arr = Array.sub queue 0 !tail in
       Array.sort Int.compare arr;
       comps := arr :: !comps
     end
@@ -92,21 +96,30 @@ let is_connected g =
 let bfs_multi_distances g srcs =
   let n = Graph.num_vertices g in
   let dist = Array.make n max_int in
-  let queue = Queue.create () in
+  (* each vertex enters the queue once, when its distance is set *)
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   Array.iter
     (fun s ->
       if dist.(s) = max_int then begin
         dist.(s) <- 0;
-        Queue.add s queue
+        queue.(!tail) <- s;
+        incr tail
       end)
     srcs;
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
-    Graph.iter_neighbors g v (fun u ->
-        if dist.(u) = max_int then begin
-          dist.(u) <- dist.(v) + 1;
-          Queue.add u queue
-        end)
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let a = Graph.neighbors g v in
+    for i = 0 to Array.length a - 1 do
+      let u = a.(i) in
+      if dist.(u) = max_int then begin
+        dist.(u) <- dist.(v) + 1;
+        queue.(!tail) <- u;
+        incr tail
+      end
+    done
   done;
   dist
 

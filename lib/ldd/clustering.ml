@@ -30,6 +30,10 @@ let draw_starts rng ~n ~beta ~horizon =
 
 let protocol_of g starts =
   let init v = { start_epoch = starts.(v); cluster = -1; announced = false } in
+  (* the smallest cluster id announced to the vertex being stepped; one
+     closure for the whole run folds each inbox into it *)
+  let best = ref max_int in
+  let note _ c = if c < !best then best := c in
   (* a vertex acts in at most two rounds — its start epoch and the
      round after a neighbour announces — so round 1 books the start
      epoch as a timed wake and every other round is skipped unless a
@@ -42,15 +46,17 @@ let protocol_of g starts =
       else if st.start_epoch > round then begin
         if round = 1 then Arena.Outbox.wake_at ob st.start_epoch;
         (* join the smallest-id cluster among announcing neighbors *)
-        let best = ref max_int in
-        Arena.Inbox.iter1 ib (fun _ c -> if c < !best then best := c);
+        best := max_int;
+        Arena.Inbox.iter1 ib note;
         if !best = max_int then st else { st with cluster = !best }
       end
       else st
     in
     if st.cluster >= 0 && not st.announced then begin
-      Graph.iter_neighbors g v (fun u ->
-          Arena.Outbox.send1 ob ~dst:(Vertex.local u) st.cluster);
+      let nbrs = Graph.neighbors g v in
+      for i = 0 to Array.length nbrs - 1 do
+        Arena.Outbox.send1 ob ~dst:(Vertex.local nbrs.(i)) st.cluster
+      done;
       { st with announced = true }
     end
     else st

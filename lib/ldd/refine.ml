@@ -11,29 +11,38 @@ type t = {
 }
 
 (* multi-source BFS restricted to depth [limit]; returns (dist, label)
-   where label is the source-set label of the nearest source *)
-let labeled_bfs g sources labels ~limit =
+   where label is the source-set label of the nearest source. Each
+   vertex enters [queue] (n ints of scratch) at most once. *)
+let labeled_bfs g queue sources labels ~limit =
   let n = Graph.num_vertices g in
   let dist = Array.make n max_int in
   let label = Array.make n (-1) in
-  let queue = Queue.create () in
-  Array.iteri
-    (fun i v ->
-      if dist.(v) <> 0 then begin
-        dist.(v) <- 0;
-        label.(v) <- labels.(i);
-        Queue.add v queue
-      end)
-    sources;
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
-    if dist.(v) < limit then
-      Graph.iter_neighbors g v (fun u ->
-          if dist.(u) = max_int then begin
-            dist.(u) <- dist.(v) + 1;
-            label.(u) <- label.(v);
-            Queue.add u queue
-          end)
+  let tail = ref 0 in
+  for i = 0 to Array.length sources - 1 do
+    let v = sources.(i) in
+    if dist.(v) <> 0 then begin
+      dist.(v) <- 0;
+      label.(v) <- labels.(i);
+      queue.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    if dist.(v) < limit then begin
+      let a = Graph.neighbors g v in
+      for i = 0 to Array.length a - 1 do
+        let u = a.(i) in
+        if dist.(u) = max_int then begin
+          dist.(u) <- dist.(v) + 1;
+          label.(u) <- label.(v);
+          queue.(!tail) <- u;
+          incr tail
+        end
+      done
+    end
   done;
   (dist, label)
 
@@ -58,9 +67,10 @@ let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
     (* W_0 = radius-a ball around V'_D *)
     let vd_aux = Metrics.vertices_of_mask in_vd_aux in
     let in_w = Array.make n false in
+    let queue = Array.make n 0 in
     if Array.length vd_aux > 0 then begin
       let dist0, _ =
-        labeled_bfs g vd_aux (Array.map (fun _ -> 0) vd_aux) ~limit:a
+        labeled_bfs g queue vd_aux (Array.make (Array.length vd_aux) 0) ~limit:a
       in
       Array.iteri (fun v d -> if d <> max_int && d <= a then in_w.(v) <- true) dist0
     end;
@@ -76,26 +86,30 @@ let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
         (* component labels inside W *)
         let comp_of = Array.make n (-1) in
         let comps = ref 0 in
-        let queue = Queue.create () in
-        Array.iter
-          (fun src ->
-            if comp_of.(src) = -1 then begin
-              let c = !comps in
-              incr comps;
-              comp_of.(src) <- c;
-              Queue.add src queue;
-              while not (Queue.is_empty queue) do
-                let v = Queue.take queue in
-                Graph.iter_neighbors g v (fun u ->
-                    if in_w.(u) && comp_of.(u) = -1 then begin
-                      comp_of.(u) <- c;
-                      Queue.add u queue
-                    end)
+        for s = 0 to Array.length w - 1 do
+          let src = w.(s) in
+          if comp_of.(src) = -1 then begin
+            let c = !comps in
+            incr comps;
+            comp_of.(src) <- c;
+            queue.(0) <- src;
+            let head = ref 0 and tail = ref 1 in
+            while !head < !tail do
+              let nbrs = Graph.neighbors g queue.(!head) in
+              incr head;
+              for i = 0 to Array.length nbrs - 1 do
+                let u = nbrs.(i) in
+                if in_w.(u) && comp_of.(u) = -1 then begin
+                  comp_of.(u) <- c;
+                  queue.(!tail) <- u;
+                  incr tail
+                end
               done
-            end)
-          w;
+            done
+          end
+        done;
         let labels = Array.map (fun v -> comp_of.(v)) w in
-        let dist, label = labeled_bfs g w labels ~limit:a in
+        let dist, label = labeled_bfs g queue w labels ~limit:a in
         (* two components merge when some edge joins their ≤a halos *)
         let uf = Union_find.create !comps in
         let merged_any = ref false in
@@ -117,7 +131,9 @@ let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
           done;
           let inflating c = group_size.(Union_find.find uf c) > 1 in
           let sources = Array.of_list (List.filter (fun v -> inflating comp_of.(v)) (Array.to_list w)) in
-          let dist2, _ = labeled_bfs g sources (Array.map (fun _ -> 0) sources) ~limit:a in
+          let dist2, _ =
+            labeled_bfs g queue sources (Array.make (Array.length sources) 0) ~limit:a
+          in
           Array.iteri
             (fun v d -> if d <> max_int && d <= a then in_w.(v) <- true)
             dist2;

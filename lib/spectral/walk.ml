@@ -194,10 +194,13 @@ let step_sparse g p = step (workspace g) g p
 
 (* [cur] is the current distribution, [spare] the buffer the next
    advance writes; both have capacity n and swap on every advance.
-   [share.(v)] is v's per-edge share in a full-support step. *)
+   [share.(v)] is v's per-edge share in a full-support step.
+   [change.(0)] is the last advance's ‖p̃_t − p̃_{t−1}‖₁, kept in a float
+   array so that neither path boxes it on return. *)
 type walker = {
   ws : workspace;
   share : float array;
+  change : float array;
   mutable cur : sparse;
   mutable spare : sparse;
 }
@@ -205,7 +208,11 @@ type walker = {
 let walker g =
   let n = Graph.num_vertices g in
   let buffer () = { support = Array.make n 0; masses = Array.make n 0.0; len = 0 } in
-  { ws = workspace g; share = Array.make n 0.0; cur = buffer (); spare = buffer () }
+  { ws = workspace g;
+    share = Array.make n 0.0;
+    change = [| 0.0 |];
+    cur = buffer ();
+    spare = buffer () }
 
 let start w p =
   if p.len > Array.length w.cur.support then invalid_arg "Walk.start: walker smaller than p";
@@ -269,7 +276,7 @@ let advance_full w g ~eps ~mask n =
   done;
   w.cur <- next;
   w.spare <- prev;
-  !acc
+  w.change.(0) <- !acc
 
 let advance_sparse w g ~eps ~mask =
   let ws = w.ws and prev = w.cur and next = w.spare in
@@ -305,13 +312,15 @@ let advance_sparse w g ~eps ~mask =
   done;
   w.cur <- next;
   w.spare <- prev;
-  !acc
+  w.change.(0) <- !acc
 
-(* an ascending support of n entries ending at n−1 is all of 0..n−1 *)
-let advance w g ~eps ~mask =
+(* an ascending support of n entries ending at n−1 is all of 0..n−1;
+   inlined, so the caller reads [change.(0)] unboxed *)
+let[@inline] advance w g ~eps ~mask =
   let n = Graph.num_vertices g in
   if n > 0 && w.cur.len = n && w.cur.support.(n - 1) = n - 1 then advance_full w g ~eps ~mask n
-  else advance_sparse w g ~eps ~mask
+  else advance_sparse w g ~eps ~mask;
+  w.change.(0)
 
 let truncate g ~eps p =
   let keep = ref [] in

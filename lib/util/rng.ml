@@ -2,14 +2,14 @@ type t = Random.State.t
 
 (* splitmix64 finalizer: decorrelates nearby seeds before feeding
    Random.State, so that [split t i] and [split t (i+1)] behave as
-   independent streams. *)
-let mix64 z =
+   independent streams. Inlined, so its Int64 steps stay unboxed. *)
+let[@inline] mix64 z =
   let z = Int64.add z 0x9e3779b97f4a7c15L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let state_of_int64 z =
+let[@inline] state_of_int64 z =
   let a = Int64.to_int (Int64.logand z 0x3fffffffL) in
   let b = Int64.to_int (Int64.logand (Int64.shift_right_logical z 30) 0x3fffffffL) in
   Random.State.make [| a; b |]
@@ -57,18 +57,26 @@ let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(Random.State.int t (Array.length a))
 
+(* plain loops box no partial sum; both sums add left to right, the
+   order every recorded draw depends on *)
 let weighted_index t w =
-  let total = Array.fold_left ( +. ) 0.0 w in
+  let n = Array.length w in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    total := !total +. w.(i)
+  done;
+  let total = !total in
   if total <= 0.0 then invalid_arg "Rng.weighted_index: weights must have positive sum";
   let x = Random.State.float t total in
-  let n = Array.length w in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if x < acc then i else go (i + 1) acc
-  in
-  go 0 0.0
+  let i = ref 0 and acc = ref 0.0 and found = ref false in
+  while not !found do
+    if !i = n - 1 then found := true
+    else begin
+      acc := !acc +. w.(!i);
+      if x < !acc then found := true else incr i
+    end
+  done;
+  !i
 
 let sample_without_replacement t ~n ~k =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";

@@ -253,6 +253,88 @@ let prop_saturated_degrees =
         mapping;
       !ok)
 
+(* G[S] / G{S} and edge removal against their definitions, built from
+   the edge list with [of_edges] and [with_self_loops]: the subset may
+   be unsorted, the dead list may repeat, reverse, loop or leave the
+   graph, and the graphs carry loops and parallel edges *)
+let same_graph a b =
+  Graph.num_vertices a = Graph.num_vertices b
+  && Graph.num_plain_edges a = Graph.num_plain_edges b
+  && Graph.num_edges a = Graph.num_edges b
+  && List.for_all
+       (fun v ->
+         Graph.neighbors a v = Graph.neighbors b v && Graph.self_loops a v = Graph.self_loops b v)
+       (List.init (Graph.num_vertices a) Fun.id)
+
+let subgraph_by_definition g s ~saturate =
+  let id = Hashtbl.create 16 in
+  Array.iteri (fun i v -> Hashtbl.replace id v i) s;
+  let inside = List.filter (fun (u, v) -> Hashtbl.mem id u && Hashtbl.mem id v) (Graph.edges g) in
+  let base =
+    Graph.of_edges ~n:(Array.length s)
+      (List.map (fun (u, v) -> (Hashtbl.find id u, Hashtbl.find id v)) inside)
+  in
+  Graph.with_self_loops base
+    (Array.mapi
+       (fun i v -> if saturate then Graph.plain_degree g v - Graph.plain_degree base i else 0)
+       s)
+
+let prop_subgraphs_match_definition =
+  QCheck.Test.make ~name:"G[S] and G{S} match their edge-list definition" ~count:300
+    QCheck.(pair arb_graph (list small_nat))
+    (fun (g, picks) ->
+      let n = Graph.num_vertices g in
+      let seen = Hashtbl.create 16 in
+      let s =
+        Array.of_list
+          (List.filter_map
+             (fun x ->
+               let v = x mod n in
+               if Hashtbl.mem seen v then None
+               else begin
+                 Hashtbl.replace seen v ();
+                 Some v
+               end)
+             picks)
+      in
+      List.for_all
+        (fun saturate ->
+          let sub, mapping =
+            if saturate then Graph.saturated_subgraph g s else Graph.induced_subgraph g s
+          in
+          Graph.check sub;
+          mapping = s && same_graph sub (subgraph_by_definition g s ~saturate))
+        [ false; true ])
+
+let prop_remove_edges_matches_definition =
+  QCheck.Test.make ~name:"remove_edges matches its edge-list definition" ~count:300
+    QCheck.(pair arb_graph (list (pair (int_range (-1) 25) (int_range (-1) 25))))
+    (fun (g, dead) ->
+      let n = Graph.num_vertices g in
+      let norm (u, v) = (min u v, max u v) in
+      let is_dead (u, v) =
+        u <> v && List.exists (fun e -> norm e = norm (u, v)) dead
+      in
+      let kept = List.filter (fun e -> not (is_dead e)) (Graph.edges g) in
+      let extra = Array.make n 0 in
+      List.iter
+        (fun (u, v) ->
+          if is_dead (u, v) then begin
+            extra.(u) <- extra.(u) + 1;
+            extra.(v) <- extra.(v) + 1
+          end)
+        (Graph.edges g);
+      let g' = Graph.remove_edges g dead in
+      Graph.check g';
+      same_graph g' (Graph.with_self_loops (Graph.of_edges ~n kept) extra))
+
+let test_subgraph_rejects_duplicates () =
+  let g = triangle_plus_pendant () in
+  Alcotest.check_raises "duplicate" (Invalid_argument "Graph: duplicate subset vertex")
+    (fun () -> ignore (Graph.saturated_subgraph g [| 0; 2; 0 |]));
+  Alcotest.check_raises "out of range" (Invalid_argument "Graph: subset vertex out of range")
+    (fun () -> ignore (Graph.induced_subgraph g [| 0; 4 |]))
+
 let prop_components_partition =
   QCheck.Test.make ~name:"components form a partition" ~count:200 arb_graph (fun g ->
       let comps = Metrics.connected_components g in
@@ -325,6 +407,7 @@ let () =
             test_saturated_subgraph_preserves_degrees;
           Alcotest.test_case "remove_edges adds loops" `Quick test_remove_edges_adds_loops;
           Alcotest.test_case "with_self_loops validation" `Quick test_with_self_loops_validation;
+          Alcotest.test_case "subset validation" `Quick test_subgraph_rejects_duplicates;
           Alcotest.test_case "empty graph" `Quick test_empty_graph ] );
       ( "metrics",
         [ Alcotest.test_case "cut & conductance" `Quick test_cut_and_conductance;
@@ -350,4 +433,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_cut_bounded;
           QCheck_alcotest.to_alcotest prop_remove_edges_degree_invariant;
           QCheck_alcotest.to_alcotest prop_saturated_degrees;
+          QCheck_alcotest.to_alcotest prop_subgraphs_match_definition;
+          QCheck_alcotest.to_alcotest prop_remove_edges_matches_definition;
           QCheck_alcotest.to_alcotest prop_components_partition ] ) ]

@@ -81,6 +81,27 @@ let test_rng_weighted_index () =
     (let r = float_of_int counts.(1) /. float_of_int (max 1 counts.(2)) in
      r > 2.4 && r < 3.6)
 
+(* the draw against its definition: the first index whose running
+   weight sum, added left to right, exceeds a uniform draw below the
+   total, the last index if none does *)
+let prop_weighted_index_definition =
+  QCheck.Test.make ~name:"weighted_index matches its definition" ~count:300
+    QCheck.(pair small_nat (list_of_size Gen.(int_range 1 12) (float_bound_inclusive 4.0)))
+    (fun (seed, ws) ->
+      let w = Array.of_list ws in
+      let total = List.fold_left ( +. ) 0.0 ws in
+      QCheck.assume (total > 0.0);
+      let expected =
+        let x = Rng.float (Rng.create seed) total in
+        let rec go i acc =
+          if i = Array.length w - 1 then i
+          else if x < acc +. w.(i) then i
+          else go (i + 1) (acc +. w.(i))
+        in
+        go 0 0.0
+      in
+      Rng.weighted_index (Rng.create seed) w = expected)
+
 let test_rng_sample_without_replacement () =
   let rng = Rng.create 29 in
   for _ = 1 to 50 do
@@ -218,7 +239,8 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "weighted index" `Quick test_rng_weighted_index;
           Alcotest.test_case "sample without replacement" `Quick
-            test_rng_sample_without_replacement ] );
+            test_rng_sample_without_replacement;
+          QCheck_alcotest.to_alcotest prop_weighted_index_definition ] );
       ( "stats",
         [ Alcotest.test_case "basic" `Quick test_stats_basic;
           Alcotest.test_case "linear fit" `Quick test_stats_linear_fit;
