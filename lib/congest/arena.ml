@@ -300,34 +300,6 @@ end
 
 (* ---------------- active set ---------------- *)
 
-(* in-place heapsort of arr[0..k): no allocation, deterministic *)
-let sort_prefix arr k =
-  let swap i j =
-    let x = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- x
-  in
-  let rec sift_down root last =
-    let child = (2 * root) + 1 in
-    if child <= last then begin
-      let child =
-        if child + 1 <= last && arr.(child) < arr.(child + 1) then child + 1
-        else child
-      in
-      if arr.(root) < arr.(child) then begin
-        swap root child;
-        sift_down child last
-      end
-    end
-  in
-  for i = (k - 2) / 2 downto 0 do
-    sift_down i (k - 1)
-  done;
-  for last = k - 1 downto 1 do
-    swap 0 last;
-    sift_down 0 (last - 1)
-  done
-
 let begin_run a =
   (* a fresh tick retires whatever a previous (possibly aborted) run
      left stamped: staleness is impossible because ticks are monotone *)
@@ -399,17 +371,5 @@ let finish_round a =
   a.work_n <- a.next_n;
   a.next_n <- 0;
   (* deliveries appended the next worklist in (src, slot) order, not
-     vertex order; steps run in ascending vertex order. A dense
-     worklist is rebuilt by one scan of the [listed] stamps — O(n)
-     instead of a heapsort's O(n log n) when every vertex is listed
-     every round — and a sparse one is sorted *)
-  if a.work_n > a.n / 8 then begin
-    let k = ref 0 in
-    for v = 0 to a.n - 1 do
-      if a.listed.(v) = listed then begin
-        a.work.(!k) <- v;
-        incr k
-      end
-    done
-  end
-  else sort_prefix a.work a.work_n
+     vertex order; steps run in ascending vertex order *)
+  Dex_util.Stamped.sort ~stamp:a.listed ~epoch:listed ~n:a.n a.work a.work_n

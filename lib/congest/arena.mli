@@ -168,11 +168,9 @@ val deliver_staged :
 
 (** [finish_round a] advances the tick (retiring all current-round
     slots at once), adds the calendar's wakes due next round, and
-    swaps in the next worklist, sorted ascending. When that worklist
-    would be empty but the calendar is not, the round jumps to the
-    calendar's earliest round and its wakes form the worklist. The
-    worklist is empty only when the run is quiescent: nothing in
-    flight and no wake pending. A worklist of more than n/8 vertices
-    is rebuilt by scanning the vertices in order, a sparser one is
-    sorted; either way the order is the same. *)
+    swaps in the next worklist, sorted ascending
+    ({!Dex_util.Stamped.sort}). When that worklist would be empty but
+    the calendar is not, the round jumps to the calendar's earliest
+    round and its wakes form the worklist. The worklist is empty only
+    when the run is quiescent: nothing in flight and no wake pending. *)
 val finish_round : t -> unit

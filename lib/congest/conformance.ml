@@ -5,30 +5,14 @@ type run_tag = Canonical | Permuted
 let run_name = function Canonical -> "canonical" | Permuted -> "permuted"
 
 type violation =
-  | Word_budget_exceeded of {
-      run : run_tag;
-      round : int;
-      vertex : int;
-      dst : int;
-      words : int;
-      budget : int;
-    }
-  | Duplicate_message of { run : run_tag; round : int; vertex : int; dst : int }
-  | Not_a_neighbor of { run : run_tag; round : int; vertex : int; dst : int }
+  | Kernel of { run : run_tag; round : int; violation : Arena.violation }
   | Round_limit of { run : run_tag; executed : int }
   | State_divergence of { round : int; vertex : int; digest_canonical : int; digest_permuted : int }
   | Round_divergence of { rounds_canonical : int; rounds_permuted : int }
 
 let describe = function
-  | Word_budget_exceeded { run; round; vertex; dst; words; budget } ->
-    Printf.sprintf "[%s] round %d: vertex %d -> %d sends %d words (budget %d)"
-      (run_name run) round vertex dst words budget
-  | Duplicate_message { run; round; vertex; dst } ->
-    Printf.sprintf "[%s] round %d: vertex %d sends twice on directed edge to %d"
-      (run_name run) round vertex dst
-  | Not_a_neighbor { run; round; vertex; dst } ->
-    Printf.sprintf "[%s] round %d: vertex %d sends to non-neighbor %d" (run_name run) round
-      vertex dst
+  | Kernel { run; round; violation } ->
+    Printf.sprintf "[%s] round %d: %s" (run_name run) round (Arena.describe violation)
   | Round_limit { run; executed } ->
     Printf.sprintf "[%s] protocol did not quiesce within %d rounds" (run_name run) executed
   | State_divergence { round; vertex; digest_canonical; digest_permuted } ->
@@ -64,12 +48,6 @@ type run_result = {
   messages : int;
 }
 
-let audit_of run ~round = function
-  | Arena.Over_budget { vertex; dst; words; budget } ->
-    Word_budget_exceeded { run; round; vertex; dst; words; budget }
-  | Arena.Not_a_neighbor { vertex; dst } -> Not_a_neighbor { run; round; vertex; dst }
-  | Arena.Duplicate_edge { vertex; dst } -> Duplicate_message { run; round; vertex; dst }
-
 (* One execution of [p] on a fresh network: the kernel's own round loop,
    validation and quiescence, in the canonical order or — with
    [shuffle] — a fresh random step and inbox order every round. The
@@ -87,7 +65,7 @@ let exec ~run ?shuffle ~word_size ~max_rounds g (p : 's protocol) ~digest =
     with
     | _, rounds -> (rounds, [])
     | exception Network.Congestion_violation { round; violation } ->
-      ((match !digests with d :: _ -> d.round | [] -> 0), [ audit_of run ~round violation ])
+      ((match !digests with d :: _ -> d.round | [] -> 0), [ Kernel { run; round; violation } ])
     | exception Network.Round_limit_exceeded { executed; _ } ->
       (executed, [ Round_limit { run; executed } ])
   in

@@ -21,7 +21,7 @@
     against the CONGEST invariants — at most [word_size] words per
     message, at most one message per directed edge per round,
     neighbours only — and a run ends at its first violation, so each
-    run reports at most one. A run that does not quiesce within
+    run reports at most one {!Kernel} violation. A run that does not quiesce within
     [max_rounds] reports {!Round_limit}.
 
     The protocol is supplied as a thunk so each run rebuilds its
@@ -32,18 +32,8 @@
 type run_tag = Canonical | Permuted
 
 type violation =
-  | Word_budget_exceeded of {
-      run : run_tag;
-      round : int;
-      vertex : int;
-      dst : int;
-      words : int;
-      budget : int;
-    }
-  | Duplicate_message of { run : run_tag; round : int; vertex : int; dst : int }
-      (** more than one message on a directed edge in one round *)
-  | Not_a_neighbor of { run : run_tag; round : int; vertex : int; dst : int }
-      (** includes self-sends *)
+  | Kernel of { run : run_tag; round : int; violation : Arena.violation }
+      (** the kernel's validation ended the run at this send *)
   | Round_limit of { run : run_tag; executed : int }
       (** the protocol did not quiesce within [max_rounds] *)
   | State_divergence of {
@@ -54,7 +44,8 @@ type violation =
     }  (** the schedule race itself: same round, same vertex, different state *)
   | Round_divergence of { rounds_canonical : int; rounds_permuted : int }
 
-(** One-line human rendering of a violation. *)
+(** One-line human rendering of a violation; a [Kernel] one is
+    {!Arena.describe} prefixed by its run and round. *)
 val describe : violation -> string
 
 (** A protocol as the kernel runs it: the initial state of each vertex

@@ -98,10 +98,7 @@ let messages_sent t = t.messages
 let words_sent t = t.words
 let rounds t = t.ledger
 let faults t = t.faults
-let vertex_map t = t.vertex_map
 let charge t ~label k = Rounds.charge t.ledger ~label k
-
-let top_edges t k = match t.trace with Some tr -> Trace.top_edges tr k | None -> []
 
 let touch s v =
   if s.seen_at.(v) <> s.stamp then begin

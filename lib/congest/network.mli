@@ -63,9 +63,9 @@ type t
     [faults] is given, every executed round applies the schedule to
     deliveries and step execution. [vertex_map] translates local vertex
     ids to original-graph ids for trace and error reporting (it must
-    have exactly one entry per vertex); {!Primitives.subnetwork}
-    threads it automatically. The trace handle, if any, is read from
-    the ledger at creation time — attach it first. *)
+    have exactly one entry per vertex); [Decomposition] passes it when
+    it hands an induced subgraph to LDD. The trace handle, if any, is
+    read from the ledger at creation time — attach it first. *)
 val create :
   ?word_size:int ->
   ?faults:Faults.t ->
@@ -89,18 +89,6 @@ val words_sent : t -> int
 
 (** [faults t] is the fault schedule, if any. *)
 val faults : t -> Faults.t option
-
-(** [vertex_map t] is the local-to-original vertex translation, if this
-    network simulates an induced subgraph of a larger instance. *)
-val vertex_map : t -> Dex_graph.Vertex.Map.t option
-
-(** [top_edges t k] is the [k] most-loaded edges (original-graph
-    coordinates, cumulative deliveries, descending) from the attached
-    trace's histogram; [[]] when no trace is attached. Note the
-    histogram belongs to the trace, so it aggregates across every
-    network sharing it — which is exactly what hot-edge reporting over
-    a recursive decomposition wants. *)
-val top_edges : t -> int -> ((int * int) * int) list
 
 (** {1 Running a protocol}
 

@@ -85,30 +85,3 @@ let elect_leader net =
      quiescence means the minimum has flooded each component *)
   let states, _ = Network.run_active net ~label:"leader" ~init:p.init ~step:p.step () in
   Array.map (fun st -> st.best) states
-
-let broadcast net tree ~label = Network.charge net ~label tree.height
-
-let convergecast_sum net tree ~label values =
-  Network.charge net ~label tree.height;
-  Array.fold_left (fun acc v -> acc + values.(v)) 0 tree.members
-
-let convergecast_min net tree ~label values =
-  Network.charge net ~label tree.height;
-  Array.fold_left (fun acc v -> min acc values.(v)) max_int tree.members
-
-let pipelined_broadcast net tree ~label ~words =
-  Invariant.require (words >= 0) ~where:"Primitives.pipelined_broadcast" "negative words";
-  Network.charge net ~label (tree.height + words)
-
-let subnetwork net members =
-  let g = Network.graph net in
-  let sub, mapping = Graph.induced_subgraph g members in
-  let mapping = Vertex.Map.of_array mapping in
-  (* compose vertex maps so nested subnetworks still report trace
-     metrics (hot edges, fault events) in original-graph coordinates *)
-  let vertex_map =
-    match Network.vertex_map net with
-    | None -> mapping
-    | Some outer -> Vertex.Map.compose ~outer mapping
-  in
-  (Network.create ~vertex_map sub (Network.rounds net), mapping)

@@ -3,13 +3,13 @@ module Trace = Dex_obs.Trace
 type node = {
   name : string;
   mutable self : int; (* rounds charged directly at this node *)
+  mutable charged : bool; (* named as a charge label, possibly for 0 rounds *)
   mutable wall_ns : int; (* simulator wall-clock spent while this span was innermost-opened *)
   mutable sub : node list; (* reversed creation order *)
 }
 
 type t = {
   mutable total : int;
-  phases : (string, int) Hashtbl.t;
   root : node;
   mutable stack : node list; (* innermost open span first *)
   mutable trace : Trace.t option;
@@ -17,11 +17,10 @@ type t = {
 
 type tree = { span : string; rounds : int; self : int; wall_ns : int; children : tree list }
 
-let fresh_node name = { name; self = 0; wall_ns = 0; sub = [] }
+let fresh_node name = { name; self = 0; charged = false; wall_ns = 0; sub = [] }
 
 let create () =
   { total = 0;
-    phases = Hashtbl.create 16;
     root = fresh_node "total";
     stack = [];
     trace = None }
@@ -42,9 +41,8 @@ let child_named parent name =
 let charge t ~label k =
   Dex_util.Invariant.require (k >= 0) ~where:"Rounds.charge" "negative round count";
   t.total <- t.total + k;
-  let prev = try Hashtbl.find t.phases label with Not_found -> 0 in
-  Hashtbl.replace t.phases label (prev + k);
   let leaf = child_named (current t) label in
+  leaf.charged <- true;
   leaf.self <- leaf.self + k
 
 let with_span t name f =
@@ -78,9 +76,20 @@ let with_span t name f =
 let total t = t.total
 
 let by_phase t =
-  (* descending by cost, ties broken on label: iteration is already
-     key-sorted, and bench tables must be stable across runs *)
-  Dex_util.Table.fold_sorted ~compare:String.compare (fun label k acc -> (label, k) :: acc) t.phases []
+  (* a label's rounds are spread over one charge node per span path it
+     was charged under: gather them, sum per label, then order
+     descending by cost with ties on label, so bench tables are stable
+     across runs *)
+  let rec charges acc node =
+    List.fold_left charges (if node.charged then (node.name, node.self) :: acc else acc) node.sub
+  in
+  List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (charges [] t.root)
+  |> List.fold_left
+       (fun acc (label, k) ->
+         match acc with
+         | (l, sum) :: rest when String.equal l label -> (l, sum + k) :: rest
+         | _ -> (label, k) :: acc)
+       []
   |> List.sort (fun (la, a) (lb, b) ->
          if a <> b then Int.compare b a else String.compare la lb)
 

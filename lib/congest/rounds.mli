@@ -8,15 +8,13 @@
     their actual round loop; accounted phases charge the measured cost
     of the primitive they stand for (see DESIGN.md §2).
 
-    Two views of the same charges coexist:
-
-    - the {e flat} view ({!by_phase}): per-label totals, unchanged from
-      the original ledger — every existing caller keeps working;
-    - the {e tree} view ({!tree}): components may wrap work in
-      {!with_span}, and every charge is then attributed to a leaf named
-      by its label under the innermost open span, so the nested
-      Phase-1/Phase-2 structure of a decomposition becomes visible.
-      Leaf round totals always sum to {!total} by construction.
+    The ledger stores one thing, a span tree: components may wrap work
+    in {!with_span}, and every charge is attributed to a node named by
+    its label under the innermost open span, so the nested
+    Phase-1/Phase-2 structure of a decomposition becomes visible
+    ({!tree}). Leaf round totals always sum to {!total} by
+    construction. The flat per-label view ({!by_phase}) is derived
+    from the tree's charge nodes.
 
     Spans also self-profile the simulator: each span accumulates the
     wall-clock nanoseconds spent inside its body, and when a
@@ -37,9 +35,9 @@ val attach_trace : t -> Dex_obs.Trace.t option -> unit
 (** [trace t] is the attached trace, if any. *)
 val trace : t -> Dex_obs.Trace.t option
 
-(** [charge t ~label k] adds [k] rounds under [label], both to the flat
-    per-label table and to the leaf [label] under the innermost open
-    span. Raises [Dex_util.Invariant.Violation] on negative [k]. *)
+(** [charge t ~label k] adds [k] rounds to the charge node [label]
+    under the innermost open span. Raises
+    [Dex_util.Invariant.Violation] on negative [k]. *)
 val charge : t -> label:string -> int -> unit
 
 (** [with_span t name f] runs [f ()] inside a span [name] nested under
@@ -53,8 +51,10 @@ val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [total t] is the number of rounds charged so far. *)
 val total : t -> int
 
-(** [by_phase t] aggregates charges per label, descending by cost;
-    equal costs are ordered by label, so the listing is deterministic. *)
+(** [by_phase t] sums each label's charge nodes over the whole tree,
+    descending by cost; equal costs are ordered by label, so the
+    listing is deterministic. A label charged only 0 rounds is listed
+    with 0. *)
 val by_phase : t -> (string * int) list
 
 (** One node of the span tree: [rounds] = [self] + sum of children's

@@ -54,7 +54,6 @@ module Decomposition_verify = Dex_decomp.Verify
 module Las_vegas = Dex_decomp.Las_vegas
 module Cpz_baseline = Dex_decomp.Cpz_baseline
 module Recursive_baseline = Dex_decomp.Recursive_baseline
-module Trimming = Dex_decomp.Trimming
 module Routing = Dex_routing.Hierarchy
 module Token_router = Dex_routing.Token_router
 module Triangles = Dex_triangle.Exact

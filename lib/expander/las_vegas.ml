@@ -7,6 +7,10 @@ let report_ok (r : Verify.report) =
   r.Verify.is_partition && r.Verify.epsilon_ok && r.Verify.phi_ok
 
 let decompose ?preset ?ledger ?(attempts = 5) ~epsilon ~k g rng =
+  (* before the span opens: a rejected budget leaves no empty
+     [las-vegas] span in the ledger or the trace *)
+  Dex_util.Invariant.require (attempts >= 1) ~where:"Las_vegas.decompose"
+    "attempts must be >= 1";
   Rounds.span ledger "las-vegas" @@ fun () ->
   Rounds.las_vegas ?ledger ~label:"decompose" ~where:"Las_vegas.decompose" ~attempts
     ~rounds:(fun c -> c.result.Decomposition.stats.Decomposition.rounds)

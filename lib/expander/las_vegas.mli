@@ -31,7 +31,8 @@ val report_ok : Verify.report -> bool
     sits in a ["las-vegas"] span and each attempt, its verification
     included, in an ["attempt-<i>"] span; when a trace is attached,
     each verdict is emitted as a retry event labeled ["decompose"].
-    Raises [Dex_util.Invariant.Violation] when [attempts < 1]. *)
+    Raises [Dex_util.Invariant.Violation] when [attempts < 1], before
+    the span opens. *)
 val decompose :
   ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->

@@ -15,8 +15,6 @@ module Map = struct
   let apply m v = m.(v)
   let get m v = m.(v)
 
-  let compose ~outer inner = Array.map (fun v -> outer.(v)) inner
-
   let translate m vs = Array.map (fun v -> m.(v)) vs
 
   let translate_edge m (u, v) =

@@ -66,11 +66,6 @@ module Map : sig
   (** [get m v] is [apply m (local v)] — for callers iterating raw
       subgraph indices. *)
 
-  val compose : outer:t -> t -> t
-  (** [compose ~outer inner] translates [inner]'s images through
-      [outer]: the map for a subnetwork of a subnetwork. Raises
-      [Invalid_argument] if an image of [inner] is outside [outer]. *)
-
   val translate : t -> int array -> int array
   (** [translate m vs] maps an array of local ids to original ids
       (fresh array). *)

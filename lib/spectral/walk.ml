@@ -94,47 +94,6 @@ let[@inline] add ws v x =
     ws.count <- ws.count + 1
   end
 
-(* in-place heapsort of [a.(0 .. len-1)]; the entries are distinct, so
-   the result is the one ascending order any sort gives *)
-let sort_ints (a : int array) len =
-  let rec sift root last =
-    let child = (2 * root) + 1 in
-    if child <= last then begin
-      let child = if child < last && a.(child + 1) > a.(child) then child + 1 else child in
-      if a.(child) > a.(root) then begin
-        let x = a.(root) in
-        a.(root) <- a.(child);
-        a.(child) <- x;
-        sift child last
-      end
-    end
-  in
-  for root = (len / 2) - 1 downto 0 do
-    sift root (len - 1)
-  done;
-  for last = len - 1 downto 1 do
-    let x = a.(0) in
-    a.(0) <- a.(last);
-    a.(last) <- x;
-    sift 0 (last - 1)
-  done
-
-(* Writes the touched set ascending into [ws.touched.(0 .. count-1)]:
-   a stamp scan over the [n] vertices of the graph when the touched set
-   is a large share of them, an in-place sort of the touched ints
-   otherwise. *)
-let sort_touched ws n =
-  if 8 * ws.count >= n then begin
-    let j = ref 0 in
-    for v = 0 to n - 1 do
-      if ws.stamp.(v) = ws.epoch then begin
-        ws.touched.(!j) <- v;
-        incr j
-      end
-    done
-  end
-  else sort_ints ws.touched ws.count
-
 (* The step kernel: accumulates M·p into [ws], orders the touched set
    and, when [truncate], keeps the entries that survive [\[·\]_eps]. It
    returns the kept count; the kept vertices ascend in
@@ -160,7 +119,7 @@ let kernel ws g p ~truncate ~eps =
       done
     end
   done;
-  sort_touched ws n;
+  Dex_util.Stamped.sort ~stamp:ws.stamp ~epoch:ws.epoch ~n ws.touched ws.count;
   if not truncate then ws.count
   else begin
     (* compact the survivors in place *)

@@ -1,6 +1,6 @@
 (* Tests for the CONGEST kernel: the rounds ledger, message delivery,
    the congestion discipline (failure injection), the executed
-   primitives (BFS tree, leader election, tree aggregation) and the
+   primitives (BFS tree, leader election), subgraph networks and the
    congested clique as a network over K_n. *)
 
 module Graph = Dex_graph.Graph
@@ -35,6 +35,37 @@ let test_rounds_ledger () =
   Alcotest.check_raises "negative"
     (Dex_util.Invariant.Violation { where = "Rounds.charge"; what = "negative round count" })
     (fun () -> Rounds.charge r ~label:"x" (-1))
+
+(* by_phase is derived from the span tree: a label charged under two
+   spans sums over both, a label charged 0 rounds is still listed, and
+   a name used as both a span and a label counts only its charges *)
+let test_by_phase_from_spans () =
+  let r = Rounds.create () in
+  let made = ref [] in
+  let charge label k =
+    made := (label, k) :: !made;
+    Rounds.charge r ~label k
+  in
+  Rounds.with_span r "a" (fun () ->
+      charge "x" 3;
+      charge "idle" 0);
+  Rounds.with_span r "b" (fun () ->
+      charge "x" 4;
+      Rounds.with_span r "c" (fun () -> charge "y" 2));
+  charge "a" 1;
+  charge "y" 5;
+  let expected =
+    List.fold_left
+      (fun acc (label, k) ->
+        let prev = Option.value (List.assoc_opt label acc) ~default:0 in
+        (label, prev + k) :: List.remove_assoc label acc)
+      [] (List.rev !made)
+    |> List.sort (fun (la, a) (lb, b) ->
+           if a <> b then Int.compare b a else String.compare la lb)
+  in
+  Alcotest.(check (list (pair string int)))
+    "fold over the charges" [ ("x", 7); ("y", 7); ("a", 1); ("idle", 0) ] expected;
+  Alcotest.(check (list (pair string int))) "by phase" expected (Rounds.by_phase r)
 
 (* ---------- message passing ---------- *)
 
@@ -146,26 +177,18 @@ let test_leader_election () =
   Alcotest.(check int) "comp {1,2}" 1 leaders.(2);
   Alcotest.(check int) "isolated" 0 leaders.(0)
 
-let test_convergecast () =
-  let g = Gen.path 8 in
-  let net = fresh_net g in
-  let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
-  let values = Array.init 8 (fun i -> i) in
-  Alcotest.(check int) "sum" 28 (Primitives.convergecast_sum net tree ~label:"sum" values);
-  Alcotest.(check int) "min" 0 (Primitives.convergecast_min net tree ~label:"min" values);
-  let before = Rounds.total (Network.rounds net) in
-  Primitives.broadcast net tree ~label:"bcast";
-  Alcotest.(check int) "broadcast cost" (before + tree.Primitives.height)
-    (Rounds.total (Network.rounds net));
-  let before = Rounds.total (Network.rounds net) in
-  Primitives.pipelined_broadcast net tree ~label:"pipe" ~words:5;
-  Alcotest.(check int) "pipelined cost" (before + tree.Primitives.height + 5)
-    (Rounds.total (Network.rounds net))
+(* a network on the induced subgraph G[members] over [net]'s ledger,
+   reporting in [net]'s coordinates: how Decomposition hands a
+   subgraph to LDD *)
+let subnetwork net members =
+  let sub, mapping = Graph.induced_subgraph (Network.graph net) members in
+  let mapping = Vertex.Map.of_array mapping in
+  (Network.create ~vertex_map:mapping sub (Network.rounds net), mapping)
 
 let test_subnetwork () =
   let g = Gen.cycle 6 in
   let net = fresh_net g in
-  let sub, mapping = Primitives.subnetwork net [| 0; 1; 2 |] in
+  let sub, mapping = subnetwork net [| 0; 1; 2 |] in
   Alcotest.(check int) "sub size" 3 (Graph.num_vertices (Network.graph sub));
   Alcotest.(check (array int)) "mapping" [| 0; 1; 2 |] (Vertex.Map.to_array mapping);
   Alcotest.(check int) "apply translates one id" (Vertex.orig_int (Vertex.orig 2))
@@ -179,7 +202,7 @@ let test_subnetwork_violation_reports_original_id () =
      original graph's coordinates, not the subnetwork-local ones *)
   let g = Gen.cycle 6 in
   let net = fresh_net ~word_size:1 g in
-  let sub, _mapping = Primitives.subnetwork net [| 3; 4; 5 |] in
+  let sub, _mapping = subnetwork net [| 3; 4; 5 |] in
   (match vertex0_sends sub [ (1, [| 1; 2 |]) ] with
   | exception Network.Congestion_violation { violation; _ } ->
     let msg = Arena.describe violation in
@@ -196,7 +219,7 @@ let test_subnetwork_violation_reports_original_id () =
 let test_subnetwork_out_of_range_id () =
   let g = Gen.cycle 6 in
   let net = fresh_net g in
-  let sub, _mapping = Primitives.subnetwork net [| 3; 4; 5 |] in
+  let sub, _mapping = subnetwork net [| 3; 4; 5 |] in
   List.iter
     (fun bad ->
       match vertex0_sends sub [ (bad, [| 1 |]) ] with
@@ -253,7 +276,9 @@ let prop_bfs_depth_eq_distance =
 
 let () =
   Alcotest.run "congest"
-    [ ("ledger", [ Alcotest.test_case "rounds ledger" `Quick test_rounds_ledger ]);
+    [ ( "ledger",
+        [ Alcotest.test_case "rounds ledger" `Quick test_rounds_ledger;
+          Alcotest.test_case "by_phase from spans" `Quick test_by_phase_from_spans ] );
       ( "kernel",
         [ Alcotest.test_case "basic exchange" `Quick test_basic_exchange;
           Alcotest.test_case "rejects non-neighbor" `Quick test_rejects_non_neighbor;
@@ -265,7 +290,6 @@ let () =
         [ Alcotest.test_case "bfs tree" `Quick test_bfs_tree_matches_metrics;
           Alcotest.test_case "bfs partial component" `Quick test_bfs_tree_partial_component;
           Alcotest.test_case "leader election" `Quick test_leader_election;
-          Alcotest.test_case "convergecast" `Quick test_convergecast;
           Alcotest.test_case "subnetwork" `Quick test_subnetwork;
           Alcotest.test_case "subnetwork violation original ids" `Quick
             test_subnetwork_violation_reports_original_id;

@@ -223,63 +223,6 @@ let test_verify_part_methods () =
   Alcotest.(check bool) "singletons reported" true (List.mem "singleton" methods);
   Alcotest.(check bool) "exact used for the K9 part" true (List.mem "exact" methods)
 
-module Trimming = Dex_decomp.Trimming
-
-let test_trimming_stable_expander () =
-  (* an intact expander loses nothing: every vertex keeps all inner
-     degree *)
-  let rng = Rng.create 301 in
-  let g = Gen.random_regular rng ~n:64 ~d:8 in
-  let members = Array.init 64 (fun i -> i) in
-  let t = Trimming.trim g members in
-  Alcotest.(check int) "nothing pruned" 0 (Array.length t.Trimming.pruned);
-  Alcotest.(check int) "core intact" 64 (Array.length t.Trimming.core);
-  Alcotest.(check int) "no cascade" 0 t.Trimming.cascade_length
-
-let test_trimming_cascade_on_path () =
-  (* a path trimmed from one cut end unravels completely, one vertex
-     per wave: the fully sequential cascade SW's critique is about *)
-  let g = Gen.path 12 in
-  (* remove the edge (0,1): vertex 0 keeps 0 of deg 1 -> violates;
-     then 1 keeps 1 of 2 -> 2·1 >= 2 survives... use half-open chain:
-     delete (11's edge) so end vertex 11 violates, its removal makes
-     10 keep 1 of 2 (2 >= 2 survives). Interior path is stable; use a
-     star chain instead: each vertex of a path has degree <= 2 and an
-     endpoint has 1, so removing the endpoint edge cascades only one
-     step. Verify exactly that. *)
-  let t = Trimming.trim_after_removal g (Array.init 12 (fun i -> i)) ~removed:[ (0, 1) ] in
-  Alcotest.(check bool) "endpoint pruned" true
-    (Array.exists (fun v -> v = 0) t.Trimming.pruned);
-  Alcotest.(check bool) "cascade at least 1" true (t.Trimming.cascade_length >= 1)
-
-let test_trimming_full_cascade () =
-  (* path with a self-loop per vertex: interior vertices hold 2 of 3
-     degree (2*2 >= 3, stable) but drop to 1 of 3 (2 < 3) once a
-     neighbor goes - deleting the first edge unravels the entire path
-     one wave at a time, the fully sequential behaviour the paper's
-     Section 1.1 critique of trimming is about *)
-  let n = 10 in
-  let edges =
-    List.init (n - 1) (fun i -> (i, i + 1)) @ List.init n (fun i -> (i, i))
-  in
-  let g = Graph.of_edges ~n edges in
-  let t =
-    Trimming.trim_after_removal g (Array.init n (fun i -> i)) ~removed:[ (0, 1) ]
-  in
-  Alcotest.(check int) "everything pruned" n (Array.length t.Trimming.pruned);
-  Alcotest.(check bool) "cascade spans the path" true
-    (t.Trimming.cascade_length >= n - 2);
-  Alcotest.(check bool) "volume accounted" true
-    (t.Trimming.pruned_volume >= Array.length t.Trimming.pruned)
-
-let test_trimming_partition_of_members () =
-  let rng = Rng.create 302 in
-  let g = Gen.dumbbell rng ~n1:30 ~n2:30 ~d:6 ~bridges:1 in
-  let members = Array.init 30 (fun i -> i) in
-  let t = Trimming.trim g members in
-  Alcotest.(check int) "core + pruned = members" 30
-    (Array.length t.Trimming.core + Array.length t.Trimming.pruned)
-
 module Straw = Dex_decomp.Recursive_baseline
 
 let test_recursive_baseline_partitions () =
@@ -368,11 +311,6 @@ let () =
           Alcotest.test_case "part members" `Quick test_part_members;
           Alcotest.test_case "warted expander Phase 2" `Slow test_warted_expander_phase2;
           QCheck_alcotest.to_alcotest prop_decomposition_is_partition ] );
-      ( "trimming",
-        [ Alcotest.test_case "stable expander" `Quick test_trimming_stable_expander;
-          Alcotest.test_case "endpoint cascade" `Quick test_trimming_cascade_on_path;
-          Alcotest.test_case "full cascade" `Quick test_trimming_full_cascade;
-          Alcotest.test_case "core+pruned partition" `Quick test_trimming_partition_of_members ] );
       ( "verify-methods",
         [ Alcotest.test_case "per-part methods" `Quick test_verify_part_methods ] );
       ( "las-vegas",

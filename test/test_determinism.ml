@@ -164,7 +164,8 @@ let test_word_budget_audited () =
   Alcotest.(check bool) "over-budget message reported" true
     (List.exists
        (function
-         | Conformance.Word_budget_exceeded { words = 2; budget = 1; _ } -> true
+         | Conformance.Kernel { violation = Arena.Over_budget { words = 2; budget = 1; _ }; _ } ->
+           true
          | _ -> false)
        r.Conformance.violations)
 
@@ -177,7 +178,9 @@ let test_duplicate_edge_audited () =
   let r = Conformance.check g ~protocol:(one_shot twice) () in
   Alcotest.(check bool) "duplicate directed edge reported" true
     (List.exists
-       (function Conformance.Duplicate_message _ -> true | _ -> false)
+       (function
+         | Conformance.Kernel { violation = Arena.Duplicate_edge _; _ } -> true
+         | _ -> false)
        r.Conformance.violations)
 
 let test_non_neighbor_audited () =
@@ -186,16 +189,20 @@ let test_non_neighbor_audited () =
   let r = Conformance.check g ~protocol:(one_shot far) () in
   Alcotest.(check bool) "non-neighbor send reported" true
     (List.exists
-       (function Conformance.Not_a_neighbor _ -> true | _ -> false)
+       (function
+         | Conformance.Kernel { violation = Arena.Not_a_neighbor _; _ } -> true
+         | _ -> false)
        r.Conformance.violations)
 
 let test_describe_covers_all () =
   let open Conformance in
   let vs =
-    [ Word_budget_exceeded
-        { run = Canonical; round = 1; vertex = 2; dst = 3; words = 4; budget = 1 };
-      Duplicate_message { run = Permuted; round = 1; vertex = 2; dst = 3 };
-      Not_a_neighbor { run = Canonical; round = 1; vertex = 2; dst = 3 };
+    [ Kernel
+        { run = Canonical;
+          round = 1;
+          violation = Arena.Over_budget { vertex = 2; dst = 3; words = 4; budget = 1 } };
+      Kernel { run = Permuted; round = 1; violation = Arena.Duplicate_edge { vertex = 2; dst = 3 } };
+      Kernel { run = Canonical; round = 1; violation = Arena.Not_a_neighbor { vertex = 2; dst = 3 } };
       Round_limit { run = Permuted; executed = 9 };
       State_divergence
         { round = 1; vertex = 2; digest_canonical = 3; digest_permuted = 4 };

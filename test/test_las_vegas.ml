@@ -149,5 +149,23 @@ let test_goldens () =
     (fun (name, run) -> Alcotest.(check string) name (List.assoc name goldens) (run ()))
     cases
 
+(* a rejected attempt budget raises before any span opens: the ledger
+   keeps a bare root and the trace records no event *)
+let test_zero_attempts_leave_no_span () =
+  let ledger = Rounds.create () in
+  let tr = Trace.create () in
+  Rounds.attach_trace ledger (Some tr);
+  Alcotest.check_raises "attempts 0"
+    (Dex_util.Invariant.Violation
+       { where = "Las_vegas.decompose"; what = "attempts must be >= 1" })
+    (fun () ->
+      ignore (Lv.decompose ~ledger ~attempts:0 ~epsilon:0.3 ~k:2 (Gen.cycle 12) (Rng.create 1)));
+  Alcotest.(check string) "span tree" "total:0" (tree_repr (Rounds.tree ledger));
+  Alcotest.(check int) "trace events" 0 (List.length (Trace.events tr))
+
 let () =
-  Alcotest.run "las-vegas" [ ("wrappers", [ Alcotest.test_case "goldens" `Quick test_goldens ]) ]
+  Alcotest.run "las-vegas"
+    [ ( "wrappers",
+        [ Alcotest.test_case "goldens" `Quick test_goldens;
+          Alcotest.test_case "zero attempts leave no span" `Quick
+            test_zero_attempts_leave_no_span ] ) ]

@@ -179,6 +179,41 @@ let test_uf_transitivity_prop =
 
 (* ---------- Tail_bounds ---------- *)
 
+(* the stamped-set sort against Array.sort on a random subset of
+   0..n-1 in first-touch order: counts drawn on both sides of the
+   n/8 scan threshold (a sparse set is heapsorted, a dense one
+   rebuilt from the stamps), plus the edge counts 0, 1 and n. Stamps
+   outside the set, past n included, hold other epochs, and the
+   entries after the count stay as they were. *)
+let prop_stamped_sort =
+  QCheck.Test.make ~name:"stamped sort = Array.sort" ~count:500
+    QCheck.(triple (int_range 1 300) (int_bound 4) small_nat)
+    (fun (n, shape, seed) ->
+      let rng = Rng.create seed in
+      let dense_from = (n + 7) / 8 in
+      let k =
+        match shape with
+        | 0 -> 0
+        | 1 -> 1
+        | 2 -> n
+        | 3 -> Rng.int rng dense_from
+        | _ -> dense_from + Rng.int rng (n - dense_from + 1)
+      in
+      let epoch = 7 in
+      let order = Array.init n Fun.id in
+      Rng.shuffle rng order;
+      let stamp = Array.init (n + 5) (fun _ -> Rng.int rng epoch) in
+      let set = Array.make (n + 3) (-1) in
+      for i = 0 to k - 1 do
+        stamp.(order.(i)) <- epoch;
+        set.(i) <- order.(i)
+      done;
+      let expected = Array.sub set 0 k in
+      Array.sort Int.compare expected;
+      Dex_util.Stamped.sort ~stamp ~epoch ~n set k;
+      Array.sub set 0 k = expected
+      && Array.for_all (fun x -> x = -1) (Array.sub set k (n + 3 - k)))
+
 module Tb = Dex_util.Tail_bounds
 
 let test_tail_bounds_monotone () =
@@ -249,6 +284,7 @@ let () =
       ( "union-find",
         [ Alcotest.test_case "basic" `Quick test_uf_basic;
           QCheck_alcotest.to_alcotest test_uf_transitivity_prop ] );
+      ("stamped", [ QCheck_alcotest.to_alcotest prop_stamped_sort ]);
       ( "tail-bounds",
         [ Alcotest.test_case "monotonicity" `Quick test_tail_bounds_monotone;
           Alcotest.test_case "closed forms" `Quick test_tail_bounds_values;
