@@ -118,11 +118,7 @@ let run ?(preset = Params.Practical) ~delta ~epsilon g rng =
           removed := !removed + Metrics.cut_size sub cut;
           let cut_orig = Vertex.Map.translate (Vertex.Map.of_array mapping) cut in
           Array.sort compare cut_orig;
-          let mask = Hashtbl.create (2 * Array.length cut_orig) in
-          Array.iter (fun v -> Hashtbl.replace mask v ()) cut_orig;
-          let rest =
-            Array.of_list (List.filter (fun v -> not (Hashtbl.mem mask v)) (Array.to_list members))
-          in
+          let rest = Metrics.difference g members cut_orig in
           Queue.add cut_orig work;
           Queue.add rest work
         end

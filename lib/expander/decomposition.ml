@@ -89,12 +89,7 @@ let sparse_cut_on d ~phi members =
          wants the smaller-volume side *)
       let vol_cut = Graph.volume gu cut in
       let original =
-        if 2 * vol_cut > Graph.total_volume gu then begin
-          let mask = Hashtbl.create (2 * Array.length original) in
-          Array.iter (fun v -> Hashtbl.replace mask v ()) original;
-          Array.of_list
-            (List.filter (fun v -> not (Hashtbl.mem mask v)) (Array.to_list members))
-        end
+        if 2 * vol_cut > Graph.total_volume gu then Metrics.difference d.current members original
         else original
       in
       (`Cut (original, res.Partition.conductance), rounds)
@@ -112,31 +107,23 @@ let compare_edge (a1, b1) (a2, b2) =
   match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
 
 let cut_edges_between d inside =
-  let mask = Hashtbl.create (2 * Array.length inside) in
-  Array.iter (fun v -> Hashtbl.replace mask v ()) inside;
+  let mask = Metrics.mask_of d.current inside in
   let acc = ref [] in
   Array.iter
     (fun v ->
       Graph.iter_neighbors d.current v (fun u ->
-          if not (Hashtbl.mem mask u) then acc := (min u v, max u v) :: !acc))
+          if not mask.(u) then acc := (min u v, max u v) :: !acc))
     inside;
   List.sort_uniq compare_edge !acc
 
 (* every non-loop edge with at least one endpoint inside — Remove-3
    isolates the carved set completely *)
 let incident_edges d inside =
-  let mask = Hashtbl.create (2 * Array.length inside) in
-  Array.iter (fun v -> Hashtbl.replace mask v ()) inside;
   let acc = ref [] in
   Array.iter
     (fun v -> Graph.iter_neighbors d.current v (fun u -> acc := (min u v, max u v) :: !acc))
     inside;
   List.sort_uniq compare_edge !acc
-
-let set_difference universe subset =
-  let mask = Hashtbl.create (2 * Array.length subset) in
-  Array.iter (fun v -> Hashtbl.replace mask v ()) subset;
-  Array.of_list (List.filter (fun v -> not (Hashtbl.mem mask v)) (Array.to_list universe))
 
 (* ---- Phase 2 (one component): returns (rounds, iterations) ---- *)
 let phase2 d members =
@@ -169,7 +156,7 @@ let phase2 d members =
         (* Remove-3: carve the cut out entirely; its vertices become
            singleton parts of the final decomposition *)
         remove_edges_tracked d `Remove3 (incident_edges d cut);
-        remaining := set_difference !remaining cut
+        remaining := Metrics.difference d.current !remaining cut
       end)
   done;
   (!rounds, !iterations)
@@ -251,7 +238,7 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
                               else begin
                                 (* Step 2c: remove the cut and recurse on both sides *)
                                 remove_edges_tracked d `Remove2 (cut_edges_between d cut);
-                                let rest = set_difference cluster cut in
+                                let rest = Metrics.difference d.current cluster cut in
                                 next := cut :: rest :: !next
                               end
                           end)

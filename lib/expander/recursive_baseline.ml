@@ -33,15 +33,8 @@ let run ~phi g rng =
       | Some c when c.Baselines.conductance <= phi ->
         removed :=
           !removed + Metrics.cut_size sub c.Baselines.vertices;
-        let mask = Hashtbl.create (2 * Array.length c.Baselines.vertices) in
-        Array.iter (fun v -> Hashtbl.replace mask v ()) c.Baselines.vertices;
         let side = Array.map (fun v -> mapping.(v)) c.Baselines.vertices in
-        let rest =
-          Array.of_list
-            (List.filteri
-               (fun i _ -> not (Hashtbl.mem mask i))
-               (Array.to_list mapping))
-        in
+        let rest = Array.map (fun v -> mapping.(v)) (Metrics.complement sub c.Baselines.vertices) in
         Queue.add (side, depth + 1) work;
         Queue.add (rest, depth + 1) work
       | Some _ | None -> parts := members :: !parts

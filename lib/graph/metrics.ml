@@ -21,17 +21,20 @@ let vertices_of_mask mask =
     mask;
   out
 
-let complement g s =
+let difference g u s =
   let mask = mask_of g s in
-  let out = Array.make (Graph.num_vertices g - Array.length s) 0 in
+  let out = Array.make (Array.fold_left (fun k v -> if mask.(v) then k else k + 1) 0 u) 0 in
   let i = ref 0 in
-  for v = 0 to Graph.num_vertices g - 1 do
-    if not mask.(v) then begin
-      out.(!i) <- v;
-      incr i
-    end
-  done;
+  Array.iter
+    (fun v ->
+      if not mask.(v) then begin
+        out.(!i) <- v;
+        incr i
+      end)
+    u;
   out
+
+let complement g s = difference g (Array.init (Graph.num_vertices g) Fun.id) s
 
 let cut_size_mask g mask =
   let crossing = ref 0 in

@@ -12,6 +12,10 @@ val mask_of : Graph.t -> int array -> bool array
 (** [vertices_of_mask mask] lists the set bits, ascending. *)
 val vertices_of_mask : bool array -> int array
 
+(** [difference g u s] is [u \ s]: the vertices of [u] outside [s],
+    in [u]'s order. Both are vertex sets of [g]. *)
+val difference : Graph.t -> int array -> int array -> int array
+
 (** [complement g s] is [V \ S] as a sorted array. *)
 val complement : Graph.t -> int array -> int array
 

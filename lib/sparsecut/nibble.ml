@@ -31,12 +31,10 @@ let workspace g =
     sweep = Sweep.workspace g;
     seen = Array.make (Graph.num_vertices g) false }
 
-let ceil_log2 x = int_of_float (Float.ceil (log (Float.max 2.0 x) /. log 2.0))
-
 (* cost of one "random binary search" for a sweep prefix (Lemma 9):
    O(log n) sampling iterations, each a traversal of the spanning tree
    of P-star, whose depth at walk step t is at most 2t + 1. *)
-let candidate_cost ~t ~support = (ceil_log2 (float_of_int (max 2 support)) + 1) * ((2 * t) + 1)
+let candidate_cost ~t ~support = (Params.ceil_log2 support + 1) * ((2 * t) + 1)
 
 (* copies π(1..j) out of the sweep, whose buffers the next rescan
    overwrites *)

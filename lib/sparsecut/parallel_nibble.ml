@@ -69,9 +69,8 @@ let run ?k ?ledger ?workspace params g rng =
         1 outcomes
     in
     let congestion = max 1 (min !max_overlap w) in
-    let ceil_log2 x = int_of_float (Float.ceil (log (Float.max 2.0 x) /. log 2.0)) in
-    let gen_rounds = depth_proxy + ceil_log2 (float_of_int (max 2 k)) in
-    let select_rounds = depth_proxy * ceil_log2 (float_of_int (max 2 k)) in
+    let gen_rounds = depth_proxy + Params.ceil_log2 k in
+    let select_rounds = depth_proxy * Params.ceil_log2 k in
     let exec_rounds = congestion * max_copy_rounds in
     let rounds = gen_rounds + exec_rounds + select_rounds in
     (match ledger with

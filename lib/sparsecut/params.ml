@@ -16,6 +16,7 @@ type t = {
 }
 
 let log2 x = log x /. log 2.0
+let ceil_log2 k = int_of_float (Float.ceil (log2 (float_of_int (max 2 k))))
 
 let make ?(preset = Practical) ~phi ~m () =
   if phi <= 0.0 || phi > 1.0 /. 12.0 then
@@ -29,7 +30,7 @@ let make ?(preset = Practical) ~phi ~m () =
   let t0 = match preset with Theory -> t0 | Practical -> min t0 20_000 in
   let gamma = 5.0 *. phi /. (7.0 *. 7.0 *. 8.0 *. ln_me4) in
   let f_phi = phi ** 3.0 /. (144.0 *. (ln_me4 *. ln_me4)) in
-  let ell = max 1 (int_of_float (Float.ceil (log2 (Float.max 2.0 mf)))) in
+  let ell = ceil_log2 m in
   let parallel_cap, partition_cap, idle_limit, sweep_stride, c1_relaxed_factor =
     match preset with
     | Theory -> (max_int, max_int, max_int, 1, 12.0)

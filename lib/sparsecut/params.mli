@@ -47,6 +47,10 @@ val should_sweep : t -> int -> bool
     (0, 1/12] (the precondition of Lemma 5 onward) and [m ≥ 1]. *)
 val make : ?preset:preset -> phi:float -> m:int -> unit -> t
 
+(** [ceil_log2 k] = ⌈log₂ max(2, k)⌉: [ell] for [m = k], and the
+    depth of a binary search or tree aggregation over [k] items. *)
+val ceil_log2 : int -> int
+
 (** [eps_b t b] = ε_b, the truncation threshold at scale [b ∈ 1..ℓ]. *)
 val eps_b : t -> int -> float
 

@@ -59,11 +59,7 @@ let run ?p ?ledger params g rng =
            allows up to 11/12 of the volume); peel the smaller side so
            the running union stays a clean sparse cut *)
         let cut =
-          if 2 * Graph.volume gw cut > Graph.total_volume gw then begin
-            let outside = Array.make (Graph.num_vertices gw) true in
-            Array.iter (fun v -> outside.(v) <- false) cut;
-            Metrics.vertices_of_mask outside
-          end
+          if 2 * Graph.volume gw cut > Graph.total_volume gw then Metrics.complement gw cut
           else cut
         in
         if Array.length cut = 0 then begin

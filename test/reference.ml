@@ -37,7 +37,6 @@ let exec_round t ~round states inboxes (step : 's step) =
   let deliver src dst msg =
     t.messages <- t.messages + 1;
     t.words <- t.words + Array.length msg;
-    (* dex-lint: allow C002 relays messages [validate] already checked against the budget *)
     next.(dst) <- (src, msg) :: next.(dst)
   in
   Array.iteri

@@ -151,14 +151,15 @@ let one_shot per_vertex () =
   let step ~round ~vertex:v () _ib ob =
     if round = 1 then
       List.iter
-        (fun (u, msg) -> Arena.Outbox.send ob ~dst:(Dex_graph.Vertex.local u) msg)
+        (fun (u, msg) ->
+          (* dex-lint: allow C002 oversized messages are the audit under test *)
+          Arena.Outbox.send ob ~dst:(Dex_graph.Vertex.local u) msg)
         (per_vertex (Dex_graph.Vertex.local_int v))
   in
   { Conformance.init = (fun _ -> ()); step }
 
 let test_word_budget_audited () =
   let g = small_expander 53 in
-  (* dex-lint: allow C001 deliberately over budget to exercise the audit *)
   let wide v = [ ((Graph.neighbors g v).(0), [| v; v |]) ] in
   let r = Conformance.check ~word_size:1 g ~protocol:(one_shot wide) () in
   Alcotest.(check bool) "over-budget message reported" true

@@ -329,34 +329,45 @@ let test_c_rule_pragma_scan () =
 
 (* ---------- W-rules ---------- *)
 
-let w_findings = lint ~path:"probe.ml"
+(* the probes compile without dex_congest: a local stub stands in for
+   it, and the rule matches [Arena.Outbox.send] by its path's tail *)
+let w_findings src =
+  lint ~path:"probe.ml"
+    ("module Arena = struct module Outbox = struct\n\
+     \  let send () ~dst:(_ : int) (_ : int array) = ()\n\
+     \  let send1 () ~dst:(_ : int) (_ : int) = ()\n\
+      end end\n" ^ src)
 
 let test_w_rules_certify () =
   check_rules "C001: static length over a literal budget" [ "C001" ]
     (w_findings
        "let create ~word_size () = word_size\n\
         let _b = create ~word_size:2 ()\n\
-        let site () : int * int array = (1, [| 1; 2; 3 |])");
+        let site () = Arena.Outbox.send () ~dst:1 [| 1; 2; 3 |]");
   check_rules "static length within the default budget" []
-    (w_findings "let site () : int * int array = (1, [| 7 |])");
+    (w_findings "let site () = Arena.Outbox.send () ~dst:1 [| 7 |]");
+  check_rules "send1 is one word" []
+    (w_findings "let site x = Arena.Outbox.send1 () ~dst:1 x");
   check_rules "length decided through a local helper" []
     (w_findings
        "let encode x = [| x |]\n\
-        let site x : int * int array = (1, encode x)");
+        let site x = Arena.Outbox.send () ~dst:1 (encode x)");
   check_rules "C002: unguarded dynamic length" [ "C002" ]
+    (w_findings "let site n = Arena.Outbox.send () ~dst:1 (Array.make n 0)");
+  check_rules "a tuple is not a message" []
     (w_findings "let site n : int * int array = (1, Array.make n 0)");
   check_rules "Invariant.words guard recognized" []
     (w_findings
        "module Invariant = struct let words ~budget:_ ~where:_ a = a end\n\
-        let site n : int * int array =\n\
-       \  (1, Invariant.words ~budget:1 ~where:\"t\" (Array.make n 0))");
+        let site n =\n\
+       \  Arena.Outbox.send () ~dst:1 (Invariant.words ~budget:1 ~where:\"t\" (Array.make n 0))");
   check_rules "non-literal budget disables C001, never C002"
     [ "C002" ]
     (w_findings
        "let create ~word_size () = word_size\n\
         let _b w = create ~word_size:w ()\n\
-        let wide () : int * int array = (1, [| 1; 2; 3 |])\n\
-        let dyn n : int * int array = (1, Array.make n 0)")
+        let wide () = Arena.Outbox.send () ~dst:1 [| 1; 2; 3 |]\n\
+        let dyn n = Arena.Outbox.send () ~dst:1 (Array.make n 0)")
 
 (* ---------- unit naming, dune parsing, the ladder ---------- *)
 

@@ -1,5 +1,6 @@
-(* must fail: a 3-word message against a literal 2-word budget *)
+(* must fail: a 3-word send against a literal 2-word budget *)
 
-let create ~word_size () = word_size
-let budget = create ~word_size:2 ()
-let site () : int * int array = (budget, [| 1; 2; 3 |])
+module Arena = Dex_congest.Arena
+
+let net g = Dex_congest.Network.create ~word_size:2 g (Dex_congest.Rounds.create ())
+let site ob dst = Arena.Outbox.send ob ~dst [| 1; 2; 3 |]

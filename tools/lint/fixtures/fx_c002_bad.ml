@@ -1,3 +1,3 @@
-(* must fail: a dynamic-length message with no Invariant.words guard *)
+(* must fail: a dynamic-length send with no Invariant.words guard *)
 
-let site n : int * int array = (1, Array.make n 0)
+let site ob dst n = Dex_congest.Arena.Outbox.send ob ~dst (Array.make n 0)

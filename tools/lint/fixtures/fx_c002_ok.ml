@@ -1,5 +1,6 @@
 (* must pass: the dynamic length is dominated by the runtime guard the
    certifier recognizes, Dex_util.Invariant.words *)
 
-let site n : int * int array =
-  (1, Dex_util.Invariant.words ~budget:1 ~where:"fx_c002_ok" (Array.make n 0))
+let site ob dst n =
+  Dex_congest.Arena.Outbox.send ob ~dst
+    (Dex_util.Invariant.words ~budget:1 ~where:"fx_c002_ok" (Array.make n 0))

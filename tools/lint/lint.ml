@@ -43,11 +43,11 @@ let rules =
        lib/triangle; use a monomorphic comparator (Int.compare, \
        String.compare, an explicit field comparator)" );
     ( "C001",
-      "statically-decidable message length exceeds the word budget \
-       (literal array or Array.make with literal size vs the file's \
-       literal ~word_size, default 1)" );
+      "statically-decidable length of an Arena.Outbox.send message \
+       exceeds the word budget (literal array or Array.make with \
+       literal size vs the file's literal ~word_size, default 1)" );
     ( "C002",
-      "dynamic-length message construction not dominated by a \
+      "dynamic-length Arena.Outbox.send message not dominated by a \
        Dex_util.Invariant.words length guard" );
     ( "C003",
       "raw int vertex parameter in a protocol-layer .mli; use \

@@ -9,8 +9,9 @@
    handed to the sort family at a type the compiler does not
    specialize.
 
-   W-rules — word budgets. Each message-construction site (a typed
-   `(int, int array)` tuple) is classified: statically decidable
+   W-rules — word budgets. The message argument of each
+   `Arena.Outbox.send` call is classified (`send1` always sends one
+   word, which no budget rejects): statically decidable
    lengths (literal arrays, `Array.make` with a literal size, local
    bindings and single-clause local helpers returning such arrays)
    are certified against the file's budget (C001); dynamic lengths
@@ -67,6 +68,23 @@ let path_comps p = String.split_on_char '.' (Path.name p)
 let ident_comps e =
   match e.exp_desc with Texp_ident (p, _, _) -> Some (path_comps p) | _ -> None
 
+(* "Dex_congest__Network" -> ["Dex_congest"; "Network"];
+   a trailing "__" (dune's generated alias unit) drops cleanly *)
+let split_wrapped name =
+  let n = String.length name in
+  let rec go acc start i =
+    if i + 1 >= n then
+      let last = String.sub name start (n - start) in
+      List.rev (if last = "" then acc else last :: acc)
+    else if name.[i] = '_' && name.[i + 1] = '_' then
+      let seg = String.sub name start (i - start) in
+      go (if seg = "" then acc else seg :: acc) (i + 2) (i + 2)
+    else go acc start (i + 1)
+  in
+  go [] 0 0
+
+let norm_comps comps = List.concat_map split_wrapped comps
+
 let strip_stdlib = function "Stdlib" :: rest -> rest | l -> l
 
 let is_invariant_words comps =
@@ -89,18 +107,11 @@ let constant_int e =
     | _ -> None)
   | _ -> None
 
-let is_int_type ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) -> Path.name p = "int"
-  | _ -> false
-
-(* [int array], or any alias whose tail name is [message] (the
-   Network message abbreviation survives unexpanded in cmts) *)
-let is_word_array_type ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [ elt ], _) when Path.name p = "array" -> is_int_type elt
-  | Types.Tconstr (p, _, _) -> (
-    match List.rev (path_comps p) with "message" :: _ -> true | _ -> false)
+(* [Arena.Outbox.send], however reached: from inside dex_congest the
+   path is [Dex_congest__Arena.Outbox.send] *)
+let is_outbox_send comps =
+  match List.rev (norm_comps comps) with
+  | "send" :: "Outbox" :: "Arena" :: _ -> true
   | _ -> false
 
 let rec classify env e =
@@ -189,10 +200,13 @@ let w_rules ~file str =
                | None -> undecidable_budget := true)
              | _ -> ())
            args
+       | Some comps when is_outbox_send comps -> (
+         (* the message is the second positional argument; a partial
+            application without it sends nothing *)
+         match List.filter_map (function Asttypes.Nolabel, a -> a | _ -> None) args with
+         | [ _ob; msg ] -> sites := (msg, msg.exp_loc) :: !sites
+         | _ -> ())
        | _ -> ())
-     | Texp_tuple [ e1; e2 ]
-       when is_int_type e1.exp_type && is_word_array_type e2.exp_type ->
-       sites := (e2, e2.exp_loc) :: !sites
      | _ -> ());
     Tast_iterator.default_iterator.expr self e
   in
@@ -237,24 +251,7 @@ type unit_info = {
   annots : Cmt_format.binary_annots;
 }
 
-(* "Dex_congest__Network" -> ["Dex_congest"; "Network"];
-   a trailing "__" (dune's generated alias unit) drops cleanly *)
-let split_wrapped name =
-  let n = String.length name in
-  let rec go acc start i =
-    if i + 1 >= n then
-      let last = String.sub name start (n - start) in
-      List.rev (if last = "" then acc else last :: acc)
-    else if name.[i] = '_' && name.[i + 1] = '_' then
-      let seg = String.sub name start (i - start) in
-      go (if seg = "" then acc else seg :: acc) (i + 2) (i + 2)
-    else go acc start (i + 1)
-  in
-  go [] 0 0
-
 let canon_of_unit_name name = String.concat "." (split_wrapped name)
-
-let norm_comps comps = List.concat_map split_wrapped comps
 
 (* lib name from ".../.dex_congest.objs/..." or ".../.main.eobjs/..." *)
 let lib_of_cmt_path path =
