@@ -111,8 +111,8 @@ let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
     next_n = 0;
     tick = 1;
     round = 0;
-    cal_round = Array.make (max n 1) 0;
-    cal_vertex = Array.make (max n 1) 0;
+    cal_round = Array.make (Int.max n 1) 0;
+    cal_vertex = Array.make (Int.max n 1) 0;
     cal_n = 0 }
 
 let word_size a = a.word_size

@@ -39,7 +39,7 @@ let create spec =
   let dead_links = Hashtbl.create 8 in
   List.iter
     (fun ((u, v), r) ->
-      let e = (min u v, max u v) in
+      let e = (Int.min u v, Int.max u v) in
       match Hashtbl.find_opt dead_links e with
       | Some r' when r' <= r -> ()
       | _ -> Hashtbl.replace dead_links e r)
@@ -100,7 +100,7 @@ let crashed_int t ~round ~vertex =
   | _ -> false
 
 let link_dead t ~round ~src ~dst =
-  let e = (min src dst, max src dst) in
+  let e = (Int.min src dst, Int.max src dst) in
   match Hashtbl.find_opt t.dead_links e with
   | Some r when r <= round ->
     if not (Hashtbl.mem t.announced_links e) then begin

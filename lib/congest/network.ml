@@ -113,7 +113,7 @@ let count_delivery t s a ~src ~dst ~slot times =
     s.load.(e) <- 0
   end;
   s.load.(e) <- s.load.(e) + times;
-  s.max_load <- max s.max_load s.load.(e);
+  s.max_load <- Int.max s.max_load s.load.(e);
   Trace.count_edge s.tr (to_orig t.vertex_map src) (to_orig t.vertex_map dst) ~by:times;
   touch s src;
   touch s dst

@@ -43,7 +43,7 @@ let bfs g ~root =
   { Conformance.init; step }
 
 let tree ~root ~parent ~depth =
-  let height = Array.fold_left (fun acc d -> if d = max_int then acc else max acc d) 0 depth in
+  let height = Array.fold_left (fun acc d -> if d = max_int then acc else Int.max acc d) 0 depth in
   let members =
     List.filter (fun v -> depth.(v) <> max_int) (List.init (Array.length depth) Fun.id)
   in

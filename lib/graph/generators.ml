@@ -15,7 +15,7 @@ let cycle n =
 
 let path n =
   if n < 1 then invalid_arg "Generators.path: need n >= 1";
-  Graph.of_edges ~n (List.init (max 0 (n - 1)) (fun i -> (i, i + 1)))
+  Graph.of_edges ~n (List.init (Int.max 0 (n - 1)) (fun i -> (i, i + 1)))
 
 let star n =
   if n < 1 then invalid_arg "Generators.star: need n >= 1";
@@ -70,7 +70,7 @@ let gnm rng ~n ~m =
   while Hashtbl.length chosen < m do
     let u = Rng.int rng n and v = Rng.int rng n in
     if u <> v then begin
-      let key = (min u v, max u v) in
+      let key = (Int.min u v, Int.max u v) in
       if not (Hashtbl.mem chosen key) then begin
         Hashtbl.replace chosen key ();
         edges := key :: !edges
@@ -96,7 +96,7 @@ let random_regular rng ~n ~d =
     let i = ref 0 in
     while !ok && !i + 1 < n * d do
       let u = stubs.(!i) and v = stubs.(!i + 1) in
-      let key = (min u v, max u v) in
+      let key = (Int.min u v, Int.max u v) in
       if u = v || Hashtbl.mem seen key then begin
         if strict then ok := false
       end

@@ -182,11 +182,11 @@ let remove_edges g dead =
   List.iteri
     (fun i (u, v) ->
       if u <> v && u >= 0 && u < n && v >= 0 && v < n then
-        keys.(i) <- (min u v * n) + max u v)
+        keys.(i) <- (Int.min u v * n) + Int.max u v)
     dead;
   Array.sort Int.compare keys;
   let is_dead u v =
-    let key = (min u v * n) + max u v in
+    let key = (Int.min u v * n) + Int.max u v in
     let lo = ref 0 and hi = ref (Array.length keys) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in

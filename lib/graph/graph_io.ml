@@ -23,7 +23,7 @@ let parse text =
           match (int_of_string_opt a, int_of_string_opt b) with
           | Some u, Some v when u >= 0 && v >= 0 ->
             edges := (u, v) :: !edges;
-            max_id := max !max_id (max u v)
+            max_id := Int.max !max_id (Int.max u v)
           | _ -> fail "invalid edge %S" line)
         | _ -> fail "expected 'u v' or 'n count', got %S" line
       end)

@@ -46,7 +46,7 @@ let cut_size g s = cut_size_mask g (mask_of g s)
 let conductance g s =
   let vol_s = Graph.volume g s in
   let vol_rest = Graph.total_volume g - vol_s in
-  let small = min vol_s vol_rest in
+  let small = Int.min vol_s vol_rest in
   if small <= 0 then Float.infinity
   else float_of_int (cut_size g s) /. float_of_int small
 
@@ -55,7 +55,7 @@ let balance g s =
   if total = 0 then 0.0
   else begin
     let vol_s = Graph.volume g s in
-    float_of_int (min vol_s (total - vol_s)) /. float_of_int total
+    float_of_int (Int.min vol_s (total - vol_s)) /. float_of_int total
   end
 
 let is_sparse_cut g ~phi s =
@@ -133,7 +133,7 @@ let eccentricity g v =
   Array.fold_left
     (fun acc d ->
       if d = max_int then failwith "Metrics.eccentricity: disconnected graph"
-      else max acc d)
+      else Int.max acc d)
     0 dist
 
 let diameter g =
@@ -142,7 +142,7 @@ let diameter g =
   else begin
     let best = ref 0 in
     for v = 0 to n - 1 do
-      best := max !best (eccentricity g v)
+      best := Int.max !best (eccentricity g v)
     done;
     !best
   end
@@ -178,7 +178,7 @@ let degeneracy g =
   else begin
     (* standard bucket-queue core decomposition, O(n + m) *)
     let deg = Array.init n (fun v -> Graph.plain_degree g v) in
-    let maxdeg = Array.fold_left max 0 deg in
+    let maxdeg = Array.fold_left Int.max 0 deg in
     let buckets = Array.make (maxdeg + 1) [] in
     Array.iteri (fun v d -> buckets.(d) <- v :: buckets.(d)) deg;
     let removed = Array.make n false in
@@ -203,7 +203,7 @@ let degeneracy g =
       in
       let v = take () in
       removed.(v) <- true;
-      result := max !result deg.(v);
+      result := Int.max !result deg.(v);
       Graph.iter_neighbors g v (fun u ->
           if not removed.(u) then begin
             deg.(u) <- deg.(u) - 1;

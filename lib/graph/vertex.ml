@@ -19,5 +19,5 @@ module Map = struct
 
   let translate_edge m (u, v) =
     let a = m.(u) and b = m.(v) in
-    (min a b, max a b)
+    (Int.min a b, Int.max a b)
 end

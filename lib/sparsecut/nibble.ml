@@ -21,15 +21,20 @@ type outcome = {
   participants : int array;
 }
 
-(* one run's scratch: the double-buffered walk, the sweep buffers and
-   a mask of every vertex any p̃_t has supported (all false between
-   runs) *)
-type workspace = { walker : Walk.walker; sweep : Sweep.t; seen : bool array }
+(* one copy's walk: the double-buffered walker and a mask of every
+   vertex any of its p̃_t has supported (all false between runs) *)
+type lane = { walker : Walk.walker; seen : bool array }
 
-let workspace g =
-  { walker = Walk.walker g;
-    sweep = Sweep.workspace g;
-    seen = Array.make (Graph.num_vertices g) false }
+(* the lanes copies walk in and the one sweep they share: a copy
+   rescans and selects within its own step, and [cut_of_prefix] copies
+   a passing prefix out before another copy rescans *)
+type workspace = { lanes : lane array; sweep : Sweep.t }
+
+let workspace ?(copies = 1) g =
+  if copies < 1 then invalid_arg "Nibble.workspace: copies < 1";
+  let n = Graph.num_vertices g in
+  { lanes = Array.init copies (fun _ -> { walker = Walk.walker g; seen = Array.make n false });
+    sweep = Sweep.workspace g }
 
 (* cost of one "random binary search" for a sweep prefix (Lemma 9):
    O(log n) sampling iterations, each a traversal of the spanning tree
@@ -63,26 +68,41 @@ type conditions = {
 let passes c (sweep : Sweep.t) ~j ~r =
   let vol = sweep.volume.(j - 1) in
   sweep.conductance.(j - 1) <= c.phi_max
-  && sweep.last_rho.(r - 1) >= c.gamma /. float_of_int (max 1 vol)
+  && sweep.last_rho.(r - 1) >= c.gamma /. float_of_int (Int.max 1 vol)
   && float_of_int vol >= c.vol_lower
   && c.ceil_num * c.total_volume >= c.ceil_den * vol
 
-let get_workspace g = function Some ws -> ws | None -> workspace g
+(* one Nibble run in progress: its lane, its stop rules and its
+   counters; [select] is the variant's candidate search over the
+   sweep, which it charges to [rounds] and [candidates] *)
+type copy = {
+  params : Params.t;
+  g : Graph.t;
+  lane : lane;
+  sweep : Sweep.t;
+  src : int;
+  b : int;
+  eps : float;
+  strict : conditions;
+  relaxed : conditions;
+  select : copy -> cut option;
+  mutable t : int;
+  mutable rounds : int;
+  mutable candidates : int;
+  mutable result : cut option;
+  mutable deadline : int;
+  mutable converged : bool;
+}
 
-let run_generic ?workspace (params : Params.t) g ~src ~b ~select =
-  if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range";
-  let { walker; sweep; seen } = get_workspace g workspace in
-  (* checked before anything is marked: the mask must stay clean *)
-  if Graph.num_vertices g > Array.length seen then
-    invalid_arg "Nibble: workspace smaller than the graph";
+(* once a candidate passes we keep walking for [patience] more steps
+   and return the best passing cut — the paper returns the first hit;
+   the refinement only improves the (C.1)/(C.1-star) quality *)
+let patience = 192
+
+let start (params : Params.t) g ~select lane sweep ~src ~b =
   let total_volume = Graph.total_volume g in
-  let eps = Params.eps_b params b in
-  Walk.start walker (Walk.indicator src);
-  seen.(src) <- true;
-  let rounds = ref 0 in
-  let candidates = ref 0 in
-  let result = ref None in
-  let t = ref 0 in
+  Walk.start lane.walker (Walk.indicator src);
+  lane.seen.(src) <- true;
   (* conditions shared by the exact and approximate variants *)
   let vol_lower = 5.0 /. 7.0 *. (2.0 ** float_of_int (b - 1)) in
   let strict =
@@ -92,51 +112,59 @@ let run_generic ?workspace (params : Params.t) g ~src ~b ~select =
   let relaxed =
     { strict with phi_max = params.c1_relaxed_factor *. params.phi; ceil_num = 11; ceil_den = 12 }
   in
-  let converged = ref false in
-  (* once a candidate passes we keep walking for [patience] more steps
-     and return the best passing cut — the paper returns the first
-     hit; the refinement only improves the (C.1)/(C.1-star) quality *)
-  let patience = 192 in
-  let deadline = ref params.t0 in
-  let good_enough () =
-    match !result with
-    | Some c -> c.conductance <= params.phi
-    | None -> false
-  in
-  while
-    (not (good_enough ())) && (not !converged) && !t < min params.t0 !deadline
-  do
-    incr t;
-    (* one diffusion step = one communication round; fixpoint
-       detection: once the truncated walk stops moving no later sweep
-       can differ, so scanning further steps is pointless *)
-    if Walk.advance walker g ~eps ~mask:seen <= 1e-12 then converged := true;
-    incr rounds;
-    let p = Walk.current walker in
-    if Walk.size p > 0 && Params.should_sweep params !t then begin
-      Sweep.rescan sweep g p;
-      match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
-      | None -> ()
-      | Some cut ->
-        (match !result with
-        | None ->
-          result := Some cut;
-          deadline := !t + patience
-        | Some best -> if cut.conductance < best.conductance then result := Some cut)
-    end
-  done;
+  { params; g; lane; sweep; src; b; eps = Params.eps_b params b; strict; relaxed; select;
+    t = 0; rounds = 0; candidates = 0; result = None; deadline = params.t0; converged = false }
+
+let live c =
+  (match c.result with Some cut -> not (cut.conductance <= c.params.phi) | None -> true)
+  && (not c.converged)
+  && c.t < Int.min c.params.t0 c.deadline
+
+(* the rest of a step once the walker has advanced: one diffusion step
+   is one communication round; fixpoint detection: once the truncated
+   walk stops moving no later sweep can differ, so scanning further
+   steps is pointless *)
+let checkpoint c =
+  c.t <- c.t + 1;
+  if Walk.change c.lane.walker <= 1e-12 then c.converged <- true;
+  c.rounds <- c.rounds + 1;
+  let p = Walk.current c.lane.walker in
+  if Walk.size p > 0 && Params.should_sweep c.params c.t then begin
+    Sweep.rescan c.sweep c.g p;
+    match c.select c with
+    | None -> ()
+    | Some cut ->
+      (match c.result with
+      | None ->
+        c.result <- Some cut;
+        c.deadline <- c.t + patience
+      | Some best -> if cut.conductance < best.conductance then c.result <- Some cut)
+  end
+
+let step c =
+  ignore (Walk.advance c.lane.walker c.g ~eps:c.eps ~mask:c.lane.seen : float);
+  checkpoint c
+
+let step_pair c d =
+  Walk.advance_pair c.lane.walker d.lane.walker c.g ~eps1:c.eps ~eps2:d.eps ~mask1:c.lane.seen
+    ~mask2:d.lane.seen;
+  checkpoint c;
+  checkpoint d
+
+let finish c =
   (* on early convergence, one last sweep in case the stride skipped
      the fixpoint step *)
-  let p = Walk.current walker in
-  if !result = None && !converged && Walk.size p > 0 then begin
-    Sweep.rescan sweep g p;
-    match select ~strict ~relaxed ~sweep ~t:!t ~rounds ~candidates with
+  let p = Walk.current c.lane.walker in
+  if Option.is_none c.result && c.converged && Walk.size p > 0 then begin
+    Sweep.rescan c.sweep c.g p;
+    match c.select c with
     | None -> ()
-    | Some cut -> result := Some cut
+    | Some cut -> c.result <- Some cut
   end;
   (* the participants ascending; clearing them leaves the mask all
      false for the next run *)
-  let n = Graph.num_vertices g in
+  let seen = c.lane.seen in
+  let n = Graph.num_vertices c.g in
   let count = ref 0 in
   for v = 0 to n - 1 do
     if seen.(v) then incr count
@@ -150,13 +178,61 @@ let run_generic ?workspace (params : Params.t) g ~src ~b ~select =
       seen.(v) <- false
     end
   done;
-  { result = !result;
-    src;
-    b;
-    steps_executed = !t;
-    candidates_tested = !candidates;
-    rounds = !rounds;
+  { result = c.result;
+    src = c.src;
+    b = c.b;
+    steps_executed = c.t;
+    candidates_tested = c.candidates;
+    rounds = c.rounds;
     participants }
+
+(* advances every live copy one step, pairing copies 0-1, 2-3, …: a
+   pair whose walks both cover every vertex shares one adjacency pass;
+   the copy of a pair that stopped, and an odd one out, step alone *)
+let step_all copies =
+  let k = Array.length copies in
+  let i = ref 0 in
+  while !i < k do
+    let c = copies.(!i) in
+    (if !i + 1 < k then begin
+       let d = copies.(!i + 1) in
+       match (live c, live d) with
+       | true, true -> step_pair c d
+       | true, false -> step c
+       | false, true -> step d
+       | false, false -> ()
+     end
+     else if live c then step c);
+    i := !i + 2
+  done
+
+(* The one Nibble loop: the copies of [draws], a (src, b) each, run in
+   lockstep, as many at a time as [ws] has lanes, and their outcomes
+   come back in draw order. Every draw is checked before any mask is
+   marked, so a rejected call leaves [ws] clean. *)
+let run ws (params : Params.t) g ~select draws =
+  Array.iter
+    (fun (_, b) -> if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range")
+    draws;
+  if Graph.num_vertices g > Array.length ws.lanes.(0).seen then
+    invalid_arg "Nibble: workspace smaller than the graph";
+  let lanes = Array.length ws.lanes in
+  let total = Array.length draws in
+  let outcomes = ref [] in
+  let first = ref 0 in
+  while !first < total do
+    let copies =
+      Array.init (Int.min lanes (total - !first)) (fun i ->
+          let src, b = draws.(!first + i) in
+          start params g ~select ws.lanes.(i) ws.sweep ~src ~b)
+    in
+    while Array.exists live copies do
+      step_all copies
+    done;
+    Array.iter (fun c -> outcomes := finish c :: !outcomes) copies;
+    first := !first + Array.length copies
+  done;
+  List.rev !outcomes
 
 (* the better of the best-so-far cut and π(1..j) *)
 let keep_better best (sweep : Sweep.t) j ~t =
@@ -164,19 +240,17 @@ let keep_better best (sweep : Sweep.t) j ~t =
   | Some (b : cut) when b.conductance <= sweep.conductance.(j - 1) -> best
   | _ -> Some (cut_of_prefix sweep j ~t)
 
-let nibble params g ~src ~b =
-  let select ~strict ~relaxed:_ ~(sweep : Sweep.t) ~t ~rounds ~candidates =
-    let n = sweep.length in
-    let cost = candidate_cost ~t ~support:n in
-    let best = ref None in
-    for j = 1 to n do
-      incr candidates;
-      rounds := !rounds + cost;
-      if passes strict sweep ~j ~r:j then best := keep_better !best sweep j ~t
-    done;
-    !best
-  in
-  run_generic params g ~src ~b ~select
+let exact_select c =
+  let sweep = c.sweep and t = c.t in
+  let n = sweep.length in
+  let cost = candidate_cost ~t ~support:n in
+  let best = ref None in
+  for j = 1 to n do
+    c.candidates <- c.candidates + 1;
+    c.rounds <- c.rounds + cost;
+    if passes c.strict sweep ~j ~r:j then best := keep_better !best sweep j ~t
+  done;
+  !best
 
 (* the index after [cur] in the geometric sequence (j_x) of Appendix
    A.2: the largest j with Vol(1..j) ≤ (1+φ)·Vol(1..cur), at least
@@ -188,29 +262,37 @@ let next_j (params : Params.t) (sweep : Sweep.t) cur =
     let mid = (!lo + !hi + 1) / 2 in
     if float_of_int sweep.volume.(mid - 1) <= budget then lo := mid else hi := mid - 1
   done;
-  max (cur + 1) !lo
+  Int.max (cur + 1) !lo
 
-let approximate ?workspace params g ~src ~b =
-  let select ~strict ~relaxed ~(sweep : Sweep.t) ~t ~rounds ~candidates =
-    let n = sweep.length in
-    let cost = candidate_cost ~t ~support:n in
-    let best = ref None in
-    (* j_1 = 1, then [next_j] until the sequence reaches n *)
-    let prev = ref 0 and j = ref 1 in
-    while !j <= n do
-      incr candidates;
-      rounds := !rounds + cost;
-      let dense = !j = 1 || !j = !prev + 1 in
-      let ok =
-        if dense then passes strict sweep ~j:!j ~r:!j else passes relaxed sweep ~j:!j ~r:!prev
-      in
-      if ok then best := keep_better !best sweep !j ~t;
-      prev := !j;
-      j := if !j < n then next_j params sweep !j else n + 1
-    done;
-    !best
-  in
-  run_generic ?workspace params g ~src ~b ~select
+let approximate_select c =
+  let sweep = c.sweep and t = c.t in
+  let n = sweep.length in
+  let cost = candidate_cost ~t ~support:n in
+  let best = ref None in
+  (* j_1 = 1, then [next_j] until the sequence reaches n *)
+  let prev = ref 0 and j = ref 1 in
+  while !j <= n do
+    c.candidates <- c.candidates + 1;
+    c.rounds <- c.rounds + cost;
+    let dense = !j = 1 || !j = !prev + 1 in
+    let ok =
+      if dense then passes c.strict sweep ~j:!j ~r:!j else passes c.relaxed sweep ~j:!j ~r:!prev
+    in
+    if ok then best := keep_better !best sweep !j ~t;
+    prev := !j;
+    j := if !j < n then next_j c.params sweep !j else n + 1
+  done;
+  !best
+
+let only = function [ o ] -> o | _ -> invalid_arg "Nibble: one draw, one outcome"
+
+let nibble params g ~src ~b = only (run (workspace g) params g ~select:exact_select [| (src, b) |])
+
+let approximate ?workspace:ws params g ~src ~b =
+  let ws = match ws with Some ws -> ws | None -> workspace g in
+  only (run ws params g ~select:approximate_select [| (src, b) |])
+
+let approximate_copies ws params g draws = run ws params g ~select:approximate_select draws
 
 (* each edge of P-star once, from its participating endpoint (the
    smaller one when both participate); the sorted adjacency makes

@@ -38,25 +38,39 @@ type outcome = {
       participating edge set P-star of Definition 2 *)
 }
 
-(** One Nibble run's scratch: a {!Dex_spectral.Walk.walker}, a
-    {!Dex_spectral.Sweep.t} and a participant mask, each with one cell
-    per vertex. A run leaves it ready for the next, so one workspace
-    serves every run over graphs with no more vertices — Partition
-    builds one per call. It is mutable and single-owner. *)
+(** Nibble scratch: one lane per copy that runs at a time — a
+    {!Dex_spectral.Walk.walker} and a participant mask, each with one
+    cell per vertex — and one {!Dex_spectral.Sweep.t} that the lanes
+    share. A run leaves it ready for the next, so one workspace serves
+    every run over graphs with no more vertices — Partition builds one
+    per call. It is mutable and single-owner. *)
 type workspace
 
-(** [workspace g] is a fresh workspace sized to [num_vertices g]. *)
-val workspace : Dex_graph.Graph.t -> workspace
+(** [workspace ?copies g] is a fresh workspace with [copies] lanes
+    (default 1), sized to [num_vertices g]. Raises [Invalid_argument]
+    when [copies < 1]. *)
+val workspace : ?copies:int -> Dex_graph.Graph.t -> workspace
 
 (** [nibble params g ~src ~b] is the exact Nibble: every prefix tested
     against (C.1)–(C.3). Reference implementation for tests. *)
 val nibble : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 
 (** [approximate ?workspace params g ~src ~b] is ApproximateNibble,
-    computed in [workspace] (a fresh one when absent). The outcome
-    shares no buffer with the workspace. *)
+    computed in the first lane of [workspace] (a fresh one when
+    absent). The outcome shares no buffer with the workspace. *)
 val approximate :
   ?workspace:workspace -> Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
+
+(** [approximate_copies ws params g draws] is [approximate] from every
+    [(src, b)] of [draws], with the outcomes in draw order. The copies
+    run in lockstep, as many at a time as [ws] has lanes: each step
+    advances every live copy, two walks that both cover every vertex
+    in one pass over the adjacency, and each copy's sweep checkpoints,
+    stop rules and final sweep are its own. The outcomes are the ones
+    [approximate] gives each draw alone. Every draw is checked before
+    any copy starts. *)
+val approximate_copies :
+  workspace -> Params.t -> Dex_graph.Graph.t -> (int * int) array -> outcome list
 
 (** [iter_participating_edges g outcome f] calls [f u v] once for
     each edge of P-star — the non-loop edges with at least one endpoint

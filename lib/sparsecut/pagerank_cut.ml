@@ -12,7 +12,7 @@ type t = {
 
 let approximate_pagerank ?(alpha = 0.1) ?eps g ~src =
   if alpha <= 0.0 || alpha >= 1.0 then invalid_arg "Pagerank_cut: alpha in (0,1)";
-  let m = max 1 (Graph.num_edges g) in
+  let m = Int.max 1 (Graph.num_edges g) in
   let eps = match eps with Some e -> e | None -> 1.0 /. (20.0 *. float_of_int m) in
   if eps <= 0.0 then invalid_arg "Pagerank_cut: eps > 0";
   let p = Hashtbl.create 64 in

@@ -16,30 +16,57 @@ let sample_scale params rng =
   let weights = Array.init ell (fun i -> 2.0 ** float_of_int (-(i + 1))) in
   1 + Rng.weighted_index rng weights
 
-(* the weights of ψ_V, which a start vertex is drawn from *)
-let degree_weights g = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v))
+type prepared = { graph : Graph.t; degrees : float array; offsets : int array }
 
-let draw_nibble ?workspace params g degrees rng =
-  let src = Rng.weighted_index rng degrees in
+(* ψ_V's weights, which a start vertex is drawn from, and the CSR
+   offsets that address the overlap counters *)
+let prepare g =
+  { graph = g;
+    degrees = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v));
+    offsets = Graph.csr_offsets g }
+
+(* Nibble's lanes and sweep, and one overlap counter per CSR slot of
+   the graph the workspace was sized to; a saturated subgraph G{W}
+   has no more slots *)
+type workspace = { copies : Nibble.workspace; overlap : int array }
+
+let workspace ~copies g =
+  { copies = Nibble.workspace ~copies g;
+    overlap = Array.make (Graph.csr_offsets g).(Graph.num_vertices g) 0 }
+
+(* the start vertex, then the scale *)
+let draw params pg rng =
+  let src = Rng.weighted_index rng pg.degrees in
   let b = sample_scale params rng in
-  Nibble.approximate ?workspace params g ~src ~b
+  (src, b)
 
-let random_nibble params g rng = draw_nibble params g (degree_weights g) rng
+let random_nibble params g rng =
+  let src, b = draw params (prepare g) rng in
+  Nibble.approximate params g ~src ~b
 
-let run ?k ?ledger ?workspace params g rng =
+let run ?k ?ledger ?workspace:ws params pg rng =
+  (match k with Some k when k < 1 -> invalid_arg "Parallel_nibble.run: k < 1" | _ -> ());
+  let g = pg.graph in
   let total_volume = Graph.total_volume g in
   if total_volume = 0 then
     { cut = [||]; rounds = 0; copies = 0; aborted = false; max_overlap = 0; nibbles = [] }
   else begin
     let k = match k with Some k -> k | None -> Params.parallel_copies params ~volume:total_volume in
     let w = Params.overlap_bound params ~volume:total_volume in
-    let degrees = degree_weights g in
-    let outcomes = List.init k (fun _ -> draw_nibble ?workspace params g degrees rng) in
+    let ws = match ws with Some ws -> ws | None -> workspace ~copies:k g in
+    let slots = pg.offsets.(Graph.num_vertices g) in
+    if slots > Array.length ws.overlap then
+      invalid_arg "Parallel_nibble: workspace smaller than the graph";
+    (* every (src, b) first, in copy order: the copies draw nothing
+       while they run, so this is the stream of drawing each copy
+       just before running it *)
+    let draws = Array.init k (fun _ -> draw params pg rng) in
+    let outcomes = Nibble.approximate_copies ws.copies params g draws in
     (* per-edge participation counts over P-star of each copy, one
        counter per edge at the CSR slot of (u, v), u < v; the leftmost
        rank gives parallel edges one shared counter *)
-    let off = Graph.csr_offsets g in
-    let overlap = Array.make off.(Graph.num_vertices g) 0 in
+    let off = pg.offsets and overlap = ws.overlap in
+    Array.fill overlap 0 slots 0;
     let max_overlap = ref 0 in
     List.iter
       (fun outcome ->
@@ -61,14 +88,14 @@ let run ?k ?ledger ?workspace params g rng =
          congestion (capped at w);
        - selection of i*: a log-many binary search of broadcasts. *)
     let max_copy_rounds =
-      List.fold_left (fun acc (o : Nibble.outcome) -> max acc o.Nibble.rounds) 0 outcomes
+      List.fold_left (fun acc (o : Nibble.outcome) -> Int.max acc o.Nibble.rounds) 0 outcomes
     in
     let depth_proxy =
       List.fold_left
-        (fun acc (o : Nibble.outcome) -> max acc o.Nibble.steps_executed)
+        (fun acc (o : Nibble.outcome) -> Int.max acc o.Nibble.steps_executed)
         1 outcomes
     in
-    let congestion = max 1 (min !max_overlap w) in
+    let congestion = Int.max 1 (Int.min !max_overlap w) in
     let gen_rounds = depth_proxy + Params.ceil_log2 k in
     let select_rounds = depth_proxy * Params.ceil_log2 k in
     let exec_rounds = congestion * max_copy_rounds in

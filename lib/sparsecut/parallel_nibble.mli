@@ -23,13 +23,43 @@ type t = {
 (** [random_nibble params g rng] is one RandomNibble run. *)
 val random_nibble : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> Nibble.outcome
 
-(** [run ?k ?ledger ?workspace params g rng] is ParallelNibble(G, φ);
-    [k] overrides the number of copies (tests use this to force
-    overlap). The copies run one after another, in [workspace] when it
-    is given, with their (start, scale) pairs drawn in copy order.
-    When [ledger] is given the accounted cost is also charged there,
-    split into its Lemma 10 components under the labels
-    ["nibble-generate"], ["nibble-execute"] and ["nibble-select"]. *)
+(** A graph with the arrays every {!run} on it reads: the weights of
+    ψ_V, which start vertices are drawn from, and its CSR offsets,
+    which address the overlap counters. Partition prepares each G{W}
+    once and runs on it until a cut shrinks W. *)
+type prepared = private {
+  graph : Dex_graph.Graph.t;
+  degrees : float array;
+  offsets : int array;
+}
+
+(** [prepare g] is [g] with its {!prepared} arrays. *)
+val prepare : Dex_graph.Graph.t -> prepared
+
+(** The state of {!run} that outlives a call: a {!Nibble.workspace}
+    with one lane per copy and one overlap counter per CSR slot.
+    Partition builds one per call, sized to its input graph with the
+    copy count of that graph's volume; it serves every G{W}, whose
+    volume, copy count and slot count are no larger. It is mutable and
+    single-owner. *)
+type workspace
+
+(** [workspace ~copies g] is a fresh workspace with [copies] lanes,
+    sized to [g]. Raises [Invalid_argument] when [copies < 1]. *)
+val workspace : copies:int -> Dex_graph.Graph.t -> workspace
+
+(** [run ?k ?ledger ?workspace params pg rng] is ParallelNibble(G, φ)
+    on [pg.graph]; [k] overrides the number of copies (tests use this
+    to force overlap). It draws every copy's (start, scale) pair first,
+    in copy order, then runs the copies in lockstep through
+    {!Nibble.approximate_copies}, in [workspace] when it is given (a
+    fresh one sized to [k] copies otherwise); a workspace with fewer
+    lanes than [k] runs them a lane-full at a time. The outcomes are
+    those of running the copies one after another. When [ledger] is
+    given the accounted cost is also charged there, split into its
+    Lemma 10 components under the labels ["nibble-generate"],
+    ["nibble-execute"] and ["nibble-select"]. Raises [Invalid_argument]
+    when [k < 1], or when [workspace] is smaller than the graph. *)
 val run :
-  ?k:int -> ?ledger:Dex_congest.Rounds.t -> ?workspace:Nibble.workspace ->
-  Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t
+  ?k:int -> ?ledger:Dex_congest.Rounds.t -> ?workspace:workspace ->
+  Params.t -> prepared -> Dex_util.Rng.t -> t

@@ -16,7 +16,7 @@ type t = {
 }
 
 let log2 x = log x /. log 2.0
-let ceil_log2 k = int_of_float (Float.ceil (log2 (float_of_int (max 2 k))))
+let ceil_log2 k = int_of_float (Float.ceil (log2 (float_of_int (Int.max 2 k))))
 
 let make ?(preset = Practical) ~phi ~m () =
   if phi <= 0.0 || phi > 1.0 /. 12.0 then
@@ -27,7 +27,7 @@ let make ?(preset = Practical) ~phi ~m () =
   let ln_me4 = log (mf *. exp 4.0) in
   let c_t0 = match preset with Theory -> 49.0 | Practical -> 2.0 in
   let t0 = int_of_float (Float.ceil (c_t0 *. ln_me2 /. (phi *. phi))) in
-  let t0 = match preset with Theory -> t0 | Practical -> min t0 20_000 in
+  let t0 = match preset with Theory -> t0 | Practical -> Int.min t0 20_000 in
   let gamma = 5.0 *. phi /. (7.0 *. 7.0 *. 8.0 *. ln_me4) in
   let f_phi = phi ** 3.0 /. (144.0 *. (ln_me4 *. ln_me4)) in
   let ell = ceil_log2 m in
@@ -59,7 +59,7 @@ let parallel_copies t ~volume =
   (* the practical floor of 2 keeps start-vertex coverage reasonable
      when the theory formula rounds down to a single copy *)
   let floor_k = match t.preset with Theory -> 1 | Practical -> 2 in
-  max floor_k (min t.parallel_cap k)
+  Int.max floor_k (Int.min t.parallel_cap k)
 
 let overlap_bound _t ~volume =
   10 * int_of_float (Float.ceil (log (Float.max 2.0 (float_of_int volume))))
@@ -78,15 +78,15 @@ let g_value t ~volume =
     *. float_of_int t.t0 *. ln_me4 /. t.phi
   in
   let g = 10.0 *. float_of_int w *. denom in
-  if g >= float_of_int max_int then max_int else max 1 (int_of_float (Float.ceil g))
+  if g >= float_of_int max_int then max_int else Int.max 1 (int_of_float (Float.ceil g))
 
 let partition_iterations t ~volume ~p =
   if p <= 0.0 || p >= 1.0 then invalid_arg "Params.partition_iterations: p in (0,1)";
   let g = g_value t ~volume in
   let log_factor = int_of_float (Float.ceil (log (1.0 /. p) /. log (7.0 /. 4.0))) in
-  let s = 4.0 *. float_of_int g *. float_of_int (max 1 log_factor) in
+  let s = 4.0 *. float_of_int g *. float_of_int (Int.max 1 log_factor) in
   let s = if s >= float_of_int max_int then max_int else int_of_float s in
-  max 1 (min t.partition_cap s)
+  Int.max 1 (Int.min t.partition_cap s)
 
 let h ~n phi =
   let lf = log (Float.max 2.0 (float_of_int n)) in

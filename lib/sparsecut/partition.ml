@@ -38,20 +38,28 @@ let run ?p ?ledger params g rng =
     let aborted = ref 0 in
     let idle = ref 0 in
     let continue = ref true in
-    (* one Nibble workspace, sized to g, serves every G{W} *)
-    let workspace = Nibble.workspace g in
-    (* G{W} and its id mapping, kept until a cut shrinks W *)
+    (* one workspace, sized to g, serves every G{W}: k is monotone in
+       the volume, and Vol(G{W}) ≤ Vol(G) *)
+    let workspace =
+      Parallel_nibble.workspace ~copies:(Params.parallel_copies params ~volume:total_volume) g
+    in
+    (* G{W} prepared for ParallelNibble, and its id mapping, kept until
+       a cut shrinks W *)
     let sub = ref None in
     while !continue && !iterations < s do
       incr iterations;
       if Option.is_none !sub then begin
         let w = Metrics.vertices_of_mask in_w in
-        if Array.length w > 0 then sub := Some (Graph.saturated_subgraph g w)
+        if Array.length w > 0 then begin
+          let gw, mapping = Graph.saturated_subgraph g w in
+          sub := Some (Parallel_nibble.prepare gw, mapping)
+        end
       end;
       match !sub with
       | None -> continue := false
-      | Some (gw, mapping) ->
-        let pn = Parallel_nibble.run ?ledger ~workspace params gw rng in
+      | Some (pw, mapping) ->
+        let gw = pw.Parallel_nibble.graph in
+        let pn = Parallel_nibble.run ?ledger ~workspace params pw rng in
         rounds := !rounds + pn.Parallel_nibble.rounds;
         if pn.Parallel_nibble.aborted then incr aborted;
         let cut = pn.Parallel_nibble.cut in

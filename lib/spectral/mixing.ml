@@ -25,7 +25,7 @@ let mixing_time ?(threshold = 0.25) ?(max_steps = 0) ?(samples = 3) g rng =
         p := Walk.step_dense g !p;
         incr t
       done;
-      worst := max !worst !t
+      worst := Int.max !worst !t
     done;
     !worst
   end
@@ -73,7 +73,9 @@ let spectral_gap ?(iters = 200) g rng =
       let y = deflate (apply !x) in
       let ny = norm y in
       if ny > 1e-30 then begin
-        lambda := ny /. max (norm !x) 1e-30;
+        let nx = norm !x in
+        (* Stdlib.max's test; Float.max differs on NaN *)
+        lambda := ny /. (if nx >= 1e-30 then nx else 1e-30);
         x := Array.map (fun v -> v /. ny) y
       end
     done;

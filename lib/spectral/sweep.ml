@@ -68,7 +68,7 @@ let sort t =
   let n = t.length and v = t.ordered and r = t.last_rho in
   let lo = ref 0 in
   while !lo < n do
-    let hi = min n (!lo + insertion_run) in
+    let hi = Int.min n (!lo + insertion_run) in
     for i = !lo + 1 to hi - 1 do
       let x = v.(i) and rx = r.(i) in
       let j = ref (i - 1) in
@@ -87,8 +87,8 @@ let sort t =
   while !width < n do
     let lo = ref 0 in
     while !lo < n do
-      let mid = min n (!lo + !width) in
-      let hi = min n (mid + !width) in
+      let mid = Int.min n (!lo + !width) in
+      let hi = Int.min n (mid + !width) in
       if !in_scratch then merge s.tmp_v s.tmp_r v r !lo mid hi
       else merge v r s.tmp_v s.tmp_r !lo mid hi;
       lo := hi
@@ -120,7 +120,7 @@ let measure t g =
     stamp.(v) <- epoch;
     volume := !volume + Graph.degree g v;
     cut := !cut + Graph.plain_degree g v - (2 * !inside);
-    let small = min !volume (total_volume - !volume) in
+    let small = Int.min !volume (total_volume - !volume) in
     t.volume.(j) <- !volume;
     t.cut.(j) <- !cut;
     t.conductance.(j) <-

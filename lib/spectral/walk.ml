@@ -273,13 +273,108 @@ let advance_sparse w g ~eps ~mask =
   w.spare <- prev;
   w.change.(0) <- !acc
 
-(* an ascending support of n entries ending at n−1 is all of 0..n−1;
-   inlined, so the caller reads [change.(0)] unboxed *)
+(* an ascending support of n entries ending at n−1 is all of 0..n−1 *)
+let[@inline] covers_all w n = n > 0 && w.cur.len = n && w.cur.support.(n - 1) = n - 1
+
+(* inlined, so the caller reads [change.(0)] unboxed *)
 let[@inline] advance w g ~eps ~mask =
   let n = Graph.num_vertices g in
-  if n > 0 && w.cur.len = n && w.cur.support.(n - 1) = n - 1 then advance_full w g ~eps ~mask n
-  else advance_sparse w g ~eps ~mask;
+  if covers_all w n then advance_full w g ~eps ~mask n else advance_sparse w g ~eps ~mask;
   w.change.(0)
+
+let[@inline] change w = w.change.(0)
+
+(* [advance_full] for two walkers in one pass over the adjacency: each
+   vertex keeps two sums, [s1] and [s2], and each takes its terms in
+   the single-walker order, so every float is [advance_full]'s
+   (DESIGN.md §12). The two copies of the truncate-and-write tail stay
+   inline: passing the counters to a helper would box the L1 sums. *)
+let advance_full_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 n =
+  let prev1 = w1.cur and next1 = w1.spare and share1 = w1.share and dropped1 = w1.ws.touched in
+  let prev2 = w2.cur and next2 = w2.spare and share2 = w2.share and dropped2 = w2.ws.touched in
+  let masses1 = prev1.masses and masses2 = prev2.masses in
+  for v = 0 to n - 1 do
+    let d = 2.0 *. float_of_int (Graph.degree g v) in
+    share1.(v) <- masses1.(v) /. d;
+    share2.(v) <- masses2.(v) /. d
+  done;
+  let acc1 = ref 0.0 and kept1 = ref 0 and ndropped1 = ref 0 in
+  let acc2 = ref 0.0 and kept2 = ref 0 and ndropped2 = ref 0 in
+  for u = 0 to n - 1 do
+    let mass1 = masses1.(u) and mass2 = masses2.(u) in
+    let deg = Graph.degree g u in
+    let s1 = ref 0.0 and s2 = ref 0.0 in
+    if deg = 0 then begin
+      s1 := 0.0 +. mass1;
+      s2 := 0.0 +. mass2
+    end
+    else begin
+      let nbrs = Graph.neighbors g u in
+      let len = Array.length nbrs in
+      let j = ref 0 in
+      while !j < len && nbrs.(!j) < u do
+        let x = nbrs.(!j) in
+        s1 := !s1 +. share1.(x);
+        s2 := !s2 +. share2.(x);
+        incr j
+      done;
+      let loops = float_of_int (Graph.self_loops g u) in
+      s1 := !s1 +. ((mass1 /. 2.0) +. (share1.(u) *. loops));
+      s2 := !s2 +. ((mass2 /. 2.0) +. (share2.(u) *. loops));
+      for k = !j to len - 1 do
+        let x = nbrs.(k) in
+        s1 := !s1 +. share1.(x);
+        s2 := !s2 +. share2.(x)
+      done
+    end;
+    let x1 = !s1 and x2 = !s2 in
+    if x1 >= 2.0 *. eps1 *. float_of_int deg then begin
+      next1.support.(!kept1) <- u;
+      next1.masses.(!kept1) <- x1;
+      mask1.(u) <- true;
+      acc1 := !acc1 +. Float.abs (x1 -. mass1);
+      incr kept1
+    end
+    else begin
+      dropped1.(!ndropped1) <- u;
+      incr ndropped1
+    end;
+    if x2 >= 2.0 *. eps2 *. float_of_int deg then begin
+      next2.support.(!kept2) <- u;
+      next2.masses.(!kept2) <- x2;
+      mask2.(u) <- true;
+      acc2 := !acc2 +. Float.abs (x2 -. mass2);
+      incr kept2
+    end
+    else begin
+      dropped2.(!ndropped2) <- u;
+      incr ndropped2
+    end
+  done;
+  for i = 0 to !ndropped1 - 1 do
+    acc1 := !acc1 +. masses1.(dropped1.(i))
+  done;
+  for i = 0 to !ndropped2 - 1 do
+    acc2 := !acc2 +. masses2.(dropped2.(i))
+  done;
+  next1.len <- !kept1;
+  next2.len <- !kept2;
+  w1.cur <- next1;
+  w1.spare <- prev1;
+  w1.change.(0) <- !acc1;
+  w2.cur <- next2;
+  w2.spare <- prev2;
+  w2.change.(0) <- !acc2
+
+let advance_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 =
+  if w1 == w2 then invalid_arg "Walk.advance_pair: one walker twice";
+  let n = Graph.num_vertices g in
+  if covers_all w1 n && covers_all w2 n then
+    advance_full_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 n
+  else begin
+    ignore (advance w1 g ~eps:eps1 ~mask:mask1 : float);
+    ignore (advance w2 g ~eps:eps2 ~mask:mask2 : float)
+  end
 
 let truncate g ~eps p =
   let keep = ref [] in

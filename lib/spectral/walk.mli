@@ -16,7 +16,7 @@
     returns a fresh distribution, and a {!walker} advances in two
     buffers it reuses from step to step. A walker whose distribution
     covers every vertex pulls each vertex's mass instead, to the same
-    floats. *)
+    floats, and two such walkers pull in one pass. *)
 
 (** A sparse distribution: [support.(0 .. len-1)] ascends strictly and
     [masses.(i)] is the mass at [support.(i)]; cells from [len] on are
@@ -103,6 +103,23 @@ val current : walker -> sparse
     each vertex pulls its terms from its sorted adjacency, in the order
     the kernel pushes them (DESIGN.md §12). *)
 val advance : walker -> Dex_graph.Graph.t -> eps:float -> mask:bool array -> float
+
+(** [change w] is the ‖p̃_t − p̃_{t-1}‖₁ of [w]'s last advance, the value
+    {!advance} returned. *)
+val change : walker -> float
+
+(** [advance_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2] is
+    [advance w1 g ~eps:eps1 ~mask:mask1] and
+    [advance w2 g ~eps:eps2 ~mask:mask2]; read each change with
+    {!change}. When both current distributions cover every vertex of
+    [g], one pass over the adjacency pulls both: each vertex keeps two
+    sums, each in the single-walker order, so every float is the one
+    two advances compute (DESIGN.md §12). Otherwise the walkers advance
+    one after the other. Raises [Invalid_argument] when [w1] and [w2]
+    are the same walker. *)
+val advance_pair :
+  walker -> walker -> Dex_graph.Graph.t -> eps1:float -> eps2:float ->
+  mask1:bool array -> mask2:bool array -> unit
 
 (** [truncate g ~eps p] is the paper's [\[p\]_ε]: drop entries with
     [p(v) < 2·eps·deg(v)]. *)

@@ -9,7 +9,7 @@ let trivial_rounds g =
     if deg > 0 then begin
       let incoming = ref 0 in
       Graph.iter_neighbors g v (fun u -> incoming := !incoming + Graph.plain_degree g u);
-      worst := max !worst ((!incoming + deg - 1) / deg)
+      worst := Int.max !worst ((!incoming + deg - 1) / deg)
     end
   done;
   !worst
@@ -18,7 +18,7 @@ let dlp_clique_rounds g rng =
   let n = Graph.num_vertices g in
   if n = 0 then 0
   else begin
-    let groups = max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
+    let groups = Int.max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
     let group_of = Array.init n (fun _ -> Rng.int rng groups) in
     (* pairwise edge counts between groups, from the actual graph *)
     let pair_edges = Array.make_matrix groups groups 0 in
@@ -41,13 +41,13 @@ let dlp_clique_rounds g rng =
       done
     done;
     let words = per_vertex * 3 * !max_pair in
-    max 1 ((words + n - 2) / max 1 (n - 1))
+    Int.max 1 ((words + n - 2) / Int.max 1 (n - 1))
   end
 
 let izumi_le_gall_rounds ~n =
   let nf = float_of_int n in
-  max 1 (int_of_float (Float.ceil ((nf ** 0.75) *. (log nf /. log 2.0))))
+  Int.max 1 (int_of_float (Float.ceil ((nf ** 0.75) *. (log nf /. log 2.0))))
 
 let lower_bound_rounds ~n =
   let nf = float_of_int n in
-  max 1 (int_of_float (Float.ceil ((nf ** (1.0 /. 3.0)) /. (log nf /. log 2.0))))
+  Int.max 1 (int_of_float (Float.ceil ((nf ** (1.0 /. 3.0)) /. (log nf /. log 2.0))))

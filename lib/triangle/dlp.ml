@@ -11,7 +11,7 @@ type result = {
 }
 
 let group_of ~n ~groups v =
-  if n = 0 then 0 else min (groups - 1) (v * groups / n)
+  if n = 0 then 0 else Int.min (groups - 1) (v * groups / n)
 
 (* index of the unordered triple (a ≤ b ≤ c) in the enumeration order
    used to assign triples to vertices round-robin *)
@@ -48,7 +48,7 @@ let run g =
       max_receive_words = 0;
       max_send_words = 0 }
   else begin
-    let groups = max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
+    let groups = Int.max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
     let grp = group_of ~n ~groups in
     let triples = triple_list groups in
     let t_count = Array.length triples in
@@ -58,7 +58,7 @@ let run g =
     Graph.iter_edges g (fun u v ->
         if u <> v then begin
           let a = grp u and b = grp v in
-          let key = (min a b, max a b) in
+          let key = (Int.min a b, Int.max a b) in
           Hashtbl.replace pair_edges key
             (1 + try Hashtbl.find pair_edges key with Not_found -> 0)
         end);
@@ -83,13 +83,13 @@ let run g =
     let send = Array.make n 0 in
     Graph.iter_edges g (fun u v ->
         if u <> v then begin
-          let key = (min (grp u) (grp v), max (grp u) (grp v)) in
+          let key = (Int.min (grp u) (grp v), Int.max (grp u) (grp v)) in
           let interest = try Hashtbl.find pair_interest key with Not_found -> 0 in
-          send.(min u v) <- send.(min u v) + interest
+          send.(Int.min u v) <- send.(Int.min u v) + interest
         end);
-    let max_receive = Array.fold_left max 0 receive in
-    let max_send = Array.fold_left max 0 send in
-    let per_round = max 1 (n - 1) in
+    let max_receive = Array.fold_left Int.max 0 receive in
+    let max_send = Array.fold_left Int.max 0 send in
+    let per_round = Int.max 1 (n - 1) in
     let rounds =
       ((max_receive + per_round - 1) / per_round)
       + ((max_send + per_round - 1) / per_round)

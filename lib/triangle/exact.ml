@@ -51,7 +51,7 @@ let iter_sorted g f =
         Array.iter
           (fun w ->
             if mark.(w) then begin
-              let a = min u (min v w) and c = max u (max v w) in
+              let a = Int.min u (Int.min v w) and c = Int.max u (Int.max v w) in
               f a (u + v + w - a - c) c
             end)
           out.(v))
@@ -75,7 +75,7 @@ let radix_sort a =
   if len > 1 then begin
     let bits = 11 in
     let buckets = 1 lsl bits in
-    let maxv = Array.fold_left max 0 a in
+    let maxv = Array.fold_left Int.max 0 a in
     let count = Array.make (buckets + 1) 0 in
     let src = ref a and dst = ref (Array.make len 0) in
     let shift = ref 0 in

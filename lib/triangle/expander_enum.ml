@@ -26,8 +26,8 @@ type result = {
 }
 
 let instances_for ~n ~incident ~volume =
-  let groups = max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
-  max 1 (int_of_float (Float.ceil (3.0 *. float_of_int groups *. float_of_int incident /. float_of_int (max 1 volume))))
+  let groups = Int.max 1 (int_of_float (Float.ceil (float_of_int n ** (1.0 /. 3.0)))) in
+  Int.max 1 (int_of_float (Float.ceil (3.0 *. float_of_int groups *. float_of_int incident /. float_of_int (Int.max 1 volume))))
 
 (* [merge_ids a b]: the ascending union of two ascending id arrays,
    and how many ids of [b] were not in [a] *)
@@ -64,7 +64,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
   let current = ref g in
   let level = ref 0 in
   let max_levels =
-    2 * max 1 (int_of_float (Float.ceil (log (Float.max 2.0 (float_of_int (Graph.num_edges g))) /. log 2.0)))
+    2 * Int.max 1 (int_of_float (Float.ceil (log (Float.max 2.0 (float_of_int (Graph.num_edges g))) /. log 2.0)))
   in
   let continue = ref (Graph.num_plain_edges g > 0) in
   Rounds.span ledger "triangles" @@ fun () ->
@@ -107,9 +107,9 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
               | Some k -> Hierarchy.build sub rng ~k
               | None -> Hierarchy.best_k_for sub rng ~queries:instances ~k_max:4
             in
-            max_pre := max !max_pre hierarchy.Hierarchy.preprocess_rounds;
-            max_query := max !max_query (instances * hierarchy.Hierarchy.query_rounds);
-            max_inst := max !max_inst instances
+            max_pre := Int.max !max_pre hierarchy.Hierarchy.preprocess_rounds;
+            max_query := Int.max !max_query (instances * hierarchy.Hierarchy.query_rounds);
+            max_inst := Int.max !max_inst instances
           end
         end)
       decomp.Decomposition.parts;

@@ -29,15 +29,17 @@ let percentile p xs =
   let a = Array.of_list (sorted xs) in
   let n = Array.length a in
   let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
-  a.(max 0 (min (n - 1) (rank - 1)))
+  a.(Int.max 0 (Int.min (n - 1) (rank - 1)))
 
+(* Stdlib.min's and Stdlib.max's own tests at float, so NaN and -0.0
+   behave as before; Float.min/max would differ *)
 let minimum xs =
   check_nonempty "Stats.minimum" xs;
-  List.fold_left min Float.infinity xs
+  List.fold_left (fun acc x -> if acc <= x then acc else x) Float.infinity xs
 
 let maximum xs =
   check_nonempty "Stats.maximum" xs;
-  List.fold_left max Float.neg_infinity xs
+  List.fold_left (fun acc x -> if acc >= x then acc else x) Float.neg_infinity xs
 
 let linear_fit pts =
   match pts with

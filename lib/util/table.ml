@@ -37,7 +37,7 @@ let pad s width =
 let render t =
   let rows = List.rev t.rows in
   let ncols =
-    List.fold_left (fun acc r -> max acc (List.length r)) (List.length t.headers) rows
+    List.fold_left (fun acc r -> Int.max acc (List.length r)) (List.length t.headers) rows
   in
   let normalize r =
     let len = List.length r in
@@ -46,7 +46,7 @@ let render t =
   let headers = normalize t.headers in
   let rows = List.map normalize rows in
   let widths = Array.make ncols 0 in
-  let account r = List.iteri (fun i c -> widths.(i) <- max widths.(i) (String.length c)) r in
+  let account r = List.iteri (fun i c -> widths.(i) <- Int.max widths.(i) (String.length c)) r in
   account headers;
   List.iter account rows;
   let line r =

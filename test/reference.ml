@@ -6,7 +6,10 @@
    neighbour, then duplicate), apply the fault schedule and deliver in
    ascending destination order, then step [v + 1]. Inboxes are handed
    over senders descending, as the seed kernel did. Every network here
-   has the default one-word budget. *)
+   has the default one-word budget.
+
+   Below it, ParallelNibble's sequential copy loop, the oracle for its
+   lockstep schedule. *)
 
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
@@ -88,3 +91,84 @@ let run_rounds t ~init ~step ~on_round k =
     on_round round states
   done;
   states
+
+(* ---------------- ParallelNibble's sequential copies ---------------- *)
+
+(* ParallelNibble as it ran before its copies went into lockstep: each
+   copy draws its (start, scale) pair and runs ApproximateNibble to the
+   end, in one shared Nibble workspace, before the next copy draws;
+   then the overlap count, the Lemma 10 charge and the prefix-union
+   selection of the outcomes. *)
+let sequential_parallel_nibble ~k params g rng =
+  let module Nibble = Dex_sparsecut.Nibble in
+  let module Params = Dex_sparsecut.Params in
+  let module Rng = Dex_util.Rng in
+  let total_volume = Graph.total_volume g in
+  if total_volume = 0 then
+    { Dex_sparsecut.Parallel_nibble.cut = [||]; rounds = 0; copies = 0; aborted = false;
+      max_overlap = 0; nibbles = [] }
+  else
+  let degrees = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v)) in
+  let sample_scale () =
+    let ell = params.Params.ell in
+    1 + Rng.weighted_index rng (Array.init ell (fun i -> 2.0 ** float_of_int (-(i + 1))))
+  in
+  let workspace = Nibble.workspace g in
+  let outcomes =
+    List.init k (fun _ ->
+        let src = Rng.weighted_index rng degrees in
+        let b = sample_scale () in
+        Nibble.approximate ~workspace params g ~src ~b)
+  in
+  let w = Params.overlap_bound params ~volume:total_volume in
+  let off = Graph.csr_offsets g in
+  let overlap = Array.make off.(Graph.num_vertices g) 0 in
+  let max_overlap = ref 0 in
+  List.iter
+    (fun outcome ->
+      Nibble.iter_participating_edges g outcome (fun u v ->
+          let slot = off.(u) + Graph.neighbor_rank g u v in
+          overlap.(slot) <- overlap.(slot) + 1;
+          max_overlap := Int.max !max_overlap overlap.(slot)))
+    outcomes;
+  let aborted = !max_overlap > w in
+  let max_copy_rounds =
+    List.fold_left (fun acc (o : Nibble.outcome) -> Int.max acc o.rounds) 0 outcomes
+  in
+  let depth_proxy =
+    List.fold_left (fun acc (o : Nibble.outcome) -> Int.max acc o.steps_executed) 1 outcomes
+  in
+  let congestion = Int.max 1 (Int.min !max_overlap w) in
+  let rounds =
+    depth_proxy + Params.ceil_log2 k + (congestion * max_copy_rounds)
+    + (depth_proxy * Params.ceil_log2 k)
+  in
+  let cut =
+    if aborted then [||]
+    else begin
+      let threshold = 23 * total_volume / 24 in
+      let is_member = Array.make (Graph.num_vertices g) false in
+      let members = ref [] and vol = ref 0 in
+      let rec select best = function
+        | [] -> best
+        | (o : Nibble.outcome) :: rest ->
+          Option.iter
+            (fun (cut : Nibble.cut) ->
+              Array.iter
+                (fun v ->
+                  if not is_member.(v) then begin
+                    is_member.(v) <- true;
+                    members := v :: !members;
+                    vol := !vol + Graph.degree g v
+                  end)
+                cut.vertices)
+            o.result;
+          if !vol <= threshold then select !members rest else best
+      in
+      let cut = Array.of_list (select [] outcomes) in
+      Array.sort Int.compare cut;
+      cut
+    end
+  in
+  { Dex_sparsecut.Parallel_nibble.cut; rounds; copies = k; aborted; max_overlap = !max_overlap;
+    nibbles = outcomes }

@@ -184,6 +184,19 @@ let test_d006_triangle () =
   check_rules "explicit comparator fine" []
     (lint ~path:"lib/triangle/x.ml" "let f l = List.sort Int.compare l")
 
+(* min/max are never specialized: at int, at float and as a value
+   they call the generic comparison *)
+let test_d007_poly_minmax () =
+  let hot src = lint ~path:"lib/sparsecut/nibble.ml" src in
+  check_rules "min at int" [ "D007" ] (hot "let f (a : int) b = min a b");
+  check_rules "max passed as a value" [ "D007" ] (hot "let f a = Array.fold_left max 0 a");
+  check_rules "Stdlib.max at float" [ "D007" ] (hot "let f (x : float) = Stdlib.max x 1e-30");
+  check_rules "Int.min / Int.max fine" [] (hot "let f a b = Int.min a b + Int.max a b");
+  check_rules "a local max is fine" [] (hot "let max a b = a + b\nlet f a = max a 1");
+  check_rules "lib/spectral fires" [ "D007" ] (lint ~path:"lib/spectral/x.ml" "let f a = min a 1");
+  check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" "let f a = min a 1");
+  check_rules "bench exempt" [] (lint ~path:"bench/main.ml" "let f a = min a 1")
+
 (* ---------- path scoping ---------- *)
 
 let test_scope_d003_only_protocol_layers () =
@@ -413,7 +426,7 @@ let test_json_report_round_trips () =
 
 let test_rule_table_complete () =
   Alcotest.(check (list string)) "ids"
-    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006";
+    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007";
       "C001"; "C002"; "C003"; "C004"; "C005" ]
     (List.map fst Lint.rules)
 
@@ -427,6 +440,7 @@ let () =
           Alcotest.test_case "D004 wall clock" `Quick test_d004_wall_clock;
           Alcotest.test_case "D005 poly compare" `Quick test_d005_poly_compare;
           Alcotest.test_case "D006 poly sort" `Quick test_d006_poly_sort;
+          Alcotest.test_case "D007 poly min/max" `Quick test_d007_poly_minmax;
           Alcotest.test_case "D006 kernel scoped" `Quick test_d006_scoped_to_kernel;
           Alcotest.test_case "D006 spectral and sparsecut" `Quick
             test_d006_spectral_and_sparsecut;

@@ -178,7 +178,7 @@ let test_participating_edges_incident () =
 
 (* The tuple-keyed P-star and overlap code that CSR edge ids replaced,
    kept as a test-only reference. *)
-module Reference = struct
+module Tuple_reference = struct
   let participating_edges g (outcome : Nibble.outcome) =
     let mask = Array.make (Graph.num_vertices g) false in
     Array.iter (fun v -> mask.(v) <- true) outcome.Nibble.participants;
@@ -266,7 +266,7 @@ let prop_participating_edges_match_reference =
       let visited = ref [] in
       Nibble.iter_participating_edges g outcome (fun u v -> visited := (u, v) :: !visited);
       let edges = Nibble.participating_edges g outcome in
-      let reference = Reference.participating_edges g outcome in
+      let reference = Tuple_reference.participating_edges g outcome in
       edges = reference
       && !visited = edges
       && List.sort_uniq compare edges = List.sort compare reference
@@ -279,9 +279,9 @@ let prop_overlap_matches_reference =
       let rng = Rng.create seed in
       let g = random_multigraph rng in
       let params = mk_params (1.0 /. 16.0) (max 1 (Graph.num_edges g)) in
-      let r = Pn.run ~k params g rng in
-      r.Pn.max_overlap = Reference.max_overlap g r.Pn.nibbles
-      && (r.Pn.aborted || r.Pn.cut = Reference.union_cut g r.Pn.nibbles))
+      let r = Pn.run ~k params (Pn.prepare g) rng in
+      r.Pn.max_overlap = Tuple_reference.max_overlap g r.Pn.nibbles
+      && (r.Pn.aborted || r.Pn.cut = Tuple_reference.union_cut g r.Pn.nibbles))
 
 let test_nibble_on_isolated_vertex () =
   let g = Graph.of_edges ~n:3 [ (1, 2) ] in
@@ -361,7 +361,7 @@ let test_parallel_nibble_union_volume () =
   let rng = Rng.create 19 in
   let g = Gen.dumbbell rng ~n1:30 ~n2:30 ~d:4 ~bridges:1 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
-  let r = Pn.run ~k:4 params g rng in
+  let r = Pn.run ~k:4 params (Pn.prepare g) rng in
   Alcotest.(check int) "copies" 4 r.Pn.copies;
   if not r.Pn.aborted then begin
     let vol = Graph.volume g r.Pn.cut in
@@ -375,11 +375,44 @@ let test_parallel_nibble_overlap_detection () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
   let rng = Rng.create 23 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
-  let r = Pn.run ~k:200 params g rng in
+  let r = Pn.run ~k:200 params (Pn.prepare g) rng in
   Alcotest.(check bool) "overlap observed" true (r.Pn.max_overlap > 10);
   (* w = 10·ceil(ln Vol) ≈ 40: 200 copies on 32 edges must abort *)
   Alcotest.(check bool) "aborted" true r.Pn.aborted;
   Alcotest.(check (array int)) "empty cut on abort" [||] r.Pn.cut
+
+let test_parallel_nibble_rejects_k () =
+  let g = Gen.barbell ~clique:6 ~bridge:0 in
+  let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
+  List.iter
+    (fun k ->
+      Alcotest.check_raises (Printf.sprintf "k = %d" k)
+        (Invalid_argument "Parallel_nibble.run: k < 1") (fun () ->
+          ignore (Pn.run ~k params (Pn.prepare g) (Rng.create 1) : Pn.t)))
+    [ 0; -1 ]
+
+(* After a warm-up call, ParallelNibble on a Partition-sized workspace
+   allocates its outputs and a little bookkeeping on the minor heap and
+   nothing on the major heap: the lanes, the sweep and the overlap
+   counters are the workspace's. The graph is sparsecut-expander's
+   kind, a random 8-regular graph on 200 vertices. *)
+let test_parallel_nibble_warm_allocation () =
+  let g = Gen.random_regular (Rng.create 12) ~n:200 ~d:8 in
+  let params = mk_params (1.0 /. 20.0) (Graph.num_edges g) in
+  let copies = Params.parallel_copies params ~volume:(Graph.total_volume g) in
+  let workspace = Pn.workspace ~copies g and pg = Pn.prepare g in
+  let rng = Rng.create 3 in
+  ignore (Pn.run ~workspace params pg rng : Pn.t);
+  Gc.minor ();
+  let minor = Gc.minor_words () in
+  let _, _, major = Gc.counters () in
+  let r = Pn.run ~workspace params pg rng in
+  let _, _, major' = Gc.counters () in
+  let minor = Gc.minor_words () -. minor in
+  Alcotest.(check (float 0.0)) "major words" 0.0 (major' -. major);
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" minor) true (minor <= 4000.0);
+  Alcotest.(check bool) "the copies walked" true
+    (List.for_all (fun (o : Nibble.outcome) -> o.Nibble.steps_executed > 16) r.Pn.nibbles)
 
 (* ---------- partition (Theorem 3) ---------- *)
 
@@ -724,6 +757,84 @@ let test_st_reference_max_nibbles () =
   let r = St.run ~max_nibbles:2 params g rng in
   Alcotest.(check bool) "bounded" true (r.St.nibbles <= 2)
 
+(* ---------- lockstep copies vs the sequential loop ---------- *)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* every field, conductances bit for bit *)
+let same_outcome (a : Nibble.outcome) (b : Nibble.outcome) =
+  let same_cut (x : Nibble.cut) (y : Nibble.cut) =
+    x.vertices = y.vertices && x.volume = y.volume && x.cut_edges = y.cut_edges
+    && same_float x.conductance y.conductance
+    && x.found_t = y.found_t && x.found_j = y.found_j
+  in
+  (match (a.result, b.result) with
+  | None, None -> true
+  | Some x, Some y -> same_cut x y
+  | _ -> false)
+  && a.src = b.src && a.b = b.b && a.steps_executed = b.steps_executed
+  && a.candidates_tested = b.candidates_tested && a.rounds = b.rounds
+  && a.participants = b.participants
+
+let same_run (r : Pn.t) (s : Pn.t) =
+  r.cut = s.cut && r.rounds = s.rounds && r.copies = s.copies && r.aborted = s.aborted
+  && r.max_overlap = s.max_overlap
+  && List.length r.nibbles = List.length s.nibbles
+  && List.for_all2 same_outcome r.nibbles s.nibbles
+
+(* [Pn.run] three ways against the sequential loop: in a workspace
+   with [lanes] lanes, again in the same warmed workspace, and in a
+   fresh one *)
+let lockstep_matches ~k ~lanes params g seed =
+  let expected = Reference.sequential_parallel_nibble ~k params g (Rng.create seed) in
+  let pg = Pn.prepare g in
+  let workspace = Pn.workspace ~copies:lanes g in
+  let run ?workspace () = Pn.run ~k ?workspace params pg (Rng.create seed) in
+  let first = run ~workspace () in
+  let again = run ~workspace () in
+  (expected, same_run first expected && same_run again expected && same_run (run ()) expected)
+
+(* Random multigraphs (isolated vertices: walks that never cover every
+   vertex) and small planted cuts (copies that find a cut and stop at
+   different steps), k from 1 to 7 copies in 1 to 4 lanes, so odd k,
+   k = 1 and k beyond the lanes all occur. *)
+let prop_lockstep_matches_sequential =
+  QCheck.Test.make ~name:"lockstep ParallelNibble = sequential copies" ~count:120
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        match Rng.int rng 3 with
+        | 0 -> random_multigraph rng
+        | 1 ->
+          Gen.dumbbell rng ~n1:(8 + Rng.int rng 16) ~n2:(8 + Rng.int rng 24) ~d:4
+            ~bridges:(1 + Rng.int rng 2)
+        | _ ->
+          Gen.planted_partition rng ~parts:(2 + Rng.int rng 2) ~size:(8 + Rng.int rng 16)
+            ~p_in:0.4 ~p_out:0.03
+      in
+      let params = mk_params (1.0 /. 16.0) (max 1 (Graph.num_edges g)) in
+      let k = 1 + Rng.int rng 7 and lanes = 1 + Rng.int rng 4 in
+      snd (lockstep_matches ~k ~lanes params g seed))
+
+(* the planted-cut goldens' graphs, five copies in two lanes: copies
+   that find a cut stop early while the others walk on *)
+let test_lockstep_planted_cuts () =
+  let stopped_apart = ref false in
+  List.iter
+    (fun (name, graph, seed) ->
+      let g = graph () in
+      let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
+      let expected, ok = lockstep_matches ~k:5 ~lanes:2 params g seed in
+      Alcotest.(check bool) name true ok;
+      let steps =
+        List.map (fun (o : Nibble.outcome) -> o.Nibble.steps_executed) expected.Pn.nibbles
+      in
+      if List.length (List.sort_uniq Int.compare steps) > 1 then stopped_apart := true)
+    [ ("2-block sbm", golden_sbm, 103); ("unbalanced dumbbell", golden_unbalanced, 107);
+      ("4-block sbm", golden_sbm4, 5) ];
+  Alcotest.(check bool) "copies stopped at different steps" true !stopped_apart
+
 (* ---------- baselines ---------- *)
 
 let test_spectral_baseline_dumbbell () =
@@ -783,7 +894,12 @@ let () =
         [ Alcotest.test_case "random nibble" `Quick test_random_nibble_runs;
           Alcotest.test_case "union volume ceiling" `Quick test_parallel_nibble_union_volume;
           Alcotest.test_case "overlap abort" `Quick test_parallel_nibble_overlap_detection;
-          QCheck_alcotest.to_alcotest prop_overlap_matches_reference ] );
+          Alcotest.test_case "k < 1 rejected" `Quick test_parallel_nibble_rejects_k;
+          Alcotest.test_case "warm call: no major words" `Quick
+            test_parallel_nibble_warm_allocation;
+          Alcotest.test_case "lockstep on planted cuts" `Quick test_lockstep_planted_cuts;
+          QCheck_alcotest.to_alcotest prop_overlap_matches_reference;
+          QCheck_alcotest.to_alcotest prop_lockstep_matches_sequential ] );
       ( "partition",
         [ Alcotest.test_case "balanced dumbbell" `Quick test_partition_balanced_cut_dumbbell;
           Alcotest.test_case "unbalanced dumbbell" `Quick test_partition_unbalanced_planted_cut;

@@ -229,6 +229,10 @@ let same_sweep g p reference =
   let order = Reference.order g reference and prefixes = Reference.scan g reference in
   Sweep.order g p = order && sweep_is (Sweep.scan g p) ~order ~prefixes
 
+(* a distribution on every vertex of 0..n-1, a third of the masses zero *)
+let full_support rng n =
+  Walk.of_assoc (List.init n (fun v -> (v, if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 1.0)))
+
 (* a multigraph with self-loops, parallel edges and (usually) isolated
    vertices, plus a start distribution that may sit on a degree-0
    vertex, carry zero-mass entries or cover every vertex (the support
@@ -257,9 +261,7 @@ let random_instance seed =
              | 1 -> Some (v, 0.0)
              | _ -> Some (v, Rng.float rng 1.0))
            (List.init n Fun.id))
-    | _ ->
-      Walk.of_assoc
-        (List.init n (fun v -> (v, if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 1.0)))
+    | _ -> full_support rng n
   in
   let eps = if Rng.bool rng then None else Some (Rng.float rng 0.02) in
   (g, start, eps)
@@ -333,6 +335,48 @@ let prop_walker_matches_step =
       done;
       !ok)
 
+let same_sparse (p : Walk.sparse) (q : Walk.sparse) =
+  Walk.support p = Walk.support q
+  && List.for_all2 same_float (List.init p.len (fun i -> p.masses.(i)))
+       (List.init q.len (fun i -> q.masses.(i)))
+
+(* Two walkers advanced together against two advanced alone, bit for
+   bit: masks, supports, masses and L1 changes. Both start on every
+   vertex, so the first step takes the fused pull; ε differs between
+   the copies and usually drops vertices, so later steps mix the fused
+   pull, partial supports and the fallback to two advances. *)
+let prop_advance_pair_matches_advance =
+  QCheck.Test.make ~name:"advance_pair = two advances, bit for bit" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 8))
+    (fun (seed, steps) ->
+      let g, _, _ = random_instance seed in
+      let rng = Rng.create (seed + 1) in
+      let n = Graph.num_vertices g in
+      let eps1 = if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 0.05 in
+      let eps2 = eps1 +. Rng.float rng 0.05 in
+      let p1 = full_support rng n and p2 = full_support rng n in
+      let walker p =
+        let w = Walk.walker g in
+        Walk.start w p;
+        (w, Array.make n false)
+      in
+      let (a1, m1), (a2, m2) = (walker p1, walker p2) in
+      let (r1, e1), (r2, e2) = (walker p1, walker p2) in
+      let ok = ref true in
+      for _ = 1 to steps do
+        Walk.advance_pair a1 a2 g ~eps1 ~eps2 ~mask1:m1 ~mask2:m2;
+        let c1 = Walk.advance r1 g ~eps:eps1 ~mask:e1 in
+        let c2 = Walk.advance r2 g ~eps:eps2 ~mask:e2 in
+        ok :=
+          !ok
+          && same_sparse (Walk.current a1) (Walk.current r1)
+          && same_sparse (Walk.current a2) (Walk.current r2)
+          && same_float (Walk.change a1) c1
+          && same_float (Walk.change a2) c2
+          && m1 = e1 && m2 = e2
+      done;
+      !ok)
+
 (* A start on every vertex takes the walker's full-support path on its
    first advance. Vertex 3 is isolated and vertex 2 has a self-loop and
    a parallel pair to 1; ε = 0.05 drops vertices 0 and 1, so the L1 sum
@@ -350,7 +394,25 @@ let test_walker_full_support_step () =
   Alcotest.(check (list bool)) "mask" [ false; false; true; true ] (Array.to_list mask);
   Alcotest.(check bool) "L1 = old merge, bit for bit" true
     (same_float change (Reference.l1_change ~prev:p ~next));
-  Alcotest.(check (float 1e-12)) "L1 includes the dropped mass" ((0.5 -. (1.0 /. 3.0)) +. 0.1) change
+  Alcotest.(check (float 1e-12))
+    "L1 includes the dropped mass" ((0.5 -. (1.0 /. 3.0)) +. 0.1) change;
+  (* the fused pull for two copies: the same start at ε = 0.05 beside
+     one at ε = 0 that keeps every vertex *)
+  let w1 = Walk.walker g and w2 = Walk.walker g in
+  let mask1 = Array.make 4 false and mask2 = Array.make 4 false in
+  Walk.start w1 p;
+  Walk.start w2 p;
+  Walk.advance_pair w1 w2 g ~eps1:eps ~eps2:0.0 ~mask1 ~mask2;
+  let whole = Walk.step ~eps:0.0 (Walk.workspace g) g p in
+  Alcotest.(check bool) "pair, first copy = Walk.step" true
+    (identical (Walk.current w1) (Reference.of_walk next));
+  Alcotest.(check bool) "pair, second copy = Walk.step" true
+    (identical (Walk.current w2) (Reference.of_walk whole));
+  Alcotest.(check (list bool)) "pair masks" [ false; false; true; true; true; true; true; true ]
+    (Array.to_list mask1 @ Array.to_list mask2);
+  Alcotest.(check bool) "pair L1, bit for bit" true
+    (same_float (Walk.change w1) change
+    && same_float (Walk.change w2) (Reference.l1_change ~prev:p ~next:whole))
 
 (* A sweep workspace rescanned from distribution A to B holds what a
    fresh scan of B and the reference hold: no stale stamp, length or
@@ -573,6 +635,7 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_step_matches_reference;
           QCheck_alcotest.to_alcotest prop_truncated_walk_matches_reference;
           QCheck_alcotest.to_alcotest prop_walker_matches_step;
+          QCheck_alcotest.to_alcotest prop_advance_pair_matches_advance;
           QCheck_alcotest.to_alcotest prop_rescan_reuses_workspace;
           Alcotest.test_case "walker + rescan allocate no arrays" `Quick
             test_walker_rescan_allocation_free;

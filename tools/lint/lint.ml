@@ -42,6 +42,11 @@ let rules =
        lib/graph, lib/congest, lib/spectral, lib/sparsecut or \
        lib/triangle; use a monomorphic comparator (Int.compare, \
        String.compare, an explicit field comparator)" );
+    ( "D007",
+      "no polymorphic Stdlib.min / Stdlib.max in D006's hot-path \
+       directories: the compiler never specializes them, so every call \
+       goes through caml_lessequal / caml_greaterequal; use Int.min / \
+       Int.max, or an explicit comparison at float" );
     ( "C001",
       "statically-decidable length of an Arena.Outbox.send message \
        exceeds the word budget (literal array or Array.make with \
@@ -95,6 +100,14 @@ let under_any prefixes segs = List.exists (fun p -> under p segs) prefixes
    randomness there corrupts results just as silently *)
 let gated = under_any [ [ "lib" ]; [ "bench" ]; [ "bin" ]; [ "tools" ] ]
 
+(* the hot paths: a polymorphic-compare sort here costs a
+   generic-compare dispatch per element pair (D006), a polymorphic
+   min/max one per call (D007) *)
+let hot_path =
+  under_any
+    [ [ "lib"; "util" ]; [ "lib"; "graph" ]; [ "lib"; "congest" ];
+      [ "lib"; "spectral" ]; [ "lib"; "sparsecut" ]; [ "lib"; "triangle" ] ]
+
 (* Rules scoped by path; C004 and C005 are whole-program and scoped
    by the driver instead. *)
 let rule_applies ~all_rules segs rule =
@@ -109,13 +122,7 @@ let rule_applies ~all_rules segs rule =
     (* bench/ stays sanctioned: wall-clock timing is its whole job *)
     gated segs && not (under_any [ [ "lib"; "obs" ]; [ "bench" ] ] segs)
   | "D005" | "C001" | "C002" -> true
-  | "D006" ->
-    (* the hot paths: a polymorphic-compare sort here costs a
-       generic-compare dispatch per element pair *)
-    under_any
-      [ [ "lib"; "util" ]; [ "lib"; "graph" ]; [ "lib"; "congest" ];
-        [ "lib"; "spectral" ]; [ "lib"; "sparsecut" ]; [ "lib"; "triangle" ] ]
-      segs
+  | "D006" | "D007" -> hot_path segs
   | "C003" -> under_any [ [ "lib"; "congest" ]; [ "lib"; "ldd" ]; [ "lib"; "expander" ] ] segs
   | _ -> false
 

@@ -7,7 +7,8 @@
    wall-clock reads (D004). D005 flags polymorphic comparison at an
    operand type headed by Graph.t or Network.t; D006 a bare [compare]
    handed to the sort family at a type the compiler does not
-   specialize.
+   specialize; D007 a polymorphic [min]/[max], which it never
+   specializes.
 
    W-rules — word budgets. The message argument of each
    `Arena.Outbox.send` call is classified (`send1` always sends one
@@ -383,6 +384,17 @@ let d_rules ~on ~file u str =
            (if fn = "failwith" then "fail" else "require"))
     | [ "Stdlib"; "Sys"; "time" ] | [ "Unix"; ("gettimeofday" | "time") ] when on "D004" ->
       add e.exp_loc "D004" "wall-clock read; use Dex_obs.Clock.now_ns"
+    (* applied or passed as a value alike; graph operands are D005's *)
+    | [ "Stdlib"; ("min" | "max" as fn) ]
+      when on "D007"
+           && not
+                (on "D005"
+                 && Option.fold ~none:false ~some:graph_like (domain_head e.exp_type)) ->
+      add e.exp_loc "D007"
+        (Printf.sprintf
+           "polymorphic Stdlib.%s on a hot path calls the generic comparison; use Int.%s, or \
+            an explicit comparison at float"
+           fn fn)
     | _ -> ()
   in
   let apply_rules e f args =
