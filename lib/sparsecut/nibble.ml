@@ -21,20 +21,20 @@ type outcome = {
   participants : int array;
 }
 
-(* one copy's walk: the double-buffered walker and a mask of every
-   vertex any of its p̃_t has supported (all false between runs) *)
-type lane = { walker : Walk.walker; seen : bool array }
+(* one copy's walk: the double-buffered walker, a mask of every vertex
+   any of its p̃_t has supported (all false between runs) and its sweep,
+   which each rescan sorts from the order of the copy's previous
+   checked step *)
+type lane = { walker : Walk.walker; seen : bool array; sweep : Sweep.t }
 
-(* the lanes copies walk in and the one sweep they share: a copy
-   rescans and selects within its own step, and [cut_of_prefix] copies
-   a passing prefix out before another copy rescans *)
-type workspace = { lanes : lane array; sweep : Sweep.t }
+(* one lane per copy that runs at a time *)
+type workspace = lane array
 
 let workspace ?(copies = 1) g =
   if copies < 1 then invalid_arg "Nibble.workspace: copies < 1";
   let n = Graph.num_vertices g in
-  { lanes = Array.init copies (fun _ -> { walker = Walk.walker g; seen = Array.make n false });
-    sweep = Sweep.workspace g }
+  Array.init copies (fun _ ->
+      { walker = Walk.walker g; seen = Array.make n false; sweep = Sweep.workspace g })
 
 (* cost of one "random binary search" for a sweep prefix (Lemma 9):
    O(log n) sampling iterations, each a traversal of the spanning tree
@@ -79,7 +79,6 @@ type copy = {
   params : Params.t;
   g : Graph.t;
   lane : lane;
-  sweep : Sweep.t;
   src : int;
   b : int;
   eps : float;
@@ -99,7 +98,7 @@ type copy = {
    the refinement only improves the (C.1)/(C.1-star) quality *)
 let patience = 192
 
-let start (params : Params.t) g ~select lane sweep ~src ~b =
+let start (params : Params.t) g ~select lane ~src ~b =
   let total_volume = Graph.total_volume g in
   Walk.start lane.walker (Walk.indicator src);
   lane.seen.(src) <- true;
@@ -112,7 +111,7 @@ let start (params : Params.t) g ~select lane sweep ~src ~b =
   let relaxed =
     { strict with phi_max = params.c1_relaxed_factor *. params.phi; ceil_num = 11; ceil_den = 12 }
   in
-  { params; g; lane; sweep; src; b; eps = Params.eps_b params b; strict; relaxed; select;
+  { params; g; lane; src; b; eps = Params.eps_b params b; strict; relaxed; select;
     t = 0; rounds = 0; candidates = 0; result = None; deadline = params.t0; converged = false }
 
 let live c =
@@ -130,7 +129,7 @@ let checkpoint c =
   c.rounds <- c.rounds + 1;
   let p = Walk.current c.lane.walker in
   if Walk.size p > 0 && Params.should_sweep c.params c.t then begin
-    Sweep.rescan c.sweep c.g p;
+    Sweep.rescan c.lane.sweep c.g p;
     match c.select c with
     | None -> ()
     | Some cut ->
@@ -156,7 +155,7 @@ let finish c =
      the fixpoint step *)
   let p = Walk.current c.lane.walker in
   if Option.is_none c.result && c.converged && Walk.size p > 0 then begin
-    Sweep.rescan c.sweep c.g p;
+    Sweep.rescan c.lane.sweep c.g p;
     match c.select c with
     | None -> ()
     | Some cut -> c.result <- Some cut
@@ -214,9 +213,9 @@ let run ws (params : Params.t) g ~select draws =
   Array.iter
     (fun (_, b) -> if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range")
     draws;
-  if Graph.num_vertices g > Array.length ws.lanes.(0).seen then
+  if Graph.num_vertices g > Array.length ws.(0).seen then
     invalid_arg "Nibble: workspace smaller than the graph";
-  let lanes = Array.length ws.lanes in
+  let lanes = Array.length ws in
   let total = Array.length draws in
   let outcomes = ref [] in
   let first = ref 0 in
@@ -224,7 +223,7 @@ let run ws (params : Params.t) g ~select draws =
     let copies =
       Array.init (Int.min lanes (total - !first)) (fun i ->
           let src, b = draws.(!first + i) in
-          start params g ~select ws.lanes.(i) ws.sweep ~src ~b)
+          start params g ~select ws.(i) ~src ~b)
     in
     while Array.exists live copies do
       step_all copies
@@ -241,7 +240,7 @@ let keep_better best (sweep : Sweep.t) j ~t =
   | _ -> Some (cut_of_prefix sweep j ~t)
 
 let exact_select c =
-  let sweep = c.sweep and t = c.t in
+  let sweep = c.lane.sweep and t = c.t in
   let n = sweep.length in
   let cost = candidate_cost ~t ~support:n in
   let best = ref None in
@@ -265,7 +264,7 @@ let next_j (params : Params.t) (sweep : Sweep.t) cur =
   Int.max (cur + 1) !lo
 
 let approximate_select c =
-  let sweep = c.sweep and t = c.t in
+  let sweep = c.lane.sweep and t = c.t in
   let n = sweep.length in
   let cost = candidate_cost ~t ~support:n in
   let best = ref None in
@@ -297,8 +296,8 @@ let approximate_copies ws params g draws = run ws params g ~select:approximate_s
 (* each edge of P-star once, from its participating endpoint (the
    smaller one when both participate); the sorted adjacency makes
    parallel copies adjacent, so skipping repeats drops them *)
-let iter_participating_edges g outcome f =
-  let mask = Array.make (Graph.num_vertices g) false in
+let iter_participating_edges ?mask g outcome f =
+  let mask = match mask with Some m -> m | None -> Array.make (Graph.num_vertices g) false in
   Array.iter (fun v -> mask.(v) <- true) outcome.participants;
   Array.iter
     (fun v ->
@@ -308,7 +307,8 @@ let iter_participating_edges g outcome f =
         if (i = 0 || a.(i - 1) <> u) && (u > v || not mask.(u)) then
           if u > v then f v u else f u v
       done)
-    outcome.participants
+    outcome.participants;
+  Array.iter (fun v -> mask.(v) <- false) outcome.participants
 
 let participating_edges g outcome =
   let acc = ref [] in

@@ -39,11 +39,13 @@ type outcome = {
 }
 
 (** Nibble scratch: one lane per copy that runs at a time — a
-    {!Dex_spectral.Walk.walker} and a participant mask, each with one
-    cell per vertex — and one {!Dex_spectral.Sweep.t} that the lanes
-    share. A run leaves it ready for the next, so one workspace serves
-    every run over graphs with no more vertices — Partition builds one
-    per call. It is mutable and single-owner. *)
+    {!Dex_spectral.Walk.walker}, a participant mask and a
+    {!Dex_spectral.Sweep.t}, each with one cell per vertex. A lane's
+    sweep is its copy's own: each checked step re-sorts from the order
+    of that copy's previous one. A run leaves the workspace ready for
+    the next, so one workspace serves every run over graphs with no
+    more vertices — Partition builds one per call. It is mutable and
+    single-owner. *)
 type workspace
 
 (** [workspace ?copies g] is a fresh workspace with [copies] lanes
@@ -72,14 +74,17 @@ val approximate :
 val approximate_copies :
   workspace -> Params.t -> Dex_graph.Graph.t -> (int * int) array -> outcome list
 
-(** [iter_participating_edges g outcome f] calls [f u v] once for
-    each edge of P-star — the non-loop edges with at least one endpoint
-    in [outcome.participants] — with [u < v]. Parallel edges are one
-    edge of P-star and are visited once. Edges are visited by their
-    participating endpoint (the smaller one when both participate) in
-    the order of [outcome.participants], then by neighbour
-    ascending. *)
-val iter_participating_edges : Dex_graph.Graph.t -> outcome -> (int -> int -> unit) -> unit
+(** [iter_participating_edges ?mask g outcome f] calls [f u v] once
+    for each edge of P-star — the non-loop edges with at least one
+    endpoint in [outcome.participants] — with [u < v]. Parallel edges
+    are one edge of P-star and are visited once. Edges are visited by
+    their participating endpoint (the smaller one when both
+    participate) in the order of [outcome.participants], then by
+    neighbour ascending. [mask], an all-false array with a cell per
+    vertex of [g], marks the participants during the call and is all
+    false again after it; without it the call allocates one. *)
+val iter_participating_edges :
+  ?mask:bool array -> Dex_graph.Graph.t -> outcome -> (int -> int -> unit) -> unit
 
 (** [participating_edges g outcome] materializes P-star as a list of
     [(u, v)] pairs, [u < v], in the reverse of the

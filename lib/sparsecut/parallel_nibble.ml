@@ -25,14 +25,16 @@ let prepare g =
     degrees = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v));
     offsets = Graph.csr_offsets g }
 
-(* Nibble's lanes and sweep, and one overlap counter per CSR slot of
-   the graph the workspace was sized to; a saturated subgraph G{W}
-   has no more slots *)
-type workspace = { copies : Nibble.workspace; overlap : int array }
+(* Nibble's lanes, one overlap counter per CSR slot of the graph the
+   workspace was sized to (a saturated subgraph G{W} has no more
+   slots) and a vertex mask, all false between uses, for P-star and
+   the prefix union *)
+type workspace = { copies : Nibble.workspace; overlap : int array; member : bool array }
 
 let workspace ~copies g =
   { copies = Nibble.workspace ~copies g;
-    overlap = Array.make (Graph.csr_offsets g).(Graph.num_vertices g) 0 }
+    overlap = Array.make (Graph.csr_offsets g).(Graph.num_vertices g) 0;
+    member = Array.make (Graph.num_vertices g) false }
 
 (* the start vertex, then the scale *)
 let draw params pg rng =
@@ -55,7 +57,7 @@ let run ?k ?ledger ?workspace:ws params pg rng =
     let w = Params.overlap_bound params ~volume:total_volume in
     let ws = match ws with Some ws -> ws | None -> workspace ~copies:k g in
     let slots = pg.offsets.(Graph.num_vertices g) in
-    if slots > Array.length ws.overlap then
+    if slots > Array.length ws.overlap || Graph.num_vertices g > Array.length ws.member then
       invalid_arg "Parallel_nibble: workspace smaller than the graph";
     (* every (src, b) first, in copy order: the copies draw nothing
        while they run, so this is the stream of drawing each copy
@@ -70,7 +72,7 @@ let run ?k ?ledger ?workspace:ws params pg rng =
     let max_overlap = ref 0 in
     List.iter
       (fun outcome ->
-        Nibble.iter_participating_edges g outcome (fun u v ->
+        Nibble.iter_participating_edges ~mask:ws.member g outcome (fun u v ->
             let slot = off.(u) + Graph.neighbor_rank g u v in
             let c = overlap.(slot) + 1 in
             overlap.(slot) <- c;
@@ -112,7 +114,7 @@ let run ?k ?ledger ?workspace:ws params pg rng =
     else begin
       (* prefix-union selection: largest i* with Vol(U_{i*}) ≤ 23/24·Vol *)
       let threshold = 23 * total_volume / 24 in
-      let is_member = Array.make (Graph.num_vertices g) false in
+      let is_member = ws.member in
       let members = ref [] in
       let vol = ref 0 in
       (* [best]: the members of the longest prefix of cuts within the
@@ -134,6 +136,7 @@ let run ?k ?ledger ?workspace:ws params pg rng =
           if !vol <= threshold then select !members rest else best
       in
       let cut = Array.of_list (select [] outcomes) in
+      List.iter (fun v -> is_member.(v) <- false) !members;
       Array.sort Int.compare cut;
       { cut; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }
     end

@@ -37,7 +37,9 @@ type prepared = private {
 val prepare : Dex_graph.Graph.t -> prepared
 
 (** The state of {!run} that outlives a call: a {!Nibble.workspace}
-    with one lane per copy and one overlap counter per CSR slot.
+    with one lane per copy, one overlap counter per CSR slot and one
+    vertex mask, which marks each copy's participants and then the
+    prefix union's members, and is cleared after each use.
     Partition builds one per call, sized to its input graph with the
     copy count of that graph's volume; it serves every G{W}, whose
     volume, copy count and slot count are no larger. It is mutable and

@@ -1,7 +1,8 @@
 module Graph = Dex_graph.Graph
 
-(* [stamp.(v) = epoch] marks v in the prefix being measured; [tmp_v]
-   and [tmp_r] are the merge sort's second buffer *)
+(* [stamp.(v) = epoch] marks v in the prefix being measured, or in the
+   support being seeded; [tmp_v] and [tmp_r] are the merge sort's
+   second buffer, and [tmp_r] also holds the seed's ρ per vertex *)
 type scratch = {
   stamp : int array;
   mutable epoch : int;
@@ -58,28 +59,37 @@ let merge sv sr dv dr lo mid hi =
     end
   done
 
+(* insertion-sorts (v, r).(lo .. hi-1) by [before] until it has spent
+   more than [budget] shifts: whether it finished. A range it stops in
+   holds a permutation of its entries. *)
+let insertion_sort v r ~lo ~hi ~budget =
+  let shifts = ref 0 and i = ref (lo + 1) in
+  while !i < hi && !shifts <= budget do
+    let x = v.(!i) and rx = r.(!i) in
+    let j = ref (!i - 1) in
+    while !j >= lo && before rx x r.(!j) v.(!j) do
+      v.(!j + 1) <- v.(!j);
+      r.(!j + 1) <- r.(!j);
+      decr j
+    done;
+    v.(!j + 1) <- x;
+    r.(!j + 1) <- rx;
+    shifts := !shifts + (!i - 1 - !j);
+    incr i
+  done;
+  !i >= hi
+
 let insertion_run = 8
 
-(* stable merge sort of (ordered, last_rho).(0 .. length-1) by
-   [before]: insertion-sorted runs of [insertion_run] entries, then
-   bottom-up merges that alternate between the sweep's arrays and the
-   scratch *)
-let sort t =
+(* merge sort of (ordered, last_rho).(0 .. length-1) by [before]:
+   insertion-sorted runs of [insertion_run] entries, then bottom-up
+   merges that alternate between the sweep's arrays and the scratch *)
+let merge_sort t =
   let n = t.length and v = t.ordered and r = t.last_rho in
   let lo = ref 0 in
   while !lo < n do
     let hi = Int.min n (!lo + insertion_run) in
-    for i = !lo + 1 to hi - 1 do
-      let x = v.(i) and rx = r.(i) in
-      let j = ref (i - 1) in
-      while !j >= !lo && before rx x r.(!j) v.(!j) do
-        v.(!j + 1) <- v.(!j);
-        r.(!j + 1) <- r.(!j);
-        decr j
-      done;
-      v.(!j + 1) <- x;
-      r.(!j + 1) <- rx
-    done;
+    ignore (insertion_sort v r ~lo:!lo ~hi ~budget:max_int : bool);
     lo := hi
   done;
   let s = t.scratch in
@@ -131,21 +141,58 @@ let check_size t g =
   if Graph.num_vertices g > Array.length t.ordered then
     invalid_arg "Sweep: workspace smaller than the graph"
 
+(* shifts the seeded insertion sort may spend, per entry, before the
+   merge sort takes over. A shift is a few times cheaper than a merge
+   step, whose branch is a coin flip: at n = 200 the sort's time fell
+   as this budget rose from 2 to 16 and stayed flat above it
+   (EXPERIMENTS.md, "Seeded sweeps"). *)
+let shift_budget = 16
+
 let rescan t g p =
   check_size t g;
-  (* the support with positive degree, ascending, with its ρ *)
-  let k = ref 0 in
+  (* stamp p's support of positive degree, with its ρ per vertex *)
+  let s = t.scratch in
+  let stamp = s.stamp and rho = s.tmp_r in
+  let support = s.epoch + 1 and carried = s.epoch + 2 in
+  s.epoch <- carried;
+  let size = ref 0 in
   for i = 0 to p.Walk.len - 1 do
     let v = p.Walk.support.(i) in
     let deg = Graph.degree g v in
     if deg > 0 then begin
+      stamp.(v) <- support;
+      rho.(v) <- p.Walk.masses.(i) /. float_of_int deg;
+      incr size
+    end
+  done;
+  (* the seed: the previous order's vertices still in the support, in
+     their order, then the support's new vertices ascending *)
+  let k = ref 0 in
+  for j = 0 to t.length - 1 do
+    let v = t.ordered.(j) in
+    if stamp.(v) = support then begin
+      stamp.(v) <- carried;
       t.ordered.(!k) <- v;
-      t.last_rho.(!k) <- p.Walk.masses.(i) /. float_of_int deg;
+      t.last_rho.(!k) <- rho.(v);
       incr k
     end
   done;
-  t.length <- !k;
-  sort t;
+  let kept = !k in
+  for i = 0 to p.Walk.len - 1 do
+    let v = p.Walk.support.(i) in
+    if stamp.(v) = support then begin
+      t.ordered.(!k) <- v;
+      t.last_rho.(!k) <- rho.(v);
+      incr k
+    end
+  done;
+  t.length <- !size;
+  (* an order that hardly changed costs few shifts; a seed that is
+     mostly new goes straight to the merge sort *)
+  if
+    2 * kept < !size
+    || not (insertion_sort t.ordered t.last_rho ~lo:0 ~hi:!size ~budget:(shift_budget * !size))
+  then merge_sort t;
   measure t g
 
 let scan g p =
@@ -177,6 +224,6 @@ let scan_vector g x =
     t.last_rho.(v) <- x.(v)
   done;
   t.length <- n;
-  sort t;
+  merge_sort t;
   measure t g;
   t

@@ -35,10 +35,17 @@ val workspace : Dex_graph.Graph.t -> t
 
 (** [rescan t g p] overwrites [t] with the sweep of [p]: the support of
     [p] with positive degree, sorted by decreasing ρ (ties by vertex id
-    — the paper breaks ties by ID), and every prefix measured. It costs
-    a merge sort of the support plus one pass over its edges, and
-    allocates nothing. Raises [Invalid_argument] when [g] has more
-    vertices than [t] has cells. *)
+    — the paper breaks ties by ID), and every prefix measured. The sort
+    starts from [t]'s previous order: its vertices still in the
+    support, in that order, then the new ones ascending. When at least
+    half the entries carry over, an insertion sort runs within 16
+    shifts per entry; past that, or with fewer carried over, a merge
+    sort finishes. So a rescan costs O(len + the previous order's
+    length + shifts) when the order hardly moved since [t]'s last
+    rescan, at most an extra O(len log len) otherwise, plus one pass
+    over the support's edges, and allocates nothing. The result does
+    not depend on [t]'s previous contents. Raises [Invalid_argument]
+    when [g] has more vertices than [t] has cells. *)
 val rescan : t -> Dex_graph.Graph.t -> Walk.sparse -> unit
 
 (** [scan g p] is [rescan] into a fresh workspace. *)

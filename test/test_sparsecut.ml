@@ -393,9 +393,11 @@ let test_parallel_nibble_rejects_k () =
 
 (* After a warm-up call, ParallelNibble on a Partition-sized workspace
    allocates its outputs and a little bookkeeping on the minor heap and
-   nothing on the major heap: the lanes, the sweep and the overlap
-   counters are the workspace's. The graph is sparsecut-expander's
-   kind, a random 8-regular graph on 200 vertices. *)
+   nothing on the major heap: the lanes with their sweeps, the overlap
+   counters and the member mask are the workspace's. The graph is
+   sparsecut-expander's kind, a random 8-regular graph on 200
+   vertices. The minor bound is the 2,349 words measured plus a 10%
+   margin. *)
 let test_parallel_nibble_warm_allocation () =
   let g = Gen.random_regular (Rng.create 12) ~n:200 ~d:8 in
   let params = mk_params (1.0 /. 20.0) (Graph.num_edges g) in
@@ -410,7 +412,7 @@ let test_parallel_nibble_warm_allocation () =
   let _, _, major' = Gc.counters () in
   let minor = Gc.minor_words () -. minor in
   Alcotest.(check (float 0.0)) "major words" 0.0 (major' -. major);
-  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" minor) true (minor <= 4000.0);
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" minor) true (minor <= 2600.0);
   Alcotest.(check bool) "the copies walked" true
     (List.for_all (fun (o : Nibble.outcome) -> o.Nibble.steps_executed > 16) r.Pn.nibbles)
 

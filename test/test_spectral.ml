@@ -237,9 +237,9 @@ let full_support rng n =
    vertices, plus a start distribution that may sit on a degree-0
    vertex, carry zero-mass entries or cover every vertex (the support
    on which a walker takes its full-support path) *)
-let random_instance seed =
+let random_instance ?(max_n = 30) seed =
   let rng = Rng.create seed in
-  let n = 1 + Rng.int rng 30 in
+  let n = 1 + Rng.int rng max_n in
   let edges =
     List.init (Rng.int rng (3 * n)) (fun _ ->
         let u = Rng.int rng n in
@@ -436,6 +436,78 @@ let prop_rescan_reuses_workspace =
           ok := !ok && sweep_is sweep ~order ~prefixes)
         walks;
       !ok && sweep_is (Sweep.scan g b) ~order ~prefixes)
+
+(* A distribution on most vertices of [g] whose ρ repeat across
+   distinct vertices: each mass is deg(v) times one of four dyadic
+   values, zero among them, so the ρ are those values exactly. Degree-0
+   vertices in the support carry a mass too. *)
+let tied_distribution rng g =
+  let values = [| 0.0; 0.125; 0.25; 0.5 |] in
+  Walk.of_assoc
+    (List.filter_map
+       (fun v ->
+         if Rng.int rng 4 = 0 then None
+         else Some (v, float_of_int (Int.max 1 (Graph.degree g v)) *. values.(Rng.int rng 4)))
+       (List.init (Graph.num_vertices g) Fun.id))
+
+(* the distribution on [order] whose sweep order is [order] reversed *)
+let reversed_distribution g order =
+  Walk.of_assoc
+    (Array.to_list
+       (Array.mapi (fun i v -> (v, float_of_int ((i + 1) * Graph.degree g v))) order))
+
+(* [p] with ρ(v) raised by 2⁻⁴⁰·v: the order of [p] with every run of
+   equal ρ reversed, so sorting back from it takes shifts among ties *)
+let ties_reversed g (p : Walk.sparse) =
+  Walk.of_assoc
+    (List.init p.len (fun i ->
+         let v = p.support.(i) in
+         (v, p.masses.(i) +. (float_of_int (Graph.degree g v * v) *. 0x1p-40))))
+
+(* A rescan seeded with the previous order of its sweep gives what a
+   fresh scan and the reference give, bit for bit, whatever that order
+   was: the same distribution (no shifts), its reverse (the merge
+   fallback once the support passes 33 entries), its ties reversed,
+   another walk's sweep, and stale sweeps that are longer (a larger
+   graph, every vertex) or shorter. The target has distinct vertices
+   with equal ρ, degree-0 vertices in its support and zero masses. *)
+let prop_seeded_rescan_matches_scan =
+  QCheck.Test.make ~name:"seeded rescan = fresh scan = reference, bit for bit" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, _, _ = random_instance ~max_n:120 seed in
+      let rng = Rng.create (seed + 2) in
+      let n = Graph.num_vertices g in
+      let p = tied_distribution rng g in
+      let reference = Reference.of_walk p in
+      let order = Reference.order g reference and prefixes = Reference.scan g reference in
+      (* a larger graph: g's edges plus a cycle through three new
+         vertices and vertex 0 *)
+      let larger =
+        Graph.of_edges ~n:(n + 3)
+          ((0, n) :: (n, n + 1) :: (n + 1, n + 2) :: (n + 2, 0) :: Graph.edges g)
+      in
+      let seeded ?(graph = g) seeds =
+        let sweep = Sweep.workspace graph in
+        List.iter (fun q -> Sweep.rescan sweep graph q) seeds;
+        Sweep.rescan sweep g p;
+        sweep_is sweep ~order ~prefixes
+      in
+      let walk = Walk.truncated_walk g ~src:(Rng.int rng n) ~eps:1e-3 ~steps:4 in
+      let shorter =
+        Walk.of_assoc
+          (List.filter_map
+             (fun i -> if i mod 3 = 0 then Some (p.support.(i), p.masses.(i)) else None)
+             (List.init p.len Fun.id))
+      in
+      sweep_is (Sweep.scan g p) ~order ~prefixes
+      && seeded [ p ]
+      && seeded [ reversed_distribution g order ]
+      && seeded [ ties_reversed g p ]
+      && seeded [ walk.(4) ]
+      && seeded [ ties_reversed g p; walk.(2) ]
+      && seeded ~graph:larger [ full_support rng (n + 3) ]
+      && seeded [ shorter ])
 
 (* After a warm-up, advancing a walker and rescanning its view into one
    sweep allocates no arrays: at most a boxed float per round. *)
@@ -637,6 +709,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_walker_matches_step;
           QCheck_alcotest.to_alcotest prop_advance_pair_matches_advance;
           QCheck_alcotest.to_alcotest prop_rescan_reuses_workspace;
+          QCheck_alcotest.to_alcotest prop_seeded_rescan_matches_scan;
           Alcotest.test_case "walker + rescan allocate no arrays" `Quick
             test_walker_rescan_allocation_free;
           Alcotest.test_case "walker full-support step" `Quick test_walker_full_support_step;
