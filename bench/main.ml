@@ -44,7 +44,7 @@ let cur_tables : Snap.table list ref = ref []
 let cur_notes : string list ref = ref []
 
 let out_table t =
-  Table.print t;
+  print_string (Table.render t);
   cur_tables :=
     Snap.table ~title:(Table.title t) ~headers:(Table.headers t) (Table.rows t)
     :: !cur_tables
@@ -110,8 +110,7 @@ let e1_ldd () =
               Table.fmt_pct (fi (List.length r.X.Ldd.cut_edges) /. fi m);
               Table.fmt_pct (3.0 *. beta);
               Printf.sprintf "%.1e"
-                (Dex_util.Tail_bounds.ldd_failure_probability ~m ~beta
-                   ~k_ln:(5.0 *. log (fi n)));
+                (X.Ldd.failure_probability ~m ~beta ~k_ln:(5.0 *. log (fi n)));
               string_of_int r.X.Ldd.rounds ])
         seeds)
     cases;

@@ -20,7 +20,12 @@ let make_graph ~family ~file ~n ~seed ~p ~parts ~p_in ~p_out ~degree =
   let rng = X.Rng.create (seed + 7919) in
   let g =
     match file with
-    | Some path -> X.Graph_io.load path
+    | Some path -> (
+      (* a bad --file is the user's input, not an internal error *)
+      try X.Graph_io.load path
+      with Failure msg | Sys_error msg ->
+        prerr_endline ("dexpander: " ^ msg);
+        exit 2)
     | None ->
     match family with
     | "gnp" -> X.Generators.gnp rng ~n ~p
@@ -408,9 +413,6 @@ let trace_cmd =
       $ degree_t $ epsilon_t $ k_t $ phi_t $ algo_t $ top_t $ jsonl_t)
 
 let conformance_cmd =
-  let word_size_t =
-    Arg.(value & opt int 1 & info [ "word-size" ] ~docv:"W" ~doc:"Per-message word budget.")
-  in
   let demo_race_t =
     Arg.(
       value & flag
@@ -420,7 +422,7 @@ let conformance_cmd =
              that the detector flags it (the command still exits 0 if the clean \
              protocols pass).")
   in
-  let run family file n seed p parts p_in p_out degree word_size demo_race =
+  let run family file n seed p parts p_in p_out degree demo_race =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
     let report label r =
@@ -436,13 +438,13 @@ let conformance_cmd =
     in
     let bfs_ok =
       report "bfs"
-        (X.Conformance.check ~word_size ~seed g
+        (X.Conformance.check ~seed g
            ~protocol:(fun () -> X.Primitives.bfs g ~root:(X.Vertex.local 0))
            ())
     in
     let leader_ok =
       report "leader"
-        (X.Conformance.check ~word_size ~seed g ~protocol:(fun () -> X.Primitives.leader g) ())
+        (X.Conformance.check ~seed g ~protocol:(fun () -> X.Primitives.leader g) ())
     in
     if demo_race then begin
       (* adopt the first inbox message's sender: delivery-order
@@ -476,7 +478,7 @@ let conformance_cmd =
           (schedule-permutation race detector).")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ word_size_t $ demo_race_t)
+      $ degree_t $ demo_race_t)
 
 let () =
   let doc = "Distributed expander decomposition and triangle enumeration (PODC 2019)" in

@@ -11,6 +11,9 @@
      slot for the next round. Keeping the planes apart is what lets a
      round step every vertex against the previous round's inboxes.
 
+   A message is one word (PAPER.md §2: one O(log n)-bit message per
+   incident edge), so each slot of a plane holds one int.
+
    Occupancy is stamp-based rather than bitmap-cleared: each slot
    carries the tick at which it was last filled, the tick is a
    per-arena monotonic counter that never resets, and a slot is live
@@ -28,34 +31,28 @@ module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
 
 type violation =
-  | Over_budget of { vertex : int; dst : int; words : int; budget : int }
   | Not_a_neighbor of { vertex : int; dst : int }
   | Duplicate_edge of { vertex : int; dst : int }
 
 exception Congestion_violation of { round : int; violation : violation }
 
 let describe = function
-  | Over_budget { vertex; words; budget; _ } ->
-    Printf.sprintf "vertex %d: message of %d words exceeds budget %d" vertex words budget
   | Not_a_neighbor { vertex; dst } -> Printf.sprintf "vertex %d: %d is not a neighbor" vertex dst
   | Duplicate_edge { vertex; dst } ->
     Printf.sprintf "vertex %d: two messages on edge to %d in one round" vertex dst
 
 type t = {
   n : int;
-  word_size : int;
   off : int array; (* n+1 CSR offsets *)
   nbr : int array; (* slot -> other endpoint of its directed edge *)
   mirror : int array; (* src-side slot -> matching dst-side slot *)
   to_orig : int -> int; (* violation messages in caller coordinates *)
   (* inbox plane (dst-side slots) *)
-  data : int array; (* 2m * word_size message words *)
-  len : int array;
+  data : int array; (* one message word per slot *)
   cnt : Bytes.t; (* deliveries into the slot this round: 0/1/2 *)
   stamp : int array; (* tick at which the slot was filled *)
   (* staging plane (src-side slots) *)
   out_data : int array;
-  out_len : int array;
   enq : int array; (* tick at which the slot was staged; doubles as
                       the duplicate-send detector *)
   (* active set *)
@@ -73,9 +70,7 @@ type t = {
   mutable cal_n : int;
 }
 
-let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
-  Dex_util.Invariant.require (word_size >= 1) ~where:"Arena.create"
-    "word_size must be >= 1";
+let create ?(to_orig = fun v -> v) g =
   let n = Graph.num_vertices g in
   let off = Graph.csr_offsets g in
   let m2 = off.(n) in
@@ -91,17 +86,14 @@ let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
     done
   done;
   { n;
-    word_size;
     off;
     nbr;
     mirror;
     to_orig;
-    data = Array.make (m2 * word_size) 0;
-    len = Array.make m2 0;
+    data = Array.make m2 0;
     cnt = Bytes.make m2 '\000';
     stamp = Array.make m2 0;
-    out_data = Array.make (m2 * word_size) 0;
-    out_len = Array.make m2 0;
+    out_data = Array.make m2 0;
     enq = Array.make m2 0;
     wake = Array.make n 0;
     listed = Array.make n 0;
@@ -115,7 +107,6 @@ let create ?(word_size = 1) ?(to_orig = fun v -> v) g =
     cal_vertex = Array.make (Int.max n 1) 0;
     cal_n = 0 }
 
-let word_size a = a.word_size
 let slot_count a = Array.length a.nbr
 let mirror a s = a.mirror.(s)
 let round a = a.round
@@ -207,32 +198,13 @@ let set_inbox ?shuffle ib v =
 let set_outbox ob v = ob.ov <- v
 
 module Inbox = struct
-  let count ib =
-    let a = ib.ia in
-    let t = a.tick in
-    let c = ref 0 in
-    for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-      if a.stamp.(s) = t then c := !c + Char.code (Bytes.unsafe_get a.cnt s)
-    done;
-    !c
-
-  let is_empty ib = count ib = 0
-
   (* the deliveries in slot [s]: once, or twice when duplicated *)
   let[@inline] visit1 a s f =
     if a.stamp.(s) = a.tick then begin
       let src = a.nbr.(s) in
-      let w = a.data.(s * a.word_size) in
+      let w = a.data.(s) in
       f src w;
       if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src w
-    end
-
-  let[@inline] visit a s f =
-    if a.stamp.(s) = a.tick then begin
-      let src = a.nbr.(s) in
-      let msg = Array.sub a.data (s * a.word_size) a.len.(s) in
-      f src msg;
-      if Char.code (Bytes.unsafe_get a.cnt s) > 1 then f src msg
     end
 
   let iter1 ib f =
@@ -245,17 +217,6 @@ module Inbox = struct
       for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
         visit1 a s f
       done
-
-  let iter ib f =
-    let a = ib.ia in
-    if ib.shuffled then
-      for k = 0 to a.off.(ib.iv + 1) - a.off.(ib.iv) - 1 do
-        visit a ib.order.(k) f
-      done
-    else
-      for s = a.off.(ib.iv) to a.off.(ib.iv + 1) - 1 do
-        visit a s f
-      done
 end
 
 module Outbox = struct
@@ -266,24 +227,14 @@ module Outbox = struct
     let dst = if u >= 0 && u < a.n then a.to_orig u else u in
     raise (Congestion_violation { round = a.round; violation = make (a.to_orig ob.ov) dst })
 
-  (* validate and book the send; returns where its words go *)
-  let stage ob u words =
+  let send1 ob ~dst w =
     let a = ob.oa in
-    let v = ob.ov in
-    if words > a.word_size then
-      fail ob u (fun vertex dst -> Over_budget { vertex; dst; words; budget = a.word_size });
+    let v = ob.ov and u = Vertex.local_int dst in
     let s = if u = v then -1 else rank_slot a v u in
     if s < 0 then fail ob u (fun vertex dst -> Not_a_neighbor { vertex; dst });
     if a.enq.(s) = a.tick then fail ob u (fun vertex dst -> Duplicate_edge { vertex; dst });
     a.enq.(s) <- a.tick;
-    a.out_len.(s) <- words;
-    s * a.word_size
-
-  let send1 ob ~dst w = ob.oa.out_data.(stage ob (Vertex.local_int dst) 1) <- w
-
-  let send ob ~dst msg =
-    let len = Array.length msg in
-    Array.blit msg 0 ob.oa.out_data (stage ob (Vertex.local_int dst) len) len
+    a.out_data.(s) <- w
 
   let wake ob =
     let a = ob.oa in
@@ -327,13 +278,11 @@ let deliver_staged a src verdict =
   for s = a.off.(src) to a.off.(src + 1) - 1 do
     if a.enq.(s) = t then begin
       let dst = a.nbr.(s) in
-      let len = a.out_len.(s) in
-      match verdict src dst s len with
+      match verdict src dst s with
       | `Drop -> ()
       | (`Deliver | `Duplicate) as v ->
         let d = a.mirror.(s) in
-        Array.blit a.out_data (s * a.word_size) a.data (d * a.word_size) len;
-        a.len.(d) <- len;
+        a.data.(d) <- a.out_data.(s);
         a.stamp.(d) <- t + 1;
         Bytes.unsafe_set a.cnt d
           (match v with `Duplicate -> '\002' | `Deliver -> '\001');

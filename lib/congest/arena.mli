@@ -30,7 +30,6 @@
     subnetwork); a destination outside the graph is reported as
     given. *)
 type violation =
-  | Over_budget of { vertex : int; dst : int; words : int; budget : int }
   | Not_a_neighbor of { vertex : int; dst : int }  (** self-sends included *)
   | Duplicate_edge of { vertex : int; dst : int }
       (** a second message on one directed edge in one round *)
@@ -45,15 +44,10 @@ val describe : violation -> string
 
 type t
 
-(** [create ?word_size ?to_orig g] allocates all planes for [g]
-    (O(m·word_size) ints, once). [to_orig] translates local vertex ids
-    into the coordinates violation messages should use (subnetworks
-    report original ids). *)
-val create : ?word_size:int -> ?to_orig:(int -> int) -> Dex_graph.Graph.t -> t
-
-(** [word_size a] is the per-message word budget the arena validates
-    against. *)
-val word_size : t -> int
+(** [create ?to_orig g] allocates all planes for [g] (O(m) ints,
+    once). [to_orig] translates local vertex ids into the coordinates
+    violation messages should use (subnetworks report original ids). *)
+val create : ?to_orig:(int -> int) -> Dex_graph.Graph.t -> t
 
 (** [slot_count a] is the number of directed-edge slots (twice the
     plain edge count). *)
@@ -82,9 +76,8 @@ val make_inbox : t -> inbox
 val make_outbox : t -> outbox
 
 (** [set_inbox ?shuffle ib v] aims the cursor at vertex [v]'s dst-side
-    slots. With [shuffle], {!Inbox.iter1} and {!Inbox.iter} visit them
-    in an order drawn from it, fresh for this aim; without, in
-    ascending sender order. *)
+    slots. With [shuffle], {!Inbox.iter1} visits them in an order drawn
+    from it, fresh for this aim; without, in ascending sender order. *)
 val set_inbox : ?shuffle:Dex_util.Rng.t -> inbox -> int -> unit
 
 (** [set_outbox ob v] aims the cursor at vertex [v]'s src-side slots;
@@ -92,35 +85,18 @@ val set_inbox : ?shuffle:Dex_util.Rng.t -> inbox -> int -> unit
 val set_outbox : outbox -> int -> unit
 
 module Inbox : sig
-  (** [is_empty ib] — no message was delivered to this vertex for the
-      current round. *)
-  val is_empty : inbox -> bool
-
-  (** [count ib] — number of deliveries this round (a duplicated
-      message counts twice). *)
-  val count : inbox -> int
-
   (** [iter1 ib f] calls [f src word] per delivery, in ascending
       sender order unless the cursor was aimed with a shuffle
-      (duplicates are adjacent either way). Reads only the first word
-      of each message: the fast path for one-word protocols. *)
+      (duplicates are adjacent either way). *)
   val iter1 : inbox -> (int -> int -> unit) -> unit
-
-  (** [iter ib f] calls [f src msg] per delivery in the order of
-      {!iter1}, materializing each message array. *)
-  val iter : inbox -> (int -> int array -> unit) -> unit
 end
 
 module Outbox : sig
   (** [send1 ob ~dst w] stages the one-word message [w] to [dst].
       Raises {!Congestion_violation} on the first failed check:
-      over-budget first, then non-neighbor (an out-of-range id
-      included), then duplicate edge use. *)
+      non-neighbor (an out-of-range id included), then duplicate edge
+      use. *)
   val send1 : outbox -> dst:Dex_graph.Vertex.local -> int -> unit
-
-  (** [send ob ~dst msg] stages an arbitrary message of at most
-      [word_size] words ([msg] is copied into the arena). *)
-  val send : outbox -> dst:Dex_graph.Vertex.local -> int array -> unit
 
   (** [wake ob] self-wakes the cursor's vertex: it stays on the next
       round's worklist even if it receives nothing. *)
@@ -154,7 +130,7 @@ val active_count : t -> int
 val active_get : t -> int -> int
 
 (** [deliver_staged a src verdict] walks [src]'s staged sends in slot
-    (= ascending destination) order; [verdict src dst slot words] decides
+    (= ascending destination) order; [verdict src dst slot] decides
     each message's fate, exactly like [Faults.verdict] (its [slot]
     argument is the src-side slot of the message), and delivered
     messages land in the destination's inbox slots for the next round,
@@ -164,7 +140,7 @@ val active_get : t -> int -> int
     calling this for each source in ascending order records events in
     (source, destination) order. *)
 val deliver_staged :
-  t -> int -> (int -> int -> int -> int -> [ `Deliver | `Drop | `Duplicate ]) -> unit
+  t -> int -> (int -> int -> int -> [ `Deliver | `Drop | `Duplicate ]) -> unit
 
 (** [finish_round a] advances the tick (retiring all current-round
     slots at once), adds the calendar's wakes due next round, and

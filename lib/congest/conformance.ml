@@ -52,8 +52,8 @@ type run_result = {
    validation and quiescence, in the canonical order or — with
    [shuffle] — a fresh random step and inbox order every round. The
    first kernel violation ends the run. *)
-let exec ~run ?shuffle ~word_size ~max_rounds g (p : 's protocol) ~digest =
-  let net = Network.create ~word_size g (Rounds.create ()) in
+let exec ~run ?shuffle ~max_rounds g (p : 's protocol) ~digest =
+  let net = Network.create g (Rounds.create ()) in
   let digests = ref [] in
   let on_round round states =
     digests := { round; per_vertex = Array.map digest states } :: !digests
@@ -73,13 +73,13 @@ let exec ~run ?shuffle ~word_size ~max_rounds g (p : 's protocol) ~digest =
 
 let default_digest s = Hashtbl.hash_param 256 256 s
 
-let check ?(word_size = 1) ?(max_rounds = 100_000) ?(seed = 0xD1CE) ?digest g ~protocol () =
+let check ?(max_rounds = 100_000) ?(seed = 0xD1CE) ?digest g ~protocol () =
   let digest = match digest with Some d -> d | None -> default_digest in
   (* the protocol thunk rebuilds every closure, so each run starts
      from virgin mutable state and a virgin RNG *)
-  let a = exec ~run:Canonical ~word_size ~max_rounds g (protocol ()) ~digest in
+  let a = exec ~run:Canonical ~max_rounds g (protocol ()) ~digest in
   let b =
-    exec ~run:Permuted ~shuffle:(Rng.create seed) ~word_size ~max_rounds g (protocol ())
+    exec ~run:Permuted ~shuffle:(Rng.create seed) ~max_rounds g (protocol ())
       ~digest
   in
   let divergences = ref [] in

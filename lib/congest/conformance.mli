@@ -18,8 +18,8 @@
     every stepped round it digests every vertex state; any digest
     mismatch at any (round, vertex) is reported as a
     {!State_divergence}. The kernel's own validation audits both runs
-    against the CONGEST invariants — at most [word_size] words per
-    message, at most one message per directed edge per round,
+    against the CONGEST invariants — at most one message per directed
+    edge per round,
     neighbours only — and a run ends at its first violation, so each
     run reports at most one {!Kernel} violation. A run that does not quiesce within
     [max_rounds] reports {!Round_limit}.
@@ -67,19 +67,12 @@ type report = {
 (** [ok report] is [true] iff no violation was recorded. *)
 val ok : report -> bool
 
-(** [default_digest s] is the structural digest {!check} uses when no
-    [?digest] is supplied ([Hashtbl.hash_param 256 256]). Exported so
-    the kernel-vs-reference suite can hash per-round state
-    arrays with the exact same function the conformance engine uses. *)
-val default_digest : 's -> int
-
-(** [check ?word_size ?max_rounds ?seed ?digest g ~protocol ()] runs
+(** [check ?max_rounds ?seed ?digest g ~protocol ()] runs
     [protocol ()] in the canonical and in the seeded shuffled order and
-    compares them. [digest] (default {!default_digest}) must be a total
-    function of the state — if the state contains caches or closures,
-    supply a digest over the meaningful fields. *)
+    compares them. [digest] (default [Hashtbl.hash_param 256 256])
+    must be a total function of the state — if the state contains
+    caches or closures, supply a digest over the meaningful fields. *)
 val check :
-  ?word_size:int ->
   ?max_rounds:int ->
   ?seed:int ->
   ?digest:('s -> int) ->

@@ -37,9 +37,6 @@ type spec = {
   seed : int; (** drives every probabilistic decision *)
 }
 
-(** The fault-free schedule (all probabilities 0, no failures). *)
-val none : spec
-
 (** [lossy ?duplicate ?seed ~drop ()] is a pure message-loss schedule.
     Defaults: [duplicate = 0.], [seed = 0]. *)
 val lossy : ?duplicate:float -> ?seed:int -> drop:float -> unit -> spec
@@ -52,6 +49,7 @@ val create : spec -> t
 
 (** [trace t] is every fault event recorded so far, in the order the
     kernel encountered them. *)
+(* dex-lint: allow C004 test seam: the reliable goldens of test_faults and test_kernel_equiv's reference runs pin the applied fault events through it *)
 val trace : t -> fault list
 
 (** [drops t] counts lost deliveries (including losses caused by dead

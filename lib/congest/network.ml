@@ -38,7 +38,6 @@ type tracer = {
 type t = {
   graph : Graph.t;
   ledger : Rounds.t;
-  word_size : int;
   faults : Faults.t option;
   vertex_map : Vertex.Map.t option; (* local -> original-graph vertex ids *)
   trace : Trace.t option; (* cached from the ledger at creation *)
@@ -57,8 +56,7 @@ type 's active_step =
 let to_orig vertex_map v =
   match vertex_map with Some m -> Vertex.orig_int (Vertex.Map.get m v) | None -> v
 
-let create ?(word_size = 1) ?faults ?vertex_map graph ledger =
-  Invariant.require (word_size >= 1) ~where:"Network.create" "word_size must be >= 1";
+let create ?faults ?vertex_map graph ledger =
   (match vertex_map with
   | Some map when Vertex.Map.length map <> Graph.num_vertices graph ->
     Invariant.fail ~where:"Network.create" "vertex_map length must equal the vertex count"
@@ -84,7 +82,6 @@ let create ?(word_size = 1) ?faults ?vertex_map graph ledger =
   | _ -> ());
   { graph;
     ledger;
-    word_size;
     faults;
     vertex_map;
     trace;
@@ -122,7 +119,7 @@ let arena_of t =
   match t.arena with
   | Some a -> a
   | None ->
-    let a = Arena.create ~word_size:t.word_size ~to_orig:(to_orig t.vertex_map) t.graph in
+    let a = Arena.create ~to_orig:(to_orig t.vertex_map) t.graph in
     t.arena <- Some a;
     t.tracer <-
       Option.map
@@ -163,7 +160,7 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
     | Some f -> check f ~round:(Arena.round a) ~vertex:(Vertex.local v)
     | None -> false
   in
-  let verdict src dst slot words =
+  let verdict src dst slot =
     let fate =
       match t.faults with
       | None -> `Deliver
@@ -173,7 +170,8 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
     let times = match fate with `Deliver -> 1 | `Duplicate -> 2 | `Drop -> 0 in
     if times > 0 then begin
       t.messages <- t.messages + times;
-      t.words <- t.words + (times * words);
+      (* one word per message *)
+      t.words <- t.words + times;
       match tracer with Some s -> count_delivery t s a ~src ~dst ~slot times | None -> ()
     end;
     fate

@@ -8,8 +8,7 @@
 
     - a message may only be sent to a neighbor;
     - at most one message per (vertex, incident edge) per round;
-    - each message carries at most [word_size] machine words, a word
-      standing for O(log n) bits.
+    - each message is one machine word, standing for O(log n) bits.
 
     Violations raise {!Congestion_violation} — this is how tests do
     failure injection. Rounds and message words are charged to a
@@ -19,8 +18,8 @@
     drops/duplications, permanent link failures and crash-stop vertex
     faults are then applied inside every executed round, with each
     fault event recorded in the schedule's trace. Congestion validation
-    happens {e before} fault application — a protocol may not excuse an
-    oversized message by hoping the adversary drops it.
+    happens {e before} fault application — a protocol may not excuse a
+    forbidden send by hoping the adversary drops it.
 
     When the ledger has a {!Dex_obs.Trace.t} attached
     ({!Rounds.attach_trace}, before the network is created), every
@@ -58,8 +57,7 @@ exception
 
 type t
 
-(** [create ?word_size ?faults ?vertex_map graph rounds] wraps [graph];
-    [word_size] (default 1) is the per-message word budget. When
+(** [create ?faults ?vertex_map graph rounds] wraps [graph]. When
     [faults] is given, every executed round applies the schedule to
     deliveries and step execution. [vertex_map] translates local vertex
     ids to original-graph ids for trace and error reporting (it must
@@ -67,7 +65,6 @@ type t
     it hands an induced subgraph to LDD. The trace handle, if any, is
     read from the ledger at creation time — attach it first. *)
 val create :
-  ?word_size:int ->
   ?faults:Faults.t ->
   ?vertex_map:Dex_graph.Vertex.Map.t ->
   Dex_graph.Graph.t ->
@@ -82,9 +79,8 @@ val graph : t -> Dex_graph.Graph.t
     duplicated ones count twice. *)
 val messages_sent : t -> int
 
-(** [words_sent t] is the cumulative number of machine words delivered,
-    fault-aware in the same way as {!messages_sent}: dropped messages
-    contribute nothing, duplicated ones contribute twice. *)
+(** [words_sent t] is the cumulative number of machine words delivered:
+    one per delivered message, so it equals {!messages_sent}. *)
 val words_sent : t -> int
 
 (** [faults t] is the fault schedule, if any. *)
@@ -98,8 +94,8 @@ val faults : t -> Faults.t option
     stepped each round. *)
 
 (** Per-round behaviour of one vertex, cursor form. Read the inbox
-    with [Arena.Inbox.iter1]/[iter], send with [Arena.Outbox.send1]/
-    [send]; the cursors are only valid for the duration of the call. *)
+    with [Arena.Inbox.iter1], send with [Arena.Outbox.send1]; the
+    cursors are only valid for the duration of the call. *)
 type 's active_step =
   round:int ->
   vertex:Dex_graph.Vertex.local ->

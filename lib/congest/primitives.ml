@@ -78,10 +78,3 @@ let leader g =
     { best; fresh = false }
   in
   { Conformance.init; step }
-
-let elect_leader net =
-  let p = leader (Network.graph net) in
-  (* a vertex re-announces only when its view improves, so active-set
-     quiescence means the minimum has flooded each component *)
-  let states, _ = Network.run_active net ~label:"leader" ~init:p.init ~step:p.step () in
-  Array.map (fun st -> st.best) states

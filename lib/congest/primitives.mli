@@ -1,7 +1,7 @@
 (** Standard CONGEST building blocks over {!Network.t}.
 
-    [bfs_tree] and [elect_leader] are executed as real message-passing
-    protocols (they exercise the kernel and their round counts are
+    [bfs_tree] and the [leader] flood are executed as real
+    message-passing protocols (they exercise the kernel and their round counts are
     measured from the execution). Tree aggregations are charged by the
     procedures that use them (Lemma 9's sweep search in
     [Nibble.candidate_cost], Lemma 10's generate/select in
@@ -24,17 +24,15 @@ val tree : root:Dex_graph.Vertex.local -> parent:int array -> depth:int array ->
 (** [bfs_tree net ~root] floods from [root] (executed protocol;
     rounds measured and charged under ["bfs"]). [root] is a vertex of
     {e this} network's coordinate space ({!Dex_graph.Vertex.local}). *)
+(* dex-lint: allow C004 reference implementation: test_faults's "p=0 is fault-free" compares Reliable.bfs_tree against it *)
 val bfs_tree : Network.t -> root:Dex_graph.Vertex.local -> tree
-
-(** [elect_leader net] floods minimum vertex id (executed protocol,
-    charged under ["leader"]); returns per-vertex leader array —
-    one leader per connected component. *)
-val elect_leader : Network.t -> int array
 
 (** {2 The protocols}
 
-    What {!bfs_tree} and {!elect_leader} run, exported so
-    {!Conformance.check} can test the very steps the kernel executes. *)
+    The flooding protocols, exported so {!Conformance.check} can test
+    the very steps the kernel executes: {!bfs_tree} runs {!bfs}, the
+    CLI's [conformance] command runs both and [throughput] runs
+    {!bfs}. *)
 
 type bfs_state = { dist : int; par : int; pending : bool }
 

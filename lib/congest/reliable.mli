@@ -11,8 +11,9 @@
     - acknowledgements are self-clocking: a lost ack triggers a
       retransmission, which triggers a fresh ack;
     - data and ack ride in a single word per edge per round (two
-      O(log n)-bit fields packed into one word), so the CONGEST
-      discipline is respected without widening the word budget.
+      O(log n)-bit fields packed into one word), so each message is
+      the one word the kernel carries. Payload values must be in
+      [0, 2^30).
 
     The extra rounds a lossy run needs are charged honestly to the
     network's ledger under the protocol's label ("bfs-reliable",
@@ -47,9 +48,6 @@ exception
     attempts : int;
   }
 
-(** Payload values must be in [0, 2^30): two packed per word. *)
-val value_limit : int
-
 (** [bfs_tree ?config ?max_rounds net ~root] is {!Primitives.bfs_tree}
     with reliable delivery: distances adopt monotonically, every
     improvement is re-announced until acknowledged, so the final
@@ -73,4 +71,5 @@ type vstate
     (with {!default_config}), exported for {!Conformance.check}. A
     vertex adopts the smallest offered distance + 1; among one round's
     best offers its parent is the largest sender. *)
+(* dex-lint: allow C004 test seam: test_determinism's "conformance kernel protocols pass" races the steps bfs_tree executes *)
 val bfs_protocol : Dex_graph.Graph.t -> root:Dex_graph.Vertex.local -> vstate Conformance.protocol

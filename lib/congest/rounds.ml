@@ -45,33 +45,36 @@ let charge t ~label k =
   leaf.charged <- true;
   leaf.self <- leaf.self + k
 
-let with_span t name f =
-  let node = child_named (current t) name in
-  t.stack <- node :: t.stack;
-  let before = t.total in
-  let id =
-    match t.trace with
-    | Some tr -> Trace.span_open tr ~name ~rounds_before:before
-    | None -> -1
-  in
-  let t0 = Dex_obs.Clock.now_ns () in
-  Fun.protect
-    ~finally:(fun () ->
-      let wall = Dex_obs.Clock.now_ns () - t0 in
-      node.wall_ns <- node.wall_ns + wall;
-      (match t.stack with
-      | top :: rest when top == node -> t.stack <- rest
-      | stack ->
-        (* an exception may have skipped inner pops: unwind past [node] *)
-        let rec unwind = function
-          | top :: rest -> if top == node then rest else unwind rest
-          | [] -> []
-        in
-        t.stack <- unwind stack);
+let span t name f =
+  match t with
+  | None -> f ()
+  | Some t ->
+    let node = child_named (current t) name in
+    t.stack <- node :: t.stack;
+    let before = t.total in
+    let id =
       match t.trace with
-      | Some tr -> Trace.span_close tr ~id ~name ~rounds:(t.total - before) ~wall_ns:wall
-      | None -> ())
-    f
+      | Some tr -> Trace.span_open tr ~name ~rounds_before:before
+      | None -> -1
+    in
+    let t0 = Dex_obs.Clock.now_ns () in
+    Fun.protect
+      ~finally:(fun () ->
+        let wall = Dex_obs.Clock.now_ns () - t0 in
+        node.wall_ns <- node.wall_ns + wall;
+        (match t.stack with
+        | top :: rest when top == node -> t.stack <- rest
+        | stack ->
+          (* an exception may have skipped inner pops: unwind past [node] *)
+          let rec unwind = function
+            | top :: rest -> if top == node then rest else unwind rest
+            | [] -> []
+          in
+          t.stack <- unwind stack);
+        match t.trace with
+        | Some tr -> Trace.span_close tr ~id ~name ~rounds:(t.total - before) ~wall_ns:wall
+        | None -> ())
+      f
 
 let total t = t.total
 
@@ -102,8 +105,6 @@ let tree t =
     { span = node.name; rounds; self = node.self; wall_ns = node.wall_ns; children }
   in
   freeze t.root
-
-let span t name f = match t with Some l -> with_span l name f | None -> f ()
 
 type 'a verified = { value : 'a; attempts : int; rounds_total : int }
 

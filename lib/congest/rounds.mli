@@ -9,7 +9,7 @@
     of the primitive they stand for (see DESIGN.md §2).
 
     The ledger stores one thing, a span tree: components may wrap work
-    in {!with_span}, and every charge is attributed to a node named by
+    in {!span}, and every charge is attributed to a node named by
     its label under the innermost open span, so the nested
     Phase-1/Phase-2 structure of a decomposition becomes visible
     ({!tree}). Leaf round totals always sum to {!total} by
@@ -40,14 +40,6 @@ val trace : t -> Dex_obs.Trace.t option
     [Dex_util.Invariant.Violation] on negative [k]. *)
 val charge : t -> label:string -> int -> unit
 
-(** [with_span t name f] runs [f ()] inside a span [name] nested under
-    the innermost open span. Re-entering the same name under the same
-    parent accumulates into one node (the tree stays compact and
-    deterministic). The span records the rounds charged and the
-    wall-clock spent during [f]; the span is closed even if [f]
-    raises. *)
-val with_span : t -> string -> (unit -> 'a) -> 'a
-
 (** [total t] is the number of rounds charged so far. *)
 val total : t -> int
 
@@ -60,7 +52,7 @@ val by_phase : t -> (string * int) list
 (** One node of the span tree: [rounds] = [self] + sum of children's
     [rounds]; [self] is non-zero only on charge leaves (or on nodes
     whose name was used both as a span and as a charge label);
-    [wall_ns] is the simulator wall-clock accumulated by {!with_span}.
+    [wall_ns] is the simulator wall-clock accumulated by {!span}.
     Children appear in first-creation order. *)
 type tree = { span : string; rounds : int; self : int; wall_ns : int; children : tree list }
 
@@ -68,8 +60,12 @@ type tree = { span : string; rounds : int; self : int; wall_ns : int; children :
     synthetic ["total"] node with [rounds = total t]. *)
 val tree : t -> tree
 
-(** [span t name f] is [with_span l name f] when [t = Some l], and
-    plain [f ()] without a ledger. *)
+(** [span t name f] with [t = Some l] runs [f ()] inside a span [name]
+    of [l], nested under the innermost open span. Re-entering the same
+    name under the same parent accumulates into one node (the tree
+    stays compact and deterministic). The span records the rounds
+    charged and the wall-clock spent during [f]; the span is closed
+    even if [f] raises. Without a ledger it is plain [f ()]. *)
 val span : t option -> string -> (unit -> 'a) -> 'a
 
 (** The outcome of {!las_vegas}: the accepted (on [Error], the kept)

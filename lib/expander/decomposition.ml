@@ -286,8 +286,3 @@ let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
         phase2_max_iterations = d.phase2_max_iterations;
         partition_calls = d.partition_calls;
         discarded_cuts = d.discarded } }
-
-let part_members result v =
-  match List.nth_opt result.parts result.part_of.(v) with
-  | Some part -> part
-  | None -> Dex_util.Invariant.fail ~where:"Decomposition.part_members" "vertex out of range"

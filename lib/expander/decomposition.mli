@@ -61,6 +61,3 @@ val run :
   ?ledger:Dex_congest.Rounds.t ->
   epsilon:float -> k:int ->
   Dex_graph.Graph.t -> Dex_util.Rng.t -> result
-
-(** [parts_of_mask result v] is the part containing [v]. *)
-val part_members : result -> int -> int array

@@ -16,12 +16,9 @@
     {!Dex_congest.Rounds.las_vegas}. *)
 
 (** One verified attempt: the decomposition and its certificate. On
-    [Ok], [report_ok report] holds. *)
+    [Ok], [report] certifies a partition within the ε budget whose
+    parts all meet the φ target. *)
 type certified = { result : Decomposition.result; report : Verify.report }
-
-(** [report_ok r] is the acceptance predicate: [r] certifies a
-    partition within the ε budget whose parts all meet the φ target. *)
-val report_ok : Verify.report -> bool
 
 (** [decompose ?preset ?ledger ?attempts ~epsilon ~k g rng] runs
     {!Decomposition.run} up to [attempts] times (default 5), attempt

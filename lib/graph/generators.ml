@@ -17,10 +17,6 @@ let path n =
   if n < 1 then invalid_arg "Generators.path: need n >= 1";
   Graph.of_edges ~n (List.init (Int.max 0 (n - 1)) (fun i -> (i, i + 1)))
 
-let star n =
-  if n < 1 then invalid_arg "Generators.star: need n >= 1";
-  Graph.of_edges ~n (List.init (n - 1) (fun i -> (0, i + 1)))
-
 let grid rows cols =
   if rows < 1 || cols < 1 then invalid_arg "Generators.grid";
   let id r c = (r * cols) + c in
@@ -60,23 +56,6 @@ let gnp rng ~n ~p =
       pos := !pos + 1 + Rng.geometric rng p
     done
   end;
-  Graph.of_edges ~n !edges
-
-let gnm rng ~n ~m =
-  let max_m = n * (n - 1) / 2 in
-  if m < 0 || m > max_m then invalid_arg "Generators.gnm: m out of range";
-  let chosen = Hashtbl.create (2 * m) in
-  let edges = ref [] in
-  while Hashtbl.length chosen < m do
-    let u = Rng.int rng n and v = Rng.int rng n in
-    if u <> v then begin
-      let key = (Int.min u v, Int.max u v) in
-      if not (Hashtbl.mem chosen key) then begin
-        Hashtbl.replace chosen key ();
-        edges := key :: !edges
-      end
-    end
-  done;
   Graph.of_edges ~n !edges
 
 let random_regular rng ~n ~d =

@@ -10,18 +10,12 @@ val cycle : int -> Graph.t
 (** [path n] is P_n. *)
 val path : int -> Graph.t
 
-(** [star n] is K_{1,n-1} with center 0. *)
-val star : int -> Graph.t
-
 (** [grid rows cols] is the rows×cols grid graph. *)
 val grid : int -> int -> Graph.t
 
 (** [gnp rng ~n ~p] is Erdős–Rényi G(n, p). The paper's triangle
     lower-bound family is [gnp ~p:0.5]. *)
 val gnp : Dex_util.Rng.t -> n:int -> p:float -> Graph.t
-
-(** [gnm rng ~n ~m] is a uniform simple graph with [m] edges. *)
-val gnm : Dex_util.Rng.t -> n:int -> m:int -> Graph.t
 
 (** [random_regular rng ~n ~d] is a (near-)d-regular simple graph by
     the pairing model with retries; w.h.p. an expander for d ≥ 3.

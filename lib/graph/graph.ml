@@ -52,11 +52,6 @@ let build ~n ~count_edge =
 
 let of_edges ~n edges = build ~n ~count_edge:(fun f -> List.iter (fun (u, v) -> f u v) edges)
 
-let of_edge_array ~n edges =
-  build ~n ~count_edge:(fun f -> Array.iter (fun (u, v) -> f u v) edges)
-
-let empty n = of_edges ~n []
-
 let with_self_loops g extra =
   if Array.length extra <> g.n then invalid_arg "Graph.with_self_loops: length mismatch";
   let loops = Array.mapi (fun v k -> g.loops.(v) + k) extra in

@@ -26,16 +26,10 @@ type t
     endpoint is out of range. *)
 val of_edges : n:int -> (int * int) list -> t
 
-(** [of_edge_array ~n edges] is [of_edges] on an array (no copy of the
-    input is kept). *)
-val of_edge_array : n:int -> (int * int) array -> t
-
 (** [with_self_loops g loops] returns [g] with [loops.(v)] extra
     self-loops added at each vertex [v]. *)
+(* dex-lint: allow C004 reference builder: test_graph's "G[S] and G{S} match their edge-list definition" and "remove_edges matches its edge-list definition" compare the subgraph builders against it *)
 val with_self_loops : t -> int array -> t
-
-(** [empty n] is the edgeless graph on [n] vertices. *)
-val empty : int -> t
 
 (** {1 Size} *)
 
@@ -70,6 +64,7 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
 
 (** [mem_edge g u v] tests for a non-loop edge between distinct [u],
     [v], or a self-loop when [u = v]. *)
+(* dex-lint: allow C004 reference predicate: the seed kernel in test/reference.ml validates sends with it, and test_triangle's "exact matches naive" enumerates with it *)
 val mem_edge : t -> int -> int -> bool
 
 (** {1 CSR addressing}
@@ -144,4 +139,5 @@ val remove_edges : t -> (int * int) list -> t
 (** [check g] verifies internal invariants (adjacency symmetry, sorted
     neighbor arrays, degree bookkeeping); raises [Failure] with a
     description on violation. Intended for tests. *)
+(* dex-lint: allow C004 validator: test_graph's "graph invariants hold" and test_generators' "generated graphs pass invariants" check the builders and generators with it *)
 val check : t -> unit

@@ -1,5 +1,5 @@
-(** Plain-text graph serialization, so the CLI and examples can run on
-    real edge lists as well as generated families.
+(** Plain-text graph input, so the CLI and examples can run on real
+    edge lists as well as generated families.
 
     The format is a whitespace edge list:
 
@@ -11,15 +11,10 @@
 
     Vertex ids are non-negative integers. *)
 
-(** [parse string] reads a graph from the textual format.
-    Raises [Failure] with a line-numbered message on malformed input. *)
-val parse : string -> Graph.t
-
-(** [to_string g] serializes; [parse (to_string g)] reconstructs an
-    isomorphic (identical ids) graph. *)
-val to_string : Graph.t -> string
-
-(** [load path] / [save path g] are the file versions. *)
+(** [load path] reads a graph from the file [path]. Raises [Failure]
+    with a one-line message naming the path and line, e.g.
+    ["g.txt: line 3: invalid edge \"1 x\""], on malformed input (an
+    endpoint at or above a declared [n] is reported on the line of the
+    largest endpoint), and [Sys_error] when the file cannot be read.
+    The file is closed either way. *)
 val load : string -> Graph.t
-
-val save : string -> Graph.t -> unit

@@ -58,12 +58,6 @@ let balance g s =
     float_of_int (Int.min vol_s (total - vol_s)) /. float_of_int total
   end
 
-let is_sparse_cut g ~phi s =
-  let c = conductance g s in
-  Float.is_finite c && c <= phi
-
-(* BFS with an array queue: a component is the queue's prefix once the
-   search from its smallest vertex stops *)
 let connected_components g =
   let n = Graph.num_vertices g in
   let seen = Array.make n false in
@@ -147,26 +141,6 @@ let diameter g =
     !best
   end
 
-let diameter_2sweep g =
-  let n = Graph.num_vertices g in
-  if n <= 1 then 0
-  else begin
-    let far dist =
-      let best = ref 0 in
-      Array.iteri
-        (fun v d ->
-          if d = max_int then failwith "Metrics.diameter_2sweep: disconnected graph";
-          if d > dist.(!best) then best := v)
-        dist;
-      !best
-    in
-    let d0 = bfs_distances g 0 in
-    let a = far d0 in
-    let da = bfs_distances g a in
-    let b = far da in
-    da.(b)
-  end
-
 let subset_diameter g s =
   if Array.length s = 0 then failwith "Metrics.subset_diameter: empty subset";
   let sub, _ = Graph.induced_subgraph g s in
@@ -213,8 +187,6 @@ let degeneracy g =
     done;
     !result
   end
-
-let arboricity_upper_bound = degeneracy
 
 let check_partition g parts =
   let n = Graph.num_vertices g in

@@ -30,10 +30,6 @@ val conductance : Graph.t -> int array -> float
 (** [balance g s] = bal(S) ∈ [0, 1/2]. *)
 val balance : Graph.t -> int array -> float
 
-(** [is_sparse_cut g ~phi s] tests Φ(S) ≤ phi with both sides
-    non-degenerate. *)
-val is_sparse_cut : Graph.t -> phi:float -> int array -> bool
-
 (** {1 Connectivity and distances} *)
 
 (** [connected_components g] lists components as sorted vertex arrays,
@@ -47,25 +43,10 @@ val is_connected : Graph.t -> bool
     unreachable vertices get [max_int]. *)
 val bfs_distances : Graph.t -> int -> int array
 
-(** [bfs_multi_distances g srcs] is distance to the nearest source. *)
-val bfs_multi_distances : Graph.t -> int array -> int array
-
-(** [eccentricity g v] is the maximum finite distance from [v];
-    raises [Failure] if some vertex is unreachable. *)
-val eccentricity : Graph.t -> int -> int
-
-(** [diameter g] is the exact diameter via all-pairs BFS — O(nm); use
-    on small or sparse graphs. Raises [Failure] if disconnected.
-    Returns 0 for graphs with fewer than 2 vertices. *)
-val diameter : Graph.t -> int
-
-(** [diameter_2sweep g] is the classic double-sweep lower bound on the
-    diameter, O(m). Raises [Failure] if disconnected. *)
-val diameter_2sweep : Graph.t -> int
-
 (** [subset_diameter g s] is the diameter of [G\[S\]] (hop distance
-    inside the induced subgraph); raises [Failure] if [G\[S\]] is
-    disconnected or [s] is empty. *)
+    inside the induced subgraph), exact via all-pairs BFS — O(nm) on
+    the subgraph; raises [Failure] if [G\[S\]] is disconnected or [s]
+    is empty. *)
 val subset_diameter : Graph.t -> int array -> int
 
 (** {1 Density} *)
@@ -74,10 +55,6 @@ val subset_diameter : Graph.t -> int array -> int
     order of the minimum remaining plain degree); the arboricity lies
     in [ceil(degeneracy/2), degeneracy]. Self-loops are ignored. *)
 val degeneracy : Graph.t -> int
-
-(** [arboricity_upper_bound g] = degeneracy: a forest-partition count
-    achievable greedily. *)
-val arboricity_upper_bound : Graph.t -> int
 
 (** {1 Partitions} *)
 

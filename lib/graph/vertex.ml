@@ -2,7 +2,6 @@ type local = int
 type orig = int
 
 let local v = v
-let orig v = v
 let local_int v = v
 let orig_int v = v
 
@@ -10,9 +9,7 @@ module Map = struct
   type t = int array
 
   let of_array a = a
-  let to_array a = a
   let length = Array.length
-  let apply m v = m.(v)
   let get m v = m.(v)
 
   let translate m vs = Array.map (fun v -> m.(v)) vs

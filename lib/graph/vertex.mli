@@ -35,9 +35,6 @@ type orig = private int
 val local : int -> local
 (** [local v] asserts that [v] is a local-coordinate id. *)
 
-val orig : int -> orig
-(** [orig v] asserts that [v] is an original-coordinate id. *)
-
 val local_int : local -> int
 (** [local_int v] is [(v :> int)]. *)
 
@@ -55,16 +52,11 @@ module Map : sig
       vertex [i]. The array is not copied; callers must not mutate it
       afterwards. *)
 
-  val to_array : t -> int array
-
   val length : t -> int
 
-  val apply : t -> local -> orig
-  (** [apply m v] translates one id. *)
-
   val get : t -> int -> orig
-  (** [get m v] is [apply m (local v)] — for callers iterating raw
-      subgraph indices. *)
+  (** [get m v] is the original id of local vertex [v], given as a raw
+      subgraph index. *)
 
   val translate : t -> int array -> int array
   (** [translate m vs] maps an array of local ids to original ids

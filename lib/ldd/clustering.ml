@@ -85,24 +85,3 @@ let run net ~beta rng =
         Dex_util.Invariant.failf ~where:"Clustering.run" "vertex %d unclustered" v)
     cluster;
   { cluster; start = starts; epochs = horizon; rounds = horizon }
-
-let clusters (t : t) =
-  (* counting sort by cluster id: ids are vertex ids, in [0, n) *)
-  let n = Array.length t.cluster in
-  let size = Array.make n 0 in
-  Array.iter (fun c -> size.(c) <- size.(c) + 1) t.cluster;
-  let members = Array.map (fun k -> Array.make k 0) size in
-  (* filling each group from the back with descending v leaves it ascending *)
-  for v = n - 1 downto 0 do
-    let c = t.cluster.(v) in
-    size.(c) <- size.(c) - 1;
-    members.(c).(size.(c)) <- v
-  done;
-  (* descending cluster id, the order the list has always had *)
-  Array.fold_left (fun acc m -> if Array.length m > 0 then m :: acc else acc) [] members
-
-let inter_cluster_edges g (t : t) =
-  let crossing = ref 0 in
-  Graph.iter_edges g (fun u v ->
-      if u <> v && t.cluster.(u) <> t.cluster.(v) then incr crossing);
-  !crossing

@@ -35,12 +35,6 @@ type state
 (** [protocol g ~beta rng] is the protocol {!run} executes on [g] for
     the same [rng] draws, exported for
     [Dex_congest.Conformance.check]. *)
+(* dex-lint: allow C004 test seam: test_determinism's "conformance kernel protocols pass" races the steps run executes *)
 val protocol :
   Dex_graph.Graph.t -> beta:float -> Dex_util.Rng.t -> state Dex_congest.Conformance.protocol
-
-(** [clusters t] groups vertices by cluster, each sorted ascending;
-    the groups are listed by descending cluster id. *)
-val clusters : t -> int array list
-
-(** [inter_cluster_edges g t] counts edges whose endpoints disagree. *)
-val inter_cluster_edges : Dex_graph.Graph.t -> t -> int

@@ -56,3 +56,11 @@ let diameter_bound ?(ka = 5.0) ?(kb = 5.0) ~n ~beta () =
   let b = Float.ceil (kb *. lf /. beta) in
   let d1 = Float.ceil (4.0 *. lf /. beta) in
   int_of_float ((2.0 *. (d1 +. 1.0)) +. (20.0 *. a *. b))
+
+let failure_probability ~m ~beta ~k_ln =
+  if m < 1 then invalid_arg "Ldd.failure_probability: m >= 1";
+  if beta <= 0.0 || beta >= 1.0 then invalid_arg "Ldd.failure_probability: beta in (0,1)";
+  if k_ln <= 0.0 then invalid_arg "Ldd.failure_probability: k_ln > 0";
+  let mu = 2.0 *. beta *. float_of_int m in
+  let d = Float.max 1.0 (beta *. float_of_int m /. k_ln) in
+  Float.min 1.0 (d *. exp (-.(0.25 *. mu) /. (3.0 *. d)))

@@ -20,19 +20,13 @@ type t = {
   beta : float;
 }
 
-(** [run ?ka ?kb net ~beta rng] executes the decomposition on the
-    network's graph; rounds are charged to the network ledger as well
-    as reported in the result. [ka]/[kb] are the refinement radius
-    constants (see {!Refine.run}; both default 5, the paper's
-    values). *)
-val run :
-  ?ka:float -> ?kb:float ->
-  Dex_congest.Network.t -> beta:float -> Dex_util.Rng.t -> t
-
-(** [run_graph ?ka ?kb ?ledger ?vertex_map g ~beta rng] is [run] on a
-    fresh single-use network. Charges go to [ledger] when given (so a
-    caller's span structure and attached trace see this run), to a
-    private throwaway ledger otherwise. [vertex_map] translates [g]'s
+(** [run_graph ?ka ?kb ?ledger ?vertex_map g ~beta rng] executes the
+    decomposition on a fresh single-use network over [g]; rounds are
+    charged to [ledger] when given (so a caller's span structure and
+    attached trace see this run), to a private throwaway ledger
+    otherwise, and reported in the result. [ka]/[kb] are the
+    refinement radius constants (see {!Refine.run}; both default 5,
+    the paper's values). [vertex_map] translates [g]'s
     vertex ids to original-graph ids for trace reporting — pass the
     mapping from the induced subgraph when decomposing a component. *)
 val run_graph :
@@ -48,3 +42,10 @@ val max_part_diameter : Dex_graph.Graph.t -> t -> int
     constants), the value tests and benches verify measured diameters
     against. Pass the same [ka]/[kb] as the run. *)
 val diameter_bound : ?ka:float -> ?kb:float -> n:int -> beta:float -> unit -> int
+
+(** [failure_probability ~m ~beta ~k_ln] is Lemma 13's bound on the
+    probability that more than 3β·m edges are cut: the bounded-dependence
+    Chernoff tail min(1, d·e^{−δ²μ/(3d)}) with μ = 2βm, δ = 1/2 and
+    dependence d = max(1, βm/k_ln), where [k_ln] is K·ln n. Raises
+    [Invalid_argument] unless m ≥ 1, β ∈ (0, 1) and k_ln > 0. *)
+val failure_probability : m:int -> beta:float -> k_ln:float -> float

@@ -34,4 +34,5 @@ val run : ?ka:float -> ?kb:float -> Dex_graph.Graph.t -> beta:float -> t
     separation > a would need all-pairs distances, so we verify the
     per-component diameter O(ab) bound and the V_S ball-density
     bound); raises [Failure] on violation. For tests. *)
+(* dex-lint: allow C004 validator: test_ldd's "refine invariants on path" checks Refine.run's output with it *)
 val check : Dex_graph.Graph.t -> t -> unit

@@ -28,8 +28,8 @@ let escape_to buf s =
   Buffer.add_char buf '"'
 
 let float_to_string x =
-  (* shortest round-trippable decimal; force a '.' so the value parses
-     back as Float, not Int *)
+  (* shortest round-trippable decimal; force a '.' so a reader takes
+     the value for a float, not an int *)
   let s = Printf.sprintf "%.17g" x in
   let s =
     let shorter = Printf.sprintf "%.15g" x in
@@ -68,212 +68,3 @@ let to_string v =
   let buf = Buffer.create 256 in
   to_buffer buf v;
   Buffer.contents buf
-
-(* ---------------- parsing ---------------- *)
-
-exception Bad of string * int
-
-let parse s =
-  let len = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (msg, !pos)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let n = String.length word in
-    if !pos + n <= len && String.sub s !pos n = word then begin
-      pos := !pos + n;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let utf8_of_code buf code =
-    (* encode one scalar value; surrogate pairs are handled by the caller *)
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-    end
-    else if code < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-    end
-    else begin
-      Buffer.add_char buf (Char.chr (0xf0 lor (code lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-    end
-  in
-  let hex4 () =
-    if !pos + 4 > len then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
-    pos := !pos + 4;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (if !pos >= len then fail "truncated escape";
-         let c = s.[!pos] in
-         advance ();
-         match c with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'u' ->
-           let hi = hex4 () in
-           if hi >= 0xd800 && hi <= 0xdbff then begin
-             (* surrogate pair *)
-             if !pos + 2 > len || s.[!pos] <> '\\' || s.[!pos + 1] <> 'u' then
-               fail "unpaired surrogate";
-             pos := !pos + 2;
-             let lo = hex4 () in
-             if lo < 0xdc00 || lo > 0xdfff then fail "invalid low surrogate";
-             utf8_of_code buf (0x10000 + ((hi - 0xd800) lsl 10) + (lo - 0xdc00))
-           end
-           else utf8_of_code buf hi
-         | _ -> fail "bad escape");
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_float = ref false in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let n0 = !pos in
-      while !pos < len && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        advance ()
-      done;
-      if !pos = n0 then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      is_float := true;
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-      is_float := true;
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !is_float then Float (float_of_string text)
-    else
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> Float (float_of_string text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let fields = ref [] in
-        let rec fields_go () =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          fields := (key, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields_go ()
-          | Some '}' -> advance ()
-          | _ -> fail "expected ',' or '}'"
-        in
-        fields_go ();
-        Obj (List.rev !fields)
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let items = ref [] in
-        let rec items_go () =
-          let v = parse_value () in
-          items := v :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items_go ()
-          | Some ']' -> advance ()
-          | _ -> fail "expected ',' or ']'"
-        in
-        items_go ();
-        List (List.rev !items)
-      end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> len then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad (msg, at) -> Error (Printf.sprintf "%s at offset %d" msg at)
-
-(* ---------------- accessors ---------------- *)
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let to_int = function Int i -> Some i | _ -> None
-let to_float = function Float x -> Some x | Int i -> Some (float_of_int i) | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_str = function String s -> Some s | _ -> None
-let to_list = function List l -> Some l | _ -> None

@@ -36,74 +36,6 @@ let to_json ~mode sections =
       ("mode", String mode);
       ("sections", List (List.map section_json sections)) ]
 
-(* ---------------- validation ---------------- *)
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let need what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "snapshot: missing or ill-typed %s" what)
-
-let str_field ctx key v =
-  need (Printf.sprintf "string %S in %s" key ctx)
-    (Option.bind (Json.member key v) Json.to_str)
-
-let list_field ctx key v =
-  need (Printf.sprintf "array %S in %s" key ctx)
-    (Option.bind (Json.member key v) Json.to_list)
-
-let ok_unit r = Result.map (fun _ -> ()) r
-
-let rec validate_all f = function
-  | [] -> Ok ()
-  | x :: rest ->
-    let* () = f x in
-    validate_all f rest
-
-let validate_table ctx v =
-  let* title = str_field ctx "title" v in
-  let ctx = Printf.sprintf "table %S of %s" title ctx in
-  let* headers = list_field ctx "headers" v in
-  let* () =
-    validate_all
-      (fun h -> ok_unit (need (ctx ^ ": non-string header") (Json.to_str h)))
-      headers
-  in
-  let arity = List.length headers in
-  let* rows = list_field ctx "rows" v in
-  validate_all
-    (fun row ->
-      let* cells = need (ctx ^ ": non-array row") (Json.to_list row) in
-      let* () =
-        validate_all
-          (fun c -> ok_unit (need (ctx ^ ": non-string cell") (Json.to_str c)))
-          cells
-      in
-      if List.length cells = arity then Ok ()
-      else
-        Error
-          (Printf.sprintf "snapshot: %s: row of %d cells, expected %d" ctx
-             (List.length cells) arity))
-    rows
-
-let validate_section v =
-  let* id = str_field "section" "id" v in
-  let ctx = Printf.sprintf "section %S" id in
-  let* _title = str_field ctx "title" v in
-  let* tables = list_field ctx "tables" v in
-  let* () = validate_all (validate_table ctx) tables in
-  let* notes = list_field ctx "notes" v in
-  validate_all (fun n -> ok_unit (need (ctx ^ ": non-string note") (Json.to_str n))) notes
-
-let validate v =
-  let* schema = str_field "document" "schema" v in
-  if schema <> version then
-    Error (Printf.sprintf "snapshot: schema %S, expected %S" schema version)
-  else
-    let* _mode = str_field "document" "mode" v in
-    let* sections = list_field "document" "sections" v in
-    validate_all validate_section sections
-
 let write ~path ~mode sections =
   let oc = open_out path in
   Fun.protect

@@ -23,28 +23,16 @@
     Every row of a table has exactly as many cells as the table has
     headers (short rows are padded with [""] at construction), and all
     cells are the strings the text renderer printed — a snapshot is a
-    faithful transcript of the human-readable output. [validate]
-    enforces exactly this shape, and the test suite round-trips a
-    snapshot through {!Json.parse}. *)
+    faithful transcript of the human-readable output. The test suite
+    pins the exact text {!write} produces. *)
 
 type table = { title : string; headers : string list; rows : string list list }
 type section = { id : string; title : string; tables : table list; notes : string list }
-
-(** The schema identifier embedded in (and required of) every
-    snapshot. *)
-val version : string
 
 (** [table ~title ~headers rows] builds a table, padding every short
     row with empty cells to the header arity.
     Raises [Invalid_argument] if a row is longer than [headers]. *)
 val table : title:string -> headers:string list -> string list list -> table
-
-(** [to_json ~mode sections] renders the snapshot document. *)
-val to_json : mode:string -> section list -> Json.t
-
-(** [validate v] checks [v] against the schema above, returning a
-    descriptive error for the first violation found. *)
-val validate : Json.t -> (unit, string) result
 
 (** [write ~path ~mode sections] writes the document (plus a trailing
     newline) to [path]. *)

@@ -10,13 +10,12 @@ type event =
     }
   | Fault of { kind : string; round : int; src : int; dst : int }
   | Retry of { label : string; attempt : int; certified : bool }
-  | Note of { key : string; value : string }
 
 type t = {
   capacity : int;
   ring : event option array;
   mutable emitted : int;
-  mutable sink : out_channel option;
+  sink : out_channel option;
   mutable stack : int list;
   mutable next_span : int;
   edge_loads : (int * int, int) Hashtbl.t;
@@ -40,9 +39,7 @@ let create ?(capacity = 65536) ?sink () =
     fault_count = 0;
     retry_count = 0 }
 
-let set_sink t sink = t.sink <- sink
-
-(* ---------------- JSON codec ---------------- *)
+(* ---------------- JSON lines ---------------- *)
 
 let event_to_json ev =
   let open Json in
@@ -68,44 +65,6 @@ let event_to_json ev =
     Obj
       [ ("ev", String "retry"); ("label", String label); ("attempt", Int attempt);
         ("certified", Bool certified) ]
-  | Note { key; value } ->
-    Obj [ ("ev", String "note"); ("key", String key); ("value", String value) ]
-
-let event_of_json v =
-  let str key = match Json.member key v with Some j -> Json.to_str j | None -> None in
-  let int key = match Json.member key v with Some j -> Json.to_int j | None -> None in
-  let bool key = match Json.member key v with Some j -> Json.to_bool j | None -> None in
-  let missing what = Error (Printf.sprintf "trace event: missing or ill-typed %S" what) in
-  match str "ev" with
-  | None -> Error "trace event: missing \"ev\" discriminator"
-  | Some "span-open" -> (
-    match (int "id", int "parent", str "name", int "rounds-before") with
-    | Some id, Some parent, Some name, Some rounds_before ->
-      Ok (Span_open { id; parent; name; rounds_before })
-    | _ -> missing "span-open fields")
-  | Some "span-close" -> (
-    match (int "id", str "name", int "rounds", int "wall-ns") with
-    | Some id, Some name, Some rounds, Some wall_ns ->
-      Ok (Span_close { id; name; rounds; wall_ns })
-    | _ -> missing "span-close fields")
-  | Some "round" -> (
-    match (int "round", int "messages", int "words", int "max-edge-load", int "active") with
-    | Some round, Some messages, Some words, Some max_edge_load, Some active ->
-      Ok (Round_tick { round; messages; words; max_edge_load; active })
-    | _ -> missing "round fields")
-  | Some "fault" -> (
-    match (str "kind", int "round", int "src", int "dst") with
-    | Some kind, Some round, Some src, Some dst -> Ok (Fault { kind; round; src; dst })
-    | _ -> missing "fault fields")
-  | Some "retry" -> (
-    match (str "label", int "attempt", bool "certified") with
-    | Some label, Some attempt, Some certified -> Ok (Retry { label; attempt; certified })
-    | _ -> missing "retry fields")
-  | Some "note" -> (
-    match (str "key", str "value") with
-    | Some key, Some value -> Ok (Note { key; value })
-    | _ -> missing "note fields")
-  | Some other -> Error (Printf.sprintf "trace event: unknown kind %S" other)
 
 let to_jsonl_line ev = Json.to_string (event_to_json ev)
 
@@ -118,7 +77,7 @@ let emit t ev =
     t.words <- t.words + words
   | Fault _ -> t.fault_count <- t.fault_count + 1
   | Retry _ -> t.retry_count <- t.retry_count + 1
-  | Span_open _ | Span_close _ | Note _ -> ());
+  | Span_open _ | Span_close _ -> ());
   t.ring.(t.emitted mod t.capacity) <- Some ev;
   t.emitted <- t.emitted + 1;
   match t.sink with
@@ -168,7 +127,6 @@ let round_tick t ~round ~messages ~words ~max_edge_load ~active =
 
 let fault t ~kind ~round ~src ~dst = emit t (Fault { kind; round; src; dst })
 let retry t ~label ~attempt ~certified = emit t (Retry { label; attempt; certified })
-let note t ~key ~value = emit t (Note { key; value })
 
 (* ---------------- edge loads ---------------- *)
 
@@ -180,10 +138,6 @@ let count_edge t u v ~by =
   end
 
 let compare_edges (a, b) (c, d) = match Int.compare a c with 0 -> Int.compare b d | k -> k
-
-let edge_load t (u, v) =
-  let e = (min u v, max u v) in
-  try Hashtbl.find t.edge_loads e with Not_found -> 0
 
 let top_edges t k =
   if k <= 0 then []

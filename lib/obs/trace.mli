@@ -44,23 +44,14 @@ type event =
   | Retry of { label : string; attempt : int; certified : bool }
       (** A Las Vegas attempt finished: [certified] says whether the
           self-check accepted the output. *)
-  | Note of { key : string; value : string }  (** Freeform annotation. *)
 
 type t
 
 (** [create ?capacity ?sink ()] is an empty trace. The ring retains the
     last [capacity] events (default 65536); when [sink] is given every
-    event is also written immediately as one JSON line. *)
+    event is also written immediately as one JSON line (see "JSON
+    lines" below). The channel belongs to the caller. *)
 val create : ?capacity:int -> ?sink:out_channel -> unit -> t
-
-(** [set_sink t sink] replaces the JSONL sink (the previous one is not
-    closed — channels belong to the caller). *)
-val set_sink : t -> out_channel option -> unit
-
-(** [emit t ev] appends [ev] to the ring (evicting the oldest event
-    when full), updates the aggregate counters and writes the JSON line
-    to the sink, if any. *)
-val emit : t -> event -> unit
 
 (** [events t] is the retained events, oldest first. *)
 val events : t -> event list
@@ -74,8 +65,7 @@ val dropped : t -> int
 (** {2 Span stack}
 
     Spans nest: [span_open] pushes, [span_close] pops. Components
-    normally drive these through [Rounds.with_span] rather than
-    directly. *)
+    normally drive these through [Rounds.span] rather than directly. *)
 
 (** [span_open t ~name ~rounds_before] opens a span and returns its id
     (parented to the innermost open span). *)
@@ -84,14 +74,17 @@ val span_open : t -> name:string -> rounds_before:int -> int
 (** [span_close t ~id ~name ~rounds ~wall_ns] closes span [id]. *)
 val span_close : t -> id:int -> name:string -> rounds:int -> wall_ns:int -> unit
 
-(** {2 Convenience emitters} *)
+(** {2 Emitters}
+
+    Each appends one event to the ring (evicting the oldest when full),
+    updates the aggregate counters and writes the JSON line to the
+    sink, if any. *)
 
 val round_tick :
   t -> round:int -> messages:int -> words:int -> max_edge_load:int -> active:int -> unit
 
 val fault : t -> kind:string -> round:int -> src:int -> dst:int -> unit
 val retry : t -> label:string -> attempt:int -> certified:bool -> unit
-val note : t -> key:string -> value:string -> unit
 
 (** {2 Aggregate metrics} *)
 
@@ -99,9 +92,6 @@ val note : t -> key:string -> value:string -> unit
     undirected edge [(u, v)]. Called by the kernel with original-graph
     vertex ids. *)
 val count_edge : t -> int -> int -> by:int -> unit
-
-(** [edge_load t (u, v)] is the cumulative load of that edge. *)
-val edge_load : t -> int * int -> int
 
 (** [top_edges t k] is the [k] most loaded edges, descending by load,
     ties broken by edge (so the listing is deterministic). *)
@@ -115,16 +105,9 @@ val words : t -> int
 val faults : t -> int
 val retries : t -> int
 
-(** {2 JSON codec}
+(** {2 JSON lines}
 
-    Every event renders as a single-line JSON object whose first field
-    ["ev"] discriminates the variant; remaining keys appear in the
-    fixed order documented in DESIGN.md §8. [event_of_json] inverts
-    [event_to_json] exactly (tested round-trip). *)
-
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
-
-(** [to_jsonl_line ev] is the compact JSON line for [ev] (no trailing
-    newline). *)
-val to_jsonl_line : event -> string
+    A sink receives every event as a single-line JSON object whose
+    first field ["ev"] discriminates the variant; the remaining keys
+    appear in the fixed order documented in DESIGN.md §8, e.g.
+    [{"ev":"retry","label":"las-vegas","attempt":0,"certified":true}]. *)

@@ -309,8 +309,3 @@ let iter_participating_edges ?mask g outcome f =
       done)
     outcome.participants;
   Array.iter (fun v -> mask.(v) <- false) outcome.participants
-
-let participating_edges g outcome =
-  let acc = ref [] in
-  iter_participating_edges g outcome (fun u v -> acc := (u, v) :: !acc);
-  !acc

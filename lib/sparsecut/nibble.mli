@@ -55,6 +55,7 @@ val workspace : ?copies:int -> Dex_graph.Graph.t -> workspace
 
 (** [nibble params g ~src ~b] is the exact Nibble: every prefix tested
     against (C.1)–(C.3). Reference implementation for tests. *)
+(* dex-lint: allow C004 reference implementation: test_sparsecut's "nibble variants agree" and the Nibble goldens compare approximate against it *)
 val nibble : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 
 (** [approximate ?workspace params g ~src ~b] is ApproximateNibble,
@@ -85,8 +86,3 @@ val approximate_copies :
     false again after it; without it the call allocates one. *)
 val iter_participating_edges :
   ?mask:bool array -> Dex_graph.Graph.t -> outcome -> (int -> int -> unit) -> unit
-
-(** [participating_edges g outcome] materializes P-star as a list of
-    [(u, v)] pairs, [u < v], in the reverse of the
-    {!iter_participating_edges} order. *)
-val participating_edges : Dex_graph.Graph.t -> outcome -> (int * int) list

@@ -31,6 +31,7 @@ val run : ?alpha:float -> ?eps:float -> Dex_graph.Graph.t -> src:int -> t option
 (** [approximate_pagerank ?alpha ?eps g ~src] exposes the raw (p, r)
     pair for tests: p underestimates the true PageRank and every
     residual obeys r(v) < ε·deg(v) on return. *)
+(* dex-lint: allow C004 test seam: test_sparsecut's "pagerank push invariants" checks the push loop run sweeps *)
 val approximate_pagerank :
   ?alpha:float -> ?eps:float -> Dex_graph.Graph.t -> src:int ->
   (int, float) Hashtbl.t * (int, float) Hashtbl.t * int

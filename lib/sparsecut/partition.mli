@@ -36,14 +36,11 @@ val run :
     the caller treats the graph as a φ-expander (Theorem 3, case 2). *)
 val certified_no_sparse_cut : t -> bool
 
-(** [acceptable ~bound t] is the Las Vegas acceptance predicate: the
-    graph was certified a φ-expander (empty cut) or the returned cut's
-    measured conductance meets [bound] (the caller's h(φ)). *)
-val acceptable : bound:float -> t -> bool
-
 (** [run_verified ?attempts ?p ?ledger ~bound params g rng] re-runs
     Partition through {!Dex_congest.Rounds.las_vegas}, attempt [i] on
-    the stream [Rng.split rng i], until {!acceptable} holds, up to
+    the stream [Rng.split rng i], until the result is acceptable — the
+    graph was certified a φ-expander (empty cut) or the returned cut's
+    measured conductance meets [bound] (the caller's h(φ)) — up to
     [attempts] times (default 3). [Error] carries the attempt of least
     conductance (the first, on ties). With a [ledger], each attempt
     runs in an ["attempt-<i>"] span and, when a trace is attached,

@@ -92,5 +92,3 @@ let spectral_gap ?(iters = 200) g rng =
     let embedding = Array.mapi (fun v xv -> if sqrt_deg.(v) > 0.0 then xv /. sqrt_deg.(v) else xv) !x in
     (gap, embedding)
   end
-
-let second_eigenvector ?iters g rng = snd (spectral_gap ?iters g rng)

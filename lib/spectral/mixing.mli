@@ -24,7 +24,3 @@ val mixing_time :
     second eigenvector, usable for a sweep-cut baseline. *)
 val spectral_gap :
   ?iters:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> float * float array
-
-(** [second_eigenvector ?iters g rng] is just the vector part. *)
-val second_eigenvector :
-  ?iters:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> float array

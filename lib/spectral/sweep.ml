@@ -200,10 +200,6 @@ let scan g p =
   rescan t g p;
   t
 
-let order g p =
-  let t = scan g p in
-  Array.sub t.ordered 0 t.length
-
 let best t =
   let best = ref (-1) in
   for j = 0 to t.length - 1 do

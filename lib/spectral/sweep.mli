@@ -54,10 +54,6 @@ val scan : Dex_graph.Graph.t -> Walk.sparse -> t
 (** [take sweep j] copies π(1..j) out as a fresh vertex array. *)
 val take : t -> int -> int array
 
-(** [order g p] is the sweep order of [p] (a fresh array); degree-0
-    vertices are left out. *)
-val order : Dex_graph.Graph.t -> Walk.sparse -> int array
-
 (** [best t] is the length j of the first prefix of least conductance
     among those with both sides of positive volume, if any. *)
 val best : t -> int option

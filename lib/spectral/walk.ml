@@ -19,26 +19,6 @@ let of_assoc pairs =
 
 let size p = p.len
 
-let iter f p =
-  for i = 0 to p.len - 1 do
-    f p.support.(i) p.masses.(i)
-  done
-
-(* index of [v] in the ascending support, or -1 *)
-let index p v =
-  let lo = ref 0 and hi = ref p.len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if p.support.(mid) < v then lo := mid + 1 else hi := mid
-  done;
-  if !lo < p.len && p.support.(!lo) = v then !lo else -1
-
-let mem p v = index p v >= 0
-
-let get p v =
-  let i = index p v in
-  if i < 0 then 0.0 else p.masses.(i)
-
 let degree_distribution g =
   let total = float_of_int (Graph.total_volume g) in
   Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v) /. total)
@@ -376,27 +356,6 @@ let advance_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 =
     ignore (advance w2 g ~eps:eps2 ~mask:mask2 : float)
   end
 
-let truncate g ~eps p =
-  let keep = ref [] in
-  for i = p.len - 1 downto 0 do
-    let v = p.support.(i) in
-    if p.masses.(i) >= 2.0 *. eps *. float_of_int (Graph.degree g v) then keep := i :: !keep
-  done;
-  let keep = Array.of_list !keep in
-  { support = Array.map (fun i -> p.support.(i)) keep;
-    masses = Array.map (fun i -> p.masses.(i)) keep;
-    len = Array.length keep }
-
-let walk_from g ~src ~steps =
-  let n = Graph.num_vertices g in
-  let p = Array.make n 0.0 in
-  p.(src) <- 1.0;
-  let cur = ref p in
-  for _ = 1 to steps do
-    cur := step_dense g !cur
-  done;
-  !cur
-
 let truncated_walk g ~src ~eps ~steps =
   let ws = workspace g in
   let out = Array.make (steps + 1) (indicator src) in
@@ -404,19 +363,3 @@ let truncated_walk g ~src ~eps ~steps =
     out.(t) <- step ~eps ws g out.(t - 1)
   done;
   out
-
-let rho g p v =
-  let deg = Graph.degree g v in
-  if deg = 0 then 0.0
-  else
-    let i = index p v in
-    if i < 0 then 0.0 else p.masses.(i) /. float_of_int deg
-
-let mass p =
-  let acc = ref 0.0 in
-  for i = 0 to p.len - 1 do
-    acc := !acc +. p.masses.(i)
-  done;
-  !acc
-
-let support p = Array.sub p.support 0 p.len

@@ -38,15 +38,6 @@ val of_assoc : (int * float) list -> sparse
 (** [size p] is the number of supported vertices. *)
 val size : sparse -> int
 
-(** [iter f p] applies [f v p(v)] to the support in ascending order. *)
-val iter : (int -> float -> unit) -> sparse -> unit
-
-(** [mem p v] is whether [v] is supported (binary search). *)
-val mem : sparse -> int -> bool
-
-(** [get p v] is p(v), 0 when [v] is unsupported (binary search). *)
-val get : sparse -> int -> float
-
 (** [degree_distribution g] is ψ_V: mass deg(v)/Vol(V) at each v. *)
 val degree_distribution : Dex_graph.Graph.t -> float array
 
@@ -121,29 +112,9 @@ val advance_pair :
   walker -> walker -> Dex_graph.Graph.t -> eps1:float -> eps2:float ->
   mask1:bool array -> mask2:bool array -> unit
 
-(** [truncate g ~eps p] is the paper's [\[p\]_ε]: drop entries with
-    [p(v) < 2·eps·deg(v)]. *)
-val truncate : Dex_graph.Graph.t -> eps:float -> sparse -> sparse
-
-(** [walk_from g ~src ~steps] runs [steps] un-truncated dense steps
-    from χ_src. *)
-val walk_from : Dex_graph.Graph.t -> src:int -> steps:int -> float array
-
 (** [truncated_walk g ~src ~eps ~steps] runs the truncated walk
     p̃_t = \[M·p̃_{t-1}\]_ε and returns the distributions p̃_0 … p̃_steps
     (index t = step count). This is the computation at the heart of
     Nibble; one workspace serves every step. *)
 val truncated_walk :
   Dex_graph.Graph.t -> src:int -> eps:float -> steps:int -> sparse array
-
-(** [rho g p v] is p(v)/deg(v), the normalized mass ρ(v); 0 when
-    deg(v) = 0 or v unsupported. *)
-val rho : Dex_graph.Graph.t -> sparse -> int -> float
-
-(** [mass p] is the total mass of a sparse distribution, summed in
-    ascending vertex order. *)
-val mass : sparse -> float
-
-(** [support p] is the supported vertices in ascending order (a fresh
-    array). *)
-val support : sparse -> int array

@@ -133,11 +133,3 @@ let triangles_of_ids ~n ids =
   Array.fold_right (fun id acc -> triangle_of_id ~n id :: acc) ids []
 
 let enumerate g = triangles_of_ids ~n:(Graph.num_vertices g) (triangle_ids g)
-
-let triangles_with_edge_pred g pred =
-  let n = check_size g in
-  let hit = { data = [||]; len = 0 } and miss = { data = [||]; len = 0 } in
-  iter_sorted g (fun a b c ->
-      let id = (((a * n) + b) * n) + c in
-      if pred a b || pred b c || pred a c then push hit id else push miss id);
-  (triangles_of_ids ~n (sorted_contents hit), triangles_of_ids ~n (sorted_contents miss))

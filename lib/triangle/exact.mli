@@ -33,12 +33,6 @@ val count : Dex_graph.Graph.t -> int
     order.) {!Dlp} depends on this order. *)
 val iter : Dex_graph.Graph.t -> (triangle -> unit) -> unit
 
-(** [triangles_with_edge_pred g pred] lists the triangles for which at
-    least one edge satisfies [pred u v] (with u < v), and the rest,
-    both sorted. Requires [n <= 2^20]. *)
-val triangles_with_edge_pred :
-  Dex_graph.Graph.t -> (int -> int -> bool) -> triangle list * triangle list
-
 (** [triangle_ids g] is the ascending array of the ids of all
     triangles of [g]. *)
 val triangle_ids : Dex_graph.Graph.t -> int array
@@ -49,10 +43,6 @@ val triangle_ids : Dex_graph.Graph.t -> int array
     for "detected at this level". *)
 val triangle_ids_with_edge_pred : Dex_graph.Graph.t -> (int -> int -> bool) -> int array
 
-(** [triangle_of_id ~n id] is the triangle whose id is [id] on [n]
-    vertices. *)
-val triangle_of_id : n:int -> int -> triangle
-
-(** [triangles_of_ids ~n ids] maps {!triangle_of_id} over [ids],
-    keeping their order. *)
+(** [triangles_of_ids ~n ids] is the triangles whose ids on [n]
+    vertices are [ids], in their order. *)
 val triangles_of_ids : n:int -> int array -> triangle list

@@ -9,8 +9,3 @@ let () =
 let fail ~where what = raise (Violation { where; what })
 let failf ~where fmt = Printf.ksprintf (fail ~where) fmt
 let require cond ~where what = if not cond then fail ~where what
-
-let words ~budget ~where msg =
-  if Array.length msg > budget then
-    failf ~where "message of %d words exceeds the %d-word budget" (Array.length msg) budget;
-  msg

@@ -24,11 +24,3 @@ val failf : where:string -> ('a, unit, string, 'b) format4 -> 'a
 (** [require cond ~where what] raises {!Violation} when [cond] is
     false. *)
 val require : bool -> where:string -> string -> unit
-
-(** [words ~budget ~where msg] certifies that the message [msg] fits in
-    [budget] machine words, returning it unchanged; raises {!Violation}
-    otherwise. This is the runtime length guard the typed-AST lint
-    (rule C002, see [tools/lint]) recognizes: a message whose length is
-    not statically decidable must flow through [words] before it is
-    handed to the CONGEST kernel. *)
-val words : budget:int -> where:string -> int array -> int array

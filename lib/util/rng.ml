@@ -77,18 +77,3 @@ let weighted_index t w =
     end
   done;
   !i
-
-let sample_without_replacement t ~n ~k =
-  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
-  (* Floyd's algorithm: O(k) expected, no O(n) scratch for small k. *)
-  let seen = Hashtbl.create (2 * k) in
-  let out = Array.make k 0 in
-  let idx = ref 0 in
-  for j = n - k to n - 1 do
-    let r = Random.State.int t (j + 1) in
-    let v = if Hashtbl.mem seen r then j else r in
-    Hashtbl.replace seen v ();
-    out.(!idx) <- v;
-    incr idx
-  done;
-  out

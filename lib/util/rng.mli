@@ -49,7 +49,3 @@ val choose : t -> 'a array -> 'a
 (** [weighted_index t w] samples index [i] with probability
     [w.(i) / sum w]; weights must be non-negative with positive sum. *)
 val weighted_index : t -> float array -> int
-
-(** [sample_without_replacement t ~n ~k] is [k] distinct values drawn
-    uniformly from [0, n). *)
-val sample_without_replacement : t -> n:int -> k:int -> int array

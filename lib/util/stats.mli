@@ -1,27 +1,8 @@
-(** Small statistics helpers for the benchmark harness and tests. *)
-
-(** [mean xs] is the arithmetic mean. Raises [Invalid_argument] on []. *)
-val mean : float list -> float
-
-(** [stddev xs] is the population standard deviation. *)
-val stddev : float list -> float
-
-(** [median xs] is the median (average of middle two for even length). *)
-val median : float list -> float
-
-(** [percentile p xs] for [p] in [0,100], nearest-rank. *)
-val percentile : float -> float list -> float
-
-(** [minimum xs] / [maximum xs]. *)
-val minimum : float list -> float
-
-val maximum : float list -> float
+(** Small statistics helpers for the benchmark harness. *)
 
 (** [log_log_slope pts] fits a least-squares line to
     [(log x, log y)] pairs and returns the slope — the empirical
     scaling exponent of [y ~ x^slope]. Points with non-positive
-    coordinates are dropped. *)
+    coordinates are dropped. Raises [Invalid_argument] when fewer than
+    two points remain or their x are all equal. *)
 val log_log_slope : (float * float) list -> float
-
-(** [linear_fit pts] is [(slope, intercept)] of the least-squares line. *)
-val linear_fit : (float * float) list -> float * float

@@ -62,12 +62,4 @@ let render t =
   List.iter (fun r -> Buffer.add_string buf (line r ^ "\n")) rows;
   Buffer.contents buf
 
-let print t = print_string (render t)
-
-let fmt_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
-  else if Float.abs x >= 100.0 then Printf.sprintf "%.1f" x
-  else if Float.abs x >= 1.0 then Printf.sprintf "%.3f" x
-  else Printf.sprintf "%.5f" x
-
 let fmt_pct x = Printf.sprintf "%.2f%%" (100.0 *. x)

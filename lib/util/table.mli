@@ -10,14 +10,10 @@
     accumulation. Algorithm libraries must use these instead (enforced
     by [dex_lint] rule D001). *)
 
-(** [keys_sorted ~compare tbl] is the distinct keys of [tbl] in
-    ascending [compare] order. Pass the monomorphic comparator of the
-    key type ([Int.compare], [String.compare], a lexicographic pair
-    comparator). *)
-val keys_sorted : compare:('a -> 'a -> int) -> ('a, 'b) Hashtbl.t -> 'a list
-
 (** [iter_sorted ~compare f tbl] applies [f k v] in ascending key
-    order. For keys with multiple bindings only the most recent
+    order, [compare] being the monomorphic comparator of the key type
+    ([Int.compare], [String.compare], a lexicographic pair
+    comparator). For keys with multiple bindings only the most recent
     binding is visited. *)
 val iter_sorted : compare:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Hashtbl.t -> unit
 
@@ -47,10 +43,5 @@ val rows : t -> string list list
 (** [render t] is the aligned textual rendering (with title and rule). *)
 val render : t -> string
 
-(** [print t] writes [render t] to stdout. *)
-val print : t -> unit
-
-(** Formatting helpers shared by the bench harness. *)
-
-val fmt_float : float -> string
+(** [fmt_pct x] renders the fraction [x] as a percentage, ["12.50%"]. *)
 val fmt_pct : float -> string

@@ -1,6 +1,6 @@
 (** Disjoint-set forest with union by rank and path compression.
-    Used to extract connected components when edges are removed from a
-    graph during the decomposition. *)
+    Used to merge components when edges are removed from a graph
+    during the decomposition. *)
 
 type t
 
@@ -13,15 +13,3 @@ val find : t -> int -> int
 (** [union t x y] merges the sets of [x] and [y]; returns [true] iff
     they were previously distinct. *)
 val union : t -> int -> int -> bool
-
-(** [same t x y] tests whether [x] and [y] share a set. *)
-val same : t -> int -> int -> bool
-
-(** [count t] is the current number of disjoint sets. *)
-val count : t -> int
-
-(** [size t x] is the cardinality of [x]'s set. *)
-val size : t -> int -> int
-
-(** [groups t] lists the sets, each as a sorted array of members. *)
-val groups : t -> int array list

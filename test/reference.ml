@@ -1,15 +1,15 @@
 (* The seed kernel's round loop, kept as the test oracle for the cursor
    kernel. A protocol here is a list step: it reads its inbox as a list
-   of (sender, message) and returns its outbox as one. Every live vertex
+   of (sender, word) and returns its outbox as one. Every live vertex
    is stepped every round, in ascending order: step [v] against the
-   previous round's inboxes, validate its outbox (budget, then
-   neighbour, then duplicate), apply the fault schedule and deliver in
-   ascending destination order, then step [v + 1]. Inboxes are handed
-   over senders descending, as the seed kernel did. Every network here
-   has the default one-word budget.
+   previous round's inboxes, validate its outbox (neighbour, then
+   duplicate), apply the fault schedule and deliver in ascending
+   destination order, then step [v + 1]. Inboxes are handed over
+   senders descending, as the seed kernel did. A message is one word.
 
    Below it, ParallelNibble's sequential copy loop, the oracle for its
-   lockstep schedule. *)
+   lockstep schedule, and the small helpers tests use where the
+   library exports nothing for them. *)
 
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
@@ -17,7 +17,7 @@ module Arena = Dex_congest.Arena
 module Faults = Dex_congest.Faults
 
 type 's step =
-  round:int -> vertex:Vertex.local -> 's -> (int * int array) list -> 's * (int * int array) list
+  round:int -> vertex:Vertex.local -> 's -> (int * int) list -> 's * (int * int) list
 
 type t = { g : Graph.t; faults : Faults.t option; mutable messages : int; mutable words : int }
 
@@ -27,9 +27,7 @@ let validate t ~round v outbox =
   let fail violation = raise (Arena.Congestion_violation { round; violation }) in
   let seen = Hashtbl.create 8 in
   List.iter
-    (fun (u, (msg : int array)) ->
-      let words = Array.length msg in
-      if words > 1 then fail (Arena.Over_budget { vertex = v; dst = u; words; budget = 1 });
+    (fun (u, _) ->
       if not (Graph.mem_edge t.g v u) then fail (Arena.Not_a_neighbor { vertex = v; dst = u });
       if Hashtbl.mem seen u then fail (Arena.Duplicate_edge { vertex = v; dst = u });
       Hashtbl.add seen u ())
@@ -39,7 +37,7 @@ let exec_round t ~round states inboxes (step : 's step) =
   let next = Array.make (Graph.num_vertices t.g) [] in
   let deliver src dst msg =
     t.messages <- t.messages + 1;
-    t.words <- t.words + Array.length msg;
+    t.words <- t.words + 1;
     next.(dst) <- (src, msg) :: next.(dst)
   in
   Array.iteri
@@ -172,3 +170,79 @@ let sequential_parallel_nibble ~k params g rng =
   in
   { Dex_sparsecut.Parallel_nibble.cut; rounds; copies = k; aborted; max_overlap = !max_overlap;
     nibbles = outcomes }
+
+(* ---------------- helpers the library does not export ---------------- *)
+
+(* K_{1,n-1} with center 0 *)
+let star n = Graph.of_edges ~n (List.init (n - 1) (fun i -> (0, i + 1)))
+
+(* [g] in the edge-list format Graph_io.load reads *)
+let edge_list g =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf (Printf.sprintf "# dexpander edge list\nn %d\n" (Graph.num_vertices g));
+  Graph.iter_edges g (fun u v -> Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
+  Buffer.contents buf
+
+(* Graph_io.load on [text], through a temporary file *)
+let load_string text =
+  let path = Filename.temp_file "dex_graph" ".txt" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> Dex_graph.Graph_io.load path)
+
+(* the leader flood on [net], as Reliable runs it without faults *)
+let elect_leader net =
+  let module Network = Dex_congest.Network in
+  let p = Dex_congest.Primitives.leader (Network.graph net) in
+  let states, _ = Network.run_active net ~label:"leader" ~init:p.init ~step:p.step () in
+  Array.map (fun (st : Dex_congest.Primitives.leader_state) -> st.best) states
+
+(* P-star as a list, in the reverse of iter_participating_edges order *)
+let participating_edges g outcome =
+  let acc = ref [] in
+  Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v -> acc := (u, v) :: !acc);
+  !acc
+
+(* Views of a sparse walk distribution, read off its private record *)
+module Walk_view = struct
+  module Walk = Dex_spectral.Walk
+
+  let iter f (p : Walk.sparse) =
+    for i = 0 to p.len - 1 do
+      f p.support.(i) p.masses.(i)
+    done
+
+  let get (p : Walk.sparse) v =
+    let m = ref 0.0 in
+    iter (fun u x -> if u = v then m := x) p;
+    !m
+
+  let mem (p : Walk.sparse) v = Array.exists (( = ) v) (Array.sub p.support 0 p.len)
+  let support (p : Walk.sparse) = Array.sub p.support 0 p.len
+
+  (* summed in ascending vertex order *)
+  let mass p =
+    let acc = ref 0.0 in
+    iter (fun _ x -> acc := !acc +. x) p;
+    !acc
+
+  (* p(v)/deg(v), 0 when deg(v) = 0 *)
+  let rho g p v =
+    let deg = Graph.degree g v in
+    if deg = 0 then 0.0 else get p v /. float_of_int deg
+
+  (* the paper's [p]_eps: drop entries with p(v) < 2·eps·deg(v) *)
+  let truncate g ~eps p =
+    let keep = ref [] in
+    iter (fun v x -> if x >= 2.0 *. eps *. float_of_int (Graph.degree g v) then keep := (v, x) :: !keep) p;
+    Walk.of_assoc (List.rev !keep)
+
+  (* [steps] un-truncated dense steps from the indicator of [src] *)
+  let walk_from g ~src ~steps =
+    let p = Array.make (Graph.num_vertices g) 0.0 in
+    p.(src) <- 1.0;
+    let cur = ref p in
+    for _ = 1 to steps do
+      cur := Walk.step_dense g !cur
+    done;
+    !cur
+end

@@ -13,9 +13,7 @@ module Primitives = Dex_congest.Primitives
 module Arena = Dex_congest.Arena
 module Rng = Dex_util.Rng
 
-let fresh_net ?word_size g =
-  let ledger = Rounds.create () in
-  Network.create ?word_size g ledger
+let fresh_net g = Network.create g (Rounds.create ())
 
 (* ---------- rounds ledger ---------- *)
 
@@ -46,12 +44,12 @@ let test_by_phase_from_spans () =
     made := (label, k) :: !made;
     Rounds.charge r ~label k
   in
-  Rounds.with_span r "a" (fun () ->
+  Rounds.span (Some r) "a" (fun () ->
       charge "x" 3;
       charge "idle" 0);
-  Rounds.with_span r "b" (fun () ->
+  Rounds.span (Some r) "b" (fun () ->
       charge "x" 4;
-      Rounds.with_span r "c" (fun () -> charge "y" 2));
+      Rounds.span (Some r) "c" (fun () -> charge "y" 2));
   charge "a" 1;
   charge "y" 5;
   let expected =
@@ -106,28 +104,20 @@ let vertex0_sends net sends =
     ~init:(fun _ -> ())
     ~step:(fun ~round:_ ~vertex () _ib ob ->
       if Vertex.local_int vertex = 0 then
-        List.iter
-          (fun (u, msg) ->
-            (* dex-lint: allow C002 oversized messages are the check under test *)
-            Arena.Outbox.send ob ~dst:(Vertex.local u) msg)
-          sends)
+        List.iter (fun (u, w) -> Arena.Outbox.send1 ob ~dst:(Vertex.local u) w) sends)
     1
 
 let test_rejects_non_neighbor () =
   let net = fresh_net (Gen.path 3) in
-  expect_congestion (fun () -> vertex0_sends net [ (2, [| 1 |]) ])
+  expect_congestion (fun () -> vertex0_sends net [ (2, 1) ])
 
 let test_rejects_double_send () =
   let net = fresh_net (Gen.path 3) in
-  expect_congestion (fun () -> vertex0_sends net [ (1, [| 1 |]); (1, [| 2 |]) ])
-
-let test_rejects_oversized_message () =
-  let net = fresh_net ~word_size:2 (Gen.path 3) in
-  expect_congestion (fun () -> vertex0_sends net [ (1, [| 1; 2; 3 |]) ])
+  expect_congestion (fun () -> vertex0_sends net [ (1, 1); (1, 2) ])
 
 let test_rejects_self_message () =
   let net = fresh_net (Graph.of_edges ~n:2 [ (0, 1); (0, 0) ]) in
-  expect_congestion (fun () -> vertex0_sends net [ (0, [| 1 |]) ])
+  expect_congestion (fun () -> vertex0_sends net [ (0, 1) ])
 
 let test_run_timeout () =
   let g = Gen.path 3 in
@@ -176,7 +166,7 @@ let test_bfs_tree_partial_component () =
 let test_leader_election () =
   let g = Graph.of_edges ~n:6 [ (3, 4); (4, 5); (1, 2) ] in
   let net = fresh_net g in
-  let leaders = Primitives.elect_leader net in
+  let leaders = Reference.elect_leader net in
   Alcotest.(check int) "comp {3,4,5}" 3 leaders.(5);
   Alcotest.(check int) "comp {1,2}" 1 leaders.(2);
   Alcotest.(check int) "isolated" 0 leaders.(0)
@@ -194,20 +184,19 @@ let test_subnetwork () =
   let net = fresh_net g in
   let sub, mapping = subnetwork net [| 0; 1; 2 |] in
   Alcotest.(check int) "sub size" 3 (Graph.num_vertices (Network.graph sub));
-  Alcotest.(check (array int)) "mapping" [| 0; 1; 2 |] (Vertex.Map.to_array mapping);
-  Alcotest.(check int) "apply translates one id" (Vertex.orig_int (Vertex.orig 2))
-    (Vertex.orig_int (Vertex.Map.apply mapping (Vertex.local 2)));
+  Alcotest.(check (array int)) "mapping" [| 0; 1; 2 |] (mapping :> int array);
+  Alcotest.(check int) "get translates one id" 2 (Vertex.orig_int (Vertex.Map.get mapping 2));
   (* shared ledger *)
   Network.charge sub ~label:"x" 4;
   Alcotest.(check int) "ledger shared" 4 (Rounds.total (Network.rounds net))
 
 let test_subnetwork_violation_reports_original_id () =
-  (* an oversized message inside a subnetwork must be reported in the
-     original graph's coordinates, not the subnetwork-local ones *)
+  (* a send to a non-neighbour inside a subnetwork must be reported in
+     the original graph's coordinates, not the subnetwork-local ones *)
   let g = Gen.cycle 6 in
-  let net = fresh_net ~word_size:1 g in
+  let net = fresh_net g in
   let sub, _mapping = subnetwork net [| 3; 4; 5 |] in
-  (match vertex0_sends sub [ (1, [| 1; 2 |]) ] with
+  (match vertex0_sends sub [ (2, 1) ] with
   | exception Network.Congestion_violation { violation; _ } ->
     let msg = Arena.describe violation in
     (* local vertex 0 is original vertex 3 *)
@@ -226,7 +215,7 @@ let test_subnetwork_out_of_range_id () =
   let sub, _mapping = subnetwork net [| 3; 4; 5 |] in
   List.iter
     (fun bad ->
-      match vertex0_sends sub [ (bad, [| 1 |]) ] with
+      match vertex0_sends sub [ (bad, 1) ] with
       | exception Network.Congestion_violation { violation; _ } ->
         Alcotest.(check string)
           (Printf.sprintf "destination %d" bad)
@@ -264,9 +253,9 @@ let test_clique_rejects_self_and_double () =
   let attempt sends =
     expect_congestion (fun () -> vertex0_sends (fresh_net (Gen.complete 3)) sends)
   in
-  attempt [ (0, [| 1 |]) ];
-  attempt [ (1, [| 1 |]); (1, [| 2 |]) ];
-  attempt [ (1, [| 1; 2 |]) ]
+  attempt [ (0, 1) ];
+  attempt [ (1, 1); (1, 2) ];
+  attempt [ (3, 1) ]
 
 let prop_bfs_depth_eq_distance =
   QCheck.Test.make ~name:"protocol BFS = centralized BFS" ~count:40
@@ -287,7 +276,6 @@ let () =
         [ Alcotest.test_case "basic exchange" `Quick test_basic_exchange;
           Alcotest.test_case "rejects non-neighbor" `Quick test_rejects_non_neighbor;
           Alcotest.test_case "rejects double send" `Quick test_rejects_double_send;
-          Alcotest.test_case "rejects oversized" `Quick test_rejects_oversized_message;
           Alcotest.test_case "rejects self message" `Quick test_rejects_self_message;
           Alcotest.test_case "run timeout" `Quick test_run_timeout ] );
       ( "primitives",

@@ -148,7 +148,7 @@ let test_part_members () =
   let g = Gen.dumbbell rng ~n1:30 ~n2:30 ~d:4 ~bridges:1 in
   let r = decompose ~seed:8 g in
   for v = 0 to Graph.num_vertices g - 1 do
-    let part = D.part_members r v in
+    let part = List.nth r.D.parts r.D.part_of.(v) in
     Alcotest.(check bool) "v in its own part" true (Array.exists (fun u -> u = v) part)
   done
 
@@ -252,7 +252,9 @@ let test_las_vegas_certifies () =
   in
   match Lv.decompose ~attempts:5 ~epsilon:0.3 ~k:2 g (Rng.create 302) with
   | Ok { Rounds.value = c; attempts; rounds_total } ->
-    Alcotest.(check bool) "certificate holds" true (Lv.report_ok c.Lv.report);
+    let report = c.Lv.report in
+    Alcotest.(check bool) "certificate holds" true
+      (report.Verify.is_partition && report.Verify.epsilon_ok && report.Verify.phi_ok);
     Alcotest.(check bool) "attempts within budget" true (attempts >= 1 && attempts <= 5);
     Alcotest.(check bool) "rounds cover the accepted attempt" true
       (rounds_total >= c.Lv.result.D.stats.D.rounds);

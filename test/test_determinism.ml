@@ -30,7 +30,7 @@ let permuted_copy seed g =
   let edges = Array.of_list (Graph.edges g) in
   Rng.shuffle rng edges;
   let edges = Array.map (fun (u, v) -> if Rng.bool rng then (v, u) else (u, v)) edges in
-  Graph.of_edge_array ~n:(Graph.num_vertices g) edges
+  Graph.of_edges ~n:(Graph.num_vertices g) (Array.to_list edges)
 
 let test_graph seed =
   let rng = Rng.create seed in
@@ -151,30 +151,16 @@ let one_shot per_vertex () =
   let step ~round ~vertex:v () _ib ob =
     if round = 1 then
       List.iter
-        (fun (u, msg) ->
-          (* dex-lint: allow C002 oversized messages are the audit under test *)
-          Arena.Outbox.send ob ~dst:(Dex_graph.Vertex.local u) msg)
+        (fun (u, w) -> Arena.Outbox.send1 ob ~dst:(Dex_graph.Vertex.local u) w)
         (per_vertex (Dex_graph.Vertex.local_int v))
   in
   { Conformance.init = (fun _ -> ()); step }
-
-let test_word_budget_audited () =
-  let g = small_expander 53 in
-  let wide v = [ ((Graph.neighbors g v).(0), [| v; v |]) ] in
-  let r = Conformance.check ~word_size:1 g ~protocol:(one_shot wide) () in
-  Alcotest.(check bool) "over-budget message reported" true
-    (List.exists
-       (function
-         | Conformance.Kernel { violation = Arena.Over_budget { words = 2; budget = 1; _ }; _ } ->
-           true
-         | _ -> false)
-       r.Conformance.violations)
 
 let test_duplicate_edge_audited () =
   let g = small_expander 54 in
   let twice v =
     let u = (Graph.neighbors g v).(0) in
-    [ (u, [| v |]); (u, [| v |]) ]
+    [ (u, v); (u, v) ]
   in
   let r = Conformance.check g ~protocol:(one_shot twice) () in
   Alcotest.(check bool) "duplicate directed edge reported" true
@@ -186,7 +172,7 @@ let test_duplicate_edge_audited () =
 
 let test_non_neighbor_audited () =
   let g = Gen.path 6 in
-  let far v = [ ((v + 3) mod 6, [| v |]) ] in
+  let far v = [ ((v + 3) mod 6, v) ] in
   let r = Conformance.check g ~protocol:(one_shot far) () in
   Alcotest.(check bool) "non-neighbor send reported" true
     (List.exists
@@ -198,11 +184,7 @@ let test_non_neighbor_audited () =
 let test_describe_covers_all () =
   let open Conformance in
   let vs =
-    [ Kernel
-        { run = Canonical;
-          round = 1;
-          violation = Arena.Over_budget { vertex = 2; dst = 3; words = 4; budget = 1 } };
-      Kernel { run = Permuted; round = 1; violation = Arena.Duplicate_edge { vertex = 2; dst = 3 } };
+    [ Kernel { run = Permuted; round = 1; violation = Arena.Duplicate_edge { vertex = 2; dst = 3 } };
       Kernel { run = Canonical; round = 1; violation = Arena.Not_a_neighbor { vertex = 2; dst = 3 } };
       Round_limit { run = Permuted; executed = 9 };
       State_divergence
@@ -224,7 +206,6 @@ let () =
           Alcotest.test_case "leader passes" `Quick test_leader_conformant;
           Alcotest.test_case "kernel protocols pass" `Quick test_kernel_protocols_conformant;
           Alcotest.test_case "schedule race detected" `Quick test_race_detected;
-          Alcotest.test_case "word budget audited" `Quick test_word_budget_audited;
           Alcotest.test_case "duplicate edge audited" `Quick test_duplicate_edge_audited;
           Alcotest.test_case "non-neighbor audited" `Quick test_non_neighbor_audited;
           Alcotest.test_case "describe" `Quick test_describe_covers_all ] ) ]

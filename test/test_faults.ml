@@ -21,6 +21,9 @@ let lossy_net ?(spec = Faults.lossy ~drop:0.1 ~seed:42 ()) g =
   let net = Network.create ~faults g (Rounds.create ()) in
   (net, faults)
 
+(* the fault-free schedule, to extend with link failures or crashes *)
+let no_faults = Faults.lossy ~drop:0.0 ()
+
 (* ---------- fault-schedule determinism ---------- *)
 
 let run_lossy_bfs spec =
@@ -102,18 +105,11 @@ let test_reliable_rounds_overhead_charged () =
     (Printf.sprintf "lossy %d >= fault-free %d" lossy_rounds base_rounds)
     true (lossy_rounds >= base_rounds)
 
-let test_value_limit_packs_two_per_word () =
-  (* the packing contract behind reliable delivery: two payload values
-     plus an ack bit per machine word *)
-  Alcotest.(check bool) "positive" true (Reliable.value_limit > 0);
-  Alcotest.(check bool) "two values + ack fit one word" true
-    (Reliable.value_limit <= 1 lsl 30)
-
 (* ---------- permanent link failures ---------- *)
 
 let test_link_failure_fails_delivery () =
   let g = Gen.path 3 in
-  let spec = { Faults.none with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 } in
+  let spec = { no_faults with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 } in
   let faults = Faults.create spec in
   let net = Network.create ~faults g (Rounds.create ()) in
   let config = { Reliable.max_retries = 5; Reliable.give_up = false } in
@@ -133,7 +129,7 @@ let test_link_failure_fails_delivery () =
 
 let test_link_failure_give_up_partitions () =
   let g = Gen.path 3 in
-  let spec = { Faults.none with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 } in
+  let spec = { no_faults with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 } in
   let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
   let config = { Reliable.max_retries = 4; Reliable.give_up = true } in
   let tree = Reliable.bfs_tree ~config net ~root:(Vertex.local 0) in
@@ -144,7 +140,7 @@ let test_link_failure_give_up_partitions () =
 
 let test_crash_stop () =
   let g = Gen.path 4 in
-  let spec = { Faults.none with Faults.crashes = [ (3, 1) ]; Faults.seed = 1 } in
+  let spec = { no_faults with Faults.crashes = [ (3, 1) ]; Faults.seed = 1 } in
   let faults = Faults.create spec in
   let net = Network.create ~faults g (Rounds.create ()) in
   let config = { Reliable.max_retries = 4; Reliable.give_up = true } in
@@ -296,12 +292,12 @@ let golden_cases =
     ( "bfs abandoned peer",
       fun () ->
         golden_line
-          ~spec:{ Faults.none with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 }
+          ~spec:{ no_faults with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 }
           ~config:{ Reliable.max_retries = 4; Reliable.give_up = true }
           (Gen.path 3) (bfs 0) );
-    ("bfs single vertex", fun () -> golden_line (Graph.empty 1) (bfs 0));
+    ("bfs single vertex", fun () -> golden_line (Graph.of_edges ~n:1 []) (bfs 0));
     ("bfs isolated root", fun () -> golden_line (Graph.of_edges ~n:3 [ (1, 2) ]) (bfs 0));
-    ("leader edgeless", fun () -> golden_line (Graph.empty 4) leader) ]
+    ("leader edgeless", fun () -> golden_line (Graph.of_edges ~n:4 []) leader) ]
 
 let goldens =
   [ ("bfs fault-free", "depth=2,3,2,0,4,4,2,2,4,4,7,6,3,4,3,4,1,5,3,4,4,3,4,5 parent=16,2,16,3,21,18,16,16,1,18,11,17,7,21,7,18,3,19,7,21,18,6,18,22 rounds=bfs-reliable:11 msgs=234 words=234 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
@@ -333,7 +329,6 @@ let () =
           Alcotest.test_case "bfs fault-free" `Quick test_reliable_bfs_fault_free_matches;
           Alcotest.test_case "leader under drops" `Quick test_reliable_leader_under_drops;
           Alcotest.test_case "overhead charged" `Quick test_reliable_rounds_overhead_charged;
-          Alcotest.test_case "value_limit packing" `Quick test_value_limit_packs_two_per_word;
           Alcotest.test_case "goldens" `Quick test_goldens;
           QCheck_alcotest.to_alcotest prop_reliable_bfs_under_loss ] );
       ( "failures",

@@ -18,6 +18,23 @@ let net_of g = Network.create g (Rounds.create ())
 
 (* ---------- MPX clustering ---------- *)
 
+(* the clusters of [c], each ascending, by ascending center *)
+let clusters (c : Clustering.t) =
+  let n = Array.length c.Clustering.cluster in
+  List.filter_map
+    (fun center ->
+      match List.filter (fun v -> c.Clustering.cluster.(v) = center) (List.init n Fun.id) with
+      | [] -> None
+      | members -> Some (Array.of_list members))
+    (List.init n Fun.id)
+
+(* edges whose endpoints lie in different clusters *)
+let inter_cluster_edges g (c : Clustering.t) =
+  let crossing = ref 0 in
+  Graph.iter_edges g (fun u v ->
+      if u <> v && c.Clustering.cluster.(u) <> c.Clustering.cluster.(v) then incr crossing);
+  !crossing
+
 let test_clustering_covers () =
   let rng = Rng.create 1 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:80 ~p:0.05) in
@@ -26,7 +43,7 @@ let test_clustering_covers () =
     (fun v cl ->
       Alcotest.(check bool) (Printf.sprintf "vertex %d clustered" v) true (cl >= 0 && cl < 80))
     c.Clustering.cluster;
-  let parts = Clustering.clusters c in
+  let parts = clusters c in
   Metrics.check_partition g parts
 
 let test_clustering_centers_own_cluster () =
@@ -46,7 +63,7 @@ let test_clustering_radius_bound () =
   let horizon = c.Clustering.epochs in
   (* each vertex is within horizon hops of its center, and the
      protocol ran exactly horizon epochs *)
-  let parts = Clustering.clusters c in
+  let parts = clusters c in
   List.iter
     (fun part ->
       let center = c.Clustering.cluster.(part.(0)) in
@@ -66,7 +83,7 @@ let test_clustering_cut_fraction_expectation () =
   let seeds = 10 in
   for seed = 1 to seeds do
     let c = Clustering.run (net_of g) ~beta (Rng.create seed) in
-    total := !total + Clustering.inter_cluster_edges g c
+    total := !total + inter_cluster_edges g c
   done;
   let avg = float_of_int !total /. float_of_int seeds in
   let m = float_of_int (Graph.num_edges g) in
@@ -124,7 +141,7 @@ let reference_run g ~beta rng =
         | [] -> st
         | _ :: _ ->
           let best =
-            List.fold_left (fun acc (_, (msg : int array)) -> min acc msg.(0)) max_int inbox
+            List.fold_left (fun acc (_, w) -> min acc w) max_int inbox
           in
           { st with cluster = best }
       end
@@ -132,7 +149,7 @@ let reference_run g ~beta rng =
     in
     if st.cluster >= 0 && not st.announced then begin
       let outbox = ref [] in
-      Graph.iter_neighbors g v (fun u -> outbox := (u, [| st.cluster |]) :: !outbox);
+      Graph.iter_neighbors g v (fun u -> outbox := (u, st.cluster) :: !outbox);
       ({ st with announced = true }, !outbox)
     end
     else (st, [])
@@ -145,22 +162,6 @@ let reference_run g ~beta rng =
       rounds = horizon },
     r.Reference.messages,
     r.Reference.words )
-
-(* [Clustering.clusters] as it was: a Hashtbl of members, each group
-   sorted with polymorphic compare, listed by descending cluster id *)
-let reference_clusters (t : Clustering.t) =
-  let tbl = Hashtbl.create 64 in
-  Array.iteri
-    (fun v c ->
-      let members = try Hashtbl.find tbl c with Not_found -> [] in
-      Hashtbl.replace tbl c (v :: members))
-    t.Clustering.cluster;
-  Dex_util.Table.fold_sorted ~compare:Int.compare
-    (fun _ members acc ->
-      let arr = Array.of_list members in
-      Array.sort compare arr;
-      arr :: acc)
-    tbl []
 
 (* one graph per family, with self-loops sprinkled in: loops are not
    CONGEST edges, so neither protocol may send on them *)
@@ -178,7 +179,7 @@ let oracle_graph family n rng =
       let na = Graph.num_vertices a in
       Graph.of_edges ~n:(na + h)
         (Graph.edges a @ List.map (fun (u, v) -> (u + na, v + na)) (Graph.edges b))
-    | _ -> Graph.empty n (* isolated vertices only *)
+    | _ -> Graph.of_edges ~n [] (* isolated vertices only *)
   in
   Graph.with_self_loops g
     (Array.init (Graph.num_vertices g) (fun v -> if v mod 5 = 0 then 1 else 0))
@@ -199,8 +200,7 @@ let prop_mpx_matches_list_api =
       && w.Clustering.rounds = r.Clustering.rounds
       && Rounds.by_phase (Network.rounds net) = [ ("mpx-clustering", w.Clustering.rounds) ]
       && Network.messages_sent net = messages
-      && Network.words_sent net = words
-      && reference_clusters r = Clustering.clusters r)
+      && Network.words_sent net = words)
 
 (* complexity guard without a clock: MPX charges all [horizon] rounds
    but only rounds in which some vertex acts are stepped, and each
@@ -295,12 +295,11 @@ let test_refine_vs_density () =
 (* ---------- end-to-end LDD ---------- *)
 
 let test_ldd_run_on_network () =
-  (* the distributed entry point: same algorithm, rounds charged to
-     the caller's network ledger *)
+  (* rounds charged to the ledger of the caller's network *)
   let rng = Rng.create 5 in
   let g = Gen.cycle 4_000 in
   let net = net_of g in
-  let r = Ldd.run net ~beta:0.6 rng in
+  let r = Ldd.run_graph ~ledger:(Network.rounds net) g ~beta:0.6 rng in
   Metrics.check_partition g r.Ldd.parts;
   Alcotest.(check int) "rounds charged to the network ledger" r.Ldd.rounds
     (Rounds.total (Network.rounds net))

@@ -36,15 +36,16 @@ let write path src =
   close_out oc
 
 (* write [src] to [dir]/[rel] and compile it from [dir] with
-   -bin-annot; ocamlc writes the .cmt/.cmti next to the source and
-   records [rel] as its source path *)
-let compile dir rel src =
+   -bin-annot, finding other probes' interfaces in [include_dir];
+   ocamlc writes the .cmt/.cmti next to the source and records [rel]
+   as its source path *)
+let compile ?(include_dir = ".") dir rel src =
   Lazy.force require_ocamlc;
   write (Filename.concat dir rel) src;
   let rc =
     Sys.command
-      (Printf.sprintf "cd %s && ocamlc -I +unix -bin-annot -c %s 2> /dev/null"
-         (Filename.quote dir) (Filename.quote rel))
+      (Printf.sprintf "cd %s && ocamlc -I +unix -I %s -bin-annot -c %s 2> /dev/null"
+         (Filename.quote dir) (Filename.quote include_dir) (Filename.quote rel))
   in
   if rc <> 0 then Alcotest.failf "probe did not compile:\n%s" src
 
@@ -333,54 +334,42 @@ let test_c003_scoping_and_pragma () =
 
 let test_c_rule_pragma_scan () =
   let p =
-    Lint.scan_pragmas ~path:"x.ml"
-      "(* dex-lint: allow C002 guarded upstream *)\nlet x = 1"
+    Lint.scan_pragmas ~path:"x.mli"
+      "(* dex-lint: allow C004 validator the tests need *)\nval check : int -> unit"
   in
   Alcotest.(check bool) "C-rule pragma covers its line and the next" true
-    (Hashtbl.mem p.Lint.allowed (1, "C002") && Hashtbl.mem p.Lint.allowed (2, "C002"));
+    (Hashtbl.mem p.Lint.allowed (1, "C004") && Hashtbl.mem p.Lint.allowed (2, "C004"));
   Alcotest.(check int) "well-formed" 0 (List.length p.Lint.malformed)
 
-(* ---------- W-rules ---------- *)
+(* ---------- C004: which references keep an export alive ---------- *)
 
-(* the probes compile without dex_congest: a local stub stands in for
-   it, and the rule matches [Arena.Outbox.send] by its path's tail *)
-let w_findings src =
-  lint ~path:"probe.ml"
-    ("module Arena = struct module Outbox = struct\n\
-     \  let send () ~dst:(_ : int) (_ : int array) = ()\n\
-     \  let send1 () ~dst:(_ : int) (_ : int) = ()\n\
-      end end\n" ^ src)
+(* the lines of lib/x/probe_lib.mli ([used] on 1, [spare] on 2) that
+   C004 reports when one more unit, at [user], references
+   [Probe_lib.used] *)
+let c004_dead_lines user =
+  with_temp_dir (fun dir ->
+      List.iter
+        (fun d -> Sys.mkdir (Filename.concat dir d) 0o755)
+        [ "lib"; "lib/x"; "test"; "bin"; "bench"; "tools"; "tools/lint";
+          "tools/lint/fixtures" ];
+      compile dir "lib/x/probe_lib.mli" "val used : int\nval spare : int";
+      compile ~include_dir:"lib/x" dir "lib/x/probe_lib.ml" "let used = 1\nlet spare = 2";
+      compile ~include_dir:"lib/x" dir user "let x = Probe_lib.used";
+      let impls, intfs, errors = Typed.load_units ~cmt_root:dir in
+      Alcotest.(check int) "cmts load" 0 (List.length errors);
+      Typed.dead_exports ~scope:[ "lib" ] ~include_fixtures:false (Typed.build_ref_db impls)
+        intfs
+      |> List.map (fun f -> f.Lint.line))
 
-let test_w_rules_certify () =
-  check_rules "C001: static length over a literal budget" [ "C001" ]
-    (w_findings
-       "let create ~word_size () = word_size\n\
-        let _b = create ~word_size:2 ()\n\
-        let site () = Arena.Outbox.send () ~dst:1 [| 1; 2; 3 |]");
-  check_rules "static length within the default budget" []
-    (w_findings "let site () = Arena.Outbox.send () ~dst:1 [| 7 |]");
-  check_rules "send1 is one word" []
-    (w_findings "let site x = Arena.Outbox.send1 () ~dst:1 x");
-  check_rules "length decided through a local helper" []
-    (w_findings
-       "let encode x = [| x |]\n\
-        let site x = Arena.Outbox.send () ~dst:1 (encode x)");
-  check_rules "C002: unguarded dynamic length" [ "C002" ]
-    (w_findings "let site n = Arena.Outbox.send () ~dst:1 (Array.make n 0)");
-  check_rules "a tuple is not a message" []
-    (w_findings "let site n : int * int array = (1, Array.make n 0)");
-  check_rules "Invariant.words guard recognized" []
-    (w_findings
-       "module Invariant = struct let words ~budget:_ ~where:_ a = a end\n\
-        let site n =\n\
-       \  Arena.Outbox.send () ~dst:1 (Invariant.words ~budget:1 ~where:\"t\" (Array.make n 0))");
-  check_rules "non-literal budget disables C001, never C002"
-    [ "C002" ]
-    (w_findings
-       "let create ~word_size () = word_size\n\
-        let _b w = create ~word_size:w ()\n\
-        let wide () = Arena.Outbox.send () ~dst:1 [| 1; 2; 3 |]\n\
-        let dyn n = Arena.Outbox.send () ~dst:1 (Array.make n 0)")
+let test_c004_ignores_tests () =
+  Alcotest.(check (list int)) "referenced only by a test/ unit" [ 1; 2 ]
+    (c004_dead_lines "test/probe_user.ml");
+  Alcotest.(check (list int)) "referenced by a bin/ unit" [ 2 ]
+    (c004_dead_lines "bin/probe_user.ml");
+  Alcotest.(check (list int)) "referenced by a bench/ unit" [ 2 ]
+    (c004_dead_lines "bench/probe_user.ml");
+  Alcotest.(check (list int)) "referenced by a lint fixture" [ 1; 2 ]
+    (c004_dead_lines "tools/lint/fixtures/probe_user.ml")
 
 (* ---------- unit naming, dune parsing, the ladder ---------- *)
 
@@ -412,22 +401,19 @@ let test_layer_ranks_ladder () =
   Alcotest.(check bool) "decomp below triangle" true (r "dex_decomp" < r "dex_triangle");
   Alcotest.(check bool) "umbrella on top" true (r "dex_triangle" < r "dexpander")
 
-let test_json_report_round_trips () =
+let test_json_report_golden () =
   let fs = lint "let f () = failwith \"x\"" in
   let doc = Lint.report_to_json ~files:1 ~errors:[ ("bad.ml", "boom") ] fs in
-  match Json.parse (Json.to_string doc) with
-  | Error msg -> Alcotest.failf "report not valid JSON: %s" msg
-  | Ok v ->
-    Alcotest.(check (option string)) "tool" (Some "dex_lint")
-      (Option.bind (Json.member "tool" v) Json.to_str);
-    let findings = Option.bind (Json.member "findings" v) Json.to_list in
-    Alcotest.(check (option int)) "one finding" (Some 1)
-      (Option.map List.length findings)
+  Alcotest.(check string) "report"
+    ({|{"tool":"dex_lint","files":1,"findings":[{"rule":"D003","file":"lib/congest/fixture.ml",|}
+     ^ {|"line":1,"col":11,"message":"failwith in a protocol layer; raise a typed exception |}
+     ^ {|(Dex_util.Invariant.fail)"}],"errors":[{"file":"bad.ml","error":"boom"}]}|})
+    (Json.to_string doc)
 
 let test_rule_table_complete () =
   Alcotest.(check (list string)) "ids"
     [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007";
-      "C001"; "C002"; "C003"; "C004"; "C005" ]
+      "C003"; "C004"; "C005" ]
     (List.map fst Lint.rules)
 
 let () =
@@ -464,14 +450,14 @@ let () =
         [ Alcotest.test_case "missing or stale cmt" `Quick test_missing_or_stale_cmt;
           Alcotest.test_case "sorted findings" `Quick
             test_findings_sorted_and_positioned;
-          Alcotest.test_case "json round trip" `Quick test_json_report_round_trips;
+          Alcotest.test_case "json report golden" `Quick test_json_report_golden;
           Alcotest.test_case "rule table" `Quick test_rule_table_complete ] );
       ( "typed",
         [ Alcotest.test_case "C003 vertex params" `Quick test_c003_vertex_params;
           Alcotest.test_case "C003 scoping & pragma" `Quick
             test_c003_scoping_and_pragma;
           Alcotest.test_case "C-rule pragmas scan" `Quick test_c_rule_pragma_scan;
-          Alcotest.test_case "W-rules certify budgets" `Quick test_w_rules_certify;
+          Alcotest.test_case "C004 ignores tests and fixtures" `Quick test_c004_ignores_tests;
           Alcotest.test_case "unit name splitting" `Quick test_unit_name_splitting;
           Alcotest.test_case "dune (libraries ...) parsing" `Quick
             test_declared_libraries;

@@ -137,7 +137,7 @@ let test_expander_routes_fast () =
 let test_capacity_congestion () =
   (* many tokens from one hub: a tighter per-edge capacity must slow
      delivery down (more waiting) *)
-  let g = Gen.star 24 in
+  let g = Reference.star 24 in
   let requests = List.init 23 (fun i -> { Router.src = i + 1; dst = (i mod 22) + 1 }) in
   (* all traffic crosses the center: compare capacities *)
   let r1 = Router.route ~capacity:1 ~max_rounds:2_000_000 g (Rng.create 30) requests in

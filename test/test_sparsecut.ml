@@ -163,7 +163,7 @@ let test_participating_edges_incident () =
   let g = Gen.cycle 10 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
   let outcome = Nibble.approximate params g ~src:0 ~b:1 in
-  let edges = Nibble.participating_edges g outcome in
+  let edges = Reference.participating_edges g outcome in
   let members = Hashtbl.create 32 in
   Array.iter (fun v -> Hashtbl.replace members v ()) outcome.Nibble.participants;
   List.iter
@@ -231,7 +231,12 @@ module Tuple_reference = struct
                    vol := !vol + Graph.degree g v
                  end)
                cut.Nibble.vertices);
-           if !vol <= threshold then best := Dex_util.Table.keys_sorted ~compare:Int.compare members
+           if !vol <= threshold then
+             best :=
+               List.rev
+                 (Dex_util.Table.fold_sorted ~compare:Int.compare
+                    (fun v () acc -> v :: acc)
+                    members [])
            else raise Exit)
          outcomes
      with Exit -> ());
@@ -265,7 +270,7 @@ let prop_participating_edges_match_reference =
       in
       let visited = ref [] in
       Nibble.iter_participating_edges g outcome (fun u v -> visited := (u, v) :: !visited);
-      let edges = Nibble.participating_edges g outcome in
+      let edges = Reference.participating_edges g outcome in
       let reference = Tuple_reference.participating_edges g outcome in
       edges = reference
       && !visited = edges
@@ -459,7 +464,7 @@ let test_partition_expander_no_false_positive () =
   end
 
 let test_partition_empty_graph () =
-  let g = Graph.empty 5 in
+  let g = Graph.of_edges ~n:5 [] in
   let params = mk_params (1.0 /. 16.0) 1 in
   let r = Partition.run params g (Rng.create 1) in
   Alcotest.(check bool) "certified" true (Partition.certified_no_sparse_cut r);
@@ -616,7 +621,9 @@ let test_run_verified_accepts_dumbbell () =
   match Partition.run_verified ~attempts:3 ~bound params g rng with
   | Error _ -> Alcotest.fail "dumbbell run should certify within 3 attempts"
   | Ok o ->
-    Alcotest.(check bool) "acceptable" true (Partition.acceptable ~bound o.Rounds.value);
+    let r = o.Rounds.value in
+    Alcotest.(check bool) "acceptable" true
+      (Partition.certified_no_sparse_cut r || r.Partition.conductance <= bound);
     Alcotest.(check bool) "attempts in budget" true
       (o.Rounds.attempts >= 1 && o.Rounds.attempts <= 3);
     Alcotest.(check bool) "rounds summed" true
@@ -691,7 +698,7 @@ let test_ppr_validation () =
 
 (* ---------- executed walk protocol ---------- *)
 
-module Wp = Dex_sparsecut.Walk_protocol
+module Wp = Walk_protocol
 module Walk = Dex_spectral.Walk
 module Network = Dex_congest.Network
 
@@ -705,9 +712,9 @@ let test_walk_protocol_matches_central () =
   let protocol = Wp.distribution_table pairs in
   let central = (Walk.truncated_walk g ~src:3 ~eps ~steps).(steps) in
   Alcotest.(check int) "same support" (Walk.size central) (Walk.size protocol);
-  Walk.iter
+  Reference.Walk_view.iter
     (fun v x ->
-      let y = Walk.get protocol v in
+      let y = Reference.Walk_view.get protocol v in
       Alcotest.(check (float 1e-12)) (Printf.sprintf "mass at %d" v) x y;
       (* each vertex sums its terms in the central walk's order *)
       Alcotest.(check int64) (Printf.sprintf "bits at %d" v) (Int64.bits_of_float x)
@@ -721,8 +728,8 @@ let test_walk_protocol_with_self_loops () =
   let pairs, _ = Wp.run net ~src:0 ~eps:0.0 ~steps:1 in
   let tbl = Wp.distribution_table pairs in
   (* deg 0 = 2 (loop + edge): stays 1/2 + loop 1/4 = 3/4; sends 1/4 *)
-  Alcotest.(check (float 1e-12)) "stay" 0.75 (Walk.get tbl 0);
-  Alcotest.(check (float 1e-12)) "move" 0.25 (Walk.get tbl 1)
+  Alcotest.(check (float 1e-12)) "stay" 0.75 (Reference.Walk_view.get tbl 0);
+  Alcotest.(check (float 1e-12)) "move" 0.25 (Reference.Walk_view.get tbl 1)
 
 let test_walk_protocol_charges_ledger () =
   let g = Gen.cycle 8 in
@@ -748,7 +755,7 @@ let test_st_reference_dumbbell () =
 
 let test_st_reference_empty () =
   let params = mk_params (1.0 /. 16.0) 1 in
-  let r = St.run params (Graph.empty 4) (Rng.create 1) in
+  let r = St.run params (Graph.of_edges ~n:4 []) (Rng.create 1) in
   Alcotest.(check int) "no cut" 0 (Array.length r.St.cut);
   Alcotest.(check int) "no rounds" 0 r.St.rounds
 

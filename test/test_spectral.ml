@@ -12,9 +12,12 @@ module Mixing = Dex_spectral.Mixing
 module Exact = Dex_spectral.Exact
 module Rng = Dex_util.Rng
 
+(* reads of a sparse distribution the library does not export *)
+module W = Reference.Walk_view
+
 let sparse_to_dense n p =
   let a = Array.make n 0.0 in
-  Walk.iter (fun v x -> a.(v) <- x) p;
+  W.iter (fun v x -> a.(v) <- x) p;
   a
 
 (* ---------- walk ---------- *)
@@ -22,7 +25,7 @@ let sparse_to_dense n p =
 let test_mass_conservation () =
   let rng = Rng.create 1 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:30 ~p:0.15) in
-  let p = Walk.walk_from g ~src:0 ~steps:10 in
+  let p = W.walk_from g ~src:0 ~steps:10 in
   let total = Array.fold_left ( +. ) 0.0 p in
   Alcotest.(check (float 1e-9)) "mass 1" 1.0 total
 
@@ -45,7 +48,7 @@ let test_sparse_dense_agree () =
     |> List.filter_map (fun (v, x) -> if x > 0.0 then Some v else None)
   in
   Alcotest.(check (list int)) "support matches dense positives" dense_support
-    (Array.to_list (Walk.support !sparse))
+    (Array.to_list (W.support !sparse))
 
 let test_self_loop_mass_returns () =
   (* one vertex with a self-loop and a pendant: loop mass stays *)
@@ -63,11 +66,11 @@ let test_stationary_fixpoint () =
   Array.iteri (fun v x -> Alcotest.(check (float 1e-9)) (string_of_int v) pi.(v) x) p'
 
 let test_truncation () =
-  let g = Gen.star 5 in
+  let g = Reference.star 5 in
   let p = Walk.of_assoc [ (0, 1.0); (1, 1e-9) ] in
-  let q = Walk.truncate g ~eps:1e-6 p in
-  Alcotest.(check bool) "large kept" true (Walk.mem q 0);
-  Alcotest.(check bool) "small dropped" false (Walk.mem q 1)
+  let q = W.truncate g ~eps:1e-6 p in
+  Alcotest.(check bool) "large kept" true (W.mem q 0);
+  Alcotest.(check bool) "small dropped" false (W.mem q 1)
 
 let test_truncated_below_exact () =
   let rng = Rng.create 3 in
@@ -92,8 +95,8 @@ let test_rho_symmetry () =
   let g = Gen.connectivize rng (Gen.gnp rng ~n:20 ~p:0.2) in
   List.iter
     (fun (u, v, t) ->
-      let pu = Walk.walk_from g ~src:u ~steps:t in
-      let pv = Walk.walk_from g ~src:v ~steps:t in
+      let pu = W.walk_from g ~src:u ~steps:t in
+      let pv = W.walk_from g ~src:v ~steps:t in
       let rho_uv = pu.(v) /. float_of_int (Graph.degree g v) in
       let rho_vu = pv.(u) /. float_of_int (Graph.degree g u) in
       Alcotest.(check (float 1e-9)) (Printf.sprintf "u=%d v=%d t=%d" u v t) rho_uv rho_vu)
@@ -111,7 +114,7 @@ type prefix = { len : int; volume : int; cut : int; conductance : float; last_rh
 module Reference = struct
   let of_walk p =
     let t = Hashtbl.create 16 in
-    Walk.iter (fun v x -> Hashtbl.replace t v x) p;
+    W.iter (fun v x -> Hashtbl.replace t v x) p;
     t
 
   let step_sparse g p =
@@ -202,11 +205,18 @@ let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* supports equal as ascending lists, masses equal bit for bit *)
 let identical p reference =
-  let keys = Dex_util.Table.keys_sorted ~compare:Int.compare reference in
-  Array.to_list (Walk.support p) = keys
-  && List.for_all (fun v -> same_float (Walk.get p v) (Hashtbl.find reference v)) keys
+  let keys =
+    List.rev (Dex_util.Table.fold_sorted ~compare:Int.compare (fun v _ acc -> v :: acc) reference [])
+  in
+  Array.to_list (W.support p) = keys
+  && List.for_all (fun v -> same_float (W.get p v) (Hashtbl.find reference v)) keys
 
 (* the sweep's measurements of π(1..i+1) *)
+(* the sweep order of [p]: a fresh scan's vertices *)
+let sweep_order g p =
+  let t = Sweep.scan g p in
+  Sweep.take t t.Sweep.length
+
 let prefix_at (sweep : Sweep.t) i =
   { len = i + 1;
     volume = sweep.volume.(i);
@@ -227,7 +237,7 @@ let sweep_is (sweep : Sweep.t) ~order ~prefixes =
 
 let same_sweep g p reference =
   let order = Reference.order g reference and prefixes = Reference.scan g reference in
-  Sweep.order g p = order && sweep_is (Sweep.scan g p) ~order ~prefixes
+  sweep_order g p = order && sweep_is (Sweep.scan g p) ~order ~prefixes
 
 (* a distribution on every vertex of 0..n-1, a third of the masses zero *)
 let full_support rng n =
@@ -283,7 +293,7 @@ let prop_step_matches_reference =
           p := Walk.step ws g !p;
           reference := ref_stepped
         | Some eps ->
-          ok := !ok && identical (Walk.truncate g ~eps stepped) (Reference.truncate g ~eps ref_stepped);
+          ok := !ok && identical (W.truncate g ~eps stepped) (Reference.truncate g ~eps ref_stepped);
           p := Walk.step ~eps ws g !p;
           reference := Reference.truncate g ~eps ref_stepped);
         ok := !ok && identical !p !reference && same_sweep g !p !reference
@@ -325,7 +335,7 @@ let prop_walker_matches_step =
       for _ = 1 to steps do
         let change = Walk.advance w g ~eps ~mask in
         let next = Walk.step ~eps ws g !p in
-        Walk.iter (fun v _ -> expected_mask.(v) <- true) next;
+        W.iter (fun v _ -> expected_mask.(v) <- true) next;
         ok :=
           !ok
           && same_float change (Reference.l1_change ~prev:!p ~next)
@@ -336,7 +346,7 @@ let prop_walker_matches_step =
       !ok)
 
 let same_sparse (p : Walk.sparse) (q : Walk.sparse) =
-  Walk.support p = Walk.support q
+  W.support p = W.support q
   && List.for_all2 same_float (List.init p.len (fun i -> p.masses.(i)))
        (List.init q.len (fun i -> q.masses.(i)))
 
@@ -389,7 +399,7 @@ let test_walker_full_support_step () =
   Walk.start w p;
   let change = Walk.advance w g ~eps ~mask in
   let next = Walk.step ~eps (Walk.workspace g) g p in
-  Alcotest.(check (list int)) "kept" [ 2; 3 ] (Array.to_list (Walk.support (Walk.current w)));
+  Alcotest.(check (list int)) "kept" [ 2; 3 ] (Array.to_list (W.support (Walk.current w)));
   Alcotest.(check bool) "= Walk.step" true (identical (Walk.current w) (Reference.of_walk next));
   Alcotest.(check (list bool)) "mask" [ false; false; true; true ] (Array.to_list mask);
   Alcotest.(check bool) "L1 = old merge, bit for bit" true
@@ -539,15 +549,15 @@ let test_zero_mass_support () =
   let g = Graph.of_edges ~n:3 [ (0, 1) ] in
   let p = Walk.of_assoc [ (0, 1.0); (2, 0.0) ] in
   let q = Walk.step ~eps:1e-3 (Walk.workspace g) g p in
-  Alcotest.(check (list int)) "touched set" [ 0; 1; 2 ] (Array.to_list (Walk.support q));
-  Alcotest.(check (float 0.0)) "zero mass kept" 0.0 (Walk.get q 2);
+  Alcotest.(check (list int)) "touched set" [ 0; 1; 2 ] (Array.to_list (W.support q));
+  Alcotest.(check (float 0.0)) "zero mass kept" 0.0 (W.get q 2);
   Alcotest.(check bool) "matches reference" true
     (identical q (Reference.truncate g ~eps:1e-3 (Reference.step_sparse g (Reference.of_walk p))));
   (* a degree-0 source keeps all its mass forever *)
   let walks = Walk.truncated_walk g ~src:2 ~eps:1e-3 ~steps:3 in
-  Alcotest.(check (list int)) "isolated source" [ 2 ] (Array.to_list (Walk.support walks.(3)));
-  Alcotest.(check (float 0.0)) "isolated mass" 1.0 (Walk.get walks.(3) 2);
-  Alcotest.(check (list int)) "no sweep over degree 0" [] (Array.to_list (Sweep.order g walks.(3)))
+  Alcotest.(check (list int)) "isolated source" [ 2 ] (Array.to_list (W.support walks.(3)));
+  Alcotest.(check (float 0.0)) "isolated mass" 1.0 (W.get walks.(3) 2);
+  Alcotest.(check (list int)) "no sweep over degree 0" [] (Array.to_list (sweep_order g walks.(3)))
 
 let test_of_assoc_validation () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Walk.of_assoc: duplicate vertex")
@@ -575,10 +585,10 @@ let test_sweep_order_decreasing_rho () =
   let rng = Rng.create 6 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:30 ~p:0.15) in
   let walks = Walk.truncated_walk g ~src:0 ~eps:1e-6 ~steps:4 in
-  let order = Sweep.order g walks.(4) in
+  let order = sweep_order g walks.(4) in
   for i = 1 to Array.length order - 1 do
-    let r1 = Walk.rho g walks.(4) order.(i - 1) in
-    let r2 = Walk.rho g walks.(4) order.(i) in
+    let r1 = W.rho g walks.(4) order.(i - 1) in
+    let r2 = W.rho g walks.(4) order.(i) in
     Alcotest.(check bool) "non-increasing" true (r1 >= r2 -. 1e-12)
   done
 
@@ -627,7 +637,7 @@ let test_spectral_gap_complete_vs_ring () =
 
 let test_second_eigenvector_splits_barbell () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
-  let vec = Mixing.second_eigenvector ~iters:300 g (Rng.create 11) in
+  let _, vec = Mixing.spectral_gap ~iters:300 g (Rng.create 11) in
   Alcotest.(check int) "one entry per vertex" (Graph.num_vertices g) (Array.length vec);
   (* the near-Fiedler direction separates the cliques: constant sign
      within each side, opposite signs across the bridge *)
@@ -690,7 +700,7 @@ let prop_mass_conserved_sparse =
       for _ = 1 to 5 do
         p := Walk.step_sparse g !p
       done;
-      Float.abs (Walk.mass !p -. 1.0) < 1e-9)
+      Float.abs (W.mass !p -. 1.0) < 1e-9)
 
 let () =
   Alcotest.run "spectral"

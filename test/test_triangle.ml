@@ -11,6 +11,10 @@ module Decomposition = Dex_decomp.Decomposition
 module Rng = Dex_util.Rng
 module Rounds = Dex_congest.Rounds
 
+
+(* the star K_{1,n-1}, from the shared test helpers *)
+let star = Reference.star
+
 let naive_triangles g =
   let n = Graph.num_vertices g in
   let acc = ref [] in
@@ -34,7 +38,7 @@ let test_known_counts () =
   Alcotest.(check int) "C3" 1 (Exact.count (Gen.cycle 3));
   Alcotest.(check int) "grid" 0 (Exact.count (Gen.grid 4 4));
   Alcotest.(check int) "tree" 0 (Exact.count (Gen.binary_tree 4));
-  Alcotest.(check int) "star" 0 (Exact.count (Gen.star 10))
+  Alcotest.(check int) "star" 0 (Exact.count (star 10))
 
 let test_self_loops_ignored () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2); (0, 0); (1, 1) ] in
@@ -55,8 +59,12 @@ let test_enumerate_matches_naive () =
 
 let test_edge_pred_split () =
   let g = Gen.complete 6 in
+  let n = Graph.num_vertices g in
   let all = Exact.enumerate g in
-  let hit, miss = Exact.triangles_with_edge_pred g (fun u v -> u = 0 && v = 1) in
+  let hit =
+    Exact.triangles_of_ids ~n (Exact.triangle_ids_with_edge_pred g (fun u v -> u = 0 && v = 1))
+  in
+  let miss = List.filter (fun t -> not (List.mem t hit)) all in
   Alcotest.(check int) "total preserved" (List.length all) (List.length hit + List.length miss);
   (* triangles containing edge (0,1): n-2 = 4 of them *)
   Alcotest.(check int) "hits" 4 (List.length hit);
@@ -111,11 +119,9 @@ module Reference = struct
     !c
 
   let triangles_with_edge_pred g pred =
-    let hit = ref [] and miss = ref [] in
-    iter g (fun (u, v, w) ->
-        if pred u v || pred v w || pred u w then hit := (u, v, w) :: !hit
-        else miss := (u, v, w) :: !miss);
-    (List.sort compare !hit, List.sort compare !miss)
+    let hit = ref [] in
+    iter g (fun (u, v, w) -> if pred u v || pred v w || pred u w then hit := (u, v, w) :: !hit);
+    List.sort compare !hit
 end
 
 (* a G(n, p) multigraph, p in [0.1, 0.9], with parallel copies,
@@ -152,11 +158,10 @@ let prop_exact_matches_reference =
       let g, pred = random_instance seed in
       let n = Graph.num_vertices g in
       let all = Reference.enumerate g in
-      let hit, miss = Reference.triangles_with_edge_pred g pred in
+      let hit = Reference.triangles_with_edge_pred g pred in
       calls Exact.iter g = calls Reference.iter g
       && Exact.enumerate g = all
       && Exact.count g = Reference.count g
-      && Exact.triangles_with_edge_pred g pred = (hit, miss)
       && Exact.triangles_of_ids ~n (Exact.triangle_ids g) = all
       && Exact.triangles_of_ids ~n (Exact.triangle_ids_with_edge_pred g pred) = hit)
 
@@ -171,9 +176,10 @@ let test_id_bound () =
   Alcotest.(check (list (triple int int int))) "round trip" [ low; top ]
     (Exact.triangles_of_ids ~n ids);
   Alcotest.(check int) "largest id" ((((n - 3) * n) + n - 2) * n + n - 1) ids.(1);
-  Alcotest.(check (triple int int int)) "id to triple" top (Exact.triangle_of_id ~n ids.(1));
+  Alcotest.(check (list (triple int int int))) "id to triple" [ top ]
+    (Exact.triangles_of_ids ~n [| ids.(1) |]);
   Alcotest.(check bool) "below max_int" true (ids.(1) > 0 && ids.(1) < max_int);
-  let big = Graph.empty (n + 1) in
+  let big = Graph.of_edges ~n:(n + 1) [] in
   let msg = Invalid_argument "Exact: 1048577 vertices exceed the triangle-id bound n <= 2^20" in
   Alcotest.check_raises "triangle_ids beyond 2^20" msg (fun () ->
       ignore (Exact.triangle_ids big));
@@ -351,7 +357,7 @@ let test_dlp_scaling () =
     (ratio >= 1.0 && ratio <= 8.0)
 
 let test_dlp_empty_graph () =
-  let r = Dlp.run (Graph.empty 10) in
+  let r = Dlp.run (Graph.of_edges ~n:10 []) in
   Alcotest.(check (list (triple int int int))) "no triangles" [] r.Dlp.triangles;
   Alcotest.(check bool) "complete" true r.Dlp.complete
 
@@ -363,8 +369,8 @@ let test_trivial_rounds () =
   Alcotest.(check int) "K10" 9 (Baselines.trivial_rounds (Gen.complete 10));
   (* star: center degree n-1, leaves degree 1; leaf receives n-1 words
      over one edge *)
-  Alcotest.(check int) "star" 9 (Baselines.trivial_rounds (Gen.star 10));
-  Alcotest.(check int) "empty" 0 (Baselines.trivial_rounds (Graph.empty 5))
+  Alcotest.(check int) "star" 9 (Baselines.trivial_rounds (star 10));
+  Alcotest.(check int) "empty" 0 (Baselines.trivial_rounds (Graph.of_edges ~n:5 []))
 
 let test_dlp_rounds_scale () =
   let rng = Rng.create 19 in

@@ -1,5 +1,5 @@
 (* Unit and property tests for Dex_util: Rng, Stats, Union_find,
-   Table. *)
+   Stamped, Table, and Lemma 13's tail bound (Ldd.failure_probability). *)
 
 module Rng = Dex_util.Rng
 module Stats = Dex_util.Stats
@@ -7,6 +7,8 @@ module Uf = Dex_util.Union_find
 module Table = Dex_util.Table
 
 let check_float = Alcotest.(check (float 1e-9))
+
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
 (* ---------- Rng ---------- *)
 
@@ -46,7 +48,7 @@ let test_rng_exponential_mean () =
   let rng = Rng.create 5 in
   let rate = 0.5 in
   let samples = List.init 20_000 (fun _ -> Rng.exponential rng ~rate) in
-  let mean = Stats.mean samples in
+  let mean = mean samples in
   Alcotest.(check bool) "mean ≈ 1/rate"
     true
     (Float.abs (mean -. (1.0 /. rate)) < 0.1);
@@ -56,7 +58,7 @@ let test_rng_geometric () =
   let rng = Rng.create 5 in
   Alcotest.(check int) "p=1 is 0" 0 (Rng.geometric rng 1.0);
   let samples = List.init 20_000 (fun _ -> float_of_int (Rng.geometric rng 0.25)) in
-  let mean = Stats.mean samples in
+  let mean = mean samples in
   (* mean of failures before success = (1-p)/p = 3 *)
   Alcotest.(check bool) "geometric mean ≈ 3" true (Float.abs (mean -. 3.0) < 0.25)
 
@@ -102,35 +104,7 @@ let prop_weighted_index_definition =
       in
       Rng.weighted_index (Rng.create seed) w = expected)
 
-let test_rng_sample_without_replacement () =
-  let rng = Rng.create 29 in
-  for _ = 1 to 50 do
-    let s = Rng.sample_without_replacement rng ~n:20 ~k:10 in
-    Alcotest.(check int) "size" 10 (Array.length s);
-    let tbl = Hashtbl.create 16 in
-    Array.iter
-      (fun x ->
-        Alcotest.(check bool) "range" true (x >= 0 && x < 20);
-        Alcotest.(check bool) "distinct" false (Hashtbl.mem tbl x);
-        Hashtbl.replace tbl x ())
-      s
-  done
-
 (* ---------- Stats ---------- *)
-
-let test_stats_basic () =
-  check_float "mean" 2.5 (Stats.mean [ 1.0; 2.0; 3.0; 4.0 ]);
-  check_float "median odd" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
-  check_float "median even" 2.5 (Stats.median [ 4.0; 1.0; 2.0; 3.0 ]);
-  check_float "min" 1.0 (Stats.minimum [ 4.0; 1.0; 2.0 ]);
-  check_float "max" 4.0 (Stats.maximum [ 4.0; 1.0; 2.0 ]);
-  check_float "stddev of constant" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  check_float "p100 = max" 9.0 (Stats.percentile 100.0 [ 1.0; 9.0; 3.0 ])
-
-let test_stats_linear_fit () =
-  let slope, intercept = Stats.linear_fit [ (0.0, 1.0); (1.0, 3.0); (2.0, 5.0) ] in
-  check_float "slope" 2.0 slope;
-  check_float "intercept" 1.0 intercept
 
 let test_stats_log_log_slope () =
   (* y = 7·x² gives slope 2 on log-log axes *)
@@ -138,27 +112,29 @@ let test_stats_log_log_slope () =
   check_float "quadratic slope" 2.0 (Stats.log_log_slope pts)
 
 let test_stats_empty () =
-  Alcotest.check_raises "mean []" (Invalid_argument "Stats.mean: empty list") (fun () ->
-      ignore (Stats.mean []))
+  Alcotest.check_raises "no points" (Invalid_argument "Stats.linear_fit: need at least two points")
+    (fun () -> ignore (Stats.log_log_slope []));
+  (* points with a non-positive coordinate are dropped first *)
+  Alcotest.check_raises "one positive point"
+    (Invalid_argument "Stats.linear_fit: need at least two points") (fun () ->
+      ignore (Stats.log_log_slope [ (1.0, 2.0); (0.0, 5.0); (3.0, -1.0) ]))
 
 (* ---------- Union_find ---------- *)
 
+let same uf a b = Uf.find uf a = Uf.find uf b
+
 let test_uf_basic () =
   let uf = Uf.create 6 in
-  Alcotest.(check int) "initial sets" 6 (Uf.count uf);
+  Alcotest.(check (list int)) "singletons" [ 0; 1; 2; 3; 4; 5 ] (List.init 6 (Uf.find uf));
   Alcotest.(check bool) "union fresh" true (Uf.union uf 0 1);
   Alcotest.(check bool) "union again" false (Uf.union uf 1 0);
-  Alcotest.(check bool) "same" true (Uf.same uf 0 1);
-  Alcotest.(check bool) "not same" false (Uf.same uf 0 2);
-  Alcotest.(check int) "sets after one union" 5 (Uf.count uf);
-  Alcotest.(check int) "size" 2 (Uf.size uf 0);
+  Alcotest.(check bool) "same" true (same uf 0 1);
+  Alcotest.(check bool) "not same" false (same uf 0 2);
   ignore (Uf.union uf 2 3);
   ignore (Uf.union uf 0 2);
-  Alcotest.(check int) "size merged" 4 (Uf.size uf 3);
-  let groups = Uf.groups uf in
-  Alcotest.(check int) "groups" 3 (List.length groups);
-  let total = List.fold_left (fun acc g -> acc + Array.length g) 0 groups in
-  Alcotest.(check int) "groups cover" 6 total
+  Alcotest.(check bool) "merged" true (same uf 1 3);
+  let roots = List.sort_uniq Int.compare (List.init 6 (Uf.find uf)) in
+  Alcotest.(check int) "sets" 3 (List.length roots)
 
 let test_uf_transitivity_prop =
   QCheck.Test.make ~name:"union-find transitivity" ~count:100
@@ -171,13 +147,11 @@ let test_uf_transitivity_prop =
       for a = 0 to 19 do
         for b = 0 to 19 do
           for c = 0 to 19 do
-            if Uf.same uf a b && Uf.same uf b c && not (Uf.same uf a c) then ok := false
+            if same uf a b && same uf b c && not (same uf a c) then ok := false
           done
         done
       done;
       !ok)
-
-(* ---------- Tail_bounds ---------- *)
 
 (* the stamped-set sort against Array.sort on a random subset of
    0..n-1 in first-touch order: counts drawn on both sides of the
@@ -214,36 +188,41 @@ let prop_stamped_sort =
       Array.sub set 0 k = expected
       && Array.for_all (fun x -> x = -1) (Array.sub set k (n + 3 - k)))
 
-module Tb = Dex_util.Tail_bounds
+(* ---------- Lemma 13's tail bound ---------- *)
+
+let ldd_bound = Dex_ldd.Ldd.failure_probability
 
 let test_tail_bounds_monotone () =
-  (* larger mean => smaller tail; larger dependence => weaker bound *)
-  Alcotest.(check bool) "mu monotone" true
-    (Tb.chernoff_upper ~mu:100.0 ~delta:0.5 < Tb.chernoff_upper ~mu:10.0 ~delta:0.5);
-  Alcotest.(check bool) "delta monotone" true
-    (Tb.chernoff_upper ~mu:100.0 ~delta:0.9 < Tb.chernoff_upper ~mu:100.0 ~delta:0.1);
+  (* independent regime (d = 1): a larger mean μ = 2βm gives a smaller
+     tail; past it the exponent is -(K ln n)/6 whatever m is, so more
+     dependence d = βm/(K ln n) weakens the bound, by growing m or
+     shrinking K ln n *)
+  Alcotest.(check bool) "m monotone" true
+    (ldd_bound ~m:40 ~beta:0.3 ~k_ln:100.0 < ldd_bound ~m:20 ~beta:0.3 ~k_ln:100.0);
   Alcotest.(check bool) "dependence weakens" true
-    (Tb.bounded_dependence_upper ~mu:100.0 ~delta:0.5 ~d:10.0
-     > Tb.bounded_dependence_upper ~mu:100.0 ~delta:0.5 ~d:1.0);
-  Alcotest.(check bool) "capped at 1" true (Tb.chernoff_upper ~mu:0.0 ~delta:0.5 <= 1.0)
+    (ldd_bound ~m:20_000 ~beta:0.3 ~k_ln:30.0 > ldd_bound ~m:20_000 ~beta:0.3 ~k_ln:200.0
+     && ldd_bound ~m:200_000 ~beta:0.3 ~k_ln:200.0 > ldd_bound ~m:20_000 ~beta:0.3 ~k_ln:200.0);
+  Alcotest.(check bool) "capped at 1" true (ldd_bound ~m:1 ~beta:0.1 ~k_ln:1.0 <= 1.0)
 
 let test_tail_bounds_values () =
+  (* μ = 2βm = 1200 and d = βm/(K ln n) = 10, δ = 1/2 *)
+  Alcotest.(check (float 1e-12)) "bounded dependence"
+    (10.0 *. exp (-.(0.25 *. 1200.0) /. (3.0 *. 10.0)))
+    (ldd_bound ~m:2000 ~beta:0.3 ~k_ln:60.0);
+  (* d < 1 is clamped to the independent case d = 1 *)
   Alcotest.(check (float 1e-12)) "independent case"
     (exp (-.(0.25 *. 12.0) /. 3.0))
-    (Tb.chernoff_upper ~mu:12.0 ~delta:0.5);
-  Alcotest.(check (float 1e-12)) "lower tail"
-    (exp (-.(0.25 *. 12.0) /. 2.0))
-    (Tb.chernoff_lower ~mu:12.0 ~delta:0.5)
+    (ldd_bound ~m:20 ~beta:0.3 ~k_ln:100.0)
 
 let test_ldd_certificate () =
   (* the exponent is -Ω(K·ln n): the certificate strengthens with K
      (and hence with n at fixed K), not with the edge count *)
-  let p_weak = Tb.ldd_failure_probability ~m:20_000 ~beta:0.3 ~k_ln:30.0 in
-  let p_strong = Tb.ldd_failure_probability ~m:20_000 ~beta:0.3 ~k_ln:200.0 in
+  let p_weak = ldd_bound ~m:20_000 ~beta:0.3 ~k_ln:30.0 in
+  let p_strong = ldd_bound ~m:20_000 ~beta:0.3 ~k_ln:200.0 in
   Alcotest.(check bool) "improves with K ln n" true (p_strong < p_weak);
   Alcotest.(check bool) "nontrivial at large K" true (p_strong < 1e-3);
-  Alcotest.check_raises "bad beta" (Invalid_argument "Tail_bounds: beta in (0,1)")
-    (fun () -> ignore (Tb.ldd_failure_probability ~m:10 ~beta:2.0 ~k_ln:5.0))
+  Alcotest.check_raises "bad beta" (Invalid_argument "Ldd.failure_probability: beta in (0,1)")
+    (fun () -> ignore (ldd_bound ~m:10 ~beta:2.0 ~k_ln:5.0))
 
 (* ---------- Table ---------- *)
 
@@ -259,8 +238,8 @@ let test_table_render () =
      i1 < i3)
 
 let test_table_formats () =
-  Alcotest.(check string) "int-like float" "12" (Table.fmt_float 12.0);
-  Alcotest.(check string) "pct" "12.50%" (Table.fmt_pct 0.125)
+  Alcotest.(check string) "pct" "12.50%" (Table.fmt_pct 0.125);
+  Alcotest.(check string) "zero" "0.00%" (Table.fmt_pct 0.0)
 
 let () =
   Alcotest.run "util"
@@ -273,13 +252,9 @@ let () =
           Alcotest.test_case "geometric" `Quick test_rng_geometric;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "weighted index" `Quick test_rng_weighted_index;
-          Alcotest.test_case "sample without replacement" `Quick
-            test_rng_sample_without_replacement;
           QCheck_alcotest.to_alcotest prop_weighted_index_definition ] );
       ( "stats",
-        [ Alcotest.test_case "basic" `Quick test_stats_basic;
-          Alcotest.test_case "linear fit" `Quick test_stats_linear_fit;
-          Alcotest.test_case "log-log slope" `Quick test_stats_log_log_slope;
+        [ Alcotest.test_case "log-log slope" `Quick test_stats_log_log_slope;
           Alcotest.test_case "empty raises" `Quick test_stats_empty ] );
       ( "union-find",
         [ Alcotest.test_case "basic" `Quick test_uf_basic;

@@ -18,7 +18,7 @@
     {!Dex_spectral.Walk.truncated_walk} bit for bit, and that the
     kernel charges exactly [steps + 1] rounds — the basis for the
     "one diffusion step = one communication round" accounting used by
-    {!Nibble}. *)
+    [Dex_sparsecut.Nibble]. *)
 
 (** [run net ~src ~eps ~steps] executes the protocol and returns the
     final distribution as (vertex, mass) pairs plus the rounds

@@ -113,7 +113,7 @@ let run opts =
           if not (Hashtbl.mem index key) then Hashtbl.add index key u
         | None -> ())
       (impls @ intfs);
-    (* per-source rules: D-, W- and C003 *)
+    (* per-source rules: D- and C003 *)
     List.iter
       (fun path ->
         match find_unit index path with

@@ -3,8 +3,8 @@
    Usage: dune exec tools/lint/dex_lint.exe -- [options] <file-or-dir>...
 
    One engine on the typed AST (see DESIGN.md §9): the determinism
-   D-rules and the C-rules (word budgets, vertex coordinate spaces, the
-   cross-module reference graph). It reads the .cmt/.cmti files of a
+   D-rules and the C-rules (vertex coordinate spaces, the cross-module
+   reference graph). It reads the .cmt/.cmti files of a
    completed `dune build @check`.
 
    Exit status: 0 clean, 1 unsuppressed findings, 2 build/IO errors. *)

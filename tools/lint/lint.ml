@@ -6,8 +6,8 @@
    schedule-permutation reproducibility (see Dex_congest.Conformance):
    hash-order iteration, ambient randomness, untyped aborts in the
    protocol layers, wall-clock reads outside the sanctioned points,
-   and polymorphic comparison. The C-rules certify word budgets,
-   vertex coordinate spaces and the cross-module reference graph. *)
+   and polymorphic comparison. The C-rules certify vertex coordinate
+   spaces and the cross-module reference graph. *)
 
 module Json = Dex_obs.Json
 
@@ -22,7 +22,7 @@ type finding = {
 let rules =
   [ ( "D001",
       "no Hashtbl.iter/fold/to_seq* (hash-order nondeterminism); use \
-       Dex_util.Table.iter_sorted / fold_sorted / keys_sorted" );
+       Dex_util.Table.iter_sorted / fold_sorted" );
     ( "D002",
       "no Random.* outside lib/util/rng.ml; thread a Dex_util.Rng.t \
        explicitly" );
@@ -47,20 +47,14 @@ let rules =
        directories: the compiler never specializes them, so every call \
        goes through caml_lessequal / caml_greaterequal; use Int.min / \
        Int.max, or an explicit comparison at float" );
-    ( "C001",
-      "statically-decidable length of an Arena.Outbox.send message \
-       exceeds the word budget (literal array or Array.make with \
-       literal size vs the file's literal ~word_size, default 1)" );
-    ( "C002",
-      "dynamic-length Arena.Outbox.send message not dominated by a \
-       Dex_util.Invariant.words length guard" );
     ( "C003",
       "raw int vertex parameter in a protocol-layer .mli; use \
        Dex_graph.Vertex.local / Vertex.orig (and Vertex.Map.t for \
        vertex maps)" );
     ( "C004",
-      "dead .mli export: value referenced by no other compilation \
-       unit" );
+      "dead .mli export: value referenced by no other program unit \
+       (references from test/ units do not count, nor fixture \
+       references to non-fixture exports)" );
     ( "C005",
       "layering violation: reference against the layer order, or a \
        dune-declared library dependency no unit of the library uses" ) ]
@@ -121,7 +115,7 @@ let rule_applies ~all_rules segs rule =
   | "D004" ->
     (* bench/ stays sanctioned: wall-clock timing is its whole job *)
     gated segs && not (under_any [ [ "lib"; "obs" ]; [ "bench" ] ] segs)
-  | "D005" | "C001" | "C002" -> true
+  | "D005" -> true
   | "D006" | "D007" -> hot_path segs
   | "C003" -> under_any [ [ "lib"; "congest" ]; [ "lib"; "ldd" ]; [ "lib"; "expander" ] ] segs
   | _ -> false

@@ -10,27 +10,17 @@
    specialize; D007 a polymorphic [min]/[max], which it never
    specializes.
 
-   W-rules — word budgets. The message argument of each
-   `Arena.Outbox.send` call is classified (`send1` always sends one
-   word, which no budget rejects): statically decidable
-   lengths (literal arrays, `Array.make` with a literal size, local
-   bindings and single-clause local helpers returning such arrays)
-   are certified against the file's budget (C001); dynamic lengths
-   must be dominated by a `Dex_util.Invariant.words` guard (C002). The
-   budget is the largest literal `~word_size` passed to a `create` in
-   the file, else 1; a non-literal one disables C001, never C002.
-
    V-rule — C003 rejects raw `int` vertex-valued labelled parameters
    in protocol-layer interfaces; use the phantom `Vertex.local`/`orig`.
 
    X-rules — the .cmts of the whole build yield a unit-level reference
-   graph (exported as JSON). C004 reports `.mli` exports no other unit
-   references; C005 reports references against the layer order and
-   dune library dependencies no unit of the library uses.
+   graph (exported as JSON). C004 reports `.mli` exports no program
+   unit references: a reference from a test/ unit keeps nothing alive,
+   and one from a lint fixture only another fixture's export. C005
+   reports references against the layer order and dune library
+   dependencies no unit of the library uses.
 
-   Lengths through function parameters, arrays from non-local helpers
-   and budgets threaded as values classify as dynamic: guard them with
-   `Invariant.words` or suppress with an allow pragma naming the rule
+   Any finding can be suppressed with an allow pragma naming the rule
    and a reason (see [Lint.scan_pragmas]). *)
 
 module Json = Dex_obs.Json
@@ -55,19 +45,9 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let is_fixture_path path = List.mem "fixtures" (Lint.rel_segments path)
 
-(* ================= W-rules: word-budget certification ============= *)
-
 open Typedtree
 
-type len_class = Static of int | Guarded | Dynamic
-
-(* what a local binding tells us about lengths *)
-type binding = Arr of len_class | Fn of len_class
-
 let path_comps p = String.split_on_char '.' (Path.name p)
-
-let ident_comps e =
-  match e.exp_desc with Texp_ident (p, _, _) -> Some (path_comps p) | _ -> None
 
 (* "Dex_congest__Network" -> ["Dex_congest"; "Network"];
    a trailing "__" (dune's generated alias unit) drops cleanly *)
@@ -85,161 +65,6 @@ let split_wrapped name =
   go [] 0 0
 
 let norm_comps comps = List.concat_map split_wrapped comps
-
-let strip_stdlib = function "Stdlib" :: rest -> rest | l -> l
-
-let is_invariant_words comps =
-  match List.rev comps with
-  | "words" :: "Invariant" :: _ -> true
-  | _ -> false
-
-let is_array_make comps =
-  match List.rev (strip_stdlib comps) with
-  | ("make" | "create" | "init") :: "Array" :: _ -> true
-  | _ -> false
-
-let constant_int e =
-  match e.exp_desc with
-  | Texp_constant (Asttypes.Const_int k) -> Some k
-  (* a labelled arg to an Optional parameter arrives as [Some k] *)
-  | Texp_construct ({ txt = Longident.Lident "Some"; _ }, _, [ inner ]) -> (
-    match inner.exp_desc with
-    | Texp_constant (Asttypes.Const_int k) -> Some k
-    | _ -> None)
-  | _ -> None
-
-(* [Arena.Outbox.send], however reached: from inside dex_congest the
-   path is [Dex_congest__Arena.Outbox.send] *)
-let is_outbox_send comps =
-  match List.rev (norm_comps comps) with
-  | "send" :: "Outbox" :: "Arena" :: _ -> true
-  | _ -> false
-
-let rec classify env e =
-  match e.exp_desc with
-  | Texp_array elems -> Static (List.length elems)
-  | Texp_apply (f, args) -> (
-    match ident_comps f with
-    | Some comps when is_invariant_words comps -> Guarded
-    | Some comps when is_array_make comps -> (
-      match
-        List.find_map
-          (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
-          args
-      with
-      | Some a -> (
-        match constant_int a with Some k -> Static k | None -> Dynamic)
-      | None -> Dynamic)
-    | Some comps -> (
-      match Hashtbl.find_opt env (List.nth comps (List.length comps - 1)) with
-      | Some (Fn cls) -> cls
-      | _ -> Dynamic)
-    | None -> Dynamic)
-  | Texp_ident (p, _, _) -> (
-    let comps = path_comps p in
-    match Hashtbl.find_opt env (List.nth comps (List.length comps - 1)) with
-    | Some (Arr cls) -> cls
-    | _ -> Dynamic)
-  | Texp_let (_, vbs, body) ->
-    List.iter (record_binding env) vbs;
-    classify env body
-  | Texp_sequence (_, e2) -> classify env e2
-  | Texp_open (_, e2) -> classify env e2
-  | Texp_ifthenelse (_, t, Some f) ->
-    let a = classify env t and b = classify env f in
-    if a = b then a else Dynamic
-  | _ -> Dynamic
-
-and record_binding env vb =
-  match vb.vb_pat.pat_desc with
-  | Tpat_var (id, _) -> (
-    let name = Ident.name id in
-    let rec through_fun e =
-      match e.exp_desc with
-      | Texp_function { cases = [ { c_rhs; c_guard = None; _ } ]; _ } ->
-        Some (through_fun_body c_rhs)
-      | _ -> None
-    and through_fun_body e =
-      match e.exp_desc with
-      | Texp_function { cases = [ { c_rhs; c_guard = None; _ } ]; _ } ->
-        through_fun_body c_rhs
-      | _ -> e
-    in
-    match through_fun vb.vb_expr with
-    | Some body -> (
-      match classify env body with
-      | Dynamic -> ()
-      | cls -> Hashtbl.replace env name (Fn cls))
-    | None -> (
-      match classify env vb.vb_expr with
-      | Dynamic -> ()
-      | cls -> Hashtbl.replace env name (Arr cls)))
-  | _ -> ()
-
-(* W-rule pass over one implementation: find the word budget and every
-   message site, then certify *)
-let w_rules ~file str =
-  let env : (string, binding) Hashtbl.t = Hashtbl.create 32 in
-  let budgets = ref [] in
-  let undecidable_budget = ref false in
-  let sites = ref [] in
-  let expr (self : Tast_iterator.iterator) e =
-    (match e.exp_desc with
-     | Texp_let (_, vbs, _) -> List.iter (record_binding env) vbs
-     | Texp_apply (f, args) -> (
-       match ident_comps f with
-       | Some comps
-         when (match List.rev comps with
-               | "create" :: _ -> true
-               | _ -> false) ->
-         List.iter
-           (function
-             | (Asttypes.Labelled "word_size" | Asttypes.Optional "word_size"), Some a
-               -> (
-               match constant_int a with
-               | Some k -> budgets := k :: !budgets
-               | None -> undecidable_budget := true)
-             | _ -> ())
-           args
-       | Some comps when is_outbox_send comps -> (
-         (* the message is the second positional argument; a partial
-            application without it sends nothing *)
-         match List.filter_map (function Asttypes.Nolabel, a -> a | _ -> None) args with
-         | [ _ob; msg ] -> sites := (msg, msg.exp_loc) :: !sites
-         | _ -> ())
-       | _ -> ())
-     | _ -> ());
-    Tast_iterator.default_iterator.expr self e
-  in
-  let structure_item (self : Tast_iterator.iterator) si =
-    (match si.str_desc with
-     | Tstr_value (_, vbs) -> List.iter (record_binding env) vbs
-     | _ -> ());
-    Tast_iterator.default_iterator.structure_item self si
-  in
-  let it = { Tast_iterator.default_iterator with expr; structure_item } in
-  it.structure it str;
-  let budget = List.fold_left max 1 !budgets in
-  List.filter_map
-    (fun (e, loc) ->
-      match classify env e with
-      | Guarded -> None
-      | Static n ->
-        if (not !undecidable_budget) && n > budget then
-          Some
-            (finding_of_loc ~rule:"C001" ~file loc
-               (Printf.sprintf
-                  "message of %d words exceeds the %d-word budget; shrink it \
-                   or raise ~word_size with a literal"
-                  n budget))
-        else None
-      | Dynamic ->
-        Some
-          (finding_of_loc ~rule:"C002" ~file loc
-             "dynamic-length message construction; dominate it with \
-              Dex_util.Invariant.words ~budget ~where at the construction \
-              site"))
-    (List.rev !sites)
 
 (* ================= loading .cmt units ============================= *)
 
@@ -371,10 +196,7 @@ let d_rules ~on ~file u str =
     | [ "Stdlib"; "Hashtbl"; fn ] when on "D001" && List.mem fn hashtbl_unordered ->
       add e.exp_loc "D001"
         (Printf.sprintf "Hashtbl.%s iterates in hash order; use Dex_util.Table.%s" fn
-           (match fn with
-            | "iter" -> "iter_sorted"
-            | "fold" -> "fold_sorted"
-            | _ -> "keys_sorted"))
+           (if fn = "iter" then "iter_sorted" else "fold_sorted"))
     | "Stdlib" :: "Random" :: _ when on "D002" ->
       add e.exp_loc "D002" "ambient Random.* breaks replayability; thread a Dex_util.Rng.t"
     | [ "Stdlib"; ("failwith" | "invalid_arg" as fn) ] when on "D003" ->
@@ -490,14 +312,14 @@ let c003 ~file sg =
 (* ================= per-source entry point ========================= *)
 
 (* Every rule scoped to one source file, on its compiled unit [u]: the
-   D- and W-rules on an implementation, C003 on an interface. [src] is
+   D-rules on an implementation, C003 on an interface. [src] is
    the file's text: its pragmas silence findings, and each malformed
    pragma is a D000 finding. *)
 let lint_unit ?(all_rules = false) ~path ~src u =
   let on = Lint.rule_applies ~all_rules (Lint.rel_segments path) in
   let raw =
     match u.annots with
-    | Cmt_format.Implementation str -> d_rules ~on ~file:path u str @ w_rules ~file:path str
+    | Cmt_format.Implementation str -> d_rules ~on ~file:path u str
     | Cmt_format.Interface sg when on "C003" -> c003 ~file:path sg
     | _ -> []
   in
@@ -506,8 +328,18 @@ let lint_unit ?(all_rules = false) ~path ~src u =
 
 (* ================= X-rules: reference graph ======================= *)
 
+(* where a unit's source lives: C004 counts a reference by where it
+   comes from *)
+type origin = Program | Test | Fixture
+
+let origin_of u =
+  match u.source with
+  | Some src when Lint.under [ "test" ] (Lint.rel_segments src) -> Test
+  | Some src when is_fixture_path src -> Fixture
+  | _ -> Program
+
 type ref_db = {
-  known_units : (string, unit) Hashtbl.t; (* canon unit names *)
+  known_units : (string, origin) Hashtbl.t; (* canon unit names *)
   global_aliases : (string, string list) Hashtbl.t; (* "Dexpander.Ldd" -> comps *)
   (* (referencing unit canon, target unit canon, qualified value name);
      value name "" is a bare module reference *)
@@ -633,18 +465,29 @@ let build_ref_db impls =
       global_aliases = Hashtbl.create 64;
       value_refs = [] }
   in
-  List.iter (fun u -> Hashtbl.replace db.known_units u.canon ()) impls;
+  List.iter (fun u -> Hashtbl.replace db.known_units u.canon (origin_of u)) impls;
   List.iter (scan_unit_aliases db) impls;
   List.iter (scan_unit_refs db) impls;
   db
 
 (* ---- C004: dead exports ---- *)
 
+(* a use keeps an export alive when a program unit (lib/, bin/,
+   bench/, tools/, examples/) makes it; a test/ unit's never does, and
+   a fixture's only for another fixture *)
+let keeps_alive db ~from ~unit =
+  let origin c = Option.value ~default:Program (Hashtbl.find_opt db.known_units c) in
+  match origin from with
+  | Program -> true
+  | Test -> false
+  | Fixture -> origin unit = Fixture
+
 let dead_exports ~scope ~include_fixtures db intfs =
   let used : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
   List.iter
-    (fun (_, unit, member) ->
-      if member <> "" then Hashtbl.replace used (unit, member) ())
+    (fun (from, unit, member) ->
+      if member <> "" && keeps_alive db ~from ~unit then
+        Hashtbl.replace used (unit, member) ())
     db.value_refs;
   List.concat_map
     (fun u ->
@@ -659,8 +502,8 @@ let dead_exports ~scope ~include_fixtures db intfs =
               Some
                 (finding_of_loc ~rule:"C004" ~file:src loc
                    (Printf.sprintf
-                      "export %s.%s is referenced by no other compilation \
-                       unit; drop it from the .mli or suppress with a pragma"
+                      "export %s.%s is referenced by no other program unit; \
+                       drop it from the .mli or suppress with a pragma"
                       u.canon name)))
           (exports_of_interface u.annots)
       | _ -> [])
