@@ -594,6 +594,15 @@ let e10_micro () =
      restarted at the same distribution, and a rescan into one sweep *)
   let walker = X.Walk.walker g and sweep = X.Sweep.workspace g in
   let mask = Array.make (X.Graph.num_vertices g) false in
+  (* the same rescan on triangles-gnp's kind of graph, G(128, 1/2),
+     where the sweep counts prefixes by the graph's bit rows: a full
+     support, as ParallelNibble's walks reach there *)
+  let dense =
+    let rng = X.Rng.create 72 in
+    X.Generators.connectivize rng (X.Generators.gnp rng ~n:128 ~p:0.5)
+  in
+  let dense_rows = X.Sweep.rows dense and dense_sweep = X.Sweep.workspace dense in
+  let dense_walk = (X.Walk.truncated_walk dense ~src:0 ~eps:1e-7 ~steps:4).(4) in
   (* tracing-overhead pair: the same 8-round flood on the same cycle,
      one network with no trace attached, one with round ticks + edge
      histograms live. The plain variant is the zero-overhead claim of
@@ -629,6 +638,8 @@ let e10_micro () =
              X.Walk.advance walker g ~eps:1e-7 ~mask));
       Test.make ~name:"sweep-scan" (Staged.stage (fun () -> X.Sweep.scan g sparse.(4)));
       Test.make ~name:"sweep-rescan" (Staged.stage (fun () -> X.Sweep.rescan sweep g sparse.(4)));
+      Test.make ~name:"sweep-rescan-dense"
+        (Staged.stage (fun () -> X.Sweep.rescan ?rows:dense_rows dense_sweep dense dense_walk));
       Test.make ~name:"bfs-distances" (Staged.stage (fun () -> X.Metrics.bfs_distances g 0));
       Test.make ~name:"triangle-count" (Staged.stage (fun () -> X.Triangles.count g));
       Test.make ~name:"gnp-generate"

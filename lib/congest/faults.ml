@@ -23,7 +23,6 @@ type t = {
   crash_round : (int, int) Hashtbl.t; (* vertex -> crash round *)
   announced_links : (int * int, unit) Hashtbl.t;
   announced_crashes : (int, unit) Hashtbl.t;
-  mutable events : fault list; (* reversed *)
   mutable drops : int;
   mutable duplicates : int;
   mutable observer : (fault -> unit) option;
@@ -56,19 +55,15 @@ let create spec =
     crash_round;
     announced_links = Hashtbl.create 8;
     announced_crashes = Hashtbl.create 8;
-    events = [];
     drops = 0;
     duplicates = 0;
     observer = None }
 
-let trace t = List.rev t.events
 let drops t = t.drops
 let duplicates t = t.duplicates
 let set_observer t obs = t.observer <- obs
 
-let record t e =
-  t.events <- e :: t.events;
-  match t.observer with Some f -> f e | None -> ()
+let record t e = match t.observer with Some f -> f e | None -> ()
 
 (* splitmix64 finalizer (as in Dex_util.Rng): the fault coin for a
    message is a pure hash of (seed, round, src, dst, salt), never a

@@ -14,9 +14,10 @@
     - crash-stop vertex faults: from its crash round on, a vertex
       executes no steps, sends nothing and loses its inbox.
 
-    Every decision is recorded in a chronological trace alongside the
-    round/message ledger so tests and benches can assert exactly what
-    the adversary did. *)
+    Every decision is counted ({!drops}, {!duplicates}) and reported,
+    as it is made, to the schedule's observer ({!set_observer}), so a
+    trace or a test can log exactly what the adversary did without the
+    schedule keeping the events. *)
 
 (** One recorded fault event. [Link_down] and [Crash] are emitted once,
     when the failure first takes effect; each lost or duplicated
@@ -43,14 +44,9 @@ val lossy : ?duplicate:float -> ?seed:int -> drop:float -> unit -> spec
 
 type t
 
-(** [create spec] instantiates a schedule with an empty trace.
+(** [create spec] instantiates a schedule with no observer.
     Raises [Dex_util.Invariant.Violation] if a probability is outside [0, 1]. *)
 val create : spec -> t
-
-(** [trace t] is every fault event recorded so far, in the order the
-    kernel encountered them. *)
-(* dex-lint: allow C004 test seam: the reliable goldens of test_faults and test_kernel_equiv's reference runs pin the applied fault events through it *)
-val trace : t -> fault list
 
 (** [drops t] counts lost deliveries (including losses caused by dead
     links and crashed destinations). *)
@@ -59,9 +55,9 @@ val drops : t -> int
 (** [duplicates t] counts duplicated deliveries. *)
 val duplicates : t -> int
 
-(** [set_observer t obs] installs a callback invoked on every recorded
-    fault event, in addition to the trace. The structured-tracing
-    bridge uses this: {!Network.create} registers an observer that
+(** [set_observer t obs] installs a callback invoked on every fault
+    event, in the order the kernel encounters them; the schedule keeps
+    no event itself. The structured-tracing bridge uses this: {!Network.create} registers an observer that
     mirrors each event into the attached {!Dex_obs.Trace.t} (replacing
     any previous observer — a schedule shared between networks reports
     to the network created last). [None] uninstalls. *)

@@ -17,7 +17,7 @@
     A network may additionally carry a {!Faults.t} schedule: message
     drops/duplications, permanent link failures and crash-stop vertex
     faults are then applied inside every executed round, with each
-    fault event recorded in the schedule's trace. Congestion validation
+    fault event reported to the schedule's observer. Congestion validation
     happens {e before} fault application — a protocol may not excuse a
     forbidden send by hoping the adversary drops it.
 

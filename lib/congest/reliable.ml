@@ -152,7 +152,7 @@ let flood net ~label ~config ?max_rounds kind =
   let failure = ref None in
   let p = protocol ?faults g ~config ~failure kind in
   (* crash-stops are observed at every round boundary, for every
-     vertex in ascending order, so each lands in the fault trace just
+     vertex in ascending order, so each reaches the fault observer just
      before the round it takes effect in, whichever vertices are
      active *)
   let up_at round v =

@@ -42,12 +42,12 @@ let dsmp ?walk_length g rng =
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in
     let ws = Dex_spectral.Walk.workspace g in
-    let sweep = Sweep.workspace g in
+    let sweep = Sweep.workspace g and rows = Sweep.rows g in
     let p = ref (Dex_spectral.Walk.indicator src) in
     let best = ref None in
     for _ = 1 to steps do
       p := Dex_spectral.Walk.step ws g !p;
-      Sweep.rescan sweep g !p;
+      Sweep.rescan ?rows sweep g !p;
       match Sweep.best sweep with
       | None -> ()
       | Some j ->

@@ -78,6 +78,7 @@ let passes c (sweep : Sweep.t) ~j ~r =
 type copy = {
   params : Params.t;
   g : Graph.t;
+  rows : Sweep.rows option;
   lane : lane;
   src : int;
   b : int;
@@ -98,7 +99,7 @@ type copy = {
    the refinement only improves the (C.1)/(C.1-star) quality *)
 let patience = 192
 
-let start (params : Params.t) g ~select lane ~src ~b =
+let start (params : Params.t) g ~rows ~select lane ~src ~b =
   let total_volume = Graph.total_volume g in
   Walk.start lane.walker (Walk.indicator src);
   lane.seen.(src) <- true;
@@ -111,7 +112,7 @@ let start (params : Params.t) g ~select lane ~src ~b =
   let relaxed =
     { strict with phi_max = params.c1_relaxed_factor *. params.phi; ceil_num = 11; ceil_den = 12 }
   in
-  { params; g; lane; src; b; eps = Params.eps_b params b; strict; relaxed; select;
+  { params; g; rows; lane; src; b; eps = Params.eps_b params b; strict; relaxed; select;
     t = 0; rounds = 0; candidates = 0; result = None; deadline = params.t0; converged = false }
 
 let live c =
@@ -129,7 +130,7 @@ let checkpoint c =
   c.rounds <- c.rounds + 1;
   let p = Walk.current c.lane.walker in
   if Walk.size p > 0 && Params.should_sweep c.params c.t then begin
-    Sweep.rescan c.lane.sweep c.g p;
+    Sweep.rescan ?rows:c.rows c.lane.sweep c.g p;
     match c.select c with
     | None -> ()
     | Some cut ->
@@ -155,7 +156,7 @@ let finish c =
      the fixpoint step *)
   let p = Walk.current c.lane.walker in
   if Option.is_none c.result && c.converged && Walk.size p > 0 then begin
-    Sweep.rescan c.lane.sweep c.g p;
+    Sweep.rescan ?rows:c.rows c.lane.sweep c.g p;
     match c.select c with
     | None -> ()
     | Some cut -> c.result <- Some cut
@@ -208,8 +209,9 @@ let step_all copies =
 (* The one Nibble loop: the copies of [draws], a (src, b) each, run in
    lockstep, as many at a time as [ws] has lanes, and their outcomes
    come back in draw order. Every draw is checked before any mask is
-   marked, so a rejected call leaves [ws] clean. *)
-let run ws (params : Params.t) g ~select draws =
+   marked, so a rejected call leaves [ws] clean. The lanes share [g]'s
+   [rows]. *)
+let run ws (params : Params.t) g ~rows ~select draws =
   Array.iter
     (fun (_, b) -> if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range")
     draws;
@@ -223,7 +225,7 @@ let run ws (params : Params.t) g ~select draws =
     let copies =
       Array.init (Int.min lanes (total - !first)) (fun i ->
           let src, b = draws.(!first + i) in
-          start params g ~select ws.(i) ~src ~b)
+          start params g ~rows ~select ws.(i) ~src ~b)
     in
     while Array.exists live copies do
       step_all copies
@@ -285,17 +287,19 @@ let approximate_select c =
 
 let only = function [ o ] -> o | _ -> invalid_arg "Nibble: one draw, one outcome"
 
-let nibble params g ~src ~b = only (run (workspace g) params g ~select:exact_select [| (src, b) |])
+let nibble params g ~src ~b =
+  only (run (workspace g) params g ~rows:(Sweep.rows g) ~select:exact_select [| (src, b) |])
 
 let approximate ?workspace:ws params g ~src ~b =
   let ws = match ws with Some ws -> ws | None -> workspace g in
-  only (run ws params g ~select:approximate_select [| (src, b) |])
+  only (run ws params g ~rows:(Sweep.rows g) ~select:approximate_select [| (src, b) |])
 
-let approximate_copies ws params g draws = run ws params g ~select:approximate_select draws
+let approximate_copies ws params g ~rows draws = run ws params g ~rows ~select:approximate_select draws
 
 (* each edge of P-star once, from its participating endpoint (the
    smaller one when both participate); the sorted adjacency makes
-   parallel copies adjacent, so skipping repeats drops them *)
+   parallel copies adjacent, so skipping repeats drops them and leaves
+   [i] the leftmost rank *)
 let iter_participating_edges ?mask g outcome f =
   let mask = match mask with Some m -> m | None -> Array.make (Graph.num_vertices g) false in
   Array.iter (fun v -> mask.(v) <- true) outcome.participants;
@@ -305,7 +309,7 @@ let iter_participating_edges ?mask g outcome f =
       for i = 0 to Array.length a - 1 do
         let u = a.(i) in
         if (i = 0 || a.(i - 1) <> u) && (u > v || not mask.(u)) then
-          if u > v then f v u else f u v
+          if u > v then f v u i else f u v (-1)
       done)
     outcome.participants;
   Array.iter (fun v -> mask.(v) <- false) outcome.participants

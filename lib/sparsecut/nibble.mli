@@ -71,18 +71,24 @@ val approximate :
     in one pass over the adjacency, and each copy's sweep checkpoints,
     stop rules and final sweep are its own. The outcomes are the ones
     [approximate] gives each draw alone. Every draw is checked before
-    any copy starts. *)
+    any copy starts. [rows] is [Dex_spectral.Sweep.rows g], built once
+    by the caller and shared by every lane's sweeps ({!nibble} and
+    {!approximate} build it per call). *)
 val approximate_copies :
-  workspace -> Params.t -> Dex_graph.Graph.t -> (int * int) array -> outcome list
+  workspace -> Params.t -> Dex_graph.Graph.t -> rows:Dex_spectral.Sweep.rows option ->
+  (int * int) array -> outcome list
 
-(** [iter_participating_edges ?mask g outcome f] calls [f u v] once
+(** [iter_participating_edges ?mask g outcome f] calls [f u v i] once
     for each edge of P-star — the non-loop edges with at least one
     endpoint in [outcome.participants] — with [u < v]. Parallel edges
     are one edge of P-star and are visited once. Edges are visited by
     their participating endpoint (the smaller one when both
     participate) in the order of [outcome.participants], then by
-    neighbour ascending. [mask], an all-false array with a cell per
-    vertex of [g], marks the participants during the call and is all
-    false again after it; without it the call allocates one. *)
+    neighbour ascending. [i] is [Graph.neighbor_rank g u v] (leftmost
+    under parallel edges) when the edge is visited from [u], and [-1]
+    when it is visited from [v]; at full support every edge is visited
+    from [u]. [mask], an all-false array with a cell per vertex of [g],
+    marks the participants during the call and is all false again
+    after it; without it the call allocates one. *)
 val iter_participating_edges :
-  ?mask:bool array -> Dex_graph.Graph.t -> outcome -> (int -> int -> unit) -> unit
+  ?mask:bool array -> Dex_graph.Graph.t -> outcome -> (int -> int -> int -> unit) -> unit

@@ -16,14 +16,21 @@ let sample_scale params rng =
   let weights = Array.init ell (fun i -> 2.0 ** float_of_int (-(i + 1))) in
   1 + Rng.weighted_index rng weights
 
-type prepared = { graph : Graph.t; degrees : float array; offsets : int array }
+type prepared = {
+  graph : Graph.t;
+  degrees : float array;
+  offsets : int array;
+  rows : Dex_spectral.Sweep.rows option;
+}
 
-(* ψ_V's weights, which a start vertex is drawn from, and the CSR
-   offsets that address the overlap counters *)
+(* ψ_V's weights, which a start vertex is drawn from, the CSR offsets
+   that address the overlap counters, and the bit rows every lane's
+   sweeps share *)
 let prepare g =
   { graph = g;
     degrees = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v));
-    offsets = Graph.csr_offsets g }
+    offsets = Graph.csr_offsets g;
+    rows = Dex_spectral.Sweep.rows g }
 
 (* Nibble's lanes, one overlap counter per CSR slot of the graph the
    workspace was sized to (a saturated subgraph G{W} has no more
@@ -63,17 +70,19 @@ let run ?k ?ledger ?workspace:ws params pg rng =
        while they run, so this is the stream of drawing each copy
        just before running it *)
     let draws = Array.init k (fun _ -> draw params pg rng) in
-    let outcomes = Nibble.approximate_copies ws.copies params g draws in
+    let outcomes = Nibble.approximate_copies ws.copies params g ~rows:pg.rows draws in
     (* per-edge participation counts over P-star of each copy, one
        counter per edge at the CSR slot of (u, v), u < v; the leftmost
-       rank gives parallel edges one shared counter *)
+       rank gives parallel edges one shared counter. An edge visited
+       from u comes with its rank; only one visited from v is
+       searched. *)
     let off = pg.offsets and overlap = ws.overlap in
     Array.fill overlap 0 slots 0;
     let max_overlap = ref 0 in
     List.iter
       (fun outcome ->
-        Nibble.iter_participating_edges ~mask:ws.member g outcome (fun u v ->
-            let slot = off.(u) + Graph.neighbor_rank g u v in
+        Nibble.iter_participating_edges ~mask:ws.member g outcome (fun u v i ->
+            let slot = off.(u) + if i >= 0 then i else Graph.neighbor_rank g u v in
             let c = overlap.(slot) + 1 in
             overlap.(slot) <- c;
             if c > !max_overlap then max_overlap := c))

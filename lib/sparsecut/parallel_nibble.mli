@@ -24,13 +24,16 @@ type t = {
 val random_nibble : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> Nibble.outcome
 
 (** A graph with the arrays every {!run} on it reads: the weights of
-    ψ_V, which start vertices are drawn from, and its CSR offsets,
-    which address the overlap counters. Partition prepares each G{W}
-    once and runs on it until a cut shrinks W. *)
+    ψ_V, which start vertices are drawn from, its CSR offsets, which
+    address the overlap counters, and its
+    {!Dex_spectral.Sweep.rows}, which every lane's sweeps share.
+    Partition prepares each G{W} once and runs on it until a cut
+    shrinks W. *)
 type prepared = private {
   graph : Dex_graph.Graph.t;
   degrees : float array;
   offsets : int array;
+  rows : Dex_spectral.Sweep.rows option;
 }
 
 (** [prepare g] is [g] with its {!prepared} arrays. *)

@@ -118,18 +118,39 @@ let sorted_contents b =
   radix_sort a;
   a
 
+(* an id packs a < b < c into the bit fields (a, b, c), each [s] bits
+   wide with 2^s >= n, so integer order is lexicographic order *)
+let id_bits n = Dex_sparsecut.Params.ceil_log2 n
+
 let triangle_ids_with_edge_pred g pred =
-  let n = check_size g in
+  let s = id_bits (check_size g) in
   let hit = { data = [||]; len = 0 } in
   iter_sorted g (fun a b c ->
-      if pred a b || pred b c || pred a c then push hit ((((a * n) + b) * n) + c));
+      if pred a b || pred b c || pred a c then
+        push hit ((a lsl (2 * s)) lor (b lsl s) lor c));
   sorted_contents hit
 
 let triangle_ids g = triangle_ids_with_edge_pred g (fun _ _ -> true)
 
-let triangle_of_id ~n id = (id / n / n, id / n mod n, id mod n)
+let filter_ids ~n ids pred =
+  let s = id_bits n in
+  let mask = (1 lsl s) - 1 in
+  let keep id =
+    let a = id lsr (2 * s) and b = (id lsr s) land mask and c = id land mask in
+    pred a b || pred b c || pred a c
+  in
+  if Array.for_all keep ids then ids
+  else begin
+    let kept = { data = [||]; len = 0 } in
+    Array.iter (fun id -> if keep id then push kept id) ids;
+    Array.sub kept.data 0 kept.len
+  end
 
 let triangles_of_ids ~n ids =
-  Array.fold_right (fun id acc -> triangle_of_id ~n id :: acc) ids []
+  let s = id_bits n in
+  let mask = (1 lsl s) - 1 in
+  Array.fold_right
+    (fun id acc -> (id lsr (2 * s), (id lsr s) land mask, id land mask) :: acc)
+    ids []
 
 let enumerate g = triangles_of_ids ~n:(Graph.num_vertices g) (triangle_ids g)

@@ -8,12 +8,14 @@
     {1 Triangle ids}
 
     On a graph with [n] vertices the triangle [a < b < c] has the id
-    [(a·n + b)·n + c]. Integer order on ids is the lexicographic order
-    on triples, so a sorted id array is the sorted triangle list in
-    packed form. Ids are sorted by a radix sort, with no comparator.
-    An id needs [n³ < 2^62], so every function that builds ids (all
-    but {!iter} and {!count}) requires [n <= 2^20] and raises
-    [Invalid_argument] beyond it. *)
+    [(a lsl 2s) lor (b lsl s) lor c], with [s = ⌈log₂ max(2, n)⌉]:
+    three [s]-bit fields, [a] highest, so decoding is shifts and masks.
+    Since every field is below [2^s], integer order on ids is the
+    lexicographic order on triples, and a sorted id array is the sorted
+    triangle list in packed form. Ids are sorted by a radix sort, with
+    no comparator. An id needs [3s <= 60] bits, so every function that
+    builds ids (all but {!iter}, {!count} and {!filter_ids}) requires
+    [n <= 2^20] and raises [Invalid_argument] beyond it. *)
 
 (** A triangle as an ordered triple [u < v < w]. *)
 type triangle = int * int * int
@@ -42,6 +44,13 @@ val triangle_ids : Dex_graph.Graph.t -> int array
     (u < v) — the helper the expander-decomposition enumerator uses
     for "detected at this level". *)
 val triangle_ids_with_edge_pred : Dex_graph.Graph.t -> (int -> int -> bool) -> int array
+
+(** [filter_ids ~n ids pred] is the ids of [ids], in their order,
+    whose triangle has at least one edge satisfying [pred u v] (u < v).
+    It is [ids] itself, not a copy, when every triangle passes. On the
+    ids of all triangles of a graph [g] on [n] vertices it equals
+    [triangle_ids_with_edge_pred g pred] without a second enumeration. *)
+val filter_ids : n:int -> int array -> (int -> int -> bool) -> int array
 
 (** [triangles_of_ids ~n ids] is the triangles whose ids on [n]
     vertices are [ids], in their order. *)

@@ -92,6 +92,20 @@ let run_rounds t ~init ~step ~on_round k =
 
 (* ---------------- ParallelNibble's sequential copies ---------------- *)
 
+(* ParallelNibble's per-edge participation counts over the P-star of
+   each outcome, at the CSR slot of (u, v), u < v, which a binary
+   search finds for every edge *)
+let overlap_counters g outcomes =
+  let off = Graph.csr_offsets g in
+  let overlap = Array.make off.(Graph.num_vertices g) 0 in
+  List.iter
+    (fun outcome ->
+      Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v _ ->
+          let slot = off.(u) + Graph.neighbor_rank g u v in
+          overlap.(slot) <- overlap.(slot) + 1))
+    outcomes;
+  overlap
+
 (* ParallelNibble as it ran before its copies went into lockstep: each
    copy draws its (start, scale) pair and runs ApproximateNibble to the
    end, in one shared Nibble workspace, before the next copy draws;
@@ -119,24 +133,15 @@ let sequential_parallel_nibble ~k params g rng =
         Nibble.approximate ~workspace params g ~src ~b)
   in
   let w = Params.overlap_bound params ~volume:total_volume in
-  let off = Graph.csr_offsets g in
-  let overlap = Array.make off.(Graph.num_vertices g) 0 in
-  let max_overlap = ref 0 in
-  List.iter
-    (fun outcome ->
-      Nibble.iter_participating_edges g outcome (fun u v ->
-          let slot = off.(u) + Graph.neighbor_rank g u v in
-          overlap.(slot) <- overlap.(slot) + 1;
-          max_overlap := Int.max !max_overlap overlap.(slot)))
-    outcomes;
-  let aborted = !max_overlap > w in
+  let max_overlap = Array.fold_left Int.max 0 (overlap_counters g outcomes) in
+  let aborted = max_overlap > w in
   let max_copy_rounds =
     List.fold_left (fun acc (o : Nibble.outcome) -> Int.max acc o.rounds) 0 outcomes
   in
   let depth_proxy =
     List.fold_left (fun acc (o : Nibble.outcome) -> Int.max acc o.steps_executed) 1 outcomes
   in
-  let congestion = Int.max 1 (Int.min !max_overlap w) in
+  let congestion = Int.max 1 (Int.min max_overlap w) in
   let rounds =
     depth_proxy + Params.ceil_log2 k + (congestion * max_copy_rounds)
     + (depth_proxy * Params.ceil_log2 k)
@@ -168,7 +173,7 @@ let sequential_parallel_nibble ~k params g rng =
       cut
     end
   in
-  { Dex_sparsecut.Parallel_nibble.cut; rounds; copies = k; aborted; max_overlap = !max_overlap;
+  { Dex_sparsecut.Parallel_nibble.cut; rounds; copies = k; aborted; max_overlap;
     nibbles = outcomes }
 
 (* ---------------- helpers the library does not export ---------------- *)
@@ -196,10 +201,18 @@ let elect_leader net =
   let states, _ = Network.run_active net ~label:"leader" ~init:p.init ~step:p.step () in
   Array.map (fun (st : Dex_congest.Primitives.leader_state) -> st.best) states
 
+(* a log of every event of [faults], through its observer: the events
+   so far, oldest first. A network created later with a trace attached
+   replaces the observer. *)
+let fault_log faults =
+  let events = ref [] in
+  Faults.set_observer faults (Some (fun e -> events := e :: !events));
+  fun () -> List.rev !events
+
 (* P-star as a list, in the reverse of iter_participating_edges order *)
 let participating_edges g outcome =
   let acc = ref [] in
-  Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v -> acc := (u, v) :: !acc);
+  Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v _ -> acc := (u, v) :: !acc);
   !acc
 
 (* Views of a sparse walk distribution, read off its private record *)

@@ -30,8 +30,9 @@ let run_lossy_bfs spec =
   let rng = Rng.create 5 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:30 ~p:0.12) in
   let net, faults = lossy_net ~spec g in
+  let log = Reference.fault_log faults in
   let tree = Reliable.bfs_tree net ~root:(Vertex.local 0) in
-  (tree.Primitives.depth, Faults.trace faults, Faults.drops faults,
+  (tree.Primitives.depth, log (), Faults.drops faults,
    Rounds.total (Network.rounds net), Network.messages_sent net)
 
 let test_fault_determinism () =
@@ -53,10 +54,11 @@ let test_zero_probability_is_fault_free () =
   let plain = Network.create g (Rounds.create ()) in
   let reference = Primitives.bfs_tree plain ~root:(Vertex.local 0) in
   let net, faults = lossy_net ~spec:(Faults.lossy ~drop:0.0 ~seed:7 ()) g in
+  let log = Reference.fault_log faults in
   let tree = Reliable.bfs_tree net ~root:(Vertex.local 0) in
   Alcotest.(check (array int)) "depths" reference.Primitives.depth tree.Primitives.depth;
   Alcotest.(check int) "no drops" 0 (Faults.drops faults);
-  Alcotest.(check bool) "empty trace" true (Faults.trace faults = [])
+  Alcotest.(check bool) "empty trace" true (log () = [])
 
 (* ---------- reliable primitives under message loss ---------- *)
 
@@ -112,6 +114,7 @@ let test_link_failure_fails_delivery () =
   let spec = { no_faults with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 } in
   let faults = Faults.create spec in
   let net = Network.create ~faults g (Rounds.create ()) in
+  let log = Reference.fault_log faults in
   let config = { Reliable.max_retries = 5; Reliable.give_up = false } in
   (match Reliable.bfs_tree ~config net ~root:(Vertex.local 0) with
   | exception Reliable.Delivery_failed { vertex; neighbor; attempts; _ } ->
@@ -125,7 +128,7 @@ let test_link_failure_fails_delivery () =
   Alcotest.(check bool) "link-down event recorded" true
     (List.exists
        (function Faults.Link_down { u = 1; v = 2; _ } -> true | _ -> false)
-       (Faults.trace faults))
+       (log ()))
 
 let test_link_failure_give_up_partitions () =
   let g = Gen.path 3 in
@@ -143,6 +146,7 @@ let test_crash_stop () =
   let spec = { no_faults with Faults.crashes = [ (3, 1) ]; Faults.seed = 1 } in
   let faults = Faults.create spec in
   let net = Network.create ~faults g (Rounds.create ()) in
+  let log = Reference.fault_log faults in
   let config = { Reliable.max_retries = 4; Reliable.give_up = true } in
   let tree = Reliable.bfs_tree ~config net ~root:(Vertex.local 0) in
   Alcotest.(check (array int)) "crashed vertex outside tree"
@@ -150,7 +154,7 @@ let test_crash_stop () =
   Alcotest.(check bool) "crash event recorded" true
     (List.exists
        (function Faults.Crash { vertex = 3; _ } -> true | _ -> false)
-       (Faults.trace faults))
+       (log ()))
 
 (* ---------- congestion discipline still enforced under faults ---------- *)
 
@@ -231,6 +235,7 @@ let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 let golden_line ?spec ?config g run =
   let faults = Option.map Faults.create spec in
   let net = Network.create ?faults g (Rounds.create ()) in
+  let log = Option.map Reference.fault_log faults in
   let result =
     match run ?config net with
     | `Tree (t : Primitives.tree) ->
@@ -245,7 +250,7 @@ let golden_line ?spec ?config g run =
     String.concat ","
       (List.map (fun (l, r) -> Printf.sprintf "%s:%d" l r) (Rounds.by_phase (Network.rounds net)))
   in
-  let trace = match faults with Some f -> List.map fault_repr (Faults.trace f) | None -> [] in
+  let trace = match log with Some log -> List.map fault_repr (log ()) | None -> [] in
   Printf.sprintf "%s rounds=%s msgs=%d words=%d drops=%d dups=%d trace=%d:%s" result phases
     (Network.messages_sent net) (Network.words_sent net)
     (match faults with Some f -> Faults.drops f | None -> 0)

@@ -60,6 +60,7 @@ let inbox_count ib =
 
 let observe ?spec ~kernel g w =
   let faults = Option.map Faults.create spec in
+  let log = Option.map Reference.fault_log faults in
   let per_round = ref [] in
   let on_round round states =
     per_round := (round, digest states) :: !per_round
@@ -81,7 +82,7 @@ let observe ?spec ~kernel g w =
     messages;
     words;
     fault_log =
-      (match faults with Some f -> List.map fault_repr (Faults.trace f) | None -> []);
+      (match log with Some log -> List.map fault_repr (log ()) | None -> []);
     drops = (match faults with Some f -> Faults.drops f | None -> 0);
     dups = (match faults with Some f -> Faults.duplicates f | None -> 0) }
 
@@ -471,6 +472,7 @@ let test_all_crashed () =
   let spec = { (Faults.lossy ~drop:0.0 ()) with Faults.crashes = List.init 4 (fun v -> (v, 2)) } in
   let faults = Faults.create spec in
   let net = Network.create ~faults g (Rounds.create ()) in
+  let log = Reference.fault_log faults in
   let ticks = ref [] in
   let step ~round:_ ~vertex:_ st _ib ob =
     Arena.Outbox.wake ob;
@@ -487,7 +489,7 @@ let test_all_crashed () =
   Alcotest.(check int) "charged" 2 (Rounds.total (Network.rounds net));
   Alcotest.(check (list string)) "crashes recorded in round 2"
     [ "crash@2:0"; "crash@2:1"; "crash@2:2"; "crash@2:3" ]
-    (List.map fault_repr (Faults.trace faults))
+    (List.map fault_repr (log ()))
 
 (* a run whose only remaining work is a wake booked past [max_rounds]
    is not quiescent: it raises like any other over-long run, charging

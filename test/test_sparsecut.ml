@@ -268,12 +268,18 @@ let prop_participating_edges_match_reference =
         { Nibble.result = None; src = 0; b = 1; steps_executed = 0;
           candidates_tested = 0; rounds = 0; participants }
       in
-      let visited = ref [] in
-      Nibble.iter_participating_edges g outcome (fun u v -> visited := (u, v) :: !visited);
+      let visited = ref [] and ranked = ref true in
+      Nibble.iter_participating_edges g outcome (fun u v i ->
+          visited := (u, v) :: !visited;
+          (* the rank comes only with an edge visited from u *)
+          ranked :=
+            !ranked
+            && (if Array.mem u participants then i = Graph.neighbor_rank g u v else i = -1));
       let edges = Reference.participating_edges g outcome in
       let reference = Tuple_reference.participating_edges g outcome in
       edges = reference
       && !visited = edges
+      && !ranked
       && List.sort_uniq compare edges = List.sort compare reference
       && List.for_all (fun (u, v) -> u < v) edges)
 
@@ -287,6 +293,42 @@ let prop_overlap_matches_reference =
       let r = Pn.run ~k params (Pn.prepare g) rng in
       r.Pn.max_overlap = Tuple_reference.max_overlap g r.Pn.nibbles
       && (r.Pn.aborted || r.Pn.cut = Tuple_reference.union_cut g r.Pn.nibbles))
+
+(* The overlap counters addressed by the rank that comes with an edge
+   visited from its smaller endpoint, searched otherwise, as
+   ParallelNibble keeps them, equal the counters whose every slot a
+   binary search finds; on multigraphs and on dense G(n, p), where the
+   walks cover every vertex and no edge is searched. *)
+let prop_overlap_counters_match_search =
+  QCheck.Test.make ~name:"overlap counters = binary-search reference" ~count:40
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
+    (fun (seed, k) ->
+      let rng = Rng.create seed in
+      let g =
+        if seed mod 2 = 0 then random_multigraph rng
+        else Gen.gnp rng ~n:(20 + Rng.int rng 60) ~p:(0.3 +. Rng.float rng 0.4)
+      in
+      let params = mk_params (1.0 /. 16.0) (max 1 (Graph.num_edges g)) in
+      let r = Pn.run ~k params (Pn.prepare g) rng in
+      let off = Graph.csr_offsets g in
+      let counters = Array.make off.(Graph.num_vertices g) 0 and searched = ref 0 in
+      List.iter
+        (fun outcome ->
+          Nibble.iter_participating_edges g outcome (fun u v i ->
+              let slot =
+                if i >= 0 then off.(u) + i
+                else begin
+                  incr searched;
+                  off.(u) + Graph.neighbor_rank g u v
+                end
+              in
+              counters.(slot) <- counters.(slot) + 1))
+        r.Pn.nibbles;
+      let reference = Reference.overlap_counters g r.Pn.nibbles in
+      let full (o : Nibble.outcome) = Array.length o.participants = Graph.num_vertices g in
+      counters = reference
+      && r.Pn.max_overlap = Array.fold_left Int.max 0 reference
+      && (not (List.for_all full r.Pn.nibbles) || !searched = 0))
 
 let test_nibble_on_isolated_vertex () =
   let g = Graph.of_edges ~n:3 [ (1, 2) ] in
@@ -420,6 +462,28 @@ let test_parallel_nibble_warm_allocation () =
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words" minor) true (minor <= 2600.0);
   Alcotest.(check bool) "the copies walked" true
     (List.for_all (fun (o : Nibble.outcome) -> o.Nibble.steps_executed > 16) r.Pn.nibbles)
+
+(* The same on triangles-gnp's kind of graph, G(128, 1/2): the lanes'
+   sweeps count prefixes by the prepared graph's bit rows, which the
+   warm call reads and does not rebuild. *)
+let test_parallel_nibble_warm_allocation_dense () =
+  let rng = Rng.create 5 in
+  let g = Gen.connectivize rng (Gen.gnp rng ~n:128 ~p:0.5) in
+  let params = mk_params (1.0 /. 20.0) (Graph.num_edges g) in
+  let copies = Params.parallel_copies params ~volume:(Graph.total_volume g) in
+  let workspace = Pn.workspace ~copies g and pg = Pn.prepare g in
+  Alcotest.(check bool) "bit rows" true (Option.is_some pg.Pn.rows);
+  ignore (Pn.run ~workspace params pg rng : Pn.t);
+  Gc.minor ();
+  let minor = Gc.minor_words () in
+  let _, _, major = Gc.counters () in
+  let r = Pn.run ~workspace params pg rng in
+  let _, _, major' = Gc.counters () in
+  let minor = Gc.minor_words () -. minor in
+  Alcotest.(check (float 0.0)) (Printf.sprintf "major words (%.0f minor)" minor) 0.0
+    (major' -. major);
+  Alcotest.(check bool) "the copies walked" true
+    (List.for_all (fun (o : Nibble.outcome) -> o.Nibble.steps_executed > 1) r.Pn.nibbles)
 
 (* ---------- partition (Theorem 3) ---------- *)
 
@@ -906,8 +970,11 @@ let () =
           Alcotest.test_case "k < 1 rejected" `Quick test_parallel_nibble_rejects_k;
           Alcotest.test_case "warm call: no major words" `Quick
             test_parallel_nibble_warm_allocation;
+          Alcotest.test_case "warm call on G(128, 1/2): no major words" `Quick
+            test_parallel_nibble_warm_allocation_dense;
           Alcotest.test_case "lockstep on planted cuts" `Quick test_lockstep_planted_cuts;
           QCheck_alcotest.to_alcotest prop_overlap_matches_reference;
+          QCheck_alcotest.to_alcotest prop_overlap_counters_match_search;
           QCheck_alcotest.to_alcotest prop_lockstep_matches_sequential ] );
       ( "partition",
         [ Alcotest.test_case "balanced dumbbell" `Quick test_partition_balanced_cut_dumbbell;

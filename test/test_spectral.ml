@@ -474,18 +474,39 @@ let ties_reversed g (p : Walk.sparse) =
          let v = p.support.(i) in
          (v, p.masses.(i) +. (float_of_int (Graph.degree g v * v) *. 0x1p-40))))
 
+(* a dense G(n, p), 40 <= n <= 130 and p >= 0.3, on which the sweep
+   counts prefixes by bit rows; with [~parallel] a tenth of its edges
+   are doubled, a dense multigraph on which it keeps the stamp loop *)
+let dense_instance ~parallel rng =
+  let g = Gen.gnp rng ~n:(40 + Rng.int rng 91) ~p:(0.3 +. Rng.float rng 0.6) in
+  if not parallel then g
+  else
+    Graph.of_edges ~n:(Graph.num_vertices g)
+      (Graph.edges g @ List.filteri (fun i _ -> i mod 10 = 0) (Graph.edges g))
+
 (* A rescan seeded with the previous order of its sweep gives what a
    fresh scan and the reference give, bit for bit, whatever that order
    was: the same distribution (no shifts), its reverse (the merge
    fallback once the support passes 33 entries), its ties reversed,
    another walk's sweep, and stale sweeps that are longer (a larger
    graph, every vertex) or shorter. The target has distinct vertices
-   with equal ρ, degree-0 vertices in its support and zero masses. *)
+   with equal ρ, degree-0 vertices in its support and zero masses. A
+   third of the graphs are dense G(n, p), half of them with parallel
+   edges: the rescans take the bit-row pass exactly on the simple ones,
+   and the stamp loop gives the same sweep there too. *)
 let prop_seeded_rescan_matches_scan =
   QCheck.Test.make ~name:"seeded rescan = fresh scan = reference, bit for bit" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let g, _, _ = random_instance ~max_n:120 seed in
+      let g =
+        match seed mod 6 with
+        | 0 -> dense_instance ~parallel:false (Rng.create seed)
+        | 3 -> dense_instance ~parallel:true (Rng.create seed)
+        | _ ->
+          let g, _, _ = random_instance ~max_n:120 seed in
+          g
+      in
+      let rows = Sweep.rows g in
       let rng = Rng.create (seed + 2) in
       let n = Graph.num_vertices g in
       let p = tied_distribution rng g in
@@ -499,10 +520,12 @@ let prop_seeded_rescan_matches_scan =
       in
       let seeded ?(graph = g) seeds =
         let sweep = Sweep.workspace graph in
-        List.iter (fun q -> Sweep.rescan sweep graph q) seeds;
-        Sweep.rescan sweep g p;
+        List.iter (fun q -> Sweep.rescan ?rows:(Sweep.rows graph) sweep graph q) seeds;
+        Sweep.rescan ?rows sweep g p;
         sweep_is sweep ~order ~prefixes
       in
+      let stamps = Sweep.workspace g in
+      Sweep.rescan stamps g p;
       let walk = Walk.truncated_walk g ~src:(Rng.int rng n) ~eps:1e-3 ~steps:4 in
       let shorter =
         Walk.of_assoc
@@ -510,7 +533,9 @@ let prop_seeded_rescan_matches_scan =
              (fun i -> if i mod 3 = 0 then Some (p.support.(i), p.masses.(i)) else None)
              (List.init p.len Fun.id))
       in
-      sweep_is (Sweep.scan g p) ~order ~prefixes
+      Option.is_some rows = (seed mod 6 = 0)
+      && sweep_is (Sweep.scan g p) ~order ~prefixes
+      && sweep_is stamps ~order ~prefixes
       && seeded [ p ]
       && seeded [ reversed_distribution g order ]
       && seeded [ ties_reversed g p ]

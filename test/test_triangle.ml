@@ -186,6 +186,56 @@ let test_id_bound () =
   Alcotest.check_raises "enumerate beyond 2^20" msg (fun () -> ignore (Exact.enumerate big));
   Alcotest.(check int) "count needs no ids" 0 (Exact.count big)
 
+(* Level 1's detections, the ground truth filtered by the intra-part
+   predicate, equal a second enumeration with that predicate, on
+   random partitions into 1 to 8 parts; with one part every triangle
+   passes and the filter returns its input. *)
+let prop_level1_filter_matches_enumeration =
+  QCheck.Test.make ~name:"level-1 filter = enumeration with the intra-part predicate" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, _ = random_instance seed in
+      let n = Graph.num_vertices g in
+      let rng = Rng.create (seed + 1) in
+      let parts = 1 + Rng.int rng 8 in
+      let part_of = Array.init n (fun _ -> Rng.int rng parts) in
+      let intra u v = part_of.(u) = part_of.(v) in
+      let ids = Exact.triangle_ids g in
+      let filtered = Exact.filter_ids ~n ids intra in
+      filtered = Exact.triangle_ids_with_edge_pred g intra
+      && (parts > 1 || filtered == ids))
+
+(* Integer order on ids is the lexicographic order on triangles, at
+   vertex counts on both sides of a power of two and at the 2^20
+   bound: on a clique over the first three, the middle and the last
+   three vertices, the ids ascend strictly and decode to the sorted
+   triangles. *)
+let test_id_order () =
+  List.iter
+    (fun n ->
+      let last = n - 1 in
+      let picks =
+        List.sort_uniq Int.compare
+          (List.filter (fun v -> v >= 0 && v < n) [ 0; 1; 2; last / 2; last - 2; last - 1; last ])
+      in
+      let pairs =
+        List.concat_map
+          (fun u -> List.filter_map (fun v -> if u < v then Some (u, v) else None) picks)
+          picks
+      in
+      let triangles =
+        List.concat_map
+          (fun (a, b) -> List.filter_map (fun c -> if b < c then Some (a, b, c) else None) picks)
+          pairs
+      in
+      let ids = Exact.triangle_ids (Graph.of_edges ~n pairs) in
+      let label = Printf.sprintf "n = %d" n in
+      Alcotest.(check (list (triple int int int))) (label ^ ": decodes to the sorted triangles")
+        (List.sort compare triangles) (Exact.triangles_of_ids ~n ids);
+      Alcotest.(check bool) (label ^ ": ids ascend") true
+        (List.for_all (fun i -> ids.(i) < ids.(i + 1)) (List.init (Int.max 0 (Array.length ids - 1)) Fun.id)))
+    [ 1; 2; 3; 128; 129; 1 lsl 20 ]
+
 (* ---------- distributed enumerator ---------- *)
 
 let check_complete ?epsilon ?k_decomp g seed =
@@ -427,7 +477,9 @@ let () =
           Alcotest.test_case "edge predicate split" `Quick test_edge_pred_split ] );
       ( "oracle",
         [ QCheck_alcotest.to_alcotest prop_exact_matches_reference;
-          Alcotest.test_case "id bound 2^20" `Quick test_id_bound ] );
+          Alcotest.test_case "id bound 2^20" `Quick test_id_bound;
+          Alcotest.test_case "id order is lexicographic" `Quick test_id_order;
+          QCheck_alcotest.to_alcotest prop_level1_filter_matches_enumeration ] );
       ( "expander-enum",
         [ Alcotest.test_case "dense gnp" `Quick test_enum_gnp_dense;
           Alcotest.test_case "SBM multi level" `Quick test_enum_sbm_multi_level;
