@@ -588,12 +588,18 @@ let e10_micro () =
   let rng = X.Rng.create 71 in
   let g = X.Generators.connectivize rng (X.Generators.gnp rng ~n:512 ~p:0.03) in
   let cyc = X.Generators.cycle 4096 in
-  let dist = X.Walk.degree_distribution g in
   let sparse = X.Walk.truncated_walk g ~src:0 ~eps:1e-7 ~steps:4 in
   (* the allocation-free path Nibble runs: one step of a walker
-     restarted at the same distribution, and a rescan into one sweep *)
+     restarted at the same distribution, and a rescan into one sweep.
+     From ψ_V, which covers every vertex, the walker takes its
+     full-support path, as Nibble's walks do once they have spread. *)
   let walker = X.Walk.walker g and sweep = X.Sweep.workspace g in
   let mask = Array.make (X.Graph.num_vertices g) false in
+  let stationary =
+    let vol = float_of_int (X.Graph.total_volume g) in
+    X.Walk.of_assoc
+      (List.init (X.Graph.num_vertices g) (fun v -> (v, float_of_int (X.Graph.degree g v) /. vol)))
+  in
   (* the same rescan on triangles-gnp's kind of graph, G(128, 1/2),
      where the sweep counts prefixes by the graph's bit rows: a full
      support, as ParallelNibble's walks reach there *)
@@ -629,14 +635,14 @@ let e10_micro () =
     X.Network.create flood_cycle ledger
   in
   let tests =
-    [ Test.make ~name:"walk-step-dense" (Staged.stage (fun () -> X.Walk.step_dense g dist));
-      Test.make ~name:"walk-step-sparse"
-        (Staged.stage (fun () -> X.Walk.step_sparse g sparse.(4)));
-      Test.make ~name:"walk-advance"
+    [ Test.make ~name:"walk-advance"
         (Staged.stage (fun () ->
              X.Walk.start walker sparse.(4);
              X.Walk.advance walker g ~eps:1e-7 ~mask));
-      Test.make ~name:"sweep-scan" (Staged.stage (fun () -> X.Sweep.scan g sparse.(4)));
+      Test.make ~name:"walk-advance-full"
+        (Staged.stage (fun () ->
+             X.Walk.start walker stationary;
+             X.Walk.advance walker g ~eps:1e-7 ~mask));
       Test.make ~name:"sweep-rescan" (Staged.stage (fun () -> X.Sweep.rescan sweep g sparse.(4)));
       Test.make ~name:"sweep-rescan-dense"
         (Staged.stage (fun () -> X.Sweep.rescan ?rows:dense_rows dense_sweep dense dense_walk));

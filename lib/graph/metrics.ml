@@ -36,7 +36,7 @@ let difference g u s =
 
 let complement g s = difference g (Array.init (Graph.num_vertices g) Fun.id) s
 
-let cut_size_mask g mask =
+let cut_size_mask g (mask : bool array) =
   let crossing = ref 0 in
   Graph.iter_edges g (fun u v -> if u <> v && mask.(u) <> mask.(v) then incr crossing);
   !crossing

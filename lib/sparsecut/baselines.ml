@@ -1,5 +1,6 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
+module Walk = Dex_spectral.Walk
 module Sweep = Dex_spectral.Sweep
 module Mixing = Dex_spectral.Mixing
 module Rng = Dex_util.Rng
@@ -25,7 +26,11 @@ let of_sweep g (sweep : Sweep.t) =
 let spectral g rng =
   let iters = 100 in
   let _gap, vector = Mixing.spectral_gap ~iters g rng in
-  let sweep = Sweep.scan_vector g vector in
+  (* mass x_v·deg(v), so the sweep's ρ = mass/deg(v) orders by x *)
+  let masses =
+    List.init (Graph.num_vertices g) (fun v -> (v, vector.(v) *. float_of_int (Graph.degree g v)))
+  in
+  let sweep = Sweep.scan g (Walk.of_assoc masses) in
   Option.map (fun c -> { c with rounds = iters }) (of_sweep g sweep)
 
 let dsmp ?walk_length g rng =
@@ -41,13 +46,14 @@ let dsmp ?walk_length g rng =
     in
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in
-    let ws = Dex_spectral.Walk.workspace g in
+    let w = Walk.walker g and mask = Array.make n false in
     let sweep = Sweep.workspace g and rows = Sweep.rows g in
-    let p = ref (Dex_spectral.Walk.indicator src) in
+    Walk.start w (Walk.indicator src);
     let best = ref None in
     for _ = 1 to steps do
-      p := Dex_spectral.Walk.step ws g !p;
-      Sweep.rescan ?rows sweep g !p;
+      (* ε = 0: the untruncated lazy walk *)
+      ignore (Walk.advance w g ~eps:0.0 ~mask : float);
+      Sweep.rescan ?rows sweep g (Walk.current w);
       match Sweep.best sweep with
       | None -> ()
       | Some j ->

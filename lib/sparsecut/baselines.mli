@@ -11,10 +11,11 @@ type cut = {
   rounds : int; (** simulated rounds under the cited cost model *)
 }
 
-(** [spectral params g rng] sweeps the (approximate) second
-    eigenvector of the lazy walk matrix — the classical centralized
-    baseline; its round cost model is power-iteration steps, each one
-    round of neighbor exchange. Always returns the best prefix cut. *)
+(** [spectral g rng] sweeps the (approximate) second eigenvector of
+    the lazy walk matrix over the vertices of positive degree, in
+    eigenvector order — the classical centralized baseline; its round
+    cost model is power-iteration steps, each one round of neighbor
+    exchange. Returns the best prefix cut. *)
 val spectral : Dex_graph.Graph.t -> Dex_util.Rng.t -> cut option
 
 (** [dsmp ?walk_length g rng] is the Das Sarma–Molla–Pandurangan-style

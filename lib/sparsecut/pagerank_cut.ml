@@ -66,9 +66,10 @@ let run ?alpha ?eps g ~src =
       Dex_spectral.Walk.of_assoc
         (Dex_util.Table.fold_sorted ~compare:Int.compare (fun v x acc -> (v, x) :: acc) p [])
     in
-    match Sweep.best_cut g dist with
+    let sweep = Sweep.scan g dist in
+    match Sweep.best sweep with
     | None -> None
-    | Some (sweep, j) ->
+    | Some j ->
       let vertices = Sweep.take sweep j in
       Array.sort Int.compare vertices;
       Some

@@ -1,13 +1,24 @@
 module Graph = Dex_graph.Graph
 module Rng = Dex_util.Rng
 
+(* ψ_V: mass deg(v)/Vol(V) at each v *)
+let degree_distribution g =
+  let total = float_of_int (Graph.total_volume g) in
+  Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v) /. total)
+
 let mixing_time ?(threshold = 0.25) ?(max_steps = 0) ?(samples = 3) g rng =
   let n = Graph.num_vertices g in
   if n <= 1 then 0
   else begin
     let max_steps = if max_steps > 0 then max_steps else 4 * n in
-    let pi = Walk.degree_distribution g in
-    let mixed p =
+    let pi = degree_distribution g in
+    (* the walker's distribution scattered into [p], zero elsewhere *)
+    let p = Array.make n 0.0 in
+    let mixed (q : Walk.sparse) =
+      Array.fill p 0 n 0.0;
+      for i = 0 to q.len - 1 do
+        p.(q.support.(i)) <- q.masses.(i)
+      done;
       let ok = ref true in
       for v = 0 to n - 1 do
         if pi.(v) > 0.0 && Float.abs (p.(v) -. pi.(v)) > threshold *. pi.(v) then
@@ -16,13 +27,14 @@ let mixing_time ?(threshold = 0.25) ?(max_steps = 0) ?(samples = 3) g rng =
       !ok
     in
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
+    let w = Walk.walker g and mask = Array.make n false in
     let worst = ref 0 in
     for _ = 1 to samples do
-      let src = Rng.weighted_index rng degrees in
-      let p = ref (Array.init n (fun v -> if v = src then 1.0 else 0.0)) in
+      Walk.start w (Walk.indicator (Rng.weighted_index rng degrees));
       let t = ref 0 in
-      while (not (mixed !p)) && !t < max_steps do
-        p := Walk.step_dense g !p;
+      (* ε = 0: the untruncated lazy walk *)
+      while (not (mixed (Walk.current w))) && !t < max_steps do
+        ignore (Walk.advance w g ~eps:0.0 ~mask : float);
         incr t
       done;
       worst := Int.max !worst !t

@@ -304,19 +304,3 @@ let best t =
     if Float.is_finite c && (!best < 0 || c < t.conductance.(!best)) then best := j
   done;
   if !best < 0 then None else Some (!best + 1)
-
-let best_cut g p =
-  let t = scan g p in
-  Option.map (fun j -> (t, j)) (best t)
-
-let scan_vector g x =
-  let t = workspace g in
-  let n = Graph.num_vertices g in
-  for v = 0 to n - 1 do
-    t.ordered.(v) <- v;
-    t.last_rho.(v) <- x.(v)
-  done;
-  t.length <- n;
-  merge_sort t;
-  measure t (rows g) g;
-  t

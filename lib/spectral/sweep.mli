@@ -82,10 +82,3 @@ val take : t -> int -> int array
 (** [best t] is the length j of the first prefix of least conductance
     among those with both sides of positive volume, if any. *)
 val best : t -> int option
-
-(** [best_cut g p] is [(scan g p, j)] with [j] its {!best} prefix. *)
-val best_cut : Dex_graph.Graph.t -> Walk.sparse -> (t * int) option
-
-(** [scan_vector g x] sweeps an arbitrary dense vector over all
-    vertices in decreasing [x] order (spectral baseline). *)
-val scan_vector : Dex_graph.Graph.t -> float array -> t

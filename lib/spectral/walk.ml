@@ -19,125 +19,24 @@ let of_assoc pairs =
 
 let size p = p.len
 
-let degree_distribution g =
-  let total = float_of_int (Graph.total_volume g) in
-  Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v) /. total)
+(* ---------------- the double-buffered walker ---------------- *)
 
-let step_dense g p =
-  let n = Graph.num_vertices g in
-  let q = Array.make n 0.0 in
-  for v = 0 to n - 1 do
-    let mass = p.(v) in
-    if mass <> 0.0 then begin
-      let deg = float_of_int (Graph.degree g v) in
-      if deg = 0.0 then q.(v) <- q.(v) +. mass
-      else begin
-        let share = mass /. (2.0 *. deg) in
-        (* lazy half plus the self-loop share that walks back home *)
-        q.(v) <- q.(v) +. (mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v));
-        Graph.iter_neighbors g v (fun u -> q.(u) <- q.(u) +. share)
-      end
-    end
-  done;
-  q
-
-(* ---------------- sparse steps over a dense scratch ---------------- *)
-
-(* [acc.(v)] is meaningful only while [stamp.(v) = epoch]; bumping
-   [epoch] clears the whole scratch in O(1). [touched.(0 .. count-1)]
-   lists the vertices stamped in the current epoch, in first-touch
-   order. *)
-type workspace = {
+(* [cur] is the current distribution, [spare] the buffer the next
+   advance writes; both have capacity n and swap on every advance.
+   The step kernel's dense scratch: [acc.(v)] is meaningful only while
+   [stamp.(v) = epoch], so bumping [epoch] clears it in O(1);
+   [touched.(0 .. count-1)] lists the vertices stamped in the current
+   epoch, in first-touch order (a full-support step lists its dropped
+   vertices there). [share.(v)] is v's per-edge share in a
+   full-support step. [change.(0)] is the last advance's
+   ‖p̃_t − p̃_{t−1}‖₁, kept in a float array so that neither path boxes
+   it on return. *)
+type walker = {
   acc : float array;
   stamp : int array;
   touched : int array;
   mutable epoch : int;
   mutable count : int;
-}
-
-let workspace g =
-  let n = Graph.num_vertices g in
-  { acc = Array.make n 0.0;
-    stamp = Array.make n 0;
-    touched = Array.make n 0;
-    epoch = 0;
-    count = 0 }
-
-(* a first touch stores [0.0 +. x], the sum a 0.0-defaulted table
-   accumulator computes (it differs from [x] only at -0.0) *)
-let[@inline] add ws v x =
-  if ws.stamp.(v) = ws.epoch then ws.acc.(v) <- ws.acc.(v) +. x
-  else begin
-    ws.stamp.(v) <- ws.epoch;
-    ws.acc.(v) <- 0.0 +. x;
-    ws.touched.(ws.count) <- v;
-    ws.count <- ws.count + 1
-  end
-
-(* The step kernel: accumulates M·p into [ws], orders the touched set
-   and, when [truncate], keeps the entries that survive [\[·\]_eps]. It
-   returns the kept count; the kept vertices ascend in
-   [ws.touched.(0 .. kept-1)] and [ws.acc.(v)] is the new mass at
-   each. The owners ({!step}, {!advance}) copy them out. *)
-let kernel ws g p ~truncate ~eps =
-  let n = Graph.num_vertices g in
-  if n > Array.length ws.stamp then invalid_arg "Walk.step: workspace smaller than the graph";
-  ws.epoch <- ws.epoch + 1;
-  ws.count <- 0;
-  (* ascending support, neighbours in adjacency order: this fixes the
-     order of the terms summed into each vertex (DESIGN.md §12) *)
-  for i = 0 to p.len - 1 do
-    let v = p.support.(i) and mass = p.masses.(i) in
-    let deg = float_of_int (Graph.degree g v) in
-    if deg = 0.0 then add ws v mass
-    else begin
-      let share = mass /. (2.0 *. deg) in
-      add ws v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
-      let nbrs = Graph.neighbors g v in
-      for j = 0 to Array.length nbrs - 1 do
-        add ws nbrs.(j) share
-      done
-    end
-  done;
-  Dex_util.Stamped.sort ~stamp:ws.stamp ~epoch:ws.epoch ~n ws.touched ws.count;
-  if not truncate then ws.count
-  else begin
-    (* compact the survivors in place *)
-    let k = ref 0 in
-    for i = 0 to ws.count - 1 do
-      let v = ws.touched.(i) in
-      if ws.acc.(v) >= 2.0 *. eps *. float_of_int (Graph.degree g v) then begin
-        ws.touched.(!k) <- v;
-        incr k
-      end
-    done;
-    !k
-  end
-
-let step ?eps ws g p =
-  let kept =
-    match eps with
-    | None -> kernel ws g p ~truncate:false ~eps:0.0
-    | Some eps -> kernel ws g p ~truncate:true ~eps
-  in
-  let support = Array.sub ws.touched 0 kept in
-  let masses = Array.create_float kept in
-  for i = 0 to kept - 1 do
-    masses.(i) <- ws.acc.(support.(i))
-  done;
-  { support; masses; len = kept }
-
-let step_sparse g p = step (workspace g) g p
-
-(* ---------------- the double-buffered walker ---------------- *)
-
-(* [cur] is the current distribution, [spare] the buffer the next
-   advance writes; both have capacity n and swap on every advance.
-   [share.(v)] is v's per-edge share in a full-support step.
-   [change.(0)] is the last advance's ‖p̃_t − p̃_{t−1}‖₁, kept in a float
-   array so that neither path boxes it on return. *)
-type walker = {
-  ws : workspace;
   share : float array;
   change : float array;
   mutable cur : sparse;
@@ -147,7 +46,11 @@ type walker = {
 let walker g =
   let n = Graph.num_vertices g in
   let buffer () = { support = Array.make n 0; masses = Array.make n 0.0; len = 0 } in
-  { ws = workspace g;
+  { acc = Array.make n 0.0;
+    stamp = Array.make n 0;
+    touched = Array.make n 0;
+    epoch = 0;
+    count = 0;
     share = Array.make n 0.0;
     change = [| 0.0 |];
     cur = buffer ();
@@ -161,6 +64,54 @@ let start w p =
 
 let current w = w.cur
 
+(* a first touch stores [0.0 +. x], the sum a 0.0-defaulted table
+   accumulator computes (it differs from [x] only at -0.0) *)
+let[@inline] add w v x =
+  if w.stamp.(v) = w.epoch then w.acc.(v) <- w.acc.(v) +. x
+  else begin
+    w.stamp.(v) <- w.epoch;
+    w.acc.(v) <- 0.0 +. x;
+    w.touched.(w.count) <- v;
+    w.count <- w.count + 1
+  end
+
+(* The step kernel: accumulates M·p into [w]'s scratch, orders the
+   touched set and keeps the entries that survive [\[·\]_eps] (all of
+   them at eps = 0, masses being >= 0). It returns the kept count; the
+   kept vertices ascend in [w.touched.(0 .. kept-1)] and [w.acc.(v)]
+   is the new mass at each. [advance_sparse] copies them out. *)
+let kernel w g p ~eps =
+  let n = Graph.num_vertices g in
+  if n > Array.length w.stamp then invalid_arg "Walk.advance: walker smaller than the graph";
+  w.epoch <- w.epoch + 1;
+  w.count <- 0;
+  (* ascending support, neighbours in adjacency order: this fixes the
+     order of the terms summed into each vertex (DESIGN.md §12) *)
+  for i = 0 to p.len - 1 do
+    let v = p.support.(i) and mass = p.masses.(i) in
+    let deg = float_of_int (Graph.degree g v) in
+    if deg = 0.0 then add w v mass
+    else begin
+      let share = mass /. (2.0 *. deg) in
+      add w v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
+      let nbrs = Graph.neighbors g v in
+      for j = 0 to Array.length nbrs - 1 do
+        add w nbrs.(j) share
+      done
+    end
+  done;
+  Dex_util.Stamped.sort ~stamp:w.stamp ~epoch:w.epoch ~n w.touched w.count;
+  (* compact the survivors in place *)
+  let k = ref 0 in
+  for i = 0 to w.count - 1 do
+    let v = w.touched.(i) in
+    if w.acc.(v) >= 2.0 *. eps *. float_of_int (Graph.degree g v) then begin
+      w.touched.(!k) <- v;
+      incr k
+    end
+  done;
+  !k
+
 (* [advance] when p̃_{t−1} is supported on all of 0..n−1: each vertex
    pulls its new mass from its sorted adjacency instead of the kernel
    pushing it. The terms reaching u arrive in push order — ascending
@@ -168,10 +119,10 @@ let current w = w.cur
    and the sum starts at [0.0] like push's first touch, so every float
    is the kernel's (DESIGN.md §12). The same pass truncates, writes
    p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}| over the kept
-   vertices; the dropped ones, listed in [ws.touched], add their old
+   vertices; the dropped ones, listed in [touched], add their old
    masses afterwards, ascending, as the sparse path's tail does. *)
 let advance_full w g ~eps ~mask n =
-  let prev = w.cur and next = w.spare and share = w.share and dropped = w.ws.touched in
+  let prev = w.cur and next = w.spare and share = w.share and dropped = w.touched in
   let masses = prev.masses in
   for v = 0 to n - 1 do
     share.(v) <- masses.(v) /. (2.0 *. float_of_int (Graph.degree g v))
@@ -218,16 +169,16 @@ let advance_full w g ~eps ~mask n =
   w.change.(0) <- !acc
 
 let advance_sparse w g ~eps ~mask =
-  let ws = w.ws and prev = w.cur and next = w.spare in
-  let kept = kernel ws g prev ~truncate:true ~eps in
+  let prev = w.cur and next = w.spare in
+  let kept = kernel w g prev ~eps in
   (* one pass writes p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}|
      over p̃_t ascending, merging against the ascending p̃_{t−1} *)
   let np = prev.len in
   let acc = ref 0.0 in
   let j = ref 0 in
   for i = 0 to kept - 1 do
-    let v = ws.touched.(i) in
-    let x = ws.acc.(v) in
+    let v = w.touched.(i) in
+    let x = w.acc.(v) in
     next.support.(i) <- v;
     next.masses.(i) <- x;
     mask.(v) <- true;
@@ -270,8 +221,8 @@ let[@inline] change w = w.change.(0)
    (DESIGN.md §12). The two copies of the truncate-and-write tail stay
    inline: passing the counters to a helper would box the L1 sums. *)
 let advance_full_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 n =
-  let prev1 = w1.cur and next1 = w1.spare and share1 = w1.share and dropped1 = w1.ws.touched in
-  let prev2 = w2.cur and next2 = w2.spare and share2 = w2.share and dropped2 = w2.ws.touched in
+  let prev1 = w1.cur and next1 = w1.spare and share1 = w1.share and dropped1 = w1.touched in
+  let prev2 = w2.cur and next2 = w2.spare and share2 = w2.share and dropped2 = w2.touched in
   let masses1 = prev1.masses and masses2 = prev2.masses in
   for v = 0 to n - 1 do
     let d = 2.0 *. float_of_int (Graph.degree g v) in
@@ -357,9 +308,9 @@ let advance_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 =
   end
 
 let truncated_walk g ~src ~eps ~steps =
-  let ws = workspace g in
-  let out = Array.make (steps + 1) (indicator src) in
-  for t = 1 to steps do
-    out.(t) <- step ~eps ws g out.(t - 1)
-  done;
-  out
+  let w = walker g and mask = Array.make (Graph.num_vertices g) false in
+  start w (indicator src);
+  Array.init (steps + 1) (fun t ->
+      if t > 0 then ignore (advance w g ~eps ~mask : float);
+      let p = current w in
+      { support = Array.sub p.support 0 p.len; masses = Array.sub p.masses 0 p.len; len = p.len })

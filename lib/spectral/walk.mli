@@ -6,17 +6,15 @@
     to [v], which is what makes the saturated subgraph G{S} behave
     like G for walk purposes.
 
-    Distributions come in a dense form (float arrays indexed by
-    vertex) and a sparse form: an ascending vertex array (the support),
-    an aligned mass array and a length — the sparse form is what makes
-    truncated Nibble walks cheap. Sparse steps accumulate into a
-    caller-owned dense {!workspace} and visit the support in ascending
-    order, so every float they produce is a deterministic function of
-    the input distribution. One step kernel serves two owners: {!step}
-    returns a fresh distribution, and a {!walker} advances in two
-    buffers it reuses from step to step. A walker whose distribution
-    covers every vertex pulls each vertex's mass instead, to the same
-    floats, and two such walkers pull in one pass. *)
+    A distribution is sparse: an ascending vertex array (the support),
+    an aligned mass array and a length, which is what makes truncated
+    Nibble walks cheap. A {!walker} is the one way to step one: it
+    advances in two buffers it reuses from step to step, and its step
+    kernel visits the support in ascending order, so every float it
+    produces is a deterministic function of the input distribution. A
+    walker whose distribution covers every vertex pulls each vertex's
+    mass instead, to the same floats, and two such walkers pull in one
+    pass. *)
 
 (** A sparse distribution: [support.(0 .. len-1)] ascends strictly and
     [masses.(i)] is the mass at [support.(i)]; cells from [len] on are
@@ -24,8 +22,8 @@
     can include zero-mass entries (e.g. a degree-0 vertex stepped with
     zero mass); it is not the nonzero set. The fields are readable so
     hot loops elsewhere can scan them directly. Values built by this
-    module's constructors and {!step} never change; a {!walker}'s
-    {!current} view is rewritten by its owner (see there). *)
+    module's constructors and {!truncated_walk} never change; a
+    {!walker}'s {!current} view is rewritten by its owner (see there). *)
 type sparse = private { support : int array; masses : float array; mutable len : int }
 
 (** [indicator v] is χ_v as a sparse distribution. *)
@@ -38,38 +36,13 @@ val of_assoc : (int * float) list -> sparse
 (** [size p] is the number of supported vertices. *)
 val size : sparse -> int
 
-(** [degree_distribution g] is ψ_V: mass deg(v)/Vol(V) at each v. *)
-val degree_distribution : Dex_graph.Graph.t -> float array
-
-(** [step_dense g p] is M·p for a dense distribution. *)
-val step_dense : Dex_graph.Graph.t -> float array -> float array
-
-(** Dense scratch for sparse steps: an epoch-stamped float accumulator
-    and a touched-vertex buffer, each with one cell per vertex. A step
-    clears it in O(1), so one workspace serves a whole walk. It is
-    mutable and single-owner: do not share one between domains. *)
-type workspace
-
-(** [workspace g] is a fresh workspace sized to [num_vertices g]; it
-    serves [g] and any graph with no more vertices. *)
-val workspace : Dex_graph.Graph.t -> workspace
-
-(** [step ?eps ws g p] is M·p, truncated to [\[M·p\]_eps] when [eps] is
-    given, computed in [ws] and returned as a fresh distribution. It
-    costs one pass over the edges at the support plus ordering the
-    touched set: an in-place sort of it, or one pass over all vertices
-    when it holds at least an eighth of them. *)
-val step : ?eps:float -> workspace -> Dex_graph.Graph.t -> sparse -> sparse
-
-(** [step_sparse g p] is M·p for a sparse distribution ({!step} with a
-    fresh workspace). *)
-val step_sparse : Dex_graph.Graph.t -> sparse -> sparse
-
-(** A truncated walk that allocates nothing per step: a {!workspace},
-    two distribution buffers of capacity n that swap on every
-    {!advance}, and n cells for a full-support step's shares. It is
-    mutable and single-owner, like a workspace: one Nibble run at a
-    time drives it. *)
+(** A truncated walk that allocates nothing per step: a dense scratch
+    for the step kernel (an epoch-stamped float accumulator and a
+    touched-vertex buffer), two distribution buffers of capacity n that
+    swap on every {!advance}, and n cells for a full-support step's
+    shares, each with one cell per vertex. It is mutable and
+    single-owner: one Nibble run at a time drives it, and two domains
+    must not share one. *)
 type walker
 
 (** [walker g] is a fresh walker sized to [num_vertices g]; it serves
@@ -86,13 +59,19 @@ val start : walker -> sparse -> unit
 val current : walker -> sparse
 
 (** [advance w g ~eps ~mask] replaces the current distribution p̃_{t-1}
-    by p̃_t = [\[M·p̃_{t-1}\]_eps] — the same floats as [step ~eps] —
-    sets [mask.(v)] for every vertex of its support, and returns
-    ‖p̃_t − p̃_{t-1}‖₁. The sum runs over p̃_t in ascending vertex order,
-    then over the entries of p̃_{t-1} that left the support, ascending.
-    A p̃_{t-1} supported on every vertex of [g] skips [step]'s kernel:
-    each vertex pulls its terms from its sorted adjacency, in the order
-    the kernel pushes them (DESIGN.md §12). *)
+    by p̃_t = [\[M·p̃_{t-1}\]_eps], sets [mask.(v)] for every vertex of
+    its support, and returns ‖p̃_t − p̃_{t-1}‖₁. At [eps = 0] it keeps
+    every entry (masses are ≥ 0), so it steps M·p̃_{t-1} untruncated.
+    The sum runs over p̃_t in ascending vertex order, then over the
+    entries of p̃_{t-1} that left the support, ascending. The step
+    kernel pushes each support vertex's shares, ascending, into the
+    dense scratch, orders the touched set (an in-place sort of it, or
+    one pass over all vertices when it holds at least an eighth of
+    them) and keeps the survivors. A p̃_{t-1} supported on every vertex
+    of [g] skips the kernel: each vertex pulls its terms from its
+    sorted adjacency, in the order the kernel pushes them, to the same
+    floats (DESIGN.md §12). Raises [Invalid_argument] when [g] has
+    more vertices than [w] has cells. *)
 val advance : walker -> Dex_graph.Graph.t -> eps:float -> mask:bool array -> float
 
 (** [change w] is the ‖p̃_t − p̃_{t-1}‖₁ of [w]'s last advance, the value
@@ -113,8 +92,8 @@ val advance_pair :
   mask1:bool array -> mask2:bool array -> unit
 
 (** [truncated_walk g ~src ~eps ~steps] runs the truncated walk
-    p̃_t = \[M·p̃_{t-1}\]_ε and returns the distributions p̃_0 … p̃_steps
-    (index t = step count). This is the computation at the heart of
-    Nibble; one workspace serves every step. *)
+    p̃_t = \[M·p̃_{t-1}\]_ε from χ_src and returns the distributions
+    p̃_0 … p̃_steps (index t = step count): a {!walker}'s {!current},
+    copied after each {!advance}. *)
 val truncated_walk :
   Dex_graph.Graph.t -> src:int -> eps:float -> steps:int -> sparse array

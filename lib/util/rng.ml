@@ -16,10 +16,13 @@ let[@inline] state_of_int64 z =
 
 let create seed = state_of_int64 (mix64 (Int64.of_int seed))
 
+(* The child is drawn from the parent: [split] advances [t] by a
+   discarded draw ([land 0]) and the draw the child is hashed from, so
+   the order of splits, and of every other draw on [t], decides each
+   child's stream. Dropping the discarded draw would change every
+   seeded output, so it stays. *)
 let split t i =
   let hi = Random.State.bits t land 0 in
-  (* deterministic in the seed only: derive from a fresh draw would make
-     order-of-split matter; instead hash the stream position proxy. *)
   ignore hi;
   let x = Random.State.int64 t Int64.max_int in
   state_of_int64 (mix64 (Int64.add x (Int64.of_int ((i * 2654435761) lxor 0x5851f42d))))

@@ -12,9 +12,10 @@ type t
 val create : int -> t
 
 (** [split t i] derives an independent generator from [t]'s current
-    stream state and the index [i] (advancing [t] by one draw — two
-    successive [split t i] calls give different streams). Used to hand
-    each simulated vertex its own local randomness. *)
+    stream state and the index [i], advancing [t] by a discarded draw
+    and the draw the child is hashed from: two successive [split t i]
+    calls give different streams, and the order of splits matters. Used to hand each simulated vertex its own local
+    randomness. *)
 val split : t -> int -> t
 
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument]

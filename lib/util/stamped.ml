@@ -10,7 +10,7 @@ let rec sift (a : int array) root last =
     end
   end
 
-let sort ~stamp ~epoch ~n set k =
+let sort ~stamp ~(epoch : int) ~n set k =
   if 8 * k >= n then begin
     let j = ref 0 in
     for v = 0 to n - 1 do

@@ -8,8 +8,9 @@
    senders descending, as the seed kernel did. A message is one word.
 
    Below it, ParallelNibble's sequential copy loop, the oracle for its
-   lockstep schedule, and the small helpers tests use where the
-   library exports nothing for them. *)
+   lockstep schedule, the small helpers tests use where the library
+   exports nothing for them, and the dense and Hashtbl walk and sweep
+   oracles the walker and the sweep workspace are checked against. *)
 
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
@@ -215,6 +216,115 @@ let participating_edges g outcome =
   Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v _ -> acc := (u, v) :: !acc);
   !acc
 
+(* ---------------- the walk and sweep oracles ---------------- *)
+
+(* M·p for a dense distribution: each vertex of nonzero mass, in
+   ascending order, keeps its lazy half and its self-loops' share and
+   pushes one share per incident edge *)
+let step_dense g p =
+  let q = Array.make (Graph.num_vertices g) 0.0 in
+  Array.iteri
+    (fun v mass ->
+      if mass <> 0.0 then begin
+        let deg = float_of_int (Graph.degree g v) in
+        if deg = 0.0 then q.(v) <- q.(v) +. mass
+        else begin
+          let share = mass /. (2.0 *. deg) in
+          q.(v) <- q.(v) +. (mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v));
+          Graph.iter_neighbors g v (fun u -> q.(u) <- q.(u) +. share)
+        end
+      end)
+    p;
+  q
+
+(* The walker's step, truncation and L1 change and the sweep's order
+   and prefixes over a Hashtbl per distribution, iterated in ascending
+   key order: the oracle the array code must match bit for bit
+   (DESIGN.md §12). *)
+
+let of_walk (p : Dex_spectral.Walk.sparse) =
+  let t = Hashtbl.create 16 in
+  for i = 0 to p.len - 1 do
+    Hashtbl.replace t p.support.(i) p.masses.(i)
+  done;
+  t
+
+let iter_ascending f p = Dex_util.Table.iter_sorted ~compare:Int.compare f p
+
+let step_sparse g p =
+  let q = Hashtbl.create (2 * Hashtbl.length p) in
+  let add v x =
+    let prev = try Hashtbl.find q v with Not_found -> 0.0 in
+    Hashtbl.replace q v (prev +. x)
+  in
+  iter_ascending
+    (fun v mass ->
+      let deg = float_of_int (Graph.degree g v) in
+      if deg = 0.0 then add v mass
+      else begin
+        let share = mass /. (2.0 *. deg) in
+        add v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
+        Graph.iter_neighbors g v (fun u -> add u share)
+      end)
+    p;
+  q
+
+(* the paper's [p]_eps: drop entries with p(v) < 2·eps·deg(v) *)
+let truncate g ~eps p =
+  let q = Hashtbl.create (Hashtbl.length p) in
+  iter_ascending
+    (fun v mass ->
+      if mass >= 2.0 *. eps *. float_of_int (Graph.degree g v) then Hashtbl.replace q v mass)
+    p;
+  q
+
+(* ‖next − prev‖₁ summed over [next] ascending, then over the entries
+   of [prev] that left the support, ascending *)
+let l1_change ~prev ~next =
+  let acc = ref 0.0 in
+  iter_ascending
+    (fun v x ->
+      let y = Option.value (Hashtbl.find_opt prev v) ~default:0.0 in
+      acc := !acc +. Float.abs (x -. y))
+    next;
+  iter_ascending (fun v y -> if not (Hashtbl.mem next v) then acc := !acc +. y) prev;
+  !acc
+
+let rho g p v =
+  let deg = Graph.degree g v in
+  if deg = 0 then 0.0
+  else match Hashtbl.find_opt p v with None -> 0.0 | Some m -> m /. float_of_int deg
+
+(* the support of positive degree by ρ descending, ties by vertex *)
+let order g p =
+  Dex_util.Table.fold_sorted ~compare:Int.compare (fun v mass acc -> (v, mass) :: acc) p []
+  |> List.filter (fun (v, _) -> Graph.degree g v > 0)
+  |> List.map (fun (v, mass) -> (v, mass /. float_of_int (Graph.degree g v)))
+  |> List.sort (fun (v1, r1) (v2, r2) -> match compare r2 r1 with 0 -> compare v1 v2 | c -> c)
+  |> List.map fst |> Array.of_list
+
+(* one sweep prefix π(1..len) *)
+type prefix = { len : int; volume : int; cut : int; conductance : float; last_rho : float }
+
+let scan g p =
+  let ordered = order g p in
+  let total_volume = Graph.total_volume g in
+  let in_set = Hashtbl.create 16 in
+  let volume = ref 0 and cut = ref 0 in
+  Array.mapi
+    (fun j v ->
+      let inside = ref 0 in
+      Graph.iter_neighbors g v (fun u -> if Hashtbl.mem in_set u then incr inside);
+      Hashtbl.replace in_set v ();
+      volume := !volume + Graph.degree g v;
+      cut := !cut + Graph.plain_degree g v - (2 * !inside);
+      let small = min !volume (total_volume - !volume) in
+      let conductance =
+        if small <= 0 then Float.infinity else float_of_int !cut /. float_of_int small
+      in
+      { len = j + 1; volume = !volume; cut = !cut; conductance; last_rho = rho g p v })
+    ordered
+
 (* Views of a sparse walk distribution, read off its private record *)
 module Walk_view = struct
   module Walk = Dex_spectral.Walk
@@ -255,7 +365,7 @@ module Walk_view = struct
     p.(src) <- 1.0;
     let cur = ref p in
     for _ = 1 to steps do
-      cur := Walk.step_dense g !cur
+      cur := step_dense g !cur
     done;
     !cur
 end

@@ -129,7 +129,7 @@ let test_d005_poly_compare () =
     (d005 "let f (a : Network.t) (b : Network.t) = a.Network.g <> b.Network.g");
   check_rules "graph-like names at other types fine" []
     (d005 "let f (g : int) net = g = net && compare g net = 0");
-  check_rules "ints fine" [] (lint "let f a b = a = b && compare a b = 0");
+  check_rules "ints fine" [] (lint "let f (a : int) b = a = b && compare a b = 0");
   let own_t = "type t = { n : int }\nlet f (a : t) b = a = b" in
   check_rules "a unit's own t" [ "D005" ] (lint ~path:"lib/graph/graph.ml" own_t);
   (* the unit name dune gives graph.ml inside the dex_graph library *)
@@ -197,6 +197,25 @@ let test_d007_poly_minmax () =
   check_rules "lib/spectral fires" [ "D007" ] (lint ~path:"lib/spectral/x.ml" "let f a = min a 1");
   check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" "let f a = min a 1");
   check_rules "bench exempt" [] (lint ~path:"bench/main.ml" "let f a = min a 1")
+
+(* the defect D008 was written for: a stamp loop split into its own
+   function left [stamp.(nbrs.(i)) = epoch] at a type variable, and
+   the compiler emitted caml_equal for it *)
+let test_d008_poly_var_compare () =
+  let hot src = lint ~path:"lib/spectral/sweep.ml" src in
+  check_rules "= on a stamp at 'a" [ "D008" ]
+    (hot "let f stamp (nbrs : int array) epoch i = stamp.(nbrs.(i)) = epoch");
+  check_rules "(epoch : int) fine" []
+    (hot "let f stamp (nbrs : int array) (epoch : int) i = stamp.(nbrs.(i)) = epoch");
+  check_rules "= and compare at 'a" [ "D008"; "D008" ]
+    (hot "let f a b = a = b && compare a b = 0");
+  check_rules "< <= > >= <> at 'a" [ "D008"; "D008"; "D008"; "D008"; "D008" ]
+    (hot "let f a b = a < b || a <= b || a > b || a >= b || a <> b");
+  check_rules "float and int fine" [] (hot "let f (x : float) y (i : int) j = x < y && i = j");
+  check_rules "physical equality fine" [] (hot "let f a b = a == b || a != b");
+  check_rules "lib/util fires" [ "D008" ] (lint ~path:"lib/util/x.ml" "let f a b = a = b");
+  check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" "let f a b = a = b");
+  check_rules "bench exempt" [] (lint ~path:"bench/main.ml" "let f a b = a = b")
 
 (* ---------- path scoping ---------- *)
 
@@ -412,7 +431,7 @@ let test_json_report_golden () =
 
 let test_rule_table_complete () =
   Alcotest.(check (list string)) "ids"
-    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007";
+    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008";
       "C003"; "C004"; "C005" ]
     (List.map fst Lint.rules)
 
@@ -427,6 +446,7 @@ let () =
           Alcotest.test_case "D005 poly compare" `Quick test_d005_poly_compare;
           Alcotest.test_case "D006 poly sort" `Quick test_d006_poly_sort;
           Alcotest.test_case "D007 poly min/max" `Quick test_d007_poly_minmax;
+          Alcotest.test_case "D008 compare at a type variable" `Quick test_d008_poly_var_compare;
           Alcotest.test_case "D006 kernel scoped" `Quick test_d006_scoped_to_kernel;
           Alcotest.test_case "D006 spectral and sparsecut" `Quick
             test_d006_spectral_and_sparsecut;

@@ -356,7 +356,7 @@ let test_lemma3_z_volume_bound () =
         Array.init (t0 + 1) (fun t ->
             if t = 0 then !p
             else begin
-              p := Dex_spectral.Walk.step_dense g !p;
+              p := Reference.step_dense g !p;
               !p
             end))
   in
@@ -919,6 +919,38 @@ let test_spectral_baseline_dumbbell () =
     Alcotest.(check bool) "sparse" true (c.Baselines.conductance < 0.1);
     Alcotest.(check bool) "balanced here" true (c.Baselines.balance > 0.3)
 
+(* The spectral baseline sweeps its eigenvector x in x order, ties by
+   vertex, through the masses x(v)·deg(v), whose ρ gives back x(v): its
+   cut is the first prefix of least conductance in that order *)
+let prop_spectral_baseline_sweeps_vector_order =
+  QCheck.Test.make ~name:"spectral baseline = best prefix in vector order" ~count:50
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 10 + Rng.int rng 30 in
+      let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:(0.05 +. Rng.float rng 0.3)) in
+      let _, x = Dex_spectral.Mixing.spectral_gap ~iters:100 g (Rng.create (seed + 1)) in
+      let order =
+        List.sort
+          (fun u v -> match Float.compare x.(v) x.(u) with 0 -> Int.compare u v | c -> c)
+          (List.init n Fun.id)
+      in
+      let best = ref None in
+      List.iteri
+        (fun j _ ->
+          let prefix = Array.of_list (List.filteri (fun i _ -> i <= j) order) in
+          let c = Metrics.conductance g prefix in
+          match !best with
+          | Some (bc, _) when bc <= c -> ()
+          | _ -> if Float.is_finite c then best := Some (c, prefix))
+        order;
+      match (Baselines.spectral g (Rng.create (seed + 1)), !best) with
+      | None, None -> true
+      | Some c, Some (bc, prefix) ->
+        Array.sort Int.compare prefix;
+        c.Baselines.vertices = prefix && Float.equal c.Baselines.conductance bc
+      | _ -> false)
+
 let test_dsmp_baseline_runs () =
   let rng = Rng.create 53 in
   let g = Gen.dumbbell rng ~n1:40 ~n2:40 ~d:4 ~bridges:1 in
@@ -1007,4 +1039,5 @@ let () =
           Alcotest.test_case "max nibbles" `Quick test_st_reference_max_nibbles ] );
       ( "baselines",
         [ Alcotest.test_case "spectral dumbbell" `Quick test_spectral_baseline_dumbbell;
+          QCheck_alcotest.to_alcotest prop_spectral_baseline_sweeps_vector_order;
           Alcotest.test_case "dsmp runs" `Quick test_dsmp_baseline_runs ] ) ]

@@ -33,12 +33,12 @@ let test_sparse_dense_agree () =
   let rng = Rng.create 2 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:25 ~p:0.2) in
   let dense = ref (Array.init 25 (fun v -> if v = 3 then 1.0 else 0.0)) in
-  let sparse = ref (Walk.indicator 3) in
   for _ = 1 to 8 do
-    dense := Walk.step_dense g !dense;
-    sparse := Walk.step_sparse g !sparse
+    dense := Reference.step_dense g !dense
   done;
-  let sd = sparse_to_dense 25 !sparse in
+  (* ε = 0: the walker steps M·p untruncated *)
+  let sparse = (Walk.truncated_walk g ~src:3 ~eps:0.0 ~steps:8).(8) in
+  let sd = sparse_to_dense 25 sparse in
   Array.iteri
     (fun v x -> Alcotest.(check (float 1e-9)) (Printf.sprintf "p(%d)" v) x sd.(v))
     !dense;
@@ -48,22 +48,27 @@ let test_sparse_dense_agree () =
     |> List.filter_map (fun (v, x) -> if x > 0.0 then Some v else None)
   in
   Alcotest.(check (list int)) "support matches dense positives" dense_support
-    (Array.to_list (W.support !sparse))
+    (Array.to_list (W.support sparse))
 
 let test_self_loop_mass_returns () =
   (* one vertex with a self-loop and a pendant: loop mass stays *)
   let g = Graph.of_edges ~n:2 [ (0, 1); (0, 0) ] in
   (* deg 0 = 2 (1 loop + 1 edge); from χ_0 one lazy step:
      stay 1/2 + loop share 1/4 = 3/4 at vertex 0, 1/4 at vertex 1 *)
-  let p = Walk.step_dense g [| 1.0; 0.0 |] in
-  Alcotest.(check (float 1e-9)) "stay" 0.75 p.(0);
-  Alcotest.(check (float 1e-9)) "move" 0.25 p.(1)
+  let p = (Walk.truncated_walk g ~src:0 ~eps:0.0 ~steps:1).(1) in
+  Alcotest.(check (float 1e-9)) "stay" 0.75 (W.get p 0);
+  Alcotest.(check (float 1e-9)) "move" 0.25 (W.get p 1)
 
+(* ψ_V covers every vertex, so the walker takes its full-support path *)
 let test_stationary_fixpoint () =
   let g = Gen.cycle 12 in
-  let pi = Walk.degree_distribution g in
-  let p' = Walk.step_dense g pi in
-  Array.iteri (fun v x -> Alcotest.(check (float 1e-9)) (string_of_int v) pi.(v) x) p'
+  let pi = Walk.of_assoc (List.init 12 (fun v -> (v, 1.0 /. 12.0))) in
+  let w = Walk.walker g in
+  Walk.start w pi;
+  ignore (Walk.advance w g ~eps:0.0 ~mask:(Array.make 12 false) : float);
+  W.iter
+    (fun v x -> Alcotest.(check (float 1e-9)) (string_of_int v) (W.get pi v) x)
+    (Walk.current w)
 
 let test_truncation () =
   let g = Reference.star 5 in
@@ -78,7 +83,7 @@ let test_truncated_below_exact () =
   let exact = ref (Array.init 30 (fun v -> if v = 0 then 1.0 else 0.0)) in
   let walks = Walk.truncated_walk g ~src:0 ~eps:1e-4 ~steps:6 in
   for t = 1 to 6 do
-    exact := Walk.step_dense g !exact;
+    exact := Reference.step_dense g !exact;
     let trunc = sparse_to_dense 30 walks.(t) in
     Array.iteri
       (fun v x ->
@@ -104,102 +109,8 @@ let test_rho_symmetry () =
 
 (* ---------- bit-identity against the Hashtbl reference ---------- *)
 
-(* Walk's sparse step and truncation and Sweep's order and scan over a
-   Hashtbl per distribution, iterated in ascending key order: the
-   oracle the sorted-array code must match bit for bit (DESIGN.md
-   §12). *)
-(* one sweep prefix as the pre-array sweep reported it *)
-type prefix = { len : int; volume : int; cut : int; conductance : float; last_rho : float }
-
-module Reference = struct
-  let of_walk p =
-    let t = Hashtbl.create 16 in
-    W.iter (fun v x -> Hashtbl.replace t v x) p;
-    t
-
-  let step_sparse g p =
-    let q = Hashtbl.create (2 * Hashtbl.length p) in
-    let add v x =
-      let prev = try Hashtbl.find q v with Not_found -> 0.0 in
-      Hashtbl.replace q v (prev +. x)
-    in
-    Dex_util.Table.iter_sorted ~compare:Int.compare
-      (fun v mass ->
-        let deg = float_of_int (Graph.degree g v) in
-        if deg = 0.0 then add v mass
-        else begin
-          let share = mass /. (2.0 *. deg) in
-          add v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
-          Graph.iter_neighbors g v (fun u -> add u share)
-        end)
-      p;
-    q
-
-  let truncate g ~eps p =
-    let q = Hashtbl.create (Hashtbl.length p) in
-    Dex_util.Table.iter_sorted ~compare:Int.compare
-      (fun v mass ->
-        if mass >= 2.0 *. eps *. float_of_int (Graph.degree g v) then Hashtbl.replace q v mass)
-      p;
-    q
-
-  let rho g p v =
-    let deg = Graph.degree g v in
-    if deg = 0 then 0.0
-    else match Hashtbl.find_opt p v with None -> 0.0 | Some m -> m /. float_of_int deg
-
-  let order g p =
-    Dex_util.Table.fold_sorted ~compare:Int.compare (fun v mass acc -> (v, mass) :: acc) p []
-    |> List.filter (fun (v, _) -> Graph.degree g v > 0)
-    |> List.map (fun (v, mass) -> (v, mass /. float_of_int (Graph.degree g v)))
-    |> List.sort (fun (v1, r1) (v2, r2) -> match compare r2 r1 with 0 -> compare v1 v2 | c -> c)
-    |> List.map fst |> Array.of_list
-
-  let scan g p =
-    let ordered = order g p in
-    let total_volume = Graph.total_volume g in
-    let in_set = Hashtbl.create 16 in
-    let volume = ref 0 and cut = ref 0 in
-    Array.mapi
-      (fun j v ->
-        let inside = ref 0 in
-        Graph.iter_neighbors g v (fun u -> if Hashtbl.mem in_set u then incr inside);
-        Hashtbl.replace in_set v ();
-        volume := !volume + Graph.degree g v;
-        cut := !cut + Graph.plain_degree g v - (2 * !inside);
-        let small = min !volume (total_volume - !volume) in
-        let conductance =
-          if small <= 0 then Float.infinity else float_of_int !cut /. float_of_int small
-        in
-        { len = j + 1; volume = !volume; cut = !cut; conductance; last_rho = rho g p v })
-      ordered
-
-  (* Nibble's former L1 fixpoint test: ‖next − prev‖₁ as a two-pointer
-     merge of the ascending supports, summed over [next] ascending,
-     then over the entries of [prev] that left the support, ascending *)
-  let l1_change ~(prev : Walk.sparse) ~(next : Walk.sparse) =
-    let acc = ref 0.0 in
-    let np = prev.len in
-    let j = ref 0 in
-    for i = 0 to next.len - 1 do
-      let v = next.support.(i) in
-      while !j < np && prev.support.(!j) < v do
-        incr j
-      done;
-      let y = if !j < np && prev.support.(!j) = v then prev.masses.(!j) else 0.0 in
-      acc := !acc +. Float.abs (next.masses.(i) -. y)
-    done;
-    let i = ref 0 in
-    let nn = next.len in
-    for j = 0 to np - 1 do
-      let v = prev.support.(j) in
-      while !i < nn && next.support.(!i) < v do
-        incr i
-      done;
-      if not (!i < nn && next.support.(!i) = v) then acc := !acc +. prev.masses.(j)
-    done;
-    !acc
-end
+(* The walker and the sweep against the oracles of test/reference.ml,
+   bit for bit (DESIGN.md §12). *)
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -217,14 +128,14 @@ let sweep_order g p =
   let t = Sweep.scan g p in
   Sweep.take t t.Sweep.length
 
-let prefix_at (sweep : Sweep.t) i =
+let prefix_at (sweep : Sweep.t) i : Reference.prefix =
   { len = i + 1;
     volume = sweep.volume.(i);
     cut = sweep.cut.(i);
     conductance = sweep.conductance.(i);
     last_rho = sweep.last_rho.(i) }
 
-let same_prefix a b =
+let same_prefix (a : Reference.prefix) (b : Reference.prefix) =
   a.len = b.len && a.volume = b.volume && a.cut = b.cut
   && same_float a.conductance b.conductance
   && same_float a.last_rho b.last_rho
@@ -276,27 +187,33 @@ let random_instance ?(max_n = 30) seed =
   let eps = if Rng.bool rng then None else Some (Rng.float rng 0.02) in
   (g, start, eps)
 
+(* the walker's view after one advance from [p] *)
+let advanced ~eps g p =
+  let w = Walk.walker g in
+  Walk.start w p;
+  ignore (Walk.advance w g ~eps ~mask:(Array.make (Graph.num_vertices g) false) : float);
+  Walk.current w
+
+(* the reference step: M·p, truncated when [eps] is given *)
+let reference_step g eps p =
+  let stepped = Reference.step_sparse g p in
+  match eps with None -> stepped | Some eps -> Reference.truncate g ~eps stepped
+
 let prop_step_matches_reference =
   QCheck.Test.make ~name:"array walk = Hashtbl reference, bit for bit" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let g, start, eps = random_instance seed in
-      let ws = Walk.workspace g in
-      let p = ref start and reference = ref (Reference.of_walk start) in
-      let ok = ref (identical !p !reference) in
+      let w = Walk.walker g and mask = Array.make (Graph.num_vertices g) false in
+      Walk.start w start;
+      let reference = ref (Reference.of_walk start) in
+      let ok = ref (identical (Walk.current w) !reference) in
       for _ = 1 to 12 do
-        let stepped = Walk.step_sparse g !p in
-        let ref_stepped = Reference.step_sparse g !reference in
-        ok := !ok && identical stepped ref_stepped;
-        (match eps with
-        | None ->
-          p := Walk.step ws g !p;
-          reference := ref_stepped
-        | Some eps ->
-          ok := !ok && identical (W.truncate g ~eps stepped) (Reference.truncate g ~eps ref_stepped);
-          p := Walk.step ~eps ws g !p;
-          reference := Reference.truncate g ~eps ref_stepped);
-        ok := !ok && identical !p !reference && same_sweep g !p !reference
+        (* no eps: the walker at ε = 0 against the untruncated step *)
+        ignore (Walk.advance w g ~eps:(Option.value eps ~default:0.0) ~mask : float);
+        reference := reference_step g eps !reference;
+        let p = Walk.current w in
+        ok := !ok && identical p !reference && same_sweep g p !reference
       done;
       !ok)
 
@@ -306,40 +223,37 @@ let prop_truncated_walk_matches_reference =
     (fun (seed, steps) ->
       let g, _, _ = random_instance seed in
       let src = seed mod Graph.num_vertices g in
-      let eps = 1e-4 in
-      let walks = Walk.truncated_walk g ~src ~eps ~steps in
+      let eps = if seed mod 2 = 0 then None else Some 1e-4 in
+      let walks = Walk.truncated_walk g ~src ~eps:(Option.value eps ~default:0.0) ~steps in
       let reference = ref (Reference.of_walk (Walk.indicator src)) in
-      let ok = ref true in
+      let ok = ref (identical walks.(0) !reference) in
       for t = 1 to steps do
-        reference := Reference.truncate g ~eps (Reference.step_sparse g !reference);
+        reference := reference_step g eps !reference;
         ok := !ok && identical walks.(t) !reference
       done;
       !ok)
 
-(* The walker against the allocating path it replaced: [Walk.step ~eps]
-   for the distributions, the old two-pass L1 merge for the change and
+(* The walker against the reference step, the reference L1 change and
    a mask note of every stepped support, bit for bit over k steps. *)
-let prop_walker_matches_step =
-  QCheck.Test.make ~name:"walker = Walk.step + old L1 + support mask, bit for bit" ~count:300
+let prop_walker_matches_reference =
+  QCheck.Test.make ~name:"walker = reference step + L1 + support mask, bit for bit" ~count:300
     QCheck.(pair (int_bound 1_000_000) (int_range 1 16))
     (fun (seed, steps) ->
       let g, start, eps = random_instance seed in
-      (* no truncation is eps = 0: every mass here is >= 0 *)
-      let eps = Option.value eps ~default:0.0 in
       let n = Graph.num_vertices g in
-      let w = Walk.walker g and ws = Walk.workspace g in
+      let w = Walk.walker g in
       let mask = Array.make n false and expected_mask = Array.make n false in
       Walk.start w start;
-      let p = ref start in
-      let ok = ref (identical (Walk.current w) (Reference.of_walk start)) in
+      let p = ref (Reference.of_walk start) in
+      let ok = ref (identical (Walk.current w) !p) in
       for _ = 1 to steps do
-        let change = Walk.advance w g ~eps ~mask in
-        let next = Walk.step ~eps ws g !p in
-        W.iter (fun v _ -> expected_mask.(v) <- true) next;
+        let change = Walk.advance w g ~eps:(Option.value eps ~default:0.0) ~mask in
+        let next = reference_step g eps !p in
+        Dex_util.Table.iter_sorted ~compare:Int.compare (fun v _ -> expected_mask.(v) <- true) next;
         ok :=
           !ok
           && same_float change (Reference.l1_change ~prev:!p ~next)
-          && identical (Walk.current w) (Reference.of_walk next)
+          && identical (Walk.current w) next
           && mask = expected_mask;
         p := next
       done;
@@ -398,12 +312,13 @@ let test_walker_full_support_step () =
   let w = Walk.walker g and mask = Array.make 4 false in
   Walk.start w p;
   let change = Walk.advance w g ~eps ~mask in
-  let next = Walk.step ~eps (Walk.workspace g) g p in
+  let prev = Reference.of_walk p in
+  let next = reference_step g (Some eps) prev in
   Alcotest.(check (list int)) "kept" [ 2; 3 ] (Array.to_list (W.support (Walk.current w)));
-  Alcotest.(check bool) "= Walk.step" true (identical (Walk.current w) (Reference.of_walk next));
+  Alcotest.(check bool) "= reference step" true (identical (Walk.current w) next);
   Alcotest.(check (list bool)) "mask" [ false; false; true; true ] (Array.to_list mask);
-  Alcotest.(check bool) "L1 = old merge, bit for bit" true
-    (same_float change (Reference.l1_change ~prev:p ~next));
+  Alcotest.(check bool) "L1 = reference, bit for bit" true
+    (same_float change (Reference.l1_change ~prev ~next));
   Alcotest.(check (float 1e-12))
     "L1 includes the dropped mass" ((0.5 -. (1.0 /. 3.0)) +. 0.1) change;
   (* the fused pull for two copies: the same start at ε = 0.05 beside
@@ -413,16 +328,16 @@ let test_walker_full_support_step () =
   Walk.start w1 p;
   Walk.start w2 p;
   Walk.advance_pair w1 w2 g ~eps1:eps ~eps2:0.0 ~mask1 ~mask2;
-  let whole = Walk.step ~eps:0.0 (Walk.workspace g) g p in
-  Alcotest.(check bool) "pair, first copy = Walk.step" true
-    (identical (Walk.current w1) (Reference.of_walk next));
-  Alcotest.(check bool) "pair, second copy = Walk.step" true
-    (identical (Walk.current w2) (Reference.of_walk whole));
+  let whole = reference_step g None prev in
+  Alcotest.(check bool) "pair, first copy = reference step" true
+    (identical (Walk.current w1) next);
+  Alcotest.(check bool) "pair, second copy = untruncated reference step" true
+    (identical (Walk.current w2) whole);
   Alcotest.(check (list bool)) "pair masks" [ false; false; true; true; true; true; true; true ]
     (Array.to_list mask1 @ Array.to_list mask2);
   Alcotest.(check bool) "pair L1, bit for bit" true
     (same_float (Walk.change w1) change
-    && same_float (Walk.change w2) (Reference.l1_change ~prev:p ~next:whole))
+    && same_float (Walk.change w2) (Reference.l1_change ~prev ~next:whole))
 
 (* A sweep workspace rescanned from distribution A to B holds what a
    fresh scan of B and the reference hold: no stale stamp, length or
@@ -433,7 +348,7 @@ let prop_rescan_reuses_workspace =
     (fun (seed_a, seed_b) ->
       let g, start, eps = random_instance seed_b in
       let walks = Walk.truncated_walk g ~src:(seed_a mod Graph.num_vertices g) ~eps:1e-3 ~steps:3 in
-      let b = Walk.step ?eps (Walk.workspace g) g start in
+      let b = advanced ~eps:(Option.value eps ~default:0.0) g start in
       let sweep = Sweep.workspace g in
       let reference = Reference.of_walk b in
       let order = Reference.order g reference and prefixes = Reference.scan g reference in
@@ -573,7 +488,7 @@ let test_zero_mass_support () =
      truncation (0 >= 2·eps·0), so the support is the touched set *)
   let g = Graph.of_edges ~n:3 [ (0, 1) ] in
   let p = Walk.of_assoc [ (0, 1.0); (2, 0.0) ] in
-  let q = Walk.step ~eps:1e-3 (Walk.workspace g) g p in
+  let q = advanced ~eps:1e-3 g p in
   Alcotest.(check (list int)) "touched set" [ 0; 1; 2 ] (Array.to_list (W.support q));
   Alcotest.(check (float 0.0)) "zero mass kept" 0.0 (W.get q 2);
   Alcotest.(check bool) "matches reference" true
@@ -620,18 +535,24 @@ let test_sweep_order_decreasing_rho () =
 let test_sweep_finds_barbell_cut () =
   let g = Gen.barbell ~clique:8 ~bridge:0 in
   let walks = Walk.truncated_walk g ~src:0 ~eps:1e-9 ~steps:30 in
-  match Sweep.best_cut g walks.(30) with
+  let sweep = Sweep.scan g walks.(30) in
+  match Sweep.best sweep with
   | None -> Alcotest.fail "no cut found"
-  | Some (sweep, j) ->
+  | Some j ->
     Alcotest.(check bool) "sparse" true (sweep.conductance.(j - 1) < 0.05);
     Alcotest.(check int) "the clique side" 8 j
 
-let test_scan_vector_orders_by_value () =
+let test_vector_sweep_boundary () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
-  (* a vector that is 1 on the first clique, 0 on the second: the
-     sweep must find the exact clique boundary *)
-  let x = Array.init 12 (fun v -> if v < 6 then 1.0 else 0.0) in
-  let sweep = Sweep.scan_vector g x in
+  (* a vector that is 1 on the first clique, 0 on the second, swept as
+     the masses x(v)·deg(v), whose ρ is x(v), as the spectral baseline
+     sweeps its eigenvector: the sweep must find the exact clique
+     boundary *)
+  let x v = if v < 6 then 1.0 else 0.0 in
+  let masses = List.init 12 (fun v -> (v, x v *. float_of_int (Graph.degree g v))) in
+  let sweep = Sweep.scan g (Walk.of_assoc masses) in
+  Alcotest.(check (list int)) "ordered by x" (List.init 12 Fun.id)
+    (Array.to_list (Sweep.take sweep 12));
   Alcotest.(check int) "boundary cut" 1 sweep.cut.(5);
   Alcotest.(check bool) "boundary conductance tiny" true (sweep.conductance.(5) < 0.04);
   (* all 12 prefixes measured *)
@@ -721,11 +642,46 @@ let prop_mass_conserved_sparse =
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.2) in
-      let p = ref (Walk.indicator (seed mod n)) in
-      for _ = 1 to 5 do
-        p := Walk.step_sparse g !p
-      done;
-      Float.abs (W.mass !p -. 1.0) < 1e-9)
+      let p = (Walk.truncated_walk g ~src:(seed mod n) ~eps:0.0 ~steps:5).(5) in
+      Float.abs (W.mass p -. 1.0) < 1e-9)
+
+(* Mixing.mixing_time, which steps a walker at ε = 0, against the dense
+   loop over Reference.step_dense: the same start draws, and the same
+   threshold test before each step, at several thresholds and sample
+   counts *)
+let prop_mixing_time_matches_dense =
+  QCheck.Test.make ~name:"mixing_time = dense reference loop" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, _, _ = random_instance seed in
+      (* half the graphs connected, so that the walks mix *)
+      let g = if seed mod 2 = 0 then g else Gen.connectivize (Rng.create seed) g in
+      let n = Graph.num_vertices g in
+      let threshold = [| 0.02; 0.1; 0.25; 0.5 |].(seed / 2 mod 4) in
+      let samples = 1 + (seed / 8 mod 4) in
+      let reference rng =
+        let total = float_of_int (Graph.total_volume g) in
+        let pi = Array.init n (fun v -> float_of_int (Graph.degree g v) /. total) in
+        let mixed p =
+          Array.for_all2 (fun x y -> not (x > 0.0 && Float.abs (y -. x) > threshold *. x)) pi p
+        in
+        let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
+        let worst = ref 0 in
+        for _ = 1 to samples do
+          let src = Rng.weighted_index rng degrees in
+          let p = ref (Array.init n (fun v -> if v = src then 1.0 else 0.0)) in
+          let t = ref 0 in
+          while (not (mixed !p)) && !t < 4 * n do
+            p := Reference.step_dense g !p;
+            incr t
+          done;
+          worst := Int.max !worst !t
+        done;
+        !worst
+      in
+      (* a start draw needs a positive volume *)
+      n <= 1 || Graph.total_volume g = 0
+      || Mixing.mixing_time ~threshold ~samples g (Rng.create seed) = reference (Rng.create seed))
 
 let () =
   Alcotest.run "spectral"
@@ -741,7 +697,7 @@ let () =
       ( "oracle",
         [ QCheck_alcotest.to_alcotest prop_step_matches_reference;
           QCheck_alcotest.to_alcotest prop_truncated_walk_matches_reference;
-          QCheck_alcotest.to_alcotest prop_walker_matches_step;
+          QCheck_alcotest.to_alcotest prop_walker_matches_reference;
           QCheck_alcotest.to_alcotest prop_advance_pair_matches_advance;
           QCheck_alcotest.to_alcotest prop_rescan_reuses_workspace;
           QCheck_alcotest.to_alcotest prop_seeded_rescan_matches_scan;
@@ -754,9 +710,10 @@ let () =
         [ Alcotest.test_case "prefix stats match metrics" `Quick test_sweep_cut_matches_metrics;
           Alcotest.test_case "order decreasing" `Quick test_sweep_order_decreasing_rho;
           Alcotest.test_case "finds barbell cut" `Quick test_sweep_finds_barbell_cut;
-          Alcotest.test_case "scan_vector boundary" `Quick test_scan_vector_orders_by_value ] );
+          Alcotest.test_case "vector sweep boundary" `Quick test_vector_sweep_boundary ] );
       ( "mixing",
         [ Alcotest.test_case "mixing time ordering" `Quick test_mixing_time_ordering;
+          QCheck_alcotest.to_alcotest prop_mixing_time_matches_dense;
           Alcotest.test_case "gap: complete vs ring" `Quick test_spectral_gap_complete_vs_ring;
           Alcotest.test_case "second eigenvector splits barbell" `Quick
             test_second_eigenvector_splits_barbell;

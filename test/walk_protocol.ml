@@ -25,7 +25,7 @@ let run net ~src ~eps ~steps =
     let v = Vertex.local_int vertex in
     (* complete step (round - 1): the shares sent last round plus the
        kept share, summed in ascending order of the vertex they come
-       from — the order [Walk.step] sums them in *)
+       from — the order the walker's step kernel sums them in *)
     let mass =
       if round = 1 then st.mass
       else begin

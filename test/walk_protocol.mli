@@ -13,7 +13,7 @@
     [steps + 1] rounds); a vertex holding mass wakes, so only the walk's
     support is stepped. Each vertex sums its kept share and the shares
     it receives in ascending order of the vertex they come from, the
-    order {!Dex_spectral.Walk.step} sums them in, so tests check that
+    order a {!Dex_spectral.Walk.walker} sums them in, so tests check that
     the protocol's distribution equals
     {!Dex_spectral.Walk.truncated_walk} bit for bit, and that the
     kernel charges exactly [steps + 1] rounds — the basis for the

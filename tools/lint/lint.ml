@@ -47,6 +47,11 @@ let rules =
        directories: the compiler never specializes them, so every call \
        goes through caml_lessequal / caml_greaterequal; use Int.min / \
        Int.max, or an explicit comparison at float" );
+    ( "D008",
+      "no polymorphic =, <>, <, >, <=, >= or compare applied at a type \
+       variable in D006's hot-path directories: the compiler emits the \
+       generic comparison (caml_equal, caml_compare, ...) there; \
+       annotate the operand's type so it specializes" );
     ( "C003",
       "raw int vertex parameter in a protocol-layer .mli; use \
        Dex_graph.Vertex.local / Vertex.orig (and Vertex.Map.t for \
@@ -96,7 +101,8 @@ let gated = under_any [ [ "lib" ]; [ "bench" ]; [ "bin" ]; [ "tools" ] ]
 
 (* the hot paths: a polymorphic-compare sort here costs a
    generic-compare dispatch per element pair (D006), a polymorphic
-   min/max one per call (D007) *)
+   min/max one per call (D007), and so does a comparison at a type
+   variable (D008) *)
 let hot_path =
   under_any
     [ [ "lib"; "util" ]; [ "lib"; "graph" ]; [ "lib"; "congest" ];
@@ -116,7 +122,7 @@ let rule_applies ~all_rules segs rule =
     (* bench/ stays sanctioned: wall-clock timing is its whole job *)
     gated segs && not (under_any [ [ "lib"; "obs" ]; [ "bench" ] ] segs)
   | "D005" -> true
-  | "D006" | "D007" -> hot_path segs
+  | "D006" | "D007" | "D008" -> hot_path segs
   | "C003" -> under_any [ [ "lib"; "congest" ]; [ "lib"; "ldd" ]; [ "lib"; "expander" ] ] segs
   | _ -> false
 

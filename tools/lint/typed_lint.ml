@@ -8,7 +8,8 @@
    operand type headed by Graph.t or Network.t; D006 a bare [compare]
    handed to the sort family at a type the compiler does not
    specialize; D007 a polymorphic [min]/[max], which it never
-   specializes.
+   specializes; D008 a comparison applied at a type variable, which
+   compiles to the generic one even where every caller passes ints.
 
    V-rule — C003 rejects raw `int` vertex-valued labelled parameters
    in protocol-layer interfaces; use the phantom `Vertex.local`/`orig`.
@@ -157,6 +158,18 @@ let specialized =
     [ path_int; path_char; path_bool; path_float; path_string; path_bytes;
       path_nativeint; path_int32; path_int64 ]
 
+(* D008: the comparisons the compiler specializes at a known base type
+   and leaves generic at a type variable *)
+let ordering_ops = [ "="; "<>"; "<"; ">"; "<="; ">="; "compare" ]
+
+(* whether the first parameter of an instantiated function type is a
+   type variable *)
+let domain_is_var ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, dom, _, _) -> (
+    match Types.get_desc dom with Types.Tvar _ -> true | _ -> false)
+  | _ -> false
+
 (* the head constructor of the first parameter of an instantiated
    function type *)
 let domain_head ty =
@@ -229,6 +242,13 @@ let d_rules ~on ~file u str =
         add e.exp_loc "D005"
           (Printf.sprintf
              "polymorphic %s on a graph/network value; compare explicit fields instead" op)
+      | [ "Stdlib"; op ]
+        when on "D008" && List.mem op ordering_ops && domain_is_var f.exp_type ->
+        add e.exp_loc "D008"
+          (Printf.sprintf
+             "polymorphic %s at a type variable on a hot path calls the generic \
+              comparison; annotate the operand's type (e.g. (x : int))"
+             op)
       | comps when on "D006" && sort_family comps -> (
         match List.find_map (function Asttypes.Nolabel, a -> a | _ -> None) args with
         | Some ({ exp_desc = Texp_ident (cp, _, _); _ } as cmp)
