@@ -174,7 +174,7 @@ let ldd_cmd =
       (100.0 *. 3.0 *. beta) r.X.Ldd.rounds;
     Printf.printf "ldd: max part diameter=%d (bound %d)\n"
       (X.Ldd.max_part_diameter g r)
-      (X.Ldd.diameter_bound ~n:(X.Graph.num_vertices g) ~beta ())
+      (X.Ldd.diameter_bound ~n:(X.Graph.num_vertices g) ~beta)
   in
   Cmd.v (Cmd.info "ldd" ~doc:"Run the low-diameter decomposition (Theorem 4).")
     Term.(

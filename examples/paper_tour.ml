@@ -32,7 +32,7 @@ let () =
     (List.length ldd.X.Ldd.parts)
     (List.length ldd.X.Ldd.cut_edges)
     ldd.X.Ldd.rounds
-    (X.Ldd.diameter_bound ~n:(X.Graph.num_vertices g) ~beta:0.3 ());
+    (X.Ldd.diameter_bound ~n:(X.Graph.num_vertices g) ~beta:0.3);
 
   banner "Theorem 3 — nearly most balanced sparse cut";
   let cut = X.sparse_cut ~phi:(1.0 /. 16.0) g ~seed in

@@ -48,11 +48,14 @@ type run_result = {
   messages : int;
 }
 
+(* a vertex state's digest: a hash of the whole state *)
+let digest s = Hashtbl.hash_param 256 256 s
+
 (* One execution of [p] on a fresh network: the kernel's own round loop,
    validation and quiescence, in the canonical order or — with
    [shuffle] — a fresh random step and inbox order every round. The
    first kernel violation ends the run. *)
-let exec ~run ?shuffle ~max_rounds g (p : 's protocol) ~digest =
+let exec ~run ?shuffle g (p : 's protocol) =
   let net = Network.create g (Rounds.create ()) in
   let digests = ref [] in
   let on_round round states =
@@ -61,7 +64,7 @@ let exec ~run ?shuffle ~max_rounds g (p : 's protocol) ~digest =
   let rounds, audit =
     match
       Network.run_active ?shuffle net ~label:"conformance" ~init:p.init ~step:p.step
-        ~max_rounds ~on_round ()
+        ~max_rounds:100_000 ~on_round ()
     with
     | _, rounds -> (rounds, [])
     | exception Network.Congestion_violation { round; violation } ->
@@ -71,17 +74,11 @@ let exec ~run ?shuffle ~max_rounds g (p : 's protocol) ~digest =
   in
   { digests = List.rev !digests; audit; rounds; messages = Network.messages_sent net }
 
-let default_digest s = Hashtbl.hash_param 256 256 s
-
-let check ?(max_rounds = 100_000) ?(seed = 0xD1CE) ?digest g ~protocol () =
-  let digest = match digest with Some d -> d | None -> default_digest in
+let check ?(seed = 0xD1CE) g ~protocol () =
   (* the protocol thunk rebuilds every closure, so each run starts
      from virgin mutable state and a virgin RNG *)
-  let a = exec ~run:Canonical ~max_rounds g (protocol ()) ~digest in
-  let b =
-    exec ~run:Permuted ~shuffle:(Rng.create seed) ~max_rounds g (protocol ())
-      ~digest
-  in
+  let a = exec ~run:Canonical g (protocol ()) in
+  let b = exec ~run:Permuted ~shuffle:(Rng.create seed) g (protocol ()) in
   let divergences = ref [] in
   let ndiv = ref 0 in
   if a.rounds <> b.rounds then begin

@@ -22,7 +22,7 @@
     edge per round,
     neighbours only — and a run ends at its first violation, so each
     run reports at most one {!Kernel} violation. A run that does not quiesce within
-    [max_rounds] reports {!Round_limit}.
+    100,000 rounds reports {!Round_limit}.
 
     The protocol is supplied as a thunk so each run rebuilds its
     closures — any mutable state or RNG captured by [init]/[step] must
@@ -35,7 +35,7 @@ type violation =
   | Kernel of { run : run_tag; round : int; violation : Arena.violation }
       (** the kernel's validation ended the run at this send *)
   | Round_limit of { run : run_tag; executed : int }
-      (** the protocol did not quiesce within [max_rounds] *)
+      (** the protocol did not quiesce within 100,000 rounds *)
   | State_divergence of {
       round : int;
       vertex : int;
@@ -67,15 +67,12 @@ type report = {
 (** [ok report] is [true] iff no violation was recorded. *)
 val ok : report -> bool
 
-(** [check ?max_rounds ?seed ?digest g ~protocol ()] runs
-    [protocol ()] in the canonical and in the seeded shuffled order and
-    compares them. [digest] (default [Hashtbl.hash_param 256 256])
-    must be a total function of the state — if the state contains
-    caches or closures, supply a digest over the meaningful fields. *)
+(** [check ?seed g ~protocol ()] runs [protocol ()] in the canonical
+    and in the seeded shuffled order and compares them. A state's
+    digest is [Hashtbl.hash_param 256 256] of the whole state, so a
+    state must be plain data — no caches or closures. *)
 val check :
-  ?max_rounds:int ->
   ?seed:int ->
-  ?digest:('s -> int) ->
   Dex_graph.Graph.t ->
   protocol:(unit -> 's protocol) ->
   unit ->

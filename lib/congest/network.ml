@@ -44,7 +44,6 @@ type t = {
   mutable arena : Arena.t option; (* built on first run *)
   mutable tracer : tracer option; (* built with the arena, if traced *)
   mutable messages : int;
-  mutable words : int;
 }
 
 type 's active_step =
@@ -87,12 +86,10 @@ let create ?faults ?vertex_map graph ledger =
     trace;
     arena = None;
     tracer = None;
-    messages = 0;
-    words = 0 }
+    messages = 0 }
 
 let graph t = t.graph
 let messages_sent t = t.messages
-let words_sent t = t.words
 let rounds t = t.ledger
 let faults t = t.faults
 let charge t ~label k = Rounds.charge t.ledger ~label k
@@ -170,8 +167,6 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
     let times = match fate with `Deliver -> 1 | `Duplicate -> 2 | `Drop -> 0 in
     if times > 0 then begin
       t.messages <- t.messages + times;
-      (* one word per message *)
-      t.words <- t.words + times;
       match tracer with Some s -> count_delivery t s a ~src ~dst ~slot times | None -> ()
     end;
     fate
@@ -197,15 +192,17 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
     done;
     (* Phase B: deliver in canonical (ascending vertex, then ascending
        destination) order; all fault and counter recording lives here *)
-    let messages_before = t.messages and words_before = t.words in
+    let messages_before = t.messages in
     for i = 0 to active - 1 do
       let v = Arena.active_get a i in
       if not (down Faults.crashed v) then Arena.deliver_staged a v verdict
     done;
     (match tracer with
     | Some s ->
-      Trace.round_tick s.tr ~round ~messages:(t.messages - messages_before)
-        ~words:(t.words - words_before) ~max_edge_load:s.max_load ~active:s.active;
+      (* one word per message *)
+      let messages = t.messages - messages_before in
+      Trace.round_tick s.tr ~round ~messages ~words:messages ~max_edge_load:s.max_load
+        ~active:s.active;
       s.stamp <- s.stamp + 1;
       s.active <- 0;
       s.max_load <- 0

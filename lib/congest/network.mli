@@ -76,12 +76,9 @@ val graph : t -> Dex_graph.Graph.t
 
 (** [messages_sent t] is the cumulative number of messages delivered:
     under a fault schedule, dropped messages are excluded and
-    duplicated ones count twice. *)
+    duplicated ones count twice. Every message is one machine word,
+    so this is also the word count. *)
 val messages_sent : t -> int
-
-(** [words_sent t] is the cumulative number of machine words delivered:
-    one per delivered message, so it equals {!messages_sent}. *)
-val words_sent : t -> int
 
 (** [faults t] is the fault schedule, if any. *)
 val faults : t -> Faults.t option

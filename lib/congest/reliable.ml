@@ -144,7 +144,7 @@ let protocol ?faults g ~config ~failure kind =
   in
   { Conformance.init; step }
 
-let flood net ~label ~config ?max_rounds kind =
+let flood net ~label ~config kind =
   Invariant.require (config.max_retries >= 1) ~where:"Reliable" "max_retries must be >= 1";
   let g = Network.graph net in
   let n = Graph.num_vertices g in
@@ -176,7 +176,7 @@ let flood net ~label ~config ?max_rounds kind =
     end
     else
       fst
-        (Network.run_active net ~label ~init:p.init ~step:p.step ?max_rounds
+        (Network.run_active net ~label ~init:p.init ~step:p.step
            ~on_round:(fun round _ -> observe_crashes (round + 1))
            ())
   in
@@ -189,17 +189,17 @@ let flood net ~label ~config ?max_rounds kind =
 let bfs_protocol g ~root =
   protocol g ~config:default_config ~failure:(ref None) (`Bfs (Vertex.local_int root))
 
-let bfs_tree ?(config = default_config) ?max_rounds net ~root =
+let bfs_tree ?(config = default_config) net ~root =
   let r = Vertex.local_int root in
   let n = Graph.num_vertices (Network.graph net) in
   Invariant.require (r >= 0 && r < n) ~where:"Reliable.bfs_tree" "root out of range";
-  let states = flood net ~label:"bfs-reliable" ~config ?max_rounds (`Bfs r) in
+  let states = flood net ~label:"bfs-reliable" ~config (`Bfs r) in
   let depth =
     Array.map (fun st -> if st.value >= infinity_value then max_int else st.value) states
   in
   let parent = Array.mapi (fun v st -> if depth.(v) = max_int then -1 else st.parent) states in
   Primitives.tree ~root ~parent ~depth
 
-let elect_leader ?(config = default_config) ?max_rounds net =
-  let states = flood net ~label:"leader-reliable" ~config ?max_rounds `Leader in
+let elect_leader ?(config = default_config) net =
+  let states = flood net ~label:"leader-reliable" ~config `Leader in
   Array.map (fun st -> st.value) states

@@ -48,21 +48,23 @@ exception
     attempts : int;
   }
 
-(** [bfs_tree ?config ?max_rounds net ~root] is {!Primitives.bfs_tree}
+(** [bfs_tree ?config net ~root] is {!Primitives.bfs_tree}
     with reliable delivery: distances adopt monotonically, every
     improvement is re-announced until acknowledged, so the final
     depths equal true BFS distances under arbitrary message loss
     (rounds charged under ["bfs-reliable"]). Vertices unreachable
-    through surviving edges keep depth [max_int]. *)
+    through surviving edges keep depth [max_int]. The flood runs
+    under {!Network.run_active}'s 10⁶-round limit. *)
 val bfs_tree :
-  ?config:config -> ?max_rounds:int -> Network.t -> root:Dex_graph.Vertex.local ->
+  ?config:config -> Network.t -> root:Dex_graph.Vertex.local ->
   Primitives.tree
 
-(** [elect_leader ?config ?max_rounds net] floods the minimum vertex id
-    with reliable delivery (charged under ["leader-reliable"]);
-    returns the per-vertex leader array, one leader per connected
-    component of the surviving network. *)
-val elect_leader : ?config:config -> ?max_rounds:int -> Network.t -> int array
+(** [elect_leader ?config net] floods the minimum vertex id with
+    reliable delivery (charged under ["leader-reliable"], under the
+    same 10⁶-round limit as {!bfs_tree}); returns the per-vertex
+    leader array, one leader per connected component of the surviving
+    network. *)
+val elect_leader : ?config:config -> Network.t -> int array
 
 (** Per-vertex state of the reliable flood. *)
 type vstate

@@ -61,21 +61,20 @@ module Triangle_enum = Dex_triangle.Expander_enum
 module Triangle_baselines = Dex_triangle.Baselines
 module Triangle_dlp = Dex_triangle.Dlp
 
-(** [decompose ?preset ?ledger ?epsilon ?k g ~seed] computes an
-    (ε, φ)-expander decomposition (Theorem 1). Defaults: ε = 1/6,
-    k = 2. Pass a [ledger] (optionally with a {!Trace.t} attached via
-    {!Rounds.attach_trace}) to observe the run's span structure, round
-    charges and message traffic. *)
-let decompose ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k = 2) g ~seed =
-  Decomposition.run ?preset ?ledger ~epsilon ~k g (Rng.create seed)
+(** [decompose ?ledger ?epsilon ?k g ~seed] computes an
+    (ε, φ)-expander decomposition (Theorem 1) on the [Practical]
+    schedule. Defaults: ε = 1/6, k = 2. Pass a [ledger] (optionally
+    with a {!Trace.t} attached via {!Rounds.attach_trace}) to observe
+    the run's span structure, round charges and message traffic. *)
+let decompose ?ledger ?(epsilon = 1.0 /. 6.0) ?(k = 2) g ~seed =
+  Decomposition.run ?ledger ~epsilon ~k g (Rng.create seed)
 
-(** [sparse_cut ?preset ?ledger ?phi g ~seed] runs the nearly most
-    balanced sparse cut (Theorem 3) at conductance parameter [phi]
-    (default 1/20). *)
-let sparse_cut ?preset ?ledger ?(phi = 0.05) g ~seed =
-  let params =
-    Dex_sparsecut.Params.make ?preset ~phi ~m:(max 1 (Graph.num_edges g)) ()
-  in
+(** [sparse_cut ?ledger ?phi g ~seed] runs the nearly most balanced
+    sparse cut (Theorem 3) with the [Practical] Nibble parameters at
+    conductance parameter [phi] (default 1/20). *)
+let sparse_cut ?ledger ?(phi = 0.05) g ~seed =
+  let m = max 1 (Graph.num_edges g) in
+  let params = Nibble_params.make ~preset:Nibble_params.Practical ~phi ~m () in
   Sparse_cut.run ?ledger params g (Rng.create seed)
 
 (** [low_diameter_decomposition ?ledger ?beta g ~seed] runs Theorem 4's

@@ -53,14 +53,14 @@ let peel g ~threshold ~alive =
   List.iter (fun v -> alive.(v) <- false) !peeled;
   !peeled
 
-let run ?(preset = Params.Practical) ~delta ~epsilon g rng =
+let run ~delta ~epsilon g rng =
   Dex_util.Invariant.require
     (delta > 0.0 && delta < 1.0)
     ~where:"Cpz_baseline.run" "delta in (0,1)";
   let n = Graph.num_vertices g in
   let m = max 1 (Graph.num_edges g) in
   let threshold = max 1 (int_of_float (Float.ceil (float_of_int n ** delta))) in
-  let schedule = Schedule.make ~preset ~epsilon ~k:1 g in
+  let schedule = Schedule.make ~preset:Params.Practical ~epsilon ~k:1 g in
   let phi = schedule.Schedule.phi.(0) in
   let alive = Array.make n true in
   let leftover = ref [] in
@@ -107,10 +107,10 @@ let run ?(preset = Params.Practical) ~delta ~epsilon g rng =
       else begin
         let sub, mapping = Graph.saturated_subgraph g members in
         let msub = max 1 (Graph.num_edges sub) in
-        let params = Schedule.params_for ~preset ~phi ~m:msub () in
+        let params = Schedule.params_for ~phi ~m:msub in
         let res = Partition.run params sub rng in
         rounds := !rounds + res.Partition.rounds;
-        let bound = Schedule.h_of ~preset ~n phi in
+        let bound = Schedule.h_of ~preset:Params.Practical ~n phi in
         let cut = res.Partition.cut in
         if Array.length cut = 0 || res.Partition.conductance > bound then
           parts := members :: !parts

@@ -35,10 +35,9 @@ type result = {
   delta : float;
 }
 
-(** [run ?preset ~delta ~epsilon g rng] runs the baseline with degree
+(** [run ~delta ~epsilon g rng] runs the baseline with degree
     threshold n^delta and the same ε-driven cut acceptance as the
-    main decomposition. *)
+    main decomposition, on the [Practical] schedule. *)
 val run :
-  ?preset:Dex_sparsecut.Params.preset ->
   delta:float -> epsilon:float ->
   Dex_graph.Graph.t -> Dex_util.Rng.t -> result

@@ -35,7 +35,6 @@ type result = {
 type driver = {
   mutable current : Graph.t; (* remaining graph; removed edges became self-loops *)
   schedule : Schedule.t;
-  preset : Params.preset;
   rng : Rng.t;
   ledger : Rounds.t option; (* observability ledger, when the caller passed one *)
   mutable remove1 : int;
@@ -69,14 +68,14 @@ let remove_edges_tracked d kind edges =
 let sparse_cut_on d ~phi members =
   let gu, mapping = Graph.saturated_subgraph d.current members in
   let m = max 1 (Graph.num_edges gu) in
-  let params = Schedule.params_for ~preset:d.preset ~phi ~m () in
+  let params = Schedule.params_for ~phi ~m in
   let res = Partition.run ?ledger:d.ledger params gu d.rng in
   d.partition_calls <- d.partition_calls + 1;
   let cut = res.Partition.cut in
   let rounds = res.Partition.rounds in
   if Array.length cut = 0 then (`Empty, rounds)
   else begin
-    let bound = Schedule.h_of ~preset:d.preset ~n:d.schedule.Schedule.n phi in
+    let bound = Schedule.h_of ~preset:Params.Practical ~n:d.schedule.Schedule.n phi in
     if res.Partition.conductance > bound then begin
       d.discarded <- d.discarded + 1;
       (`Empty, rounds)
@@ -162,12 +161,11 @@ let phase2 d members =
   (!rounds, !iterations)
 
 (* ---- Phase 1 (level-synchronous recursion) ---- *)
-let run ?(preset = Params.Practical) ?ledger ~epsilon ~k g rng =
-  let schedule = Schedule.make ~preset ~epsilon ~k g in
+let run ?ledger ~epsilon ~k g rng =
+  let schedule = Schedule.make ~preset:Params.Practical ~epsilon ~k g in
   let d =
     { current = g;
       schedule;
-      preset;
       rng;
       ledger;
       remove1 = 0;

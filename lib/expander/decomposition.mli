@@ -48,7 +48,8 @@ type result = {
   stats : stats;
 }
 
-(** [run ?preset ?ledger ~epsilon ~k g rng] decomposes [g]. When
+(** [run ?ledger ~epsilon ~k g rng] decomposes [g] on the
+    [Practical] schedule and Nibble parameters. When
     [ledger] is given the run is structured into spans —
     ["decompose"] containing ["phase1"] (with one ["level-<d>"] span
     per recursion depth) and ["phase2"] (one ["component-<i>"] span
@@ -57,7 +58,6 @@ type result = {
     sum} of all component costs, while [stats.rounds] remains the
     parallel makespan (concurrent components counted at their max). *)
 val run :
-  ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->
   epsilon:float -> k:int ->
   Dex_graph.Graph.t -> Dex_util.Rng.t -> result

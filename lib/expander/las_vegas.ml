@@ -6,7 +6,7 @@ type certified = { result : Decomposition.result; report : Verify.report }
 let report_ok (r : Verify.report) =
   r.Verify.is_partition && r.Verify.epsilon_ok && r.Verify.phi_ok
 
-let decompose ?preset ?ledger ?(attempts = 5) ~epsilon ~k g rng =
+let decompose ?ledger ?(attempts = 5) ~epsilon ~k g rng =
   (* before the span opens: a rejected budget leaves no empty
      [las-vegas] span in the ledger or the trace *)
   Dex_util.Invariant.require (attempts >= 1) ~where:"Las_vegas.decompose"
@@ -20,5 +20,5 @@ let decompose ?preset ?ledger ?(attempts = 5) ~epsilon ~k g rng =
      and the verifier's, so a failed attempt never replays *)
   let attempt_rng = Rng.split rng i in
   let verify_rng = Rng.split rng (attempts + i) in
-  let result = Decomposition.run ?preset ?ledger ~epsilon ~k g attempt_rng in
+  let result = Decomposition.run ?ledger ~epsilon ~k g attempt_rng in
   { result; report = Verify.check g result verify_rng }

@@ -20,7 +20,7 @@
     parts all meet the φ target. *)
 type certified = { result : Decomposition.result; report : Verify.report }
 
-(** [decompose ?preset ?ledger ?attempts ~epsilon ~k g rng] runs
+(** [decompose ?ledger ?attempts ~epsilon ~k g rng] runs
     {!Decomposition.run} up to [attempts] times (default 5), attempt
     [i] on the stream [Rng.split rng i], verifying each result with
     {!Verify.check} on the stream [Rng.split rng (attempts + i)].
@@ -31,7 +31,6 @@ type certified = { result : Decomposition.result; report : Verify.report }
     Raises [Dex_util.Invariant.Violation] when [attempts < 1], before
     the span opens. *)
 val decompose :
-  ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->
   ?attempts:int ->
   epsilon:float ->

@@ -61,7 +61,7 @@ let h_of ~preset ~n theta =
   | Params.Theory -> Params.h ~n theta
   | Params.Practical -> practical_h theta
 
-let params_for ?(preset = Params.Practical) ~phi ~m () =
+let params_for ~phi ~m =
   (* clamp into the Lemma 5 precondition range *)
   let phi = Float.min (1.0 /. 12.0) (Float.max 1e-9 phi) in
-  Params.make ~preset ~phi ~m ()
+  Params.make ~preset:Params.Practical ~phi ~m ()

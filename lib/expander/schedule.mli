@@ -46,8 +46,7 @@ val phi_final : t -> float
     [Practical]. The driver discards sparser-than-claimed cuts. *)
 val h_of : preset:Dex_sparsecut.Params.preset -> n:int -> float -> float
 
-(** [params_for t ~phi ~m] builds the Nibble parameter block used at
-    conductance [phi] on a subgraph with volume scale [m]. *)
-val params_for :
-  ?preset:Dex_sparsecut.Params.preset -> phi:float -> m:int -> unit ->
-  Dex_sparsecut.Params.t
+(** [params_for ~phi ~m] builds the [Practical] Nibble parameter
+    block used at conductance [phi] (clamped into (0, 1/12]) on a
+    subgraph with volume scale [m]. *)
+val params_for : phi:float -> m:int -> Dex_sparsecut.Params.t

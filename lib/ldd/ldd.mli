@@ -20,28 +20,27 @@ type t = {
   beta : float;
 }
 
-(** [run_graph ?ka ?kb ?ledger ?vertex_map g ~beta rng] executes the
+(** [run_graph ?ledger ?vertex_map g ~beta rng] executes the
     decomposition on a fresh single-use network over [g]; rounds are
     charged to [ledger] when given (so a caller's span structure and
     attached trace see this run), to a private throwaway ledger
-    otherwise, and reported in the result. [ka]/[kb] are the
-    refinement radius constants (see {!Refine.run}; both default 5,
-    the paper's values). [vertex_map] translates [g]'s
+    otherwise, and reported in the result. The refinement runs at the
+    paper's radius constants ka = kb = 5 (see {!Refine.run}).
+    [vertex_map] translates [g]'s
     vertex ids to original-graph ids for trace reporting — pass the
     mapping from the induced subgraph when decomposing a component. *)
 val run_graph :
-  ?ka:float -> ?kb:float ->
   ?ledger:Dex_congest.Rounds.t -> ?vertex_map:Dex_graph.Vertex.Map.t ->
   Dex_graph.Graph.t -> beta:float -> Dex_util.Rng.t -> t
 
 (** [max_part_diameter g t] is the largest part diameter. *)
 val max_part_diameter : Dex_graph.Graph.t -> t -> int
 
-(** [diameter_bound ?ka ?kb ~n ~beta ()] is the certified
-    Θ(log²n/β²) bound of Lemma 13 (2(d₁+1) + d₂ with the invariant-H
-    constants), the value tests and benches verify measured diameters
-    against. Pass the same [ka]/[kb] as the run. *)
-val diameter_bound : ?ka:float -> ?kb:float -> n:int -> beta:float -> unit -> int
+(** [diameter_bound ~n ~beta] is the certified Θ(log²n/β²) bound of
+    Lemma 13 (2(d₁+1) + d₂ with the invariant-H constants at
+    ka = kb = 5), the value tests and benches verify measured
+    diameters against. *)
+val diameter_bound : n:int -> beta:float -> int
 
 (** [failure_probability ~m ~beta ~k_ln] is Lemma 13's bound on the
     probability that more than 3β·m edges are cut: the bounded-dependence

@@ -46,7 +46,12 @@ let labeled_bfs g queue sources labels ~limit =
   done;
   (dist, label)
 
-let run ?(ka = 5.0) ?(kb = 5.0) g ~beta =
+(* the radius constants of a = ⌈ka·ln n/β⌉ and b = ⌈kb·ln n/β⌉: the
+   paper's ka = 5 and kb = K = 5 *)
+let ka = 5.0
+let kb = 5.0
+
+let run g ~beta =
   if beta <= 0.0 || beta >= 1.0 then invalid_arg "Refine.run: beta in (0,1)";
   let n = Graph.num_vertices g in
   if n = 0 then { in_vd = [||]; a = 1; b = 1; iterations = 0; rounds = 0 }

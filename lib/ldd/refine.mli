@@ -22,13 +22,14 @@ type t = {
   rounds : int; (** CONGEST rounds charged (Lemma 21 cost model) *)
 }
 
-(** [run ?ka ?kb g ~beta] builds the partition with
-    a = ⌈ka·ln n/β⌉ and b = ⌈kb·ln n/β⌉. The paper's constants are
-    ka = 5 and kb = K (both default 5); smaller constants shrink the
-    radii so that clustering is observable at simulation sizes — at
-    the paper's constants the radius 100ab exceeds every simulatable
-    graph and V_D degenerates to V (a valid but trivial output). *)
-val run : ?ka:float -> ?kb:float -> Dex_graph.Graph.t -> beta:float -> t
+(** [run g ~beta] builds the partition with a = ⌈ka·ln n/β⌉ and
+    b = ⌈kb·ln n/β⌉ at the paper's constants ka = 5 and kb = K = 5.
+    At these constants the far radius 100ab exceeds every simulatable
+    graph, so the far ball is the whole component and a vertex lands
+    in V'_S only when its radius-a ball holds at most a 1/b share of
+    the component's edges: on low-diameter graphs V_D is all of V (a
+    valid but trivial output), on long cycles and paths it is not. *)
+val run : Dex_graph.Graph.t -> beta:float -> t
 
 (** [check g t] verifies the two output conditions (component
     separation > a would need all-pairs distances, so we verify the

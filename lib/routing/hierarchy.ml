@@ -12,14 +12,15 @@ type t = {
   m : int;
 }
 
-let build ?(c = 1.0) g rng ~k =
+let build g rng ~k =
   Invariant.require (k >= 1) ~where:"Hierarchy.build" "k >= 1";
   let n = Graph.num_vertices g in
   Invariant.require (n > 0) ~where:"Hierarchy.build" "empty graph";
   let m = max 1 (Graph.num_edges g) in
   let tau_mix = max 1 (Mixing.mixing_time g rng) in
   let beta = float_of_int m ** (1.0 /. float_of_int k) in
-  let polylog = Float.max 1.0 (c *. log (Float.max 2.0 (float_of_int n)) /. log 2.0) in
+  (* the polylog base *)
+  let polylog = Float.max 1.0 (log (Float.max 2.0 (float_of_int n)) /. log 2.0) in
   let per_level = polylog ** float_of_int k in
   let pre_hier = float_of_int k *. beta *. per_level *. float_of_int tau_mix in
   let pre_portal =

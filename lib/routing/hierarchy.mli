@@ -24,11 +24,11 @@ type t = {
   m : int;
 }
 
-(** [build ?c g rng ~k] measures τ_mix of [g] and instantiates the
-    trade-off at depth [k]; [c] is the polylog base constant
-    (default 1.0). Raises [Dex_util.Invariant.Violation] if [k < 1] or [g] is
+(** [build g rng ~k] measures τ_mix of [g] and instantiates the
+    trade-off at depth [k] with the polylog base log₂ n (at least 1).
+    Raises [Dex_util.Invariant.Violation] if [k < 1] or [g] is
     empty. *)
-val build : ?c:float -> Dex_graph.Graph.t -> Dex_util.Rng.t -> k:int -> t
+val build : Dex_graph.Graph.t -> Dex_util.Rng.t -> k:int -> t
 
 (** [total_rounds t ~queries] = preprocessing + queries·query_rounds. *)
 val total_rounds : t -> queries:int -> int

@@ -33,16 +33,13 @@ let spectral g rng =
   let sweep = Sweep.scan g (Walk.of_assoc masses) in
   Option.map (fun c -> { c with rounds = iters }) (of_sweep g sweep)
 
-let dsmp ?walk_length g rng =
+let dsmp g rng =
   let n = Graph.num_vertices g in
   if n = 0 || Graph.total_volume g = 0 then None
   else begin
     let steps =
-      match walk_length with
-      | Some l -> l
-      | None ->
-        let lf = log (Float.max 2.0 (float_of_int n)) in
-        int_of_float (Float.ceil (16.0 *. lf *. lf))
+      let lf = log (Float.max 2.0 (float_of_int n)) in
+      int_of_float (Float.ceil (16.0 *. lf *. lf))
     in
     let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
     let src = Rng.weighted_index rng degrees in

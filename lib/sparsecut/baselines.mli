@@ -18,10 +18,9 @@ type cut = {
     exchange. Returns the best prefix cut. *)
 val spectral : Dex_graph.Graph.t -> Dex_util.Rng.t -> cut option
 
-(** [dsmp ?walk_length g rng] is the Das Sarma–Molla–Pandurangan-style
-    distributed sparse cut: a single (un-truncated) random-walk
-    distribution from one degree-sampled start vertex, swept for the
-    best-conductance prefix. Walk length defaults to O(log n / φ²)
-    with φ estimated as the best sweep conductance of a short probe.
-    Rounds = walk length (each step is a communication round). *)
-val dsmp : ?walk_length:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> cut option
+(** [dsmp g rng] is the Das Sarma–Molla–Pandurangan-style distributed
+    sparse cut: a single (un-truncated) random-walk distribution from
+    one degree-sampled start vertex, run for ⌈16·ln²n⌉ steps and swept
+    after each for the best-conductance prefix. Rounds = walk length
+    (each step is a communication round). *)
+val dsmp : Dex_graph.Graph.t -> Dex_util.Rng.t -> cut option

@@ -10,11 +10,13 @@ type t = {
   support : int;
 }
 
-let approximate_pagerank ?(alpha = 0.1) ?eps g ~src =
-  if alpha <= 0.0 || alpha >= 1.0 then invalid_arg "Pagerank_cut: alpha in (0,1)";
+(* teleport probability α *)
+let alpha = 0.1
+
+let approximate_pagerank g ~src =
   let m = Int.max 1 (Graph.num_edges g) in
-  let eps = match eps with Some e -> e | None -> 1.0 /. (20.0 *. float_of_int m) in
-  if eps <= 0.0 then invalid_arg "Pagerank_cut: eps > 0";
+  (* accuracy ε = 1/(20·m) *)
+  let eps = 1.0 /. (20.0 *. float_of_int m) in
   let p = Hashtbl.create 64 in
   let r = Hashtbl.create 64 in
   Hashtbl.replace r src 1.0;
@@ -58,8 +60,8 @@ let approximate_pagerank ?(alpha = 0.1) ?eps g ~src =
   done;
   (p, r, !pushes)
 
-let run ?alpha ?eps g ~src =
-  let p, _r, pushes = approximate_pagerank ?alpha ?eps g ~src in
+let run g ~src =
+  let p, _r, pushes = approximate_pagerank g ~src in
   if Hashtbl.length p = 0 then None
   else begin
     let dist =

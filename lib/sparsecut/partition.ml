@@ -11,14 +11,11 @@ type t = {
   aborted_copies : int;
 }
 
-let run ?p ?ledger params g rng =
+let run ?ledger params g rng =
   let n = Graph.num_vertices g in
   let total_volume = Graph.total_volume g in
-  let p =
-    match p with
-    | Some p -> p
-    | None -> 1.0 /. Float.max 4.0 (float_of_int n ** 2.0)
-  in
+  (* the failure probability behind the iteration count: 1/n² *)
+  let p = 1.0 /. Float.max 4.0 (float_of_int n ** 2.0) in
   if total_volume = 0 then
     { cut = [||];
       conductance = Float.infinity;
@@ -107,8 +104,8 @@ let certified_no_sparse_cut t = Array.length t.cut = 0
 let acceptable ~bound t =
   certified_no_sparse_cut t || t.conductance <= bound
 
-let run_verified ?(attempts = 3) ?p ?ledger ~bound params g rng =
+let run_verified ?(attempts = 3) ?ledger ~bound params g rng =
   Rounds.las_vegas ?ledger ~label:"sparse-cut" ~where:"Partition.run_verified" ~attempts
     ~rounds:(fun r -> r.rounds) ~accept:(acceptable ~bound)
     ~better:(fun r b -> r.conductance < b.conductance)
-  @@ fun i -> run ?p ?ledger params g (Dex_util.Rng.split rng i)
+  @@ fun i -> run ?ledger params g (Dex_util.Rng.split rng i)

@@ -23,20 +23,21 @@ type t = {
   aborted_copies : int; (** ParallelNibble calls that hit the w-cap *)
 }
 
-(** [run ?p ?ledger params g rng] executes Partition(G, φ, p); [p] is
-    the failure probability driving the iteration count (default 1/n²).
+(** [run ?ledger params g rng] executes Partition(G, φ, p) at the
+    failure probability p = 1/n² (1/4 below n = 2) that drives the
+    iteration count.
     When [ledger] is given the body runs inside a ["partition"] span
     and the accounted ParallelNibble costs are charged to it (labels
     ["nibble-generate"/"nibble-execute"/"nibble-select"]). *)
 val run :
-  ?p:float -> ?ledger:Dex_congest.Rounds.t ->
+  ?ledger:Dex_congest.Rounds.t ->
   Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t
 
 (** [certified_no_sparse_cut t] is [true] when Partition returned ∅ —
     the caller treats the graph as a φ-expander (Theorem 3, case 2). *)
 val certified_no_sparse_cut : t -> bool
 
-(** [run_verified ?attempts ?p ?ledger ~bound params g rng] re-runs
+(** [run_verified ?attempts ?ledger ~bound params g rng] re-runs
     Partition through {!Dex_congest.Rounds.las_vegas}, attempt [i] on
     the stream [Rng.split rng i], until the result is acceptable — the
     graph was certified a φ-expander (empty cut) or the returned cut's
@@ -48,7 +49,6 @@ val certified_no_sparse_cut : t -> bool
     [Dex_util.Invariant.Violation] when [attempts < 1]. *)
 val run_verified :
   ?attempts:int ->
-  ?p:float ->
   ?ledger:Dex_congest.Rounds.t ->
   bound:float ->
   Params.t ->

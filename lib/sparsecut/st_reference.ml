@@ -9,7 +9,9 @@ type t = {
   nibbles : int;
 }
 
-let run ?(max_nibbles = 64) params g rng =
+let max_nibbles = 64
+
+let run params g rng =
   let n = Graph.num_vertices g in
   let total_volume = Graph.total_volume g in
   if total_volume = 0 then

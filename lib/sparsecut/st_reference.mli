@@ -18,8 +18,6 @@ type t = {
   nibbles : int; (** nibble invocations performed *)
 }
 
-(** [run ?max_nibbles params g rng] peels until the (47/48)-volume
-    threshold, [max_nibbles] (default 64) invocations, or
-    [params.idle_limit] consecutive misses. *)
-val run :
-  ?max_nibbles:int -> Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t
+(** [run params g rng] peels until the (47/48)-volume threshold, 64
+    nibble invocations, or [params.idle_limit] consecutive misses. *)
+val run : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> t

@@ -6,11 +6,17 @@ let degree_distribution g =
   let total = float_of_int (Graph.total_volume g) in
   Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v) /. total)
 
-let mixing_time ?(threshold = 0.25) ?(max_steps = 0) ?(samples = 3) g rng =
+(* mixed once every vertex is within 1/4 of π relative; the worst of
+   three degree-weighted starts *)
+let threshold = 0.25
+let samples = 3
+
+let mixing_time ?(max_steps = 0) g rng =
   let n = Graph.num_vertices g in
+  let max_steps = if max_steps > 0 then max_steps else 4 * n in
   if n <= 1 then 0
+  else if Graph.total_volume g = 0 then max_steps (* no edges: nothing moves *)
   else begin
-    let max_steps = if max_steps > 0 then max_steps else 4 * n in
     let pi = degree_distribution g in
     (* the walker's distribution scattered into [p], zero elsewhere *)
     let p = Array.make n 0.0 in

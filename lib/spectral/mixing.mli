@@ -7,15 +7,14 @@
     below a threshold, and we estimate the spectral gap by power
     iteration on the normalized lazy walk matrix. *)
 
-(** [mixing_time ?threshold ?max_steps ?samples g rng] is the number
-    of lazy-walk steps after which, for each of [samples] random start
-    vertices (degree-weighted), every vertex satisfies
-    [|p_t(u) - π(u)| ≤ threshold·π(u)] (default threshold 0.25).
-    Returns [max_steps] (default 4·n) if never reached — e.g. on
-    disconnected graphs. *)
+(** [mixing_time ?max_steps g rng] is the number of lazy-walk steps
+    after which, for each of 3 random start vertices
+    (degree-weighted), every vertex satisfies
+    [|p_t(u) - π(u)| ≤ π(u)/4]. Returns [max_steps] (default 4·n) if
+    never reached — e.g. on disconnected or edgeless graphs — and 0
+    when n ≤ 1. *)
 val mixing_time :
-  ?threshold:float -> ?max_steps:int -> ?samples:int ->
-  Dex_graph.Graph.t -> Dex_util.Rng.t -> int
+  ?max_steps:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> int
 
 (** [spectral_gap ?iters g rng] estimates 1 - λ₂ of the lazy walk
     matrix via power iteration with deflation of the stationary

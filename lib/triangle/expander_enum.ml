@@ -53,7 +53,7 @@ let merge_ids a b =
     (Array.sub out 0 !k, !fresh)
   end
 
-let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng =
+let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
   let charge label k =
     match ledger with Some l -> Rounds.charge l ~label k | None -> ()
   in
@@ -76,7 +76,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
     incr level;
     Rounds.span ledger (Printf.sprintf "level-%d" !level) @@ fun () ->
     let gcur = !current in
-    let decomp = Decomposition.run ?preset ?ledger ~epsilon ~k:k_decomp gcur rng in
+    let decomp = Decomposition.run ?ledger ~epsilon ~k:k_decomp gcur rng in
     total_rounds := !total_rounds + decomp.Decomposition.stats.Decomposition.rounds;
     messages := !messages + decomp.Decomposition.stats.Decomposition.messages;
     words := !words + decomp.Decomposition.stats.Decomposition.words;
@@ -111,11 +111,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
           if Graph.num_plain_edges sub > 0 then begin
             let volume = Graph.volume gcur part in
             let instances = instances_for ~n ~incident:incident.(i) ~volume in
-            let hierarchy =
-              match k_routing with
-              | Some k -> Hierarchy.build sub rng ~k
-              | None -> Hierarchy.best_k_for sub rng ~queries:instances ~k_max:4
-            in
+            let hierarchy = Hierarchy.best_k_for sub rng ~queries:instances ~k_max:4 in
             max_pre := Int.max !max_pre hierarchy.Hierarchy.preprocess_rounds;
             max_query := Int.max !max_query (instances * hierarchy.Hierarchy.query_rounds);
             max_inst := Int.max !max_inst instances
@@ -167,7 +163,7 @@ let run ?preset ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) ?k_routing g rng
       || Array.length detected = Array.length ground_truth
          && Array.for_all2 Int.equal detected ground_truth }
 
-let run_verified ?preset ?ledger ?epsilon ?k_decomp ?k_routing ?(attempts = 3) g rng =
+let run_verified ?ledger ?epsilon ?k_decomp ?(attempts = 3) g rng =
   Rounds.las_vegas ?ledger ~label:"triangles" ~where:"Expander_enum.run_verified" ~attempts
     ~rounds:(fun r -> r.total_rounds) ~accept:(fun r -> r.complete)
-  @@ fun i -> run ?preset ?ledger ?epsilon ?k_decomp ?k_routing g (Rng.split rng i)
+  @@ fun i -> run ?ledger ?epsilon ?k_decomp g (Rng.split rng i)

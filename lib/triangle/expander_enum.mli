@@ -48,26 +48,24 @@ type result = {
   complete : bool; (** detected set equals ground truth *)
 }
 
-(** [run ?preset ?ledger ?epsilon ?k_decomp ?k_routing g rng]
-    enumerates all triangles of [g]. Defaults: ε = 1/6, k_decomp = 2,
-    routing k chosen by {!Dex_routing.Hierarchy.best_k_for} per
-    component. With a [ledger], the run sits in a ["triangles"] span
+(** [run ?ledger ?epsilon ?k_decomp g rng] enumerates all triangles
+    of [g]. Defaults: ε = 1/6, k_decomp = 2. Each level decomposes on
+    the [Practical] schedule, and each component routes on the
+    hierarchy depth {!Dex_routing.Hierarchy.best_k_for} picks (k ≤ 4). With a [ledger], the run sits in a ["triangles"] span
     with one ["level-<i>"] span per recursion level (each containing
     its decomposition's spans) and the accounted routing costs are
     charged under ["routing-preprocess"]/["routing-query"] (and
     ["residual-trivial"] for the fallback exchange). *)
 val run :
-  ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->
-  ?epsilon:float -> ?k_decomp:int -> ?k_routing:int ->
+  ?epsilon:float -> ?k_decomp:int ->
   Dex_graph.Graph.t -> Dex_util.Rng.t -> result
 
 (** [instances_for ~n ~incident ~volume] is the measured routing
     instance count ⌈3·⌈n^{1/3}⌉·incident/volume⌉ of one component. *)
 val instances_for : n:int -> incident:int -> volume:int -> int
 
-(** [run_verified ?preset ?ledger ?epsilon ?k_decomp ?k_routing
-    ?attempts g rng] is the Las Vegas wrapper around {!run}, through
+(** [run_verified ?ledger ?epsilon ?k_decomp ?attempts g rng] is the Las Vegas wrapper around {!run}, through
     {!Dex_congest.Rounds.las_vegas}: each attempt's detected set is
     checked against the exact ground truth ([complete]) and the
     enumeration re-runs on the stream [Rng.split rng i] on a miss, up
@@ -78,9 +76,8 @@ val instances_for : n:int -> incident:int -> volume:int -> int
     ["triangles"]. Raises [Dex_util.Invariant.Violation] when
     [attempts < 1]. *)
 val run_verified :
-  ?preset:Dex_sparsecut.Params.preset ->
   ?ledger:Dex_congest.Rounds.t ->
-  ?epsilon:float -> ?k_decomp:int -> ?k_routing:int ->
+  ?epsilon:float -> ?k_decomp:int ->
   ?attempts:int ->
   Dex_graph.Graph.t -> Dex_util.Rng.t ->
   (result Dex_congest.Rounds.verified, result Dex_congest.Rounds.verified) Stdlib.result

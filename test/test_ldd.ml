@@ -200,7 +200,7 @@ let prop_mpx_matches_list_api =
       && w.Clustering.rounds = r.Clustering.rounds
       && Rounds.by_phase (Network.rounds net) = [ ("mpx-clustering", w.Clustering.rounds) ]
       && Network.messages_sent net = messages
-      && Network.words_sent net = words)
+      && Network.messages_sent net = words)
 
 (* complexity guard without a clock: MPX charges all [horizon] rounds
    but only rounds in which some vertex acts are stepped, and each
@@ -314,7 +314,7 @@ let test_ldd_partition_and_diameter () =
   let beta = 0.6 in
   let r = Ldd.run_graph g ~beta rng in
   Metrics.check_partition g r.Ldd.parts;
-  let bound = Ldd.diameter_bound ~n ~beta () in
+  let bound = Ldd.diameter_bound ~n ~beta in
   List.iter
     (fun part ->
       (* parts of a cycle are arcs: diameter = size - 1 unless whole *)
@@ -370,7 +370,7 @@ let prop_ldd_is_partition =
       let beta = 0.3 in
       let r = Ldd.run_graph g ~beta rng in
       Metrics.check_partition g r.Ldd.parts;
-      Ldd.max_part_diameter g r <= Ldd.diameter_bound ~n ~beta ())
+      Ldd.max_part_diameter g r <= Ldd.diameter_bound ~n ~beta)
 
 let () =
   Alcotest.run "ldd"

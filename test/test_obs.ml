@@ -223,7 +223,7 @@ let test_round_ticks () =
   Alcotest.(check int) "one tick per round" 5 (List.length ticks);
   Alcotest.(check int) "tick messages sum = messages_sent" (Network.messages_sent net)
     (List.fold_left (fun acc (m, _, _, _) -> acc + m) 0 ticks);
-  Alcotest.(check int) "tick words sum = words_sent" (Network.words_sent net)
+  Alcotest.(check int) "tick words sum = messages_sent" (Network.messages_sent net)
     (List.fold_left (fun acc (_, w, _, _) -> acc + w) 0 ticks);
   (* every vertex of the cycle sends both ways, every round *)
   List.iter
@@ -232,26 +232,35 @@ let test_round_ticks () =
       Alcotest.(check int) "undirected edges carry both directions" 2 load)
     ticks
 
-let test_words_sent_fault_aware () =
+(* messages_sent and the traced per-round word counts both count
+   delivered messages, one word each *)
+let test_delivered_words_fault_aware () =
   let g = Gen.cycle 12 in
   let run spec =
     let ledger = Rounds.create () in
+    let tr = Trace.create () in
+    Rounds.attach_trace ledger (Some tr);
     let faults = Option.map Faults.create spec in
     let net = Network.create ?faults g ledger in
     flood net g 4;
+    let words =
+      List.fold_left
+        (fun acc -> function Trace.Round_tick { words; _ } -> acc + words | _ -> acc)
+        0 (Trace.events tr)
+    in
+    Alcotest.(check int) "tick words sum = messages_sent" (Network.messages_sent net) words;
     (net, faults)
   in
   let clean, _ = run None in
-  Alcotest.(check int) "clean: words = messages (word_size 1)"
-    (Network.messages_sent clean) (Network.words_sent clean);
+  Alcotest.(check int) "clean: 2 per edge per round" (2 * 12 * 4) (Network.messages_sent clean);
   (* duplicate everything: twice the deliveries, twice the words *)
   let doubled, _ = run (Some (Faults.lossy ~duplicate:1.0 ~drop:0.0 ())) in
   Alcotest.(check int) "duplicate=1: words doubled"
-    (2 * Network.words_sent clean)
-    (Network.words_sent doubled);
+    (2 * Network.messages_sent clean)
+    (Network.messages_sent doubled);
   (* drop everything: nothing delivered, nothing charged *)
   let silenced, faults = run (Some (Faults.lossy ~drop:1.0 ())) in
-  Alcotest.(check int) "drop=1: no words" 0 (Network.words_sent silenced);
+  Alcotest.(check int) "drop=1: no words" 0 (Network.messages_sent silenced);
   Alcotest.(check bool) "drops recorded" true
     (match faults with Some f -> Faults.drops f > 0 | None -> false)
 
@@ -432,8 +441,8 @@ let () =
         [ Alcotest.test_case "hot edges on a star" `Quick test_hot_edges_star;
           Alcotest.test_case "round ticks" `Quick test_round_ticks ] );
       ( "faults",
-        [ Alcotest.test_case "words_sent is fault-aware" `Quick
-            test_words_sent_fault_aware;
+        [ Alcotest.test_case "delivered words are fault-aware" `Quick
+            test_delivered_words_fault_aware;
           Alcotest.test_case "fault events bridged" `Quick test_fault_events_bridged ] );
       ( "retries",
         [ Alcotest.test_case "las vegas retry events" `Quick test_retry_events;

@@ -569,6 +569,11 @@ let test_mixing_time_ordering () =
   Alcotest.(check bool) "expander mixes faster" true (t_exp < t_ring);
   Alcotest.(check bool) "expander mixes fast" true (t_exp < 64)
 
+let test_mixing_time_edgeless () =
+  let g = Graph.of_edges ~n:5 [] in
+  Alcotest.(check int) "4·n" 20 (Mixing.mixing_time g (Rng.create 1));
+  Alcotest.(check int) "max_steps" 7 (Mixing.mixing_time ~max_steps:7 g (Rng.create 1))
+
 let test_spectral_gap_complete_vs_ring () =
   let rng = Rng.create 9 in
   let complete = Gen.complete 16 in
@@ -647,8 +652,8 @@ let prop_mass_conserved_sparse =
 
 (* Mixing.mixing_time, which steps a walker at ε = 0, against the dense
    loop over Reference.step_dense: the same start draws, and the same
-   threshold test before each step, at several thresholds and sample
-   counts *)
+   threshold test (1/4 of π) before each step, for three starts; an
+   edgeless graph never mixes *)
 let prop_mixing_time_matches_dense =
   QCheck.Test.make ~name:"mixing_time = dense reference loop" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -657,8 +662,7 @@ let prop_mixing_time_matches_dense =
       (* half the graphs connected, so that the walks mix *)
       let g = if seed mod 2 = 0 then g else Gen.connectivize (Rng.create seed) g in
       let n = Graph.num_vertices g in
-      let threshold = [| 0.02; 0.1; 0.25; 0.5 |].(seed / 2 mod 4) in
-      let samples = 1 + (seed / 8 mod 4) in
+      let threshold = 0.25 and samples = 3 in
       let reference rng =
         let total = float_of_int (Graph.total_volume g) in
         let pi = Array.init n (fun v -> float_of_int (Graph.degree g v) /. total) in
@@ -679,9 +683,10 @@ let prop_mixing_time_matches_dense =
         done;
         !worst
       in
-      (* a start draw needs a positive volume *)
-      n <= 1 || Graph.total_volume g = 0
-      || Mixing.mixing_time ~threshold ~samples g (Rng.create seed) = reference (Rng.create seed))
+      let expected =
+        if n <= 1 then 0 else if Graph.total_volume g = 0 then 4 * n else reference (Rng.create seed)
+      in
+      Mixing.mixing_time g (Rng.create seed) = expected)
 
 let () =
   Alcotest.run "spectral"
@@ -713,6 +718,7 @@ let () =
           Alcotest.test_case "vector sweep boundary" `Quick test_vector_sweep_boundary ] );
       ( "mixing",
         [ Alcotest.test_case "mixing time ordering" `Quick test_mixing_time_ordering;
+          Alcotest.test_case "edgeless graph never mixes" `Quick test_mixing_time_edgeless;
           QCheck_alcotest.to_alcotest prop_mixing_time_matches_dense;
           Alcotest.test_case "gap: complete vs ring" `Quick test_spectral_gap_complete_vs_ring;
           Alcotest.test_case "second eigenvector splits barbell" `Quick
