@@ -804,7 +804,7 @@ let e13_faults () =
   let run_protocol proto p =
     let faults =
       if p = 0.0 then None
-      else Some (X.Faults.create (X.Faults.lossy ~drop:p ~duplicate:(p /. 2.0) ~seed:137 ()))
+      else Some (X.Faults.create ~drop:p ~duplicate:(p /. 2.0) ~seed:137)
     in
     let ledger = X.Rounds.create () in
     let net = X.Network.create ?faults g ledger in

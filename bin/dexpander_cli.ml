@@ -232,12 +232,11 @@ let faults_cmd =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
     let dup = match dup with Some d -> d | None -> drop /. 2.0 in
-    let config = { X.Reliable.default_config with X.Reliable.max_retries = retries } in
     let exec faults =
       let ledger = X.Rounds.create () in
       let net = X.Network.create ?faults g ledger in
-      let tree = X.Reliable.bfs_tree ~config net ~root:(X.Vertex.local 0) in
-      let leaders = X.Reliable.elect_leader ~config net in
+      let tree = X.Reliable.bfs_tree ~max_retries:retries net ~root:(X.Vertex.local 0) in
+      let leaders = X.Reliable.elect_leader ~max_retries:retries net in
       let phases = X.Rounds.by_phase ledger in
       let rounds label = try List.assoc label phases with Not_found -> 0 in
       (rounds "bfs-reliable", rounds "leader-reliable", X.Network.messages_sent net,
@@ -246,7 +245,7 @@ let faults_cmd =
     let br0, lr0, m0, tree0, _ = exec None in
     Printf.printf "fault-free: bfs-rounds=%d leader-rounds=%d messages=%d tree-height=%d\n"
       br0 lr0 m0 tree0.X.Primitives.height;
-    let faults = X.Faults.create (X.Faults.lossy ~drop ~duplicate:dup ~seed:fault_seed ()) in
+    let faults = X.Faults.create ~drop ~duplicate:dup ~seed:fault_seed in
     let br, lr, m, tree, leaders =
       try exec (Some faults)
       with X.Reliable.Delivery_failed { label; vertex; neighbor; attempts; _ } ->

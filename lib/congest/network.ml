@@ -74,8 +74,6 @@ let create ?faults ?vertex_map graph ledger =
              | Faults.Drop { round; src; dst } -> ("drop", round, map src, map dst)
              | Faults.Duplicate { round; src; dst } ->
                ("duplicate", round, map src, map dst)
-             | Faults.Link_down { round; u; v } -> ("link-down", round, map u, map v)
-             | Faults.Crash { round; vertex } -> ("crash", round, map vertex, -1)
            in
            Trace.fault tr ~kind ~round ~src ~dst))
   | _ -> ());
@@ -91,7 +89,6 @@ let create ?faults ?vertex_map graph ledger =
 let graph t = t.graph
 let messages_sent t = t.messages
 let rounds t = t.ledger
-let faults t = t.faults
 let charge t ~label k = Rounds.charge t.ledger ~label k
 
 let touch s v =
@@ -148,15 +145,8 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
   let order = match shuffle with Some _ -> Array.make n 0 | None -> [||] in
   let tracer = t.tracer in
   let stepped = ref 0 in
-  (* a crashed vertex is neither stepped (a pure read of the schedule)
-     nor delivered from (which records the crash). [down] and [verdict]
-     read the round from the arena, so one closure of each serves the
-     whole run. *)
-  let down check v =
-    match t.faults with
-    | Some f -> check f ~round:(Arena.round a) ~vertex:(Vertex.local v)
-    | None -> false
-  in
+  (* [verdict] reads the round from the arena, so one closure serves
+     the whole run *)
   let verdict src dst slot =
     let fate =
       match t.faults with
@@ -184,18 +174,15 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
     (* Phase A: step active vertices through the reusable cursors *)
     for i = 0 to active - 1 do
       let v = match shuffle with None -> Arena.active_get a i | Some _ -> order.(i) in
-      if not (down Faults.is_crashed v) then begin
-        Arena.set_inbox ?shuffle ib v;
-        Arena.set_outbox ob v;
-        states.(v) <- step ~round ~vertex:(Vertex.local v) states.(v) ib ob
-      end
+      Arena.set_inbox ?shuffle ib v;
+      Arena.set_outbox ob v;
+      states.(v) <- step ~round ~vertex:(Vertex.local v) states.(v) ib ob
     done;
     (* Phase B: deliver in canonical (ascending vertex, then ascending
        destination) order; all fault and counter recording lives here *)
     let messages_before = t.messages in
     for i = 0 to active - 1 do
-      let v = Arena.active_get a i in
-      if not (down Faults.crashed v) then Arena.deliver_staged a v verdict
+      Arena.deliver_staged a (Arena.active_get a i) verdict
     done;
     (match tracer with
     | Some s ->

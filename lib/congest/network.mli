@@ -15,11 +15,11 @@
     {!Rounds.t} ledger so protocol compositions have one cost ledger.
 
     A network may additionally carry a {!Faults.t} schedule: message
-    drops/duplications, permanent link failures and crash-stop vertex
-    faults are then applied inside every executed round, with each
-    fault event reported to the schedule's observer. Congestion validation
-    happens {e before} fault application — a protocol may not excuse a
-    forbidden send by hoping the adversary drops it.
+    drops and duplications are then applied inside every executed
+    round, with each fault event reported to the schedule's observer.
+    Congestion validation happens {e before} fault application — a
+    protocol may not excuse a forbidden send by hoping the adversary
+    drops it.
 
     When the ledger has a {!Dex_obs.Trace.t} attached
     ({!Rounds.attach_trace}, before the network is created), every
@@ -59,8 +59,8 @@ type t
 
 (** [create ?faults ?vertex_map graph rounds] wraps [graph]. When
     [faults] is given, every executed round applies the schedule to
-    deliveries and step execution. [vertex_map] translates local vertex
-    ids to original-graph ids for trace and error reporting (it must
+    its deliveries. [vertex_map] translates local vertex ids to
+    original-graph ids for trace and error reporting (it must
     have exactly one entry per vertex); [Decomposition] passes it when
     it hands an induced subgraph to LDD. The trace handle, if any, is
     read from the ledger at creation time — attach it first. *)
@@ -79,9 +79,6 @@ val graph : t -> Dex_graph.Graph.t
     duplicated ones count twice. Every message is one machine word,
     so this is also the word count. *)
 val messages_sent : t -> int
-
-(** [faults t] is the fault schedule, if any. *)
-val faults : t -> Faults.t option
 
 (** {1 Running a protocol}
 

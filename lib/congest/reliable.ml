@@ -2,9 +2,7 @@ module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
 module Invariant = Dex_util.Invariant
 
-type config = { max_retries : int; give_up : bool }
-
-let default_config = { max_retries = 64; give_up = false }
+let default_max_retries = 64
 
 exception
   Delivery_failed of {
@@ -55,10 +53,9 @@ let quiet st =
    min; adopting a better candidate (received value + delta) re-arms
    delivery of the new value to every neighbor. A BFS from [root] floods
    distances (delta 1) from the root alone; leader election floods ids
-   (delta 0) from everyone. A vertex stays awake while it is not quiet
-   and is still up next round, so the kernel's quiescence is the
-   protocol's. *)
-let protocol ?faults g ~config ~failure kind =
+   (delta 0) from everyone. A vertex stays awake while it is not quiet,
+   so the kernel's quiescence is the protocol's. *)
+let protocol g ~max_retries ~failure kind =
   let delta, init_value, init_parent, announce =
     match kind with
     | `Bfs root ->
@@ -82,7 +79,7 @@ let protocol ?faults g ~config ~failure kind =
     in
     { value; parent = init_parent v; peers }
   in
-  let step ~round ~vertex st ib ob =
+  let step ~round:_ ~vertex st ib ob =
     let v = Vertex.local_int vertex in
     let before = st.value in
     Arena.Inbox.iter1 ib (fun sender w ->
@@ -118,12 +115,11 @@ let protocol ?faults g ~config ~failure kind =
       (fun p ->
         let data =
           if p.outstanding >= 0 && not p.abandoned then
-            if p.attempts >= config.max_retries then begin
+            if p.attempts >= max_retries then begin
               (* retry budget exhausted: stop retransmitting so the
-                 protocol can quiesce; the failure (if fatal) is
-                 raised after the run, once rounds are charged *)
-              if (not config.give_up) && !failure = None then
-                failure := Some (v, p.nbr, p.outstanding, p.attempts);
+                 protocol can quiesce; the failure is raised after the
+                 run, once rounds are charged *)
+              if !failure = None then failure := Some (v, p.nbr, p.outstanding, p.attempts);
               p.abandoned <- true;
               None
             end
@@ -138,47 +134,24 @@ let protocol ?faults g ~config ~failure kind =
         if data <> None || ack <> None then
           Arena.Outbox.send1 ob ~dst:(Vertex.local p.nbr) (encode ~data ~ack))
       st.peers;
-    let down_next f = Faults.is_crashed f ~round:(round + 1) ~vertex in
-    if not (quiet st || Option.fold ~none:false ~some:down_next faults) then Arena.Outbox.wake ob;
+    if not (quiet st) then Arena.Outbox.wake ob;
     st
   in
   { Conformance.init; step }
 
-let flood net ~label ~config kind =
-  Invariant.require (config.max_retries >= 1) ~where:"Reliable" "max_retries must be >= 1";
+let flood net ~label ~max_retries kind =
+  Invariant.require (max_retries >= 1) ~where:"Reliable" "max_retries must be >= 1";
   let g = Network.graph net in
-  let n = Graph.num_vertices g in
-  let faults = Network.faults net in
   let failure = ref None in
-  let p = protocol ?faults g ~config ~failure kind in
-  (* crash-stops are observed at every round boundary, for every
-     vertex in ascending order, so each reaches the fault observer just
-     before the round it takes effect in, whichever vertices are
-     active *)
-  let up_at round v =
-    match faults with
-    | Some f -> not (Faults.crashed f ~round ~vertex:(Vertex.local v))
-    | None -> true
-  in
-  let observe_crashes round =
-    for v = 0 to n - 1 do
-      ignore (up_at round v)
-    done
-  in
-  observe_crashes 1;
-  let states0 = Array.init n p.init in
+  let p = protocol g ~max_retries ~failure kind in
+  let states0 = Array.init (Graph.num_vertices g) p.init in
   let states =
-    if Array.for_all Fun.id (Array.mapi (fun v st -> quiet st || not (up_at 1 v)) states0)
-    then begin
+    if Array.for_all quiet states0 then begin
       (* nothing to deliver anywhere: the flood is over before round 1 *)
       Network.charge net ~label 0;
       states0
     end
-    else
-      fst
-        (Network.run_active net ~label ~init:p.init ~step:p.step
-           ~on_round:(fun round _ -> observe_crashes (round + 1))
-           ())
+    else fst (Network.run_active net ~label ~init:p.init ~step:p.step ())
   in
   Option.iter
     (fun (vertex, neighbor, value, attempts) ->
@@ -187,19 +160,19 @@ let flood net ~label ~config kind =
   states
 
 let bfs_protocol g ~root =
-  protocol g ~config:default_config ~failure:(ref None) (`Bfs (Vertex.local_int root))
+  protocol g ~max_retries:default_max_retries ~failure:(ref None) (`Bfs (Vertex.local_int root))
 
-let bfs_tree ?(config = default_config) net ~root =
+let bfs_tree ?(max_retries = default_max_retries) net ~root =
   let r = Vertex.local_int root in
   let n = Graph.num_vertices (Network.graph net) in
   Invariant.require (r >= 0 && r < n) ~where:"Reliable.bfs_tree" "root out of range";
-  let states = flood net ~label:"bfs-reliable" ~config (`Bfs r) in
+  let states = flood net ~label:"bfs-reliable" ~max_retries (`Bfs r) in
   let depth =
     Array.map (fun st -> if st.value >= infinity_value then max_int else st.value) states
   in
   let parent = Array.mapi (fun v st -> if depth.(v) = max_int then -1 else st.parent) states in
   Primitives.tree ~root ~parent ~depth
 
-let elect_leader ?(config = default_config) net =
-  let states = flood net ~label:"leader-reliable" ~config `Leader in
+let elect_leader ?(max_retries = default_max_retries) net =
+  let states = flood net ~label:"leader-reliable" ~max_retries `Leader in
   Array.map (fun st -> st.value) states

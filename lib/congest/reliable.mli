@@ -20,25 +20,14 @@
     "leader-reliable") — the overhead versus {!Primitives} is exactly
     the measured price of reliability.
 
-    On retry exhaustion the behaviour is configurable: with
-    [give_up = false] (the default) the run completes and then raises
-    {!Delivery_failed} identifying the dead edge; with
-    [give_up = true] the edge is abandoned and the protocol proceeds
-    without it — the right semantics when the peer has crash-stopped
-    or the link has failed permanently. *)
-
-type config = {
-  max_retries : int; (** transmissions attempted per (neighbor, value) *)
-  give_up : bool; (** abandon an unacknowledged edge instead of failing *)
-}
-
-(** [{ max_retries = 64; give_up = false }] — with drop probability p,
-    64 retries fail with probability p^64 per edge. *)
-val default_config : config
+    A value still unacknowledged after [max_retries] transmissions
+    (default 64) exhausts its edge: the vertex stops
+    retransmitting it, so the run still quiesces, and {!Delivery_failed}
+    is raised once it has. *)
 
 (** Raised after the run completes (rounds charged) when a value could
-    not be delivered within [max_retries] transmissions and
-    [give_up = false]. *)
+    not be delivered within [max_retries] transmissions; it names the
+    first edge that exhausted its budget. *)
 exception
   Delivery_failed of {
     label : string;
@@ -48,29 +37,28 @@ exception
     attempts : int;
   }
 
-(** [bfs_tree ?config net ~root] is {!Primitives.bfs_tree}
+(** [bfs_tree ?max_retries net ~root] is {!Primitives.bfs_tree}
     with reliable delivery: distances adopt monotonically, every
     improvement is re-announced until acknowledged, so the final
-    depths equal true BFS distances under arbitrary message loss
-    (rounds charged under ["bfs-reliable"]). Vertices unreachable
-    through surviving edges keep depth [max_int]. The flood runs
+    depths equal true BFS distances under any message loss that
+    exhausts no edge (rounds charged under ["bfs-reliable"]). Vertices of another
+    component keep depth [max_int]. The flood runs
     under {!Network.run_active}'s 10⁶-round limit. *)
 val bfs_tree :
-  ?config:config -> Network.t -> root:Dex_graph.Vertex.local ->
+  ?max_retries:int -> Network.t -> root:Dex_graph.Vertex.local ->
   Primitives.tree
 
-(** [elect_leader ?config net] floods the minimum vertex id with
+(** [elect_leader ?max_retries net] floods the minimum vertex id with
     reliable delivery (charged under ["leader-reliable"], under the
     same 10⁶-round limit as {!bfs_tree}); returns the per-vertex
-    leader array, one leader per connected component of the surviving
-    network. *)
-val elect_leader : ?config:config -> Network.t -> int array
+    leader array, one leader per connected component. *)
+val elect_leader : ?max_retries:int -> Network.t -> int array
 
 (** Per-vertex state of the reliable flood. *)
 type vstate
 
 (** [bfs_protocol g ~root] is the fault-free protocol {!bfs_tree} runs
-    (with {!default_config}), exported for {!Conformance.check}. A
+    (with 64 retries), exported for {!Conformance.check}. A
     vertex adopts the smallest offered distance + 1; among one round's
     best offers its parent is the largest sender. *)
 (* dex-lint: allow C004 test seam: test_determinism's "conformance kernel protocols pass" races the steps bfs_tree executes *)

@@ -43,7 +43,6 @@ type driver = {
   mutable removed : (int * int) list;
   mutable rounds : int;
   mutable messages : int;
-  mutable words : int;
   mutable partition_calls : int;
   mutable discarded : int;
   mutable phase2_components : int;
@@ -174,7 +173,6 @@ let run ?ledger ~epsilon ~k g rng =
       removed = [];
       rounds = 0;
       messages = 0;
-      words = 0;
       partition_calls = 0;
       discarded = 0;
       phase2_components = 0;
@@ -204,7 +202,6 @@ let run ?ledger ~epsilon ~k g rng =
                           ~beta:schedule.Schedule.beta d.rng
                       in
                       d.messages <- d.messages + ldd.Ldd.messages;
-                      d.words <- d.words + ldd.Ldd.words;
                       let ldd_cut =
                         List.map (Vertex.Map.translate_edge mapping) ldd.Ldd.cut_edges
                       in
@@ -278,7 +275,7 @@ let run ?ledger ~epsilon ~k g rng =
       { removals = { remove1 = d.remove1; remove2 = d.remove2; remove3 = d.remove3 };
         rounds = d.rounds;
         messages = d.messages;
-        words = d.words;
+        words = d.messages (* one word per message *);
         phase1_depth = !depth_reached;
         phase2_components = d.phase2_components;
         phase2_max_iterations = d.phase2_max_iterations;

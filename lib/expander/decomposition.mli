@@ -30,7 +30,7 @@ type stats = {
       (** messages delivered by the executed (message-level) protocols
           inside the decomposition — i.e. the LDD clusterings; accounted
           phases move no messages *)
-  words : int; (** machine words delivered, same scope as [messages] *)
+  words : int; (** machine words delivered: [messages], one word each *)
   phase1_depth : int; (** recursion depth reached *)
   phase2_components : int; (** components that entered Phase 2 *)
   phase2_max_iterations : int;

@@ -2,17 +2,21 @@
 
     For each part we measure a conductance figure: exact minimum
     conductance of G{Vi} for tiny parts (≤ 16 vertices), otherwise the
-    Cheeger-style lower bound from the lazy spectral gap plus a
-    Partition re-certification. The report lets tests and benches
-    assert the two Theorem-1 conditions on concrete runs. *)
+    lazy spectral gap as {!Dex_spectral.Mixing.spectral_gap} estimates
+    it, which Cheeger's inequality would make a lower bound on Φ if the
+    gap were exact. The power iteration's Rayleigh quotient can only
+    under-state λ₂, so the estimate can over-state the gap and hence Φ:
+    [phi_ok] on a part above 16 vertices is not a certificate. The
+    report lets tests and benches check the two Theorem-1 conditions
+    on concrete runs. *)
 
 type part_report = {
   size : int;
   volume : int;
   conductance_lower : float;
-  (** certified lower bound on Φ(G{Vi}): exact for tiny parts,
-      spectral (gap of the lazy walk) for larger ones; singletons get
-      +inf *)
+  (** Φ(G{Vi}): exact for tiny parts; for larger ones the estimated
+      gap of the lazy walk, a lower bound only when that estimate is
+      exact; singletons get +inf *)
   method_ : string; (** "exact" | "spectral" | "singleton" *)
 }
 

@@ -8,7 +8,6 @@ type t = {
   cut_edges : (int * int) list;
   rounds : int;
   messages : int;
-  words : int;
   beta : float;
 }
 
@@ -31,12 +30,10 @@ let run net ~beta rng =
   let remaining = Graph.remove_edges g !cut in
   let parts = Metrics.connected_components remaining in
   let after = Rounds.total ledger in
-  let messages = Network.messages_sent net - msgs_before in
   { parts;
     cut_edges = !cut;
     rounds = after - before;
-    messages;
-    words = messages (* one word per message *);
+    messages = Network.messages_sent net - msgs_before;
     beta }
 
 let run_graph ?ledger ?vertex_map g ~beta rng =

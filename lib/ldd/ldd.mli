@@ -15,8 +15,9 @@ type t = {
   parts : int array list; (** the partition, each part sorted *)
   cut_edges : (int * int) list; (** removed edges, normalized u ≤ v *)
   rounds : int; (** total CONGEST rounds *)
-  messages : int; (** messages delivered by the executed clustering *)
-  words : int; (** machine words delivered by the executed clustering *)
+  messages : int;
+      (** messages delivered by the executed clustering, one machine
+          word each *)
   beta : float;
 }
 

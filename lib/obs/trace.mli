@@ -38,9 +38,8 @@ type event =
           (≥ 2 only under duplication faults or bidirectional traffic),
           and the number of vertices that sent or received anything. *)
   | Fault of { kind : string; round : int; src : int; dst : int }
-      (** A fault event bridged from the schedule; [kind] is one of
-          ["drop"], ["duplicate"], ["link-down"], ["crash"] ([dst] is
-          [-1] for crashes). *)
+      (** A fault event bridged from the schedule; [kind] is
+          ["drop"] or ["duplicate"]. *)
   | Retry of { label : string; attempt : int; certified : bool }
       (** A Las Vegas attempt finished: [certified] says whether the
           self-check accepted the output. *)

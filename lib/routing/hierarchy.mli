@@ -11,8 +11,8 @@
 
     The structure here is a cost-faithful simulation: the mixing time
     τ_mix is measured on the actual component, the trade-off formulas
-    are evaluated with the measured values, and queries can optionally
-    be executed by the {!Token_router} to validate delivery. *)
+    are evaluated with the measured values. Queries are charged by
+    these formulas, not executed. *)
 
 type t = {
   k : int;

@@ -64,7 +64,6 @@ let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
   let total_rounds = ref 0 in
   let enumeration_rounds = ref 0 in
   let messages = ref 0 in
-  let words = ref 0 in
   let current = ref g in
   let level = ref 0 in
   let max_levels =
@@ -79,7 +78,6 @@ let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
     let decomp = Decomposition.run ?ledger ~epsilon ~k:k_decomp gcur rng in
     total_rounds := !total_rounds + decomp.Decomposition.stats.Decomposition.rounds;
     messages := !messages + decomp.Decomposition.stats.Decomposition.messages;
-    words := !words + decomp.Decomposition.stats.Decomposition.words;
     let part_of = decomp.Decomposition.part_of in
     (* triangles of the current graph with ≥1 intra-component edge are
        detected at this level: the component owning that edge learns
@@ -157,7 +155,7 @@ let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
     total_rounds = !total_rounds;
     enumeration_rounds = !enumeration_rounds;
     messages = !messages;
-    words = !words;
+    words = !messages (* one word per message *);
     complete =
       detected == ground_truth
       || Array.length detected = Array.length ground_truth

@@ -44,7 +44,7 @@ type result = {
   messages : int;
       (** messages delivered by the executed protocols across all
           levels (the LDD clusterings inside each decomposition) *)
-  words : int; (** machine words delivered, same scope as [messages] *)
+  words : int; (** machine words delivered: [messages], one word each *)
   complete : bool; (** detected set equals ground truth *)
 }
 

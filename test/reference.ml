@@ -1,7 +1,7 @@
 (* The seed kernel's round loop, kept as the test oracle for the cursor
    kernel. A protocol here is a list step: it reads its inbox as a list
-   of (sender, word) and returns its outbox as one. Every live vertex
-   is stepped every round, in ascending order: step [v] against the
+   of (sender, word) and returns its outbox as one. Every vertex is
+   stepped every round, in ascending order: step [v] against the
    previous round's inboxes, validate its outbox (neighbour, then
    duplicate), apply the fault schedule and deliver in ascending
    destination order, then step [v + 1]. Inboxes are handed over
@@ -43,28 +43,21 @@ let exec_round t ~round states inboxes (step : 's step) =
   in
   Array.iteri
     (fun v inbox ->
-      let crashed =
-        match t.faults with
-        | Some f -> Faults.crashed f ~round ~vertex:(Vertex.local v)
-        | None -> false
-      in
-      if not crashed then begin
-        let st, outbox = step ~round ~vertex:(Vertex.local v) states.(v) inbox in
-        states.(v) <- st;
-        validate t ~round v outbox;
-        List.iter
-          (fun (u, msg) ->
-            match t.faults with
-            | None -> deliver v u msg
-            | Some f ->
-              (match Faults.verdict f ~round ~src:(Vertex.local v) ~dst:(Vertex.local u) with
-              | `Deliver -> deliver v u msg
-              | `Drop -> ()
-              | `Duplicate ->
-                deliver v u msg;
-                deliver v u msg))
-          (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) outbox)
-      end)
+      let st, outbox = step ~round ~vertex:(Vertex.local v) states.(v) inbox in
+      states.(v) <- st;
+      validate t ~round v outbox;
+      List.iter
+        (fun (u, msg) ->
+          match t.faults with
+          | None -> deliver v u msg
+          | Some f ->
+            (match Faults.verdict f ~round ~src:(Vertex.local v) ~dst:(Vertex.local u) with
+            | `Deliver -> deliver v u msg
+            | `Drop -> ()
+            | `Duplicate ->
+              deliver v u msg;
+              deliver v u msg))
+        (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) outbox))
     inboxes;
   next
 

@@ -1,8 +1,7 @@
 (* Tests for the fault-injection layer and the reliable-delivery
    primitives: fault-schedule determinism (same seed => identical
    trace and identical algorithm output), drop/duplication semantics,
-   permanent link failures, crash-stop faults, and the honest ledger
-   accounting of lossy runs. *)
+   retry exhaustion, and the honest ledger accounting of lossy runs. *)
 
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
@@ -16,36 +15,29 @@ module Primitives = Dex_congest.Primitives
 module Arena = Dex_congest.Arena
 module Rng = Dex_util.Rng
 
-let lossy_net ?(spec = Faults.lossy ~drop:0.1 ~seed:42 ()) g =
-  let faults = Faults.create spec in
-  let net = Network.create ~faults g (Rounds.create ()) in
-  (net, faults)
-
-(* the fault-free schedule, to extend with link failures or crashes *)
-let no_faults = Faults.lossy ~drop:0.0 ()
+let lossy_net faults g = (Network.create ~faults g (Rounds.create ()), faults)
 
 (* ---------- fault-schedule determinism ---------- *)
 
-let run_lossy_bfs spec =
+let run_lossy_bfs seed =
   let rng = Rng.create 5 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:30 ~p:0.12) in
-  let net, faults = lossy_net ~spec g in
+  let net, faults = lossy_net (Faults.create ~drop:0.15 ~duplicate:0.05 ~seed) g in
   let log = Reference.fault_log faults in
   let tree = Reliable.bfs_tree net ~root:(Vertex.local 0) in
   (tree.Primitives.depth, log (), Faults.drops faults,
    Rounds.total (Network.rounds net), Network.messages_sent net)
 
 let test_fault_determinism () =
-  let spec = Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed:1234 () in
-  let d1, t1, n1, r1, m1 = run_lossy_bfs spec in
-  let d2, t2, n2, r2, m2 = run_lossy_bfs spec in
+  let d1, t1, n1, r1, m1 = run_lossy_bfs 1234 in
+  let d2, t2, n2, r2, m2 = run_lossy_bfs 1234 in
   Alcotest.(check (array int)) "same output" d1 d2;
   Alcotest.(check bool) "same fault trace" true (t1 = t2);
   Alcotest.(check int) "same drop count" n1 n2;
   Alcotest.(check int) "same rounds" r1 r2;
   Alcotest.(check int) "same messages" m1 m2;
   (* a different seed gives a different adversary *)
-  let _, t3, _, _, _ = run_lossy_bfs (Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed:99 ()) in
+  let _, t3, _, _, _ = run_lossy_bfs 99 in
   Alcotest.(check bool) "different seed, different trace" false (t1 = t3)
 
 let test_zero_probability_is_fault_free () =
@@ -53,7 +45,7 @@ let test_zero_probability_is_fault_free () =
   let g = Gen.connectivize rng (Gen.gnp rng ~n:25 ~p:0.15) in
   let plain = Network.create g (Rounds.create ()) in
   let reference = Primitives.bfs_tree plain ~root:(Vertex.local 0) in
-  let net, faults = lossy_net ~spec:(Faults.lossy ~drop:0.0 ~seed:7 ()) g in
+  let net, faults = lossy_net (Faults.create ~drop:0.0 ~duplicate:0.0 ~seed:7) g in
   let log = Reference.fault_log faults in
   let tree = Reliable.bfs_tree net ~root:(Vertex.local 0) in
   Alcotest.(check (array int)) "depths" reference.Primitives.depth tree.Primitives.depth;
@@ -65,7 +57,7 @@ let test_zero_probability_is_fault_free () =
 let test_reliable_bfs_under_drops () =
   let rng = Rng.create 8 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.1) in
-  let net, faults = lossy_net ~spec:(Faults.lossy ~drop:0.2 ~duplicate:0.1 ~seed:3 ()) g in
+  let net, faults = lossy_net (Faults.create ~drop:0.2 ~duplicate:0.1 ~seed:3) g in
   let tree = Reliable.bfs_tree net ~root:(Vertex.local 0) in
   Alcotest.(check (array int)) "depths equal BFS distances"
     (Metrics.bfs_distances g 0) tree.Primitives.depth;
@@ -88,7 +80,7 @@ let test_reliable_bfs_fault_free_matches () =
 let test_reliable_leader_under_drops () =
   let rng = Rng.create 10 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:35 ~p:0.1) in
-  let net, _ = lossy_net ~spec:(Faults.lossy ~drop:0.25 ~seed:11 ()) g in
+  let net, _ = lossy_net (Faults.create ~drop:0.25 ~duplicate:0.0 ~seed:11) g in
   let leaders = Reliable.elect_leader net in
   Array.iteri (fun v l -> Alcotest.(check int) (Printf.sprintf "leader of %d" v) 0 l) leaders
 
@@ -100,61 +92,36 @@ let test_reliable_rounds_overhead_charged () =
   let base = Network.create g (Rounds.create ()) in
   let _ = Reliable.bfs_tree base ~root:(Vertex.local 0) in
   let base_rounds = List.assoc "bfs-reliable" (Rounds.by_phase (Network.rounds base)) in
-  let net, _ = lossy_net ~spec:(Faults.lossy ~drop:0.3 ~seed:13 ()) g in
+  let net, _ = lossy_net (Faults.create ~drop:0.3 ~duplicate:0.0 ~seed:13) g in
   let _ = Reliable.bfs_tree net ~root:(Vertex.local 0) in
   let lossy_rounds = List.assoc "bfs-reliable" (Rounds.by_phase (Network.rounds net)) in
   Alcotest.(check bool)
     (Printf.sprintf "lossy %d >= fault-free %d" lossy_rounds base_rounds)
     true (lossy_rounds >= base_rounds)
 
-(* ---------- permanent link failures ---------- *)
+(* ---------- retry exhaustion ---------- *)
 
-let test_link_failure_fails_delivery () =
+(* a schedule that drops everything: vertex 0's first offer to 1 is
+   never acknowledged, so it exhausts its budget *)
+let test_exhaustion_fails_delivery () =
   let g = Gen.path 3 in
-  let spec = { no_faults with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 } in
-  let faults = Faults.create spec in
+  let faults = Faults.create ~drop:1.0 ~duplicate:0.0 ~seed:1 in
   let net = Network.create ~faults g (Rounds.create ()) in
   let log = Reference.fault_log faults in
-  let config = { Reliable.max_retries = 5; Reliable.give_up = false } in
-  (match Reliable.bfs_tree ~config net ~root:(Vertex.local 0) with
+  (match Reliable.bfs_tree ~max_retries:5 net ~root:(Vertex.local 0) with
   | exception Reliable.Delivery_failed { vertex; neighbor; attempts; _ } ->
-    Alcotest.(check int) "failing vertex" 1 vertex;
-    Alcotest.(check int) "unreachable neighbor" 2 neighbor;
+    Alcotest.(check int) "failing vertex" 0 vertex;
+    Alcotest.(check int) "unreachable neighbor" 1 neighbor;
     Alcotest.(check int) "attempts = budget" 5 attempts
   | _ -> Alcotest.fail "expected Delivery_failed");
   (* the failed run still charged its rounds *)
   Alcotest.(check bool) "rounds charged" true (Rounds.total (Network.rounds net) > 0);
-  (* the trace shows the dead link *)
-  Alcotest.(check bool) "link-down event recorded" true
-    (List.exists
-       (function Faults.Link_down { u = 1; v = 2; _ } -> true | _ -> false)
-       (log ()))
-
-let test_link_failure_give_up_partitions () =
-  let g = Gen.path 3 in
-  let spec = { no_faults with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 } in
-  let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
-  let config = { Reliable.max_retries = 4; Reliable.give_up = true } in
-  let tree = Reliable.bfs_tree ~config net ~root:(Vertex.local 0) in
-  Alcotest.(check (array int)) "vertex 2 unreachable" [| 0; 1; max_int |] tree.Primitives.depth;
-  Alcotest.(check (array int)) "members" [| 0; 1 |] tree.Primitives.members
-
-(* ---------- crash-stop faults ---------- *)
-
-let test_crash_stop () =
-  let g = Gen.path 4 in
-  let spec = { no_faults with Faults.crashes = [ (3, 1) ]; Faults.seed = 1 } in
-  let faults = Faults.create spec in
-  let net = Network.create ~faults g (Rounds.create ()) in
-  let log = Reference.fault_log faults in
-  let config = { Reliable.max_retries = 4; Reliable.give_up = true } in
-  let tree = Reliable.bfs_tree ~config net ~root:(Vertex.local 0) in
-  Alcotest.(check (array int)) "crashed vertex outside tree"
-    [| 0; 1; 2; max_int |] tree.Primitives.depth;
-  Alcotest.(check bool) "crash event recorded" true
-    (List.exists
-       (function Faults.Crash { vertex = 3; _ } -> true | _ -> false)
-       (log ()))
+  (* the trace shows each lost transmission *)
+  Alcotest.(check int) "five drops recorded" 5
+    (List.length
+       (List.filter
+          (function Faults.Drop { src = 0; dst = 1; _ } -> true | _ -> false)
+          (log ())))
 
 (* ---------- congestion discipline still enforced under faults ---------- *)
 
@@ -162,8 +129,8 @@ let test_validation_precedes_faults () =
   (* even an adversary that drops everything does not excuse a
      congestion violation: validation happens before fault application *)
   let g = Gen.path 3 in
-  let spec = Faults.lossy ~drop:1.0 ~seed:2 () in
-  let net = Network.create ~faults:(Faults.create spec) g (Rounds.create ()) in
+  let faults = Faults.create ~drop:1.0 ~duplicate:0.0 ~seed:2 in
+  let net = Network.create ~faults g (Rounds.create ()) in
   (match
      Network.run_active_rounds net ~label:"bad"
        ~init:(fun _ -> ())
@@ -180,7 +147,7 @@ let test_validation_precedes_faults () =
 
 let test_drop_everything_counts () =
   let g = Gen.cycle 5 in
-  let faults = Faults.create (Faults.lossy ~drop:1.0 ~seed:3 ()) in
+  let faults = Faults.create ~drop:1.0 ~duplicate:0.0 ~seed:3 in
   let net = Network.create ~faults g (Rounds.create ()) in
   let step ~round ~vertex st _ib ob =
     let vertex = Vertex.local_int vertex in
@@ -194,7 +161,7 @@ let test_drop_everything_counts () =
 
 let test_duplicates_counted () =
   let g = Gen.path 2 in
-  let faults = Faults.create (Faults.lossy ~drop:0.0 ~duplicate:1.0 ~seed:4 ()) in
+  let faults = Faults.create ~drop:0.0 ~duplicate:1.0 ~seed:4 in
   let net = Network.create ~faults g (Rounds.create ()) in
   let step ~round ~vertex st _ib ob =
     if round = 1 && Vertex.local_int vertex = 0 then
@@ -213,7 +180,7 @@ let prop_reliable_bfs_under_loss =
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.15) in
-      let faults = Faults.create (Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed ()) in
+      let faults = Faults.create ~drop:0.15 ~duplicate:0.05 ~seed in
       let net = Network.create ~faults g (Rounds.create ()) in
       let tree = Reliable.bfs_tree net ~root:(Vertex.local (seed mod n)) in
       tree.Primitives.depth = Metrics.bfs_distances g (seed mod n))
@@ -223,21 +190,20 @@ let prop_reliable_bfs_under_loss =
 (* One line per run: the tree or leaders, the ledger, the traffic, the
    adversary's counters and a digest of its full trace. Recorded when
    Reliable ran on the list API (every live vertex stepped every
-   round), and unchanged by its port to cursors. *)
+   round), and unchanged by its port to cursors; the two exhaustion
+   lines were recorded before the schedule lost its crash-stop and
+   link-failure classes. *)
 let fault_repr = function
   | Faults.Drop { round; src; dst } -> Printf.sprintf "drop@%d:%d->%d" round src dst
   | Faults.Duplicate { round; src; dst } -> Printf.sprintf "dup@%d:%d->%d" round src dst
-  | Faults.Link_down { round; u; v } -> Printf.sprintf "link@%d:%d-%d" round u v
-  | Faults.Crash { round; vertex } -> Printf.sprintf "crash@%d:%d" round vertex
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
-let golden_line ?spec ?config g run =
-  let faults = Option.map Faults.create spec in
+let golden_line ?faults ?max_retries g run =
   let net = Network.create ?faults g (Rounds.create ()) in
   let log = Option.map Reference.fault_log faults in
   let result =
-    match run ?config net with
+    match run ?max_retries net with
     | `Tree (t : Primitives.tree) ->
       Printf.sprintf "depth=%s parent=%s"
         (ints (Array.map (fun d -> if d = max_int then -1 else d) t.Primitives.depth))
@@ -258,47 +224,31 @@ let golden_line ?spec ?config g run =
     (List.length trace)
     (Digest.to_hex (Digest.string (String.concat ";" trace)))
 
-let bfs root ?config net = `Tree (Reliable.bfs_tree ?config net ~root:(Vertex.local root))
-let leader ?config net = `Leaders (Reliable.elect_leader ?config net)
+let bfs root ?max_retries net = `Tree (Reliable.bfs_tree ?max_retries net ~root:(Vertex.local root))
+let leader ?max_retries net = `Leaders (Reliable.elect_leader ?max_retries net)
 
 let golden_gnp seed n p =
   let rng = Rng.create seed in
   Gen.connectivize rng (Gen.gnp rng ~n ~p)
-
-let give_up = { Reliable.max_retries = 6; Reliable.give_up = true }
-
-(* link (1, 2) dies at round 1, vertex 3 crashes at round 2 and the
-   root, long acknowledged by then, at round 7 *)
-let broken seed =
-  { (Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed ()) with
-    Faults.link_failures = [ ((1, 2), 1) ];
-    Faults.crashes = [ (3, 2); (0, 7) ] }
 
 let golden_cases =
   [ ("bfs fault-free", fun () -> golden_line (golden_gnp 9 24 0.15) (bfs 3));
     ("leader fault-free", fun () -> golden_line (golden_gnp 9 24 0.15) leader);
     ( "bfs lossy",
       fun () ->
-        golden_line ~spec:(Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed:21 ())
+        golden_line ~faults:(Faults.create ~drop:0.15 ~duplicate:0.05 ~seed:21)
           (golden_gnp 21 24 0.15) (bfs 0) );
     ( "leader lossy",
       fun () ->
-        golden_line ~spec:(Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed:22 ())
+        golden_line ~faults:(Faults.create ~drop:0.15 ~duplicate:0.05 ~seed:22)
           (golden_gnp 22 24 0.15) leader );
-    ( "bfs link+crash give-up",
-      fun () -> golden_line ~spec:(broken 23) ~config:give_up (Gen.cycle 18) (bfs 0) );
-    ( "leader link+crash give-up",
-      fun () -> golden_line ~spec:(broken 24) ~config:give_up (golden_gnp 24 20 0.2) leader );
-    ( "bfs link+crash fails",
+    ( "bfs lossy exhausts",
       fun () ->
-        golden_line ~spec:(broken 25)
-          ~config:{ Reliable.max_retries = 6; Reliable.give_up = false }
+        golden_line ~faults:(Faults.create ~drop:0.15 ~duplicate:0.05 ~seed:25) ~max_retries:3
           (golden_gnp 25 20 0.2) (bfs 0) );
-    ( "bfs abandoned peer",
+    ( "bfs drop-all exhausts",
       fun () ->
-        golden_line
-          ~spec:{ no_faults with Faults.link_failures = [ ((1, 2), 1) ]; Faults.seed = 1 }
-          ~config:{ Reliable.max_retries = 4; Reliable.give_up = true }
+        golden_line ~faults:(Faults.create ~drop:1.0 ~duplicate:0.0 ~seed:1) ~max_retries:4
           (Gen.path 3) (bfs 0) );
     ("bfs single vertex", fun () -> golden_line (Graph.of_edges ~n:1 []) (bfs 0));
     ("bfs isolated root", fun () -> golden_line (Graph.of_edges ~n:3 [ (1, 2) ]) (bfs 0));
@@ -309,10 +259,8 @@ let goldens =
     ("leader fault-free", "leaders=0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 rounds=leader-reliable:9 msgs=396 words=396 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
     ("bfs lossy", "depth=0,1,3,1,2,2,1,2,1,1,2,3,1,2,1,2,2,2,3,3,2,2,4,2 parent=0,0,17,0,8,12,0,3,0,0,9,17,0,1,0,8,6,6,16,15,9,6,19,1 rounds=bfs-reliable:12 msgs=284 words=284 drops=48 dups=10 trace=58:1c1d6d3221fe92ae6e28960dc795edb0");
     ("leader lossy", "leaders=0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 rounds=leader-reliable:9 msgs=420 words=420 drops=78 dups=21 trace=99:58187beec4f73a069683d1f49407f047");
-    ("bfs link+crash give-up", "depth=0,1,-1,-1,14,13,12,11,10,9,8,7,6,5,4,3,2,1 parent=0,0,-1,-1,5,6,7,8,9,10,11,12,13,14,15,16,17,0 rounds=bfs-reliable:24 msgs=88 words=88 drops=28 dups=4 trace=35:baa88a877c73d82965ae298ba9c2f220");
-    ("leader link+crash give-up", "leaders=0,0,0,3,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0 rounds=leader-reliable:10 msgs=362 words=362 drops=73 dups=19 trace=94:ff2377115d72be3f1b1413f37e9d5f3a");
-    ("bfs link+crash fails", "failed=bfs-reliable:10->3 value 3 after 6 rounds=bfs-reliable:10 msgs=246 words=246 drops=36 dups=8 trace=46:7eae0c7a51a942d7bff7bdfc0239219b");
-    ("bfs abandoned peer", "depth=0,1,-1 parent=0,0,-1 rounds=bfs-reliable:6 msgs=6 words=6 drops=4 dups=0 trace=5:7b31b95c00ad3228774e12aca3378729");
+    ("bfs lossy exhausts", "failed=bfs-reliable:18->17 value 1 after 3 rounds=bfs-reliable:10 msgs=245 words=245 drops=30 dups=9 trace=39:f051d3ae1756f8c141f3d09263ab1f2c");
+    ("bfs drop-all exhausts", "failed=bfs-reliable:0->1 value 0 after 4 rounds=bfs-reliable:5 msgs=0 words=0 drops=4 dups=0 trace=4:55569db44eadeeb70c16ed707bb068e5");
     ("bfs single vertex", "depth=0 parent=0 rounds=bfs-reliable:0 msgs=0 words=0 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
     ("bfs isolated root", "depth=0,-1,-1 parent=0,-1,-1 rounds=bfs-reliable:0 msgs=0 words=0 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e");
     ("leader edgeless", "leaders=0,1,2,3 rounds=leader-reliable:0 msgs=0 words=0 drops=0 dups=0 trace=0:d41d8cd98f00b204e9800998ecf8427e") ]
@@ -337,7 +285,5 @@ let () =
           Alcotest.test_case "goldens" `Quick test_goldens;
           QCheck_alcotest.to_alcotest prop_reliable_bfs_under_loss ] );
       ( "failures",
-        [ Alcotest.test_case "link failure raises" `Quick test_link_failure_fails_delivery;
-          Alcotest.test_case "link failure give-up" `Quick test_link_failure_give_up_partitions;
-          Alcotest.test_case "crash stop" `Quick test_crash_stop;
+        [ Alcotest.test_case "link failure raises" `Quick test_exhaustion_fails_delivery;
           Alcotest.test_case "validation precedes faults" `Quick test_validation_precedes_faults ] ) ]

@@ -38,8 +38,6 @@ let fault_repr = function
   | Faults.Drop { round; src; dst } -> Printf.sprintf "drop@%d:%d->%d" round src dst
   | Faults.Duplicate { round; src; dst } ->
     Printf.sprintf "dup@%d:%d->%d" round src dst
-  | Faults.Link_down { round; u; v } -> Printf.sprintf "link@%d:%d-%d" round u v
-  | Faults.Crash { round; vertex } -> Printf.sprintf "crash@%d:%d" round vertex
 
 (* A workload in both forms over one state type, so the digests of the
    two runs are comparable: [cursor] runs on the kernel, [list] on the
@@ -58,8 +56,7 @@ let inbox_count ib =
   Arena.Inbox.iter1 ib (fun _ _ -> incr c);
   !c
 
-let observe ?spec ~kernel g w =
-  let faults = Option.map Faults.create spec in
+let observe ?faults ~kernel g w =
   let log = Option.map Reference.fault_log faults in
   let per_round = ref [] in
   let on_round round states =
@@ -98,13 +95,16 @@ let check_same name base o =
   Alcotest.(check int) (name ^ " drops") base.drops o.drops;
   Alcotest.(check int) (name ^ " duplicates") base.dups o.dups
 
-let equivalent ~workload ?spec make_graph w () =
+(* [faults seed] builds a fresh schedule, one for each run *)
+let equivalent ~workload ?faults make_graph w () =
   List.iter
     (fun seed ->
       let g = make_graph seed in
-      let spec = Option.map (fun f -> f seed) spec in
+      let faults () = Option.map (fun f -> f seed) faults in
       let name = Printf.sprintf "%s seed %d" workload seed in
-      check_same name (observe ?spec ~kernel:`Reference g (w g)) (observe ?spec ~kernel:`Cursor g (w g)))
+      check_same name
+        (observe ?faults:(faults ()) ~kernel:`Reference g (w g))
+        (observe ?faults:(faults ()) ~kernel:`Cursor g (w g)))
     seeds
 
 (* ---------- workloads ---------- *)
@@ -161,9 +161,9 @@ let leader g =
           ~finished:(Array.for_all (fun (st : Primitives.leader_state) -> not st.fresh))
           ~on_round) }
 
-(* constant traffic for ten rounds, so drop/duplicate coins and the
-   crash/link schedule all get exercised; the cursor form wakes every
-   round, so every live vertex steps every round in both forms *)
+(* constant traffic for ten rounds, so the drop and duplicate coins
+   all get exercised; the cursor form wakes every round, so every
+   vertex steps every round in both forms *)
 let gossip g =
   let cursor_step ~round:_ ~vertex st ib ob =
     let v = Vertex.local_int vertex in
@@ -185,21 +185,16 @@ let gossip g =
 
 let gnp_graph seed = Generators.gnp (Rng.create seed) ~n:40 ~p:0.12
 
-(* cycles always contain edge (1, 2) and vertex 3, which the fault
-   schedule below targets (same shape as test_faults.ml) *)
 let cycle_graph seed = Generators.cycle (16 + seed)
 
-let fault_spec seed =
-  { (Faults.lossy ~drop:0.15 ~duplicate:0.05 ~seed ()) with
-    Faults.link_failures = [ ((1, 2), 1) ];
-    Faults.crashes = [ (3, 2) ] }
+let lossy seed = Faults.create ~drop:0.15 ~duplicate:0.05 ~seed
 
 let test_bfs_equivalent = equivalent ~workload:"bfs" gnp_graph bfs
 
 let test_leader_equivalent = equivalent ~workload:"leader" gnp_graph leader
 
 let test_faulty_gossip_equivalent =
-  equivalent ~workload:"gossip" ~spec:fault_spec cycle_graph gossip
+  equivalent ~workload:"gossip" ~faults:lossy cycle_graph gossip
 
 (* ---------- the public entry points against the reference ---------- *)
 
@@ -466,32 +461,6 @@ let test_fixed_flood_vs_reference () =
   Alcotest.(check int) "cursor messages" r.Reference.messages (Network.messages_sent net);
   Alcotest.(check int) "cursor charged" 5 (Rounds.total (Network.rounds net))
 
-(* every vertex crash-stops at round 2: round 2 steps nobody, sends
-   nothing and records the four crashes, and the run then quiesces *)
-let test_all_crashed () =
-  let g = Generators.path 4 in
-  let spec = { (Faults.lossy ~drop:0.0 ()) with Faults.crashes = List.init 4 (fun v -> (v, 2)) } in
-  let faults = Faults.create spec in
-  let net = Network.create ~faults g (Rounds.create ()) in
-  let log = Reference.fault_log faults in
-  let ticks = ref [] in
-  let step ~round:_ ~vertex:_ st _ib ob =
-    Arena.Outbox.wake ob;
-    st + 1
-  in
-  let states, rounds =
-    Network.run_active net ~label:"crashed" ~init:(fun _ -> 0) ~step
-      ~on_round:(fun r _ -> ticks := r :: !ticks)
-      ~max_rounds:25 ()
-  in
-  Alcotest.(check int) "rounds" 2 rounds;
-  Alcotest.(check (list int)) "on_round" [ 2; 1 ] !ticks;
-  Alcotest.(check (array int)) "stepped in round 1 only" (Array.make 4 1) states;
-  Alcotest.(check int) "charged" 2 (Rounds.total (Network.rounds net));
-  Alcotest.(check (list string)) "crashes recorded in round 2"
-    [ "crash@2:0"; "crash@2:1"; "crash@2:2"; "crash@2:3" ]
-    (List.map fault_repr (log ()))
-
 (* a run whose only remaining work is a wake booked past [max_rounds]
    is not quiescent: it raises like any other over-long run, charging
    the max_rounds rounds that elapsed (stepped or idle) *)
@@ -534,5 +503,4 @@ let () =
           Alcotest.test_case "pending wake" `Quick test_pending_wake_keeps_run_alive;
           Alcotest.test_case "fixed length" `Quick test_run_active_rounds_fixed_length;
           Alcotest.test_case "fixed flood vs reference" `Quick test_fixed_flood_vs_reference;
-          Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds;
-          Alcotest.test_case "all crashed" `Quick test_all_crashed ] ) ]
+          Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds ] ) ]

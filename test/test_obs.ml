@@ -67,14 +67,14 @@ let test_event_goldens () =
           let id = Trace.span_open tr ~name:"decompose" ~rounds_before:0 in
           Trace.round_tick tr ~round:4 ~messages:10 ~words:10 ~max_edge_load:2 ~active:7;
           Trace.fault tr ~kind:"drop" ~round:2 ~src:1 ~dst:5;
-          Trace.fault tr ~kind:"crash" ~round:9 ~src:3 ~dst:(-1);
+          Trace.fault tr ~kind:"duplicate" ~round:9 ~src:3 ~dst:4;
           Trace.retry tr ~label:"sparse-cut" ~attempt:2 ~certified:false;
           Trace.span_close tr ~id ~name:"decompose" ~rounds:17 ~wall_ns:12345);
       Alcotest.(check (list string)) "one line per event"
         [ {|{"ev":"span-open","id":0,"parent":-1,"name":"decompose","rounds-before":0}|};
           {|{"ev":"round","round":4,"messages":10,"words":10,"max-edge-load":2,"active":7}|};
           {|{"ev":"fault","kind":"drop","round":2,"src":1,"dst":5}|};
-          {|{"ev":"fault","kind":"crash","round":9,"src":3,"dst":-1}|};
+          {|{"ev":"fault","kind":"duplicate","round":9,"src":3,"dst":4}|};
           {|{"ev":"retry","label":"sparse-cut","attempt":2,"certified":false}|};
           {|{"ev":"span-close","id":0,"name":"decompose","rounds":17,"wall-ns":12345}|};
           "" ]
@@ -236,11 +236,10 @@ let test_round_ticks () =
    delivered messages, one word each *)
 let test_delivered_words_fault_aware () =
   let g = Gen.cycle 12 in
-  let run spec =
+  let run faults =
     let ledger = Rounds.create () in
     let tr = Trace.create () in
     Rounds.attach_trace ledger (Some tr);
-    let faults = Option.map Faults.create spec in
     let net = Network.create ?faults g ledger in
     flood net g 4;
     let words =
@@ -254,12 +253,12 @@ let test_delivered_words_fault_aware () =
   let clean, _ = run None in
   Alcotest.(check int) "clean: 2 per edge per round" (2 * 12 * 4) (Network.messages_sent clean);
   (* duplicate everything: twice the deliveries, twice the words *)
-  let doubled, _ = run (Some (Faults.lossy ~duplicate:1.0 ~drop:0.0 ())) in
+  let doubled, _ = run (Some (Faults.create ~drop:0.0 ~duplicate:1.0 ~seed:0)) in
   Alcotest.(check int) "duplicate=1: words doubled"
     (2 * Network.messages_sent clean)
     (Network.messages_sent doubled);
   (* drop everything: nothing delivered, nothing charged *)
-  let silenced, faults = run (Some (Faults.lossy ~drop:1.0 ())) in
+  let silenced, faults = run (Some (Faults.create ~drop:1.0 ~duplicate:0.0 ~seed:0)) in
   Alcotest.(check int) "drop=1: no words" 0 (Network.messages_sent silenced);
   Alcotest.(check bool) "drops recorded" true
     (match faults with Some f -> Faults.drops f > 0 | None -> false)
@@ -269,7 +268,7 @@ let test_fault_events_bridged () =
   let ledger = Rounds.create () in
   let tr = Trace.create () in
   Rounds.attach_trace ledger (Some tr);
-  let faults = Faults.create (Faults.lossy ~drop:0.5 ~seed:3 ()) in
+  let faults = Faults.create ~drop:0.5 ~duplicate:0.0 ~seed:3 in
   let net = Network.create ~faults g ledger in
   flood net g 4;
   Alcotest.(check bool) "schedule dropped something" true (Faults.drops faults > 0);
