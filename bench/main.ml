@@ -593,6 +593,7 @@ let e10_micro () =
      restarted at the same distribution, and a rescan into one sweep.
      From ψ_V, which covers every vertex, the walker takes its
      full-support path, as Nibble's walks do once they have spread. *)
+  let view = X.View.make g in
   let walker = X.Walk.walker g and sweep = X.Sweep.workspace g in
   let mask = Array.make (X.Graph.num_vertices g) false in
   let stationary =
@@ -607,7 +608,7 @@ let e10_micro () =
     let rng = X.Rng.create 72 in
     X.Generators.connectivize rng (X.Generators.gnp rng ~n:128 ~p:0.5)
   in
-  let dense_rows = X.Sweep.rows dense and dense_sweep = X.Sweep.workspace dense in
+  let dense_view = X.View.make dense and dense_sweep = X.Sweep.workspace dense in
   let dense_walk = (X.Walk.truncated_walk dense ~src:0 ~eps:1e-7 ~steps:4).(4) in
   (* tracing-overhead pair: the same 8-round flood on the same cycle,
      one network with no trace attached, one with round ticks + edge
@@ -638,14 +639,14 @@ let e10_micro () =
     [ Test.make ~name:"walk-advance"
         (Staged.stage (fun () ->
              X.Walk.start walker sparse.(4);
-             X.Walk.advance walker g ~eps:1e-7 ~mask));
+             X.Walk.advance walker view ~eps:1e-7 ~mask));
       Test.make ~name:"walk-advance-full"
         (Staged.stage (fun () ->
              X.Walk.start walker stationary;
-             X.Walk.advance walker g ~eps:1e-7 ~mask));
-      Test.make ~name:"sweep-rescan" (Staged.stage (fun () -> X.Sweep.rescan sweep g sparse.(4)));
+             X.Walk.advance walker view ~eps:1e-7 ~mask));
+      Test.make ~name:"sweep-rescan" (Staged.stage (fun () -> X.Sweep.rescan sweep view sparse.(4)));
       Test.make ~name:"sweep-rescan-dense"
-        (Staged.stage (fun () -> X.Sweep.rescan ?rows:dense_rows dense_sweep dense dense_walk));
+        (Staged.stage (fun () -> X.Sweep.rescan dense_sweep dense_view dense_walk));
       Test.make ~name:"bfs-distances" (Staged.stage (fun () -> X.Metrics.bfs_distances g 0));
       Test.make ~name:"triangle-count" (Staged.stage (fun () -> X.Triangles.count g));
       Test.make ~name:"gnp-generate"

@@ -35,6 +35,7 @@ module Rounds = Dex_congest.Rounds
 module Primitives = Dex_congest.Primitives
 module Faults = Dex_congest.Faults
 module Reliable = Dex_congest.Reliable
+module View = Dex_spectral.View
 module Walk = Dex_spectral.Walk
 module Sweep = Dex_spectral.Sweep
 module Mixing = Dex_spectral.Mixing

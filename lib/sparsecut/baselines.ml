@@ -2,6 +2,7 @@ module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
 module Walk = Dex_spectral.Walk
 module Sweep = Dex_spectral.Sweep
+module View = Dex_spectral.View
 module Mixing = Dex_spectral.Mixing
 module Rng = Dex_util.Rng
 
@@ -41,16 +42,16 @@ let dsmp g rng =
       let lf = log (Float.max 2.0 (float_of_int n)) in
       int_of_float (Float.ceil (16.0 *. lf *. lf))
     in
-    let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
-    let src = Rng.weighted_index rng degrees in
+    let view = View.make g in
+    let src = Rng.weighted_index rng view.degrees in
     let w = Walk.walker g and mask = Array.make n false in
-    let sweep = Sweep.workspace g and rows = Sweep.rows g in
+    let sweep = Sweep.workspace g in
     Walk.start w (Walk.indicator src);
     let best = ref None in
     for _ = 1 to steps do
       (* ε = 0: the untruncated lazy walk *)
-      ignore (Walk.advance w g ~eps:0.0 ~mask : float);
-      Sweep.rescan ?rows sweep g (Walk.current w);
+      ignore (Walk.advance w view ~eps:0.0 ~mask : float);
+      Sweep.rescan sweep view (Walk.current w);
       match Sweep.best sweep with
       | None -> ()
       | Some j ->

@@ -1,6 +1,7 @@
 module Graph = Dex_graph.Graph
 module Walk = Dex_spectral.Walk
 module Sweep = Dex_spectral.Sweep
+module View = Dex_spectral.View
 
 type cut = {
   vertices : int array;
@@ -77,8 +78,7 @@ let passes c (sweep : Sweep.t) ~j ~r =
    sweep, which it charges to [rounds] and [candidates] *)
 type copy = {
   params : Params.t;
-  g : Graph.t;
-  rows : Sweep.rows option;
+  view : View.t;
   lane : lane;
   src : int;
   b : int;
@@ -99,8 +99,8 @@ type copy = {
    the refinement only improves the (C.1)/(C.1-star) quality *)
 let patience = 192
 
-let start (params : Params.t) g ~rows ~select lane ~src ~b =
-  let total_volume = Graph.total_volume g in
+let start (params : Params.t) (view : View.t) ~select lane ~src ~b =
+  let total_volume = Graph.total_volume view.graph in
   Walk.start lane.walker (Walk.indicator src);
   lane.seen.(src) <- true;
   (* conditions shared by the exact and approximate variants *)
@@ -112,7 +112,7 @@ let start (params : Params.t) g ~rows ~select lane ~src ~b =
   let relaxed =
     { strict with phi_max = params.c1_relaxed_factor *. params.phi; ceil_num = 11; ceil_den = 12 }
   in
-  { params; g; rows; lane; src; b; eps = Params.eps_b params b; strict; relaxed; select;
+  { params; view; lane; src; b; eps = Params.eps_b params b; strict; relaxed; select;
     t = 0; rounds = 0; candidates = 0; result = None; deadline = params.t0; converged = false }
 
 let live c =
@@ -130,7 +130,7 @@ let checkpoint c =
   c.rounds <- c.rounds + 1;
   let p = Walk.current c.lane.walker in
   if Walk.size p > 0 && Params.should_sweep c.params c.t then begin
-    Sweep.rescan ?rows:c.rows c.lane.sweep c.g p;
+    Sweep.rescan c.lane.sweep c.view p;
     match c.select c with
     | None -> ()
     | Some cut ->
@@ -142,11 +142,11 @@ let checkpoint c =
   end
 
 let step c =
-  ignore (Walk.advance c.lane.walker c.g ~eps:c.eps ~mask:c.lane.seen : float);
+  ignore (Walk.advance c.lane.walker c.view ~eps:c.eps ~mask:c.lane.seen : float);
   checkpoint c
 
 let step_pair c d =
-  Walk.advance_pair c.lane.walker d.lane.walker c.g ~eps1:c.eps ~eps2:d.eps ~mask1:c.lane.seen
+  Walk.advance_pair c.lane.walker d.lane.walker c.view ~eps1:c.eps ~eps2:d.eps ~mask1:c.lane.seen
     ~mask2:d.lane.seen;
   checkpoint c;
   checkpoint d
@@ -156,7 +156,7 @@ let finish c =
      the fixpoint step *)
   let p = Walk.current c.lane.walker in
   if Option.is_none c.result && c.converged && Walk.size p > 0 then begin
-    Sweep.rescan ?rows:c.rows c.lane.sweep c.g p;
+    Sweep.rescan c.lane.sweep c.view p;
     match c.select c with
     | None -> ()
     | Some cut -> c.result <- Some cut
@@ -164,7 +164,7 @@ let finish c =
   (* the participants ascending; clearing them leaves the mask all
      false for the next run *)
   let seen = c.lane.seen in
-  let n = Graph.num_vertices c.g in
+  let n = Graph.num_vertices c.view.graph in
   let count = ref 0 in
   for v = 0 to n - 1 do
     if seen.(v) then incr count
@@ -209,13 +209,13 @@ let step_all copies =
 (* The one Nibble loop: the copies of [draws], a (src, b) each, run in
    lockstep, as many at a time as [ws] has lanes, and their outcomes
    come back in draw order. Every draw is checked before any mask is
-   marked, so a rejected call leaves [ws] clean. The lanes share [g]'s
-   [rows]. *)
-let run ws (params : Params.t) g ~rows ~select draws =
+   marked, so a rejected call leaves [ws] clean. The lanes share
+   [view]. *)
+let run ws (params : Params.t) (view : View.t) ~select draws =
   Array.iter
     (fun (_, b) -> if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range")
     draws;
-  if Graph.num_vertices g > Array.length ws.(0).seen then
+  if Graph.num_vertices view.graph > Array.length ws.(0).seen then
     invalid_arg "Nibble: workspace smaller than the graph";
   let lanes = Array.length ws in
   let total = Array.length draws in
@@ -225,7 +225,7 @@ let run ws (params : Params.t) g ~rows ~select draws =
     let copies =
       Array.init (Int.min lanes (total - !first)) (fun i ->
           let src, b = draws.(!first + i) in
-          start params g ~rows ~select ws.(i) ~src ~b)
+          start params view ~select ws.(i) ~src ~b)
     in
     while Array.exists live copies do
       step_all copies
@@ -288,13 +288,13 @@ let approximate_select c =
 let only = function [ o ] -> o | _ -> invalid_arg "Nibble: one draw, one outcome"
 
 let nibble params g ~src ~b =
-  only (run (workspace g) params g ~rows:(Sweep.rows g) ~select:exact_select [| (src, b) |])
+  only (run (workspace g) params (View.make g) ~select:exact_select [| (src, b) |])
 
 let approximate ?workspace:ws params g ~src ~b =
   let ws = match ws with Some ws -> ws | None -> workspace g in
-  only (run ws params g ~rows:(Sweep.rows g) ~select:approximate_select [| (src, b) |])
+  only (run ws params (View.make g) ~select:approximate_select [| (src, b) |])
 
-let approximate_copies ws params g ~rows draws = run ws params g ~rows ~select:approximate_select draws
+let approximate_copies ws params view draws = run ws params view ~select:approximate_select draws
 
 (* each edge of P-star once, from its participating endpoint (the
    smaller one when both participate); the sorted adjacency makes

@@ -64,19 +64,18 @@ val nibble : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 val approximate :
   ?workspace:workspace -> Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
 
-(** [approximate_copies ws params g draws] is [approximate] from every
+(** [approximate_copies ws params view draws] is [approximate] from every
     [(src, b)] of [draws], with the outcomes in draw order. The copies
     run in lockstep, as many at a time as [ws] has lanes: each step
     advances every live copy, two walks that both cover every vertex
     in one pass over the adjacency, and each copy's sweep checkpoints,
     stop rules and final sweep are its own. The outcomes are the ones
     [approximate] gives each draw alone. Every draw is checked before
-    any copy starts. [rows] is [Dex_spectral.Sweep.rows g], built once
-    by the caller and shared by every lane's sweeps ({!nibble} and
-    {!approximate} build it per call). *)
+    any copy starts. The copies run on [view.graph]; the view is built
+    once by the caller and shared by every lane's walks and sweeps
+    ({!nibble} and {!approximate} build one per call). *)
 val approximate_copies :
-  workspace -> Params.t -> Dex_graph.Graph.t -> rows:Dex_spectral.Sweep.rows option ->
-  (int * int) array -> outcome list
+  workspace -> Params.t -> Dex_spectral.View.t -> (int * int) array -> outcome list
 
 (** [iter_participating_edges ?mask g outcome f] calls [f u v i] once
     for each edge of P-star — the non-loop edges with at least one

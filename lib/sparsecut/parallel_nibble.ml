@@ -1,5 +1,6 @@
 module Graph = Dex_graph.Graph
 module Rng = Dex_util.Rng
+module View = Dex_spectral.View
 
 type t = {
   cut : int array;
@@ -16,21 +17,12 @@ let sample_scale params rng =
   let weights = Array.init ell (fun i -> 2.0 ** float_of_int (-(i + 1))) in
   1 + Rng.weighted_index rng weights
 
-type prepared = {
-  graph : Graph.t;
-  degrees : float array;
-  offsets : int array;
-  rows : Dex_spectral.Sweep.rows option;
-}
+type prepared = { view : View.t; offsets : int array }
 
-(* ψ_V's weights, which a start vertex is drawn from, the CSR offsets
-   that address the overlap counters, and the bit rows every lane's
-   sweeps share *)
-let prepare g =
-  { graph = g;
-    degrees = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v));
-    offsets = Graph.csr_offsets g;
-    rows = Dex_spectral.Sweep.rows g }
+(* the view, whose float degrees are ψ_V's weights, which a start
+   vertex is drawn from, and which every lane's walks and sweeps
+   share; the CSR offsets address the overlap counters *)
+let prepare g = { view = View.make g; offsets = Graph.csr_offsets g }
 
 (* Nibble's lanes, one overlap counter per CSR slot of the graph the
    workspace was sized to (a saturated subgraph G{W} has no more
@@ -44,18 +36,18 @@ let workspace ~copies g =
     member = Array.make (Graph.num_vertices g) false }
 
 (* the start vertex, then the scale *)
-let draw params pg rng =
-  let src = Rng.weighted_index rng pg.degrees in
+let draw params (view : View.t) rng =
+  let src = Rng.weighted_index rng view.degrees in
   let b = sample_scale params rng in
   (src, b)
 
 let random_nibble params g rng =
-  let src, b = draw params (prepare g) rng in
+  let src, b = draw params (View.make g) rng in
   Nibble.approximate params g ~src ~b
 
 let run ?k ?ledger ?workspace:ws params pg rng =
   (match k with Some k when k < 1 -> invalid_arg "Parallel_nibble.run: k < 1" | _ -> ());
-  let g = pg.graph in
+  let g = pg.view.graph in
   let total_volume = Graph.total_volume g in
   if total_volume = 0 then
     { cut = [||]; rounds = 0; copies = 0; aborted = false; max_overlap = 0; nibbles = [] }
@@ -69,8 +61,8 @@ let run ?k ?ledger ?workspace:ws params pg rng =
     (* every (src, b) first, in copy order: the copies draw nothing
        while they run, so this is the stream of drawing each copy
        just before running it *)
-    let draws = Array.init k (fun _ -> draw params pg rng) in
-    let outcomes = Nibble.approximate_copies ws.copies params g ~rows:pg.rows draws in
+    let draws = Array.init k (fun _ -> draw params pg.view rng) in
+    let outcomes = Nibble.approximate_copies ws.copies params pg.view draws in
     (* per-edge participation counts over P-star of each copy, one
        counter per edge at the CSR slot of (u, v), u < v; the leftmost
        rank gives parallel edges one shared counter. An edge visited

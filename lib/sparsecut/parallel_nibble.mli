@@ -23,18 +23,13 @@ type t = {
 (** [random_nibble params g rng] is one RandomNibble run. *)
 val random_nibble : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> Nibble.outcome
 
-(** A graph with the arrays every {!run} on it reads: the weights of
-    ψ_V, which start vertices are drawn from, its CSR offsets, which
-    address the overlap counters, and its
-    {!Dex_spectral.Sweep.rows}, which every lane's sweeps share.
-    Partition prepares each G{W} once and runs on it until a cut
-    shrinks W. *)
-type prepared = private {
-  graph : Dex_graph.Graph.t;
-  degrees : float array;
-  offsets : int array;
-  rows : Dex_spectral.Sweep.rows option;
-}
+(** A graph with the arrays every {!run} on it reads: its
+    {!Dex_spectral.View.t}, whose float degrees are the weights of
+    ψ_V, which start vertices are drawn from, and which every lane's
+    walks and sweeps share, and its CSR offsets, which address the
+    overlap counters. Partition prepares each G{W} once and runs on it
+    until a cut shrinks W. *)
+type prepared = private { view : Dex_spectral.View.t; offsets : int array }
 
 (** [prepare g] is [g] with its {!prepared} arrays. *)
 val prepare : Dex_graph.Graph.t -> prepared
@@ -54,7 +49,7 @@ type workspace
 val workspace : copies:int -> Dex_graph.Graph.t -> workspace
 
 (** [run ?k ?ledger ?workspace params pg rng] is ParallelNibble(G, φ)
-    on [pg.graph]; [k] overrides the number of copies (tests use this
+    on [pg.view.graph]; [k] overrides the number of copies (tests use this
     to force overlap). It draws every copy's (start, scale) pair first,
     in copy order, then runs the copies in lockstep through
     {!Nibble.approximate_copies}, in [workspace] when it is given (a

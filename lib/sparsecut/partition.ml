@@ -55,7 +55,7 @@ let run ?ledger params g rng =
       match !sub with
       | None -> continue := false
       | Some (pw, mapping) ->
-        let gw = pw.Parallel_nibble.graph in
+        let gw = pw.Parallel_nibble.view.Dex_spectral.View.graph in
         let pn = Parallel_nibble.run ?ledger ~workspace params pw rng in
         rounds := !rounds + pn.Parallel_nibble.rounds;
         if pn.Parallel_nibble.aborted then incr aborted;

@@ -32,15 +32,15 @@ let mixing_time ?(max_steps = 0) g rng =
       done;
       !ok
     in
-    let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
+    let view = View.make g in
     let w = Walk.walker g and mask = Array.make n false in
     let worst = ref 0 in
     for _ = 1 to samples do
-      Walk.start w (Walk.indicator (Rng.weighted_index rng degrees));
+      Walk.start w (Walk.indicator (Rng.weighted_index rng view.degrees));
       let t = ref 0 in
       (* ε = 0: the untruncated lazy walk *)
       while (not (mixed (Walk.current w))) && !t < max_steps do
-        ignore (Walk.advance w g ~eps:0.0 ~mask : float);
+        ignore (Walk.advance w view ~eps:0.0 ~mask : float);
         incr t
       done;
       worst := Int.max !worst !t

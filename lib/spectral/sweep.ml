@@ -22,55 +22,8 @@ type t = {
   scratch : scratch;
 }
 
-(* ---------- bit rows ---------- *)
-
-(* bits per row word: all of an OCaml int's *)
+(* bits per row word, as in [View.rows] *)
 let word_bits = Sys.int_size
-
-let row_words n = (n + word_bits - 1) / word_bits
-
-(* The bit-row prefix pass runs on a graph with no parallel edges whose
-   mean plain degree is at least [dense_degree] per row word. The stamp
-   loop reads one stamp per neighbour; the bit-row pass ANDs and
-   popcounts each word of the vertex's row, about a dozen operations
-   per word. Timing full-support rescans both ways, the two broke even
-   near 3-4 neighbours per word (random regular graphs on 200 and 1000
-   vertices, G(128, p)), and at 7-8 the bit rows took 1.7-2.6x less
-   time. G(128, 1/2) has ~21 neighbours per word, a random 8-regular
-   graph on 200 vertices 2 (EXPERIMENTS.md, "Dense sweeps"). *)
-let dense_degree = 8
-
-(* [bits.(v·words + u / word_bits)] has bit [u mod word_bits] set iff
-   [u] is a neighbour of [v]; [n] and [m] are the graph's vertex and
-   plain edge counts *)
-type rows = { n : int; m : int; words : int; bits : int array }
-
-let simple g =
-  let ok = ref true and v = ref 0 in
-  while !ok && !v < Graph.num_vertices g do
-    let a = Graph.neighbors g !v in
-    for i = 1 to Array.length a - 1 do
-      if a.(i - 1) = a.(i) then ok := false
-    done;
-    incr v
-  done;
-  !ok
-
-let rows g =
-  let n = Graph.num_vertices g in
-  let words = row_words n in
-  if n = 0 || 2 * Graph.num_plain_edges g < dense_degree * words * n || not (simple g) then None
-  else begin
-    let bits = Array.make (n * words) 0 in
-    for v = 0 to n - 1 do
-      Array.iter
-        (fun u ->
-          let i = (v * words) + (u / word_bits) in
-          bits.(i) <- bits.(i) lor (1 lsl (u mod word_bits)))
-        (Graph.neighbors g v)
-    done;
-    Some { n; m = Graph.num_plain_edges g; words; bits }
-  end
 
 (* the set bits of a word, all [word_bits] of them (SWAR: pair, nibble
    and byte sums, then the bytes summed into the top byte) *)
@@ -91,7 +44,7 @@ let workspace g =
     scratch =
       { stamp = Array.make n 0;
         epoch = 0;
-        prefix = Array.make (row_words n) 0;
+        prefix = Array.make ((n + word_bits - 1) / word_bits) 0;
         tmp_v = Array.make n 0;
         tmp_r = Array.make n 0.0 } }
 
@@ -106,19 +59,34 @@ let[@inline] before (r1 : float) (v1 : int) (r2 : float) (v2 : int) =
   let c = Float.compare r1 r2 in
   c > 0 || (c = 0 && v1 < v2)
 
+(* The sorts and passes below index without bounds checks. [rescan]
+   checks at entry what makes that safe: the workspace's arrays, of
+   one length (see [workspace]), cover the view's n vertices, and p's
+   support, ascending, lies in 0..n−1. Every range they touch is then
+   within [length] ≤ n cells, every vertex of [ordered] is below the
+   workspace's length (rescans place only vertices of their graph),
+   and a view's rows hold ⌈n/word_bits⌉ words per vertex, no more
+   than the prefix row has. *)
+
 (* merges the sorted runs [lo, mid) and [mid, hi) of (sv, sr) into the
    same range of (dv, dr) *)
-let merge sv sr dv dr lo mid hi =
+let merge (sv : int array) (sr : float array) (dv : int array) (dr : float array) lo mid hi =
   let i = ref lo and j = ref mid in
   for k = lo to hi - 1 do
-    if !i < mid && (!j >= hi || not (before sr.(!j) sv.(!j) sr.(!i) sv.(!i))) then begin
-      dv.(k) <- sv.(!i);
-      dr.(k) <- sr.(!i);
+    if
+      !i < mid
+      && (!j >= hi
+         || not
+              (before (Array.unsafe_get sr !j) (Array.unsafe_get sv !j) (Array.unsafe_get sr !i)
+                 (Array.unsafe_get sv !i)))
+    then begin
+      Array.unsafe_set dv k (Array.unsafe_get sv !i);
+      Array.unsafe_set dr k (Array.unsafe_get sr !i);
       incr i
     end
     else begin
-      dv.(k) <- sv.(!j);
-      dr.(k) <- sr.(!j);
+      Array.unsafe_set dv k (Array.unsafe_get sv !j);
+      Array.unsafe_set dr k (Array.unsafe_get sr !j);
       incr j
     end
   done
@@ -126,18 +94,18 @@ let merge sv sr dv dr lo mid hi =
 (* insertion-sorts (v, r).(lo .. hi-1) by [before] until it has spent
    more than [budget] shifts: whether it finished. A range it stops in
    holds a permutation of its entries. *)
-let insertion_sort v r ~lo ~hi ~budget =
+let insertion_sort (v : int array) (r : float array) ~lo ~hi ~budget =
   let shifts = ref 0 and i = ref (lo + 1) in
   while !i < hi && !shifts <= budget do
-    let x = v.(!i) and rx = r.(!i) in
+    let x = Array.unsafe_get v !i and rx = Array.unsafe_get r !i in
     let j = ref (!i - 1) in
-    while !j >= lo && before rx x r.(!j) v.(!j) do
-      v.(!j + 1) <- v.(!j);
-      r.(!j + 1) <- r.(!j);
+    while !j >= lo && before rx x (Array.unsafe_get r !j) (Array.unsafe_get v !j) do
+      Array.unsafe_set v (!j + 1) (Array.unsafe_get v !j);
+      Array.unsafe_set r (!j + 1) (Array.unsafe_get r !j);
       decr j
     done;
-    v.(!j + 1) <- x;
-    r.(!j + 1) <- rx;
+    Array.unsafe_set v (!j + 1) x;
+    Array.unsafe_set r (!j + 1) rx;
     shifts := !shifts + (!i - 1 - !j);
     incr i
   done;
@@ -176,66 +144,66 @@ let merge_sort t =
   end
 
 (* the neighbours of [v] that [stamp] marks with [epoch] *)
-let[@inline] inside_by_stamps stamp (epoch : int) g v =
+let[@inline] inside_by_stamps (stamp : int array) (epoch : int) g v =
   let inside = ref 0 in
   let nbrs = Graph.neighbors g v in
   (* branch-free: whether a neighbour is already inside is close to a
      coin flip, which a branch would mispredict *)
   for i = 0 to Array.length nbrs - 1 do
-    inside := !inside + Bool.to_int (stamp.(nbrs.(i)) = epoch)
+    inside := !inside + Bool.to_int (Array.unsafe_get stamp (Array.unsafe_get nbrs i) = epoch)
   done;
   !inside
 
 (* the neighbours of [v] in the bit row [prefix] *)
-let[@inline] inside_by_rows r prefix v =
+let[@inline] inside_by_rows (r : View.rows) (prefix : int array) v =
   let inside = ref 0 in
   let base = v * r.words in
   for w = 0 to r.words - 1 do
-    inside := !inside + popcount (r.bits.(base + w) land prefix.(w))
+    inside :=
+      !inside + popcount (Array.unsafe_get r.bits (base + w) land Array.unsafe_get prefix w)
   done;
   !inside
 
-(* measures every prefix of [t.ordered.(0 .. length-1)] in [g]. Both
-   passes count the prefix's neighbours of each vertex as an integer,
-   so they give the same cuts and conductances bit for bit. *)
-let measure t rows g =
+(* measures every prefix of [t.ordered.(0 .. length-1)] in the view's
+   graph. Both passes count the prefix's neighbours of each vertex as
+   an integer, so they give the same cuts and conductances bit for
+   bit. *)
+let measure t (view : View.t) =
+  let g = view.graph in
   let total_volume = Graph.total_volume g in
   let s = t.scratch in
   s.epoch <- s.epoch + 1;
   let stamp = s.stamp and epoch = s.epoch and prefix = s.prefix in
-  (match rows with Some r -> Array.fill prefix 0 r.words 0 | None -> ());
+  (match view.rows with Some r -> Array.fill prefix 0 r.words 0 | None -> ());
   let volume = ref 0 and cut = ref 0 in
   for j = 0 to t.length - 1 do
-    let v = t.ordered.(j) in
+    let v = Array.unsafe_get t.ordered j in
     let inside =
-      match rows with
+      match view.rows with
       | None ->
         let inside = inside_by_stamps stamp epoch g v in
-        stamp.(v) <- epoch;
+        Array.unsafe_set stamp v epoch;
         inside
       | Some r ->
         let inside = inside_by_rows r prefix v in
         let w = v / word_bits in
-        prefix.(w) <- prefix.(w) lor (1 lsl (v - (w * word_bits)));
+        Array.unsafe_set prefix w (Array.unsafe_get prefix w lor (1 lsl (v - (w * word_bits))));
         inside
     in
     volume := !volume + Graph.degree g v;
     cut := !cut + Graph.plain_degree g v - (2 * inside);
     let small = Int.min !volume (total_volume - !volume) in
-    t.volume.(j) <- !volume;
-    t.cut.(j) <- !cut;
-    t.conductance.(j) <-
+    Array.unsafe_set t.volume j !volume;
+    Array.unsafe_set t.cut j !cut;
+    Array.unsafe_set t.conductance j
       (if small <= 0 then Float.infinity else float_of_int !cut /. float_of_int small)
   done
 
-let check_size t g =
-  if Graph.num_vertices g > Array.length t.ordered then
-    invalid_arg "Sweep: workspace smaller than the graph"
-
-let check_rows g = function
-  | Some r when r.n <> Graph.num_vertices g || r.m <> Graph.num_plain_edges g ->
-    invalid_arg "Sweep: rows of another graph"
-  | _ -> ()
+(* what the unchecked loops rely on (see above [merge]) *)
+let check t n (p : Walk.sparse) =
+  if n > Array.length t.ordered then invalid_arg "Sweep.rescan: workspace smaller than the graph";
+  if p.len > 0 && (p.support.(0) < 0 || p.support.(p.len - 1) >= n) then
+    invalid_arg "Sweep.rescan: distribution outside the graph"
 
 (* shifts the seeded insertion sort may spend, per entry, before the
    merge sort takes over. A shift is a few times cheaper than a merge
@@ -244,21 +212,21 @@ let check_rows g = function
    (EXPERIMENTS.md, "Seeded sweeps"). *)
 let shift_budget = 16
 
-let rescan ?rows t g p =
-  check_size t g;
-  check_rows g rows;
+let rescan t (view : View.t) (p : Walk.sparse) =
+  let degrees = view.degrees in
+  check t (Array.length degrees) p;
   (* stamp p's support of positive degree, with its ρ per vertex *)
   let s = t.scratch in
   let stamp = s.stamp and rho = s.tmp_r in
   let support = s.epoch + 1 and carried = s.epoch + 2 in
   s.epoch <- carried;
   let size = ref 0 in
-  for i = 0 to p.Walk.len - 1 do
-    let v = p.Walk.support.(i) in
-    let deg = Graph.degree g v in
-    if deg > 0 then begin
-      stamp.(v) <- support;
-      rho.(v) <- p.Walk.masses.(i) /. float_of_int deg;
+  for i = 0 to p.len - 1 do
+    let v = Array.unsafe_get p.support i in
+    let deg = Array.unsafe_get degrees v in
+    if deg > 0.0 then begin
+      Array.unsafe_set stamp v support;
+      Array.unsafe_set rho v (Array.unsafe_get p.masses i /. deg);
       incr size
     end
   done;
@@ -266,20 +234,20 @@ let rescan ?rows t g p =
      their order, then the support's new vertices ascending *)
   let k = ref 0 in
   for j = 0 to t.length - 1 do
-    let v = t.ordered.(j) in
-    if stamp.(v) = support then begin
-      stamp.(v) <- carried;
-      t.ordered.(!k) <- v;
-      t.last_rho.(!k) <- rho.(v);
+    let v = Array.unsafe_get t.ordered j in
+    if Array.unsafe_get stamp v = support then begin
+      Array.unsafe_set stamp v carried;
+      Array.unsafe_set t.ordered !k v;
+      Array.unsafe_set t.last_rho !k (Array.unsafe_get rho v);
       incr k
     end
   done;
   let kept = !k in
-  for i = 0 to p.Walk.len - 1 do
-    let v = p.Walk.support.(i) in
-    if stamp.(v) = support then begin
-      t.ordered.(!k) <- v;
-      t.last_rho.(!k) <- rho.(v);
+  for i = 0 to p.len - 1 do
+    let v = Array.unsafe_get p.support i in
+    if Array.unsafe_get stamp v = support then begin
+      Array.unsafe_set t.ordered !k v;
+      Array.unsafe_set t.last_rho !k (Array.unsafe_get rho v);
       incr k
     end
   done;
@@ -290,11 +258,11 @@ let rescan ?rows t g p =
     2 * kept < !size
     || not (insertion_sort t.ordered t.last_rho ~lo:0 ~hi:!size ~budget:(shift_budget * !size))
   then merge_sort t;
-  measure t rows g
+  measure t view
 
 let scan g p =
   let t = workspace g in
-  rescan ?rows:(rows g) t g p;
+  rescan t (View.make g) p;
   t
 
 let best t =

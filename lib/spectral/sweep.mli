@@ -18,7 +18,8 @@ type scratch
     a side has volume 0) and [last_rho.(i)] the ρ of [ordered.(i)].
     Cells at [length] and beyond are stale. A sweep is mutable and
     single-owner; {!rescan} overwrites it, so {!take} what must outlive
-    that. *)
+    that. Callers read the arrays and must not write them: {!rescan}'s
+    unchecked loops rely on [ordered] holding only vertices it placed. *)
 type t = private {
   ordered : int array;
   volume : int array;
@@ -33,47 +34,33 @@ type t = private {
     serves [g] and any graph with no more vertices. *)
 val workspace : Dex_graph.Graph.t -> t
 
-(** {1 Prefix passes}
-
-    Measuring a prefix π(1..j) counts the neighbours of π(j) already
-    in π(1..j-1). On most graphs a loop over π(j)'s neighbours reads
-    one epoch stamp each. On a dense graph with no parallel edges the
-    count is popcount(N(π(j)) ∧ S), S the prefix so far, over word bit
-    rows: ⌈n/63⌉ words per vertex instead of deg(π(j)) stamps. The
-    graph decides which pass runs ({!rows}); both count integers, so
-    they give the same sweep bit for bit. *)
-
-(** The neighbourhood bit rows of one graph: n·⌈n/63⌉ words. Immutable
-    once built, so any number of sweeps over that graph may share it. *)
-type rows
-
-(** [rows g] is [g]'s bit rows when [g] has no parallel edges and a
-    mean plain degree of at least 8 per row word (mean degree ≥ 24 at
-    n = 128, ≥ 32 at n = 200), and [None] otherwise: the bit-row pass
-    pays off only on dense graphs, and counts each parallel edge once.
-    O(1) when the density fails, O(n·⌈n/63⌉ + m) otherwise. *)
-val rows : Dex_graph.Graph.t -> rows option
-
-(** [rescan t g p] overwrites [t] with the sweep of [p]: the support of
-    [p] with positive degree, sorted by decreasing ρ (ties by vertex id
-    — the paper breaks ties by ID), and every prefix measured. The sort
-    starts from [t]'s previous order: its vertices still in the
+(** [rescan t view p] overwrites [t] with the sweep of [p] in
+    [view.graph]: the support of [p] with positive degree, sorted by
+    decreasing ρ (ties by vertex id — the paper breaks ties by ID), and
+    every prefix measured. ρ divides by the view's float degrees. The
+    sort starts from [t]'s previous order: its vertices still in the
     support, in that order, then the new ones ascending. When at least
     half the entries carry over, an insertion sort runs within 16
     shifts per entry; past that, or with fewer carried over, a merge
     sort finishes. So a rescan costs O(len + the previous order's
     length + shifts) when the order hardly moved since [t]'s last
-    rescan, at most an extra O(len log len) otherwise, plus one pass
-    over the support's edges, and allocates nothing. The result does
-    not depend on [t]'s previous contents. The prefix pass uses [rows],
-    which must be [rows g] computed once by the caller: given, it
-    replaces that pass over the edges by ⌈n/63⌉ words per vertex;
-    absent, the stamp loop runs. Raises [Invalid_argument] when [g] has
-    more vertices than [t] has cells, or when [rows] were built for a
-    graph with other vertex or plain edge counts. *)
-val rescan : ?rows:rows -> t -> Dex_graph.Graph.t -> Walk.sparse -> unit
+    rescan, at most an extra O(len log len) otherwise, plus one prefix
+    pass, and allocates nothing. The result does not depend on [t]'s
+    previous contents.
 
-(** [scan g p] is [rescan ?rows:(rows g)] into a fresh workspace. *)
+    Measuring a prefix π(1..j) counts the neighbours of π(j) already
+    in π(1..j-1). Without the view's rows, a loop over π(j)'s
+    neighbours reads one epoch stamp each; with them (a dense simple
+    graph) the count is popcount(N(π(j)) ∧ S), S the prefix so far:
+    ⌈n/63⌉ words per vertex instead of deg(π(j)) stamps. Both count
+    integers, so they give the same sweep bit for bit.
+
+    Raises [Invalid_argument], before writing anything, when the graph
+    has more vertices than [t] has cells or [p] has a vertex outside
+    the graph; the loops then run without bounds checks. *)
+val rescan : t -> View.t -> Walk.sparse -> unit
+
+(** [scan g p] is [rescan] of [View.make g] into a fresh workspace. *)
 val scan : Dex_graph.Graph.t -> Walk.sparse -> t
 
 (** [take sweep j] copies π(1..j) out as a fresh vertex array. *)

@@ -30,7 +30,8 @@ let size p = p.len
    vertices there). [share.(v)] is v's per-edge share in a
    full-support step. [change.(0)] is the last advance's
    ‖p̃_t − p̃_{t−1}‖₁, kept in a float array so that neither path boxes
-   it on return. *)
+   it on return. Every array but [change] has the walker's n cells,
+   which the kernels' one bounds check relies on. *)
 type walker = {
   acc : float array;
   stamp : int array;
@@ -64,14 +65,33 @@ let start w p =
 
 let current w = w.cur
 
+(* ---------------- the kernels ----------------
+
+   The loops below index without bounds checks; [check] makes that
+   safe once per call, before anything is written. Every walker array
+   has the one length [Array.length w.stamp] (see [walker]), which
+   must cover the view's n vertices, as must the mask. The current
+   support ascends strictly (every [sparse] does), so its two ends
+   bound all of it within 0..n−1, and so within the view's n degrees.
+   The rest holds by construction: a view's degrees have n cells, a
+   graph's neighbours lie in 0..n−1, and the kernel touches each
+   vertex once per epoch, so its touched count stays within n. *)
+let check w n ~mask =
+  if n > Array.length w.stamp then invalid_arg "Walk.advance: walker smaller than the graph";
+  if Array.length mask < n then invalid_arg "Walk.advance: mask shorter than the graph";
+  let p = w.cur in
+  if p.len > 0 && (p.support.(0) < 0 || p.support.(p.len - 1) >= n) then
+    invalid_arg "Walk.advance: distribution outside the graph"
+
 (* a first touch stores [0.0 +. x], the sum a 0.0-defaulted table
    accumulator computes (it differs from [x] only at -0.0) *)
 let[@inline] add w v x =
-  if w.stamp.(v) = w.epoch then w.acc.(v) <- w.acc.(v) +. x
+  if Array.unsafe_get w.stamp v = w.epoch then
+    Array.unsafe_set w.acc v (Array.unsafe_get w.acc v +. x)
   else begin
-    w.stamp.(v) <- w.epoch;
-    w.acc.(v) <- 0.0 +. x;
-    w.touched.(w.count) <- v;
+    Array.unsafe_set w.stamp v w.epoch;
+    Array.unsafe_set w.acc v (0.0 +. x);
+    Array.unsafe_set w.touched w.count v;
     w.count <- w.count + 1
   end
 
@@ -79,34 +99,36 @@ let[@inline] add w v x =
    touched set and keeps the entries that survive [\[·\]_eps] (all of
    them at eps = 0, masses being >= 0). It returns the kept count; the
    kept vertices ascend in [w.touched.(0 .. kept-1)] and [w.acc.(v)]
-   is the new mass at each. [advance_sparse] copies them out. *)
-let kernel w g p ~eps =
-  let n = Graph.num_vertices g in
-  if n > Array.length w.stamp then invalid_arg "Walk.advance: walker smaller than the graph";
+   is the new mass at each. [advance_sparse] copies them out. The
+   threshold [(2.0 *. eps) *. d] is [2.0 *. eps *. d] as written,
+   left-associated. *)
+let kernel w (view : View.t) p ~eps n =
+  let g = view.graph and degrees = view.degrees in
   w.epoch <- w.epoch + 1;
   w.count <- 0;
   (* ascending support, neighbours in adjacency order: this fixes the
      order of the terms summed into each vertex (DESIGN.md §12) *)
   for i = 0 to p.len - 1 do
-    let v = p.support.(i) and mass = p.masses.(i) in
-    let deg = float_of_int (Graph.degree g v) in
+    let v = Array.unsafe_get p.support i and mass = Array.unsafe_get p.masses i in
+    let deg = Array.unsafe_get degrees v in
     if deg = 0.0 then add w v mass
     else begin
       let share = mass /. (2.0 *. deg) in
       add w v ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
       let nbrs = Graph.neighbors g v in
       for j = 0 to Array.length nbrs - 1 do
-        add w nbrs.(j) share
+        add w (Array.unsafe_get nbrs j) share
       done
     end
   done;
   Dex_util.Stamped.sort ~stamp:w.stamp ~epoch:w.epoch ~n w.touched w.count;
   (* compact the survivors in place *)
+  let threshold = 2.0 *. eps in
   let k = ref 0 in
   for i = 0 to w.count - 1 do
-    let v = w.touched.(i) in
-    if w.acc.(v) >= 2.0 *. eps *. float_of_int (Graph.degree g v) then begin
-      w.touched.(!k) <- v;
+    let v = Array.unsafe_get w.touched i in
+    if Array.unsafe_get w.acc v >= threshold *. Array.unsafe_get degrees v then begin
+      Array.unsafe_set w.touched !k v;
       incr k
     end
   done;
@@ -121,71 +143,77 @@ let kernel w g p ~eps =
    p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}| over the kept
    vertices; the dropped ones, listed in [touched], add their old
    masses afterwards, ascending, as the sparse path's tail does. *)
-let advance_full w g ~eps ~mask n =
+let advance_full w (view : View.t) ~eps ~mask n =
+  let g = view.graph and degrees = view.degrees in
   let prev = w.cur and next = w.spare and share = w.share and dropped = w.touched in
-  let masses = prev.masses in
+  let masses = prev.masses and support' = next.support and masses' = next.masses in
   for v = 0 to n - 1 do
-    share.(v) <- masses.(v) /. (2.0 *. float_of_int (Graph.degree g v))
+    Array.unsafe_set share v (Array.unsafe_get masses v /. (2.0 *. Array.unsafe_get degrees v))
   done;
+  let threshold = 2.0 *. eps in
   let acc = ref 0.0 and kept = ref 0 and ndropped = ref 0 in
   for u = 0 to n - 1 do
-    let mass = masses.(u) in
-    let deg = Graph.degree g u in
+    let mass = Array.unsafe_get masses u and deg = Array.unsafe_get degrees u in
     let x =
-      if deg = 0 then 0.0 +. mass
+      if deg = 0.0 then 0.0 +. mass
       else begin
         let nbrs = Graph.neighbors g u in
         let len = Array.length nbrs in
         let sum = ref 0.0 and j = ref 0 in
-        while !j < len && nbrs.(!j) < u do
-          sum := !sum +. share.(nbrs.(!j));
+        while !j < len && Array.unsafe_get nbrs !j < u do
+          sum := !sum +. Array.unsafe_get share (Array.unsafe_get nbrs !j);
           incr j
         done;
-        sum := !sum +. ((mass /. 2.0) +. (share.(u) *. float_of_int (Graph.self_loops g u)));
+        sum :=
+          !sum
+          +. ((mass /. 2.0) +. (Array.unsafe_get share u *. float_of_int (Graph.self_loops g u)));
         for k = !j to len - 1 do
-          sum := !sum +. share.(nbrs.(k))
+          sum := !sum +. Array.unsafe_get share (Array.unsafe_get nbrs k)
         done;
         !sum
       end
     in
-    if x >= 2.0 *. eps *. float_of_int deg then begin
-      next.support.(!kept) <- u;
-      next.masses.(!kept) <- x;
-      mask.(u) <- true;
+    if x >= threshold *. deg then begin
+      Array.unsafe_set support' !kept u;
+      Array.unsafe_set masses' !kept x;
+      Array.unsafe_set mask u true;
       acc := !acc +. Float.abs (x -. mass);
       incr kept
     end
     else begin
-      dropped.(!ndropped) <- u;
+      Array.unsafe_set dropped !ndropped u;
       incr ndropped
     end
   done;
   next.len <- !kept;
   for i = 0 to !ndropped - 1 do
-    acc := !acc +. masses.(dropped.(i))
+    acc := !acc +. Array.unsafe_get masses (Array.unsafe_get dropped i)
   done;
   w.cur <- next;
   w.spare <- prev;
   w.change.(0) <- !acc
 
-let advance_sparse w g ~eps ~mask =
+let advance_sparse w view ~eps ~mask n =
   let prev = w.cur and next = w.spare in
-  let kept = kernel w g prev ~eps in
+  let kept = kernel w view prev ~eps n in
   (* one pass writes p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}|
      over p̃_t ascending, merging against the ascending p̃_{t−1} *)
   let np = prev.len in
   let acc = ref 0.0 in
   let j = ref 0 in
   for i = 0 to kept - 1 do
-    let v = w.touched.(i) in
-    let x = w.acc.(v) in
-    next.support.(i) <- v;
-    next.masses.(i) <- x;
-    mask.(v) <- true;
-    while !j < np && prev.support.(!j) < v do
+    let v = Array.unsafe_get w.touched i in
+    let x = Array.unsafe_get w.acc v in
+    Array.unsafe_set next.support i v;
+    Array.unsafe_set next.masses i x;
+    Array.unsafe_set mask v true;
+    while !j < np && Array.unsafe_get prev.support !j < v do
       incr j
     done;
-    let y = if !j < np && prev.support.(!j) = v then prev.masses.(!j) else 0.0 in
+    let y =
+      if !j < np && Array.unsafe_get prev.support !j = v then Array.unsafe_get prev.masses !j
+      else 0.0
+    in
     acc := !acc +. Float.abs (x -. y)
   done;
   next.len <- kept;
@@ -194,11 +222,12 @@ let advance_sparse w g ~eps ~mask =
      the pinned outputs depend on (DESIGN.md §12) *)
   let i = ref 0 in
   for j = 0 to np - 1 do
-    let v = prev.support.(j) in
-    while !i < kept && next.support.(!i) < v do
+    let v = Array.unsafe_get prev.support j in
+    while !i < kept && Array.unsafe_get next.support !i < v do
       incr i
     done;
-    if not (!i < kept && next.support.(!i) = v) then acc := !acc +. prev.masses.(j)
+    if not (!i < kept && Array.unsafe_get next.support !i = v) then
+      acc := !acc +. Array.unsafe_get prev.masses j
   done;
   w.cur <- next;
   w.spare <- prev;
@@ -207,10 +236,15 @@ let advance_sparse w g ~eps ~mask =
 (* an ascending support of n entries ending at n−1 is all of 0..n−1 *)
 let[@inline] covers_all w n = n > 0 && w.cur.len = n && w.cur.support.(n - 1) = n - 1
 
+(* one advance of a walker that [check] passed *)
+let[@inline] step w view ~eps ~mask n =
+  if covers_all w n then advance_full w view ~eps ~mask n else advance_sparse w view ~eps ~mask n
+
 (* inlined, so the caller reads [change.(0)] unboxed *)
-let[@inline] advance w g ~eps ~mask =
-  let n = Graph.num_vertices g in
-  if covers_all w n then advance_full w g ~eps ~mask n else advance_sparse w g ~eps ~mask;
+let[@inline] advance w (view : View.t) ~eps ~mask =
+  let n = Graph.num_vertices view.graph in
+  check w n ~mask;
+  step w view ~eps ~mask n;
   w.change.(0)
 
 let[@inline] change w = w.change.(0)
@@ -220,22 +254,24 @@ let[@inline] change w = w.change.(0)
    the single-walker order, so every float is [advance_full]'s
    (DESIGN.md §12). The two copies of the truncate-and-write tail stay
    inline: passing the counters to a helper would box the L1 sums. *)
-let advance_full_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 n =
+let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
+  let g = view.graph and degrees = view.degrees in
   let prev1 = w1.cur and next1 = w1.spare and share1 = w1.share and dropped1 = w1.touched in
   let prev2 = w2.cur and next2 = w2.spare and share2 = w2.share and dropped2 = w2.touched in
   let masses1 = prev1.masses and masses2 = prev2.masses in
   for v = 0 to n - 1 do
-    let d = 2.0 *. float_of_int (Graph.degree g v) in
-    share1.(v) <- masses1.(v) /. d;
-    share2.(v) <- masses2.(v) /. d
+    let d = 2.0 *. Array.unsafe_get degrees v in
+    Array.unsafe_set share1 v (Array.unsafe_get masses1 v /. d);
+    Array.unsafe_set share2 v (Array.unsafe_get masses2 v /. d)
   done;
+  let threshold1 = 2.0 *. eps1 and threshold2 = 2.0 *. eps2 in
   let acc1 = ref 0.0 and kept1 = ref 0 and ndropped1 = ref 0 in
   let acc2 = ref 0.0 and kept2 = ref 0 and ndropped2 = ref 0 in
   for u = 0 to n - 1 do
-    let mass1 = masses1.(u) and mass2 = masses2.(u) in
-    let deg = Graph.degree g u in
+    let mass1 = Array.unsafe_get masses1 u and mass2 = Array.unsafe_get masses2 u in
+    let deg = Array.unsafe_get degrees u in
     let s1 = ref 0.0 and s2 = ref 0.0 in
-    if deg = 0 then begin
+    if deg = 0.0 then begin
       s1 := 0.0 +. mass1;
       s2 := 0.0 +. mass2
     end
@@ -243,50 +279,50 @@ let advance_full_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 n =
       let nbrs = Graph.neighbors g u in
       let len = Array.length nbrs in
       let j = ref 0 in
-      while !j < len && nbrs.(!j) < u do
-        let x = nbrs.(!j) in
-        s1 := !s1 +. share1.(x);
-        s2 := !s2 +. share2.(x);
+      while !j < len && Array.unsafe_get nbrs !j < u do
+        let x = Array.unsafe_get nbrs !j in
+        s1 := !s1 +. Array.unsafe_get share1 x;
+        s2 := !s2 +. Array.unsafe_get share2 x;
         incr j
       done;
       let loops = float_of_int (Graph.self_loops g u) in
-      s1 := !s1 +. ((mass1 /. 2.0) +. (share1.(u) *. loops));
-      s2 := !s2 +. ((mass2 /. 2.0) +. (share2.(u) *. loops));
+      s1 := !s1 +. ((mass1 /. 2.0) +. (Array.unsafe_get share1 u *. loops));
+      s2 := !s2 +. ((mass2 /. 2.0) +. (Array.unsafe_get share2 u *. loops));
       for k = !j to len - 1 do
-        let x = nbrs.(k) in
-        s1 := !s1 +. share1.(x);
-        s2 := !s2 +. share2.(x)
+        let x = Array.unsafe_get nbrs k in
+        s1 := !s1 +. Array.unsafe_get share1 x;
+        s2 := !s2 +. Array.unsafe_get share2 x
       done
     end;
     let x1 = !s1 and x2 = !s2 in
-    if x1 >= 2.0 *. eps1 *. float_of_int deg then begin
-      next1.support.(!kept1) <- u;
-      next1.masses.(!kept1) <- x1;
-      mask1.(u) <- true;
+    if x1 >= threshold1 *. deg then begin
+      Array.unsafe_set next1.support !kept1 u;
+      Array.unsafe_set next1.masses !kept1 x1;
+      Array.unsafe_set mask1 u true;
       acc1 := !acc1 +. Float.abs (x1 -. mass1);
       incr kept1
     end
     else begin
-      dropped1.(!ndropped1) <- u;
+      Array.unsafe_set dropped1 !ndropped1 u;
       incr ndropped1
     end;
-    if x2 >= 2.0 *. eps2 *. float_of_int deg then begin
-      next2.support.(!kept2) <- u;
-      next2.masses.(!kept2) <- x2;
-      mask2.(u) <- true;
+    if x2 >= threshold2 *. deg then begin
+      Array.unsafe_set next2.support !kept2 u;
+      Array.unsafe_set next2.masses !kept2 x2;
+      Array.unsafe_set mask2 u true;
       acc2 := !acc2 +. Float.abs (x2 -. mass2);
       incr kept2
     end
     else begin
-      dropped2.(!ndropped2) <- u;
+      Array.unsafe_set dropped2 !ndropped2 u;
       incr ndropped2
     end
   done;
   for i = 0 to !ndropped1 - 1 do
-    acc1 := !acc1 +. masses1.(dropped1.(i))
+    acc1 := !acc1 +. Array.unsafe_get masses1 (Array.unsafe_get dropped1 i)
   done;
   for i = 0 to !ndropped2 - 1 do
-    acc2 := !acc2 +. masses2.(dropped2.(i))
+    acc2 := !acc2 +. Array.unsafe_get masses2 (Array.unsafe_get dropped2 i)
   done;
   next1.len <- !kept1;
   next2.len <- !kept2;
@@ -297,20 +333,25 @@ let advance_full_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 n =
   w2.spare <- prev2;
   w2.change.(0) <- !acc2
 
-let advance_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 =
+(* both walkers are checked before either moves, so a rejected call
+   leaves both as they were *)
+let advance_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 =
   if w1 == w2 then invalid_arg "Walk.advance_pair: one walker twice";
-  let n = Graph.num_vertices g in
+  let n = Graph.num_vertices view.graph in
+  check w1 n ~mask:mask1;
+  check w2 n ~mask:mask2;
   if covers_all w1 n && covers_all w2 n then
-    advance_full_pair w1 w2 g ~eps1 ~eps2 ~mask1 ~mask2 n
+    advance_full_pair w1 w2 view ~eps1 ~eps2 ~mask1 ~mask2 n
   else begin
-    ignore (advance w1 g ~eps:eps1 ~mask:mask1 : float);
-    ignore (advance w2 g ~eps:eps2 ~mask:mask2 : float)
+    step w1 view ~eps:eps1 ~mask:mask1 n;
+    step w2 view ~eps:eps2 ~mask:mask2 n
   end
 
 let truncated_walk g ~src ~eps ~steps =
+  let view = View.make g in
   let w = walker g and mask = Array.make (Graph.num_vertices g) false in
   start w (indicator src);
   Array.init (steps + 1) (fun t ->
-      if t > 0 then ignore (advance w g ~eps ~mask : float);
+      if t > 0 then ignore (advance w view ~eps ~mask : float);
       let p = current w in
       { support = Array.sub p.support 0 p.len; masses = Array.sub p.masses 0 p.len; len = p.len })

@@ -217,6 +217,22 @@ let test_d008_poly_var_compare () =
   check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" "let f a b = a = b");
   check_rules "bench exempt" [] (lint ~path:"bench/main.ml" "let f a b = a = b")
 
+(* D009: unchecked indexing only in the kernels that check their
+   lengths once per call *)
+let test_d009_unchecked_index () =
+  let get = "let f (a : int array) = Array.unsafe_get a 0" in
+  check_rules "elsewhere in lib fires" [ "D009" ] (lint ~path:"lib/spectral/mixing.ml" get);
+  check_rules "set and Bytes fire" [ "D009"; "D009"; "D009" ]
+    (lint ~path:"lib/graph/x.ml"
+       "let f (a : float array) b = Array.unsafe_set a 0 0.0; ignore (Bytes.unsafe_get b 0); \
+        Bytes.unsafe_to_string b");
+  check_rules "bench and tests fire" [ "D009"; "D009" ]
+    (lint ~path:"bench/main.ml" get @ lint ~path:"test/test_x.ml" get);
+  check_rules "checked indexing fine" [] (lint ~path:"lib/graph/x.ml" "let f (a : int array) = a.(0)");
+  List.iter
+    (fun path -> check_rules (path ^ " allowed") [] (lint ~path get))
+    [ "lib/spectral/walk.ml"; "lib/spectral/sweep.ml"; "lib/congest/arena.ml" ]
+
 (* ---------- path scoping ---------- *)
 
 let test_scope_d003_only_protocol_layers () =
@@ -431,7 +447,7 @@ let test_json_report_golden () =
 
 let test_rule_table_complete () =
   Alcotest.(check (list string)) "ids"
-    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008";
+    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008"; "D009";
       "C003"; "C004"; "C005" ]
     (List.map fst Lint.rules)
 
@@ -447,6 +463,7 @@ let () =
           Alcotest.test_case "D006 poly sort" `Quick test_d006_poly_sort;
           Alcotest.test_case "D007 poly min/max" `Quick test_d007_poly_minmax;
           Alcotest.test_case "D008 compare at a type variable" `Quick test_d008_poly_var_compare;
+          Alcotest.test_case "D009 unchecked indexing" `Quick test_d009_unchecked_index;
           Alcotest.test_case "D006 kernel scoped" `Quick test_d006_scoped_to_kernel;
           Alcotest.test_case "D006 spectral and sparsecut" `Quick
             test_d006_spectral_and_sparsecut;

@@ -472,7 +472,7 @@ let test_parallel_nibble_warm_allocation_dense () =
   let params = mk_params (1.0 /. 20.0) (Graph.num_edges g) in
   let copies = Params.parallel_copies params ~volume:(Graph.total_volume g) in
   let workspace = Pn.workspace ~copies g and pg = Pn.prepare g in
-  Alcotest.(check bool) "bit rows" true (Option.is_some pg.Pn.rows);
+  Alcotest.(check bool) "bit rows" true (Option.is_some pg.Pn.view.Dex_spectral.View.rows);
   ignore (Pn.run ~workspace params pg rng : Pn.t);
   Gc.minor ();
   let minor = Gc.minor_words () in
@@ -486,6 +486,24 @@ let test_parallel_nibble_warm_allocation_dense () =
     (List.for_all (fun (o : Nibble.outcome) -> o.Nibble.steps_executed > 1) r.Pn.nibbles)
 
 (* ---------- partition (Theorem 3) ---------- *)
+
+(* Partition on sparsecut-expander's input (random 8-regular, n = 200,
+   seed 1, connectivized; perfbench's algorithm seed) finds no cut and
+   runs its whole budget. It allocates no more minor words than it did
+   before the walk and sweep kernels read a prepared view: 29,594
+   words, measured on that code in this suite's build profile. The
+   view is built once per G{W}, from the float degrees and bit rows
+   ParallelNibble already prepared, so it may not add to that. *)
+let test_partition_allocation_pin () =
+  let rng = Rng.create 1 in
+  let g = Gen.connectivize rng (Gen.random_regular rng ~n:200 ~d:8) in
+  let params = mk_params 0.05 (Graph.num_edges g) in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let r = Partition.run params g (Rng.create 20190701) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 29_594.0);
+  Alcotest.(check int) "no cut: the whole budget" 0 (Array.length r.Partition.cut)
 
 let test_partition_balanced_cut_dumbbell () =
   let rng = Rng.create 29 in
@@ -1013,6 +1031,8 @@ let () =
           Alcotest.test_case "volume ceiling" `Quick test_partition_volume_ceiling;
           Alcotest.test_case "expander case" `Quick test_partition_expander_no_false_positive;
           Alcotest.test_case "empty graph" `Quick test_partition_empty_graph;
+          Alcotest.test_case "allocation pin on sparsecut-expander" `Quick
+            test_partition_allocation_pin;
           Alcotest.test_case "balance vs exact reference" `Quick
             test_partition_respects_most_balanced_reference ] );
       ( "goldens",

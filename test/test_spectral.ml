@@ -8,6 +8,7 @@ module Metrics = Dex_graph.Metrics
 module Gen = Dex_graph.Generators
 module Walk = Dex_spectral.Walk
 module Sweep = Dex_spectral.Sweep
+module View = Dex_spectral.View
 module Mixing = Dex_spectral.Mixing
 module Exact = Dex_spectral.Exact
 module Rng = Dex_util.Rng
@@ -65,7 +66,7 @@ let test_stationary_fixpoint () =
   let pi = Walk.of_assoc (List.init 12 (fun v -> (v, 1.0 /. 12.0))) in
   let w = Walk.walker g in
   Walk.start w pi;
-  ignore (Walk.advance w g ~eps:0.0 ~mask:(Array.make 12 false) : float);
+  ignore (Walk.advance w (View.make g) ~eps:0.0 ~mask:(Array.make 12 false) : float);
   W.iter
     (fun v x -> Alcotest.(check (float 1e-9)) (string_of_int v) (W.get pi v) x)
     (Walk.current w)
@@ -191,7 +192,7 @@ let random_instance ?(max_n = 30) seed =
 let advanced ~eps g p =
   let w = Walk.walker g in
   Walk.start w p;
-  ignore (Walk.advance w g ~eps ~mask:(Array.make (Graph.num_vertices g) false) : float);
+  ignore (Walk.advance w (View.make g) ~eps ~mask:(Array.make (Graph.num_vertices g) false) : float);
   Walk.current w
 
 (* the reference step: M·p, truncated when [eps] is given *)
@@ -204,13 +205,14 @@ let prop_step_matches_reference =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let g, start, eps = random_instance seed in
+      let view = View.make g in
       let w = Walk.walker g and mask = Array.make (Graph.num_vertices g) false in
       Walk.start w start;
       let reference = ref (Reference.of_walk start) in
       let ok = ref (identical (Walk.current w) !reference) in
       for _ = 1 to 12 do
         (* no eps: the walker at ε = 0 against the untruncated step *)
-        ignore (Walk.advance w g ~eps:(Option.value eps ~default:0.0) ~mask : float);
+        ignore (Walk.advance w view ~eps:(Option.value eps ~default:0.0) ~mask : float);
         reference := reference_step g eps !reference;
         let p = Walk.current w in
         ok := !ok && identical p !reference && same_sweep g p !reference
@@ -240,14 +242,14 @@ let prop_walker_matches_reference =
     QCheck.(pair (int_bound 1_000_000) (int_range 1 16))
     (fun (seed, steps) ->
       let g, start, eps = random_instance seed in
-      let n = Graph.num_vertices g in
+      let n = Graph.num_vertices g and view = View.make g in
       let w = Walk.walker g in
       let mask = Array.make n false and expected_mask = Array.make n false in
       Walk.start w start;
       let p = ref (Reference.of_walk start) in
       let ok = ref (identical (Walk.current w) !p) in
       for _ = 1 to steps do
-        let change = Walk.advance w g ~eps:(Option.value eps ~default:0.0) ~mask in
+        let change = Walk.advance w view ~eps:(Option.value eps ~default:0.0) ~mask in
         let next = reference_step g eps !p in
         Dex_util.Table.iter_sorted ~compare:Int.compare (fun v _ -> expected_mask.(v) <- true) next;
         ok :=
@@ -275,7 +277,7 @@ let prop_advance_pair_matches_advance =
     (fun (seed, steps) ->
       let g, _, _ = random_instance seed in
       let rng = Rng.create (seed + 1) in
-      let n = Graph.num_vertices g in
+      let n = Graph.num_vertices g and view = View.make g in
       let eps1 = if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 0.05 in
       let eps2 = eps1 +. Rng.float rng 0.05 in
       let p1 = full_support rng n and p2 = full_support rng n in
@@ -288,9 +290,9 @@ let prop_advance_pair_matches_advance =
       let (r1, e1), (r2, e2) = (walker p1, walker p2) in
       let ok = ref true in
       for _ = 1 to steps do
-        Walk.advance_pair a1 a2 g ~eps1 ~eps2 ~mask1:m1 ~mask2:m2;
-        let c1 = Walk.advance r1 g ~eps:eps1 ~mask:e1 in
-        let c2 = Walk.advance r2 g ~eps:eps2 ~mask:e2 in
+        Walk.advance_pair a1 a2 view ~eps1 ~eps2 ~mask1:m1 ~mask2:m2;
+        let c1 = Walk.advance r1 view ~eps:eps1 ~mask:e1 in
+        let c2 = Walk.advance r2 view ~eps:eps2 ~mask:e2 in
         ok :=
           !ok
           && same_sparse (Walk.current a1) (Walk.current r1)
@@ -308,10 +310,10 @@ let prop_advance_pair_matches_advance =
 let test_walker_full_support_step () =
   let g = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (1, 2); (2, 2) ] in
   let p = Walk.of_assoc [ (0, 0.1); (1, 0.0); (2, 0.5); (3, 0.4) ] in
-  let eps = 0.05 in
+  let eps = 0.05 and view = View.make g in
   let w = Walk.walker g and mask = Array.make 4 false in
   Walk.start w p;
-  let change = Walk.advance w g ~eps ~mask in
+  let change = Walk.advance w view ~eps ~mask in
   let prev = Reference.of_walk p in
   let next = reference_step g (Some eps) prev in
   Alcotest.(check (list int)) "kept" [ 2; 3 ] (Array.to_list (W.support (Walk.current w)));
@@ -327,7 +329,7 @@ let test_walker_full_support_step () =
   let mask1 = Array.make 4 false and mask2 = Array.make 4 false in
   Walk.start w1 p;
   Walk.start w2 p;
-  Walk.advance_pair w1 w2 g ~eps1:eps ~eps2:0.0 ~mask1 ~mask2;
+  Walk.advance_pair w1 w2 view ~eps1:eps ~eps2:0.0 ~mask1 ~mask2;
   let whole = reference_step g None prev in
   Alcotest.(check bool) "pair, first copy = reference step" true
     (identical (Walk.current w1) next);
@@ -349,15 +351,15 @@ let prop_rescan_reuses_workspace =
       let g, start, eps = random_instance seed_b in
       let walks = Walk.truncated_walk g ~src:(seed_a mod Graph.num_vertices g) ~eps:1e-3 ~steps:3 in
       let b = advanced ~eps:(Option.value eps ~default:0.0) g start in
-      let sweep = Sweep.workspace g in
+      let sweep = Sweep.workspace g and view = View.make g in
       let reference = Reference.of_walk b in
       let order = Reference.order g reference and prefixes = Reference.scan g reference in
       let ok = ref true in
       (* A runs over several lengths, longer and shorter than B *)
       Array.iter
         (fun a ->
-          Sweep.rescan sweep g a;
-          Sweep.rescan sweep g b;
+          Sweep.rescan sweep view a;
+          Sweep.rescan sweep view b;
           ok := !ok && sweep_is sweep ~order ~prefixes)
         walks;
       !ok && sweep_is (Sweep.scan g b) ~order ~prefixes)
@@ -407,8 +409,8 @@ let dense_instance ~parallel rng =
    graph, every vertex) or shorter. The target has distinct vertices
    with equal ρ, degree-0 vertices in its support and zero masses. A
    third of the graphs are dense G(n, p), half of them with parallel
-   edges: the rescans take the bit-row pass exactly on the simple ones,
-   and the stamp loop gives the same sweep there too. *)
+   edges: the rescans take the bit-row pass exactly on the simple ones
+   and the stamp loop elsewhere, and both give the reference's sweep. *)
 let prop_seeded_rescan_matches_scan =
   QCheck.Test.make ~name:"seeded rescan = fresh scan = reference, bit for bit" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -421,7 +423,7 @@ let prop_seeded_rescan_matches_scan =
           let g, _, _ = random_instance ~max_n:120 seed in
           g
       in
-      let rows = Sweep.rows g in
+      let view = View.make g in
       let rng = Rng.create (seed + 2) in
       let n = Graph.num_vertices g in
       let p = tied_distribution rng g in
@@ -435,12 +437,10 @@ let prop_seeded_rescan_matches_scan =
       in
       let seeded ?(graph = g) seeds =
         let sweep = Sweep.workspace graph in
-        List.iter (fun q -> Sweep.rescan ?rows:(Sweep.rows graph) sweep graph q) seeds;
-        Sweep.rescan ?rows sweep g p;
+        List.iter (fun q -> Sweep.rescan sweep (View.make graph) q) seeds;
+        Sweep.rescan sweep view p;
         sweep_is sweep ~order ~prefixes
       in
-      let stamps = Sweep.workspace g in
-      Sweep.rescan stamps g p;
       let walk = Walk.truncated_walk g ~src:(Rng.int rng n) ~eps:1e-3 ~steps:4 in
       let shorter =
         Walk.of_assoc
@@ -448,9 +448,8 @@ let prop_seeded_rescan_matches_scan =
              (fun i -> if i mod 3 = 0 then Some (p.support.(i), p.masses.(i)) else None)
              (List.init p.len Fun.id))
       in
-      Option.is_some rows = (seed mod 6 = 0)
+      Option.is_some view.rows = (seed mod 6 = 0)
       && sweep_is (Sweep.scan g p) ~order ~prefixes
-      && sweep_is stamps ~order ~prefixes
       && seeded [ p ]
       && seeded [ reversed_distribution g order ]
       && seeded [ ties_reversed g p ]
@@ -460,14 +459,17 @@ let prop_seeded_rescan_matches_scan =
       && seeded [ shorter ])
 
 (* After a warm-up, advancing a walker and rescanning its view into one
-   sweep allocates no arrays: at most a boxed float per round. *)
+   sweep allocates no arrays: at most a boxed float per round. Two
+   walkers advanced as a pair, by the fused pull once both cover every
+   vertex, allocate nothing at all. *)
 let test_walker_rescan_allocation_free () =
   let g = Gen.random_regular (Rng.create 12) ~n:200 ~d:8 in
+  let view = View.make g in
   let w = Walk.walker g and sweep = Sweep.workspace g in
   let mask = Array.make 200 false in
   let round () =
-    ignore (Walk.advance w g ~eps:1e-6 ~mask : float);
-    Sweep.rescan sweep g (Walk.current w)
+    ignore (Walk.advance w view ~eps:1e-6 ~mask : float);
+    Sweep.rescan sweep view (Walk.current w)
   in
   Walk.start w (Walk.indicator 0);
   for _ = 1 to 10 do
@@ -481,7 +483,87 @@ let test_walker_rescan_allocation_free () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words over 100 rounds" words)
     true (words <= 400.0);
-  Alcotest.(check bool) "the walk is live" true (sweep.length > 100)
+  Alcotest.(check bool) "the walk is live" true (sweep.length > 100);
+  let w1 = Walk.walker g and w2 = Walk.walker g in
+  let mask1 = Array.make 200 false and mask2 = Array.make 200 false in
+  let pair () = Walk.advance_pair w1 w2 view ~eps1:1e-6 ~eps2:1e-7 ~mask1 ~mask2 in
+  Walk.start w1 (Walk.indicator 0);
+  Walk.start w2 (Walk.indicator 1);
+  for _ = 1 to 10 do
+    pair ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    pair ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "pair: minor words over 100 steps" 0.0 words;
+  Alcotest.(check (pair int int)) "pair: both walks cover every vertex" (200, 200)
+    ((Walk.current w1).len, (Walk.current w2).len)
+
+(* The kernels check their arguments once per call, before writing
+   anything, and then index without bounds checks: a mask shorter than
+   the graph, a walker or sweep smaller than it, a distribution with a
+   vertex outside it and one walker passed twice as a pair each raise
+   Invalid_argument, and leave every walker's current distribution,
+   every mask and the sweep as they were. Both paths of [advance] are
+   covered: a start on two vertices takes the sparse kernel, ψ_V the
+   full-support pull. *)
+let test_kernel_guards () =
+  let g = Gen.cycle 12 and small = Gen.cycle 8 in
+  let view = View.make g in
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let contents w =
+    let p = Walk.current w in
+    (Array.to_list (Array.sub p.support 0 p.len), Array.to_list (Array.sub p.masses 0 p.len))
+  in
+  let unchanged name w expected =
+    Alcotest.(check (pair (list int) (list (float 0.0)))) name expected (contents w)
+  in
+  let mask = Array.make 12 false and short = Array.make 11 false in
+  let advance w ~mask () = ignore (Walk.advance w view ~eps:0.0 ~mask : float) in
+  let pair w1 w2 ~mask1 ~mask2 () =
+    Walk.advance_pair w1 w2 view ~eps1:0.0 ~eps2:0.0 ~mask1 ~mask2
+  in
+  let uniform = Walk.of_assoc (List.init 12 (fun v -> (v, 1.0 /. 12.0))) in
+  List.iter
+    (fun (path, start) ->
+      let w = Walk.walker g and w' = Walk.walker g and tiny = Walk.walker small in
+      Walk.start w start;
+      Walk.start w' start;
+      Walk.start tiny (Walk.indicator 0);
+      let before = contents w and tiny_before = contents tiny in
+      raises (path ^ ": short mask") (advance w ~mask:short);
+      raises (path ^ ": walker smaller than the graph") (advance tiny ~mask);
+      raises (path ^ ": one walker twice") (pair w w ~mask1:mask ~mask2:mask);
+      raises (path ^ ": pair, second mask short") (pair w w' ~mask1:mask ~mask2:short);
+      raises (path ^ ": pair, second walker small") (pair w tiny ~mask1:mask ~mask2:mask);
+      unchanged (path ^ ": walker") w before;
+      unchanged (path ^ ": second walker") w' before;
+      unchanged (path ^ ": small walker") tiny tiny_before;
+      Alcotest.(check bool) (path ^ ": masks untouched") false
+        (Array.exists Fun.id mask || Array.exists Fun.id short))
+    [ ("sparse", Walk.of_assoc [ (0, 0.5); (11, 0.5) ]); ("full", uniform) ];
+  (* a distribution of a larger graph, in a walker large enough for it *)
+  let w = Walk.walker (Gen.cycle 20) in
+  Walk.start w (Walk.of_assoc [ (3, 0.5); (15, 0.5) ]);
+  let before = contents w in
+  raises "distribution outside the graph" (advance w ~mask);
+  unchanged "outside: walker" w before;
+  (* sweeps: a workspace smaller than the graph, a vertex outside it *)
+  let sweep = Sweep.workspace small in
+  Sweep.rescan sweep (View.make small) (Walk.of_assoc [ (0, 1.0); (5, 0.5) ]);
+  let order = Sweep.take sweep sweep.length in
+  raises "sweep smaller than the graph" (fun () -> Sweep.rescan sweep view uniform);
+  let large = Sweep.workspace (Gen.cycle 20) in
+  raises "sweep: distribution outside the graph" (fun () ->
+      Sweep.rescan large view (Walk.of_assoc [ (3, 0.5); (15, 0.5) ]));
+  Alcotest.(check (array int)) "sweep untouched" order (Sweep.take sweep sweep.length);
+  Alcotest.(check int) "fresh sweep untouched" 0 large.length
 
 let test_zero_mass_support () =
   (* vertex 2 is isolated: its zero-mass entry survives a step and the
@@ -708,6 +790,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_seeded_rescan_matches_scan;
           Alcotest.test_case "walker + rescan allocate no arrays" `Quick
             test_walker_rescan_allocation_free;
+          Alcotest.test_case "kernels check once, before any write" `Quick test_kernel_guards;
           Alcotest.test_case "walker full-support step" `Quick test_walker_full_support_step;
           Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
           Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation ] );

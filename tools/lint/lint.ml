@@ -52,6 +52,11 @@ let rules =
        variable in D006's hot-path directories: the compiler emits the \
        generic comparison (caml_equal, caml_compare, ...) there; \
        annotate the operand's type so it specializes" );
+    ( "D009",
+      "no Array.unsafe_get / Array.unsafe_set or Bytes.unsafe_* outside \
+       the kernel allow-list (lib/spectral/walk.ml, lib/spectral/sweep.ml, \
+       lib/congest/arena.ml): only a kernel that checks every length its \
+       loops rely on, once per call, may index without bounds checks" );
     ( "C003",
       "raw int vertex parameter in a protocol-layer .mli; use \
        Dex_graph.Vertex.local / Vertex.orig (and Vertex.Map.t for \
@@ -108,6 +113,13 @@ let hot_path =
     [ [ "lib"; "util" ]; [ "lib"; "graph" ]; [ "lib"; "congest" ];
       [ "lib"; "spectral" ]; [ "lib"; "sparsecut" ]; [ "lib"; "triangle" ] ]
 
+(* the kernels whose inner loops index without bounds checks (D009):
+   each checks, once per call and before any write, every length its
+   loops rely on *)
+let unchecked_kernels =
+  [ [ "lib"; "spectral"; "walk.ml" ]; [ "lib"; "spectral"; "sweep.ml" ];
+    [ "lib"; "congest"; "arena.ml" ] ]
+
 (* Rules scoped by path; C004 and C005 are whole-program and scoped
    by the driver instead. *)
 let rule_applies ~all_rules segs rule =
@@ -123,6 +135,7 @@ let rule_applies ~all_rules segs rule =
     gated segs && not (under_any [ [ "lib"; "obs" ]; [ "bench" ] ] segs)
   | "D005" -> true
   | "D006" | "D007" | "D008" -> hot_path segs
+  | "D009" -> not (List.mem segs unchecked_kernels)
   | "C003" -> under_any [ [ "lib"; "congest" ]; [ "lib"; "ldd" ]; [ "lib"; "expander" ] ] segs
   | _ -> false
 

@@ -10,6 +10,8 @@
    specialize; D007 a polymorphic [min]/[max], which it never
    specializes; D008 a comparison applied at a type variable, which
    compiles to the generic one even where every caller passes ints.
+   D009 flags unchecked indexing (Array.unsafe_get/unsafe_set and
+   every Bytes.unsafe_ function) outside the kernels allowed to use it.
 
    V-rule — C003 rejects raw `int` vertex-valued labelled parameters
    in protocol-layer interfaces; use the phantom `Vertex.local`/`orig`.
@@ -217,6 +219,15 @@ let d_rules ~on ~file u str =
         (Printf.sprintf
            "%s in a protocol layer; raise a typed exception (Dex_util.Invariant.%s)" fn
            (if fn = "failwith" then "fail" else "require"))
+    | [ "Stdlib"; (("Array" | "Bytes") as m); fn ]
+      when on "D009"
+           && String.starts_with ~prefix:"unsafe_" fn
+           && (m = "Bytes" || fn = "unsafe_get" || fn = "unsafe_set") ->
+      add e.exp_loc "D009"
+        (Printf.sprintf
+           "%s.%s indexes without a bounds check outside the kernel allow-list; index \
+            checked, or move the loop into a kernel that checks its lengths once per call"
+           m fn)
     | [ "Stdlib"; "Sys"; "time" ] | [ "Unix"; ("gettimeofday" | "time") ] when on "D004" ->
       add e.exp_loc "D004" "wall-clock read; use Dex_obs.Clock.now_ns"
     (* applied or passed as a value alike; graph operands are D005's *)
