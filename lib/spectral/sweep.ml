@@ -1,4 +1,5 @@
 module Graph = Dex_graph.Graph
+module Bits = Dex_util.Bits
 
 (* [stamp.(v) = epoch] marks v in the prefix being measured, or in the
    support being seeded; [prefix] is the measured prefix as a bit row
@@ -24,14 +25,6 @@ type t = {
 
 (* bits per row word, as in [View.rows] *)
 let word_bits = Sys.int_size
-
-(* the set bits of a word, all [word_bits] of them (SWAR: pair, nibble
-   and byte sums, then the bytes summed into the top byte) *)
-let[@inline] popcount x =
-  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
-  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
-  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
-  (x * 0x0101_0101_0101_0101) lsr 56
 
 let workspace g =
   let n = Graph.num_vertices g in
@@ -160,7 +153,7 @@ let[@inline] inside_by_rows (r : View.rows) (prefix : int array) v =
   let base = v * r.words in
   for w = 0 to r.words - 1 do
     inside :=
-      !inside + popcount (Array.unsafe_get r.bits (base + w) land Array.unsafe_get prefix w)
+      !inside + Bits.popcount (Array.unsafe_get r.bits (base + w) land Array.unsafe_get prefix w)
   done;
   !inside
 

@@ -1,4 +1,6 @@
 module Graph = Dex_graph.Graph
+module View = Dex_spectral.View
+module Bits = Dex_util.Bits
 
 type triangle = int * int * int
 
@@ -61,10 +63,60 @@ let iter_sorted g f =
 
 let iter g f = iter_sorted g (fun a b c -> f (a, b, c))
 
+(* ---------- dense graphs: bit-row intersections ---------- *)
+
+(* bits per row word, as in [View.rows] *)
+let word_bits = Sys.int_size
+
+(* [f a b base x] for each edge a < b, in (a, b) order, and each word
+   of the rows of a and b above b, ascending, whose AND [x] is not
+   zero: bit i of [x] is set iff c = base + i is adjacent to both, and
+   every such c is above b *)
+let iter_common g (r : View.rows) f =
+  let words = r.words and bits = r.bits in
+  for a = 0 to Graph.num_vertices g - 1 do
+    let nbrs = Graph.neighbors g a in
+    for i = 0 to Array.length nbrs - 1 do
+      let b = nbrs.(i) in
+      if b > a then begin
+        let w0 = b / word_bits in
+        (* the bits above b's own *)
+        let above = -2 lsl (b - (w0 * word_bits)) in
+        for w = w0 to words - 1 do
+          let x = bits.((a * words) + w) land bits.((b * words) + w) in
+          let x = if w = w0 then x land above else x in
+          if x <> 0 then f a b (w * word_bits) x
+        done
+      end
+    done
+  done
+
+(* the index of [x]'s lowest set bit, [x <> 0] *)
+let[@inline] lowest x = Bits.popcount ((x land -x) - 1)
+
+(* the number of triangles a < b < c with [pred a b || pred b c ||
+   pred a c]: a popcount per word where [pred a b] holds *)
+let dense_count g r pred =
+  let total = ref 0 in
+  iter_common g r (fun a b base x ->
+      if pred a b then total := !total + Bits.popcount x
+      else begin
+        let x = ref x in
+        while !x <> 0 do
+          let c = base + lowest !x in
+          if pred b c || pred a c then incr total;
+          x := !x land (!x - 1)
+        done
+      end);
+  !total
+
 let count g =
-  let c = ref 0 in
-  iter_sorted g (fun _ _ _ -> incr c);
-  !c
+  match (View.make g).rows with
+  | Some r -> dense_count g r (fun _ _ -> true)
+  | None ->
+    let c = ref 0 in
+    iter_sorted g (fun _ _ _ -> incr c);
+    !c
 
 (* ---------- packed ids ---------- *)
 
@@ -122,13 +174,34 @@ let sorted_contents b =
    wide with 2^s >= n, so integer order is lexicographic order *)
 let id_bits n = Dex_sparsecut.Params.ceil_log2 n
 
+(* the ids of the hits, ascending as listed: (a, b) ascending from
+   [iter_common], then c ascending within each word *)
+let dense_ids g r s pred =
+  let ids = Array.make (dense_count g r pred) 0 in
+  let k = ref 0 in
+  iter_common g r (fun a b base x ->
+      let ab = (a lsl (2 * s)) lor (b lsl s) and all = pred a b in
+      let x = ref x in
+      while !x <> 0 do
+        let c = base + lowest !x in
+        if all || pred b c || pred a c then begin
+          ids.(!k) <- ab lor c;
+          incr k
+        end;
+        x := !x land (!x - 1)
+      done);
+  ids
+
 let triangle_ids_with_edge_pred g pred =
   let s = id_bits (check_size g) in
-  let hit = { data = [||]; len = 0 } in
-  iter_sorted g (fun a b c ->
-      if pred a b || pred b c || pred a c then
-        push hit ((a lsl (2 * s)) lor (b lsl s) lor c));
-  sorted_contents hit
+  match (View.make g).rows with
+  | Some r -> dense_ids g r s pred
+  | None ->
+    let hit = { data = [||]; len = 0 } in
+    iter_sorted g (fun a b c ->
+        if pred a b || pred b c || pred a c then
+          push hit ((a lsl (2 * s)) lor (b lsl s) lor c));
+    sorted_contents hit
 
 let triangle_ids g = triangle_ids_with_edge_pred g (fun _ _ -> true)
 
@@ -149,8 +222,11 @@ let filter_ids ~n ids pred =
 let triangles_of_ids ~n ids =
   let s = id_bits n in
   let mask = (1 lsl s) - 1 in
-  Array.fold_right
-    (fun id acc -> (id lsr (2 * s), (id lsr s) land mask, id land mask) :: acc)
-    ids []
+  let acc = ref [] in
+  for i = Array.length ids - 1 downto 0 do
+    let id = ids.(i) in
+    acc := (id lsr (2 * s), (id lsr s) land mask, id land mask) :: !acc
+  done;
+  !acc
 
 let enumerate g = triangles_of_ids ~n:(Graph.num_vertices g) (triangle_ids g)

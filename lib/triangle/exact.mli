@@ -1,9 +1,14 @@
-(** Ground-truth triangle enumeration (centralized).
+(** Ground-truth triangle enumeration (centralized), the reference
+    answer every distributed algorithm is checked against.
 
-    The forward algorithm: orient every edge from lower to higher
-    degree (ties by id) and intersect out-neighborhoods — O(m^{3/2})
-    and the reference answer every distributed algorithm is checked
-    against.
+    Two paths, chosen by {!Dex_spectral.View.make}'s density rule. On
+    a graph whose view has bit rows (dense, no parallel edges), ids and
+    {!count} come from intersecting the rows of the two endpoints of
+    each edge: O(m·⌈n/63⌉) word operations plus one per triangle. On
+    every other graph they come from the forward algorithm: orient
+    every edge from lower to higher degree (ties by id) and intersect
+    out-neighborhoods, O(m^{3/2}). {!iter} always runs the forward
+    algorithm.
 
     {1 Triangle ids}
 
@@ -12,8 +17,11 @@
     three [s]-bit fields, [a] highest, so decoding is shifts and masks.
     Since every field is below [2^s], integer order on ids is the
     lexicographic order on triples, and a sorted id array is the sorted
-    triangle list in packed form. Ids are sorted by a radix sort, with
-    no comparator. An id needs [3s <= 60] bits, so every function that
+    triangle list in packed form. The bit-row path lists the ids
+    already ascending (a, then b, then c), into an array a popcount
+    pass sized exactly; the forward algorithm lists them out of order,
+    into a growable buffer that a radix sort then sorts, with no
+    comparator. An id needs [3s <= 60] bits, so every function that
     builds ids (all but {!iter}, {!count} and {!filter_ids}) requires
     [n <= 2^20] and raises [Invalid_argument] beyond it. *)
 

@@ -10,6 +10,7 @@ module Baselines = Dex_triangle.Baselines
 module Decomposition = Dex_decomp.Decomposition
 module Rng = Dex_util.Rng
 module Rounds = Dex_congest.Rounds
+module View = Dex_spectral.View
 
 
 (* the star K_{1,n-1}, from the shared test helpers *)
@@ -164,6 +165,53 @@ let prop_exact_matches_reference =
       && Exact.count g = Reference.count g
       && Exact.triangles_of_ids ~n (Exact.triangle_ids g) = all
       && Exact.triangles_of_ids ~n (Exact.triangle_ids_with_edge_pred g pred) = hit)
+
+(* Graphs with no parallel edges, some with self-loops (the bit rows
+   hold none; the enumerator's later levels run on graphs that carry
+   them), at vertex counts on both sides of each row-word edge, with p
+   on both sides of the view's density rule (mean degree 8 per row
+   word), so that some instances list their ids from bit rows and
+   others from the forward algorithm; plus an edge predicate that
+   holds with a random probability, so that [pred a b] both holds and
+   fails on a bit-row word. *)
+let word_edge_sizes = [| 1; 2; 3; 62; 63; 64; 125; 126; 127; 128; 189; 190 |]
+
+let simple_instance seed =
+  let rng = Rng.create seed in
+  let n = word_edge_sizes.(Rng.int rng (Array.length word_edge_sizes)) in
+  let p = 0.05 +. Rng.float rng 0.4 in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    if Rng.int rng 8 = 0 then edges := (u, u) :: !edges;
+    for v = u + 1 to n - 1 do
+      if Rng.bernoulli rng p then edges := (u, v) :: !edges
+    done
+  done;
+  let g = Graph.of_edges ~n !edges in
+  let q = Rng.float rng 1.0 in
+  let marked = Array.init (n * n) (fun _ -> Rng.float rng 1.0 < q) in
+  (g, fun u v -> marked.((u * n) + v))
+
+let prop_dense_ids_match_reference =
+  QCheck.Test.make ~name:"bit-row ids = tuple reference" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, pred = simple_instance seed in
+      let n = Graph.num_vertices g in
+      Exact.triangles_of_ids ~n (Exact.triangle_ids g) = Reference.enumerate g
+      && Exact.triangles_of_ids ~n (Exact.triangle_ids_with_edge_pred g pred)
+         = Reference.triangles_with_edge_pred g pred
+      && Exact.count g = Reference.count g)
+
+(* the instances above reach both paths, and G(128, 1/2), the
+   benchmark's graph, takes the bit rows *)
+let test_dense_instances_cover_both_paths () =
+  let rows seed = Option.is_some (View.make (fst (simple_instance seed))).rows in
+  let sample = List.init 60 rows in
+  Alcotest.(check bool) "some instance has bit rows" true (List.mem true sample);
+  Alcotest.(check bool) "some instance has none" true (List.mem false sample);
+  let g = Gen.gnp (Rng.create 1) ~n:128 ~p:0.5 in
+  Alcotest.(check bool) "G(128, 1/2) has bit rows" true (Option.is_some (View.make g).rows)
 
 let test_id_bound () =
   let n = 1 lsl 20 in
@@ -479,7 +527,10 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_exact_matches_reference;
           Alcotest.test_case "id bound 2^20" `Quick test_id_bound;
           Alcotest.test_case "id order is lexicographic" `Quick test_id_order;
-          QCheck_alcotest.to_alcotest prop_level1_filter_matches_enumeration ] );
+          QCheck_alcotest.to_alcotest prop_level1_filter_matches_enumeration;
+          QCheck_alcotest.to_alcotest prop_dense_ids_match_reference;
+          Alcotest.test_case "bit-row instances cover both paths" `Quick
+            test_dense_instances_cover_both_paths ] );
       ( "expander-enum",
         [ Alcotest.test_case "dense gnp" `Quick test_enum_gnp_dense;
           Alcotest.test_case "SBM multi level" `Quick test_enum_sbm_multi_level;
