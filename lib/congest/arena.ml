@@ -55,6 +55,7 @@ type t = {
   out_data : int array;
   enq : int array; (* tick at which the slot was staged; doubles as
                       the duplicate-send detector *)
+  sent : int array; (* per-vertex tick of its last staged message *)
   (* active set *)
   wake : int array; (* per-vertex self-wake stamp *)
   listed : int array; (* per-vertex already-on-next-worklist stamp *)
@@ -79,10 +80,18 @@ let create ?(to_orig = fun v -> v) g =
     let a = Graph.neighbors g v in
     Array.blit a 0 nbr off.(v) (Array.length a)
   done;
+  (* the mirror of a slot on (v, u) is u's leftmost slot on (u, v).
+     With v ascending, [next.(u)] moves one slot of u on per slot of a
+     smaller vertex to u, so at v's first slot to u it is u's first
+     slot to v (the adjacency is sorted); v's parallel slots to u
+     take that one too *)
   let mirror = Array.make m2 0 in
+  let next = Array.sub off 0 n in
   for v = 0 to n - 1 do
     for s = off.(v) to off.(v + 1) - 1 do
-      mirror.(s) <- off.(nbr.(s)) + Graph.neighbor_rank g nbr.(s) v
+      let u = nbr.(s) in
+      mirror.(s) <- (if s > off.(v) && nbr.(s - 1) = u then mirror.(s - 1) else next.(u));
+      next.(u) <- next.(u) + 1
     done
   done;
   { n;
@@ -95,6 +104,7 @@ let create ?(to_orig = fun v -> v) g =
     stamp = Array.make m2 0;
     out_data = Array.make m2 0;
     enq = Array.make m2 0;
+    sent = Array.make n 0;
     wake = Array.make n 0;
     listed = Array.make n 0;
     work = Array.make n 0;
@@ -234,6 +244,7 @@ module Outbox = struct
     if s < 0 then fail ob u (fun vertex dst -> Not_a_neighbor { vertex; dst });
     if a.enq.(s) = a.tick then fail ob u (fun vertex dst -> Duplicate_edge { vertex; dst });
     a.enq.(s) <- a.tick;
+    a.sent.(v) <- a.tick;
     a.out_data.(s) <- w
 
   let wake ob =
@@ -273,22 +284,25 @@ let push_active a v =
     a.next_n <- a.next_n + 1
   end
 
+(* most active vertices were woken by a delivery and staged nothing:
+   only one whose [sent] stamp is this tick has slots to scan *)
 let deliver_staged a src verdict =
   let t = a.tick in
-  for s = a.off.(src) to a.off.(src + 1) - 1 do
-    if a.enq.(s) = t then begin
-      let dst = a.nbr.(s) in
-      match verdict src dst s with
-      | `Drop -> ()
-      | (`Deliver | `Duplicate) as v ->
-        let d = a.mirror.(s) in
-        a.data.(d) <- a.out_data.(s);
-        a.stamp.(d) <- t + 1;
-        Bytes.unsafe_set a.cnt d
-          (match v with `Duplicate -> '\002' | `Deliver -> '\001');
-        push_active a dst
-    end
-  done;
+  if a.sent.(src) = t then
+    for s = a.off.(src) to a.off.(src + 1) - 1 do
+      if a.enq.(s) = t then begin
+        let dst = a.nbr.(s) in
+        match verdict src dst s with
+        | `Drop -> ()
+        | (`Deliver | `Duplicate) as v ->
+          let d = a.mirror.(s) in
+          a.data.(d) <- a.out_data.(s);
+          a.stamp.(d) <- t + 1;
+          Bytes.unsafe_set a.cnt d
+            (match v with `Duplicate -> '\002' | `Deliver -> '\001');
+          push_active a dst
+      end
+    done;
   if a.wake.(src) = t then push_active a src
 
 (* move every calendar entry due by round [r] onto the next worklist *)

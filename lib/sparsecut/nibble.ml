@@ -253,24 +253,12 @@ let exact_select c =
   done;
   !best
 
-(* the index after [cur] in the geometric sequence (j_x) of Appendix
-   A.2: the largest j with Vol(1..j) ≤ (1+φ)·Vol(1..cur), at least
-   cur + 1 *)
-let next_j (params : Params.t) (sweep : Sweep.t) cur =
-  let budget = (1.0 +. params.phi) *. float_of_int sweep.volume.(cur - 1) in
-  let lo = ref cur and hi = ref sweep.length in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if float_of_int sweep.volume.(mid - 1) <= budget then lo := mid else hi := mid - 1
-  done;
-  Int.max (cur + 1) !lo
-
 let approximate_select c =
   let sweep = c.lane.sweep and t = c.t in
   let n = sweep.length in
   let cost = candidate_cost ~t ~support:n in
   let best = ref None in
-  (* j_1 = 1, then [next_j] until the sequence reaches n *)
+  (* j_1 = 1, then [Params.next_j] until the sequence reaches n *)
   let prev = ref 0 and j = ref 1 in
   while !j <= n do
     c.candidates <- c.candidates + 1;
@@ -281,7 +269,7 @@ let approximate_select c =
     in
     if ok then best := keep_better !best sweep !j ~t;
     prev := !j;
-    j := if !j < n then next_j c.params sweep !j else n + 1
+    j := if !j < n then Params.next_j c.params sweep.volume ~length:n !j else n + 1
   done;
   !best
 

@@ -41,6 +41,17 @@ let make ?(preset = Practical) ~phi ~m () =
 
 let should_sweep t step = step <= 16 || step mod t.sweep_stride = 0
 
+(* a forward scan, not a binary search: the volumes do not decrease,
+   so the indices within the budget form a run from [cur], and the
+   next call of the sequence starts at or past where this one stops *)
+let next_j t volumes ~length cur =
+  let budget = (1.0 +. t.phi) *. float_of_int volumes.(cur - 1) in
+  let j = ref cur in
+  while !j < length && float_of_int volumes.(!j) <= budget do
+    incr j
+  done;
+  Int.max (cur + 1) !j
+
 let eps_b t b =
   if b < 1 || b > t.ell then invalid_arg "Params.eps_b: b out of range";
   let mf = float_of_int t.m in

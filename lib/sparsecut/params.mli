@@ -43,6 +43,15 @@ type t = {
     walk step [step] under [t]'s stride schedule. *)
 val should_sweep : t -> int -> bool
 
+(** [next_j t volumes ~length cur] is the index after [cur] in the
+    geometric j-sequence (j_x) of Appendix A.2, over a sweep whose
+    prefix volumes Vol(π(1..j)), j = 1..[length], are
+    [volumes.(j-1)] and never decrease: the largest j ≤ [length] with
+    Vol(1..j) ≤ (1+φ)·Vol(1..cur), and at least [cur + 1]. It reads
+    the volumes forward from [cur] up to the first one over the budget,
+    so the whole sequence from j₁ = 1 costs O(length) reads. *)
+val next_j : t -> int array -> length:int -> int -> int
+
 (** [make ?preset ~phi ~m ()] derives all parameters; [phi] must be in
     (0, 1/12] (the precondition of Lemma 5 onward) and [m ≥ 1]. *)
 val make : ?preset:preset -> phi:float -> m:int -> unit -> t

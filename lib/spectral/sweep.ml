@@ -136,10 +136,9 @@ let merge_sort t =
     Array.blit s.tmp_r 0 r 0 n
   end
 
-(* the neighbours of [v] that [stamp] marks with [epoch] *)
-let[@inline] inside_by_stamps (stamp : int array) (epoch : int) g v =
+(* the entries of [nbrs] that [stamp] marks with [epoch] *)
+let[@inline] inside_by_stamps (stamp : int array) (epoch : int) (nbrs : int array) =
   let inside = ref 0 in
-  let nbrs = Graph.neighbors g v in
   (* branch-free: whether a neighbour is already inside is close to a
      coin flip, which a branch would mispredict *)
   for i = 0 to Array.length nbrs - 1 do
@@ -160,21 +159,24 @@ let[@inline] inside_by_rows (r : View.rows) (prefix : int array) v =
 (* measures every prefix of [t.ordered.(0 .. length-1)] in the view's
    graph. Both passes count the prefix's neighbours of each vertex as
    an integer, so they give the same cuts and conductances bit for
-   bit. *)
+   bit. A vertex's degree is its view degree, exact as a float, and
+   its plain degree the length of its neighbour array: one adjacency
+   read per vertex. *)
 let measure t (view : View.t) =
-  let g = view.graph in
+  let g = view.graph and degrees = view.degrees and rows = Lazy.force view.rows in
   let total_volume = Graph.total_volume g in
   let s = t.scratch in
   s.epoch <- s.epoch + 1;
   let stamp = s.stamp and epoch = s.epoch and prefix = s.prefix in
-  (match view.rows with Some r -> Array.fill prefix 0 r.words 0 | None -> ());
+  (match rows with Some r -> Array.fill prefix 0 r.words 0 | None -> ());
   let volume = ref 0 and cut = ref 0 in
   for j = 0 to t.length - 1 do
     let v = Array.unsafe_get t.ordered j in
+    let nbrs = Graph.neighbors g v in
     let inside =
-      match view.rows with
+      match rows with
       | None ->
-        let inside = inside_by_stamps stamp epoch g v in
+        let inside = inside_by_stamps stamp epoch nbrs in
         Array.unsafe_set stamp v epoch;
         inside
       | Some r ->
@@ -183,8 +185,8 @@ let measure t (view : View.t) =
         Array.unsafe_set prefix w (Array.unsafe_get prefix w lor (1 lsl (v - (w * word_bits))));
         inside
     in
-    volume := !volume + Graph.degree g v;
-    cut := !cut + Graph.plain_degree g v - (2 * inside);
+    volume := !volume + int_of_float (Array.unsafe_get degrees v);
+    cut := !cut + Array.length nbrs - (2 * inside);
     let small = Int.min !volume (total_volume - !volume) in
     Array.unsafe_set t.volume j !volume;
     Array.unsafe_set t.cut j !cut;

@@ -2,7 +2,7 @@ module Graph = Dex_graph.Graph
 
 type rows = { words : int; bits : int array }
 
-type t = { graph : Graph.t; degrees : float array; rows : rows option }
+type t = { graph : Graph.t; degrees : float array; rows : rows option Lazy.t }
 
 (* bits per row word: all of an OCaml int's *)
 let word_bits = Sys.int_size
@@ -48,4 +48,4 @@ let rows g =
 let make g =
   { graph = g;
     degrees = Array.init (Graph.num_vertices g) (fun v -> float_of_int (Graph.degree g v));
-    rows = rows g }
+    rows = lazy (rows g) }

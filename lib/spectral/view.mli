@@ -18,9 +18,18 @@ type rows = private { words : int; bits : int array }
     and a mean plain degree of at least 8 per row word (mean degree
     ≥ 24 at n = 128, ≥ 32 at n = 200), and [None] otherwise: the
     bit-row prefix pass pays off only on dense graphs, and a bit row
-    counts each parallel edge once. *)
-type t = private { graph : Dex_graph.Graph.t; degrees : float array; rows : rows option }
+    counts each parallel edge once. The rows, and the density test
+    that decides them, are built when a sweep or the triangle pass
+    first forces [rows]; a view that only walks never builds them.
+    Forcing is not thread-safe: a view stays in one domain, like the
+    workspaces that read it. *)
+type t = private {
+  graph : Dex_graph.Graph.t;
+  degrees : float array;
+  rows : rows option Lazy.t;
+}
 
-(** [make g] is [g]'s view: n floats, plus n·⌈n/63⌉ words of rows when
-    the density holds. O(n) when it fails, O(n·⌈n/63⌉ + m) otherwise. *)
+(** [make g] is [g]'s view: n floats, O(n). Forcing its [rows] costs
+    O(m) when the density fails and n·⌈n/63⌉ words and
+    O(n·⌈n/63⌉ + m) time when it holds. *)
 val make : Dex_graph.Graph.t -> t

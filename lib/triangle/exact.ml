@@ -111,7 +111,7 @@ let dense_count g r pred =
   !total
 
 let count g =
-  match (View.make g).rows with
+  match Lazy.force (View.make g).rows with
   | Some r -> dense_count g r (fun _ _ -> true)
   | None ->
     let c = ref 0 in
@@ -194,7 +194,7 @@ let dense_ids g r s pred =
 
 let triangle_ids_with_edge_pred g pred =
   let s = id_bits (check_size g) in
-  match (View.make g).rows with
+  match Lazy.force (View.make g).rows with
   | Some r -> dense_ids g r s pred
   | None ->
     let hit = { data = [||]; len = 0 } in

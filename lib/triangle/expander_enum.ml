@@ -83,10 +83,16 @@ let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
        detected at this level: the component owning that edge learns
        every edge incident to itself, which includes the other two *)
     let intra u v = part_of.(u) = part_of.(v) in
+    (* E-star = inter-component edges, on which the next level runs *)
+    let estar = ref [] in
+    Graph.iter_edges gcur (fun u v ->
+        if u <> v && part_of.(u) <> part_of.(v) then estar := (u, v) :: !estar);
     (* level 1 runs on [g], whose triangles the ground truth already
-       lists: filtering it spares a second enumeration *)
+       lists: filtering it spares a second enumeration, and with E-star
+       empty every edge is intra-component and the filter keeps all *)
     let found =
-      if !level = 1 then Exact.filter_ids ~n ground_truth intra
+      if !level = 1 then
+        if List.is_empty !estar then ground_truth else Exact.filter_ids ~n ground_truth intra
       else Exact.triangle_ids_with_edge_pred gcur intra
     in
     let merged, fresh = merge_ids !detected found in
@@ -130,10 +136,7 @@ let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
         routing_query_rounds = !max_query;
         max_instances = !max_inst }
       :: !levels;
-    (* recurse on E-star = inter-component edges *)
-    let estar = ref [] in
-    Graph.iter_edges gcur (fun u v ->
-        if u <> v && part_of.(u) <> part_of.(v) then estar := (u, v) :: !estar);
+    (* recurse on E-star *)
     let next = Graph.of_edges ~n !estar in
     if Graph.num_plain_edges next = 0 then continue := false
     else if Graph.num_plain_edges next >= Graph.num_plain_edges gcur then begin

@@ -8,9 +8,11 @@
    senders descending, as the seed kernel did. A message is one word.
 
    Below it, ParallelNibble's sequential copy loop, the oracle for its
-   lockstep schedule, the small helpers tests use where the library
-   exports nothing for them, and the dense and Hashtbl walk and sweep
-   oracles the walker and the sweep workspace are checked against. *)
+   lockstep schedule, the binary searches that the arena's mirror pass
+   and Nibble's j-sequence replaced, the small helpers tests use where
+   the library exports nothing for them, and the dense and Hashtbl walk
+   and sweep oracles the walker and the sweep workspace are checked
+   against. *)
 
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
@@ -169,6 +171,32 @@ let sequential_parallel_nibble ~k params g rng =
   in
   { Dex_sparsecut.Parallel_nibble.cut; rounds; copies = k; aborted; max_overlap;
     nibbles = outcomes }
+
+(* ---------------- the search forms of two cursors ---------------- *)
+
+(* the arena's mirror table as a binary search per slot finds it: for
+   the slot on (v, u), u's leftmost slot on (u, v) *)
+let mirrors_by_search g =
+  let off = Graph.csr_offsets g in
+  Array.concat
+    (List.init (Graph.num_vertices g) (fun v ->
+         Array.map (fun u -> off.(u) + Graph.neighbor_rank g u v) (Graph.neighbors g v)))
+
+(* Appendix A.2's j-sequence with each next index binary-searched in
+   [cur, length]: the largest j with Vol(1..j) ≤ (1+φ)·Vol(1..cur), at
+   least cur + 1 *)
+let j_sequence_by_search (params : Dex_sparsecut.Params.t) volumes ~length =
+  let next cur =
+    let budget = (1.0 +. params.phi) *. float_of_int volumes.(cur - 1) in
+    let lo = ref cur and hi = ref length in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if float_of_int volumes.(mid - 1) <= budget then lo := mid else hi := mid - 1
+    done;
+    Int.max (cur + 1) !lo
+  in
+  let rec go j acc = if j > length then List.rev acc else go (next j) (j :: acc) in
+  if length = 0 then [] else go 1 []
 
 (* ---------------- helpers the library does not export ---------------- *)
 

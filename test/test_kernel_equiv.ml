@@ -484,6 +484,24 @@ let test_wake_beyond_max_rounds () =
   Alcotest.(check int) "completes at the wake" 10 rounds;
   Alcotest.(check int) "vertex 1 stepped in rounds 1 and 10" 11 states.(1)
 
+(* the mirror pass's per-vertex cursors against a binary search per
+   slot, on multigraphs: parallel edges share their leftmost slot, and
+   self-loops own no slot *)
+let prop_mirrors_match_search =
+  QCheck.Test.make ~name:"mirrors = binary-search reference" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 40 in
+      let edges =
+        List.init (Rng.int rng (4 * n)) (fun _ ->
+            let u = Rng.int rng n in
+            match Rng.int rng 8 with 0 -> (u, u) | _ -> (u, Rng.int rng n))
+      in
+      let g = Graph.of_edges ~n (edges @ List.filteri (fun i _ -> i mod 3 = 0) edges) in
+      let a = Arena.create g in
+      Array.init (Arena.slot_count a) (Arena.mirror a) = Reference.mirrors_by_search g)
+
 let () =
   Alcotest.run "kernel-equiv"
     [ ( "list-api",
@@ -503,4 +521,5 @@ let () =
           Alcotest.test_case "pending wake" `Quick test_pending_wake_keeps_run_alive;
           Alcotest.test_case "fixed length" `Quick test_run_active_rounds_fixed_length;
           Alcotest.test_case "fixed flood vs reference" `Quick test_fixed_flood_vs_reference;
-          Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds ] ) ]
+          Alcotest.test_case "wake past limit" `Quick test_wake_beyond_max_rounds;
+          QCheck_alcotest.to_alcotest prop_mirrors_match_search ] ) ]

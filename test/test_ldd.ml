@@ -234,6 +234,42 @@ let test_mpx_ticks_only_stepped_rounds () =
   let c = Clustering.run (net_of g) ~beta:0.002 (Rng.create 7) in
   Alcotest.(check bool) "horizon > 2n" true (c.Clustering.epochs > 2 * n)
 
+(* MPX under drops and duplicates on a dense graph, where most
+   vertices stepped in a round were woken by a delivery and send
+   nothing: the clusters, the message count, the fault counts and
+   every traced round tick and fault event, in order, are the ones
+   recorded before Phase B skipped the slots of vertices that staged
+   nothing *)
+let test_mpx_dense_faults_golden () =
+  let g = Gen.gnp (Rng.create 11) ~n:96 ~p:0.5 in
+  let faults = Dex_congest.Faults.create ~drop:0.1 ~duplicate:0.05 ~seed:4 in
+  let ledger = Rounds.create () in
+  let tr = Trace.create ~capacity:100_000 () in
+  Rounds.attach_trace ledger (Some tr);
+  let net = Network.create ~faults g ledger in
+  let c = Clustering.run net ~beta:0.3 (Rng.create 5) in
+  let events =
+    List.filter_map
+      (function
+        | Trace.Round_tick { round; messages; words; max_edge_load; active } ->
+          Some (Printf.sprintf "tick %d %d %d %d %d" round messages words max_edge_load active)
+        | Trace.Fault { kind; round; src; dst } ->
+          Some (Printf.sprintf "%s %d %d %d" kind round src dst)
+        | _ -> None)
+      (Trace.events tr)
+  in
+  let digest l = Digest.to_hex (Digest.string (String.concat "\n" l)) in
+  let summary =
+    Printf.sprintf "clusters=%s messages=%d drops=%d duplicates=%d events=%d trace=%s"
+      (digest (Array.to_list (Array.map string_of_int c.Clustering.cluster)))
+      (Network.messages_sent net) (Dex_congest.Faults.drops faults)
+      (Dex_congest.Faults.duplicates faults) (List.length events) (digest events)
+  in
+  Alcotest.(check string) "golden"
+    "clusters=241bb65c33f73b14651277f478a065dc messages=4318 drops=407 duplicates=207 \
+     events=631 trace=58413d3a0b65c72acb359e722ca343ab"
+    summary
+
 (* ---------- neighborhood counting ---------- *)
 
 let test_ball_edge_count () =
@@ -385,7 +421,8 @@ let () =
       ( "mpx-oracle",
         [ QCheck_alcotest.to_alcotest prop_mpx_matches_list_api;
           Alcotest.test_case "ticks only on stepped rounds" `Quick
-            test_mpx_ticks_only_stepped_rounds ] );
+            test_mpx_ticks_only_stepped_rounds;
+          Alcotest.test_case "dense faulty run golden" `Quick test_mpx_dense_faults_golden ] );
       ( "neighborhood",
         [ Alcotest.test_case "ball edge count" `Quick test_ball_edge_count;
           Alcotest.test_case "loops counted" `Quick test_ball_counts_with_loops;

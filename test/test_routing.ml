@@ -165,6 +165,30 @@ let prop_all_delivered =
       let stats = Router.route ~capacity:2 g rng requests in
       stats.Router.delivered = n / 2)
 
+(* words allocated by [f ()], wherever they land: minor plus major
+   minus promoted, since a row array of 384 words goes straight to the
+   major heap, where [Gc.minor_words] does not see it *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  ignore (f ());
+  words () -. before
+
+(* The mixing-time walks behind [best_k_for] never sweep, so on
+   G(128, 1/2) its four mixing times build no bit rows. Built eagerly
+   by [View.make], the rows were 4 × 384 words plus a closure per
+   vertex, and this call allocated 13,515 words (OCaml 5.1, dune's
+   default profile); it must now allocate at least 1,400 fewer. *)
+let test_best_k_builds_no_rows () =
+  let g = Gen.gnp (Rng.create 1) ~n:128 ~p:0.5 in
+  let words =
+    allocated_words (fun () -> Hierarchy.best_k_for g (Rng.create 2) ~queries:8 ~k_max:4)
+  in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words" words) true (words <= 13_515.0 -. 1_400.0)
+
 let () =
   Alcotest.run "routing"
     [ ( "hierarchy",
@@ -173,7 +197,8 @@ let () =
           Alcotest.test_case "beta shrinks with k" `Quick test_beta_shrinks_with_k;
           Alcotest.test_case "total rounds arithmetic" `Quick test_total_rounds_arithmetic;
           Alcotest.test_case "best k minimizes" `Quick test_best_k_minimizes;
-          Alcotest.test_case "validation" `Quick test_build_validation ] );
+          Alcotest.test_case "validation" `Quick test_build_validation;
+          Alcotest.test_case "best k builds no rows" `Quick test_best_k_builds_no_rows ] );
       ( "token-router",
         [ Alcotest.test_case "delivers all" `Quick test_route_delivers_all;
           Alcotest.test_case "src = dst" `Quick test_route_src_eq_dst;

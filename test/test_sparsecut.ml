@@ -254,6 +254,45 @@ let random_multigraph rng =
   in
   Graph.of_edges ~n (edges @ List.filteri (fun i _ -> i mod 6 = 0) edges)
 
+(* [Params.next_j]'s forward scan against a binary search per index:
+   the same j-sequence over the prefix volumes of real sweeps of
+   truncated walks on multigraphs (sparse supports), and over made-up
+   non-decreasing volumes with zero-volume prefixes and runs of ties *)
+let prop_j_sequence_matches_search =
+  QCheck.Test.make ~name:"j-sequence = binary-search reference" ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 64))
+    (fun (seed, inv_phi) ->
+      let rng = Rng.create seed in
+      let params = mk_params (1.0 /. float_of_int (12 + inv_phi)) 1000 in
+      let volumes, length =
+        if seed mod 2 = 0 then begin
+          let g = random_multigraph rng in
+          let n = Graph.num_vertices g in
+          let walk =
+            Dex_spectral.Walk.truncated_walk g ~src:(Rng.int rng n)
+              ~eps:(Rng.float rng 0.02) ~steps:(1 + Rng.int rng 6)
+          in
+          let sweep = Dex_spectral.Sweep.scan g walk.(Array.length walk - 1) in
+          (sweep.volume, sweep.length)
+        end
+        else begin
+          (* a prefix adds 0 (a tie, or a zero volume at the start)
+             with probability 1/2, else up to 80 *)
+          let length = Rng.int rng 80 in
+          let vol = ref 0 in
+          ( Array.init length (fun i ->
+                if i > 0 then vol := !vol + (Rng.int rng 2 * (1 + Rng.int rng 80));
+                !vol),
+            length )
+        end
+      in
+      let rec by_scan j acc =
+        if j > length then List.rev acc
+        else by_scan (Params.next_j params volumes ~length j) (j :: acc)
+      in
+      (if length = 0 then [] else by_scan 1 [])
+      = Reference.j_sequence_by_search params volumes ~length)
+
 let prop_participating_edges_match_reference =
   QCheck.Test.make ~name:"P-star = tuple reference" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -472,7 +511,8 @@ let test_parallel_nibble_warm_allocation_dense () =
   let params = mk_params (1.0 /. 20.0) (Graph.num_edges g) in
   let copies = Params.parallel_copies params ~volume:(Graph.total_volume g) in
   let workspace = Pn.workspace ~copies g and pg = Pn.prepare g in
-  Alcotest.(check bool) "bit rows" true (Option.is_some pg.Pn.view.Dex_spectral.View.rows);
+  Alcotest.(check bool) "bit rows" true
+    (Option.is_some (Lazy.force pg.Pn.view.Dex_spectral.View.rows));
   ignore (Pn.run ~workspace params pg rng : Pn.t);
   Gc.minor ();
   let minor = Gc.minor_words () in
@@ -1011,7 +1051,8 @@ let () =
           Alcotest.test_case "Lemma 3 volume bound" `Quick test_lemma3_z_volume_bound;
           Alcotest.test_case "C.3 volume floor" `Quick test_c3_volume_floor;
           QCheck_alcotest.to_alcotest prop_nibble_output_is_sparse;
-          QCheck_alcotest.to_alcotest prop_participating_edges_match_reference ] );
+          QCheck_alcotest.to_alcotest prop_participating_edges_match_reference;
+          QCheck_alcotest.to_alcotest prop_j_sequence_matches_search ] );
       ( "parallel-nibble",
         [ Alcotest.test_case "random nibble" `Quick test_random_nibble_runs;
           Alcotest.test_case "union volume ceiling" `Quick test_parallel_nibble_union_volume;

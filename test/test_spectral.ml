@@ -303,6 +303,21 @@ let prop_advance_pair_matches_advance =
       done;
       !ok)
 
+(* a view builds its bit rows when a sweep first reads them: on
+   G(128, 1/2), dense enough for rows, walking alone leaves them
+   unbuilt, and the first rescan builds them *)
+let test_rows_built_on_first_sweep () =
+  let g = Gen.gnp (Rng.create 1) ~n:128 ~p:0.5 in
+  let view = View.make g and w = Walk.walker g in
+  Walk.start w (Walk.indicator 0);
+  for _ = 1 to 3 do
+    ignore (Walk.advance w view ~eps:0.0 ~mask:(Array.make 128 false) : float)
+  done;
+  Alcotest.(check bool) "walks build no rows" false (Lazy.is_val view.rows);
+  Sweep.rescan (Sweep.workspace g) view (Walk.current w);
+  Alcotest.(check bool) "the first rescan builds them" true (Lazy.is_val view.rows);
+  Alcotest.(check bool) "G(128, 1/2) has rows" true (Option.is_some (Lazy.force view.rows))
+
 (* A start on every vertex takes the walker's full-support path on its
    first advance. Vertex 3 is isolated and vertex 2 has a self-loop and
    a parallel pair to 1; ε = 0.05 drops vertices 0 and 1, so the L1 sum
@@ -448,7 +463,7 @@ let prop_seeded_rescan_matches_scan =
              (fun i -> if i mod 3 = 0 then Some (p.support.(i), p.masses.(i)) else None)
              (List.init p.len Fun.id))
       in
-      Option.is_some view.rows = (seed mod 6 = 0)
+      Option.is_some (Lazy.force view.rows) = (seed mod 6 = 0)
       && sweep_is (Sweep.scan g p) ~order ~prefixes
       && seeded [ p ]
       && seeded [ reversed_distribution g order ]
@@ -792,6 +807,7 @@ let () =
             test_walker_rescan_allocation_free;
           Alcotest.test_case "kernels check once, before any write" `Quick test_kernel_guards;
           Alcotest.test_case "walker full-support step" `Quick test_walker_full_support_step;
+          Alcotest.test_case "rows built on first sweep" `Quick test_rows_built_on_first_sweep;
           Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
           Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation ] );
       ( "sweep",
