@@ -897,8 +897,8 @@ let e13_faults () =
 (* E14 — kernel throughput                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The workload is the BFS flood [Primitives.bfs_tree] runs, from vertex
-   0 on a cycle: the frontier is O(1) per round, so the round count is
+(* The workload is the [Primitives.bfs] flood, from vertex 0 on a
+   cycle: the frontier is O(1) per round, so the round count is
    Theta(n) and the active-set worklist does O(1) work per round —
    exactly the shape of the sweep/nibble waves the decomposition spends
    its rounds on. *)

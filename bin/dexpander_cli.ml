@@ -282,7 +282,7 @@ let throughput_cmd =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
     let truth = X.Metrics.bfs_distances g 0 in
-    (* the BFS flood [Primitives.bfs_tree] runs, timed on a warm arena *)
+    (* the [Primitives.bfs] flood, timed on a warm arena *)
     let net = X.Network.create g (X.Rounds.create ()) in
     let bfs = X.Primitives.bfs g ~root:(X.Vertex.local 0) in
     let flood () =
@@ -445,6 +445,20 @@ let conformance_cmd =
       report "leader"
         (X.Conformance.check ~seed g ~protocol:(fun () -> X.Primitives.leader g) ())
     in
+    let reliable_ok =
+      report "reliable"
+        (X.Conformance.check ~seed g
+           ~protocol:(fun () -> X.Reliable.bfs_protocol g ~root:(X.Vertex.local 0))
+           ())
+    in
+    (* MPX clustering at a fixed β; each run draws its shifts from a
+       fresh generator, so both schedules see the same draws *)
+    let mpx_ok =
+      report "mpx"
+        (X.Conformance.check ~seed g
+           ~protocol:(fun () -> X.Clustering.protocol g ~beta:0.3 (X.Rng.create seed))
+           ())
+    in
     if demo_race then begin
       (* adopt the first inbox message's sender: delivery-order
          dependent, so the detector must flag it *)
@@ -467,13 +481,13 @@ let conformance_cmd =
         (fun v -> Printf.printf "  %s\n" (X.Conformance.describe v))
         r.X.Conformance.violations
     end;
-    if not (bfs_ok && leader_ok) then exit 1
+    if not (bfs_ok && leader_ok && reliable_ok && mpx_ok) then exit 1
   in
   Cmd.v
     (Cmd.info "conformance"
        ~doc:
-         "Run the kernel's BFS and leader election in the canonical and in a shuffled \
-          activation/delivery order and audit the CONGEST invariants \
+         "Run every kernel protocol of the library (BFS, leader election, reliable BFS and \
+          MPX clustering) in the canonical and in a shuffled activation/delivery order and audit the CONGEST invariants \
           (schedule-permutation race detector).")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t

@@ -1,6 +1,5 @@
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
-module Invariant = Dex_util.Invariant
 
 type tree = {
   root : int;
@@ -48,19 +47,6 @@ let tree ~root ~parent ~depth =
     List.filter (fun v -> depth.(v) <> max_int) (List.init (Array.length depth) Fun.id)
   in
   { root = Vertex.local_int root; parent; depth; height; members = Array.of_list members }
-
-let bfs_tree net ~root =
-  let g = Network.graph net in
-  Invariant.require
-    (Vertex.local_int root >= 0 && Vertex.local_int root < Graph.num_vertices g)
-    ~where:"Primitives.bfs_tree" "root out of range";
-  let p = bfs g ~root in
-  (* active-set quiescence: the wave visits each vertex once, and a
-     vertex that receives without improving sends nothing *)
-  let states, _rounds = Network.run_active net ~label:"bfs" ~init:p.init ~step:p.step () in
-  tree ~root
-    ~parent:(Array.map (fun st -> st.par) states)
-    ~depth:(Array.map (fun st -> st.dist) states)
 
 type leader_state = { best : int; fresh : bool }
 

@@ -1,6 +1,6 @@
 (** Standard CONGEST building blocks over {!Network.t}.
 
-    [bfs_tree] and the [leader] flood are executed as real
+    The [bfs] and [leader] floods are executed as real
     message-passing protocols (they exercise the kernel and their round counts are
     measured from the execution). Tree aggregations are charged by the
     procedures that use them (Lemma 9's sweep search in
@@ -21,18 +21,11 @@ type tree = {
     and members. *)
 val tree : root:Dex_graph.Vertex.local -> parent:int array -> depth:int array -> tree
 
-(** [bfs_tree net ~root] floods from [root] (executed protocol;
-    rounds measured and charged under ["bfs"]). [root] is a vertex of
-    {e this} network's coordinate space ({!Dex_graph.Vertex.local}). *)
-(* dex-lint: allow C004 reference implementation: test_faults's "p=0 is fault-free" compares Reliable.bfs_tree against it *)
-val bfs_tree : Network.t -> root:Dex_graph.Vertex.local -> tree
-
 (** {2 The protocols}
 
     The flooding protocols, exported so {!Conformance.check} can test
-    the very steps the kernel executes: {!bfs_tree} runs {!bfs}, the
-    CLI's [conformance] command runs both and [throughput] runs
-    {!bfs}. *)
+    the very steps the kernel executes: the CLI's [conformance] command
+    runs both and [throughput] runs {!bfs}. *)
 
 type bfs_state = { dist : int; par : int; pending : bool }
 

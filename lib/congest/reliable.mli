@@ -37,13 +37,14 @@ exception
     attempts : int;
   }
 
-(** [bfs_tree ?max_retries net ~root] is {!Primitives.bfs_tree}
-    with reliable delivery: distances adopt monotonically, every
-    improvement is re-announced until acknowledged, so the final
-    depths equal true BFS distances under any message loss that
-    exhausts no edge (rounds charged under ["bfs-reliable"]). Vertices of another
-    component keep depth [max_int]. The flood runs
-    under {!Network.run_active}'s 10⁶-round limit. *)
+(** [bfs_tree ?max_retries net ~root] is the BFS tree of the
+    {!Primitives.bfs} flood, with reliable delivery: distances adopt
+    monotonically, every improvement is re-announced until
+    acknowledged, so the final depths equal true BFS distances under
+    any message loss that exhausts no edge (rounds charged under
+    ["bfs-reliable"]). Vertices of another component keep depth
+    [max_int]. The flood runs under {!Network.run_active}'s 10⁶-round
+    limit. *)
 val bfs_tree :
   ?max_retries:int -> Network.t -> root:Dex_graph.Vertex.local ->
   Primitives.tree
@@ -58,8 +59,8 @@ val elect_leader : ?max_retries:int -> Network.t -> int array
 type vstate
 
 (** [bfs_protocol g ~root] is the fault-free protocol {!bfs_tree} runs
-    (with 64 retries), exported for {!Conformance.check}. A
-    vertex adopts the smallest offered distance + 1; among one round's
-    best offers its parent is the largest sender. *)
-(* dex-lint: allow C004 test seam: test_determinism's "conformance kernel protocols pass" races the steps bfs_tree executes *)
+    (with 64 retries), exported for {!Conformance.check}: the CLI's
+    [conformance] command races it. A vertex adopts the smallest
+    offered distance + 1; among one round's best offers its parent is
+    the largest sender. *)
 val bfs_protocol : Dex_graph.Graph.t -> root:Dex_graph.Vertex.local -> vstate Conformance.protocol

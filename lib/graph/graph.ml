@@ -52,30 +52,6 @@ let build ~n ~count_edge =
 
 let of_edges ~n edges = build ~n ~count_edge:(fun f -> List.iter (fun (u, v) -> f u v) edges)
 
-let with_self_loops g extra =
-  if Array.length extra <> g.n then invalid_arg "Graph.with_self_loops: length mismatch";
-  let loops = Array.mapi (fun v k -> g.loops.(v) + k) extra in
-  Array.iteri
-    (fun v k -> if k < 0 then invalid_arg (Printf.sprintf "Graph.with_self_loops: negative at %d" v))
-    extra;
-  let loop_m = Array.fold_left ( + ) 0 loops in
-  { g with loops; loop_m }
-
-let mem_edge g u v =
-  if u = v then g.loops.(u) > 0
-  else begin
-    let a = g.adj.(u) in
-    let lo = ref 0 and hi = ref (Array.length a) in
-    let found = ref false in
-    while (not !found) && !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if a.(mid) = v then found := true
-      else if a.(mid) < v then lo := mid + 1
-      else hi := mid
-    done;
-    !found
-  end
-
 (* CSR addressing: the concatenation of the per-vertex sorted neighbor
    arrays is the canonical enumeration of the 2*plain_m directed edges,
    and [off.(v) + i] is the global index ("slot") of the i-th directed
@@ -218,22 +194,3 @@ let remove_edges g dead =
     in
     { n; adj; loops; plain_m = g.plain_m - (!removed / 2); loop_m = g.loop_m + !removed }
   end
-
-let check g =
-  let fail fmt = Printf.ksprintf failwith fmt in
-  if g.n < 0 then fail "negative vertex count";
-  let plain = ref 0 in
-  for v = 0 to g.n - 1 do
-    let a = g.adj.(v) in
-    for i = 0 to Array.length a - 1 do
-      let u = a.(i) in
-      if u < 0 || u >= g.n then fail "neighbor out of range at %d" v;
-      if u = v then fail "self-loop stored in adjacency at %d" v;
-      if i > 0 && a.(i - 1) > u then fail "unsorted adjacency at %d" v;
-      if not (Array.exists (fun w -> w = v) g.adj.(u)) then
-        fail "asymmetric edge %d-%d" v u
-    done;
-    plain := !plain + Array.length a
-  done;
-  if !plain <> 2 * g.plain_m then fail "plain edge count mismatch";
-  if Array.fold_left ( + ) 0 g.loops <> g.loop_m then fail "loop count mismatch"

@@ -26,11 +26,6 @@ type t
     endpoint is out of range. *)
 val of_edges : n:int -> (int * int) list -> t
 
-(** [with_self_loops g loops] returns [g] with [loops.(v)] extra
-    self-loops added at each vertex [v]. *)
-(* dex-lint: allow C004 reference builder: test_graph's "G[S] and G{S} match their edge-list definition" and "remove_edges matches its edge-list definition" compare the subgraph builders against it *)
-val with_self_loops : t -> int array -> t
-
 (** {1 Size} *)
 
 (** [num_vertices g]. *)
@@ -62,11 +57,6 @@ val neighbors : t -> int -> int array
 (** [iter_neighbors g v f] calls [f u] for every non-loop neighbor. *)
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 
-(** [mem_edge g u v] tests for a non-loop edge between distinct [u],
-    [v], or a self-loop when [u = v]. *)
-(* dex-lint: allow C004 reference predicate: the seed kernel in test/reference.ml validates sends with it, and test_triangle's "exact matches naive" enumerates with it *)
-val mem_edge : t -> int -> int -> bool
-
 (** {1 CSR addressing}
 
     The per-vertex sorted neighbor arrays, concatenated in vertex
@@ -85,7 +75,7 @@ val csr_offsets : t -> int array
 
 (** [neighbor_rank g v u] is the index of [u] in [neighbors g v]
     (the leftmost one, under parallel edges), or [-1] when [u] is not
-    a non-loop neighbor of [v]. Logarithmic, like {!mem_edge}; the
+    a non-loop neighbor of [v]. Logarithmic (a binary search); the
     returned rank is exactly the slot offset of the directed edge
     [(v, u)] relative to [csr_offsets g .(v)]. *)
 val neighbor_rank : t -> int -> int -> int
@@ -133,11 +123,3 @@ val saturated_subgraph : t -> int array -> t * int array
     vertices it leaves untouched with [g], and is [g] itself when [dead]
     names no non-loop pair of vertices of [g]. *)
 val remove_edges : t -> (int * int) list -> t
-
-(** {1 Invariants} *)
-
-(** [check g] verifies internal invariants (adjacency symmetry, sorted
-    neighbor arrays, degree bookkeeping); raises [Failure] with a
-    description on violation. Intended for tests. *)
-(* dex-lint: allow C004 validator: test_graph's "graph invariants hold" and test_generators' "generated graphs pass invariants" check the builders and generators with it *)
-val check : t -> unit

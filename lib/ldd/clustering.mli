@@ -34,7 +34,7 @@ type state
 
 (** [protocol g ~beta rng] is the protocol {!run} executes on [g] for
     the same [rng] draws, exported for
-    [Dex_congest.Conformance.check]. *)
-(* dex-lint: allow C004 test seam: test_determinism's "conformance kernel protocols pass" races the steps run executes *)
+    [Dex_congest.Conformance.check]: the CLI's [conformance] command
+    races it. *)
 val protocol :
   Dex_graph.Graph.t -> beta:float -> Dex_util.Rng.t -> state Dex_congest.Conformance.protocol

@@ -9,13 +9,10 @@
     diameter) and charges the CONGEST cost of Lemma 16:
     O(d·log²n / f³) rounds for an (1+f)-approximate count at radius d. *)
 
-(** [ball_edge_count g ~d v] = \|E(N^d(v))\| computed exactly by a
-    depth-bounded BFS from [v]. *)
-val ball_edge_count : Dex_graph.Graph.t -> d:int -> int -> int
-
-(** [all_ball_edge_counts g ~d] computes the count for every vertex.
-    When [d] is at least the component's diameter the component total
-    is reused without per-vertex BFS. *)
+(** [all_ball_edge_counts g ~d] is \|E(N^d(v))\| for every vertex
+    [v], each computed exactly by a depth-bounded BFS from [v]. When
+    [d] is at least the component's diameter the component total is
+    reused without per-vertex BFS. *)
 val all_ball_edge_counts : Dex_graph.Graph.t -> d:int -> int array
 
 (** [lemma16_rounds ~n ~d ~f] is the round charge of the distributed

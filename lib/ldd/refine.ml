@@ -148,36 +148,3 @@ let run g ~beta =
     done;
     { in_vd = in_w; a; b; iterations = !iterations; rounds = !rounds }
   end
-
-let vd_components g t =
-  let members = Metrics.vertices_of_mask t.in_vd in
-  if Array.length members = 0 then []
-  else begin
-    let sub, mapping = Graph.induced_subgraph g members in
-    Metrics.connected_components sub
-    |> List.map (fun comp -> Array.map (fun v -> mapping.(v)) comp)
-  end
-
-let check g t =
-  let n = Graph.num_vertices g in
-  (* V_D component diameters are O(ab): use the invariant-H bound
-     10·a·N_S with N_S ≤ 2b, i.e. 20·a·b *)
-  List.iter
-    (fun comp ->
-      let d = Metrics.subset_diameter g comp in
-      if d > 20 * t.a * t.b then
-        failwith
-          (Printf.sprintf "Refine.check: V_D component diameter %d exceeds 20ab = %d" d
-             (20 * t.a * t.b)))
-    (vd_components g t);
-  (* V_S density: |E(N^a(v))| ≤ |E|/b *)
-  let m = Graph.num_edges g in
-  for v = 0 to n - 1 do
-    if not t.in_vd.(v) then begin
-      let c = Neighborhood.ball_edge_count g ~d:t.a v in
-      if c * t.b > m then
-        failwith
-          (Printf.sprintf "Refine.check: V_S vertex %d has dense ball (%d > %d/%d)" v c m
-             t.b)
-    end
-  done

@@ -30,10 +30,3 @@ type t = {
     the component's edges: on low-diameter graphs V_D is all of V (a
     valid but trivial output), on long cycles and paths it is not. *)
 val run : Dex_graph.Graph.t -> beta:float -> t
-
-(** [check g t] verifies the two output conditions (component
-    separation > a would need all-pairs distances, so we verify the
-    per-component diameter O(ab) bound and the V_S ball-density
-    bound); raises [Failure] on violation. For tests. *)
-(* dex-lint: allow C004 validator: test_ldd's "refine invariants on path" checks Refine.run's output with it *)
-val check : Dex_graph.Graph.t -> t -> unit

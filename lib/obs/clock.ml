@@ -1,15 +1,6 @@
 (* The single sanctioned wall-clock read point (lint rule D004): the
    simulation proper must be a function of (graph, seed) alone, so
    algorithm libraries may not read the host clock directly. Spans and
-   benches read it through here, which also gives tests a hook to
-   freeze time. *)
+   benches read it through here. *)
 
-let frozen : int option ref = ref None
-
-let now_ns () =
-  match !frozen with
-  | Some t -> t
-  | None -> int_of_float (Unix.gettimeofday () *. 1e9)
-
-let freeze t = frozen := Some t
-let unfreeze () = frozen := None
+let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)

@@ -74,8 +74,7 @@ let passes c (sweep : Sweep.t) ~j ~r =
   && c.ceil_num * c.total_volume >= c.ceil_den * vol
 
 (* one Nibble run in progress: its lane, its stop rules and its
-   counters; [select] is the variant's candidate search over the
-   sweep, which it charges to [rounds] and [candidates] *)
+   counters *)
 type copy = {
   params : Params.t;
   view : View.t;
@@ -85,7 +84,6 @@ type copy = {
   eps : float;
   strict : conditions;
   relaxed : conditions;
-  select : copy -> cut option;
   mutable t : int;
   mutable rounds : int;
   mutable candidates : int;
@@ -99,11 +97,11 @@ type copy = {
    the refinement only improves the (C.1)/(C.1-star) quality *)
 let patience = 192
 
-let start (params : Params.t) (view : View.t) ~select lane ~src ~b =
+let start (params : Params.t) (view : View.t) lane ~src ~b =
   let total_volume = Graph.total_volume view.graph in
   Walk.start lane.walker (Walk.indicator src);
   lane.seen.(src) <- true;
-  (* conditions shared by the exact and approximate variants *)
+  (* (C.1)–(C.3) on sequence-dense indices, the starred ones elsewhere *)
   let vol_lower = 5.0 /. 7.0 *. (2.0 ** float_of_int (b - 1)) in
   let strict =
     { phi_max = params.phi; ceil_num = 5; ceil_den = 6; gamma = params.gamma; vol_lower;
@@ -112,8 +110,38 @@ let start (params : Params.t) (view : View.t) ~select lane ~src ~b =
   let relaxed =
     { strict with phi_max = params.c1_relaxed_factor *. params.phi; ceil_num = 11; ceil_den = 12 }
   in
-  { params; view; lane; src; b; eps = Params.eps_b params b; strict; relaxed; select;
+  { params; view; lane; src; b; eps = Params.eps_b params b; strict; relaxed;
     t = 0; rounds = 0; candidates = 0; result = None; deadline = params.t0; converged = false }
+
+(* the better of the best-so-far cut and π(1..j) *)
+let keep_better best (sweep : Sweep.t) j ~t =
+  match best with
+  | Some (b : cut) when b.conductance <= sweep.conductance.(j - 1) -> best
+  | _ -> Some (cut_of_prefix sweep j ~t)
+
+(* ApproximateNibble's candidate search over the sweep (Appendix A.2),
+   charged to [rounds] and [candidates]: the j-sequence, each index
+   tested against (C.1)–(C.3) where the sequence is dense and against
+   the starred conditions elsewhere *)
+let approximate_select c =
+  let sweep = c.lane.sweep and t = c.t in
+  let n = sweep.length in
+  let cost = candidate_cost ~t ~support:n in
+  let best = ref None in
+  (* j_1 = 1, then [Params.next_j] until the sequence reaches n *)
+  let prev = ref 0 and j = ref 1 in
+  while !j <= n do
+    c.candidates <- c.candidates + 1;
+    c.rounds <- c.rounds + cost;
+    let dense = !j = 1 || !j = !prev + 1 in
+    let ok =
+      if dense then passes c.strict sweep ~j:!j ~r:!j else passes c.relaxed sweep ~j:!j ~r:!prev
+    in
+    if ok then best := keep_better !best sweep !j ~t;
+    prev := !j;
+    j := if !j < n then Params.next_j c.params sweep.volume ~length:n !j else n + 1
+  done;
+  !best
 
 let live c =
   (match c.result with Some cut -> not (cut.conductance <= c.params.phi) | None -> true)
@@ -131,7 +159,7 @@ let checkpoint c =
   let p = Walk.current c.lane.walker in
   if Walk.size p > 0 && Params.should_sweep c.params c.t then begin
     Sweep.rescan c.lane.sweep c.view p;
-    match c.select c with
+    match approximate_select c with
     | None -> ()
     | Some cut ->
       (match c.result with
@@ -157,7 +185,7 @@ let finish c =
   let p = Walk.current c.lane.walker in
   if Option.is_none c.result && c.converged && Walk.size p > 0 then begin
     Sweep.rescan c.lane.sweep c.view p;
-    match c.select c with
+    match approximate_select c with
     | None -> ()
     | Some cut -> c.result <- Some cut
   end;
@@ -211,7 +239,7 @@ let step_all copies =
    come back in draw order. Every draw is checked before any mask is
    marked, so a rejected call leaves [ws] clean. The lanes share
    [view]. *)
-let run ws (params : Params.t) (view : View.t) ~select draws =
+let approximate_copies ws (params : Params.t) (view : View.t) draws =
   Array.iter
     (fun (_, b) -> if b < 1 || b > params.ell then invalid_arg "Nibble: b out of range")
     draws;
@@ -225,7 +253,7 @@ let run ws (params : Params.t) (view : View.t) ~select draws =
     let copies =
       Array.init (Int.min lanes (total - !first)) (fun i ->
           let src, b = draws.(!first + i) in
-          start params view ~select ws.(i) ~src ~b)
+          start params view ws.(i) ~src ~b)
     in
     while Array.exists live copies do
       step_all copies
@@ -235,54 +263,11 @@ let run ws (params : Params.t) (view : View.t) ~select draws =
   done;
   List.rev !outcomes
 
-(* the better of the best-so-far cut and π(1..j) *)
-let keep_better best (sweep : Sweep.t) j ~t =
-  match best with
-  | Some (b : cut) when b.conductance <= sweep.conductance.(j - 1) -> best
-  | _ -> Some (cut_of_prefix sweep j ~t)
-
-let exact_select c =
-  let sweep = c.lane.sweep and t = c.t in
-  let n = sweep.length in
-  let cost = candidate_cost ~t ~support:n in
-  let best = ref None in
-  for j = 1 to n do
-    c.candidates <- c.candidates + 1;
-    c.rounds <- c.rounds + cost;
-    if passes c.strict sweep ~j ~r:j then best := keep_better !best sweep j ~t
-  done;
-  !best
-
-let approximate_select c =
-  let sweep = c.lane.sweep and t = c.t in
-  let n = sweep.length in
-  let cost = candidate_cost ~t ~support:n in
-  let best = ref None in
-  (* j_1 = 1, then [Params.next_j] until the sequence reaches n *)
-  let prev = ref 0 and j = ref 1 in
-  while !j <= n do
-    c.candidates <- c.candidates + 1;
-    c.rounds <- c.rounds + cost;
-    let dense = !j = 1 || !j = !prev + 1 in
-    let ok =
-      if dense then passes c.strict sweep ~j:!j ~r:!j else passes c.relaxed sweep ~j:!j ~r:!prev
-    in
-    if ok then best := keep_better !best sweep !j ~t;
-    prev := !j;
-    j := if !j < n then Params.next_j c.params sweep.volume ~length:n !j else n + 1
-  done;
-  !best
-
 let only = function [ o ] -> o | _ -> invalid_arg "Nibble: one draw, one outcome"
-
-let nibble params g ~src ~b =
-  only (run (workspace g) params (View.make g) ~select:exact_select [| (src, b) |])
 
 let approximate ?workspace:ws params g ~src ~b =
   let ws = match ws with Some ws -> ws | None -> workspace g in
-  only (run ws params (View.make g) ~select:approximate_select [| (src, b) |])
-
-let approximate_copies ws params view draws = run ws params view ~select:approximate_select draws
+  only (approximate_copies ws params (View.make g) [| (src, b) |])
 
 (* each edge of P-star once, from its participating endpoint (the
    smaller one when both participate); the sorted adjacency makes

@@ -1,5 +1,6 @@
-(** The Nibble procedure (Spielman–Teng) and the paper's
-    ApproximateNibble variant (Appendix A.1–A.2).
+(** The paper's ApproximateNibble (Appendix A.1–A.2), the variant of
+    Spielman–Teng's Nibble that admits the CONGEST implementation of
+    Lemma 9.
 
     Nibble runs the truncated lazy random walk from a start vertex and
     looks for a sweep prefix π̃_t(1..j) satisfying
@@ -11,8 +12,7 @@
     ApproximateNibble only inspects the O(φ⁻¹·log Vol) geometric
     j-sequence (j_x) per step, testing (C.1)–(C.3) on sequence-dense
     indices and the relaxed starred conditions C.1-star..C.3-star
-    otherwise — the variant that
-    admits the CONGEST implementation of Lemma 9. *)
+    otherwise. *)
 
 (** A cut found by a nibble, in ambient-graph vertex ids. *)
 type cut = {
@@ -53,11 +53,6 @@ type workspace
     when [copies < 1]. *)
 val workspace : ?copies:int -> Dex_graph.Graph.t -> workspace
 
-(** [nibble params g ~src ~b] is the exact Nibble: every prefix tested
-    against (C.1)–(C.3). Reference implementation for tests. *)
-(* dex-lint: allow C004 reference implementation: test_sparsecut's "nibble variants agree" and the Nibble goldens compare approximate against it *)
-val nibble : Params.t -> Dex_graph.Graph.t -> src:int -> b:int -> outcome
-
 (** [approximate ?workspace params g ~src ~b] is ApproximateNibble,
     computed in the first lane of [workspace] (a fresh one when
     absent). The outcome shares no buffer with the workspace. *)
@@ -73,7 +68,7 @@ val approximate :
     [approximate] gives each draw alone. Every draw is checked before
     any copy starts. The copies run on [view.graph]; the view is built
     once by the caller and shared by every lane's walks and sweeps
-    ({!nibble} and {!approximate} build one per call). *)
+    ({!approximate} builds one per call). *)
 val approximate_copies :
   workspace -> Params.t -> Dex_spectral.View.t -> (int * int) array -> outcome list
 

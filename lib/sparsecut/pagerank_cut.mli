@@ -26,11 +26,3 @@ type t = {
     teleport α = 0.1 and accuracy ε = 1/(20·m) and sweeps it. Returns
     [None] when no finite-conductance prefix exists (isolated seed). *)
 val run : Dex_graph.Graph.t -> src:int -> t option
-
-(** [approximate_pagerank g ~src] exposes the raw (p, r, pushes)
-    triple of {!run} for tests: p underestimates the true PageRank and
-    every residual obeys r(v) < ε·deg(v), ε = 1/(20·m), on return. *)
-(* dex-lint: allow C004 test seam: test_sparsecut's "pagerank push invariants" checks the push loop run sweeps *)
-val approximate_pagerank :
-  Dex_graph.Graph.t -> src:int ->
-  (int, float) Hashtbl.t * (int, float) Hashtbl.t * int

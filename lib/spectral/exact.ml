@@ -31,15 +31,3 @@ let min_conductance g =
   match !best with
   | Some (c, s) -> (c, s)
   | None -> invalid_arg "Exact.min_conductance: no non-degenerate cut"
-
-let most_balanced_sparse_cut g ~phi =
-  let best = ref None in
-  enumerate g (fun s ->
-      let c = Metrics.conductance g s in
-      if Float.is_finite c && c <= phi then begin
-        let b = Metrics.balance g s in
-        match !best with
-        | Some (bb, _) when bb >= b -> ()
-        | _ -> best := Some (b, Array.copy s)
-      end);
-  !best

@@ -28,7 +28,3 @@ type result = {
 
 (** [run g] executes the algorithm structure on [g]. *)
 val run : Dex_graph.Graph.t -> result
-
-(** [group_of ~n ~groups v] is the balanced block id of [v]. *)
-(* dex-lint: allow C004 test seam: test_triangle's "dlp balanced groups" checks the grouping run uses *)
-val group_of : n:int -> groups:int -> int -> int

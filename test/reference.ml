@@ -10,9 +10,11 @@
    Below it, ParallelNibble's sequential copy loop, the oracle for its
    lockstep schedule, the binary searches that the arena's mirror pass
    and Nibble's j-sequence replaced, the small helpers tests use where
-   the library exports nothing for them, and the dense and Hashtbl walk
-   and sweep oracles the walker and the sweep workspace are checked
-   against. *)
+   the library exports nothing for them, the validators and reference
+   computations tests check library outputs against (graph invariants,
+   Refine's output conditions, the BFS tree, the most balanced sparse
+   cut, the ACL push loop), and the dense and Hashtbl walk and sweep
+   oracles the walker and the sweep workspace are checked against. *)
 
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex
@@ -31,7 +33,8 @@ let validate t ~round v outbox =
   let seen = Hashtbl.create 8 in
   List.iter
     (fun (u, _) ->
-      if not (Graph.mem_edge t.g v u) then fail (Arena.Not_a_neighbor { vertex = v; dst = u });
+      if not (u <> v && Graph.neighbor_rank t.g v u >= 0) then
+        fail (Arena.Not_a_neighbor { vertex = v; dst = u });
       if Hashtbl.mem seen u then fail (Arena.Duplicate_edge { vertex = v; dst = u });
       Hashtbl.add seen u ())
     outbox
@@ -236,6 +239,180 @@ let participating_edges g outcome =
   let acc = ref [] in
   Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v _ -> acc := (u, v) :: !acc);
   !acc
+
+(* ---------------- validators and reference computations ---------------- *)
+
+(* the representation invariants of [g], read through the public API:
+   neighbours in range, no loop stored as a neighbour, sorted and
+   symmetric adjacency, and edge counts that match the degrees; raises
+   [Failure] with a description on violation *)
+let check_graph g =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let n = Graph.num_vertices g in
+  if n < 0 then fail "negative vertex count";
+  let plain = ref 0 and loops = ref 0 in
+  for v = 0 to n - 1 do
+    let a = Graph.neighbors g v in
+    for i = 0 to Array.length a - 1 do
+      let u = a.(i) in
+      if u < 0 || u >= n then fail "neighbor out of range at %d" v;
+      if u = v then fail "self-loop stored in adjacency at %d" v;
+      if i > 0 && a.(i - 1) > u then fail "unsorted adjacency at %d" v;
+      if not (Array.exists (fun w -> w = v) (Graph.neighbors g u)) then
+        fail "asymmetric edge %d-%d" v u
+    done;
+    plain := !plain + Array.length a;
+    loops := !loops + Graph.self_loops g v
+  done;
+  if !plain <> 2 * Graph.num_plain_edges g then fail "plain edge count mismatch";
+  if !loops <> Graph.num_edges g - Graph.num_plain_edges g then fail "loop count mismatch"
+
+(* a non-loop edge between distinct [u], [v], or a self-loop when
+   [u = v] *)
+let mem_edge g u v = if u = v then Graph.self_loops g u > 0 else Graph.neighbor_rank g u v >= 0
+
+(* [g] with [extra.(v)] more self-loops at each vertex [v] *)
+let with_self_loops g extra =
+  Graph.of_edges ~n:(Graph.num_vertices g)
+    (Graph.edges g
+    @ List.concat (List.init (Array.length extra) (fun v -> List.init extra.(v) (fun _ -> (v, v)))))
+
+(* |E(N^d(v))| by a depth-bounded BFS from [v], self-loops of ball
+   members counted: the per-vertex count Neighborhood keeps private *)
+let ball_edge_count g ~d v =
+  let dist = Hashtbl.create 64 in
+  Hashtbl.replace dist v 0;
+  let queue = Queue.create () in
+  Queue.add v queue;
+  while not (Queue.is_empty queue) do
+    let x = Queue.take queue in
+    let dx = Hashtbl.find dist x in
+    if dx < d then
+      Graph.iter_neighbors g x (fun y ->
+          if not (Hashtbl.mem dist y) then begin
+            Hashtbl.replace dist y (dx + 1);
+            Queue.add y queue
+          end)
+  done;
+  let count = ref 0 in
+  Hashtbl.iter
+    (fun x _ ->
+      count := !count + Graph.self_loops g x;
+      Graph.iter_neighbors g x (fun y -> if y > x && Hashtbl.mem dist y then incr count))
+    dist;
+  !count
+
+(* Refine's two output conditions (separation > a would need all-pairs
+   distances): every V_D component has diameter at most the
+   invariant-H bound 10·a·N_S with N_S ≤ 2b, i.e. 20·a·b, and every
+   V_S vertex has |E(N^a(v))| ≤ |E|/b; raises [Failure] on violation *)
+let check_refine g (t : Dex_ldd.Refine.t) =
+  let module Metrics = Dex_graph.Metrics in
+  let members = Metrics.vertices_of_mask t.in_vd in
+  if Array.length members > 0 then begin
+    let sub, mapping = Graph.induced_subgraph g members in
+    List.iter
+      (fun comp ->
+        let d = Metrics.subset_diameter g (Array.map (fun v -> mapping.(v)) comp) in
+        if d > 20 * t.a * t.b then
+          failwith
+            (Printf.sprintf "Refine: V_D component diameter %d exceeds 20ab = %d" d
+               (20 * t.a * t.b)))
+      (Metrics.connected_components sub)
+  end;
+  let m = Graph.num_edges g in
+  Array.iteri
+    (fun v in_vd ->
+      if not in_vd then begin
+        let c = ball_edge_count g ~d:t.a v in
+        if c * t.b > m then
+          failwith
+            (Printf.sprintf "Refine: V_S vertex %d has dense ball (%d > %d/%d)" v c m t.b)
+      end)
+    t.in_vd
+
+(* the BFS tree of the Primitives.bfs flood from [root], run on [net]
+   under the label "bfs" *)
+let bfs_tree net ~root =
+  let module Network = Dex_congest.Network in
+  let module Primitives = Dex_congest.Primitives in
+  let p = Primitives.bfs (Network.graph net) ~root in
+  let states, _ = Network.run_active net ~label:"bfs" ~init:p.init ~step:p.step () in
+  Primitives.tree ~root
+    ~parent:(Array.map (fun (st : Primitives.bfs_state) -> st.par) states)
+    ~depth:(Array.map (fun (st : Primitives.bfs_state) -> st.dist) states)
+
+(* the cut of conductance ≤ [phi] of largest balance, with its balance,
+   over every cut {S, S̄} of a graph of at most 24 vertices (vertex
+   n-1 fixed outside S) *)
+let most_balanced_sparse_cut g ~phi =
+  let module Metrics = Dex_graph.Metrics in
+  let n = Graph.num_vertices g in
+  if n > 24 then invalid_arg "most_balanced_sparse_cut: graph too large";
+  let best = ref None in
+  for mask = 1 to (1 lsl Int.max 0 (n - 1)) - 1 do
+    let s =
+      Array.of_list (List.filter (fun v -> mask land (1 lsl v) <> 0) (List.init (n - 1) Fun.id))
+    in
+    let c = Metrics.conductance g s in
+    if Float.is_finite c && c <= phi then begin
+      let b = Metrics.balance g s in
+      match !best with
+      | Some (bb, _) when bb >= b -> ()
+      | _ -> best := Some (b, s)
+    end
+  done;
+  !best
+
+(* Pagerank_cut's ACL push loop at teleport α = 0.1 and ε = 1/(20·m):
+   the approximate PageRank p, the residual r, and the push count *)
+let approximate_pagerank g ~src =
+  let alpha = 0.1 in
+  let m = Int.max 1 (Graph.num_edges g) in
+  (* accuracy ε = 1/(20·m) *)
+  let eps = 1.0 /. (20.0 *. float_of_int m) in
+  let p = Hashtbl.create 64 in
+  let r = Hashtbl.create 64 in
+  Hashtbl.replace r src 1.0;
+  let get tbl v = try Hashtbl.find tbl v with Not_found -> 0.0 in
+  let add tbl v x = Hashtbl.replace tbl v (get tbl v +. x) in
+  (* work queue of vertices that may violate r(v) < eps·deg(v) *)
+  let queue = Queue.create () in
+  let queued = Hashtbl.create 64 in
+  let enqueue v =
+    if not (Hashtbl.mem queued v) then begin
+      Hashtbl.replace queued v ();
+      Queue.add v queue
+    end
+  in
+  enqueue src;
+  let pushes = ref 0 in
+  let push_limit = 64 * m in
+  while (not (Queue.is_empty queue)) && !pushes < push_limit do
+    let v = Queue.take queue in
+    Hashtbl.remove queued v;
+    let deg = float_of_int (Graph.degree g v) in
+    let rv = get r v in
+    if deg > 0.0 && rv >= eps *. deg then begin
+      incr pushes;
+      (* lazy ACL push: p += alpha·r(v); half of the rest stays, half
+         spreads over incident edges (self-loops included) *)
+      add p v (alpha *. rv);
+      let rest = (1.0 -. alpha) *. rv in
+      Hashtbl.replace r v (rest /. 2.0);
+      let share = rest /. 2.0 /. deg in
+      (* the self-loop share also stays home *)
+      if Graph.self_loops g v > 0 then
+        add r v (share *. float_of_int (Graph.self_loops g v));
+      Graph.iter_neighbors g v (fun u ->
+          add r u share;
+          let du = float_of_int (Graph.degree g u) in
+          if du > 0.0 && get r u >= eps *. du then enqueue u);
+      let dv = float_of_int (Graph.degree g v) in
+      if get r v >= eps *. dv then enqueue v
+    end
+  done;
+  (p, r, !pushes)
 
 (* ---------------- the walk and sweep oracles ---------------- *)
 

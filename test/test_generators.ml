@@ -163,7 +163,7 @@ let prop_generators_valid =
           Gen.grid 3 (max 1 (n / 3));
           Gen.chung_lu rng ~n ~exponent:2.7 ~avg_degree:4.0 ]
       in
-      List.iter Graph.check graphs;
+      List.iter Reference.check_graph graphs;
       true)
 
 let () =

@@ -24,7 +24,7 @@ let test_basic_counts () =
   Alcotest.(check int) "deg 0" 3 (Graph.degree g 0);
   Alcotest.(check int) "deg 3" 1 (Graph.degree g 3);
   Alcotest.(check int) "total volume" 8 (Graph.total_volume g);
-  Graph.check g
+  Reference.check_graph g
 
 let test_self_loops_count_one () =
   let g = Graph.of_edges ~n:2 [ (0, 1); (0, 0); (0, 0) ] in
@@ -33,14 +33,14 @@ let test_self_loops_count_one () =
   Alcotest.(check int) "self loops" 2 (Graph.self_loops g 0);
   Alcotest.(check int) "edges include loops" 3 (Graph.num_edges g);
   Alcotest.(check int) "volume" 4 (Graph.total_volume g);
-  Graph.check g
+  Reference.check_graph g
 
 let test_mem_edge () =
   let g = triangle_plus_pendant () in
-  Alcotest.(check bool) "0-1" true (Graph.mem_edge g 0 1);
-  Alcotest.(check bool) "1-0" true (Graph.mem_edge g 1 0);
-  Alcotest.(check bool) "1-3" false (Graph.mem_edge g 1 3);
-  Alcotest.(check bool) "no loop" false (Graph.mem_edge g 0 0)
+  Alcotest.(check bool) "0-1" true (Reference.mem_edge g 0 1);
+  Alcotest.(check bool) "1-0" true (Reference.mem_edge g 1 0);
+  Alcotest.(check bool) "1-3" false (Reference.mem_edge g 1 3);
+  Alcotest.(check bool) "no loop" false (Reference.mem_edge g 0 0)
 
 let test_out_of_range () =
   Alcotest.check_raises "bad endpoint"
@@ -78,35 +78,23 @@ let test_saturated_subgraph_preserves_degrees () =
         (Graph.degree g v) (Graph.degree sub i))
     mapping;
   Alcotest.(check int) "loop added at cut endpoint" 1 (Graph.self_loops sub 0);
-  Graph.check sub
+  Reference.check_graph sub
 
 let test_remove_edges_adds_loops () =
   let g = triangle_plus_pendant () in
   let g' = Graph.remove_edges g [ (0, 1); (3, 0) ] in
   Alcotest.(check int) "degree never changes (0)" (Graph.degree g 0) (Graph.degree g' 0);
   Alcotest.(check int) "degree never changes (3)" (Graph.degree g 3) (Graph.degree g' 3);
-  Alcotest.(check bool) "edge gone" false (Graph.mem_edge g' 0 1);
+  Alcotest.(check bool) "edge gone" false (Reference.mem_edge g' 0 1);
   Alcotest.(check int) "loop at 3" 1 (Graph.self_loops g' 3);
   Alcotest.(check int) "plain m" 2 (Graph.num_plain_edges g');
-  Graph.check g'
-
-let test_with_self_loops_validation () =
-  let g = Gen.path 3 in
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Graph.with_self_loops: length mismatch") (fun () ->
-      ignore (Graph.with_self_loops g [| 1 |]));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Graph.with_self_loops: negative at 1") (fun () ->
-      ignore (Graph.with_self_loops g [| 0; -1; 0 |]));
-  let g' = Graph.with_self_loops g [| 2; 0; 0 |] in
-  Alcotest.(check int) "loops added" 2 (Graph.self_loops g' 0);
-  Alcotest.(check int) "degree grows" 3 (Graph.degree g' 0)
+  Reference.check_graph g'
 
 let test_empty_graph () =
   let g = Graph.of_edges ~n:4 [] in
   Alcotest.(check int) "no edges" 0 (Graph.num_edges g);
   Alcotest.(check int) "volume" 0 (Graph.total_volume g);
-  Graph.check g
+  Reference.check_graph g
 
 (* ---------- metrics ---------- *)
 
@@ -209,7 +197,7 @@ let arb_graph = QCheck.make graph_gen
 
 let prop_invariants =
   QCheck.Test.make ~name:"graph invariants hold" ~count:200 arb_graph (fun g ->
-      Graph.check g;
+      Reference.check_graph g;
       true)
 
 let prop_volume_split =
@@ -251,7 +239,7 @@ let prop_saturated_degrees =
       !ok)
 
 (* G[S] / G{S} and edge removal against their definitions, built from
-   the edge list with [of_edges] and [with_self_loops]: the subset may
+   the edge list with [of_edges] and [Reference.with_self_loops]: the subset may
    be unsorted, the dead list may repeat, reverse, loop or leave the
    graph, and the graphs carry loops and parallel edges *)
 let same_graph a b =
@@ -271,7 +259,7 @@ let subgraph_by_definition g s ~saturate =
     Graph.of_edges ~n:(Array.length s)
       (List.map (fun (u, v) -> (Hashtbl.find id u, Hashtbl.find id v)) inside)
   in
-  Graph.with_self_loops base
+  Reference.with_self_loops base
     (Array.mapi
        (fun i v -> if saturate then Graph.plain_degree g v - Graph.plain_degree base i else 0)
        s)
@@ -299,7 +287,7 @@ let prop_subgraphs_match_definition =
           let sub, mapping =
             if saturate then Graph.saturated_subgraph g s else Graph.induced_subgraph g s
           in
-          Graph.check sub;
+          Reference.check_graph sub;
           mapping = s && same_graph sub (subgraph_by_definition g s ~saturate))
         [ false; true ])
 
@@ -322,8 +310,8 @@ let prop_remove_edges_matches_definition =
           end)
         (Graph.edges g);
       let g' = Graph.remove_edges g dead in
-      Graph.check g';
-      same_graph g' (Graph.with_self_loops (Graph.of_edges ~n kept) extra))
+      Reference.check_graph g';
+      same_graph g' (Reference.with_self_loops (Graph.of_edges ~n kept) extra))
 
 let test_subgraph_rejects_duplicates () =
   let g = triangle_plus_pendant () in
@@ -416,7 +404,6 @@ let () =
           Alcotest.test_case "saturated preserves degrees" `Quick
             test_saturated_subgraph_preserves_degrees;
           Alcotest.test_case "remove_edges adds loops" `Quick test_remove_edges_adds_loops;
-          Alcotest.test_case "with_self_loops validation" `Quick test_with_self_loops_validation;
           Alcotest.test_case "subset validation" `Quick test_subgraph_rejects_duplicates;
           Alcotest.test_case "empty graph" `Quick test_empty_graph ] );
       ( "metrics",

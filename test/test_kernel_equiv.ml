@@ -208,14 +208,14 @@ let test_cursor_bfs_tree () =
       let name what = Printf.sprintf "bfs_tree seed %d %s" seed what in
       let reference = observe ~kernel:`Reference g (bfs g) in
       let net = Network.create g (Rounds.create ()) in
-      let tree = Primitives.bfs_tree net ~root:(Vertex.local 0) in
+      let tree = Reference.bfs_tree net ~root:(Vertex.local 0) in
       Alcotest.(check (array int)) (name "depths") (Metrics.bfs_distances g 0)
         tree.Primitives.depth;
       Alcotest.(check int) (name "messages") reference.messages (Network.messages_sent net);
       Alcotest.(check int) (name "words") reference.words (Network.messages_sent net);
       let first_rounds = Rounds.total (Network.rounds net) in
       Alcotest.(check int) (name "rounds") reference.rounds first_rounds;
-      let again = Primitives.bfs_tree net ~root:(Vertex.local 0) in
+      let again = Reference.bfs_tree net ~root:(Vertex.local 0) in
       Alcotest.(check (array int)) (name "rerun depths") tree.Primitives.depth
         again.Primitives.depth;
       Alcotest.(check (array int)) (name "rerun parents") tree.Primitives.parent
@@ -334,6 +334,33 @@ let test_cursor_congestion_violation () =
     Alcotest.(check string) "message" "vertex 0: 3 is not a neighbor"
       (Arena.describe violation)
   | _ -> Alcotest.fail "expected Congestion_violation"
+
+(* a self-send is no edge of the network even where the vertex has a
+   self-loop: both kernels reject vertex 0's message to itself *)
+let test_self_send_rejected () =
+  let g = Graph.of_edges ~n:2 [ (0, 1); (0, 0) ] in
+  let expect kernel run =
+    match run () with
+    | exception Arena.Congestion_violation { round; violation } ->
+      Alcotest.(check int) (kernel ^ " round") 1 round;
+      Alcotest.(check bool) (kernel ^ " not a neighbor") true
+        (violation = Arena.Not_a_neighbor { vertex = 0; dst = 0 })
+    | _ -> Alcotest.fail (kernel ^ ": expected Congestion_violation")
+  in
+  expect "cursor" (fun () ->
+      let net = Network.create g (Rounds.create ()) in
+      let step ~round:_ ~vertex st _ib ob =
+        if Vertex.local_int vertex = 0 then Arena.Outbox.send1 ob ~dst:(Vertex.local 0) 7;
+        st
+      in
+      ignore (Network.run_active net ~label:"self" ~init:(fun _ -> 0) ~step ()));
+  expect "reference" (fun () ->
+      let step ~round:_ ~vertex st _inbox =
+        (st, if Vertex.local_int vertex = 0 then [ (0, 7) ] else [])
+      in
+      ignore
+        (Reference.run_rounds (Reference.create g) ~init:(fun _ -> 0) ~step
+           ~on_round:(fun _ _ -> ()) 1))
 
 (* ---------- timed wake-ups and fixed-length runs ---------- *)
 
@@ -516,6 +543,7 @@ let () =
           Alcotest.test_case "wake" `Quick test_wake_keeps_vertex_active;
           Alcotest.test_case "round limit" `Quick test_run_active_round_limit;
           Alcotest.test_case "violation" `Quick test_cursor_congestion_violation;
+          Alcotest.test_case "self send" `Quick test_self_send_rejected;
           Alcotest.test_case "wake_at round" `Quick test_wake_at_fires_on_its_round;
           Alcotest.test_case "wake_at past" `Quick test_wake_at_rejects_past_rounds;
           Alcotest.test_case "pending wake" `Quick test_pending_wake_keeps_run_alive;

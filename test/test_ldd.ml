@@ -181,7 +181,7 @@ let oracle_graph family n rng =
         (Graph.edges a @ List.map (fun (u, v) -> (u + na, v + na)) (Graph.edges b))
     | _ -> Graph.of_edges ~n [] (* isolated vertices only *)
   in
-  Graph.with_self_loops g
+  Reference.with_self_loops g
     (Array.init (Graph.num_vertices g) (fun v -> if v mod 5 = 0 then 1 else 0))
 
 let prop_mpx_matches_list_api =
@@ -274,23 +274,24 @@ let test_mpx_dense_faults_golden () =
 
 let test_ball_edge_count () =
   let g = Gen.path 10 in
+  let count ~d = (Neighborhood.all_ball_edge_counts g ~d).(5) in
   (* ball of radius 1 around vertex 5 = {4,5,6}: 2 edges *)
-  Alcotest.(check int) "radius 1" 2 (Neighborhood.ball_edge_count g ~d:1 5);
-  Alcotest.(check int) "radius 2" 4 (Neighborhood.ball_edge_count g ~d:2 5);
-  Alcotest.(check int) "radius 0" 0 (Neighborhood.ball_edge_count g ~d:0 5);
-  Alcotest.(check int) "whole graph" 9 (Neighborhood.ball_edge_count g ~d:20 5)
+  Alcotest.(check int) "radius 1" 2 (count ~d:1);
+  Alcotest.(check int) "radius 2" 4 (count ~d:2);
+  Alcotest.(check int) "radius 0" 0 (count ~d:0);
+  Alcotest.(check int) "whole graph" 9 (count ~d:20)
 
 let test_ball_counts_with_loops () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 1) ] in
   (* ball radius 1 around 0 = {0,1}: edge 0-1 plus loop at 1 *)
-  Alcotest.(check int) "loop counted" 2 (Neighborhood.ball_edge_count g ~d:1 0)
+  Alcotest.(check int) "loop counted" 2 (Neighborhood.all_ball_edge_counts g ~d:1).(0)
 
 let test_all_ball_counts_match_single () =
   let rng = Rng.create 5 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.08) in
   let all = Neighborhood.all_ball_edge_counts g ~d:2 in
   for v = 0 to 39 do
-    Alcotest.(check int) (Printf.sprintf "v=%d" v) (Neighborhood.ball_edge_count g ~d:2 v)
+    Alcotest.(check int) (Printf.sprintf "v=%d" v) (Reference.ball_edge_count g ~d:2 v)
       all.(v)
   done
 
@@ -305,7 +306,7 @@ let test_lemma16_rounds_positive () =
 let test_refine_invariants_on_path () =
   let g = Gen.path 600 in
   let t = Refine.run g ~beta:0.4 in
-  Refine.check g t;
+  Reference.check_refine g t;
   Alcotest.(check bool) "iterations within 2b" true (t.Refine.iterations <= (2 * t.Refine.b) + 1)
 
 let test_refine_low_diameter_graph_all_vd () =
@@ -320,12 +321,11 @@ let test_refine_vs_density () =
   let g = Gen.path 600 in
   let t = Refine.run g ~beta:0.4 in
   let m = Graph.num_edges g in
+  let counts = Neighborhood.all_ball_edge_counts g ~d:t.Refine.a in
   Array.iteri
     (fun v in_vd ->
-      if not in_vd then begin
-        let c = Neighborhood.ball_edge_count g ~d:t.Refine.a v in
-        Alcotest.(check bool) "V_S ball sparse" true (c * t.Refine.b <= m)
-      end)
+      if not in_vd then
+        Alcotest.(check bool) "V_S ball sparse" true (counts.(v) * t.Refine.b <= m))
     t.Refine.in_vd
 
 (* ---------- end-to-end LDD ---------- *)

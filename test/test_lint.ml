@@ -370,10 +370,10 @@ let test_c003_scoping_and_pragma () =
 let test_c_rule_pragma_scan () =
   let p =
     Lint.scan_pragmas ~path:"x.mli"
-      "(* dex-lint: allow C004 validator the tests need *)\nval check : int -> unit"
+      "(* dex-lint: allow C003 staged migration *)\nval bfs : root:int -> unit"
   in
   Alcotest.(check bool) "C-rule pragma covers its line and the next" true
-    (Hashtbl.mem p.Lint.allowed (1, "C004") && Hashtbl.mem p.Lint.allowed (2, "C004"));
+    (Hashtbl.mem p.Lint.allowed (1, "C003") && Hashtbl.mem p.Lint.allowed (2, "C003"));
   Alcotest.(check int) "well-formed" 0 (List.length p.Lint.malformed)
 
 (* ---------- C004: which references keep an export alive ---------- *)

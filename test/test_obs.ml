@@ -373,13 +373,6 @@ let sample_sections () =
             [ [ "8"; "12"; "40" ]; [ "16" ] ] ];
       notes = [ "a note" ] } ]
 
-let test_clock_freeze () =
-  Fun.protect ~finally:Dex_obs.Clock.unfreeze
-    (fun () ->
-      Dex_obs.Clock.freeze 42;
-      Alcotest.(check int) "frozen" 42 (Dex_obs.Clock.now_ns ());
-      Alcotest.(check int) "still frozen" 42 (Dex_obs.Clock.now_ns ()))
-
 (* the document Snapshot.write puts in a file, without its newline *)
 let written sections =
   let path = Filename.temp_file "dex_snapshot" ".json" in
@@ -429,8 +422,6 @@ let () =
         [ Alcotest.test_case "event jsonl goldens" `Quick test_event_goldens;
           Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
           Alcotest.test_case "jsonl sink roundtrip" `Quick test_jsonl_sink_roundtrip ] );
-      ( "clock",
-        [ Alcotest.test_case "freeze/unfreeze" `Quick test_clock_freeze ] );
       ( "spans",
         [ Alcotest.test_case "deterministic under fixed seed" `Quick
             test_span_tree_deterministic;

@@ -116,16 +116,12 @@ let test_nibble_finds_planted_cut () =
   | Some cut ->
     Alcotest.(check bool) "conductance within 12φ" true
       (cut.Nibble.conductance <= 12.0 /. 16.0 +. 1e-9);
-    Alcotest.(check bool) "nontrivial" true (Array.length cut.Nibble.vertices >= 2)
-
-let test_nibble_matches_exact_variant () =
-  (* both variants find sparse cuts on the same instance *)
-  let g = Gen.barbell ~clique:12 ~bridge:2 in
-  let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
-  let a = Nibble.nibble params g ~src:0 ~b:2 in
-  let b = Nibble.approximate params g ~src:0 ~b:2 in
-  Alcotest.(check bool) "exact finds" true (a.Nibble.result <> None);
-  Alcotest.(check bool) "approximate finds" true (b.Nibble.result <> None)
+    Alcotest.(check bool) "nontrivial" true (Array.length cut.Nibble.vertices >= 2);
+    (* a bridged barbell too *)
+    let g = Gen.barbell ~clique:12 ~bridge:2 in
+    let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
+    let b = Nibble.approximate params g ~src:0 ~b:2 in
+    Alcotest.(check bool) "approximate finds" true (b.Nibble.result <> None)
 
 let test_nibble_cut_conductance_bound () =
   (* every non-empty output satisfies Φ(C) ≤ 12φ (C.1 or C.1-star) *)
@@ -598,7 +594,7 @@ let test_partition_respects_most_balanced_reference () =
   let phi = 1.0 /. 16.0 in
   let params = mk_params phi (Graph.num_edges g) in
   let r = Partition.run params g (Rng.create 43) in
-  match Exact.most_balanced_sparse_cut g ~phi with
+  match Reference.most_balanced_sparse_cut g ~phi with
   | None -> Alcotest.fail "barbell must have a sparse cut"
   | Some (b, _) ->
     Alcotest.(check bool) "Theorem 3 balance" true
@@ -691,39 +687,32 @@ let test_nibble_goldens () =
   let shared = Nibble.workspace (golden_warts ()) in
   let results =
     List.map
-      (fun (name, graph, exact, src, b, expected) ->
+      (fun (name, graph, src, b, expected) ->
         let g = graph () in
         let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
         let runs =
-          if exact then [ Nibble.nibble params g ~src ~b ]
-          else
-            [ Nibble.approximate params g ~src ~b;
-              Nibble.approximate ~workspace:shared params g ~src ~b ]
+          [ Nibble.approximate params g ~src ~b;
+            Nibble.approximate ~workspace:shared params g ~src ~b ]
         in
         List.iter (fun o -> Alcotest.(check string) name expected (nibble_golden o)) runs;
         (name, expected, runs))
-      [ ( "barbell approximate", golden_barbell, false, 0, 3,
+      [ ( "barbell approximate", golden_barbell, 0, 3,
           "cut=[0-15] vol=241 edges=1 phi=0x1.0fef010fef011p-8 t=1 j=16 steps=1 candidates=16 \
            rounds=241 participants=16" );
-        ( "barbell exact", golden_barbell, true, 20, 2,
-          "cut=[16-31] vol=241 edges=1 phi=0x1.0fef010fef011p-8 t=1 j=16 steps=1 candidates=16 \
-           rounds=241 participants=16" );
-        ( "2-block sbm approximate", golden_sbm, false, 3, 4,
+        ( "2-block sbm approximate", golden_sbm, 3, 4,
           "cut=[0-99,125,140,168,186] vol=1096 edges=56 phi=0x1.e5f75270d0457p-5 t=5 j=104 \
            steps=5 candidates=255 rounds=17651 participants=200" );
-        ( "unbalanced approximate", golden_unbalanced, false, 5, 3,
+        ( "unbalanced approximate", golden_unbalanced, 5, 3,
           "cut=[0-39] vol=226 edges=2 phi=0x1.21fb78121fb78p-7 t=3 j=40 steps=3 candidates=72 \
            rounds=2721 participants=42" );
         (* found at t = 11, then the walk runs on for its patience and
            rescans over the buffer the cut was copied from *)
-        ( "4-block sbm approximate", golden_sbm4, false, 21, 1,
+        ( "4-block sbm approximate", golden_sbm4, 21, 1,
           "cut=[0-49] vol=597 edges=63 phi=0x1.b03dbfadab187p-4 t=11 j=50 steps=197 \
            candidates=1652 rounds=1597190 participants=200" );
-        ( "barbell approximate after the others", golden_barbell, false, 0, 3,
+        ( "barbell approximate after the others", golden_barbell, 0, 3,
           "cut=[0-15] vol=241 edges=1 phi=0x1.0fef010fef011p-8 t=1 j=16 steps=1 candidates=16 \
-           rounds=241 participants=16" );
-        ( "4-block sbm exact", golden_sbm4, true, 0, 1,
-          "cut=none steps=447 candidates=8256 rounds=23878980 participants=200" ) ]
+           rounds=241 participants=16" ) ]
   in
   List.iter
     (fun (name, expected, runs) ->
@@ -787,7 +776,7 @@ let test_ppr_invariants () =
   let g = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.12) in
   let m = Graph.num_edges g in
   let eps = 1.0 /. (20.0 *. float_of_int m) in
-  let p, r, pushes = Ppr.approximate_pagerank g ~src:5 in
+  let p, r, pushes = Reference.approximate_pagerank g ~src:5 in
   Alcotest.(check bool) "pushed" true (pushes > 0);
   (* termination invariant: every residual is below eps·deg *)
   Hashtbl.iter
@@ -802,7 +791,11 @@ let test_ppr_invariants () =
     Hashtbl.fold (fun _ x acc -> acc +. x) p 0.0
     +. Hashtbl.fold (fun _ x acc -> acc +. x) r 0.0
   in
-  Alcotest.(check (float 1e-9)) "mass" 1.0 total
+  Alcotest.(check (float 1e-9)) "mass" 1.0 total;
+  (* the oracle is the loop run sweeps *)
+  match Ppr.run g ~src:5 with
+  | None -> Alcotest.fail "expected a sweep"
+  | Some c -> Alcotest.(check int) "run's push count" pushes c.Ppr.pushes
 
 let test_ppr_finds_barbell_cut () =
   let g = Gen.barbell ~clique:12 ~bridge:0 in
@@ -1043,13 +1036,12 @@ let () =
           Alcotest.test_case "h roundtrip" `Quick test_h_inverse_roundtrip ] );
       ( "nibble",
         [ Alcotest.test_case "finds planted cut" `Quick test_nibble_finds_planted_cut;
-          Alcotest.test_case "variants agree" `Quick test_nibble_matches_exact_variant;
           Alcotest.test_case "conductance bound" `Quick test_nibble_cut_conductance_bound;
           Alcotest.test_case "participants cover cut" `Quick test_nibble_participants_cover_cut;
           Alcotest.test_case "participating edges" `Quick test_participating_edges_incident;
           Alcotest.test_case "isolated source" `Quick test_nibble_on_isolated_vertex;
-          Alcotest.test_case "Lemma 3 volume bound" `Quick test_lemma3_z_volume_bound;
           Alcotest.test_case "C.3 volume floor" `Quick test_c3_volume_floor;
+          Alcotest.test_case "Lemma 3 volume bound" `Quick test_lemma3_z_volume_bound;
           QCheck_alcotest.to_alcotest prop_nibble_output_is_sparse;
           QCheck_alcotest.to_alcotest prop_participating_edges_match_reference;
           QCheck_alcotest.to_alcotest prop_j_sequence_matches_search ] );

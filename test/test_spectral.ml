@@ -725,14 +725,14 @@ let test_exact_barbell () =
 
 let test_most_balanced_sparse_cut () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
-  (match Exact.most_balanced_sparse_cut g ~phi:0.05 with
+  (match Reference.most_balanced_sparse_cut g ~phi:0.05 with
   | None -> Alcotest.fail "expected a cut"
   | Some (bal, witness) ->
     Alcotest.(check (float 0.01)) "balance 1/2" 0.5 bal;
     Alcotest.(check int) "witness size" 6 (Array.length witness));
   (* no 0.01-sparse cut in K_8 *)
   Alcotest.(check bool) "complete graph has none" true
-    (Exact.most_balanced_sparse_cut (Gen.complete 8) ~phi:0.01 = None)
+    (Reference.most_balanced_sparse_cut (Gen.complete 8) ~phi:0.01 = None)
 
 let test_exact_too_large () =
   Alcotest.check_raises "n > 24" (Invalid_argument "Exact: graph too large for subset enumeration")

@@ -126,21 +126,13 @@ let run opts =
                run `dune build @check`"
           else add_findings (Typed_lint.lint_unit ~all_rules:opts.all_rules ~path ~src u))
       files;
-    (* whole-program X-rules, silenced by the pragmas of the file each
-       finding names *)
-    let unsuppressed (f : Lint.finding) =
-      let abs = Filename.concat opts.source_root f.file in
-      if Sys.file_exists abs then
-        Lint.unsuppressed (Lint.scan_pragmas ~path:f.file (Typed_lint.read_file abs)) [ f ]
-      else [ f ]
-    in
+    (* whole-program rules (C004, C005): no pragma silences them *)
     let db = Typed_lint.build_ref_db impls in
     Typed_lint.dead_exports ~scope:opts.dead_scope
       ~include_fixtures:opts.include_fixtures db intfs
     |> List.filter (fun (f : Lint.finding) -> under_targets opts.targets f.file)
-    |> List.concat_map unsuppressed |> add_findings;
-    Typed_lint.layering ~source_root:opts.source_root db impls
-    |> List.concat_map unsuppressed |> add_findings;
+    |> add_findings;
+    Typed_lint.layering ~source_root:opts.source_root db impls |> add_findings;
     (match opts.graph_json with
      | Some path ->
        let oc = open_out path in

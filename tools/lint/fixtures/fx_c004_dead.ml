@@ -1,2 +1,3 @@
 let used = 1
 let never_used = 2
+let pardoned = 3

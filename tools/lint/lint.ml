@@ -143,7 +143,8 @@ let rule_applies ~all_rules segs rule =
 
 (* An allow pragma — the marker below followed by a rule id and a
    reason, inside a comment — suppresses that rule on its own line and
-   the next one. The reason is mandatory: a pragma without one is
+   the next one. Only the per-source rules (D-rules, C003) honour it;
+   the whole-program C004 and C005 do not. The reason is mandatory: a pragma without one is
    inert and reported as a malformed-pragma finding (D000), so
    suppressions stay auditable. The marker is spliced from two
    literals so the scanner does not match its own definition. *)

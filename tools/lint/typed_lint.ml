@@ -23,8 +23,9 @@
    reports references against the layer order and dune library
    dependencies no unit of the library uses.
 
-   Any finding can be suppressed with an allow pragma naming the rule
-   and a reason (see [Lint.scan_pragmas]). *)
+   A per-source finding can be suppressed with an allow pragma naming
+   the rule and a reason (see [Lint.scan_pragmas]); an X-rule finding
+   cannot. *)
 
 module Json = Dex_obs.Json
 
@@ -534,7 +535,7 @@ let dead_exports ~scope ~include_fixtures db intfs =
                 (finding_of_loc ~rule:"C004" ~file:src loc
                    (Printf.sprintf
                       "export %s.%s is referenced by no other program unit; \
-                       drop it from the .mli or suppress with a pragma"
+                       drop it from the .mli"
                       u.canon name)))
           (exports_of_interface u.annots)
       | _ -> [])
