@@ -554,12 +554,12 @@ let e9_ablations () =
   in
   let n_base = 200 in
   let params = X.Nibble_params.make ~phi:(1.0 /. 24.0) ~m:(X.Graph.num_edges gw) () in
-  let pw = X.Parallel_nibble.prepare gw in
+  let view = X.View.make gw in
   List.iter
     (fun k ->
       let hits = ref 0 and overlaps = ref 0 and aborts = ref 0 in
       for seed = 1 to 10 do
-        let r = X.Parallel_nibble.run ~k params pw (X.Rng.create (100 + seed)) in
+        let r = X.Parallel_nibble.run ~k params view (X.Rng.create (100 + seed)) in
         overlaps := !overlaps + r.X.Parallel_nibble.max_overlap;
         if r.X.Parallel_nibble.aborted then incr aborts;
         (* a hit: the returned union contains a full wart and is a

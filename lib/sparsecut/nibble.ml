@@ -2,6 +2,7 @@ module Graph = Dex_graph.Graph
 module Walk = Dex_spectral.Walk
 module Sweep = Dex_spectral.Sweep
 module View = Dex_spectral.View
+module Bits = Dex_util.Bits
 
 type cut = {
   vertices : int array;
@@ -269,20 +270,42 @@ let approximate ?workspace:ws params g ~src ~b =
   let ws = match ws with Some ws -> ws | None -> workspace g in
   only (approximate_copies ws params (View.make g) [| (src, b) |])
 
-(* each edge of P-star once, from its participating endpoint (the
-   smaller one when both participate); the sorted adjacency makes
-   parallel copies adjacent, so skipping repeats drops them and leaves
-   [i] the leftmost rank *)
-let iter_participating_edges ?mask g outcome f =
-  let mask = match mask with Some m -> m | None -> Array.make (Graph.num_vertices g) false in
-  Array.iter (fun v -> mask.(v) <- true) outcome.participants;
-  Array.iter
-    (fun v ->
-      let a = Graph.neighbors g v in
-      for i = 0 to Array.length a - 1 do
-        let u = a.(i) in
-        if (i = 0 || a.(i - 1) <> u) && (u > v || not mask.(u)) then
-          if u > v then f v u i else f u v (-1)
-      done)
-    outcome.participants;
-  Array.iter (fun v -> mask.(v) <- false) outcome.participants
+(* copies per mask word: bits 0..61, so a mask word is never negative *)
+let copies_per_word = 62
+
+let mask_words k = (k + copies_per_word - 1) / copies_per_word
+
+(* copy c at bit c mod 62 of word c / 62 of a vertex's words *)
+type masks = int array
+
+let masks ~copies g = Array.make (Graph.num_vertices g * mask_words copies) 0
+
+(* the copies that share edge (u, v) are the bits of [mask u lor
+   mask v]; each edge is read from its smaller endpoint, and none can
+   exceed k *)
+let max_overlap masks g outcomes =
+  let n = Graph.num_vertices g and k = List.length outcomes in
+  let words = mask_words k in
+  let masks = if n * words <= Array.length masks then masks else Array.make (n * words) 0 in
+  Array.fill masks 0 (n * words) 0;
+  List.iteri
+    (fun c o ->
+      let word = c / copies_per_word and bit = 1 lsl (c mod copies_per_word) in
+      Array.iter (fun v -> masks.((v * words) + word) <- masks.((v * words) + word) lor bit)
+        o.participants)
+    outcomes;
+  let best = ref 0 and v = ref 0 in
+  while !best < k && !v < n do
+    let a = Graph.neighbors g !v and mv = !v * words in
+    let i = ref (Array.length a - 1) in
+    while !best < k && !i >= 0 && a.(!i) > !v do
+      let mu = a.(!i) * words and c = ref 0 in
+      for w = 0 to words - 1 do
+        c := !c + Bits.popcount (masks.(mv + w) lor masks.(mu + w))
+      done;
+      if !c > !best then best := !c;
+      decr i
+    done;
+    incr v
+  done;
+  !best

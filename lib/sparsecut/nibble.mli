@@ -72,17 +72,18 @@ val approximate :
 val approximate_copies :
   workspace -> Params.t -> Dex_spectral.View.t -> (int * int) array -> outcome list
 
-(** [iter_participating_edges ?mask g outcome f] calls [f u v i] once
-    for each edge of P-star — the non-loop edges with at least one
-    endpoint in [outcome.participants] — with [u < v]. Parallel edges
-    are one edge of P-star and are visited once. Edges are visited by
-    their participating endpoint (the smaller one when both
-    participate) in the order of [outcome.participants], then by
-    neighbour ascending. [i] is [Graph.neighbor_rank g u v] (leftmost
-    under parallel edges) when the edge is visited from [u], and [-1]
-    when it is visited from [v]; at full support every edge is visited
-    from [u]. [mask], an all-false array with a cell per vertex of [g],
-    marks the participants during the call and is all false again
-    after it; without it the call allocates one. *)
-val iter_participating_edges :
-  ?mask:bool array -> Dex_graph.Graph.t -> outcome -> (int -> int -> int -> unit) -> unit
+(** Copy masks: ⌈k/62⌉ words per vertex for k copies, one bit per
+    copy the vertex participates in. Mutable and single-owner. *)
+type masks
+
+(** [masks ~copies g] is zeroed masks for [copies] copies over the
+    vertices of [g], or of any graph with no more. *)
+val masks : copies:int -> Dex_graph.Graph.t -> masks
+
+(** [max_overlap masks g outcomes] is the most [outcomes] whose P-star
+    holds one edge of [g] (Definition 2), 0 when none has an edge:
+    the largest popcount(mask u ∨ mask v) over the non-loop edges
+    (u, v), since an edge lies in a P-star exactly when an endpoint
+    participates. One pass, which stops at an edge every outcome
+    shares; in masks of its own when [masks] are too short. *)
+val max_overlap : masks -> Dex_graph.Graph.t -> outcome list -> int

@@ -17,22 +17,15 @@ let sample_scale params rng =
   let weights = Array.init ell (fun i -> 2.0 ** float_of_int (-(i + 1))) in
   1 + Rng.weighted_index rng weights
 
-type prepared = { view : View.t; offsets : int array }
-
-(* the view, whose float degrees are ψ_V's weights, which a start
-   vertex is drawn from, and which every lane's walks and sweeps
-   share; the CSR offsets address the overlap counters *)
-let prepare g = { view = View.make g; offsets = Graph.csr_offsets g }
-
-(* Nibble's lanes, one overlap counter per CSR slot of the graph the
-   workspace was sized to (a saturated subgraph G{W} has no more
-   slots) and a vertex mask, all false between uses, for P-star and
-   the prefix union *)
-type workspace = { copies : Nibble.workspace; overlap : int array; member : bool array }
+(* Nibble's lanes, the copy masks and a vertex mask, false between
+   uses, for the prefix union *)
+type workspace = { copies : Nibble.workspace; masks : Nibble.masks; member : bool array }
 
 let workspace ~copies g =
-  { copies = Nibble.workspace ~copies g;
-    overlap = Array.make (Graph.csr_offsets g).(Graph.num_vertices g) 0;
+  (* first, so that copies < 1 is rejected with its own message *)
+  let lanes = Nibble.workspace ~copies g in
+  { copies = lanes;
+    masks = Nibble.masks ~copies g;
     member = Array.make (Graph.num_vertices g) false }
 
 (* the start vertex, then the scale *)
@@ -46,9 +39,9 @@ let random_nibble params g rng =
   let view = View.make g in
   List.hd (Nibble.approximate_copies (Nibble.workspace g) params view [| draw params view rng |])
 
-let run ?k ?ledger ?workspace:ws params pg rng =
+let run ?k ?ledger ?workspace:ws params (view : View.t) rng =
   (match k with Some k when k < 1 -> invalid_arg "Parallel_nibble.run: k < 1" | _ -> ());
-  let g = pg.view.graph in
+  let g = view.graph in
   let total_volume = Graph.total_volume g in
   if total_volume = 0 then
     { cut = [||]; rounds = 0; copies = 0; aborted = false; max_overlap = 0; nibbles = [] }
@@ -56,31 +49,15 @@ let run ?k ?ledger ?workspace:ws params pg rng =
     let k = match k with Some k -> k | None -> Params.parallel_copies params ~volume:total_volume in
     let w = Params.overlap_bound params ~volume:total_volume in
     let ws = match ws with Some ws -> ws | None -> workspace ~copies:k g in
-    let slots = pg.offsets.(Graph.num_vertices g) in
-    if slots > Array.length ws.overlap || Graph.num_vertices g > Array.length ws.member then
+    if Graph.num_vertices g > Array.length ws.member then
       invalid_arg "Parallel_nibble: workspace smaller than the graph";
     (* every (src, b) first, in copy order: the copies draw nothing
        while they run, so this is the stream of drawing each copy
        just before running it *)
-    let draws = Array.init k (fun _ -> draw params pg.view rng) in
-    let outcomes = Nibble.approximate_copies ws.copies params pg.view draws in
-    (* per-edge participation counts over P-star of each copy, one
-       counter per edge at the CSR slot of (u, v), u < v; the leftmost
-       rank gives parallel edges one shared counter. An edge visited
-       from u comes with its rank; only one visited from v is
-       searched. *)
-    let off = pg.offsets and overlap = ws.overlap in
-    Array.fill overlap 0 slots 0;
-    let max_overlap = ref 0 in
-    List.iter
-      (fun outcome ->
-        Nibble.iter_participating_edges ~mask:ws.member g outcome (fun u v i ->
-            let slot = off.(u) + if i >= 0 then i else Graph.neighbor_rank g u v in
-            let c = overlap.(slot) + 1 in
-            overlap.(slot) <- c;
-            if c > !max_overlap then max_overlap := c))
-      outcomes;
-    let aborted = !max_overlap > w in
+    let draws = Array.init k (fun _ -> draw params view rng) in
+    let outcomes = Nibble.approximate_copies ws.copies params view draws in
+    let max_overlap = Nibble.max_overlap ws.masks g outcomes in
+    let aborted = max_overlap > w in
     (* Lemma 10 cost model, fully measured:
        - instance generation: one BFS-tree build + token descent,
          charged as the height of an actual BFS tree would be; we use
@@ -99,7 +76,7 @@ let run ?k ?ledger ?workspace:ws params pg rng =
         (fun acc (o : Nibble.outcome) -> Int.max acc o.Nibble.steps_executed)
         1 outcomes
     in
-    let congestion = Int.max 1 (Int.min !max_overlap w) in
+    let congestion = Int.max 1 (Int.min max_overlap w) in
     let gen_rounds = depth_proxy + Params.ceil_log2 k in
     let select_rounds = depth_proxy * Params.ceil_log2 k in
     let exec_rounds = congestion * max_copy_rounds in
@@ -112,7 +89,7 @@ let run ?k ?ledger ?workspace:ws params pg rng =
       Rounds.charge l ~label:"nibble-select" select_rounds
     | None -> ());
     if aborted then
-      { cut = [||]; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }
+      { cut = [||]; rounds; copies = k; aborted; max_overlap; nibbles = outcomes }
     else begin
       (* prefix-union selection: largest i* with Vol(U_{i*}) ≤ 23/24·Vol *)
       let threshold = 23 * total_volume / 24 in
@@ -140,6 +117,6 @@ let run ?k ?ledger ?workspace:ws params pg rng =
       let cut = Array.of_list (select [] outcomes) in
       List.iter (fun v -> is_member.(v) <- false) !members;
       Array.sort Int.compare cut;
-      { cut; rounds; copies = k; aborted; max_overlap = !max_overlap; nibbles = outcomes }
+      { cut; rounds; copies = k; aborted; max_overlap; nibbles = outcomes }
     end
   end

@@ -23,24 +23,12 @@ type t = {
 (** [random_nibble params g rng] is one RandomNibble run. *)
 val random_nibble : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> Nibble.outcome
 
-(** A graph with the arrays every {!run} on it reads: its
-    {!Dex_spectral.View.t}, whose float degrees are the weights of
-    ψ_V, which start vertices are drawn from, and which every lane's
-    walks and sweeps share, and its CSR offsets, which address the
-    overlap counters. Partition prepares each G{W} once and runs on it
-    until a cut shrinks W. *)
-type prepared = private { view : Dex_spectral.View.t; offsets : int array }
-
-(** [prepare g] is [g] with its {!prepared} arrays. *)
-val prepare : Dex_graph.Graph.t -> prepared
-
 (** The state of {!run} that outlives a call: a {!Nibble.workspace}
-    with one lane per copy, one overlap counter per CSR slot and one
-    vertex mask, which marks each copy's participants and then the
-    prefix union's members, and is cleared after each use.
+    with one lane per copy, {!Nibble.masks} for as many copies, and a
+    vertex mask for the prefix union, cleared after each use.
     Partition builds one per call, sized to its input graph with the
     copy count of that graph's volume; it serves every G{W}, whose
-    volume, copy count and slot count are no larger. It is mutable and
+    vertex count and copy count are no larger. It is mutable and
     single-owner. *)
 type workspace
 
@@ -48,18 +36,21 @@ type workspace
     sized to [g]. Raises [Invalid_argument] when [copies < 1]. *)
 val workspace : copies:int -> Dex_graph.Graph.t -> workspace
 
-(** [run ?k ?ledger ?workspace params pg rng] is ParallelNibble(G, φ)
-    on [pg.view.graph]; [k] overrides the number of copies (tests use this
-    to force overlap). It draws every copy's (start, scale) pair first,
-    in copy order, then runs the copies in lockstep through
+(** [run ?k ?ledger ?workspace params view rng] is ParallelNibble(G, φ)
+    on [view.graph]; [k] overrides the number of copies (tests use this
+    to force overlap). The view's float degrees are ψ_V's weights, and
+    every lane's walks and sweeps share it: Partition builds one per
+    G{W}. [run] draws every copy's (start, scale) pair first, in copy
+    order, then runs the copies in lockstep through
     {!Nibble.approximate_copies}, in [workspace] when it is given (a
     fresh one sized to [k] copies otherwise); a workspace with fewer
     lanes than [k] runs them a lane-full at a time. The outcomes are
-    those of running the copies one after another. When [ledger] is
-    given the accounted cost is also charged there, split into its
-    Lemma 10 components under the labels ["nibble-generate"],
+    those of running the copies one after another, and [max_overlap]
+    is their {!Nibble.max_overlap}. When [ledger] is given the
+    accounted cost is also charged there, split into its Lemma 10
+    components under the labels ["nibble-generate"],
     ["nibble-execute"] and ["nibble-select"]. Raises [Invalid_argument]
     when [k < 1], or when [workspace] is smaller than the graph. *)
 val run :
   ?k:int -> ?ledger:Dex_congest.Rounds.t -> ?workspace:workspace ->
-  Params.t -> prepared -> Dex_util.Rng.t -> t
+  Params.t -> Dex_spectral.View.t -> Dex_util.Rng.t -> t

@@ -40,7 +40,7 @@ let run ?ledger params g rng =
     let workspace =
       Parallel_nibble.workspace ~copies:(Params.parallel_copies params ~volume:total_volume) g
     in
-    (* G{W} prepared for ParallelNibble, and its id mapping, kept until
+    (* G{W}'s view for ParallelNibble, and its id mapping, kept until
        a cut shrinks W *)
     let sub = ref None in
     while !continue && !iterations < s do
@@ -49,14 +49,14 @@ let run ?ledger params g rng =
         let w = Metrics.vertices_of_mask in_w in
         if Array.length w > 0 then begin
           let gw, mapping = Graph.saturated_subgraph g w in
-          sub := Some (Parallel_nibble.prepare gw, mapping)
+          sub := Some (Dex_spectral.View.make gw, mapping)
         end
       end;
       match !sub with
       | None -> continue := false
-      | Some (pw, mapping) ->
-        let gw = pw.Parallel_nibble.view.Dex_spectral.View.graph in
-        let pn = Parallel_nibble.run ?ledger ~workspace params pw rng in
+      | Some (view, mapping) ->
+        let gw = view.Dex_spectral.View.graph in
+        let pn = Parallel_nibble.run ?ledger ~workspace params view rng in
         rounds := !rounds + pn.Parallel_nibble.rounds;
         if pn.Parallel_nibble.aborted then incr aborted;
         let cut = pn.Parallel_nibble.cut in

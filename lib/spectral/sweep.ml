@@ -45,12 +45,16 @@ let take sweep j =
   if j < 0 || j > sweep.length then invalid_arg "Sweep.take";
   Array.sub sweep.ordered 0 j
 
-(* (r1, v1) comes before (r2, v2) in the sweep order: ρ descending,
-   ties by vertex ascending. [Float.compare] makes it a total order
-   even on NaN, so every correct sort yields the same permutation. *)
+(* (r1, v1) comes before (r2, v2) in the sweep order: ρ descending in
+   [Float.compare]'s total order (NaN equal to itself, below all else),
+   ties by vertex ascending, so every correct sort yields the same
+   permutation even on NaN. Two branches decide a non-NaN pair. *)
 let[@inline] before (r1 : float) (v1 : int) (r2 : float) (v2 : int) =
-  let c = Float.compare r1 r2 in
-  c > 0 || (c = 0 && v1 < v2)
+  if r1 > r2 then true
+  else if r1 < r2 then false
+  else if r1 = r2 then v1 < v2
+  else if r1 <> r1 then r2 <> r2 && v1 < v2
+  else true
 
 (* The sorts and passes below index without bounds checks. [rescan]
    checks at entry what makes that safe: the workspace's arrays, of

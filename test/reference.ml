@@ -91,15 +91,38 @@ let run_rounds t ~init ~step ~on_round k =
 
 (* ---------------- ParallelNibble's sequential copies ---------------- *)
 
-(* ParallelNibble's per-edge participation counts over the P-star of
-   each outcome, at the CSR slot of (u, v), u < v, which a binary
-   search finds for every edge *)
+(* [f u v i] once for each edge of P-star — the non-loop edges with at
+   least one endpoint in [outcome.participants] — with [u < v].
+   Parallel edges are one edge of P-star and are visited once. Edges
+   are visited by their participating endpoint (the smaller one when
+   both participate) in the order of [outcome.participants], then by
+   neighbour ascending. [i] is [Graph.neighbor_rank g u v] (leftmost
+   under parallel edges) when the edge is visited from [u], and [-1]
+   when it is visited from [v]. The sorted adjacency makes parallel
+   copies adjacent, so skipping repeats drops them and leaves [i] the
+   leftmost rank. *)
+let iter_participating_edges g (outcome : Dex_sparsecut.Nibble.outcome) f =
+  let mask = Array.make (Graph.num_vertices g) false in
+  Array.iter (fun v -> mask.(v) <- true) outcome.participants;
+  Array.iter
+    (fun v ->
+      let a = Graph.neighbors g v in
+      for i = 0 to Array.length a - 1 do
+        let u = a.(i) in
+        if (i = 0 || a.(i - 1) <> u) && (u > v || not mask.(u)) then
+          if u > v then f v u i else f u v (-1)
+      done)
+    outcome.participants
+
+(* ParallelNibble's congestion counted one P-star edge at a time: per
+   edge, the copies whose P-star holds it, at the CSR slot of (u, v),
+   u < v, which a binary search finds for every edge *)
 let overlap_counters g outcomes =
   let off = Graph.csr_offsets g in
   let overlap = Array.make off.(Graph.num_vertices g) 0 in
   List.iter
     (fun outcome ->
-      Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v _ ->
+      iter_participating_edges g outcome (fun u v _ ->
           let slot = off.(u) + Graph.neighbor_rank g u v in
           overlap.(slot) <- overlap.(slot) + 1))
     outcomes;
@@ -237,7 +260,7 @@ let fault_log faults =
 (* P-star as a list, in the reverse of iter_participating_edges order *)
 let participating_edges g outcome =
   let acc = ref [] in
-  Dex_sparsecut.Nibble.iter_participating_edges g outcome (fun u v _ -> acc := (u, v) :: !acc);
+  iter_participating_edges g outcome (fun u v _ -> acc := (u, v) :: !acc);
   !acc
 
 (* ---------------- validators and reference computations ---------------- *)
@@ -493,12 +516,15 @@ let rho g p v =
   if deg = 0 then 0.0
   else match Hashtbl.find_opt p v with None -> 0.0 | Some m -> m /. float_of_int deg
 
-(* the support of positive degree by ρ descending, ties by vertex *)
+(* the support of positive degree by ρ descending, ties by vertex, in
+   [Float.compare]'s total order: NaN equals itself and lies below
+   every other value *)
 let order g p =
   Dex_util.Table.fold_sorted ~compare:Int.compare (fun v mass acc -> (v, mass) :: acc) p []
   |> List.filter (fun (v, _) -> Graph.degree g v > 0)
   |> List.map (fun (v, mass) -> (v, mass /. float_of_int (Graph.degree g v)))
-  |> List.sort (fun (v1, r1) (v2, r2) -> match compare r2 r1 with 0 -> compare v1 v2 | c -> c)
+  |> List.sort (fun (v1, r1) (v2, r2) ->
+         match Float.compare r2 r1 with 0 -> Int.compare v1 v2 | c -> c)
   |> List.map fst |> Array.of_list
 
 (* one sweep prefix π(1..len) *)

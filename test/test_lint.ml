@@ -217,6 +217,23 @@ let test_d008_poly_var_compare () =
   check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" "let f a b = a = b");
   check_rules "bench exempt" [] (lint ~path:"bench/main.ml" "let f a b = a = b")
 
+(* D010: the defect it was written for is the sweep order's
+   [Float.compare], whose compare chain ran before every shift and
+   merge decision; a sort may still take it as its comparator *)
+let test_d010_float_compare () =
+  let hot src = lint ~path:"lib/spectral/sweep.ml" src in
+  check_rules "Float.compare applied" [ "D010" ]
+    (hot "let f (r1 : float) r2 = Float.compare r1 r2 > 0");
+  check_rules "compare at float" [ "D010" ] (hot "let f (x : float) y = compare x y = 0");
+  check_rules "passed to a non-sort" [ "D010" ] (hot "let f = List.map2 Float.compare");
+  check_rules "sort comparators fine" []
+    (hot "let f (a : float array) l = Array.sort Float.compare a; List.sort compare (l : float list)");
+  check_rules "compare at int fine" [] (hot "let f (a : int) b = compare a b");
+  check_rules "lib/triangle fires" [ "D010" ]
+    (lint ~path:"lib/triangle/x.ml" "let f (a : float) b = Float.compare a b");
+  check_rules "lib/ldd exempt" [] (lint ~path:"lib/ldd/x.ml" "let f (a : float) b = Float.compare a b");
+  check_rules "bench exempt" [] (lint ~path:"bench/main.ml" "let f (a : float) b = Float.compare a b")
+
 (* D009: unchecked indexing only in the kernels that check their
    lengths once per call *)
 let test_d009_unchecked_index () =
@@ -447,7 +464,7 @@ let test_json_report_golden () =
 
 let test_rule_table_complete () =
   Alcotest.(check (list string)) "ids"
-    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008"; "D009";
+    [ "D001"; "D002"; "D003"; "D004"; "D005"; "D006"; "D007"; "D008"; "D009"; "D010";
       "C003"; "C004"; "C005" ]
     (List.map fst Lint.rules)
 
@@ -467,7 +484,8 @@ let () =
           Alcotest.test_case "D006 kernel scoped" `Quick test_d006_scoped_to_kernel;
           Alcotest.test_case "D006 spectral and sparsecut" `Quick
             test_d006_spectral_and_sparsecut;
-          Alcotest.test_case "D006 triangle" `Quick test_d006_triangle ] );
+          Alcotest.test_case "D006 triangle" `Quick test_d006_triangle;
+          Alcotest.test_case "D010 float compare" `Quick test_d010_float_compare ] );
       ( "scoping",
         [ Alcotest.test_case "D003 protocol layers" `Quick
             test_scope_d003_only_protocol_layers;

@@ -12,6 +12,7 @@ module Pn = Dex_sparsecut.Parallel_nibble
 module Partition = Dex_sparsecut.Partition
 module Baselines = Dex_sparsecut.Baselines
 module Exact = Dex_spectral.Exact
+module View = Dex_spectral.View
 module Rng = Dex_util.Rng
 module Rounds = Dex_congest.Rounds
 
@@ -304,7 +305,7 @@ let prop_participating_edges_match_reference =
           candidates_tested = 0; rounds = 0; participants }
       in
       let visited = ref [] and ranked = ref true in
-      Nibble.iter_participating_edges g outcome (fun u v i ->
+      Reference.iter_participating_edges g outcome (fun u v i ->
           visited := (u, v) :: !visited;
           (* the rank comes only with an edge visited from u *)
           ranked :=
@@ -325,45 +326,47 @@ let prop_overlap_matches_reference =
       let rng = Rng.create seed in
       let g = random_multigraph rng in
       let params = mk_params (1.0 /. 16.0) (max 1 (Graph.num_edges g)) in
-      let r = Pn.run ~k params (Pn.prepare g) rng in
+      let r = Pn.run ~k params (View.make g) rng in
       r.Pn.max_overlap = Tuple_reference.max_overlap g r.Pn.nibbles
       && (r.Pn.aborted || r.Pn.cut = Tuple_reference.union_cut g r.Pn.nibbles))
 
-(* The overlap counters addressed by the rank that comes with an edge
-   visited from its smaller endpoint, searched otherwise, as
-   ParallelNibble keeps them, equal the counters whose every slot a
-   binary search finds; on multigraphs and on dense G(n, p), where the
-   walks cover every vertex and no edge is searched. *)
-let prop_overlap_counters_match_search =
-  QCheck.Test.make ~name:"overlap counters = binary-search reference" ~count:40
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 12))
+(* ParallelNibble's congestion from copy masks against a counter per
+   P-star edge: on the outcomes of runs of k = 1..200 copies, so masks
+   of one to four words per vertex, and on hand-built outcomes whose
+   participants are random subsets, empty and full ones among them,
+   for k at a word boundary (62 to 64, 124 to 126, 186 to 189) or 200.
+   The graphs are multigraphs with parallel edges, self-loops and
+   isolated vertices. The hand-built outcomes run in masks sized for
+   one copy (past k = 62 the call uses its own) and in masks sized for
+   200 that a run's outcomes used first, whose bits must not leak. *)
+let prop_copy_masks_match_counters =
+  QCheck.Test.make ~name:"copy-mask congestion = P-star counters" ~count:120
+    QCheck.(pair (int_bound 1_000_000) (int_bound 199))
     (fun (seed, k) ->
+      (* k = 1 + the draw, so that shrinking stays in 1..200 *)
+      let k = k + 1 in
       let rng = Rng.create seed in
-      let g =
-        if seed mod 2 = 0 then random_multigraph rng
-        else Gen.gnp rng ~n:(20 + Rng.int rng 60) ~p:(0.3 +. Rng.float rng 0.4)
-      in
+      let g = random_multigraph rng in
+      let n = Graph.num_vertices g in
       let params = mk_params (1.0 /. 16.0) (max 1 (Graph.num_edges g)) in
-      let r = Pn.run ~k params (Pn.prepare g) rng in
-      let off = Graph.csr_offsets g in
-      let counters = Array.make off.(Graph.num_vertices g) 0 and searched = ref 0 in
-      List.iter
-        (fun outcome ->
-          Nibble.iter_participating_edges g outcome (fun u v i ->
-              let slot =
-                if i >= 0 then off.(u) + i
-                else begin
-                  incr searched;
-                  off.(u) + Graph.neighbor_rank g u v
-                end
-              in
-              counters.(slot) <- counters.(slot) + 1))
-        r.Pn.nibbles;
-      let reference = Reference.overlap_counters g r.Pn.nibbles in
-      let full (o : Nibble.outcome) = Array.length o.participants = Graph.num_vertices g in
-      counters = reference
-      && r.Pn.max_overlap = Array.fold_left Int.max 0 reference
-      && (not (List.for_all full r.Pn.nibbles) || !searched = 0))
+      let r = Pn.run ~k params (View.make g) rng in
+      let counted outcomes = Array.fold_left Int.max 0 (Reference.overlap_counters g outcomes) in
+      let kb = [| 62; 63; 64; 124; 125; 126; 186; 187; 188; 189; 200 |].(seed mod 11) in
+      let hand_built =
+        List.init kb (fun _ ->
+            let density = Rng.int rng 5 in
+            let participants =
+              Array.of_list (List.filter (fun _ -> Rng.int rng 4 < density) (List.init n Fun.id))
+            in
+            { Nibble.result = None; src = 0; b = 1; steps_executed = 0; candidates_tested = 0;
+              rounds = 0; participants })
+      in
+      let expected = counted hand_built in
+      let short = Nibble.masks ~copies:1 g and long = Nibble.masks ~copies:200 g in
+      r.Pn.max_overlap = counted r.Pn.nibbles
+      && Nibble.max_overlap short g hand_built = expected
+      && Nibble.max_overlap long g r.Pn.nibbles = r.Pn.max_overlap
+      && Nibble.max_overlap long g hand_built = expected)
 
 let test_nibble_on_isolated_vertex () =
   let g = Graph.of_edges ~n:3 [ (1, 2) ] in
@@ -443,7 +446,7 @@ let test_parallel_nibble_union_volume () =
   let rng = Rng.create 19 in
   let g = Gen.dumbbell rng ~n1:30 ~n2:30 ~d:4 ~bridges:1 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
-  let r = Pn.run ~k:4 params (Pn.prepare g) rng in
+  let r = Pn.run ~k:4 params (View.make g) rng in
   Alcotest.(check int) "copies" 4 r.Pn.copies;
   if not r.Pn.aborted then begin
     let vol = Graph.volume g r.Pn.cut in
@@ -457,7 +460,7 @@ let test_parallel_nibble_overlap_detection () =
   let g = Gen.barbell ~clique:6 ~bridge:0 in
   let rng = Rng.create 23 in
   let params = mk_params (1.0 /. 16.0) (Graph.num_edges g) in
-  let r = Pn.run ~k:200 params (Pn.prepare g) rng in
+  let r = Pn.run ~k:200 params (View.make g) rng in
   Alcotest.(check bool) "overlap observed" true (r.Pn.max_overlap > 10);
   (* w = 10·ceil(ln Vol) ≈ 40: 200 copies on 32 edges must abort *)
   Alcotest.(check bool) "aborted" true r.Pn.aborted;
@@ -470,13 +473,13 @@ let test_parallel_nibble_rejects_k () =
     (fun k ->
       Alcotest.check_raises (Printf.sprintf "k = %d" k)
         (Invalid_argument "Parallel_nibble.run: k < 1") (fun () ->
-          ignore (Pn.run ~k params (Pn.prepare g) (Rng.create 1) : Pn.t)))
+          ignore (Pn.run ~k params (View.make g) (Rng.create 1) : Pn.t)))
     [ 0; -1 ]
 
 (* After a warm-up call, ParallelNibble on a Partition-sized workspace
    allocates its outputs and a little bookkeeping on the minor heap and
-   nothing on the major heap: the lanes with their sweeps, the overlap
-   counters and the member mask are the workspace's. The graph is
+   nothing on the major heap: the lanes with their sweeps, the copy
+   masks and the member mask are the workspace's. The graph is
    sparsecut-expander's kind, a random 8-regular graph on 200
    vertices. The minor bound is the 2,349 words measured plus a 10%
    margin. *)
@@ -484,13 +487,13 @@ let test_parallel_nibble_warm_allocation () =
   let g = Gen.random_regular (Rng.create 12) ~n:200 ~d:8 in
   let params = mk_params (1.0 /. 20.0) (Graph.num_edges g) in
   let copies = Params.parallel_copies params ~volume:(Graph.total_volume g) in
-  let workspace = Pn.workspace ~copies g and pg = Pn.prepare g in
+  let workspace = Pn.workspace ~copies g and view = View.make g in
   let rng = Rng.create 3 in
-  ignore (Pn.run ~workspace params pg rng : Pn.t);
+  ignore (Pn.run ~workspace params view rng : Pn.t);
   Gc.minor ();
   let minor = Gc.minor_words () in
   let _, _, major = Gc.counters () in
-  let r = Pn.run ~workspace params pg rng in
+  let r = Pn.run ~workspace params view rng in
   let _, _, major' = Gc.counters () in
   let minor = Gc.minor_words () -. minor in
   Alcotest.(check (float 0.0)) "major words" 0.0 (major' -. major);
@@ -506,14 +509,14 @@ let test_parallel_nibble_warm_allocation_dense () =
   let g = Gen.connectivize rng (Gen.gnp rng ~n:128 ~p:0.5) in
   let params = mk_params (1.0 /. 20.0) (Graph.num_edges g) in
   let copies = Params.parallel_copies params ~volume:(Graph.total_volume g) in
-  let workspace = Pn.workspace ~copies g and pg = Pn.prepare g in
+  let workspace = Pn.workspace ~copies g and view = View.make g in
   Alcotest.(check bool) "bit rows" true
-    (Option.is_some (Lazy.force pg.Pn.view.Dex_spectral.View.rows));
-  ignore (Pn.run ~workspace params pg rng : Pn.t);
+    (Option.is_some (Lazy.force view.View.rows));
+  ignore (Pn.run ~workspace params view rng : Pn.t);
   Gc.minor ();
   let minor = Gc.minor_words () in
   let _, _, major = Gc.counters () in
-  let r = Pn.run ~workspace params pg rng in
+  let r = Pn.run ~workspace params view rng in
   let _, _, major' = Gc.counters () in
   let minor = Gc.minor_words () -. minor in
   Alcotest.(check (float 0.0)) (Printf.sprintf "major words (%.0f minor)" minor) 0.0
@@ -525,20 +528,23 @@ let test_parallel_nibble_warm_allocation_dense () =
 
 (* Partition on sparsecut-expander's input (random 8-regular, n = 200,
    seed 1, connectivized; perfbench's algorithm seed) finds no cut and
-   runs its whole budget. It allocates no more minor words than it did
-   before the walk and sweep kernels read a prepared view: 29,594
-   words, measured on that code in this suite's build profile. The
-   view is built once per G{W}, from the float degrees and bit rows
-   ParallelNibble already prepared, so it may not add to that. *)
+   runs its whole budget. It allocates nothing on the major heap: its
+   largest arrays, the views and ParallelNibble's copy masks, hold n
+   words each, below the minor heap's limit for one block. Its minor
+   words are capped at 28,916, measured in this suite's build profile
+   once the copy masks replaced the CSR overlap counters. *)
 let test_partition_allocation_pin () =
   let rng = Rng.create 1 in
   let g = Gen.connectivize rng (Gen.random_regular rng ~n:200 ~d:8) in
   let params = mk_params 0.05 (Graph.num_edges g) in
   Gc.minor ();
+  let _, _, major = Gc.counters () in
   let before = Gc.minor_words () in
   let r = Partition.run params g (Rng.create 20190701) in
   let words = Gc.minor_words () -. before in
-  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 29_594.0);
+  let _, _, major' = Gc.counters () in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words" words) true (words <= 28_916.0);
+  Alcotest.(check (float 0.0)) "major words" 0.0 (major' -. major);
   Alcotest.(check int) "no cut: the whole budget" 0 (Array.length r.Partition.cut)
 
 let test_partition_balanced_cut_dumbbell () =
@@ -909,9 +915,9 @@ let same_run (r : Pn.t) (s : Pn.t) =
    fresh one *)
 let lockstep_matches ~k ~lanes params g seed =
   let expected = Reference.sequential_parallel_nibble ~k params g (Rng.create seed) in
-  let pg = Pn.prepare g in
+  let view = View.make g in
   let workspace = Pn.workspace ~copies:lanes g in
-  let run ?workspace () = Pn.run ~k ?workspace params pg (Rng.create seed) in
+  let run ?workspace () = Pn.run ~k ?workspace params view (Rng.create seed) in
   let first = run ~workspace () in
   let again = run ~workspace () in
   (expected, same_run first expected && same_run again expected && same_run (run ()) expected)
@@ -1056,7 +1062,7 @@ let () =
             test_parallel_nibble_warm_allocation_dense;
           Alcotest.test_case "lockstep on planted cuts" `Quick test_lockstep_planted_cuts;
           QCheck_alcotest.to_alcotest prop_overlap_matches_reference;
-          QCheck_alcotest.to_alcotest prop_overlap_counters_match_search;
+          QCheck_alcotest.to_alcotest prop_copy_masks_match_counters;
           QCheck_alcotest.to_alcotest prop_lockstep_matches_sequential ] );
       ( "partition",
         [ Alcotest.test_case "balanced dumbbell" `Quick test_partition_balanced_cut_dumbbell;

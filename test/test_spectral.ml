@@ -473,6 +473,44 @@ let prop_seeded_rescan_matches_scan =
       && seeded ~graph:larger [ full_support rng (n + 3) ]
       && seeded [ shorter ])
 
+(* The sweep order is [Float.compare]'s on ρ, ties by vertex: NaN
+   equals itself and lies below every other value, and −0.0 equals
+   0.0. On distributions whose ρ include NaN, −0.0, 0.0, ±∞ and
+   repeated values, a fresh rescan and one seeded from another such
+   distribution's order (its insertion sort, or the merge sort past
+   its shift budget) give the reference sort's order, which compares
+   with [Float.compare], and its prefixes. *)
+let prop_sweep_order_matches_float_compare =
+  QCheck.Test.make ~name:"sweep order = Float.compare reference sort" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g, _, _ = random_instance ~max_n:120 seed in
+      let rng = Rng.create (seed + 1) in
+      let values = [| Float.nan; -0.0; 0.0; Float.infinity; Float.neg_infinity; 0.25; 0.5 |] in
+      let distribution () =
+        Walk.of_assoc
+          (List.filter_map
+             (fun v ->
+               if Rng.int rng 4 = 0 then None
+               else begin
+                 let rho =
+                   if Rng.int rng 4 = 0 then Rng.float rng 1.0
+                   else values.(Rng.int rng (Array.length values))
+                 in
+                 Some (v, float_of_int (Int.max 1 (Graph.degree g v)) *. rho)
+               end)
+             (List.init (Graph.num_vertices g) Fun.id))
+      in
+      let p = distribution () and q = distribution () in
+      let reference = Reference.of_walk p in
+      let order = Reference.order g reference and prefixes = Reference.scan g reference in
+      let view = View.make g and sweep = Sweep.workspace g in
+      Sweep.rescan sweep view p;
+      let fresh = sweep_is sweep ~order ~prefixes in
+      Sweep.rescan sweep view q;
+      Sweep.rescan sweep view p;
+      fresh && sweep_is sweep ~order ~prefixes)
+
 (* After a warm-up, advancing a walker and rescanning its view into one
    sweep allocates no arrays: at most a boxed float per round. Two
    walkers advanced as a pair, by the fused pull once both cover every
@@ -809,7 +847,8 @@ let () =
           Alcotest.test_case "walker full-support step" `Quick test_walker_full_support_step;
           Alcotest.test_case "rows built on first sweep" `Quick test_rows_built_on_first_sweep;
           Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
-          Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation ] );
+          Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation;
+          QCheck_alcotest.to_alcotest prop_sweep_order_matches_float_compare ] );
       ( "sweep",
         [ Alcotest.test_case "prefix stats match metrics" `Quick test_sweep_cut_matches_metrics;
           Alcotest.test_case "order decreasing" `Quick test_sweep_order_decreasing_rho;

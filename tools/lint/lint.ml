@@ -57,6 +57,11 @@ let rules =
        the kernel allow-list (lib/spectral/walk.ml, lib/spectral/sweep.ml, \
        lib/congest/arena.ml): only a kernel that checks every length its \
        loops rely on, once per call, may index without bounds checks" );
+    ( "D010",
+      "no Stdlib.Float.compare, nor compare at float, in D006's hot-path \
+       directories except as the comparator passed to the sort family: \
+       it runs a branch-free chain of compares before every decision; \
+       decide with < and >, and write the NaN case out" );
     ( "C003",
       "raw int vertex parameter in a protocol-layer .mli; use \
        Dex_graph.Vertex.local / Vertex.orig (and Vertex.Map.t for \
@@ -107,7 +112,8 @@ let gated = under_any [ [ "lib" ]; [ "bench" ]; [ "bin" ]; [ "tools" ] ]
 (* the hot paths: a polymorphic-compare sort here costs a
    generic-compare dispatch per element pair (D006), a polymorphic
    min/max one per call (D007), and so does a comparison at a type
-   variable (D008) *)
+   variable (D008); a float [compare] runs a compare chain before
+   each decision (D010) *)
 let hot_path =
   under_any
     [ [ "lib"; "util" ]; [ "lib"; "graph" ]; [ "lib"; "congest" ];
@@ -134,7 +140,7 @@ let rule_applies ~all_rules segs rule =
     (* bench/ stays sanctioned: wall-clock timing is its whole job *)
     gated segs && not (under_any [ [ "lib"; "obs" ]; [ "bench" ] ] segs)
   | "D005" -> true
-  | "D006" | "D007" | "D008" -> hot_path segs
+  | "D006" | "D007" | "D008" | "D010" -> hot_path segs
   | "D009" -> not (List.mem segs unchecked_kernels)
   | "C003" -> under_any [ [ "lib"; "congest" ]; [ "lib"; "ldd" ]; [ "lib"; "expander" ] ] segs
   | _ -> false

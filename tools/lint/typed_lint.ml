@@ -12,6 +12,8 @@
    compiles to the generic one even where every caller passes ints.
    D009 flags unchecked indexing (Array.unsafe_get/unsafe_set and
    every Bytes.unsafe_ function) outside the kernels allowed to use it.
+   D010 flags Float.compare, and compare at float, anywhere but as the
+   comparator handed to the sort family.
 
    V-rule — C003 rejects raw `int` vertex-valued labelled parameters
    in protocol-layer interfaces; use the phantom `Vertex.local`/`orig`.
@@ -196,6 +198,14 @@ let d_rules ~on ~file u str =
     | Tmod_ident (p, _) -> Hashtbl.replace aliases name (resolve p)
     | _ -> ()
   in
+  (* the comparators handed to the sort family, which D010 allows *)
+  let sort_comparators = ref [] in
+  let d010 e =
+    if not (List.mem e.exp_loc !sort_comparators) then
+      add e.exp_loc "D010"
+        "float compare on a hot path runs a branch-free chain of compares before every \
+         decision; decide with < and >, and write the NaN case out"
+  in
   (* a type declared in this unit is named by a bare identifier *)
   let graph_like p =
     let comps =
@@ -229,6 +239,12 @@ let d_rules ~on ~file u str =
            "%s.%s indexes without a bounds check outside the kernel allow-list; index \
             checked, or move the loop into a kernel that checks its lengths once per call"
            m fn)
+    | [ "Stdlib"; "Float"; "compare" ] when on "D010" -> d010 e
+    | [ "Stdlib"; "compare" ]
+      when on "D010"
+           && Option.fold ~none:false ~some:(Path.same Predef.path_float)
+                (domain_head e.exp_type) ->
+      d010 e
     | [ "Stdlib"; "Sys"; "time" ] | [ "Unix"; ("gettimeofday" | "time") ] when on "D004" ->
       add e.exp_loc "D004" "wall-clock read; use Dex_obs.Clock.now_ns"
     (* applied or passed as a value alike; graph operands are D005's *)
@@ -261,21 +277,26 @@ let d_rules ~on ~file u str =
              "polymorphic %s at a type variable on a hot path calls the generic \
               comparison; annotate the operand's type (e.g. (x : int))"
              op)
-      | comps when on "D006" && sort_family comps -> (
+      | comps when sort_family comps -> (
         match List.find_map (function Asttypes.Nolabel, a -> a | _ -> None) args with
-        | Some ({ exp_desc = Texp_ident (cp, _, _); _ } as cmp)
-          when resolve cp = [ "Stdlib"; "compare" ]
-               && not
-                    (Option.fold ~none:false
-                       ~some:(fun h -> List.exists (Path.same h) specialized)
-                       (domain_head cmp.exp_type)) ->
-          add e.exp_loc "D006"
-            (Printf.sprintf
-               "polymorphic compare passed to %s on a hot path at a type the \
-                compiler does not specialize; use a monomorphic comparator \
-                (e.g. Int.compare)"
-               (String.concat "." (List.tl comps)))
-        | _ -> ())
+        | None -> ()
+        | Some cmp -> (
+          sort_comparators := cmp.exp_loc :: !sort_comparators;
+          match cmp.exp_desc with
+          | Texp_ident (cp, _, _)
+            when on "D006"
+                 && resolve cp = [ "Stdlib"; "compare" ]
+                 && not
+                      (Option.fold ~none:false
+                         ~some:(fun h -> List.exists (Path.same h) specialized)
+                         (domain_head cmp.exp_type)) ->
+            add e.exp_loc "D006"
+              (Printf.sprintf
+                 "polymorphic compare passed to %s on a hot path at a type the \
+                  compiler does not specialize; use a monomorphic comparator \
+                  (e.g. Int.compare)"
+                 (String.concat "." (List.tl comps)))
+          | _ -> ()))
       | _ -> ())
     | _ -> ()
   in
