@@ -588,11 +588,14 @@ let e10_micro () =
   let rng = X.Rng.create 71 in
   let g = X.Generators.connectivize rng (X.Generators.gnp rng ~n:512 ~p:0.03) in
   let cyc = X.Generators.cycle 4096 in
-  let sparse = X.Walk.truncated_walk g ~src:0 ~eps:1e-7 ~steps:4 in
+  let sparse = X.Walk.truncated_walk g ~src:0 ~eps:1e-7 ~steps:5 in
   (* the allocation-free path Nibble runs: one step of a walker
      restarted at the same distribution, and a rescan into one sweep.
-     From ψ_V, which covers every vertex, the walker takes its
-     full-support path, as Nibble's walks do once they have spread. *)
+     The rescans alternate between steps 4 and 5 of one walk, so each
+     is seeded by the other step's order and the seeded sort has work
+     to do, as in Nibble. From ψ_V, which covers every vertex, the
+     walker takes its full-support path, as Nibble's walks do once they
+     have spread. *)
   let view = X.View.make g in
   let walker = X.Walk.walker g and sweep = X.Sweep.workspace g in
   let mask = Array.make (X.Graph.num_vertices g) false in
@@ -644,7 +647,11 @@ let e10_micro () =
         (Staged.stage (fun () ->
              X.Walk.start walker stationary;
              X.Walk.advance walker view ~eps:1e-7 ~mask));
-      Test.make ~name:"sweep-rescan" (Staged.stage (fun () -> X.Sweep.rescan sweep view sparse.(4)));
+      Test.make ~name:"sweep-rescan"
+        (let fifth = ref false in
+         Staged.stage (fun () ->
+             fifth := not !fifth;
+             X.Sweep.rescan sweep view (if !fifth then sparse.(5) else sparse.(4))));
       Test.make ~name:"sweep-rescan-dense"
         (Staged.stage (fun () -> X.Sweep.rescan dense_sweep dense_view dense_walk));
       Test.make ~name:"bfs-distances" (Staged.stage (fun () -> X.Metrics.bfs_distances g 0));

@@ -9,6 +9,9 @@
      faults      reliable BFS/leader election on a lossy network
      throughput  the cursor kernel's rounds/s on a BFS flood
 
+   decompose, sparse-cut and triangles take --trace [--jsonl PATH]:
+   after their normal output they print the profile of the same run.
+
    Graphs are generated on demand: --family gnp/sbm/barbell/dumbbell/
    grid/powerlaw/regular/cliques/tree/cycle/path, with family-specific
    knobs — or loaded from an edge-list file with --file. *)
@@ -102,6 +105,92 @@ let attempts_t =
     & info [ "attempts" ]
       ~doc:"Las Vegas retry budget: re-run with fresh randomness until Verify certifies the output, up to this many attempts.")
 
+(* --trace [--jsonl PATH], shared by decompose, sparse-cut and
+   triangles: [None] untraced, [Some jsonl] traced, streaming the
+   events to [jsonl] when given *)
+let trace_t =
+  let trace =
+    Arg.(
+      value & flag
+      & info [ "trace" ]
+          ~doc:
+            "After the normal output, print the run's span tree, its 10 most congested edges, \
+             the per-phase rounds and the trace counters.")
+  in
+  let jsonl =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "jsonl" ] ~docv:"PATH"
+          ~doc:
+            "Stream every trace event to PATH as JSON Lines (schema: DESIGN.md §8). Implies \
+             $(b,--trace).")
+  in
+  Term.(
+    const (fun trace jsonl -> if trace || Option.is_some jsonl then Some jsonl else None)
+    $ trace $ jsonl)
+
+(* the profile of one traced run: every charge sits on a leaf of the
+   span tree, so the leaf totals sum to the ledger total by
+   construction *)
+let print_profile ledger trace jsonl =
+  Printf.printf "\nspan tree (ledger rounds; sequential sum over components):\n";
+  let rec print_node indent (node : X.Rounds.tree) =
+    Printf.printf "%s%s  %d rounds%s%s\n" indent node.X.Rounds.span node.X.Rounds.rounds
+      (if node.X.Rounds.self > 0 && node.X.Rounds.children <> [] then
+         Printf.sprintf " (self %d)" node.X.Rounds.self
+       else "")
+      (if node.X.Rounds.wall_ns > 0 then
+         Printf.sprintf "  [%.2f ms]" (float_of_int node.X.Rounds.wall_ns /. 1e6)
+       else "");
+    List.iter (print_node (indent ^ "  ")) node.X.Rounds.children
+  in
+  let tree = X.Rounds.tree ledger in
+  print_node "  " tree;
+  let rec leaf_sum (node : X.Rounds.tree) =
+    node.X.Rounds.self + List.fold_left (fun acc c -> acc + leaf_sum c) 0 node.X.Rounds.children
+  in
+  let sum = leaf_sum tree and total = X.Rounds.total ledger in
+  Printf.printf "  leaf-sum=%d ledger-total=%d%s\n" sum total
+    (if sum = total then "" else "  MISMATCH");
+  (match X.Trace.top_edges trace 10 with
+  | [] -> Printf.printf "\nno executed message traffic (all phases accounted)\n"
+  | edges ->
+    Printf.printf "\ntop-%d congested edges (cumulative deliveries):\n" (List.length edges);
+    List.iter (fun ((u, v), load) -> Printf.printf "  (%d,%d)  %d\n" u v load) edges);
+  Printf.printf "\nper-phase rounds (flat):\n";
+  List.iter
+    (fun (label, rounds) -> Printf.printf "  %-24s %d\n" label rounds)
+    (X.Rounds.by_phase ledger);
+  Printf.printf "\ntrace: events=%d retained=%d dropped=%d messages=%d faults=%d retries=%d\n"
+    (X.Trace.emitted trace)
+    (List.length (X.Trace.events trace))
+    (X.Trace.dropped trace) (X.Trace.messages trace) (X.Trace.faults trace)
+    (X.Trace.retries trace);
+  Option.iter (Printf.printf "wrote JSONL events to %s\n") jsonl
+
+(* [with_ledger tracing run] is [run None] untraced; traced, it is
+   [run (Some ledger)] on a ledger with a trace attached, followed by
+   that run's profile *)
+let with_ledger tracing run =
+  match tracing with
+  | None -> run None
+  | Some jsonl ->
+    let sink =
+      (* an unwritable --jsonl path is the user's input, not an internal error *)
+      try Option.map open_out jsonl
+      with Sys_error msg ->
+        prerr_endline ("dexpander: " ^ msg);
+        exit 2
+    in
+    let trace = X.Trace.create ?sink () in
+    let ledger = X.Rounds.create () in
+    X.Rounds.attach_trace ledger (Some trace);
+    let result = run (Some ledger) in
+    Option.iter close_out sink;
+    print_profile ledger trace jsonl;
+    result
+
 let print_decomposition ~epsilon { X.Las_vegas.result = r; report } =
   Printf.printf
     "decomposition: parts=%d removed=%.2f%% (target %.2f%%) rounds=%d depth=%d \
@@ -124,31 +213,37 @@ let print_decomposition ~epsilon { X.Las_vegas.result = r; report } =
     report.X.Decomposition_verify.min_conductance_lower r.X.Decomposition.phi_target
 
 let decompose_cmd =
-  let run family file n seed p parts p_in p_out degree epsilon k attempts =
+  let run family file n seed p parts p_in p_out degree epsilon k attempts tracing =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
-    match X.Las_vegas.decompose ~attempts ~epsilon ~k g (X.Rng.create seed) with
-    | Ok o ->
-      print_decomposition ~epsilon o.X.Rounds.value;
-      Printf.printf "las-vegas: certified after %d/%d attempt(s), %d rounds total\n"
-        o.X.Rounds.attempts attempts o.X.Rounds.rounds_total
-    | Error f ->
-      print_decomposition ~epsilon f.X.Rounds.value;
-      Printf.printf
-        "las-vegas: FAILED — %d attempt(s) exhausted (%d rounds total) without a certificate\n"
-        f.X.Rounds.attempts f.X.Rounds.rounds_total;
-      exit 1
+    let certified =
+      with_ledger tracing @@ fun ledger ->
+      match X.Las_vegas.decompose ?ledger ~attempts ~epsilon ~k g (X.Rng.create seed) with
+      | Ok o ->
+        print_decomposition ~epsilon o.X.Rounds.value;
+        Printf.printf "las-vegas: certified after %d/%d attempt(s), %d rounds total\n"
+          o.X.Rounds.attempts attempts o.X.Rounds.rounds_total;
+        true
+      | Error f ->
+        print_decomposition ~epsilon f.X.Rounds.value;
+        Printf.printf
+          "las-vegas: FAILED — %d attempt(s) exhausted (%d rounds total) without a certificate\n"
+          f.X.Rounds.attempts f.X.Rounds.rounds_total;
+        false
+    in
+    if not certified then exit 1
   in
   Cmd.v (Cmd.info "decompose" ~doc:"Run the (ε,φ)-expander decomposition (Theorem 1).")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ epsilon_t $ k_t $ attempts_t)
+      $ degree_t $ epsilon_t $ k_t $ attempts_t $ trace_t)
 
 let sparse_cut_cmd =
-  let run family file n seed p parts p_in p_out degree phi =
+  let run family file n seed p parts p_in p_out degree phi tracing =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
-    let r = X.sparse_cut ~phi g ~seed in
+    with_ledger tracing @@ fun ledger ->
+    let r = X.sparse_cut ?ledger ~phi g ~seed in
     if Array.length r.X.Sparse_cut.cut = 0 then
       Printf.printf "sparse-cut: none found — graph certified as a φ=%.4f expander\n" phi
     else
@@ -159,7 +254,7 @@ let sparse_cut_cmd =
   Cmd.v (Cmd.info "sparse-cut" ~doc:"Run the nearly most balanced sparse cut (Theorem 3).")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ phi_t)
+      $ degree_t $ phi_t $ trace_t)
 
 let ldd_cmd =
   let run family file n seed p parts p_in p_out degree beta =
@@ -182,10 +277,11 @@ let ldd_cmd =
       $ degree_t $ beta_t)
 
 let triangles_cmd =
-  let run family file n seed p parts p_in p_out degree epsilon k =
+  let run family file n seed p parts p_in p_out degree epsilon k tracing =
     let g = graph_of family file n seed p parts p_in p_out degree in
     describe g;
-    let r = X.enumerate_triangles ~epsilon ~k g ~seed in
+    with_ledger tracing @@ fun ledger ->
+    let r = X.enumerate_triangles ?ledger ~epsilon ~k g ~seed in
     Printf.printf
       "triangles: found=%d complete=%b levels=%d total-rounds=%d enumeration-rounds=%d\n"
       (List.length r.X.Triangle_enum.triangles)
@@ -202,7 +298,7 @@ let triangles_cmd =
   Cmd.v (Cmd.info "triangles" ~doc:"Enumerate triangles via expander decomposition (Theorem 2).")
     Term.(
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ epsilon_t $ k_t)
+      $ degree_t $ epsilon_t $ k_t $ trace_t)
 
 let faults_cmd =
   let drop_t =
@@ -309,108 +405,6 @@ let throughput_cmd =
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
       $ degree_t)
 
-let trace_cmd =
-  let algo_t =
-    let algo =
-      Arg.enum
-        [ ("decompose", `Decompose); ("sparse-cut", `Sparse_cut); ("triangles", `Triangles) ]
-    in
-    Arg.(
-      required
-      & pos 0 (some algo) None
-      & info [] ~docv:"ALGO"
-          ~doc:"Algorithm to trace: $(b,decompose), $(b,sparse-cut) or $(b,triangles).")
-  in
-  let top_t =
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"K" ~doc:"Hot-edge listing length.")
-  in
-  let jsonl_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "jsonl" ] ~docv:"PATH"
-          ~doc:"Stream every trace event to PATH as JSON Lines (schema: DESIGN.md §8).")
-  in
-  let run family file n seed p parts p_in p_out degree epsilon k phi algo top jsonl =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
-    let sink = Option.map open_out jsonl in
-    let trace = X.Trace.create ?sink () in
-    let ledger = X.Rounds.create () in
-    X.Rounds.attach_trace ledger (Some trace);
-    (match algo with
-    | `Decompose ->
-      let r = X.decompose ~ledger ~epsilon ~k g ~seed in
-      Printf.printf "decompose: parts=%d removed=%.2f%% rounds(makespan)=%d\n"
-        (List.length r.X.Decomposition.parts)
-        (100.0 *. r.X.Decomposition.edge_fraction_removed)
-        r.X.Decomposition.stats.X.Decomposition.rounds
-    | `Sparse_cut ->
-      let r = X.sparse_cut ~ledger ~phi g ~seed in
-      Printf.printf "sparse-cut: |C|=%d conductance=%s rounds=%d\n"
-        (Array.length r.X.Sparse_cut.cut)
-        (if Float.is_finite r.X.Sparse_cut.conductance then
-           Printf.sprintf "%.4f" r.X.Sparse_cut.conductance
-         else "inf")
-        r.X.Sparse_cut.rounds
-    | `Triangles ->
-      let r = X.enumerate_triangles ~ledger ~epsilon ~k g ~seed in
-      Printf.printf "triangles: found=%d complete=%b rounds(makespan)=%d\n"
-        (List.length r.X.Triangle_enum.triangles)
-        r.X.Triangle_enum.complete r.X.Triangle_enum.total_rounds);
-    (match sink with Some oc -> close_out oc | None -> ());
-    (* hierarchical span tree: every charge sits on a leaf, so the leaf
-       totals sum to the ledger total by construction *)
-    Printf.printf "\nspan tree (ledger rounds; sequential sum over components):\n";
-    let rec print_node indent (node : X.Rounds.tree) =
-      Printf.printf "%s%s  %d rounds%s%s\n" indent node.X.Rounds.span node.X.Rounds.rounds
-        (if node.X.Rounds.self > 0 && node.X.Rounds.children <> [] then
-           Printf.sprintf " (self %d)" node.X.Rounds.self
-         else "")
-        (if node.X.Rounds.wall_ns > 0 then
-           Printf.sprintf "  [%.2f ms]" (float_of_int node.X.Rounds.wall_ns /. 1e6)
-         else "");
-      List.iter (print_node (indent ^ "  ")) node.X.Rounds.children
-    in
-    let tree = X.Rounds.tree ledger in
-    print_node "  " tree;
-    let rec leaf_sum (node : X.Rounds.tree) =
-      node.X.Rounds.self + List.fold_left (fun acc c -> acc + leaf_sum c) 0 node.X.Rounds.children
-    in
-    Printf.printf "  leaf-sum=%d ledger-total=%d%s\n" (leaf_sum tree)
-      (X.Rounds.total ledger)
-      (if leaf_sum tree = X.Rounds.total ledger then "" else "  MISMATCH");
-    (match X.Trace.top_edges trace top with
-    | [] -> Printf.printf "\nno executed message traffic (all phases accounted)\n"
-    | edges ->
-      Printf.printf "\ntop-%d congested edges (cumulative deliveries):\n"
-        (List.length edges);
-      List.iter
-        (fun ((u, v), load) -> Printf.printf "  (%d,%d)  %d\n" u v load)
-        edges);
-    Printf.printf "\nper-phase rounds (flat):\n";
-    List.iter
-      (fun (label, rounds) -> Printf.printf "  %-24s %d\n" label rounds)
-      (X.Rounds.by_phase ledger);
-    Printf.printf
-      "\ntrace: events=%d retained=%d dropped=%d messages=%d words=%d faults=%d retries=%d\n"
-      (X.Trace.emitted trace)
-      (List.length (X.Trace.events trace))
-      (X.Trace.dropped trace) (X.Trace.messages trace) (X.Trace.words trace)
-      (X.Trace.faults trace) (X.Trace.retries trace);
-    match jsonl with
-    | Some path -> Printf.printf "wrote JSONL events to %s\n" path
-    | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run an algorithm under structured tracing and print its span tree, hot edges \
-          and per-phase summary.")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t $ epsilon_t $ k_t $ phi_t $ algo_t $ top_t $ jsonl_t)
-
 let conformance_cmd =
   let demo_race_t =
     Arg.(
@@ -500,4 +494,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; decompose_cmd; sparse_cut_cmd; ldd_cmd; triangles_cmd;
-            faults_cmd; throughput_cmd; trace_cmd; conformance_cmd ]))
+            faults_cmd; throughput_cmd; conformance_cmd ]))

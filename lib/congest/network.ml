@@ -186,10 +186,8 @@ let drive_active ?shuffle t ~init ~step ~on_round ~last =
     done;
     (match tracer with
     | Some s ->
-      (* one word per message *)
-      let messages = t.messages - messages_before in
-      Trace.round_tick s.tr ~round ~messages ~words:messages ~max_edge_load:s.max_load
-        ~active:s.active;
+      Trace.round_tick s.tr ~round ~messages:(t.messages - messages_before)
+        ~max_edge_load:s.max_load ~active:s.active;
       s.stamp <- s.stamp + 1;
       s.active <- 0;
       s.max_load <- 0

@@ -24,7 +24,7 @@
     When the ledger has a {!Dex_obs.Trace.t} attached
     ({!Rounds.attach_trace}, before the network is created), every
     executed round additionally emits a structured round tick (messages
-    delivered, words, max per-edge congestion, active vertices), edge
+    delivered, max per-edge congestion, active vertices), edge
     delivery counts accumulate into the trace's per-edge load histogram,
     and fault events are bridged into the trace. Networks over induced
     subgraphs carry a [vertex_map] so those metrics are reported in

@@ -21,4 +21,4 @@ let decompose ?ledger ?(attempts = 5) ~epsilon ~k g rng =
   let attempt_rng = Rng.split rng i in
   let verify_rng = Rng.split rng (attempts + i) in
   let result = Decomposition.run ?ledger ~epsilon ~k g attempt_rng in
-  { result; report = Verify.check g result verify_rng }
+  { result; report = Rounds.span ledger "verify" (fun () -> Verify.check g result verify_rng) }

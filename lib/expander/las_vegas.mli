@@ -25,8 +25,9 @@ type certified = { result : Decomposition.result; report : Verify.report }
     [i] on the stream [Rng.split rng i], verifying each result with
     {!Verify.check} on the stream [Rng.split rng (attempts + i)].
     [Error] carries the last attempt. With a [ledger], the whole run
-    sits in a ["las-vegas"] span and each attempt, its verification
-    included, in an ["attempt-<i>"] span; when a trace is attached,
+    sits in a ["las-vegas"] span and each attempt in an
+    ["attempt-<i>"] span, its verification in a ["verify"] span
+    inside it; when a trace is attached,
     each verdict is emitted as a retry event labeled ["decompose"].
     Raises [Dex_util.Invariant.Violation] when [attempts < 1], before
     the span opens. *)

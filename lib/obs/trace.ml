@@ -1,13 +1,7 @@
 type event =
   | Span_open of { id : int; parent : int; name : string; rounds_before : int }
   | Span_close of { id : int; name : string; rounds : int; wall_ns : int }
-  | Round_tick of {
-      round : int;
-      messages : int;
-      words : int;
-      max_edge_load : int;
-      active : int;
-    }
+  | Round_tick of { round : int; messages : int; max_edge_load : int; active : int }
   | Fault of { kind : string; round : int; src : int; dst : int }
   | Retry of { label : string; attempt : int; certified : bool }
 
@@ -20,7 +14,6 @@ type t = {
   mutable next_span : int;
   edge_loads : (int * int, int) Hashtbl.t;
   mutable messages : int;
-  mutable words : int;
   mutable fault_count : int;
   mutable retry_count : int;
 }
@@ -35,7 +28,6 @@ let create ?(capacity = 65536) ?sink () =
     next_span = 0;
     edge_loads = Hashtbl.create 256;
     messages = 0;
-    words = 0;
     fault_count = 0;
     retry_count = 0 }
 
@@ -52,11 +44,10 @@ let event_to_json ev =
     Obj
       [ ("ev", String "span-close"); ("id", Int id); ("name", String name);
         ("rounds", Int rounds); ("wall-ns", Int wall_ns) ]
-  | Round_tick { round; messages; words; max_edge_load; active } ->
+  | Round_tick { round; messages; max_edge_load; active } ->
     Obj
       [ ("ev", String "round"); ("round", Int round); ("messages", Int messages);
-        ("words", Int words); ("max-edge-load", Int max_edge_load);
-        ("active", Int active) ]
+        ("max-edge-load", Int max_edge_load); ("active", Int active) ]
   | Fault { kind; round; src; dst } ->
     Obj
       [ ("ev", String "fault"); ("kind", String kind); ("round", Int round);
@@ -72,9 +63,7 @@ let to_jsonl_line ev = Json.to_string (event_to_json ev)
 
 let emit t ev =
   (match ev with
-  | Round_tick { messages; words; _ } ->
-    t.messages <- t.messages + messages;
-    t.words <- t.words + words
+  | Round_tick { messages; _ } -> t.messages <- t.messages + messages
   | Fault _ -> t.fault_count <- t.fault_count + 1
   | Retry _ -> t.retry_count <- t.retry_count + 1
   | Span_open _ | Span_close _ -> ());
@@ -122,8 +111,8 @@ let span_close t ~id ~name ~rounds ~wall_ns =
 
 (* ---------------- convenience emitters ---------------- *)
 
-let round_tick t ~round ~messages ~words ~max_edge_load ~active =
-  emit t (Round_tick { round; messages; words; max_edge_load; active })
+let round_tick t ~round ~messages ~max_edge_load ~active =
+  emit t (Round_tick { round; messages; max_edge_load; active })
 
 let fault t ~kind ~round ~src ~dst = emit t (Fault { kind; round; src; dst })
 let retry t ~label ~attempt ~certified = emit t (Retry { label; attempt; certified })
@@ -149,6 +138,5 @@ let top_edges t k =
     |> List.filteri (fun i _ -> i < k)
 
 let messages t = t.messages
-let words t = t.words
 let faults t = t.fault_count
 let retries t = t.retry_count

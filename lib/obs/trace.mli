@@ -1,14 +1,14 @@
 (** Structured tracing for the CONGEST kernel.
 
     A trace is a stream of typed events — hierarchical span open/close,
-    per-round ticks (messages, words, max per-edge congestion, active
+    per-round ticks (messages, max per-edge congestion, active
     vertices), fault events bridged from the fault schedule, and Las
     Vegas retry attempts — kept in a bounded in-memory ring and
     optionally mirrored as JSON-Lines (one compact JSON object per
     event) to a sink channel.
 
     The trace also aggregates cross-cutting metrics as events flow
-    through it: cumulative message/word counts, a per-edge load
+    through it: a cumulative message count, a per-edge load
     histogram (in the vertex ids of the {e original} graph when the
     emitting network carries a vertex map — subgraph simulations then
     account onto real edges), and fault/retry counters.
@@ -26,14 +26,9 @@ type event =
   | Span_close of { id : int; name : string; rounds : int; wall_ns : int }
       (** The span closed after charging [rounds] simulated rounds and
           spending [wall_ns] wall-clock nanoseconds of simulator time. *)
-  | Round_tick of {
-      round : int;
-      messages : int;
-      words : int;
-      max_edge_load : int;
-      active : int;
-    }
-      (** One executed network round: messages/words delivered, the
+  | Round_tick of { round : int; messages : int; max_edge_load : int; active : int }
+      (** One executed network round: the messages delivered (one word
+          each), the
           maximum number of messages any single undirected edge carried
           (≥ 2 only under duplication faults or bidirectional traffic),
           and the number of vertices that sent or received anything. *)
@@ -79,8 +74,7 @@ val span_close : t -> id:int -> name:string -> rounds:int -> wall_ns:int -> unit
     updates the aggregate counters and writes the JSON line to the
     sink, if any. *)
 
-val round_tick :
-  t -> round:int -> messages:int -> words:int -> max_edge_load:int -> active:int -> unit
+val round_tick : t -> round:int -> messages:int -> max_edge_load:int -> active:int -> unit
 
 val fault : t -> kind:string -> round:int -> src:int -> dst:int -> unit
 val retry : t -> label:string -> attempt:int -> certified:bool -> unit
@@ -97,10 +91,9 @@ val count_edge : t -> int -> int -> by:int -> unit
 val top_edges : t -> int -> ((int * int) * int) list
 
 (** Cumulative counters aggregated from the emitted events: messages
-    and words summed over [Round_tick]s, fault and retry event counts. *)
+    summed over [Round_tick]s, fault and retry event counts. *)
 
 val messages : t -> int
-val words : t -> int
 val faults : t -> int
 val retries : t -> int
 

@@ -263,6 +263,15 @@ let participating_edges g outcome =
   iter_participating_edges g outcome (fun u v _ -> acc := (u, v) :: !acc);
   !acc
 
+(* QCheck's [int_range lo hi] shrinks toward 0, which leaves the range
+   when lo > 0: a failing property then reports the error of a value it
+   was never meant to see. This one draws the same values and shrinks
+   toward lo, inside [lo, hi]. *)
+let int_range lo hi =
+  QCheck.set_shrink
+    (fun x yield -> QCheck.Shrink.int (x - lo) (fun d -> yield (lo + d)))
+    (QCheck.int_range lo hi)
+
 (* ---------------- validators and reference computations ---------------- *)
 
 (* the representation invariants of [g], read through the public API:

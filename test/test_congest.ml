@@ -259,7 +259,7 @@ let test_clique_rejects_self_and_double () =
 
 let prop_bfs_depth_eq_distance =
   QCheck.Test.make ~name:"protocol BFS = centralized BFS" ~count:40
-    QCheck.(pair (int_range 2 30) (int_bound 10_000))
+    QCheck.(pair (Reference.int_range 2 30) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.15) in

@@ -286,7 +286,7 @@ let test_las_vegas_rejects_bad_budget () =
 
 let prop_decomposition_is_partition =
   QCheck.Test.make ~name:"decomposition always partitions V" ~count:8
-    QCheck.(pair (int_range 20 80) (int_bound 10_000))
+    QCheck.(pair (Reference.int_range 20 80) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:(6.0 /. float_of_int n)) in

@@ -176,7 +176,7 @@ let test_duplicates_counted () =
 
 let prop_reliable_bfs_under_loss =
   QCheck.Test.make ~name:"reliable BFS = centralized BFS under 15% loss" ~count:25
-    QCheck.(pair (int_range 2 25) (int_bound 10_000))
+    QCheck.(pair (Reference.int_range 2 25) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.15) in

@@ -153,7 +153,7 @@ let test_connectivize () =
 
 let prop_generators_valid =
   QCheck.Test.make ~name:"generated graphs pass invariants" ~count:50
-    QCheck.(pair (int_range 4 40) (int_bound 1000))
+    QCheck.(pair (Reference.int_range 4 40) (int_bound 1000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let graphs =

@@ -293,7 +293,7 @@ let prop_subgraphs_match_definition =
 
 let prop_remove_edges_matches_definition =
   QCheck.Test.make ~name:"remove_edges matches its edge-list definition" ~count:300
-    QCheck.(pair arb_graph (list (pair (int_range (-1) 25) (int_range (-1) 25))))
+    QCheck.(pair arb_graph (list (pair (Reference.int_range (-1) 25) (Reference.int_range (-1) 25))))
     (fun (g, dead) ->
       let n = Graph.num_vertices g in
       let norm (u, v) = (min u v, max u v) in

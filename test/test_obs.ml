@@ -65,14 +65,14 @@ let test_event_goldens () =
       Out_channel.with_open_bin path (fun sink ->
           let tr = Trace.create ~sink () in
           let id = Trace.span_open tr ~name:"decompose" ~rounds_before:0 in
-          Trace.round_tick tr ~round:4 ~messages:10 ~words:10 ~max_edge_load:2 ~active:7;
+          Trace.round_tick tr ~round:4 ~messages:10 ~max_edge_load:2 ~active:7;
           Trace.fault tr ~kind:"drop" ~round:2 ~src:1 ~dst:5;
           Trace.fault tr ~kind:"duplicate" ~round:9 ~src:3 ~dst:4;
           Trace.retry tr ~label:"sparse-cut" ~attempt:2 ~certified:false;
           Trace.span_close tr ~id ~name:"decompose" ~rounds:17 ~wall_ns:12345);
       Alcotest.(check (list string)) "one line per event"
         [ {|{"ev":"span-open","id":0,"parent":-1,"name":"decompose","rounds-before":0}|};
-          {|{"ev":"round","round":4,"messages":10,"words":10,"max-edge-load":2,"active":7}|};
+          {|{"ev":"round","round":4,"messages":10,"max-edge-load":2,"active":7}|};
           {|{"ev":"fault","kind":"drop","round":2,"src":1,"dst":5}|};
           {|{"ev":"fault","kind":"duplicate","round":9,"src":3,"dst":4}|};
           {|{"ev":"retry","label":"sparse-cut","attempt":2,"certified":false}|};
@@ -148,9 +148,7 @@ let test_tree_consistency () =
   Alcotest.(check bool) "stats.messages > 0" true
     (r.Decomposition.stats.Decomposition.messages > 0);
   Alcotest.(check int) "trace messages = stats.messages"
-    r.Decomposition.stats.Decomposition.messages (Trace.messages tr);
-  Alcotest.(check int) "trace words = stats.words"
-    r.Decomposition.stats.Decomposition.words (Trace.words tr)
+    r.Decomposition.stats.Decomposition.messages (Trace.messages tr)
 
 (* ---------- per-edge congestion histogram ---------- *)
 
@@ -215,24 +213,22 @@ let test_round_ticks () =
   let ticks =
     List.filter_map
       (function
-        | Trace.Round_tick { messages; words; max_edge_load; active; _ } ->
-          Some (messages, words, max_edge_load, active)
+        | Trace.Round_tick { messages; max_edge_load; active; _ } ->
+          Some (messages, max_edge_load, active)
         | _ -> None)
       (Trace.events tr)
   in
   Alcotest.(check int) "one tick per round" 5 (List.length ticks);
   Alcotest.(check int) "tick messages sum = messages_sent" (Network.messages_sent net)
-    (List.fold_left (fun acc (m, _, _, _) -> acc + m) 0 ticks);
-  Alcotest.(check int) "tick words sum = messages_sent" (Network.messages_sent net)
-    (List.fold_left (fun acc (_, w, _, _) -> acc + w) 0 ticks);
+    (List.fold_left (fun acc (m, _, _) -> acc + m) 0 ticks);
   (* every vertex of the cycle sends both ways, every round *)
   List.iter
-    (fun (_, _, load, active) ->
+    (fun (_, load, active) ->
       Alcotest.(check int) "all vertices active" 16 active;
       Alcotest.(check int) "undirected edges carry both directions" 2 load)
     ticks
 
-(* messages_sent and the traced per-round word counts both count
+(* messages_sent and the traced per-round message counts both count
    delivered messages, one word each *)
 let test_delivered_words_fault_aware () =
   let g = Gen.cycle 12 in
@@ -242,12 +238,13 @@ let test_delivered_words_fault_aware () =
     Rounds.attach_trace ledger (Some tr);
     let net = Network.create ?faults g ledger in
     flood net g 4;
-    let words =
+    let messages =
       List.fold_left
-        (fun acc -> function Trace.Round_tick { words; _ } -> acc + words | _ -> acc)
+        (fun acc -> function Trace.Round_tick { messages; _ } -> acc + messages | _ -> acc)
         0 (Trace.events tr)
     in
-    Alcotest.(check int) "tick words sum = messages_sent" (Network.messages_sent net) words;
+    Alcotest.(check int) "tick messages sum = messages_sent" (Network.messages_sent net)
+      messages;
     (net, faults)
   in
   let clean, _ = run None in
@@ -354,10 +351,10 @@ let test_jsonl_sink_roundtrip () =
         | Trace.Span_close { id; name; rounds; wall_ns } ->
           Printf.sprintf {|{"ev":"span-close","id":%d,"name":"%s","rounds":%d,"wall-ns":%d}|}
             id name rounds wall_ns
-        | Trace.Round_tick { round; messages; words; max_edge_load; active } ->
+        | Trace.Round_tick { round; messages; max_edge_load; active } ->
           Printf.sprintf
-            {|{"ev":"round","round":%d,"messages":%d,"words":%d,"max-edge-load":%d,"active":%d}|}
-            round messages words max_edge_load active
+            {|{"ev":"round","round":%d,"messages":%d,"max-edge-load":%d,"active":%d}|}
+            round messages max_edge_load active
         | Trace.Fault _ | Trace.Retry _ -> Alcotest.fail "no faults or retries in this run"
       in
       Alcotest.(check (list string)) "sink and ring agree" (List.map render (Trace.events tr))

@@ -156,7 +156,7 @@ let test_total_rounds_overflow_clamp () =
 
 let prop_all_delivered =
   QCheck.Test.make ~name:"token router delivers every request" ~count:15
-    QCheck.(pair (int_range 16 64) (int_bound 10_000))
+    QCheck.(pair (Reference.int_range 16 64) (int_bound 10_000))
     (fun (n, seed) ->
       let n = if n mod 2 = 1 then n + 1 else n in
       let g = expander seed n 4 in

@@ -257,7 +257,7 @@ let random_multigraph rng =
    non-decreasing volumes with zero-volume prefixes and runs of ties *)
 let prop_j_sequence_matches_search =
   QCheck.Test.make ~name:"j-sequence = binary-search reference" ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 64))
+    QCheck.(pair (int_bound 1_000_000) (Reference.int_range 1 64))
     (fun (seed, inv_phi) ->
       let rng = Rng.create seed in
       let params = mk_params (1.0 /. float_of_int (12 + inv_phi)) 1000 in
@@ -321,7 +321,7 @@ let prop_participating_edges_match_reference =
 
 let prop_overlap_matches_reference =
   QCheck.Test.make ~name:"overlap & union = reference" ~count:60
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 40))
+    QCheck.(pair (int_bound 1_000_000) (Reference.int_range 1 40))
     (fun (seed, k) ->
       let rng = Rng.create seed in
       let g = random_multigraph rng in
@@ -1018,7 +1018,7 @@ let test_dsmp_baseline_runs () =
 
 let prop_nibble_output_is_sparse =
   QCheck.Test.make ~name:"non-empty nibble output obeys C.1/C.1-star" ~count:25
-    QCheck.(pair (int_range 10 40) (int_bound 10_000))
+    QCheck.(pair (Reference.int_range 10 40) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.15) in

@@ -221,7 +221,7 @@ let prop_step_matches_reference =
 
 let prop_truncated_walk_matches_reference =
   QCheck.Test.make ~name:"truncated_walk = Hashtbl reference" ~count:100
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 20))
+    QCheck.(pair (int_bound 1_000_000) (Reference.int_range 1 20))
     (fun (seed, steps) ->
       let g, _, _ = random_instance seed in
       let src = seed mod Graph.num_vertices g in
@@ -239,7 +239,7 @@ let prop_truncated_walk_matches_reference =
    a mask note of every stepped support, bit for bit over k steps. *)
 let prop_walker_matches_reference =
   QCheck.Test.make ~name:"walker = reference step + L1 + support mask, bit for bit" ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 16))
+    QCheck.(pair (int_bound 1_000_000) (Reference.int_range 1 16))
     (fun (seed, steps) ->
       let g, start, eps = random_instance seed in
       let n = Graph.num_vertices g and view = View.make g in
@@ -273,7 +273,7 @@ let same_sparse (p : Walk.sparse) (q : Walk.sparse) =
    pull, partial supports and the fallback to two advances. *)
 let prop_advance_pair_matches_advance =
   QCheck.Test.make ~name:"advance_pair = two advances, bit for bit" ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 8))
+    QCheck.(pair (int_bound 1_000_000) (Reference.int_range 1 8))
     (fun (seed, steps) ->
       let g, _, _ = random_instance seed in
       let rng = Rng.create (seed + 1) in
@@ -778,7 +778,7 @@ let test_exact_too_large () =
 
 let prop_mass_conserved_sparse =
   QCheck.Test.make ~name:"sparse step conserves mass (no truncation)" ~count:60
-    QCheck.(pair (int_range 3 25) (int_bound 10_000))
+    QCheck.(pair (Reference.int_range 3 25) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.2) in

@@ -78,7 +78,7 @@ let test_edge_pred_split () =
 (* The tuple implementation the packed-id code replaced, kept as a
    test-only reference: outputs and the [iter] call sequence must match
    it exactly. *)
-module Reference = struct
+module Tuple_reference = struct
   let rank g v = (Graph.plain_degree g v, v)
 
   let forward_lists g =
@@ -158,11 +158,11 @@ let prop_exact_matches_reference =
     (fun seed ->
       let g, pred = random_instance seed in
       let n = Graph.num_vertices g in
-      let all = Reference.enumerate g in
-      let hit = Reference.triangles_with_edge_pred g pred in
-      calls Exact.iter g = calls Reference.iter g
+      let all = Tuple_reference.enumerate g in
+      let hit = Tuple_reference.triangles_with_edge_pred g pred in
+      calls Exact.iter g = calls Tuple_reference.iter g
       && Exact.enumerate g = all
-      && Exact.count g = Reference.count g
+      && Exact.count g = Tuple_reference.count g
       && Exact.triangles_of_ids ~n (Exact.triangle_ids g) = all
       && Exact.triangles_of_ids ~n (Exact.triangle_ids_with_edge_pred g pred) = hit)
 
@@ -198,10 +198,10 @@ let prop_dense_ids_match_reference =
     (fun seed ->
       let g, pred = simple_instance seed in
       let n = Graph.num_vertices g in
-      Exact.triangles_of_ids ~n (Exact.triangle_ids g) = Reference.enumerate g
+      Exact.triangles_of_ids ~n (Exact.triangle_ids g) = Tuple_reference.enumerate g
       && Exact.triangles_of_ids ~n (Exact.triangle_ids_with_edge_pred g pred)
-         = Reference.triangles_with_edge_pred g pred
-      && Exact.count g = Reference.count g)
+         = Tuple_reference.triangles_with_edge_pred g pred
+      && Exact.count g = Tuple_reference.count g)
 
 (* the instances above reach both paths, and G(128, 1/2), the
    benchmark's graph, takes the bit rows *)
@@ -509,7 +509,7 @@ let test_run_verified_validation () =
 
 let prop_enum_complete =
   QCheck.Test.make ~name:"expander enumeration = ground truth" ~count:6
-    QCheck.(pair (int_range 20 60) (int_bound 10_000))
+    QCheck.(pair (Reference.int_range 20 60) (int_bound 10_000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let g = Gen.connectivize rng (Gen.gnp rng ~n ~p:0.3) in

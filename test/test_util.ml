@@ -161,7 +161,7 @@ let test_uf_transitivity_prop =
    entries after the count stay as they were. *)
 let prop_stamped_sort =
   QCheck.Test.make ~name:"stamped sort = Array.sort" ~count:500
-    QCheck.(triple (int_range 1 300) (int_bound 4) small_nat)
+    QCheck.(triple (Reference.int_range 1 300) (int_bound 4) small_nat)
     (fun (n, shape, seed) ->
       let rng = Rng.create seed in
       let dense_from = (n + 7) / 8 in
