@@ -37,6 +37,9 @@ let wants name = !only = [] || List.mem name !only
 
 let fi = float_of_int
 
+(* the fraction [x] as a percentage, "12.50%" *)
+let fmt_pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
+
 (* snapshot collection: every table printed and every note emitted by a
    section is also captured for the --json export *)
 let sections_acc : Snap.section list ref = ref []
@@ -44,10 +47,8 @@ let cur_tables : Snap.table list ref = ref []
 let cur_notes : string list ref = ref []
 
 let out_table t =
-  print_string (Table.render t);
-  cur_tables :=
-    Snap.table ~title:(Table.title t) ~headers:(Table.headers t) (Table.rows t)
-    :: !cur_tables
+  print_string (Snap.render t);
+  cur_tables := t :: !cur_tables
 
 let note fmt =
   Printf.ksprintf
@@ -77,7 +78,7 @@ let section name title f =
 
 let e1_ldd () =
   let t =
-    Table.create ~title:"LDD: diameter O(log^2 n / b^2), cut <= 3*beta*m (Theorem 4)"
+    Snap.create ~title:"LDD: diameter O(log^2 n / b^2), cut <= 3*beta*m (Theorem 4)"
       [ "graph"; "n"; "beta"; "seed"; "parts"; "max-diam"; "bound"; "cut%"; "budget%";
         "P[fail]"; "rounds" ]
   in
@@ -103,12 +104,12 @@ let e1_ldd () =
             List.fold_left (fun acc p -> max acc (Array.length p - 1)) 0 r.X.Ldd.parts
           in
           let bound = X.Ldd.diameter_bound ~n ~beta in
-          Table.add_row t
+          Snap.add_row t
             [ name; string_of_int n; Printf.sprintf "%.2f" beta; string_of_int seed;
               string_of_int (List.length r.X.Ldd.parts);
               string_of_int max_diam; string_of_int bound;
-              Table.fmt_pct (fi (List.length r.X.Ldd.cut_edges) /. fi m);
-              Table.fmt_pct (3.0 *. beta);
+              fmt_pct (fi (List.length r.X.Ldd.cut_edges) /. fi m);
+              fmt_pct (3.0 *. beta);
               Printf.sprintf "%.1e"
                 (X.Ldd.failure_probability ~m ~beta ~k_ln:(5.0 *. log (fi n)));
               string_of_int r.X.Ldd.rounds ])
@@ -122,7 +123,7 @@ let e1_ldd () =
 
 let e2_sparsecut () =
   let t =
-    Table.create
+    Snap.create
       ~title:
         "Sparse cut: bal(C) >= min(b/2, 1/48), Phi(C) = O(phi^{1/3} log^{5/3} n) (Theorem 3)"
       [ "graph"; "planted-b"; "bal(C)"; "bal-floor"; "Phi(C)"; "h(phi)"; "rounds" ]
@@ -142,7 +143,7 @@ let e2_sparsecut () =
       let params = X.Nibble_params.make ~phi ~m:(X.Graph.num_edges g) () in
       let r = X.Sparse_cut.run params g (X.Rng.create 17) in
       let floor_b = Float.min (planted_b /. 2.0) (1.0 /. 48.0) in
-      Table.add_row t
+      Snap.add_row t
         [ name;
           Printf.sprintf "%.3f" planted_b;
           Printf.sprintf "%.3f" r.X.Sparse_cut.balance;
@@ -161,7 +162,7 @@ let e2_sparsecut () =
 
 let e3_baselines () =
   let t =
-    Table.create
+    Snap.create
       ~title:"Sparse cut baselines: prior algorithms lack the balance guarantee"
       [ "graph"; "algorithm"; "Phi(C)"; "bal(C)"; "rounds" ]
   in
@@ -189,14 +190,14 @@ let e3_baselines () =
     (fun (name, g) ->
       let params = X.Nibble_params.make ~phi ~m:(X.Graph.num_edges g) () in
       let part = X.Sparse_cut.run params g (X.Rng.create 23) in
-      Table.add_row t
+      Snap.add_row t
         [ name; "partition (Thm 3)";
           Printf.sprintf "%.4f" part.X.Sparse_cut.conductance;
           Printf.sprintf "%.3f" part.X.Sparse_cut.balance;
           string_of_int part.X.Sparse_cut.rounds ];
       (match X.Cut_baselines.spectral g (X.Rng.create 29) with
       | Some c ->
-        Table.add_row t
+        Snap.add_row t
           [ ""; "spectral sweep";
             Printf.sprintf "%.4f" c.X.Cut_baselines.conductance;
             Printf.sprintf "%.3f" c.X.Cut_baselines.balance;
@@ -204,7 +205,7 @@ let e3_baselines () =
       | None -> ());
       (match X.Cut_baselines.dsmp g (X.Rng.create 31) with
       | Some c ->
-        Table.add_row t
+        Snap.add_row t
           [ ""; "DSMP random walk";
             Printf.sprintf "%.4f" c.X.Cut_baselines.conductance;
             Printf.sprintf "%.3f" c.X.Cut_baselines.balance;
@@ -221,7 +222,7 @@ let e3_baselines () =
       done;
       match X.Pagerank_cut.run g ~src:!src with
       | Some c ->
-        Table.add_row t
+        Snap.add_row t
           [ ""; "ACL PageRank push";
             Printf.sprintf "%.4f" c.X.Pagerank_cut.conductance;
             Printf.sprintf "%.3f" c.X.Pagerank_cut.balance;
@@ -236,7 +237,7 @@ let e3_baselines () =
 
 let e4_decomp_quality () =
   let t =
-    Table.create ~title:"Expander decomposition quality (Theorem 1 guarantees, measured)"
+    Snap.create ~title:"Expander decomposition quality (Theorem 1 guarantees, measured)"
       [ "graph"; "n"; "m"; "eps"; "parts"; "removed%"; "minPhi>="; "phi-target"; "ok" ]
   in
   let rng = X.Rng.create 13 in
@@ -255,13 +256,13 @@ let e4_decomp_quality () =
     (fun (name, g, eps) ->
       let r = X.decompose ~epsilon:eps ~k:2 g ~seed:3 in
       let report = X.Decomposition_verify.check g r (X.Rng.create 4) in
-      Table.add_row t
+      Snap.add_row t
         [ name;
           string_of_int (X.Graph.num_vertices g);
           string_of_int (X.Graph.num_edges g);
           Printf.sprintf "%.3f" eps;
           string_of_int (List.length r.X.Decomposition.parts);
-          Table.fmt_pct r.X.Decomposition.edge_fraction_removed;
+          fmt_pct r.X.Decomposition.edge_fraction_removed;
           (if Float.is_finite report.X.Decomposition_verify.min_conductance_lower then
              Printf.sprintf "%.4f" report.X.Decomposition_verify.min_conductance_lower
            else "inf");
@@ -305,7 +306,7 @@ let e5_decomp_rounds () =
      paper's Open Problems section concedes, so their n-slope is
      reported for context rather than as the headline. *)
   let t =
-    Table.create ~title:"Decomposition scaling in n and k (Theorem 1 / Lemma 2)"
+    Snap.create ~title:"Decomposition scaling in n and k (Theorem 1 / Lemma 2)"
       [ "n"; "m"; "k"; "tau"; "iter-cap=2tau*k"; "phase2-iters"; "partition-calls";
         "parts"; "rounds"; "msgs"; "words" ]
   in
@@ -328,7 +329,7 @@ let e5_decomp_rounds () =
           let iters = r.X.Decomposition.stats.X.Decomposition.phase2_max_iterations in
           if iters > cap then incr cap_violations;
           Hashtbl.replace per_k k ((fi n, fi rounds) :: (try Hashtbl.find per_k k with Not_found -> []));
-          Table.add_row t
+          Snap.add_row t
             [ string_of_int n;
               string_of_int (X.Graph.num_edges g);
               string_of_int k;
@@ -362,7 +363,7 @@ let e5_decomp_rounds () =
 
 let e6_vs_cpz () =
   let t =
-    Table.create
+    Snap.create
       ~title:"This paper vs CPZ'19: no low-arboricity leftover part (Section 1.1)"
       [ "graph"; "algorithm"; "parts"; "leftover-n"; "leftover-m%"; "leftover-arboricity";
         "removed%" ]
@@ -378,19 +379,19 @@ let e6_vs_cpz () =
   List.iter
     (fun (name, g) ->
       let ours = X.decompose ~epsilon:(1.0 /. 6.0) ~k:2 g ~seed:5 in
-      Table.add_row t
+      Snap.add_row t
         [ name; "this paper";
           string_of_int (List.length ours.X.Decomposition.parts);
           "0"; "0.00%"; "-";
-          Table.fmt_pct ours.X.Decomposition.edge_fraction_removed ];
+          fmt_pct ours.X.Decomposition.edge_fraction_removed ];
       let cpz = X.Cpz_baseline.run ~delta:0.35 ~epsilon:(1.0 /. 6.0) g (X.Rng.create 6) in
-      Table.add_row t
+      Snap.add_row t
         [ ""; "CPZ'19 (delta=0.35)";
           string_of_int (List.length cpz.X.Cpz_baseline.parts);
           string_of_int (Array.length cpz.X.Cpz_baseline.leftover);
-          Table.fmt_pct cpz.X.Cpz_baseline.leftover_edge_fraction;
+          fmt_pct cpz.X.Cpz_baseline.leftover_edge_fraction;
           string_of_int cpz.X.Cpz_baseline.leftover_arboricity;
-          Table.fmt_pct cpz.X.Cpz_baseline.removed_edge_fraction ])
+          fmt_pct cpz.X.Cpz_baseline.removed_edge_fraction ])
     graphs;
   out_table t
 
@@ -400,7 +401,7 @@ let e6_vs_cpz () =
 
 let e7_triangles () =
   let t =
-    Table.create
+    Snap.create
       ~title:
         "Triangle enumeration on G(n, 1/2) (the lower-bound family): rounds vs baselines \
          (Theorem 2)"
@@ -420,7 +421,7 @@ let e7_triangles () =
       in
       pts_inst := (fi n, fi max_inst) :: !pts_inst;
       let dlp = X.Triangle_dlp.run g in
-      Table.add_row t
+      Snap.add_row t
         [ string_of_int n;
           string_of_int (X.Graph.num_edges g);
           string_of_int (List.length r.X.Triangle_enum.triangles);
@@ -447,7 +448,7 @@ let e7_triangles () =
 
 let e8_routing () =
   let t =
-    Table.create ~title:"GKS routing structure: preprocessing vs query trade-off in k"
+    Snap.create ~title:"GKS routing structure: preprocessing vs query trade-off in k"
       [ "n"; "k"; "beta=m^{1/k}"; "tau-mix"; "preprocess"; "query"; "break-even-queries" ]
   in
   let rng = X.Rng.create 51 in
@@ -470,7 +471,7 @@ let e8_routing () =
             ((h1.X.Routing.preprocess_rounds - h.X.Routing.preprocess_rounds)
             / max 1 (h.X.Routing.query_rounds - h1.X.Routing.query_rounds))
       in
-      Table.add_row t
+      Snap.add_row t
         [ string_of_int n;
           string_of_int h.X.Routing.k;
           Printf.sprintf "%.1f" h.X.Routing.beta;
@@ -496,7 +497,7 @@ let e9_ablations () =
   (* (a) Phase-2 level count k, on a Phase-2-heavy family (warted
      expander) and a Phase-1-heavy one (SBM) *)
   let t =
-    Table.create ~title:"Ablation: Phase-2 level count k (rounds vs conductance ladder depth)"
+    Snap.create ~title:"Ablation: Phase-2 level count k (rounds vs conductance ladder depth)"
       [ "family"; "k"; "rounds"; "parts"; "removed%"; "phase2-comps"; "phase2-iters";
         "partition-calls" ]
   in
@@ -507,12 +508,12 @@ let e9_ablations () =
         (fun k ->
           let eps = if fname = "warted" then 0.5 else 0.3 in
           let r = X.decompose ~epsilon:eps ~k g ~seed:62 in
-          Table.add_row t
+          Snap.add_row t
             [ fname;
               string_of_int k;
               string_of_int r.X.Decomposition.stats.X.Decomposition.rounds;
               string_of_int (List.length r.X.Decomposition.parts);
-              Table.fmt_pct r.X.Decomposition.edge_fraction_removed;
+              fmt_pct r.X.Decomposition.edge_fraction_removed;
               string_of_int r.X.Decomposition.stats.X.Decomposition.phase2_components;
               string_of_int r.X.Decomposition.stats.X.Decomposition.phase2_max_iterations;
               string_of_int r.X.Decomposition.stats.X.Decomposition.partition_calls ])
@@ -522,7 +523,7 @@ let e9_ablations () =
   (* (b) sweep stride: every-step (the paper) vs strided checks, on an
      instance whose cut is discovered late in the walk *)
   let t2 =
-    Table.create ~title:"Ablation: sweep-check stride in ApproximateNibble"
+    Snap.create ~title:"Ablation: sweep-check stride in ApproximateNibble"
       [ "stride"; "Phi(C)"; "bal(C)"; "rounds" ]
   in
   let gd = X.Generators.dumbbell (X.Rng.create 63) ~n1:30 ~n2:210 ~d:6 ~bridges:2 in
@@ -533,7 +534,7 @@ let e9_ablations () =
           X.Nibble_params.sweep_stride = stride }
       in
       let r = X.Sparse_cut.run params gd (X.Rng.create 64) in
-      Table.add_row t2
+      Snap.add_row t2
         [ string_of_int stride;
           Printf.sprintf "%.4f" r.X.Sparse_cut.conductance;
           Printf.sprintf "%.3f" r.X.Sparse_cut.balance;
@@ -543,7 +544,7 @@ let e9_ablations () =
   (* (c) ParallelNibble copy count: probability of hitting a 2%-volume
      wart grows with the number of degree-sampled start vertices *)
   let t3 =
-    Table.create
+    Snap.create
       ~title:"Ablation: ParallelNibble copies k (hit rate on a 2%-volume wart, 10 seeds)"
       [ "copies"; "wart-hit-rate"; "avg-max-overlap"; "aborts" ]
   in
@@ -571,7 +572,7 @@ let e9_ablations () =
           && X.Metrics.conductance gw c <= 0.06
         then incr hits
       done;
-      Table.add_row t3
+      Snap.add_row t3
         [ string_of_int k;
           Printf.sprintf "%d/10" !hits;
           Printf.sprintf "%.1f" (fi !overlaps /. 10.0);
@@ -676,7 +677,7 @@ let e10_micro () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~stabilize:false () in
   let raw = Benchmark.all cfg instances test in
   let results = Analyze.merge ols instances [ Analyze.all ols Toolkit.Instance.monotonic_clock raw ] in
-  let t = Table.create ~title:"Micro-benchmarks (monotonic clock, ns/run)" [ "benchmark"; "ns/run" ] in
+  let t = Snap.create ~title:"Micro-benchmarks (monotonic clock, ns/run)" [ "benchmark"; "ns/run" ] in
   Table.iter_sorted ~compare:String.compare
     (fun _clock tbl ->
       Table.iter_sorted ~compare:String.compare
@@ -684,7 +685,7 @@ let e10_micro () =
           let est =
             match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> Float.nan
           in
-          Table.add_row t [ name; Printf.sprintf "%.0f" est ])
+          Snap.add_row t [ name; Printf.sprintf "%.0f" est ])
         tbl)
     results;
   out_table t
@@ -700,7 +701,7 @@ let e11_strawman () =
      time, but its depth grows with the chain length while d stays
      O(eps^-1 log n). *)
   let t =
-    Table.create
+    Snap.create
       ~title:"Strawman recursive decomposition vs Theorem 1 (depth = parallel time proxy)"
       [ "graph"; "algorithm"; "parts"; "depth"; "depth-bound-d"; "removed%" ]
   in
@@ -710,24 +711,24 @@ let e11_strawman () =
       let g = X.Generators.cliques_chain ~cliques ~size:8 in
       let name = Printf.sprintf "cliques-chain %d" cliques in
       let straw = X.Recursive_baseline.run ~phi:(1.0 /. 16.0) g (X.Rng.create 81) in
-      Table.add_row t
+      Snap.add_row t
         [ name; "strawman (spectral recursion)";
           string_of_int (List.length straw.X.Recursive_baseline.parts);
           string_of_int straw.X.Recursive_baseline.recursion_depth;
           "-";
-          Table.fmt_pct straw.X.Recursive_baseline.edge_fraction_removed ];
+          fmt_pct straw.X.Recursive_baseline.edge_fraction_removed ];
       let ours = X.decompose ~epsilon:0.3 ~k:2 g ~seed:82 in
-      Table.add_row t
+      Snap.add_row t
         [ ""; "Theorem 1 driver";
           string_of_int (List.length ours.X.Decomposition.parts);
           string_of_int ours.X.Decomposition.stats.X.Decomposition.phase1_depth;
           string_of_int ours.X.Decomposition.schedule.X.Schedule.d;
-          Table.fmt_pct ours.X.Decomposition.edge_fraction_removed ])
+          fmt_pct ours.X.Decomposition.edge_fraction_removed ])
     chains;
   out_table t;
   (* (b) sequential Spielman-Teng Partition vs the parallelized one *)
   let t2 =
-    Table.create
+    Snap.create
       ~title:"Sequential ST Partition (summed rounds) vs parallelized Partition (Appendix A.4)"
       [ "graph"; "algorithm"; "Phi(C)"; "bal(C)"; "rounds"; "nibbles/iters" ]
   in
@@ -740,14 +741,14 @@ let e11_strawman () =
     (fun (name, g) ->
       let params = X.Nibble_params.make ~phi:(1.0 /. 16.0) ~m:(X.Graph.num_edges g) () in
       let seq = X.Sparse_cut_sequential.run params g (X.Rng.create 84) in
-      Table.add_row t2
+      Snap.add_row t2
         [ name; "sequential ST";
           Printf.sprintf "%.4f" seq.X.Sparse_cut_sequential.conductance;
           Printf.sprintf "%.3f" seq.X.Sparse_cut_sequential.balance;
           string_of_int seq.X.Sparse_cut_sequential.rounds;
           string_of_int seq.X.Sparse_cut_sequential.nibbles ];
       let par = X.Sparse_cut.run params g (X.Rng.create 84) in
-      Table.add_row t2
+      Snap.add_row t2
         [ ""; "parallelized (Thm 3)";
           Printf.sprintf "%.4f" par.X.Sparse_cut.conductance;
           Printf.sprintf "%.3f" par.X.Sparse_cut.balance;
@@ -762,7 +763,7 @@ let e11_strawman () =
 
 let e12_mixing () =
   let t =
-    Table.create
+    Snap.create
       ~title:"Jerrum-Sinclair: Theta(1/Phi) <= tau_mix <= Theta(log n / Phi^2) (Section 1)"
       [ "graph"; "n"; "Phi (spectral lb)"; "tau-mix"; "1/Phi"; "log n/Phi^2" ]
   in
@@ -781,7 +782,7 @@ let e12_mixing () =
       (* the lazy gap is a lower bound on Phi (Cheeger) *)
       let phi = Float.max 1e-6 gap in
       let tau = X.Mixing.mixing_time ~max_steps:(64 * n) g (X.Rng.create 93) in
-      Table.add_row t
+      Snap.add_row t
         [ name;
           string_of_int n;
           Printf.sprintf "%.4f" phi;
@@ -800,7 +801,7 @@ let e13_faults () =
   let g = sbm_family (X.Rng.create 131) ~n in
   (* --- reliable BFS / leader election under message loss --- *)
   let t =
-    Table.create
+    Snap.create
       ~title:
         (Printf.sprintf
            "Reliable delivery on a lossy SBM (n=%d): rounds/messages vs fault-free"
@@ -842,7 +843,7 @@ let e13_faults () =
         (fun p ->
           let r, m, drops, dups, correct = run_protocol proto p in
           (* one word per message: the words column repeats msgs *)
-          Table.add_row t
+          Snap.add_row t
             [ name; Printf.sprintf "%.2f" p; Printf.sprintf "%.3f" (p /. 2.0);
               string_of_int r; string_of_int m; string_of_int m;
               string_of_int drops; string_of_int dups;
@@ -854,7 +855,7 @@ let e13_faults () =
   out_table t;
   (* --- Las Vegas retry wrappers: pay rounds until self-certified --- *)
   let t2 =
-    Table.create
+    Snap.create
       ~title:"Las Vegas wrappers: attempts until Verify accepts, rounds summed over retries"
       [ "algorithm"; "graph"; "n"; "attempts"; "rounds-total"; "retry-ovh"; "certified" ]
   in
@@ -871,7 +872,7 @@ let e13_faults () =
     let counts (v : _ X.Rounds.verified) =
       [ string_of_int v.X.Rounds.attempts; string_of_int v.X.Rounds.rounds_total ]
     in
-    Table.add_row t2
+    Snap.add_row t2
       (match outcome with
       | Ok v ->
         head @ counts v
@@ -914,7 +915,7 @@ let e14_throughput () =
   let reps = if !quick then 2 else 3 in
   let g = X.Generators.cycle n in
   let t =
-    Table.create
+    Snap.create
       ~title:
         (Printf.sprintf
            "Kernel throughput: BFS flood on cycle n=%d (best of %d runs after warm-up)"
@@ -949,7 +950,7 @@ let e14_throughput () =
     end
   done;
   let secs = fi !best_ns /. 1e9 in
-  Table.add_row t
+  Snap.add_row t
     [ "cursor"; string_of_int !rounds; string_of_int !msgs;
       Printf.sprintf "%.2f" (secs *. 1e3);
       Printf.sprintf "%.0f" (fi !rounds /. secs);

@@ -7,7 +7,7 @@
      ldd         run the low-diameter decomposition (Theorem 4)
      triangles   enumerate triangles via expander decomposition (Theorem 2)
      faults      reliable BFS/leader election on a lossy network
-     throughput  the cursor kernel's rounds/s on a BFS flood
+     conformance the kernel protocols under two schedules (race detector)
 
    decompose, sparse-cut and triangles take --trace [--jsonl PATH]:
    after their normal output they print the profile of the same run.
@@ -373,38 +373,6 @@ let faults_cmd =
       const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
       $ degree_t $ drop_t $ dup_t $ fault_seed_t $ retries_t)
 
-let throughput_cmd =
-  let run family file n seed p parts p_in p_out degree =
-    let g = graph_of family file n seed p parts p_in p_out degree in
-    describe g;
-    let truth = X.Metrics.bfs_distances g 0 in
-    (* the [Primitives.bfs] flood, timed on a warm arena *)
-    let net = X.Network.create g (X.Rounds.create ()) in
-    let bfs = X.Primitives.bfs g ~root:(X.Vertex.local 0) in
-    let flood () =
-      X.Network.run_active net ~label:"throughput" ~init:bfs.X.Conformance.init
-        ~step:bfs.X.Conformance.step ()
-    in
-    let states, _ = flood () in
-    if Array.map (fun st -> st.X.Primitives.dist) states <> truth then
-      failwith "throughput: wrong BFS result";
-    let t0 = X.Clock.now_ns () in
-    let _, rounds = flood () in
-    let t1 = X.Clock.now_ns () in
-    let secs = float_of_int (t1 - t0) /. 1e9 in
-    Printf.printf "cursor rounds=%-6d ms=%-10.2f rounds/s=%.0f\n" rounds (secs *. 1e3)
-      (float_of_int rounds /. secs)
-  in
-  Cmd.v
-    (Cmd.info "throughput"
-       ~doc:
-         "Time the kernel on the BFS flood over the chosen graph. Try \
-          $(b,--family cycle -n 10000): the frontier is O(1) per round, so \
-          the active-set worklist does O(1) work per round.")
-    Term.(
-      const run $ family_t $ file_t $ n_t $ seed_t $ p_t $ parts_t $ p_in_t $ p_out_t
-      $ degree_t)
-
 let conformance_cmd =
   let demo_race_t =
     Arg.(
@@ -494,4 +462,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; decompose_cmd; sparse_cut_cmd; ldd_cmd; triangles_cmd;
-            faults_cmd; throughput_cmd; conformance_cmd ]))
+            faults_cmd; conformance_cmd ]))

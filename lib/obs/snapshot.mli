@@ -1,8 +1,8 @@
-(** Machine-readable benchmark snapshots.
+(** Benchmark tables, as aligned text and as one JSON snapshot.
 
-    The bench harness renders every section as aligned text tables for
-    humans; this module captures the same rows as one JSON document so
-    the perf trajectory can be tracked across PRs (CI uploads the
+    The bench harness builds every table once: {!render} prints it for
+    humans, and {!write} records the same rows as one JSON document so
+    the perf trajectory can be tracked from run to run (CI uploads the
     snapshot of every run as an artifact).
 
     Schema, version ["dexpander-bench/1"], keys always in this order:
@@ -21,18 +21,26 @@
     v}
 
     Every row of a table has exactly as many cells as the table has
-    headers (short rows are padded with [""] at construction), and all
-    cells are the strings the text renderer printed — a snapshot is a
+    headers (short rows are padded with [""] as they are added), and
+    all cells are the strings {!render} prints — a snapshot is a
     faithful transcript of the human-readable output. The test suite
-    pins the exact text {!write} produces. *)
+    pins the exact text {!render} and {!write} produce. *)
 
-type table = { title : string; headers : string list; rows : string list list }
+type table
 type section = { id : string; title : string; tables : table list; notes : string list }
 
-(** [table ~title ~headers rows] builds a table, padding every short
-    row with empty cells to the header arity.
-    Raises [Invalid_argument] if a row is longer than [headers]. *)
-val table : title:string -> headers:string list -> string list list -> table
+(** [create ~title headers] starts a table with no rows. *)
+val create : title:string -> string list -> table
+
+(** [add_row t cells] appends a row, padding it with empty cells to
+    the header arity.
+    Raises [Invalid_argument] if [cells] is longer than the headers. *)
+val add_row : table -> string list -> unit
+
+(** [render t] is the aligned text rendering: the title, the headers,
+    a rule, then the rows in the order they were added, columns
+    separated by two spaces. *)
+val render : table -> string
 
 (** [write ~path ~mode sections] writes the document (plus a trailing
     newline) to [path]. *)

@@ -1,7 +1,4 @@
-(** Aligned plain-text tables for the benchmark harness, plus the
-    sorted hashtable iteration helpers mandated by lint rule D001. *)
-
-(** {1 Deterministic hashtable iteration}
+(** Deterministic hashtable iteration, mandated by lint rule D001.
 
     [Hashtbl.iter]/[Hashtbl.fold] visit bindings in hash-bucket order,
     which depends on the table's insertion history — two tables with
@@ -21,27 +18,3 @@ val iter_sorted : compare:('a -> 'a -> int) -> ('a -> 'b -> unit) -> ('a, 'b) Ha
     key order. *)
 val fold_sorted :
   compare:('a -> 'a -> int) -> ('a -> 'b -> 'c -> 'c) -> ('a, 'b) Hashtbl.t -> 'c -> 'c
-
-(** {1 Aligned text tables} *)
-
-type t
-
-(** [create ~title headers] starts a table. *)
-val create : title:string -> string list -> t
-
-(** [add_row t cells] appends a row; short rows are padded. *)
-val add_row : t -> string list -> unit
-
-(** Accessors (the bench snapshot exporter reads tables back). *)
-
-val title : t -> string
-val headers : t -> string list
-
-(** [rows t] is every row added so far, in insertion order. *)
-val rows : t -> string list list
-
-(** [render t] is the aligned textual rendering (with title and rule). *)
-val render : t -> string
-
-(** [fmt_pct x] renders the fraction [x] as a percentage, ["12.50%"]. *)
-val fmt_pct : float -> string

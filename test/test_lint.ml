@@ -1,9 +1,9 @@
 (* Tests for the dex_lint engine: every rule fires on a violating
-   probe, path scoping exempts the sanctioned locations, the
-   suppression pragma behaves as documented, and the driver refuses a
-   missing or stale build. Each probe is compiled with
-   `ocamlc -bin-annot` and linted from its .cmt/.cmti under a fake
-   path, so the path-scoping logic itself is under test. *)
+   probe, path scoping exempts the sanctioned locations and nothing
+   else does, and Cli.run refuses a missing or stale build. Each
+   probe is compiled with `ocamlc -bin-annot` and linted from its
+   .cmt/.cmti under a fake path, so the path-scoping logic itself is
+   under test. *)
 
 module Lint = Dex_lint_core.Lint
 module Typed = Dex_lint_core.Typed_lint
@@ -59,7 +59,7 @@ let lint ?(path = "lib/congest/fixture.ml") ?all_rules src =
       let cmt =
         Cmt_format.read_cmt (Filename.concat dir (Filename.remove_extension file ^ ext))
       in
-      Typed.lint_unit ?all_rules ~path ~src (Typed.unit_of_cmt ~rel:file cmt))
+      Typed.lint_unit ?all_rules ~path (Typed.unit_of_cmt ~rel:file cmt))
 
 let mli ?(path = "lib/congest/fixture.mli") = lint ~path
 
@@ -265,6 +265,24 @@ let test_scope_d002_rng_exempt () =
   check_rules "rng.ml exempt" [] (lint ~path:"lib/util/rng.ml" src);
   check_rules "elsewhere fires" [ "D002" ] (lint ~path:"lib/util/other.ml" src)
 
+let test_scope_d001_table_exempt () =
+  let src = "let f tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []" in
+  check_rules "table.ml exempt" [] (lint ~path:"lib/util/table.ml" src);
+  check_rules "elsewhere in lib/util fires" [ "D001" ] (lint ~path:"lib/util/other.ml" src);
+  check_rules "bench fires" [ "D001" ] (lint ~path:"bench/main.ml" src)
+
+(* a rule's scope is its only exemption: the comments that were once
+   suppression pragmas, well-formed, silence nothing *)
+let test_allow_comment_silences_nothing () =
+  check_rules "line before" [ "D002" ]
+    (lint
+       "(* dex-lint: allow D002 test needs ambient randomness *)\n\
+        let f () = Random.int 3");
+  check_rules "same line" [ "D002" ]
+    (lint "let f () = Random.int 3 (* dex-lint: allow D002 inline reason *)");
+  check_rules "C003 in an .mli" [ "C003" ]
+    (mli "(* dex-lint: allow C003 staged migration *)\nval bfs : root:int -> unit")
+
 let test_scope_d004_obs_and_bench_exempt () =
   let src = "let f () = Unix.gettimeofday ()" in
   check_rules "lib/obs exempt" [] (lint ~path:"lib/obs/clock.ml" src);
@@ -282,44 +300,6 @@ let test_all_rules_overrides_scope () =
   check_rules "scoped off" [] (lint ~path:"whatever.ml" src);
   check_rules "--all-rules on" [ "D003" ]
     (lint ~all_rules:true ~path:"whatever.ml" src)
-
-(* ---------- suppression pragmas ---------- *)
-
-let test_suppression_same_and_next_line () =
-  check_rules "next line" []
-    (lint
-       "(* dex-lint: allow D002 test needs ambient randomness *)\n\
-        let f () = Random.int 3");
-  check_rules "same line" []
-    (lint
-       "let f () = Random.int 3 (* dex-lint: allow D002 inline reason *)")
-
-let test_suppression_is_rule_specific () =
-  check_rules "other rule still fires" [ "D003" ]
-    (lint
-       "(* dex-lint: allow D002 wrong rule *)\n\
-        let f () = failwith \"x\"")
-
-(* the reasonless pragmas below are spliced so linting this file does
-   not trip over the literals *)
-let reasonless rule = "(* dex-lint: " ^ "allow " ^ rule ^ " *)\n"
-
-let test_suppression_requires_reason () =
-  check_rules "inert pragma: D000 + the finding" [ "D000"; "D002" ]
-    (lint (reasonless "D002" ^ "let f () = Random.int 3"))
-
-(* regression: interfaces used to drop malformed pragmas, and to skip
-   them entirely outside the C003 scope *)
-let test_malformed_pragma_in_mli () =
-  let src = reasonless "C003" ^ "val bfs : root:int -> unit" in
-  check_rules "C003 scope: D000 + the finding" [ "D000"; "C003" ] (mli src);
-  check_rules "outside the C003 scope: D000" [ "D000" ]
-    (mli ~path:"lib/graph/fixture.mli" src)
-
-let test_suppression_does_not_leak () =
-  check_rules "two lines below: fires" [ "D002" ]
-    (lint
-       "(* dex-lint: allow D002 reason *)\nlet a = 1\nlet f () = Random.int 3")
 
 (* ---------- driver behavior ---------- *)
 
@@ -376,22 +356,11 @@ let test_c003_vertex_params () =
     (mli (vertex_decl ^ "val bfs : root:Vertex.local -> unit"));
   check_rules "unlabelled ints untouched" [] (mli "val degree : int -> int")
 
-let test_c003_scoping_and_pragma () =
+let test_c003_scoping () =
   check_rules "outside the protocol layers" []
     (mli ~path:"lib/graph/fixture.mli" "val bfs : root:int -> unit");
   check_rules "--all-rules overrides the scope" [ "C003" ]
-    (mli ~path:"lib/graph/fixture.mli" ~all_rules:true "val bfs : root:int -> unit");
-  check_rules "pragma suppresses" []
-    (mli "(* dex-lint: allow C003 staged migration *)\nval bfs : root:int -> unit")
-
-let test_c_rule_pragma_scan () =
-  let p =
-    Lint.scan_pragmas ~path:"x.mli"
-      "(* dex-lint: allow C003 staged migration *)\nval bfs : root:int -> unit"
-  in
-  Alcotest.(check bool) "C-rule pragma covers its line and the next" true
-    (Hashtbl.mem p.Lint.allowed (1, "C003") && Hashtbl.mem p.Lint.allowed (2, "C003"));
-  Alcotest.(check int) "well-formed" 0 (List.length p.Lint.malformed)
+    (mli ~path:"lib/graph/fixture.mli" ~all_rules:true "val bfs : root:int -> unit")
 
 (* ---------- C004: which references keep an export alive ---------- *)
 
@@ -490,17 +459,13 @@ let () =
         [ Alcotest.test_case "D003 protocol layers" `Quick
             test_scope_d003_only_protocol_layers;
           Alcotest.test_case "D002 rng exempt" `Quick test_scope_d002_rng_exempt;
+          Alcotest.test_case "D001 table exempt" `Quick test_scope_d001_table_exempt;
           Alcotest.test_case "D004 obs/bench exempt" `Quick
             test_scope_d004_obs_and_bench_exempt;
           Alcotest.test_case "absolute paths" `Quick test_scope_absolute_paths;
-          Alcotest.test_case "--all-rules" `Quick test_all_rules_overrides_scope ] );
-      ( "suppressions",
-        [ Alcotest.test_case "same and next line" `Quick
-            test_suppression_same_and_next_line;
-          Alcotest.test_case "rule specific" `Quick test_suppression_is_rule_specific;
-          Alcotest.test_case "reason required" `Quick test_suppression_requires_reason;
-          Alcotest.test_case "reason required in .mli" `Quick test_malformed_pragma_in_mli;
-          Alcotest.test_case "no leak" `Quick test_suppression_does_not_leak ] );
+          Alcotest.test_case "--all-rules" `Quick test_all_rules_overrides_scope;
+          Alcotest.test_case "an allow comment silences nothing" `Quick
+            test_allow_comment_silences_nothing ] );
       ( "driver",
         [ Alcotest.test_case "missing or stale cmt" `Quick test_missing_or_stale_cmt;
           Alcotest.test_case "sorted findings" `Quick
@@ -509,9 +474,7 @@ let () =
           Alcotest.test_case "rule table" `Quick test_rule_table_complete ] );
       ( "typed",
         [ Alcotest.test_case "C003 vertex params" `Quick test_c003_vertex_params;
-          Alcotest.test_case "C003 scoping & pragma" `Quick
-            test_c003_scoping_and_pragma;
-          Alcotest.test_case "C-rule pragmas scan" `Quick test_c_rule_pragma_scan;
+          Alcotest.test_case "C003 scoping" `Quick test_c003_scoping;
           Alcotest.test_case "C004 ignores tests and fixtures" `Quick test_c004_ignores_tests;
           Alcotest.test_case "unit name splitting" `Quick test_unit_name_splitting;
           Alcotest.test_case "dune (libraries ...) parsing" `Quick

@@ -360,14 +360,39 @@ let test_jsonl_sink_roundtrip () =
       Alcotest.(check (list string)) "sink and ring agree" (List.map render (Trace.events tr))
         lines)
 
+(* ---------- bench tables ---------- *)
+
+let table ~title headers rows =
+  let t = Snapshot.create ~title headers in
+  List.iter (Snapshot.add_row t) rows;
+  t
+
+let test_table_render () =
+  let s = Snapshot.render (table ~title:"demo" [ "a"; "bb" ] [ [ "1"; "2" ]; [ "333" ] ]) in
+  Alcotest.(check bool) "has title" true
+    (String.length s > 0 && String.sub s 0 3 = "== ");
+  Alcotest.(check bool) "rows kept in order" true
+    (let i1 = String.index s '1' and i3 = String.index s '3' in
+     i1 < i3)
+
+(* columns padded to their widest cell, two spaces apart; a short row
+   is padded with empty cells *)
+let test_table_formats () =
+  Alcotest.(check string) "exact text"
+    "== demo ==\n\
+     a    bb\n\
+     ---  --\n\
+     1    2 \n\
+     333    \n"
+    (Snapshot.render (table ~title:"demo" [ "a"; "bb" ] [ [ "1"; "2" ]; [ "333" ] ]))
+
 (* ---------- bench snapshot schema ---------- *)
 
 let sample_sections () =
   [ { Snapshot.id = "e1";
       title = "sample";
       tables =
-        [ Snapshot.table ~title:"t" ~headers:[ "n"; "m"; "rounds" ]
-            [ [ "8"; "12"; "40" ]; [ "16" ] ] ];
+        [ table ~title:"t" [ "n"; "m"; "rounds" ] [ [ "8"; "12"; "40" ]; [ "16" ] ] ];
       notes = [ "a note" ] } ]
 
 (* the document Snapshot.write puts in a file, without its newline *)
@@ -392,7 +417,7 @@ let test_snapshot_valid () =
     sample_sections ()
     @ [ { Snapshot.id = "e2";
           title = "second";
-          tables = [ Snapshot.table ~title:"u" ~headers:[ "k" ] [ [ "1" ] ] ];
+          tables = [ table ~title:"u" [ "k" ] [ [ "1" ] ] ];
           notes = [] } ]
   in
   Alcotest.(check string) "exact document"
@@ -403,11 +428,11 @@ let test_snapshot_valid () =
      ^ {|"notes":[]}]}|})
     (written sections)
 
-(* a row wider than the header list is rejected at construction *)
+(* a row wider than the header list is rejected as it is added *)
 let test_snapshot_invalid () =
-  match Snapshot.table ~title:"t" ~headers:[ "a" ] [ [ "1"; "2" ] ] with
+  match table ~title:"t" [ "a" ] [ [ "1"; "2" ] ] with
   | exception Invalid_argument msg ->
-    Alcotest.(check string) "message" {|Snapshot.table: row of 2 cells in a 1-column table "t"|} msg
+    Alcotest.(check string) "message" {|Snapshot.add_row: row of 2 cells in a 1-column table "t"|} msg
   | _ -> Alcotest.fail "accepted a row wider than the headers"
 
 let () =
@@ -434,6 +459,9 @@ let () =
       ( "retries",
         [ Alcotest.test_case "las vegas retry events" `Quick test_retry_events;
           Alcotest.test_case "triangle attempt spans" `Quick test_triangle_attempt_spans ] );
+      ( "table",
+        [ Alcotest.test_case "render" `Quick test_table_render;
+          Alcotest.test_case "formats" `Quick test_table_formats ] );
       ( "snapshot",
         [ Alcotest.test_case "valid document" `Quick test_snapshot_valid;
           Alcotest.test_case "schema id embedded" `Quick test_snapshot_version_embedded;

@@ -1,10 +1,9 @@
 (* Unit and property tests for Dex_util: Rng, Stats, Union_find,
-   Stamped, Table, and Lemma 13's tail bound (Ldd.failure_probability). *)
+   Stamped, and Lemma 13's tail bound (Ldd.failure_probability). *)
 
 module Rng = Dex_util.Rng
 module Stats = Dex_util.Stats
 module Uf = Dex_util.Union_find
-module Table = Dex_util.Table
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -224,23 +223,6 @@ let test_ldd_certificate () =
   Alcotest.check_raises "bad beta" (Invalid_argument "Ldd.failure_probability: beta in (0,1)")
     (fun () -> ignore (ldd_bound ~m:10 ~beta:2.0 ~k_ln:5.0))
 
-(* ---------- Table ---------- *)
-
-let test_table_render () =
-  let t = Table.create ~title:"demo" [ "a"; "bb" ] in
-  Table.add_row t [ "1"; "2" ];
-  Table.add_row t [ "333" ];
-  let s = Table.render t in
-  Alcotest.(check bool) "has title" true
-    (String.length s > 0 && String.sub s 0 3 = "== ");
-  Alcotest.(check bool) "rows kept in order" true
-    (let i1 = String.index s '1' and i3 = String.index s '3' in
-     i1 < i3)
-
-let test_table_formats () =
-  Alcotest.(check string) "pct" "12.50%" (Table.fmt_pct 0.125);
-  Alcotest.(check string) "zero" "0.00%" (Table.fmt_pct 0.0)
-
 let () =
   Alcotest.run "util"
     [ ( "rng",
@@ -263,7 +245,4 @@ let () =
       ( "tail-bounds",
         [ Alcotest.test_case "monotonicity" `Quick test_tail_bounds_monotone;
           Alcotest.test_case "closed forms" `Quick test_tail_bounds_values;
-          Alcotest.test_case "LDD certificate" `Quick test_ldd_certificate ] );
-      ( "table",
-        [ Alcotest.test_case "render" `Quick test_table_render;
-          Alcotest.test_case "formats" `Quick test_table_formats ] ) ]
+          Alcotest.test_case "LDD certificate" `Quick test_ldd_certificate ] ) ]

@@ -6,14 +6,13 @@
    missing cmt root, a source with no .cmt/.cmti, or one compiled from
    different text is an error, never a silently clean lint.
 
-   Exit status: 0 clean, 1 unsuppressed findings, 2 build/IO errors. *)
+   Exit status: 0 clean, 1 findings, 2 build/IO errors. *)
 
 type opts = {
   json : bool;
   all_rules : bool;
   cmt_root : string;
   source_root : string;
-  graph_json : string option;
   dead_scope : string list;
   include_fixtures : bool;
   targets : string list;
@@ -24,7 +23,6 @@ let default_opts =
     all_rules = false;
     cmt_root = "_build/default";
     source_root = ".";
-    graph_json = None;
     dead_scope = [ "lib" ];
     include_fixtures = false;
     targets = [] }
@@ -119,29 +117,19 @@ let run opts =
         match find_unit index path with
         | None -> add_error path "no .cmt/.cmti for this source; run `dune build @check`"
         | Some u ->
-          let src = Typed_lint.read_file path in
-          if u.digest <> Some (Digest.string src) then
+          if u.digest <> Some (Digest.string (Typed_lint.read_file path)) then
             add_error path
               "stale .cmt/.cmti: the source changed since it was compiled; \
                run `dune build @check`"
-          else add_findings (Typed_lint.lint_unit ~all_rules:opts.all_rules ~path ~src u))
+          else add_findings (Typed_lint.lint_unit ~all_rules:opts.all_rules ~path u))
       files;
-    (* whole-program rules (C004, C005): no pragma silences them *)
+    (* whole-program rules (C004, C005) *)
     let db = Typed_lint.build_ref_db impls in
     Typed_lint.dead_exports ~scope:opts.dead_scope
       ~include_fixtures:opts.include_fixtures db intfs
     |> List.filter (fun (f : Lint.finding) -> under_targets opts.targets f.file)
     |> add_findings;
     Typed_lint.layering ~source_root:opts.source_root db impls |> add_findings;
-    (match opts.graph_json with
-     | Some path ->
-       let oc = open_out path in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           output_string oc (Dex_obs.Json.to_string (Typed_lint.graph_to_json db impls));
-           output_char oc '\n')
-     | None -> ());
     let findings = List.sort Lint.by_position !findings in
     if opts.json then
       print_endline

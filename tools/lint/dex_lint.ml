@@ -7,13 +7,13 @@
    reference graph). It reads the .cmt/.cmti files of a
    completed `dune build @check`.
 
-   Exit status: 0 clean, 1 unsuppressed findings, 2 build/IO errors. *)
+   Exit status: 0 clean, 1 findings, 2 build/IO errors. *)
 
 module Cli = Dex_lint_core.Cli
 
 let usage =
   "dex_lint [--json] [--all-rules] [--cmt-root DIR] [--source-root DIR] \
-   [--graph-json FILE] [--dead-scope DIR] [--include-fixtures] [--list-rules] \
+   [--dead-scope DIR] [--include-fixtures] [--list-rules] \
    <file-or-dir>..."
 
 let opts = ref Cli.default_opts
@@ -32,9 +32,6 @@ let spec =
     ( "--source-root",
       Arg.String (fun d -> opts := { !opts with Cli.source_root = d }),
       "DIR root the .cmt source paths are relative to (default .)" );
-    ( "--graph-json",
-      Arg.String (fun f -> opts := { !opts with Cli.graph_json = Some f }),
-      "FILE write the module reference graph as JSON" );
     ( "--dead-scope",
       Arg.String
         (fun d ->

@@ -1,5 +1,5 @@
 (* [used] is referenced by Fx_c004_user; [never_used] must fail C004,
-   and so must [pardoned]: no pragma silences a whole-program rule *)
+   and so must [pardoned]: no comment silences any rule *)
 
 val used : int
 val never_used : int

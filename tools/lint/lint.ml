@@ -1,6 +1,7 @@
-(* dex_lint shared core: the rule table, path scoping, suppression
-   pragmas and report output. The rules themselves run on the typed
-   AST (see Typed_lint and DESIGN.md §9).
+(* dex_lint shared core: the rule table, path scoping and report
+   output. The rules themselves run on the typed AST (see Typed_lint
+   and DESIGN.md §9). A rule's path scope is its only exemption: no
+   comment in a source silences a finding.
 
    The D-rules target the failure modes that break
    schedule-permutation reproducibility (see Dex_congest.Conformance):
@@ -132,7 +133,9 @@ let rule_applies ~all_rules segs rule =
   all_rules
   ||
   match rule with
-  | "D001" -> gated segs
+  | "D001" ->
+    (* table.ml is the sorted-iteration helper D001 points to *)
+    gated segs && segs <> [ "lib"; "util"; "table.ml" ]
   | "D002" -> gated segs && segs <> [ "lib"; "util"; "rng.ml" ]
   | "D003" ->
     under_any [ [ "lib"; "congest" ]; [ "lib"; "routing" ]; [ "lib"; "expander" ] ] segs
@@ -144,89 +147,6 @@ let rule_applies ~all_rules segs rule =
   | "D009" -> not (List.mem segs unchecked_kernels)
   | "C003" -> under_any [ [ "lib"; "congest" ]; [ "lib"; "ldd" ]; [ "lib"; "expander" ] ] segs
   | _ -> false
-
-(* ---------------- suppression pragmas ---------------- *)
-
-(* An allow pragma — the marker below followed by a rule id and a
-   reason, inside a comment — suppresses that rule on its own line and
-   the next one. Only the per-source rules (D-rules, C003) honour it;
-   the whole-program C004 and C005 do not. The reason is mandatory: a pragma without one is
-   inert and reported as a malformed-pragma finding (D000), so
-   suppressions stay auditable. The marker is spliced from two
-   literals so the scanner does not match its own definition. *)
-let pragma_marker = "dex-lint: " ^ "allow"
-
-let find_sub hay needle from =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  if nn = 0 then None else go from
-
-type pragmas = {
-  allowed : (int * string, unit) Hashtbl.t; (* (line, rule) *)
-  malformed : finding list;
-}
-
-let scan_pragmas ~path src =
-  let allowed = Hashtbl.create 8 in
-  let malformed = ref [] in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i line ->
-      let lnum = i + 1 in
-      match find_sub line pragma_marker 0 with
-      | None -> ()
-      | Some j ->
-        let rest = String.sub line (j + String.length pragma_marker)
-            (String.length line - j - String.length pragma_marker) in
-        let rest = String.trim rest in
-        let rule, reason =
-          match String.index_opt rest ' ' with
-          | Some k ->
-            (String.sub rest 0 k,
-             String.sub rest (k + 1) (String.length rest - k - 1))
-          | None -> (rest, "")
-        in
-        let reason =
-          (* the pragma sits inside a comment; drop the closer *)
-          match find_sub reason "*)" 0 with
-          | Some k -> String.trim (String.sub reason 0 k)
-          | None -> String.trim reason
-        in
-        let rule = match find_sub rule "*)" 0 with
-          | Some k -> String.sub rule 0 k
-          | None -> rule
-        in
-        let well_formed_rule =
-          String.length rule = 4
-          && rule.[0] >= 'A' && rule.[0] <= 'Z'
-          && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub rule 1 3)
-        in
-        if well_formed_rule && reason <> "" then begin
-          Hashtbl.replace allowed (lnum, rule) ();
-          Hashtbl.replace allowed (lnum + 1, rule) ()
-        end
-        else
-          malformed :=
-            { rule = "D000";
-              file = path;
-              line = lnum;
-              col = j;
-              message =
-                Printf.sprintf
-                  "malformed suppression pragma: expected (* %s <rule> \
-                   <reason> *) with a non-empty reason"
-                  pragma_marker }
-            :: !malformed)
-    lines;
-  { allowed; malformed = List.rev !malformed }
-
-(* the findings [pragmas] does not silence *)
-let unsuppressed pragmas findings =
-  List.filter (fun f -> not (Hashtbl.mem pragmas.allowed (f.line, f.rule))) findings
 
 let by_position a b = compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule)
 

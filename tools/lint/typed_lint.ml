@@ -19,17 +19,14 @@
    in protocol-layer interfaces; use the phantom `Vertex.local`/`orig`.
 
    X-rules — the .cmts of the whole build yield a unit-level reference
-   graph (exported as JSON). C004 reports `.mli` exports no program
+   graph. C004 reports `.mli` exports no program
    unit references: a reference from a test/ unit keeps nothing alive,
    and one from a lint fixture only another fixture's export. C005
    reports references against the layer order and dune library
    dependencies no unit of the library uses.
 
-   A per-source finding can be suppressed with an allow pragma naming
-   the rule and a reason (see [Lint.scan_pragmas]); an X-rule finding
-   cannot. *)
-
-module Json = Dex_obs.Json
+   Every rule is exempted by its path scope ([Lint.rule_applies]) and
+   by nothing else: no comment silences a finding. *)
 
 type finding = Lint.finding = {
   rule : string;
@@ -365,19 +362,16 @@ let c003 ~file sg =
 (* ================= per-source entry point ========================= *)
 
 (* Every rule scoped to one source file, on its compiled unit [u]: the
-   D-rules on an implementation, C003 on an interface. [src] is
-   the file's text: its pragmas silence findings, and each malformed
-   pragma is a D000 finding. *)
-let lint_unit ?(all_rules = false) ~path ~src u =
+   D-rules on an implementation, C003 on an interface. *)
+let lint_unit ?(all_rules = false) ~path u =
   let on = Lint.rule_applies ~all_rules (Lint.rel_segments path) in
-  let raw =
+  let findings =
     match u.annots with
     | Cmt_format.Implementation str -> d_rules ~on ~file:path u str
     | Cmt_format.Interface sg when on "C003" -> c003 ~file:path sg
     | _ -> []
   in
-  let pragmas = Lint.scan_pragmas ~path src in
-  List.sort Lint.by_position (pragmas.malformed @ Lint.unsuppressed pragmas raw)
+  List.sort Lint.by_position findings
 
 (* ================= X-rules: reference graph ======================= *)
 
@@ -573,9 +567,19 @@ let layer_ranks =
 
 let rank lib = List.assoc_opt lib layer_ranks
 
+(* the first index of [needle] in [hay] *)
+let find_sub hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i =
+    if i + nn > nh then None
+    else if String.sub hay i nn = needle then Some i
+    else go (i + 1)
+  in
+  go 0
+
 (* minimal dune-file reader: the library names inside "(libraries ...)" *)
 let declared_libraries dune_src =
-  match Lint.find_sub dune_src "(libraries" 0 with
+  match find_sub dune_src "(libraries" with
   | None -> []
   | Some i ->
     let start = i + String.length "(libraries" in
@@ -675,45 +679,3 @@ let layering ~source_root db impls =
         here)
     lib_dirs;
   List.rev !findings
-
-(* ---- reference graph as JSON (for the obs layer / CI artifact) ---- *)
-
-let graph_to_json db impls =
-  let nodes =
-    List.map
-      (fun u ->
-        Json.Obj
-          [ ("unit", Json.String u.canon);
-            ( "lib",
-              match u.lib with Some l -> Json.String l | None -> Json.Null );
-            ("dir", Json.String u.dir);
-            ( "source",
-              match u.source with Some s -> Json.String s | None -> Json.Null )
-          ])
-      impls
-  in
-  let edges =
-    List.sort_uniq compare
-      (List.map (fun (a, b, _) -> (a, b)) db.value_refs)
-  in
-  Json.Obj
-    [ ("tool", Json.String "dex_lint_typed");
-      ("units", Json.List nodes);
-      ( "edges",
-        Json.List
-          (List.map
-             (fun (a, b) ->
-               Json.Obj
-                 [ ("from", Json.String a); ("to", Json.String b) ])
-             edges) );
-      ( "value_refs",
-        Json.List
-          (List.filter_map
-             (fun (a, b, m) ->
-               if m = "" then None
-               else
-                 Some
-                   (Json.Obj
-                      [ ("from", Json.String a); ("to", Json.String b);
-                        ("value", Json.String m) ]))
-             (List.sort_uniq compare db.value_refs)) ) ]
