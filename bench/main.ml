@@ -26,7 +26,6 @@
    writes the machine-readable snapshot (schema: DESIGN.md §8). *)
 
 module X = Dexpander
-module Table = X.Table
 module Snap = X.Bench_snapshot
 
 let quick = ref false
@@ -676,18 +675,17 @@ let e10_micro () =
   let quota = Time.second (if !quick then 0.25 else 0.5) in
   let cfg = Benchmark.cfg ~limit:2000 ~quota ~stabilize:false () in
   let raw = Benchmark.all cfg instances test in
-  let results = Analyze.merge ols instances [ Analyze.all ols Toolkit.Instance.monotonic_clock raw ] in
+  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let t = Snap.create ~title:"Micro-benchmarks (monotonic clock, ns/run)" [ "benchmark"; "ns/run" ] in
-  Table.iter_sorted ~compare:String.compare
-    (fun _clock tbl ->
-      Table.iter_sorted ~compare:String.compare
-        (fun name ols ->
-          let est =
-            match Analyze.OLS.estimates ols with Some [ e ] -> e | _ -> Float.nan
-          in
-          Snap.add_row t [ name; Printf.sprintf "%.0f" est ])
-        tbl)
-    results;
+  List.iter
+    (fun name ->
+      let est =
+        match Analyze.OLS.estimates (Hashtbl.find results name) with
+        | Some [ e ] -> e
+        | _ -> Float.nan
+      in
+      Snap.add_row t [ name; Printf.sprintf "%.0f" est ])
+    (List.sort String.compare (Test.names test));
   out_table t
 
 (* ------------------------------------------------------------------ *)

@@ -17,7 +17,6 @@
 
 module Rng = Dex_util.Rng
 module Stats = Dex_util.Stats
-module Table = Dex_util.Table
 module Invariant = Dex_util.Invariant
 module Graph = Dex_graph.Graph
 module Vertex = Dex_graph.Vertex

@@ -58,29 +58,47 @@ let balance g s =
     float_of_int (Int.min vol_s (total - vol_s)) /. float_of_int total
   end
 
+(* the one breadth-first search of lib/graph and lib/ldd; see the .mli *)
+let bfs ?mask ?label g ~dist ~queue ~sources ~limit =
+  let tail = ref 0 in
+  for i = 0 to sources - 1 do
+    let s = queue.(i) in
+    if dist.(s) = max_int && (match mask with None -> true | Some m -> m.(s)) then begin
+      dist.(s) <- 0;
+      queue.(!tail) <- s;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let dv = dist.(v) in
+    if dv < limit then begin
+      let a = Graph.neighbors g v in
+      for i = 0 to Array.length a - 1 do
+        let u = a.(i) in
+        if dist.(u) = max_int && (match mask with None -> true | Some m -> m.(u)) then begin
+          dist.(u) <- dv + 1;
+          (match label with None -> () | Some l -> l.(u) <- l.(v));
+          queue.(!tail) <- u;
+          incr tail
+        end
+      done
+    end
+  done;
+  !tail
+
 let connected_components g =
   let n = Graph.num_vertices g in
-  let seen = Array.make n false in
+  let dist = Array.make n max_int in
   let queue = Array.make n 0 in
   let comps = ref [] in
   for src = 0 to n - 1 do
-    if not seen.(src) then begin
-      seen.(src) <- true;
+    if dist.(src) = max_int then begin
       queue.(0) <- src;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let a = Graph.neighbors g queue.(!head) in
-        incr head;
-        for i = 0 to Array.length a - 1 do
-          let u = a.(i) in
-          if not seen.(u) then begin
-            seen.(u) <- true;
-            queue.(!tail) <- u;
-            incr tail
-          end
-        done
-      done;
-      let arr = Array.sub queue 0 !tail in
+      let k = bfs g ~dist ~queue ~sources:1 ~limit:max_int in
+      let arr = Array.sub queue 0 k in
       Array.sort Int.compare arr;
       comps := arr :: !comps
     end
@@ -90,37 +108,13 @@ let connected_components g =
 let is_connected g =
   match connected_components g with [] | [ _ ] -> true | _ -> false
 
-let bfs_multi_distances g srcs =
+let bfs_distances g src =
   let n = Graph.num_vertices g in
   let dist = Array.make n max_int in
-  (* each vertex enters the queue once, when its distance is set *)
   let queue = Array.make n 0 in
-  let tail = ref 0 in
-  Array.iter
-    (fun s ->
-      if dist.(s) = max_int then begin
-        dist.(s) <- 0;
-        queue.(!tail) <- s;
-        incr tail
-      end)
-    srcs;
-  let head = ref 0 in
-  while !head < !tail do
-    let v = queue.(!head) in
-    incr head;
-    let a = Graph.neighbors g v in
-    for i = 0 to Array.length a - 1 do
-      let u = a.(i) in
-      if dist.(u) = max_int then begin
-        dist.(u) <- dist.(v) + 1;
-        queue.(!tail) <- u;
-        incr tail
-      end
-    done
-  done;
+  queue.(0) <- src;
+  ignore (bfs g ~dist ~queue ~sources:1 ~limit:max_int : int);
   dist
-
-let bfs_distances g src = bfs_multi_distances g [| src |]
 
 let eccentricity g v =
   let dist = bfs_distances g v in

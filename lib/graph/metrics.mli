@@ -32,6 +32,28 @@ val balance : Graph.t -> int array -> float
 
 (** {1 Connectivity and distances} *)
 
+(** [bfs ?mask ?label g ~dist ~queue ~sources ~limit] is the one
+    breadth-first search of [lib/graph] and [lib/ldd]: a search from
+    the [sources] vertices [queue.(0 .. sources - 1)] at once (a
+    repeated source enters once). It enters a vertex [v] only when
+    [dist.(v) = max_int] and, given [mask], [mask.(v)] holds, and it
+    expands only entered vertices at distance below [limit]. An
+    entered vertex gets its hop distance in [dist] and, given [label],
+    the label of the vertex it was entered from; sources keep the
+    labels the caller set. It returns the number [k] of vertices
+    entered: [queue.(0 .. k - 1)] lists them in visit order, by
+    nondecreasing distance, so a caller reads or resets exactly those.
+    [dist] and [queue] are the caller's scratch, each at least n long. *)
+val bfs :
+  ?mask:bool array ->
+  ?label:int array ->
+  Graph.t ->
+  dist:int array ->
+  queue:int array ->
+  sources:int ->
+  limit:int ->
+  int
+
 (** [connected_components g] lists components as sorted vertex arrays,
     largest first. *)
 val connected_components : Graph.t -> int array list

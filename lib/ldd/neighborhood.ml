@@ -1,54 +1,47 @@
 module Graph = Dex_graph.Graph
 module Metrics = Dex_graph.Metrics
 
-let ball_edge_count g ~d v =
-  if d < 0 then invalid_arg "Neighborhood.ball_edge_count: negative radius";
-  (* depth-bounded BFS collecting the ball, then count internal edges;
-     self-loops of ball members count as edges of the ball *)
-  let dist = Hashtbl.create 64 in
-  Hashtbl.replace dist v 0;
-  let queue = Queue.create () in
-  Queue.add v queue;
-  while not (Queue.is_empty queue) do
-    let x = Queue.take queue in
-    let dx = Hashtbl.find dist x in
-    if dx < d then
-      Graph.iter_neighbors g x (fun y ->
-          if not (Hashtbl.mem dist y) then begin
-            Hashtbl.replace dist y (dx + 1);
-            Queue.add y queue
-          end)
-  done;
-  let count = ref 0 in
-  Dex_util.Table.iter_sorted ~compare:Int.compare
-    (fun x _ ->
-      count := !count + Graph.self_loops g x;
-      Graph.iter_neighbors g x (fun y ->
-          if (y > x || (y = x)) && Hashtbl.mem dist y then incr count))
-    dist;
-  !count
-
 let all_ball_edge_counts g ~d =
+  if d < 0 then invalid_arg "Neighborhood.all_ball_edge_counts: negative radius";
   let n = Graph.num_vertices g in
-  let out = Array.make n 0 in
-  let comps = Metrics.connected_components g in
-  List.iter
-    (fun comp ->
-      (* total edges inside the component *)
-      let mask = Metrics.mask_of g comp in
-      let total = ref 0 in
-      Graph.iter_edges g (fun u v -> if mask.(u) && (u = v || mask.(v)) then incr total);
+  let out = Array.make n (-1) in
+  let dist = Array.make n max_int in
+  let queue = Array.make n 0 in
+  (* the edges inside the ball of radius [limit] around [v]: a search
+     from [v], then its entered vertices' edges, whose distances it
+     resets; self-loops of ball members count as edges of the ball.
+     [entered] and [farthest] keep the search's size and last depth. *)
+  let entered = ref 0 and farthest = ref 0 in
+  let ball ~limit v =
+    queue.(0) <- v;
+    let k = Metrics.bfs g ~dist ~queue ~sources:1 ~limit in
+    entered := k;
+    farthest := dist.(queue.(k - 1));
+    let count = ref 0 in
+    for i = 0 to k - 1 do
+      let x = queue.(i) in
+      count := !count + Graph.self_loops g x;
+      let a = Graph.neighbors g x in
+      for j = 0 to Array.length a - 1 do
+        if a.(j) > x && dist.(a.(j)) <> max_int then incr count
+      done
+    done;
+    for i = 0 to k - 1 do
+      dist.(queue.(i)) <- max_int
+    done;
+    !count
+  in
+  (* a vertex not yet counted is the least of its component; the
+     unbounded ball around it is the component *)
+  for v = 0 to n - 1 do
+    if out.(v) < 0 then begin
+      let total = ball ~limit:max_int v in
+      let comp = Array.sub queue 0 !entered in
       (* if the radius covers the component, every ball is the component *)
-      let representative = comp.(0) in
-      let ecc =
-        let dist = Metrics.bfs_distances g representative in
-        Array.fold_left
-          (fun acc v -> max acc (if dist.(v) = max_int then 0 else dist.(v)))
-          0 (Array.init (Array.length comp) (fun i -> comp.(i)))
-      in
-      if d >= 2 * ecc then Array.iter (fun v -> out.(v) <- !total) comp
-      else Array.iter (fun v -> out.(v) <- ball_edge_count g ~d v) comp)
-    comps;
+      if d >= 2 * !farthest then Array.iter (fun u -> out.(u) <- total) comp
+      else Array.iter (fun u -> out.(u) <- ball ~limit:d u) comp
+    end
+  done;
   out
 
 let lemma16_rounds ~n ~d ~f =

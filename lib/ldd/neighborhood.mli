@@ -12,7 +12,8 @@
 (** [all_ball_edge_counts g ~d] is \|E(N^d(v))\| for every vertex
     [v], each computed exactly by a depth-bounded BFS from [v]. When
     [d] is at least the component's diameter the component total is
-    reused without per-vertex BFS. *)
+    reused without per-vertex BFS. Raises [Invalid_argument] when [d]
+    is negative. *)
 val all_ball_edge_counts : Dex_graph.Graph.t -> d:int -> int array
 
 (** [lemma16_rounds ~n ~d ~f] is the round charge of the distributed

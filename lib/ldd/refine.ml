@@ -10,42 +10,6 @@ type t = {
   rounds : int;
 }
 
-(* multi-source BFS restricted to depth [limit]; returns (dist, label)
-   where label is the source-set label of the nearest source. Each
-   vertex enters [queue] (n ints of scratch) at most once. *)
-let labeled_bfs g queue sources labels ~limit =
-  let n = Graph.num_vertices g in
-  let dist = Array.make n max_int in
-  let label = Array.make n (-1) in
-  let tail = ref 0 in
-  for i = 0 to Array.length sources - 1 do
-    let v = sources.(i) in
-    if dist.(v) <> 0 then begin
-      dist.(v) <- 0;
-      label.(v) <- labels.(i);
-      queue.(!tail) <- v;
-      incr tail
-    end
-  done;
-  let head = ref 0 in
-  while !head < !tail do
-    let v = queue.(!head) in
-    incr head;
-    if dist.(v) < limit then begin
-      let a = Graph.neighbors g v in
-      for i = 0 to Array.length a - 1 do
-        let u = a.(i) in
-        if dist.(u) = max_int then begin
-          dist.(u) <- dist.(v) + 1;
-          label.(u) <- label.(v);
-          queue.(!tail) <- u;
-          incr tail
-        end
-      done
-    end
-  done;
-  (dist, label)
-
 (* the radius constants of a = ⌈ka·ln n/β⌉ and b = ⌈kb·ln n/β⌉: the
    paper's ka = 5 and kb = K = 5 *)
 let ka = 5.0
@@ -69,20 +33,44 @@ let run g ~beta =
        either side; prefer V'_S so the clustering cuts materialize.
        V'_D members then satisfy near > far/b ≥ far/2b as required. *)
     let in_vd_aux = Array.init n (fun v -> b * near.(v) > far.(v)) in
-    (* W_0 = radius-a ball around V'_D *)
-    let vd_aux = Metrics.vertices_of_mask in_vd_aux in
     let in_w = Array.make n false in
+    (* the searches' scratch: each search leaves [dist] at max_int again
+       by resetting the vertices it entered *)
+    let dist = Array.make n max_int in
     let queue = Array.make n 0 in
-    if Array.length vd_aux > 0 then begin
-      let dist0, _ =
-        labeled_bfs g queue vd_aux (Array.make (Array.length vd_aux) 0) ~limit:a
-      in
-      Array.iteri (fun v d -> if d <> max_int && d <= a then in_w.(v) <- true) dist0
-    end;
+    let reset k =
+      for i = 0 to k - 1 do
+        dist.(queue.(i)) <- max_int
+      done
+    in
+    (* the vertices of [vs] that [keep] admits become the sources
+       queue.(0 .. k - 1); returns k *)
+    let sources keep vs =
+      Array.fold_left
+        (fun k v ->
+          if keep v then begin
+            queue.(k) <- v;
+            k + 1
+          end
+          else k)
+        0 vs
+    in
+    let all _ = true in
+    (* W grows by the radius-a ball around queue.(0 .. sources - 1) *)
+    let inflate sources =
+      let k = Metrics.bfs g ~dist ~queue ~sources ~limit:a in
+      for i = 0 to k - 1 do
+        in_w.(queue.(i)) <- true
+      done;
+      reset k
+    in
+    (* W_0 = radius-a ball around V'_D *)
+    inflate (sources all (Metrics.vertices_of_mask in_vd_aux));
     rounds := !rounds + a;
     (* grow W: merge components within distance a, inflate by radius a *)
     let iterations = ref 0 in
     let stable = ref false in
+    let w_mask = Some in_w in
     while not !stable do
       incr iterations;
       let w = Metrics.vertices_of_mask in_w in
@@ -91,40 +79,31 @@ let run g ~beta =
         (* component labels inside W *)
         let comp_of = Array.make n (-1) in
         let comps = ref 0 in
-        for s = 0 to Array.length w - 1 do
-          let src = w.(s) in
-          if comp_of.(src) = -1 then begin
-            let c = !comps in
-            incr comps;
-            comp_of.(src) <- c;
-            queue.(0) <- src;
-            let head = ref 0 and tail = ref 1 in
-            while !head < !tail do
-              let nbrs = Graph.neighbors g queue.(!head) in
-              incr head;
-              for i = 0 to Array.length nbrs - 1 do
-                let u = nbrs.(i) in
-                if in_w.(u) && comp_of.(u) = -1 then begin
-                  comp_of.(u) <- c;
-                  queue.(!tail) <- u;
-                  incr tail
-                end
-              done
-            done
-          end
-        done;
-        let labels = Array.map (fun v -> comp_of.(v)) w in
-        let dist, label = labeled_bfs g queue w labels ~limit:a in
+        Array.iter
+          (fun src ->
+            if comp_of.(src) < 0 then begin
+              queue.(0) <- src;
+              let k = Metrics.bfs ?mask:w_mask g ~dist ~queue ~sources:1 ~limit:max_int in
+              for i = 0 to k - 1 do
+                comp_of.(queue.(i)) <- !comps
+              done;
+              incr comps
+            end)
+          w;
+        Array.iter (fun v -> dist.(v) <- max_int) w;
+        (* the ≤a halo of W, each vertex labelled by the component it
+           was reached from *)
+        let k = Metrics.bfs ~label:comp_of g ~dist ~queue ~sources:(sources all w) ~limit:a in
         (* two components merge when some edge joins their ≤a halos *)
         let uf = Union_find.create !comps in
         let merged_any = ref false in
         Graph.iter_edges g (fun x y ->
             if
-              x <> y && label.(x) >= 0 && label.(y) >= 0
-              && label.(x) <> label.(y)
-              && dist.(x) <> max_int && dist.(y) <> max_int
+              x <> y && comp_of.(x) >= 0 && comp_of.(y) >= 0
+              && comp_of.(x) <> comp_of.(y)
               && dist.(x) + dist.(y) + 1 <= a
-            then if Union_find.union uf label.(x) label.(y) then merged_any := true);
+            then if Union_find.union uf comp_of.(x) comp_of.(y) then merged_any := true);
+        reset k;
         rounds := !rounds + (2 * a);
         if not !merged_any then stable := true
         else begin
@@ -134,14 +113,7 @@ let run g ~beta =
             let r = Union_find.find uf c in
             group_size.(r) <- group_size.(r) + 1
           done;
-          let inflating c = group_size.(Union_find.find uf c) > 1 in
-          let sources = Array.of_list (List.filter (fun v -> inflating comp_of.(v)) (Array.to_list w)) in
-          let dist2, _ =
-            labeled_bfs g queue sources (Array.make (Array.length sources) 0) ~limit:a
-          in
-          Array.iteri
-            (fun v d -> if d <> max_int && d <= a then in_w.(v) <- true)
-            dist2;
+          inflate (sources (fun v -> group_size.(Union_find.find uf comp_of.(v)) > 1) w);
           rounds := !rounds + (2 * a)
         end
       end

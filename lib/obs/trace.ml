@@ -13,6 +13,7 @@ type t = {
   mutable stack : int list;
   mutable next_span : int;
   edge_loads : (int * int, int) Hashtbl.t;
+  mutable edge_keys : (int * int) list; (* [edge_loads]' keys, newest first *)
   mutable messages : int;
   mutable fault_count : int;
   mutable retry_count : int;
@@ -27,6 +28,7 @@ let create ?(capacity = 65536) ?sink () =
     stack = [];
     next_span = 0;
     edge_loads = Hashtbl.create 256;
+    edge_keys = [];
     messages = 0;
     fault_count = 0;
     retry_count = 0 }
@@ -122,18 +124,17 @@ let retry t ~label ~attempt ~certified = emit t (Retry { label; attempt; certifi
 let count_edge t u v ~by =
   if by > 0 then begin
     let e = (min u v, max u v) in
-    let prev = try Hashtbl.find t.edge_loads e with Not_found -> 0 in
-    Hashtbl.replace t.edge_loads e (prev + by)
+    match Hashtbl.find_opt t.edge_loads e with
+    | Some prev -> Hashtbl.replace t.edge_loads e (prev + by)
+    | None ->
+      t.edge_keys <- e :: t.edge_keys;
+      Hashtbl.replace t.edge_loads e by
   end
-
-let compare_edges (a, b) (c, d) = match Int.compare a c with 0 -> Int.compare b d | k -> k
 
 let top_edges t k =
   if k <= 0 then []
   else
-    Dex_util.Table.fold_sorted ~compare:compare_edges
-      (fun e load acc -> (e, load) :: acc)
-      t.edge_loads []
+    List.map (fun e -> (e, Hashtbl.find t.edge_loads e)) t.edge_keys
     |> List.sort (fun (ea, la) (eb, lb) -> if la <> lb then compare lb la else compare ea eb)
     |> List.filteri (fun i _ -> i < k)
 

@@ -18,6 +18,8 @@ let approximate_pagerank g ~src =
   (* accuracy ε = 1/(20·m) *)
   let eps = 1.0 /. (20.0 *. float_of_int m) in
   let p = Hashtbl.create 64 in
+  (* the keys of [p], in no particular order *)
+  let support = ref [] in
   let r = Hashtbl.create 64 in
   Hashtbl.replace r src 1.0;
   let get tbl v = try Hashtbl.find tbl v with Not_found -> 0.0 in
@@ -43,6 +45,7 @@ let approximate_pagerank g ~src =
       incr pushes;
       (* lazy ACL push: p += alpha·r(v); half of the rest stays, half
          spreads over incident edges (self-loops included) *)
+      if not (Hashtbl.mem p v) then support := v :: !support;
       add p v (alpha *. rv);
       let rest = (1.0 -. alpha) *. rv in
       Hashtbl.replace r v (rest /. 2.0);
@@ -58,16 +61,13 @@ let approximate_pagerank g ~src =
       if get r v >= eps *. dv then enqueue v
     end
   done;
-  (p, r, !pushes)
+  (List.map (fun v -> (v, Hashtbl.find p v)) !support, !pushes)
 
 let run g ~src =
-  let p, _r, pushes = approximate_pagerank g ~src in
-  if Hashtbl.length p = 0 then None
+  let p, pushes = approximate_pagerank g ~src in
+  if p = [] then None
   else begin
-    let dist =
-      Dex_spectral.Walk.of_assoc
-        (Dex_util.Table.fold_sorted ~compare:Int.compare (fun v x acc -> (v, x) :: acc) p [])
-    in
+    let dist = Dex_spectral.Walk.of_assoc p in
     let sweep = Sweep.scan g dist in
     match Sweep.best sweep with
     | None -> None
@@ -79,5 +79,5 @@ let run g ~src =
           conductance = sweep.Sweep.conductance.(j - 1);
           balance = Metrics.balance g vertices;
           pushes;
-          support = Hashtbl.length p }
+          support = List.length p }
   end

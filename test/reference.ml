@@ -309,6 +309,37 @@ let with_self_loops g extra =
     (Graph.edges g
     @ List.concat (List.init (Array.length extra) (fun v -> List.init extra.(v) (fun _ -> (v, v)))))
 
+(* Metrics.bfs level by level over lists: level 0 holds the sources in
+   [mask], first occurrence first; below [limit], the next level holds
+   the unreached neighbours in [mask] of the last one, in order, each
+   labelled like the vertex it is first reached from. Returns the
+   distances (max_int off the search), the labels and the visit order. *)
+let bfs g ~mask ~label ~limit sources =
+  let dist = Array.make (Graph.num_vertices g) max_int in
+  let label = Array.copy label in
+  let enter d from u =
+    let fresh = mask.(u) && dist.(u) = max_int in
+    if fresh then begin
+      dist.(u) <- d;
+      Option.iter (fun v -> label.(u) <- label.(v)) from
+    end;
+    fresh
+  in
+  let rec levels d level =
+    if level = [] then []
+    else
+      let next =
+        if d >= limit then []
+        else
+          List.concat_map
+            (fun v -> List.filter (enter (d + 1) (Some v)) (Array.to_list (Graph.neighbors g v)))
+            level
+      in
+      level @ levels (d + 1) next
+  in
+  let order = levels 0 (List.filter (enter 0 None) sources) in
+  (dist, label, order)
+
 (* |E(N^d(v))| by a depth-bounded BFS from [v], self-loops of ball
    members counted: the per-vertex count Neighborhood keeps private *)
 let ball_edge_count g ~d v =
@@ -479,7 +510,11 @@ let of_walk (p : Dex_spectral.Walk.sparse) =
   done;
   t
 
-let iter_ascending f p = Dex_util.Table.iter_sorted ~compare:Int.compare f p
+(* the keys of an int-keyed Hashtbl, ascending: the oracles' one way
+   to iterate a table, whatever its insertion history *)
+let sorted_keys tbl = List.sort_uniq Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+
+let iter_ascending f p = List.iter (fun v -> f v (Hashtbl.find p v)) (sorted_keys p)
 
 let step_sparse g p =
   let q = Hashtbl.create (2 * Hashtbl.length p) in
@@ -529,7 +564,7 @@ let rho g p v =
    [Float.compare]'s total order: NaN equals itself and lies below
    every other value *)
 let order g p =
-  Dex_util.Table.fold_sorted ~compare:Int.compare (fun v mass acc -> (v, mass) :: acc) p []
+  List.map (fun v -> (v, Hashtbl.find p v)) (sorted_keys p)
   |> List.filter (fun (v, _) -> Graph.degree g v > 0)
   |> List.map (fun (v, mass) -> (v, mass /. float_of_int (Graph.degree g v)))
   |> List.sort (fun (v1, r1) (v2, r2) ->

@@ -326,6 +326,39 @@ let prop_components_partition =
       Metrics.check_partition g comps;
       Metrics.inter_component_edges g comps = 0)
 
+(* the one search against its level-by-level reference, on multigraphs
+   with loops and isolated vertices: sources with repeats, with and
+   without a mask and labels, at every limit *)
+let prop_bfs_matches_reference =
+  let search_gen =
+    QCheck.Gen.(
+      let* g = graph_gen in
+      let n = Graph.num_vertices g in
+      let* sources = list_size (int_range 0 n) (int_range 0 (n - 1)) in
+      let* mask = opt (array_repeat n bool) in
+      let* label = opt (array_repeat n (int_range (-1) 5)) in
+      let* limit = oneof [ int_range (-1) (n + 1); return max_int ] in
+      return (g, sources, mask, label, limit))
+  in
+  QCheck.Test.make ~name:"bfs = level-by-level reference" ~count:500 (QCheck.make search_gen)
+    (fun (g, sources, mask, label, limit) ->
+      let n = Graph.num_vertices g in
+      let dist = Array.make n max_int and queue = Array.make n 0 in
+      List.iteri (fun i v -> queue.(i) <- v) sources;
+      let labels = Option.map Array.copy label in
+      let k =
+        Metrics.bfs ?mask ?label:labels g ~dist ~queue ~sources:(List.length sources) ~limit
+      in
+      let ref_dist, ref_label, order =
+        Reference.bfs g
+          ~mask:(Option.value mask ~default:(Array.make n true))
+          ~label:(Option.value label ~default:(Array.make n 0))
+          ~limit sources
+      in
+      dist = ref_dist
+      && Array.to_list (Array.sub queue 0 k) = order
+      && Option.fold ~none:true ~some:(fun l -> l = ref_label) labels)
+
 (* ---------- serialization ---------- *)
 
 module Io = Dex_graph.Graph_io
@@ -431,4 +464,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_saturated_degrees;
           QCheck_alcotest.to_alcotest prop_subgraphs_match_definition;
           QCheck_alcotest.to_alcotest prop_remove_edges_matches_definition;
-          QCheck_alcotest.to_alcotest prop_components_partition ] ) ]
+          QCheck_alcotest.to_alcotest prop_components_partition;
+          QCheck_alcotest.to_alcotest prop_bfs_matches_reference ] ) ]

@@ -289,14 +289,18 @@ let test_ball_counts_with_loops () =
   (* ball radius 1 around 0 = {0,1}: edge 0-1 plus loop at 1 *)
   Alcotest.(check int) "loop counted" 2 (Neighborhood.all_ball_edge_counts g ~d:1).(0)
 
-let test_all_ball_counts_match_single () =
-  let rng = Rng.create 5 in
-  let g = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.08) in
-  let all = Neighborhood.all_ball_edge_counts g ~d:2 in
-  for v = 0 to 39 do
-    Alcotest.(check int) (Printf.sprintf "v=%d" v) (Reference.ball_edge_count g ~d:2 v)
-      all.(v)
-  done
+(* the bulk counts, whole-component shortcut included, against a
+   per-vertex search on multigraphs with loops, isolated vertices and
+   several components *)
+let prop_ball_counts_match_single =
+  QCheck.Test.make ~name:"bulk matches single" ~count:300
+    QCheck.(triple (Reference.int_range 1 30) (int_bound 10_000) (int_range 0 4))
+    (fun (n, seed, d) ->
+      let rng = Rng.create seed in
+      let edges = List.init (Rng.int rng (2 * n)) (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+      let g = Graph.of_edges ~n edges in
+      let all = Neighborhood.all_ball_edge_counts g ~d in
+      Array.for_all Fun.id (Array.init n (fun v -> all.(v) = Reference.ball_edge_count g ~d v)))
 
 let test_lemma16_rounds_positive () =
   Alcotest.(check bool) "positive" true (Neighborhood.lemma16_rounds ~n:100 ~d:5 ~f:0.5 > 0);
@@ -330,6 +334,57 @@ let test_refine_vs_density () =
       if not in_vd then
         Alcotest.(check bool) "V_S ball sparse" true (counts.(v) * t.Refine.b <= m))
     t.Refine.in_vd
+
+(* Refine's outputs on graphs that exercise every step: the barbell
+   and the warted cycle merge W's components (two iterations), the
+   grid and the short cycle keep V_D = V after one, and on the long
+   cycle V'_D is empty. The values were recorded before the searches
+   moved onto Metrics.bfs. *)
+let test_refine_golden () =
+  let summary g beta =
+    let t = Refine.run g ~beta in
+    let bits = String.init (Array.length t.Refine.in_vd) (fun v -> if t.Refine.in_vd.(v) then '1' else '0') in
+    Printf.sprintf "a=%d b=%d iterations=%d rounds=%d |V_D|=%d in_vd=%s" t.Refine.a t.Refine.b
+      t.Refine.iterations t.Refine.rounds
+      (Array.fold_left (fun c b -> if b then c + 1 else c) 0 t.Refine.in_vd)
+      (Digest.to_hex (Digest.string bits))
+  in
+  List.iter
+    (fun (name, g, beta, expected) -> Alcotest.(check string) name expected (summary g beta))
+    [ ( "barbell 80/200", Gen.barbell ~clique:80 ~bridge:200, 0.7,
+        "a=43 b=43 iterations=2 rounds=12220 |V_D|=360 in_vd=067e60b6ede424ad7788b4f54d99ef6b" );
+      ( "warted cycle", Gen.attach_warts (Rng.create 1) (Gen.cycle 1500) ~warts:20 ~size:25, 0.9,
+        "a=43 b=43 iterations=2 rounds=20176 |V_D|=1937 in_vd=d8934881175b2e933649f36ddfb889c4" );
+      ( "grid 30x30", Gen.grid 30 30, 0.9,
+        "a=38 b=38 iterations=1 rounds=14181 |V_D|=900 in_vd=217db169d19f6c1f6125456f452022a9" );
+      ( "cycle 2000", Gen.cycle 2000, 0.7,
+        "a=55 b=55 iterations=1 rounds=25586 |V_D|=2000 in_vd=e92b7cd4cf3a611a8a6a07935339eb6d" );
+      ( "cycle 5000", Gen.cycle 5000, 0.9,
+        "a=48 b=48 iterations=1 rounds=27905 |V_D|=0 in_vd=9716dbe3f1a00dc5bd603a2304fa06a6" ) ]
+
+(* After a warm-up call, Refine and the component search on
+   decompose-expander's input (random 8-regular, n = 160, seed 1,
+   connectivized) at its schedule's β allocate nothing on the major
+   heap, and on the minor heap no more than they did before their
+   searches moved onto Metrics.bfs: 5,954 and 1,132 words, measured in
+   this suite's build profile. *)
+let test_ldd_allocation_pin () =
+  let rng = Rng.create 1 in
+  let g = Gen.connectivize rng (Gen.random_regular rng ~n:160 ~d:8) in
+  let beta = (Dex_decomp.Schedule.make ~epsilon:0.3 ~k:2 g).Dex_decomp.Schedule.beta in
+  let pin name ceiling f =
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
+    let _, _, major = Gc.counters () in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    let words = Gc.minor_words () -. before in
+    let _, _, major' = Gc.counters () in
+    Alcotest.(check bool) (Printf.sprintf "%s: %.0f minor words" name words) true (words <= ceiling);
+    Alcotest.(check (float 0.0)) (name ^ ": major words") 0.0 (major' -. major)
+  in
+  pin "Refine.run" 5954.0 (fun () -> Obj.repr (Refine.run g ~beta));
+  pin "connected_components" 1132.0 (fun () -> Obj.repr (Metrics.connected_components g))
 
 (* ---------- end-to-end LDD ---------- *)
 
@@ -429,13 +484,16 @@ let () =
       ( "neighborhood",
         [ Alcotest.test_case "ball edge count" `Quick test_ball_edge_count;
           Alcotest.test_case "loops counted" `Quick test_ball_counts_with_loops;
-          Alcotest.test_case "bulk matches single" `Quick test_all_ball_counts_match_single;
+          QCheck_alcotest.to_alcotest prop_ball_counts_match_single;
           Alcotest.test_case "lemma 16 rounds" `Quick test_lemma16_rounds_positive ] );
       ( "refine",
         [ Alcotest.test_case "invariants on path" `Quick test_refine_invariants_on_path;
           Alcotest.test_case "low-diameter graph ⇒ V_D = V" `Quick
             test_refine_low_diameter_graph_all_vd;
-          Alcotest.test_case "V_S density" `Quick test_refine_vs_density ] );
+          Alcotest.test_case "V_S density" `Quick test_refine_vs_density;
+          Alcotest.test_case "refine golden" `Quick test_refine_golden;
+          Alcotest.test_case "allocation pin on decompose-expander" `Quick
+            test_ldd_allocation_pin ] );
       ( "end-to-end",
         [ Alcotest.test_case "run on a network" `Quick test_ldd_run_on_network;
           Alcotest.test_case "partition & diameter" `Quick test_ldd_partition_and_diameter;

@@ -265,11 +265,12 @@ let test_scope_d002_rng_exempt () =
   check_rules "rng.ml exempt" [] (lint ~path:"lib/util/rng.ml" src);
   check_rules "elsewhere fires" [ "D002" ] (lint ~path:"lib/util/other.ml" src)
 
-let test_scope_d001_table_exempt () =
+let test_scope_d001_no_exemption () =
   let src = "let f tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []" in
-  check_rules "table.ml exempt" [] (lint ~path:"lib/util/table.ml" src);
+  check_rules "lib/util/table.ml fires" [ "D001" ] (lint ~path:"lib/util/table.ml" src);
   check_rules "elsewhere in lib/util fires" [ "D001" ] (lint ~path:"lib/util/other.ml" src);
-  check_rules "bench fires" [ "D001" ] (lint ~path:"bench/main.ml" src)
+  check_rules "bench fires" [ "D001" ] (lint ~path:"bench/main.ml" src);
+  check_rules "test/ is out of scope" [] (lint ~path:"test/oracle.ml" src)
 
 (* a rule's scope is its only exemption: the comments that were once
    suppression pragmas, well-formed, silence nothing *)
@@ -403,12 +404,38 @@ let test_unit_name_splitting () =
     (Typed.canon_of_unit_name "Dune__exe__Test_lint")
 
 let test_declared_libraries () =
-  Alcotest.(check (list string)) "parsed across lines"
-    [ "dex_util"; "dex_graph"; "dex_obs" ]
-    (Typed.declared_libraries
-       "(library\n (name x)\n (libraries dex_util dex_graph\n   dex_obs))");
-  Alcotest.(check (list string)) "no stanza" []
-    (Typed.declared_libraries "(executable (name y))")
+  Alcotest.(check (list (triple string string (list string)))) "every stanza"
+    [ ("x", ".x.objs", [ "dex_util"; "dex_graph"; "dex_obs" ]); ("y", ".y.eobjs", []);
+      ("a", ".a.eobjs", [ "unix" ]) ]
+    (Typed.stanzas
+       "; a comment (libraries z)\n\
+        (library\n (name x)\n (libraries dex_util dex_graph\n   dex_obs))\n\
+        (executable (name y))\n\
+        (executables (names a b) (libraries unix))")
+
+(* C005 on a two-stanza dune file, compiled as dune lays it out: the
+   executable declares the in-repo probe_lib, which it uses, and the
+   installed unix, which only probe_lib uses *)
+let test_c005_every_stanza () =
+  with_temp_dir (fun dir ->
+      let lib_objs = "tools/t/.probe_lib.objs/byte" and exe_objs = "tools/t/.probe.eobjs/byte" in
+      List.iter
+        (fun d -> Sys.mkdir (Filename.concat dir d) 0o755)
+        [ "tools"; "tools/t"; "tools/t/.probe_lib.objs"; lib_objs; "tools/t/.probe.eobjs";
+          exe_objs ];
+      write (Filename.concat dir "tools/t/dune")
+        "(library (name probe_lib) (libraries unix))\n\
+         (executable (name probe) (libraries probe_lib unix))";
+      compile dir (lib_objs ^ "/probe_lib.ml") "let now () = Unix.time ()";
+      compile ~include_dir:lib_objs dir (exe_objs ^ "/probe.ml") "let x = Probe_lib.now";
+      let impls, _, errors = Typed.load_units ~cmt_root:dir in
+      Alcotest.(check int) "cmts load" 0 (List.length errors);
+      Alcotest.(check (list string)) "the executable's unix"
+        [ "tools/t/dune: declared but unused dependency: probe lists unix in \
+           (libraries ...) yet no unit of probe names it" ]
+        (List.map
+           (fun f -> f.Lint.file ^ ": " ^ f.Lint.message)
+           (Typed.layering ~source_root:dir (Typed.build_ref_db impls) impls)))
 
 let test_layer_ranks_ladder () =
   let r l =
@@ -459,7 +486,7 @@ let () =
         [ Alcotest.test_case "D003 protocol layers" `Quick
             test_scope_d003_only_protocol_layers;
           Alcotest.test_case "D002 rng exempt" `Quick test_scope_d002_rng_exempt;
-          Alcotest.test_case "D001 table exempt" `Quick test_scope_d001_table_exempt;
+          Alcotest.test_case "D001 has no exemption" `Quick test_scope_d001_no_exemption;
           Alcotest.test_case "D004 obs/bench exempt" `Quick
             test_scope_d004_obs_and_bench_exempt;
           Alcotest.test_case "absolute paths" `Quick test_scope_absolute_paths;
@@ -479,4 +506,6 @@ let () =
           Alcotest.test_case "unit name splitting" `Quick test_unit_name_splitting;
           Alcotest.test_case "dune (libraries ...) parsing" `Quick
             test_declared_libraries;
+          Alcotest.test_case "C005 every stanza, installed libraries too" `Quick
+            test_c005_every_stanza;
           Alcotest.test_case "layer ladder" `Quick test_layer_ranks_ladder ] ) ]

@@ -229,11 +229,7 @@ module Tuple_reference = struct
                  end)
                cut.Nibble.vertices);
            if !vol <= threshold then
-             best :=
-               List.rev
-                 (Dex_util.Table.fold_sorted ~compare:Int.compare
-                    (fun v () acc -> v :: acc)
-                    members [])
+             best := Reference.sorted_keys members
            else raise Exit)
          outcomes
      with Exit -> ());

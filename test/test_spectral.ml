@@ -117,9 +117,7 @@ let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* supports equal as ascending lists, masses equal bit for bit *)
 let identical p reference =
-  let keys =
-    List.rev (Dex_util.Table.fold_sorted ~compare:Int.compare (fun v _ acc -> v :: acc) reference [])
-  in
+  let keys = Reference.sorted_keys reference in
   Array.to_list (W.support p) = keys
   && List.for_all (fun v -> same_float (W.get p v) (Hashtbl.find reference v)) keys
 
@@ -251,7 +249,7 @@ let prop_walker_matches_reference =
       for _ = 1 to steps do
         let change = Walk.advance w view ~eps:(Option.value eps ~default:0.0) ~mask in
         let next = reference_step g eps !p in
-        Dex_util.Table.iter_sorted ~compare:Int.compare (fun v _ -> expected_mask.(v) <- true) next;
+        List.iter (fun v -> expected_mask.(v) <- true) (Reference.sorted_keys next);
         ok :=
           !ok
           && same_float change (Reference.l1_change ~prev:!p ~next)

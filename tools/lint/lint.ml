@@ -22,8 +22,8 @@ type finding = {
 
 let rules =
   [ ( "D001",
-      "no Hashtbl.iter/fold/to_seq* (hash-order nondeterminism); use \
-       Dex_util.Table.iter_sorted / fold_sorted" );
+      "no Hashtbl.iter/fold/to_seq* (hash-order nondeterminism); iterate \
+       a key list or a dense array in a fixed order" );
     ( "D002",
       "no Random.* outside lib/util/rng.ml; thread a Dex_util.Rng.t \
        explicitly" );
@@ -133,9 +133,7 @@ let rule_applies ~all_rules segs rule =
   all_rules
   ||
   match rule with
-  | "D001" ->
-    (* table.ml is the sorted-iteration helper D001 points to *)
-    gated segs && segs <> [ "lib"; "util"; "table.ml" ]
+  | "D001" -> gated segs
   | "D002" -> gated segs && segs <> [ "lib"; "util"; "rng.ml" ]
   | "D003" ->
     under_any [ [ "lib"; "congest" ]; [ "lib"; "routing" ]; [ "lib"; "expander" ] ] segs

@@ -23,7 +23,8 @@
    unit references: a reference from a test/ unit keeps nothing alive,
    and one from a lint fixture only another fixture's export. C005
    reports references against the layer order and dune library
-   dependencies no unit of the library uses.
+   dependencies, in-repo or installed, that no unit of the stanza
+   names.
 
    Every rule is exempted by its path scope ([Lint.rule_applies]) and
    by nothing else: no comment silences a finding. *)
@@ -75,6 +76,8 @@ type unit_info = {
   canon : string; (* "Dex_congest.Network", "Dexpander", ... *)
   lib : string option; (* owning dune library, from the .objs dir *)
   dir : string; (* source dir relative to the build root *)
+  objs : string; (* its stanza's object dir, ".dex_util.objs" or ".main.eobjs" *)
+  loadpath : string list; (* where the compiler looked for interfaces *)
   source : string option; (* relative source path, when recorded *)
   digest : Digest.t option; (* of the source the unit was compiled from *)
   annots : Cmt_format.binary_annots;
@@ -95,6 +98,12 @@ let lib_of_cmt_path path =
       else None)
     segs
 
+let objs_of_cmt_path path =
+  Option.value ~default:""
+    (List.find_opt
+       (fun s -> String.length s > 1 && s.[0] = '.')
+       (String.split_on_char '/' path))
+
 let dir_of_cmt_path path =
   let segs = String.split_on_char '/' path in
   let rec take acc = function
@@ -109,6 +118,8 @@ let unit_of_cmt ~rel (cmt : Cmt_format.cmt_infos) =
   { canon = canon_of_unit_name cmt.cmt_modname;
     lib = lib_of_cmt_path rel;
     dir = dir_of_cmt_path rel;
+    objs = objs_of_cmt_path rel;
+    loadpath = cmt.cmt_loadpath;
     source = cmt.cmt_sourcefile;
     digest = cmt.cmt_source_digest;
     annots = cmt.cmt_annots }
@@ -131,7 +142,11 @@ let load_units ~cmt_root =
     | cmt ->
       (* collect_suffix joins with Filename.concat: strip its prefix *)
       let n = String.length (Filename.concat cmt_root "") in
-      Some (unit_of_cmt ~rel:(String.sub path n (String.length path - n)) cmt)
+      let u = unit_of_cmt ~rel:(String.sub path n (String.length path - n)) cmt in
+      (* relative load-path entries name dirs under where the compiler
+         ran: dune's build dir, the default cmt root *)
+      let resolve d = if Filename.is_relative d then Filename.concat cmt_root d else d in
+      Some { u with loadpath = List.map resolve u.loadpath }
   in
   let load_all suffix =
     List.filter_map load (List.sort compare (collect_suffix cmt_root suffix []))
@@ -218,8 +233,9 @@ let d_rules ~on ~file u str =
     match resolve p with
     | [ "Stdlib"; "Hashtbl"; fn ] when on "D001" && List.mem fn hashtbl_unordered ->
       add e.exp_loc "D001"
-        (Printf.sprintf "Hashtbl.%s iterates in hash order; use Dex_util.Table.%s" fn
-           (if fn = "iter" then "iter_sorted" else "fold_sorted"))
+        (Printf.sprintf
+           "Hashtbl.%s iterates in hash order; iterate a key list or a dense array \
+            in a fixed order" fn)
     | "Stdlib" :: "Random" :: _ when on "D002" ->
       add e.exp_loc "D002" "ambient Random.* breaks replayability; thread a Dex_util.Rng.t"
     | [ "Stdlib"; ("failwith" | "invalid_arg" as fn) ] when on "D003" ->
@@ -391,6 +407,9 @@ type ref_db = {
   (* (referencing unit canon, target unit canon, qualified value name);
      value name "" is a bare module reference *)
   mutable value_refs : (string * string * string) list;
+  (* (referencing unit, root compilation unit of a path it names),
+     whatever library the root belongs to *)
+  mutable roots : (unit_info * string) list;
 }
 
 (* resolve alias prefixes: local aliases of the referencing unit first,
@@ -424,6 +443,7 @@ let scan_unit_refs db u =
   | Cmt_format.Implementation str ->
     let local_aliases : (string, string list) Hashtbl.t = Hashtbl.create 8 in
     let add_ref p =
+      if Ident.global (Path.head p) then db.roots <- (u, Ident.name (Path.head p)) :: db.roots;
       match target_of db (resolve_comps db local_aliases (path_comps p)) with
       | Some (unit, member) when unit <> u.canon ->
         db.value_refs <- (u.canon, unit, member) :: db.value_refs
@@ -510,7 +530,8 @@ let build_ref_db impls =
   let db =
     { known_units = Hashtbl.create 64;
       global_aliases = Hashtbl.create 64;
-      value_refs = [] }
+      value_refs = [];
+      roots = [] }
   in
   List.iter (fun u -> Hashtbl.replace db.known_units u.canon (origin_of u)) impls;
   List.iter (scan_unit_aliases db) impls;
@@ -567,36 +588,77 @@ let layer_ranks =
 
 let rank lib = List.assoc_opt lib layer_ranks
 
-(* the first index of [needle] in [hay] *)
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
+type sexp = Atom of string | List of sexp list
 
-(* minimal dune-file reader: the library names inside "(libraries ...)" *)
-let declared_libraries dune_src =
-  match find_sub dune_src "(libraries" with
-  | None -> []
-  | Some i ->
-    let start = i + String.length "(libraries" in
-    let rec close j depth =
-      if j >= String.length dune_src then j
-      else
-        match dune_src.[j] with
-        | '(' -> close (j + 1) (depth + 1)
-        | ')' -> if depth = 0 then j else close (j + 1) (depth - 1)
-        | _ -> close (j + 1) depth
-    in
-    let stop = close start 0 in
-    String.sub dune_src start (stop - start)
-    |> String.split_on_char ' '
-    |> List.concat_map (String.split_on_char '\n')
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map String.trim
+(* minimal dune-file reader: atoms, lists and ; comments *)
+let parse_sexps src =
+  let n = String.length src in
+  let rec items i acc =
+    if i >= n then (List.rev acc, n)
+    else
+      match src.[i] with
+      | ')' -> (List.rev acc, i + 1)
+      | '(' ->
+        let l, j = items (i + 1) [] in
+        items j (List l :: acc)
+      | ';' -> items (Option.value (String.index_from_opt src i '\n') ~default:n) acc
+      | ' ' | '\t' | '\n' | '\r' -> items (i + 1) acc
+      | _ ->
+        let j = ref i in
+        while !j < n && not (String.contains " \t\n\r();" src.[!j]) do incr j done;
+        items !j (Atom (String.sub src i (!j - i)) :: acc)
+  in
+  fst (items 0 [])
+
+(* every stanza of a dune file as (its name, its object dir, its
+   libraries): a library's object dir is ".NAME.objs", executables'
+   and tests' ".FIRST.eobjs" *)
+let stanzas src =
+  List.filter_map
+    (function
+      | List (Atom kind :: fields) ->
+        let atoms key =
+          List.concat_map
+            (function
+              | List (Atom k :: v) when k = key ->
+                List.filter_map (function Atom a -> Some a | List _ -> None) v
+              | _ -> [])
+            fields
+        in
+        (match atoms "name" @ atoms "names" with
+         | name :: _ ->
+           let suffix = if kind = "library" then ".objs" else ".eobjs" in
+           Some (name, "." ^ name ^ suffix, atoms "libraries")
+         | [] -> None)
+      | _ -> None)
+    (parse_sexps src)
+
+(* the library owning compilation unit [m] for [u]: the first
+   directory on [u]'s load path holding [m]'s interface, an in-repo
+   library named by its object dir and an installed one by its own *)
+let owner u m =
+  List.find_map
+    (fun d ->
+      if
+        List.exists
+          (fun f -> Sys.file_exists (Filename.concat d (f ^ ".cmi")))
+          [ String.uncapitalize_ascii m; m ]
+      then Some (Option.value (lib_of_cmt_path d) ~default:(Filename.basename d))
+      else None)
+    u.loadpath
+
+(* the dune files under the program directories, relative to [root] *)
+let rec dune_files root rel =
+  let abs = Filename.concat root rel in
+  if Sys.file_exists abs && Sys.is_directory abs then
+    let entries = Sys.readdir abs in
+    Array.sort String.compare entries;
+    Array.to_list entries
+    |> List.concat_map (fun e ->
+           if e.[0] = '.' || e = "_build" then []
+           else if e = "dune" then [ rel ]
+           else dune_files root (Filename.concat rel e))
+  else []
 
 let layering ~source_root db impls =
   let lib_of_unit : (string, string) Hashtbl.t = Hashtbl.create 64 in
@@ -606,76 +668,61 @@ let layering ~source_root db impls =
        | None -> ())
     impls;
   (* observed lib -> lib edges from resolved references *)
-  let edges : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (src_unit, dst_unit, _) ->
-      match
-        (Hashtbl.find_opt lib_of_unit src_unit, Hashtbl.find_opt lib_of_unit dst_unit)
-      with
-      | Some a, Some b when a <> b -> Hashtbl.replace edges (a, b) ()
-      | _ -> ())
-    db.value_refs;
-  let findings = ref [] in
+  let edges =
+    List.filter_map
+      (fun (src_unit, dst_unit, _) ->
+        match
+          (Hashtbl.find_opt lib_of_unit src_unit, Hashtbl.find_opt lib_of_unit dst_unit)
+        with
+        | Some a, Some b when a <> b -> Some (a, b)
+        | _ -> None)
+      db.value_refs
+    |> List.sort_uniq (fun (a, b) (c, d) ->
+           match String.compare a c with 0 -> String.compare b d | k -> k)
+  in
   (* order violations *)
-  Dex_util.Table.iter_sorted
-    ~compare:(fun (a, b) (c, d) ->
-      match String.compare a c with 0 -> String.compare b d | k -> k)
-    (fun (a, b) () ->
-      match (rank a, rank b) with
-      | Some ra, Some rb when rb >= ra ->
-        findings :=
-          mk_finding ~rule:"C005" ~file:(Printf.sprintf "lib (%s)" a) ~line:1
-            ~col:0
-            (Printf.sprintf
-               "layering violation: %s (layer %d) references %s (layer %d); \
-                edges must point strictly down the ladder"
-               a ra b rb)
-          :: !findings
-      | _ -> ())
-    edges;
-  (* declared-but-unused dune dependencies, lib/ scope *)
-  let lib_dirs =
-    let base = Filename.concat source_root "lib" in
-    if Sys.file_exists base && Sys.is_directory base then
-      Sys.readdir base |> Array.to_list |> List.sort compare
-      |> List.filter_map (fun d ->
-             let dir = Filename.concat base d in
-             let dune = Filename.concat dir "dune" in
-             if Sys.file_exists dune then Some (Filename.concat "lib" d, dune)
-             else None)
-    else []
+  let order =
+    List.filter_map
+      (fun (a, b) ->
+        match (rank a, rank b) with
+        | Some ra, Some rb when rb >= ra ->
+          Some
+            (mk_finding ~rule:"C005" ~file:(Printf.sprintf "lib (%s)" a) ~line:1 ~col:0
+               (Printf.sprintf
+                  "layering violation: %s (layer %d) references %s (layer %d); \
+                   edges must point strictly down the ladder"
+                  a ra b rb))
+        | _ -> None)
+      edges
   in
-  let local_libs =
-    List.sort_uniq compare
-      (List.filter_map (fun u -> u.lib) impls)
+  (* declared-but-unused dune dependencies, in-repo or installed, of
+     every stanza under the program directories whose units were
+     compiled: a library is used when a unit of the stanza names one of
+     its compilation units *)
+  let unused =
+    List.concat_map (dune_files source_root) [ "lib"; "bin"; "bench"; "tools"; "examples" ]
+    |> List.concat_map (fun rel_dir ->
+           let dune = Filename.concat rel_dir "dune" in
+           stanzas (read_file (Filename.concat source_root dune))
+           |> List.concat_map (fun (stanza, objs, declared) ->
+                  let of_stanza u = u.dir = rel_dir && u.objs = objs in
+                  let units = List.filter of_stanza impls in
+                  let used =
+                    List.filter_map (fun (u, m) -> if of_stanza u then owner u m else None) db.roots
+                    |> List.sort_uniq String.compare
+                  in
+                  List.filter_map
+                    (fun dep ->
+                      (* "compiler-libs.common" lives in "compiler-libs" *)
+                      let dir = List.hd (String.split_on_char '.' dep) in
+                      if units = [] || List.mem dir used then None
+                      else
+                        Some
+                          (mk_finding ~rule:"C005" ~file:dune ~line:1 ~col:0
+                             (Printf.sprintf
+                                "declared but unused dependency: %s lists %s in \
+                                 (libraries ...) yet no unit of %s names it"
+                                stanza dep stanza)))
+                    declared))
   in
-  List.iter
-    (fun (rel_dir, dune_path) ->
-      let src = read_file dune_path in
-      let declared = declared_libraries src in
-      (* which libs live in this dir? (normally one) *)
-      let here =
-        List.sort_uniq compare
-          (List.filter_map
-             (fun u -> if u.dir = rel_dir then u.lib else None)
-             impls)
-      in
-      List.iter
-        (fun lib ->
-          List.iter
-            (fun dep ->
-              if List.mem dep local_libs && not (Hashtbl.mem edges (lib, dep))
-              then
-                findings :=
-                  mk_finding ~rule:"C005"
-                    ~file:(Filename.concat rel_dir "dune")
-                    ~line:1 ~col:0
-                    (Printf.sprintf
-                       "declared but unused dependency: %s lists %s in \
-                        (libraries ...) yet no unit of %s references it"
-                       lib dep lib)
-                  :: !findings)
-            declared)
-        here)
-    lib_dirs;
-  List.rev !findings
+  order @ unused
