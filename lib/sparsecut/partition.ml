@@ -74,15 +74,16 @@ let run ?ledger params g rng =
         else begin
           idle := 0;
           sub := None;
-          Array.iter
-            (fun sub_v ->
-              let v = mapping.(sub_v) in
-              if in_w.(v) then begin
-                in_w.(v) <- false;
-                w_volume := !w_volume - Graph.degree g v;
-                removed := v :: !removed
-              end)
-            cut;
+          (* a loop, not [Array.iter]: a closure would capture, and so
+             heap-allocate, [w_volume] and [removed] on every call *)
+          for i = 0 to Array.length cut - 1 do
+            let v = mapping.(cut.(i)) in
+            if in_w.(v) then begin
+              in_w.(v) <- false;
+              w_volume := !w_volume - Graph.degree g v;
+              removed := v :: !removed
+            end
+          done;
           if !w_volume <= threshold then continue := false
         end
     done;

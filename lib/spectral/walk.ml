@@ -28,17 +28,24 @@ let size p = p.len
    [touched.(0 .. count-1)] lists the vertices stamped in the current
    epoch, in first-touch order (a full-support step lists its dropped
    vertices there). [share.(v)] is v's per-edge share in a
-   full-support step. [change.(0)] is the last advance's
+   full-support step. A full-support step writes the next step's
+   shares into [acc], which that path never reads as an accumulator,
+   and swaps the two arrays; [shares_of] is then the degrees array of
+   the view they were computed on, and the next full step on that
+   view skips its share pass. Any other step and [start] set it to
+   [\[||\]], which no view on n > 0 vertices holds, and the full path
+   never runs at n = 0. [change.(0)] is the last advance's
    ‖p̃_t − p̃_{t−1}‖₁, kept in a float array so that neither path boxes
-   it on return. Every array but [change] has the walker's n cells,
-   which the kernels' one bounds check relies on. *)
+   it on return. Every array but [change] and [shares_of] has the
+   walker's n cells, which the kernels' one bounds check relies on. *)
 type walker = {
-  acc : float array;
+  mutable acc : float array;
   stamp : int array;
   touched : int array;
   mutable epoch : int;
   mutable count : int;
-  share : float array;
+  mutable share : float array;
+  mutable shares_of : float array;
   change : float array;
   mutable cur : sparse;
   mutable spare : sparse;
@@ -53,6 +60,7 @@ let walker g =
     epoch = 0;
     count = 0;
     share = Array.make n 0.0;
+    shares_of = [||];
     change = [| 0.0 |];
     cur = buffer ();
     spare = buffer () }
@@ -61,7 +69,8 @@ let start w p =
   if p.len > Array.length w.cur.support then invalid_arg "Walk.start: walker smaller than p";
   Array.blit p.support 0 w.cur.support 0 p.len;
   Array.blit p.masses 0 w.cur.masses 0 p.len;
-  w.cur.len <- p.len
+  w.cur.len <- p.len;
+  w.shares_of <- [||]
 
 let current w = w.cur
 
@@ -69,8 +78,9 @@ let current w = w.cur
 
    The loops below index without bounds checks; [check] makes that
    safe once per call, before anything is written. Every walker array
-   has the one length [Array.length w.stamp] (see [walker]), which
-   must cover the view's n vertices, as must the mask. The current
+   has the one length [Array.length w.stamp] (see [walker]), [acc] and
+   [share] whichever way they last swapped, and it must cover the
+   view's n vertices, as must the mask. The current
    support ascends strictly (every [sparse] does), so its two ends
    bound all of it within 0..n−1, and so within the view's n degrees.
    The rest holds by construction: a view's degrees have n cells, a
@@ -134,22 +144,42 @@ let kernel w (view : View.t) p ~eps n =
   done;
   !k
 
+(* the share pass of a full-support step: [w.share.(v)] is v's
+   per-edge share of p̃_{t−1}, unless the last step on this view
+   handed them over *)
+let shares w (degrees : float array) n =
+  if w.shares_of != degrees then begin
+    let share = w.share and masses = w.cur.masses in
+    for v = 0 to n - 1 do
+      Array.unsafe_set share v (Array.unsafe_get masses v /. (2.0 *. Array.unsafe_get degrees v))
+    done
+  end
+
+(* the walker's shares after a full-support step that wrote the next
+   ones into [acc]: they hold when it dropped no vertex *)
+let[@inline] hand_over w (degrees : float array) ~dropped =
+  let share = w.share in
+  w.share <- w.acc;
+  w.acc <- share;
+  w.shares_of <- (if dropped = 0 then degrees else [||])
+
 (* [advance] when p̃_{t−1} is supported on all of 0..n−1: each vertex
    pulls its new mass from its sorted adjacency instead of the kernel
    pushing it. The terms reaching u arrive in push order — ascending
    source, u's own term at u's place, parallel edges consecutively —
    and the sum starts at [0.0] like push's first touch, so every float
    is the kernel's (DESIGN.md §12). The same pass truncates, writes
-   p̃_t, marks the mask and sums |p̃_t − p̃_{t−1}| over the kept
-   vertices; the dropped ones, listed in [touched], add their old
-   masses afterwards, ascending, as the sparse path's tail does. *)
+   p̃_t, marks the mask, sums |p̃_t − p̃_{t−1}| over the kept vertices
+   and writes each kept vertex's next share into [acc], the share
+   pass's own expression on the same float; the dropped ones, listed
+   in [touched], add their old masses afterwards, ascending, as the
+   sparse path's tail does. *)
 let advance_full w (view : View.t) ~eps ~mask n =
   let g = view.graph and degrees = view.degrees in
+  shares w degrees n;
   let prev = w.cur and next = w.spare and share = w.share and dropped = w.touched in
   let masses = prev.masses and support' = next.support and masses' = next.masses in
-  for v = 0 to n - 1 do
-    Array.unsafe_set share v (Array.unsafe_get masses v /. (2.0 *. Array.unsafe_get degrees v))
-  done;
+  let share' = w.acc in
   let threshold = 2.0 *. eps in
   let acc = ref 0.0 and kept = ref 0 and ndropped = ref 0 in
   for u = 0 to n - 1 do
@@ -176,6 +206,7 @@ let advance_full w (view : View.t) ~eps ~mask n =
     if x >= threshold *. deg then begin
       Array.unsafe_set support' !kept u;
       Array.unsafe_set masses' !kept x;
+      Array.unsafe_set share' u (x /. (2.0 *. deg));
       Array.unsafe_set mask u true;
       acc := !acc +. Float.abs (x -. mass);
       incr kept
@@ -189,6 +220,7 @@ let advance_full w (view : View.t) ~eps ~mask n =
   for i = 0 to !ndropped - 1 do
     acc := !acc +. Array.unsafe_get masses (Array.unsafe_get dropped i)
   done;
+  hand_over w degrees ~dropped:!ndropped;
   w.cur <- next;
   w.spare <- prev;
   w.change.(0) <- !acc
@@ -229,6 +261,7 @@ let advance_sparse w view ~eps ~mask n =
     if not (!i < kept && Array.unsafe_get next.support !i = v) then
       acc := !acc +. Array.unsafe_get prev.masses j
   done;
+  w.shares_of <- [||];
   w.cur <- next;
   w.spare <- prev;
   w.change.(0) <- !acc
@@ -256,14 +289,12 @@ let[@inline] change w = w.change.(0)
    inline: passing the counters to a helper would box the L1 sums. *)
 let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
   let g = view.graph and degrees = view.degrees in
+  shares w1 degrees n;
+  shares w2 degrees n;
   let prev1 = w1.cur and next1 = w1.spare and share1 = w1.share and dropped1 = w1.touched in
   let prev2 = w2.cur and next2 = w2.spare and share2 = w2.share and dropped2 = w2.touched in
   let masses1 = prev1.masses and masses2 = prev2.masses in
-  for v = 0 to n - 1 do
-    let d = 2.0 *. Array.unsafe_get degrees v in
-    Array.unsafe_set share1 v (Array.unsafe_get masses1 v /. d);
-    Array.unsafe_set share2 v (Array.unsafe_get masses2 v /. d)
-  done;
+  let share1' = w1.acc and share2' = w2.acc in
   let threshold1 = 2.0 *. eps1 and threshold2 = 2.0 *. eps2 in
   let acc1 = ref 0.0 and kept1 = ref 0 and ndropped1 = ref 0 in
   let acc2 = ref 0.0 and kept2 = ref 0 and ndropped2 = ref 0 in
@@ -294,10 +325,11 @@ let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
         s2 := !s2 +. Array.unsafe_get share2 x
       done
     end;
-    let x1 = !s1 and x2 = !s2 in
+    let x1 = !s1 and x2 = !s2 and d = 2.0 *. deg in
     if x1 >= threshold1 *. deg then begin
       Array.unsafe_set next1.support !kept1 u;
       Array.unsafe_set next1.masses !kept1 x1;
+      Array.unsafe_set share1' u (x1 /. d);
       Array.unsafe_set mask1 u true;
       acc1 := !acc1 +. Float.abs (x1 -. mass1);
       incr kept1
@@ -309,6 +341,7 @@ let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
     if x2 >= threshold2 *. deg then begin
       Array.unsafe_set next2.support !kept2 u;
       Array.unsafe_set next2.masses !kept2 x2;
+      Array.unsafe_set share2' u (x2 /. d);
       Array.unsafe_set mask2 u true;
       acc2 := !acc2 +. Float.abs (x2 -. mass2);
       incr kept2
@@ -326,6 +359,8 @@ let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
   done;
   next1.len <- !kept1;
   next2.len <- !kept2;
+  hand_over w1 degrees ~dropped:!ndropped1;
+  hand_over w2 degrees ~dropped:!ndropped2;
   w1.cur <- next1;
   w1.spare <- prev1;
   w1.change.(0) <- !acc1;

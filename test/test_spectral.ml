@@ -153,13 +153,9 @@ let same_sweep g p reference =
 let full_support rng n =
   Walk.of_assoc (List.init n (fun v -> (v, if Rng.int rng 3 = 0 then 0.0 else Rng.float rng 1.0)))
 
-(* a multigraph with self-loops, parallel edges and (usually) isolated
-   vertices, plus a start distribution that may sit on a degree-0
-   vertex, carry zero-mass entries or cover every vertex (the support
-   on which a walker takes its full-support path) *)
-let random_instance ?(max_n = 30) seed =
-  let rng = Rng.create seed in
-  let n = 1 + Rng.int rng max_n in
+(* a multigraph on n vertices with self-loops, parallel edges and
+   (usually) isolated vertices *)
+let random_multigraph rng n =
   let edges =
     List.init (Rng.int rng (3 * n)) (fun _ ->
         let u = Rng.int rng n in
@@ -167,8 +163,15 @@ let random_instance ?(max_n = 30) seed =
         match Rng.int rng 6 with 0 -> (u, u) | _ -> (u, Rng.int rng n))
   in
   (* every sixth edge is doubled into a parallel pair *)
-  let edges = edges @ List.filteri (fun i _ -> i mod 6 = 0) edges in
-  let g = Graph.of_edges ~n edges in
+  Graph.of_edges ~n (edges @ List.filteri (fun i _ -> i mod 6 = 0) edges)
+
+(* such a multigraph, plus a start distribution that may sit on a
+   degree-0 vertex, carry zero-mass entries or cover every vertex (the
+   support on which a walker takes its full-support path) *)
+let random_instance ?(max_n = 30) seed =
+  let rng = Rng.create seed in
+  let n = 1 + Rng.int rng max_n in
+  let g = random_multigraph rng n in
   let start =
     match Rng.int rng 3 with
     | 0 -> Walk.indicator (Rng.int rng n)
@@ -300,6 +303,99 @@ let prop_advance_pair_matches_advance =
           && m1 = e1 && m2 = e2
       done;
       !ok)
+
+(* Two walkers reused through a random run of starts, advances and
+   paired advances on the views of two graphs on the same n whose
+   degrees differ, each result against the reference step on its
+   view, bit for bit: supports, masses, L1 changes and masks. At
+   ε = 0 a full-support step keeps every vertex, so the next full step
+   on the same view reuses the shares the last one handed over; ε =
+   1e-12 drops the zero masses, and larger ε drop more and send later
+   steps down the sparse path. A share kept over a start or a change
+   of view, or computed from the old mass, is a wrong float. *)
+let prop_share_hand_off_matches_reference =
+  QCheck.Test.make ~name:"reused walkers = reference across starts and views, bit for bit"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 1 + Rng.int rng 20 in
+      let ga = random_multigraph rng n in
+      let gb =
+        let g = random_multigraph rng n in
+        (* a loop at vertex 0 when the degrees happen to agree *)
+        if Array.init n (Graph.degree g) = Array.init n (Graph.degree ga) then
+          Graph.of_edges ~n ((0, 0) :: Graph.edges g)
+        else g
+      in
+      let views = [| (ga, View.make ga); (gb, View.make gb) |] in
+      (* a walker, its reference distribution, its mask and the mask
+         the reference steps note *)
+      let lane () =
+        let w = Walk.walker ga and p = full_support rng n in
+        Walk.start w p;
+        (w, ref (Reference.of_walk p), Array.make n false, Array.make n false)
+      in
+      let a = lane () and b = lane () in
+      let start (w, p, _, _) =
+        let q = if Rng.bool rng then Walk.indicator (Rng.int rng n) else full_support rng n in
+        Walk.start w q;
+        p := Reference.of_walk q
+      in
+      let eps () =
+        match Rng.int rng 4 with 0 | 1 -> 0.0 | 2 -> 1e-12 | _ -> Rng.float rng 0.05
+      in
+      (* the lane's last advance on [g] at [eps] against the reference *)
+      let matches g eps (w, p, mask, expected) =
+        let next = reference_step g (Some eps) !p in
+        List.iter (fun v -> expected.(v) <- true) (Reference.sorted_keys next);
+        let ok =
+          identical (Walk.current w) next
+          && same_float (Walk.change w) (Reference.l1_change ~prev:!p ~next)
+          && mask = expected
+        in
+        p := next;
+        ok
+      in
+      let advance g view ((w, _, mask, _) as lane) =
+        let eps = eps () in
+        ignore (Walk.advance w view ~eps ~mask : float);
+        matches g eps lane
+      in
+      let pair g view ((w1, _, mask1, _) as l1) ((w2, _, mask2, _) as l2) =
+        let eps1 = eps () and eps2 = eps () in
+        Walk.advance_pair w1 w2 view ~eps1 ~eps2 ~mask1 ~mask2;
+        matches g eps1 l1 && matches g eps2 l2
+      in
+      let ok = ref true in
+      for _ = 1 to 16 do
+        let g, view = views.(Rng.int rng 2) in
+        match Rng.int rng 6 with
+        | 0 -> start a
+        | 1 -> start b
+        | 2 -> ok := advance g view a && !ok
+        | 3 -> ok := advance g view b && !ok
+        | 4 -> ok := pair g view a b && !ok
+        | _ -> ok := pair g view b a && !ok
+      done;
+      !ok)
+
+(* A walker that kept every vertex on view A holds A's shares; one
+   advance on view B, with no start between, computes B's and equals
+   the reference step on B. *)
+let test_shares_follow_the_view () =
+  let ga = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
+  let gb = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3); (1, 1) ] in
+  let p = Walk.of_assoc [ (0, 0.1); (1, 0.2); (2, 0.3); (3, 0.4) ] in
+  let w = Walk.walker ga and mask = Array.make 4 false in
+  Walk.start w p;
+  ignore (Walk.advance w (View.make ga) ~eps:0.0 ~mask : float);
+  let prev = reference_step ga None (Reference.of_walk p) in
+  Alcotest.(check bool) "kept every vertex on A" true (identical (Walk.current w) prev);
+  let change = Walk.advance w (View.make gb) ~eps:0.0 ~mask in
+  let next = reference_step gb None prev in
+  Alcotest.(check bool) "= reference step on B" true (identical (Walk.current w) next);
+  Alcotest.(check bool) "L1 = reference, bit for bit" true
+    (same_float change (Reference.l1_change ~prev ~next))
 
 (* a view builds its bit rows when a sweep first reads them: on
    G(128, 1/2), dense enough for rows, walking alone leaves them
@@ -849,6 +945,8 @@ let () =
             test_walker_rescan_allocation_free;
           Alcotest.test_case "kernels check once, before any write" `Quick test_kernel_guards;
           Alcotest.test_case "walker full-support step" `Quick test_walker_full_support_step;
+          QCheck_alcotest.to_alcotest prop_share_hand_off_matches_reference;
+          Alcotest.test_case "shares follow the view" `Quick test_shares_follow_the_view;
           Alcotest.test_case "rows built on first sweep" `Quick test_rows_built_on_first_sweep;
           Alcotest.test_case "zero-mass support entries" `Quick test_zero_mass_support;
           Alcotest.test_case "of_assoc validation" `Quick test_of_assoc_validation;
