@@ -61,11 +61,20 @@ let remove_edges_tracked d kind edges =
     | `Remove3 -> d.remove3 <- d.remove3 + count
   end
 
+(* G{U} of [g] and its id mapping. A U that is all of 0..n−1 in order
+   is [g] itself, not a copy: its saturated subgraph has [g]'s
+   adjacency and loops, and a graph is never written after it is
+   built. Graph's own subgraphs always copy. *)
+let saturated_on g members =
+  let rec whole i = i = Array.length members || (members.(i) = i && whole (i + 1)) in
+  if Array.length members = Graph.num_vertices g && whole 0 then (g, members)
+  else Graph.saturated_subgraph g members
+
 (* run Partition on G{U} of the current graph; returns the cut in
    original vertex ids together with its measured conductance inside
    G{U}, applying the h(φ) acceptance filter *)
 let sparse_cut_on d ~phi members =
-  let gu, mapping = Graph.saturated_subgraph d.current members in
+  let gu, mapping = saturated_on d.current members in
   let m = max 1 (Graph.num_edges gu) in
   let params = Schedule.params_for ~phi ~m in
   let res = Partition.run ?ledger:d.ledger params gu d.rng in
@@ -195,7 +204,7 @@ let run ?ledger ~epsilon ~k g rng =
                   (fun members ->
                     if Array.length members > 1 then begin
                       (* Step 1: low-diameter decomposition of G{U}; Remove-1 *)
-                      let gu, mapping = Graph.saturated_subgraph d.current members in
+                      let gu, mapping = saturated_on d.current members in
                       let mapping = Vertex.Map.of_array mapping in
                       let ldd =
                         Ldd.run_graph ?ledger:d.ledger ~vertex_map:mapping gu

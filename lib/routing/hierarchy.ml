@@ -12,12 +12,11 @@ type t = {
   m : int;
 }
 
-let build g rng ~k =
-  Invariant.require (k >= 1) ~where:"Hierarchy.build" "k >= 1";
+(* the trade-off at depth [k] for a measured τ_mix *)
+let instantiate g ~k ~tau_mix =
   let n = Graph.num_vertices g in
-  Invariant.require (n > 0) ~where:"Hierarchy.build" "empty graph";
   let m = max 1 (Graph.num_edges g) in
-  let tau_mix = max 1 (Mixing.mixing_time g rng) in
+  let tau_mix = max 1 tau_mix in
   let beta = float_of_int m ** (1.0 /. float_of_int k) in
   (* the polylog base *)
   let polylog = Float.max 1.0 (log (Float.max 2.0 (float_of_int n)) /. log 2.0) in
@@ -38,19 +37,28 @@ let build g rng ~k =
     n;
     m }
 
+let require_nonempty g =
+  Invariant.require (Graph.num_vertices g > 0) ~where:"Hierarchy.build" "empty graph"
+
+let build g rng ~k =
+  Invariant.require (k >= 1) ~where:"Hierarchy.build" "k >= 1";
+  require_nonempty g;
+  instantiate g ~k ~tau_mix:(Mixing.mixing_time g rng)
+
 let total_rounds t ~queries =
   let total = float_of_int t.preprocess_rounds +. (float_of_int queries *. float_of_int t.query_rounds) in
   if total >= float_of_int max_int then max_int else int_of_float total
 
+(* the k_max mixing times that k_max [build]s would measure, from one
+   [Mixing.mixing_times] call that draws the same starts in the same
+   order *)
 let best_k_for g rng ~queries ~k_max =
   Invariant.require (k_max >= 1) ~where:"Hierarchy.best_k_for" "k_max >= 1";
-  let candidates = List.init k_max (fun i -> build g rng ~k:(i + 1)) in
-  match candidates with
-  | [] ->
-    (* unreachable: k_max >= 1 gives a non-empty candidate list *)
-    Invariant.fail ~where:"Hierarchy.best_k_for" "no candidates"
-  | first :: rest ->
-    List.fold_left
-      (fun best cand ->
-        if total_rounds cand ~queries < total_rounds best ~queries then cand else best)
-      first rest
+  require_nonempty g;
+  let taus = Mixing.mixing_times g rng ~runs:k_max in
+  let best = ref (instantiate g ~k:1 ~tau_mix:taus.(0)) in
+  for k = 2 to k_max do
+    let cand = instantiate g ~k ~tau_mix:taus.(k - 1) in
+    if total_rounds cand ~queries < total_rounds !best ~queries then best := cand
+  done;
+  !best

@@ -36,5 +36,8 @@ val total_rounds : t -> queries:int -> int
 (** [best_k_for g rng ~queries ~k_max] picks the k ∈ [1, k_max]
     minimizing [total_rounds] for the given query load — the
     balancing act behind Theorem 2's "choose k a large enough
-    constant". *)
+    constant". Candidate k is what [build g rng ~k] gives when
+    [build] ran for 1 .. k−1 first on the same stream; one
+    [Mixing.mixing_times] call measures all k_max τ_mix. Raises
+    [Dex_util.Invariant.Violation] if [k_max < 1] or [g] is empty. *)
 val best_k_for : Dex_graph.Graph.t -> Dex_util.Rng.t -> queries:int -> k_max:int -> t

@@ -48,7 +48,8 @@ let run ?ledger params g rng =
       if Option.is_none !sub then begin
         let w = Metrics.vertices_of_mask in_w in
         if Array.length w > 0 then begin
-          let gw, mapping = Graph.saturated_subgraph g w in
+          (* w ascends, so n entries are all of V, and G{V} is g *)
+          let gw, mapping = if Array.length w = n then (g, w) else Graph.saturated_subgraph g w in
           sub := Some (Dex_spectral.View.make gw, mapping)
         end
       end;

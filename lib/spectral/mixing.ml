@@ -11,42 +11,102 @@ let degree_distribution g =
 let threshold = 0.25
 let samples = 3
 
-let mixing_time ?(max_steps = 0) g rng =
+(* Every run's starts are drawn first, in the order successive runs
+   draw them: the walks draw nothing, so the stream ends where
+   [runs] one-run calls leave it. A start's τ depends only on the
+   graph, the vertex and [max_steps], so each distinct start is walked
+   once, and two at a time, in one pass when both cover every vertex
+   (a paired step is float for float two single steps, DESIGN.md §12). *)
+let mixing_times ?(max_steps = 0) g rng ~runs =
+  if runs < 0 then invalid_arg "Mixing.mixing_times: runs < 0";
   let n = Graph.num_vertices g in
   let max_steps = if max_steps > 0 then max_steps else 4 * n in
-  if n <= 1 then 0
-  else if Graph.total_volume g = 0 then max_steps (* no edges: nothing moves *)
+  if n <= 1 then Array.make runs 0
+  else if Graph.total_volume g = 0 then Array.make runs max_steps (* no edges: nothing moves *)
   else begin
     let pi = degree_distribution g in
-    (* the walker's distribution scattered into [p], zero elsewhere *)
-    let p = Array.make n 0.0 in
-    let mixed (q : Walk.sparse) =
-      Array.fill p 0 n 0.0;
-      for i = 0 to q.len - 1 do
-        p.(q.support.(i)) <- q.masses.(i)
-      done;
-      let ok = ref true in
-      for v = 0 to n - 1 do
-        if pi.(v) > 0.0 && Float.abs (p.(v) -. pi.(v)) > threshold *. pi.(v) then
-          ok := false
-      done;
-      !ok
-    in
     let view = View.make g in
-    let w = Walk.walker g and mask = Array.make n false in
-    let worst = ref 0 in
-    for _ = 1 to samples do
-      Walk.start w (Walk.indicator (Rng.weighted_index rng view.degrees));
-      let t = ref 0 in
-      (* ε = 0: the untruncated lazy walk *)
-      while (not (mixed (Walk.current w))) && !t < max_steps do
-        ignore (Walk.advance w view ~eps:0.0 ~mask : float);
-        incr t
+    let starts = Array.init (runs * samples) (fun _ -> Rng.weighted_index rng view.degrees) in
+    (* [tau.(v)] is the τ of start v, -1 for a vertex no run drew;
+       [queue] lists the distinct starts in draw order *)
+    let tau = Array.make n (-1) in
+    let queue = Array.make (Array.length starts) 0 and queued = ref 0 in
+    Array.iter
+      (fun v ->
+        if tau.(v) < 0 then begin
+          tau.(v) <- 0;
+          queue.(!queued) <- v;
+          incr queued
+        end)
+      starts;
+    (* whether a walker's distribution is within the threshold at every
+       vertex of positive π; a partial support is scattered into
+       [dense] first, zero elsewhere *)
+    let dense = Array.make n 0.0 in
+    let mixed w =
+      let q = Walk.current w in
+      let p =
+        if q.len = n then q.masses
+        else begin
+          Array.fill dense 0 n 0.0;
+          for i = 0 to q.len - 1 do
+            dense.(q.support.(i)) <- q.masses.(i)
+          done;
+          dense
+        end
+      in
+      let v = ref 0 in
+      while
+        !v < n && not (pi.(!v) > 0.0 && Float.abs (p.(!v) -. pi.(!v)) > threshold *. pi.(!v))
+      do
+        incr v
       done;
-      worst := Int.max !worst !t
+      !v = n
+    in
+    (* ε = 0: the untruncated lazy walk *)
+    let w1 = Walk.walker g and w2 = Walk.walker g and mask = Array.make n false in
+    (* [w], unmixed after [t] steps, walks on alone *)
+    let rec alone w t =
+      if t >= max_steps then t
+      else begin
+        ignore (Walk.advance w view ~eps:0.0 ~mask : float);
+        if mixed w then t + 1 else alone w (t + 1)
+      end
+    in
+    (* w1 from [v1] and w2 from [v2], both [t] steps in and [m1], [m2]
+       whether each has mixed: paired steps until one has, then the
+       other alone *)
+    let rec pair v1 v2 t m1 m2 =
+      if m1 || m2 || t >= max_steps then begin
+        tau.(v1) <- (if m1 then t else alone w1 t);
+        tau.(v2) <- (if m2 then t else alone w2 t)
+      end
+      else begin
+        Walk.advance_pair w1 w2 view ~eps1:0.0 ~eps2:0.0 ~mask1:mask ~mask2:mask;
+        pair v1 v2 (t + 1) (mixed w1) (mixed w2)
+      end
+    in
+    let i = ref 0 in
+    while !i < !queued do
+      let v1 = queue.(!i) in
+      Walk.start w1 (Walk.indicator v1);
+      if !i + 1 < !queued then begin
+        let v2 = queue.(!i + 1) in
+        Walk.start w2 (Walk.indicator v2);
+        pair v1 v2 0 (mixed w1) (mixed w2)
+      end
+      else tau.(v1) <- (if mixed w1 then 0 else alone w1 0);
+      i := !i + 2
     done;
-    !worst
+    Array.init runs (fun r ->
+        let worst = ref 0 in
+        for s = 0 to samples - 1 do
+          worst := Int.max !worst tau.(starts.((r * samples) + s))
+        done;
+        !worst)
   end
+
+let mixing_time ?max_steps g rng = (mixing_times ?max_steps g rng ~runs:1).(0)
 
 let spectral_gap ?(iters = 200) g rng =
   let n = Graph.num_vertices g in

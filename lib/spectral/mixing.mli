@@ -16,6 +16,15 @@
 val mixing_time :
   ?max_steps:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> int
 
+(** [mixing_times ?max_steps g rng ~runs] is the τ of [runs]
+    successive [mixing_time ?max_steps g rng] calls, and leaves [rng]
+    where they leave it: it draws all [runs]·3 starts first, in their
+    order, then walks each distinct start once, two walkers at a time.
+    [mixing_time] is its one-run case. Like it, n ≤ 1 and an edgeless
+    graph draw nothing. Raises [Invalid_argument] if [runs < 0]. *)
+val mixing_times :
+  ?max_steps:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> runs:int -> int array
+
 (** [spectral_gap ?iters g rng] estimates 1 - λ₂ of the lazy walk
     matrix via power iteration with deflation of the stationary
     direction; the Cheeger bounds give gap/1 ≤ Φ ≤ √(2·gap) for the

@@ -4,13 +4,17 @@ module Bits = Dex_util.Bits
 (* [stamp.(v) = epoch] marks v in the prefix being measured, or in the
    support being seeded; [prefix] is the measured prefix as a bit row
    when the bit-row pass runs; [tmp_v] and [tmp_r] are the merge sort's
-   second buffer, and [tmp_r] also holds the seed's ρ per vertex *)
+   second buffer, and [tmp_r] also holds the seed's ρ per vertex.
+   [order_of] is the degrees array of the view the last rescan ran on,
+   [\[||\]] before the first: with [length = n] on that view, [ordered]
+   is a permutation of all its n vertices. *)
 type scratch = {
   stamp : int array;
   mutable epoch : int;
   prefix : int array;
   tmp_v : int array;
   tmp_r : float array;
+  mutable order_of : float array;
 }
 
 type t = {
@@ -39,7 +43,8 @@ let workspace g =
         epoch = 0;
         prefix = Array.make ((n + word_bits - 1) / word_bits) 0;
         tmp_v = Array.make n 0;
-        tmp_r = Array.make n 0.0 } }
+        tmp_r = Array.make n 0.0;
+        order_of = [||] } }
 
 let take sweep j =
   if j < 0 || j > sweep.length then invalid_arg "Sweep.take";
@@ -211,9 +216,11 @@ let check t n (p : Walk.sparse) =
    (EXPERIMENTS.md, "Seeded sweeps"). *)
 let shift_budget = 16
 
-let rescan t (view : View.t) (p : Walk.sparse) =
-  let degrees = view.degrees in
-  check t (Array.length degrees) p;
+(* The seed: the previous order's vertices still in p's support of
+   positive degree, in their order, then the support's new vertices
+   ascending, each with its ρ; sets [t.length] to the support's size
+   and returns how many entries carried over. *)
+let seed t (degrees : float array) (p : Walk.sparse) =
   (* stamp p's support of positive degree, with its ρ per vertex *)
   let s = t.scratch in
   let stamp = s.stamp and rho = s.tmp_r in
@@ -229,8 +236,6 @@ let rescan t (view : View.t) (p : Walk.sparse) =
       incr size
     end
   done;
-  (* the seed: the previous order's vertices still in the support, in
-     their order, then the support's new vertices ascending *)
   let k = ref 0 in
   for j = 0 to t.length - 1 do
     let v = Array.unsafe_get t.ordered j in
@@ -251,11 +256,34 @@ let rescan t (view : View.t) (p : Walk.sparse) =
     end
   done;
   t.length <- !size;
+  kept
+
+let rescan t (view : View.t) (p : Walk.sparse) =
+  let degrees = view.degrees in
+  let n = Array.length degrees in
+  check t n p;
+  let s = t.scratch in
+  (* A support on all of 0..n−1 after a rescan that placed all n
+     vertices of this view: every vertex has positive degree and
+     carries over, so [seed] would rebuild the order as it stands.
+     Only the ρ are new, each [seed]'s expression on p's mass at v. *)
+  let kept =
+    if s.order_of == degrees && t.length = n && p.len = n then begin
+      for j = 0 to n - 1 do
+        let v = Array.unsafe_get t.ordered j in
+        Array.unsafe_set t.last_rho j (Array.unsafe_get p.masses v /. Array.unsafe_get degrees v)
+      done;
+      n
+    end
+    else seed t degrees p
+  in
+  s.order_of <- degrees;
+  let size = t.length in
   (* an order that hardly changed costs few shifts; a seed that is
      mostly new goes straight to the merge sort *)
   if
-    2 * kept < !size
-    || not (insertion_sort t.ordered t.last_rho ~lo:0 ~hi:!size ~budget:(shift_budget * !size))
+    2 * kept < size
+    || not (insertion_sort t.ordered t.last_rho ~lo:0 ~hi:size ~budget:(shift_budget * size))
   then merge_sort t;
   measure t view
 

@@ -7,8 +7,9 @@
     and {!rescan} overwrites them in place, so a Nibble run scans step
     after step without allocating. *)
 
-(** Sort and prefix scratch: epoch stamps for the in-prefix set and the
-    merge sort's second buffer. *)
+(** Sort and prefix scratch: epoch stamps for the in-prefix set, the
+    merge sort's second buffer and the view the current order was
+    built on. *)
 type scratch
 
 (** A sweep. Index [i < length] describes the prefix π(1..i+1):
@@ -45,7 +46,11 @@ val workspace : Dex_graph.Graph.t -> t
     sort finishes. So a rescan costs O(len + the previous order's
     length + shifts) when the order hardly moved since [t]'s last
     rescan, at most an extra O(len log len) otherwise, plus one prefix
-    pass, and allocates nothing. The result does not depend on [t]'s
+    pass, and allocates nothing. When [p]'s support is all of the
+    graph's n vertices and [t]'s last rescan, on this same view,
+    placed all n, that order is the seed as it stands: only the ρ are
+    recomputed, and the passes that stamp the support and carry the
+    order over are skipped. The result does not depend on [t]'s
     previous contents.
 
     Measuring a prefix π(1..j) counts the neighbours of π(j) already

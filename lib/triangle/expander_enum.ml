@@ -111,7 +111,12 @@ let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
     List.iteri
       (fun i part ->
         if Array.length part > 1 then begin
-          let sub, _ = Graph.induced_subgraph gcur part in
+          (* a part on all of 0..n−1 in order is gcur itself, not a copy *)
+          let rec whole j = j = Array.length part || (part.(j) = j && whole (j + 1)) in
+          let sub =
+            if Array.length part = Graph.num_vertices gcur && whole 0 then gcur
+            else fst (Graph.induced_subgraph gcur part)
+          in
           if Graph.num_plain_edges sub > 0 then begin
             let volume = Graph.volume gcur part in
             let instances = instances_for ~n ~incident:incident.(i) ~volume in

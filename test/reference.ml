@@ -571,6 +571,43 @@ let order g p =
          match Float.compare r2 r1 with 0 -> Int.compare v1 v2 | c -> c)
   |> List.map fst |> Array.of_list
 
+(* Mixing.mixing_time as a dense loop over [step_sparse]: three
+   degree-weighted starts drawn from [rng], one after the other, each
+   walked untruncated until every vertex of positive π is within 1/4
+   of π relative, testing before each step, for at most [max_steps]
+   steps (default 4·n); the worst of the three. n ≤ 1 gives 0 and an
+   edgeless graph [max_steps], neither drawing. [step_dense] would not
+   do: it adds a vertex's lazy half and its self-loops' share one at a
+   time where the walker adds their sum, and on one graph with
+   self-loops that left a vertex 0.24999999999999994·π from π, inside
+   the 1/4 test, where the walker's value fell just outside it. *)
+let mixing_time ?(max_steps = 0) g rng =
+  let n = Graph.num_vertices g in
+  let max_steps = if max_steps > 0 then max_steps else 4 * n in
+  if n <= 1 then 0
+  else if Graph.total_volume g = 0 then max_steps
+  else begin
+    let total = float_of_int (Graph.total_volume g) in
+    let pi = Array.init n (fun v -> float_of_int (Graph.degree g v) /. total) in
+    let mixed p =
+      let p = Array.init n (fun v -> Option.value (Hashtbl.find_opt p v) ~default:0.0) in
+      Array.for_all2 (fun x y -> not (x > 0.0 && Float.abs (y -. x) > 0.25 *. x)) pi p
+    in
+    let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
+    let worst = ref 0 in
+    for _ = 1 to 3 do
+      let src = Dex_util.Rng.weighted_index rng degrees in
+      let p = ref (of_walk (Dex_spectral.Walk.indicator src)) in
+      let t = ref 0 in
+      while (not (mixed !p)) && !t < max_steps do
+        p := step_sparse g !p;
+        incr t
+      done;
+      worst := Int.max !worst !t
+    done;
+    !worst
+  end
+
 (* one sweep prefix π(1..len) *)
 type prefix = { len : int; volume : int; cut : int; conductance : float; last_rho : float }
 

@@ -473,6 +473,69 @@ let prop_rescan_reuses_workspace =
         walks;
       !ok && sweep_is (Sweep.scan g b) ~order ~prefixes)
 
+(* [t] holds what a fresh scan of [p] in [g] holds, bit for bit *)
+let same_as_scan g (t : Sweep.t) p =
+  let fresh = Sweep.scan g p in
+  let prefix a = Array.sub a 0 fresh.length in
+  t.length = fresh.length
+  && prefix t.ordered = prefix fresh.ordered
+  && prefix t.volume = prefix fresh.volume
+  && prefix t.cut = prefix fresh.cut
+  && Array.for_all2 same_float (prefix t.conductance) (prefix fresh.conductance)
+  && Array.for_all2 same_float (prefix t.last_rho) (prefix fresh.last_rho)
+
+(* One workspace rescanned through a random run of distributions on
+   the views of two graphs on the same n: A connected, so every vertex
+   has positive degree, and B with an isolated vertex, so a support on
+   every vertex sweeps n − 1 there. The distributions are walks on the
+   view being scanned, fresh distributions on every vertex (a third of
+   the masses zero, so ρ tie) and partial ones. A full support after a
+   full order on A takes the rescan's fast path; after B, after a
+   partial support or after a view change it must not. After every
+   rescan the workspace equals a fresh scan, bit for bit. *)
+let prop_rescan_fast_path_matches_scan =
+  QCheck.Test.make ~name:"rescan through full and partial supports on two views = fresh scan"
+    ~count:300 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 20 in
+      let ga = Gen.connectivize rng (random_multigraph rng n) in
+      let gb =
+        let z = Rng.int rng n in
+        Graph.of_edges ~n
+          (List.filter (fun (u, v) -> u <> z && v <> z) (Graph.edges (random_multigraph rng n)))
+      in
+      let lanes =
+        Array.map
+          (fun g ->
+            let w = Walk.walker g in
+            Walk.start w (Walk.indicator (Rng.int rng n));
+            (g, View.make g, w))
+          [| ga; gb |]
+      in
+      let mask = Array.make n false in
+      let sweep = Sweep.workspace ga in
+      let ok = ref true in
+      for _ = 1 to 24 do
+        let g, view, w = lanes.(Rng.int rng 2) in
+        let p =
+          match Rng.int rng 4 with
+          | 0 | 1 ->
+            let eps = if Rng.int rng 4 = 0 then Rng.float rng 0.02 else 0.0 in
+            ignore (Walk.advance w view ~eps ~mask : float);
+            Walk.current w
+          | 2 -> full_support rng n
+          | _ ->
+            Walk.of_assoc
+              (List.filter_map
+                 (fun v -> if Rng.bool rng then Some (v, Rng.float rng 1.0) else None)
+                 (List.init n Fun.id))
+        in
+        Sweep.rescan sweep view p;
+        ok := !ok && same_as_scan g sweep p
+      done;
+      !ok)
+
 (* A distribution on most vertices of [g] whose ρ repeat across
    distinct vertices: each mass is deg(v) times one of four dyadic
    values, zero among them, so the ρ are those values exactly. Degree-0
@@ -879,15 +942,10 @@ let prop_mass_conserved_sparse =
       let p = (Walk.truncated_walk g ~src:(seed mod n) ~eps:0.0 ~steps:5).(5) in
       Float.abs (W.mass p -. 1.0) < 1e-9)
 
-(* Mixing.mixing_time, which steps a walker at ε = 0, against a loop
-   over the bit-exact reference step: the same start draws, and the same
-   threshold test (1/4 of π) before each step, for three starts; an
-   edgeless graph never mixes. The loop must compute the walker's very
-   floats. Reference.step_dense does not: it adds a vertex's lazy half
-   and its self-loops' share one at a time where the walker adds their
-   sum, and on one graph with self-loops that left a vertex
-   0.24999999999999994·π from π, inside the 1/4 test, where the
-   walker's value fell just outside it. *)
+(* Mixing.mixing_time, which steps a walker at ε = 0, against the
+   reference loop over the bit-exact reference step: the same start
+   draws, and the same threshold test (1/4 of π) before each step, for
+   three starts; an edgeless graph never mixes. *)
 let prop_mixing_time_matches_dense =
   QCheck.Test.make ~name:"mixing_time = dense reference loop" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -895,33 +953,59 @@ let prop_mixing_time_matches_dense =
       let g, _, _ = random_instance seed in
       (* half the graphs connected, so that the walks mix *)
       let g = if seed mod 2 = 0 then g else Gen.connectivize (Rng.create seed) g in
-      let n = Graph.num_vertices g in
-      let threshold = 0.25 and samples = 3 in
-      let reference rng =
-        let total = float_of_int (Graph.total_volume g) in
-        let pi = Array.init n (fun v -> float_of_int (Graph.degree g v) /. total) in
-        let mixed p =
-          let p = Array.init n (fun v -> Option.value (Hashtbl.find_opt p v) ~default:0.0) in
-          Array.for_all2 (fun x y -> not (x > 0.0 && Float.abs (y -. x) > threshold *. x)) pi p
-        in
-        let degrees = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
-        let worst = ref 0 in
-        for _ = 1 to samples do
-          let src = Rng.weighted_index rng degrees in
-          let p = ref (Reference.of_walk (Walk.indicator src)) in
-          let t = ref 0 in
-          while (not (mixed !p)) && !t < 4 * n do
-            p := reference_step g None !p;
-            incr t
-          done;
-          worst := Int.max !worst !t
-        done;
-        !worst
+      Mixing.mixing_time g (Rng.create seed) = Reference.mixing_time g (Rng.create seed))
+
+(* Mixing.mixing_times against [runs] successive reference runs on one
+   stream, twice on each graph with two caps drawn independently, and
+   the stream's next draw after each call: the same τ per run, and the
+   stream left where the runs leave it. The graphs are multigraphs
+   with self-loops and isolated vertices on n ∈ 0..40, half of them
+   connected, and one in eight has all its edges as loops at one
+   vertex, whose start is stationary before any step. The caps are
+   the default 4·n, one to four steps, or anything up to 8·n. *)
+let prop_mixing_times_matches_reference =
+  QCheck.Test.make ~name:"mixing_times = successive reference runs on one stream" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int rng 41 in
+      let g =
+        if n = 0 then Graph.of_edges ~n []
+        else if Rng.int rng 8 = 0 then
+          let v = Rng.int rng n in
+          Graph.of_edges ~n (List.init (1 + Rng.int rng 3) (fun _ -> (v, v)))
+        else
+          let g = random_multigraph rng n in
+          if Rng.bool rng then Gen.connectivize rng g else g
       in
-      let expected =
-        if n <= 1 then 0 else if Graph.total_volume g = 0 then 4 * n else reference (Rng.create seed)
+      let cap () =
+        match Rng.int rng 3 with
+        | 0 -> None
+        | 1 -> Some (1 + Rng.int rng 4)
+        | _ -> Some (1 + Rng.int rng (8 * n + 1))
       in
-      Mixing.mixing_time g (Rng.create seed) = expected)
+      let actual = Rng.create (seed + 1) and expected = Rng.create (seed + 1) in
+      List.for_all
+        (fun max_steps ->
+          let runs = 1 + Rng.int rng 5 in
+          let taus = Mixing.mixing_times ?max_steps g actual ~runs in
+          let reference = Array.init runs (fun _ -> Reference.mixing_time ?max_steps g expected) in
+          taus = reference && Rng.int actual 1_000_000 = Rng.int expected 1_000_000)
+        [ cap (); cap () ])
+
+(* n ≤ 1 and an edgeless graph take no draw: the stream's next draw is
+   a fresh stream's first *)
+let test_mixing_times_no_draw () =
+  List.iter
+    (fun (name, g, max_steps, expected) ->
+      let rng = Rng.create 5 in
+      Alcotest.(check (array int)) name expected (Mixing.mixing_times ?max_steps g rng ~runs:3);
+      Alcotest.(check int) (name ^ ": no draw") (Rng.int (Rng.create 5) 1_000_000)
+        (Rng.int rng 1_000_000))
+    [ ("n = 0", Graph.of_edges ~n:0 [], None, [| 0; 0; 0 |]);
+      ("n = 1", Graph.of_edges ~n:1 [ (0, 0) ], None, [| 0; 0; 0 |]);
+      ("edgeless, 4·n", Graph.of_edges ~n:5 [], None, [| 20; 20; 20 |]);
+      ("edgeless, max_steps", Graph.of_edges ~n:5 [], Some 7, [| 7; 7; 7 |]) ]
 
 let () =
   Alcotest.run "spectral"
@@ -941,6 +1025,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_advance_pair_matches_advance;
           QCheck_alcotest.to_alcotest prop_rescan_reuses_workspace;
           QCheck_alcotest.to_alcotest prop_seeded_rescan_matches_scan;
+          QCheck_alcotest.to_alcotest prop_rescan_fast_path_matches_scan;
           Alcotest.test_case "walker + rescan allocate no arrays" `Quick
             test_walker_rescan_allocation_free;
           Alcotest.test_case "kernels check once, before any write" `Quick test_kernel_guards;
@@ -960,6 +1045,9 @@ let () =
         [ Alcotest.test_case "mixing time ordering" `Quick test_mixing_time_ordering;
           Alcotest.test_case "edgeless graph never mixes" `Quick test_mixing_time_edgeless;
           QCheck_alcotest.to_alcotest prop_mixing_time_matches_dense;
+          QCheck_alcotest.to_alcotest prop_mixing_times_matches_reference;
+          Alcotest.test_case "mixing_times: n ≤ 1 and edgeless draw nothing" `Quick
+            test_mixing_times_no_draw;
           Alcotest.test_case "gap: complete vs ring" `Quick test_spectral_gap_complete_vs_ring;
           Alcotest.test_case "second eigenvector splits barbell" `Quick
             test_second_eigenvector_splits_barbell;
