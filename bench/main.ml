@@ -11,26 +11,22 @@
      E7  Theorem 2  triangle enumeration rounds vs baselines
      E8  GKS        routing preprocessing/query trade-off
      E9  ablations  Phase-2 level count, sweep stride, nibble copies
-     E10 Bechamel   micro-benchmarks of the core primitives
      E11 Section 1.2 recursion depth: strawman vs Theorem 1; sequential
                     Spielman-Teng Partition vs the parallelized one
      E12 Section 1   Jerrum-Sinclair: 1/Phi <= tau_mix <= log n / Phi^2
      E13 robustness  fault sweep: reliable delivery overhead vs drop
                      probability; Las Vegas retry cost until certified
-     E14 kernel      throughput: the BFS flood on the CSR arena cursors
 
-   `dune exec bench/main.exe` runs everything at default sizes;
-   `dune exec bench/main.exe -- quick` shrinks the sweeps;
-   `dune exec bench/main.exe -- e5` runs a single section;
-   `dune exec bench/main.exe -- quick --json out.json` additionally
-   writes the machine-readable snapshot (schema: DESIGN.md §8). *)
+   Every cell is deterministic from the seeds below, so the whole run
+   is one golden: `dune exec bench/main.exe` prints every section and
+   must match bench/snapshots/bench.txt byte for byte;
+   `dune exec bench/main.exe -- e5` runs a single section. Wall-clock
+   measurements live in perfbench/. *)
 
 module X = Dexpander
 module Snap = X.Bench_snapshot
 
-let quick = ref false
 let only : string list ref = ref []
-let json_path : string option ref = ref None
 
 let wants name = !only = [] || List.mem name !only
 
@@ -39,36 +35,13 @@ let fi = float_of_int
 (* the fraction [x] as a percentage, "12.50%" *)
 let fmt_pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
-(* snapshot collection: every table printed and every note emitted by a
-   section is also captured for the --json export *)
-let sections_acc : Snap.section list ref = ref []
-let cur_tables : Snap.table list ref = ref []
-let cur_notes : string list ref = ref []
-
-let out_table t =
-  print_string (Snap.render t);
-  cur_tables := t :: !cur_tables
-
-let note fmt =
-  Printf.ksprintf
-    (fun s ->
-      print_string s;
-      cur_notes := String.trim s :: !cur_notes)
-    fmt
+let out_table t = print_string (Snap.render t)
 
 let section name title f =
   if wants name then begin
     Printf.printf "\n### [%s] %s\n\n%!" (String.uppercase_ascii name) title;
-    cur_tables := [];
-    cur_notes := [];
     f ();
-    print_newline ();
-    sections_acc :=
-      { Snap.id = name;
-        title;
-        tables = List.rev !cur_tables;
-        notes = List.rev !cur_notes }
-      :: !sections_acc
+    print_newline ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -82,19 +55,17 @@ let e1_ldd () =
         "P[fail]"; "rounds" ]
   in
   let cases =
-    if !quick then [ ("cycle", X.Generators.cycle 16_000, 0.7) ]
-    else
-      [ (* β < 1/3 keeps the 3β budget meaningful; the V_S density
-           threshold then needs n ≥ 2ab ≈ 50·ln²n/β² vertices *)
-        ("cycle", X.Generators.cycle 70_000, 0.3);
-        ("cycle", X.Generators.cycle 20_000, 0.6);
-        ("path", X.Generators.path 24_000, 0.7) ]
+    [ (* β < 1/3 keeps the 3β budget meaningful; the V_S density
+         threshold then needs n ≥ 2ab ≈ 50·ln²n/β² vertices *)
+      ("cycle", X.Generators.cycle 70_000, 0.3);
+      ("cycle", X.Generators.cycle 20_000, 0.6);
+      ("path", X.Generators.path 24_000, 0.7) ]
   in
   List.iter
     (fun (name, g, beta) ->
       let n = X.Graph.num_vertices g in
       let m = X.Graph.num_edges g in
-      let seeds = if !quick then [ 1 ] else [ 1; 2; 3 ] in
+      let seeds = [ 1; 2; 3 ] in
       List.iter
         (fun seed ->
           let r = X.Ldd.run_graph g ~beta (X.Rng.create seed) in
@@ -129,7 +100,7 @@ let e2_sparsecut () =
   in
   let rng = X.Rng.create 7 in
   let phi = 1.0 /. 16.0 in
-  let scale = if !quick then 1 else 2 in
+  let scale = 2 in
   let cases =
     [ ("dumbbell 1:1", X.Generators.dumbbell rng ~n1:(60 * scale) ~n2:(60 * scale) ~d:6 ~bridges:2, 0.5);
       ("dumbbell 1:5", X.Generators.dumbbell rng ~n1:(40 * scale) ~n2:(200 * scale) ~d:6 ~bridges:2, 1.0 /. 6.0);
@@ -240,7 +211,7 @@ let e4_decomp_quality () =
       [ "graph"; "n"; "m"; "eps"; "parts"; "removed%"; "minPhi>="; "phi-target"; "ok" ]
   in
   let rng = X.Rng.create 13 in
-  let scale = if !quick then 30 else 50 in
+  let scale = 50 in
   let cases =
     [ ("sbm-4", X.Generators.connectivize rng
          (X.Generators.planted_partition rng ~parts:4 ~size:scale ~p_in:0.35 ~p_out:0.01), 0.3);
@@ -309,8 +280,8 @@ let e5_decomp_rounds () =
       [ "n"; "m"; "k"; "tau"; "iter-cap=2tau*k"; "phase2-iters"; "partition-calls";
         "parts"; "rounds"; "msgs"; "words" ]
   in
-  let ns = if !quick then [ 128; 256 ] else [ 128; 256; 512; 1024 ] in
-  let ks = if !quick then [ 1; 2 ] else [ 1; 2; 3 ] in
+  let ns = [ 128; 256; 512; 1024 ] in
+  let ks = [ 1; 2; 3 ] in
   let per_k = Hashtbl.create 8 in
   let cap_violations = ref 0 in
   List.iter
@@ -343,18 +314,12 @@ let e5_decomp_rounds () =
         ks)
     ns;
   out_table t;
-  note "\nLemma 2 iteration-cap violations: %d (theory: 0)\n" !cap_violations;
-  if not !quick then begin
-    note
-      "log-log slope of total rounds vs n (dominated by poly(1/phi), context only):\n";
-    List.iter
-      (fun k ->
-        match Hashtbl.find_opt per_k k with
-        | Some pts when List.length pts >= 2 ->
-          note "  k=%d: slope %.2f\n" k (X.Stats.log_log_slope pts)
-        | _ -> ())
-      ks
-  end
+  Printf.printf "\nLemma 2 iteration-cap violations: %d (theory: 0)\n" !cap_violations;
+  print_string
+    "log-log slope of total rounds vs n (dominated by poly(1/phi), context only):\n";
+  List.iter
+    (fun k -> Printf.printf "  k=%d: slope %.2f\n" k (X.Stats.log_log_slope (Hashtbl.find per_k k)))
+    ks
 
 (* ------------------------------------------------------------------ *)
 (* E6 — Theorem 1 vs the CPZ'19 baseline                               *)
@@ -368,7 +333,7 @@ let e6_vs_cpz () =
         "removed%" ]
   in
   let rng = X.Rng.create 41 in
-  let scale = if !quick then 150 else 300 in
+  let scale = 300 in
   let graphs =
     [ ("powerlaw", X.Generators.connectivize rng
          (X.Generators.chung_lu rng ~n:scale ~exponent:2.3 ~avg_degree:8.0));
@@ -407,7 +372,7 @@ let e7_triangles () =
       [ "n"; "m"; "triangles"; "complete"; "enum-rounds"; "instances"; "total-rounds";
         "msgs"; "words"; "trivial"; "DLP-exec"; "IL~n^3/4"; "LB~n^1/3" ]
   in
-  let ns = if !quick then [ 64; 96 ] else [ 64; 128; 192; 256 ] in
+  let ns = [ 64; 128; 192; 256 ] in
   let pts_inst = ref [] in
   List.iter
     (fun n ->
@@ -436,10 +401,8 @@ let e7_triangles () =
           string_of_int (X.Triangle_baselines.lower_bound_rounds ~n) ])
     ns;
   out_table t;
-  if List.length !pts_inst >= 2 then
-    note
-      "\nlog-log slope of routing instances vs n: %.2f (theory: 1/3)\n"
-      (X.Stats.log_log_slope !pts_inst)
+  Printf.printf "\nlog-log slope of routing instances vs n: %.2f (theory: 1/3)\n"
+    (X.Stats.log_log_slope !pts_inst)
 
 (* ------------------------------------------------------------------ *)
 (* E8 — GKS routing trade-off                                          *)
@@ -451,7 +414,7 @@ let e8_routing () =
       [ "n"; "k"; "beta=m^{1/k}"; "tau-mix"; "preprocess"; "query"; "break-even-queries" ]
   in
   let rng = X.Rng.create 51 in
-  let n = if !quick then 128 else 256 in
+  let n = 256 in
   let g = X.Generators.random_regular rng ~n ~d:8 in
   let hs = List.init 4 (fun i -> X.Routing.build g (X.Rng.create 52) ~k:(i + 1)) in
   List.iter
@@ -483,7 +446,7 @@ let e8_routing () =
   (* executed token routing as the delivery sanity check *)
   let requests = X.Token_router.degree_respecting_requests g (X.Rng.create 53) ~load:0.5 in
   let stats = X.Token_router.route ~capacity:4 g (X.Rng.create 54) requests in
-  note
+  Printf.printf
     "\nexecuted token routing: %d requests delivered in %d rounds (max queue %d)\n"
     stats.X.Token_router.delivered stats.X.Token_router.rounds stats.X.Token_router.max_queue
 
@@ -516,7 +479,7 @@ let e9_ablations () =
               string_of_int r.X.Decomposition.stats.X.Decomposition.phase2_components;
               string_of_int r.X.Decomposition.stats.X.Decomposition.phase2_max_iterations;
               string_of_int r.X.Decomposition.stats.X.Decomposition.partition_calls ])
-        (if !quick then [ 1; 2 ] else [ 1; 2; 3; 4 ]))
+        [ 1; 2; 3; 4 ])
     families;
   out_table t;
   (* (b) sweep stride: every-step (the paper) vs strided checks, on an
@@ -580,122 +543,6 @@ let e9_ablations () =
   out_table t3
 
 (* ------------------------------------------------------------------ *)
-(* E10 — Bechamel micro-benchmarks                                     *)
-(* ------------------------------------------------------------------ *)
-
-let e10_micro () =
-  let open Bechamel in
-  let rng = X.Rng.create 71 in
-  let g = X.Generators.connectivize rng (X.Generators.gnp rng ~n:512 ~p:0.03) in
-  let cyc = X.Generators.cycle 4096 in
-  let sparse = X.Walk.truncated_walk g ~src:0 ~eps:1e-7 ~steps:5 in
-  (* the allocation-free path Nibble runs: one step of a walker
-     restarted at the same distribution, and a rescan into one sweep.
-     Steps 4 and 5 of this walk already cover all 512 vertices, so
-     `walk-advance` times a full-support step after a [start], share
-     pass included. The rescans alternate between the two steps, so
-     each is seeded by the other step's order and the seeded sort has
-     work to do, as in Nibble; both supports are full, so they take
-     the rescan's fast seed. A second walker, started once at ψ_V,
-     takes the full-support path on every advance and keeps every
-     vertex, so each step reuses the shares the last one handed over:
-     the step Nibble's walks take once they have spread (1,996 of
-     2,012 walker steps on sparsecut-expander). *)
-  let view = X.View.make g in
-  let walker = X.Walk.walker g and sweep = X.Sweep.workspace g in
-  let mask = Array.make (X.Graph.num_vertices g) false in
-  let full_walker = X.Walk.walker g in
-  X.Walk.start full_walker
-    (let vol = float_of_int (X.Graph.total_volume g) in
-     X.Walk.of_assoc
-       (List.init (X.Graph.num_vertices g) (fun v ->
-            (v, float_of_int (X.Graph.degree g v) /. vol))));
-  (* the same rescan on triangles-gnp's kind of graph, G(128, 1/2),
-     where the sweep counts prefixes by the graph's bit rows: a full
-     support, as ParallelNibble's walks reach there. Each rescan after
-     the first finds the full order of its last one on the same view,
-     already sorted, and takes the fast path: ρ over that order, an
-     insertion sort with no shift, and the prefix pass. *)
-  let dense =
-    let rng = X.Rng.create 72 in
-    X.Generators.connectivize rng (X.Generators.gnp rng ~n:128 ~p:0.5)
-  in
-  let dense_view = X.View.make dense and dense_sweep = X.Sweep.workspace dense in
-  let dense_walk = (X.Walk.truncated_walk dense ~src:0 ~eps:1e-7 ~steps:4).(4) in
-  (* tracing-overhead pair: the same 8-round flood on the same cycle,
-     one network with no trace attached, one with round ticks + edge
-     histograms live. The plain variant is the zero-overhead claim of
-     DESIGN.md §8 — its cost must match the kernel before tracing
-     existed. *)
-  let flood_cycle = X.Generators.cycle 512 in
-  let flood net () =
-    ignore
-      (X.Network.run_active_rounds net ~label:"bench-flood"
-         ~init:(fun v -> v land 1)
-         ~step:(fun ~round:_ ~vertex:v st ib ob ->
-           let v = X.Vertex.local_int v in
-           let st = ref st in
-           X.Arena.Inbox.iter1 ib (fun _ w -> st := !st lxor w);
-           X.Graph.iter_neighbors flood_cycle v (fun u ->
-               X.Arena.Outbox.send1 ob ~dst:(X.Vertex.local u) !st);
-           !st)
-         8)
-  in
-  let plain_net = X.Network.create flood_cycle (X.Rounds.create ()) in
-  let traced_net =
-    let ledger = X.Rounds.create () in
-    X.Rounds.attach_trace ledger (Some (X.Trace.create ~capacity:4096 ()));
-    X.Network.create flood_cycle ledger
-  in
-  let tests =
-    [ Test.make ~name:"walk-advance"
-        (Staged.stage (fun () ->
-             X.Walk.start walker sparse.(4);
-             X.Walk.advance walker view ~eps:1e-7 ~mask));
-      Test.make ~name:"walk-advance-full"
-        (Staged.stage (fun () -> X.Walk.advance full_walker view ~eps:1e-7 ~mask));
-      Test.make ~name:"sweep-rescan"
-        (let fifth = ref false in
-         Staged.stage (fun () ->
-             fifth := not !fifth;
-             X.Sweep.rescan sweep view (if !fifth then sparse.(5) else sparse.(4))));
-      Test.make ~name:"sweep-rescan-dense"
-        (Staged.stage (fun () -> X.Sweep.rescan dense_sweep dense_view dense_walk));
-      Test.make ~name:"bfs-distances" (Staged.stage (fun () -> X.Metrics.bfs_distances g 0));
-      Test.make ~name:"triangle-count" (Staged.stage (fun () -> X.Triangles.count g));
-      Test.make ~name:"gnp-generate"
-        (Staged.stage (fun () -> X.Generators.gnp (X.Rng.create 1) ~n:256 ~p:0.05));
-      Test.make ~name:"degeneracy" (Staged.stage (fun () -> X.Metrics.degeneracy g));
-      Test.make ~name:"mpx-clustering"
-        (Staged.stage (fun () ->
-             X.Clustering.run
-               (X.Network.create cyc (X.Rounds.create ()))
-               ~beta:0.5 (X.Rng.create 2)));
-      Test.make ~name:"net-round-plain" (Staged.stage (flood plain_net));
-      Test.make ~name:"net-round-traced" (Staged.stage (flood traced_net)) ]
-  in
-  let test = Test.make_grouped ~name:"dexpander" ~fmt:"%s/%s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let quota = Time.second (if !quick then 0.25 else 0.5) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota ~stabilize:false () in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t = Snap.create ~title:"Micro-benchmarks (monotonic clock, ns/run)" [ "benchmark"; "ns/run" ] in
-  List.iter
-    (fun name ->
-      let est =
-        match Analyze.OLS.estimates (Hashtbl.find results name) with
-        | Some [ e ] -> e
-        | _ -> Float.nan
-      in
-      Snap.add_row t [ name; Printf.sprintf "%.0f" est ])
-    (List.sort String.compare (Test.names test));
-  out_table t
-
-(* ------------------------------------------------------------------ *)
 (* E11 — strawman recursion depth & sequential ST Partition            *)
 (* ------------------------------------------------------------------ *)
 
@@ -710,7 +557,7 @@ let e11_strawman () =
       ~title:"Strawman recursive decomposition vs Theorem 1 (depth = parallel time proxy)"
       [ "graph"; "algorithm"; "parts"; "depth"; "depth-bound-d"; "removed%" ]
   in
-  let chains = if !quick then [ 8 ] else [ 8; 16; 32 ] in
+  let chains = [ 8; 16; 32 ] in
   List.iter
     (fun cliques ->
       let g = X.Generators.cliques_chain ~cliques ~size:8 in
@@ -802,7 +649,7 @@ let e12_mixing () =
 (* ------------------------------------------------------------------ *)
 
 let e13_faults () =
-  let n = if !quick then 128 else 256 in
+  let n = 256 in
   let g = sbm_family (X.Rng.create 131) ~n in
   (* --- reliable BFS / leader election under message loss --- *)
   let t =
@@ -864,7 +711,7 @@ let e13_faults () =
       ~title:"Las Vegas wrappers: attempts until Verify accepts, rounds summed over retries"
       [ "algorithm"; "graph"; "n"; "attempts"; "rounds-total"; "retry-ovh"; "certified" ]
   in
-  let scale = if !quick then 25 else 40 in
+  let scale = 40 in
   let rng = X.Rng.create 139 in
   let sbm =
     X.Generators.connectivize rng
@@ -907,63 +754,6 @@ let e13_faults () =
   out_table t2
 
 (* ------------------------------------------------------------------ *)
-(* E14 — kernel throughput                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The workload is the [Primitives.bfs] flood, from vertex 0 on a
-   cycle: the frontier is O(1) per round, so the round count is
-   Theta(n) and the active-set worklist does O(1) work per round —
-   exactly the shape of the sweep/nibble waves the decomposition spends
-   its rounds on. *)
-let e14_throughput () =
-  let n = if !quick then 10_000 else 20_000 in
-  let reps = if !quick then 2 else 3 in
-  let g = X.Generators.cycle n in
-  let t =
-    Snap.create
-      ~title:
-        (Printf.sprintf
-           "Kernel throughput: BFS flood on cycle n=%d (best of %d runs after warm-up)"
-           n reps)
-      [ "impl"; "rounds"; "msgs"; "ms"; "rounds/s"; "msgs/s"; "B/round" ]
-  in
-  let truth = X.Metrics.bfs_distances g 0 in
-  let net = X.Network.create g (X.Rounds.create ()) in
-  let bfs = X.Primitives.bfs g ~root:(X.Vertex.local 0) in
-  let runner () =
-    X.Network.run_active net ~label:"e14-bfs" ~init:bfs.X.Conformance.init
-      ~step:bfs.X.Conformance.step ()
-  in
-  (* warm-up builds the arena and the allocator's steady state *)
-  let states, _ = runner () in
-  if Array.map (fun st -> st.X.Primitives.dist) states <> truth then
-    failwith "e14: the cursor kernel computed a wrong BFS tree";
-  let best_ns = ref max_int and rounds = ref 0 and msgs = ref 0 in
-  let bytes_per_round = ref 0.0 in
-  for _ = 1 to reps do
-    let m0 = X.Network.messages_sent net in
-    let a0 = Gc.allocated_bytes () in
-    let t0 = X.Clock.now_ns () in
-    let _, r = runner () in
-    let t1 = X.Clock.now_ns () in
-    let a1 = Gc.allocated_bytes () in
-    if t1 - t0 < !best_ns then begin
-      best_ns := t1 - t0;
-      rounds := r;
-      msgs := X.Network.messages_sent net - m0;
-      bytes_per_round := (a1 -. a0) /. fi r
-    end
-  done;
-  let secs = fi !best_ns /. 1e9 in
-  Snap.add_row t
-    [ "cursor"; string_of_int !rounds; string_of_int !msgs;
-      Printf.sprintf "%.2f" (secs *. 1e3);
-      Printf.sprintf "%.0f" (fi !rounds /. secs);
-      Printf.sprintf "%.0f" (fi !msgs /. secs);
-      Printf.sprintf "%.0f" !bytes_per_round ];
-  out_table t
-
-(* ------------------------------------------------------------------ *)
 
 let registry =
   [ ("e1", "Theorem 4: low-diameter decomposition", e1_ldd);
@@ -975,24 +765,13 @@ let registry =
     ("e7", "Theorem 2: triangle enumeration", e7_triangles);
     ("e8", "GKS routing trade-off", e8_routing);
     ("e9", "Ablations", e9_ablations);
-    ("e10", "Micro-benchmarks (Bechamel)", e10_micro);
     ("e11", "Strawman recursion & sequential ST Partition", e11_strawman);
     ("e12", "Jerrum-Sinclair mixing relation", e12_mixing);
-    ("e13", "Fault sweep: reliable delivery & Las Vegas retries", e13_faults);
-    ("e14", "Kernel throughput: BFS flood on the cursor kernel", e14_throughput) ]
+    ("e13", "Fault sweep: reliable delivery & Las Vegas retries", e13_faults) ]
 
 let () =
   let rec parse = function
     | [] -> ()
-    | "quick" :: rest ->
-      quick := true;
-      parse rest
-    | [ "--json" ] ->
-      prerr_endline "bench: --json requires a file path";
-      exit 2
-    | "--json" :: path :: rest ->
-      json_path := Some path;
-      parse rest
     | name :: rest ->
       let name = String.lowercase_ascii name in
       if List.exists (fun (id, _, _) -> id = name) registry then begin
@@ -1001,18 +780,12 @@ let () =
       end
       else begin
         Printf.eprintf
-          "bench: unknown section %S; valid sections: %s (plus 'quick' and '--json PATH')\n"
+          "bench: unknown section %S; valid sections: %s\n"
           name
           (String.concat ", " (List.map (fun (id, _, _) -> id) registry));
         exit 2
       end
   in
   parse (List.tl (Array.to_list Sys.argv));
-  Printf.printf "dexpander benchmark harness — %s mode\n"
-    (if !quick then "quick" else "full");
-  List.iter (fun (id, title, f) -> section id title f) registry;
-  match !json_path with
-  | None -> ()
-  | Some path ->
-    Snap.write ~path ~mode:(if !quick then "quick" else "full") (List.rev !sections_acc);
-    Printf.printf "\nwrote JSON snapshot to %s\n" path
+  print_endline "dexpander benchmark harness";
+  List.iter (fun (id, title, f) -> section id title f) registry

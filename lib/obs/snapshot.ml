@@ -1,8 +1,5 @@
 (* [rows] newest first; every row already padded to the header arity *)
 type table = { title : string; headers : string list; mutable rows : string list list }
-type section = { id : string; title : string; tables : table list; notes : string list }
-
-let version = "dexpander-bench/1"
 
 let create ~title headers = { title; headers; rows = [] }
 
@@ -32,32 +29,3 @@ let render t =
   Buffer.add_string buf (rule ^ "\n");
   List.iter (fun r -> Buffer.add_string buf (line r ^ "\n")) rows;
   Buffer.contents buf
-
-let to_json ~mode sections =
-  let open Json in
-  let table_json (t : table) =
-    Obj
-      [ ("title", String t.title);
-        ("headers", List (List.map (fun h -> String h) t.headers));
-        ( "rows",
-          List (List.rev_map (fun r -> List (List.map (fun c -> String c) r)) t.rows) ) ]
-  in
-  let section_json (s : section) =
-    Obj
-      [ ("id", String s.id);
-        ("title", String s.title);
-        ("tables", List (List.map table_json s.tables));
-        ("notes", List (List.map (fun n -> String n) s.notes)) ]
-  in
-  Obj
-    [ ("schema", String version);
-      ("mode", String mode);
-      ("sections", List (List.map section_json sections)) ]
-
-let write ~path ~mode sections =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json ~mode sections));
-      output_char oc '\n')

@@ -198,9 +198,9 @@ let test_faulty_gossip_equivalent =
 
 (* ---------- the public entry points against the reference ---------- *)
 
-(* [Primitives.bfs_tree] runs the protocol above, so its ledger must
-   match the reference's; a second run on the same network reuses the
-   arena and must reproduce the first *)
+(* [Reference.bfs_tree] runs the protocol above ([Primitives.bfs]) on
+   the kernel, so its ledger must match the reference's; a second run
+   on the same network reuses the arena and must reproduce the first *)
 let test_cursor_bfs_tree () =
   List.iter
     (fun seed ->

@@ -1,8 +1,7 @@
 (* Tests for the observability layer: the JSON writer, trace events and
    their JSONL lines, span trees over real algorithm runs, the
    per-edge congestion histogram, fault-aware word accounting and the
-   bench snapshot document. The writer's output is pinned as exact
-   strings. *)
+   bench tables. The writers' output is pinned as exact strings. *)
 
 module Json = Dex_obs.Json
 module Trace = Dex_obs.Trace
@@ -386,48 +385,6 @@ let test_table_formats () =
      333    \n"
     (Snapshot.render (table ~title:"demo" [ "a"; "bb" ] [ [ "1"; "2" ]; [ "333" ] ]))
 
-(* ---------- bench snapshot schema ---------- *)
-
-let sample_sections () =
-  [ { Snapshot.id = "e1";
-      title = "sample";
-      tables =
-        [ table ~title:"t" [ "n"; "m"; "rounds" ] [ [ "8"; "12"; "40" ]; [ "16" ] ] ];
-      notes = [ "a note" ] } ]
-
-(* the document Snapshot.write puts in a file, without its newline *)
-let written sections =
-  let path = Filename.temp_file "dex_snapshot" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Snapshot.write ~path ~mode:"quick" sections;
-      match read_lines path with
-      | [ doc; "" ] -> doc
-      | lines -> Alcotest.failf "expected one line and a newline, got %d lines" (List.length lines))
-
-let test_snapshot_version_embedded () =
-  let doc = written (sample_sections ()) in
-  let prefix = {|{"schema":"dexpander-bench/1","mode":"quick",|} in
-  Alcotest.(check string) "schema id first" prefix (String.sub doc 0 (String.length prefix))
-
-(* two sections; the short row is padded to the header arity *)
-let test_snapshot_valid () =
-  let sections =
-    sample_sections ()
-    @ [ { Snapshot.id = "e2";
-          title = "second";
-          tables = [ table ~title:"u" [ "k" ] [ [ "1" ] ] ];
-          notes = [] } ]
-  in
-  Alcotest.(check string) "exact document"
-    ({|{"schema":"dexpander-bench/1","mode":"quick","sections":[|}
-     ^ {|{"id":"e1","title":"sample","tables":[{"title":"t","headers":["n","m","rounds"],|}
-     ^ {|"rows":[["8","12","40"],["16","",""]]}],"notes":["a note"]},|}
-     ^ {|{"id":"e2","title":"second","tables":[{"title":"u","headers":["k"],"rows":[["1"]]}],|}
-     ^ {|"notes":[]}]}|})
-    (written sections)
-
 (* a row wider than the header list is rejected as it is added *)
 let test_snapshot_invalid () =
   match table ~title:"t" [ "a" ] [ [ "1"; "2" ] ] with
@@ -463,6 +420,4 @@ let () =
         [ Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "formats" `Quick test_table_formats ] );
       ( "snapshot",
-        [ Alcotest.test_case "valid document" `Quick test_snapshot_valid;
-          Alcotest.test_case "schema id embedded" `Quick test_snapshot_version_embedded;
-          Alcotest.test_case "invalid documents rejected" `Quick test_snapshot_invalid ] ) ]
+        [ Alcotest.test_case "invalid documents rejected" `Quick test_snapshot_invalid ] ) ]
