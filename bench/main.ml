@@ -278,7 +278,7 @@ let e5_decomp_rounds () =
   let t =
     Snap.create ~title:"Decomposition scaling in n and k (Theorem 1 / Lemma 2)"
       [ "n"; "m"; "k"; "tau"; "iter-cap=2tau*k"; "phase2-iters"; "partition-calls";
-        "parts"; "rounds"; "msgs"; "words" ]
+        "parts"; "rounds"; "msgs" ]
   in
   let ns = [ 128; 256; 512; 1024 ] in
   let ks = [ 1; 2; 3 ] in
@@ -309,8 +309,7 @@ let e5_decomp_rounds () =
               string_of_int r.X.Decomposition.stats.X.Decomposition.partition_calls;
               string_of_int (List.length r.X.Decomposition.parts);
               string_of_int rounds;
-              string_of_int r.X.Decomposition.stats.X.Decomposition.messages;
-              string_of_int r.X.Decomposition.stats.X.Decomposition.words ])
+              string_of_int r.X.Decomposition.stats.X.Decomposition.messages ])
         ks)
     ns;
   out_table t;
@@ -370,7 +369,7 @@ let e7_triangles () =
         "Triangle enumeration on G(n, 1/2) (the lower-bound family): rounds vs baselines \
          (Theorem 2)"
       [ "n"; "m"; "triangles"; "complete"; "enum-rounds"; "instances"; "total-rounds";
-        "msgs"; "words"; "trivial"; "DLP-exec"; "IL~n^3/4"; "LB~n^1/3" ]
+        "msgs"; "trivial"; "DLP-exec"; "IL~n^3/4"; "LB~n^1/3" ]
   in
   let ns = [ 64; 128; 192; 256 ] in
   let pts_inst = ref [] in
@@ -394,7 +393,6 @@ let e7_triangles () =
           string_of_int max_inst;
           string_of_int r.X.Triangle_enum.total_rounds;
           string_of_int r.X.Triangle_enum.messages;
-          string_of_int r.X.Triangle_enum.words;
           string_of_int (X.Triangle_baselines.trivial_rounds g);
           string_of_int dlp.X.Triangle_dlp.rounds;
           string_of_int (X.Triangle_baselines.izumi_le_gall_rounds ~n);
@@ -658,7 +656,7 @@ let e13_faults () =
         (Printf.sprintf
            "Reliable delivery on a lossy SBM (n=%d): rounds/messages vs fault-free"
            (X.Graph.num_vertices g))
-      [ "protocol"; "p-drop"; "p-dup"; "rounds"; "msgs"; "words"; "dropped";
+      [ "protocol"; "p-drop"; "p-dup"; "rounds"; "msgs"; "dropped";
         "duplicated"; "round-ovh"; "msg-ovh"; "correct" ]
   in
   let truth = X.Metrics.bfs_distances g 0 in
@@ -694,10 +692,9 @@ let e13_faults () =
       List.iter
         (fun p ->
           let r, m, drops, dups, correct = run_protocol proto p in
-          (* one word per message: the words column repeats msgs *)
           Snap.add_row t
             [ name; Printf.sprintf "%.2f" p; Printf.sprintf "%.3f" (p /. 2.0);
-              string_of_int r; string_of_int m; string_of_int m;
+              string_of_int r; string_of_int m;
               string_of_int drops; string_of_int dups;
               Printf.sprintf "%.2fx" (fi r /. fi (max 1 r0));
               Printf.sprintf "%.2fx" (fi m /. fi (max 1 m0));
