@@ -23,7 +23,8 @@
     therefore cost nothing, but they still count as protocol rounds.
 
     Protocols normally go through {!Network}; this interface is what
-    its round loop and the throughput benchmarks program against. *)
+    its round loop and the protocols' step functions (MPX's clustering,
+    [Reliable], the CLI's [conformance --demo-race]) program against. *)
 
 (** A send the CONGEST discipline forbids. Vertex ids are in the
     coordinates of the arena's [to_orig] (original-graph ids for a

@@ -25,7 +25,7 @@ val tree : root:Dex_graph.Vertex.local -> parent:int array -> depth:int array ->
 
     The flooding protocols, exported so {!Conformance.check} can test
     the very steps the kernel executes: the CLI's [conformance] command
-    runs both and [throughput] runs {!bfs}. *)
+    runs both. *)
 
 type bfs_state = { dist : int; par : int; pending : bool }
 

@@ -147,11 +147,24 @@ let merge_sort t =
 
 (* the entries of [nbrs] that [stamp] marks with [epoch] *)
 let[@inline] inside_by_stamps (stamp : int array) (epoch : int) (nbrs : int array) =
-  let inside = ref 0 in
+  let len = Array.length nbrs in
+  let inside = ref 0 and i = ref 0 in
   (* branch-free: whether a neighbour is already inside is close to a
-     coin flip, which a branch would mispredict *)
-  for i = 0 to Array.length nbrs - 1 do
-    inside := !inside + Bool.to_int (Array.unsafe_get stamp (Array.unsafe_get nbrs i) = epoch)
+     coin flip, which a branch would mispredict. Four neighbours a
+     pass while [i + 3 < len], so every read lies within [nbrs], as in
+     [Walk.advance_full]; then one at a time. *)
+  while !i + 3 < len do
+    let i0 = !i in
+    inside :=
+      !inside
+      + Bool.to_int (Array.unsafe_get stamp (Array.unsafe_get nbrs i0) = epoch)
+      + Bool.to_int (Array.unsafe_get stamp (Array.unsafe_get nbrs (i0 + 1)) = epoch)
+      + Bool.to_int (Array.unsafe_get stamp (Array.unsafe_get nbrs (i0 + 2)) = epoch)
+      + Bool.to_int (Array.unsafe_get stamp (Array.unsafe_get nbrs (i0 + 3)) = epoch);
+    i := i0 + 4
+  done;
+  for k = !i to len - 1 do
+    inside := !inside + Bool.to_int (Array.unsafe_get stamp (Array.unsafe_get nbrs k) = epoch)
   done;
   !inside
 

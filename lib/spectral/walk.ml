@@ -85,7 +85,10 @@ let current w = w.cur
    bound all of it within 0..n−1, and so within the view's n degrees.
    The rest holds by construction: a view's degrees have n cells, a
    graph's neighbours lie in 0..n−1, and the kernel touches each
-   vertex once per epoch, so its touched count stays within n. *)
+   vertex once per epoch, so its touched count stays within n. The
+   full-support pulls read a neighbour array four cells at a time only
+   while [j + 3 < len], so [nbrs.(j + 3)] and the three before it lie
+   within it. *)
 let check w n ~mask =
   if n > Array.length w.stamp then invalid_arg "Walk.advance: walker smaller than the graph";
   if Array.length mask < n then invalid_arg "Walk.advance: mask shorter than the graph";
@@ -163,6 +166,15 @@ let[@inline] hand_over w (degrees : float array) ~dropped =
   w.acc <- share;
   w.shares_of <- (if dropped = 0 then degrees else [||])
 
+(* [s] plus the shares of a, b, c and d, added left to right, one
+   at a time: a full-support pull's four-term block (DESIGN.md §12) *)
+let[@inline] add4 (share : float array) s a b c d =
+  s
+  +. Array.unsafe_get share a
+  +. Array.unsafe_get share b
+  +. Array.unsafe_get share c
+  +. Array.unsafe_get share d
+
 (* [advance] when p̃_{t−1} is supported on all of 0..n−1: each vertex
    pulls its new mass from its sorted adjacency instead of the kernel
    pushing it. The terms reaching u arrive in push order — ascending
@@ -190,6 +202,17 @@ let advance_full w (view : View.t) ~eps ~mask n =
         let nbrs = Graph.neighbors g u in
         let len = Array.length nbrs in
         let sum = ref 0.0 and j = ref 0 in
+        (* four terms a pass while all four lie below u, then one at a
+           time; the same above u *)
+        while !j + 3 < len && Array.unsafe_get nbrs (!j + 3) < u do
+          let j0 = !j in
+          sum :=
+            add4 share !sum (Array.unsafe_get nbrs j0)
+              (Array.unsafe_get nbrs (j0 + 1))
+              (Array.unsafe_get nbrs (j0 + 2))
+              (Array.unsafe_get nbrs (j0 + 3));
+          j := j0 + 4
+        done;
         while !j < len && Array.unsafe_get nbrs !j < u do
           sum := !sum +. Array.unsafe_get share (Array.unsafe_get nbrs !j);
           incr j
@@ -197,6 +220,15 @@ let advance_full w (view : View.t) ~eps ~mask n =
         sum :=
           !sum
           +. ((mass /. 2.0) +. (Array.unsafe_get share u *. float_of_int (Graph.self_loops g u)));
+        while !j + 3 < len do
+          let j0 = !j in
+          sum :=
+            add4 share !sum (Array.unsafe_get nbrs j0)
+              (Array.unsafe_get nbrs (j0 + 1))
+              (Array.unsafe_get nbrs (j0 + 2))
+              (Array.unsafe_get nbrs (j0 + 3));
+          j := j0 + 4
+        done;
         for k = !j to len - 1 do
           sum := !sum +. Array.unsafe_get share (Array.unsafe_get nbrs k)
         done;
@@ -310,6 +342,15 @@ let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
       let nbrs = Graph.neighbors g u in
       let len = Array.length nbrs in
       let j = ref 0 in
+      (* the segments of [advance_full], four terms a pass *)
+      while !j + 3 < len && Array.unsafe_get nbrs (!j + 3) < u do
+        let j0 = !j in
+        let a = Array.unsafe_get nbrs j0 and b = Array.unsafe_get nbrs (j0 + 1) in
+        let c = Array.unsafe_get nbrs (j0 + 2) and d = Array.unsafe_get nbrs (j0 + 3) in
+        s1 := add4 share1 !s1 a b c d;
+        s2 := add4 share2 !s2 a b c d;
+        j := j0 + 4
+      done;
       while !j < len && Array.unsafe_get nbrs !j < u do
         let x = Array.unsafe_get nbrs !j in
         s1 := !s1 +. Array.unsafe_get share1 x;
@@ -319,6 +360,14 @@ let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
       let loops = float_of_int (Graph.self_loops g u) in
       s1 := !s1 +. ((mass1 /. 2.0) +. (Array.unsafe_get share1 u *. loops));
       s2 := !s2 +. ((mass2 /. 2.0) +. (Array.unsafe_get share2 u *. loops));
+      while !j + 3 < len do
+        let j0 = !j in
+        let a = Array.unsafe_get nbrs j0 and b = Array.unsafe_get nbrs (j0 + 1) in
+        let c = Array.unsafe_get nbrs (j0 + 2) and d = Array.unsafe_get nbrs (j0 + 3) in
+        s1 := add4 share1 !s1 a b c d;
+        s2 := add4 share2 !s2 a b c d;
+        j := j0 + 4
+      done;
       for k = !j to len - 1 do
         let x = Array.unsafe_get nbrs k in
         s1 := !s1 +. Array.unsafe_get share1 x;

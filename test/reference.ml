@@ -480,8 +480,8 @@ let approximate_pagerank g ~src =
 (* ---------------- the walk and sweep oracles ---------------- *)
 
 (* M·p for a dense distribution: each vertex of nonzero mass, in
-   ascending order, keeps its lazy half and its self-loops' share and
-   pushes one share per incident edge *)
+   ascending order, keeps its lazy half plus its self-loops' share, one
+   term as the walker adds it, and pushes one share per incident edge *)
 let step_dense g p =
   let q = Array.make (Graph.num_vertices g) 0.0 in
   Array.iteri
@@ -491,7 +491,7 @@ let step_dense g p =
         if deg = 0.0 then q.(v) <- q.(v) +. mass
         else begin
           let share = mass /. (2.0 *. deg) in
-          q.(v) <- q.(v) +. (mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v));
+          q.(v) <- q.(v) +. ((mass /. 2.0) +. (share *. float_of_int (Graph.self_loops g v)));
           Graph.iter_neighbors g v (fun u -> q.(u) <- q.(u) +. share)
         end
       end)
@@ -576,11 +576,7 @@ let order g p =
    walked untruncated until every vertex of positive π is within 1/4
    of π relative, testing before each step, for at most [max_steps]
    steps (default 4·n); the worst of the three. n ≤ 1 gives 0 and an
-   edgeless graph [max_steps], neither drawing. [step_dense] would not
-   do: it adds a vertex's lazy half and its self-loops' share one at a
-   time where the walker adds their sum, and on one graph with
-   self-loops that left a vertex 0.24999999999999994·π from π, inside
-   the 1/4 test, where the walker's value fell just outside it. *)
+   edgeless graph [max_steps], neither drawing. *)
 let mixing_time ?(max_steps = 0) g rng =
   let n = Graph.num_vertices g in
   let max_steps = if max_steps > 0 then max_steps else 4 * n in

@@ -284,10 +284,10 @@ let test_allow_comment_silences_nothing () =
   check_rules "C003 in an .mli" [ "C003" ]
     (mli "(* dex-lint: allow C003 staged migration *)\nval bfs : root:int -> unit")
 
-let test_scope_d004_obs_and_bench_exempt () =
+let test_scope_d004_obs_exempt () =
   let src = "let f () = Unix.gettimeofday ()" in
   check_rules "lib/obs exempt" [] (lint ~path:"lib/obs/clock.ml" src);
-  check_rules "bench exempt" [] (lint ~path:"bench/main.ml" src);
+  check_rules "bench fires" [ "D004" ] (lint ~path:"bench/main.ml" src);
   check_rules "bin fires" [ "D004" ] (lint ~path:"bin/cli.ml" src);
   check_rules "congest fires" [ "D004" ] (lint ~path:"lib/congest/x.ml" src)
 
@@ -487,8 +487,7 @@ let () =
             test_scope_d003_only_protocol_layers;
           Alcotest.test_case "D002 rng exempt" `Quick test_scope_d002_rng_exempt;
           Alcotest.test_case "D001 has no exemption" `Quick test_scope_d001_no_exemption;
-          Alcotest.test_case "D004 obs/bench exempt" `Quick
-            test_scope_d004_obs_and_bench_exempt;
+          Alcotest.test_case "D004 obs exempt, bench fires" `Quick test_scope_d004_obs_exempt;
           Alcotest.test_case "absolute paths" `Quick test_scope_absolute_paths;
           Alcotest.test_case "--all-rules" `Quick test_all_rules_overrides_scope;
           Alcotest.test_case "an allow comment silences nothing" `Quick

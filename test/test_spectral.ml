@@ -450,6 +450,107 @@ let test_walker_full_support_step () =
     (same_float (Walk.change w1) change
     && same_float (Walk.change w2) (Reference.l1_change ~prev ~next:whole))
 
+(* A dense multigraph on 2..40 vertices for the four-term blocks of
+   the full-support pulls and of the sweep's stamp count: each vertex
+   but [z] draws 0-13 edges to vertices below it, with repeats, so its
+   neighbours below number 0-13 and those above it about as many, and
+   both segments take every length mod 4. The repeats are parallel
+   edges, about one vertex in four has a self-loop, and [z] has no
+   edge at all. *)
+let block_multigraph rng =
+  let n = 2 + Rng.int rng 39 in
+  let z = Rng.int rng n in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    if u <> z then begin
+      if u > 0 then
+        for _ = 1 to Rng.int rng 14 do
+          let v = Rng.int rng u in
+          if v <> z then edges := (u, v) :: !edges
+        done;
+      if Rng.int rng 4 = 0 then edges := (u, u) :: !edges
+    end
+  done;
+  Graph.of_edges ~n !edges
+
+(* a copy of a distribution the walker will rewrite *)
+let snapshot (p : Walk.sparse) =
+  Walk.of_assoc (List.init p.len (fun i -> (p.support.(i), p.masses.(i))))
+
+(* Full-support steps, single and paired, and rescans on the stamp and
+   bit-row paths against the dense reference step and the reference
+   scan, bit for bit, on multigraphs whose adjacency segments take
+   every length mod 4 (DESIGN.md §12). Each walker starts on every
+   vertex at ε = 0 or ε > 0 and steps while its support stays full,
+   the first step computing its shares and later ones taking them
+   handed over; the rescans follow a walk from full to partial
+   supports. The bit-row path runs on the merged simple graph when it
+   is dense enough for rows. *)
+let prop_four_term_blocks_match_reference =
+  QCheck.Test.make ~name:"four-term blocks = dense reference step + scan, bit for bit" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g = block_multigraph rng in
+      let n = Graph.num_vertices g and view = View.make g in
+      let draw_eps () = if Rng.bool rng then 0.0 else Rng.float rng 0.02 in
+      (* the walker stepped [p] to its current distribution, returning
+         [change] *)
+      let stepped w ~eps p change =
+        let q = Reference.step_dense g (sparse_to_dense n p) in
+        let dense = Hashtbl.create n in
+        Array.iteri (Hashtbl.replace dense) q;
+        let next = Reference.truncate g ~eps dense in
+        identical (Walk.current w) next
+        && same_float change (Reference.l1_change ~prev:(Reference.of_walk p) ~next)
+      in
+      let full w = (Walk.current w).len = n in
+      let single () =
+        let w = Walk.walker g and mask = Array.make n false and eps = draw_eps () in
+        Walk.start w (full_support rng n);
+        let ok = ref true and t = ref 0 in
+        while !ok && !t < 3 && full w do
+          let p = snapshot (Walk.current w) in
+          ok := stepped w ~eps p (Walk.advance w view ~eps ~mask);
+          incr t
+        done;
+        !ok
+      in
+      let paired () =
+        let w1 = Walk.walker g and w2 = Walk.walker g in
+        let mask1 = Array.make n false and mask2 = Array.make n false in
+        let eps1 = draw_eps () and eps2 = draw_eps () in
+        Walk.start w1 (full_support rng n);
+        Walk.start w2 (full_support rng n);
+        let ok = ref true and t = ref 0 in
+        while !ok && !t < 3 && full w1 && full w2 do
+          let p1 = snapshot (Walk.current w1) and p2 = snapshot (Walk.current w2) in
+          Walk.advance_pair w1 w2 view ~eps1 ~eps2 ~mask1 ~mask2;
+          ok := stepped w1 ~eps:eps1 p1 (Walk.change w1) && stepped w2 ~eps:eps2 p2 (Walk.change w2);
+          incr t
+        done;
+        !ok
+      in
+      let rescans graph =
+        let view = View.make graph and sweep = Sweep.workspace graph in
+        let w = Walk.walker graph and eps = draw_eps () in
+        Walk.start w (full_support rng n);
+        let ok = ref true in
+        for _ = 1 to 3 do
+          let p = Walk.current w in
+          let reference = Reference.of_walk p in
+          Sweep.rescan sweep view p;
+          ok :=
+            !ok
+            && sweep_is sweep ~order:(Reference.order graph reference)
+                 ~prefixes:(Reference.scan graph reference);
+          ignore (Walk.advance w view ~eps ~mask:(Array.make n false) : float)
+        done;
+        !ok
+      in
+      let simple = Graph.of_edges ~n (List.sort_uniq compare (Graph.edges g)) in
+      single () && paired () && rescans g && rescans simple)
+
 (* A sweep workspace rescanned from distribution A to B holds what a
    fresh scan of B and the reference hold: no stale stamp, length or
    cell survives the rescan. *)
@@ -1030,6 +1131,7 @@ let () =
             test_walker_rescan_allocation_free;
           Alcotest.test_case "kernels check once, before any write" `Quick test_kernel_guards;
           Alcotest.test_case "walker full-support step" `Quick test_walker_full_support_step;
+          QCheck_alcotest.to_alcotest prop_four_term_blocks_match_reference;
           QCheck_alcotest.to_alcotest prop_share_hand_off_matches_reference;
           Alcotest.test_case "shares follow the view" `Quick test_shares_follow_the_view;
           Alcotest.test_case "rows built on first sweep" `Quick test_rows_built_on_first_sweep;
