@@ -8,8 +8,6 @@ type t = {
   t0 : int;
   gamma : float;
   f_phi : float;
-  parallel_cap : int;
-  partition_cap : int;
   idle_limit : int;
   sweep_stride : int;
   c1_relaxed_factor : float;
@@ -31,13 +29,10 @@ let make ?(preset = Practical) ~phi ~m () =
   let gamma = 5.0 *. phi /. (7.0 *. 7.0 *. 8.0 *. ln_me4) in
   let f_phi = phi ** 3.0 /. (144.0 *. (ln_me4 *. ln_me4)) in
   let ell = ceil_log2 m in
-  let parallel_cap, partition_cap, idle_limit, sweep_stride, c1_relaxed_factor =
-    match preset with
-    | Theory -> (max_int, max_int, max_int, 1, 12.0)
-    | Practical -> (8, 48, 8, 16, 3.0)
+  let idle_limit, sweep_stride, c1_relaxed_factor =
+    match preset with Theory -> (max_int, 1, 12.0) | Practical -> (8, 16, 3.0)
   in
-  { preset; phi; m; ell; t0; gamma; f_phi; parallel_cap; partition_cap; idle_limit;
-    sweep_stride; c1_relaxed_factor }
+  { preset; phi; m; ell; t0; gamma; f_phi; idle_limit; sweep_stride; c1_relaxed_factor }
 
 let should_sweep t step = step <= 16 || step mod t.sweep_stride = 0
 
@@ -70,16 +65,16 @@ let parallel_copies t ~volume =
   (* the practical floor of 2 keeps start-vertex coverage reasonable
      when the theory formula rounds down to a single copy *)
   let floor_k = match t.preset with Theory -> 1 | Practical -> 2 in
-  Int.max floor_k (Int.min t.parallel_cap k)
+  Int.max floor_k k
 
 let overlap_bound _t ~volume =
   10 * int_of_float (Float.ceil (log (Float.max 2.0 (float_of_int volume))))
 
 let g_value t ~volume =
   (* g(φ, Vol) = ⌈10·w·(56·ℓ·(t₀+1)·t₀·ln(m·e⁴)·φ⁻¹)⌉ (Appendix A.4);
-     astronomically large at theory constants, hence the practical
-     partition_cap clamp downstream. Computed in floats to avoid
-     overflow. *)
+     astronomically large at either preset's constants, so Partition
+     stops on its idle limit or on volume long before s. Computed in
+     floats to avoid overflow. *)
   let w = overlap_bound t ~volume in
   let mf = float_of_int t.m in
   let ln_me4 = log (mf *. exp 4.0) in
@@ -97,7 +92,7 @@ let partition_iterations t ~volume ~p =
   let log_factor = int_of_float (Float.ceil (log (1.0 /. p) /. log (7.0 /. 4.0))) in
   let s = 4.0 *. float_of_int g *. float_of_int (Int.max 1 log_factor) in
   let s = if s >= float_of_int max_int then max_int else int_of_float s in
-  Int.max 1 (Int.min t.partition_cap s)
+  Int.max 1 s
 
 let h ~n phi =
   let lf = log (Float.max 2.0 (float_of_int n)) in

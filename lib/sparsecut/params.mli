@@ -11,11 +11,12 @@
     v}
 
     Two presets share the formulas and differ only in leading
-    constants and iteration caps (see DESIGN.md §2): [theory] is
-    paper-exact (c_t0 = 49, uncapped iteration counts — usable on tiny
-    graphs only), [practical] shrinks c_t0 and caps the Partition /
-    ParallelNibble repetition counts so benches terminate, preserving
-    the asymptotic shapes. *)
+    constants and stopping rules (see DESIGN.md §2): [theory] is
+    paper-exact (c_t0 = 49, no early stop — usable on tiny graphs
+    only), [practical] shrinks c_t0, caps t₀, floors the ParallelNibble
+    copy count at 2 and stops Partition after [idle_limit] empty cuts
+    in a row so benches terminate, preserving the asymptotic
+    shapes. *)
 
 type preset = Theory | Practical
 
@@ -27,8 +28,6 @@ type t = {
   t0 : int; (** walk length *)
   gamma : float; (** γ: the ρ lower-bound scale of condition (C.2) *)
   f_phi : float; (** f(φ): conductance threshold for the target set S *)
-  parallel_cap : int; (** upper cap on ParallelNibble copies *)
-  partition_cap : int; (** upper cap on Partition iterations *)
   idle_limit : int; (** Partition stops after this many consecutive empty cuts *)
   sweep_stride : int;
   (** sweep-cut checks run at every step t ≤ 16 and then every
@@ -64,8 +63,10 @@ val ceil_log2 : int -> int
 val eps_b : t -> int -> float
 
 (** [parallel_copies t ~volume] is the paper's k:
-    ⌈Vol(V) / (56·ℓ·(t₀+1)·t₀·ln(m·e⁴)·φ⁻¹)⌉, clamped to
-    [1, parallel_cap]. *)
+    ⌈Vol(V) / (56·ℓ·(t₀+1)·t₀·ln(m·e⁴)·φ⁻¹)⌉, at least 1 under
+    [Theory] and at least 2 under [Practical]. At practical constants
+    the formula is 1 for every m up to 5·10¹², so the floor decides:
+    2 copies. *)
 val parallel_copies : t -> volume:int -> int
 
 (** [overlap_bound t ~volume] is w = 10·⌈ln Vol(V)⌉: the per-edge
@@ -73,7 +74,10 @@ val parallel_copies : t -> volume:int -> int
 val overlap_bound : t -> volume:int -> int
 
 (** [partition_iterations t ~volume ~p] is the paper's
-    s = 4·g(φ,Vol)·⌈log_{7/4}(1/p)⌉, clamped to partition_cap. *)
+    s = 4·g(φ,Vol)·⌈log_{7/4}(1/p)⌉, at least 1 and saturating at
+    [max_int]. At practical constants it is over 10¹¹, and over 10¹²
+    at Partition's p ≤ 1/4, so under [Practical] Partition stops on
+    [idle_limit] or on volume first. *)
 val partition_iterations : t -> volume:int -> p:float -> int
 
 (** [h phi] = Θ(φ^{1/3}·log^{5/3} n) — the conductance the sparse-cut

@@ -10,9 +10,10 @@
     Φ(C) = O(φ^{1/3}·log^{5/3} n); when Φ(G) > φ the output is ∅ or
     still O(φ^{1/3}·log^{5/3} n)-sparse.
 
-    With the [Practical] preset the iteration count s is capped and
-    the loop additionally stops after [idle_limit] consecutive empty
-    ParallelNibble results (a Monte-Carlo shortcut; see DESIGN.md §2). *)
+    With the [Practical] preset the loop additionally stops after
+    [idle_limit] consecutive empty ParallelNibble results (a
+    Monte-Carlo shortcut; see DESIGN.md §2), long before the s of
+    practical constants (at least 10¹²) could bind. *)
 
 type t = {
   cut : int array; (** C, sorted; may be empty *)

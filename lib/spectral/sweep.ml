@@ -152,7 +152,7 @@ let[@inline] inside_by_stamps (stamp : int array) (epoch : int) (nbrs : int arra
   (* branch-free: whether a neighbour is already inside is close to a
      coin flip, which a branch would mispredict. Four neighbours a
      pass while [i + 3 < len], so every read lies within [nbrs], as in
-     [Walk.advance_full]; then one at a time. *)
+     the walker's paired pull; then one at a time. *)
   while !i + 3 < len do
     let i0 = !i in
     inside :=

@@ -26,18 +26,18 @@ let size p = p.len
    The step kernel's dense scratch: [acc.(v)] is meaningful only while
    [stamp.(v) = epoch], so bumping [epoch] clears it in O(1);
    [touched.(0 .. count-1)] lists the vertices stamped in the current
-   epoch, in first-touch order (a full-support step lists its dropped
-   vertices there). [share.(v)] is v's per-edge share in a
-   full-support step. A full-support step writes the next step's
-   shares into [acc], which that path never reads as an accumulator,
-   and swaps the two arrays; [shares_of] is then the degrees array of
-   the view they were computed on, and the next full step on that
-   view skips its share pass. Any other step and [start] set it to
-   [\[||\]], which no view on n > 0 vertices holds, and the full path
-   never runs at n = 0. [change.(0)] is the last advance's
-   ‖p̃_t − p̃_{t−1}‖₁, kept in a float array so that neither path boxes
-   it on return. Every array but [change] and [shares_of] has the
-   walker's n cells, which the kernels' one bounds check relies on. *)
+   epoch, in first-touch order (a paired full-support step lists its
+   dropped vertices there). [share.(v)] is v's per-edge share in a
+   paired full-support step. That step writes the next step's shares
+   into [acc], which the pull never reads as an accumulator, and swaps
+   the two arrays; [shares_of] is then the degrees array of the view
+   they were computed on, and the next paired full step on that view
+   skips its share pass. A push step and [start] set it to [\[||\]],
+   which no view on n > 0 vertices holds, and the pull never runs at
+   n = 0. [change.(0)] is the last advance's ‖p̃_t − p̃_{t−1}‖₁, kept
+   in a float array so that neither path boxes it on return. Every
+   array but [change] and [shares_of] has the walker's n cells, which
+   the kernels' one bounds check relies on. *)
 type walker = {
   mutable acc : float array;
   stamp : int array;
@@ -86,9 +86,9 @@ let current w = w.cur
    The rest holds by construction: a view's degrees have n cells, a
    graph's neighbours lie in 0..n−1, and the kernel touches each
    vertex once per epoch, so its touched count stays within n. The
-   full-support pulls read a neighbour array four cells at a time only
-   while [j + 3 < len], so [nbrs.(j + 3)] and the three before it lie
-   within it. *)
+   paired full-support pull reads a neighbour array four cells at a
+   time only while [j + 3 < len], so [nbrs.(j + 3)] and the three
+   before it lie within it. *)
 let check w n ~mask =
   if n > Array.length w.stamp then invalid_arg "Walk.advance: walker smaller than the graph";
   if Array.length mask < n then invalid_arg "Walk.advance: mask shorter than the graph";
@@ -147,8 +147,8 @@ let kernel w (view : View.t) p ~eps n =
   done;
   !k
 
-(* the share pass of a full-support step: [w.share.(v)] is v's
-   per-edge share of p̃_{t−1}, unless the last step on this view
+(* the share pass of a paired full-support step: [w.share.(v)] is
+   v's per-edge share of p̃_{t−1}, unless the last step on this view
    handed them over *)
 let shares w (degrees : float array) n =
   if w.shares_of != degrees then begin
@@ -158,8 +158,8 @@ let shares w (degrees : float array) n =
     done
   end
 
-(* the walker's shares after a full-support step that wrote the next
-   ones into [acc]: they hold when it dropped no vertex *)
+(* the walker's shares after a paired full-support step that wrote
+   the next ones into [acc]: they hold when it dropped no vertex *)
 let[@inline] hand_over w (degrees : float array) ~dropped =
   let share = w.share in
   w.share <- w.acc;
@@ -167,95 +167,14 @@ let[@inline] hand_over w (degrees : float array) ~dropped =
   w.shares_of <- (if dropped = 0 then degrees else [||])
 
 (* [s] plus the shares of a, b, c and d, added left to right, one
-   at a time: a full-support pull's four-term block (DESIGN.md §12) *)
+   at a time: the paired full-support pull's four-term block
+   (DESIGN.md §12) *)
 let[@inline] add4 (share : float array) s a b c d =
   s
   +. Array.unsafe_get share a
   +. Array.unsafe_get share b
   +. Array.unsafe_get share c
   +. Array.unsafe_get share d
-
-(* [advance] when p̃_{t−1} is supported on all of 0..n−1: each vertex
-   pulls its new mass from its sorted adjacency instead of the kernel
-   pushing it. The terms reaching u arrive in push order — ascending
-   source, u's own term at u's place, parallel edges consecutively —
-   and the sum starts at [0.0] like push's first touch, so every float
-   is the kernel's (DESIGN.md §12). The same pass truncates, writes
-   p̃_t, marks the mask, sums |p̃_t − p̃_{t−1}| over the kept vertices
-   and writes each kept vertex's next share into [acc], the share
-   pass's own expression on the same float; the dropped ones, listed
-   in [touched], add their old masses afterwards, ascending, as the
-   sparse path's tail does. *)
-let advance_full w (view : View.t) ~eps ~mask n =
-  let g = view.graph and degrees = view.degrees in
-  shares w degrees n;
-  let prev = w.cur and next = w.spare and share = w.share and dropped = w.touched in
-  let masses = prev.masses and support' = next.support and masses' = next.masses in
-  let share' = w.acc in
-  let threshold = 2.0 *. eps in
-  let acc = ref 0.0 and kept = ref 0 and ndropped = ref 0 in
-  for u = 0 to n - 1 do
-    let mass = Array.unsafe_get masses u and deg = Array.unsafe_get degrees u in
-    let x =
-      if deg = 0.0 then 0.0 +. mass
-      else begin
-        let nbrs = Graph.neighbors g u in
-        let len = Array.length nbrs in
-        let sum = ref 0.0 and j = ref 0 in
-        (* four terms a pass while all four lie below u, then one at a
-           time; the same above u *)
-        while !j + 3 < len && Array.unsafe_get nbrs (!j + 3) < u do
-          let j0 = !j in
-          sum :=
-            add4 share !sum (Array.unsafe_get nbrs j0)
-              (Array.unsafe_get nbrs (j0 + 1))
-              (Array.unsafe_get nbrs (j0 + 2))
-              (Array.unsafe_get nbrs (j0 + 3));
-          j := j0 + 4
-        done;
-        while !j < len && Array.unsafe_get nbrs !j < u do
-          sum := !sum +. Array.unsafe_get share (Array.unsafe_get nbrs !j);
-          incr j
-        done;
-        sum :=
-          !sum
-          +. ((mass /. 2.0) +. (Array.unsafe_get share u *. float_of_int (Graph.self_loops g u)));
-        while !j + 3 < len do
-          let j0 = !j in
-          sum :=
-            add4 share !sum (Array.unsafe_get nbrs j0)
-              (Array.unsafe_get nbrs (j0 + 1))
-              (Array.unsafe_get nbrs (j0 + 2))
-              (Array.unsafe_get nbrs (j0 + 3));
-          j := j0 + 4
-        done;
-        for k = !j to len - 1 do
-          sum := !sum +. Array.unsafe_get share (Array.unsafe_get nbrs k)
-        done;
-        !sum
-      end
-    in
-    if x >= threshold *. deg then begin
-      Array.unsafe_set support' !kept u;
-      Array.unsafe_set masses' !kept x;
-      Array.unsafe_set share' u (x /. (2.0 *. deg));
-      Array.unsafe_set mask u true;
-      acc := !acc +. Float.abs (x -. mass);
-      incr kept
-    end
-    else begin
-      Array.unsafe_set dropped !ndropped u;
-      incr ndropped
-    end
-  done;
-  next.len <- !kept;
-  for i = 0 to !ndropped - 1 do
-    acc := !acc +. Array.unsafe_get masses (Array.unsafe_get dropped i)
-  done;
-  hand_over w degrees ~dropped:!ndropped;
-  w.cur <- next;
-  w.spare <- prev;
-  w.change.(0) <- !acc
 
 let advance_sparse w view ~eps ~mask n =
   let prev = w.cur and next = w.spare in
@@ -298,27 +217,29 @@ let advance_sparse w view ~eps ~mask n =
   w.spare <- prev;
   w.change.(0) <- !acc
 
-(* an ascending support of n entries ending at n−1 is all of 0..n−1 *)
-let[@inline] covers_all w n = n > 0 && w.cur.len = n && w.cur.support.(n - 1) = n - 1
-
-(* one advance of a walker that [check] passed *)
-let[@inline] step w view ~eps ~mask n =
-  if covers_all w n then advance_full w view ~eps ~mask n else advance_sparse w view ~eps ~mask n
-
 (* inlined, so the caller reads [change.(0)] unboxed *)
 let[@inline] advance w (view : View.t) ~eps ~mask =
   let n = Graph.num_vertices view.graph in
   check w n ~mask;
-  step w view ~eps ~mask n;
+  advance_sparse w view ~eps ~mask n;
   w.change.(0)
 
 let[@inline] change w = w.change.(0)
 
-(* [advance_full] for two walkers in one pass over the adjacency: each
-   vertex keeps two sums, [s1] and [s2], and each takes its terms in
-   the single-walker order, so every float is [advance_full]'s
-   (DESIGN.md §12). The two copies of the truncate-and-write tail stay
-   inline: passing the counters to a helper would box the L1 sums. *)
+(* [advance] for two walkers whose p̃_{t−1} is supported on all of
+   0..n−1, in one pass over the adjacency: each vertex pulls its new
+   masses from its sorted adjacency instead of the kernel pushing
+   them, keeping two sums, [s1] and [s2]. The terms reaching u arrive
+   in push order — ascending source, u's own term at u's place,
+   parallel edges consecutively — and each sum starts at [0.0] like
+   push's first touch, so every float is the kernel's (DESIGN.md §12).
+   The same pass truncates, writes p̃_t, marks the mask, sums
+   |p̃_t − p̃_{t−1}| over the kept vertices and writes each kept
+   vertex's next share into [acc], the share pass's own expression on
+   the same float; the dropped ones, listed in [touched], add their
+   old masses afterwards, ascending, as the push path's tail does.
+   The two copies of the truncate-and-write tail stay inline: passing
+   the counters to a helper would box the L1 sums. *)
 let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
   let g = view.graph and degrees = view.degrees in
   shares w1 degrees n;
@@ -342,7 +263,8 @@ let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
       let nbrs = Graph.neighbors g u in
       let len = Array.length nbrs in
       let j = ref 0 in
-      (* the segments of [advance_full], four terms a pass *)
+      (* four terms a pass while all four lie below u, then one at a
+         time; the same above u *)
       while !j + 3 < len && Array.unsafe_get nbrs (!j + 3) < u do
         let j0 = !j in
         let a = Array.unsafe_get nbrs j0 and b = Array.unsafe_get nbrs (j0 + 1) in
@@ -417,6 +339,9 @@ let advance_full_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 n =
   w2.spare <- prev2;
   w2.change.(0) <- !acc2
 
+(* an ascending support of n entries ending at n−1 is all of 0..n−1 *)
+let[@inline] covers_all w n = n > 0 && w.cur.len = n && w.cur.support.(n - 1) = n - 1
+
 (* both walkers are checked before either moves, so a rejected call
    leaves both as they were *)
 let advance_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 =
@@ -427,8 +352,8 @@ let advance_pair w1 w2 (view : View.t) ~eps1 ~eps2 ~mask1 ~mask2 =
   if covers_all w1 n && covers_all w2 n then
     advance_full_pair w1 w2 view ~eps1 ~eps2 ~mask1 ~mask2 n
   else begin
-    step w1 view ~eps:eps1 ~mask:mask1 n;
-    step w2 view ~eps:eps2 ~mask:mask2 n
+    advance_sparse w1 view ~eps:eps1 ~mask:mask1 n;
+    advance_sparse w2 view ~eps:eps2 ~mask:mask2 n
   end
 
 let truncated_walk g ~src ~eps ~steps =

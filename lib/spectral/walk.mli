@@ -11,10 +11,10 @@
     Nibble walks cheap. A {!walker} is the one way to step one: it
     advances in two buffers it reuses from step to step, and its step
     kernel visits the support in ascending order, so every float it
-    produces is a deterministic function of the input distribution. A
-    walker whose distribution covers every vertex pulls each vertex's
-    mass instead, to the same floats, and two such walkers pull in one
-    pass. A step reads the graph through a {!View.t}, built once per
+    produces is a deterministic function of the input distribution.
+    Two walkers whose distributions both cover every vertex, stepped as
+    a pair, pull each vertex's masses instead, in one pass and to the
+    same floats. A step reads the graph through a {!View.t}, built once per
     graph and shared by every walker and sweep over it. *)
 
 (** A sparse distribution: [support.(0 .. len-1)] ascends strictly and
@@ -42,8 +42,8 @@ val size : sparse -> int
 (** A truncated walk that allocates nothing per step: a dense scratch
     for the step kernel (an epoch-stamped float accumulator and a
     touched-vertex buffer), two distribution buffers of capacity n that
-    swap on every {!advance}, and n cells for a full-support step's
-    shares, each with one cell per vertex. It is mutable and
+    swap on every {!advance}, and n cells for a paired full-support
+    step's shares, each with one cell per vertex. It is mutable and
     single-owner: one Nibble run at a time drives it, and two domains
     must not share one. *)
 type walker
@@ -70,11 +70,9 @@ val current : walker -> sparse
     the support, ascending. The step kernel pushes each support
     vertex's shares, ascending, into the dense scratch, orders the
     touched set (an in-place sort of it, or one pass over all vertices
-    when it holds at least an eighth of them) and keeps the survivors.
-    A p̃_{t-1} supported on every vertex of the graph skips the kernel:
-    each vertex pulls its terms from its sorted adjacency, in the order
-    the kernel pushes them, to the same floats (DESIGN.md §12). Both
-    read the view's float degrees. Raises [Invalid_argument], before
+    when it holds at least an eighth of them) and keeps the survivors,
+    on any support, a full one included. It reads the view's float
+    degrees. Raises [Invalid_argument], before
     writing anything, when the graph has more vertices than [w] has
     cells or [mask] has cells, or when p̃_{t-1} has a vertex outside
     the graph; the loops then run without bounds checks. *)
@@ -89,7 +87,8 @@ val change : walker -> float
     [advance w2 view ~eps:eps2 ~mask:mask2]; read each change with
     {!change}. When both current distributions cover every vertex of
     the graph, one pass over the adjacency pulls both: each vertex
-    keeps two sums, each in the single-walker order, so every float is
+    keeps two sums and takes each one's terms from its sorted
+    adjacency in the order the kernel pushes them, so every float is
     the one two advances compute (DESIGN.md §12). Otherwise the
     walkers advance one after the other. Raises [Invalid_argument]
     when [w1] and [w2] are the same walker, or when either fails

@@ -47,13 +47,28 @@ let test_params_validation () =
   Alcotest.check_raises "phi zero" (Invalid_argument "Params.make: phi must be in (0, 1/12]")
     (fun () -> ignore (mk_params 0.0 100))
 
+(* Practical caps t₀ and floors the copy count at 2, which is the
+   count on every volume 2 … 2·10¹² (m = volume/2): the paper's k is 1
+   there. The paper's s is left unclamped, and at practical constants
+   it is far beyond any iteration Partition reaches. *)
 let test_params_caps () =
   let p = mk_params 0.05 1_000_000 in
   Alcotest.(check bool) "practical t0 capped" true (p.Params.t0 <= 20_000);
-  let copies = Params.parallel_copies p ~volume:2_000_000 in
-  Alcotest.(check bool) "copies within cap" true (copies >= 1 && copies <= p.Params.parallel_cap);
+  List.iter
+    (fun phi ->
+      let volume = ref 2 in
+      for _ = 0 to 12 do
+        let m = !volume / 2 in
+        let copies preset = Params.parallel_copies (mk_params ~preset phi m) ~volume:!volume in
+        Alcotest.(check int) (Printf.sprintf "practical copies, volume %d" !volume) 2
+          (copies Params.Practical);
+        Alcotest.(check bool) (Printf.sprintf "theory copies >= 1, volume %d" !volume) true
+          (copies Params.Theory >= 1);
+        volume := !volume * 10
+      done)
+    [ 1.0 /. 12.0; 1.0 /. 48.0 ];
   let iters = Params.partition_iterations p ~volume:2_000_000 ~p:0.01 in
-  Alcotest.(check bool) "iterations within cap" true (iters >= 1 && iters <= p.Params.partition_cap);
+  Alcotest.(check bool) "practical iterations >= 1e11" true (iters >= 100_000_000_000);
   let w = Params.overlap_bound p ~volume:2_000_000 in
   Alcotest.(check int) "w = 10 ceil ln vol" (10 * 15) w
 

@@ -379,23 +379,34 @@ let prop_share_hand_off_matches_reference =
       done;
       !ok)
 
-(* A walker that kept every vertex on view A holds A's shares; one
-   advance on view B, with no start between, computes B's and equals
-   the reference step on B. *)
+(* Two walkers that kept every vertex in a paired step on view A hold
+   A's shares, the only shares a step hands over; one paired step on
+   view B, with no start between, computes B's and equals the
+   reference step on B for each. *)
 let test_shares_follow_the_view () =
   let ga = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
   let gb = Graph.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3); (1, 1) ] in
-  let p = Walk.of_assoc [ (0, 0.1); (1, 0.2); (2, 0.3); (3, 0.4) ] in
-  let w = Walk.walker ga and mask = Array.make 4 false in
-  Walk.start w p;
-  ignore (Walk.advance w (View.make ga) ~eps:0.0 ~mask : float);
-  let prev = reference_step ga None (Reference.of_walk p) in
-  Alcotest.(check bool) "kept every vertex on A" true (identical (Walk.current w) prev);
-  let change = Walk.advance w (View.make gb) ~eps:0.0 ~mask in
-  let next = reference_step gb None prev in
-  Alcotest.(check bool) "= reference step on B" true (identical (Walk.current w) next);
-  Alcotest.(check bool) "L1 = reference, bit for bit" true
-    (same_float change (Reference.l1_change ~prev ~next))
+  let p1 = Walk.of_assoc [ (0, 0.1); (1, 0.2); (2, 0.3); (3, 0.4) ] in
+  let p2 = Walk.of_assoc [ (0, 0.4); (1, 0.3); (2, 0.2); (3, 0.1) ] in
+  let w1 = Walk.walker ga and w2 = Walk.walker ga in
+  let mask1 = Array.make 4 false and mask2 = Array.make 4 false in
+  let pair view = Walk.advance_pair w1 w2 view ~eps1:0.0 ~eps2:0.0 ~mask1 ~mask2 in
+  Walk.start w1 p1;
+  Walk.start w2 p2;
+  pair (View.make ga);
+  let prev1 = reference_step ga None (Reference.of_walk p1) in
+  let prev2 = reference_step ga None (Reference.of_walk p2) in
+  Alcotest.(check bool) "both kept every vertex on A" true
+    (identical (Walk.current w1) prev1 && identical (Walk.current w2) prev2);
+  pair (View.make gb);
+  List.iter
+    (fun (name, w, prev) ->
+      let next = reference_step gb None prev in
+      Alcotest.(check bool) (name ^ " = reference step on B") true
+        (identical (Walk.current w) next);
+      Alcotest.(check bool) (name ^ " L1 = reference, bit for bit") true
+        (same_float (Walk.change w) (Reference.l1_change ~prev ~next)))
+    [ ("first", w1, prev1); ("second", w2, prev2) ]
 
 (* a view builds its bit rows when a sweep first reads them: on
    G(128, 1/2), dense enough for rows, walking alone leaves them
@@ -412,9 +423,10 @@ let test_rows_built_on_first_sweep () =
   Alcotest.(check bool) "the first rescan builds them" true (Lazy.is_val view.rows);
   Alcotest.(check bool) "G(128, 1/2) has rows" true (Option.is_some (Lazy.force view.rows))
 
-(* A start on every vertex takes the walker's full-support path on its
-   first advance. Vertex 3 is isolated and vertex 2 has a self-loop and
-   a parallel pair to 1; ε = 0.05 drops vertices 0 and 1, so the L1 sum
+(* A start on every vertex: one walker pushes, as on any support, and
+   two walkers stepped as a pair take the paired pull on their first
+   advance. Vertex 3 is isolated and vertex 2 has a self-loop and a
+   parallel pair to 1; ε = 0.05 drops vertices 0 and 1, so the L1 sum
    ends with the old masses of the dropped vertices. *)
 let test_walker_full_support_step () =
   let g = Graph.of_edges ~n:4 [ (0, 1); (1, 2); (1, 2); (2, 2) ] in
@@ -451,12 +463,12 @@ let test_walker_full_support_step () =
     && same_float (Walk.change w2) (Reference.l1_change ~prev ~next:whole))
 
 (* A dense multigraph on 2..40 vertices for the four-term blocks of
-   the full-support pulls and of the sweep's stamp count: each vertex
-   but [z] draws 0-13 edges to vertices below it, with repeats, so its
-   neighbours below number 0-13 and those above it about as many, and
-   both segments take every length mod 4. The repeats are parallel
-   edges, about one vertex in four has a self-loop, and [z] has no
-   edge at all. *)
+   the paired full-support pull and of the sweep's stamp count: each
+   vertex but [z] draws 0-13 edges to vertices below it, with repeats,
+   so its neighbours below number 0-13 and those above it about as
+   many, and both segments take every length mod 4. The repeats are
+   parallel edges, about one vertex in four has a self-loop, and [z]
+   has no edge at all. *)
 let block_multigraph rng =
   let n = 2 + Rng.int rng 39 in
   let z = Rng.int rng n in
@@ -481,11 +493,12 @@ let snapshot (p : Walk.sparse) =
    bit-row paths against the dense reference step and the reference
    scan, bit for bit, on multigraphs whose adjacency segments take
    every length mod 4 (DESIGN.md §12). Each walker starts on every
-   vertex at ε = 0 or ε > 0 and steps while its support stays full,
-   the first step computing its shares and later ones taking them
-   handed over; the rescans follow a walk from full to partial
-   supports. The bit-row path runs on the merged simple graph when it
-   is dense enough for rows. *)
+   vertex at ε = 0 or ε > 0 and steps while its support stays full. A
+   single walker pushes; a pair pulls in four-term blocks, its first
+   step computing its shares and later ones taking them handed over.
+   The rescans follow a walk from full to partial supports. The
+   bit-row path runs on the merged simple graph when it is dense
+   enough for rows. *)
 let prop_four_term_blocks_match_reference =
   QCheck.Test.make ~name:"four-term blocks = dense reference step + scan, bit for bit" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -817,9 +830,9 @@ let test_walker_rescan_allocation_free () =
    the graph, a walker or sweep smaller than it, a distribution with a
    vertex outside it and one walker passed twice as a pair each raise
    Invalid_argument, and leave every walker's current distribution,
-   every mask and the sweep as they were. Both paths of [advance] are
-   covered: a start on two vertices takes the sparse kernel, ψ_V the
-   full-support pull. *)
+   every mask and the sweep as they were. Both paths of [advance_pair]
+   are covered: a start on two vertices takes the push kernel, ψ_V the
+   paired full-support pull. *)
 let test_kernel_guards () =
   let g = Gen.cycle 12 and small = Gen.cycle 8 in
   let view = View.make g in
