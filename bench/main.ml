@@ -590,13 +590,13 @@ let e11_strawman () =
   List.iter
     (fun (name, g) ->
       let params = X.Nibble_params.make ~phi:(1.0 /. 16.0) ~m:(X.Graph.num_edges g) () in
-      let seq = X.Sparse_cut_sequential.run params g (X.Rng.create 84) in
+      let seq = X.Sparse_cut.run_sequential params g (X.Rng.create 84) in
       Snap.add_row t2
         [ name; "sequential ST";
-          Printf.sprintf "%.4f" seq.X.Sparse_cut_sequential.conductance;
-          Printf.sprintf "%.3f" seq.X.Sparse_cut_sequential.balance;
-          string_of_int seq.X.Sparse_cut_sequential.rounds;
-          string_of_int seq.X.Sparse_cut_sequential.nibbles ];
+          Printf.sprintf "%.4f" seq.X.Sparse_cut.conductance;
+          Printf.sprintf "%.3f" seq.X.Sparse_cut.balance;
+          string_of_int seq.X.Sparse_cut.rounds;
+          string_of_int seq.X.Sparse_cut.iterations ];
       let par = X.Sparse_cut.run params g (X.Rng.create 84) in
       Snap.add_row t2
         [ ""; "parallelized (Thm 3)";
@@ -631,7 +631,7 @@ let e12_mixing () =
       let gap, _ = X.Mixing.spectral_gap ~iters:400 g (X.Rng.create 92) in
       (* the lazy gap is a lower bound on Phi (Cheeger) *)
       let phi = Float.max 1e-6 gap in
-      let tau = X.Mixing.mixing_time ~max_steps:(64 * n) g (X.Rng.create 93) in
+      let tau = (X.Mixing.mixing_times ~max_steps:(64 * n) g (X.Rng.create 93) ~runs:1).(0) in
       Snap.add_row t
         [ name;
           string_of_int n;
@@ -738,7 +738,7 @@ let e13_faults () =
   in
   row "triangles" "gnp" tri
     ~rounds:(fun r -> r.X.Triangle_enum.total_rounds)
-    (X.Triangle_enum.run_verified ~attempts:3 tri (X.Rng.create 143));
+    (X.Triangle_enum.run_verified tri (X.Rng.create 143));
   let phi = 1.0 /. 16.0 in
   let dumb = X.Generators.dumbbell rng ~n1:scale ~n2:scale ~d:6 ~bridges:2 in
   let params =
@@ -747,7 +747,7 @@ let e13_faults () =
   let bound = X.Nibble_params.h ~n:(X.Graph.num_vertices dumb) phi in
   row "sparse-cut" "dumbbell" dumb
     ~rounds:(fun r -> r.X.Sparse_cut.rounds)
-    (X.Sparse_cut.run_verified ~attempts:3 ~bound params dumb (X.Rng.create 145));
+    (X.Sparse_cut.run_verified ~bound params dumb (X.Rng.create 145));
   out_table t2
 
 (* ------------------------------------------------------------------ *)

@@ -43,7 +43,6 @@ module Nibble = Dex_sparsecut.Nibble
 module Nibble_params = Dex_sparsecut.Params
 module Parallel_nibble = Dex_sparsecut.Parallel_nibble
 module Sparse_cut = Dex_sparsecut.Partition
-module Sparse_cut_sequential = Dex_sparsecut.St_reference
 module Cut_baselines = Dex_sparsecut.Baselines
 module Pagerank_cut = Dex_sparsecut.Pagerank_cut
 module Clustering = Dex_ldd.Clustering

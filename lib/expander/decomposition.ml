@@ -89,16 +89,12 @@ let sparse_cut_on d ~phi members =
       (`Empty, rounds)
     end
     else begin
-      let original = Vertex.Map.translate (Vertex.Map.of_array mapping) cut in
-      Array.sort compare original;
       (* conductance is min-side normalized, so the returned set may be
          the large side of the cut; the removal/recursion logic always
          wants the smaller-volume side *)
-      let vol_cut = Graph.volume gu cut in
-      let original =
-        if 2 * vol_cut > Graph.total_volume gu then Metrics.difference d.current members original
-        else original
-      in
+      let cut = Metrics.smaller_side gu cut in
+      let original = Vertex.Map.translate (Vertex.Map.of_array mapping) cut in
+      Array.sort compare original;
       (`Cut (original, res.Partition.conductance), rounds)
     end
   end

@@ -36,6 +36,8 @@ let difference g u s =
 
 let complement g s = difference g (Array.init (Graph.num_vertices g) Fun.id) s
 
+let smaller_side g s = if 2 * Graph.volume g s > Graph.total_volume g then complement g s else s
+
 let cut_size_mask g (mask : bool array) =
   let crossing = ref 0 in
   Graph.iter_edges g (fun u v -> if u <> v && mask.(u) <> mask.(v) then incr crossing);

@@ -19,6 +19,11 @@ val difference : Graph.t -> int array -> int array -> int array
 (** [complement g s] is [V \ S] as a sorted array. *)
 val complement : Graph.t -> int array -> int array
 
+(** [smaller_side g s] is [s] when Vol(S) ≤ Vol(V)/2, and
+    [complement g s] otherwise: the side of the cut that a peel
+    removes. *)
+val smaller_side : Graph.t -> int array -> int array
+
 (** [cut_size g s] = [|∂(S)|], the number of edges crossing [S].
     Self-loops never cross. *)
 val cut_size : Graph.t -> int array -> int

@@ -43,7 +43,7 @@ let require_nonempty g =
 let build g rng ~k =
   Invariant.require (k >= 1) ~where:"Hierarchy.build" "k >= 1";
   require_nonempty g;
-  instantiate g ~k ~tau_mix:(Mixing.mixing_time g rng)
+  instantiate g ~k ~tau_mix:(Mixing.mixing_times g rng ~runs:1).(0)
 
 let total_rounds t ~queries =
   let total = float_of_int t.preprocess_rounds +. (float_of_int queries *. float_of_int t.query_rounds) in

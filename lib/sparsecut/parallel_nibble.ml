@@ -34,10 +34,8 @@ let draw params (view : View.t) rng =
   let b = sample_scale params rng in
   (src, b)
 
-(* one view serves the draw and the copy *)
-let random_nibble params g rng =
-  let view = View.make g in
-  List.hd (Nibble.approximate_copies (Nibble.workspace g) params view [| draw params view rng |])
+let random_nibble ws params view rng =
+  List.hd (Nibble.approximate_copies ws params view [| draw params view rng |])
 
 let run ?k ?ledger ?workspace:ws params (view : View.t) rng =
   (match k with Some k when k < 1 -> invalid_arg "Parallel_nibble.run: k < 1" | _ -> ());

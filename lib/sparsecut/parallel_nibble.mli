@@ -20,8 +20,11 @@ type t = {
   nibbles : Nibble.outcome list; (** the underlying runs, in order *)
 }
 
-(** [random_nibble params g rng] is one RandomNibble run. *)
-val random_nibble : Params.t -> Dex_graph.Graph.t -> Dex_util.Rng.t -> Nibble.outcome
+(** [random_nibble ws params view rng] is one RandomNibble run on
+    [view.graph], in the first lane of [ws]; the view's float degrees
+    are ψ_V's weights. *)
+val random_nibble :
+  Nibble.workspace -> Params.t -> Dex_spectral.View.t -> Dex_util.Rng.t -> Nibble.outcome
 
 (** The state of {!run} that outlives a call: a {!Nibble.workspace}
     with one lane per copy, {!Nibble.masks} for as many copies, and a

@@ -106,8 +106,6 @@ let mixing_times ?(max_steps = 0) g rng ~runs =
         !worst)
   end
 
-let mixing_time ?max_steps g rng = (mixing_times ?max_steps g rng ~runs:1).(0)
-
 let spectral_gap ?(iters = 200) g rng =
   let n = Graph.num_vertices g in
   if n <= 1 then (1.0, Array.make n 0.0)

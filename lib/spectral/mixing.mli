@@ -7,20 +7,15 @@
     below a threshold, and we estimate the spectral gap by power
     iteration on the normalized lazy walk matrix. *)
 
-(** [mixing_time ?max_steps g rng] is the number of lazy-walk steps
-    after which, for each of 3 random start vertices
-    (degree-weighted), every vertex satisfies
-    [|p_t(u) - π(u)| ≤ π(u)/4]. Returns [max_steps] (default 4·n) if
-    never reached — e.g. on disconnected or edgeless graphs — and 0
-    when n ≤ 1. *)
-val mixing_time :
-  ?max_steps:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> int
-
-(** [mixing_times ?max_steps g rng ~runs] is the τ of [runs]
-    successive [mixing_time ?max_steps g rng] calls, and leaves [rng]
-    where they leave it: it draws all [runs]·3 starts first, in their
-    order, then walks each distinct start once, two walkers at a time.
-    [mixing_time] is its one-run case. Like it, n ≤ 1 and an edgeless
+(** [mixing_times ?max_steps g rng ~runs] measures [runs] mixing
+    times. One run's τ is the number of lazy-walk steps after which,
+    for each of 3 random start vertices (degree-weighted), every
+    vertex satisfies [|p_t(u) - π(u)| ≤ π(u)/4]: [max_steps]
+    (default 4·n) if never reached — e.g. on disconnected or edgeless
+    graphs — and 0 when n ≤ 1. The runs are those of measuring one
+    after another on [rng], and [rng] is left where they leave it: it
+    draws all [runs]·3 starts first, in their order, then walks each
+    distinct start once, two walkers at a time. n ≤ 1 and an edgeless
     graph draw nothing. Raises [Invalid_argument] if [runs < 0]. *)
 val mixing_times :
   ?max_steps:int -> Dex_graph.Graph.t -> Dex_util.Rng.t -> runs:int -> int array

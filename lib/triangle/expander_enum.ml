@@ -169,7 +169,7 @@ let run ?ledger ?(epsilon = 1.0 /. 6.0) ?(k_decomp = 2) g rng =
       || Array.length detected = Array.length ground_truth
          && Array.for_all2 Int.equal detected ground_truth }
 
-let run_verified ?ledger ?epsilon ?k_decomp ?(attempts = 3) g rng =
-  Rounds.las_vegas ?ledger ~label:"triangles" ~where:"Expander_enum.run_verified" ~attempts
+let run_verified ?ledger g rng =
+  Rounds.las_vegas ?ledger ~label:"triangles" ~where:"Expander_enum.run_verified" ~attempts:3
     ~rounds:(fun r -> r.total_rounds) ~accept:(fun r -> r.complete)
-  @@ fun i -> run ?ledger ?epsilon ?k_decomp g (Rng.split rng i)
+  @@ fun i -> run ?ledger g (Rng.split rng i)

@@ -65,19 +65,16 @@ val run :
     instance count ⌈3·⌈n^{1/3}⌉·incident/volume⌉ of one component. *)
 val instances_for : n:int -> incident:int -> volume:int -> int
 
-(** [run_verified ?ledger ?epsilon ?k_decomp ?attempts g rng] is the Las Vegas wrapper around {!run}, through
-    {!Dex_congest.Rounds.las_vegas}: each attempt's detected set is
-    checked against the exact ground truth ([complete]) and the
-    enumeration re-runs on the stream [Rng.split rng i] on a miss, up
-    to [attempts] times (default 3). [Error] carries the last attempt
-    — typed failure, no exception. With a [ledger], each attempt's
-    ["triangles"] span sits in an ["attempt-<i>"] span and, when a
-    trace is attached, each verdict emits a retry event labeled
-    ["triangles"]. Raises [Dex_util.Invariant.Violation] when
-    [attempts < 1]. *)
+(** [run_verified ?ledger g rng] is the Las Vegas wrapper around
+    {!run}, through {!Dex_congest.Rounds.las_vegas}: each attempt's
+    detected set is checked against the exact ground truth
+    ([complete]) and the enumeration re-runs on the stream
+    [Rng.split rng i] on a miss, up to 3 times. [Error] carries the
+    last attempt — typed failure, no exception. With a [ledger], each
+    attempt's ["triangles"] span sits in an ["attempt-<i>"] span and,
+    when a trace is attached, each verdict emits a retry event labeled
+    ["triangles"]. *)
 val run_verified :
   ?ledger:Dex_congest.Rounds.t ->
-  ?epsilon:float -> ?k_decomp:int ->
-  ?attempts:int ->
   Dex_graph.Graph.t -> Dex_util.Rng.t ->
   (result Dex_congest.Rounds.verified, result Dex_congest.Rounds.verified) Stdlib.result

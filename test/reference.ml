@@ -571,7 +571,7 @@ let order g p =
          match Float.compare r2 r1 with 0 -> Int.compare v1 v2 | c -> c)
   |> List.map fst |> Array.of_list
 
-(* Mixing.mixing_time as a dense loop over [step_sparse]: three
+(* one run of Mixing.mixing_times as a dense loop over [step_sparse]: three
    degree-weighted starts drawn from [rng], one after the other, each
    walked untruncated until every vertex of positive π is within 1/4
    of π relative, testing before each step, for at most [max_steps]

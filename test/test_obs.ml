@@ -307,7 +307,7 @@ let test_triangle_attempt_spans () =
   let ledger = Rounds.create () in
   let tr = Trace.create () in
   Rounds.attach_trace ledger (Some tr);
-  ignore (Enum.run_verified ~ledger ~attempts:3 g (Rng.create 68));
+  ignore (Enum.run_verified ~ledger g (Rng.create 68));
   let attempts =
     List.filter_map
       (function Trace.Retry { attempt; _ } -> Some attempt | _ -> None)

@@ -181,8 +181,8 @@ let allocated_words f =
    G(128, 1/2) they build no bit rows (4 × 384 words plus a closure per
    vertex when [View.make] built them eagerly: 13,515 words). Its four
    mixing times are one [Mixing.mixing_times] call: one view, two
-   walkers and each distinct start walked once, where four
-   [mixing_time] calls built four views and four walkers (8,911
+   walkers and each distinct start walked once, where four one-run
+   calls built four views and four walkers (8,911
    words). Measured at 3,596 words (OCaml 5.1, dune's default
    profile); that is the ceiling. *)
 let test_best_k_builds_no_rows () =

@@ -970,15 +970,15 @@ let test_mixing_time_ordering () =
   let rng = Rng.create 7 in
   let expander = Gen.random_regular rng ~n:64 ~d:8 in
   let ring = Gen.cycle 64 in
-  let t_exp = Mixing.mixing_time expander (Rng.create 8) in
-  let t_ring = Mixing.mixing_time ring (Rng.create 8) in
+  let t_exp = (Mixing.mixing_times expander (Rng.create 8) ~runs:1).(0) in
+  let t_ring = (Mixing.mixing_times ring (Rng.create 8) ~runs:1).(0) in
   Alcotest.(check bool) "expander mixes faster" true (t_exp < t_ring);
   Alcotest.(check bool) "expander mixes fast" true (t_exp < 64)
 
 let test_mixing_time_edgeless () =
   let g = Graph.of_edges ~n:5 [] in
-  Alcotest.(check int) "4·n" 20 (Mixing.mixing_time g (Rng.create 1));
-  Alcotest.(check int) "max_steps" 7 (Mixing.mixing_time ~max_steps:7 g (Rng.create 1))
+  Alcotest.(check int) "4·n" 20 (Mixing.mixing_times g (Rng.create 1) ~runs:1).(0);
+  Alcotest.(check int) "max_steps" 7 (Mixing.mixing_times ~max_steps:7 g (Rng.create 1) ~runs:1).(0)
 
 let test_spectral_gap_complete_vs_ring () =
   let rng = Rng.create 9 in
@@ -1056,10 +1056,10 @@ let prop_mass_conserved_sparse =
       let p = (Walk.truncated_walk g ~src:(seed mod n) ~eps:0.0 ~steps:5).(5) in
       Float.abs (W.mass p -. 1.0) < 1e-9)
 
-(* Mixing.mixing_time, which steps a walker at ε = 0, against the
-   reference loop over the bit-exact reference step: the same start
-   draws, and the same threshold test (1/4 of π) before each step, for
-   three starts; an edgeless graph never mixes. *)
+(* one run of Mixing.mixing_times, which steps walkers at ε = 0,
+   against the reference loop over the bit-exact reference step: the
+   same start draws, and the same threshold test (1/4 of π) before each
+   step, for three starts; an edgeless graph never mixes. *)
 let prop_mixing_time_matches_dense =
   QCheck.Test.make ~name:"mixing_time = dense reference loop" ~count:300
     QCheck.(int_bound 1_000_000)
@@ -1067,7 +1067,8 @@ let prop_mixing_time_matches_dense =
       let g, _, _ = random_instance seed in
       (* half the graphs connected, so that the walks mix *)
       let g = if seed mod 2 = 0 then g else Gen.connectivize (Rng.create seed) g in
-      Mixing.mixing_time g (Rng.create seed) = Reference.mixing_time g (Rng.create seed))
+      (Mixing.mixing_times g (Rng.create seed) ~runs:1).(0)
+      = Reference.mixing_time g (Rng.create seed))
 
 (* Mixing.mixing_times against [runs] successive reference runs on one
    stream, twice on each graph with two caps drawn independently, and

@@ -489,7 +489,7 @@ let test_reference_formulas () =
 let test_run_verified_complete () =
   let rng = Rng.create 67 in
   let g = Gen.connectivize rng (Gen.gnp rng ~n:40 ~p:0.25) in
-  match Enum.run_verified ~attempts:3 g (Rng.create 68) with
+  match Enum.run_verified g (Rng.create 68) with
   | Error _ -> Alcotest.fail "enumeration should certify within 3 attempts"
   | Ok o ->
     Alcotest.(check bool) "complete" true o.Rounds.value.Enum.complete;
@@ -499,13 +499,6 @@ let test_run_verified_complete () =
       (o.Rounds.rounds_total >= o.Rounds.value.Enum.total_rounds);
     Alcotest.(check (list (triple int int int))) "matches naive"
       (naive_triangles g) o.Rounds.value.Enum.triangles
-
-let test_run_verified_validation () =
-  let g = Gen.complete 4 in
-  Alcotest.check_raises "attempts must be >= 1"
-    (Dex_util.Invariant.Violation
-       { where = "Expander_enum.run_verified"; what = "attempts must be >= 1" })
-    (fun () -> ignore (Enum.run_verified ~attempts:0 g (Rng.create 1)))
 
 let prop_enum_complete =
   QCheck.Test.make ~name:"expander enumeration = ground truth" ~count:6
@@ -542,7 +535,6 @@ let () =
           Alcotest.test_case "instances formula" `Quick test_instances_formula;
           Alcotest.test_case "level reports" `Quick test_level_reports_consistent;
           Alcotest.test_case "run_verified complete" `Quick test_run_verified_complete;
-          Alcotest.test_case "run_verified validation" `Quick test_run_verified_validation;
           QCheck_alcotest.to_alcotest prop_enum_complete;
           Alcotest.test_case "level-1 instances" `Quick test_enum_level1_instances;
           Alcotest.test_case "levels partition" `Quick test_enum_levels_partition_triangles ] );
