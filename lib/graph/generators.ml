@@ -40,19 +40,19 @@ let gnp rng ~n ~p =
       done
     done
   else if p > 0.0 then begin
-    (* sparse regime: geometric skipping over the pair enumeration *)
+    (* sparse regime: geometric skipping over the pair enumeration
+       (row-major over u < v); the sampled positions only grow, so one
+       forward cursor on the row u and the index of its first pair
+       unranks them all in O(m + n) *)
     let total = n * (n - 1) / 2 in
     let pos = ref (Rng.geometric rng p) in
-    let unrank k =
-      (* pair index k (0-based, row-major over u < v) -> (u, v) *)
-      let rec row u k =
-        let row_len = n - 1 - u in
-        if k < row_len then (u, u + 1 + k) else row (u + 1) (k - row_len)
-      in
-      row 0 k
-    in
+    let u = ref 0 and row_start = ref 0 in
     while !pos < total do
-      edges := unrank !pos :: !edges;
+      while !pos >= !row_start + (n - 1 - !u) do
+        row_start := !row_start + (n - 1 - !u);
+        incr u
+      done;
+      edges := (!u, !u + 1 + !pos - !row_start) :: !edges;
       pos := !pos + 1 + Rng.geometric rng p
     done
   end;
@@ -61,41 +61,47 @@ let gnp rng ~n ~p =
 let random_regular rng ~n ~d =
   if d < 0 || d >= n then invalid_arg "Generators.random_regular: need 0 <= d < n";
   if n * d mod 2 = 1 then invalid_arg "Generators.random_regular: n*d must be even";
-  (* pairing model with bounded restarts; drop conflicting stubs on the
-     final attempt so we always terminate with a near-regular graph *)
+  (* pairing model: each attempt shuffles the n·d stubs and pairs them
+     in order. A pair is a conflict when it is a self-loop or repeats a
+     kept pair; 20 strict attempts stop at the first conflict, and the
+     last attempt drops its conflicting pairs, so it always terminates
+     with a graph of maximum degree d. [partner.(u·d + k)], k <
+     [fill.(u)], are the larger endpoints of the pairs kept at u so far:
+     u is the smaller endpoint of at most d pairs. *)
+  let nd = n * d in
+  let stubs = Array.make nd 0 and partner = Array.make nd 0 and fill = Array.make n 0 in
+  let paired u v =
+    let k = ref (u * d) and stop = (u * d) + fill.(u) in
+    while !k < stop && partner.(!k) <> v do
+      incr k
+    done;
+    !k < stop
+  in
   let attempt ~strict =
-    let stubs = Array.make (n * d) 0 in
-    for i = 0 to (n * d) - 1 do
-      stubs.(i) <- i / d
+    for v = 0 to n - 1 do
+      Array.fill stubs (v * d) d v
     done;
     Rng.shuffle rng stubs;
-    let seen = Hashtbl.create (n * d) in
+    Array.fill fill 0 n 0;
     let edges = ref [] in
     let ok = ref true in
     let i = ref 0 in
-    while !ok && !i + 1 < n * d do
-      let u = stubs.(!i) and v = stubs.(!i + 1) in
-      let key = (Int.min u v, Int.max u v) in
-      if u = v || Hashtbl.mem seen key then begin
-        if strict then ok := false
-      end
+    while !ok && !i + 1 < nd do
+      let u = Int.min stubs.(!i) stubs.(!i + 1) and v = Int.max stubs.(!i) stubs.(!i + 1) in
+      if u = v || paired u v then ok := not strict
       else begin
-        Hashtbl.replace seen key ();
-        edges := key :: !edges
+        partner.((u * d) + fill.(u)) <- v;
+        fill.(u) <- fill.(u) + 1;
+        edges := (u, v) :: !edges
       end;
       i := !i + 2
     done;
     if !ok then Some !edges else None
   in
   let rec go tries =
-    if tries = 0 then
-      match attempt ~strict:false with
-      | Some edges -> Graph.of_edges ~n edges
-      | None -> assert false
-    else
-      match attempt ~strict:true with
-      | Some edges -> Graph.of_edges ~n edges
-      | None -> go (tries - 1)
+    match attempt ~strict:(tries > 0) with
+    | Some edges -> Graph.of_edges ~n edges
+    | None -> go (tries - 1)
   in
   go 20
 

@@ -17,9 +17,17 @@ val grid : int -> int -> Graph.t
     lower-bound family is [gnp ~p:0.5]. *)
 val gnp : Dex_util.Rng.t -> n:int -> p:float -> Graph.t
 
-(** [random_regular rng ~n ~d] is a (near-)d-regular simple graph by
-    the pairing model with retries; w.h.p. an expander for d ≥ 3.
-    [n * d] must be even. *)
+(** [random_regular rng ~n ~d] is a simple graph of maximum degree [d]
+    from the pairing model; [n * d] must be even. Each of 20 strict
+    attempts shuffles the n·d stubs and pairs them in order, and is
+    rejected at its first self-loop or repeated pair. A strict attempt
+    succeeds with probability ≈ e^{−(d²−1)/4}, and its result is
+    d-regular. If all 20 fail, a 21st attempt keeps its pairs minus the
+    conflicting ones, so some vertices fall below degree d; for d ≥ 6
+    that is, in practice, the result. The seed-1 perfbench inputs
+    ([~n:200 ~d:8] and [~n:160 ~d:8]) have 14 of 200 and 32 of 160
+    vertices below degree 8. The retries stay because every seeded graph
+    depends on their rng draws. W.h.p. an expander for d ≥ 3. *)
 val random_regular : Dex_util.Rng.t -> n:int -> d:int -> Graph.t
 
 (** [barbell ~clique ~bridge] joins two K_{clique} by a path with

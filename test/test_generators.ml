@@ -77,6 +77,42 @@ let test_random_regular () =
   Alcotest.check_raises "odd nd" (Invalid_argument "Generators.random_regular: n*d must be even")
     (fun () -> ignore (Gen.random_regular rng ~n:5 ~d:3))
 
+(* Edge-list digests of seeded generator outputs: any change to a
+   generator's output or to its rng draws fails here, not only the
+   bench and perfbench goldens. (10, 2, 1), (20, 3, 2) and (1000, 4, 5)
+   end on a strict pairing attempt; (200, 8, 1) and (160, 8, 1), the
+   perfbench expander inputs, and (9, 8, 4), d = n - 1, end on the
+   fallback, which keeps 793, 617 and 23 pairs. *)
+let edges_digest g =
+  Graph.edges g
+  |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
+  |> String.concat ";" |> Digest.string |> Digest.to_hex
+
+let test_generator_goldens () =
+  List.iter
+    (fun (n, d, seed, m, digest) ->
+      let g = Gen.random_regular (Rng.create seed) ~n ~d in
+      let case = Printf.sprintf "random_regular n=%d d=%d seed=%d" n d seed in
+      Alcotest.(check int) (case ^ " m") m (Graph.num_edges g);
+      Alcotest.(check string) case digest (edges_digest g))
+    [ (10, 2, 1, 10, "dedd20a48b3979be8dfa2377ae48c5b9");
+      (20, 3, 2, 30, "827d9058cc4e3a1148a80a647901e2f4");
+      (200, 8, 1, 793, "10cf2899631df7300130b567ce94c783");
+      (160, 8, 1, 617, "7126cbb34e99a00600fb892238192e1e");
+      (50, 0, 3, 0, "d41d8cd98f00b204e9800998ecf8427e");
+      (9, 8, 4, 23, "86c7ebfebb5760b299b35b441c295498");
+      (1000, 4, 5, 2000, "74c6a5f527dbaa8033db12e61543de85") ];
+  let g = Gen.dumbbell (Rng.create 4) ~n1:40 ~n2:40 ~d:6 ~bridges:2 in
+  Alcotest.(check string) "dumbbell" "532c091fd37b62f19aa8247b0e1995ee" (edges_digest g);
+  List.iter
+    (fun (n, p, seed, digest) ->
+      let g = Gen.gnp (Rng.create seed) ~n ~p in
+      Alcotest.(check string) (Printf.sprintf "gnp n=%d p=%g seed=%d" n p seed) digest
+        (edges_digest g))
+    [ (300, 0.05, 7, "033d40c2718737f8bc59848197f35d1e");
+      (1000, 0.01, 2, "ebbb506939b26d7ac384f088ca7231fd");
+      (128, 0.5, 1, "095b8e10346cf080ae5b42337f012817") ]
+
 let test_barbell () =
   let g = Gen.barbell ~clique:10 ~bridge:3 in
   Alcotest.(check int) "n" 23 (Graph.num_vertices g);
@@ -183,5 +219,6 @@ let () =
           Alcotest.test_case "dumbbell" `Quick test_dumbbell;
           Alcotest.test_case "planted partition" `Quick test_planted_partition;
           Alcotest.test_case "chung-lu" `Quick test_chung_lu;
-          Alcotest.test_case "connectivize" `Quick test_connectivize ] );
+          Alcotest.test_case "connectivize" `Quick test_connectivize;
+          Alcotest.test_case "generator goldens" `Quick test_generator_goldens ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_generators_valid ]) ]
